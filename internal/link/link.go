@@ -146,7 +146,15 @@ type Device struct {
 	recv        func(*Frame)
 	onChange    []func()
 	promiscuous bool
-	upSince     sim.Time
+	// upGen counts the bring-ups BringDown has aborted, so a stale timer
+	// cannot complete a later one.
+	upGen   uint32
+	upSince sim.Time
+
+	// fastSeen is net.fastLanded as of the last settle; fastOwn counts the
+	// fast flights landed since that this device sent, received or was
+	// walked for. The difference is owed to dropFilter or dropDown.
+	fastSeen, fastOwn uint64
 
 	// Traffic counters live in the loop's metrics registry (detached
 	// handles when telemetry is disabled); DeviceStats is a read-through
@@ -191,6 +199,7 @@ func NewDevice(loop *sim.Loop, name string, bringUpDelay, jitter time.Duration) 
 		dropFilter: &metrics.Counter{},
 	}
 	metrics.For(loop).Collect(func(c *metrics.Collection) {
+		d.settle()
 		dev := metrics.L("dev", d.name)
 		c.Counter("link.device.tx_packets", d.ctr.sent.Value(), dev)
 		c.Counter("link.device.rx_packets", d.ctr.received.Value(), dev)
@@ -222,6 +231,7 @@ func (d *Device) Network() *Network { return d.net }
 // Stats returns a snapshot of the device counters, assembled from the
 // registry-backed handles.
 func (d *Device) Stats() DeviceStats {
+	d.settle()
 	return DeviceStats{
 		Sent:          d.ctr.sent.Value(),
 		Received:      d.ctr.received.Value(),
@@ -248,7 +258,42 @@ func (d *Device) notifyChange() {
 }
 
 // SetPromiscuous controls whether frames for other stations are delivered.
-func (d *Device) SetPromiscuous(v bool) { d.promiscuous = v }
+func (d *Device) SetPromiscuous(v bool) {
+	if v == d.promiscuous {
+		return
+	}
+	if n := d.net; n != nil {
+		n.materialize()
+		if v {
+			n.promisc++
+		} else {
+			n.promisc--
+		}
+	}
+	d.promiscuous = v
+}
+
+// settle folds the fast flights that landed on the device's network since
+// the last settle, less the ones the device took part in, into the drop
+// counter the walk would have bumped: dropFilter if the device is up,
+// dropDown if not. It must run before the state changes, before the device
+// detaches and before the counters are read.
+func (d *Device) settle() {
+	n := d.net
+	if n == nil {
+		return
+	}
+	if n.landing != nil {
+		n.finishWalk()
+	}
+	owed := n.fastLanded - d.fastSeen - d.fastOwn
+	d.fastSeen, d.fastOwn = n.fastLanded, 0
+	if d.state == StateUp {
+		d.ctr.dropFilter.Add(owed)
+	} else {
+		d.ctr.dropDown.Add(owed)
+	}
+}
 
 // Attach connects the device to a broadcast domain. Attaching does not
 // bring the device up.
@@ -267,7 +312,7 @@ func (d *Device) Detach() {
 	if d.net == nil {
 		return
 	}
-	d.net.remove(d)
+	d.net.remove(d) // settles d first
 	d.net = nil
 	d.notifyChange()
 }
@@ -285,10 +330,14 @@ func (d *Device) BringUp(done func()) time.Duration {
 	}
 	delay := d.loop.Jitter(d.bringUpDelay, d.bringUpJitter)
 	d.state = StateBringingUp
+	gen := d.upGen
 	d.loop.Schedule(delay, func() {
-		if d.state != StateBringingUp { // brought down meanwhile
+		// Brought down meanwhile — and possibly asked up again since, which
+		// is that request's timer to complete, not this one's.
+		if d.state != StateBringingUp || d.upGen != gen {
 			return
 		}
+		d.settle()
 		d.state = StateUp
 		d.upSince = d.loop.Now()
 		d.markLinkChange(kSpanLinkUp)
@@ -307,6 +356,8 @@ func (d *Device) BringDown() {
 	if d.state == StateDown {
 		return
 	}
+	d.settle()
+	d.upGen++
 	d.state = StateDown
 	d.markLinkChange(kSpanLinkDown)
 	d.notifyChange()

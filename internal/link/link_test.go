@@ -203,6 +203,50 @@ func TestBringDownCancelsBringUp(t *testing.T) {
 	}
 }
 
+// A down/up flap that lands mid-bring-up must leave the first timer inert:
+// the device comes up when the second request's delay has run, and only the
+// second request's callback fires.
+func TestBringUpFlapIgnoresStaleTimer(t *testing.T) {
+	loop := sim.New(1)
+	d := NewDevice(loop, "d", 400*time.Millisecond, 0)
+	var first, second []sim.Time
+	d.BringUp(func() { first = append(first, loop.Now()) })
+	loop.RunFor(100 * time.Millisecond)
+	d.BringDown()
+	d.BringUp(func() { second = append(second, loop.Now()) })
+	loop.RunFor(300 * time.Millisecond) // t=400ms: the aborted bring-up's timer fires
+	if d.IsUp() || len(first) != 0 {
+		t.Fatalf("aborted bring-up completed at %v (up=%v, done1 fired %v)", loop.Now(), d.IsUp(), first)
+	}
+	loop.Run()
+	if len(first) != 0 {
+		t.Fatalf("done callback of the aborted bring-up fired at %v", first)
+	}
+	if want := sim.Time(500 * time.Millisecond); !d.IsUp() || d.UpSince() != want || len(second) != 1 || second[0] != want {
+		t.Fatalf("pending bring-up: up=%v since %v, done2 fired %v; want up at %v", d.IsUp(), d.UpSince(), second, want)
+	}
+}
+
+// A detached device must not stay reachable through the slot it vacated in
+// the network's backing array, nor through the hardware-address index.
+func TestDetachReleasesDevice(t *testing.T) {
+	loop := sim.New(1)
+	n := NewNetwork(loop, "test", Ethernet())
+	devs := []*Device{upDevice(t, loop, n, "a"), upDevice(t, loop, n, "b"), upDevice(t, loop, n, "c")}
+	devs[1].Detach()
+	if got := n.Devices(); len(got) != 2 || got[0] != devs[0] || got[1] != devs[2] {
+		t.Fatalf("Devices after detach = %v", got)
+	}
+	for i, d := range n.devices[:cap(n.devices)] {
+		if i >= len(n.devices) && d != nil {
+			t.Fatalf("backing slot %d still holds %s", i, d.Name())
+		}
+	}
+	if _, ok := n.byHW[devs[1].HW()]; ok || len(n.byHW) != 2 {
+		t.Fatalf("hardware index after detach = %v", n.byHW)
+	}
+}
+
 func TestFramesInFlightDroppedAfterBringDown(t *testing.T) {
 	loop := sim.New(1)
 	n := NewNetwork(loop, "test", Ethernet())

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"slices"
 	"time"
 
 	"mosquitonet/internal/bufpool"
@@ -112,12 +113,21 @@ type NetworkStats struct {
 
 // Network is a broadcast domain: every attached, up device receives a copy
 // of each transmitted frame addressed to it (or to broadcast), after the
-// medium's serialization and propagation delays.
+// medium's serialization and propagation delays. Every other attached device
+// accounts the frame as a filter or down drop — by being walked, or, for a
+// unicast frame on a lossless, unlogged, non-promiscuous segment, by the
+// lazily settled arithmetic described at flight.
 type Network struct {
 	name    string
 	loop    *sim.Loop
 	medium  Medium
 	devices []*Device
+	// byHW indexes the attached devices by hardware address (addresses are
+	// process-unique, so it is a bijection with devices).
+	byHW map[HWAddr]*Device
+	// promisc counts the attached promiscuous devices; any one of them
+	// receives every frame, so none may be skipped.
+	promisc int
 	stats   NetworkStats
 	pktlog  *metrics.PacketLog
 
@@ -144,6 +154,17 @@ type Network struct {
 	// flights recycles in-flight frame records (payload copy + receiver
 	// snapshot) so steady-state transmission does not allocate per frame.
 	flights []*flight
+
+	// fastLanded counts the fast flights delivered so far. A device owes
+	// itself one filter or down drop for each it has not settled, less the
+	// ones it sent or received (Device.settle).
+	fastLanded uint64
+	// airHead/airTail queue the fast flights still in the air, in launch
+	// order — which lastDelivery makes their delivery order.
+	airHead, airTail *flight
+	// landing is the fast flight whose receiver callback is running: the
+	// devices attached after the receiver have not been reached yet.
+	landing *flight
 }
 
 // flight is one frame in transit: a single shared copy of the payload and
@@ -151,10 +172,32 @@ type Network struct {
 // One heap event delivers to every receiver in attachment order — the same
 // observable order per-receiver events produced, since their consecutive
 // sequence numbers admitted no interleaving — and then recycles the record.
+//
+// A fast flight (from != nil) is a unicast frame whose snapshot would have
+// been every attached device but the sender, all but one of which can only
+// count a drop. Its rx holds that one device (or nobody, for a stale or
+// self-addressed destination); the rest are accounted arithmetically when it
+// lands. Three invariants keep that bit-exact with the walk:
+//
+//   - eligibility, decided at launch: unicast destination, LossProb == 0 (no
+//     per-receiver draw to preserve), no promiscuous device attached, no
+//     packet log (its "device down on rx" rows need the walk; a loop's log
+//     is fixed before anything is built on it), not a trunk end, and someone
+//     besides the sender attached (the walk schedules no event for nobody);
+//   - settle points: a device folds its unsettled fast flights into
+//     dropFilter or dropDown, by the state it holds, before that state
+//     changes, before it detaches and before its counters are read;
+//   - materialize on membership change: before any attach, detach or
+//     promiscuous toggle, every fast flight in the air gets its full
+//     snapshot back, so "membership at launch, state at arrival" still holds.
 type flight struct {
 	net   *Network
 	frame Frame
 	rx    []*Device
+	// fire is fl.deliver, bound once: scheduling it allocates nothing.
+	fire func()
+	from *Device // sender of a fast flight; nil on the general path
+	next *flight // in-air queue link
 }
 
 func (n *Network) newFlight(f *Frame) *flight {
@@ -165,6 +208,7 @@ func (n *Network) newFlight(f *Frame) *flight {
 		n.flights = n.flights[:k-1]
 	} else {
 		fl = &flight{net: n}
+		fl.fire = fl.deliver
 	}
 	payload := bufpool.Get(len(f.Payload))
 	copy(payload, f.Payload)
@@ -179,14 +223,80 @@ func (n *Network) newFlight(f *Frame) *flight {
 // and arp.Unmarshal both copy what they keep).
 func (fl *flight) deliver() {
 	n := fl.net
-	for i, d := range fl.rx {
-		fl.rx[i] = nil
-		n.stats.Delivered++
-		d.deliver(&fl.frame)
+	if fl.from != nil {
+		// Fast flight: everyone but the sender gets a delivery; only rx is
+		// visited. Flights land in launch order, so fl heads the queue.
+		if n.airHead != fl {
+			panic("link: fast flight landed out of launch order")
+		}
+		if n.airHead = fl.next; n.airHead == nil {
+			n.airTail = nil
+		}
+		fl.next = nil
+		n.fastLanded++
+		fl.from.fastOwn++
+		for _, d := range fl.rx {
+			d.fastOwn++
+		}
+		n.stats.Delivered += uint64(len(n.devices) - 1 - len(fl.rx))
+		n.landing = fl
 	}
+	// rx can grow under the loop: finishWalk appends the unreached devices.
+	for i := 0; i < len(fl.rx); i++ {
+		n.stats.Delivered++
+		fl.rx[i].deliver(&fl.frame)
+		fl.rx[i] = nil
+	}
+	n.landing = nil
+	fl.from = nil
 	bufpool.Put(fl.frame.Payload)
 	fl.frame = Frame{}
 	n.flights = append(n.flights, fl)
+}
+
+// finishWalk turns the rest of the landing fast flight back into a walk. Its
+// receiver's callback is about to change a state or the membership, and the
+// devices attached after the receiver must meet the frame in the state they
+// hold once the callback returns: they are taken out of the arithmetic and
+// appended to rx.
+func (n *Network) finishWalk() {
+	fl := n.landing
+	n.landing = nil
+	i := 0
+	for n.devices[i] != fl.rx[0] {
+		i++
+	}
+	for _, d := range n.devices[i+1:] {
+		if d == fl.from {
+			continue
+		}
+		d.fastOwn++
+		n.stats.Delivered--
+		fl.rx = append(fl.rx, d)
+	}
+}
+
+// materialize gives every fast flight in the air (and the unreached part of
+// one that is landing) its full receiver snapshot back. It runs before the
+// membership or a promiscuous flag changes, so the snapshot is the one the
+// walk would have taken at launch.
+func (n *Network) materialize() {
+	if n.landing != nil {
+		n.finishWalk()
+	}
+	for fl := n.airHead; fl != nil; {
+		fl.rx = fl.rx[:0]
+		for _, d := range n.devices {
+			if d != fl.from {
+				fl.rx = append(fl.rx, d)
+			}
+		}
+		fl.from = nil
+		next := fl.next
+		fl.next = nil
+		fl = next
+	}
+	n.airHead, n.airTail = nil, nil
 }
 
 // AddTap registers an observer invoked for every frame offered to the
@@ -231,12 +341,31 @@ func (n *Network) Stats() NetworkStats { return n.stats }
 // Devices returns the attached devices.
 func (n *Network) Devices() []*Device { return append([]*Device(nil), n.devices...) }
 
-func (n *Network) add(d *Device) { n.devices = append(n.devices, d) }
+func (n *Network) add(d *Device) {
+	n.materialize()
+	n.devices = append(n.devices, d)
+	if n.byHW == nil {
+		n.byHW = make(map[HWAddr]*Device)
+	}
+	n.byHW[d.hw] = d
+	if d.promiscuous {
+		n.promisc++
+	}
+	d.fastSeen, d.fastOwn = n.fastLanded, 0
+}
 
 func (n *Network) remove(d *Device) {
+	n.materialize()
+	d.settle()
 	for i, x := range n.devices {
 		if x == d {
-			n.devices = append(n.devices[:i], n.devices[i+1:]...)
+			// Delete nils the vacated slot, or the backing array would keep
+			// a detached device (and its host) reachable.
+			n.devices = slices.Delete(n.devices, i, i+1)
+			delete(n.byHW, d.hw)
+			if d.promiscuous {
+				n.promisc--
+			}
 			return
 		}
 	}
@@ -281,6 +410,11 @@ func (n *Network) transmit(from *Device, f *Frame) {
 		n.handoff(&Frame{Src: f.Src, Dst: f.Dst, Type: f.Type, Payload: payload, Trace: f.Trace}, arrival)
 		return
 	}
+	if !f.Dst.IsBroadcast() && n.medium.LossProb == 0 && n.promisc == 0 && n.pktlog == nil && len(n.devices) > 1 {
+		// A lone sender has no receiver and, as on the walk, costs no event.
+		n.transmitFast(from, f, arrival)
+		return
+	}
 	// Loss draws stay per-receiver in attachment order, so the RNG
 	// consumption sequence is identical to per-receiver scheduling. The
 	// payload is copied lazily: a frame every receiver loses costs nothing.
@@ -305,7 +439,25 @@ func (n *Network) transmit(from *Device, f *Frame) {
 		//lint:allow dropaccounting every receiver lost the frame; each loss was counted in LostMedium above
 		return
 	}
-	n.loop.At(arrival, fl.deliver)
+	n.loop.At(arrival, fl.fire)
+}
+
+// transmitFast launches a fast flight (see flight): one index probe finds
+// the only device that can receive the frame, and the flight joins the in-air
+// queue so a membership change can still give it its full snapshot.
+func (n *Network) transmitFast(from *Device, f *Frame, arrival sim.Time) {
+	fl := n.newFlight(f)
+	fl.from = from
+	if d := n.byHW[f.Dst]; d != nil && d != from {
+		fl.rx = append(fl.rx, d)
+	}
+	if n.airTail == nil {
+		n.airHead = fl
+	} else {
+		n.airTail.next = fl
+	}
+	n.airTail = fl
+	n.loop.At(arrival, fl.fire)
 }
 
 // SetHandoff marks this network as the local end of a cross-shard trunk.
