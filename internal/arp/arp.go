@@ -72,19 +72,30 @@ var (
 
 // Unmarshal parses an ARP message, validating the type/length fields.
 func Unmarshal(b []byte) (*Message, error) {
+	m := new(Message)
+	if err := m.unmarshal(b); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// unmarshal is Unmarshal into a message the caller holds. HandleFrame
+// decodes into its own frame: on a broadcast segment every attached device
+// parses every request, and none of them keeps the message.
+func (m *Message) unmarshal(b []byte) error {
 	if len(b) < MessageLen {
-		return nil, ErrShortMessage
+		return ErrShortMessage
 	}
 	if binary.BigEndian.Uint16(b[0:]) != 1 || binary.BigEndian.Uint16(b[2:]) != 0x0800 ||
 		b[4] != 6 || b[5] != 4 {
-		return nil, ErrBadFormat
+		return ErrBadFormat
 	}
-	m := &Message{Op: Op(binary.BigEndian.Uint16(b[6:]))}
+	m.Op = Op(binary.BigEndian.Uint16(b[6:]))
 	copy(m.SenderHW[:], b[8:14])
 	copy(m.SenderIP[:], b[14:18])
 	copy(m.TargetHW[:], b[18:24])
 	copy(m.TargetIP[:], b[24:28])
-	return m, nil
+	return nil
 }
 
 // Config tunes cache behaviour. Zero values select the defaults.
@@ -350,8 +361,8 @@ func (c *Cache) Gratuitous(a ip.Addr, hw link.HWAddr) {
 // updating the cache and answering requests for local or published
 // addresses. Malformed messages are dropped silently, as on a real link.
 func (c *Cache) HandleFrame(f *link.Frame) {
-	m, err := Unmarshal(f.Payload)
-	if err != nil {
+	var m Message
+	if err := m.unmarshal(f.Payload); err != nil {
 		c.stats.DropMalformed++
 		return
 	}
@@ -380,10 +391,10 @@ func (c *Cache) HandleFrame(f *link.Frame) {
 	}
 	switch {
 	case isLocal:
-		c.reply(m)
+		c.reply(&m)
 		c.stats.RepliesSent++
 	case c.Published(m.TargetIP):
-		c.reply(m)
+		c.reply(&m)
 		c.stats.ProxyReplies++
 	}
 }

@@ -1,6 +1,7 @@
 package arp
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -73,7 +74,7 @@ func TestPropertyMessageRoundTrip(t *testing.T) {
 		got, err := Unmarshal(m.Marshal())
 		return err == nil && *got == *m
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1996))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,9 +1,17 @@
 package ip
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// quickConfig is a testing/quick configuration whose generator has a fixed
+// seed, so a failing property reproduces on the next run (maxCount 0 keeps
+// quick's default of 100).
+func quickConfig(maxCount int) *quick.Config {
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(1996))}
+}
 
 func TestParseAddr(t *testing.T) {
 	cases := []struct {
@@ -39,14 +47,14 @@ func TestAddrStringRoundTrip(t *testing.T) {
 		got, err := ParseAddr(a.String())
 		return err == nil && got == a
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickConfig(0)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestAddrUint32RoundTrip(t *testing.T) {
 	f := func(v uint32) bool { return AddrFromUint32(v).Uint32() == v }
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickConfig(0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -191,7 +199,7 @@ func TestPropertyContainsMask(t *testing.T) {
 		want := a.Uint32()&p.Mask() == b.Uint32()&p.Mask()
 		return p.Contains(b) == want
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickConfig(0)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -238,7 +238,7 @@ func TestPropertyFragmentRoundTrip(t *testing.T) {
 		}
 		return full != nil && bytes.Equal(full.Payload, p.Payload) && full.Header == p.Header
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quickConfig(200)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -251,7 +251,7 @@ func TestPropertyPacketRoundTrip(t *testing.T) {
 		}
 		return q.Header == p.Header && bytes.Equal(q.Payload, p.Payload)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quickConfig(300)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -269,7 +269,7 @@ func TestPropertySingleBitFlipDetected(t *testing.T) {
 		_, err = Unmarshal(b)
 		return err != nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quickConfig(300)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -295,7 +295,7 @@ func TestPropertyTunnelRoundTrip(t *testing.T) {
 		}
 		return got.Header == inner.Header && bytes.Equal(got.Payload, inner.Payload)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quickConfig(300)); err != nil {
 		t.Fatal(err)
 	}
 }

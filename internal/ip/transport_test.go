@@ -91,7 +91,7 @@ func TestPropertyUDPRoundTrip(t *testing.T) {
 		h, p, err := UnmarshalUDP(src, dst, b)
 		return err == nil && h.SrcPort == sp && h.DstPort == dp && bytes.Equal(p, payload)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quickConfig(300)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -162,7 +162,7 @@ func TestPropertyICMPRoundTrip(t *testing.T) {
 		return err == nil && got.Type == m.Type && got.Code == code &&
 			got.ID == id && got.Seq == seq && bytes.Equal(got.Body, body)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quickConfig(300)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -239,7 +239,7 @@ func TestPropertySeqAntisymmetric(t *testing.T) {
 		b := a + delta
 		return SeqLess(a, b) && !SeqLess(b, a) && SeqLEQ(a, b) && !SeqLEQ(b, a)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quickConfig(300)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -253,7 +253,7 @@ func TestPropertyTCPRoundTrip(t *testing.T) {
 		gh, gp, err := UnmarshalTCP(src, dst, MarshalTCP(src, dst, h, payload))
 		return err == nil && gh == h && bytes.Equal(gp, payload)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quickConfig(300)); err != nil {
 		t.Fatal(err)
 	}
 }

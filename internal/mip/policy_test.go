@@ -95,7 +95,7 @@ func TestPropertyPolicyLPM(t *testing.T) {
 		}
 		return pt.Lookup(addr) == Policy(longest%3+1)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, quickConfig(150)); err != nil {
 		t.Fatal(err)
 	}
 }

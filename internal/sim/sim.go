@@ -20,7 +20,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -77,7 +76,7 @@ func (t Timer) Stop() bool {
 		return false
 	}
 	l := ev.loop
-	heap.Remove(&l.pq, ev.idx)
+	l.remove(ev.idx)
 	l.recycle(ev)
 	return true
 }
@@ -91,33 +90,89 @@ func (t Timer) At() Time {
 	return t.ev.at
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the queue order: time, then scheduling sequence. seq is unique
+// per loop, so the order is strict and total and the pop sequence does not
+// depend on the heap's shape.
+func (ev *event) before(o *event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return ev.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+
+// The queue is a binary min-heap laid directly on l.pq. Sifting moves a hole
+// instead of swapping: each displaced record is written (and its idx kept)
+// once, and the moving record lands once at the end.
+
+// push adds ev to the queue.
+func (l *Loop) push(ev *event) {
+	l.pq = append(l.pq, ev)
+	l.siftUp(len(l.pq)-1, ev)
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
+
+// popMin removes and returns the earliest event; the queue must not be empty.
+func (l *Loop) popMin() *event {
+	top := l.pq[0]
+	l.remove(0)
+	return top
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*h = old[:n-1]
-	return ev
+
+// remove takes the event at heap index i out of the queue: the last record
+// fills the hole and sifts whichever way restores the order.
+func (l *Loop) remove(i int) {
+	n := len(l.pq) - 1
+	last := l.pq[n]
+	l.pq[n] = nil
+	l.pq = l.pq[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(l.pq[(i-1)/2]) {
+		l.siftUp(i, last)
+	} else {
+		l.siftDown(i, last)
+	}
+}
+
+// siftUp places ev at or above the hole at index i.
+func (l *Loop) siftUp(i int, ev *event) {
+	pq := l.pq
+	for i > 0 {
+		p := (i - 1) / 2
+		parent := pq[p]
+		if !ev.before(parent) {
+			break
+		}
+		pq[i] = parent
+		parent.idx = i
+		i = p
+	}
+	pq[i] = ev
+	ev.idx = i
+}
+
+// siftDown places ev at or below the hole at index i.
+func (l *Loop) siftDown(i int, ev *event) {
+	pq := l.pq
+	n := len(pq)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		child := pq[c]
+		if r := c + 1; r < n && pq[r].before(child) {
+			c, child = r, pq[r]
+		}
+		if !child.before(ev) {
+			break
+		}
+		pq[i] = child
+		child.idx = i
+		i = c
+	}
+	pq[i] = ev
+	ev.idx = i
 }
 
 // Loop is a discrete-event simulation loop with a virtual clock and a
@@ -125,7 +180,7 @@ func (h *eventHeap) Pop() any {
 type Loop struct {
 	now      Time
 	seq      uint64
-	pq       eventHeap
+	pq       []*event // binary min-heap on (at, seq)
 	free     []*event // recycled event records
 	rng      *rand.Rand
 	executed uint64
@@ -208,7 +263,7 @@ func (l *Loop) At(t Time, fn func()) Timer {
 	ev := l.alloc()
 	ev.at, ev.seq, ev.fn = t, l.seq, fn
 	l.seq++
-	heap.Push(&l.pq, ev)
+	l.push(ev)
 	if len(l.pq) > l.maxQueue {
 		l.maxQueue = len(l.pq)
 	}
@@ -221,7 +276,7 @@ func (l *Loop) Step() bool {
 	if len(l.pq) == 0 {
 		return false
 	}
-	ev := heap.Pop(&l.pq).(*event)
+	ev := l.popMin()
 	l.now = ev.at
 	fn := ev.fn
 	// Recycle before invoking so the callback can schedule into the

@@ -1,0 +1,184 @@
+package stack
+
+import (
+	"testing"
+	"time"
+
+	"mosquitonet/internal/ip"
+	"mosquitonet/internal/pipeline"
+	"mosquitonet/internal/sim"
+)
+
+// raceDetector is set by race_test.go when the test binary is built -race.
+var raceDetector bool
+
+func (h *Host) ctxFreeLen() (n int) {
+	for c := h.ctxFree; c != nil; c = c.free {
+		n++
+	}
+	return n
+}
+
+func (h *Host) hopFreeLen() (n int) {
+	for r := h.hopFree; r != nil; r = r.free {
+		n++
+	}
+	return n
+}
+
+func (h *Host) queryFreeLen() (n int) {
+	for q := h.queryFree; q != nil; q = q.free {
+		n++
+	}
+	return n
+}
+
+// TestChainContextsNest drives the three ways a chain run starts inside
+// another on the same host — an INPUT hook re-injecting through Input, a
+// protocol handler replying through Output, a Drop whose observer sends an
+// ICMP error through Output — and asserts that the outer run's context is
+// untouched by the inner one, that a context a hook wrongly kept reads
+// zeroed once its run is over, and that every record is back on its free
+// list afterwards.
+func TestChainContextsNest(t *testing.T) {
+	const (
+		protoWrapped = ip.Protocol(253) // carries a payload to re-inject
+		protoRefused = ip.Protocol(254) // rejected by a PREROUTING policy hook
+	)
+	loop := sim.New(1)
+	h := NewHost(loop, "h", Config{})
+	var sent []*ip.Packet
+	wire := h.AddVirtualIface("wire", func(pkt *ip.Packet, _ ip.Addr) { sent = append(sent, pkt) })
+	self, peer := ip.Addr{10, 0, 0, 1}, ip.Addr{10, 0, 0, 2}
+	h.AddLocalAddr(self)
+	h.AddDefaultRoute(ip.Unspecified, wire)
+	// A resolver hook, so that route misses go through pooled queries.
+	h.SetRouteLookup(h.DefaultRouteLookup)
+
+	var kept []*PacketContext // what a misbehaving hook would hold on to
+	nested := 0               // nested runs whose outer context was checked
+	intact := func(what string, outer *PacketContext, before PacketContext) {
+		t.Helper()
+		nested++
+		if *outer != before {
+			t.Errorf("%s: outer context changed under the nested run:\n got %+v\nwant %+v", what, *outer, before)
+		}
+	}
+
+	// 1. INPUT hook re-injects the wrapped packet through Input.
+	h.Hooks(pipeline.Input).Register(pipeline.Hook[*PacketContext]{
+		Name: "unwrap", Priority: PriDecap,
+		Fn: func(ctx *PacketContext) pipeline.Verdict {
+			kept = append(kept, ctx)
+			if ctx.Pkt.Protocol != protoWrapped {
+				return pipeline.Accept
+			}
+			before := *ctx
+			h.Input(ctx.In, &ip.Packet{Header: ip.Header{Protocol: ip.ProtoUDP, Src: peer, Dst: self}, Payload: []byte("inner")})
+			intact("Input from an INPUT hook", ctx, before)
+			return pipeline.Stolen
+		},
+	})
+	// 2. The UDP handler replies through Output while INPUT's demux hook —
+	// and so the INPUT context the hook above saw — is still running.
+	h.RegisterHandler(ip.ProtoUDP, func(_ *Iface, pkt *ip.Packet) {
+		outer := kept[len(kept)-1]
+		before := *outer
+		if outer.Pkt != pkt || outer.stage != pipeline.Input {
+			t.Fatalf("handler ran outside the INPUT context it was demuxed from: %+v", before)
+		}
+		// Invalidate first, so that the nested run misses the decision
+		// cache and takes a route query as well.
+		h.InvalidateRoutes()
+		if err := h.Output(&ip.Packet{Header: ip.Header{Protocol: ip.ProtoUDP, Dst: pkt.Src}, Payload: []byte("echo")}); err != nil {
+			t.Fatal(err)
+		}
+		intact("Output from a protocol handler", outer, before)
+	})
+	// 3. A policy hook rejects; the observer sends the ICMP error through
+	// Output. The observer is wrapped to look at the context after it.
+	h.Hooks(pipeline.Prerouting).Register(pipeline.Hook[*PacketContext]{
+		Name: "refuse", Priority: PriFirst,
+		Fn: func(ctx *PacketContext) pipeline.Verdict {
+			kept = append(kept, ctx)
+			if ctx.Pkt.Protocol == protoRefused {
+				return ctx.Reject("refused")
+			}
+			return pipeline.Accept
+		},
+	})
+	h.Hooks(pipeline.Prerouting).SetObserver(func(ctx *PacketContext, v pipeline.Verdict) {
+		before := *ctx
+		icmpBefore := h.icmp.Sent
+		h.observeVerdict(ctx, v)
+		if h.icmp.Sent != icmpBefore {
+			intact("ICMP error from the observer", ctx, before)
+		}
+	})
+
+	script := func() {
+		kept, sent = kept[:0], sent[:0]
+		h.Input(wire, &ip.Packet{Header: ip.Header{Protocol: protoWrapped, Src: peer, Dst: self}, Payload: []byte("outer")})
+		h.Input(wire, &ip.Packet{Header: ip.Header{Protocol: protoRefused, Src: peer, Dst: self}, Payload: []byte("nope")})
+		loop.RunFor(time.Second)
+	}
+	script()
+	if nested != 3 {
+		t.Fatalf("%d nested runs checked, want 3 (re-inject, reply, ICMP error)", nested)
+	}
+	if len(sent) != 2 || sent[0].Protocol != ip.ProtoICMP || sent[1].Protocol != ip.ProtoUDP {
+		t.Fatalf("wire carried %v, want the ICMP error then the UDP echo", sent)
+	}
+	if st := h.Stats(); st.Delivered != 1 || st.DropFilter != 1 || st.Sent != 2 {
+		t.Fatalf("stats %+v, want 1 delivered, 1 filtered, 2 sent", st)
+	}
+	for i, c := range kept {
+		got := *c
+		got.free = nil // the list link is all a released record holds
+		if got != (PacketContext{}) {
+			t.Errorf("kept context %d reads %+v after release, want zeroed", i, got)
+		}
+	}
+
+	// Every record is back, and a second pass finds them all: the lists
+	// neither leak nor grow.
+	warmCtx, warmHop, warmQuery := h.ctxFreeLen(), h.hopFreeLen(), h.queryFreeLen()
+	if warmCtx != 2 || warmHop != 2 || warmQuery != 1 {
+		t.Errorf("warm free lists hold %d contexts, %d hops, %d queries; want 2 (the deepest nesting), 2 (the most in flight), 1", warmCtx, warmHop, warmQuery)
+	}
+	script()
+	if c, r, q := h.ctxFreeLen(), h.hopFreeLen(), h.queryFreeLen(); c != warmCtx || r != warmHop || q != warmQuery {
+		t.Errorf("free lists after a second pass: %d/%d/%d, want the warm %d/%d/%d", c, r, q, warmCtx, warmHop, warmQuery)
+	}
+}
+
+// TestWarmHopAllocations guards what the packet path allocates once warm.
+// The forward hop's remaining objects are the packet itself and what its
+// lifetime crosses: ip.Unmarshal's Packet and payload copy on r and b,
+// forward's ShallowClone, arp.SendIP's frame on a and r.
+func TestWarmHopAllocations(t *testing.T) {
+	l := newLine(t)
+	// Under the race detector sync.Pool drops a quarter of its Puts, so the
+	// four pooled buffers of this path (two marshals, two flights) allocate.
+	if n := testing.AllocsPerRun(200, func() { l.send(t) }); n > 8 && !raceDetector {
+		t.Errorf("warm host-router-host packet allocates %.1f objects, want at most 8", n)
+	}
+
+	// One hop record through the event queue and the POSTROUTING chain.
+	loop := sim.New(1)
+	h := NewHost(loop, "h", Config{})
+	out := 0
+	wire := h.AddVirtualIface("wire", func(*ip.Packet, ip.Addr) { out++ })
+	pkt := &ip.Packet{Header: ip.Header{Protocol: lineProto, Dst: ip.Addr{10, 0, 0, 2}}}
+	hop := func() {
+		h.scheduleHop(time.Microsecond, hopPostroute, wire, pkt, pkt.Dst)
+		loop.Step()
+	}
+	hop()
+	if n := testing.AllocsPerRun(200, hop); n != 0 {
+		t.Errorf("warm Schedule+Step through a hop record allocates %.1f objects, want 0", n)
+	}
+	if out != 202 {
+		t.Errorf("%d of 202 hops reached the interface", out)
+	}
+}

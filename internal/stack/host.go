@@ -92,6 +92,13 @@ type Host struct {
 	routeHooks *pipeline.Chain[*RouteQuery]
 	filterSeq  int
 
+	// Free lists of chain contexts, route queries and hop records (see
+	// acquireCtx and hop in pipeline.go). Filled lazily: a host that never
+	// handles a packet carries three nil heads.
+	ctxFree   *PacketContext
+	queryFree *RouteQuery
+	hopFree   *hop
+
 	// Route-decision cache for the ip_rt_route hot path. Decisions are
 	// memoized per (dst, boundSrc) for local output and per dst for the
 	// forwarding path, and guarded by a combined generation: the route
@@ -611,7 +618,7 @@ func (h *Host) Output(pkt *ip.Packet) error {
 	if pkt.Trace == 0 {
 		pkt.Trace = h.loop.NextSerial()
 	}
-	ctx := &PacketContext{Host: h, Pkt: pkt, stage: pipeline.Output}
+	ctx := h.acquireCtx(pipeline.Output, pkt)
 	dec, err := h.RouteLookup(pkt.Dst, pkt.Src)
 	if err != nil {
 		// The OUTPUT chain still runs, with RouteErr set: the terminal
@@ -619,23 +626,30 @@ func (h *Host) Output(pkt *ip.Packet) error {
 		// plus an ICMP Destination Unreachable to a bound source.
 		ctx.RouteErr = err
 		h.chains[pipeline.Output].Run(ctx)
+		h.releaseCtx(ctx)
 		return err
 	}
 	ctx.Out, ctx.NextHop, ctx.Routed = dec.Iface, dec.NextHop, true
 	if pkt.Src.IsUnspecified() {
 		pkt.Src = dec.Src
 	}
-	if h.chains[pipeline.Output].Run(ctx) != pipeline.Accept {
-		//lint:allow dropaccounting verdict bookkeeping is centralized in the chain observer middleware
-		return nil
-	}
-	h.stats.Sent++
-	if h.pktlog != nil { // guard: the detail string is costly to format
-		h.pktlog.Record(pkt.Trace, h.name, "ip.output", pkt.String()+" via "+ctx.Out.name)
-	}
-	out, nh := ctx.Out, ctx.NextHop
-	h.loop.Schedule(h.cfg.OutputDelay, func() { h.postroute(out, pkt, nh) })
+	h.finishOutput(ctx)
 	return nil
+}
+
+// finishOutput runs the OUTPUT chain on a routed context and schedules an
+// accepted packet past the output processing delay into POSTROUTING. It
+// releases ctx.
+func (h *Host) finishOutput(ctx *PacketContext) {
+	if h.chains[pipeline.Output].Run(ctx) == pipeline.Accept {
+		pkt := ctx.Pkt
+		h.stats.Sent++
+		if h.pktlog != nil { // guard: the detail string is costly to format
+			h.pktlog.Record(pkt.Trace, h.name, "ip.output", pkt.String()+" via "+ctx.Out.name)
+		}
+		h.scheduleHop(h.cfg.OutputDelay, hopPostroute, ctx.Out, pkt, ctx.NextHop)
+	}
+	h.releaseCtx(ctx)
 }
 
 // OutputVia transmits pkt on a specific interface toward nextHop,
@@ -651,17 +665,9 @@ func (h *Host) OutputVia(ifc *Iface, pkt *ip.Packet, nextHop ip.Addr) error {
 	if pkt.Trace == 0 {
 		pkt.Trace = h.loop.NextSerial()
 	}
-	ctx := &PacketContext{Host: h, Out: ifc, Pkt: pkt, NextHop: nextHop, Routed: true, stage: pipeline.Output}
-	if h.chains[pipeline.Output].Run(ctx) != pipeline.Accept {
-		//lint:allow dropaccounting verdict bookkeeping is centralized in the chain observer middleware
-		return nil
-	}
-	h.stats.Sent++
-	if h.pktlog != nil { // guard: the detail string is costly to format
-		h.pktlog.Record(pkt.Trace, h.name, "ip.output", pkt.String()+" via "+ctx.Out.name)
-	}
-	out, nh := ctx.Out, ctx.NextHop
-	h.loop.Schedule(h.cfg.OutputDelay, func() { h.postroute(out, pkt, nh) })
+	ctx := h.acquireCtx(pipeline.Output, pkt)
+	ctx.Out, ctx.NextHop, ctx.Routed = ifc, nextHop, true
+	h.finishOutput(ctx)
 	return nil
 }
 
@@ -676,33 +682,36 @@ func (h *Host) Input(ifc *Iface, pkt *ip.Packet) {
 		pkt.Trace = h.loop.NextSerial()
 	}
 	h.stats.Received++
-	ctx := &PacketContext{Host: h, In: ifc, Pkt: pkt, stage: pipeline.Prerouting}
+	ctx := h.acquireCtx(pipeline.Prerouting, pkt)
+	ctx.In = ifc
 	h.chains[pipeline.Prerouting].Run(ctx)
+	h.releaseCtx(ctx)
 }
 
 // deliver runs the INPUT chain: reassembly, any decapsulation hooks, then
 // the terminal protocol demux.
 func (h *Host) deliver(ifc *Iface, pkt *ip.Packet) {
-	ctx := &PacketContext{Host: h, In: ifc, Pkt: pkt, stage: pipeline.Input}
+	ctx := h.acquireCtx(pipeline.Input, pkt)
+	ctx.In = ifc
 	h.chains[pipeline.Input].Run(ctx)
+	h.releaseCtx(ctx)
 }
 
 // forward runs the FORWARD chain (TTL, route, filters, MTU, redirect);
 // an accepted packet is cloned, decremented, and scheduled out.
 func (h *Host) forward(in *Iface, pkt *ip.Packet) {
-	ctx := &PacketContext{Host: h, In: in, Pkt: pkt, stage: pipeline.Forward}
-	if h.chains[pipeline.Forward].Run(ctx) != pipeline.Accept {
-		//lint:allow dropaccounting verdict bookkeeping is centralized in the chain observer middleware
-		return
+	ctx := h.acquireCtx(pipeline.Forward, pkt)
+	ctx.In = in
+	if h.chains[pipeline.Forward].Run(ctx) == pipeline.Accept {
+		// The forwarded copy shares the payload: bodies are immutable once in
+		// flight, and only the header (TTL) is rewritten here.
+		fwd := ctx.Pkt.ShallowClone()
+		fwd.TTL--
+		h.stats.Forwarded++
+		if h.pktlog != nil { // guard: the detail string is costly to format
+			h.pktlog.Record(pkt.Trace, h.name, "ip.forward", "next hop "+ctx.NextHop.String()+" via "+ctx.Out.name)
+		}
+		h.scheduleHop(h.cfg.ForwardDelay, hopPostroute, ctx.Out, fwd, ctx.NextHop)
 	}
-	// The forwarded copy shares the payload: bodies are immutable once in
-	// flight, and only the header (TTL) is rewritten here.
-	fwd := ctx.Pkt.ShallowClone()
-	fwd.TTL--
-	h.stats.Forwarded++
-	if h.pktlog != nil { // guard: the detail string is costly to format
-		h.pktlog.Record(pkt.Trace, h.name, "ip.forward", "next hop "+ctx.NextHop.String()+" via "+ctx.Out.name)
-	}
-	out, nh := ctx.Out, ctx.NextHop
-	h.loop.Schedule(h.cfg.ForwardDelay, func() { h.postroute(out, fwd, nh) })
+	h.releaseCtx(ctx)
 }

@@ -2,6 +2,7 @@ package stack
 
 import (
 	"fmt"
+	"time"
 
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/pipeline"
@@ -34,6 +35,12 @@ const (
 // accumulated so far. Hooks may rewrite Out/NextHop (steering) or Pkt
 // (reassembly swaps in the full datagram); drop bookkeeping is staged on
 // the context and performed once by the chain's observer middleware.
+//
+// A context is valid only until the hook returns: the stack reuses the
+// record for a later chain run. A hook that schedules a callback copies
+// out the fields the callback needs (as hookClassify does); one that kept
+// the pointer would find it zeroed — a nil Host — or describing another
+// packet.
 type PacketContext struct {
 	Host *Host
 	In   *Iface // arrival interface; nil for locally originated packets
@@ -58,6 +65,85 @@ type PacketContext struct {
 	icmpSend    bool
 	icmpType    ip.ICMPType
 	icmpCode    uint8
+
+	free *PacketContext // next record on the host's free list
+}
+
+// acquireCtx takes a context for one chain run from the host's free list,
+// making one when the list is empty. It is a list and not one scratch slot
+// because runs nest: a decapsulating INPUT hook re-injects through Input, a
+// protocol handler replies through Output, and a Drop's observer sends an
+// ICMP error through Output, each while the outer run's context is live.
+func (h *Host) acquireCtx(stage pipeline.Stage, pkt *ip.Packet) *PacketContext {
+	ctx := h.ctxFree
+	if ctx == nil {
+		ctx = new(PacketContext)
+	} else {
+		h.ctxFree, ctx.free = ctx.free, nil
+	}
+	ctx.Host, ctx.Pkt, ctx.stage = h, pkt, stage
+	return ctx
+}
+
+// releaseCtx zeroes ctx and returns it to the free list, once the chain's
+// observer has run and the caller has read what it needs. Zeroing means a
+// released context pins no packet, and a hook that wrongly kept the pointer
+// faults on a nil Host instead of reading another packet's state.
+func (h *Host) releaseCtx(ctx *PacketContext) {
+	*ctx = PacketContext{free: h.ctxFree}
+	h.ctxFree = ctx
+}
+
+// hopKind names the chain entry point a hop record continues into.
+type hopKind uint8
+
+const (
+	hopDeliver hopKind = iota
+	hopForward
+	hopPostroute
+)
+
+// hop is the continuation of a packet across one of the host's processing
+// delays: PREROUTING into INPUT or FORWARD, OUTPUT or FORWARD into
+// POSTROUTING. Records are pooled per host and fire is bound once, when the
+// record is made, so scheduling a hop allocates nothing.
+type hop struct {
+	host    *Host
+	iface   *Iface // arrival interface, or the egress for hopPostroute
+	pkt     *ip.Packet
+	nextHop ip.Addr
+	kind    hopKind
+	fire    func() // r.run
+	free    *hop   // next record on the host's free list
+}
+
+// scheduleHop continues pkt into the kind chain after delay d.
+func (h *Host) scheduleHop(d time.Duration, kind hopKind, ifc *Iface, pkt *ip.Packet, nextHop ip.Addr) {
+	r := h.hopFree
+	if r == nil {
+		r = &hop{host: h}
+		r.fire = r.run
+	} else {
+		h.hopFree, r.free = r.free, nil
+	}
+	r.kind, r.iface, r.pkt, r.nextHop = kind, ifc, pkt, nextHop
+	h.loop.Schedule(d, r.fire)
+}
+
+// run dispatches the hop. The record drops its packet and goes back on the
+// free list first, so the chain it enters can schedule its own hop into it.
+func (r *hop) run() {
+	h, kind, ifc, pkt, nextHop := r.host, r.kind, r.iface, r.pkt, r.nextHop
+	r.iface, r.pkt = nil, nil
+	r.free, h.hopFree = h.hopFree, r
+	switch kind {
+	case hopDeliver:
+		h.deliver(ifc, pkt)
+	case hopForward:
+		h.forward(ifc, pkt)
+	case hopPostroute:
+		h.postroute(ifc, pkt, nextHop)
+	}
 }
 
 // Stage returns the chain stage this context is traversing.
@@ -107,11 +193,15 @@ func (c *PacketContext) MarkDelivered(detail string) {
 // (or definitively fails) the query sets Decision/Err and returns Stolen;
 // Accept passes the query down-chain, and an empty or all-Accept chain
 // falls back to the host's DefaultRouteLookup. Drop means "no route".
+//
+// Like a PacketContext, a query is valid only until the hook returns.
 type RouteQuery struct {
 	Host     *Host
 	Dst, Src ip.Addr
 	Decision RouteDecision
 	Err      error
+
+	free *RouteQuery // next record on the host's free list
 }
 
 // Hooks returns the host's chain at the given stage, for registering
@@ -193,14 +283,14 @@ func (h *Host) observeVerdict(ctx *PacketContext, v pipeline.Verdict) {
 // forward/drop decision. Accepted packets are scheduled past the input
 // processing delay into the INPUT or FORWARD chain.
 func (h *Host) hookClassify(ctx *PacketContext) pipeline.Verdict {
-	ifc, pkt := ctx.In, ctx.Pkt
+	pkt := ctx.Pkt
 	switch {
 	case h.IsLocalAddr(pkt.Dst):
-		h.loop.Schedule(h.cfg.InputDelay, func() { h.deliver(ifc, pkt) })
+		h.scheduleHop(h.cfg.InputDelay, hopDeliver, ctx.In, pkt, ip.Addr{})
 	case h.forwarding && !pkt.Dst.IsMulticast():
 		// Multicast is link-scoped here: unicast routers do not forward
 		// group traffic.
-		h.loop.Schedule(h.cfg.InputDelay, func() { h.forward(ifc, pkt) })
+		h.scheduleHop(h.cfg.InputDelay, hopForward, ctx.In, pkt, ip.Addr{})
 	default:
 		reason := ""
 		if ctx.Logging() { // guard: the detail string is costly to format
@@ -326,15 +416,25 @@ func (h *Host) hookOutputUnreachable(ctx *PacketContext) pipeline.Verdict {
 // chain, falling back to the stock longest-prefix match when no hook
 // takes the query.
 func (h *Host) resolveRoute(dst, boundSrc ip.Addr) (RouteDecision, error) {
-	q := &RouteQuery{Host: h, Dst: dst, Src: boundSrc}
-	switch h.routeHooks.Run(q) {
+	q := h.queryFree
+	if q == nil {
+		q = new(RouteQuery)
+	} else {
+		h.queryFree, q.free = q.free, nil
+	}
+	q.Host, q.Dst, q.Src = h, dst, boundSrc
+	v := h.routeHooks.Run(q)
+	dec, err := q.Decision, q.Err
+	*q = RouteQuery{free: h.queryFree}
+	h.queryFree = q
+	switch v {
 	case pipeline.Stolen:
-		return q.Decision, q.Err
+		return dec, err
 	case pipeline.Drop:
-		if q.Err == nil {
-			q.Err = fmt.Errorf("%w: %v", ErrNoRoute, dst)
+		if err == nil {
+			err = fmt.Errorf("%w: %v", ErrNoRoute, dst)
 		}
-		return RouteDecision{}, q.Err
+		return RouteDecision{}, err
 	}
 	return h.DefaultRouteLookup(dst, boundSrc)
 }
@@ -344,10 +444,12 @@ func (h *Host) resolveRoute(dst, boundSrc ip.Addr) (RouteDecision, error) {
 // forwarded — funnels through here; encapsulating hooks steal their VIF's
 // packets at this stage.
 func (h *Host) postroute(ifc *Iface, pkt *ip.Packet, nextHop ip.Addr) {
-	ctx := &PacketContext{Host: h, Out: ifc, Pkt: pkt, NextHop: nextHop, Routed: true, stage: pipeline.Postrouting}
-	if h.chains[pipeline.Postrouting].Run(ctx) != pipeline.Accept {
-		//lint:allow dropaccounting verdict bookkeeping is centralized in the chain observer middleware
-		return
+	ctx := h.acquireCtx(pipeline.Postrouting, pkt)
+	ctx.Out, ctx.NextHop, ctx.Routed = ifc, nextHop, true
+	v := h.chains[pipeline.Postrouting].Run(ctx)
+	ifc, pkt, nextHop = ctx.Out, ctx.Pkt, ctx.NextHop
+	h.releaseCtx(ctx)
+	if v == pipeline.Accept {
+		ifc.send(pkt, nextHop)
 	}
-	ctx.Out.send(ctx.Pkt, ctx.NextHop)
 }

@@ -100,3 +100,45 @@ func TestHostFootprintBudget(t *testing.T) {
 		t.Errorf("allocs/host = %.1f, budget %d", allocsPerHost, footprintAllocsBudget)
 	}
 }
+
+// measureAllocsPerEvent runs the 100-host scale tier on one worker and
+// returns the heap allocations its run phase performs per dispatched event
+// (construction excluded). Mallocs is an exact count and the run is
+// deterministic, so the figure repeats to within the runtime's own
+// background allocations.
+func measureAllocsPerEvent(tb testing.TB) (allocsPerEvent float64, events uint64) {
+	fl, err := buildScaleFleet(1996, 100, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer fl.release()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fl.ss.RunFor(scaleDuration)
+	runtime.ReadMemStats(&after)
+	events = fl.ss.Executed()
+	return float64(after.Mallocs-before.Mallocs) / float64(events), events
+}
+
+// allocsPerEventBudget sits ~25% above the measured 1.95 allocations per
+// event. What is left is the packets themselves (ip.Unmarshal's struct and
+// payload copy, forward's clone, encapsulation, the ARP layer's frame) and
+// the registration exchange; the chain contexts, hop continuations and event
+// records are pooled and contribute nothing. Before they were, the figure
+// was 3.95: putting one allocation back on the per-hop path costs ~0.4.
+const allocsPerEventBudget = 2.4
+
+// TestAllocsPerEventBudget is the packet path's allocation guard at the
+// 100-host tier, next to the footprint guard: it fails if the run phase
+// allocates more per event than the budget. Skipped under -short because
+// it runs a fleet.
+func TestAllocsPerEventBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocs/event measurement runs a fleet; skipped in -short")
+	}
+	got, events := measureAllocsPerEvent(t)
+	t.Logf("allocs/event: %.2f over %d events (budget %.1f)", got, events, allocsPerEventBudget)
+	if got > allocsPerEventBudget {
+		t.Errorf("allocs/event = %.2f, budget %.1f", got, allocsPerEventBudget)
+	}
+}

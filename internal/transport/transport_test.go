@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -176,7 +177,15 @@ func TestUDPBroadcastVia(t *testing.T) {
 	}
 }
 
-// establish dials from a to b:port and waits for both sides.
+// synGiveUp is how long a handshake can take before the SYN retry budget
+// tears the connection down: the sender retransmits after 1, 2, 4, ... s.
+const synGiveUp = initialRTO * (1<<(maxSynRetries+1) - 1)
+
+// establish dials from a to b:port and waits for both sides. On a lossless
+// medium the handshake is over within a millisecond and the clock reads 5 s
+// on return. A lossy one can cost it the SYN, the SYN-ACK or the final ACK
+// several times over, and the third retransmission only leaves at 7 s, so
+// past 5 s establish waits on the connection states, not on a fixed window.
 func establish(t *testing.T, p *pair, port uint16) (client, server *Conn) {
 	t.Helper()
 	accepted := make(chan *Conn, 1) // buffered; filled synchronously in sim
@@ -190,6 +199,10 @@ func establish(t *testing.T, p *pair, port uint16) (client, server *Conn) {
 		t.Fatal(err)
 	}
 	p.loop.RunFor(5 * time.Second)
+	giveUp := sim.Time(synGiveUp)
+	for !(c.Established() && srvConn != nil && srvConn.Established()) && c.State() != StateClosed && p.loop.Now() < giveUp {
+		p.loop.RunFor(time.Second)
+	}
 	if !c.Established() {
 		t.Fatalf("client not established: %v", c.State())
 	}
@@ -197,6 +210,33 @@ func establish(t *testing.T, p *pair, port uint16) (client, server *Conn) {
 		t.Fatal("server not established")
 	}
 	return c, srvConn
+}
+
+// TestEstablishOutlastsLostHandshakeSegments pins the two seeds that made
+// TestPropertyStreamByteStream fail 1-3 % of its time-seeded runs. Nothing
+// was wrong in the transport: with 5 % loss the final ACK (first seed) or
+// the SYN and then the SYN-ACK (second seed) is lost three times in a row,
+// the retransmissions back off 1, 2, 4 s as they should, and the handshake
+// completes at 7 s and 8 s — after the 5 s the helper used to allow.
+func TestEstablishOutlastsLostHandshakeSegments(t *testing.T) {
+	for _, seed := range []int64{-6373044843856225467, -7981673353279107249} {
+		m := link.Ethernet()
+		m.LossProb = 0.05
+		p := newPair(t, m, seed)
+		c, srv := establish(t, p, 80)
+		if now := p.loop.Now(); now < sim.Time(7*time.Second) || now > sim.Time(9*time.Second) {
+			t.Errorf("seed %d: handshake done by %v, want the third retransmission's 7-8 s", seed, now)
+		}
+		var rcvd bytes.Buffer
+		srv.OnData = func(b []byte) { rcvd.Write(b) }
+		if err := c.Write([]byte("after the storm")); err != nil {
+			t.Fatal(err)
+		}
+		p.loop.RunFor(time.Minute)
+		if rcvd.String() != "after the storm" {
+			t.Errorf("seed %d: stream delivered %q", seed, rcvd.String())
+		}
+	}
 }
 
 func TestStreamHandshake(t *testing.T) {
@@ -430,7 +470,7 @@ func TestPropertyStreamByteStream(t *testing.T) {
 		p.loop.RunFor(2 * time.Minute)
 		return bytes.Equal(rcvd.Bytes(), want.Bytes())
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(1996))}); err != nil {
 		t.Fatal(err)
 	}
 }
