@@ -1,10 +1,11 @@
 package mosquitonet_test
 
-// One benchmark per experiment row in DESIGN.md's index, plus substrate
-// micro-benchmarks. The experiment benchmarks drive the same harnesses as
-// cmd/experiments; custom metrics report the *virtual-time* quantities the
-// paper measures (milliseconds of disruption, packets lost per handoff),
-// while ns/op measures the simulator's wall-clock cost.
+// One benchmark per experiment row in DESIGN.md's index. Each drives the
+// same harness as cmd/experiments; custom metrics report the
+// *virtual-time* quantities the paper measures (milliseconds of
+// disruption, packets lost per handoff), while ns/op measures the
+// simulator's wall-clock cost. Per-layer costs (marshal, checksum, encap,
+// registration) are timed by `perf -layers`.
 
 import (
 	"flag"
@@ -12,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	mosquitonet "mosquitonet"
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/mip"
 	"mosquitonet/internal/testbed"
@@ -23,223 +23,78 @@ import (
 // value; only wall-clock time changes.
 var benchWorkers = flag.Int("workers", 1, "worker goroutines for sharded benchmarks")
 
-// --- E1: same-subnet address switch --------------------------------------
+// virtMS renders a virtual duration as fractional milliseconds.
+func virtMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
+// --- E1, F6, F7, T-RTT, A1: one full harness run per op ----------------------
 
 func BenchmarkE1AddressSwitch(b *testing.B) {
-	tb := testbed.New(1)
-	tb.MoveEthTo(tb.DeptNet)
-	tb.MustConnectForeign(tb.Eth)
-	addrs := [2]mosquitonet.Addr{
-		mosquitonet.MustParseAddr("36.8.0.200"),
-		mosquitonet.MustParseAddr("36.8.0.201"),
-	}
-	var totalWindow time.Duration
-	b.ResetTimer()
+	var window time.Duration
 	for i := 0; i < b.N; i++ {
-		tb.Tracer.Reset()
-		done := false
-		tb.MH.SwitchAddress(addrs[i%2], func(err error) {
-			if err != nil {
-				b.Fatal(err)
-			}
-			done = true
-		})
-		tb.Run(5 * time.Second)
-		if !done {
-			b.Fatal("switch never completed")
+		r, err := testbed.RunE1(int64(i) + 1)
+		if err != nil {
+			b.Fatal(err)
 		}
-		start, _ := tb.Tracer.Last("addrswitch.configure.done")
-		end, _ := tb.Tracer.Last("binding.installed")
-		totalWindow += end.At.Sub(start.At)
+		window += r.Window.Mean()
 	}
-	b.ReportMetric(float64(totalWindow.Microseconds())/float64(b.N)/1000, "virt-window-ms/op")
+	b.ReportMetric(virtMS(window)/float64(b.N), "virt-window-ms/op")
 }
 
-// --- F6: device switching -------------------------------------------------
-
-func benchDeviceSwitch(b *testing.B, toRadio, hot bool) {
-	tb := testbed.New(1)
-	tb.MoveEthTo(tb.DeptNet)
-	from, to := tb.Eth, tb.Strip
-	if !toRadio {
-		from, to = tb.Strip, tb.Eth
-	}
-	tb.MustConnectForeign(from)
+func BenchmarkF6DeviceSwitch(b *testing.B) {
 	var blackout time.Duration
-	b.ResetTimer()
+	hotLost := 0
 	for i := 0; i < b.N; i++ {
-		start := tb.Loop.Now()
-		done := false
-		finish := func(err error) {
-			if err != nil {
-				b.Fatal(err)
-			}
-			done = true
+		r, err := testbed.RunF6(int64(i) + 1)
+		if err != nil {
+			b.Fatal(err)
 		}
-		if hot {
-			to.Iface().Device().BringUp(func() {
-				tb.MH.Prepare(to, func(err error) {
-					if err != nil {
-						b.Fatal(err)
-					}
-					tb.MH.HotSwitch(to, finish)
-				})
-			})
-		} else {
-			tb.MH.ColdSwitch(to, finish)
-		}
-		for !done {
-			tb.Run(20 * time.Millisecond)
-		}
-		blackout += tb.Loop.Now().Sub(start)
-
-		b.StopTimer() // restore outside the measured region
-		restored := false
-		if hot {
-			from.Iface().Device().BringUp(func() {
-				tb.MH.Prepare(from, func(error) {
-					tb.MH.HotSwitch(from, func(error) { restored = true })
-				})
-			})
-		} else {
-			tb.MH.ColdSwitch(from, func(error) { restored = true })
-		}
-		for !restored {
-			tb.Run(20 * time.Millisecond)
-		}
-		if hot {
-			tb.MH.Disconnect(to)
-		}
-		b.StartTimer()
+		blackout += r.Blackout.Mean()
+		hotLost += r.Histograms[testbed.HotWiredToWireless].TotalLost() + r.Histograms[testbed.HotWirelessToWired].TotalLost()
 	}
-	b.ReportMetric(float64(blackout.Milliseconds())/float64(b.N), "virt-switch-ms/op")
+	// The paper bounds the cold-switch window at 1.25 s and sees hot
+	// switches usually lose nothing.
+	b.ReportMetric(virtMS(blackout)/float64(b.N), "virt-cold-blackout-ms/op")
+	b.ReportMetric(float64(hotLost)/float64(b.N), "hot-pkts-lost/op")
 }
-
-func BenchmarkF6ColdSwitchWiredToWireless(b *testing.B) { benchDeviceSwitch(b, true, false) }
-func BenchmarkF6ColdSwitchWirelessToWired(b *testing.B) { benchDeviceSwitch(b, false, false) }
-func BenchmarkF6HotSwitchWiredToWireless(b *testing.B)  { benchDeviceSwitch(b, true, true) }
-func BenchmarkF6HotSwitchWirelessToWired(b *testing.B)  { benchDeviceSwitch(b, false, true) }
-
-// --- F7: registration time-line -------------------------------------------
 
 func BenchmarkF7Registration(b *testing.B) {
-	tb := testbed.New(1)
-	tb.MoveEthTo(tb.DeptNet)
-	tb.MustConnectForeign(tb.Eth)
-	addrs := [2]mosquitonet.Addr{
-		mosquitonet.MustParseAddr("36.8.0.200"),
-		mosquitonet.MustParseAddr("36.8.0.201"),
-	}
 	var total time.Duration
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb.Tracer.Reset()
-		done := false
-		tb.MH.SwitchAddress(addrs[i%2], func(error) { done = true })
-		tb.Run(5 * time.Second)
-		if !done {
-			b.Fatal("registration never completed")
+		r, err := testbed.RunF7(int64(i) + 1)
+		if err != nil {
+			b.Fatal(err)
 		}
-		start, _ := tb.Tracer.Last("addrswitch.start")
-		end, _ := tb.Tracer.Last("reg.reply.received")
-		total += end.At.Sub(start.At)
+		total += r.Total.Mean()
 	}
 	// The paper's Figure 7 total is 7.39 ms.
-	b.ReportMetric(float64(total.Microseconds())/float64(b.N)/1000, "virt-reg-ms/op")
+	b.ReportMetric(virtMS(total)/float64(b.N), "virt-reg-ms/op")
 }
-
-// --- T-RTT: radio round-trip ----------------------------------------------
 
 func BenchmarkRadioRTT(b *testing.B) {
-	tb := testbed.New(1)
-	tb.MustConnectForeign(tb.Strip)
-	var total time.Duration
-	n := 0
-	b.ResetTimer()
+	var radio time.Duration
 	for i := 0; i < b.N; i++ {
-		tb.MH.Host().ICMP().Ping(testbed.RouterRadioAddr, testbed.MHRadioAddr, 40, 3*time.Second,
-			func(r mosquitonet.PingResult) {
-				if !r.TimedOut && !r.Unreachable {
-					total += r.RTT
-					n++
-				}
-			})
-		tb.Run(3 * time.Second)
-	}
-	if n > 0 {
-		// The paper reports 200-250 ms.
-		b.ReportMetric(float64(total.Milliseconds())/float64(n), "virt-rtt-ms/op")
-	}
-}
-
-// --- A1: policy comparison -------------------------------------------------
-
-func benchPolicyRTT(b *testing.B, policy mosquitonet.Policy) {
-	tb := testbed.New(1)
-	tb.MoveEthTo(tb.DeptNet)
-	tb.MustConnectForeign(tb.Eth)
-	var srv *mosquitonet.UDPSocket
-	srv, err := tb.CampusCH.UDP(mosquitonet.Unspecified, 7, func(d mosquitonet.Datagram) {
-		srv.SendTo(d.From, d.FromPort, d.Payload)
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tb.MH.Policy().SetHost(testbed.CampusCHAddr, policy)
-	var total time.Duration
-	n := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got := false
-		var start mosquitonet.Time
-		sock, err := tb.MHTS.UDP(mosquitonet.Unspecified, 0, func(mosquitonet.Datagram) {
-			total += tb.Loop.Now().Sub(start)
-			got = true
-		})
+		r, err := testbed.RunRTT(int64(i)+1, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		start = tb.Loop.Now()
-		sock.SendTo(testbed.CampusCHAddr, 7, []byte("rtt"))
-		tb.Run(2 * time.Second)
-		sock.Close()
-		if got {
-			n++
-		}
+		radio += r.RadioRTT.Mean()
 	}
-	if n > 0 {
-		b.ReportMetric(float64(total.Microseconds())/float64(n)/1000, "virt-rtt-ms/op")
-	}
+	// The paper reports 200-250 ms.
+	b.ReportMetric(virtMS(radio)/float64(b.N), "virt-rtt-ms/op")
 }
 
-func BenchmarkA1TunnelPolicy(b *testing.B)   { benchPolicyRTT(b, mosquitonet.PolicyTunnel) }
-func BenchmarkA1TrianglePolicy(b *testing.B) { benchPolicyRTT(b, mosquitonet.PolicyTriangle) }
-
-// BenchmarkA1EncapDirectPolicy needs a smart correspondent, so it builds
-// its own environment rather than using benchPolicyRTT.
-func BenchmarkA1EncapDirectPolicy(b *testing.B) {
-	tb := testbed.New(1)
-	mosquitonet.MakeSmartCorrespondent(tb.CampusCH.Host())
-	tb.MoveEthTo(tb.DeptNet)
-	tb.MustConnectForeign(tb.Eth)
-	var srv *mosquitonet.UDPSocket
-	srv, err := tb.CampusCH.UDP(mosquitonet.Unspecified, 7, func(d mosquitonet.Datagram) {
-		srv.SendTo(d.From, d.FromPort, d.Payload)
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tb.MH.Policy().SetHost(testbed.CampusCHAddr, mosquitonet.PolicyEncapDirect)
-	b.ResetTimer()
+func BenchmarkA1PolicyRTT(b *testing.B) {
+	var tunnel, triangle time.Duration
 	for i := 0; i < b.N; i++ {
-		sock, err := tb.MHTS.UDP(mosquitonet.Unspecified, 0, func(mosquitonet.Datagram) {})
+		r, err := testbed.RunA1(int64(i)+1, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sock.SendTo(testbed.CampusCHAddr, 7, []byte("rtt"))
-		tb.Run(2 * time.Second)
-		sock.Close()
+		tunnel += r.TunnelRTTCampus.Mean()
+		triangle += r.TriangleRTTCampus.Mean()
 	}
+	b.ReportMetric(virtMS(tunnel)/float64(b.N), "virt-tunnel-rtt-ms/op")
+	b.ReportMetric(virtMS(triangle)/float64(b.N), "virt-triangle-rtt-ms/op")
 }
 
 // --- A2: handoff loss with and without a foreign agent ---------------------
@@ -327,98 +182,7 @@ func BenchmarkScaleRoaming(b *testing.B) {
 	}
 }
 
-// BenchmarkHARegistrationProcessing hammers one home agent with
-// registrations from a single mobile host, measuring sustained
-// registration turnaround.
-func BenchmarkHARegistrationProcessing(b *testing.B) {
-	tb := testbed.New(1)
-	tb.MoveEthTo(tb.DeptNet)
-	tb.MustConnectForeign(tb.Eth)
-	addrs := [2]mosquitonet.Addr{
-		mosquitonet.MustParseAddr("36.8.0.200"),
-		mosquitonet.MustParseAddr("36.8.0.201"),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		done := false
-		tb.MH.SwitchAddress(addrs[i%2], func(error) { done = true })
-		tb.Run(time.Second)
-		if !done {
-			b.Fatal("registration stalled")
-		}
-	}
-	if got := tb.HA.Stats().Accepted; got < uint64(b.N) {
-		b.Fatalf("HA accepted %d of %d", got, b.N)
-	}
-}
-
-// --- Substrate micro-benchmarks --------------------------------------------
-
-func BenchmarkPacketMarshal(b *testing.B) {
-	p := &ip.Packet{
-		Header: ip.Header{
-			TTL: 64, Protocol: ip.ProtoUDP,
-			Src: ip.MustParseAddr("36.135.0.7"), Dst: ip.MustParseAddr("36.8.0.99"),
-		},
-		Payload: make([]byte, 512),
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Marshal(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPacketUnmarshal(b *testing.B) {
-	p := &ip.Packet{
-		Header: ip.Header{
-			TTL: 64, Protocol: ip.ProtoUDP,
-			Src: ip.MustParseAddr("36.135.0.7"), Dst: ip.MustParseAddr("36.8.0.99"),
-		},
-		Payload: make([]byte, 512),
-	}
-	raw, _ := p.Marshal()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ip.Unmarshal(raw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEncapsulateDecapsulate(b *testing.B) {
-	inner := &ip.Packet{
-		Header: ip.Header{
-			TTL: 64, Protocol: ip.ProtoUDP,
-			Src: ip.MustParseAddr("36.135.0.7"), Dst: ip.MustParseAddr("36.8.0.99"),
-		},
-		Payload: make([]byte, 512),
-	}
-	src := ip.MustParseAddr("36.8.0.100")
-	dst := ip.MustParseAddr("36.135.0.1")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		outer, err := ip.Encapsulate(src, dst, 64, uint16(i), inner)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ip.Decapsulate(outer); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkChecksum(b *testing.B) {
-	buf := make([]byte, 1500)
-	for i := range buf {
-		buf[i] = byte(i)
-	}
-	b.SetBytes(int64(len(buf)))
-	for i := 0; i < b.N; i++ {
-		ip.Checksum(buf)
-	}
-}
+// --- Substrate benchmarks with no twin in perf -layers ----------------------
 
 func BenchmarkPolicyTableLookup(b *testing.B) {
 	pt := mip.NewPolicyTable(mip.PolicyTunnel)

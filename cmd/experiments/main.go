@@ -16,8 +16,8 @@
 //
 // Experiments are registered in a dispatch table; -list enumerates them
 // with the flags each one consumes. "-exp all" runs every entry marked
-// for the batch; experiments with machine-dependent output (parallel) or
-// ad-hoc inputs (scenario, sweep) run only when named explicitly.
+// for the batch; experiments with ad-hoc inputs (scenario, sweep) run
+// only when named explicitly.
 //
 // Usage:
 //
@@ -27,18 +27,15 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
-	mosquitonet "mosquitonet"
 	"mosquitonet/internal/testbed"
 )
 
-// opts holds every flag value; per-experiment flags are registered by the
-// table entries that own them, so -list can attribute each flag to its
-// experiment.
+// opts holds every flag value.
 var opts struct {
 	seed    int64
 	jsonDir string
@@ -57,279 +54,76 @@ var opts struct {
 type experiment struct {
 	name  string
 	desc  string
-	inAll bool              // runs under -exp all (requires byte-reproducible output)
-	flags func(*flag.FlagSet) string // registers the entry's flags; returns their summary for -list
-	run   func() error
+	inAll bool   // runs under -exp all (requires byte-reproducible output)
+	flags string // the flags the entry reads, for -list
+	run   func() (testbed.Result, error)
 }
 
 // experiments is the dispatch table, in "all"-batch execution order.
 var experiments = []experiment{
-	{
-		name: "e1", inAll: true,
-		desc: "end-to-end roaming walkthrough (paper §4 narrative)",
-		run: func() error {
-			res, err := mosquitonet.RunE1(opts.seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res)
-			writeExport(opts.jsonDir, res.Export)
-			return nil
-		},
-	},
-	{
-		name: "f6", inAll: true,
-		desc: "Figure 6: packet loss during handoffs, per switch discipline",
-		run: func() error {
-			res, err := mosquitonet.RunF6(opts.seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res)
-			writeExport(opts.jsonDir, res.Export)
-			return nil
-		},
-	},
-	{
-		name: "f7", inAll: true,
-		desc: "Figure 7: registration latency, mean (std dev) per path",
-		run: func() error {
-			res, err := mosquitonet.RunF7(opts.seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res)
-			writeExport(opts.jsonDir, res.Export)
-			writeTimeline(opts.jsonDir, "BENCH_f7_timeline.jsonl", res)
-			return nil
-		},
-	},
-	{
-		name: "handoff", inAll: true,
+	{name: "e1", inAll: true,
+		desc: "same-subnet care-of address switch: loss from a 10 ms UDP stream (§4)",
+		run:  func() (testbed.Result, error) { return testbed.RunE1(opts.seed) }},
+	{name: "f6", inAll: true,
+		desc: "Figure 6: device switching overhead, cold/hot x wired/wireless",
+		run:  func() (testbed.Result, error) { return testbed.RunF6(opts.seed) }},
+	{name: "f7", inAll: true,
+		desc: "Figure 7: registration time-line, mean (std dev) per step",
+		run:  func() (testbed.Result, error) { return testbed.RunF7(opts.seed) }},
+	{name: "handoff", inAll: true,
 		desc: "handoff disruption observatory (spans, flight recorder, per-window scoring)",
-		run: func() error {
-			res, err := mosquitonet.RunHandoff(opts.seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res)
-			writeExport(opts.jsonDir, res.Export)
-			writeArtifact(opts.jsonDir, "BENCH_handoff_spans.jsonl", res.Tracer.WriteSpansJSONL)
-			writeArtifact(opts.jsonDir, "BENCH_handoff_trace.json", res.Tracer.WriteChromeTrace)
-			return nil
-		},
-	},
-	{
-		name: "loadedhandoff", inAll: true,
+		run:  func() (testbed.Result, error) { return testbed.RunHandoff(opts.seed) }},
+	{name: "loadedhandoff", inAll: true,
 		desc: "roaming itinerary under MQTT + HTTP application load",
-		run: func() error {
-			res, err := mosquitonet.RunLoadedHandoff(opts.seed)
+		run:  func() (testbed.Result, error) { return testbed.RunLoadedHandoff(opts.seed) }},
+	{name: "rtt", inAll: true, flags: "-samples",
+		desc: "path round-trip times, radio and wired (§4)",
+		run:  func() (testbed.Result, error) { return testbed.RunRTT(opts.seed, opts.samples) }},
+	{name: "tput", inAll: true,
+		desc: "radio throughput: saturating UDP through the reverse tunnel (§4)",
+		run:  func() (testbed.Result, error) { return testbed.RunThroughput(opts.seed, 50, 1000) }},
+	{name: "a1", inAll: true, flags: "-samples",
+		desc: "ablation: triangle route vs. tunnel, and the transit-filter fallback (§3.2)",
+		run:  func() (testbed.Result, error) { return testbed.RunA1(opts.seed, opts.samples) }},
+	{name: "a2", inAll: true, flags: "-a2-iterations",
+		desc: "ablation: collocated care-of vs. foreign-agent forwarding (§5.1)",
+		run:  func() (testbed.Result, error) { return testbed.RunA2(opts.seed, opts.a2iters) }},
+	{name: "a4", inAll: true, flags: "-a2-iterations",
+		desc: "ablation: handoff strategies, cold / hot / simultaneous bindings",
+		run:  func() (testbed.Result, error) { return testbed.RunA4(opts.seed, opts.a2iters) }},
+	{name: "a3", inAll: true, flags: "-a3-fleets",
+		desc: "ablation: home-agent scalability vs. fleet size",
+		run: func() (testbed.Result, error) {
+			fleets, err := parseFleets(opts.a3fleets)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			fmt.Println(res)
-			writeExport(opts.jsonDir, res.Export)
-			return nil
-		},
-	},
-	{
-		name: "rtt", inAll: true,
-		desc: "round-trip latency per topology position",
-		flags: func(fs *flag.FlagSet) string {
-			if fs.Lookup("samples") == nil {
-				fs.IntVar(&opts.samples, "samples", 20, "samples for RTT/A1 measurements")
-			}
-			return "-samples"
-		},
-		run: func() error {
-			res, err := mosquitonet.RunRTT(opts.seed, opts.samples)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res)
-			writeExport(opts.jsonDir, res.Export)
-			return nil
-		},
-	},
-	{
-		name: "tput", inAll: true,
-		desc: "bulk TCP throughput home vs tunnelled",
-		run: func() error {
-			res, err := mosquitonet.RunThroughput(opts.seed, 50, 1000)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res)
-			writeExport(opts.jsonDir, res.Export)
-			return nil
-		},
-	},
-	{
-		name: "a1", inAll: true,
-		desc: "ablation: tunnelling cost decomposition",
-		flags: func(fs *flag.FlagSet) string {
-			if fs.Lookup("samples") == nil {
-				fs.IntVar(&opts.samples, "samples", 20, "samples for RTT/A1 measurements")
-			}
-			return "-samples"
-		},
-		run: func() error {
-			res, err := mosquitonet.RunA1(opts.seed, opts.samples)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res)
-			writeExport(opts.jsonDir, res.Export)
-			return nil
-		},
-	},
-	{
-		name: "a2", inAll: true,
-		desc: "ablation: collocated vs foreign-agent care-of",
-		flags: func(fs *flag.FlagSet) string {
-			if fs.Lookup("a2-iterations") == nil {
-				fs.IntVar(&opts.a2iters, "a2-iterations", 5, "handoffs per A2/A4 variant")
-			}
-			return "-a2-iterations"
-		},
-		run: func() error {
-			res, err := mosquitonet.RunA2(opts.seed, opts.a2iters)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res)
-			writeExport(opts.jsonDir, res.Export)
-			return nil
-		},
-	},
-	{
-		name: "a4", inAll: true,
-		desc: "ablation: handoff strategy comparison",
-		flags: func(fs *flag.FlagSet) string {
-			if fs.Lookup("a2-iterations") == nil {
-				fs.IntVar(&opts.a2iters, "a2-iterations", 5, "handoffs per A2/A4 variant")
-			}
-			return "-a2-iterations"
-		},
-		run: func() error {
-			res, err := mosquitonet.RunA4(opts.seed, opts.a2iters)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res)
-			writeExport(opts.jsonDir, res.Export)
-			return nil
-		},
-	},
-	{
-		name: "a3", inAll: true,
-		desc: "ablation: home-agent load vs fleet size",
-		flags: func(fs *flag.FlagSet) string {
-			fs.StringVar(&opts.a3fleets, "a3-fleets", "1,8,32,64", "comma-separated fleet sizes for A3")
-			return "-a3-fleets"
-		},
-		run: func() error {
-			res, err := mosquitonet.RunA3(opts.seed, parseFleets(opts.a3fleets))
-			if err != nil {
-				return err
-			}
-			fmt.Println(res)
-			writeExport(opts.jsonDir, res.Export)
-			return nil
-		},
-	},
-	{
-		name: "scale", inAll: true,
+			return testbed.RunA3(opts.seed, fleets)
+		}},
+	{name: "scale", inAll: true, flags: "-scale-fleets, -hosts, -workers",
 		desc: "roaming-fleet scale (sharded; byte-identical at any -workers)",
-		flags: func(fs *flag.FlagSet) string {
-			if fs.Lookup("scale-fleets") == nil {
-				fs.StringVar(&opts.scaleFleets, "scale-fleets", "10,100,1000,10000,100000",
-					"comma-separated fleet sizes for the scale experiment")
-				fs.IntVar(&opts.hosts, "hosts", 0,
-					"single fleet size for the scale/parallel experiments, overriding -scale-fleets (e.g. -exp scale -hosts 100000)")
-			}
-			return "-scale-fleets, -hosts, -workers"
-		},
-		run: func() error {
-			res, err := mosquitonet.RunScaleWorkers(opts.seed, scaleSizes(), opts.workers)
+		run: func() (testbed.Result, error) {
+			fleets, err := scaleSizes()
 			if err != nil {
-				return err
+				return nil, err
 			}
-			fmt.Println(res)
-			writeExport(opts.jsonDir, res.Export)
-			return nil
-		},
-	},
-	{
-		// The parallel experiment records machine-dependent wall-clock
-		// times, so it runs only when explicitly requested — never under
-		// "all", which must stay byte-reproducible.
-		name: "parallel", inAll: false,
-		desc: "sharded-scheduler speedup measurement (wall-clock; explicit only)",
-		flags: func(fs *flag.FlagSet) string {
-			if fs.Lookup("scale-fleets") == nil {
-				fs.StringVar(&opts.scaleFleets, "scale-fleets", "10,100,1000,10000,100000",
-					"comma-separated fleet sizes for the scale experiment")
-				fs.IntVar(&opts.hosts, "hosts", 0,
-					"single fleet size for the scale/parallel experiments, overriding -scale-fleets (e.g. -exp scale -hosts 100000)")
-			}
-			return "-scale-fleets, -hosts, -workers"
-		},
-		run: func() error {
-			w := opts.workers
-			if w <= 1 {
-				w = 4 // comparing workers=1 against itself would be vacuous
-			}
-			res, err := mosquitonet.RunParallel(opts.seed, scaleSizes(), w)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res)
-			writeExport(opts.jsonDir, res.Export)
-			return nil
-		},
-	},
-	{
-		// Inputs are ad-hoc (any catalog scenario), so not part of "all".
-		name: "scenario", inAll: false,
-		desc: "run one catalog scenario through the generic probe runner",
-		flags: func(fs *flag.FlagSet) string {
-			fs.StringVar(&opts.scenario, "scenario", "faultdemo", "catalog scenario name for -exp scenario")
-			return "-scenario"
-		},
-		run: func() error {
+			return testbed.RunScaleWorkers(opts.seed, fleets, opts.workers)
+		}},
+	// Inputs are ad-hoc (any catalog scenario), so not part of "all".
+	{name: "scenario", flags: "-scenario",
+		desc: "run one catalog scenario through the generic runner",
+		run: func() (testbed.Result, error) {
 			spec, err := testbed.Scenario(opts.scenario)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			res, err := mosquitonet.RunScenarioProbe(opts.seed, spec)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res)
-			writeExport(opts.jsonDir, res.Export)
-			return nil
-		},
-	},
-	{
-		// Deterministic but sized by -n, so not part of "all"; CI pins its
-		// artifact against bench/BENCH_sweep.json explicitly.
-		name: "sweep", inAll: false,
+			return testbed.RunScenarioProbe(opts.seed, spec)
+		}},
+	// Deterministic but sized by -n, so not part of "all"; CI pins its
+	// artifact against bench/BENCH_sweep.json explicitly.
+	{name: "sweep", flags: "-n",
 		desc: "seeded randomized-scenario sweep over the sweep-base template",
-		flags: func(fs *flag.FlagSet) string {
-			fs.IntVar(&opts.sweepN, "n", 8, "number of generated sweep scenarios (min 8 for the pinned artifact)")
-			return "-n"
-		},
-		run: func() error {
-			res, err := mosquitonet.RunSweep(opts.seed, opts.sweepN)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res)
-			writeExport(opts.jsonDir, res.Export)
-			return nil
-		},
-	},
+		run:  func() (testbed.Result, error) { return testbed.RunSweep(opts.seed, opts.sweepN) }},
 }
 
 func main() {
@@ -338,13 +132,15 @@ func main() {
 	flag.Int64Var(&opts.seed, "seed", 1996, "simulation seed (results are deterministic per seed)")
 	flag.IntVar(&opts.workers, "workers", 1, "worker goroutines for sharded experiments (results are identical at any count)")
 	flag.StringVar(&opts.jsonDir, "json", "bench", "directory for BENCH_*.json exports (empty to disable)")
-
-	flagsOf := map[string]string{}
-	for _, e := range experiments {
-		if e.flags != nil {
-			flagsOf[e.name] = e.flags(flag.CommandLine)
-		}
-	}
+	flag.IntVar(&opts.samples, "samples", 20, "samples for RTT/A1 measurements")
+	flag.IntVar(&opts.a2iters, "a2-iterations", 5, "handoffs per A2/A4 variant")
+	flag.StringVar(&opts.a3fleets, "a3-fleets", "1,8,32,64", "comma-separated fleet sizes for A3")
+	flag.StringVar(&opts.scaleFleets, "scale-fleets", "10,100,1000,10000,100000",
+		"comma-separated fleet sizes for the scale experiment")
+	flag.IntVar(&opts.hosts, "hosts", 0,
+		"single fleet size for the scale experiment, overriding -scale-fleets (e.g. -exp scale -hosts 100000)")
+	flag.StringVar(&opts.scenario, "scenario", "faultdemo", "catalog scenario name for -exp scenario")
+	flag.IntVar(&opts.sweepN, "n", 8, "number of generated sweep scenarios (min 8 for the pinned artifact)")
 	flag.Parse()
 
 	if *list {
@@ -355,8 +151,8 @@ func main() {
 				batch = "*"
 			}
 			fmt.Printf("  %s %-14s %s", batch, e.name, e.desc)
-			if f := flagsOf[e.name]; f != "" {
-				fmt.Printf(" [%s]", f)
+			if e.flags != "" {
+				fmt.Printf(" [%s]", e.flags)
 			}
 			fmt.Println()
 		}
@@ -367,7 +163,12 @@ func main() {
 	for _, e := range experiments {
 		if *exp == e.name || (*exp == "all" && e.inAll) {
 			ran = true
-			exitOn(e.run())
+			res, err := e.run()
+			exitOn(err)
+			fmt.Println(res)
+			for _, a := range res.Artifacts() {
+				writeArtifact(opts.jsonDir, a)
+			}
 		}
 	}
 	if !ran {
@@ -380,73 +181,41 @@ func main() {
 	}
 }
 
-// scaleSizes resolves the scale/parallel fleet list: -hosts overrides
+// scaleSizes resolves the scale fleet list: -hosts overrides
 // -scale-fleets.
-func scaleSizes() []int {
+func scaleSizes() ([]int, error) {
+	if opts.hosts < 0 {
+		return nil, fmt.Errorf("bad -hosts %d", opts.hosts)
+	}
 	if opts.hosts > 0 {
-		return []int{opts.hosts}
+		return []int{opts.hosts}, nil
 	}
 	return parseFleets(opts.scaleFleets)
 }
 
 // parseFleets splits a comma-separated fleet-size list.
-func parseFleets(s string) []int {
+func parseFleets(s string) ([]int, error) {
 	var sizes []int
 	for _, f := range strings.Split(s, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &n); err != nil || n < 1 {
-			exitOn(fmt.Errorf("bad fleet size %q", f))
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad fleet size %q", f)
 		}
 		sizes = append(sizes, n)
 	}
-	return sizes
+	return sizes, nil
 }
 
-// writeExport serializes one experiment's export as BENCH_<name>.json.
-func writeExport(dir string, e *testbed.Export) {
-	if dir == "" || e == nil {
-		return
-	}
-	exitOn(os.MkdirAll(dir, 0o755))
-	path := filepath.Join(dir, "BENCH_"+e.Experiment+".json")
-	f, err := os.Create(path)
-	exitOn(err)
-	if err := e.WriteJSON(f); err != nil {
-		f.Close()
-		exitOn(err)
-	}
-	exitOn(f.Close())
-	fmt.Printf("wrote %s\n\n", path)
-}
-
-// writeArtifact serializes one extra export artifact (span JSONL, Chrome
-// trace) via the given writer function.
-func writeArtifact(dir, name string, write func(io.Writer) error) {
+// writeArtifact serializes one export file under dir.
+func writeArtifact(dir string, a testbed.Artifact) {
 	if dir == "" {
 		return
 	}
 	exitOn(os.MkdirAll(dir, 0o755))
-	path := filepath.Join(dir, name)
+	path := filepath.Join(dir, a.Name)
 	f, err := os.Create(path)
 	exitOn(err)
-	if err := write(f); err != nil {
-		f.Close()
-		exitOn(err)
-	}
-	exitOn(f.Close())
-	fmt.Printf("wrote %s\n\n", path)
-}
-
-// writeTimeline serializes F7's registration timeline as JSONL.
-func writeTimeline(dir, name string, res *testbed.F7Result) {
-	if dir == "" || res.Timeline == nil {
-		return
-	}
-	exitOn(os.MkdirAll(dir, 0o755))
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
-	exitOn(err)
-	if err := res.Timeline.WriteJSONL(f); err != nil {
+	if err := a.Write(f); err != nil {
 		f.Close()
 		exitOn(err)
 	}

@@ -1,10 +1,10 @@
-// Command mnet narrates a full MosquitoNet roaming scenario through the
+// Command mnet narrates the handoff scenario's itinerary through the
 // paper's testbed: the mobile host starts at home, visits the department
-// Ethernet, switches to the radio (cold), hot-switches back to the wire,
-// and returns home — while a correspondent streams UDP to its home address
-// throughout. Every protocol event (registrations, bindings, handoffs) is
-// printed as it happens, which makes this the quickest way to *watch* the
-// system work.
+// Ethernet, switches address there, switches to the radio (cold),
+// hot-switches back to the wire, and returns home — while a correspondent
+// streams UDP to its home address throughout. Every protocol event
+// (registrations, bindings, handoffs) is printed as it happens, which
+// makes this the quickest way to *watch* the system work.
 //
 // Usage:
 //
@@ -33,6 +33,21 @@ import (
 	"mosquitonet/internal/trace"
 )
 
+// printChains renders each host's pipeline hook chains, iptables -L style.
+func printChains(hosts ...*stack.Host) {
+	for _, h := range hosts {
+		fmt.Printf("-- pipeline: %s\n", h.Name())
+		for s := pipeline.Stage(0); s < pipeline.NumStages; s++ {
+			fmt.Print(h.Hooks(s).String())
+		}
+		fmt.Printf("Chain route-resolution (%d hooks)\n", h.RouteHooks().Len())
+		for _, name := range h.RouteHooks().Names() {
+			fmt.Printf("          %s\n", name)
+		}
+		fmt.Println()
+	}
+}
+
 func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	showTrace := flag.Bool("trace", false, "print every protocol trace event")
@@ -45,7 +60,12 @@ func main() {
 	adminScript := flag.String("admin", "", "admin console script file ('-' for stdin): inspect/mutate routes, bindings, hooks, and faults; 'at <offset> <cmd>' schedules mid-run (see the 'help' command)")
 	flag.Parse()
 
-	tb := testbed.New(*seed)
+	spec := testbed.MustScenario("handoff")
+	tb, err := testbed.NewFromSpec(*seed, spec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mnet:", err)
+		os.Exit(1)
+	}
 	if *adminScript != "" {
 		console := scenario.NewConsole(tb.World, os.Stdout)
 		r := io.Reader(os.Stdin)
@@ -114,90 +134,55 @@ func main() {
 	fmt.Printf("home %v  dept %v  radio %v  correspondent %v\n\n",
 		testbed.HomePrefix, testbed.DeptPrefix, testbed.RadioPrefix, testbed.CHAddr)
 
-	step := func(name string, f func(done func(error))) {
-		fmt.Printf("-- %s\n", name)
-		finished := false
-		f(func(err error) {
+	// The itinerary is the handoff scenario's: the narrator only names each
+	// step and reports on the stream whenever the host has settled.
+	var probe *testbed.EchoProbe
+	report := func() {
+		where := "at home"
+		if !tb.MH.AtHome() {
+			where = fmt.Sprintf("care-of %v, tunneled via the home agent", tb.MH.CareOf())
+		}
+		sent, recv := probe.Snapshot()
+		fmt.Printf("   stream: %d sent, %d echoed (%s)\n\n", sent, recv, where)
+	}
+	moves := 0
+	for i, st := range spec.Itinerary {
+		switch st.Op {
+		case "settle":
+		case "move":
+			fmt.Printf("-- carry %s to the %s subnet\n", st.Iface, st.To)
+		case "switch-address":
+			fmt.Printf("-- switch-address %s\n", st.Addr)
+		default:
+			fmt.Printf("-- %s %s\n", st.Op, st.Iface)
+		}
+		if err := tb.World.Step(st); err != nil {
+			fmt.Fprintln(os.Stderr, "mnet:", err)
+			os.Exit(1)
+		}
+		switch {
+		case i == 0:
+			if *chains {
+				printChains(tb.MH.Host(), tb.HA.Host())
+			}
+			var err error
+			probe, err = testbed.NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, testbed.MHHomeAddr, 7, *interval)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "mnet: %s: %v\n", name, err)
+				fmt.Fprintln(os.Stderr, "mnet:", err)
 				os.Exit(1)
 			}
-			finished = true
-		})
-		for !finished {
-			tb.Run(50 * time.Millisecond)
+			probe.Start()
+		case st.Op == "settle":
+			report()
+		case st.Op != "move":
+			moves++
 		}
 	}
-
-	step("attach at home", func(done func(error)) {
-		tb.MH.ConnectHome(tb.Eth, testbed.RouterHomeAddr, done)
-	})
-
-	if *chains {
-		for _, h := range []*stack.Host{tb.MH.Host(), tb.HA.Host()} {
-			fmt.Printf("-- pipeline: %s\n", h.Name())
-			for s := pipeline.Stage(0); s < pipeline.NumStages; s++ {
-				fmt.Print(h.Hooks(s).String())
-			}
-			fmt.Printf("Chain route-resolution (%d hooks)\n", h.RouteHooks().Len())
-			for _, name := range h.RouteHooks().Names() {
-				fmt.Printf("          %s\n", name)
-			}
-			fmt.Println()
-		}
-	}
-
-	probe, err := testbed.NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, testbed.MHHomeAddr, 7, *interval)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mnet:", err)
-		os.Exit(1)
-	}
-	probe.Start()
-	tb.Run(2 * time.Second)
-	report := func(tag string) {
-		sent, recv := probe.Snapshot()
-		fmt.Printf("   stream: %d sent, %d echoed (%s)\n\n", sent, recv, tag)
-	}
-	report("at home")
-
-	step("visit the department Ethernet (cold)", func(done func(error)) {
-		tb.MoveEthTo(tb.DeptNet)
-		tb.MH.ColdSwitch(tb.Eth, done)
-	})
-	tb.Run(3 * time.Second)
-	report("on net 36.8, tunneled via the home agent")
-
-	step("switch to the Metricom radio (cold)", func(done func(error)) {
-		tb.MH.ColdSwitch(tb.Strip, done)
-	})
-	tb.Run(3 * time.Second)
-	report("on the radio")
-
-	step("hot switch back to the wire", func(done func(error)) {
-		tb.Eth.Iface().Device().BringUp(func() {
-			tb.MH.Prepare(tb.Eth, func(err error) {
-				if err != nil {
-					done(err)
-					return
-				}
-				tb.MH.HotSwitch(tb.Eth, done)
-			})
-		})
-	})
-	tb.Run(3 * time.Second)
-	report("back on net 36.8 (radio was kept up during the switch)")
-
-	step("return home", func(done func(error)) {
-		tb.MoveEthTo(tb.HomeNet)
-		tb.MH.ColdSwitchHome(tb.Eth, testbed.RouterHomeAddr, done)
-	})
-	tb.Run(3 * time.Second)
-	report("home again")
 
 	probe.Pause()
-	tb.Run(2 * time.Second)
+	tb.Run(spec.Traffic.Drain.D())
 	sent, recv := probe.Snapshot()
-	fmt.Printf("== done: %d probes sent, %d echoed, %d lost across 4 moves ==\n", sent, recv, sent-recv)
+	fmt.Printf("== done: %d probes sent, %d echoed, %d lost across %d moves ==\n", sent, recv, sent-recv, moves)
 	fmt.Printf("mobile host stats: %+v\n", tb.MH.Stats())
 	fmt.Printf("home agent stats:  %+v\n", tb.HA.Stats())
 	fmt.Printf("\nfinal %s", tb.Metrics.Snapshot().Table())

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	mosquitonet "mosquitonet"
-	"mosquitonet/internal/testbed"
 )
 
 func main() {
@@ -27,7 +26,7 @@ func main() {
 	local := flag.Bool("local", false, "ping in the local role (care-of source) instead of via mobile IP")
 	flag.Parse()
 
-	tb := testbed.New(*seed)
+	tb := mosquitonet.NewTestbed(*seed)
 	switch *from {
 	case "home":
 		tb.MustConnectHome()
@@ -44,11 +43,11 @@ func main() {
 	var dst mosquitonet.Addr
 	switch *to {
 	case "ha":
-		dst = testbed.RouterHomeAddr
+		dst = mosquitonet.RouterHomeAddr
 	case "ch":
-		dst = testbed.CHAddr
+		dst = mosquitonet.CHAddr
 	case "campus":
-		dst = testbed.CampusCHAddr
+		dst = mosquitonet.CampusCHAddr
 	default:
 		fmt.Fprintf(os.Stderr, "mnping: unknown target %q\n", *to)
 		os.Exit(2)

@@ -13,11 +13,10 @@ import (
 	"time"
 
 	mosquitonet "mosquitonet"
-	"mosquitonet/internal/testbed"
 )
 
 func main() {
-	tb := testbed.New(7)
+	tb := mosquitonet.NewTestbed(7)
 
 	// The mobile host starts on the visited department Ethernet.
 	tb.MoveEthTo(tb.DeptNet)
@@ -32,7 +31,7 @@ func main() {
 	})
 	check(err)
 
-	session, err := tb.MHTS.Connect(mosquitonet.Unspecified, testbed.CHAddr, 513)
+	session, err := tb.MHTS.Connect(mosquitonet.Unspecified, mosquitonet.CHAddr, 513)
 	check(err)
 	received := 0
 	session.OnData = func(b []byte) {
@@ -63,12 +62,7 @@ func main() {
 	// Hot switch back: bring the wire up *before* leaving the radio.
 	fmt.Println("-- hot switch back to the wire (radio stays up during the switch)")
 	done = false
-	tb.Eth.Iface().Device().BringUp(func() {
-		tb.MH.Prepare(tb.Eth, func(err error) {
-			check(err)
-			tb.MH.HotSwitch(tb.Eth, func(err error) { check(err); done = true })
-		})
-	})
+	tb.MH.MakeBeforeBreak(tb.Eth, func(err error) { check(err); done = true })
 	for !done {
 		tb.Run(100 * time.Millisecond)
 	}

@@ -14,14 +14,13 @@ import (
 
 	mosquitonet "mosquitonet"
 	"mosquitonet/internal/stack"
-	"mosquitonet/internal/testbed"
 )
 
 func main() {
-	tb := testbed.New(3)
+	tb := mosquitonet.NewTestbed(3)
 	tb.MoveEthTo(tb.DeptNet)
 	tb.MustConnectForeign(tb.Eth)
-	fmt.Printf("mobile host visiting %v with care-of %v\n\n", testbed.DeptPrefix, tb.MH.CareOf())
+	fmt.Printf("mobile host visiting %v with care-of %v\n\n", mosquitonet.DeptPrefix, tb.MH.CareOf())
 
 	// Echo service on the campus correspondent; it is also "smart" (can
 	// decapsulate IP-in-IP, like recent Linux development kernels).
@@ -43,7 +42,7 @@ func main() {
 		check(err)
 		defer sock.Close()
 		start = tb.Loop.Now()
-		sock.SendTo(testbed.CampusCHAddr, 7, []byte("x"))
+		sock.SendTo(mosquitonet.CampusCHAddr, 7, []byte("x"))
 		tb.Run(3 * time.Second)
 		if got {
 			fmt.Printf("  %-42s rtt=%v\n", label, took.Round(10*time.Microsecond))
@@ -54,11 +53,11 @@ func main() {
 
 	policy := tb.MH.Policy()
 	fmt.Println("policies toward the campus correspondent:")
-	policy.SetHost(testbed.CampusCHAddr, mosquitonet.PolicyTunnel)
+	policy.SetHost(mosquitonet.CampusCHAddr, mosquitonet.PolicyTunnel)
 	rtt("tunnel (basic protocol, via home agent)")
-	policy.SetHost(testbed.CampusCHAddr, mosquitonet.PolicyTriangle)
+	policy.SetHost(mosquitonet.CampusCHAddr, mosquitonet.PolicyTriangle)
 	rtt("triangle (direct, home address as source)")
-	policy.SetHost(testbed.CampusCHAddr, mosquitonet.PolicyEncapDirect)
+	policy.SetHost(mosquitonet.CampusCHAddr, mosquitonet.PolicyEncapDirect)
 	rtt("encap-direct (smart CH decapsulates)")
 	fmt.Printf("  smart correspondent decapsulated %d packets\n\n", smart.Stats().Decapsulated)
 
@@ -67,21 +66,21 @@ func main() {
 	// exactly what breaks the triangle route in the paper.
 	fmt.Println("enabling a transit-traffic filter on the visited router…")
 	tb.Router.AddFilter(func(in, out *stack.Iface, pkt *mosquitonet.Packet) stack.Verdict {
-		if in.Prefix() == testbed.DeptPrefix && !testbed.DeptPrefix.Contains(pkt.Src) {
+		if in.Prefix() == mosquitonet.DeptPrefix && !mosquitonet.DeptPrefix.Contains(pkt.Src) {
 			return stack.Drop
 		}
 		return stack.Accept
 	})
-	policy.SetHost(testbed.CampusCHAddr, mosquitonet.PolicyTriangle)
+	policy.SetHost(mosquitonet.CampusCHAddr, mosquitonet.PolicyTriangle)
 	rtt("triangle through the filter")
 
 	fmt.Println("\nprobing the correspondent (the paper's failed-ping detection)…")
-	tb.MH.ProbeTriangle(testbed.CampusCHAddr, 2*time.Second, func(ok bool) {
+	tb.MH.ProbeTriangle(mosquitonet.CampusCHAddr, 2*time.Second, func(ok bool) {
 		fmt.Printf("  probe result: triangle usable = %v\n", ok)
 	})
 	tb.Run(10 * time.Second)
 	fmt.Printf("  policy table now caches: %v -> %v\n",
-		testbed.CampusCHAddr, policy.Lookup(testbed.CampusCHAddr))
+		mosquitonet.CampusCHAddr, policy.Lookup(mosquitonet.CampusCHAddr))
 	rtt("after fallback (tunneled again)")
 
 	fmt.Println("\nMobile Policy Table:")

@@ -574,6 +574,24 @@ func (m *MobileHost) HotSwitch(to *ManagedIface, done func(error)) {
 	})
 }
 
+// MakeBeforeBreak is the whole hot switch from a down device: raise to's
+// device, Prepare it in the background while the active interface keeps
+// carrying traffic, then HotSwitch over. done receives the first failure,
+// or the switch's outcome.
+func (m *MobileHost) MakeBeforeBreak(to *ManagedIface, done func(error)) {
+	to.ifc.Device().BringUp(func() {
+		m.Prepare(to, func(err error) {
+			if err != nil {
+				if done != nil {
+					done(err)
+				}
+				return
+			}
+			m.HotSwitch(to, done)
+		})
+	})
+}
+
 // Disconnect takes an interface down (out of coverage, card ejected).
 func (m *MobileHost) Disconnect(mi *ManagedIface) {
 	m.teardown(mi)

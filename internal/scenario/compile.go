@@ -146,14 +146,9 @@ func (w *World) compileRouter(r *Router) error {
 	for i := range r.Ifaces {
 		ri := &r.Ifaces[i]
 		sub := w.subnetSpec(ri.Subnet)
-		n := w.Networks[ri.Subnet]
-		d := link.NewDevice(w.Loop, "r-"+n.Name(), 0, 0)
-		d.Attach(n)
-		d.BringUp(nil)
-		ifc := h.AddIface("r-"+n.Name(), d, ip.MustParseAddr(ri.Addr), w.Prefixes[ri.Subnet],
+		ifc := AddRouterIface(h, w.Networks[ri.Subnet], ip.MustParseAddr(ri.Addr), w.Prefixes[ri.Subnet],
 			stack.IfaceOpts{PointToPoint: sub.PointToPoint})
-		h.ConnectRoute(ifc)
-		w.Devices[d.Name()] = d
+		w.Devices[ifc.Device().Name()] = ifc.Device()
 		ifaces[ri.Subnet] = ifc
 	}
 	h.SetForwarding(true)
@@ -191,22 +186,45 @@ func (w *World) compileRouter(r *Router) error {
 }
 
 func (w *World) compileEndHost(eh *EndHost) {
-	sub := w.subnetSpec(eh.Subnet)
 	h := stack.NewHost(w.Loop, eh.Name, stack.Config{
 		InputDelay:  eh.Delay.D(),
 		OutputDelay: eh.Delay.D(),
 	})
-	d := link.NewDevice(w.Loop, eh.Name+"-eth", 0, 0)
-	d.Attach(w.Networks[eh.Subnet])
-	d.BringUp(nil)
-	ifc := h.AddIface("eth0", d, ip.MustParseAddr(eh.Addr), w.Prefixes[eh.Subnet],
-		stack.IfaceOpts{PointToPoint: sub.PointToPoint})
-	h.ConnectRoute(ifc)
-	h.AddDefaultRoute(ip.MustParseAddr(eh.Gateway), ifc)
-	w.Loop.RunFor(0)
-	w.Devices[d.Name()] = d
-	w.Stacks[eh.Name] = transport.NewStack(h)
+	ts, ifc := AttachEndHost(h, w.Networks[eh.Subnet], eh.Name+"-eth",
+		ip.MustParseAddr(eh.Addr), w.Prefixes[eh.Subnet], ip.MustParseAddr(eh.Gateway),
+		stack.IfaceOpts{PointToPoint: w.subnetSpec(eh.Subnet).PointToPoint})
+	w.Devices[ifc.Device().Name()] = ifc.Device()
+	w.Stacks[eh.Name] = ts
 	w.hosts[eh.Name] = h
+}
+
+// AddRouterIface is the one router-interface construction sequence: an
+// always-ready device named after the network, attached and up, added to
+// h at addr with its connected route. Every world builder calls it, so
+// MAC assignment and RNG consumption cannot drift between them.
+func AddRouterIface(h *stack.Host, n *link.Network, addr ip.Addr, pfx ip.Prefix, opts stack.IfaceOpts) *stack.Iface {
+	d := link.NewDevice(h.Loop(), "r-"+n.Name(), 0, 0)
+	d.Attach(n)
+	d.BringUp(nil)
+	ifc := h.AddIface("r-"+n.Name(), d, addr, pfx, opts)
+	h.ConnectRoute(ifc)
+	return ifc
+}
+
+// AttachEndHost is the one end-host construction sequence, applied to a
+// freshly made host: an always-ready device attached and up, interface
+// eth0 at addr, connected and default routes, a zero-length run for the
+// bring-up to land, then the transport. Like AddRouterIface, every world
+// builder calls it so the order cannot drift.
+func AttachEndHost(h *stack.Host, n *link.Network, dev string, addr ip.Addr, pfx ip.Prefix, gw ip.Addr, opts stack.IfaceOpts) (*transport.Stack, *stack.Iface) {
+	d := link.NewDevice(h.Loop(), dev, 0, 0)
+	d.Attach(n)
+	d.BringUp(nil)
+	ifc := h.AddIface("eth0", d, addr, pfx, opts)
+	h.ConnectRoute(ifc)
+	h.AddDefaultRoute(gw, ifc)
+	h.Loop().RunFor(0)
+	return transport.NewStack(h), ifc
 }
 
 func (w *World) compileMobile(m *Mobile) error {

@@ -115,20 +115,7 @@ func (w *World) Step(st Step) error {
 		if err != nil {
 			return err
 		}
-		// Make-before-break: raise the target device, prepare it in the
-		// background while the old interface keeps carrying traffic, then
-		// switch over.
-		start = func(done func(error)) {
-			mi.Iface().Device().BringUp(func() {
-				mh.Prepare(mi, func(err error) {
-					if err != nil {
-						done(err)
-						return
-					}
-					mh.HotSwitch(mi, done)
-				})
-			})
-		}
+		start = func(done func(error)) { mh.MakeBeforeBreak(mi, done) }
 	case "switch-address":
 		start = func(done func(error)) { mh.SwitchAddress(ip.MustParseAddr(st.Addr), done) }
 	default:

@@ -26,3 +26,15 @@ func FaultRootKinds(kind string) bool {
 	}
 	return false
 }
+
+// HandoffRootKinds reports whether a span kind bounds a whole handoff.
+// Phase spans (handoff.dhcp, handoff.configure, ...) can also appear as
+// roots when Prepare runs outside a switch, so it matches exact kinds, not
+// the "handoff." prefix.
+func HandoffRootKinds(kind string) bool {
+	switch kind {
+	case "handoff.cold", "handoff.hot", "handoff.home", "handoff.connect", "handoff.addrswitch":
+		return true
+	}
+	return false
+}

@@ -265,3 +265,59 @@ func TestCompileFaultdemo(t *testing.T) {
 		t.Error("injector accepted a fault on an unknown router")
 	}
 }
+
+// Run's contract on the faultdemo spec: the one probe flow and every
+// handoff and fault window in start order; a spec that cannot run — no
+// itinerary, or traffic placed on a host without an end-host transport —
+// is an error, never a panic.
+func TestRunFaultdemo(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join(catalogDir, "faultdemo.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(mutate func(*Spec)) (*RunResult, error) {
+		spec, err := Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(spec)
+		w, err := Compile(1996, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		return w.Run()
+	}
+
+	res, err := run(func(*Spec) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Flows) != 1 || res.Flows[0].Proto != "udp" || res.Flows[0].Interval != 50*time.Millisecond {
+		t.Fatalf("flows = %+v, want the spec's one 50ms probe", res.Flows)
+	}
+	if sent, received, _, _ := res.Flows[0].Tracker.Totals(); sent == 0 || received == 0 {
+		t.Errorf("probe did not run: sent=%d received=%d", sent, received)
+	}
+	var kinds []string
+	for i, w := range res.Windows {
+		kinds = append(kinds, w.Kind)
+		if i > 0 && w.Start < res.Windows[i-1].Start {
+			t.Errorf("windows out of start order at %d: %+v", i, res.Windows)
+		}
+	}
+	want := []string{"handoff.home", "handoff.cold", KindFaultHACrash, KindFaultLossBurst, KindFaultLinkFlap}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Errorf("window kinds = %v, want %v", kinds, want)
+	}
+	if len(res.Faults) != 3 {
+		t.Errorf("fault records = %d, want 3", len(res.Faults))
+	}
+
+	if _, err := run(func(s *Spec) { s.Itinerary = nil }); err == nil {
+		t.Error("a spec with no itinerary ran")
+	}
+	if _, err := run(func(s *Spec) { s.Traffic.Probes[0].From = "router" }); err == nil {
+		t.Error("a probe sourced on a router ran")
+	}
+}

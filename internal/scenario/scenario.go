@@ -11,6 +11,10 @@
 //   - Compile: lowering onto the existing sim/link/stack/mip/dhcp/app
 //     builders, in strict spec order so a compiled world is byte-identical
 //     to the hand-written construction it replaced;
+//   - Run: a compiled World executes its own spec — attach, start the
+//     declared traffic (probes, MQTT, HTTP), walk the itinerary, drain —
+//     and returns the flows with their trackers, the handoff/fault
+//     attribution windows and the fault records;
 //   - Injector: first-class scheduled fault events (link flaps, home-agent
 //     crashes, loss bursts, registration-delay spikes) with fault.* trace
 //     spans that double as disruption-attribution windows;

@@ -9,6 +9,7 @@ import (
 	"mosquitonet/internal/link"
 	"mosquitonet/internal/metrics"
 	"mosquitonet/internal/mip"
+	"mosquitonet/internal/scenario"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stack"
 	"mosquitonet/internal/stats"
@@ -37,7 +38,7 @@ type A1Result struct {
 	FallbackSent              int
 
 	// Export holds snapshots for the main and transit-filter testbeds.
-	Export *Export
+	*Export
 }
 
 func (r *A1Result) String() string {
@@ -181,7 +182,7 @@ type A2Result struct {
 	WithFA    *stats.LossHistogram
 	Forwarded uint64 // stragglers the FA re-tunneled across all iterations
 	// Export holds one snapshot per variant.
-	Export *Export
+	*Export
 }
 
 func (r *A2Result) String() string {
@@ -228,6 +229,7 @@ func RunA2(seed int64, iterations int) (*A2Result, error) {
 	// Without FA: collocated care-of on the slow net.
 	{
 		tb := New(seed)
+		defer tb.Close()
 		tb.MoveEthTo(tb.DeptNet)
 		wan := addWAN(tb)
 		tb.MustConnectForeign(wan)
@@ -242,7 +244,7 @@ func RunA2(seed int64, iterations int) (*A2Result, error) {
 			probe.Start()
 			done := false
 			tb.MH.ColdSwitch(tb.Eth, func(err error) { done = err == nil })
-			if !runUntilDone(tb, &done, 30*time.Second) {
+			if !tb.World.RunUntil(30*time.Second, func() bool { return done }) {
 				return nil, fmt.Errorf("A2 no-FA iteration %d failed", i)
 			}
 			sa, ra := quiesce(tb, probe)
@@ -250,18 +252,18 @@ func RunA2(seed int64, iterations int) (*A2Result, error) {
 			probe.Start()
 			restore := false
 			tb.MH.ColdSwitch(wan, func(error) { restore = true })
-			if !runUntilDone(tb, &restore, 30*time.Second) {
+			if !tb.World.RunUntil(30*time.Second, func() bool { return restore }) {
 				return nil, fmt.Errorf("A2 no-FA restore %d failed", i)
 			}
 		}
 		probe.Stop()
 		res.Export.Snapshots = append(res.Export.Snapshots, tb.SnapshotMetrics("collocated"))
-		tb.Close()
 	}
 
 	// With FA on the slow net.
 	{
 		tb := New(seed + 1)
+		defer tb.Close()
 		tb.MoveEthTo(tb.DeptNet)
 		wan := addWAN(tb)
 		fa, err := newSlowNetFA(tb)
@@ -271,7 +273,7 @@ func RunA2(seed int64, iterations int) (*A2Result, error) {
 		attachViaFA := func() error {
 			ok := false
 			tb.MH.ConnectViaForeignAgent(wan, fa.Addr(), func(err error) { ok = err == nil })
-			if !runUntilDone(tb, &ok, 30*time.Second) {
+			if !tb.World.RunUntil(30*time.Second, func() bool { return ok }) {
 				return fmt.Errorf("A2: FA attach failed")
 			}
 			return nil
@@ -304,7 +306,7 @@ func RunA2(seed int64, iterations int) (*A2Result, error) {
 					tb.MH.NotifyPreviousFA(fa.Addr(), tb.MH.CareOf(), 30*time.Second)
 				}
 			})
-			if !runUntilDone(tb, &done, 30*time.Second) {
+			if !tb.World.RunUntil(30*time.Second, func() bool { return done }) {
 				return nil, fmt.Errorf("A2 FA iteration %d failed", i)
 			}
 			sa, ra := quiesce(tb, probe)
@@ -318,7 +320,6 @@ func RunA2(seed int64, iterations int) (*A2Result, error) {
 		probe.Stop()
 		res.Forwarded = fa.Stats().Forwarded
 		res.Export.Snapshots = append(res.Export.Snapshots, tb.SnapshotMetrics("foreign-agent"))
-		tb.Close()
 	}
 	return res, nil
 }
@@ -329,14 +330,8 @@ func newSlowNetFA(tb *Testbed) (*mip.ForeignAgent, error) {
 		InputDelay:  CHProcDelay,
 		OutputDelay: CHProcDelay,
 	})
-	d := link.NewDevice(tb.Loop, "fa-eth", 0, 0)
-	d.Attach(tb.SlowNet)
-	d.BringUp(nil)
-	ifc := h.AddIface("eth0", d, FASlowAddr, SlowPrefix, stack.IfaceOpts{})
-	h.ConnectRoute(ifc)
-	h.AddDefaultRoute(RouterSlowAddr, ifc)
-	tb.Loop.RunFor(0)
-	return mip.NewForeignAgent(transport.NewStack(h), mip.ForeignAgentConfig{
+	ts, ifc := scenario.AttachEndHost(h, tb.SlowNet, "fa-eth", FASlowAddr, SlowPrefix, RouterSlowAddr, stack.IfaceOpts{})
+	return mip.NewForeignAgent(ts, mip.ForeignAgentConfig{
 		Iface:           ifc,
 		ProcessingDelay: CHProcDelay,
 		Tracer:          tb.Tracer,
@@ -358,7 +353,7 @@ type A3Row struct {
 type A3Result struct {
 	Rows []A3Row
 	// Export holds one snapshot per fleet size.
-	Export *Export
+	*Export
 }
 
 func (r *A3Result) String() string {
@@ -379,6 +374,9 @@ func (r *A3Result) String() string {
 func RunA3(seed int64, fleets []int) (*A3Result, error) {
 	res := &A3Result{Export: &Export{Experiment: "a3", Seed: seed}}
 	for _, n := range fleets {
+		if n > scaleAddrHosts {
+			return nil, fmt.Errorf("A3: fleet of %d exceeds the %d hosts a /16 addresses", n, scaleAddrHosts)
+		}
 		row, snap, err := runA3Fleet(seed, n)
 		if err != nil {
 			return nil, err
@@ -407,7 +405,7 @@ func runA3Fleet(seed int64, n int) (A3Row, *metrics.Snapshot, error) {
 		})
 		ts := transport.NewStack(h)
 		m := mip.NewMobileHost(ts, mip.MobileHostConfig{
-			HomeAddr:   ip.Addr{36, 135, 1, byte(i + 1)},
+			HomeAddr:   scaleAddr(HomePrefix, i),
 			HomePrefix: HomePrefix,
 			HomeAgent:  RouterHomeAddr,
 			Lifetime:   RegLifetime,
@@ -416,7 +414,7 @@ func runA3Fleet(seed int64, n int) (A3Row, *metrics.Snapshot, error) {
 		d := link.NewDevice(tb.Loop, "eth", 0, 0)
 		d.Attach(tb.DeptNet)
 		mi, err := m.AddInterface("eth0", d, false, &mip.StaticConfig{
-			Addr:    ip.Addr{36, 8, 2, byte(i + 1)},
+			Addr:    scaleAddr(DeptPrefix, i),
 			Prefix:  DeptPrefix,
 			Gateway: RouterDeptAddr,
 		})
@@ -494,7 +492,7 @@ type A4Result struct {
 	Simultaneous *stats.LossHistogram
 	Duplicated   uint64 // copies the HA emitted during overlaps
 	// Export holds one snapshot per strategy.
-	Export *Export
+	*Export
 }
 
 func (r *A4Result) String() string {
@@ -550,14 +548,7 @@ func RunA4(seed int64, iterations int) (*A4Result, error) {
 			case "cold":
 				tb.MH.ColdSwitch(tb.Eth, leaveRadio)
 			case "hot":
-				tb.Eth.Iface().Device().BringUp(func() {
-					tb.MH.Prepare(tb.Eth, func(err error) {
-						if err != nil {
-							return
-						}
-						tb.MH.HotSwitch(tb.Eth, leaveRadio)
-					})
-				})
+				tb.MH.MakeBeforeBreak(tb.Eth, leaveRadio)
 			case "simultaneous":
 				tb.Eth.Iface().Device().BringUp(func() {
 					tb.MH.Prepare(tb.Eth, func(err error) {
@@ -577,7 +568,7 @@ func RunA4(seed int64, iterations int) (*A4Result, error) {
 					})
 				})
 			}
-			if !runUntilDone(tb, &done, 60*time.Second) {
+			if !tb.World.RunUntil(60*time.Second, func() bool { return done }) {
 				return fmt.Errorf("%s iteration %d stalled", strategy, i)
 			}
 			sa, ra := quiesce(tb, probe)
@@ -589,7 +580,7 @@ func RunA4(seed int64, iterations int) (*A4Result, error) {
 			// Restore: back onto the radio (unmeasured).
 			restored := false
 			tb.MH.ColdSwitch(tb.Strip, func(error) { restored = true })
-			if !runUntilDone(tb, &restored, 60*time.Second) {
+			if !tb.World.RunUntil(60*time.Second, func() bool { return restored }) {
 				return fmt.Errorf("%s restore %d stalled", strategy, i)
 			}
 			tb.MH.Disconnect(tb.Eth)

@@ -33,7 +33,7 @@ type E1Result struct {
 	// installing the new binding.
 	Window *stats.Series
 	// Export is the machine-readable record of the run.
-	Export *Export
+	*Export
 }
 
 func (r *E1Result) String() string {
@@ -78,7 +78,7 @@ func RunE1(seed int64) (*E1Result, error) {
 		done := false
 		var swErr error
 		tb.MH.SwitchAddress(addrs[i%2], func(err error) { swErr, done = err, true })
-		if !runUntilDone(tb, &done, 5*time.Second) || swErr != nil {
+		if !tb.World.RunUntil(5*time.Second, func() bool { return done }) || swErr != nil {
 			return nil, fmt.Errorf("E1 iteration %d: done=%v err=%v", i, done, swErr)
 		}
 		res.Window.Add(disruptionWindow(tb.Tracer))
@@ -97,27 +97,6 @@ func quiesce(tb *Testbed, probe *EchoProbe) (sent, recv uint64) {
 	probe.Pause()
 	tb.Run(2 * time.Second)
 	return probe.Snapshot()
-}
-
-// runUntilDone advances the simulation in small steps until *done flips or
-// maxWait elapses, so measured windows do not include dead post-completion
-// time (which would add unrelated steady-state radio losses).
-func runUntilDone(tb *Testbed, done *bool, maxWait time.Duration) bool {
-	deadline := tb.Loop.Now().Add(maxWait)
-	for !*done && tb.Loop.Now() < deadline {
-		tb.Run(20 * time.Millisecond)
-	}
-	return *done
-}
-
-// runUntil advances the simulation in small steps until cond holds or
-// maxWait elapses, reporting whether cond was met.
-func runUntil(tb *Testbed, maxWait time.Duration, cond func() bool) bool {
-	deadline := tb.Loop.Now().Add(maxWait)
-	for !cond() && tb.Loop.Now() < deadline {
-		tb.Run(20 * time.Millisecond)
-	}
-	return cond()
 }
 
 // disruptionWindow extracts, from the trace, the interval between the old
@@ -168,7 +147,7 @@ type F6Result struct {
 	// per cold iteration, the analogue of the paper's <1.25 s bound.
 	Blackout *stats.Series
 	// Export holds one metrics snapshot per scenario.
-	Export *Export
+	*Export
 }
 
 func (r *F6Result) String() string {
@@ -236,21 +215,11 @@ func runF6Scenario(seed int64, sc F6Scenario, blackout *stats.Series) (*stats.Lo
 		var doneAt sim.Time
 		finish := func(err error) { swErr, done, doneAt = err, true, tb.Loop.Now() }
 		if hot {
-			// Bring the target up and stage it while the old interface
-			// still carries traffic, then flip.
-			to.Iface().Device().BringUp(func() {
-				tb.MH.Prepare(to, func(err error) {
-					if err != nil {
-						finish(err)
-						return
-					}
-					tb.MH.HotSwitch(to, finish)
-				})
-			})
+			tb.MH.MakeBeforeBreak(to, finish)
 		} else {
 			tb.MH.ColdSwitch(to, finish)
 		}
-		if !runUntilDone(tb, &done, 30*time.Second) || swErr != nil {
+		if !tb.World.RunUntil(30*time.Second, func() bool { return done }) || swErr != nil {
 			return nil, nil, fmt.Errorf("iteration %d: done=%v err=%v", i, done, swErr)
 		}
 		if !hot {
@@ -263,15 +232,11 @@ func runF6Scenario(seed int64, sc F6Scenario, blackout *stats.Series) (*stats.Lo
 		// Restore the starting configuration (unmeasured).
 		restoreDone := false
 		if hot {
-			from.Iface().Device().BringUp(func() {
-				tb.MH.Prepare(from, func(error) {
-					tb.MH.HotSwitch(from, func(error) { restoreDone = true })
-				})
-			})
+			tb.MH.MakeBeforeBreak(from, func(error) { restoreDone = true })
 		} else {
 			tb.MH.ColdSwitch(from, func(error) { restoreDone = true })
 		}
-		if !runUntilDone(tb, &restoreDone, 30*time.Second) {
+		if !tb.World.RunUntil(30*time.Second, func() bool { return restoreDone }) {
 			return nil, nil, fmt.Errorf("iteration %d: restore failed", i)
 		}
 		if hot {
@@ -301,7 +266,7 @@ type F7Result struct {
 	Timeline *trace.Tracer
 	// Export is the machine-readable record of the run; its Timeline field
 	// carries the same events as Timeline above.
-	Export *Export
+	*Export
 }
 
 func (r *F7Result) String() string {
@@ -312,6 +277,11 @@ func (r *F7Result) String() string {
 		fmt.Fprintf(&b, "  %s\n", s)
 	}
 	return b.String()
+}
+
+// Artifacts adds the registration timeline, one JSON event per line.
+func (r *F7Result) Artifacts() []Artifact {
+	return append(r.Export.Artifacts(), Artifact{Name: "BENCH_f7_timeline.jsonl", Write: r.Timeline.WriteJSONL})
 }
 
 // RunF7 performs the registration time-line experiment.
@@ -374,7 +344,7 @@ type RTTResult struct {
 	RadioRTT *stats.Series // MH <-> router over the radio
 	WiredRTT *stats.Series // MH <-> router over visited Ethernet
 	// Export holds one metrics snapshot per medium.
-	Export *Export
+	*Export
 }
 
 func (r *RTTResult) String() string {
@@ -433,7 +403,7 @@ type ThroughputResult struct {
 	BytesReceived int
 	Span          time.Duration
 	// Export is the machine-readable record of the run.
-	Export *Export
+	*Export
 }
 
 func (r *ThroughputResult) String() string {

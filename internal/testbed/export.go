@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 
 	"mosquitonet/internal/metrics"
@@ -25,6 +26,26 @@ type Export struct {
 	// not tell the story. Struct-typed values marshal with a fixed field
 	// order, keeping the export deterministic.
 	Rows any `json:"rows,omitempty"`
+}
+
+// Artifact is one file an experiment run exports.
+type Artifact struct {
+	Name  string // file name under the export directory
+	Write func(io.Writer) error
+}
+
+// Result is what every experiment driver returns: String() prints the
+// table in the paper's presentation, Artifacts lists the files to export.
+type Result interface {
+	fmt.Stringer
+	Artifacts() []Artifact
+}
+
+// Artifacts is the default export list: the one BENCH_<experiment>.json.
+// Every result type embeds its *Export and so inherits it; F7 and the
+// handoff observatory append their extra files.
+func (e *Export) Artifacts() []Artifact {
+	return []Artifact{{Name: "BENCH_" + e.Experiment + ".json", Write: e.WriteJSON}}
 }
 
 // WriteJSON writes the export as indented JSON. Because snapshots order

@@ -1,18 +1,13 @@
 package testbed
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 	"time"
 
-	"mosquitonet/internal/ip"
 	"mosquitonet/internal/metrics"
-	"mosquitonet/internal/scenario"
-	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stats"
 	"mosquitonet/internal/trace"
-	"mosquitonet/internal/transport"
 )
 
 // The handoff observatory runs the mnet roaming itinerary — home, the
@@ -45,112 +40,6 @@ const (
 	handoffDropBurstWindow = 500 * time.Millisecond
 )
 
-// FlowProbe streams one-way sequence-numbered UDP datagrams into a
-// stats.FlowTracker: the sender stamps each transmission, the receiver
-// each arrival, and the tracker owns the loss/latency/reordering
-// accounting. Unlike EchoProbe it never reflects traffic, so its latency
-// samples are one-way and its loss is direction-attributable.
-type FlowProbe struct {
-	loop     *sim.Loop
-	src      *transport.UDPSocket
-	sink     *transport.UDPSocket
-	dst      ip.Addr
-	port     uint16
-	interval time.Duration
-	flow     *stats.FlowTracker
-
-	seq     uint64
-	paused  bool
-	stopped bool
-}
-
-// NewFlowProbe installs the receiver on to (bound to the wildcard address,
-// so it keeps collecting across address switches) and prepares the sender
-// on from. Call Start to begin transmission.
-func NewFlowProbe(loop *sim.Loop, from, to *transport.Stack, dst ip.Addr, port uint16, interval time.Duration) (*FlowProbe, error) {
-	p := &FlowProbe{loop: loop, dst: dst, port: port, interval: interval, paused: true,
-		flow: stats.NewFlowTracker(fmt.Sprintf("udp:%v:%d", dst, port))}
-	sink, err := to.UDP(ip.Unspecified, port, func(d transport.Datagram) {
-		if len(d.Payload) < 8 {
-			//lint:allow dropaccounting non-probe datagram ignored; flow accounting lives in the tracker
-			return
-		}
-		p.flow.Received(binary.BigEndian.Uint64(d.Payload), p.loop.Now())
-	})
-	if err != nil {
-		return nil, err
-	}
-	p.sink = sink
-	src, err := from.UDP(ip.Unspecified, 0, nil)
-	if err != nil {
-		sink.Close()
-		return nil, err
-	}
-	p.src = src
-	return p, nil
-}
-
-// Start (or resume) transmission.
-func (p *FlowProbe) Start() {
-	if !p.paused || p.stopped {
-		return
-	}
-	p.paused = false
-	p.tick()
-}
-
-// Pause suspends transmission; in-flight packets still count on arrival.
-func (p *FlowProbe) Pause() { p.paused = true }
-
-// Stop ends the probe permanently and releases its sockets.
-func (p *FlowProbe) Stop() {
-	p.stopped = true
-	p.paused = true
-	p.src.Close()
-	p.sink.Close()
-}
-
-// Flow returns the tracker accumulating this probe's accounting.
-func (p *FlowProbe) Flow() *stats.FlowTracker { return p.flow }
-
-func (p *FlowProbe) tick() {
-	if p.paused || p.stopped {
-		return
-	}
-	p.seq++
-	var payload [8]byte
-	binary.BigEndian.PutUint64(payload[:], p.seq)
-	p.flow.Sent(p.seq, p.loop.Now())
-	p.src.SendTo(p.dst, p.port, payload[:])
-	p.loop.Schedule(p.interval, p.tick)
-}
-
-// handoffRootKinds are the span kinds that bound whole handoffs — the
-// roots the disruption analyzer turns into attribution windows. Phase
-// spans (handoff.dhcp, handoff.configure, ...) can also appear as roots
-// when Prepare runs outside a switch, so window selection matches exact
-// kinds, not the "handoff." prefix.
-var handoffRootKinds = map[string]bool{
-	"handoff.cold":       true,
-	"handoff.hot":        true,
-	"handoff.home":       true,
-	"handoff.connect":    true,
-	"handoff.addrswitch": true,
-}
-
-// observationWindows turns every closed root span that bounds a handoff
-// or an injected fault into one attribution window, in span start order
-// (spans are retained in start order).
-func observationWindows(tr *trace.Tracer) []stats.Window {
-	var windows []stats.Window
-	for _, sp := range tr.Spans() {
-		if sp.Parent == 0 && (handoffRootKinds[sp.Kind] || scenario.FaultRootKinds(sp.Kind)) && sp.End >= sp.Start {
-			windows = append(windows, stats.Window{Kind: sp.Kind, Start: sp.Start, End: sp.End})
-		}
-	}
-	return windows
-}
-
 // HandoffRows is the machine-readable result table of the handoff
 // experiment: flow-wide totals plus one disruption report per handoff
 // window. Struct-typed so the JSON field order is fixed.
@@ -177,7 +66,7 @@ type HandoffResult struct {
 	// Tracer retains the run's full event and span record for export
 	// (spans JSONL, Chrome trace) after the testbed is closed.
 	Tracer *trace.Tracer
-	Export *Export
+	*Export
 }
 
 func (r *HandoffResult) String() string {
@@ -196,11 +85,17 @@ func (r *HandoffResult) String() string {
 	return b.String()
 }
 
-// RunHandoff performs the roaming itinerary under the observatory and
-// returns the per-handoff disruption reports. The itinerary, the probe,
-// and the drain all come from the handoff scenario spec: the first
-// itinerary step attaches the mobile host, the probe starts, and the
-// remaining steps walk the five moves.
+// Artifacts adds the run's span record and the same spans as a Chrome
+// trace-event file.
+func (r *HandoffResult) Artifacts() []Artifact {
+	return append(r.Export.Artifacts(),
+		Artifact{Name: "BENCH_handoff_spans.jsonl", Write: r.Tracer.WriteSpansJSONL},
+		Artifact{Name: "BENCH_handoff_trace.json", Write: r.Tracer.WriteChromeTrace})
+}
+
+// RunHandoff runs the handoff scenario spec under the observatory and
+// returns the per-handoff disruption reports: compile, arm the flight
+// recorder, let the world run its own spec, score the one probe flow.
 func RunHandoff(seed int64) (*HandoffResult, error) {
 	spec, err := Scenario("handoff")
 	if err != nil {
@@ -216,33 +111,16 @@ func RunHandoff(seed int64) (*HandoffResult, error) {
 	fr.TriggerOn("reg.timeout")
 	fr.TriggerOnBurst("drop.noroute", handoffDropBurstCount, handoffDropBurstWindow)
 
-	if err := tb.World.Step(spec.Itinerary[0]); err != nil {
-		return nil, fmt.Errorf("handoff: %w", err)
-	}
-
-	p := spec.Traffic.Probes[0]
-	probe, err := NewFlowProbe(tb.Loop, tb.World.Stacks[p.From], tb.World.Stacks[p.To],
-		ip.MustParseAddr(p.Dst), uint16(p.Port), p.Interval.D())
+	run, err := tb.World.Run()
 	if err != nil {
 		return nil, err
 	}
-	probe.Start()
-
-	if err := tb.World.RunItinerary(spec.Itinerary[1:]); err != nil {
-		return nil, fmt.Errorf("handoff: %w", err)
-	}
-
-	// Drain: stop sending, let stragglers arrive.
-	probe.Pause()
-	tb.Run(spec.Traffic.Drain.D())
-
-	windows := observationWindows(tb.Tracer)
-
-	flow := probe.Flow()
+	probe := run.Flows[0]
+	flow := probe.Tracker
 	sent, received, lost, reorders := flow.Totals()
 	res := &HandoffResult{
 		Rows: HandoffRows{
-			ProbeIntervalNS:   int64(p.Interval.D()),
+			ProbeIntervalNS:   int64(probe.Interval),
 			GraceNS:           int64(HandoffGrace),
 			BaselineLatencyNS: int64(flow.Baseline()),
 			PacketsSent:       sent,
@@ -252,7 +130,7 @@ func RunHandoff(seed int64) (*HandoffResult, error) {
 			FlightDumps:       len(fr.Dumps()),
 			DroppedEvents:     tb.Tracer.Dropped(),
 			DroppedSpans:      tb.Tracer.DroppedSpans(),
-			Handoffs:          flow.Analyze(windows, HandoffGrace),
+			Handoffs:          flow.Analyze(run.Windows, HandoffGrace),
 		},
 		Flow:   flow,
 		Flight: fr,

@@ -1,44 +1,11 @@
 package testbed
 
 import (
-	"bytes"
 	"testing"
 
+	"mosquitonet/internal/scenario"
 	"mosquitonet/internal/trace"
 )
-
-// The observatory's export contract: same seed, byte-identical artifacts —
-// the disruption rows, the span record, and the Chrome trace.
-func TestHandoffDeterminism(t *testing.T) {
-	run := func() (export, spans, chrome string) {
-		res, err := RunHandoff(7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ej, sj, cj bytes.Buffer
-		if err := res.Export.WriteJSON(&ej); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Tracer.WriteSpansJSONL(&sj); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Tracer.WriteChromeTrace(&cj); err != nil {
-			t.Fatal(err)
-		}
-		return ej.String(), sj.String(), cj.String()
-	}
-	e1, s1, c1 := run()
-	e2, s2, c2 := run()
-	if e1 != e2 {
-		t.Error("BENCH_handoff export diverged between same-seed runs")
-	}
-	if s1 != s2 {
-		t.Error("span JSONL diverged between same-seed runs")
-	}
-	if c1 != c2 {
-		t.Error("Chrome trace diverged between same-seed runs")
-	}
-}
 
 func TestHandoffSpanTreeAndReports(t *testing.T) {
 	res, err := RunHandoff(1996)
@@ -87,7 +54,7 @@ func TestHandoffSpanTreeAndReports(t *testing.T) {
 		t.Fatal("no reg.attempt spans recorded")
 	}
 	for _, sp := range regs {
-		if root := rootOf(sp); !handoffRootKinds[root.Kind] {
+		if root := rootOf(sp); !scenario.HandoffRootKinds(root.Kind) {
 			t.Errorf("reg.attempt %d roots at %q, not a handoff window", sp.ID, root.Kind)
 		}
 	}

@@ -91,7 +91,7 @@ type LoadedHandoffRows struct {
 type LoadedHandoffResult struct {
 	Rows   LoadedHandoffRows
 	Tracer *trace.Tracer
-	Export *Export
+	*Export
 }
 
 func (r *LoadedHandoffResult) String() string {
@@ -137,12 +137,9 @@ func formatWorstWindows(flows []LoadedFlowRow) string {
 	return b.String()
 }
 
-// RunLoadedHandoff performs the roaming itinerary under the application
-// load and returns the per-flow, per-handoff disruption scoring. The
-// topology, the traffic mix, and the itinerary all come from the
-// loadedhandoff scenario spec: the first itinerary step attaches the
-// mobile host, the traffic builder lowers the mix onto the app layer,
-// and the remaining steps walk the five moves.
+// RunLoadedHandoff runs the loadedhandoff scenario spec — topology,
+// traffic mix and itinerary all come from it — and returns the per-flow,
+// per-handoff disruption scoring.
 func RunLoadedHandoff(seed int64) (*LoadedHandoffResult, error) {
 	spec, err := Scenario("loadedhandoff")
 	if err != nil {
@@ -154,76 +151,53 @@ func RunLoadedHandoff(seed int64) (*LoadedHandoffResult, error) {
 	}
 	defer tb.Close()
 
-	if err := tb.World.Step(spec.Itinerary[0]); err != nil {
-		return nil, fmt.Errorf("loadedhandoff: %w", err)
-	}
-
-	lt, err := buildLoadedTraffic(tb, spec.Traffic)
+	run, err := tb.World.Run()
 	if err != nil {
-		return nil, fmt.Errorf("loadedhandoff: %w", err)
+		return nil, err
 	}
-	lt.start()
-
-	if err := tb.World.RunItinerary(spec.Itinerary[1:]); err != nil {
-		return nil, fmt.Errorf("loadedhandoff: %w", err)
-	}
-
-	// Stop generating, then drain until every flow's sent count has been
-	// received — TCP recovery after the last move may still be replaying.
-	lt.stop()
-	drained := runUntil(tb, spec.Traffic.Drain.D(), lt.drained)
-	// A final settle so PUBACKs and spans close too.
-	tb.Run(2 * time.Second)
-
-	windows := observationWindows(tb.Tracer)
 
 	rows := LoadedHandoffRows{
 		GraceNS:         int64(HandoffGrace),
 		QoS1ExactlyOnce: true,
-		BrokerStats:     lt.broker.Stats(),
-		HTTPServerStats: lt.web.Stats(),
+		BrokerStats:     run.Broker,
+		HTTPServerStats: run.HTTPServer,
 		DroppedEvents:   tb.Tracer.Dropped(),
 		DroppedSpans:    tb.Tracer.DroppedSpans(),
 	}
-	for _, lf := range lt.flows {
-		sent, received, lost, reorders := lf.flow.Totals()
-		dups, _ := lf.flow.Anomalies()
-		if lf.proto == "mqtt-qos1" && (dups != 0 || lost != 0) {
+	for _, f := range run.Flows {
+		flow := f.Tracker
+		sent, received, lost, reorders := flow.Totals()
+		dups, _ := flow.Anomalies()
+		if f.Proto == "mqtt-qos1" && (dups != 0 || lost != 0) {
 			rows.QoS1ExactlyOnce = false
 		}
-		lat := lf.flow.LatencySeries()
+		lat := flow.LatencySeries()
 		row := LoadedFlowRow{
-			Flow:              lf.name,
-			Proto:             lf.proto,
-			Model:             lf.model,
+			Flow:              flow.Name(),
+			Proto:             f.Proto,
+			Model:             f.Model,
 			PacketsSent:       sent,
 			PacketsReceived:   received,
 			PacketsLost:       lost,
 			Reorders:          reorders,
 			Duplicates:        dups,
-			BaselineLatencyNS: int64(lf.flow.Baseline()),
+			BaselineLatencyNS: int64(flow.Baseline()),
 			MeanLatencyNS:     int64(lat.Mean()),
 			P99LatencyNS:      int64(lat.Percentile(99)),
 			MaxLatencyNS:      int64(lat.Max()),
-			ThroughputBps:     goodputBps(received, lf.size, experimentSpan(lf.flow)),
+			ThroughputBps:     goodputBps(received, f.Size, experimentSpan(flow)),
 		}
-		for _, rep := range lf.flow.Analyze(windows, HandoffGrace) {
+		for _, rep := range flow.Analyze(run.Windows, HandoffGrace) {
 			lo := sim.Time(rep.StartNS).Add(-HandoffGrace)
 			hi := sim.Time(rep.EndNS).Add(HandoffGrace)
-			delivered := lf.flow.ReceivedBetween(lo, hi)
+			delivered := flow.ReceivedBetween(lo, hi)
 			row.Handoffs = append(row.Handoffs, LoadedWindowRow{
 				DisruptionReport:  rep,
 				DeliveredInWindow: delivered,
-				ThroughputBps:     goodputBps(delivered, lf.size, hi.Sub(lo)),
+				ThroughputBps:     goodputBps(delivered, f.Size, hi.Sub(lo)),
 			})
 		}
 		rows.Flows = append(rows.Flows, row)
-	}
-	if !drained {
-		// Loss under a transport that never gives up means the drain window
-		// was too short or a connection died; surface it rather than
-		// exporting a silently-degraded table.
-		return nil, fmt.Errorf("loadedhandoff: flows did not drain within %v", spec.Traffic.Drain.D())
 	}
 
 	res := &LoadedHandoffResult{Rows: rows, Tracer: tb.Tracer}

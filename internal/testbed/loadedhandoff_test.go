@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -10,26 +9,6 @@ import (
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/stats"
 )
-
-// The loaded observatory's export contract: same seed, byte-identical
-// export, regardless of how many runs precede it in the process.
-func TestLoadedHandoffDeterminism(t *testing.T) {
-	run := func() string {
-		res, err := RunLoadedHandoff(7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b bytes.Buffer
-		if err := res.Export.WriteJSON(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	e1, e2 := run(), run()
-	if e1 != e2 {
-		t.Error("BENCH_loadedhandoff export diverged between same-seed runs")
-	}
-}
 
 func TestLoadedHandoffScoring(t *testing.T) {
 	res, err := RunLoadedHandoff(1996)
@@ -138,7 +117,7 @@ func TestQoS1ExactlyOnceAcrossHandoff(t *testing.T) {
 	if err := sub.Connect(CHAddr, brokerPort, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !runUntil(tb, 10*time.Second, func() bool { return pub.Connected() && sub.Connected() }) {
+	if !tb.World.RunUntil(10*time.Second, func() bool { return pub.Connected() && sub.Connected() }) {
 		t.Fatal("clients did not connect")
 	}
 
@@ -164,10 +143,10 @@ func TestQoS1ExactlyOnceAcrossHandoff(t *testing.T) {
 	if err := pub.Publish("inflight", app.Payload(seq, 16), 1, false, func() { acked = true }); err != nil {
 		t.Fatal(err)
 	}
-	if !runUntilDone(tb, &switched, 30*time.Second) {
+	if !tb.World.RunUntil(30*time.Second, func() bool { return switched }) {
 		t.Fatal("cold switch did not complete")
 	}
-	if !runUntilDone(tb, &acked, 30*time.Second) {
+	if !tb.World.RunUntil(30*time.Second, func() bool { return acked }) {
 		t.Fatal("in-flight QoS 1 publish never acked after handoff")
 	}
 	tb.Run(5 * time.Second)

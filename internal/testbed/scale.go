@@ -9,6 +9,7 @@ import (
 	"mosquitonet/internal/link"
 	"mosquitonet/internal/metrics"
 	"mosquitonet/internal/mip"
+	"mosquitonet/internal/scenario"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stack"
 	"mosquitonet/internal/transport"
@@ -130,8 +131,8 @@ type ScaleRow struct {
 
 // ScaleResult is the full scale experiment: one row per fleet size.
 type ScaleResult struct {
-	Rows   []ScaleRow
-	Export *Export
+	Rows []ScaleRow
+	*Export
 }
 
 func (r *ScaleResult) String() string {
@@ -145,12 +146,6 @@ func (r *ScaleResult) String() string {
 			row.Registrations, row.ProbesSent, row.ProbesEchoed, 100*row.RouteCacheHitRate)
 	}
 	return b.String()
-}
-
-// RunScale runs the roaming-fleet scale experiment for each fleet size,
-// sequentially (workers=1).
-func RunScale(seed int64, fleets []int) (*ScaleResult, error) {
-	return RunScaleWorkers(seed, fleets, 1)
 }
 
 // RunScaleWorkers runs the scale experiment with the given worker-pool
@@ -177,6 +172,10 @@ func scaleAddr(pfx ip.Prefix, i int) ip.Addr {
 	return ip.Addr{pfx.Addr[0], pfx.Addr[1], byte(1 + i/200), byte(1 + i%200)}
 }
 
+// scaleAddrHosts is how many hosts scaleAddr can number before its third
+// octet wraps.
+const scaleAddrHosts = 200 * 255
+
 // Fixed backbone addressing: the hub shard's subnet and its well-known
 // occupants.
 var (
@@ -195,12 +194,6 @@ func scaleRouterAddr(k, which int) ip.Addr {
 	a := scaleShardPrefix(k, which).Addr
 	a[3] = 1
 	return a
-}
-
-// RunScaleFleet runs one fleet of n roaming mobile hosts sequentially and
-// returns its deterministic row plus a compact metrics snapshot.
-func RunScaleFleet(seed int64, n int) (ScaleRow, *metrics.Snapshot, error) {
-	return RunScaleFleetWorkers(seed, n, 1)
 }
 
 // scaleMH is one mobile host of the fleet with its two managed foreign
@@ -247,25 +240,14 @@ func (f *scaleFleet) release() {
 // level metrics only, merged across shards; a full per-host snapshot at
 // 1000 hosts would dwarf the export).
 func RunScaleFleetWorkers(seed int64, n, workers int) (ScaleRow, *metrics.Snapshot, error) {
-	row, snap, _, err := runScaleFleetMeasured(seed, n, workers)
-	return row, snap, err
-}
-
-// runScaleFleetMeasured is RunScaleFleetWorkers plus the per-worker busy
-// wall-clock readings, which the parallel experiment turns into
-// utilization provenance. The busy slice is empty for workers=1.
-func runScaleFleetMeasured(seed int64, n, workers int) (ScaleRow, *metrics.Snapshot, []time.Duration, error) {
 	fl, err := buildScaleFleet(seed, n, workers)
 	if err != nil {
-		return ScaleRow{}, nil, nil, err
+		return ScaleRow{}, nil, err
 	}
 	defer fl.release()
 
 	fl.ss.RunFor(scaleDuration)
-
-	row := fl.row()
-	snap := fl.snapshot()
-	return row, snap, fl.ss.WorkerBusy(), nil
+	return fl.row(), fl.snapshot(), nil
 }
 
 // buildScaleFleet constructs the sharded scale topology for n mobile
@@ -303,15 +285,6 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int) (*scaleFl
 	ss.SetGroups(scaleBarrierGroups(numFleet))
 	metrics.RegisterShardSet(ss, regs)
 
-	addRouterIface := func(h *stack.Host, net *link.Network, addr ip.Addr, pfx ip.Prefix, opts stack.IfaceOpts) *stack.Iface {
-		d := link.NewDevice(h.Loop(), "r-"+net.Name(), 0, 0)
-		d.Attach(net)
-		d.BringUp(nil)
-		ifc := h.AddIface("r-"+net.Name(), d, addr, pfx, opts)
-		h.ConnectRoute(ifc)
-		return ifc
-	}
-
 	var cacheHosts []*stack.Host
 
 	// Hub shard: backbone router plus the cross-shard correspondent.
@@ -322,14 +295,16 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int) (*scaleFl
 		OutputDelay:  scaleFleetSpec.RouterDelays.Output.D(),
 		ForwardDelay: scaleFleetSpec.RouterDelays.Forward.D(),
 	})
-	addRouterIface(hubRouter, backboneNet, scaleHubAddr, scaleBackbonePfx, stack.IfaceOpts{})
+	scenario.AddRouterIface(hubRouter, backboneNet, scaleHubAddr, scaleBackbonePfx, stack.IfaceOpts{})
 	hubRouter.SetForwarding(true)
 	cacheHosts = append(cacheHosts, hubRouter)
 
 	probesSent := make([]uint64, numShards)
 	probesEchoed := make([]uint64, numShards)
 
-	bbCH := newEndHost(hubLoop, backboneNet, "bb-ch", scaleBackboneCH, scaleBackbonePfx, scaleHubAddr, scaleFleetSpec.HostDelay.D())
+	hostCfg := stack.Config{InputDelay: scaleFleetSpec.HostDelay.D(), OutputDelay: scaleFleetSpec.HostDelay.D()}
+	bbCH, _ := scenario.AttachEndHost(stack.NewHost(hubLoop, "bb-ch", hostCfg), backboneNet, "bb-ch-eth",
+		scaleBackboneCH, scaleBackbonePfx, scaleHubAddr, stack.IfaceOpts{})
 	var bbSrv *transport.UDPSocket
 	bbSrv, err := bbCH.UDP(ip.Unspecified, 7, func(d transport.Datagram) {
 		bbSrv.SendTo(d.From, d.FromPort, d.Payload)
@@ -365,9 +340,9 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int) (*scaleFl
 			OutputDelay:  scaleFleetSpec.RouterDelays.Output.D(),
 			ForwardDelay: scaleFleetSpec.RouterDelays.Forward.D(),
 		})
-		homeIfc := addRouterIface(router, homeNet, routerHome, homePfx, stack.IfaceOpts{})
-		addRouterIface(router, deptNet, routerDept, deptPfx, stack.IfaceOpts{})
-		addRouterIface(router, campusNet, routerCampus, campusPfx, stack.IfaceOpts{})
+		homeIfc := scenario.AddRouterIface(router, homeNet, routerHome, homePfx, stack.IfaceOpts{})
+		scenario.AddRouterIface(router, deptNet, routerDept, deptPfx, stack.IfaceOpts{})
+		scenario.AddRouterIface(router, campusNet, routerCampus, campusPfx, stack.IfaceOpts{})
 		router.SetForwarding(true)
 		cacheHosts = append(cacheHosts, router)
 		ha, err := mip.NewHomeAgent(transport.NewStack(router), mip.HomeAgentConfig{
@@ -393,15 +368,17 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int) (*scaleFl
 		hubTrunkNet.SetHandoff(func(f *link.Frame, at sim.Time) {
 			ss.Post(hub, k, at, func() { shardTrunkNet.DeliverLocal(f) })
 		})
-		trunkIfc := addRouterIface(router, shardTrunkNet, shardSide, trunkPfx, stack.IfaceOpts{PointToPoint: true})
-		hubIfc := addRouterIface(hubRouter, hubTrunkNet, hubSide, trunkPfx, stack.IfaceOpts{PointToPoint: true})
+		trunkIfc := scenario.AddRouterIface(router, shardTrunkNet, shardSide, trunkPfx, stack.IfaceOpts{PointToPoint: true})
+		hubIfc := scenario.AddRouterIface(hubRouter, hubTrunkNet, hubSide, trunkPfx, stack.IfaceOpts{PointToPoint: true})
 		router.AddDefaultRoute(hubSide, trunkIfc)
 		for _, pfx := range []ip.Prefix{homePfx, deptPfx, campusPfx} {
 			hubRouter.Routes().Add(stack.Route{Dst: pfx, Gateway: shardSide, Iface: hubIfc})
 		}
 
 		// Local correspondent: a UDP echo service on the department subnet.
-		ch := newEndHost(loop, deptNet, fmt.Sprintf("ch%d", k), chLocal, deptPfx, routerDept, scaleFleetSpec.HostDelay.D())
+		chName := fmt.Sprintf("ch%d", k)
+		ch, _ := scenario.AttachEndHost(stack.NewHost(loop, chName, hostCfg), deptNet, chName+"-eth",
+			chLocal, deptPfx, routerDept, stack.IfaceOpts{})
 		var echoSrv *transport.UDPSocket
 		echoSrv, err = ch.UDP(ip.Unspecified, 7, func(d transport.Datagram) {
 			echoSrv.SendTo(d.From, d.FromPort, d.Payload)

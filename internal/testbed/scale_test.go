@@ -127,31 +127,6 @@ func TestScaleSilentCampus(t *testing.T) {
 	}
 }
 
-// TestCrossWorkerDeterminism drives the parallel experiment end to end:
-// every (fleet, workers) row must report identical outputs, and the
-// determinism check inside RunParallel must not trip. It also pins the
-// provenance fields the BENCH_parallel.json contract promises.
-func TestCrossWorkerDeterminism(t *testing.T) {
-	res, err := RunParallel(7, []int{64}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	for _, row := range res.Rows {
-		if !row.Identical {
-			t.Errorf("workers=%d row not identical: %+v", row.Workers, row)
-		}
-		if row.NumCPU < 1 || row.GoMaxProcs < 1 {
-			t.Errorf("provenance fields missing: %+v", row)
-		}
-		if len(row.WorkerUtilization) == 0 {
-			t.Errorf("workers=%d row has no utilization readings", row.Workers)
-		}
-	}
-}
-
 // TestScaleRouteCacheHitRate is the acceptance gate for the route-decision
 // cache: on the roaming scale workload the cache must serve at least 90%
 // of lookups, while still being invalidated by every roam (a suspiciously

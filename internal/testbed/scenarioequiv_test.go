@@ -2,87 +2,80 @@ package testbed
 
 import (
 	"bytes"
-	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// The scenario compiler must be a pure refactor of the hand-written
-// experiment builders: the exports of the spec-driven handoff,
-// loadedhandoff, and scale drivers are pinned byte-for-byte against
-// goldens captured immediately before the refactor (same seed, workers 1
-// and 4 for the sharded experiment).
-
-func goldenBytes(t *testing.T, name string) []byte {
+// renderArtifacts runs one driver and renders every file it exports.
+func renderArtifacts(t *testing.T, run func() (Result, error)) map[string][]byte {
 	t.Helper()
-	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "prerefactor", name))
+	res, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	out := map[string][]byte{}
+	for _, a := range res.Artifacts() {
+		var buf bytes.Buffer
+		if err := a.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out[a.Name] = buf.Bytes()
+	}
+	return out
 }
 
-func checkGolden(t *testing.T, name string, write func(io.Writer) error) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), goldenBytes(t, name)) {
-		t.Errorf("%s diverged from the pre-refactor golden (%d bytes vs %d)", name, buf.Len(), len(goldenBytes(t, name)))
-	}
-}
-
+// The spec-driven drivers are pinned byte-for-byte, every artifact they
+// export: handoff, loadedhandoff and the n=8 sweep against the checked-in
+// bench/ files, the 10/100-host scale tiers (workers 1 and 4) against the
+// golden captured before the scenario refactor.
 func TestScenarioCompileEquivalence(t *testing.T) {
-	t.Run("handoff", func(t *testing.T) {
-		res, err := RunHandoff(1996)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, "BENCH_handoff.json", res.Export.WriteJSON)
-		checkGolden(t, "BENCH_handoff_spans.jsonl", res.Tracer.WriteSpansJSONL)
-		checkGolden(t, "BENCH_handoff_trace.json", res.Tracer.WriteChromeTrace)
-	})
-	t.Run("loadedhandoff", func(t *testing.T) {
-		res, err := RunLoadedHandoff(1996)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGolden(t, "BENCH_loadedhandoff.json", res.Export.WriteJSON)
-	})
-	for _, workers := range []int{1, 4} {
-		t.Run(map[int]string{1: "scale-workers1", 4: "scale-workers4"}[workers], func(t *testing.T) {
-			res, err := RunScaleWorkers(1996, []int{10, 100}, workers)
-			if err != nil {
-				t.Fatal(err)
+	bench := filepath.Join("..", "..", "bench")
+	golden := filepath.Join("..", "..", "testdata", "golden", "prerefactor")
+	for _, tc := range []struct {
+		name, dir string
+		run       func() (Result, error)
+	}{
+		{"handoff", bench, func() (Result, error) { return RunHandoff(1996) }},
+		{"loadedhandoff", bench, func() (Result, error) { return RunLoadedHandoff(1996) }},
+		{"sweep", bench, func() (Result, error) { return RunSweep(1996, 8) }},
+		{"scale-workers1", golden, func() (Result, error) { return RunScaleWorkers(1996, []int{10, 100}, 1) }},
+		{"scale-workers4", golden, func() (Result, error) { return RunScaleWorkers(1996, []int{10, 100}, 4) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for name, got := range renderArtifacts(t, tc.run) {
+				want, err := os.ReadFile(filepath.Join(tc.dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s diverged from %s (%d bytes vs %d)", name, tc.dir, len(got), len(want))
+				}
 			}
-			checkGolden(t, "BENCH_scale.json", res.Export.WriteJSON)
 		})
 	}
 }
 
-// Two same-(seed, n) sweeps must generate identical variants and produce
-// identical exports.
-func TestSweepDeterminism(t *testing.T) {
-	run := func() []byte {
-		res, err := RunSweep(1996, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(res.Rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	a, b := run(), run()
-	if !bytes.Equal(a, b) {
-		t.Error("sweep exports diverged between same-seed runs")
-	}
-	if len(a) == 0 {
-		t.Error("sweep produced no rows")
+// Same seed, byte-identical artifacts, however many runs precede it in
+// the process: every file each spec-driven driver exports.
+func TestSameSeedByteIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func() (Result, error)
+	}{
+		{"handoff", func() (Result, error) { return RunHandoff(7) }},
+		{"loadedhandoff", func() (Result, error) { return RunLoadedHandoff(7) }},
+		{"faultdemo", func() (Result, error) { return RunScenarioProbe(7, MustScenario("faultdemo")) }},
+		{"sweep", func() (Result, error) { return RunSweep(1996, 3) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			first, second := renderArtifacts(t, tc.run), renderArtifacts(t, tc.run)
+			for name := range first {
+				if !bytes.Equal(first[name], second[name]) {
+					t.Errorf("%s diverged between same-seed runs", name)
+				}
+			}
+		})
 	}
 }
 

@@ -5,19 +5,16 @@ import (
 	"strings"
 	"time"
 
-	"mosquitonet/internal/ip"
 	"mosquitonet/internal/metrics"
 	"mosquitonet/internal/scenario"
 	"mosquitonet/internal/stats"
 )
 
 // The generic scenario runner: any catalog or generated spec that
-// declares an itinerary and UDP probes becomes an experiment. The first
-// itinerary step attaches the mobile host, the probes start, the
-// remaining steps (and any scheduled faults) play out, and every root
-// handoff and fault.* span becomes an attribution window scored against
-// every probe flow. RunSweep and the fault-injection scenarios
-// (faultdemo) drive their runs through here.
+// declares an itinerary becomes an experiment. scenario.World.Run plays
+// the spec out; every root handoff and fault.* span it returns is an
+// attribution window scored against every declared flow. RunSweep and
+// the fault-injection scenarios (faultdemo) drive their runs through here.
 
 // ScenarioProbeRow is one probe flow's accounting across a scenario run.
 type ScenarioProbeRow struct {
@@ -50,8 +47,7 @@ type ScenarioRows struct {
 type ScenarioResult struct {
 	Rows    ScenarioRows
 	Testbed *Testbed
-	Probes  []*FlowProbe
-	Export  *Export
+	*Export
 }
 
 func (r *ScenarioResult) String() string {
@@ -70,73 +66,42 @@ func (r *ScenarioResult) String() string {
 	return b.String()
 }
 
-// RunScenarioProbe compiles spec, walks its itinerary under its UDP
-// probes, and scores every handoff and fault window against every flow.
-// The spec must declare a non-empty itinerary whose first step attaches
-// the mobile host; probes are optional (a probe-less run still reports
-// its fault records).
+// RunScenarioProbe compiles spec, lets the world run it, and scores
+// every handoff and fault window against every declared flow. The spec
+// must declare a non-empty itinerary whose first step attaches the mobile
+// host; traffic is optional (a flow-less run still reports its fault
+// records).
 func RunScenarioProbe(seed int64, spec *scenario.Spec) (*ScenarioResult, error) {
-	if len(spec.Itinerary) == 0 {
-		return nil, fmt.Errorf("scenario %s: no itinerary to run", spec.Name)
-	}
 	tb, err := NewFromSpec(seed, spec)
 	if err != nil {
 		return nil, err
 	}
 	defer tb.Close()
 
-	if err := tb.World.Step(spec.Itinerary[0]); err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
+	run, err := tb.World.Run()
+	if err != nil {
+		return nil, err
 	}
-
-	var probes []*FlowProbe
-	if spec.Traffic != nil {
-		for i := range spec.Traffic.Probes {
-			p := &spec.Traffic.Probes[i]
-			probe, err := NewFlowProbe(tb.Loop, tb.World.Stacks[p.From], tb.World.Stacks[p.To],
-				ip.MustParseAddr(p.Dst), uint16(p.Port), p.Interval.D())
-			if err != nil {
-				return nil, fmt.Errorf("scenario %s: probe %s->%s: %w", spec.Name, p.From, p.To, err)
-			}
-			probes = append(probes, probe)
-			probe.Start()
-		}
-	}
-
-	if err := tb.World.RunItinerary(spec.Itinerary[1:]); err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
-	}
-
-	for _, probe := range probes {
-		probe.Pause()
-	}
-	if spec.Traffic != nil && spec.Traffic.Drain.D() > 0 {
-		tb.Run(spec.Traffic.Drain.D())
-	}
-
-	windows := observationWindows(tb.Tracer)
 
 	res := &ScenarioResult{
 		Rows: ScenarioRows{
 			Scenario: spec.Name,
 			GraceNS:  int64(HandoffGrace),
-			Faults:   tb.World.Faults.Records(),
+			Faults:   run.Faults,
 		},
 		Testbed: tb,
-		Probes:  probes,
 	}
-	for i, probe := range probes {
-		flow := probe.Flow()
-		sent, received, lost, reorders := flow.Totals()
+	for _, f := range run.Flows {
+		sent, received, lost, reorders := f.Tracker.Totals()
 		res.Rows.Flows = append(res.Rows.Flows, ScenarioProbeRow{
-			Flow:              flow.Name(),
-			ProbeIntervalNS:   int64(spec.Traffic.Probes[i].Interval.D()),
+			Flow:              f.Tracker.Name(),
+			ProbeIntervalNS:   int64(f.Interval),
 			PacketsSent:       sent,
 			PacketsReceived:   received,
 			PacketsLost:       lost,
 			Reorders:          reorders,
-			BaselineLatencyNS: int64(flow.Baseline()),
-			Windows:           flow.Analyze(windows, HandoffGrace),
+			BaselineLatencyNS: int64(f.Tracker.Baseline()),
+			Windows:           f.Tracker.Analyze(run.Windows, HandoffGrace),
 		})
 	}
 	res.Export = &Export{

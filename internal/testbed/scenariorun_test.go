@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"encoding/json"
 	"testing"
 )
 
@@ -78,20 +77,63 @@ func TestFaultInjectionScoring(t *testing.T) {
 	}
 }
 
-// Same-seed runs of a fault scenario must export identical bytes.
-func TestFaultScenarioDeterminism(t *testing.T) {
-	run := func() []byte {
-		res, err := RunScenarioProbe(7, MustScenario("faultdemo"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(res.Rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+// Every catalog scenario goes through the generic entry. One with an
+// itinerary reports every flow it declares — for the specs that also have
+// a dedicated driver, with that driver's totals — and one without
+// (figure5, scale) is an error, not a panic.
+func TestGenericRunnerWalksCatalog(t *testing.T) {
+	type totals struct{ sent, received, lost int }
+	dedicated := map[string]map[string]totals{"handoff": {}, "loadedhandoff": {}}
+	h, err := RunHandoff(1996)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if string(run()) != string(run()) {
-		t.Error("faultdemo export diverged between same-seed runs")
+	dedicated["handoff"][h.Flow.Name()] = totals{h.Rows.PacketsSent, h.Rows.PacketsReceived, h.Rows.PacketsLost}
+	lh, err := RunLoadedHandoff(1996)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range lh.Rows.Flows {
+		dedicated["loadedhandoff"][f.Flow] = totals{f.PacketsSent, f.PacketsReceived, f.PacketsLost}
+	}
+
+	names, err := ScenarioNames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			spec := MustScenario(name)
+			res, err := RunScenarioProbe(1996, spec)
+			if len(spec.Itinerary) == 0 {
+				if err == nil {
+					t.Fatal("a spec with no itinerary ran")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := len(spec.Traffic.Probes)
+			if spec.Traffic.MQTT != nil {
+				want += len(spec.Traffic.MQTT.Pubs)
+			}
+			if spec.Traffic.HTTP != nil {
+				want += len(spec.Traffic.HTTP.Flows)
+			}
+			if len(res.Rows.Flows) != want {
+				t.Fatalf("flows = %d, want the spec's %d", len(res.Rows.Flows), want)
+			}
+			for _, f := range res.Rows.Flows {
+				if f.PacketsSent == 0 {
+					t.Errorf("flow %s never sent", f.Flow)
+				}
+				if d, ok := dedicated[name]; ok {
+					if got := (totals{f.PacketsSent, f.PacketsReceived, f.PacketsLost}); got != d[f.Flow] {
+						t.Errorf("flow %s: generic runner %+v, dedicated driver %+v", f.Flow, got, d[f.Flow])
+					}
+				}
+			}
+		})
 	}
 }

@@ -18,8 +18,8 @@ import (
 // SweepResult is the full sweep: one ScenarioRows per variant, in
 // generation order.
 type SweepResult struct {
-	Rows   []ScenarioRows
-	Export *Export
+	Rows []ScenarioRows
+	*Export
 }
 
 func (r *SweepResult) String() string {

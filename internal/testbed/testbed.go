@@ -135,19 +135,6 @@ func NewFromSpec(seed int64, spec *scenario.Spec) (*Testbed, error) {
 	return tb, nil
 }
 
-// newEndHost builds an ordinary (non-mobile) host.
-func newEndHost(loop *sim.Loop, n *link.Network, name string, addr ip.Addr, pfx ip.Prefix, gw ip.Addr, delay time.Duration) *transport.Stack {
-	h := stack.NewHost(loop, name, stack.Config{InputDelay: delay, OutputDelay: delay})
-	d := link.NewDevice(loop, name+"-eth", 0, 0)
-	d.Attach(n)
-	d.BringUp(nil)
-	ifc := h.AddIface("eth0", d, addr, pfx, stack.IfaceOpts{})
-	h.ConnectRoute(ifc)
-	h.AddDefaultRoute(gw, ifc)
-	loop.RunFor(0)
-	return transport.NewStack(h)
-}
-
 // Run advances the simulation.
 func (tb *Testbed) Run(d time.Duration) { tb.Loop.RunFor(d) }
 

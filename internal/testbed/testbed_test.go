@@ -222,13 +222,18 @@ func TestA2Shape(t *testing.T) {
 // TestA3Shape: one home agent serves increasing visitor fleets with stable
 // per-registration latency.
 func TestA3Shape(t *testing.T) {
-	res, err := RunA3(42, []int{1, 8, 32})
+	// 300 is past one octet of host numbers: every host still needs its
+	// own home and care-of address.
+	res, err := RunA3(42, []int{1, 8, 32, 300})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, row := range res.Rows {
 		if row.Registered != row.MobileHosts {
 			t.Errorf("n=%d: only %d registered", row.MobileHosts, row.Registered)
+		}
+		if row.TotalElapsed <= 0 {
+			t.Errorf("n=%d: all done in %v", row.MobileHosts, row.TotalElapsed)
 		}
 		if row.Latency.N() < row.MobileHosts {
 			t.Errorf("n=%d: %d latency samples", row.MobileHosts, row.Latency.N())

@@ -14,16 +14,16 @@
 //   - mip: the paper's contribution — MobileHost, HomeAgent, the Mobile
 //     Policy Table, the registration protocol, and the optional
 //     ForeignAgent extension;
-//   - testbed: the paper's Figure 5 environment and every experiment in
-//     its evaluation.
+//   - scenario, testbed: declarative worlds, the paper's Figure 5
+//     environment, and every experiment in its evaluation.
 //
-// Use NewWorld to assemble custom topologies, or testbed-level entry
-// points (NewTestbed, RunE1, RunF6, RunF7, ...) to regenerate the paper's
-// results.
+// Use NewWorld to assemble custom topologies, or NewTestbed for the
+// paper's own environment. The façade names exactly what World's API, the
+// examples, the commands and the root tests use; cmd/experiments drives
+// the evaluation (internal/testbed's Run* functions) directly.
 package mosquitonet
 
 import (
-	"mosquitonet/internal/app"
 	"mosquitonet/internal/capture"
 	"mosquitonet/internal/dhcp"
 	"mosquitonet/internal/dns"
@@ -31,14 +31,11 @@ import (
 	"mosquitonet/internal/link"
 	"mosquitonet/internal/metrics"
 	"mosquitonet/internal/mip"
-	"mosquitonet/internal/scenario"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stack"
-	"mosquitonet/internal/stats"
 	"mosquitonet/internal/testbed"
 	"mosquitonet/internal/trace"
 	"mosquitonet/internal/transport"
-	"mosquitonet/internal/tunnel"
 )
 
 // Core simulation types.
@@ -47,17 +44,16 @@ type (
 	Loop = sim.Loop
 	// Time is an instant in virtual time.
 	Time = sim.Time
-	// Timer is a cancellable scheduled event.
-	Timer = sim.Timer
-	// ShardSet executes several loops in lockstep epochs bounded by a
-	// conservative lookahead, optionally on a pool of worker goroutines;
-	// results are byte-identical at any worker count.
-	ShardSet = sim.ShardSet
 	// Tracer records structured simulation events.
 	Tracer = trace.Tracer
+	// MetricsRegistry holds a simulation's labeled counters, gauges and
+	// histograms, keyed `layer.object.event`.
+	MetricsRegistry = metrics.Registry
+	// PacketLog records packet-lifecycle events keyed by trace ID.
+	PacketLog = metrics.PacketLog
 )
 
-// Addressing and packet types.
+// Addressing, link-layer and host-stack types.
 type (
 	// Addr is an IPv4 address.
 	Addr = ip.Addr
@@ -65,28 +61,14 @@ type (
 	IPPrefix = ip.Prefix
 	// Packet is an IPv4 packet.
 	Packet = ip.Packet
-)
-
-// Link-layer types.
-type (
 	// Network is a broadcast domain with a medium model.
 	Network = link.Network
-	// Device is a network interface device with an up/down state machine.
-	Device = link.Device
 	// Medium describes latency/bandwidth/loss/MTU of a network.
 	Medium = link.Medium
-	// HWAddr is a MAC-style hardware address.
-	HWAddr = link.HWAddr
-)
-
-// Host-stack and transport types.
-type (
 	// Host is a simulated IP host.
 	Host = stack.Host
 	// Iface is a host's network interface.
 	Iface = stack.Iface
-	// RouteDecision is a route lookup result (the ip_rt_route contract).
-	RouteDecision = stack.RouteDecision
 	// PingResult reports an ICMP echo outcome.
 	PingResult = stack.PingResult
 	// Transport multiplexes UDP sockets and stream connections on a host.
@@ -97,180 +79,37 @@ type (
 	Datagram = transport.Datagram
 	// Conn is a reliable byte-stream connection (TCP-like).
 	Conn = transport.Conn
-	// Listener accepts stream connections.
-	Listener = transport.Listener
-	// TunnelEndpoint is a VIF/IP-in-IP module instance.
-	TunnelEndpoint = tunnel.Endpoint
 )
 
 // Mobile-IP types (the paper's contribution).
 type (
 	// MobileHost is the mobile side of the protocol.
 	MobileHost = mip.MobileHost
-	// MobileHostConfig configures a MobileHost.
-	MobileHostConfig = mip.MobileHostConfig
 	// ManagedIface is an interface under mobility management.
 	ManagedIface = mip.ManagedIface
-	// StaticConfig is a fixed foreign-interface configuration.
-	StaticConfig = mip.StaticConfig
 	// HomeAgent serves a home subnet's mobile hosts.
 	HomeAgent = mip.HomeAgent
-	// HomeAgentConfig configures a HomeAgent.
-	HomeAgentConfig = mip.HomeAgentConfig
 	// ForeignAgent is the optional visited-network agent extension.
 	ForeignAgent = mip.ForeignAgent
-	// ForeignAgentConfig configures a ForeignAgent.
-	ForeignAgentConfig = mip.ForeignAgentConfig
-	// Policy is a Mobile Policy Table verdict.
-	Policy = mip.Policy
-	// PolicyTable is the Mobile Policy Table.
-	PolicyTable = mip.PolicyTable
 	// LinkChange notifies upper layers of connectivity changes.
 	LinkChange = mip.LinkChange
-	// Binding is a home agent's mobility binding.
-	Binding = mip.Binding
-	// Roamer automates switch decisions (the paper's Section 6 item).
-	Roamer = mip.Roamer
-	// RoamerConfig tunes the Roamer.
+	// RoamerConfig tunes the Roamer (the paper's Section 6 item).
 	RoamerConfig = mip.RoamerConfig
 	// Candidate is one interface a Roamer may switch to.
 	Candidate = mip.Candidate
-	// DiscoveredAgent is a foreign agent heard advertising on a link.
-	DiscoveredAgent = mip.DiscoveredAgent
 )
 
-// DHCP types.
+// DHCP and DNS types.
 type (
 	// DHCPServer leases addresses on a subnet.
 	DHCPServer = dhcp.Server
 	// DHCPServerConfig configures a DHCPServer.
 	DHCPServerConfig = dhcp.ServerConfig
-	// DHCPClient acquires and renews a lease on one interface.
-	DHCPClient = dhcp.Client
-	// Lease is a granted DHCP binding.
-	Lease = dhcp.Lease
-)
-
-// DNS types (the "extended DNS" of the paper's release notes).
-type (
-	// DNSServer answers A queries and dynamic updates.
-	DNSServer = dns.Server
-	// DNSServerConfig configures a DNSServer.
+	// DNSServerConfig configures a DNS server (the "extended DNS" of the
+	// paper's release notes).
 	DNSServerConfig = dns.ServerConfig
-	// DNSResolver issues queries and updates with retry.
-	DNSResolver = dns.Resolver
 	// DNSResolverConfig tunes the resolver.
 	DNSResolverConfig = dns.ResolverConfig
-)
-
-// Telemetry types. Every simulation layer registers its counters with the
-// per-loop registry (enabled automatically by NewWorld and NewTestbed);
-// Snapshot renders a deterministic table or JSON document, and the
-// PacketLog reconstructs one packet's hop-by-hop lifecycle.
-type (
-	// MetricsRegistry holds a simulation's labeled counters, gauges and
-	// histograms, keyed `layer.object.event`.
-	MetricsRegistry = metrics.Registry
-	// MetricsSnapshot is a point-in-time, deterministically-ordered
-	// rendering of a registry.
-	MetricsSnapshot = metrics.Snapshot
-	// MetricLabel is one key=value dimension of a metric.
-	MetricLabel = metrics.Label
-	// PacketLog records packet-lifecycle events keyed by trace ID.
-	PacketLog = metrics.PacketLog
-	// PacketEvent is one hop in a packet's lifecycle.
-	PacketEvent = metrics.PacketEvent
-	// ExperimentExport is the machine-readable record of one experiment
-	// run (seed, metrics snapshots, timeline).
-	ExperimentExport = testbed.Export
-)
-
-// Re-exported telemetry helpers.
-var (
-	// EnableMetrics associates a registry with a loop; call it before
-	// building devices and hosts so their constructors find it.
-	EnableMetrics = metrics.Enable
-	// MetricsFor returns the loop's registry, or nil.
-	MetricsFor = metrics.For
-	// TracePacketLifecycles associates a packet log with a loop (limit 0
-	// means the default ring size).
-	TracePacketLifecycles = metrics.TracePackets
-	// PacketLogFor returns the loop's packet log, or nil.
-	PacketLogFor = metrics.PacketsFor
-	// ReleaseMetrics drops a loop's registry and packet-log associations.
-	ReleaseMetrics = metrics.Release
-	// Label constructs a metric label.
-	Label = metrics.L
-)
-
-// Testbed types (the paper's Figure 5 environment and experiments).
-type (
-	// Testbed is the assembled paper environment.
-	Testbed = testbed.Testbed
-	// EchoProbe is the paper's UDP echo measurement workload.
-	EchoProbe = testbed.EchoProbe
-	// FlowProbe is the one-way sequence-numbered disruption workload.
-	FlowProbe = testbed.FlowProbe
-	// HandoffResult is the handoff observatory's full result.
-	HandoffResult = testbed.HandoffResult
-	// LoadedHandoffResult is the loaded-handoff observatory's full result.
-	LoadedHandoffResult = testbed.LoadedHandoffResult
-	// ScenarioResult is one compiled-and-run scenario's full result.
-	ScenarioResult = testbed.ScenarioResult
-	// SweepResult is the randomized-scenario sweep's full result.
-	SweepResult = testbed.SweepResult
-)
-
-// Scenario types (the declarative experiment schema, DESIGN.md §14).
-type (
-	// ScenarioSpec is the versioned declarative scenario document:
-	// topology, traffic mix, mobility itinerary, and fault schedule.
-	ScenarioSpec = scenario.Spec
-	// ScenarioWorld is a compiled scenario: the simulation loop plus every
-	// named entity, the itinerary runner, and the fault injector.
-	ScenarioWorld = scenario.World
-	// ScenarioFault is one scheduled fault-injection event.
-	ScenarioFault = scenario.Fault
-	// AdminConsole is the line-oriented inspect/mutate interface over a
-	// compiled scenario world (cmd/mnet -admin).
-	AdminConsole = scenario.Console
-)
-
-// Application-layer types (workloads over the transport).
-type (
-	// MQTTBroker is the MQTT-style publish/subscribe broker.
-	MQTTBroker = app.Broker
-	// MQTTClient is the MQTT-style client.
-	MQTTClient = app.Client
-	// MQTTMessage is one delivered publication.
-	MQTTMessage = app.Message
-	// HTTPServer serves the HTTP-style request/response protocol.
-	HTTPServer = app.HTTPServer
-	// HTTPClient issues pipelined keep-alive requests.
-	HTTPClient = app.HTTPClient
-	// HTTPRequest and HTTPResponse are one exchange's halves.
-	HTTPRequest  = app.HTTPRequest
-	HTTPResponse = app.HTTPResponse
-	// PubFlow is the open-loop telemetry traffic model; ReqFlow the open-
-	// or closed-loop request/response model.
-	PubFlow = app.PubFlow
-	ReqFlow = app.ReqFlow
-)
-
-// Observability types (the span observatory).
-type (
-	// Span is one timed operation in a tracer's span record.
-	Span = trace.Span
-	// FlightRecorder dumps the recent trace on anomalies.
-	FlightRecorder = trace.FlightRecorder
-	// FlightDump is one captured anomaly snapshot.
-	FlightDump = trace.FlightDump
-	// FlowTracker follows one probe flow's loss/latency/reordering.
-	FlowTracker = stats.FlowTracker
-	// DisruptionReport quantifies what one handoff cost a flow.
-	DisruptionReport = stats.DisruptionReport
-	// DisruptionWindow is one interval disruption is attributed to.
-	DisruptionWindow = stats.Window
 )
 
 // Mobile Policy Table policies.
@@ -278,55 +117,25 @@ const (
 	PolicyTunnel      = mip.PolicyTunnel
 	PolicyTriangle    = mip.PolicyTriangle
 	PolicyEncapDirect = mip.PolicyEncapDirect
-	PolicyDirect      = mip.PolicyDirect
 )
 
 // Re-exported constructors and helpers.
 var (
-	// NewLoop creates a deterministic simulation loop.
-	NewLoop = sim.New
-
 	// NewShardSet groups independent loops for deterministic parallel
-	// execution; ShardSeed derives a shard's RNG stream from a base seed.
+	// execution: byte-identical results at any worker count.
 	NewShardSet = sim.NewShardSet
-	ShardSeed   = sim.ShardSeed
-	// NewTracer creates an event tracer.
-	NewTracer = trace.New
 
-	// ParseAddr, MustParseAddr, ParsePrefix and MustParsePrefix handle
-	// dotted-quad and CIDR notation.
-	ParseAddr       = ip.ParseAddr
-	MustParseAddr   = ip.MustParseAddr
-	ParsePrefix     = ip.ParsePrefix
-	MustParsePrefix = ip.MustParsePrefix
-
-	// Ethernet, Radio and Serial are the calibrated media of the paper's
-	// testbed.
+	// Ethernet and Radio are the calibrated media of the paper's testbed.
 	Ethernet = link.Ethernet
 	Radio    = link.Radio
-	Serial   = link.Serial
 
-	// NewNetwork creates a broadcast domain; NewDevice a network device.
-	NewNetwork = link.NewNetwork
-	NewDevice  = link.NewDevice
-
-	// NewHost creates an IP host; NewTransport its UDP/stream transport.
-	NewHost      = stack.NewHost
-	NewTransport = transport.NewStack
-
-	// NewMobileHost, NewHomeAgent and NewForeignAgent build the protocol
-	// entities.
-	NewMobileHost   = mip.NewMobileHost
-	NewHomeAgent    = mip.NewHomeAgent
-	NewForeignAgent = mip.NewForeignAgent
 	// MakeSmartCorrespondent gives an ordinary host transparent IP-in-IP
 	// decapsulation for the encapsulated-direct optimization.
 	MakeSmartCorrespondent = mip.MakeSmartCorrespondent
 
-	// NewDHCPServer and NewDHCPClient build the address-assignment
-	// service mobile hosts rely on in foreign networks.
+	// NewDHCPServer builds the address-assignment service mobile hosts
+	// rely on in foreign networks.
 	NewDHCPServer = dhcp.NewServer
-	NewDHCPClient = dhcp.NewClient
 
 	// NewDNSServer and NewDNSResolver provide naming: with MosquitoNet a
 	// mobile host's name resolves to its permanent home address and stays
@@ -337,82 +146,21 @@ var (
 	// NewRoamer builds the automatic switch-decision monitor.
 	NewRoamer = mip.NewRoamer
 
-	// NewTestbed assembles the paper's Figure 5 environment; the Run*
-	// functions regenerate its evaluation (see DESIGN.md for the index).
-	NewTestbed    = testbed.New
-	NewEchoProbe  = testbed.NewEchoProbe
-	RunE1         = testbed.RunE1
-	RunF6         = testbed.RunF6
-	RunF7         = testbed.RunF7
-	RunRTT        = testbed.RunRTT
-	RunA1         = testbed.RunA1
-	RunA2         = testbed.RunA2
-	RunA3         = testbed.RunA3
-	RunA4         = testbed.RunA4
-	RunThroughput = testbed.RunThroughput
-	RunScale      = testbed.RunScale
-
-	// RunHandoff drives the roaming itinerary under the span observatory:
-	// per-handoff disruption reports, a flight recorder armed on anomalies,
-	// and Chrome-loadable trace export. NewFlowProbe is its one-way
-	// sequence-numbered measurement flow.
-	RunHandoff   = testbed.RunHandoff
-	NewFlowProbe = testbed.NewFlowProbe
-
-	// RunLoadedHandoff replays the same itinerary under a sustained MQTT
-	// pub/sub fleet and HTTP request/response mix, scoring each flow's
-	// disruption against the root handoff spans.
-	RunLoadedHandoff = testbed.RunLoadedHandoff
-
-	// NewMQTTBroker/NewMQTTClient and NewHTTPServer/NewHTTPClient build
-	// the application-layer workloads; NewPubFlow and NewReqFlow drive
-	// them open- or closed-loop into a FlowTracker.
-	NewMQTTBroker = app.NewBroker
-	NewMQTTClient = app.NewClient
-	NewHTTPServer = app.NewHTTPServer
-	NewHTTPClient = app.NewHTTPClient
-	NewPubFlow    = app.NewPubFlow
-	NewReqFlow    = app.NewReqFlow
-
-	// NewFlightRecorder arms dump-on-anomaly capture over a tracer's
-	// bounded event/span rings.
-	NewFlightRecorder = trace.NewFlightRecorder
-	// TracerFor returns the tracer associated with a loop, or nil.
-	TracerFor = trace.For
-
-	// RunScaleWorkers and RunParallel drive the sharded scale fleet on a
-	// worker pool: same byte-identical results at any worker count, less
-	// wall-clock on multi-core machines.
-	RunScaleWorkers = testbed.RunScaleWorkers
-	RunParallel     = testbed.RunParallel
-
-	// ParseScenario and CompileScenario lower a declarative spec onto the
-	// simulator; Scenario and ScenarioNames read the embedded catalog;
-	// RunScenarioProbe runs any spec with an itinerary and probes;
-	// GenerateSweep and RunSweep derive and run randomized variants.
-	ParseScenario    = scenario.Parse
-	ValidateScenario = scenario.Validate
-	CompileScenario  = scenario.Compile
-	Scenario         = testbed.Scenario
-	ScenarioNames    = testbed.ScenarioNames
-	RunScenarioProbe = testbed.RunScenarioProbe
-	GenerateSweep    = scenario.GenerateSweep
-	RunSweep         = testbed.RunSweep
-	NewAdminConsole  = scenario.NewConsole
-
 	// NewCapture builds the packet-capture facility (the simulator's
-	// tcpdump); FormatFrame and FormatPacket decode individual frames.
-	NewCapture   = capture.New
-	FormatFrame  = capture.FormatFrame
-	FormatPacket = capture.FormatPacket
+	// tcpdump).
+	NewCapture = capture.New
+
+	// NewTestbed assembles the paper's Figure 5 environment, compiled from
+	// the figure5 scenario spec.
+	NewTestbed = testbed.New
 )
 
-// Capture types.
-type (
-	// PacketCapture taps networks and decodes frames.
-	PacketCapture = capture.Capture
-	// CaptureEntry is one decoded frame.
-	CaptureEntry = capture.Entry
+// Well-known addresses of the Figure 5 testbed.
+var (
+	DeptPrefix     = testbed.DeptPrefix     // CS department subnet 36.8
+	RouterHomeAddr = testbed.RouterHomeAddr // the router / home agent on the home subnet
+	CHAddr         = testbed.CHAddr         // correspondent on net 36.8
+	CampusCHAddr   = testbed.CampusCHAddr   // correspondent elsewhere on campus
 )
 
 // Unspecified is the zero IPv4 address; sockets bound to it are subject to

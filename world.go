@@ -8,6 +8,7 @@ import (
 	"mosquitonet/internal/link"
 	"mosquitonet/internal/metrics"
 	"mosquitonet/internal/mip"
+	"mosquitonet/internal/scenario"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stack"
 	"mosquitonet/internal/trace"
@@ -95,13 +96,9 @@ func (w *World) AddSubnet(name, cidr string, m Medium) (*Subnet, error) {
 		return nil, err
 	}
 	n := link.NewNetwork(w.Loop, name, m)
-	d := link.NewDevice(w.Loop, "r-"+name, 0, 0)
-	d.Attach(n)
-	d.BringUp(nil)
 	// Radio and serial media run Starmode-style without ARP.
 	p2p := m.Name == "radio" || m.Name == "serial"
-	ifc := w.Router.AddIface("r-"+name, d, gw, pfx, stack.IfaceOpts{PointToPoint: p2p})
-	w.Router.ConnectRoute(ifc)
+	scenario.AddRouterIface(w.Router, n, gw, pfx, stack.IfaceOpts{PointToPoint: p2p})
 	sn := &Subnet{Name: name, Net: n, Prefix: pfx, Gateway: gw, world: w}
 	w.subnets[name] = sn
 	w.Loop.RunFor(0)
@@ -116,14 +113,8 @@ func (sn *Subnet) Host(name string, n int) (*EndHost, error) {
 		return nil, err
 	}
 	h := stack.NewHost(sn.world.Loop, name, stack.Config{})
-	d := link.NewDevice(sn.world.Loop, name+"-eth", 0, 0)
-	d.Attach(sn.Net)
-	d.BringUp(nil)
-	ifc := h.AddIface("eth0", d, addr, sn.Prefix, stack.IfaceOpts{})
-	h.ConnectRoute(ifc)
-	h.AddDefaultRoute(sn.Gateway, ifc)
-	sn.world.Loop.RunFor(0)
-	return &EndHost{Host: h, TS: transport.NewStack(h), Iface: ifc, Addr: addr}, nil
+	ts, ifc := scenario.AttachEndHost(h, sn.Net, name+"-eth", addr, sn.Prefix, sn.Gateway, stack.IfaceOpts{})
+	return &EndHost{Host: h, TS: ts, Iface: ifc, Addr: addr}, nil
 }
 
 // DHCP starts a DHCP server on the subnet (hosted on a dedicated machine
