@@ -2,9 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"strings"
 
 	"mosquitonet/internal/sim"
 )
@@ -129,14 +127,4 @@ func (l *PacketLog) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// FormatTimeline renders events (e.g. from Timeline) as an indented,
-// human-readable causal trace.
-func FormatTimeline(events []PacketEvent) string {
-	var b strings.Builder
-	for _, ev := range events {
-		fmt.Fprintf(&b, "%12v  pkt=%d  %-14s %-18s %s\n", ev.At, ev.Pkt, ev.Node, ev.Point, ev.Detail)
-	}
-	return b.String()
 }

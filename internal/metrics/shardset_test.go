@@ -18,7 +18,6 @@ func runShardWorld(t *testing.T, workers int) ([]byte, *sim.ShardSet) {
 	regs := []*Registry{New(loops[0]), New(loops[1]), New(loops[2])}
 	ss := sim.NewShardSet(loops, lookahead)
 	ss.SetWorkers(workers)
-	ss.SetGroups([][]int{{0, 1}, {2}})
 	RegisterShardSet(ss, regs)
 
 	var chatter func(k int)

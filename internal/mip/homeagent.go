@@ -79,12 +79,6 @@ type HomeAgent struct {
 	sock *transport.UDPSocket
 
 	bindings map[ip.Addr]*haBinding
-	// bindGen counts binding-set mutations; Bindings() memoizes its
-	// sorted snapshot against it so unchanged sets don't re-sort or
-	// re-allocate on every call.
-	bindGen     uint64
-	bindSnap    []Binding
-	bindSnapGen uint64
 	// lastID tracks the highest identification accepted per home address.
 	// Requests with stale identifications are rejected — the replay
 	// protection RFC 2002's identification field exists for. (The paper
@@ -164,26 +158,16 @@ func (ha *HomeAgent) Binding(home ip.Addr) (Binding, bool) {
 	return b.Binding, true
 }
 
-// BindingsGen returns the binding set's mutation generation.
-func (ha *HomeAgent) BindingsGen() uint64 { return ha.bindGen }
-
-// Bindings returns all active bindings, ordered by home address so the
-// result is stable across runs regardless of map iteration order. The
-// snapshot is memoized on the binding generation: while the set is
-// unchanged, repeated calls return the same slice without allocating or
-// sorting. Callers must treat the result as read-only; mutations build a
-// fresh slice, leaving earlier snapshots intact.
+// Bindings returns all active bindings in a fresh slice, ordered by home
+// address so the result is stable across runs regardless of map iteration
+// order.
 func (ha *HomeAgent) Bindings() []Binding {
-	if ha.bindSnap == nil || ha.bindSnapGen != ha.bindGen {
-		out := make([]Binding, 0, len(ha.bindings))
-		for _, b := range ha.bindings {
-			out = append(out, b.Binding)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].HomeAddr.Less(out[j].HomeAddr) })
-		ha.bindSnap = out
-		ha.bindSnapGen = ha.bindGen
+	out := make([]Binding, 0, len(ha.bindings))
+	for _, b := range ha.bindings {
+		out = append(out, b.Binding)
 	}
-	return ha.bindSnap
+	sort.Slice(out, func(i, j int) bool { return out[i].HomeAddr.Less(out[j].HomeAddr) })
+	return out
 }
 
 // tunnelDst is the VIF's destination callback: the care-of address bound
@@ -226,9 +210,6 @@ func (ha *HomeAgent) Crash() {
 // hosts recover on their next registration (typically the renewal at 3/4
 // lifetime).
 func (ha *HomeAgent) Restart() { ha.down = false }
-
-// Down reports whether the agent is crashed.
-func (ha *HomeAgent) Down() bool { return ha.down }
 
 // ProcessingDelay returns the agent's per-request software cost.
 func (ha *HomeAgent) ProcessingDelay() time.Duration { return ha.cfg.ProcessingDelay }
@@ -349,7 +330,6 @@ func (ha *HomeAgent) register(req *RegRequest, granted uint16) {
 		}
 	})
 	ha.bindings[req.HomeAddr] = b
-	ha.bindGen++
 	ha.stats.Accepted++
 	if !existed {
 		arp := ha.cfg.HomeIface.ARP()
@@ -380,7 +360,6 @@ func (ha *HomeAgent) remove(home ip.Addr) {
 	}
 	b.timer.Stop()
 	delete(ha.bindings, home)
-	ha.bindGen++
 	if arp := ha.cfg.HomeIface.ARP(); arp != nil {
 		arp.Unpublish(home)
 	}

@@ -347,28 +347,34 @@ func TestLocalRoleWhileAway(t *testing.T) {
 	}
 }
 
+// visitForeignA adds one more mobile host, home on 10.1.0.0/24 at home,
+// and connects it to foreignA; the caller runs the loop to let it register.
+func (w *world) visitForeignA(home ip.Addr) *MobileHost {
+	w.t.Helper()
+	h := stack.NewHost(w.loop, "mh2", stack.Config{})
+	ts := transport.NewStack(h)
+	m := NewMobileHost(ts, MobileHostConfig{
+		HomeAddr:   home,
+		HomePrefix: ip.MustParsePrefix("10.1.0.0/24"),
+		HomeAgent:  ip.MustParseAddr(wHAAddr),
+		Lifetime:   time.Minute,
+	})
+	dev := link.NewDevice(w.loop, "mh2-eth0", 0, 0)
+	dev.Attach(w.forA)
+	mi, err := m.AddInterface("eth0", dev, false, nil)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	m.ConnectForeign(mi, nil)
+	return m
+}
+
 func TestMultipleMobileHosts(t *testing.T) {
 	w := newWorld(t, 1)
 	// Three more mobile hosts, all home on 10.1.0.0/24, visiting foreignA.
 	var mhs []*MobileHost
 	for i := 0; i < 3; i++ {
-		h := stack.NewHost(w.loop, "mh2", stack.Config{})
-		ts := transport.NewStack(h)
-		home := ip.Addr{10, 1, 0, byte(20 + i)}
-		m := NewMobileHost(ts, MobileHostConfig{
-			HomeAddr:   home,
-			HomePrefix: ip.MustParsePrefix("10.1.0.0/24"),
-			HomeAgent:  ip.MustParseAddr(wHAAddr),
-			Lifetime:   time.Minute,
-		})
-		dev := link.NewDevice(w.loop, "mh2-eth0", 0, 0)
-		dev.Attach(w.forA)
-		mi, err := m.AddInterface("eth0", dev, false, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.ConnectForeign(mi, nil)
-		mhs = append(mhs, m)
+		mhs = append(mhs, w.visitForeignA(ip.Addr{10, 1, 0, byte(20 + i)}))
 	}
 	w.run(20 * time.Second)
 	for i, m := range mhs {

@@ -69,29 +69,36 @@ func TestPolicyChangeInvalidatesRouteCache(t *testing.T) {
 	}
 }
 
-func TestHomeAgentBindingsMemoized(t *testing.T) {
+// TestHomeAgentBindingsOrderedAndFresh registers three mobile hosts in an
+// order that is not their home-address order: Bindings() must sort by home
+// address, and a slice it returned earlier must not change when a later
+// registration lands.
+func TestHomeAgentBindingsOrderedAndFresh(t *testing.T) {
 	w := newWorld(t, 78)
-	w.goForeign()
+	homes := []ip.Addr{{10, 1, 0, 30}, {10, 1, 0, 20}, {10, 1, 0, 25}}
 
-	s1 := w.ha.Bindings()
-	s2 := w.ha.Bindings()
-	if len(s1) != 1 || &s1[0] != &s2[0] {
-		t.Fatal("unchanged binding set must return the identical memoized snapshot")
+	w.visitForeignA(homes[0])
+	w.run(20 * time.Second)
+	first := w.ha.Bindings()
+	if len(first) != 1 || first[0].HomeAddr != homes[0] {
+		t.Fatalf("bindings after the first registration: %v", first)
 	}
-	gen := w.ha.BindingsGen()
+	careOf := first[0].CareOf
 
-	// A re-registration (renewal) replaces the binding record and must
-	// rebuild the snapshot, leaving the old slice intact.
-	careOf := s1[0].CareOf
-	w.goHome() // deregisters: binding removed
-	if w.ha.BindingsGen() == gen {
-		t.Fatal("deregistration did not bump the bindings generation")
+	w.visitForeignA(homes[1])
+	w.visitForeignA(homes[2])
+	w.run(20 * time.Second)
+	all := w.ha.Bindings()
+	want := []ip.Addr{homes[1], homes[2], homes[0]}
+	if len(all) != len(want) {
+		t.Fatalf("HA has %d bindings, want %d", len(all), len(want))
 	}
-	s3 := w.ha.Bindings()
-	if len(s3) != 0 {
-		t.Fatalf("bindings after deregistration: %v", s3)
+	for i, b := range all {
+		if b.HomeAddr != want[i] {
+			t.Fatalf("binding %d is for %v, want %v (home-address order)", i, b.HomeAddr, want[i])
+		}
 	}
-	if len(s1) != 1 || s1[0].CareOf != careOf {
-		t.Fatalf("earlier snapshot mutated: %v", s1)
+	if len(first) != 1 || first[0].HomeAddr != homes[0] || first[0].CareOf != careOf {
+		t.Fatalf("slice returned earlier was overwritten: %v", first)
 	}
 }

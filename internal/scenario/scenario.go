@@ -220,18 +220,17 @@ type StaticAddr struct {
 
 // Fleet declares the sharded campus-scale roaming topology: N mobile
 // hosts partitioned over campus shards joined to a backbone hub by
-// point-to-point trunks. The shard count, addressing plan, and barrier
-// grouping are pure functions of the tier size (DESIGN.md §14 lowering
-// rules), so results are byte-identical at any worker count.
+// point-to-point trunks. The shard count and addressing plan are pure
+// functions of the tier size (DESIGN.md §14 lowering rules), so results
+// are byte-identical at any worker count.
 type Fleet struct {
-	Tiers            []int    `json:"tiers"`
-	Duration         Duration `json:"duration"`
-	SwitchPeriod     Duration `json:"switch_period"`
-	ProbeInterval    Duration `json:"probe_interval"`
-	ProbeStart       Duration `json:"probe_start"`
-	CrossEvery       int      `json:"cross_every"`
-	BarrierGroupSize int      `json:"barrier_group_size"`
-	Stagger          Duration `json:"stagger"`
+	Tiers         []int    `json:"tiers"`
+	Duration      Duration `json:"duration"`
+	SwitchPeriod  Duration `json:"switch_period"`
+	ProbeInterval Duration `json:"probe_interval"`
+	ProbeStart    Duration `json:"probe_start"`
+	CrossEvery    int      `json:"cross_every"`
+	Stagger       Duration `json:"stagger"`
 
 	RouterDelays Delays   `json:"router_delays"`
 	MobileDelay  Duration `json:"mobile_delay,omitempty"`

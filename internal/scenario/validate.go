@@ -325,9 +325,6 @@ func (v *validator) fleet(f *Fleet) error {
 	if f.CrossEvery < 1 {
 		return fmt.Errorf("%s: cross_every must be >= 1", ctx)
 	}
-	if f.BarrierGroupSize < 1 {
-		return fmt.Errorf("%s: barrier_group_size must be >= 1", ctx)
-	}
 	return nil
 }
 

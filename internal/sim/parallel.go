@@ -38,25 +38,13 @@ import (
 // thread runs a shard, never what the shard computes. -workers=N is
 // byte-identical to -workers=1 by construction.
 //
-// Two scale mechanisms sit on top of the epoch scheme (DESIGN.md §13):
-//
-//   - Per-shard skipping. A shard participates in an epoch only if its
-//     next event falls at or before the epoch end; a quiet shard is
-//     skipped — no RunUntil call, no work item, no barrier wait — and its
-//     clock is synchronized once, when RunUntil returns. Skipping cannot
-//     change results: a skipped shard had nothing to execute inside the
-//     epoch, so running it would only have moved its clock.
-//
-//   - A two-level barrier tree. Shards are partitioned into groups
-//     (SetGroups), and the epoch-end computation reads one cached
-//     next-event minimum per group instead of peeking every shard's heap.
-//     A group's cache is invalidated exactly when a member's heap can
-//     change — the member ran in an epoch, received cross-shard work at a
-//     flush, or external code may have scheduled between RunUntil calls —
-//     so the cached minimum is always exact and the epoch sequence is
-//     identical to a flat scan. A quiet region (campus group with no
-//     pending work inside the horizon) costs one cache read per epoch
-//     regardless of how many shards it holds.
+// One scale mechanism sits on top of the epoch scheme (DESIGN.md §13),
+// per-shard skipping: a shard participates in an epoch only if its next
+// event falls at or before the epoch end; a quiet shard is skipped — no
+// RunUntil call, no work item, no barrier wait — and its clock is
+// synchronized once, when RunUntil returns. Skipping cannot change
+// results: a skipped shard had nothing to execute inside the epoch, so
+// running it would only have moved its clock.
 
 // crossRecord is one buffered cross-shard callback.
 type crossRecord struct {
@@ -98,15 +86,6 @@ type ShardSet struct {
 	outbox [][]crossRecord
 	merged []crossRecord // reused scratch for the barrier merge
 
-	// Barrier tree: groups partitions the shard indices; groupOf maps a
-	// shard to its group; groupMin/groupHas cache each group's earliest
-	// pending event and are trusted only while groupValid holds.
-	groups     [][]int
-	groupOf    []int
-	groupMin   []Time
-	groupHas   []bool
-	groupValid []bool
-
 	stats    []ShardStats
 	lastExec []uint64 // per-shard Executed() at the last barrier credit
 
@@ -147,11 +126,6 @@ func NewShardSet(shards []*Loop, lookahead time.Duration) *ShardSet {
 	for i, sh := range shards {
 		s.lastExec[i] = sh.Executed()
 	}
-	flat := make([][]int, len(shards))
-	for i := range flat {
-		flat[i] = []int{i}
-	}
-	s.installGroups(flat)
 	return s
 }
 
@@ -191,58 +165,8 @@ func (s *ShardSet) WorkerBusy() []time.Duration {
 	return append([]time.Duration(nil), s.workerBusy...)
 }
 
-// SetGroups installs the two-level barrier tree: groups must partition
-// the shard indices (every shard in exactly one group). Grouping is pure
-// mechanism — it changes how the epoch-end scan is cached, never which
-// epochs run — so any partition yields byte-identical results; a good one
-// mirrors the topology (one group per campus region, the backbone on its
-// own) so quiet regions cost one cache read per epoch. Passing nil
-// restores the default flat partition (every shard its own group).
-func (s *ShardSet) SetGroups(groups [][]int) {
-	if groups == nil {
-		flat := make([][]int, len(s.shards))
-		for i := range flat {
-			flat[i] = []int{i}
-		}
-		s.installGroups(flat)
-		return
-	}
-	seen := make([]bool, len(s.shards))
-	count := 0
-	for _, g := range groups {
-		for _, i := range g {
-			if i < 0 || i >= len(s.shards) {
-				panic(fmt.Sprintf("sim: SetGroups shard index %d out of range", i))
-			}
-			if seen[i] {
-				panic(fmt.Sprintf("sim: SetGroups shard %d appears in more than one group", i))
-			}
-			seen[i] = true
-			count++
-		}
-	}
-	if count != len(s.shards) {
-		panic(fmt.Sprintf("sim: SetGroups covers %d of %d shards", count, len(s.shards)))
-	}
-	copied := make([][]int, len(groups))
-	for gi, g := range groups {
-		copied[gi] = append([]int(nil), g...)
-	}
-	s.installGroups(copied)
-}
-
-func (s *ShardSet) installGroups(groups [][]int) {
-	s.groups = groups
-	s.groupOf = make([]int, len(s.shards))
-	for gi, g := range groups {
-		for _, i := range g {
-			s.groupOf[i] = gi
-		}
-	}
-	s.groupMin = make([]Time, len(groups))
-	s.groupHas = make([]bool, len(groups))
-	s.groupValid = make([]bool, len(groups))
-}
+// SetGroups does nothing; it remains only because perf/fleet.go calls it.
+func (s *ShardSet) SetGroups([][]int) {}
 
 // Executed returns the total events run across all shards.
 func (s *ShardSet) Executed() uint64 {
@@ -282,18 +206,13 @@ func (s *ShardSet) RunUntil(t Time) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: ShardSet.RunUntil into the past: now=%v t=%v", s.now, t))
 	}
-	// External code may have scheduled on any loop since the last call;
-	// cached group minima cannot be trusted across the boundary.
-	for g := range s.groupValid {
-		s.groupValid[g] = false
-	}
 	for i, sh := range s.shards {
 		s.lastExec[i] = sh.Executed()
 	}
 	if s.workers > 1 && len(s.shards) > 1 {
-		s.runParallel(t)
+		s.runOnWorkers(t)
 	} else {
-		s.runSequential(t)
+		s.runEpochs(t, func(sh *Loop, end Time) { sh.RunUntil(end) }, func() {})
 	}
 	// Skipped shards' clocks lag behind the final barrier; synchronize
 	// once so every loop agrees with the set on the current time.
@@ -308,49 +227,21 @@ func (s *ShardSet) RunUntil(t Time) {
 // RunFor advances the shard set by d of virtual time.
 func (s *ShardSet) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
 
-// markDirty invalidates the cached minimum of shard i's group.
-func (s *ShardSet) markDirty(i int) { s.groupValid[s.groupOf[i]] = false }
-
-// groupNext returns group g's earliest pending event, serving the cached
-// value when valid and recomputing (and re-caching) it otherwise.
-func (s *ShardSet) groupNext(g int) (Time, bool) {
-	if s.groupValid[g] {
-		return s.groupMin[g], s.groupHas[g]
-	}
-	var min Time
-	has := false
-	for _, i := range s.groups[g] {
-		if at, ok := s.shards[i].NextEventAt(); ok && (!has || at < min) {
-			min, has = at, true
-		}
-	}
-	s.groupMin[g], s.groupHas[g], s.groupValid[g] = min, has, true
-	return min, has
-}
-
 // nextEpochEnd picks the next barrier: the earliest pending event across
 // all shards (idle gaps are skipped wholesale — with empty outboxes every
 // future effect is already in some shard's heap) plus the lookahead,
-// clamped to t. It returns t when no shard has work before t. The scan
-// reads one cached minimum per group; because invalidation covers every
-// way a heap can change, the result is identical to peeking every shard.
+// clamped to t. It returns t when no shard has work before t.
 func (s *ShardSet) nextEpochEnd(t Time) Time {
 	earliest := t
-	found := false
-	for g := range s.groups {
-		if at, ok := s.groupNext(g); ok && at < earliest {
+	for _, sh := range s.shards {
+		if at, ok := sh.NextEventAt(); ok && at < earliest {
 			earliest = at
-			found = true
 		}
 	}
-	if !found {
-		return t
+	if end := earliest.Add(s.lookahead); end < t {
+		return end
 	}
-	end := earliest.Add(s.lookahead)
-	if end > t {
-		end = t
-	}
-	return end
+	return t
 }
 
 // active reports whether shard i must run in an epoch ending at end, and
@@ -359,7 +250,6 @@ func (s *ShardSet) nextEpochEnd(t Time) Time {
 func (s *ShardSet) active(i int, end Time) bool {
 	if at, ok := s.shards[i].NextEventAt(); ok && at <= end {
 		s.stats[i].BarrierWaits++
-		s.markDirty(i)
 		return true
 	}
 	s.stats[i].EpochsSkipped++
@@ -378,14 +268,18 @@ func (s *ShardSet) credit() {
 	}
 }
 
-func (s *ShardSet) runSequential(t Time) {
+// runEpochs is the epoch loop. dispatch runs a participating shard up to
+// the epoch end, inline or by handing it to a worker; await returns once
+// every shard dispatched in the epoch has finished.
+func (s *ShardSet) runEpochs(t Time, dispatch func(sh *Loop, end Time), await func()) {
 	for cur := s.now; cur < t; {
 		end := s.nextEpochEnd(t)
 		for i, sh := range s.shards {
 			if s.active(i, end) {
-				sh.RunUntil(end)
+				dispatch(sh, end)
 			}
 		}
+		await()
 		s.flush(end)
 		s.credit()
 		cur = end
@@ -393,7 +287,9 @@ func (s *ShardSet) runSequential(t Time) {
 	}
 }
 
-func (s *ShardSet) runParallel(t Time) {
+// runOnWorkers runs the epoch loop with a pool of worker goroutines that
+// lives for this call.
+func (s *ShardSet) runOnWorkers(t Time) {
 	n := s.workers
 	if n > len(s.shards) {
 		n = len(s.shards)
@@ -418,23 +314,17 @@ func (s *ShardSet) runParallel(t Time) {
 			}
 		}(w)
 	}
-	for cur := s.now; cur < t; {
-		end := s.nextEpochEnd(t)
-		dispatched := 0
-		for i, sh := range s.shards {
-			if s.active(i, end) {
-				dispatched++
-				work <- workItem{loop: sh, end: end}
+	pending := 0
+	s.runEpochs(t,
+		func(sh *Loop, end Time) {
+			pending++
+			work <- workItem{loop: sh, end: end}
+		},
+		func() {
+			for ; pending > 0; pending-- {
+				<-done
 			}
-		}
-		for j := 0; j < dispatched; j++ {
-			<-done
-		}
-		s.flush(end)
-		s.credit()
-		cur = end
-		s.epochs++
-	}
+		})
 	close(work)
 	wg.Wait()
 }
@@ -474,7 +364,6 @@ func (s *ShardSet) flush(end Time) {
 				rec.src, rec.dest, rec.at, end))
 		}
 		s.shards[rec.dest].At(rec.at, rec.fn)
-		s.markDirty(rec.dest)
 		rec.fn = nil
 		s.crossSent++
 	}

@@ -43,10 +43,9 @@ func TestAdvanceToPanicsOnPast(t *testing.T) {
 	l.AdvanceTo(0)
 }
 
-// groupedPingPong is pingPong with two extra silent shards and a caller-
-// chosen barrier-tree partition, so grouping can be shown to be pure
-// mechanism: any partition must produce the identical transcript.
-func groupedPingPong(workers int, seed int64, groups [][]int) ([]string, *ShardSet) {
+// groupedPingPong is pingPong with two extra silent shards, so per-shard
+// skipping has shards that sit out every epoch.
+func groupedPingPong(workers int, seed int64) ([]string, *ShardSet) {
 	const lookahead = 2 * time.Millisecond
 	a := New(ShardSeed(seed, 0))
 	b := New(ShardSeed(seed, 1))
@@ -54,9 +53,6 @@ func groupedPingPong(workers int, seed int64, groups [][]int) ([]string, *ShardS
 	d := New(ShardSeed(seed, 3)) // silent
 	ss := NewShardSet([]*Loop{a, b, c, d}, lookahead)
 	ss.SetWorkers(workers)
-	if groups != nil {
-		ss.SetGroups(groups)
-	}
 
 	logs := make([][]string, 2)
 	record := func(shard int, loop *Loop, what string) {
@@ -82,41 +78,12 @@ func groupedPingPong(workers int, seed int64, groups [][]int) ([]string, *ShardS
 	return log, ss
 }
 
-// TestSetGroupsPureMechanism runs the same workload under every shape of
-// barrier tree (flat default, topology-style grouping, everything in one
-// group) across worker counts and requires identical transcripts and an
-// identical epoch count — grouping may only change how the epoch-end scan
-// is cached, never which epochs run.
-func TestSetGroupsPureMechanism(t *testing.T) {
-	base, _ := groupedPingPong(1, 42, nil)
-	partitions := [][][]int{
-		{{0, 1}, {2, 3}},
-		{{0}, {1}, {2}, {3}},
-		{{0, 1, 2, 3}},
-		{{3, 2}, {1, 0}},
-	}
-	for _, workers := range []int{1, 4} {
-		for pi, groups := range partitions {
-			got, _ := groupedPingPong(workers, 42, groups)
-			if len(got) != len(base) {
-				t.Fatalf("workers=%d partition=%d: %d log lines, want %d", workers, pi, len(got), len(base))
-			}
-			for i := range base {
-				if got[i] != base[i] {
-					t.Fatalf("workers=%d partition=%d diverges at line %d:\n  base: %s\n  got:  %s",
-						workers, pi, i, base[i], got[i])
-				}
-			}
-		}
-	}
-}
-
 // TestShardStatsSilentShards pins the skip accounting: a shard that never
 // has work must skip every epoch, wait at no barrier, and dispatch no
 // events, while the busy shards participate.
 func TestShardStatsSilentShards(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		_, ss := groupedPingPong(workers, 7, [][]int{{0, 1}, {2, 3}})
+		_, ss := groupedPingPong(workers, 7)
 		for _, silent := range []int{2, 3} {
 			st := ss.ShardStats(silent)
 			if st.BarrierWaits != 0 || st.EventsDispatched != 0 {
@@ -147,9 +114,9 @@ func TestShardStatsSilentShards(t *testing.T) {
 // be worker-independent: they are exported as metrics, and metrics rows
 // must stay byte-identical across worker counts.
 func TestShardStatsDeterministic(t *testing.T) {
-	_, base := groupedPingPong(1, 11, [][]int{{0, 1}, {2, 3}})
+	_, base := groupedPingPong(1, 11)
 	for _, workers := range []int{2, 4, 8} {
-		_, got := groupedPingPong(workers, 11, [][]int{{0, 1}, {2, 3}})
+		_, got := groupedPingPong(workers, 11)
 		for i := range base.Shards() {
 			if b, g := base.ShardStats(i), got.ShardStats(i); b != g {
 				t.Errorf("workers=%d shard %d stats %+v, workers=1 %+v", workers, i, g, b)
@@ -159,34 +126,4 @@ func TestShardStatsDeterministic(t *testing.T) {
 			t.Errorf("workers=%d epochs=%d, workers=1 epochs=%d", workers, got.Epochs(), base.Epochs())
 		}
 	}
-}
-
-func TestSetGroupsValidation(t *testing.T) {
-	mk := func() *ShardSet {
-		return NewShardSet([]*Loop{New(1), New(2), New(3)}, time.Millisecond)
-	}
-	cases := []struct {
-		name   string
-		groups [][]int
-	}{
-		{"missing shard", [][]int{{0, 1}}},
-		{"duplicate shard", [][]int{{0, 1}, {1, 2}}},
-		{"out of range", [][]int{{0, 1, 2, 3}}},
-		{"negative", [][]int{{-1, 0, 1, 2}}},
-	}
-	for _, tc := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("SetGroups(%s) did not panic", tc.name)
-				}
-			}()
-			mk().SetGroups(tc.groups)
-		}()
-	}
-	// nil resets to the flat partition rather than panicking.
-	ss := mk()
-	ss.SetGroups([][]int{{2, 0}, {1}})
-	ss.SetGroups(nil)
-	ss.RunFor(time.Millisecond)
 }

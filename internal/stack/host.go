@@ -159,7 +159,9 @@ const sweepLaneGranularity = 100 * time.Millisecond
 // individual objects, which both speeds construction and shrinks GC
 // bookkeeping per host. Slab state is allocation-only — handing out a
 // pointer to zeroed memory is order-independent, so whichever shard builds
-// its topology first cannot affect what any other shard observes.
+// its topology first cannot affect what any other shard observes. Each
+// chunk holds the objects of one loop only (the slab's owner), so a
+// finished simulation is not kept alive by the next one's hosts.
 var (
 	//lint:allow nosharedstate allocation-only slab (internally mutex-guarded); Get returns zeroed memory, so cross-shard allocation order is unobservable
 	hostSlab = arena.NewSlab[Host](64)
@@ -170,11 +172,11 @@ var (
 // NewHost creates a host with a loopback interface and the default route
 // lookup installed.
 func NewHost(loop *sim.Loop, name string, cfg Config) *Host {
-	h := hostSlab.Get()
+	h := hostSlab.Get(loop)
 	h.name = name
 	h.loop = loop
 	h.cfg = cfg.withDefaults()
-	h.lo = ifaceSlab.Get()
+	h.lo = ifaceSlab.Get(loop)
 	*h.lo = Iface{host: h, name: "lo", addr: ip.MustParseAddr("127.0.0.1"), prefix: ip.MustParsePrefix("127.0.0.0/8")}
 	h.lo.transmit = func(pkt *ip.Packet, _ ip.Addr) { h.Input(h.lo, pkt) }
 	h.ifaces = append(h.ifaces, h.lo)
@@ -279,9 +281,6 @@ func (h *Host) Loopback() *Iface { return h.lo }
 // SetForwarding enables or disables IP forwarding (routers, home agents).
 func (h *Host) SetForwarding(v bool) { h.forwarding = v }
 
-// Forwarding reports whether the host forwards packets.
-func (h *Host) Forwarding() bool { return h.forwarding }
-
 // AddFilter appends a forwarding filter (evaluated in order; first
 // non-Accept verdict wins). Filters are adapted onto the FORWARD chain at
 // PriForwardFilter — after the route decision, before the path-MTU check,
@@ -322,7 +321,7 @@ type IfaceOpts struct {
 // connected prefix, and wires the device's receive path into the stack.
 // It does not add routes; call ConnectRoute or add them explicitly.
 func (h *Host) AddIface(name string, dev *link.Device, addr ip.Addr, prefix ip.Prefix, opts IfaceOpts) *Iface {
-	ifc := ifaceSlab.Get()
+	ifc := ifaceSlab.Get(h.loop)
 	*ifc = Iface{
 		host:         h,
 		name:         name,
@@ -369,7 +368,7 @@ func (h *Host) AddIface(name string, dev *link.Device, addr ip.Addr, prefix ip.P
 // owns the interface's egress instead, as the tunnel package's VIF does:
 // the hook steals every packet routed to the interface before send.
 func (h *Host) AddVirtualIface(name string, transmit TransmitFunc) *Iface {
-	ifc := ifaceSlab.Get()
+	ifc := ifaceSlab.Get(h.loop)
 	*ifc = Iface{host: h, name: name, transmit: transmit}
 	h.ifaces = append(h.ifaces, ifc)
 	h.InvalidateRoutes()

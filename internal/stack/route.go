@@ -45,17 +45,11 @@ func (r Route) String() string {
 type RouteTable struct {
 	routes []Route
 
-	// gen counts mutations; it backs both the host's route-decision cache
-	// (any bump invalidates cached decisions) and the memoized Routes()
-	// snapshot (unchanged tables return the same slice without copying).
-	gen     uint64
-	snap    []Route
-	snapGen uint64
+	// gen counts mutations; it backs the host's route-decision cache (any
+	// bump invalidates cached decisions). It increases on every
+	// Add/Delete/DeleteIface that changes the table and never decreases.
+	gen uint64
 }
-
-// Gen returns the table's mutation generation. It increases on every
-// Add/Delete/DeleteIface that changes the table and never decreases.
-func (t *RouteTable) Gen() uint64 { return t.gen }
 
 // Add inserts a route. Adding an identical (Dst, Gateway, Iface) tuple
 // replaces the previous entry's metric rather than duplicating it.
@@ -133,19 +127,6 @@ func (t *RouteTable) Lookup(dst ip.Addr) (Route, bool) {
 		}
 	}
 	return Route{}, false
-}
-
-// Routes returns a snapshot of the table in match order. The snapshot is
-// memoized on the generation counter: while the table is unchanged,
-// repeated calls return the same slice without allocating. Callers must
-// treat the result as read-only; a fresh slice is built after each
-// mutation, so snapshots taken earlier are never overwritten.
-func (t *RouteTable) Routes() []Route {
-	if t.snap == nil || t.snapGen != t.gen {
-		t.snap = append(make([]Route, 0, len(t.routes)), t.routes...)
-		t.snapGen = t.gen
-	}
-	return t.snap
 }
 
 // Len returns the number of entries.

@@ -3,6 +3,9 @@ package testbed
 import (
 	"runtime"
 	"testing"
+
+	"mosquitonet/internal/sim"
+	"mosquitonet/internal/stack"
 )
 
 // The host-footprint benchmark weighs a resident (constructed, not yet
@@ -26,11 +29,20 @@ const (
 	footprintLargeFleet = 800
 )
 
+// dropEarlierWorlds makes the worlds built before it collectable. The host
+// arena's open chunks keep the last world built reachable until a host on
+// another loop is made; making one here means that world is collected
+// before a heap reading, not somewhere inside the measurement after it.
+func dropEarlierWorlds() {
+	stack.NewHost(sim.New(0), "evict", stack.Config{})
+}
+
 // weighFleet builds an n-host fleet and returns its live heap bytes
 // (after a GC pass, relative to the pre-build heap) and the number of
 // allocations construction performed.
 func weighFleet(tb testing.TB, n int) (liveBytes, mallocs uint64) {
 	var before, mid, after runtime.MemStats
+	dropEarlierWorlds()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	fl, err := buildScaleFleet(1996, n, 1)
@@ -141,4 +153,40 @@ func TestAllocsPerEventBudget(t *testing.T) {
 	if got > allocsPerEventBudget {
 		t.Errorf("allocs/event = %.2f, budget %.1f", got, allocsPerEventBudget)
 	}
+}
+
+// TestDroppedWorldIsCollected builds a large fleet, drops it, builds a
+// small one and requires the heap to hold the small one only. Host structs
+// come out of process-wide chunks and a Host reaches its loop, its heap and
+// every peer, so one chunk shared between the two worlds would keep the
+// whole first world alive for as long as the second.
+func TestDroppedWorldIsCollected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 2,000-host fleet; skipped in -short")
+	}
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	dropEarlierWorlds()
+	base := heap()
+	big, err := buildScaleFleet(1996, 2000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big.release() // and nothing below refers to it
+	small, err := buildScaleFleet(1996, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer small.release()
+	// A 10-host fleet weighs about 0.2 MB and the 2,000-host one 11 MB.
+	const limit = 2 << 20
+	if grown := int64(heap()) - int64(base); grown > limit {
+		t.Errorf("heap grew %d bytes across a dropped 2,000-host fleet and a live 10-host one, want under %d", grown, limit)
+	}
+	runtime.KeepAlive(small)
 }

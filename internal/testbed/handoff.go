@@ -24,7 +24,6 @@ import (
 
 // Handoff experiment shape.
 const (
-	HandoffProbeInterval = 50 * time.Millisecond
 	// HandoffGrace extends each attribution window: damage starts with
 	// packets already in flight when the switch begins and trails through
 	// route convergence after it completes.
@@ -72,7 +71,7 @@ type HandoffResult struct {
 func (r *HandoffResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "HANDOFF: disruption observatory (%v one-way probe, %v grace)\n",
-		HandoffProbeInterval, HandoffGrace)
+		time.Duration(r.Rows.ProbeIntervalNS), HandoffGrace)
 	fmt.Fprintf(&b, "flow: %d sent, %d received, %d lost, %d reordered; baseline one-way latency %v\n",
 		r.Rows.PacketsSent, r.Rows.PacketsReceived, r.Rows.PacketsLost, r.Rows.Reorders,
 		time.Duration(r.Rows.BaselineLatencyNS).Round(time.Microsecond))

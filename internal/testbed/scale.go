@@ -83,29 +83,6 @@ func scaleShardCount(n int) int {
 	}
 }
 
-// scaleBarrierGroups partitions the shard indices for the two-level epoch
-// barrier: campus shards in regions of up to scaleGroupSize, the hub on
-// its own. Like the shard count, it is a pure function of the topology,
-// and grouping is pure mechanism besides (sim.SetGroups), so it cannot
-// affect results.
-var scaleGroupSize = scaleFleetSpec.BarrierGroupSize
-
-func scaleBarrierGroups(numFleet int) [][]int {
-	var groups [][]int
-	for lo := 0; lo < numFleet; lo += scaleGroupSize {
-		hi := lo + scaleGroupSize
-		if hi > numFleet {
-			hi = numFleet
-		}
-		g := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			g = append(g, i)
-		}
-		groups = append(groups, g)
-	}
-	return append(groups, []int{numFleet}) // the hub shard
-}
-
 // ScaleRow is one fleet size's deterministic outcome. Every field derives
 // from virtual time and seeded randomness only, so BENCH_scale.json is
 // byte-identical across runs with the same seed at any worker count.
@@ -261,8 +238,8 @@ func buildScaleFleet(seed int64, n, workers int) (*scaleFleet, error) {
 // buildScaleFleetSilent is buildScaleFleet with the last silentCampuses
 // campus shards left without any mobile hosts. A silent campus keeps its
 // full infrastructure (router, home agent, correspondent, trunk) but
-// generates no events, so it exercises the barrier tree's skip path: the
-// shard must sit out every epoch without perturbing the others.
+// generates no events, so it exercises per-shard skipping: the shard must
+// sit out every epoch without perturbing the others.
 func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int) (*scaleFleet, error) {
 	numFleet := scaleShardCount(n)
 	if silentCampuses >= numFleet {
@@ -282,7 +259,6 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int) (*scaleFl
 	trunk := link.Backbone()
 	ss := sim.NewShardSet(loops, trunk.MinLatency())
 	ss.SetWorkers(workers)
-	ss.SetGroups(scaleBarrierGroups(numFleet))
 	metrics.RegisterShardSet(ss, regs)
 
 	var cacheHosts []*stack.Host

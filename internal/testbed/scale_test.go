@@ -83,11 +83,10 @@ func runSilentCampusFleet(t *testing.T, workers int) (ScaleRow, []byte, []sim.Sh
 	return row, snapJSON.Bytes(), stats, fl.ss.Epochs()
 }
 
-// TestScaleSilentCampus pins the barrier tree's skip path on the real
-// topology: a campus shard with no mobile hosts must never participate in
-// a barrier — zero waits, zero dispatched events, every epoch skipped —
-// and its presence must not disturb byte-identical execution across
-// worker counts.
+// TestScaleSilentCampus pins per-shard skipping on the real topology: a
+// campus shard with no mobile hosts must never participate in a barrier —
+// zero waits, zero dispatched events, every epoch skipped — and its
+// presence must not disturb byte-identical execution across worker counts.
 func TestScaleSilentCampus(t *testing.T) {
 	baseRow, baseSnap, baseStats, epochs := runSilentCampusFleet(t, 1)
 	if baseRow.ProbesEchoed == 0 || baseRow.CrossFrames == 0 {

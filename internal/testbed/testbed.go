@@ -26,10 +26,9 @@ var (
 	RadioPrefix  = ip.MustParsePrefix("36.134.0.0/16") // Metricom radio subnet
 	CampusPrefix = ip.MustParsePrefix("36.22.0.0/16")  // a campus net outside the department
 
-	RouterHomeAddr   = ip.MustParseAddr("36.135.0.1")
-	RouterDeptAddr   = ip.MustParseAddr("36.8.0.1")
-	RouterRadioAddr  = ip.MustParseAddr("36.134.0.1")
-	RouterCampusAddr = ip.MustParseAddr("36.22.0.1")
+	RouterHomeAddr  = ip.MustParseAddr("36.135.0.1")
+	RouterDeptAddr  = ip.MustParseAddr("36.8.0.1")
+	RouterRadioAddr = ip.MustParseAddr("36.134.0.1")
 
 	MHHomeAddr  = ip.MustParseAddr("36.135.0.7") // the mobile host's permanent address
 	MHRadioAddr = ip.MustParseAddr("36.134.0.7") // its fixed address on the radio subnet
@@ -144,11 +143,6 @@ func (tb *Testbed) Run(d time.Duration) { tb.Loop.RunFor(d) }
 func (tb *Testbed) MoveEthTo(n *link.Network) {
 	tb.Eth.Iface().Device().Detach()
 	tb.Eth.Iface().Device().Attach(n)
-}
-
-// EthIsHome reports whether the Ethernet card is on the home network.
-func (tb *Testbed) EthIsHome() bool {
-	return tb.Eth.Iface().Device().Network() == tb.HomeNet
 }
 
 // MustConnectHome attaches the mobile host at home and fails the

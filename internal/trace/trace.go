@@ -114,14 +114,6 @@ func (t *Tracer) SetCapacity(n int) {
 	t.cap = n
 }
 
-// Capacity returns the ring capacity (0 = unbounded).
-func (t *Tracer) Capacity() int {
-	if t == nil {
-		return 0
-	}
-	return t.cap
-}
-
 // Dropped returns how many events the ring has evicted.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
