@@ -1,7 +1,7 @@
 // Fixture for the tracekinds analyzer. Self-contained: it declares its
 // own Tracer with the real method shapes, a conventional wrapper pair
-// (trace/startSpan), and a PacketLog whose same-named Record method must
-// NOT be checked.
+// (trace/startSpan), and a PacketLog whose same-named Record method has
+// no kind to check but must not build its detail at the call site.
 package fixture
 
 type Span struct{}
@@ -13,10 +13,16 @@ func (t *Tracer) StartSpan(actor, kind string) *Span                { return &Sp
 func (t *Tracer) StartChild(parent *Span, actor, kind string) *Span { return &Span{} }
 
 // PacketLog.Record shares the method name but not the receiver type; its
-// kind argument lives at a different index and is out of scope.
+// point argument is out of scope, its detail argument is not.
 type PacketLog struct{}
 
 func (p *PacketLog) Record(trace uint64, actor, kind, detail string) {}
+
+type addr [4]byte
+
+func (a addr) String() string { return "a.b.c.d" }
+
+const reasonTTL = "ttl " + "expired"
 
 const (
 	kGood   = "reg.attempt"
@@ -24,7 +30,10 @@ const (
 	kNoDots = "regattempt"
 )
 
-type host struct{ t *Tracer }
+type host struct {
+	t      *Tracer
+	reason string
+}
 
 // The wrappers themselves forward a parameter — not a constant, so the
 // forwarding call is skipped; enforcement happens at the wrapper's callers.
@@ -47,5 +56,12 @@ func uses(t *Tracer, h *host, p *PacketLog, dynamic string) {
 	h.startSpan(kGood)
 	h.startSpan(kNoDots) // want "not a lowercase dotted path"
 
-	p.Record(1, "h", "ip.drop", "no route") // different receiver: not checked
+	p.Record(1, "h", "ip.drop", "no route") // different receiver: kind not checked
+	p.Record(1, "h", "ip.drop", reasonTTL)
+	p.Record(1, "h", "ip.deliver", dynamic)
+	var dst addr
+	p.Record(1, "h", "ip.drop", dst.String())           // want "must be a constant or a plain identifier"
+	p.Record(1, "h", "ip.drop", "no route to "+dynamic) // want "must be a constant or a plain identifier"
+	p.Record(1, "h", "ip.drop", h.reason)               // want "must be a constant or a plain identifier"
+	p.Record(1, "h", "ip.drop", "no route "+"anywhere") // constant expression
 }

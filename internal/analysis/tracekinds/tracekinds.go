@@ -9,12 +9,19 @@
 //
 // The analyzer inspects the kind argument of the tracing entry points —
 // Tracer.Record, Tracer.StartSpan, Tracer.StartChild (receiver resolved
-// via type information, so PacketLog.Record and friends are untouched) —
+// via type information, so same-named methods elsewhere are untouched) —
 // and of the conventional per-object wrapper methods named trace and
 // startSpan. A string literal in kind position is always flagged; a named
 // constant is checked against ^[a-z0-9]+(\.[a-z0-9_]+)+$; a value that is
 // not a compile-time constant (a parameter, a switch result) is skipped —
 // its sources are themselves constants checked at their own call sites.
+//
+// It also guards the packet log's cost contract: the detail argument of
+// PacketLog.Record must be a constant or a plain identifier. The log is on
+// in every compiled world and overwrites most hops unread, so a detail
+// built at the call site (x.String(), "dst="+...) is formatting nobody
+// reads; such a hop passes operands through PacketLog.RecordDetail, which
+// renders them only at export.
 package tracekinds
 
 import (
@@ -30,7 +37,7 @@ import (
 // Analyzer implements the check.
 var Analyzer = &framework.Analyzer{
 	Name: "tracekinds",
-	Doc:  "trace event/span kinds must be lowercase dotted package constants, never inline literals",
+	Doc:  "trace event/span kinds must be lowercase dotted package constants, never inline literals; a PacketLog.Record detail must be a constant or an identifier",
 	Run:  run,
 }
 
@@ -44,11 +51,10 @@ func run(pass *framework.Pass) error {
 			if !ok {
 				return true
 			}
-			idx := kindArgIndex(pass, call)
-			if idx < 0 || idx >= len(call.Args) {
-				return true
+			if idx := kindArgIndex(pass, call); idx >= 0 && idx < len(call.Args) {
+				checkKind(pass, call.Args[idx])
 			}
-			checkKind(pass, call.Args[idx])
+			checkDetail(pass, call)
 			return true
 		})
 	}
@@ -64,17 +70,17 @@ func kindArgIndex(pass *framework.Pass, call *ast.CallExpr) int {
 	}
 	switch sel.Sel.Name {
 	case "Record":
-		// Tracer.Record(actor, kind, format, ...); PacketLog.Record and
-		// other same-named methods are excluded by the receiver type.
-		if receiverIsTracer(pass, sel.X) && len(call.Args) >= 2 {
+		// Tracer.Record(actor, kind, format, ...); same-named methods are
+		// excluded by the receiver type.
+		if receiverIs(pass, sel.X, "Tracer") && len(call.Args) >= 2 {
 			return 1
 		}
 	case "StartSpan":
-		if receiverIsTracer(pass, sel.X) && len(call.Args) >= 2 {
+		if receiverIs(pass, sel.X, "Tracer") && len(call.Args) >= 2 {
 			return 1
 		}
 	case "StartChild":
-		if receiverIsTracer(pass, sel.X) && len(call.Args) >= 3 {
+		if receiverIs(pass, sel.X, "Tracer") && len(call.Args) >= 3 {
 			return 2
 		}
 	case "trace", "startSpan":
@@ -88,10 +94,10 @@ func kindArgIndex(pass *framework.Pass, call *ast.CallExpr) int {
 	return -1
 }
 
-// receiverIsTracer reports whether the expression's type is trace.Tracer
-// (possibly through a pointer). Missing type information reports false:
-// quiet beats noisy on partial packages.
-func receiverIsTracer(pass *framework.Pass, e ast.Expr) bool {
+// receiverIs reports whether the expression's type is the named type
+// (trace.Tracer, metrics.PacketLog), possibly through a pointer. Missing
+// type information reports false: quiet beats noisy on partial packages.
+func receiverIs(pass *framework.Pass, e ast.Expr, name string) bool {
 	if pass.TypesInfo == nil {
 		return false
 	}
@@ -104,7 +110,7 @@ func receiverIsTracer(pass *framework.Pass, e ast.Expr) bool {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Tracer"
+	return ok && named.Obj().Name() == name
 }
 
 // isPackageQualifier reports whether e is a package name (so sel is a
@@ -134,4 +140,21 @@ func checkKind(pass *framework.Pass, arg ast.Expr) {
 	if s := constant.StringVal(tv.Value); !kindRE.MatchString(s) {
 		pass.Reportf(arg.Pos(), "kind constant %q is not a lowercase dotted path (want e.g. \"reg.attempt\")", s)
 	}
+}
+
+// checkDetail flags a PacketLog.Record(pkt, node, point, detail) call whose
+// detail is anything but a constant or a plain identifier.
+func checkDetail(pass *framework.Pass, call *ast.CallExpr) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Record" || len(call.Args) != 4 || !receiverIs(pass, sel.X, "PacketLog") {
+		return
+	}
+	detail := call.Args[3]
+	if _, ok := detail.(*ast.Ident); ok {
+		return
+	}
+	if tv, ok := pass.TypesInfo.Types[detail]; ok && tv.Value != nil {
+		return
+	}
+	pass.Reportf(detail.Pos(), "packet-log detail must be a constant or a plain identifier; pass operands through RecordDetail so the text is rendered only at export")
 }

@@ -3,7 +3,7 @@ package ip
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
+	"strconv"
 )
 
 // Protocol is an IPv4 protocol number.
@@ -30,7 +30,7 @@ func (p Protocol) String() string {
 	case ProtoUDP:
 		return "udp"
 	default:
-		return fmt.Sprintf("proto(%d)", uint8(p))
+		return "proto(" + strconv.Itoa(int(p)) + ")"
 	}
 }
 
@@ -78,7 +78,13 @@ func (p *Packet) Len() int { return HeaderLen + len(p.Payload) }
 
 // String summarizes the packet for traces.
 func (p *Packet) String() string {
-	return fmt.Sprintf("%s %s->%s ttl=%d len=%d", p.Protocol, p.Src, p.Dst, p.TTL, p.Len())
+	var buf [64]byte
+	b := append(buf[:0], p.Protocol.String()...)
+	b = append(append(b, ' '), p.Src.String()...)
+	b = append(append(b, "->"...), p.Dst.String()...)
+	b = strconv.AppendUint(append(b, " ttl="...), uint64(p.TTL), 10)
+	b = strconv.AppendInt(append(b, " len="...), int64(p.Len()), 10)
+	return string(b)
 }
 
 // Clone returns a deep copy of the packet.

@@ -3,6 +3,8 @@ package ip
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -297,6 +299,38 @@ func TestPropertyTunnelRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, quickConfig(300)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPacketStringMatchesSprintf keeps the fmt form String had — too slow
+// for a path capture and the admin console sit on — as the oracle for the
+// hand-appended one, over seeded random headers and every protocol number.
+func TestPacketStringMatchesSprintf(t *testing.T) {
+	rng := rand.New(rand.NewSource(1996))
+	for i := 0; i < 2000; i++ {
+		p := &Packet{Payload: make([]byte, rng.Intn(3000))}
+		p.Protocol, p.TTL = Protocol(i%256), uint8(rng.Intn(256))
+		rng.Read(p.Src[:])
+		rng.Read(p.Dst[:])
+		proto := fmt.Sprintf("proto(%d)", uint8(p.Protocol))
+		switch p.Protocol {
+		case ProtoICMP:
+			proto = "icmp"
+		case ProtoIPIP:
+			proto = "ipip"
+		case ProtoTCP:
+			proto = "tcp"
+		case ProtoUDP:
+			proto = "udp"
+		}
+		if got := p.Protocol.String(); got != proto {
+			t.Fatalf("Protocol(%d).String() = %q, want %q", uint8(p.Protocol), got, proto)
+		}
+		want := fmt.Sprintf("%s %d.%d.%d.%d->%d.%d.%d.%d ttl=%d len=%d", proto,
+			p.Src[0], p.Src[1], p.Src[2], p.Src[3], p.Dst[0], p.Dst[1], p.Dst[2], p.Dst[3], p.TTL, HeaderLen+len(p.Payload))
+		if got := p.String(); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
 	}
 }
 

@@ -37,7 +37,15 @@ var BroadcastHW = HWAddr{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 
 // String formats the address in colon-separated hex.
 func (a HWAddr) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
+	const hex = "0123456789abcdef"
+	var b [17]byte
+	for i, v := range a {
+		if i > 0 {
+			b[3*i-1] = ':'
+		}
+		b[3*i], b[3*i+1] = hex[v>>4], hex[v&0xf]
+	}
+	return string(b[:])
 }
 
 // IsBroadcast reports whether a is the broadcast address.
@@ -401,9 +409,7 @@ func (d *Device) Send(f *Frame) error {
 	}
 	d.ctr.sent.Inc()
 	d.ctr.txBytes.Add(uint64(f.Len()))
-	if d.pktlog != nil { // guard: the detail string is costly to format
-		d.pktlog.Record(f.Trace, d.name, "link.tx", "dst="+f.Dst.String())
-	}
+	d.pktlog.RecordDetail(f.Trace, d.name, "link.tx", metrics.HWDetail(metrics.DetailLinkDst, f.Dst))
 	d.net.transmit(d, f)
 	return nil
 }
@@ -422,9 +428,7 @@ func (d *Device) deliver(f *Frame) {
 	}
 	d.ctr.received.Inc()
 	d.ctr.rxBytes.Add(uint64(f.Len()))
-	if d.pktlog != nil { // guard: the detail string is costly to format
-		d.pktlog.Record(f.Trace, d.name, "link.rx", "src="+f.Src.String())
-	}
+	d.pktlog.RecordDetail(f.Trace, d.name, "link.rx", metrics.HWDetail(metrics.DetailLinkSrc, f.Src))
 	if d.recv != nil {
 		d.recv(f)
 	}

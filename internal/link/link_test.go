@@ -1,6 +1,7 @@
 package link
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -29,6 +30,15 @@ func TestHWAddrString(t *testing.T) {
 	}
 	if !BroadcastHW.IsBroadcast() || a.IsBroadcast() {
 		t.Fatal("IsBroadcast wrong")
+	}
+	// The fmt form String had stays here as the oracle for the table one.
+	rng := rand.New(rand.NewSource(1996))
+	for i := 0; i < 1000; i++ {
+		rng.Read(a[:])
+		want := fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
+		if got := a.String(); got != want {
+			t.Fatalf("String = %q, want %q", got, want)
+		}
 	}
 }
 

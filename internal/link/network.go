@@ -400,9 +400,7 @@ func (n *Network) transmit(from *Device, f *Frame) {
 		// `arrival` with no further delay.
 		if n.medium.LossProb > 0 && n.loop.Rand().Float64() < n.medium.LossProb {
 			n.stats.LostMedium++
-			if n.pktlog != nil {
-				n.pktlog.Record(f.Trace, n.name, "link.lost", "medium loss on trunk")
-			}
+			n.pktlog.Record(f.Trace, n.name, "link.lost", "medium loss on trunk")
 			return
 		}
 		payload := bufpool.Get(len(f.Payload))
@@ -425,9 +423,7 @@ func (n *Network) transmit(from *Device, f *Frame) {
 		}
 		if n.medium.LossProb > 0 && n.loop.Rand().Float64() < n.medium.LossProb {
 			n.stats.LostMedium++
-			if n.pktlog != nil {
-				n.pktlog.Record(f.Trace, n.name, "link.lost", "medium loss toward "+d.name)
-			}
+			n.pktlog.RecordDetail(f.Trace, n.name, "link.lost", metrics.NameDetail(metrics.DetailLossToward, d.name))
 			continue
 		}
 		if fl == nil {

@@ -294,9 +294,9 @@ func (h *Host) AddFilter(f FilterFunc) {
 		Fn: func(ctx *PacketContext) pipeline.Verdict {
 			switch f(ctx.In, ctx.Out, ctx.Pkt) {
 			case Drop:
-				return ctx.drop("filtered", &h.stats.DropFilter)
+				return ctx.drop(metrics.Text("filtered"), &h.stats.DropFilter)
 			case Reject:
-				return ctx.dropICMP("filtered (reject)", &h.stats.DropFilter, ip.ICMPDestUnreach, ip.CodeAdminProhibited)
+				return ctx.dropICMP(metrics.Text("filtered (reject)"), &h.stats.DropFilter, ip.ICMPDestUnreach, ip.CodeAdminProhibited)
 			}
 			return pipeline.Accept
 		},
@@ -643,9 +643,7 @@ func (h *Host) finishOutput(ctx *PacketContext) {
 	if h.chains[pipeline.Output].Run(ctx) == pipeline.Accept {
 		pkt := ctx.Pkt
 		h.stats.Sent++
-		if h.pktlog != nil { // guard: the detail string is costly to format
-			h.pktlog.Record(pkt.Trace, h.name, "ip.output", pkt.String()+" via "+ctx.Out.name)
-		}
+		h.pktlog.RecordDetail(pkt.Trace, h.name, "ip.output", HeaderDetail(metrics.DetailPacketVia, pkt, ctx.Out.name))
 		h.scheduleHop(h.cfg.OutputDelay, hopPostroute, ctx.Out, pkt, ctx.NextHop)
 	}
 	h.releaseCtx(ctx)
@@ -707,9 +705,7 @@ func (h *Host) forward(in *Iface, pkt *ip.Packet) {
 		fwd := ctx.Pkt.ShallowClone()
 		fwd.TTL--
 		h.stats.Forwarded++
-		if h.pktlog != nil { // guard: the detail string is costly to format
-			h.pktlog.Record(pkt.Trace, h.name, "ip.forward", "next hop "+ctx.NextHop.String()+" via "+ctx.Out.name)
-		}
+		h.pktlog.RecordDetail(pkt.Trace, h.name, "ip.forward", metrics.AddrDetail(metrics.DetailNextHop, ctx.NextHop, ctx.Out.name))
 		h.scheduleHop(h.cfg.ForwardDelay, hopPostroute, ctx.Out, fwd, ctx.NextHop)
 	}
 	h.releaseCtx(ctx)

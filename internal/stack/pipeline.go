@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mosquitonet/internal/ip"
+	"mosquitonet/internal/metrics"
 	"mosquitonet/internal/pipeline"
 )
 
@@ -48,10 +49,11 @@ type PacketContext struct {
 	Pkt  *ip.Packet
 
 	// NextHop and Route are valid once Routed is set: after the FORWARD
-	// chain's "route" hook, and on OUTPUT/POSTROUTING contexts.
+	// chain's "route" hook, and on OUTPUT/POSTROUTING contexts. (Routed
+	// shares NextHop's word: see TestPacketContextSizeClass.)
 	NextHop ip.Addr
-	Route   Route
 	Routed  bool
+	Route   Route
 
 	// RouteErr is set on OUTPUT contexts whose route lookup failed; the
 	// terminal "unreachable" hook turns it into an accounted drop.
@@ -60,7 +62,7 @@ type PacketContext struct {
 	stage pipeline.Stage
 
 	// Drop bookkeeping staged by drop/dropICMP, consumed by the observer.
-	dropReason  string
+	dropReason  metrics.Detail
 	dropCounter *uint64
 	icmpSend    bool
 	icmpType    ip.ICMPType
@@ -149,20 +151,17 @@ func (r *hop) run() {
 // Stage returns the chain stage this context is traversing.
 func (c *PacketContext) Stage() pipeline.Stage { return c.stage }
 
-// Logging reports whether packet-lifecycle logging is enabled. Hooks use
-// it to skip building costly drop-reason strings on the hot path.
-func (c *PacketContext) Logging() bool { return c.Host.pktlog != nil }
-
-// drop stages the bookkeeping for a Drop verdict: the ip.drop reason and
-// the stats counter the observer middleware will bump.
-func (c *PacketContext) drop(reason string, counter *uint64) pipeline.Verdict {
+// drop stages the bookkeeping for a Drop verdict: the ip.drop reason, as
+// operands the observer middleware renders only for a reader, and the
+// stats counter it will bump.
+func (c *PacketContext) drop(reason metrics.Detail, counter *uint64) pipeline.Verdict {
 	c.dropReason, c.dropCounter = reason, counter
 	return pipeline.Drop
 }
 
 // dropICMP is drop plus an ICMP error (with the usual RFC 792
 // suppressions) sent back to the packet's source.
-func (c *PacketContext) dropICMP(reason string, counter *uint64, typ ip.ICMPType, code uint8) pipeline.Verdict {
+func (c *PacketContext) dropICMP(reason metrics.Detail, counter *uint64, typ ip.ICMPType, code uint8) pipeline.Verdict {
 	c.icmpSend, c.icmpType, c.icmpCode = true, typ, code
 	return c.drop(reason, counter)
 }
@@ -170,13 +169,13 @@ func (c *PacketContext) dropICMP(reason string, counter *uint64, typ ip.ICMPType
 // Drop discards the packet with the given trace reason, accounted under
 // the host's DropFilter counter — the verdict external policy hooks use.
 func (c *PacketContext) Drop(reason string) pipeline.Verdict {
-	return c.drop(reason, &c.Host.stats.DropFilter)
+	return c.drop(metrics.Text(reason), &c.Host.stats.DropFilter)
 }
 
 // Reject is Drop plus an ICMP administratively-prohibited error to the
 // source, how a polite policy hook declines transit traffic.
 func (c *PacketContext) Reject(reason string) pipeline.Verdict {
-	return c.dropICMP(reason, &c.Host.stats.DropFilter, ip.ICMPDestUnreach, ip.CodeAdminProhibited)
+	return c.dropICMP(metrics.Text(reason), &c.Host.stats.DropFilter, ip.ICMPDestUnreach, ip.CodeAdminProhibited)
 }
 
 // MarkDelivered accounts a local delivery performed by a hook that is
@@ -186,6 +185,13 @@ func (c *PacketContext) Reject(reason string) pipeline.Verdict {
 func (c *PacketContext) MarkDelivered(detail string) {
 	c.Host.stats.Delivered++
 	c.Host.pktlog.Record(c.Pkt.Trace, c.Host.name, "ip.deliver", detail)
+}
+
+// HeaderDetail packs pkt's header as the operands of a packet-log detail
+// of the given kind; via is the egress interface's name where the kind
+// renders one.
+func HeaderDetail(kind metrics.DetailKind, pkt *ip.Packet, via string) metrics.Detail {
+	return metrics.PacketDetail(kind, uint8(pkt.Protocol), pkt.Src, pkt.Dst, pkt.TTL, pkt.Len(), via)
 }
 
 // RouteQuery is the context route-resolver hooks see: the paper's
@@ -266,11 +272,11 @@ func (h *Host) observeVerdict(ctx *PacketContext, v pipeline.Verdict) {
 		ctr = &h.stats.DropFilter
 	}
 	*ctr++
-	h.pktlog.Record(ctx.Pkt.Trace, h.name, "ip.drop", ctx.dropReason)
+	h.pktlog.RecordDetail(ctx.Pkt.Trace, h.name, "ip.drop", ctx.dropReason)
 	if t := h.spanTracer(); t != nil {
 		sp := t.StartChild(nil, h.name, h.dropSpanKind(ctr))
-		if ctx.dropReason != "" {
-			sp.SetAttr("reason", ctx.dropReason)
+		if reason := ctx.dropReason.String(); reason != "" {
+			sp.SetAttr("reason", reason)
 		}
 		sp.Done()
 	}
@@ -292,11 +298,7 @@ func (h *Host) hookClassify(ctx *PacketContext) pipeline.Verdict {
 		// group traffic.
 		h.scheduleHop(h.cfg.InputDelay, hopForward, ctx.In, pkt, ip.Addr{})
 	default:
-		reason := ""
-		if ctx.Logging() { // guard: the detail string is costly to format
-			reason = "not local: dst=" + pkt.Dst.String()
-		}
-		return ctx.drop(reason, &h.stats.DropNotLocal)
+		return ctx.drop(metrics.AddrDetail(metrics.DetailNotLocal, pkt.Dst, ""), &h.stats.DropNotLocal)
 	}
 	return pipeline.Stolen
 }
@@ -331,16 +333,10 @@ func (h *Host) hookDemux(ctx *PacketContext) pipeline.Verdict {
 			h.pktlog.Record(pkt.Trace, h.name, "ip.deliver", "icmp")
 			return pipeline.Stolen
 		}
-		reason := ""
-		if ctx.Logging() { // guard: the detail string is costly to format
-			reason = "no handler for " + pkt.Protocol.String()
-		}
-		return ctx.drop(reason, &h.stats.DropNoHandler)
+		return ctx.drop(metrics.ProtoDetail(metrics.DetailNoHandler, uint8(pkt.Protocol)), &h.stats.DropNoHandler)
 	}
 	h.stats.Delivered++
-	if h.pktlog != nil {
-		h.pktlog.Record(pkt.Trace, h.name, "ip.deliver", pkt.Protocol.String())
-	}
+	h.pktlog.RecordDetail(pkt.Trace, h.name, "ip.deliver", metrics.ProtoDetail(metrics.DetailProto, uint8(pkt.Protocol)))
 	handler(ifc, pkt)
 	return pipeline.Stolen
 }
@@ -349,9 +345,13 @@ func (h *Host) hookDemux(ctx *PacketContext) pipeline.Verdict {
 // ICMP time-exceeded error.
 func (h *Host) hookForwardTTL(ctx *PacketContext) pipeline.Verdict {
 	if ctx.Pkt.TTL <= 1 {
-		return ctx.dropICMP("ttl expired", &h.stats.DropTTL, ip.ICMPTimeExceeded, 0)
+		return ctx.dropICMP(metrics.Text("ttl expired"), &h.stats.DropTTL, ip.ICMPTimeExceeded, 0)
 	}
 	return pipeline.Accept
+}
+
+func noRouteTo(dst ip.Addr) metrics.Detail {
+	return metrics.AddrDetail(metrics.DetailNoRoute, dst, "")
 }
 
 // hookForwardRoute resolves the transit route through the forwarding
@@ -364,11 +364,7 @@ func (h *Host) hookForwardRoute(ctx *PacketContext) pipeline.Verdict {
 	}
 	r, ok := h.lookupForward(ctx.Pkt.Dst)
 	if !ok {
-		reason := ""
-		if ctx.Logging() { // guard: the detail string is costly to format
-			reason = "no route to " + ctx.Pkt.Dst.String()
-		}
-		return ctx.dropICMP(reason, &h.stats.DropNoRoute, ip.ICMPDestUnreach, ip.CodeNetUnreach)
+		return ctx.dropICMP(noRouteTo(ctx.Pkt.Dst), &h.stats.DropNoRoute, ip.ICMPDestUnreach, ip.CodeNetUnreach)
 	}
 	nh := r.Gateway
 	if nh.IsUnspecified() {
@@ -382,7 +378,7 @@ func (h *Host) hookForwardRoute(ctx *PacketContext) pipeline.Verdict {
 // the ICMP error path-MTU discovery depends on.
 func (h *Host) hookForwardMTU(ctx *PacketContext) pipeline.Verdict {
 	if mtu := ctx.Out.MTU(); mtu > 0 && ctx.Pkt.Len() > mtu && ctx.Pkt.DontFrag {
-		return ctx.dropICMP("df packet exceeds mtu", &h.stats.DropMTU, ip.ICMPDestUnreach, ip.CodeFragNeeded)
+		return ctx.dropICMP(metrics.Text("df packet exceeds mtu"), &h.stats.DropMTU, ip.ICMPDestUnreach, ip.CodeFragNeeded)
 	}
 	return pipeline.Accept
 }
@@ -405,11 +401,7 @@ func (h *Host) hookOutputUnreachable(ctx *PacketContext) pipeline.Verdict {
 	if ctx.RouteErr == nil {
 		return pipeline.Accept
 	}
-	reason := ""
-	if ctx.Logging() { // guard: the detail string is costly to format
-		reason = "no route to " + ctx.Pkt.Dst.String()
-	}
-	return ctx.dropICMP(reason, &h.stats.DropNoRoute, ip.ICMPDestUnreach, ip.CodeNetUnreach)
+	return ctx.dropICMP(noRouteTo(ctx.Pkt.Dst), &h.stats.DropNoRoute, ip.ICMPDestUnreach, ip.CodeNetUnreach)
 }
 
 // resolveRoute answers one route query through the route-resolution

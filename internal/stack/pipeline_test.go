@@ -8,6 +8,7 @@ import (
 	"mosquitonet/internal/link"
 	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/sim"
+	"mosquitonet/internal/trace"
 )
 
 // TestBuiltinChainLayout pins the built-in hook layout: the datapath's own
@@ -262,6 +263,49 @@ func TestOutputNoRouteEmitsUnreachable(t *testing.T) {
 	}
 	if len(errs) != 1 {
 		t.Fatalf("suppression failed: %d errors", len(errs))
+	}
+}
+
+// TestDropSpanCarriesReasonWithoutPacketLog is the regression test for
+// reasons that were built only when the packet log was on: with a tracer
+// and no log, the drop spans of the three drops whose reason names an
+// operand lost their "reason" attribute.
+func TestDropSpanCarriesReasonWithoutPacketLog(t *testing.T) {
+	loop := sim.New(1)
+	tr := trace.New(loop)
+	defer trace.Release(loop)
+	net := link.NewNetwork(loop, "n", link.Ethernet())
+	a := addNode(t, loop, net, "a", "10.0.0.1/24")
+	if a.host.pktlog != nil {
+		t.Fatal("host has a packet log; the test needs a tracer-only host")
+	}
+
+	a.host.Input(a.ifc, udpPacket("10.0.0.9", "10.0.0.77", "x")) // not ours, not forwarding
+	a.host.Input(a.ifc, &ip.Packet{Header: ip.Header{Protocol: 99, Src: ip.MustParseAddr("10.0.0.9"), Dst: ip.MustParseAddr("10.0.0.1")}})
+	if err := a.host.Output(udpPacket("10.0.0.1", "99.1.1.1", "x")); err == nil {
+		t.Fatal("Output succeeded with no route")
+	}
+	loop.RunFor(time.Second)
+	a.host.SetForwarding(true)
+	transit := udpPacket("10.0.0.9", "99.2.2.2", "x")
+	transit.TTL = 8
+	a.host.Input(a.ifc, transit)
+	loop.RunFor(time.Second)
+
+	want := []struct{ kind, reason string }{
+		{kSpanDropNotLocal, "not local: dst=10.0.0.77"},
+		{kSpanDropNoRoute, "no route to 99.1.1.1"},
+		{kSpanDropNoHandler, "no handler for proto(99)"},
+		{kSpanDropNoRoute, "no route to 99.2.2.2"},
+	}
+	spans := tr.FindSpans("drop.")
+	if len(spans) != len(want) {
+		t.Fatalf("%d drop spans, want %d: %+v", len(spans), len(want), spans)
+	}
+	for i, w := range want {
+		if got, _ := spans[i].Attr("reason"); spans[i].Kind != w.kind || got != w.reason {
+			t.Errorf("drop span %d is %s reason %q, want %s reason %q", i, spans[i].Kind, got, w.kind, w.reason)
+		}
 	}
 }
 

@@ -171,9 +171,7 @@ func (e *Endpoint) transmit(inner *ip.Packet, _ ip.Addr) {
 		}
 		e.lastSrc = src
 	}
-	if e.pktlog != nil { // guard: the detail string is costly to format
-		e.pktlog.Record(outer.Trace, name, "tunnel.encap", outer.Src.String()+"->"+outer.Dst.String())
-	}
+	e.pktlog.RecordDetail(outer.Trace, name, "tunnel.encap", stack.HeaderDetail(metrics.DetailAddrPair, outer, ""))
 	if err := e.host.Output(outer); err != nil {
 		e.stats.DropOutput++
 		e.pktlog.Record(outer.Trace, name, "tunnel.drop", "outer packet unroutable")
@@ -186,9 +184,7 @@ func (e *Endpoint) receive(_ *stack.Iface, outer *ip.Packet) {
 	name := e.host.Name()
 	if e.AllowPeer != nil && !e.AllowPeer(outer.Src) {
 		e.stats.DropPeer++
-		if e.pktlog != nil { // guard: the detail string is costly to format
-			e.pktlog.Record(outer.Trace, name, "tunnel.drop", "peer rejected: "+outer.Src.String())
-		}
+		e.pktlog.RecordDetail(outer.Trace, name, "tunnel.drop", metrics.AddrDetail(metrics.DetailPeerRejected, outer.Src, ""))
 		return
 	}
 	inner, err := ip.Decapsulate(outer)
@@ -199,8 +195,6 @@ func (e *Endpoint) receive(_ *stack.Iface, outer *ip.Packet) {
 	}
 	e.stats.Decapsulated++
 	e.decapBytes.Add(uint64(outer.Len()))
-	if e.pktlog != nil { // guard: the detail string is costly to format
-		e.pktlog.Record(inner.Trace, name, "tunnel.decap", inner.String())
-	}
+	e.pktlog.RecordDetail(inner.Trace, name, "tunnel.decap", stack.HeaderDetail(metrics.DetailPacket, inner, ""))
 	e.host.Input(e.vif, inner)
 }
