@@ -4,7 +4,10 @@
 // recycled (bufpool.Put) or ownership-transferred exactly once, and must
 // not be touched after either; frame payloads delivered by the link layer
 // are borrowed for the synchronous delivery chain only and must never be
-// retained or recycled by a receiver.
+// retained or recycled by a receiver. The same goes for a parameter under a
+// borrows contract — the chunk transport.Conn.OnData lends its consumer —
+// inside the annotated function, or inside a func literal assigned to the
+// annotated func field.
 //
 // Unlike the suite's other analyzers this one is not an AST pattern
 // matcher: it builds the framework's control-flow graph for every function
@@ -34,9 +37,10 @@
 //   - recycle after transfer (Put on a buffer someone else now owns)
 //   - leak at a terminal: a path reaches return without Put or transfer
 //     (the §6 "return it to the pool at every terminal" rule)
-//   - retention of a borrowed frame payload: stored into a field, global
-//     or aggregate, captured by a closure, recycled, or passed to an
-//     ownership-taking callee
+//   - retention of a borrowed frame payload or parameter: stored into a
+//     field, global or aggregate, captured by a closure, recycled, or
+//     passed to an ownership-taking callee (reading it, append(dst, b...)
+//     and passing it to a callee that takes nothing are fine)
 package bufownership
 
 import (
@@ -178,14 +182,30 @@ func run(pass *framework.Pass) error {
 		a.exportAnnotations(f)
 	}
 	for _, f := range pass.Files {
+		// contracts maps a func literal to the func-typed field or variable
+		// it is assigned to: the literal's body is held to that contract.
+		contracts := make(map[*ast.FuncLit]types.Object)
+		bind := func(target, value ast.Expr) {
+			if lit, ok := value.(*ast.FuncLit); ok {
+				contracts[lit] = a.exprObj(target)
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				if len(x.Lhs) == len(x.Rhs) {
+					for i, r := range x.Rhs {
+						bind(x.Lhs[i], r)
+					}
+				}
+			case *ast.KeyValueExpr:
+				bind(x.Key, x.Value)
 			case *ast.FuncDecl:
-				if fn.Body != nil && !a.isFrameMethod(fn) {
-					a.analyzeFunc(fn.Type, fn.Body, a.declObj(fn.Name))
+				if x.Body != nil && !a.isFrameMethod(x) {
+					a.analyzeFunc(x.Type, x.Body, a.declObj(x.Name))
 				}
 			case *ast.FuncLit:
-				a.analyzeFunc(fn.Type, fn.Body, nil)
+				a.analyzeFunc(x.Type, x.Body, contracts[x])
 			}
 			return true
 		})
@@ -203,6 +223,25 @@ func (a *analyzer) declObj(id *ast.Ident) types.Object {
 		return nil
 	}
 	return a.pass.TypesInfo.Defs[id]
+}
+
+// exprObj resolves a called function, an assignment target or a
+// composite-literal key to the object it names, best effort.
+func (a *analyzer) exprObj(e ast.Expr) types.Object {
+	info := a.pass.TypesInfo
+	if info == nil {
+		return nil
+	}
+	switch x := e.(type) {
+	case *ast.Ident:
+		return info.Uses[x]
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[x]; ok {
+			return sel.Obj()
+		}
+		return info.Uses[x.Sel]
+	}
+	return nil
 }
 
 // isFrameMethod reports whether fn is a method on the Frame type itself —
@@ -428,15 +467,19 @@ func (a *analyzer) analyzeFunc(ftyp *ast.FuncType, body *ast.BlockStmt, obj type
 }
 
 // entryState seeds the dataflow with the function's parameter contracts:
-// takes-annotated parameters arrive owned, *Frame parameters carry a
-// borrowed payload.
+// takes-annotated parameters arrive owned, borrows-annotated ones borrowed,
+// *Frame parameters carry a borrowed payload. obj is the function itself
+// or, for a func literal, the func-typed field it is assigned to.
 func (fa *funcAnalysis) entryState(ftyp *ast.FuncType, obj types.Object) state {
 	s := newState()
 	var fact OwnershipFact
-	takes := map[int]bool{}
+	takes, borrows := map[int]bool{}, map[int]bool{}
 	if obj != nil && fa.a.pass.ImportObjectFact(obj, &fact) {
 		for _, i := range fact.Takes {
 			takes[i] = true
+		}
+		for _, i := range fact.Borrows {
+			borrows[i] = true
 		}
 	}
 	if ftyp.Params == nil {
@@ -471,8 +514,15 @@ func (fa *funcAnalysis) entryState(ftyp *ast.FuncType, obj types.Object) state {
 			case isFrame:
 				if pobj != nil {
 					id := name.Pos()
-					fa.bufs[id] = &bufInfo{pos: id, desc: "payload of frame " + name.Name, borrowed: true}
+					fa.bufs[id] = &bufInfo{pos: id, desc: "borrowed frame payload (payload of frame " + name.Name + ")", borrowed: true}
 					fa.frameParams[pobj] = id
+					s.bufs[id] = stBorrowed
+				}
+			case borrows[i]:
+				if pobj != nil {
+					id := name.Pos()
+					fa.bufs[id] = &bufInfo{pos: id, desc: "borrowed parameter " + name.Name, borrowed: true}
+					s.vars[pobj] = []token.Pos{id}
 					s.bufs[id] = stBorrowed
 				}
 			}
@@ -624,12 +674,25 @@ func (fa *funcAnalysis) bufsOf(s *state, e ast.Expr) []token.Pos {
 }
 
 // deepBufs finds every tracked buffer anywhere under e (inside composite
-// literals, unary &, call arguments), for escape analysis.
+// literals, unary &, call arguments), for escape analysis. A call whose
+// result cannot carry a buffer (len, string(b), bytes.Equal) hides its
+// arguments, and append(dst, b...) copies b's elements: only dst is seen.
 func (fa *funcAnalysis) deepBufs(s *state, e ast.Expr) []token.Pos {
 	var out []token.Pos
 	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
+		switch x := n.(type) {
+		case *ast.FuncLit:
 			return false // closures handled by closure()
+		case *ast.CallExpr:
+			if info := fa.a.pass.TypesInfo; info != nil {
+				if _, basic := info.TypeOf(x).(*types.Basic); basic {
+					return false
+				}
+			}
+			if fun, ok := fa.a.exprObj(x.Fun).(*types.Builtin); ok && fun.Name() == "append" && x.Ellipsis.IsValid() {
+				out = append(out, fa.deepBufs(s, x.Args[0])...)
+				return false
+			}
 		}
 		if x, ok := n.(ast.Expr); ok {
 			if ids := fa.bufsOf(s, x); len(ids) > 0 {
@@ -644,13 +707,20 @@ func (fa *funcAnalysis) deepBufs(s *state, e ast.Expr) []token.Pos {
 
 // setStatus strong-updates single-buffer sets and weak-updates may-alias
 // sets (strong updates on a may-alias would erase the other alias's path).
+//
+// A borrowed buffer stays borrowed: recycling, transferring or retaining it
+// is reported where it happens, and is not this function's to do, so later
+// reads of it are not use-after-anything.
 func (fa *funcAnalysis) setStatus(s *state, ids []token.Pos, st status) {
-	if len(ids) == 1 {
-		s.bufs[ids[0]] = st
-		return
-	}
 	for _, id := range ids {
-		s.bufs[id] |= st
+		if info := fa.bufs[id]; info != nil && info.borrowed {
+			continue
+		}
+		if len(ids) == 1 {
+			s.bufs[id] = st
+		} else {
+			s.bufs[id] |= st
+		}
 	}
 }
 
@@ -674,7 +744,7 @@ func (fa *funcAnalysis) call(s *state, call *ast.CallExpr, emit bool) {
 					info, st := fa.bufs[id], s.bufs[id]
 					switch {
 					case info != nil && info.borrowed:
-						fa.report(call.Pos(), "bufpool.Put of borrowed frame payload (%s): receivers do not own delivered payloads", info.desc)
+						fa.report(call.Pos(), "bufpool.Put of %s: receivers do not own delivered payloads", info.desc)
 					case st&stRecycled != 0:
 						fa.report(call.Pos(), "double recycle: bufpool.Put may already have run for this buffer on this path")
 					case st&stTransferred != 0:
@@ -707,7 +777,7 @@ func (fa *funcAnalysis) call(s *state, call *ast.CallExpr, emit bool) {
 					info, st := fa.bufs[id], s.bufs[id]
 					switch {
 					case info != nil && info.borrowed:
-						fa.report(arg.Pos(), "ownership of borrowed frame payload (%s) passed to %s", info.desc, calleeName(call))
+						fa.report(arg.Pos(), "ownership of %s passed to %s", info.desc, calleeName(call))
 					case st&stRecycled != 0:
 						fa.report(arg.Pos(), "use of pooled buffer after recycle (bufpool.Put already ran on this path)")
 					case st&stTransferred != 0:
@@ -820,7 +890,7 @@ func (fa *funcAnalysis) assignOne(s *state, l ast.Expr, r ast.Expr, decl bool, e
 // assignTarget binds buffers to a local, or treats a store through a
 // selector/index/deref as an escape: the aggregate now holds the buffer.
 func (fa *funcAnalysis) assignTarget(s *state, l ast.Expr, r ast.Expr, ids []token.Pos, emit bool) {
-	if id, ok := l.(*ast.Ident); ok {
+	if id, ok := l.(*ast.Ident); ok && !fa.isGlobal(id) {
 		if id.Name == "_" {
 			return
 		}
@@ -847,11 +917,18 @@ func (fa *funcAnalysis) assignTarget(s *state, l ast.Expr, r ast.Expr, ids []tok
 	if emit {
 		for _, id := range escape {
 			if info := fa.bufs[id]; info != nil && info.borrowed {
-				fa.report(r.Pos(), "borrowed frame payload (%s) retained past synchronous delivery: copy it (bufpool.Get + copy) before storing", info.desc)
+				fa.report(r.Pos(), "%s retained past synchronous delivery: copy it before storing", info.desc)
 			}
 		}
 	}
 	fa.setStatus(s, escape, stTransferred)
+}
+
+// isGlobal reports whether id names a package-level variable: a store to
+// one outlives the function like a store to a field.
+func (fa *funcAnalysis) isGlobal(id *ast.Ident) bool {
+	v, ok := fa.identObj(id).(*types.Var)
+	return ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
 // closure treats a function literal appearing in an expression: any
@@ -883,7 +960,7 @@ func (fa *funcAnalysis) closure(s *state, lit *ast.FuncLit, emit bool) {
 	if emit {
 		for _, id := range captured {
 			if info := fa.bufs[id]; info != nil && info.borrowed {
-				fa.report(lit.Pos(), "borrowed frame payload (%s) captured by a closure: it escapes the synchronous delivery chain", info.desc)
+				fa.report(lit.Pos(), "%s captured by a closure: it escapes the synchronous delivery chain", info.desc)
 			}
 		}
 	}
@@ -892,20 +969,7 @@ func (fa *funcAnalysis) closure(s *state, lit *ast.FuncLit, emit bool) {
 
 // calleeObj resolves the called function/field object, best effort.
 func (fa *funcAnalysis) calleeObj(call *ast.CallExpr) types.Object {
-	info := fa.a.pass.TypesInfo
-	if info == nil {
-		return nil
-	}
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return info.Uses[fun]
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			return sel.Obj()
-		}
-		return info.Uses[fun.Sel]
-	}
-	return nil
+	return fa.a.exprObj(call.Fun)
 }
 
 // calleeName renders the callee for diagnostics.

@@ -50,3 +50,13 @@ type Network struct {
 	//mnet:ownership takes f
 	Handoff func(f *Frame)
 }
+
+// Conn mirrors transport.Conn's data callback: a func-typed struct field
+// whose parameter is lent to the consumer for the duration of the call.
+type Conn struct {
+	//mnet:ownership borrows chunk
+	OnData func(chunk []byte)
+}
+
+// Write copies b, as transport.Conn.Write does.
+func (c *Conn) Write(b []byte) {}

@@ -164,7 +164,12 @@ func handAndTouch(n int, enqueue func(fn func())) {
 
 // ---- retained borrowed frame payloads ----
 
-type sink struct{ stash []byte }
+type sink struct {
+	stash []byte
+	all   [][]byte
+	name  string
+	n     int
+}
 
 func (s *sink) retainPayload(f *dep.Frame) {
 	s.stash = f.Payload // want "retained past synchronous delivery"
@@ -193,6 +198,60 @@ func borrowOK(s *sink, f *dep.Frame) {
 	c := bufpool.Get(n)
 	copy(c, f.Payload)
 	s.stash = c
+}
+
+// ---- parameters lent under a borrows contract: the OnData shape ----
+
+var lastChunk []byte
+
+// lentChunk assigns func literals to a borrows-annotated func field: inside
+// each, the matching parameter is borrowed for the call.
+func lentChunk(c *dep.Conn, s *sink, later func(fn func())) {
+	c.OnData = func(chunk []byte) {
+		s.stash = chunk // want "borrowed parameter chunk retained past synchronous delivery"
+	}
+	c.OnData = func(chunk []byte) {
+		lastChunk = chunk[2:] // want "retained past synchronous delivery"
+	}
+	c.OnData = func(chunk []byte) {
+		s.all = append(s.all, chunk) // want "retained past synchronous delivery"
+	}
+	c.OnData = func(chunk []byte) {
+		later(func() { work(chunk) }) // want "borrowed parameter chunk captured by a closure"
+	}
+	c.OnData = func(chunk []byte) {
+		bufpool.Put(chunk) // want "bufpool.Put of borrowed parameter chunk"
+	}
+	c.OnData = func(chunk []byte) {
+		s.stash = chunk //lint:allow bufownership fixture retains deliberately
+	}
+	// The sanctioned consumers: copy out, write on, read.
+	c.OnData = func(chunk []byte) {
+		s.stash = append(s.stash, chunk...)
+		s.name = string(chunk)
+		s.n += len(chunk)
+		c.Write(chunk)
+		work(chunk)
+		local := chunk[1:]
+		work(local)
+	}
+	// A parameter the contract does not name is not tracked.
+	plain := func(chunk []byte) { s.stash = chunk }
+	plain(nil)
+}
+
+// lentInLiteral: the contract also reaches a literal set by field key.
+func lentInLiteral(s *sink) *dep.Conn {
+	return &dep.Conn{OnData: func(chunk []byte) {
+		s.stash = chunk // want "retained past synchronous delivery"
+	}}
+}
+
+// keepBorrowed: a declaration's own borrows contract binds its body.
+//
+//mnet:ownership borrows b
+func keepBorrowed(s *sink, b []byte) { // want fact:"keepBorrowed: ownership\(borrows=\[1\]\)"
+	s.stash = b // want "borrowed parameter b retained past synchronous delivery"
 }
 
 // ---- takes-frame entry: a DeliverLocal-shaped owner ----

@@ -21,7 +21,11 @@
 // paper (and PR 6) measured with.
 package app
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"mosquitonet/internal/transport"
+)
 
 // frame is the app layer's shared stream framing: a 4-byte header (type,
 // flags, big-endian body length) followed by the body. Both the MQTT-style
@@ -33,37 +37,70 @@ const frameHeaderLen = 4
 // uint16 length field's ceiling so the check is reachable.
 const maxFrameBody = 32 * 1024
 
+// streamBufKeep is the largest array a connection's drained parser or
+// encode scratch holds on to: enough for the messages the load models send,
+// so steady traffic does not reallocate, and small enough that one 32 KB
+// message does not pin its buffer to an idle connection.
+const streamBufKeep = 16 << 10
+
 // encodeFrame appends a framed message to dst and returns the result.
 func encodeFrame(dst []byte, typ, flags byte, body []byte) []byte {
 	dst = append(dst, typ, flags, byte(len(body)>>8), byte(len(body)))
 	return append(dst, body...)
 }
 
+// writeMsg hands conn the message built in a connection's encode scratch
+// and returns the scratch for the next message: Write has copied it.
+func writeMsg(conn *transport.Conn, msg []byte) ([]byte, error) {
+	err := conn.Write(msg)
+	if cap(msg) > streamBufKeep {
+		return nil, err
+	}
+	return msg[:0], err
+}
+
 // frameReader incrementally decodes frames from stream chunks. Feed
 // returns each complete frame via the callback; partial frames wait for
 // more bytes. It reports false on a malformed frame (oversized body), at
 // which point the caller should drop the connection.
+//
+// Both stream parsers consume buf by offset and slide what is left to the
+// front once per call. The offset is a field, not a local, because deliver
+// may write to a loopback connection and so re-enter Feed.
 type frameReader struct {
 	buf []byte
+	off int // bytes of buf already delivered
 }
 
 func (r *frameReader) Feed(chunk []byte, deliver func(typ, flags byte, body []byte)) bool {
 	r.buf = append(r.buf, chunk...)
-	for len(r.buf) >= frameHeaderLen {
-		n := int(binary.BigEndian.Uint16(r.buf[2:4]))
+	defer func() { r.buf, r.off = compact(r.buf, r.off), 0 }()
+	for len(r.buf)-r.off >= frameHeaderLen {
+		rest := r.buf[r.off:]
+		n := int(binary.BigEndian.Uint16(rest[2:4]))
 		if n > maxFrameBody {
 			return false
 		}
-		if len(r.buf) < frameHeaderLen+n {
+		if len(rest) < frameHeaderLen+n {
 			return true
 		}
-		typ, flags := r.buf[0], r.buf[1]
+		// The body is the handler's to keep (retained store, Message).
 		body := make([]byte, n)
-		copy(body, r.buf[frameHeaderLen:frameHeaderLen+n])
-		r.buf = r.buf[frameHeaderLen+n:]
-		deliver(typ, flags, body)
+		copy(body, rest[frameHeaderLen:])
+		r.off += frameHeaderLen + n
+		deliver(rest[0], rest[1], body)
 	}
 	return true
+}
+
+// compact drops the first off bytes of a parser's buffer: the remainder
+// slides to the front, and a drained buffer larger than streamBufKeep is
+// let go.
+func compact(buf []byte, off int) []byte {
+	if off == len(buf) && cap(buf) > streamBufKeep {
+		return nil
+	}
+	return buf[:copy(buf, buf[off:])]
 }
 
 // appendString appends a length-prefixed string (uint16 length + bytes).

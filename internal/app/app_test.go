@@ -11,8 +11,8 @@ import (
 	"mosquitonet/internal/transport"
 )
 
-// rig is two hosts with transport stacks on one Ethernet: a is the client
-// side, b the server side.
+// rig is two hosts with transport stacks on one network (an Ethernet unless
+// newRigOn says otherwise): a is the client side, b the server side.
 type rig struct {
 	loop  *sim.Loop
 	a, b  *transport.Stack
@@ -22,8 +22,13 @@ type rig struct {
 
 func newRig(t *testing.T, seed int64) *rig {
 	t.Helper()
+	return newRigOn(t, seed, link.Ethernet())
+}
+
+func newRigOn(t *testing.T, seed int64, medium link.Medium) *rig {
+	t.Helper()
 	loop := sim.New(seed)
-	n := link.NewNetwork(loop, "net", link.Ethernet())
+	n := link.NewNetwork(loop, "net", medium)
 	mk := func(name, addr string) *transport.Stack {
 		h := stack.NewHost(loop, name, stack.Config{})
 		d := link.NewDevice(loop, name+"-eth0", 0, 0)

@@ -1,6 +1,7 @@
 package app
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -51,10 +52,17 @@ type HTTPResponse struct {
 // in the simulation loop.
 type HTTPHandler func(req HTTPRequest) HTTPResponse
 
+var (
+	crlf          = []byte("\r\n")
+	headEnd       = []byte("\r\n\r\n")
+	contentLength = []byte("Content-Length:")
+)
+
 // httpParser incrementally splits a text-framed message stream into
-// (head lines, body) pairs.
+// (start line, body) pairs. Like frameReader it consumes buf by offset.
 type httpParser struct {
 	buf []byte
+	off int // bytes of buf already delivered
 }
 
 // feed appends chunk and delivers every complete message. It returns false
@@ -62,35 +70,52 @@ type httpParser struct {
 // point the caller should drop the connection.
 func (p *httpParser) feed(chunk []byte, deliver func(start string, body []byte)) bool {
 	p.buf = append(p.buf, chunk...)
+	defer func() { p.buf, p.off = compact(p.buf, p.off), 0 }()
 	for {
-		head := strings.Index(string(p.buf), "\r\n\r\n")
+		rest := p.buf[p.off:]
+		head := bytes.Index(rest, headEnd)
 		if head < 0 {
-			return len(p.buf) <= maxHTTPHead
+			// A head of maxHTTPHead bytes ends its terminator here at the
+			// latest, however the stream was cut into chunks.
+			return len(rest) < maxHTTPHead+len(headEnd)
 		}
 		if head > maxHTTPHead {
 			return false
 		}
-		lines := strings.Split(string(p.buf[:head]), "\r\n")
-		clen := 0
-		for _, l := range lines[1:] {
-			if v, ok := strings.CutPrefix(l, "Content-Length:"); ok {
-				n, err := strconv.Atoi(strings.TrimSpace(v))
-				if err != nil || n < 0 || n > maxFrameBody {
-					return false
-				}
-				clen = n
-			}
+		start, fields, _ := bytes.Cut(rest[:head], crlf)
+		clen, ok := contentLengthOf(fields)
+		if !ok {
+			return false
 		}
-		total := head + 4 + clen
-		if len(p.buf) < total {
+		total := head + len(headEnd) + clen
+		if len(rest) < total {
 			return true
 		}
+		// The body is the handler's to keep.
 		body := make([]byte, clen)
-		copy(body, p.buf[head+4:total])
-		start := lines[0]
-		p.buf = p.buf[total:]
-		deliver(start, body)
+		copy(body, rest[head+len(headEnd):])
+		p.off += total
+		deliver(string(start), body)
 	}
+}
+
+// contentLengthOf walks the header lines after the start line and returns
+// the last Content-Length (zero when there is none), or false when one is
+// not a length a message may have.
+func contentLengthOf(fields []byte) (int, bool) {
+	clen := 0
+	for len(fields) > 0 {
+		var line []byte
+		line, fields, _ = bytes.Cut(fields, crlf)
+		if v, ok := bytes.CutPrefix(line, contentLength); ok {
+			n, err := strconv.Atoi(string(bytes.TrimSpace(v)))
+			if err != nil || n < 0 || n > maxFrameBody {
+				return 0, false
+			}
+			clen = n
+		}
+	}
+	return clen, true
 }
 
 // appendHTTPRequest serializes one request.
@@ -143,6 +168,7 @@ type httpServerConn struct {
 	srv    *HTTPServer
 	conn   *transport.Conn
 	parser httpParser
+	wbuf   []byte // encode scratch, see writeMsg
 	closed bool
 }
 
@@ -215,7 +241,7 @@ func (sc *httpServerConn) request(start string, body []byte) {
 	sc.srv.stats.Requests++
 	resp := sc.srv.handler(HTTPRequest{Method: parts[0], Path: parts[1], Body: body})
 	sc.srv.stats.Responses++
-	sc.conn.Write(appendHTTPResponse(nil, resp.Code, resp.Body))
+	sc.wbuf, _ = writeMsg(sc.conn, appendHTTPResponse(sc.wbuf, resp.Code, resp.Body))
 }
 
 // HTTPClientStats counts client activity.
@@ -234,6 +260,7 @@ type HTTPClient struct {
 
 	conn    *transport.Conn
 	parser  httpParser
+	wbuf    []byte // encode scratch, see writeMsg
 	up      bool
 	closed  bool
 	onUp    func(error)
@@ -311,7 +338,9 @@ func (c *HTTPClient) Do(method, path string, body []byte, done func(HTTPResponse
 	sp.SetAttr("path", path)
 	c.pending = append(c.pending, &httpPending{span: sp, done: done})
 	c.stats.RequestsSent++
-	return c.conn.Write(appendHTTPRequest(nil, method, path, body))
+	var err error
+	c.wbuf, err = writeMsg(c.conn, appendHTTPRequest(c.wbuf, method, path, body))
+	return err
 }
 
 func (c *HTTPClient) actor() string { return c.ts.Host().Name() + "/" + c.id }

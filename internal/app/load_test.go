@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mosquitonet/internal/ip"
+	"mosquitonet/internal/link"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stats"
 )
@@ -83,6 +84,39 @@ func TestReqFlowOpenLoopBacklogs(t *testing.T) {
 	}
 	if lost != 0 || received != sent {
 		t.Fatalf("sent=%d received=%d lost=%d", sent, received, lost)
+	}
+	// The link keeps up, so the send buffer never held more than a request.
+	if peak := c.conn.Stats().SendBufPeak; peak == 0 || peak > 100 {
+		t.Fatalf("SendBufPeak = %d on a link that keeps up, want one ~70-byte request", peak)
+	}
+
+	// The same discipline offering 1.6 Mbit/s to a 512 kbit/s link: the
+	// schedule does not slow down and Write does not refuse, so the backlog
+	// piles up in the client's send buffer, where Stats shows it, and
+	// everything is still answered once the schedule stops.
+	slow := link.Ethernet()
+	slow.BitRate = 512_000
+	r = newRigOn(t, 1, slow)
+	startEcho(t, r)
+	c = dialHTTP(t, r, "cli")
+	tracker = stats.NewFlowTracker("req/open-slow")
+	flow = NewReqFlow(c, tracker, "/work", 20*time.Millisecond, false, 4096)
+	flow.Start()
+	r.loop.RunFor(2 * time.Second)
+	flow.Stop()
+	if sent, _, _, _ := tracker.Totals(); sent < 98 || sent > 101 {
+		t.Fatalf("open loop sent = %d against a slow link, want ~100", sent)
+	}
+	backlog := c.conn.Buffered()
+	if backlog < 200_000 || c.conn.Stats().SendBufPeak < backlog {
+		t.Fatalf("Buffered = %d, SendBufPeak = %d after offering three times the link rate for 2 s", backlog, c.conn.Stats().SendBufPeak)
+	}
+	r.loop.RunFor(30 * time.Second)
+	if sent, received, lost, _ := tracker.Totals(); lost != 0 || received != sent {
+		t.Fatalf("slow link: sent=%d received=%d lost=%d", sent, received, lost)
+	}
+	if c.conn.Buffered() != 0 {
+		t.Fatalf("Buffered = %d after the backlog drained", c.conn.Buffered())
 	}
 }
 

@@ -94,6 +94,7 @@ type brokerSession struct {
 	b          *Broker
 	conn       *transport.Conn
 	reader     frameReader
+	wbuf       []byte // encode scratch, see writeMsg
 	clientID   string
 	connected  bool
 	closed     bool
@@ -204,7 +205,7 @@ func (s *brokerSession) frame(typ, flags byte, body []byte) {
 		s.connected = true
 		s.b.stats.Connects++
 		s.span.SetAttr("client", id)
-		s.conn.Write(encodeFrame(nil, mqttConnAck, 0, []byte{0}))
+		s.send(mqttConnAck, []byte{0})
 	case mqttSubscribe:
 		if len(body) < 2 {
 			s.b.stats.DropBadFrame++
@@ -224,7 +225,7 @@ func (s *brokerSession) frame(typ, flags byte, body []byte) {
 		subID := s.b.nextSub
 		s.b.tree.Subscribe(filter, subID, &brokerSub{sess: s, qos: qos})
 		s.subs = append(s.subs, sessionSub{filter: filter, id: subID})
-		s.conn.Write(encodeFrame(nil, mqttSubAck, 0, []byte{byte(msgID >> 8), byte(msgID), qos}))
+		s.send(mqttSubAck, []byte{byte(msgID >> 8), byte(msgID), qos})
 		// Replay retained messages matching the new subscription, in
 		// lexicographic topic order.
 		for _, rm := range s.b.tree.Retained(filter) {
@@ -257,7 +258,7 @@ func (s *brokerSession) frame(typ, flags byte, body []byte) {
 		s.b.route(topic, rest, qos)
 		if qos == 1 {
 			s.b.stats.PubAcksSent++
-			s.conn.Write(encodeFrame(nil, mqttPubAck, 0, []byte{byte(msgID >> 8), byte(msgID)}))
+			s.send(mqttPubAck, []byte{byte(msgID >> 8), byte(msgID)})
 		}
 	case mqttPubAck:
 		if len(body) < 2 {
@@ -271,6 +272,11 @@ func (s *brokerSession) frame(typ, flags byte, body []byte) {
 		s.b.stats.DropBadFrame++
 		s.drop(fmt.Sprintf("unknown type %d", typ))
 	}
+}
+
+// send writes one flagless frame to this session's client.
+func (s *brokerSession) send(typ byte, body []byte) {
+	s.wbuf, _ = writeMsg(s.conn, encodeFrame(s.wbuf, typ, 0, body))
 }
 
 // route fans a publication out to every matching subscription. Delivery
@@ -295,7 +301,7 @@ func (s *brokerSession) deliver(topic string, payload []byte, qos byte, retained
 	if retained {
 		flags |= pubFlagRetain
 	}
-	body := appendString(nil, topic)
+	var msgID uint16
 	if qos == 1 {
 		flags |= pubFlagQoS1
 		s.nextMsgID++
@@ -303,11 +309,25 @@ func (s *brokerSession) deliver(topic string, payload []byte, qos byte, retained
 			s.nextMsgID = 1
 		}
 		s.pendingOut[s.nextMsgID] = struct{}{}
-		body = append(body, byte(s.nextMsgID>>8), byte(s.nextMsgID))
+		msgID = s.nextMsgID
 	}
-	body = append(body, payload...)
 	s.b.stats.Delivered++
-	s.conn.Write(encodeFrame(nil, mqttPublish, flags, body))
+	s.wbuf, _ = writeMsg(s.conn, appendPublish(s.wbuf, flags, topic, msgID, payload))
+}
+
+// appendPublish appends one PUBLISH frame, its body — topic, the message ID
+// when flags say QoS 1, payload — built in place behind a header whose
+// length is filled in last.
+func appendPublish(dst []byte, flags byte, topic string, msgID uint16, payload []byte) []byte {
+	start := len(dst)
+	dst = appendString(append(dst, mqttPublish, flags, 0, 0), topic)
+	if flags&pubFlagQoS1 != 0 {
+		dst = append(dst, byte(msgID>>8), byte(msgID))
+	}
+	dst = append(dst, payload...)
+	n := len(dst) - start - frameHeaderLen
+	dst[start+2], dst[start+3] = byte(n>>8), byte(n)
+	return dst
 }
 
 // ClientStats counts client activity.
@@ -327,6 +347,7 @@ type Client struct {
 
 	conn      *transport.Conn
 	reader    frameReader
+	wbuf      []byte // encode scratch, see writeMsg
 	connected bool
 	closed    bool
 
@@ -389,7 +410,7 @@ func (c *Client) Connect(broker ip.Addr, port uint16, onConnack func(error)) err
 	c.onConnack = onConnack
 	c.connectSpan = c.tracer.StartChild(nil, c.actor(), kSpanConnect)
 	conn.OnEstablished = func() {
-		conn.Write(encodeFrame(nil, mqttConnect, 0, appendString(nil, c.id)))
+		c.send(mqttConnect, appendString(nil, c.id))
 	}
 	conn.OnData = func(chunk []byte) {
 		if !c.reader.Feed(chunk, c.frame) {
@@ -399,6 +420,11 @@ func (c *Client) Connect(broker ip.Addr, port uint16, onConnack func(error)) err
 	conn.OnError = func(err error) { c.fail(err) }
 	conn.OnRemoteClose = func() { c.fail(ErrClosed) }
 	return nil
+}
+
+// send writes one flagless frame to the broker.
+func (c *Client) send(typ byte, body []byte) {
+	c.wbuf, _ = writeMsg(c.conn, encodeFrame(c.wbuf, typ, 0, body))
 }
 
 func (c *Client) actor() string { return c.ts.Host().Name() + "/" + c.id }
@@ -462,7 +488,7 @@ func (c *Client) Subscribe(filter string, qos byte, handler func(Message), onAck
 	body := []byte{byte(c.nextMsgID >> 8), byte(c.nextMsgID)}
 	body = appendString(body, filter)
 	body = append(body, qos&1)
-	c.conn.Write(encodeFrame(nil, mqttSubscribe, 0, body))
+	c.send(mqttSubscribe, body)
 	return nil
 }
 
@@ -480,7 +506,7 @@ func (c *Client) Publish(topic string, payload []byte, qos byte, retain bool, on
 	if retain {
 		flags |= pubFlagRetain
 	}
-	body := appendString(nil, topic)
+	var msgID uint16
 	if qos == 1 {
 		flags |= pubFlagQoS1
 		c.nextMsgID++
@@ -490,11 +516,10 @@ func (c *Client) Publish(topic string, payload []byte, qos byte, retain bool, on
 		sp := c.tracer.StartChild(nil, c.actor(), kSpanPublish)
 		sp.SetAttr("topic", topic)
 		c.pendingPub[c.nextMsgID] = &clientPending{span: sp, onAck: onAck}
-		body = append(body, byte(c.nextMsgID>>8), byte(c.nextMsgID))
+		msgID = c.nextMsgID
 	}
-	body = append(body, payload...)
 	c.stats.PublishesSent++
-	c.conn.Write(encodeFrame(nil, mqttPublish, flags, body))
+	c.wbuf, _ = writeMsg(c.conn, appendPublish(c.wbuf, flags, topic, msgID, payload))
 	if qos != 1 && onAck != nil {
 		onAck()
 	}
@@ -535,7 +560,7 @@ func (c *Client) frame(typ, flags byte, body []byte) {
 			msgID := binary.BigEndian.Uint16(rest)
 			rest = rest[2:]
 			c.stats.PubAcksSent++
-			c.conn.Write(encodeFrame(nil, mqttPubAck, 0, []byte{byte(msgID >> 8), byte(msgID)}))
+			c.send(mqttPubAck, []byte{byte(msgID >> 8), byte(msgID)})
 		}
 		c.stats.MessagesReceived++
 		m := Message{

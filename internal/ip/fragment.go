@@ -187,9 +187,11 @@ func assemble(pieces []*Packet) (*Packet, bool) {
 	if pieces[len(pieces)-1].MoreFrag {
 		return nil, false // tail missing
 	}
+	last := pieces[len(pieces)-1]
 	full := &Packet{Header: pieces[0].Header}
 	full.MoreFrag = false
 	full.FragOff = 0
+	full.Payload = make([]byte, 0, int(last.FragOff)*8+len(last.Payload))
 	for _, p := range pieces {
 		full.Payload = append(full.Payload, p.Payload...)
 	}

@@ -159,8 +159,19 @@ func (p *Packet) MarshalInto(dst []byte) ([]byte, error) {
 }
 
 // Unmarshal parses and validates an IPv4 packet: version, header length,
-// total length, and header checksum.
+// total length, and header checksum. The packet owns its payload: b may be
+// a pooled frame that is recycled while the packet is still in flight.
 func Unmarshal(b []byte) (*Packet, error) {
+	p, err := unmarshalBorrowed(b)
+	if err != nil {
+		return nil, err
+	}
+	p.Payload = append([]byte(nil), p.Payload...)
+	return p, nil
+}
+
+// unmarshalBorrowed is Unmarshal with the payload left a window into b.
+func unmarshalBorrowed(b []byte) (*Packet, error) {
 	if len(b) < HeaderLen {
 		return nil, ErrShortPacket
 	}
@@ -192,7 +203,9 @@ func Unmarshal(b []byte) (*Packet, error) {
 	}
 	copy(p.Src[:], b[12:16])
 	copy(p.Dst[:], b[16:20])
-	p.Payload = append([]byte(nil), b[ihl:total]...)
+	if total > ihl {
+		p.Payload = b[ihl:total:total]
+	}
 	return p, nil
 }
 
@@ -272,12 +285,13 @@ var ErrNotEncapsulated = errors.New("ip: packet is not IP-in-IP")
 
 // Decapsulate unwraps one layer of IP-in-IP encapsulation, validating the
 // inner packet, and returns the inner packet. This is the receive half of
-// the paper's fused VIF/IPIP module.
+// the paper's fused VIF/IPIP module. The inner payload is a window into
+// p.Payload, not a copy: a payload is immutable once its packet exists.
 func Decapsulate(p *Packet) (*Packet, error) {
 	if p.Protocol != ProtoIPIP {
 		return nil, ErrNotEncapsulated
 	}
-	inner, err := Unmarshal(p.Payload)
+	inner, err := unmarshalBorrowed(p.Payload)
 	if err != nil {
 		return nil, err
 	}

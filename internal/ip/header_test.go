@@ -191,6 +191,30 @@ func TestEncapsulateDecapsulate(t *testing.T) {
 	}
 }
 
+// TestDecapsulateBorrows: the inner packet's payload is a window into the
+// outer's — capped, so an append cannot write past it — while Unmarshal,
+// whose input may be a pooled frame, still hands out a copy.
+func TestDecapsulateBorrows(t *testing.T) {
+	outer, err := Encapsulate(MustParseAddr("36.8.0.50"), MustParseAddr("36.135.0.1"), DefaultTTL, 7, samplePacket())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := Decapsulate(outer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &inner.Payload[0] != &outer.Payload[HeaderLen] || cap(inner.Payload) != len(inner.Payload) {
+		t.Fatal("Decapsulate copied the inner payload, or left it room to grow into the outer's")
+	}
+	copied, err := Unmarshal(outer.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &copied.Payload[0] == &outer.Payload[HeaderLen] || !bytes.Equal(copied.Payload, inner.Payload) {
+		t.Fatal("Unmarshal must own its payload")
+	}
+}
+
 func TestDecapsulateNonIPIP(t *testing.T) {
 	if _, err := Decapsulate(samplePacket()); err != ErrNotEncapsulated {
 		t.Fatalf("err = %v, want ErrNotEncapsulated", err)

@@ -75,7 +75,7 @@ func MarshalTCP(src, dst Addr, h TCPHeader, payload []byte) []byte {
 }
 
 // UnmarshalTCP parses and validates a TCP segment received between the
-// given IP addresses.
+// given IP addresses. The returned payload is a window into b, not a copy.
 func UnmarshalTCP(src, dst Addr, b []byte) (TCPHeader, []byte, error) {
 	if len(b) < TCPHeaderLen {
 		return TCPHeader{}, nil, ErrShortTCP
@@ -95,7 +95,7 @@ func UnmarshalTCP(src, dst Addr, b []byte) (TCPHeader, []byte, error) {
 		Flags:   b[13],
 		Window:  binary.BigEndian.Uint16(b[14:]),
 	}
-	return h, append([]byte(nil), b[off:]...), nil
+	return h, b[off:len(b):len(b)], nil
 }
 
 // SeqLess reports whether sequence number a precedes b in modular

@@ -180,6 +180,20 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnmarshalTCPBorrows: the payload handed up is a window into the
+// segment, capped at its end, not a copy.
+func TestUnmarshalTCPBorrows(t *testing.T) {
+	b := MarshalTCP(srcA, dstA, TCPHeader{SrcPort: 2000, DstPort: 80, Flags: TCPAck}, []byte("payload"))
+	b = append(b, 0xee)[:len(b)] // room behind the segment that the payload must not reach
+	_, p, err := UnmarshalTCP(srcA, dstA, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &p[0] != &b[TCPHeaderLen] || cap(p) != len(p) {
+		t.Fatal("UnmarshalTCP copied the payload, or left it room to grow")
+	}
+}
+
 func TestTCPChecksumCoversAddresses(t *testing.T) {
 	b := MarshalTCP(srcA, dstA, TCPHeader{SrcPort: 1, DstPort: 2, Flags: TCPSyn}, nil)
 	if _, _, err := UnmarshalTCP(MustParseAddr("9.9.9.9"), dstA, b); err != ErrBadTCPChecksum {

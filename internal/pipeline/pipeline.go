@@ -63,12 +63,12 @@ func (v Verdict) String() string {
 type Stage int
 
 const (
-	Prerouting Stage = iota // packet arrived on an interface, before the local/forward decision
-	Input                   // packet is being delivered locally (after reassembly slots in)
-	Forward                 // packet is transiting this host
-	Output                  // locally originated packet, after the route decision
-	Postrouting             // any packet about to be handed to an interface
-	NumStages               // sentinel: number of stages
+	Prerouting  Stage = iota // packet arrived on an interface, before the local/forward decision
+	Input                    // packet is being delivered locally (after reassembly slots in)
+	Forward                  // packet is transiting this host
+	Output                   // locally originated packet, after the route decision
+	Postrouting              // any packet about to be handed to an interface
+	NumStages                // sentinel: number of stages
 )
 
 func (s Stage) String() string {

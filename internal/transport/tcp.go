@@ -66,6 +66,7 @@ type ConnStats struct {
 	Retransmits   uint64
 	DupAcksSent   uint64
 	ZeroWndProbes uint64 // persist-timer probes sent against a closed peer window
+	SendBufPeak   int    // high-water mark of Buffered: the backlog of a producer outrunning the link
 }
 
 // Conn is a reliable byte-stream connection. Callbacks fire from the
@@ -75,8 +76,13 @@ type Conn struct {
 	key   connKey
 	state ConnState
 
-	// Callbacks.
-	OnData        func([]byte) // in-order received payload
+	// Callbacks. OnData lends chunk, the in-order received payload, for the
+	// duration of the call: it is a window into the arriving packet, so a
+	// consumer that keeps bytes copies them (append(dst, chunk...) or
+	// Write(chunk)).
+	//
+	//mnet:ownership borrows chunk
+	OnData        func(chunk []byte)
 	OnEstablished func()
 	OnRemoteClose func()
 	OnError       func(error)
@@ -86,9 +92,9 @@ type Conn struct {
 	sndUna   uint32 // oldest unacknowledged sequence
 	sndNxt   uint32 // next sequence to send
 	peerWnd  uint16
-	sndBuf   []byte // bytes [sndUna+pendingSynFin adjustments ...): unacked + unsent
-	sndInUse int    // bytes of sndBuf already transmitted (unacked)
-	closing  bool   // Close() called; send FIN once buffer drains
+	snd      sendRing // unacked + unsent bytes, oldest at sndUna
+	sndInUse int      // bytes of snd already transmitted (unacked)
+	closing  bool     // Close() called; send FIN once buffer drains
 	finSent  bool
 	finAcked bool
 
@@ -141,6 +147,10 @@ type Conn struct {
 	sampleTime sim.Time // send time of sampleSeq
 	sampling   bool
 
+	// The timer callbacks, bound once: a method value allocates each time
+	// it is evaluated, and armTimer runs on every ACK.
+	retransmitFn, zeroWndProbeFn func()
+
 	stats ConnStats
 }
 
@@ -187,24 +197,32 @@ func (s *Stack) Connect(bound, dst ip.Addr, dport uint16) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	c := s.newConn(connKey{laddr: src, lport: lport, raddr: dst, rport: dport}, StateSynSent, recvWindow)
+	c.sendSegment(ip.TCPSyn, c.iss, 0, nil)
+	c.armTimer()
+	return c, nil
+}
+
+// newConn builds a connection in its handshake state and enters it in the
+// connection table.
+func (s *Stack) newConn(key connKey, state ConnState, peerWnd uint16) *Conn {
 	c := &Conn{
 		stk:     s,
-		key:     connKey{laddr: src, lport: lport, raddr: dst, rport: dport},
-		state:   StateSynSent,
+		key:     key,
+		state:   state,
 		iss:     s.loop.Rand().Uint32(),
 		rto:     initialRTO,
-		peerWnd: recvWindow,
+		peerWnd: peerWnd,
 		advWnd:  recvWindow,
 	}
 	c.sndUna = c.iss
 	c.sndNxt = c.iss + 1 // SYN consumes one sequence number
+	c.retransmitFn, c.zeroWndProbeFn = c.retransmit, c.zeroWndProbe
 	if s.conns == nil {
 		s.conns = make(map[connKey]*Conn)
 	}
-	s.conns[c.key] = c
-	c.sendSegment(ip.TCPSyn, c.iss, 0, nil)
-	c.armTimer()
-	return c, nil
+	s.conns[key] = c
+	return c
 }
 
 // State returns the connection state.
@@ -225,7 +243,14 @@ func (c *Conn) RemoteAddr() (ip.Addr, uint16) { return c.key.raddr, c.key.rport 
 // Unacked returns the number of bytes sent but not yet acknowledged.
 func (c *Conn) Unacked() int { return c.sndInUse }
 
-// Write queues data for reliable delivery.
+// Buffered returns the number of bytes written but not yet acknowledged,
+// sent or not.
+func (c *Conn) Buffered() int { return c.snd.n }
+
+// Write queues data for reliable delivery. It copies data and never
+// refuses a live connection: the caller may reuse data at once, and the
+// backlog of a producer outrunning the link shows in Buffered and
+// ConnStats.SendBufPeak.
 func (c *Conn) Write(data []byte) error {
 	if c.state == StateClosed {
 		return ErrClosed
@@ -233,7 +258,10 @@ func (c *Conn) Write(data []byte) error {
 	if c.closing {
 		return ErrClosed
 	}
-	c.sndBuf = append(c.sndBuf, data...)
+	c.snd.write(data)
+	if c.snd.n > c.stats.SendBufPeak {
+		c.stats.SendBufPeak = c.snd.n
+	}
 	c.trySend()
 	return nil
 }
@@ -279,12 +307,12 @@ func (c *Conn) trySend() {
 	if c.state != StateEstablished && c.state != StateFinSent {
 		return
 	}
-	for c.sndInUse < len(c.sndBuf) {
+	for c.sndInUse < c.snd.n {
 		inflight := int(c.sndNxt - c.sndUna)
 		if inflight >= int(c.peerWnd) {
 			break
 		}
-		n := len(c.sndBuf) - c.sndInUse
+		n := c.snd.n - c.sndInUse
 		if n > MSS {
 			n = MSS
 		}
@@ -294,10 +322,8 @@ func (c *Conn) trySend() {
 		if n <= 0 {
 			break
 		}
-		seg := c.sndBuf[c.sndInUse : c.sndInUse+n]
 		seq := c.sndNxt
-		c.sendSegment(ip.TCPAck|ip.TCPPsh, seq, c.rcvNxt, seg)
-		c.stats.BytesSent += uint64(n)
+		c.sendData(seq, c.sndInUse, n)
 		if !c.sampling {
 			c.sampling = true
 			c.sampleSeq = seq
@@ -306,7 +332,7 @@ func (c *Conn) trySend() {
 		c.sndNxt += uint32(n)
 		c.sndInUse += n
 	}
-	if c.closing && c.sndInUse == len(c.sndBuf) && !c.finSent && c.state == StateEstablished {
+	if c.closing && c.sndInUse == c.snd.n && !c.finSent && c.state == StateEstablished {
 		c.finSent = true
 		c.state = StateFinSent
 		c.sendSegment(ip.TCPFin|ip.TCPAck, c.sndNxt, c.rcvNxt, nil)
@@ -316,7 +342,7 @@ func (c *Conn) trySend() {
 	// Zero-window deadlock guard: data is queued, nothing is in flight (so
 	// the RTO timer stays unarmed), and the peer window is closed. Probe
 	// until an ACK reopens it.
-	if c.peerWnd == 0 && c.sndInUse < len(c.sndBuf) && c.sndNxt == c.sndUna &&
+	if c.peerWnd == 0 && c.sndInUse < c.snd.n && c.sndNxt == c.sndUna &&
 		!c.persistTimer.Active() {
 		c.armPersist()
 	}
@@ -339,7 +365,7 @@ func (c *Conn) armPersist() {
 			c.persistBackoff = minRTO
 		}
 	}
-	c.persistTimer = c.stk.loop.Lane(rtoLaneGranularity).Schedule(c.persistBackoff, c.zeroWndProbe)
+	c.persistTimer = c.stk.loop.Lane(rtoLaneGranularity).Schedule(c.persistBackoff, c.zeroWndProbeFn)
 }
 
 // zeroWndProbe sends one byte just below sndUna. The receiver front-trims
@@ -349,7 +375,7 @@ func (c *Conn) zeroWndProbe() {
 	if c.state != StateEstablished && c.state != StateFinSent {
 		return
 	}
-	if c.peerWnd != 0 || c.sndInUse >= len(c.sndBuf) || c.sndNxt != c.sndUna {
+	if c.peerWnd != 0 || c.sndInUse >= c.snd.n || c.sndNxt != c.sndUna {
 		return
 	}
 	c.stats.ZeroWndProbes++
@@ -386,7 +412,7 @@ func (c *Conn) armTimer() {
 	if !inflight || c.state == StateClosed {
 		return
 	}
-	c.rtxTimer = c.stk.loop.Lane(rtoLaneGranularity).Schedule(c.rto, c.retransmit)
+	c.rtxTimer = c.stk.loop.Lane(rtoLaneGranularity).Schedule(c.rto, c.retransmitFn)
 }
 
 func (c *Conn) retransmit() {
@@ -468,22 +494,8 @@ func (s *Stack) tcpInput(ifc *stack.Iface, pkt *ip.Packet) {
 			l = s.listeners[bindKey{ip.Unspecified, h.DstPort}]
 		}
 		if l != nil {
-			c := &Conn{
-				stk:     s,
-				key:     key,
-				state:   StateSynRcvd,
-				iss:     s.loop.Rand().Uint32(),
-				rto:     initialRTO,
-				peerWnd: h.Window,
-				advWnd:  recvWindow,
-				rcvNxt:  h.Seq + 1,
-			}
-			c.sndUna = c.iss
-			c.sndNxt = c.iss + 1
-			if s.conns == nil {
-				s.conns = make(map[connKey]*Conn)
-			}
-			s.conns[key] = c
+			c := s.newConn(key, StateSynRcvd, h.Window)
+			c.rcvNxt = h.Seq + 1
 			if l.onAccept != nil {
 				l.onAccept(c)
 			}
@@ -609,7 +621,7 @@ func (c *Conn) segment(h ip.TCPHeader, payload []byte) {
 			if dataAcked > c.sndInUse {
 				dataAcked = c.sndInUse
 			}
-			c.sndBuf = c.sndBuf[dataAcked:]
+			c.snd.discard(dataAcked)
 			c.sndInUse -= dataAcked
 			c.stats.BytesAcked += uint64(dataAcked)
 		}
@@ -693,7 +705,20 @@ func (c *Conn) resendHead() {
 	if n > MSS {
 		n = MSS
 	}
-	c.sendSegment(ip.TCPAck|ip.TCPPsh, c.sndUna, c.rcvNxt, c.sndBuf[:n])
+	c.sendData(c.sndUna, 0, n)
+}
+
+// sendData transmits the n buffered bytes at offset off as one segment. A
+// run that wraps around the ring is made contiguous in a scratch first;
+// MarshalTCP copies the payload before sendSegment returns, so the scratch
+// stays on the stack.
+func (c *Conn) sendData(seq uint32, off, n int) {
+	seg, wrapped := c.snd.peek(off, n)
+	if len(wrapped) > 0 {
+		var scratch [MSS]byte
+		seg = append(append(scratch[:0], seg...), wrapped...)
+	}
+	c.sendSegment(ip.TCPAck|ip.TCPPsh, seq, c.rcvNxt, seg)
 	c.stats.BytesSent += uint64(n)
 }
 
