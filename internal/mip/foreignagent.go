@@ -342,20 +342,7 @@ func (m *MobileHost) ConnectViaForeignAgent(mi *ManagedIface, faAddr ip.Addr, do
 // registerViaFA registers with the foreign agent's address as care-of,
 // sending the request to the agent for relay.
 func (m *MobileHost) registerViaFA(faAddr ip.Addr, done func(error)) {
-	m.cancelPending()
-	m.rebindRegSock(m.cfg.HomeAddr)
-	m.regID++
-	req := &RegRequest{
-		Lifetime:  uint16(m.cfg.Lifetime / time.Second),
-		HomeAddr:  m.cfg.HomeAddr,
-		HomeAgent: m.cfg.HomeAgent,
-		CareOf:    faAddr,
-		ID:        m.regID,
-	}
-	m.pending = &regAttempt{req: req, dst: faAddr, done: done, span: m.startSpan(kSpanRegAttempt)}
-	m.pending.span.SetAttr("careof", faAddr.String())
-	m.pending.span.SetAttr("via", "fa")
-	m.sendPending()
+	m.pend(m.cfg.HomeAddr, m.cfg.Lifetime, faAddr, faAddr, done)
 }
 
 // DiscoveredAgent reports a foreign agent heard advertising on a link.

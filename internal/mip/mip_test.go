@@ -998,6 +998,72 @@ func TestMulticastLocalRole(t *testing.T) {
 	}
 }
 
+// prepareSecondIface stages eth2 on foreignB — up, addressed, routed — for
+// an additional binding beside whatever eth1 has registered.
+func (w *world) prepareSecondIface() *ManagedIface {
+	w.t.Helper()
+	eth2dev := link.NewDevice(w.loop, "mh-eth2", 0, 0)
+	eth2dev.Attach(w.forB)
+	eth2, err := w.mh.AddInterface("eth2", eth2dev, false, nil)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	eth2dev.BringUp(nil)
+	prepared := false
+	w.mh.Prepare(eth2, func(err error) {
+		if err != nil {
+			w.t.Fatal(err)
+		}
+		prepared = true
+	})
+	w.run(10 * time.Second)
+	if !prepared {
+		w.t.Fatal("Prepare failed")
+	}
+	return eth2
+}
+
+// An additional binding is a registration exchange like any other: when
+// it fails, the counters, the trace and the span say so. Before the two
+// exchange machines were one, none of the four checks below held.
+func TestAdditionalBindingFailuresAreAccounted(t *testing.T) {
+	w := newWorld(t, 1)
+	w.goForeign()
+	eth2 := w.prepareSecondIface()
+	w.ha.Crash()
+
+	var regErr error
+	w.mh.AddSimultaneousBinding(eth2.Addr(), func(err error) { regErr = err })
+	// While the request is in flight, its socket hears a reply cut short.
+	w.run(500 * time.Millisecond)
+	chSock, _ := w.ch.UDP(ip.Unspecified, 0, nil)
+	chSock.SendTo(eth2.Addr(), Port, (&RegReply{ID: 1}).Marshal()[:6])
+	w.run(10 * time.Second)
+
+	if !errors.Is(regErr, ErrRegistrationTimeout) {
+		t.Fatalf("err = %v, want a registration timeout", regErr)
+	}
+	st := w.mh.Stats()
+	if st.RegTimeouts != 1 {
+		t.Errorf("RegTimeouts = %d, want 1", st.RegTimeouts)
+	}
+	if st.DropMalformed != 1 || st.DropStaleReply != 0 {
+		t.Errorf("truncated reply: malformed=%d stale=%d, want 1 and 0", st.DropMalformed, st.DropStaleReply)
+	}
+	if _, ok := w.tr.Last(kRegTimeout); !ok {
+		t.Errorf("no %s event recorded", kRegTimeout)
+	}
+	var result string
+	for _, sp := range w.tr.FindSpans(kSpanRegAttempt) {
+		if v, _ := sp.Attr("simultaneous"); v == "true" {
+			result, _ = sp.Attr("result")
+		}
+	}
+	if result != "timeout" {
+		t.Errorf("additional binding's %s span has result %q, want timeout", kSpanRegAttempt, result)
+	}
+}
+
 // TestSimultaneousBindings exercises the S-flag extension: with two
 // interfaces up and both care-of addresses registered, the home agent
 // duplicates traffic to both, and the stream survives the abrupt death of
@@ -1006,25 +1072,7 @@ func TestSimultaneousBindings(t *testing.T) {
 	w := newWorld(t, 1)
 	w.goForeign() // eth1 on foreignA, primary binding
 
-	// Prepare a second interface on foreignB (up, addressed, routed).
-	eth2dev := link.NewDevice(w.loop, "mh-eth2", 0, 0)
-	eth2dev.Attach(w.forB)
-	eth2, err := w.mh.AddInterface("eth2", eth2dev, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eth2dev.BringUp(nil)
-	prepared := false
-	w.mh.Prepare(eth2, func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		prepared = true
-	})
-	w.run(10 * time.Second)
-	if !prepared {
-		t.Fatal("Prepare failed")
-	}
+	eth2 := w.prepareSecondIface()
 
 	simDone := false
 	w.mh.AddSimultaneousBinding(eth2.Addr(), func(err error) {

@@ -165,13 +165,26 @@ type MobileHost struct {
 	regLatency *metrics.Histogram
 }
 
+// regAttempt is one registration exchange in flight — the request, its
+// retries and the reply — and the only such record: the host's own
+// registration (m.pending, on m.regSock, retried by m.regTimer) and an
+// additional binding (side non-nil) run the same newRequest / send / reply
+// / closeAttempt. Hosts that roam make one per handoff, so it stays in the
+// 48-byte size class: tries is narrow, and the socket and timer only an
+// additional binding needs live in side.
 type regAttempt struct {
 	req       *RegRequest
 	dst       ip.Addr // where to send; zero means the home agent
-	tries     int
+	tries     int32
 	firstSent sim.Time
 	done      func(error)
-	span      *trace.Span // "reg.attempt": first transmission to outcome
+	span      *trace.Span   // "reg.attempt": first transmission to outcome
+	side      *sideExchange // an additional binding's own socket and timer
+}
+
+type sideExchange struct {
+	sock  *transport.UDPSocket
+	timer sim.Timer
 }
 
 // NewMobileHost wraps ts's host with mobility support: it installs the
@@ -659,81 +672,120 @@ func (m *MobileHost) notifyLink(mi *ManagedIface) {
 // register sends a registration request for careOf and retries until a
 // reply arrives or the attempt times out.
 func (m *MobileHost) register(careOf ip.Addr, lifetime time.Duration, done func(error)) {
-	m.cancelPending()
 	m.careOf = careOf
 	m.atHome = false
 	m.faAddr = ip.Addr{} // collocated care-of mode
 	m.host.InvalidateRoutes()
-	m.rebindRegSock(careOf)
-	m.regID++
-	req := &RegRequest{
-		Lifetime:  uint16(lifetime / time.Second),
-		HomeAddr:  m.cfg.HomeAddr,
-		HomeAgent: m.cfg.HomeAgent,
-		CareOf:    careOf,
-		ID:        m.regID,
-	}
-	m.pending = &regAttempt{req: req, done: done, span: m.startSpan(kSpanRegAttempt)}
-	m.pending.span.SetAttr("careof", careOf.String())
-	m.sendPending()
+	m.pend(careOf, lifetime, careOf, ip.Addr{}, done)
 }
 
 // deregister clears the binding at the home agent (lifetime zero).
 func (m *MobileHost) deregister(done func(error)) {
-	m.cancelPending()
-	m.rebindRegSock(m.cfg.HomeAddr)
+	m.pend(m.cfg.HomeAddr, 0, m.cfg.HomeAddr, ip.Addr{}, done)
+}
+
+// newRequest opens an exchange: the next identification, the request, and
+// the span that times it. dst is the foreign agent relaying the request,
+// or zero for the home agent itself.
+func (m *MobileHost) newRequest(flags uint8, lifetime time.Duration, careOf, dst ip.Addr, done func(error)) *regAttempt {
 	m.regID++
-	req := &RegRequest{
-		Lifetime:  0,
-		HomeAddr:  m.cfg.HomeAddr,
-		HomeAgent: m.cfg.HomeAgent,
-		CareOf:    m.cfg.HomeAddr,
-		ID:        m.regID,
+	p := &regAttempt{
+		req: &RegRequest{
+			Flags:     flags,
+			Lifetime:  uint16(lifetime / time.Second),
+			HomeAddr:  m.cfg.HomeAddr,
+			HomeAgent: m.cfg.HomeAgent,
+			CareOf:    careOf,
+			ID:        m.regID,
+		},
+		dst:  dst,
+		done: done,
+		span: m.startSpan(kSpanRegAttempt),
 	}
-	m.pending = &regAttempt{req: req, done: done, span: m.startSpan(kSpanRegAttempt)}
-	m.pending.span.SetAttr("dereg", "true")
-	m.sendPending()
+	// Attribute order is part of the span export; send adds "tries" next.
+	if p.req.IsDeregistration() {
+		p.span.SetAttr("dereg", "true")
+	} else {
+		p.span.SetAttr("careof", careOf.String())
+	}
+	if !dst.IsUnspecified() {
+		p.span.SetAttr("via", "fa")
+	}
+	if p.req.Simultaneous() {
+		p.span.SetAttr("simultaneous", "true")
+	}
+	return p
+}
+
+// pend starts the host's own registration: whatever was in flight is
+// cancelled (before the new span opens, so the two are siblings) and the
+// registration socket is rebound to bind — the care-of or home address —
+// so requests go out in the local role and replies come straight back,
+// never through the tunnel.
+func (m *MobileHost) pend(bind ip.Addr, lifetime time.Duration, careOf, dst ip.Addr, done func(error)) {
+	m.cancelPending()
+	if m.regSock != nil {
+		m.regSock.Close()
+	}
+	var err error
+	m.regSock, err = m.ts.UDP(bind, Port, func(d transport.Datagram) { m.reply(m.pending, d) })
+	m.pending = m.newRequest(0, lifetime, careOf, dst, done)
+	m.begin(m.pending, err)
+}
+
+// begin transmits p's first request, or ends p if its socket did not bind.
+func (m *MobileHost) begin(p *regAttempt, bindErr error) {
+	if bindErr != nil {
+		m.abort(p, "unbound", bindErr)
+		return
+	}
+	m.send(p)
 }
 
 func (m *MobileHost) cancelPending() {
-	m.regTimer.Stop()
 	m.reregT.Stop()
-	if m.pending != nil && m.pending.span.Open() {
-		m.pending.span.SetAttr("result", "cancelled")
-		m.pending.span.Done()
-	}
-	m.pending = nil
-}
-
-// rebindRegSock binds the registration socket to the current (care-of or
-// home) address so requests go out in the local role and replies come
-// straight back, never through the tunnel.
-func (m *MobileHost) rebindRegSock(addr ip.Addr) {
-	if m.regSock != nil {
-		m.regSock.Close()
-		m.regSock = nil
-	}
-	sock, err := m.ts.UDP(addr, Port, m.regInput)
-	if err == nil {
-		m.regSock = sock
+	if m.pending != nil {
+		m.closeAttempt(m.pending, "cancelled")
 	}
 }
 
-func (m *MobileHost) sendPending() {
-	p := m.pending
-	if p == nil || m.regSock == nil {
-		return
+// closeAttempt ends p with result on its span: the retry timer stops, and
+// an additional binding's socket closes or the host's own registration is
+// no longer pending. Every path out of an exchange comes through here.
+func (m *MobileHost) closeAttempt(p *regAttempt, result string) {
+	if p.side == nil {
+		m.regTimer.Stop()
+		m.pending = nil
+	} else {
+		p.side.timer.Stop()
+		if p.side.sock != nil {
+			p.side.sock.Close()
+		}
+	}
+	p.span.SetAttr("result", result)
+	p.span.Done()
+}
+
+// abort closes p and reports err to whoever started it.
+func (m *MobileHost) abort(p *regAttempt, result string, err error) {
+	m.closeAttempt(p, result)
+	if p.done != nil {
+		p.done(err)
+	}
+}
+
+// send transmits p's request, and again every RegRetryInterval until
+// closeAttempt stops the timer or the retry budget runs out.
+func (m *MobileHost) send(p *regAttempt) {
+	sock, timer := m.regSock, &m.regTimer
+	if p.side != nil {
+		sock, timer = p.side.sock, &p.side.timer
 	}
 	p.tries++
-	if p.tries > m.cfg.RegMaxRetries {
+	if int(p.tries) > m.cfg.RegMaxRetries {
 		m.stats.RegTimeouts++
 		m.trace(kRegTimeout, "id=%d", p.req.ID)
-		p.span.SetAttr("result", "timeout")
-		p.span.Done()
-		m.pending = nil
-		if p.done != nil {
-			p.done(ErrRegistrationTimeout)
-		}
+		m.abort(p, "timeout", ErrRegistrationTimeout)
 		return
 	}
 	// Every transmission carries a fresh identification: if a reply is
@@ -747,25 +799,25 @@ func (m *MobileHost) sendPending() {
 		p.firstSent = m.host.Loop().Now()
 	}
 	m.stats.RegRequestsSent++
-	kind := kRegRequestSent
+	kind, suffix := kRegRequestSent, ""
 	if p.req.IsDeregistration() {
 		kind = kRegDeregSent
+	} else if p.req.Simultaneous() {
+		suffix = " simultaneous=true"
 	}
 	p.span.Attrf("tries", "%d", p.tries)
-	m.trace(kind, "careof=%v id=%d try=%d", p.req.CareOf, p.req.ID, p.tries)
+	m.trace(kind, "careof=%v id=%d try=%d%s", p.req.CareOf, p.req.ID, p.tries, suffix)
 	dst := p.dst
 	if dst.IsUnspecified() {
 		dst = m.cfg.HomeAgent
 	}
-	m.regSock.SendTo(dst, Port, p.req.Marshal())
-	m.regTimer = m.host.Loop().Schedule(m.cfg.RegRetryInterval, func() {
-		if m.pending == p {
-			m.sendPending()
-		}
-	})
+	sock.SendTo(dst, Port, p.req.Marshal())
+	*timer = m.host.Loop().Schedule(m.cfg.RegRetryInterval, func() { m.send(p) })
 }
 
-func (m *MobileHost) regInput(d transport.Datagram) {
+// reply handles a datagram on the socket of exchange p (nil when the
+// host's own socket hears one with nothing pending).
+func (m *MobileHost) reply(p *regAttempt, d transport.Datagram) {
 	typ, err := MessageType(d.Payload)
 	if err != nil || typ != TypeRegReply {
 		m.stats.DropMalformed++
@@ -776,32 +828,27 @@ func (m *MobileHost) regInput(d transport.Datagram) {
 		m.stats.DropMalformed++
 		return
 	}
-	p := m.pending
 	if p == nil || reply.ID != p.req.ID {
 		m.stats.DropStaleReply++
 		return
 	}
-	m.pending = nil
-	m.regTimer.Stop()
 	m.trace(kRegReplyReceived, "%s lifetime=%ds id=%d", CodeString(reply.Code), reply.Lifetime, reply.ID)
-	if !reply.Accepted() {
+	switch {
+	case !reply.Accepted():
 		m.stats.RegDenied++
-		p.span.SetAttr("result", CodeString(reply.Code))
-		p.span.Done()
-		if p.done != nil {
-			p.done(fmt.Errorf("%w: %s", ErrRegistrationDenied, CodeString(reply.Code)))
-		}
+		m.abort(p, CodeString(reply.Code), fmt.Errorf("%w: %s", ErrRegistrationDenied, CodeString(reply.Code)))
 		return
-	}
-	if p.req.IsDeregistration() {
+	case p.side != nil:
+		// An additional binding moves none of the host's own state.
+		m.closeAttempt(p, "accepted")
+	case p.req.IsDeregistration():
 		m.registered = false
 		m.stats.Deregistrations++
-		p.span.SetAttr("result", "deregistered")
-		p.span.Done()
+		m.closeAttempt(p, "deregistered")
 		if m.OnDeregistered != nil {
 			m.OnDeregistered()
 		}
-	} else {
+	default:
 		wasRenewal := m.registered
 		m.registered = true
 		m.stats.Registrations++
@@ -814,8 +861,7 @@ func (m *MobileHost) regInput(d transport.Datagram) {
 		ts := m.cfg.Tracer.StartChild(p.span, m.host.Name(), kSpanTunnelUp)
 		ts.SetAttr("careof", p.req.CareOf.String())
 		ts.Done()
-		p.span.SetAttr("result", "accepted")
-		p.span.Done()
+		m.closeAttempt(p, "accepted")
 		m.scheduleRenewal(time.Duration(reply.Lifetime) * time.Second)
 		if m.OnRegistered != nil {
 			m.OnRegistered(p.req.CareOf)
@@ -959,89 +1005,9 @@ func (m *MobileHost) jit(d time.Duration) time.Duration {
 // The address must already be configured on one of the host's interfaces
 // so the reply can arrive.
 func (m *MobileHost) AddSimultaneousBinding(careOf ip.Addr, done func(error)) {
-	m.regID++
-	req := &RegRequest{
-		Flags:     FlagSimultaneous,
-		Lifetime:  uint16(m.cfg.Lifetime / time.Second),
-		HomeAddr:  m.cfg.HomeAddr,
-		HomeAgent: m.cfg.HomeAgent,
-		CareOf:    careOf,
-		ID:        m.regID,
-	}
-	m.oneShotExchange(req, careOf, done)
-}
-
-// oneShotExchange runs a self-contained registration exchange on its own
-// socket (bound to the request's care-of address), independent of the main
-// pending-registration machinery.
-func (m *MobileHost) oneShotExchange(req *RegRequest, bound ip.Addr, done func(error)) {
-	var sock *transport.UDPSocket
-	var timer sim.Timer
-	finished := false
-	sp := m.startSpan(kSpanRegAttempt)
-	sp.SetAttr("careof", req.CareOf.String())
-	if req.Simultaneous() {
-		sp.SetAttr("simultaneous", "true")
-	}
-	finish := func(err error) {
-		if finished {
-			return
-		}
-		finished = true
-		timer.Stop()
-		if sock != nil {
-			sock.Close()
-		}
-		sp.Fail(err)
-		if done != nil {
-			done(err)
-		}
-	}
-	sock, err := m.ts.UDP(bound, Port, func(d transport.Datagram) {
-		typ, err := MessageType(d.Payload)
-		if err != nil || typ != TypeRegReply {
-			m.stats.DropMalformed++
-			return
-		}
-		reply, err := UnmarshalRegReply(d.Payload)
-		if err != nil || reply.ID != req.ID {
-			m.stats.DropStaleReply++
-			return
-		}
-		m.trace(kRegReplyReceived, "%s lifetime=%ds id=%d", CodeString(reply.Code), reply.Lifetime, reply.ID)
-		if !reply.Accepted() {
-			m.stats.RegDenied++
-			finish(fmt.Errorf("%w: %s", ErrRegistrationDenied, CodeString(reply.Code)))
-			return
-		}
-		finish(nil)
-	})
-	if err != nil {
-		finish(err)
-		return
-	}
-	tries := 0
-	var attempt func()
-	attempt = func() {
-		if finished {
-			return
-		}
-		tries++
-		if tries > m.cfg.RegMaxRetries {
-			finish(ErrRegistrationTimeout)
-			return
-		}
-		if tries > 1 {
-			// Fresh identification per transmission (see sendPending).
-			m.regID++
-			req.ID = m.regID
-			m.stats.RegRetransmits++
-		}
-		m.stats.RegRequestsSent++
-		sp.Attrf("tries", "%d", tries)
-		m.trace(kRegRequestSent, "careof=%v id=%d try=%d simultaneous=%v", req.CareOf, req.ID, tries, req.Simultaneous())
-		sock.SendTo(m.cfg.HomeAgent, Port, req.Marshal())
-		timer = m.host.Loop().Schedule(m.cfg.RegRetryInterval, attempt)
-	}
-	attempt()
+	p := m.newRequest(FlagSimultaneous, m.cfg.Lifetime, careOf, ip.Addr{}, done)
+	p.side = &sideExchange{}
+	var err error
+	p.side.sock, err = m.ts.UDP(careOf, Port, func(d transport.Datagram) { m.reply(p, d) })
+	m.begin(p, err)
 }

@@ -92,8 +92,7 @@ func (s Stage) String() string {
 // first; ties break on name (bytewise), so ordering never depends on
 // registration order. Names identify hooks for deregistration and
 // introspection; registering a hook whose name is already on the chain
-// replaces the previous one (the single-slot override semantics the
-// legacy SetRouteLookup splice had, generalized).
+// replaces the previous one.
 type Hook[C any] struct {
 	Name     string
 	Priority int

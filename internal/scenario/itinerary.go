@@ -29,6 +29,20 @@ func (w *World) RunUntil(maxWait time.Duration, cond func() bool) bool {
 	return cond()
 }
 
+// Await starts an asynchronous operation — a switch, a connect — and
+// advances the loop in stepChunk increments until it reports its outcome
+// or maxWait elapses. It is the one way to wait for a switch: itinerary
+// steps and the experiment drivers both come through here, so a failed or
+// stalled operation is always an error, never an ignored callback.
+func (w *World) Await(maxWait time.Duration, start func(done func(error))) error {
+	finished, fail := false, error(nil)
+	start(func(err error) { fail, finished = err, true })
+	if !w.RunUntil(maxWait, func() bool { return finished }) || fail != nil {
+		return fmt.Errorf("done=%v err=%v", finished, fail)
+	}
+	return nil
+}
+
 // resolveMobile returns the mobile a step addresses: the named one, or
 // the spec's sole mobile.
 func (w *World) resolveMobile(st Step) (*Mobile, *mip.MobileHost, error) {
@@ -65,14 +79,19 @@ func (w *World) resolveIface(m *Mobile, st Step) (*mip.ManagedIface, error) {
 // (switches, connects) advance the loop in stepChunk increments until the
 // operation completes or the step's timeout (default 30s) elapses.
 func (w *World) Step(st Step) error {
-	switch st.Op {
-	case "settle":
+	if st.Op == "settle" {
 		w.Loop.RunFor(st.For.D())
 		return nil
 	}
 	m, mh, err := w.resolveMobile(st)
 	if err != nil {
 		return err
+	}
+	var mi *mip.ManagedIface // every op but an address switch names the interface it moves
+	if st.Op != "switch-address" {
+		if mi, err = w.resolveIface(m, st); err != nil {
+			return err
+		}
 	}
 	gateway := func() ip.Addr {
 		if st.Gateway != "" {
@@ -83,38 +102,18 @@ func (w *World) Step(st Step) error {
 	var start func(done func(error))
 	switch st.Op {
 	case "move":
-		mi, err := w.resolveIface(m, st)
-		if err != nil {
-			return err
-		}
 		// Carrying the device to another wall jack is instantaneous; the
 		// reconnect is the following cold-switch / hot-switch step.
 		mi.Iface().Device().Detach()
 		mi.Iface().Device().Attach(w.Networks[st.To])
 		return nil
 	case "connect-home":
-		mi, err := w.resolveIface(m, st)
-		if err != nil {
-			return err
-		}
 		start = func(done func(error)) { mh.ConnectHome(mi, gateway(), done) }
 	case "cold-switch":
-		mi, err := w.resolveIface(m, st)
-		if err != nil {
-			return err
-		}
 		start = func(done func(error)) { mh.ColdSwitch(mi, done) }
 	case "cold-switch-home":
-		mi, err := w.resolveIface(m, st)
-		if err != nil {
-			return err
-		}
 		start = func(done func(error)) { mh.ColdSwitchHome(mi, gateway(), done) }
 	case "hot-switch":
-		mi, err := w.resolveIface(m, st)
-		if err != nil {
-			return err
-		}
 		start = func(done func(error)) { mh.MakeBeforeBreak(mi, done) }
 	case "switch-address":
 		start = func(done func(error)) { mh.SwitchAddress(ip.MustParseAddr(st.Addr), done) }
@@ -126,10 +125,8 @@ func (w *World) Step(st Step) error {
 	if timeout == 0 {
 		timeout = defaultStepTimeout
 	}
-	finished, fail := false, error(nil)
-	start(func(err error) { fail, finished = err, true })
-	if !w.RunUntil(timeout, func() bool { return finished }) || fail != nil {
-		return fmt.Errorf("step %s: done=%v err=%v", st.Op, finished, fail)
+	if err := w.Await(timeout, start); err != nil {
+		return fmt.Errorf("step %s: %w", st.Op, err)
 	}
 	return nil
 }

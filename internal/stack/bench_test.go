@@ -86,7 +86,7 @@ func BenchmarkRouteLookup(b *testing.B) {
 	l := newLine(b)
 	// A resolver hook in place, as on a mobile host: the miss path runs the
 	// route-resolution chain, not only the table.
-	l.a.SetRouteLookup(l.a.DefaultRouteLookup)
+	overrideRoute(l.a, l.a.DefaultRouteLookup)
 	lookup := func() {
 		if _, err := l.a.RouteLookup(l.addrB, ip.Unspecified); err != nil {
 			b.Fatal(err)

@@ -65,7 +65,7 @@ func TestChainContextsNest(t *testing.T) {
 	h.AddLocalAddr(self)
 	h.AddDefaultRoute(ip.Unspecified, wire)
 	// A resolver hook, so that route misses go through pooled queries.
-	h.SetRouteLookup(h.DefaultRouteLookup)
+	overrideRoute(h, h.DefaultRouteLookup)
 
 	var kept []*PacketContext // what a misbehaving hook would hold on to
 	nested := 0               // nested runs whose outer context was checked

@@ -86,8 +86,8 @@ type Host struct {
 
 	// The netfilter-style datapath: one hook chain per classic stage
 	// (indexed by pipeline.Stage), plus the route-resolution chain that
-	// generalizes the paper's single-slot ip_rt_route override. All the
-	// legacy splice APIs (SetRouteLookup, AddFilter) delegate here.
+	// generalizes the paper's single-slot ip_rt_route override. AddFilter
+	// delegates here.
 	chains     [pipeline.NumStages]*pipeline.Chain[*PacketContext]
 	routeHooks *pipeline.Chain[*RouteQuery]
 	filterSeq  int
@@ -467,28 +467,6 @@ func (h *Host) RegisterHandler(p ip.Protocol, fn ProtocolHandler) {
 	h.handlers[p] = fn
 }
 
-// SetRouteLookup replaces the route-lookup function — the paper's single
-// kernel modification, kept as a convenience wrapper over the route-
-// resolution chain: fn is registered as the hook named "override" at
-// PriRouteOverride (replacing a previous one, the old single-slot
-// semantics). Passing nil deregisters it, restoring the default
-// longest-prefix match.
-func (h *Host) SetRouteLookup(fn RouteLookupFunc) {
-	if fn == nil {
-		if !h.routeHooks.Deregister("override") {
-			h.InvalidateRoutes() // parity with the legacy always-invalidate behavior
-		}
-		return
-	}
-	h.routeHooks.Register(pipeline.Hook[*RouteQuery]{
-		Name: "override", Priority: PriRouteOverride,
-		Fn: func(q *RouteQuery) pipeline.Verdict {
-			q.Decision, q.Err = fn(q.Dst, q.Src)
-			return pipeline.Stolen
-		},
-	})
-}
-
 // routeCacheKey identifies one memoizable lookup: the paper's
 // ip_rt_route() arguments.
 type routeCacheKey struct {
@@ -530,7 +508,9 @@ func (h *Host) syncRouteCache() {
 	h.routeCacheGen = gen
 }
 
-// RouteLookup answers a route query through the generation-guarded
+// RouteLookup is ip_rt_route(): dst is the packet's destination, boundSrc
+// the source address the sender bound, or the unspecified address if it
+// left the choice to the stack. It answers through the generation-guarded
 // decision cache, consulting the route-resolution chain on a miss. Only
 // successful decisions are cached; errors always re-run the chain.
 func (h *Host) RouteLookup(dst, boundSrc ip.Addr) (RouteDecision, error) {

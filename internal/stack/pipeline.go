@@ -218,8 +218,8 @@ func (h *Host) Hooks(stage pipeline.Stage) *pipeline.Chain[*PacketContext] {
 }
 
 // RouteHooks returns the route-resolution chain — the pluggable form of
-// the paper's single kernel modification. SetRouteLookup registers here;
-// mobility code can register alongside under its own name and priority.
+// the paper's single kernel modification. Mobility code registers its
+// resolver here under its own name and priority.
 func (h *Host) RouteHooks() *pipeline.Chain[*RouteQuery] { return h.routeHooks }
 
 // initPipeline wires the five stage chains, the route-resolution chain,

@@ -48,15 +48,30 @@ func TestBuiltinChainLayout(t *testing.T) {
 			t.Fatalf("FORWARD after AddFilter: %v, want %v", got, want)
 		}
 	}
-	// SetRouteLookup is the single-slot "override" hook; nil removes it.
-	h.SetRouteLookup(func(d, s ip.Addr) (RouteDecision, error) { return RouteDecision{}, nil })
+	// A route-resolution hook is a single slot per name: registering the
+	// name again replaces it, Deregister removes it.
+	overrideRoute(h, h.DefaultRouteLookup)
+	overrideRoute(h, func(d, s ip.Addr) (RouteDecision, error) { return RouteDecision{}, nil })
 	if n := h.RouteHooks().Names(); len(n) != 1 || n[0] != "override" {
 		t.Fatalf("route chain: %v", n)
 	}
-	h.SetRouteLookup(nil)
+	h.RouteHooks().Deregister("override")
 	if n := h.RouteHooks().Names(); len(n) != 0 {
-		t.Fatalf("route chain after SetRouteLookup(nil): %v", n)
+		t.Fatalf("route chain after Deregister: %v", n)
 	}
+}
+
+// overrideRoute registers fn on h's route-resolution chain as the hook
+// "override", answering every query itself — the shape of mip's
+// mobile-policy hook, the paper's modified ip_rt_route().
+func overrideRoute(h *Host, fn func(dst, boundSrc ip.Addr) (RouteDecision, error)) {
+	h.RouteHooks().Register(pipeline.Hook[*RouteQuery]{
+		Name: "override", Priority: PriRouteOverride,
+		Fn: func(q *RouteQuery) pipeline.Verdict {
+			q.Decision, q.Err = fn(q.Dst, q.Src)
+			return pipeline.Stolen
+		},
+	})
 }
 
 // TestPreroutingVerdicts exercises ACCEPT/DROP/STOLEN semantics on the

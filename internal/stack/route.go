@@ -149,10 +149,3 @@ type RouteDecision struct {
 	Src     ip.Addr
 	NextHop ip.Addr
 }
-
-// RouteLookupFunc is the ip_rt_route() seam. dst is the packet's
-// destination; boundSrc is the source address the sender bound, or the
-// unspecified address if it left the choice to the stack. Implementations
-// return ErrNoRoute (possibly wrapped) when the destination is
-// unreachable.
-type RouteLookupFunc func(dst, boundSrc ip.Addr) (RouteDecision, error)

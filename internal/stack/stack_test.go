@@ -522,7 +522,7 @@ func TestRouteLookupOverrideSeam(t *testing.T) {
 	})
 	home := ip.MustParseAddr("36.135.0.7")
 	def := a.host.DefaultRouteLookup
-	a.host.SetRouteLookup(func(dst, boundSrc ip.Addr) (RouteDecision, error) {
+	overrideRoute(a.host, func(dst, boundSrc ip.Addr) (RouteDecision, error) {
 		if boundSrc.IsUnspecified() || boundSrc == home {
 			return RouteDecision{Iface: vif, Src: home, NextHop: dst}, nil
 		}
@@ -551,7 +551,7 @@ func TestRouteLookupOverrideSeam(t *testing.T) {
 		t.Fatal("bound-source packet took the VIF")
 	}
 
-	a.host.SetRouteLookup(nil) // restore default
+	a.host.RouteHooks().Deregister("override") // restore default
 	if _, err := a.host.RouteLookup(ip.MustParseAddr("10.0.0.2"), ip.Unspecified); err != nil {
 		t.Fatal("default lookup not restored")
 	}

@@ -185,32 +185,3 @@ func (h *LossHistogram) String() string {
 	}
 	return b.String()
 }
-
-// Counter is a named monotonic counter set.
-type Counter struct {
-	counts map[string]uint64
-	order  []string
-}
-
-// NewCounter creates an empty counter set.
-func NewCounter() *Counter { return &Counter{counts: make(map[string]uint64)} }
-
-// Inc adds delta to the named counter.
-func (c *Counter) Inc(name string, delta uint64) {
-	if _, ok := c.counts[name]; !ok {
-		c.order = append(c.order, name)
-	}
-	c.counts[name] += delta
-}
-
-// Get returns the named counter's value.
-func (c *Counter) Get(name string) uint64 { return c.counts[name] }
-
-// String lists counters in first-use order.
-func (c *Counter) String() string {
-	var b strings.Builder
-	for _, name := range c.order {
-		fmt.Fprintf(&b, "%s=%d ", name, c.counts[name])
-	}
-	return strings.TrimSpace(b.String())
-}

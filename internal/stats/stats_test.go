@@ -127,16 +127,3 @@ func TestPropertyHistogramConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("sent", 3)
-	c.Inc("lost", 1)
-	c.Inc("sent", 2)
-	if c.Get("sent") != 5 || c.Get("lost") != 1 || c.Get("other") != 0 {
-		t.Fatalf("counter values wrong: %s", c)
-	}
-	if c.String() != "sent=5 lost=1" {
-		t.Fatalf("String = %q", c.String())
-	}
-}

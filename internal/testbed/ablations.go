@@ -213,7 +213,8 @@ func RunA2(seed int64, iterations int) (*A2Result, error) {
 
 	// wan0 is the interface the mobile host uses on the slow net.
 	addWAN := func(tb *Testbed) *mip.ManagedIface {
-		d := link.NewDevice(tb.Loop, "mh-wan", EthBringUp, EthBringUpJitter)
+		eth := tb.World.Spec.Topology.Mobiles[0].Ifaces[0] // the same PCMCIA card, in another wall jack
+		d := link.NewDevice(tb.Loop, "mh-wan", eth.BringUp.D(), eth.BringUpJitter.D())
 		d.Attach(tb.SlowNet)
 		mi, err := tb.MH.AddInterface("wan0", d, false, &mip.StaticConfig{
 			Addr:    MHSlowAddr,
@@ -238,22 +239,16 @@ func RunA2(seed int64, iterations int) (*A2Result, error) {
 			return nil, err
 		}
 		for i := 0; i < iterations; i++ {
-			probe.Start()
-			tb.Run(2 * time.Second)
-			sb, rb := quiesce(tb, probe)
-			probe.Start()
-			done := false
-			tb.MH.ColdSwitch(tb.Eth, func(err error) { done = err == nil })
-			if !tb.World.RunUntil(30*time.Second, func() bool { return done }) {
-				return nil, fmt.Errorf("A2 no-FA iteration %d failed", i)
+			lost, err := lossAcross(tb, probe, 2*time.Second, 30*time.Second, func(done func(error)) {
+				tb.MH.ColdSwitch(tb.Eth, done)
+			})
+			if err != nil {
+				return nil, fmt.Errorf("A2 no-FA iteration %d: %w", i, err)
 			}
-			sa, ra := quiesce(tb, probe)
-			res.WithoutFA.Record(LossBetween(sb, rb, sa, ra))
+			res.WithoutFA.Record(lost)
 			probe.Start()
-			restore := false
-			tb.MH.ColdSwitch(wan, func(error) { restore = true })
-			if !tb.World.RunUntil(30*time.Second, func() bool { return restore }) {
-				return nil, fmt.Errorf("A2 no-FA restore %d failed", i)
+			if err := tb.World.Await(30*time.Second, func(done func(error)) { tb.MH.ColdSwitch(wan, done) }); err != nil {
+				return nil, fmt.Errorf("A2 no-FA restore %d: %w", i, err)
 			}
 		}
 		probe.Stop()
@@ -271,50 +266,43 @@ func RunA2(seed int64, iterations int) (*A2Result, error) {
 			return nil, err
 		}
 		attachViaFA := func() error {
-			ok := false
-			tb.MH.ConnectViaForeignAgent(wan, fa.Addr(), func(err error) { ok = err == nil })
-			if !tb.World.RunUntil(30*time.Second, func() bool { return ok }) {
-				return fmt.Errorf("A2: FA attach failed")
-			}
-			return nil
+			return tb.World.Await(30*time.Second, func(done func(error)) {
+				tb.MH.ConnectViaForeignAgent(wan, fa.Addr(), done)
+			})
 		}
 		if err := attachViaFA(); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("A2: FA attach: %w", err)
 		}
 		probe, err := NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, MHHomeAddr, 7, probeInterval)
 		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < iterations; i++ {
-			probe.Start()
-			tb.Run(2 * time.Second)
-			sb, rb := quiesce(tb, probe)
-			probe.Start()
-			// Departure warning: the agent buffers once the notice
-			// arrives. The lead time models the "sufficient warning" the
-			// paper says makes smooth switches possible — and the notice
-			// must clear the mobile host's own output path before the
-			// interface is torn down.
-			tb.MH.AnnounceDeparture(fa.Addr(), 30*time.Second)
-			tb.Run(200 * time.Millisecond)
-			done := false
-			tb.MH.ColdSwitch(tb.Eth, func(err error) {
-				if err == nil {
-					done = true
-					// Hand the agent the new care-of address; it flushes
-					// its buffer and keeps forwarding stragglers.
-					tb.MH.NotifyPreviousFA(fa.Addr(), tb.MH.CareOf(), 30*time.Second)
-				}
+			lost, err := lossAcross(tb, probe, 2*time.Second, 30*time.Second, func(done func(error)) {
+				// Departure warning: the agent buffers once the notice
+				// arrives. The lead time models the "sufficient warning" the
+				// paper says makes smooth switches possible — and the notice
+				// must clear the mobile host's own output path before the
+				// interface is torn down.
+				tb.MH.AnnounceDeparture(fa.Addr(), 30*time.Second)
+				tb.Run(200 * time.Millisecond)
+				tb.MH.ColdSwitch(tb.Eth, func(err error) {
+					if err == nil {
+						// Hand the agent the new care-of address; it flushes
+						// its buffer and keeps forwarding stragglers.
+						tb.MH.NotifyPreviousFA(fa.Addr(), tb.MH.CareOf(), 30*time.Second)
+					}
+					done(err)
+				})
 			})
-			if !tb.World.RunUntil(30*time.Second, func() bool { return done }) {
-				return nil, fmt.Errorf("A2 FA iteration %d failed", i)
+			if err != nil {
+				return nil, fmt.Errorf("A2 FA iteration %d: %w", i, err)
 			}
-			sa, ra := quiesce(tb, probe)
-			res.WithFA.Record(LossBetween(sb, rb, sa, ra))
+			res.WithFA.Record(lost)
 			probe.Start()
 			tb.MH.Disconnect(tb.Eth)
 			if err := attachViaFA(); err != nil {
-				return nil, err
+				return nil, fmt.Errorf("A2 FA re-attach %d: %w", i, err)
 			}
 		}
 		probe.Stop()
@@ -324,16 +312,27 @@ func RunA2(seed int64, iterations int) (*A2Result, error) {
 	return res, nil
 }
 
-// newSlowNetFA places a foreign agent host on the slow remote subnet.
+// hostDelay is the per-packet cost the compiled spec gives the named end
+// host. Hosts an ablation builds beside the compiled ones take their
+// calibration from the spec, the only place a cost is written.
+func (tb *Testbed) hostDelay(name string) time.Duration {
+	for _, h := range tb.World.Spec.Topology.Hosts {
+		if h.Name == name {
+			return h.Delay.D()
+		}
+	}
+	panic("testbed: spec has no host " + name)
+}
+
+// newSlowNetFA places a foreign agent host — a machine of the
+// correspondent's class — on the slow remote subnet.
 func newSlowNetFA(tb *Testbed) (*mip.ForeignAgent, error) {
-	h := stack.NewHost(tb.Loop, "fa-slow", stack.Config{
-		InputDelay:  CHProcDelay,
-		OutputDelay: CHProcDelay,
-	})
+	cost := tb.hostDelay("ch")
+	h := stack.NewHost(tb.Loop, "fa-slow", stack.Config{InputDelay: cost, OutputDelay: cost})
 	ts, ifc := scenario.AttachEndHost(h, tb.SlowNet, "fa-eth", FASlowAddr, SlowPrefix, RouterSlowAddr, stack.IfaceOpts{})
 	return mip.NewForeignAgent(ts, mip.ForeignAgentConfig{
 		Iface:           ifc,
-		ProcessingDelay: CHProcDelay,
+		ProcessingDelay: cost,
 		Tracer:          tb.Tracer,
 	})
 }
@@ -393,6 +392,7 @@ func runA3Fleet(seed int64, n int) (A3Row, *metrics.Snapshot, error) {
 	row := A3Row{MobileHosts: n, Latency: stats.NewSeries(fmt.Sprintf("reg latency n=%d", n))}
 
 	tracer := trace.New(tb.Loop)
+	mh := &tb.World.Spec.Topology.Mobiles[0] // every fleet host is the paper's Handbook 486
 	type fleetMH struct {
 		m  *mip.MobileHost
 		mi *mip.ManagedIface
@@ -400,15 +400,15 @@ func runA3Fleet(seed int64, n int) (A3Row, *metrics.Snapshot, error) {
 	var fleet []fleetMH
 	for i := 0; i < n; i++ {
 		h := stack.NewHost(tb.Loop, fmt.Sprintf("mh%03d", i), stack.Config{
-			InputDelay:  MHProcDelay,
-			OutputDelay: MHProcDelay,
+			InputDelay:  mh.Delay.D(),
+			OutputDelay: mh.Delay.D(),
 		})
 		ts := transport.NewStack(h)
 		m := mip.NewMobileHost(ts, mip.MobileHostConfig{
 			HomeAddr:   scaleAddr(HomePrefix, i),
 			HomePrefix: HomePrefix,
 			HomeAgent:  RouterHomeAddr,
-			Lifetime:   RegLifetime,
+			Lifetime:   mh.Lifetime.D(),
 			Tracer:     tracer,
 		})
 		d := link.NewDevice(tb.Loop, "eth", 0, 0)
@@ -445,27 +445,19 @@ func runA3Fleet(seed int64, n int) (A3Row, *metrics.Snapshot, error) {
 	row.TotalElapsed = allDoneAt.Sub(start)
 
 	// Correlate request->reply per registration ID from the shared trace.
-	sent := map[string]trace.Event{}
+	// Details look like "careof=36.8.2.1 id=123 try=1" (request) and
+	// "accepted lifetime=60s id=123" (reply); join on the id token, indexed
+	// once rather than re-split for every reply.
+	sentAt := map[string]sim.Time{}
 	for _, e := range tracer.Find("reg.request.sent") {
-		sent[e.Detail] = e
+		sentAt[idToken(e.Detail)] = e.At
 	}
 	for _, e := range tracer.Find("reg.reply.received") {
-		row.Latency.Add(e.At.Sub(matchRequest(sent, e).At))
-	}
-	return row, tb.SnapshotMetrics(fmt.Sprintf("fleet-%d", n)), nil
-}
-
-// matchRequest pairs a reply event with its request by registration id.
-func matchRequest(sent map[string]trace.Event, reply trace.Event) trace.Event {
-	// Details look like "careof=36.8.2.1 id=123 try=1" (request) and
-	// "accepted lifetime=60s id=123" (reply); match on the id token.
-	id := idToken(reply.Detail)
-	for k, e := range sent {
-		if idToken(k) == id {
-			return e
+		if at, ok := sentAt[idToken(e.Detail)]; ok {
+			row.Latency.Add(e.At.Sub(at))
 		}
 	}
-	return reply
+	return row, tb.SnapshotMetrics(fmt.Sprintf("fleet-%d", n)), nil
 }
 
 func idToken(detail string) string {
@@ -531,57 +523,52 @@ func RunA4(seed int64, iterations int) (*A4Result, error) {
 			return err
 		}
 		for i := 0; i < iterations; i++ {
-			probe.Start()
-			tb.Run(2 * time.Second)
-			sb, rb := quiesce(tb, probe)
-			probe.Start()
-
-			done := false
-			leaveRadio := func(err error) {
-				if err == nil {
-					// Coverage is lost the moment we finish switching.
-					tb.Strip.Iface().Device().BringDown()
-					done = true
+			lost, err := lossAcross(tb, probe, 2*time.Second, 60*time.Second, func(done func(error)) {
+				leaveRadio := func(err error) {
+					if err == nil {
+						// Coverage is lost the moment we finish switching.
+						tb.Strip.Iface().Device().BringDown()
+					}
+					done(err)
 				}
-			}
-			switch strategy {
-			case "cold":
-				tb.MH.ColdSwitch(tb.Eth, leaveRadio)
-			case "hot":
-				tb.MH.MakeBeforeBreak(tb.Eth, leaveRadio)
-			case "simultaneous":
-				tb.Eth.Iface().Device().BringUp(func() {
-					tb.MH.Prepare(tb.Eth, func(err error) {
-						if err != nil {
-							return
-						}
-						tb.MH.AddSimultaneousBinding(tb.Eth.Addr(), func(err error) {
+				switch strategy {
+				case "cold":
+					tb.MH.ColdSwitch(tb.Eth, leaveRadio)
+				case "hot":
+					tb.MH.MakeBeforeBreak(tb.Eth, leaveRadio)
+				case "simultaneous":
+					tb.Eth.Iface().Device().BringUp(func() {
+						tb.MH.Prepare(tb.Eth, func(err error) {
 							if err != nil {
+								done(err)
 								return
 							}
-							// Let duplication cover the radio's in-flight
-							// window before retiring the old binding.
-							tb.Loop.Schedule(400*time.Millisecond, func() {
-								tb.MH.HotSwitch(tb.Eth, leaveRadio)
+							tb.MH.AddSimultaneousBinding(tb.Eth.Addr(), func(err error) {
+								if err != nil {
+									done(err)
+									return
+								}
+								// Let duplication cover the radio's in-flight
+								// window before retiring the old binding.
+								tb.Loop.Schedule(400*time.Millisecond, func() {
+									tb.MH.HotSwitch(tb.Eth, leaveRadio)
+								})
 							})
 						})
 					})
-				})
+				}
+			})
+			if err != nil {
+				return fmt.Errorf("%s iteration %d: %w", strategy, i, err)
 			}
-			if !tb.World.RunUntil(60*time.Second, func() bool { return done }) {
-				return fmt.Errorf("%s iteration %d stalled", strategy, i)
-			}
-			sa, ra := quiesce(tb, probe)
-			hist.Record(LossBetween(sb, rb, sa, ra))
+			hist.Record(lost)
 			if strategy == "simultaneous" {
 				res.Duplicated = tb.HA.Stats().Duplicated
 			}
 
 			// Restore: back onto the radio (unmeasured).
-			restored := false
-			tb.MH.ColdSwitch(tb.Strip, func(error) { restored = true })
-			if !tb.World.RunUntil(60*time.Second, func() bool { return restored }) {
-				return fmt.Errorf("%s restore %d stalled", strategy, i)
+			if err := tb.World.Await(60*time.Second, func(done func(error)) { tb.MH.ColdSwitch(tb.Strip, done) }); err != nil {
+				return fmt.Errorf("%s restore %d: %w", strategy, i, err)
 			}
 			tb.MH.Disconnect(tb.Eth)
 			tb.Run(time.Second)

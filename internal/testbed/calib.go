@@ -11,35 +11,13 @@
 // the experiment harnesses reproduce the shape (and roughly the scale) of
 // the published results. The calibration that runs lives in the figure5
 // scenario spec (testdata/scenarios/figure5.json): router and home-agent
-// costs, reconfiguration delays, bring-up times, DHCP think time. This
-// file holds the few values that ablations A2 and A3 also give to hosts
-// they build by hand, which TestFigure5SpecMatches pins to the spec, and
-// the paper's own experiment parameters and reported numbers.
+// costs, reconfiguration delays, bring-up times, DHCP think time — and
+// nowhere else: hosts that ablations A2 and A3 build by hand read their
+// costs from the compiled spec. This file holds the paper's own
+// experiment parameters and reported numbers.
 package testbed
 
 import "time"
-
-// Costs shared with the figure5 spec.
-const (
-	// MHProcDelay is the Handbook 486's per-packet input and output
-	// processing cost. Calibrated so the registration request->reply
-	// latency (2*MHProcDelay + wire + HA turnaround) lands on the paper's
-	// measured 4.79 ms (Figure 7).
-	MHProcDelay = 1210 * time.Microsecond
-
-	// CHProcDelay is the correspondent host's per-packet cost.
-	CHProcDelay = 300 * time.Microsecond
-
-	// EthBringUp models inserting/enabling the Linksys PCMCIA Ethernet
-	// card and its driver initialization. The paper attributes the
-	// cold-switch loss window ("generally less than 1.25 seconds") to
-	// "bringing up the new interface".
-	EthBringUp       = 400 * time.Millisecond
-	EthBringUpJitter = 100 * time.Millisecond
-
-	// RegLifetime is the registration lifetime the mobile host requests.
-	RegLifetime = 60 * time.Second
-)
 
 // Experiment parameters taken verbatim from Section 4.
 const (

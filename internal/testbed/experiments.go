@@ -7,7 +7,7 @@ import (
 
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/metrics"
-	"mosquitonet/internal/sim"
+	"mosquitonet/internal/mip"
 	"mosquitonet/internal/stack"
 	"mosquitonet/internal/stats"
 	"mosquitonet/internal/trace"
@@ -65,30 +65,40 @@ func RunE1(seed int64) (*E1Result, error) {
 	addrs := [2]ip.Addr{ip.MustParseAddr("36.8.0.200"), ip.MustParseAddr("36.8.0.201")}
 
 	for i := 0; i < E1Iterations; i++ {
-		probe.Start()
-		tb.Run(500 * time.Millisecond)
-		sentBefore, recvBefore := quiesce(tb, probe)
-
-		probe.Start()
-		// Vary the phase of the switch relative to the 10 ms send clock;
-		// resuming the probe restarts its clock, so without this the
-		// switch would always land at the same offset.
-		tb.Run(3*E1SendInterval + time.Duration(tb.Loop.Rand().Int63n(int64(E1SendInterval))))
-		tb.Tracer.Reset()
-		done := false
-		var swErr error
-		tb.MH.SwitchAddress(addrs[i%2], func(err error) { swErr, done = err, true })
-		if !tb.World.RunUntil(5*time.Second, func() bool { return done }) || swErr != nil {
-			return nil, fmt.Errorf("E1 iteration %d: done=%v err=%v", i, done, swErr)
+		lost, err := lossAcross(tb, probe, 500*time.Millisecond, 5*time.Second, func(done func(error)) {
+			// Vary the phase of the switch relative to the 10 ms send clock;
+			// resuming the probe restarts its clock, so without this the
+			// switch would always land at the same offset.
+			tb.Run(3*E1SendInterval + time.Duration(tb.Loop.Rand().Int63n(int64(E1SendInterval))))
+			tb.Tracer.Reset()
+			tb.MH.SwitchAddress(addrs[i%2], done)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("E1 iteration %d: %w", i, err)
 		}
 		res.Window.Add(disruptionWindow(tb.Tracer))
-
-		sentAfter, recvAfter := quiesce(tb, probe)
-		res.Histogram.Record(LossBetween(sentBefore, recvBefore, sentAfter, recvAfter))
+		res.Histogram.Record(lost)
 	}
 	probe.Stop()
 	res.Export = &Export{Experiment: "e1", Seed: seed, Snapshots: []*metrics.Snapshot{tb.SnapshotMetrics("e1")}}
 	return res, nil
+}
+
+// lossAcross is the one measured window, and what every loss figure in the
+// evaluation means: stream for warm, quiesce, resume the stream, run op to
+// completion, quiesce again, and count the probes sent in between that
+// were never echoed. What an experiment does around the switch itself — a
+// phase offset, a timestamp, a departure notice — is part of op.
+func lossAcross(tb *Testbed, probe *EchoProbe, warm, timeout time.Duration, op func(done func(error))) (lost int, err error) {
+	probe.Start()
+	tb.Run(warm)
+	sentBefore, recvBefore := quiesce(tb, probe)
+	probe.Start()
+	if err = tb.World.Await(timeout, op); err != nil {
+		return 0, err
+	}
+	sentAfter, recvAfter := quiesce(tb, probe)
+	return LossBetween(sentBefore, recvBefore, sentAfter, recvAfter), nil
 }
 
 // quiesce pauses the probe, drains in-flight packets, and snapshots the
@@ -202,42 +212,34 @@ func runF6Scenario(seed int64, sc F6Scenario, blackout *stats.Series) (*stats.Lo
 	if err != nil {
 		return nil, nil, err
 	}
-	for i := 0; i < F6Iterations; i++ {
-		probe.Start()
-		tb.Run(2*time.Second + time.Duration(tb.Loop.Rand().Int63n(int64(F6SendInterval))))
-		sentBefore, recvBefore := quiesce(tb, probe)
-		probe.Start()
-		tb.Tracer.Reset()
-
-		switchStart := tb.Loop.Now()
-		done := false
-		var swErr error
-		var doneAt sim.Time
-		finish := func(err error) { swErr, done, doneAt = err, true, tb.Loop.Now() }
+	// A hot switch is the whole make-before-break from a down device.
+	switchTo := func(mi *mip.ManagedIface, done func(error)) {
 		if hot {
-			tb.MH.MakeBeforeBreak(to, finish)
+			tb.MH.MakeBeforeBreak(mi, done)
 		} else {
-			tb.MH.ColdSwitch(to, finish)
+			tb.MH.ColdSwitch(mi, done)
 		}
-		if !tb.World.RunUntil(30*time.Second, func() bool { return done }) || swErr != nil {
-			return nil, nil, fmt.Errorf("iteration %d: done=%v err=%v", i, done, swErr)
+	}
+	for i := 0; i < F6Iterations; i++ {
+		warm := 2*time.Second + time.Duration(tb.Loop.Rand().Int63n(int64(F6SendInterval)))
+		lost, err := lossAcross(tb, probe, warm, 30*time.Second, func(done func(error)) {
+			tb.Tracer.Reset()
+			switchStart := tb.Loop.Now()
+			switchTo(to, func(err error) {
+				if err == nil && !hot {
+					blackout.Add(tb.Loop.Now().Sub(switchStart))
+				}
+				done(err)
+			})
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("iteration %d: %w", i, err)
 		}
-		if !hot {
-			blackout.Add(doneAt.Sub(switchStart))
-		}
-
-		sentAfter, recvAfter := quiesce(tb, probe)
-		hist.Record(LossBetween(sentBefore, recvBefore, sentAfter, recvAfter))
+		hist.Record(lost)
 
 		// Restore the starting configuration (unmeasured).
-		restoreDone := false
-		if hot {
-			tb.MH.MakeBeforeBreak(from, func(error) { restoreDone = true })
-		} else {
-			tb.MH.ColdSwitch(from, func(error) { restoreDone = true })
-		}
-		if !tb.World.RunUntil(30*time.Second, func() bool { return restoreDone }) {
-			return nil, nil, fmt.Errorf("iteration %d: restore failed", i)
+		if err := tb.World.Await(30*time.Second, func(done func(error)) { switchTo(from, done) }); err != nil {
+			return nil, nil, fmt.Errorf("iteration %d: restore: %w", i, err)
 		}
 		if hot {
 			tb.MH.Disconnect(to)

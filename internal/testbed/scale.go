@@ -44,9 +44,8 @@ import (
 // (testdata/scenarios/scale.json). Kept modest so one fleet fits a CI
 // smoke run; the event count still reaches the millions at 1000 hosts
 // because every frame on a shared Ethernet segment fans out to all
-// attached devices. The spec's delay fields mirror the calibration
-// constants in calib.go, so the fleet runs the same per-packet costs as
-// the Figure 5 testbed.
+// attached devices. The spec's delay fields repeat the figure5 spec's,
+// so the fleet runs the same per-packet costs as the Figure 5 testbed.
 var scaleFleetSpec = MustScenario("scale").Topology.Fleet
 
 var (

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // renderArtifacts runs one driver and renders every file it exports.
@@ -101,31 +100,12 @@ func TestFigure5SpecMatches(t *testing.T) {
 	if top.Mobiles[0].HomeAgent != RouterHomeAddr.String() {
 		t.Errorf("mobile home agent = %s, want %s", top.Mobiles[0].HomeAgent, RouterHomeAddr)
 	}
-	// The costs A2 and A3 give their hand-built hosts are the spec's.
-	mh := &top.Mobiles[0]
-	eth := &mh.Ifaces[0]
-	for _, c := range []struct {
-		name      string
-		got, want time.Duration
-	}{
-		{"mh delay", mh.Delay.D(), MHProcDelay},
-		{"mh lifetime", mh.Lifetime.D(), RegLifetime},
-		{eth.Name + " bring_up", eth.BringUp.D(), EthBringUp},
-		{eth.Name + " bring_up_jitter", eth.BringUpJitter.D(), EthBringUpJitter},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s = %v in the spec, %v in calib.go", c.name, c.got, c.want)
-		}
-	}
 	var chFound bool
 	for i := range top.Hosts {
 		if top.Hosts[i].Name == "ch" {
 			chFound = true
 			if top.Hosts[i].Addr != CHAddr.String() {
 				t.Errorf("ch addr = %s, want %s", top.Hosts[i].Addr, CHAddr)
-			}
-			if got := top.Hosts[i].Delay.D(); got != CHProcDelay {
-				t.Errorf("ch delay = %v in the spec, %v in calib.go", got, CHProcDelay)
 			}
 		}
 	}
