@@ -9,6 +9,18 @@
 // inside the annotated function, or inside a func literal assigned to the
 // annotated func field.
 //
+// The same rules carry a pooled *ip.Packet (DESIGN.md §6, "who owns a
+// packet"). A packet is an abstract buffer like any other: a returns-pooled
+// constructor makes one, a method under the releases contract (Packet.
+// Release) recycles its receiver, Host.Output and the other takes-annotated
+// entry points transfer it, and a handler bound to a borrows contract on its
+// func type (stack.ProtocolHandler) may read it and nothing else. One rule
+// is the packet's own: a pipeline hook — a function of a *PacketContext
+// returning a Verdict — is lent ctx.Pkt, and its verdict says what became
+// of it. Returning Stolen transfers the packet to the hook, which must by
+// then have released it or handed it on; returning Accept or Drop leaves it
+// the chain runner's, so the hook must not have.
+//
 // Unlike the suite's other analyzers this one is not an AST pattern
 // matcher: it builds the framework's control-flow graph for every function
 // body and runs a forward may-analysis tracking abstract buffers — one per
@@ -23,8 +35,10 @@
 //	//mnet:ownership returns-pooled       result 0 is a pooled buffer the
 //	                                      caller owns
 //	//mnet:ownership returns-alias <param> result 0 aliases <param>
+//	//mnet:ownership releases             the method recycles its receiver
 //
-// on function declarations or func-typed struct fields/variables, and
+// on function declarations, func-typed struct fields/variables or named
+// func types (the contract then binds every function used as that type), and
 // exported as OwnershipFacts that importing packages' passes consume —
 // so internal/stack's send path is checked against the contracts declared
 // in internal/arp and internal/link without any cross-package AST walk.
@@ -36,7 +50,12 @@
 //   - double recycle (two Puts on one path)
 //   - recycle after transfer (Put on a buffer someone else now owns)
 //   - leak at a terminal: a path reaches return without Put or transfer
-//     (the §6 "return it to the pool at every terminal" rule)
+//     (the §6 "return it to the pool at every terminal" rule). Not applied
+//     to the first result of a multi-result source — a constructor's
+//     (packet, error) or (packet, ok) carries nil on its failure path, and
+//     the graph has no branch conditions to tell the paths apart; the
+//     run-time pool balance covers those
+//   - a hook's verdict disagreeing with what it did to ctx.Pkt
 //   - retention of a borrowed frame payload or parameter: stored into a
 //     field, global or aggregate, captured by a closure, recycled, or
 //     passed to an ownership-taking callee (reading it, append(dst, b...)
@@ -75,6 +94,8 @@ type OwnershipFact struct {
 	ReturnsPooled bool
 	// AliasReturn is the parameter index result 0 aliases, or -1.
 	AliasReturn int
+	// Releases marks a method that recycles its receiver.
+	Releases bool
 }
 
 // AFact marks OwnershipFact as a framework fact.
@@ -93,6 +114,9 @@ func (f *OwnershipFact) String() string {
 	}
 	if f.AliasReturn >= 0 {
 		parts = append(parts, fmt.Sprintf("alias=%d", f.AliasReturn))
+	}
+	if f.Releases {
+		parts = append(parts, "releases")
 	}
 	return "ownership(" + strings.Join(parts, " ") + ")"
 }
@@ -117,6 +141,7 @@ type bufInfo struct {
 	desc     string
 	borrowed bool // borrowed frame payload: retention rules apply
 	owned    bool // owned pooled buffer: leak rules apply
+	lent     bool // a hook's ctx.Pkt: the verdict rules apply
 }
 
 // state is the dataflow fact: which buffers each local may refer to, and
@@ -181,28 +206,60 @@ func run(pass *framework.Pass) error {
 	for _, f := range pass.Files {
 		a.exportAnnotations(f)
 	}
-	for _, f := range pass.Files {
-		// contracts maps a func literal to the func-typed field or variable
-		// it is assigned to: the literal's body is held to that contract.
-		contracts := make(map[*ast.FuncLit]types.Object)
-		bind := func(target, value ast.Expr) {
-			if lit, ok := value.(*ast.FuncLit); ok {
-				contracts[lit] = a.exprObj(target)
-			}
+	// contracts maps a function — a literal, or a declaration of this
+	// package named as a value — to the contract of the place it is put: the
+	// func-typed field or variable it is assigned to, or the named func type
+	// of the parameter it is passed as (RegisterHandler's ProtocolHandler).
+	// Its body is held to that contract.
+	contracts := make(map[any]types.Object)
+	bind := func(contract types.Object, value ast.Expr) {
+		if contract == nil {
+			return
 		}
+		if lit, ok := value.(*ast.FuncLit); ok {
+			contracts[lit] = contract
+		} else if fn, ok := a.exprObj(value).(*types.Func); ok && fn.Pkg() == pass.Pkg {
+			contracts[fn] = contract
+		}
+	}
+	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.AssignStmt:
 				if len(x.Lhs) == len(x.Rhs) {
 					for i, r := range x.Rhs {
-						bind(x.Lhs[i], r)
+						bind(a.contractOf(x.Lhs[i]), r)
 					}
 				}
 			case *ast.KeyValueExpr:
-				bind(x.Key, x.Value)
+				bind(a.contractOf(x.Key), x.Value)
+			case *ast.ValueSpec:
+				if len(x.Names) == len(x.Values) {
+					for i, v := range x.Values {
+						bind(a.contractOf(x.Names[i]), v)
+					}
+				}
+			case *ast.CallExpr:
+				sig, _ := a.typeOf(x.Fun).(*types.Signature)
+				for i, arg := range x.Args {
+					if sig != nil && i < sig.Params().Len() {
+						bind(a.typeContract(sig.Params().At(i).Type()), arg)
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
 			case *ast.FuncDecl:
 				if x.Body != nil && !a.isFrameMethod(x) {
-					a.analyzeFunc(x.Type, x.Body, a.declObj(x.Name))
+					obj := a.declObj(x.Name)
+					if c := contracts[obj]; c != nil && !a.hasFact(obj) {
+						obj = c
+					}
+					a.analyzeFunc(x.Type, x.Body, obj)
 				}
 			case *ast.FuncLit:
 				a.analyzeFunc(x.Type, x.Body, contracts[x])
@@ -244,6 +301,38 @@ func (a *analyzer) exprObj(e ast.Expr) types.Object {
 	return nil
 }
 
+func (a *analyzer) typeOf(e ast.Expr) types.Type {
+	if a.pass.TypesInfo == nil {
+		return nil
+	}
+	return a.pass.TypesInfo.TypeOf(e)
+}
+
+func (a *analyzer) hasFact(obj types.Object) bool {
+	var fact OwnershipFact
+	return obj != nil && a.pass.ImportObjectFact(obj, &fact)
+}
+
+// typeContract returns the named func type t when it carries a contract.
+func (a *analyzer) typeContract(t types.Type) types.Object {
+	if named, ok := t.(*types.Named); ok && a.hasFact(named.Obj()) {
+		return named.Obj()
+	}
+	return nil
+}
+
+// contractOf returns what carries the contract of the func-typed place e
+// names: the field or variable itself, or failing that its named type.
+func (a *analyzer) contractOf(e ast.Expr) types.Object {
+	if obj := a.exprObj(e); a.hasFact(obj) {
+		return obj
+	}
+	if t := a.typeOf(e); t != nil {
+		return a.typeContract(t)
+	}
+	return nil
+}
+
 // isFrameMethod reports whether fn is a method on the Frame type itself —
 // Frame's own methods manipulate their payload by design.
 func (a *analyzer) isFrameMethod(fn *ast.FuncDecl) bool {
@@ -270,6 +359,18 @@ func (a *analyzer) exportAnnotations(f *ast.File) {
 			for _, spec := range d.Specs {
 				switch sp := spec.(type) {
 				case *ast.TypeSpec:
+					if ft, ok := sp.Type.(*ast.FuncType); ok {
+						doc := d.Doc
+						if sp.Doc != nil {
+							doc = sp.Doc
+						}
+						if fact, ok := a.parseDirectives(doc, ft.Params, sp.Pos()); ok {
+							if obj := a.declObj(sp.Name); obj != nil {
+								a.pass.ExportObjectFact(obj, fact)
+							}
+						}
+						continue
+					}
 					st, ok := sp.Type.(*ast.StructType)
 					if !ok {
 						continue
@@ -335,7 +436,7 @@ func (a *analyzer) parseDirectives(doc *ast.CommentGroup, params *ast.FieldList,
 			a.pass.Reportf(at, "malformed %s directive: %s", directive, why)
 		}
 		if len(fields) == 0 {
-			bad("missing verb (takes/borrows/returns-pooled/returns-alias)")
+			bad("missing verb (takes/borrows/returns-pooled/returns-alias/releases)")
 			continue
 		}
 		switch fields[0] {
@@ -358,13 +459,17 @@ func (a *analyzer) parseDirectives(doc *ast.CommentGroup, params *ast.FieldList,
 			case "returns-alias":
 				fact.AliasReturn = idx
 			}
-		case "returns-pooled":
+		case "returns-pooled", "releases":
 			if len(fields) != 1 {
-				bad("returns-pooled takes no arguments")
+				bad(fields[0] + " takes no arguments")
 				continue
 			}
 			found = true
-			fact.ReturnsPooled = true
+			if fields[0] == "releases" {
+				fact.Releases = true
+			} else {
+				fact.ReturnsPooled = true
+			}
 		default:
 			bad("unknown verb " + fields[0])
 		}
@@ -418,7 +523,10 @@ type funcAnalysis struct {
 	a           *analyzer
 	bufs        map[token.Pos]*bufInfo
 	frameParams map[types.Object]token.Pos
-	reported    map[string]bool
+	// ctxParams holds a hook's *PacketContext parameters: ctx.Pkt is the
+	// packet the hook is lent.
+	ctxParams map[types.Object]token.Pos
+	reported  map[string]bool
 }
 
 func (a *analyzer) analyzeFunc(ftyp *ast.FuncType, body *ast.BlockStmt, obj types.Object) {
@@ -426,6 +534,7 @@ func (a *analyzer) analyzeFunc(ftyp *ast.FuncType, body *ast.BlockStmt, obj type
 		a:           a,
 		bufs:        make(map[token.Pos]*bufInfo),
 		frameParams: make(map[types.Object]token.Pos),
+		ctxParams:   make(map[types.Object]token.Pos),
 		reported:    make(map[string]bool),
 	}
 	entry := fa.entryState(ftyp, obj)
@@ -485,6 +594,7 @@ func (fa *funcAnalysis) entryState(ftyp *ast.FuncType, obj types.Object) state {
 	if ftyp.Params == nil {
 		return s
 	}
+	isHook := ftyp.Results != nil && len(ftyp.Results.List) == 1 && finalTypeName(ftyp.Results.List[0].Type) == "Verdict"
 	i := 0
 	for _, field := range ftyp.Params.List {
 		names := field.Names
@@ -496,6 +606,13 @@ func (fa *funcAnalysis) entryState(ftyp *ast.FuncType, obj types.Object) state {
 			pobj := fa.a.declObj(name)
 			isFrame := finalTypeName(field.Type) == "Frame"
 			switch {
+			case isHook && finalTypeName(field.Type) == "PacketContext":
+				if pobj != nil {
+					id := name.Pos()
+					fa.bufs[id] = &bufInfo{pos: id, desc: "packet lent through " + name.Name + ".Pkt", lent: true}
+					fa.ctxParams[pobj] = id
+					s.bufs[id] = stOwned
+				}
 			case takes[i] && isFrame:
 				// Ownership of the frame's payload transfers in.
 				if pobj != nil {
@@ -566,6 +683,7 @@ func (fa *funcAnalysis) apply(s *state, n ast.Node, emit bool) {
 			}
 		}
 	case *ast.ReturnStmt:
+		fa.checkVerdict(s, x, emit)
 		for _, r := range x.Results {
 			ids := fa.bufsOf(s, r)
 			if ids == nil {
@@ -583,10 +701,50 @@ func (fa *funcAnalysis) apply(s *state, n ast.Node, emit bool) {
 				fa.walk(s, arg, emit)
 			}
 		}
+	case *ast.RangeStmt:
+		// The graph lists a range statement in its body block for the
+		// key/value bindings, which bind no buffer; the operand and the
+		// body's statements are nodes of their own.
 	case ast.Expr:
 		fa.walk(s, x, emit)
 	case ast.Stmt:
 		fa.walk(s, x, emit)
+	}
+}
+
+// checkVerdict holds a hook's return to what the hook did with the packet
+// it was lent. Only verdicts spelled out are judged: Stolen, Accept, Drop,
+// or a call to one of the context's drop helpers.
+func (fa *funcAnalysis) checkVerdict(s *state, ret *ast.ReturnStmt, emit bool) {
+	if !emit || len(fa.ctxParams) == 0 || len(ret.Results) != 1 {
+		return
+	}
+	var verdict string
+	switch r := ret.Results[0].(type) {
+	case *ast.SelectorExpr:
+		verdict = r.Sel.Name
+	case *ast.Ident:
+		verdict = r.Name
+	case *ast.CallExpr:
+		if sel, ok := r.Fun.(*ast.SelectorExpr); ok {
+			switch sel.Sel.Name {
+			case "drop", "dropICMP", "Drop", "Reject":
+				verdict = "Drop"
+			}
+		}
+	}
+	for _, id := range fa.ctxParams {
+		st := s.bufs[id]
+		switch verdict {
+		case "Stolen":
+			if st&stOwned != 0 {
+				fa.report(ret.Pos(), "hook returns Stolen but may have neither released nor handed on the %s: Stolen transfers the packet to the hook", fa.bufs[id].desc)
+			}
+		case "Accept", "Drop":
+			if st&(stRecycled|stTransferred) != 0 {
+				fa.report(ret.Pos(), "hook returns %s after releasing, keeping or handing on the %s: only Stolen transfers it (keep a Clone)", verdict, fa.bufs[id].desc)
+			}
+		}
 	}
 }
 
@@ -656,12 +814,13 @@ func (fa *funcAnalysis) bufsOf(s *state, e ast.Expr) []token.Pos {
 			}
 		}
 	case *ast.SelectorExpr:
-		if x.Sel.Name == "Payload" {
-			if base, ok := x.X.(*ast.Ident); ok {
-				if obj := fa.identObj(base); obj != nil {
-					if id, ok := fa.frameParams[obj]; ok {
-						return []token.Pos{id}
-					}
+		if base, ok := x.X.(*ast.Ident); ok {
+			if obj := fa.identObj(base); obj != nil {
+				if id, ok := fa.frameParams[obj]; ok && x.Sel.Name == "Payload" {
+					return []token.Pos{id}
+				}
+				if id, ok := fa.ctxParams[obj]; ok && x.Sel.Name == "Pkt" {
+					return []token.Pos{id}
 				}
 			}
 		}
@@ -693,16 +852,51 @@ func (fa *funcAnalysis) deepBufs(s *state, e ast.Expr) []token.Pos {
 				out = append(out, fa.deepBufs(s, x.Args[0])...)
 				return false
 			}
+			// A method of the buffer itself answers with a value of its own
+			// (pkt.Clone()); a window into it is taken by slicing, which is
+			// seen. Only the arguments can ride out in the result.
+			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && len(fa.bufsOf(s, sel.X)) > 0 {
+				for _, arg := range x.Args {
+					out = append(out, fa.deepBufs(s, arg)...)
+				}
+				return false
+			}
 		}
 		if x, ok := n.(ast.Expr); ok {
 			if ids := fa.bufsOf(s, x); len(ids) > 0 {
 				out = append(out, ids...)
 				return false
 			}
+			// pkt.Src is an address copied out of the packet, not the packet.
+			if sel, ok := x.(*ast.SelectorExpr); ok && !carriesRef(fa.a.typeOf(sel)) {
+				return false
+			}
 		}
 		return true
 	})
 	return unionPos(out, nil)
+}
+
+// carriesRef reports whether a value of type t can hold a reference to
+// memory someone else owns. Unknown types are assumed to.
+func carriesRef(t types.Type) bool {
+	if t == nil {
+		return true
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		return u.Kind() == types.UnsafePointer
+	case *types.Array:
+		return carriesRef(u.Elem())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if carriesRef(u.Field(i).Type()) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // setStatus strong-updates single-buffer sets and weak-updates may-alias
@@ -726,44 +920,28 @@ func (fa *funcAnalysis) setStatus(s *state, ids []token.Pos, st status) {
 
 // call classifies one call expression and applies its ownership effects.
 func (fa *funcAnalysis) call(s *state, call *ast.CallExpr, emit bool) {
-	// Effects on the receiver expression (uses inside c.dev.Send's c.dev).
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		fa.walk(s, sel.X, emit)
-	}
 	obj := fa.calleeObj(call)
+	fact := fa.calleeFact(call)
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		// A releases method recycles its receiver (and reports a stale one
+		// itself); any other call merely uses it (c.dev.Send's c.dev).
+		if !fact.Releases || !fa.recycle(s, call, sel.X, calleeName(call), emit) {
+			fa.walk(s, sel.X, emit)
+		}
+	}
 
 	if isBufpool(obj, "Put") {
 		for _, arg := range call.Args {
-			ids := fa.bufsOf(s, arg)
-			if ids == nil {
+			if !fa.recycle(s, call, arg, "bufpool.Put", emit) {
 				fa.walk(s, arg, emit)
-				continue
 			}
-			if emit {
-				for _, id := range ids {
-					info, st := fa.bufs[id], s.bufs[id]
-					switch {
-					case info != nil && info.borrowed:
-						fa.report(call.Pos(), "bufpool.Put of %s: receivers do not own delivered payloads", info.desc)
-					case st&stRecycled != 0:
-						fa.report(call.Pos(), "double recycle: bufpool.Put may already have run for this buffer on this path")
-					case st&stTransferred != 0:
-						fa.report(call.Pos(), "bufpool.Put of a buffer whose ownership was already transferred")
-					}
-				}
-			}
-			fa.setStatus(s, ids, stRecycled)
 		}
 		return
 	}
 
-	var fact OwnershipFact
-	haveFact := obj != nil && fa.a.pass.ImportObjectFact(obj, &fact)
 	takes := map[int]bool{}
-	if haveFact {
-		for _, i := range fact.Takes {
-			takes[i] = true
-		}
+	for _, i := range fact.Takes {
+		takes[i] = true
 	}
 	for i, arg := range call.Args {
 		if takes[i] {
@@ -793,16 +971,52 @@ func (fa *funcAnalysis) call(s *state, call *ast.CallExpr, emit bool) {
 	}
 }
 
+// recycle applies bufpool.Put(e), or e.Release() under a releases contract:
+// the buffers e denotes go back to their pool. It reports whether e denotes
+// any.
+func (fa *funcAnalysis) recycle(s *state, call *ast.CallExpr, e ast.Expr, what string, emit bool) bool {
+	ids := fa.bufsOf(s, e)
+	if ids == nil {
+		return false
+	}
+	if emit {
+		for _, id := range ids {
+			info, st := fa.bufs[id], s.bufs[id]
+			switch {
+			case info != nil && info.borrowed:
+				fa.report(call.Pos(), "%s of %s: receivers do not own delivered payloads", what, info.desc)
+			case st&stRecycled != 0:
+				fa.report(call.Pos(), "double recycle: %s may already have run for this buffer on this path", what)
+			case st&stTransferred != 0:
+				fa.report(call.Pos(), "%s of a buffer whose ownership was already transferred", what)
+			}
+		}
+	}
+	fa.setStatus(s, ids, stRecycled)
+	return true
+}
+
+// calleeFact returns the contract a call is made under: the called
+// function's or field's own, or failing that its named func type's, or
+// failing that the empty one.
+func (fa *funcAnalysis) calleeFact(call *ast.CallExpr) OwnershipFact {
+	fact := OwnershipFact{AliasReturn: -1}
+	if obj := fa.calleeObj(call); obj != nil && fa.a.pass.ImportObjectFact(obj, &fact) {
+		return fact
+	}
+	if t := fa.a.typeOf(call.Fun); t != nil {
+		if obj := fa.a.typeContract(t); obj != nil {
+			fa.a.pass.ImportObjectFact(obj, &fact)
+		}
+	}
+	return fact
+}
+
 // pooledSource reports whether the call produces a pooled buffer the
 // caller owns (bufpool.Get or a returns-pooled contract), registering the
 // abstract buffer.
 func (fa *funcAnalysis) pooledSource(call *ast.CallExpr) (token.Pos, bool) {
-	obj := fa.calleeObj(call)
-	var fact OwnershipFact
-	switch {
-	case isBufpool(obj, "Get"):
-	case obj != nil && fa.a.pass.ImportObjectFact(obj, &fact) && fact.ReturnsPooled:
-	default:
+	if fact := fa.calleeFact(call); !isBufpool(fa.calleeObj(call), "Get") && !fact.ReturnsPooled {
 		return 0, false
 	}
 	id := call.Pos()
@@ -815,12 +1029,8 @@ func (fa *funcAnalysis) pooledSource(call *ast.CallExpr) (token.Pos, bool) {
 // aliasReturn reports the buffers the call's result aliases, per a
 // returns-alias contract (MarshalInto's result is its argument).
 func (fa *funcAnalysis) aliasReturn(s *state, call *ast.CallExpr) ([]token.Pos, bool) {
-	obj := fa.calleeObj(call)
-	var fact OwnershipFact
-	if obj == nil || !fa.a.pass.ImportObjectFact(obj, &fact) || fact.AliasReturn < 0 {
-		return nil, false
-	}
-	if fact.AliasReturn >= len(call.Args) {
+	fact := fa.calleeFact(call)
+	if fact.AliasReturn < 0 || fact.AliasReturn >= len(call.Args) {
 		return nil, false
 	}
 	ids := fa.bufsOf(s, call.Args[fact.AliasReturn])
@@ -837,6 +1047,9 @@ func (fa *funcAnalysis) assign(s *state, as *ast.AssignStmt, emit bool) {
 			if id, ok := fa.pooledSource(call); ok {
 				ids = []token.Pos{id}
 				s.bufs[id] = stOwned
+				// (buffer, err): nil on the failure path, which the graph
+				// cannot tell from the other; no leak check.
+				fa.bufs[id].owned = false
 			} else if al, ok := fa.aliasReturn(s, call); ok {
 				ids = al
 			}
@@ -910,6 +1123,13 @@ func (fa *funcAnalysis) assignTarget(s *state, l ast.Expr, r ast.Expr, ids []tok
 	escape := ids
 	if escape == nil && r != nil {
 		escape = fa.deepBufs(s, r)
+	}
+	// ctx.Pkt = full swaps the packet the chain carries: what is stored is
+	// the runner's from here on, and lent to the hook like the one before.
+	if lent := fa.bufsOf(s, l); len(lent) == 1 && fa.bufs[lent[0]].lent {
+		fa.setStatus(s, escape, stTransferred)
+		s.bufs[lent[0]] = stOwned
+		return
 	}
 	if len(escape) == 0 {
 		return

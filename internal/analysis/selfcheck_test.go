@@ -31,10 +31,12 @@ func moduleRoot(t *testing.T) string {
 
 // TestDatapathOwnershipSelfCheck runs the dataflow analyzers over the real
 // datapath packages and requires a clean bill. This is the regression net
-// for the send-path buffer contract: removing the bufpool.Put on arp's
-// queue-overflow branch, or retaining a delivered frame payload in the
-// stack, fails this test with a concrete use-after-recycle/leak report
-// instead of an intermittent data race.
+// for the send-path buffer contract and the packet's: removing the
+// bufpool.Put on arp's queue-overflow branch, retaining a delivered frame
+// payload in the stack, reading a packet after Host.Output has it, or a
+// tunnel hook stealing a packet it never releases fails this test with a
+// concrete use-after-recycle/leak/verdict report instead of an intermittent
+// data race.
 func TestDatapathOwnershipSelfCheck(t *testing.T) {
 	root := moduleRoot(t)
 	loader, err := framework.NewLoader(root)
@@ -47,12 +49,14 @@ func TestDatapathOwnershipSelfCheck(t *testing.T) {
 		"./internal/stack",
 		"./internal/ip",
 		"./internal/bufpool",
+		"./internal/tunnel",
+		"./internal/transport",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) < 5 {
-		t.Fatalf("loaded %d packages, want 5", len(pkgs))
+	if len(pkgs) < 7 {
+		t.Fatalf("loaded %d packages, want 7", len(pkgs))
 	}
 	for _, a := range []*framework.Analyzer{bufownership.Analyzer, verdictflow.Analyzer} {
 		for _, pkg := range pkgs {

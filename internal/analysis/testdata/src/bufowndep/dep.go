@@ -60,3 +60,70 @@ type Conn struct {
 
 // Write copies b, as transport.Conn.Write does.
 func (c *Conn) Write(b []byte) {}
+
+// ---- the packet half: ip.Packet, stack.Host and the pipeline, in small ----
+
+// Packet mirrors ip.Packet: a pooled struct owning its payload buffer.
+type Packet struct {
+	Src, Dst [4]byte
+	Payload  []byte
+	Trace    uint64
+}
+
+// Release returns the packet to its pool.
+//
+//mnet:ownership releases
+func (p *Packet) Release() {}
+
+// Clone returns a garbage-collected copy.
+func (p *Packet) Clone() *Packet { return &Packet{Src: p.Src, Dst: p.Dst, Trace: p.Trace} }
+
+// NewPacket mirrors ip.NewUDPPacket: a pooled packet the caller owns.
+//
+//mnet:ownership returns-pooled
+func NewPacket(n int) *Packet { return &Packet{Payload: make([]byte, n)} }
+
+// Parse mirrors ip.UnmarshalPooled: a constructor that can fail.
+//
+//mnet:ownership returns-pooled
+func Parse(b []byte) (*Packet, error) { return &Packet{Payload: b}, nil }
+
+// Decapsulate mirrors ip.Decapsulate: it consumes the outer packet, whose
+// buffer moves under the inner one it returns.
+//
+//mnet:ownership takes p
+//mnet:ownership returns-pooled
+func Decapsulate(p *Packet) (*Packet, error) { return &Packet{Payload: p.Payload}, nil }
+
+// Output mirrors stack.Host.Output.
+//
+//mnet:ownership takes pkt
+func Output(pkt *Packet) error { return nil }
+
+// Handler mirrors stack.ProtocolHandler: the contract sits on the func type
+// and binds whatever is registered as one.
+//
+//mnet:ownership borrows pkt
+type Handler func(pkt *Packet)
+
+// Register mirrors stack.Host.RegisterHandler.
+func Register(h Handler) {}
+
+// Verdict and PacketContext mirror the pipeline's: a hook is a function of
+// a *PacketContext returning a Verdict.
+type Verdict int
+
+// The verdicts.
+const (
+	Accept Verdict = iota
+	Drop
+	Stolen
+)
+
+// PacketContext mirrors stack.PacketContext.
+type PacketContext struct {
+	Pkt *Packet
+}
+
+// Drop mirrors the context's drop helper.
+func (c *PacketContext) Drop(reason string) Verdict { return Drop }

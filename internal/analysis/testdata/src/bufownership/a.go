@@ -278,3 +278,211 @@ func badParam(buf []byte) { // want "no parameter named nosuch"
 func badVerb(buf []byte) { // want "unknown verb retains"
 	work(buf)
 }
+
+// ---- packets: one owner at a time ----
+
+func see(p *dep.Packet) {}
+
+type keeper struct {
+	last *dep.Packet
+	src  [4]byte
+}
+
+func readAfterOutput() {
+	pkt := dep.NewPacket(8)
+	dep.Output(pkt)
+	see(pkt) // want "after its ownership was transferred"
+}
+
+func traceAfterOutput() uint64 {
+	pkt := dep.NewPacket(8)
+	if err := dep.Output(pkt); err != nil {
+		return pkt.Trace // want "after its ownership was transferred"
+	}
+	return 0
+}
+
+func doubleRelease() {
+	pkt := dep.NewPacket(8)
+	pkt.Release()
+	pkt.Release() // want "double recycle: pkt.Release"
+}
+
+func readAfterRelease() [4]byte {
+	pkt := dep.NewPacket(8)
+	pkt.Release()
+	return pkt.Src // want "use of pooled buffer pkt after recycle"
+}
+
+func leakedPacket() {
+	pkt := dep.NewPacket(8) // want "may leak"
+	see(pkt)
+}
+
+// sendOrRelease is a sender's shape: every path hands the packet on or
+// releases it, and what it needs of the packet it reads first.
+func sendOrRelease(ok bool) uint64 {
+	pkt := dep.NewPacket(8)
+	trace := pkt.Trace
+	if !ok {
+		pkt.Release()
+		return trace
+	}
+	dep.Output(pkt)
+	return trace
+}
+
+// parseThenOutput: a constructor that can fail hands back nil with its
+// error, so its result is not leak-checked on the error path.
+func parseThenOutput(b []byte) error {
+	pkt, err := dep.Parse(b)
+	if err != nil {
+		return err
+	}
+	return dep.Output(pkt)
+}
+
+// ---- Decapsulate's buffer move ----
+
+func readOuterAfterDecap() {
+	outer := dep.NewPacket(8)
+	inner, err := dep.Decapsulate(outer)
+	if err != nil {
+		return
+	}
+	see(outer) // want "after its ownership was transferred"
+	dep.Output(inner)
+}
+
+func decapThenInput() {
+	outer := dep.NewPacket(8)
+	trace := outer.Trace
+	inner, err := dep.Decapsulate(outer)
+	if err != nil {
+		return
+	}
+	inner.Trace = trace
+	dep.Output(inner)
+}
+
+// ---- handlers: lent means lent ----
+
+func (k *keeper) handle(pkt *dep.Packet) {
+	k.last = pkt // want "borrowed parameter pkt retained past synchronous delivery"
+}
+
+func (k *keeper) handleOK(pkt *dep.Packet) {
+	k.last = pkt.Clone()
+	k.src = pkt.Src
+	see(pkt)
+}
+
+func registerHandlers(k *keeper, later func(fn func())) {
+	dep.Register(k.handle)
+	dep.Register(k.handleOK)
+	dep.Register(func(pkt *dep.Packet) {
+		k.last = pkt // want "borrowed parameter pkt retained past synchronous delivery"
+	})
+	dep.Register(func(pkt *dep.Packet) {
+		later(func() { see(pkt) }) // want "borrowed parameter pkt captured by a closure"
+	})
+	dep.Register(func(pkt *dep.Packet) {
+		pkt.Release() // want "pkt.Release of borrowed parameter pkt"
+	})
+	dep.Register(func(pkt *dep.Packet) {
+		dep.Output(pkt) // want "ownership of borrowed parameter pkt passed to dep.Output"
+	})
+	dep.Register(func(pkt *dep.Packet) {
+		reply := dep.NewPacket(len(pkt.Payload))
+		reply.Dst = pkt.Src
+		dep.Output(reply)
+	})
+	var h dep.Handler = func(pkt *dep.Packet) {
+		k.last = pkt // want "retained past synchronous delivery"
+	}
+	h(nil)
+}
+
+// ---- hooks: the verdict says what became of ctx.Pkt ----
+
+func hookStealsAndForgets(ctx *dep.PacketContext) dep.Verdict {
+	see(ctx.Pkt)
+	return dep.Stolen // want "hook returns Stolen but may have neither released nor handed on"
+}
+
+func hookStealsOnOnePath(ctx *dep.PacketContext) dep.Verdict {
+	if ctx.Pkt.Trace != 0 {
+		ctx.Pkt.Release()
+	}
+	return dep.Stolen // want "hook returns Stolen but may have neither released nor handed on"
+}
+
+func hookAcceptsWhatItReleased(ctx *dep.PacketContext) dep.Verdict {
+	ctx.Pkt.Release()
+	return dep.Accept // want "hook returns Accept after releasing, keeping or handing on"
+}
+
+func (k *keeper) hookKeepsAndAccepts(ctx *dep.PacketContext) dep.Verdict {
+	k.last = ctx.Pkt
+	return dep.Accept // want "hook returns Accept after releasing, keeping or handing on"
+}
+
+func hookDropsWhatItForwarded(ctx *dep.PacketContext) dep.Verdict {
+	pkt := ctx.Pkt
+	dep.Output(pkt)
+	return ctx.Drop("forwarded") // want "hook returns Drop after releasing, keeping or handing on"
+}
+
+func hookReleasesTwice(ctx *dep.PacketContext) dep.Verdict {
+	ctx.Pkt.Release()
+	ctx.Pkt.Release() // want "double recycle: Release"
+	return dep.Stolen
+}
+
+// The sanctioned hooks: look and accept, judge and drop, steal and release,
+// steal and hand on, keep a clone, swap in a packet of the hook's making.
+func (k *keeper) hooksOK() []func(*dep.PacketContext) dep.Verdict {
+	return []func(*dep.PacketContext) dep.Verdict{
+		func(ctx *dep.PacketContext) dep.Verdict {
+			see(ctx.Pkt)
+			k.src = ctx.Pkt.Src
+			return dep.Accept
+		},
+		func(ctx *dep.PacketContext) dep.Verdict {
+			if ctx.Pkt.Trace == 0 {
+				return ctx.Drop("untraced")
+			}
+			return dep.Accept
+		},
+		func(ctx *dep.PacketContext) dep.Verdict {
+			pkt := ctx.Pkt
+			see(pkt)
+			pkt.Release()
+			return dep.Stolen
+		},
+		func(ctx *dep.PacketContext) dep.Verdict {
+			if ctx.Pkt.Trace == 0 {
+				return dep.Accept
+			}
+			dep.Output(ctx.Pkt)
+			return dep.Stolen
+		},
+		func(ctx *dep.PacketContext) dep.Verdict {
+			k.last = ctx.Pkt.Clone()
+			return dep.Accept
+		},
+		func(ctx *dep.PacketContext) dep.Verdict {
+			inner, err := dep.Decapsulate(ctx.Pkt)
+			if err != nil {
+				return dep.Stolen
+			}
+			ctx.Pkt = inner
+			return dep.Accept
+		},
+	}
+}
+
+// notAHook takes a context but returns no verdict: ctx.Pkt is not tracked.
+func notAHook(k *keeper, ctx *dep.PacketContext) {
+	k.last = ctx.Pkt
+}

@@ -281,8 +281,7 @@ func (c *Cache) Published(a ip.Addr) bool {
 //mnet:ownership takes payload
 func (c *Cache) SendIP(dst ip.Addr, payload []byte, trace uint64) {
 	if hw, ok := c.Lookup(dst); ok {
-		c.dev.Send(&link.Frame{Dst: hw, Type: link.EtherTypeIPv4, Payload: payload, Trace: trace})
-		bufpool.Put(payload) // Send's transmit copy is synchronous
+		c.sendIPv4(hw, payload, trace)
 		return
 	}
 	p := c.pend[dst]
@@ -307,7 +306,17 @@ func (c *Cache) SendIP(dst ip.Addr, payload []byte, trace uint64) {
 //
 //mnet:ownership takes payload
 func (c *Cache) SendBroadcastIP(payload []byte, trace uint64) {
-	c.dev.Send(&link.Frame{Dst: link.BroadcastHW, Type: link.EtherTypeIPv4, Payload: payload, Trace: trace})
+	c.sendIPv4(link.BroadcastHW, payload, trace)
+}
+
+// sendIPv4 puts one IPv4 payload on the wire and recycles it: Send's
+// transmit copy is synchronous, and for the same reason the frame never
+// leaves this stack (the link layer shows observers a copy of it).
+//
+//mnet:ownership takes payload
+func (c *Cache) sendIPv4(hw link.HWAddr, payload []byte, trace uint64) {
+	f := link.Frame{Dst: hw, Type: link.EtherTypeIPv4, Payload: payload, Trace: trace}
+	c.dev.Send(&f)
 	bufpool.Put(payload)
 }
 
@@ -381,8 +390,7 @@ func (c *Cache) HandleFrame(f *link.Frame) {
 		delete(c.pend, m.SenderIP)
 		c.learn(m.SenderIP, m.SenderHW)
 		for _, q := range p.payloads {
-			c.dev.Send(&link.Frame{Dst: m.SenderHW, Type: link.EtherTypeIPv4, Payload: q.payload, Trace: q.trace})
-			bufpool.Put(q.payload)
+			c.sendIPv4(m.SenderHW, q.payload, q.trace)
 		}
 	}
 	if m.Op != OpRequest || m.IsGratuitous() {

@@ -15,15 +15,24 @@
 //     documents taking ownership.
 //   - Put only buffers obtained from Get, and only once; the contents may
 //     be reused immediately by anyone.
-//   - Never Put a buffer that protocol state may retain (packet payloads
-//     handed to ip.Unmarshal are copied there, so wire buffers are safe to
-//     recycle after the synchronous delivery chain returns).
+//   - Never Put a buffer that protocol state may retain. A wire buffer is
+//     safe to recycle once the synchronous delivery chain returns: the
+//     receiver's ip.UnmarshalPooled copies the payload into a buffer of its
+//     own, which the packet owns and Puts back when it is released.
+//
+// A class counts its Gets and Puts while Count is on (ReadStats): at
+// quiesce, with no frame in flight and no packet parked, the two are equal.
+// Count is off unless a test that checks this turns it on, so shard workers
+// write no memory they share on the data path.
 //
 // Contents of a Get buffer are NOT zeroed; callers overwrite every byte
 // they marshal (and all users here do).
 package bufpool
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Size classes are powers of two from 64 B to 64 KiB: small control
 // messages (ARP is 28 B), full Ethernet frames (1500 B + headers), and
@@ -34,19 +43,61 @@ const (
 	numClasses = maxShift - minShift + 1
 )
 
-//lint:allow nosharedstate sync.Pool is concurrency-safe by contract and buffer reuse never influences simulated behaviour; cross-shard frame payloads are explicitly allowed to Get on one shard and Put on another
-var pools = [numClasses]sync.Pool{
-	{New: func() any { return new([1 << (minShift + 0)]byte) }},
-	{New: func() any { return new([1 << (minShift + 1)]byte) }},
-	{New: func() any { return new([1 << (minShift + 2)]byte) }},
-	{New: func() any { return new([1 << (minShift + 3)]byte) }},
-	{New: func() any { return new([1 << (minShift + 4)]byte) }},
-	{New: func() any { return new([1 << (minShift + 5)]byte) }},
-	{New: func() any { return new([1 << (minShift + 6)]byte) }},
-	{New: func() any { return new([1 << (minShift + 7)]byte) }},
-	{New: func() any { return new([1 << (minShift + 8)]byte) }},
-	{New: func() any { return new([1 << (minShift + 9)]byte) }},
-	{New: func() any { return new([1 << (minShift + 10)]byte) }},
+// classPool is one size class: its pool and, while counting is set, how
+// many buffers it has handed out and taken back. The flag sits beside the
+// pool so that reading it touches the line Get and Put load anyway; with it
+// clear nothing here is written and the line stays shared between workers.
+type classPool struct {
+	sync.Pool
+	counting   atomic.Bool
+	gets, puts atomic.Uint64
+}
+
+//lint:allow nosharedstate sync.Pool is concurrency-safe by contract and buffer reuse never influences simulated behaviour; cross-shard frame payloads are explicitly allowed to Get on one shard and Put on another; the atomic counters are written only while a test has Count on, and read only by tests
+var pools = [numClasses]classPool{
+	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 0)]byte) }}},
+	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 1)]byte) }}},
+	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 2)]byte) }}},
+	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 3)]byte) }}},
+	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 4)]byte) }}},
+	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 5)]byte) }}},
+	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 6)]byte) }}},
+	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 7)]byte) }}},
+	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 8)]byte) }}},
+	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 9)]byte) }}},
+	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 10)]byte) }}},
+}
+
+// Count turns the Get and Put counters on or off. A test that checks
+// conservation turns them on before it builds its world and off when it is
+// done; nothing else does. They are not simply always on because that is an
+// atomic add on every Get and Put to a cache line every shard worker
+// writes, and what a line bouncing between cores costs a run depends on
+// which workers happen to run at the same instant.
+func Count(on bool) {
+	for i := range pools {
+		pools[i].counting.Store(on)
+	}
+}
+
+// Stats counts pooled buffers while Count is on. Oversize requests and
+// foreign slices, which never touch a pool, are not counted.
+type Stats struct {
+	Gets uint64 // buffers handed out by Get
+	Puts uint64 // buffers taken back by Put
+}
+
+// Outstanding is the number of pooled buffers someone owns right now.
+func (s Stats) Outstanding() int64 { return int64(s.Gets - s.Puts) }
+
+// ReadStats sums the classes' counters.
+func ReadStats() Stats {
+	var s Stats
+	for i := range pools {
+		s.Gets += pools[i].gets.Load()
+		s.Puts += pools[i].puts.Load()
+	}
+	return s
 }
 
 // class returns the smallest size class holding n bytes, or -1 if n
@@ -71,6 +122,9 @@ func Get(n int) []byte {
 	c := class(n)
 	if c < 0 {
 		return make([]byte, n)
+	}
+	if pools[c].counting.Load() {
+		pools[c].gets.Add(1)
 	}
 	switch b := pools[c].Get().(type) {
 	case *[1 << (minShift + 0)]byte:
@@ -102,28 +156,36 @@ func Get(n int) []byte {
 // exactly a size class (oversize fallbacks, foreign slices) are dropped for
 // the garbage collector instead. Put(nil) is a no-op.
 func Put(b []byte) {
+	var c int
+	var x any
 	switch cap(b) {
 	case 1 << (minShift + 0):
-		pools[0].Put((*[1 << (minShift + 0)]byte)(b[:cap(b)]))
+		c, x = 0, (*[1 << (minShift + 0)]byte)(b[:cap(b)])
 	case 1 << (minShift + 1):
-		pools[1].Put((*[1 << (minShift + 1)]byte)(b[:cap(b)]))
+		c, x = 1, (*[1 << (minShift + 1)]byte)(b[:cap(b)])
 	case 1 << (minShift + 2):
-		pools[2].Put((*[1 << (minShift + 2)]byte)(b[:cap(b)]))
+		c, x = 2, (*[1 << (minShift + 2)]byte)(b[:cap(b)])
 	case 1 << (minShift + 3):
-		pools[3].Put((*[1 << (minShift + 3)]byte)(b[:cap(b)]))
+		c, x = 3, (*[1 << (minShift + 3)]byte)(b[:cap(b)])
 	case 1 << (minShift + 4):
-		pools[4].Put((*[1 << (minShift + 4)]byte)(b[:cap(b)]))
+		c, x = 4, (*[1 << (minShift + 4)]byte)(b[:cap(b)])
 	case 1 << (minShift + 5):
-		pools[5].Put((*[1 << (minShift + 5)]byte)(b[:cap(b)]))
+		c, x = 5, (*[1 << (minShift + 5)]byte)(b[:cap(b)])
 	case 1 << (minShift + 6):
-		pools[6].Put((*[1 << (minShift + 6)]byte)(b[:cap(b)]))
+		c, x = 6, (*[1 << (minShift + 6)]byte)(b[:cap(b)])
 	case 1 << (minShift + 7):
-		pools[7].Put((*[1 << (minShift + 7)]byte)(b[:cap(b)]))
+		c, x = 7, (*[1 << (minShift + 7)]byte)(b[:cap(b)])
 	case 1 << (minShift + 8):
-		pools[8].Put((*[1 << (minShift + 8)]byte)(b[:cap(b)]))
+		c, x = 8, (*[1 << (minShift + 8)]byte)(b[:cap(b)])
 	case 1 << (minShift + 9):
-		pools[9].Put((*[1 << (minShift + 9)]byte)(b[:cap(b)]))
+		c, x = 9, (*[1 << (minShift + 9)]byte)(b[:cap(b)])
 	case 1 << (minShift + 10):
-		pools[10].Put((*[1 << (minShift + 10)]byte)(b[:cap(b)]))
+		c, x = 10, (*[1 << (minShift + 10)]byte)(b[:cap(b)])
+	default:
+		return
 	}
+	if pools[c].counting.Load() {
+		pools[c].puts.Add(1)
+	}
+	pools[c].Put(x)
 }

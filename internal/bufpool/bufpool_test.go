@@ -52,3 +52,24 @@ func TestSteadyStateGetPutDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Get/Put allocated %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestCountsOnlyWhenAsked: the Get/Put counters move while Count is on and
+// stand still while it is off, so an unaudited run writes nothing shared.
+func TestCountsOnlyWhenAsked(t *testing.T) {
+	before := ReadStats()
+	Put(Get(100))
+	if after := ReadStats(); after != before {
+		t.Fatalf("counters moved with Count off: %+v -> %+v", before, after)
+	}
+	Count(true)
+	defer Count(false)
+	b := Get(100)
+	if got := ReadStats().Outstanding() - before.Outstanding(); got != 1 {
+		t.Fatalf("outstanding after one Get = %+d, want +1", got)
+	}
+	Put(b)
+	Put(make([]byte, 100)) // foreign: dropped, not counted
+	if after := ReadStats(); after.Gets != before.Gets+1 || after.Puts != before.Puts+1 {
+		t.Fatalf("after one Get and one Put: %+v, started at %+v", after, before)
+	}
+}

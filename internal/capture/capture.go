@@ -142,7 +142,9 @@ func FormatPacket(pkt *ip.Packet) string {
 	}
 	switch pkt.Protocol {
 	case ip.ProtoIPIP:
-		inner, err := ip.Decapsulate(pkt)
+		// The plain parser, not ip.Decapsulate: capture only observes, and
+		// Decapsulate consumes its argument and draws from the packet pool.
+		inner, err := ip.Unmarshal(pkt.Payload)
 		if err != nil {
 			return fmt.Sprintf("%v > %v: ipip [bad inner]", pkt.Src, pkt.Dst)
 		}

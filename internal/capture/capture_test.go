@@ -109,6 +109,52 @@ func TestCapturesMobileIPAndTunnel(t *testing.T) {
 	}
 }
 
+// TestFormatsNestedTunnel decodes a doubly encapsulated frame: every layer
+// keeps its own addresses, a bad inner still names the outer's, and capture,
+// being an observer, leaves the packet pool as it found it.
+func TestFormatsNestedTunnel(t *testing.T) {
+	ip.CountPools(true)
+	defer ip.CountPools(false)
+	a := ip.MustParseAddr
+	inner := &ip.Packet{
+		Header:  ip.Header{TTL: 64, Protocol: ip.ProtoUDP, Src: a("36.8.0.99"), Dst: a("36.135.0.7")},
+		Payload: ip.MarshalUDP(a("36.8.0.99"), a("36.135.0.7"), ip.UDPHeader{SrcPort: 9, DstPort: 9}, []byte("x")),
+	}
+	mid, err := ip.Encapsulate(a("36.135.0.1"), a("36.40.0.1"), 64, 1, inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outer, err := ip.Encapsulate(a("36.40.0.1"), a("10.0.0.1"), 64, 2, mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := outer.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid.Release()
+	outer.Release()
+
+	before := ip.ReadPoolStats()
+	line := FormatFrame(&link.Frame{Type: link.EtherTypeIPv4, Payload: wire})
+	want := "36.40.0.1 > 10.0.0.1: ipip { 36.135.0.1 > 36.40.0.1: ipip { 36.8.0.99:9 > 36.135.0.7:9: udp 1 bytes } }"
+	if line != want {
+		t.Fatalf("nested tunnel decoded as\n %s\nwant\n %s", line, want)
+	}
+
+	// Corrupt the innermost header's version nibble; the middle layer must
+	// still print its own addresses.
+	wire[2*ip.HeaderLen] = 0x65
+	line = FormatFrame(&link.Frame{Type: link.EtherTypeIPv4, Payload: wire})
+	want = "36.40.0.1 > 10.0.0.1: ipip { 36.135.0.1 > 36.40.0.1: ipip [bad inner] }"
+	if line != want {
+		t.Fatalf("bad inner decoded as\n %s\nwant\n %s", line, want)
+	}
+	if after := ip.ReadPoolStats(); after != before {
+		t.Fatalf("capture drew from the packet pool: %+v -> %+v", before, after)
+	}
+}
+
 func TestCapturesDHCP(t *testing.T) {
 	s := newScenario(t)
 	m := &dhcp.Message{Type: dhcp.Discover, XID: 7}

@@ -14,7 +14,8 @@ var (
 
 // FuzzUnmarshalHeader asserts Unmarshal never panics and, when it accepts
 // input, that Marshal∘Unmarshal is a fixed point from the first re-marshal
-// onward.
+// onward; and that the pooled parse the receive path uses agrees with it,
+// error for error and field for field.
 func FuzzUnmarshalHeader(f *testing.F) {
 	seed := &Packet{
 		Header:  Header{TOS: 0x10, ID: 42, TTL: 64, Protocol: ProtoUDP, Src: fuzzSrc, Dst: fuzzDst},
@@ -37,9 +38,15 @@ func FuzzUnmarshalHeader(f *testing.F) {
 	f.Add([]byte{0x45})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p, err := Unmarshal(b)
+		pooled, perr := UnmarshalPooled(b)
+		if perr != err {
+			t.Fatalf("pooled parse: %v, plain parse: %v", perr, err)
+		}
 		if err != nil {
 			return
 		}
+		samePacket(t, "pooled parse", pooled, p)
+		pooled.Release()
 		b1, err := p.Marshal()
 		if err != nil {
 			t.Fatalf("parsed packet failed to marshal: %v", err)
@@ -116,9 +123,20 @@ func FuzzUnmarshalICMP(f *testing.F) {
 	})
 }
 
+// samePacket requires got to equal want in every field a packet carries:
+// header, payload bytes (and nil-ness) and trace.
+func samePacket(t *testing.T, what string, got, want *Packet) {
+	t.Helper()
+	if got.Header != want.Header || got.Trace != want.Trace ||
+		!bytes.Equal(got.Payload, want.Payload) || (got.Payload == nil) != (want.Payload == nil) {
+		t.Fatalf("%s differs:\n got %v %x\nwant %v %x", what, got, got.Payload, want, want.Payload)
+	}
+}
+
 // FuzzFragmentReassemble splits an arbitrary payload at an arbitrary MTU
 // and asserts the reassembler rebuilds it byte-for-byte, in either arrival
-// order.
+// order — and that the same fragments taken off the wire as a receiver takes
+// them, pooled, rebuild the same datagram.
 func FuzzFragmentReassemble(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(1), false)
 	f.Add(bytes.Repeat([]byte{0x5a}, 345), uint8(3), true)
@@ -147,19 +165,34 @@ func FuzzFragmentReassemble(f *testing.F) {
 				frags[i], frags[j] = frags[j], frags[i]
 			}
 		}
-		r := NewReassembler()
-		var full *Packet
+		r, wire := NewReassembler(), NewReassembler()
+		var full, fromWire *Packet
 		for i, fr := range frags {
+			raw, err := fr.Marshal()
+			if err != nil {
+				t.Fatalf("fragment %d failed to marshal: %v", i+1, err)
+			}
+			rx, err := UnmarshalPooled(raw)
+			if err != nil {
+				t.Fatalf("fragment %d failed to parse: %v", i+1, err)
+			}
 			got, done := r.Add(fr)
-			if done != (i == len(frags)-1) {
-				t.Fatalf("fragment %d/%d: done=%v", i+1, len(frags), done)
+			gotWire, doneWire := wire.Add(rx)
+			if done != (i == len(frags)-1) || doneWire != done {
+				t.Fatalf("fragment %d/%d: done=%v, off the wire %v", i+1, len(frags), done, doneWire)
 			}
 			if done {
-				full = got
+				full, fromWire = got, gotWire
 			}
 		}
 		if full == nil || !bytes.Equal(full.Payload, payload) {
 			t.Fatalf("reassembly mismatch: got %d bytes, want %d", len(full.Payload), len(payload))
 		}
+		samePacket(t, "datagram reassembled off the wire", fromWire, full)
+		if wire.Held() != 0 {
+			t.Fatalf("reassembler still holds %d fragments of a completed datagram", wire.Held())
+		}
+		full.Release()
+		fromWire.Release()
 	})
 }

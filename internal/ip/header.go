@@ -61,6 +61,12 @@ type Header struct {
 
 // Packet is an IPv4 packet: a header plus its payload. For IP-in-IP
 // packets the payload is the marshaled inner packet.
+//
+// A packet has one owner at a time (pool.go, DESIGN §6 "who owns a
+// packet"). The stack's constructors hand out pooled packets that own
+// their payload buffer and go back to the pool through Release; a packet a
+// caller builds as a literal is the garbage collector's, and Release on it
+// does nothing.
 type Packet struct {
 	Header
 	Payload []byte
@@ -71,6 +77,11 @@ type Packet struct {
 	// layer (link frames, ARP queues, tunnel encapsulation) carries it so a
 	// packet's hops can be replayed as one causal timeline.
 	Trace uint64
+
+	// buf is the bufpool buffer Payload is a window into, when the packet
+	// owns one; life is the pool's bookkeeping.
+	buf  []byte
+	life lifeState
 }
 
 // Len returns the marshaled length of the packet in bytes.
@@ -87,20 +98,11 @@ func (p *Packet) String() string {
 	return string(b)
 }
 
-// Clone returns a deep copy of the packet.
+// Clone returns a deep copy of the packet. The copy is a plain packet the
+// garbage collector owns, whatever p is: it is how a handler or hook keeps
+// a packet it was only lent.
 func (p *Packet) Clone() *Packet {
-	q := *p
-	q.Payload = append([]byte(nil), p.Payload...)
-	return &q
-}
-
-// ShallowClone returns a copy of the packet sharing the payload slice.
-// Payloads are treated as immutable once a packet is in flight, so the
-// forwarding path uses this to rewrite header fields (TTL) without copying
-// the body; callers that mutate the payload must use Clone.
-func (p *Packet) ShallowClone() *Packet {
-	q := *p
-	return &q
+	return &Packet{Header: p.Header, Payload: append([]byte(nil), p.Payload...), Trace: p.Trace}
 }
 
 // Marshal errors.
@@ -159,19 +161,41 @@ func (p *Packet) MarshalInto(dst []byte) ([]byte, error) {
 }
 
 // Unmarshal parses and validates an IPv4 packet: version, header length,
-// total length, and header checksum. The packet owns its payload: b may be
-// a pooled frame that is recycled while the packet is still in flight.
+// total length, and header checksum. It is the plain parser, for observers
+// (capture, an ICMP error's embedded header, tests): the packet and its
+// payload copy are the garbage collector's, so b may be a pooled frame that
+// is recycled while the packet is still held. The stack's receive path uses
+// UnmarshalPooled.
 func Unmarshal(b []byte) (*Packet, error) {
-	p, err := unmarshalBorrowed(b)
+	p := new(Packet)
+	body, err := p.Header.parse(b)
 	if err != nil {
 		return nil, err
 	}
-	p.Payload = append([]byte(nil), p.Payload...)
+	p.Payload = append([]byte(nil), body...)
 	return p, nil
 }
 
-// unmarshalBorrowed is Unmarshal with the payload left a window into b.
-func unmarshalBorrowed(b []byte) (*Packet, error) {
+// UnmarshalPooled is Unmarshal into a pooled packet that owns a pooled copy
+// of the payload: what a device receiver makes of a frame, one per hop. The
+// caller owns the result and hands it on (Host.Input) or releases it.
+//
+//mnet:ownership returns-pooled
+func UnmarshalPooled(b []byte) (*Packet, error) {
+	var h Header
+	body, err := h.parse(b)
+	if err != nil {
+		return nil, err
+	}
+	p := acquire(len(body))
+	p.Header = h
+	copy(p.Payload, body)
+	return p, nil
+}
+
+// parse validates the IPv4 header at the front of b, fills h from it and
+// returns the payload as a window into b (nil when there is none).
+func (h *Header) parse(b []byte) ([]byte, error) {
 	if len(b) < HeaderLen {
 		return nil, ErrShortPacket
 	}
@@ -190,23 +214,21 @@ func unmarshalBorrowed(b []byte) (*Packet, error) {
 		return nil, ErrBadChecksum
 	}
 	flagsFrag := binary.BigEndian.Uint16(b[6:])
-	p := &Packet{
-		Header: Header{
-			TOS:      b[1],
-			ID:       binary.BigEndian.Uint16(b[4:]),
-			DontFrag: flagsFrag&0x4000 != 0,
-			MoreFrag: flagsFrag&0x2000 != 0,
-			FragOff:  flagsFrag & 0x1fff,
-			TTL:      b[8],
-			Protocol: Protocol(b[9]),
-		},
+	*h = Header{
+		TOS:      b[1],
+		ID:       binary.BigEndian.Uint16(b[4:]),
+		DontFrag: flagsFrag&0x4000 != 0,
+		MoreFrag: flagsFrag&0x2000 != 0,
+		FragOff:  flagsFrag & 0x1fff,
+		TTL:      b[8],
+		Protocol: Protocol(b[9]),
 	}
-	copy(p.Src[:], b[12:16])
-	copy(p.Dst[:], b[16:20])
-	if total > ihl {
-		p.Payload = b[ihl:total:total]
+	copy(h.Src[:], b[12:16])
+	copy(h.Dst[:], b[16:20])
+	if total == ihl {
+		return nil, nil
 	}
-	return p, nil
+	return b[ihl:total:total], nil
 }
 
 // Checksum computes the Internet checksum (RFC 1071) over b. Computing it
@@ -259,25 +281,28 @@ func transportChecksum(src, dst Addr, proto Protocol, seg []byte) uint16 {
 // Encapsulate wraps inner in an outer IP-in-IP header addressed
 // outerSrc -> outerDst. This is the operation the paper's VIF performs: the
 // result is a normal IP packet whose payload is the marshaled inner packet.
+// The outer is a pooled packet the caller owns, the inner marshaled straight
+// into its buffer; inner is only read, and stays its owner's to release.
+//
+//mnet:ownership returns-pooled
 func Encapsulate(outerSrc, outerDst Addr, ttl uint8, id uint16, inner *Packet) (*Packet, error) {
-	body, err := inner.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	if HeaderLen+len(body) > MaxTotalLen {
+	if HeaderLen+inner.Len() > MaxTotalLen {
 		return nil, ErrTooLong
 	}
-	return &Packet{
-		Header: Header{
-			ID:       id,
-			TTL:      ttl,
-			Protocol: ProtoIPIP,
-			Src:      outerSrc,
-			Dst:      outerDst,
-		},
-		Payload: body,
-		Trace:   inner.Trace,
-	}, nil
+	outer := acquire(inner.Len())
+	outer.Header = Header{
+		ID:       id,
+		TTL:      ttl,
+		Protocol: ProtoIPIP,
+		Src:      outerSrc,
+		Dst:      outerDst,
+	}
+	outer.Trace = inner.Trace
+	if _, err := inner.MarshalInto(outer.Payload); err != nil {
+		outer.Release()
+		return nil, err
+	}
+	return outer, nil
 }
 
 // ErrNotEncapsulated is returned by Decapsulate for non-IPIP packets.
@@ -287,14 +312,35 @@ var ErrNotEncapsulated = errors.New("ip: packet is not IP-in-IP")
 // inner packet, and returns the inner packet. This is the receive half of
 // the paper's fused VIF/IPIP module. The inner payload is a window into
 // p.Payload, not a copy: a payload is immutable once its packet exists.
+//
+// Decapsulate consumes p, error or not: the inner packet takes over the
+// buffer p owned (its payload stays a window into it) and p goes back to
+// the pool, so the caller reads what it wants of the outer header first. A
+// plain p owns no buffer and is left as it was; the garbage collector keeps
+// its payload alive under the inner's window.
+//
+//mnet:ownership takes p
+//mnet:ownership returns-pooled
 func Decapsulate(p *Packet) (*Packet, error) {
 	if p.Protocol != ProtoIPIP {
+		p.Release()
 		return nil, ErrNotEncapsulated
 	}
-	inner, err := unmarshalBorrowed(p.Payload)
+	var h Header
+	body, err := h.parse(p.Payload)
 	if err != nil {
+		p.Release()
 		return nil, err
 	}
-	inner.Trace = p.Trace
+	inner := acquire(0)
+	inner.Header, inner.Payload, inner.Trace = h, body, p.Trace
+	inner.adoptBuffer(p)
+	p.Release()
 	return inner, nil
+}
+
+// adoptBuffer moves the buffer from owns under p, whose payload is a window
+// into it: from is released without it, p releases it in the end.
+func (p *Packet) adoptBuffer(from *Packet) {
+	p.buf, from.buf = from.buf, nil
 }

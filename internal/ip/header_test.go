@@ -191,26 +191,28 @@ func TestEncapsulateDecapsulate(t *testing.T) {
 	}
 }
 
-// TestDecapsulateBorrows: the inner packet's payload is a window into the
-// outer's — capped, so an append cannot write past it — while Unmarshal,
-// whose input may be a pooled frame, still hands out a copy.
+// TestDecapsulateBorrows: the inner packet's payload is a window into what
+// was the outer's — capped, so an append cannot write past it — while
+// Unmarshal, whose input may be a pooled frame, still hands out a copy.
 func TestDecapsulateBorrows(t *testing.T) {
 	outer, err := Encapsulate(MustParseAddr("36.8.0.50"), MustParseAddr("36.135.0.1"), DefaultTTL, 7, samplePacket())
 	if err != nil {
 		t.Fatal(err)
 	}
+	body := outer.Payload // Decapsulate consumes outer and moves this buffer under inner
 	inner, err := Decapsulate(outer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &inner.Payload[0] != &outer.Payload[HeaderLen] || cap(inner.Payload) != len(inner.Payload) {
+	defer inner.Release()
+	if &inner.Payload[0] != &body[HeaderLen] || cap(inner.Payload) != len(inner.Payload) {
 		t.Fatal("Decapsulate copied the inner payload, or left it room to grow into the outer's")
 	}
-	copied, err := Unmarshal(outer.Payload)
+	copied, err := Unmarshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &copied.Payload[0] == &outer.Payload[HeaderLen] || !bytes.Equal(copied.Payload, inner.Payload) {
+	if &copied.Payload[0] == &body[HeaderLen] || !bytes.Equal(copied.Payload, inner.Payload) {
 		t.Fatal("Unmarshal must own its payload")
 	}
 }

@@ -89,14 +89,40 @@ var (
 
 // MarshalICMP serializes an ICMP message with a correct checksum.
 func MarshalICMP(m *ICMP) []byte {
-	b := make([]byte, ICMPHeaderLen+len(m.Body))
+	b := make([]byte, m.Len())
+	marshalICMPInto(b, m)
+	return b
+}
+
+// Len returns the marshaled length of the message in bytes.
+func (m *ICMP) Len() int { return ICMPHeaderLen + len(m.Body) }
+
+// marshalICMPInto is MarshalICMP into b, which must be exactly m.Len()
+// bytes and may hold anything: every byte is written, the checksum field
+// zeroed before the sum is taken over it.
+func marshalICMPInto(b []byte, m *ICMP) {
+	if len(b) != m.Len() {
+		panic("ip: marshalICMPInto buffer length mismatch")
+	}
 	b[0] = byte(m.Type)
 	b[1] = m.Code
+	b[2], b[3] = 0, 0
 	binary.BigEndian.PutUint16(b[4:], m.ID)
 	binary.BigEndian.PutUint16(b[6:], m.Seq)
 	copy(b[ICMPHeaderLen:], m.Body)
 	binary.BigEndian.PutUint16(b[2:], Checksum(b))
-	return b
+}
+
+// NewICMPPacket returns a pooled packet src -> dst carrying the message,
+// marshaled straight into the packet's own buffer. The caller owns it and
+// hands it to Host.Output, or releases it.
+//
+//mnet:ownership returns-pooled
+func NewICMPPacket(src, dst Addr, m *ICMP) *Packet {
+	p := acquire(m.Len())
+	p.Header = Header{Protocol: ProtoICMP, Src: src, Dst: dst}
+	marshalICMPInto(p.Payload, m)
+	return p
 }
 
 // UnmarshalICMP parses and validates an ICMP message.

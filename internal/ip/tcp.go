@@ -62,6 +62,18 @@ var (
 // MarshalTCP serializes a TCP segment with a pseudo-header checksum.
 func MarshalTCP(src, dst Addr, h TCPHeader, payload []byte) []byte {
 	b := make([]byte, TCPHeaderLen+len(payload))
+	marshalTCPInto(b, src, dst, h, payload)
+	return b
+}
+
+// marshalTCPInto is MarshalTCP into b, which must be exactly
+// TCPHeaderLen+len(payload) bytes and may hold anything: every byte is
+// written, the checksum and the unused urgent pointer zeroed before the sum
+// is taken over them.
+func marshalTCPInto(b []byte, src, dst Addr, h TCPHeader, payload []byte) {
+	if len(b) != TCPHeaderLen+len(payload) {
+		panic("ip: marshalTCPInto buffer length mismatch")
+	}
 	binary.BigEndian.PutUint16(b[0:], h.SrcPort)
 	binary.BigEndian.PutUint16(b[2:], h.DstPort)
 	binary.BigEndian.PutUint32(b[4:], h.Seq)
@@ -69,9 +81,21 @@ func MarshalTCP(src, dst Addr, h TCPHeader, payload []byte) []byte {
 	b[12] = (TCPHeaderLen / 4) << 4
 	b[13] = h.Flags
 	binary.BigEndian.PutUint16(b[14:], h.Window)
+	b[16], b[17], b[18], b[19] = 0, 0, 0, 0
 	copy(b[TCPHeaderLen:], payload)
 	binary.BigEndian.PutUint16(b[16:], transportChecksum(src, dst, ProtoTCP, b))
-	return b
+}
+
+// NewTCPPacket returns a pooled packet src -> dst carrying the segment,
+// marshaled straight into the packet's own buffer. The caller owns it and
+// hands it to Host.Output, or releases it.
+//
+//mnet:ownership returns-pooled
+func NewTCPPacket(src, dst Addr, h TCPHeader, payload []byte) *Packet {
+	p := acquire(TCPHeaderLen + len(payload))
+	p.Header = Header{Protocol: ProtoTCP, Src: src, Dst: dst}
+	marshalTCPInto(p.Payload, src, dst, h, payload)
+	return p
 }
 
 // UnmarshalTCP parses and validates a TCP segment received between the

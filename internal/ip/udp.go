@@ -25,16 +25,39 @@ var (
 // sent between).
 func MarshalUDP(src, dst Addr, h UDPHeader, payload []byte) []byte {
 	b := make([]byte, UDPHeaderLen+len(payload))
+	marshalUDPInto(b, src, dst, h, payload)
+	return b
+}
+
+// marshalUDPInto is MarshalUDP into b, which must be exactly
+// UDPHeaderLen+len(payload) bytes and may hold anything: every byte is
+// written, the checksum field zeroed before the sum is taken over it.
+func marshalUDPInto(b []byte, src, dst Addr, h UDPHeader, payload []byte) {
+	if len(b) != UDPHeaderLen+len(payload) {
+		panic("ip: marshalUDPInto buffer length mismatch")
+	}
 	binary.BigEndian.PutUint16(b[0:], h.SrcPort)
 	binary.BigEndian.PutUint16(b[2:], h.DstPort)
 	binary.BigEndian.PutUint16(b[4:], uint16(len(b)))
+	b[6], b[7] = 0, 0
 	copy(b[UDPHeaderLen:], payload)
 	ck := transportChecksum(src, dst, ProtoUDP, b)
 	if ck == 0 {
 		ck = 0xffff // RFC 768: transmitted as all ones if computed zero
 	}
 	binary.BigEndian.PutUint16(b[6:], ck)
-	return b
+}
+
+// NewUDPPacket returns a pooled packet src -> dst carrying the datagram,
+// marshaled straight into the packet's own buffer. The caller owns it and
+// hands it to Host.Output (or OutputVia), or releases it.
+//
+//mnet:ownership returns-pooled
+func NewUDPPacket(src, dst Addr, h UDPHeader, payload []byte) *Packet {
+	p := acquire(UDPHeaderLen + len(payload))
+	p.Header = Header{Protocol: ProtoUDP, Src: src, Dst: dst}
+	marshalUDPInto(p.Payload, src, dst, h, payload)
+	return p
 }
 
 // UnmarshalUDP parses and validates a UDP datagram received between the

@@ -75,7 +75,11 @@ const (
 // Frame is a link-layer frame. On the receive side the Payload is a
 // pooled buffer shared by every receiver of one transmission and valid
 // only for the duration of the synchronous delivery call; receivers that
-// keep payload bytes must copy them (ip.Unmarshal and arp.Unmarshal do).
+// keep payload bytes must copy them (the stack's ip.UnmarshalPooled copies
+// them into the packet's own pooled buffer, arp decodes into a message on
+// its stack). On the send side the frame itself is the sender's for the
+// call only: Send and the network copy what they keep, and observers are
+// shown a copy, so a sender builds it on its stack.
 type Frame struct {
 	Src, Dst HWAddr
 	Type     EtherType

@@ -305,6 +305,16 @@ func (n *Network) AddTap(fn func(from *Device, f *Frame)) {
 	n.taps = append(n.taps, fn)
 }
 
+// tap shows the observers a copy of the frame. They are func values, so
+// what they are handed escapes to the heap; handing them the sender's frame
+// would make every sender's frame escape, tapped or not. With the copy a
+// frame built on the sender's stack stays there (arp.Cache.SendIP).
+func (n *Network) tap(from *Device, f Frame) {
+	for _, tap := range n.taps {
+		tap(from, &f)
+	}
+}
+
 // NewNetwork creates a broadcast domain over the given medium.
 func NewNetwork(loop *sim.Loop, name string, m Medium) *Network {
 	n := &Network{name: name, loop: loop, medium: m, pktlog: metrics.PacketsFor(loop)}
@@ -377,8 +387,8 @@ func (n *Network) remove(d *Device) {
 // individually, not collectively).
 func (n *Network) transmit(from *Device, f *Frame) {
 	n.stats.Transmitted++
-	for _, tap := range n.taps {
-		tap(from, f)
+	if len(n.taps) > 0 {
+		n.tap(from, *f)
 	}
 	now := n.loop.Now()
 	start := now

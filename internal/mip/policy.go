@@ -103,10 +103,12 @@ func (t *PolicyTable) Set(prefix ip.Prefix, p Policy) {
 			return
 		}
 	}
-	t.entries = append(t.entries, policyEntry{prefix, p})
-	sort.SliceStable(t.entries, func(i, j int) bool {
-		return t.entries[i].prefix.Bits > t.entries[j].prefix.Bits
-	})
+	// Longest prefixes first; the new entry goes in after the entries at
+	// least as long, where a stable sort with it appended would leave it.
+	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].prefix.Bits < prefix.Bits })
+	t.entries = append(t.entries, policyEntry{})
+	copy(t.entries[i+1:], t.entries[i:])
+	t.entries[i] = policyEntry{prefix, p}
 	t.changed()
 }
 

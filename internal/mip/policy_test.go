@@ -1,6 +1,8 @@
 package mip
 
 import (
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -97,5 +99,49 @@ func TestPropertyPolicyLPM(t *testing.T) {
 	}
 	if err := quick.Check(f, quickConfig(150)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPolicySetMatchesStableSort: Set places a new prefix by binary search;
+// the reference appends it and stable-sorts the table by prefix length, as
+// Set did. Over seeded scripts of sets and deletes both hold the same
+// entries in the same order after every step.
+func TestPolicySetMatchesStableSort(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pt := NewPolicyTable(PolicyTunnel)
+		var ref []policyEntry
+		for step := 0; step < 300; step++ {
+			prefix := ip.Prefix{Addr: ip.Addr{36, byte(rng.Intn(3)), byte(rng.Intn(3)), 0}, Bits: 8 * (1 + rng.Intn(3))}.Normalize()
+			at := -1
+			for i := range ref {
+				if ref[i].prefix == prefix {
+					at = i
+				}
+			}
+			if rng.Intn(4) == 0 {
+				pt.Delete(prefix)
+				if at >= 0 {
+					ref = append(ref[:at], ref[at+1:]...)
+				}
+			} else {
+				p := Policy(rng.Intn(3) + 1)
+				pt.Set(prefix, p)
+				if at >= 0 {
+					ref[at].policy = p
+				} else {
+					ref = append(ref, policyEntry{prefix, p})
+					sort.SliceStable(ref, func(i, j int) bool { return ref[i].prefix.Bits > ref[j].prefix.Bits })
+				}
+			}
+			if len(pt.entries) != len(ref) {
+				t.Fatalf("seed %d step %d: %d entries, reference has %d", seed, step, len(pt.entries), len(ref))
+			}
+			for i := range ref {
+				if pt.entries[i] != ref[i] {
+					t.Fatalf("seed %d step %d: entry %d is %v, the stable sort has %v", seed, step, i, pt.entries[i], ref[i])
+				}
+			}
+		}
 	}
 }

@@ -52,7 +52,14 @@ type Stats struct {
 	RedirectsRcvd uint64
 }
 
-// ProtocolHandler consumes a locally delivered packet.
+// ProtocolHandler consumes a locally delivered packet. pkt is lent: it and
+// its payload are valid until the handler returns, when the stack releases
+// the packet and its buffer is recycled. A handler that keeps the packet, or
+// any window into its payload, keeps pkt.Clone() (or its own copy of the
+// bytes) instead; the pointer it was handed reads as a zeroed header
+// afterwards, and soon as some other packet.
+//
+//mnet:ownership borrows pkt
 type ProtocolHandler func(ifc *Iface, pkt *ip.Packet)
 
 // Verdict is a forwarding filter's decision.
@@ -67,7 +74,10 @@ const (
 	Reject
 )
 
-// FilterFunc inspects a packet being forwarded from in to out.
+// FilterFunc inspects a packet being forwarded from in to out. pkt is lent
+// for the call, as to a ProtocolHandler.
+//
+//mnet:ownership borrows pkt
 type FilterFunc func(in, out *Iface, pkt *ip.Packet) Verdict
 
 // ErrNoRoute is returned when no route matches a destination.
@@ -285,7 +295,9 @@ func (h *Host) SetForwarding(v bool) { h.forwarding = v }
 // non-Accept verdict wins). Filters are adapted onto the FORWARD chain at
 // PriForwardFilter — after the route decision, before the path-MTU check,
 // exactly where the legacy filter list ran — named filter#NNN in
-// insertion order so the (priority, name) sort preserves it.
+// insertion order so the (priority, name) sort preserves it. A filter only
+// judges the packet: it is lent for the call and stays the stack's, so a
+// filter that wants to keep it keeps pkt.Clone().
 func (h *Host) AddFilter(f FilterFunc) {
 	name := fmt.Sprintf("filter#%03d", h.filterSeq)
 	h.filterSeq++
@@ -335,7 +347,10 @@ func (h *Host) AddIface(name string, dev *link.Device, addr ip.Addr, prefix ip.P
 			if ifc.addr.IsUnspecified() {
 				return nil
 			}
-			return []ip.Addr{ifc.addr}
+			// A window over the interface's own one-element array: the
+			// cache asks on every ARP frame heard and keeps nothing.
+			ifc.arpAddrs[0] = ifc.addr
+			return ifc.arpAddrs[:]
 		})
 	}
 	// Device reachability feeds Iface.Up(), which route decisions depend
@@ -348,7 +363,9 @@ func (h *Host) AddIface(name string, dev *link.Device, addr ip.Addr, prefix ip.P
 				ifc.arp.HandleFrame(f)
 			}
 		case link.EtherTypeIPv4:
-			pkt, err := ip.Unmarshal(f.Payload)
+			// The packet is born here, once per hop: a pooled struct owning
+			// a pooled copy of the payload, handed to Input.
+			pkt, err := ip.UnmarshalPooled(f.Payload)
 			if err != nil {
 				h.stats.DropBadPacket++
 				h.pktlog.Record(f.Trace, h.name, "ip.drop", "bad packet")
@@ -364,7 +381,8 @@ func (h *Host) AddIface(name string, dev *link.Device, addr ip.Addr, prefix ip.P
 }
 
 // AddVirtualIface attaches a software interface whose transmit function
-// receives routed packets. transmit may be nil when a POSTROUTING hook
+// receives routed packets, and with each the ownership of it (see
+// TransmitFunc). transmit may be nil when a POSTROUTING hook
 // owns the interface's egress instead, as the tunnel package's VIF does:
 // the hook steals every packet routed to the interface before send.
 func (h *Host) AddVirtualIface(name string, transmit TransmitFunc) *Iface {
@@ -587,6 +605,12 @@ func (h *Host) NextID() uint16 {
 // route decision, exactly as the paper describes: packets with a bound
 // source are outside the scope of mobile IP, packets without one get
 // whatever source the (possibly overridden) lookup chooses.
+//
+// Output takes pkt, error or not: the stack owns it from here to the wire,
+// the handler or the drop, and releases it there. The caller reads nothing
+// of it afterwards.
+//
+//mnet:ownership takes pkt
 func (h *Host) Output(pkt *ip.Packet) error {
 	if pkt.TTL == 0 {
 		pkt.TTL = h.cfg.TTL
@@ -597,21 +621,20 @@ func (h *Host) Output(pkt *ip.Packet) error {
 	if pkt.Trace == 0 {
 		pkt.Trace = h.loop.NextSerial()
 	}
-	ctx := h.acquireCtx(pipeline.Output, pkt)
 	dec, err := h.RouteLookup(pkt.Dst, pkt.Src)
+	if err == nil && pkt.Src.IsUnspecified() {
+		pkt.Src = dec.Src
+	}
+	ctx := h.acquireCtx(pipeline.Output, pkt)
 	if err != nil {
 		// The OUTPUT chain still runs, with RouteErr set: the terminal
 		// "unreachable" hook converts the failure into an accounted drop
 		// plus an ICMP Destination Unreachable to a bound source.
 		ctx.RouteErr = err
-		h.chains[pipeline.Output].Run(ctx)
-		h.releaseCtx(ctx)
+		h.endRun(ctx, h.chains[pipeline.Output].Run(ctx))
 		return err
 	}
 	ctx.Out, ctx.NextHop, ctx.Routed = dec.Iface, dec.NextHop, true
-	if pkt.Src.IsUnspecified() {
-		pkt.Src = dec.Src
-	}
 	h.finishOutput(ctx)
 	return nil
 }
@@ -620,18 +643,22 @@ func (h *Host) Output(pkt *ip.Packet) error {
 // accepted packet past the output processing delay into POSTROUTING. It
 // releases ctx.
 func (h *Host) finishOutput(ctx *PacketContext) {
-	if h.chains[pipeline.Output].Run(ctx) == pipeline.Accept {
+	if v := h.chains[pipeline.Output].Run(ctx); v == pipeline.Accept {
 		pkt := ctx.Pkt
 		h.stats.Sent++
 		h.pktlog.RecordDetail(pkt.Trace, h.name, "ip.output", HeaderDetail(metrics.DetailPacketVia, pkt, ctx.Out.name))
 		h.scheduleHop(h.cfg.OutputDelay, hopPostroute, ctx.Out, pkt, ctx.NextHop)
+		h.releaseCtx(ctx)
+	} else {
+		h.endRun(ctx, v)
 	}
-	h.releaseCtx(ctx)
 }
 
 // OutputVia transmits pkt on a specific interface toward nextHop,
 // bypassing route lookup. DHCP clients (which have no routable address
-// yet) and other link-scoped senders use it.
+// yet) and other link-scoped senders use it. Like Output it takes pkt.
+//
+//mnet:ownership takes pkt
 func (h *Host) OutputVia(ifc *Iface, pkt *ip.Packet, nextHop ip.Addr) error {
 	if pkt.TTL == 0 {
 		pkt.TTL = h.cfg.TTL
@@ -653,7 +680,9 @@ func (h *Host) OutputVia(ifc *Iface, pkt *ip.Packet, nextHop ip.Addr) error {
 // against the host's current addresses immediately — while the input
 // processing delay is charged before the packet reaches protocol handlers
 // or the forwarding engine. Decapsulating modules reuse Input to re-inject
-// inner packets.
+// inner packets. Input takes pkt, as Output does.
+//
+//mnet:ownership takes pkt
 func (h *Host) Input(ifc *Iface, pkt *ip.Packet) {
 	if pkt.Trace == 0 {
 		pkt.Trace = h.loop.NextSerial()
@@ -661,32 +690,47 @@ func (h *Host) Input(ifc *Iface, pkt *ip.Packet) {
 	h.stats.Received++
 	ctx := h.acquireCtx(pipeline.Prerouting, pkt)
 	ctx.In = ifc
-	h.chains[pipeline.Prerouting].Run(ctx)
-	h.releaseCtx(ctx)
+	h.endRun(ctx, h.chains[pipeline.Prerouting].Run(ctx))
 }
 
 // deliver runs the INPUT chain: reassembly, any decapsulation hooks, then
 // the terminal protocol demux.
+//
+//mnet:ownership takes pkt
 func (h *Host) deliver(ifc *Iface, pkt *ip.Packet) {
 	ctx := h.acquireCtx(pipeline.Input, pkt)
 	ctx.In = ifc
-	h.chains[pipeline.Input].Run(ctx)
-	h.releaseCtx(ctx)
+	h.endRun(ctx, h.chains[pipeline.Input].Run(ctx))
 }
 
-// forward runs the FORWARD chain (TTL, route, filters, MTU, redirect);
-// an accepted packet is cloned, decremented, and scheduled out.
+// forward runs the FORWARD chain (TTL, route, filters, MTU, redirect); an
+// accepted packet is decremented and scheduled out. The header is the
+// owner's to rewrite, and between this host's receiver and its wire the
+// owner is this host; only the payload is immutable.
+//
+//mnet:ownership takes pkt
 func (h *Host) forward(in *Iface, pkt *ip.Packet) {
 	ctx := h.acquireCtx(pipeline.Forward, pkt)
 	ctx.In = in
-	if h.chains[pipeline.Forward].Run(ctx) == pipeline.Accept {
-		// The forwarded copy shares the payload: bodies are immutable once in
-		// flight, and only the header (TTL) is rewritten here.
-		fwd := ctx.Pkt.ShallowClone()
+	if v := h.chains[pipeline.Forward].Run(ctx); v == pipeline.Accept {
+		fwd := ctx.Pkt
 		fwd.TTL--
 		h.stats.Forwarded++
-		h.pktlog.RecordDetail(pkt.Trace, h.name, "ip.forward", metrics.AddrDetail(metrics.DetailNextHop, ctx.NextHop, ctx.Out.name))
+		h.pktlog.RecordDetail(fwd.Trace, h.name, "ip.forward", metrics.AddrDetail(metrics.DetailNextHop, ctx.NextHop, ctx.Out.name))
 		h.scheduleHop(h.cfg.ForwardDelay, hopPostroute, ctx.Out, fwd, ctx.NextHop)
+		h.releaseCtx(ctx)
+	} else {
+		h.endRun(ctx, v)
+	}
+}
+
+// endRun finishes a chain run its packet does not continue from. A hook
+// that returned Stolen took the packet with it; on any other verdict the
+// packet dies here, after the chain's observer has built what it wanted
+// from it (the ip.drop record, an ICMP error).
+func (h *Host) endRun(ctx *PacketContext, v pipeline.Verdict) {
+	if v != pipeline.Stolen {
+		ctx.Pkt.Release()
 	}
 	h.releaseCtx(ctx)
 }

@@ -53,7 +53,9 @@ func newICMP(h *Host) *ICMP {
 	return &ICMP{host: h, pending: make(map[uint32]*pingState)}
 }
 
-// input handles a locally delivered ICMP packet.
+// input handles a locally delivered ICMP packet, which it is lent.
+//
+//mnet:ownership borrows pkt
 func (c *ICMP) input(ifc *Iface, pkt *ip.Packet) {
 	m, err := ip.UnmarshalICMP(pkt.Payload)
 	if err != nil {
@@ -68,15 +70,12 @@ func (c *ICMP) input(ifc *Iface, pkt *ip.Packet) {
 		// Reply from the address that was pinged, preserving the
 		// requester's view; a bound source keeps this outside mobile IP
 		// when the pinged address was a local (care-of) one.
-		out := &ip.Packet{
-			Header:  ip.Header{Protocol: ip.ProtoICMP, Src: pkt.Dst, Dst: pkt.Src},
-			Payload: ip.MarshalICMP(reply),
-		}
-		if pkt.Dst.IsBroadcast() {
-			out.Src = ip.Unspecified // let routing pick for broadcast pings
+		src := pkt.Dst
+		if src.IsBroadcast() {
+			src = ip.Unspecified // let routing pick for broadcast pings
 		}
 		c.Sent++
-		c.host.Output(out)
+		c.host.Output(ip.NewICMPPacket(src, pkt.Src, reply))
 	case ip.ICMPEchoReply:
 		key := uint32(m.ID)<<16 | uint32(m.Seq)
 		if st, ok := c.pending[key]; ok {
@@ -146,12 +145,8 @@ func (c *ICMP) Ping(dst, bound ip.Addr, size int, timeout time.Duration, cb func
 	})
 	c.pending[key] = st
 	m := &ip.ICMP{Type: ip.ICMPEchoRequest, ID: id, Seq: seq, Body: make([]byte, size)}
-	pkt := &ip.Packet{
-		Header:  ip.Header{Protocol: ip.ProtoICMP, Src: bound, Dst: dst},
-		Payload: ip.MarshalICMP(m),
-	}
 	c.Sent++
-	if err := c.host.Output(pkt); err != nil {
+	if err := c.host.Output(ip.NewICMPPacket(bound, dst, m)); err != nil {
 		if cur, ok := c.pending[key]; ok && cur == st {
 			delete(c.pending, key)
 			st.timer.Stop()
@@ -178,10 +173,7 @@ func (c *ICMP) sendError(typ ip.ICMPType, code uint8, offender *ip.Packet) {
 	}
 	msg := &ip.ICMP{Type: typ, Code: code, Body: ip.ICMPErrorBody(offender)}
 	c.Sent++
-	c.host.Output(&ip.Packet{
-		Header:  ip.Header{Protocol: ip.ProtoICMP, Dst: offender.Src},
-		Payload: ip.MarshalICMP(msg),
-	})
+	c.host.Output(ip.NewICMPPacket(ip.Unspecified, offender.Src, msg))
 }
 
 // sendRedirect tells pkt's source there is a better first hop for Dst.
@@ -190,10 +182,7 @@ func (c *ICMP) sendRedirect(pkt *ip.Packet, gateway ip.Addr) {
 	msg := &ip.ICMP{Type: ip.ICMPRedirect, Code: 1 /* host redirect */, Body: ip.ICMPErrorBody(pkt)}
 	msg.SetGateway(gateway)
 	c.Sent++
-	c.host.Output(&ip.Packet{
-		Header:  ip.Header{Protocol: ip.ProtoICMP, Dst: pkt.Src},
-		Payload: ip.MarshalICMP(msg),
-	})
+	c.host.Output(ip.NewICMPPacket(ip.Unspecified, pkt.Src, msg))
 }
 
 // paddedHeader fixes up a truncated ICMP error body (header + 8 bytes) so

@@ -12,7 +12,12 @@ import (
 // TransmitFunc is the send half of a virtual interface: it receives the
 // fully formed packet and the chosen next hop. The tunnel package's VIF is
 // the canonical implementation — it encapsulates the packet and feeds the
-// result back into the host's output path.
+// result back into the host's output path. The function takes pkt: a device
+// interface releases a packet once the wire has its bytes, a virtual one
+// hands it to whatever transmit does with it (loopback re-injects the same
+// packet through Input).
+//
+//mnet:ownership takes pkt
 type TransmitFunc func(pkt *ip.Packet, nextHop ip.Addr)
 
 // Iface is a host's network interface: either backed by a link device (with
@@ -33,6 +38,10 @@ type Iface struct {
 	// algorithmically). Frames are sent to the link broadcast address and
 	// filtered by IP on receive.
 	pointToPoint bool
+
+	// arpAddrs backs the one-address slice the ARP cache's localAddrs
+	// callback returns (AddIface) on every ARP frame heard.
+	arpAddrs [1]ip.Addr
 }
 
 // Name returns the interface name, e.g. "eth0", "strip0", "vif0", "lo".
@@ -90,11 +99,25 @@ func (i *Iface) MTU() int {
 // packet exceeds the medium MTU. DF-marked oversized packets are dropped
 // here; path-MTU signaling happens in the forwarding engine, which has
 // the context to send the ICMP error.
+//
+// send takes pkt. This is where a packet that leaves the host dies: once
+// its bytes are marshaled onto the wire (or it could not be sent) it is
+// released; a virtual interface's transmit function takes it instead.
+//
+//mnet:ownership takes pkt
 func (i *Iface) send(pkt *ip.Packet, nextHop ip.Addr) error {
 	if i.transmit != nil {
 		i.transmit(pkt, nextHop)
 		return nil
 	}
+	err := i.sendWire(pkt, nextHop)
+	pkt.Release()
+	return err
+}
+
+// sendWire puts pkt on the device, in fragments if it must. The fragments
+// are windows into pkt's payload, marshaled before send releases it.
+func (i *Iface) sendWire(pkt *ip.Packet, nextHop ip.Addr) error {
 	if mtu := i.MTU(); mtu > 0 && pkt.Len() > mtu {
 		frags, err := ip.Fragment(pkt, mtu)
 		if err != nil {
@@ -144,6 +167,9 @@ func (i *Iface) broadcastRaw(raw []byte, trace uint64) {
 		i.arp.SendBroadcastIP(raw, trace)
 		return
 	}
-	i.dev.Send(&link.Frame{Dst: link.BroadcastHW, Type: link.EtherTypeIPv4, Payload: raw, Trace: trace})
+	// The frame does not outlive Send, which copies what it keeps: it stays
+	// on this stack.
+	f := link.Frame{Dst: link.BroadcastHW, Type: link.EtherTypeIPv4, Payload: raw, Trace: trace}
+	i.dev.Send(&f)
 	bufpool.Put(raw)
 }

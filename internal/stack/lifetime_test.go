@@ -1,0 +1,168 @@
+package stack
+
+import (
+	"testing"
+	"time"
+
+	"mosquitonet/internal/bufpool"
+	"mosquitonet/internal/ip"
+	"mosquitonet/internal/link"
+	"mosquitonet/internal/pipeline"
+	"mosquitonet/internal/sim"
+)
+
+// outstanding reads both pools: pooled packets that have an owner and pooled
+// buffers someone holds. The counters are process-wide, count only between
+// ip.CountPools(true) and (false), and this package's tests run one at a
+// time, so a test turns them on, reads them before and reads them after.
+func outstanding() (packets, buffers int64) {
+	return ip.ReadPoolStats().Outstanding(), bufpool.ReadStats().Outstanding()
+}
+
+// TestLentPacketIsPoisoned: a handler and a hook that (wrongly) keep the
+// packet they were lent read a zeroed header once the stack has released it
+// — never the packet they saw, never a later one — while the clone a correct
+// handler keeps stays whole.
+func TestLentPacketIsPoisoned(t *testing.T) {
+	loop := sim.New(1)
+	n := link.NewNetwork(loop, "n", link.Ethernet())
+	a := addNode(t, loop, n, "a", "10.0.0.1/24")
+	b := addNode(t, loop, n, "b", "10.0.0.2/24")
+
+	var keptByHandler, keptByHook, clone *ip.Packet
+	var seenByHandler string
+	b.host.RegisterHandler(ip.ProtoUDP, func(_ *Iface, pkt *ip.Packet) {
+		keptByHandler, clone, seenByHandler = pkt, pkt.Clone(), pkt.String()
+	})
+	b.host.Hooks(pipeline.Input).Register(pipeline.Hook[*PacketContext]{
+		Name: "keeper", Priority: PriDecap,
+		Fn: func(ctx *PacketContext) pipeline.Verdict {
+			keptByHook = ctx.Pkt
+			return pipeline.Accept
+		},
+	})
+	if err := a.host.Output(udpPacket("10.0.0.1", "10.0.0.2", "lent")); err != nil {
+		t.Fatal(err)
+	}
+	loop.RunFor(time.Second)
+
+	const poisoned = "proto(0) 0.0.0.0->0.0.0.0 ttl=0 len=20"
+	if clone == nil || seenByHandler != "udp 10.0.0.1->10.0.0.2 ttl=64 len=24" {
+		t.Fatalf("the handler saw %q", seenByHandler)
+	}
+	if keptByHandler != keptByHook {
+		t.Fatal("hook and handler were lent different packets")
+	}
+	if got := keptByHandler.String(); got != poisoned || keptByHandler.Payload != nil || keptByHandler.Trace != 0 {
+		t.Errorf("the packet a handler kept reads %s payload %q after its return, want %s", got, keptByHandler.Payload, poisoned)
+	}
+	if clone.String() != seenByHandler || string(clone.Payload) != "lent" || clone.Trace == 0 {
+		t.Errorf("the clone reads %v %q, want what the handler saw", clone, clone.Payload)
+	}
+}
+
+// TestEveryPathReturnsItsPacket drives one packet down each way a packet can
+// end — delivered, forwarded, loopback, reassembled from fragments, dropped
+// by TTL with an ICMP error that is itself delivered, dropped for want of a
+// handler, a route, a filter's consent — plus a hook that steals and
+// releases, and requires both pools to be back where they started once the
+// loop is idle.
+func TestEveryPathReturnsItsPacket(t *testing.T) {
+	ip.CountPools(true)
+	defer ip.CountPools(false)
+	pkts0, bufs0 := outstanding()
+	made0 := ip.ReadPoolStats().Made
+
+	loop := sim.New(1)
+	a, b, router := twoSubnetTopology(t, loop)
+	got := collect(b.host)
+	send := func(h *Host, pkt *ip.Packet) {
+		t.Helper()
+		h.Output(pkt) // a no-route error is one of the paths
+		loop.RunFor(time.Second)
+	}
+
+	send(a.host, udpPacket("0.0.0.0", "10.0.1.2", "routed"))
+	send(a.host, udpPacket("0.0.0.0", "127.0.0.1", "loop"))
+	send(a.host, udpPacket("0.0.0.0", "10.0.1.2", string(make([]byte, 4000)))) // fragments at the sender
+	dying := udpPacket("0.0.0.0", "10.0.1.2", "dying")
+	dying.TTL = 1
+	send(a.host, dying)
+	send(a.host, &ip.Packet{Header: ip.Header{Protocol: 99, Dst: ip.MustParseAddr("10.0.1.2")}, Payload: []byte("no handler")})
+	send(b.host, udpPacket("10.0.1.2", "77.7.7.7", "no route at the router"))
+	lonely := NewHost(loop, "lonely", Config{})
+	send(lonely, udpPacket("10.9.9.9", "77.7.7.7", "no route at the sender"))
+	router.AddFilter(func(_, _ *Iface, pkt *ip.Packet) Verdict {
+		if string(pkt.Payload) == "filtered" {
+			return Reject
+		}
+		return Accept
+	})
+	send(a.host, udpPacket("0.0.0.0", "10.0.1.2", "filtered"))
+	b.host.Hooks(pipeline.Input).Register(pipeline.Hook[*PacketContext]{
+		Name: "thief", Priority: PriDecap,
+		Fn: func(ctx *PacketContext) pipeline.Verdict {
+			if string(ctx.Pkt.Payload) != "stolen" {
+				return pipeline.Accept
+			}
+			ctx.Pkt.Release()
+			return pipeline.Stolen
+		},
+	})
+	send(a.host, udpPacket("0.0.0.0", "10.0.1.2", "stolen"))
+	loop.Run()
+
+	if len(*got) != 2 || b.host.Reassembler().Stats().Reassembled != 1 {
+		t.Fatalf("b's handler got %d datagrams, reassembled %d; want the routed one and the reassembled one",
+			len(*got), b.host.Reassembler().Stats().Reassembled)
+	}
+	// a has no UDP handler: its loopback datagram is a no-handler drop, and
+	// what it is delivered are the ICMP errors the drops elsewhere sent back.
+	rs, as, bs := router.Stats(), a.host.Stats(), b.host.Stats()
+	if rs.DropTTL != 1 || rs.DropFilter != 1 || rs.DropNoRoute != 1 || lonely.Stats().DropNoRoute < 1 ||
+		bs.DropNoHandler != 1 || as.DropNoHandler != 1 || as.Delivered < 2 || as.FragmentsSent < 3 {
+		t.Fatalf("not every path was driven: router %+v, a %+v, b %+v", rs, as, bs)
+	}
+	if made := ip.ReadPoolStats().Made - made0; made < 20 {
+		t.Fatalf("only %d pooled packets were made: the paths above did not run pooled", made)
+	}
+	pkts, bufs := outstanding()
+	if pkts != pkts0 || bufs != bufs0 {
+		t.Errorf("at idle %+d pooled packets and %+d pooled buffers are still out", pkts-pkts0, bufs-bufs0)
+	}
+}
+
+// TestParkedFragmentsAreTheOnlyPacketsOut: on a lossy link some datagrams
+// lose a fragment and the rest of them wait in the reassembly buffer. While
+// they wait they are exactly the pooled packets (and buffers) outstanding;
+// when the sweep expires them, none is.
+func TestParkedFragmentsAreTheOnlyPacketsOut(t *testing.T) {
+	ip.CountPools(true)
+	defer ip.CountPools(false)
+	pkts0, bufs0 := outstanding()
+	loop := sim.New(9)
+	m := smallMTU(600)
+	m.LossProb = 0.3
+	n := link.NewNetwork(loop, "n", m)
+	a := addNode(t, loop, n, "a", "10.0.0.1/24")
+	b := addNode(t, loop, n, "b", "10.0.0.2/24")
+	collect(b.host)
+	for i := 0; i < 20; i++ {
+		a.host.Output(udpPacket("0.0.0.0", "10.0.0.2", string(make([]byte, 2000))))
+		loop.RunFor(100 * time.Millisecond)
+	}
+	held := int64(b.host.Reassembler().Held())
+	if held == 0 {
+		t.Fatal("no fragment is parked at 30% loss; the check needs some")
+	}
+	if pkts, bufs := outstanding(); pkts-pkts0 != held || bufs-bufs0 != held {
+		t.Errorf("%d fragments parked, but %+d pooled packets and %+d pooled buffers out", held, pkts-pkts0, bufs-bufs0)
+	}
+	loop.RunFor(2 * time.Minute) // several sweep intervals
+	if held := b.host.Reassembler().Held(); held != 0 {
+		t.Fatalf("%d fragments still parked after the sweeps", held)
+	}
+	if pkts, bufs := outstanding(); pkts != pkts0 || bufs != bufs0 {
+		t.Errorf("after the sweeps %+d pooled packets and %+d pooled buffers are still out", pkts-pkts0, bufs-bufs0)
+	}
+}

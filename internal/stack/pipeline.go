@@ -46,7 +46,14 @@ type PacketContext struct {
 	Host *Host
 	In   *Iface // arrival interface; nil for locally originated packets
 	Out  *Iface // chosen egress, once routed
-	Pkt  *ip.Packet
+
+	// Pkt is lent to the hook. A hook that returns Accept or Drop has only
+	// looked at it (or, like reassembly, replaced it with a packet the
+	// chain's runner now owns): the runner sends it on or releases it, and a
+	// hook that wants to keep it keeps Pkt.Clone(). Returning Stolen
+	// transfers it: the hook owns Pkt from then on and must release it or
+	// hand it to something that takes it (Host.Input, Host.Output, a hop).
+	Pkt *ip.Packet
 
 	// NextHop and Route are valid once Routed is set: after the FORWARD
 	// chain's "route" hook, and on OUTPUT/POSTROUTING contexts. (Routed
@@ -76,6 +83,10 @@ type PacketContext struct {
 // because runs nest: a decapsulating INPUT hook re-injects through Input, a
 // protocol handler replies through Output, and a Drop's observer sends an
 // ICMP error through Output, each while the outer run's context is live.
+// The context carries pkt for the run, so whoever ends the run (endRun, a
+// hop, Iface.send) ends up with the packet.
+//
+//mnet:ownership takes pkt
 func (h *Host) acquireCtx(stage pipeline.Stage, pkt *ip.Packet) *PacketContext {
 	ctx := h.ctxFree
 	if ctx == nil {
@@ -119,7 +130,10 @@ type hop struct {
 	free    *hop   // next record on the host's free list
 }
 
-// scheduleHop continues pkt into the kind chain after delay d.
+// scheduleHop continues pkt into the kind chain after delay d. The hop record
+// owns the packet across the delay.
+//
+//mnet:ownership takes pkt
 func (h *Host) scheduleHop(d time.Duration, kind hopKind, ifc *Iface, pkt *ip.Packet, nextHop ip.Addr) {
 	r := h.hopFree
 	if r == nil {
@@ -313,8 +327,8 @@ func (h *Host) hookReassemble(ctx *PacketContext) pipeline.Verdict {
 	full, done := h.reasm.Add(ctx.Pkt)
 	if !done {
 		h.armSweep()
-		// Parked in the reassembly buffer, not dropped; sweep expiry is
-		// accounted there.
+		// Parked in the reassembly buffer, which owns it now, not dropped;
+		// sweep expiry is accounted there.
 		return pipeline.Stolen
 	}
 	ctx.Pkt = full
@@ -322,7 +336,8 @@ func (h *Host) hookReassemble(ctx *PacketContext) pipeline.Verdict {
 }
 
 // hookDemux is INPUT's terminal hook: hand the packet to its protocol
-// handler, with ICMP built in as the fallback for its protocol number.
+// handler, with ICMP built in as the fallback for its protocol number. A
+// delivered packet dies here, when the handler it was lent to returns.
 func (h *Host) hookDemux(ctx *PacketContext) pipeline.Verdict {
 	ifc, pkt := ctx.In, ctx.Pkt
 	handler, ok := h.handlers[pkt.Protocol]
@@ -331,6 +346,7 @@ func (h *Host) hookDemux(ctx *PacketContext) pipeline.Verdict {
 			h.icmp.input(ifc, pkt)
 			h.stats.Delivered++
 			h.pktlog.Record(pkt.Trace, h.name, "ip.deliver", "icmp")
+			pkt.Release()
 			return pipeline.Stolen
 		}
 		return ctx.drop(metrics.ProtoDetail(metrics.DetailNoHandler, uint8(pkt.Protocol)), &h.stats.DropNoHandler)
@@ -338,6 +354,7 @@ func (h *Host) hookDemux(ctx *PacketContext) pipeline.Verdict {
 	h.stats.Delivered++
 	h.pktlog.RecordDetail(pkt.Trace, h.name, "ip.deliver", metrics.ProtoDetail(metrics.DetailProto, uint8(pkt.Protocol)))
 	handler(ifc, pkt)
+	pkt.Release()
 	return pipeline.Stolen
 }
 
@@ -435,13 +452,16 @@ func (h *Host) resolveRoute(dst, boundSrc ip.Addr) (RouteDecision, error) {
 // interface. Every packet leaving the host — locally originated or
 // forwarded — funnels through here; encapsulating hooks steal their VIF's
 // packets at this stage.
+//
+//mnet:ownership takes pkt
 func (h *Host) postroute(ifc *Iface, pkt *ip.Packet, nextHop ip.Addr) {
 	ctx := h.acquireCtx(pipeline.Postrouting, pkt)
 	ctx.Out, ctx.NextHop, ctx.Routed = ifc, nextHop, true
-	v := h.chains[pipeline.Postrouting].Run(ctx)
-	ifc, pkt, nextHop = ctx.Out, ctx.Pkt, ctx.NextHop
-	h.releaseCtx(ctx)
-	if v == pipeline.Accept {
+	if v := h.chains[pipeline.Postrouting].Run(ctx); v == pipeline.Accept {
+		ifc, pkt, nextHop = ctx.Out, ctx.Pkt, ctx.NextHop
+		h.releaseCtx(ctx)
 		ifc.send(pkt, nextHop)
+	} else {
+		h.endRun(ctx, v)
 	}
 }

@@ -51,6 +51,15 @@ type RouteTable struct {
 	gen uint64
 }
 
+// before orders the table for a simple first-match scan: longest prefixes
+// first, then lowest metric.
+func (r Route) before(o Route) bool {
+	if r.Dst.Bits != o.Dst.Bits {
+		return r.Dst.Bits > o.Dst.Bits
+	}
+	return r.Metric < o.Metric
+}
+
 // Add inserts a route. Adding an identical (Dst, Gateway, Iface) tuple
 // replaces the previous entry's metric rather than duplicating it.
 func (t *RouteTable) Add(r Route) {
@@ -64,20 +73,20 @@ func (t *RouteTable) Add(r Route) {
 			if e.Metric != r.Metric {
 				e.Metric = r.Metric
 				t.gen++
+				sort.SliceStable(t.routes, func(i, j int) bool { return t.routes[i].before(t.routes[j]) })
 			}
 			return
 		}
 	}
 	t.gen++
-	t.routes = append(t.routes, r)
-	// Keep longest prefixes first, then lowest metric, for a simple
-	// first-match scan.
-	sort.SliceStable(t.routes, func(i, j int) bool {
-		if t.routes[i].Dst.Bits != t.routes[j].Dst.Bits {
-			return t.routes[i].Dst.Bits > t.routes[j].Dst.Bits
-		}
-		return t.routes[i].Metric < t.routes[j].Metric
-	})
+	// The table is sorted, so the new route goes in after the last entry
+	// that does not sort after it — where a stable sort of the table with
+	// the route appended would leave it, without re-sorting (and without the
+	// swapper sort.SliceStable allocates) on every handoff's route change.
+	i := sort.Search(len(t.routes), func(i int) bool { return r.before(t.routes[i]) })
+	t.routes = append(t.routes, Route{})
+	copy(t.routes[i+1:], t.routes[i:])
+	t.routes[i] = r
 }
 
 // Delete removes every route exactly matching dst. It reports whether

@@ -2,6 +2,7 @@ package stack
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -32,10 +33,11 @@ func addNode(t *testing.T, loop *sim.Loop, n *link.Network, name, cidr string) *
 	return &node{host: h, dev: d, ifc: ifc}
 }
 
-// collect registers a UDP-protocol handler that records delivered packets.
+// collect registers a UDP-protocol handler that records delivered packets:
+// clones, because a handler is only lent the packet it is handed.
 func collect(h *Host) *[]*ip.Packet {
 	var got []*ip.Packet
-	h.RegisterHandler(ip.ProtoUDP, func(_ *Iface, pkt *ip.Packet) { got = append(got, pkt) })
+	h.RegisterHandler(ip.ProtoUDP, func(_ *Iface, pkt *ip.Packet) { got = append(got, pkt.Clone()) })
 	return &got
 }
 
@@ -82,6 +84,62 @@ func TestRouteTableMetric(t *testing.T) {
 	r, _ := rt.Lookup(ip.MustParseAddr("10.1.1.1"))
 	if r.Iface != b {
 		t.Fatal("lower metric not preferred")
+	}
+}
+
+// TestRouteTableAddMatchesStableSort: Add places a route by binary search;
+// the reference appends it and stable-sorts the whole table, as Add did. Over
+// seeded scripts of adds (new tuples, re-adds, metric changes) and deletes
+// the two tables hold the same routes in the same order after every step.
+func TestRouteTableAddMatchesStableSort(t *testing.T) {
+	h := NewHost(sim.New(1), "h", Config{})
+	ifaces := []*Iface{
+		h.AddVirtualIface("a", func(*ip.Packet, ip.Addr) {}),
+		h.AddVirtualIface("b", func(*ip.Packet, ip.Addr) {}),
+		h.AddVirtualIface("c", func(*ip.Packet, ip.Addr) {}),
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var rt RouteTable
+		var ref []Route
+		for step := 0; step < 300; step++ {
+			r := Route{
+				Dst:     ip.Prefix{Addr: ip.Addr{10, byte(rng.Intn(4)), 0, 0}, Bits: 8 * (1 + rng.Intn(3))}.Normalize(),
+				Gateway: ip.Addr{10, 0, 0, byte(rng.Intn(2))},
+				Iface:   ifaces[rng.Intn(len(ifaces))],
+				Metric:  rng.Intn(3),
+			}
+			if rng.Intn(5) == 0 {
+				rt.Delete(r.Dst)
+				kept := ref[:0]
+				for _, e := range ref {
+					if e.Dst != r.Dst {
+						kept = append(kept, e)
+					}
+				}
+				ref = kept
+			} else {
+				rt.Add(r)
+				found := false
+				for i := range ref {
+					if ref[i].Dst == r.Dst && ref[i].Gateway == r.Gateway && ref[i].Iface == r.Iface {
+						ref[i].Metric, found = r.Metric, true
+					}
+				}
+				if !found {
+					ref = append(ref, r)
+				}
+				sort.SliceStable(ref, func(i, j int) bool { return ref[i].before(ref[j]) })
+			}
+			if len(rt.routes) != len(ref) {
+				t.Fatalf("seed %d step %d: %d routes, reference has %d", seed, step, len(rt.routes), len(ref))
+			}
+			for i := range ref {
+				if rt.routes[i] != ref[i] {
+					t.Fatalf("seed %d step %d: route %d is %v, the stable sort has %v", seed, step, i, rt.routes[i], ref[i])
+				}
+			}
+		}
 	}
 }
 

@@ -133,13 +133,36 @@ func measureAllocsPerEvent(tb testing.TB) (allocsPerEvent float64, events uint64
 	return float64(after.Mallocs-before.Mallocs) / float64(events), events
 }
 
-// allocsPerEventBudget sits ~25% above the measured 1.95 allocations per
-// event. What is left is the packets themselves (ip.Unmarshal's struct and
-// payload copy, forward's clone, encapsulation, the ARP layer's frame) and
-// the registration exchange; the chain contexts, hop continuations and event
-// records are pooled and contribute nothing. Before they were, the figure
-// was 3.95: putting one allocation back on the per-hop path costs ~0.4.
-const allocsPerEventBudget = 2.4
+// raceDetector is set by race_test.go when the test binary is built -race.
+// sync.Pool drops a quarter of its Puts there on purpose, so a pooled path
+// allocates about twice as often; the three budgets below are enforced there
+// too, each against a second figure set the same distance above the -race
+// reading (0.75, 1.77 and 9.8, which repeat to 0.01, 0.01 and 0.1).
+var raceDetector bool
+
+// budget picks the figure a reading is held to in this build.
+func budget(plain, race float64) float64 {
+	if raceDetector {
+		return race
+	}
+	return plain
+}
+
+// allocsPerEventBudget sits ~10% above the measured 0.38 allocations per
+// event. The packets themselves are pooled now, with the chain contexts, hop
+// continuations and event records, and contribute nothing; what is left is
+// the copy of a datagram's payload UnmarshalUDP hands the socket's handler
+// (the largest single share, three in ten, once per delivery rather than per
+// hop),
+// the registration exchange (messages, bindings, timers, ARP requests and
+// the packets queued behind them) and flight records while a segment's free
+// list warms. While every hop made its packet anew the figure was 1.95, and
+// 3.95 before the contexts were pooled: putting one allocation back on the
+// per-hop path costs ~0.2-0.4.
+const (
+	allocsPerEventBudget     = 0.42
+	allocsPerEventBudgetRace = 0.83
+)
 
 // TestAllocsPerEventBudget is the packet path's allocation guard at the
 // 100-host tier, next to the footprint guard: it fails if the run phase
@@ -150,24 +173,29 @@ func TestAllocsPerEventBudget(t *testing.T) {
 		t.Skip("allocs/event measurement runs a fleet; skipped in -short")
 	}
 	got, events := measureAllocsPerEvent(t)
-	t.Logf("allocs/event: %.2f over %d events (budget %.1f)", got, events, allocsPerEventBudget)
-	if got > allocsPerEventBudget {
-		t.Errorf("allocs/event = %.2f, budget %.1f", got, allocsPerEventBudget)
+	limit := budget(allocsPerEventBudget, allocsPerEventBudgetRace)
+	t.Logf("allocs/event: %.2f over %d events (budget %.2f)", got, events, limit)
+	if got > limit {
+		t.Errorf("allocs/event = %.2f, budget %.2f", got, limit)
 	}
 }
 
-// telemetryAllocsPerEventBudget sits ~10% above the measured 2.89
+// telemetryAllocsPerEventBudget sits ~10% above the measured 1.27
 // allocations per event of the loaded-handoff spec run as scenario.Compile
 // builds it: packet log, tracer, spans and registry all on. When every hop
-// formatted its detail string for the log the figure was 6.01, and 3.51
-// while the stream path still copied a byte at every layer (a fresh slice
-// per received segment, per encoded message, per armed retransmission
-// timer). What is left is the packets themselves, the message bodies handed
-// to handlers, and of the telemetry the spans and the flat tracer's
-// formatted events.
-const telemetryAllocsPerEventBudget = 3.2
+// formatted its detail string for the log the figure was 6.01, 3.51 while
+// the stream path still copied a byte at every layer (a fresh slice per
+// received segment, per encoded message, per armed retransmission timer) and
+// 2.89 while every hop made its packet anew. What is left is the message
+// bodies handed to handlers, the lane buckets an RTO timer alone in its
+// bucket frees and re-makes on every ACK, and of the telemetry the spans and
+// the flat tracer's formatted events.
+const (
+	telemetryAllocsPerEventBudget     = 1.4
+	telemetryAllocsPerEventBudgetRace = 1.95
+)
 
-// streamCopyBudget sits ~30% above the measured 11.7 heap bytes allocated
+// streamCopyBudget sits ~30% above the measured 5.4 heap bytes allocated
 // per application payload byte a stream carried, on the loaded-handoff spec
 // with campus-sized messages (4 KB HTTP, 512 B MQTT) through its wired
 // steps. The figure counts everything the run allocates — packets, frames
@@ -176,9 +204,15 @@ const telemetryAllocsPerEventBudget = 3.2
 // publisher to broker to subscriber), so it is the copy amplification of
 // the whole path; it read 22.3 while the send
 // buffer was front-sliced and re-grown, the parsers rescanned a string copy
-// of their buffer per segment and UnmarshalTCP copied each payload. DESIGN
-// §6 lists the copies that remain.
-const streamCopyBudget = 15.2
+// of their buffer per segment and UnmarshalTCP copied each payload, and 11.7
+// while a segment's packet and payload were allocated at the sender and
+// again at every receiver instead of drawn from the pools. DESIGN §6 lists
+// the copies that remain; a copy into a pooled buffer is still a copy, but
+// no longer an allocation, so this figure stopped counting it.
+const (
+	streamCopyBudget     = 7.0
+	streamCopyBudgetRace = 12.7
+)
 
 // TestTelemetryAllocsPerEventBudget is TestAllocsPerEventBudget with the
 // telemetry on, on a compiled spec under MQTT and HTTP load: it fails if a
@@ -188,9 +222,10 @@ const streamCopyBudget = 15.2
 func TestTelemetryAllocsPerEventBudget(t *testing.T) {
 	mallocs, _, events, _ := measureRun(t, MustScenario("loadedhandoff"))
 	got := float64(mallocs) / float64(events)
-	t.Logf("telemetry-on allocs/event: %.2f over %d events (budget %.1f)", got, events, telemetryAllocsPerEventBudget)
-	if got > telemetryAllocsPerEventBudget {
-		t.Errorf("telemetry-on allocs/event = %.2f, budget %.1f", got, telemetryAllocsPerEventBudget)
+	limit := budget(telemetryAllocsPerEventBudget, telemetryAllocsPerEventBudgetRace)
+	t.Logf("telemetry-on allocs/event: %.2f over %d events (budget %.2f)", got, events, limit)
+	if got > limit {
+		t.Errorf("telemetry-on allocs/event = %.2f, budget %.2f", got, limit)
 	}
 }
 
@@ -208,9 +243,10 @@ func TestStreamCopyBudget(t *testing.T) {
 		t.Fatalf("the run carried only %d stream bytes; the guard needs the spec's MQTT and HTTP load", carried)
 	}
 	got := float64(allocated) / float64(carried)
-	t.Logf("heap bytes allocated per stream byte carried: %.1f (%d over %d, budget %.1f)", got, allocated, carried, streamCopyBudget)
-	if got > streamCopyBudget {
-		t.Errorf("%.1f heap bytes allocated per stream byte carried, budget %.1f", got, streamCopyBudget)
+	limit := budget(streamCopyBudget, streamCopyBudgetRace)
+	t.Logf("heap bytes allocated per stream byte carried: %.1f (%d over %d, budget %.1f)", got, allocated, carried, limit)
+	if got > limit {
+		t.Errorf("%.1f heap bytes allocated per stream byte carried, budget %.1f", got, limit)
 	}
 }
 

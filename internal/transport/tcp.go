@@ -397,12 +397,7 @@ func (c *Conn) sendSegment(flags uint8, seq, ack uint32, payload []byte) {
 		Flags:   flags,
 		Window:  c.advWnd,
 	}
-	seg := ip.MarshalTCP(c.key.laddr, c.key.raddr, h, payload)
-	pkt := &ip.Packet{
-		Header:  ip.Header{Protocol: ip.ProtoTCP, Src: c.key.laddr, Dst: c.key.raddr},
-		Payload: seg,
-	}
-	c.stk.host.Output(pkt)
+	c.stk.host.Output(ip.NewTCPPacket(c.key.laddr, c.key.raddr, h, payload))
 }
 
 // armTimer (re)starts the retransmission timer if anything is in flight.
@@ -530,11 +525,7 @@ func (s *Stack) tcpInput(ifc *stack.Iface, pkt *ip.Packet) {
 			rst.Ack = h.Seq + segLen
 			rst.Flags = ip.TCPRst | ip.TCPAck
 		}
-		seg := ip.MarshalTCP(pkt.Dst, pkt.Src, rst, nil)
-		s.host.Output(&ip.Packet{
-			Header:  ip.Header{Protocol: ip.ProtoTCP, Src: pkt.Dst, Dst: pkt.Src},
-			Payload: seg,
-		})
+		s.host.Output(ip.NewTCPPacket(pkt.Dst, pkt.Src, rst, nil))
 	}
 }
 
@@ -710,7 +701,7 @@ func (c *Conn) resendHead() {
 
 // sendData transmits the n buffered bytes at offset off as one segment. A
 // run that wraps around the ring is made contiguous in a scratch first;
-// MarshalTCP copies the payload before sendSegment returns, so the scratch
+// NewTCPPacket copies the payload before sendSegment returns, so the scratch
 // stays on the stack.
 func (c *Conn) sendData(seq uint32, off, n int) {
 	seg, wrapped := c.snd.peek(off, n)

@@ -78,11 +78,7 @@ func (u *UDPSocket) SendTo(dst ip.Addr, dport uint16, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	seg := ip.MarshalUDP(src, dst, ip.UDPHeader{SrcPort: u.port, DstPort: dport}, payload)
-	pkt := &ip.Packet{
-		Header:  ip.Header{Protocol: ip.ProtoUDP, Src: src, Dst: dst},
-		Payload: seg,
-	}
+	pkt := ip.NewUDPPacket(src, dst, ip.UDPHeader{SrcPort: u.port, DstPort: dport}, payload)
 	u.Sent++
 	return u.stk.host.Output(pkt)
 }
@@ -94,17 +90,14 @@ func (u *UDPSocket) SendToVia(ifc *stack.Iface, nextHop, dst ip.Addr, dport uint
 		return ErrClosed
 	}
 	src := u.bound
-	seg := ip.MarshalUDP(src, dst, ip.UDPHeader{SrcPort: u.port, DstPort: dport}, payload)
-	pkt := &ip.Packet{
-		Header:  ip.Header{Protocol: ip.ProtoUDP, Src: src, Dst: dst},
-		Payload: seg,
-	}
+	pkt := ip.NewUDPPacket(src, dst, ip.UDPHeader{SrcPort: u.port, DstPort: dport}, payload)
 	u.Sent++
 	return u.stk.host.OutputVia(ifc, pkt, nextHop)
 }
 
 // udpInput demultiplexes a received UDP packet: exact binding first, then
-// the wildcard binding on the same port.
+// the wildcard binding on the same port. The packet is lent; the datagram
+// handed on carries a copy of the payload (UnmarshalUDP's).
 func (s *Stack) udpInput(ifc *stack.Iface, pkt *ip.Packet) {
 	h, payload, err := ip.UnmarshalUDP(pkt.Src, pkt.Dst, pkt.Payload)
 	if err != nil {

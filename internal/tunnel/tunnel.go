@@ -139,24 +139,32 @@ func (e *Endpoint) Iface() *stack.Iface { return e.vif }
 func (e *Endpoint) Stats() Stats { return e.stats }
 
 // transmit is the encap hook's body: encapsulate and re-enter IP output.
+// The hook stole inner, so it dies here on every path: dropped, or marshaled
+// into the outer packet that goes on in its place.
+//
+//mnet:ownership takes inner
 func (e *Endpoint) transmit(inner *ip.Packet, _ ip.Addr) {
 	name := e.host.Name()
 	dst, ok := e.outerDst(inner)
 	if !ok {
 		e.stats.DropNoDst++
 		e.pktlog.Record(inner.Trace, name, "tunnel.drop", "no tunnel destination")
+		inner.Release()
 		return
 	}
 	src, ok := e.outerSrc()
 	if !ok {
 		e.stats.DropNoSrc++
 		e.pktlog.Record(inner.Trace, name, "tunnel.drop", "no outer source")
+		inner.Release()
 		return
 	}
 	outer, err := ip.Encapsulate(src, dst, ip.DefaultTTL, e.host.NextID(), inner)
+	trace := inner.Trace // the outer's too
+	inner.Release()
 	if err != nil {
 		e.stats.DropBadInner++
-		e.pktlog.Record(inner.Trace, name, "tunnel.drop", "encapsulation failed")
+		e.pktlog.Record(trace, name, "tunnel.drop", "encapsulation failed")
 		return
 	}
 	e.stats.Encapsulated++
@@ -171,30 +179,36 @@ func (e *Endpoint) transmit(inner *ip.Packet, _ ip.Addr) {
 		}
 		e.lastSrc = src
 	}
-	e.pktlog.RecordDetail(outer.Trace, name, "tunnel.encap", stack.HeaderDetail(metrics.DetailAddrPair, outer, ""))
+	e.pktlog.RecordDetail(trace, name, "tunnel.encap", stack.HeaderDetail(metrics.DetailAddrPair, outer, ""))
 	if err := e.host.Output(outer); err != nil {
 		e.stats.DropOutput++
-		e.pktlog.Record(outer.Trace, name, "tunnel.drop", "outer packet unroutable")
+		e.pktlog.Record(trace, name, "tunnel.drop", "outer packet unroutable")
 	}
 }
 
 // receive is the decap hook's body: strip the outer header, validate the
-// inner packet, and re-inject it as if it had arrived on the VIF.
+// inner packet, and re-inject it as if it had arrived on the VIF. The hook
+// stole outer, so it dies here: rejected, or consumed by Decapsulate, which
+// moves its buffer under the inner packet that goes on in its place.
+//
+//mnet:ownership takes outer
 func (e *Endpoint) receive(_ *stack.Iface, outer *ip.Packet) {
 	name := e.host.Name()
 	if e.AllowPeer != nil && !e.AllowPeer(outer.Src) {
 		e.stats.DropPeer++
 		e.pktlog.RecordDetail(outer.Trace, name, "tunnel.drop", metrics.AddrDetail(metrics.DetailPeerRejected, outer.Src, ""))
+		outer.Release()
 		return
 	}
+	trace, outerLen := outer.Trace, outer.Len()
 	inner, err := ip.Decapsulate(outer)
 	if err != nil {
 		e.stats.DropBadInner++
-		e.pktlog.Record(outer.Trace, name, "tunnel.drop", "bad inner packet")
+		e.pktlog.Record(trace, name, "tunnel.drop", "bad inner packet")
 		return
 	}
 	e.stats.Decapsulated++
-	e.decapBytes.Add(uint64(outer.Len()))
+	e.decapBytes.Add(uint64(outerLen))
 	e.pktlog.RecordDetail(inner.Trace, name, "tunnel.decap", stack.HeaderDetail(metrics.DetailPacket, inner, ""))
 	e.host.Input(e.vif, inner)
 }

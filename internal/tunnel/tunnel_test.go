@@ -95,7 +95,7 @@ func TestTunnelDelivery(t *testing.T) {
 
 	var got *ip.Packet
 	var gotIfc *stack.Iface
-	e.ha.RegisterHandler(ip.ProtoUDP, func(ifc *stack.Iface, pkt *ip.Packet) { got, gotIfc = pkt, ifc })
+	e.ha.RegisterHandler(ip.ProtoUDP, func(ifc *stack.Iface, pkt *ip.Packet) { got, gotIfc = pkt.Clone(), ifc })
 
 	inner := &ip.Packet{
 		Header:  ip.Header{Protocol: ip.ProtoUDP, Src: ip.MustParseAddr("36.135.0.7"), Dst: ip.MustParseAddr("36.135.0.1")},
@@ -167,7 +167,7 @@ func TestDecapForwardsInnerForOtherHost(t *testing.T) {
 	e.loop.RunFor(0)
 
 	var got *ip.Packet
-	ch.RegisterHandler(ip.ProtoUDP, func(_ *stack.Iface, pkt *ip.Packet) { got = pkt })
+	ch.RegisterHandler(ip.ProtoUDP, func(_ *stack.Iface, pkt *ip.Packet) { got = pkt.Clone() })
 
 	e.mh.Output(&ip.Packet{
 		Header:  ip.Header{Protocol: ip.ProtoUDP, Src: ip.MustParseAddr("36.135.0.7"), Dst: ip.MustParseAddr("10.0.1.3")},

@@ -59,7 +59,11 @@ type (
 	Addr = ip.Addr
 	// IPPrefix is an IPv4 CIDR prefix.
 	IPPrefix = ip.Prefix
-	// Packet is an IPv4 packet.
+	// Packet is an IPv4 packet. One a program builds as a literal is its
+	// own (and the garbage collector's) until it is handed to a host's
+	// Output or Input, which take it; one a filter, hook or protocol
+	// handler is handed is lent for the call — the stack recycles it
+	// afterwards, so what must be kept is kept as pkt.Clone().
 	Packet = ip.Packet
 	// Network is a broadcast domain with a medium model.
 	Network = link.Network
