@@ -628,7 +628,10 @@ func (fa *funcAnalysis) entryState(ftyp *ast.FuncType, obj types.Object) state {
 					s.vars[pobj] = []token.Pos{id}
 					s.bufs[id] = stOwned
 				}
-			case isFrame:
+			case isFrame || borrows[i] && hasPayloadField(pobj):
+				// A frame, or a borrowed struct that carries its bytes the
+				// same way (transport.Datagram), lends its Payload; its
+				// other fields are values copied out.
 				if pobj != nil {
 					id := name.Pos()
 					fa.bufs[id] = &bufInfo{pos: id, desc: "borrowed frame payload (payload of frame " + name.Name + ")", borrowed: true}
@@ -647,6 +650,20 @@ func (fa *funcAnalysis) entryState(ftyp *ast.FuncType, obj types.Object) state {
 		}
 	}
 	return s
+}
+
+// hasPayloadField reports whether obj is a struct value with a Payload field.
+func hasPayloadField(obj types.Object) bool {
+	if obj == nil {
+		return false
+	}
+	st, ok := obj.Type().Underlying().(*types.Struct)
+	for i := 0; ok && i < st.NumFields(); i++ {
+		if st.Field(i).Name() == "Payload" {
+			return true
+		}
+	}
+	return false
 }
 
 // report emits a deduplicated diagnostic (the reporting pass replays the

@@ -13,7 +13,8 @@
 //   - a call whose selector chain mentions "drop" (d.ctr.dropMTU.Inc()),
 //   - an increment/compound assignment to a field whose name says what
 //     happened (DropX, Expired, Denied, Exhausted, NoSocket, Bad...),
-//   - a call to a Record method (packet log or tracer) — discarding after
+//   - a call to a Record method (packet log or tracer) or to the trace
+//     wrapper an agent keeps over its tracer — discarding after
 //     writing the event into the timeline is accounted by definition,
 //   - a call whose name says the packet went onward instead (Send, SendTo,
 //     reply, relay, transmit, broadcastRaw, ...) — a path that forwards or
@@ -192,13 +193,13 @@ func blockAccounts(block *ast.BlockStmt) bool {
 }
 
 // callAccounts reports whether a call is an accounting touch: a Record
-// call, a forwarding call (the packet went onward, not down), or any
+// call or the per-object trace wrapper over it, a forwarding call (the packet went onward, not down), or any
 // method call whose selector chain mentions a drop-ish name
 // (d.ctr.dropMTU.Inc(), stats.CountDrop(...)).
 func callAccounts(call *ast.CallExpr) bool {
 	switch fun := call.Fun.(type) {
 	case *ast.SelectorExpr:
-		if fun.Sel.Name == "Record" || forwardCall.MatchString(fun.Sel.Name) {
+		if fun.Sel.Name == "Record" || fun.Sel.Name == "trace" || forwardCall.MatchString(fun.Sel.Name) {
 			return true
 		}
 		return exprMentionsAccounting(fun)

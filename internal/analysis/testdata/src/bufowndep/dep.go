@@ -109,6 +109,22 @@ type Handler func(pkt *Packet)
 // Register mirrors stack.Host.RegisterHandler.
 func Register(h Handler) {}
 
+// Datagram mirrors transport.Datagram: a struct lent by value whose Payload
+// is a window into the arriving packet.
+type Datagram struct {
+	From    [4]byte
+	Payload []byte
+	Iface   *Packet
+}
+
+// DatagramHandler mirrors transport.DatagramHandler.
+//
+//mnet:ownership borrows d
+type DatagramHandler func(d Datagram)
+
+// Bind mirrors transport.Stack.UDP.
+func Bind(h DatagramHandler) {}
+
 // Verdict and PacketContext mirror the pipeline's: a hook is a function of
 // a *PacketContext returning a Verdict.
 type Verdict int

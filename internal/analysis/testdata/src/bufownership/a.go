@@ -286,6 +286,7 @@ func see(p *dep.Packet) {}
 type keeper struct {
 	last *dep.Packet
 	src  [4]byte
+	buf  []byte
 }
 
 func readAfterOutput() {
@@ -401,6 +402,24 @@ func registerHandlers(k *keeper, later func(fn func())) {
 		k.last = pkt // want "retained past synchronous delivery"
 	}
 	h(nil)
+}
+
+// ---- datagrams: a borrowed struct lends its Payload, nothing else ----
+
+func (k *keeper) datagram(d dep.Datagram) {
+	k.buf = d.Payload // want "payload of frame d.+retained past synchronous delivery"
+}
+
+func bindDatagrams(k *keeper, later func(fn func())) {
+	dep.Bind(k.datagram)
+	dep.Bind(func(d dep.Datagram) {
+		k.src, k.last = d.From, d.Iface // values copied out of the datagram
+		k.buf = append(k.buf[:0], d.Payload...)
+		later(func() { see(d.Iface) })
+	})
+	dep.Bind(func(d dep.Datagram) {
+		later(func() { work(d.Payload) }) // want "captured by a closure"
+	})
 }
 
 // ---- hooks: the verdict says what became of ctx.Pkt ----

@@ -201,14 +201,16 @@ func formatApp(h ip.UDPHeader, payload []byte) string {
 		}
 		switch typ {
 		case mip.TypeRegRequest:
-			if r, err := mip.UnmarshalRegRequest(payload); err == nil {
+			var r mip.RegRequest
+			if err := mip.UnmarshalRegRequest(&r, payload); err == nil {
 				if r.IsDeregistration() {
 					return fmt.Sprintf("mip dereg home=%v id=%d", r.HomeAddr, r.ID)
 				}
 				return fmt.Sprintf("mip reg-request home=%v careof=%v life=%ds id=%d", r.HomeAddr, r.CareOf, r.Lifetime, r.ID)
 			}
 		case mip.TypeRegReply:
-			if r, err := mip.UnmarshalRegReply(payload); err == nil {
+			var r mip.RegReply
+			if err := mip.UnmarshalRegReply(&r, payload); err == nil {
 				return fmt.Sprintf("mip reg-reply %s life=%ds id=%d", mip.CodeString(r.Code), r.Lifetime, r.ID)
 			}
 		case mip.TypeAgentAdvert:

@@ -180,7 +180,7 @@ func (c *Client) stopTimers() {
 func (c *Client) fail(err error) {
 	c.state = stateIdle
 	c.dropWildcardSock()
-	c.span.Attrf("tries", "%d", c.tries)
+	c.span.SetUint("tries", uint64(c.tries))
 	c.span.Fail(err)
 	if c.done != nil {
 		done := c.done

@@ -92,7 +92,7 @@ func runExchange(t *testing.T, seed int64) exchange {
 		t.Fatal(err)
 	}
 	sock, err := stacks["mh"].UDP(mhAddr, 4000, func(d transport.Datagram) {
-		res.Echoed = append(res.Echoed, d.Payload)
+		res.Echoed = append(res.Echoed, append([]byte(nil), d.Payload...))
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -61,7 +61,8 @@ func NewUDPPacket(src, dst Addr, h UDPHeader, payload []byte) *Packet {
 }
 
 // UnmarshalUDP parses and validates a UDP datagram received between the
-// given IP addresses, returning the header and payload.
+// given IP addresses, returning the header and the payload — a window into
+// b, the caller's for as long as b is.
 func UnmarshalUDP(src, dst Addr, b []byte) (UDPHeader, []byte, error) {
 	if len(b) < UDPHeaderLen {
 		return UDPHeader{}, nil, ErrShortUDP
@@ -80,5 +81,5 @@ func UnmarshalUDP(src, dst Addr, b []byte) (UDPHeader, []byte, error) {
 		SrcPort: binary.BigEndian.Uint16(b[0:]),
 		DstPort: binary.BigEndian.Uint16(b[2:]),
 	}
-	return h, append([]byte(nil), b[UDPHeaderLen:]...), nil
+	return h, b[UDPHeaderLen:], nil
 }

@@ -155,7 +155,7 @@ type Network struct {
 	// snapshot) so steady-state transmission does not allocate per frame.
 	flights []*flight
 
-	// fastLanded counts the fast flights delivered so far. A device owes
+	// fastLanded counts the unicast fast flights delivered so far. A device owes
 	// itself one filter or down drop for each it has not settled, less the
 	// ones it sent or received (Device.settle).
 	fastLanded uint64
@@ -173,18 +173,21 @@ type Network struct {
 // observable order per-receiver events produced, since their consecutive
 // sequence numbers admitted no interleaving — and then recycles the record.
 //
-// A fast flight (from != nil) is a unicast frame whose snapshot would have
-// been every attached device but the sender, all but one of which can only
-// count a drop. Its rx holds that one device (or nobody, for a stale or
-// self-addressed destination); the rest are accounted arithmetically when it
-// lands. Three invariants keep that bit-exact with the walk:
+// A fast flight (from != nil) is a frame whose snapshot would have been every
+// attached device but the sender, so it is not taken. A unicast one can only
+// be received by one device: its rx holds that device (or nobody, for a stale
+// or self-addressed destination) and the rest are accounted arithmetically
+// when it lands. A broadcast one (all) is received by everybody: it lands by
+// walking n.devices itself. Three invariants keep that bit-exact with the
+// snapshot:
 //
-//   - eligibility, decided at launch: unicast destination, LossProb == 0 (no
-//     per-receiver draw to preserve), no promiscuous device attached, no
-//     packet log (its "device down on rx" rows need the walk; a loop's log
-//     is fixed before anything is built on it), not a trunk end, and someone
-//     besides the sender attached (the walk schedules no event for nobody);
-//   - settle points: a device folds its unsettled fast flights into
+//   - eligibility, decided at launch: LossProb == 0 (no per-receiver draw to
+//     preserve), not a trunk end, and someone besides the sender attached (the
+//     walk schedules no event for nobody); for a unicast destination also no
+//     promiscuous device attached and no packet log (its "device down on rx"
+//     rows need the walk; a loop's log is fixed before anything is built on
+//     it) — a broadcast visits every device anyway;
+//   - settle points: a device folds its unsettled unicast fast flights into
 //     dropFilter or dropDown, by the state it holds, before that state
 //     changes, before it detaches and before its counters are read;
 //   - materialize on membership change: before any attach, detach or
@@ -197,6 +200,8 @@ type flight struct {
 	// fire is fl.deliver, bound once: scheduling it allocates nothing.
 	fire func()
 	from *Device // sender of a fast flight; nil on the general path
+	all  bool    // a fast flight every device receives: a broadcast
+	at   int     // index in n.devices a landing broadcast has reached
 	next *flight // in-air queue link
 }
 
@@ -224,8 +229,9 @@ func (n *Network) newFlight(f *Frame) *flight {
 func (fl *flight) deliver() {
 	n := fl.net
 	if fl.from != nil {
-		// Fast flight: everyone but the sender gets a delivery; only rx is
-		// visited. Flights land in launch order, so fl heads the queue.
+		// Fast flight: everyone but the sender gets a delivery — a broadcast
+		// by being walked, a unicast frame by visiting rx alone. Flights
+		// land in launch order, so fl heads the queue.
 		if n.airHead != fl {
 			panic("link: fast flight landed out of launch order")
 		}
@@ -233,13 +239,24 @@ func (fl *flight) deliver() {
 			n.airTail = nil
 		}
 		fl.next = nil
-		n.fastLanded++
-		fl.from.fastOwn++
-		for _, d := range fl.rx {
-			d.fastOwn++
-		}
-		n.stats.Delivered += uint64(len(n.devices) - 1 - len(fl.rx))
 		n.landing = fl
+		if fl.all {
+			// A callback that changes the membership ends the walk here:
+			// finishWalk moves the devices not yet reached into rx.
+			for fl.at = 0; n.landing == fl && fl.at < len(n.devices); fl.at++ {
+				if d := n.devices[fl.at]; d != fl.from {
+					n.stats.Delivered++
+					d.deliver(&fl.frame)
+				}
+			}
+		} else {
+			n.fastLanded++
+			fl.from.fastOwn++
+			for _, d := range fl.rx {
+				d.fastOwn++
+			}
+			n.stats.Delivered += uint64(len(n.devices) - 1 - len(fl.rx))
+		}
 	}
 	// rx can grow under the loop: finishWalk appends the unreached devices.
 	for i := 0; i < len(fl.rx); i++ {
@@ -257,21 +274,24 @@ func (fl *flight) deliver() {
 // finishWalk turns the rest of the landing fast flight back into a walk. Its
 // receiver's callback is about to change a state or the membership, and the
 // devices attached after the receiver must meet the frame in the state they
-// hold once the callback returns: they are taken out of the arithmetic and
-// appended to rx.
+// hold once the callback returns: they are appended to rx, and for a unicast
+// flight taken out of the arithmetic.
 func (n *Network) finishWalk() {
 	fl := n.landing
 	n.landing = nil
-	i := 0
-	for n.devices[i] != fl.rx[0] {
-		i++
+	i := fl.at
+	if !fl.all {
+		for i = 0; n.devices[i] != fl.rx[0]; i++ {
+		}
 	}
 	for _, d := range n.devices[i+1:] {
 		if d == fl.from {
 			continue
 		}
-		d.fastOwn++
-		n.stats.Delivered--
+		if !fl.all {
+			d.fastOwn++
+			n.stats.Delivered--
+		}
 		fl.rx = append(fl.rx, d)
 	}
 }
@@ -418,7 +438,7 @@ func (n *Network) transmit(from *Device, f *Frame) {
 		n.handoff(&Frame{Src: f.Src, Dst: f.Dst, Type: f.Type, Payload: payload, Trace: f.Trace}, arrival)
 		return
 	}
-	if !f.Dst.IsBroadcast() && n.medium.LossProb == 0 && n.promisc == 0 && n.pktlog == nil && len(n.devices) > 1 {
+	if n.medium.LossProb == 0 && len(n.devices) > 1 && (f.Dst.IsBroadcast() || n.promisc == 0 && n.pktlog == nil) {
 		// A lone sender has no receiver and, as on the walk, costs no event.
 		n.transmitFast(from, f, arrival)
 		return
@@ -449,11 +469,12 @@ func (n *Network) transmit(from *Device, f *Frame) {
 }
 
 // transmitFast launches a fast flight (see flight): one index probe finds
-// the only device that can receive the frame, and the flight joins the in-air
-// queue so a membership change can still give it its full snapshot.
+// the only device that can receive a unicast frame (no device has the
+// broadcast address), and the flight joins the in-air queue so a membership
+// change can still give it its full snapshot.
 func (n *Network) transmitFast(from *Device, f *Frame, arrival sim.Time) {
 	fl := n.newFlight(f)
-	fl.from = from
+	fl.from, fl.all = from, f.Dst.IsBroadcast()
 	if d := n.byHW[f.Dst]; d != nil && d != from {
 		fl.rx = append(fl.rx, d)
 	}

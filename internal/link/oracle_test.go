@@ -169,6 +169,9 @@ type pair struct {
 	refLog   []string
 	lastStep string
 	rewalked int // fast flights a callback turned back into a walk mid-landing
+	// bcastWalked counts receives off a broadcast landing by its implicit
+	// snapshot, bcastRewalked the callbacks that ended such a walk early.
+	bcastWalked, bcastRewalked int
 }
 
 // Receiver scripts: the first payload byte picks what a receiver does to the
@@ -207,11 +210,20 @@ func newPair(t *testing.T, seed int64, packetLog, registry bool) *pair {
 		r := &refDev{name: d.Name(), hw: d.HW(), loop: p.refLoop, delay: delay, jitter: jitter}
 		d.SetReceiver(func(f *Frame) {
 			p.log = append(p.log, fmt.Sprintf("%v %s<-%v %x", p.loop.Now(), d.Name(), f.Src, f.Payload))
+			var landing *flight
 			n := d.Network()
-			landing := n != nil && n.landing != nil
+			if n != nil {
+				landing = n.landing
+			}
 			p.act(false, i, f)
-			if landing && n.landing == nil {
+			if landing != nil && landing.all {
+				p.bcastWalked++
+			}
+			if landing != nil && n.landing == nil {
 				p.rewalked++
+				if landing.all {
+					p.bcastRewalked++
+				}
 			}
 		})
 		r.recv = func(f *Frame) {
@@ -373,7 +385,8 @@ func (p *pair) checkRegistry() {
 	}
 }
 
-// TestFastPathMatchesWalk is the oracle for the unicast fast path: a seeded
+// TestFastPathMatchesWalk is the oracle for the fast flights, unicast and
+// broadcast: a seeded
 // random schedule of sends, membership changes, state flaps, promiscuous
 // toggles, loss bursts and counter reads — many of them issued from inside a
 // delivery callback — applied to the real link layer and to the reference
@@ -425,8 +438,14 @@ func runOracle(t *testing.T, seed int64, packetLog, registry bool) {
 			}
 		case op < 58:
 			trace++
-			p.lastStep = fmt.Sprintf("step %d: d%d broadcasts", step, dev)
-			p.both(func(ref bool) { _ = p.send(ref, dev, BroadcastHW, []byte{actNone, 0, byte(step)}, trace) })
+			// Every up device runs the script, each against the membership
+			// and states the ones before it left behind.
+			payload := []byte{byte(rng.Intn(numActs)), byte(rng.Intn(256)), byte(step)}
+			if rng.Intn(3) > 0 {
+				payload[0] = actNone
+			}
+			p.lastStep = fmt.Sprintf("step %d: d%d broadcasts %x", step, dev, payload)
+			p.both(func(ref bool) { _ = p.send(ref, dev, BroadcastHW, payload, trace) })
 		case op < 66: // attach, which moves an attached device with frames in flight
 			p.lastStep = fmt.Sprintf("step %d: d%d attaches to n%d", step, dev, net)
 			p.devs[dev].Attach(p.nets[net])
@@ -507,9 +526,12 @@ func runOracle(t *testing.T, seed int64, packetLog, registry bool) {
 		sent += n.stats.Transmitted
 		lost += n.stats.LostMedium
 	}
+	if p.bcastWalked == 0 || p.bcastRewalked == 0 {
+		t.Fatalf("schedule too tame to mean anything: %d receives off a walked broadcast, %d walks ended by a callback", p.bcastWalked, p.bcastRewalked)
+	}
 	if packetLog {
 		if fast != 0 {
-			t.Fatalf("%d fast flights on a logged network", fast)
+			t.Fatalf("%d unicast fast flights on a logged network", fast)
 		}
 	} else if fast < sent/4 || lost == 0 || p.rewalked == 0 {
 		t.Fatalf("schedule too tame to mean anything: %d of %d frames flew fast, %d medium losses, %d re-walked mid-landing", fast, sent, lost, p.rewalked)

@@ -165,6 +165,10 @@ func (fa *ForeignAgent) tunnelDst(inner *ip.Packet) (ip.Addr, bool) {
 	return ip.Addr{}, false
 }
 
+func (fa *ForeignAgent) trace(kind string, o trace.Operands) {
+	fa.cfg.Tracer.RecordOps(fa.host.Name(), kind, renderDetail, o)
+}
+
 func (fa *ForeignAgent) input(d transport.Datagram) {
 	typ, err := MessageType(d.Payload)
 	if err != nil {
@@ -182,6 +186,8 @@ func (fa *ForeignAgent) input(d transport.Datagram) {
 		}
 	}
 	if fa.cfg.ProcessingDelay > 0 {
+		// The payload is lent for this call; the relay runs after it.
+		d.Payload = append([]byte(nil), d.Payload...)
 		fa.host.Loop().Schedule(fa.host.Loop().Jitter(fa.cfg.ProcessingDelay, fa.cfg.ProcessingDelay/12), handle)
 	} else {
 		handle()
@@ -191,8 +197,8 @@ func (fa *ForeignAgent) input(d transport.Datagram) {
 // relayRequest forwards a visitor's registration request to its home
 // agent, clamping the lifetime to what this agent will serve.
 func (fa *ForeignAgent) relayRequest(d transport.Datagram) {
-	req, err := UnmarshalRegRequest(d.Payload)
-	if err != nil {
+	var req RegRequest
+	if err := UnmarshalRegRequest(&req, d.Payload); err != nil {
 		fa.stats.DropMalformed++
 		return
 	}
@@ -205,15 +211,15 @@ func (fa *ForeignAgent) relayRequest(d transport.Datagram) {
 	}
 	fa.pending[req.ID] = req.HomeAddr
 	fa.stats.RequestsRelayed++
-	fa.cfg.Tracer.Record(fa.host.Name(), kFARelayRequest, "home=%v id=%d", req.HomeAddr, req.ID)
+	fa.trace(kFARelayRequest, trace.Operands{A: req.HomeAddr, N: req.ID})
 	fa.sock.SendTo(req.HomeAgent, Port, req.Marshal())
 }
 
 // relayReply forwards the home agent's reply to the visitor and, on
 // success, installs the visitor entry and its on-link delivery route.
 func (fa *ForeignAgent) relayReply(d transport.Datagram) {
-	reply, err := UnmarshalRegReply(d.Payload)
-	if err != nil {
+	var reply RegReply
+	if err := UnmarshalRegReply(&reply, d.Payload); err != nil {
 		fa.stats.DropMalformed++
 		return
 	}
@@ -230,7 +236,7 @@ func (fa *ForeignAgent) relayReply(d transport.Datagram) {
 		fa.removeVisitor(home)
 	}
 	fa.stats.RepliesRelayed++
-	fa.cfg.Tracer.Record(fa.host.Name(), kFARelayReply, "home=%v %s", home, CodeString(reply.Code))
+	fa.trace(kFARelayReply, trace.Operands{A: home, I: int32(reply.Code)})
 	fa.sock.SendTo(home, Port, reply.Marshal())
 }
 
@@ -294,12 +300,12 @@ func (fa *ForeignAgent) handlePFANotify(d transport.Datagram) {
 	})
 	if n.NewCareOf.IsUnspecified() {
 		v.buffering = true
-		fa.cfg.Tracer.Record(fa.host.Name(), kFABuffering, "home=%v", n.HomeAddr)
+		fa.trace(kFABuffering, trace.Operands{A: n.HomeAddr})
 		return
 	}
 	v.forwardTo = n.NewCareOf
 	v.buffering = false
-	fa.cfg.Tracer.Record(fa.host.Name(), kFAForwarding, "home=%v to=%v buffered=%d", n.HomeAddr, n.NewCareOf, len(v.queue))
+	fa.trace(kFAForwarding, trace.Operands{A: n.HomeAddr, B: n.NewCareOf, I: int32(len(v.queue))})
 	queued := v.queue
 	v.queue = nil
 	for _, pkt := range queued {
@@ -314,7 +320,7 @@ func (fa *ForeignAgent) handlePFANotify(d transport.Datagram) {
 // its home address on the visited link, uses the agent as its default
 // router, and registers with the agent's address as care-of.
 func (m *MobileHost) ConnectViaForeignAgent(mi *ManagedIface, faAddr ip.Addr, done func(error)) {
-	m.trace(kFAStart, "iface=%s fa=%v", mi.Name(), faAddr)
+	m.trace(kFAStart, trace.Operands{S: mi.Name(), A: faAddr})
 	mi.ifc.Device().BringUp(func() {
 		m.host.Loop().Schedule(m.jit(m.cfg.ConfigureDelay), func() {
 			if arp := mi.ifc.ARP(); arp != nil {
@@ -382,7 +388,7 @@ func (m *MobileHost) DiscoverForeignAgent(mi *ManagedIface, timeout time.Duratio
 				m.stats.DropMalformed++
 				return
 			}
-			m.trace(kFADiscovered, "agent=%v seq=%d", adv.Agent, adv.Seq)
+			m.trace(kFADiscovered, trace.Operands{A: adv.Agent, I: int32(adv.Seq)})
 			finish(DiscoveredAgent{
 				Agent:    adv.Agent,
 				Lifetime: time.Duration(adv.Lifetime) * time.Second,
@@ -425,7 +431,7 @@ var ErrNoAgentFound = errors.New("mip: no foreign agent advertisement heard")
 // called after a successful registration on the new network.
 func (m *MobileHost) NotifyPreviousFA(fa ip.Addr, newCareOf ip.Addr, lifetime time.Duration) {
 	n := &PFANotify{HomeAddr: m.cfg.HomeAddr, NewCareOf: newCareOf, Lifetime: uint16(lifetime / time.Second)}
-	m.trace(kPFANotify, "fa=%v newCareOf=%v", fa, newCareOf)
+	m.trace(kPFANotify, trace.Operands{A: fa, B: newCareOf})
 	if m.regSock != nil {
 		m.regSock.SendTo(fa, Port, n.Marshal())
 	}
@@ -438,7 +444,7 @@ func (m *MobileHost) NotifyPreviousFA(fa ip.Addr, newCareOf ip.Addr, lifetime ti
 // interface down.
 func (m *MobileHost) AnnounceDeparture(fa ip.Addr, lifetime time.Duration) {
 	n := &PFANotify{HomeAddr: m.cfg.HomeAddr, Lifetime: uint16(lifetime / time.Second)}
-	m.trace(kPFADeparting, "fa=%v", fa)
+	m.trace(kPFADeparting, trace.Operands{A: fa})
 	if m.regSock != nil {
 		m.regSock.SendTo(fa, Port, n.Marshal())
 	}

@@ -24,13 +24,12 @@ func FuzzUnmarshalRegRequest(f *testing.F) {
 	f.Add((&RegRequest{}).Marshal())
 	f.Add([]byte{TypeRegRequest, 0})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		r, err := UnmarshalRegRequest(b)
-		if err != nil {
+		r, r2 := new(RegRequest), new(RegRequest)
+		if UnmarshalRegRequest(r, b) != nil {
 			return
 		}
 		b1 := r.Marshal()
-		r2, err := UnmarshalRegRequest(b1)
-		if err != nil {
+		if err := UnmarshalRegRequest(r2, b1); err != nil {
 			t.Fatalf("re-marshaled request failed to parse: %v", err)
 		}
 		if *r2 != *r || !bytes.Equal(r2.Marshal(), b1) {
@@ -50,13 +49,12 @@ func FuzzUnmarshalRegReply(f *testing.F) {
 	f.Add(rep.Marshal())
 	f.Add([]byte{TypeRegReply})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		r, err := UnmarshalRegReply(b)
-		if err != nil {
+		r, r2 := new(RegReply), new(RegReply)
+		if UnmarshalRegReply(r, b) != nil {
 			return
 		}
 		b1 := r.Marshal()
-		r2, err := UnmarshalRegReply(b1)
-		if err != nil {
+		if err := UnmarshalRegReply(r2, b1); err != nil {
 			t.Fatalf("re-marshaled reply failed to parse: %v", err)
 		}
 		if *r2 != *r || !bytes.Equal(r2.Marshal(), b1) {

@@ -30,7 +30,8 @@ type HomeAgentConfig struct {
 	MaxLifetime time.Duration
 	// Authorize, if set, may deny a request by returning a non-zero reply
 	// code. The paper implements no authentication; this is the hook a
-	// deployment would attach S/Key-style verification to.
+	// deployment would attach S/Key-style verification to. The request is
+	// the agent's, lent for the call.
 	Authorize func(*RegRequest) uint8
 	// Tracer, if set, records registration processing events.
 	Tracer *trace.Tracer
@@ -61,9 +62,25 @@ type Binding struct {
 	ID       uint64 // identification of the registration that installed it
 }
 
+// haBinding is a home address's entry in the binding table, from its first
+// registration until it deregisters or expires: a re-registration — every
+// handoff of a roaming host — updates it in place and re-arms its timer.
 type haBinding struct {
 	Binding
-	timer sim.Timer
+	ha     *HomeAgent
+	timer  sim.Timer
+	expire func() // b.expired, bound once
+}
+
+// delayedReply is a registration reply waiting out the agent's processing
+// delay; the records are recycled through HomeAgent.idle.
+type delayedReply struct {
+	ha    *HomeAgent
+	reply RegReply
+	to    ip.Addr
+	port  uint16
+	span  *trace.Span // "reg.serve"
+	fire  func()      // r.send
 }
 
 // HomeAgent implements the home-network half of the protocol: it answers
@@ -79,6 +96,8 @@ type HomeAgent struct {
 	sock *transport.UDPSocket
 
 	bindings map[ip.Addr]*haBinding
+	req      RegRequest      // the request being processed, decoded in place
+	idle     []*delayedReply // records free for reuse
 	// lastID tracks the highest identification accepted per home address.
 	// Requests with stale identifications are rejected — the replay
 	// protection RFC 2002's identification field exists for. (The paper
@@ -223,24 +242,22 @@ func (ha *HomeAgent) SetProcessingDelay(d time.Duration) (prev time.Duration) {
 	return prev
 }
 
+func (ha *HomeAgent) trace(kind string, o trace.Operands) {
+	ha.cfg.Tracer.RecordOps(ha.host.Name(), kind, renderDetail, o)
+}
+
 func (ha *HomeAgent) input(d transport.Datagram) {
 	if ha.down {
 		ha.stats.DropWhileDown++
 		return
 	}
-	typ, err := MessageType(d.Payload)
-	if err != nil || typ != TypeRegRequest {
-		ha.stats.DropMalformed++
-		return
-	}
-	req, err := UnmarshalRegRequest(d.Payload)
-	if err != nil {
+	req := &ha.req
+	if typ, err := MessageType(d.Payload); err != nil || typ != TypeRegRequest || UnmarshalRegRequest(req, d.Payload) != nil {
 		ha.stats.DropMalformed++
 		return
 	}
 	ha.stats.Requests++
-	ha.cfg.Tracer.Record(ha.host.Name(), kRegRequestReceived, "home=%v careof=%v lifetime=%ds id=%d",
-		req.HomeAddr, req.CareOf, req.Lifetime, req.ID)
+	ha.trace(kRegRequestReceived, trace.Operands{A: req.HomeAddr, B: req.CareOf, I: int32(req.Lifetime), N: req.ID})
 	ha.process(req, d)
 }
 
@@ -253,8 +270,8 @@ func (ha *HomeAgent) process(req *RegRequest, d transport.Datagram) {
 	// An explicit root: overlapping requests (a fleet re-registering) must
 	// not nest under one another in the agent's ambient span context.
 	sp := ha.cfg.Tracer.StartChild(nil, ha.host.Name(), kSpanRegServe)
-	sp.Attrf("home", "%v", req.HomeAddr)
-	sp.Attrf("id", "%d", req.ID)
+	sp.SetAddr("home", req.HomeAddr)
+	sp.SetUint("id", req.ID)
 	code := uint8(CodeAccepted)
 	granted := req.Lifetime
 	switch {
@@ -284,18 +301,32 @@ func (ha *HomeAgent) process(req *RegRequest, d transport.Datagram) {
 	} else {
 		ha.stats.Denied++
 	}
-	sendReply := func() {
-		reply := &RegReply{Code: code, Lifetime: granted, HomeAddr: req.HomeAddr, HomeAgent: ha.Addr(), ID: req.ID}
-		ha.cfg.Tracer.Record(ha.host.Name(), kRegReplySent, "%s lifetime=%ds id=%d", CodeString(code), granted, req.ID)
-		sp.SetAttr("code", CodeString(code))
-		sp.Done()
-		ha.sock.SendTo(d.From, d.FromPort, reply.Marshal())
-	}
-	if ha.cfg.ProcessingDelay > 0 {
-		ha.host.Loop().Schedule(ha.host.Loop().Jitter(ha.cfg.ProcessingDelay, ha.cfg.ProcessingDelay/12), sendReply)
+	var r *delayedReply
+	if k := len(ha.idle); k > 0 {
+		r, ha.idle = ha.idle[k-1], ha.idle[:k-1]
 	} else {
-		sendReply()
+		r = &delayedReply{ha: ha}
+		r.fire = r.send
 	}
+	r.reply = RegReply{Code: code, Lifetime: granted, HomeAddr: req.HomeAddr, ID: req.ID}
+	r.to, r.port, r.span = d.From, d.FromPort, sp
+	if ha.cfg.ProcessingDelay > 0 {
+		ha.host.Loop().Schedule(ha.host.Loop().Jitter(ha.cfg.ProcessingDelay, ha.cfg.ProcessingDelay/12), r.fire)
+	} else {
+		r.send()
+	}
+}
+
+// send transmits the reply and gives the record back.
+func (r *delayedReply) send() {
+	ha := r.ha
+	r.reply.HomeAgent = ha.Addr()
+	ha.trace(kRegReplySent, trace.Operands{I: int32(r.reply.Code), J: int32(r.reply.Lifetime), N: r.reply.ID})
+	r.span.SetAttr("code", CodeString(r.reply.Code))
+	r.span.Done()
+	ha.sock.SendTo(r.to, r.port, r.reply.Marshal())
+	r.span = nil
+	ha.idle = append(ha.idle, r)
 }
 
 // register installs or refreshes a mobility binding: the proxy ARP
@@ -304,32 +335,28 @@ func (ha *HomeAgent) process(req *RegRequest, d transport.Datagram) {
 // the lifetime timer.
 func (ha *HomeAgent) register(req *RegRequest, granted uint16) {
 	life := time.Duration(granted) * time.Second
-	old, existed := ha.bindings[req.HomeAddr]
+	b, existed := ha.bindings[req.HomeAddr]
 	if existed {
-		old.timer.Stop()
+		b.timer.Stop()
+	} else {
+		b = &haBinding{ha: ha}
+		b.expire = b.expired
+		b.HomeAddr = req.HomeAddr
+		ha.bindings[req.HomeAddr] = b
 	}
-	b := &haBinding{Binding: Binding{
-		HomeAddr: req.HomeAddr,
-		CareOf:   req.CareOf,
-		Expires:  ha.host.Loop().Now().Add(life),
-		ID:       req.ID,
-	}}
+	// Extras is rebuilt, never rewritten: the Bindings handed out share it.
+	var extras []ip.Addr
 	if existed && req.Simultaneous() {
 		// Retain the prior binding set alongside the new care-of address.
-		for _, a := range append([]ip.Addr{old.CareOf}, old.Extras...) {
+		for _, a := range append([]ip.Addr{b.CareOf}, b.Extras...) {
 			if a != req.CareOf {
-				b.Extras = append(b.Extras, a)
+				extras = append(extras, a)
 			}
 		}
 	}
-	b.timer = ha.host.Loop().Schedule(life, func() {
-		if cur, ok := ha.bindings[req.HomeAddr]; ok && cur == b {
-			ha.stats.Expired++
-			ha.cfg.Tracer.Record(ha.host.Name(), kBindingExpired, "home=%v", req.HomeAddr)
-			ha.remove(req.HomeAddr)
-		}
-	})
-	ha.bindings[req.HomeAddr] = b
+	b.CareOf, b.Extras, b.ID = req.CareOf, extras, req.ID
+	b.Expires = ha.host.Loop().Now().Add(life)
+	b.timer = ha.host.Loop().Schedule(life, b.expire)
 	ha.stats.Accepted++
 	if !existed {
 		arp := ha.cfg.HomeIface.ARP()
@@ -342,7 +369,18 @@ func (ha *HomeAgent) register(req *RegRequest, granted uint16) {
 			Iface: ha.tun.Iface(),
 		})
 	}
-	ha.cfg.Tracer.Record(ha.host.Name(), kBindingInstalled, "home=%v careof=%v", req.HomeAddr, req.CareOf)
+	ha.trace(kBindingInstalled, trace.Operands{A: req.HomeAddr, B: req.CareOf})
+}
+
+// expired is the lifetime timer: remove stops it, register re-arms it, so
+// it fires only for the binding still in the table.
+func (b *haBinding) expired() {
+	ha := b.ha
+	if ha.bindings[b.HomeAddr] == b {
+		ha.stats.Expired++
+		ha.trace(kBindingExpired, trace.Operands{A: b.HomeAddr})
+		ha.remove(b.HomeAddr)
+	}
 }
 
 // deregister handles an explicit deregistration; removing an absent
@@ -364,5 +402,5 @@ func (ha *HomeAgent) remove(home ip.Addr) {
 		arp.Unpublish(home)
 	}
 	ha.host.Routes().Delete(ip.Prefix{Addr: home, Bits: 32})
-	ha.cfg.Tracer.Record(ha.host.Name(), kBindingRemoved, "home=%v", home)
+	ha.trace(kBindingRemoved, trace.Operands{A: home})
 }

@@ -1,5 +1,11 @@
 package mip
 
+import (
+	"fmt"
+
+	"mosquitonet/internal/trace"
+)
+
 // Trace kinds recorded by the mobility layer. All kinds are lowercase
 // dotted constants (enforced tree-wide by the tracekinds analyzer);
 // experiment harnesses select them by prefix ("reg.", "handoff."), so the
@@ -62,6 +68,75 @@ const (
 	kRoamerUpgradeFailed = "roamer.upgrade.failed"
 	kRoamerUpgrade       = "roamer.upgrade"
 )
+
+// renderDetail is the mobility layer's trace.Renderer: the detail text of
+// each flat event kind above, from the operands its call site recorded. The
+// texts are the Figure 7 timeline's and the bench/ exports', pinned by
+// TestTypedEventsRenderAsSprintfDid; TestEveryKindHasARenderer keeps the
+// switch complete.
+func renderDetail(kind string, o trace.Operands) string {
+	switch kind {
+	case kHomeAttachStart, kBringupStart, kBringupDone, kRouteStaged, kRouteSwitched, kDHCPStart, kIfaceDown:
+		return "iface=" + o.S
+	case kHomeAttachDone, kAddrSwitchConfig:
+		return fmt.Sprintf("addr=%v", o.A)
+	case kConfigureDone, kDHCPDone:
+		return fmt.Sprintf("iface=%s addr=%v", o.S, o.A)
+	case kAddrSwitchStart:
+		return fmt.Sprintf("old=%v new=%v", o.A, o.B)
+	case kAddrSwitchRoute:
+		return ""
+	case kColdStart, kHotStart, kRoamerFailover, kRoamerUpgrade:
+		return fmt.Sprintf("from=%s to=%s", o.S, o.T)
+	case kColdDone, kHotDone:
+		return "err=" + o.S // errText
+	case kRegTimeout:
+		return fmt.Sprintf("id=%d", o.N)
+	case kRegRequestSent, kRegDeregSent: // T: " simultaneous=true" or nothing
+		return fmt.Sprintf("careof=%v id=%d try=%d%s", o.A, o.N, o.I, o.T)
+	case kRegReplyReceived, kRegReplySent:
+		return fmt.Sprintf("%s lifetime=%ds id=%d", CodeString(uint8(o.I)), o.J, o.N)
+	case kRegRenew: // S: which address renews, "careof" or "via-fa"
+		return fmt.Sprintf("%s=%v", o.S, o.A)
+	case kRegRequestReceived:
+		return fmt.Sprintf("home=%v careof=%v lifetime=%ds id=%d", o.A, o.B, o.I, o.N)
+	case kBindingExpired, kBindingRemoved, kFABuffering:
+		return fmt.Sprintf("home=%v", o.A)
+	case kBindingInstalled:
+		return fmt.Sprintf("home=%v careof=%v", o.A, o.B)
+	case kProbeStart:
+		return fmt.Sprintf("ch=%v", o.A)
+	case kProbeDone:
+		return fmt.Sprintf("ch=%v ok=%s", o.A, o.S)
+	case kFAStart:
+		return fmt.Sprintf("iface=%s fa=%v", o.S, o.A)
+	case kFADiscovered:
+		return fmt.Sprintf("agent=%v seq=%d", o.A, o.I)
+	case kFARelayRequest:
+		return fmt.Sprintf("home=%v id=%d", o.A, o.N)
+	case kFARelayReply:
+		return fmt.Sprintf("home=%v %s", o.A, CodeString(uint8(o.I)))
+	case kFAForwarding:
+		return fmt.Sprintf("home=%v to=%v buffered=%d", o.A, o.B, o.I)
+	case kPFANotify:
+		return fmt.Sprintf("fa=%v newCareOf=%v", o.A, o.B)
+	case kPFADeparting:
+		return fmt.Sprintf("fa=%v", o.A)
+	case kRoamerProbeFailed:
+		return fmt.Sprintf("consecutive=%d", o.I)
+	case kRoamerUpgradeFailed:
+		return fmt.Sprintf("to=%s err=%s", o.S, o.T)
+	}
+	panic("mip: trace kind " + kind + " has no renderer")
+}
+
+// errText is what %v prints for err, as an operand.
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
 
 // Span kinds. Roots ("handoff.cold", "handoff.hot", "handoff.addrswitch",
 // "handoff.home", "handoff.connect") bound whole handoffs — the windows

@@ -204,15 +204,17 @@ func MessageType(b []byte) (uint8, error) {
 	return b[0], nil
 }
 
-// UnmarshalRegRequest parses a registration request.
-func UnmarshalRegRequest(b []byte) (*RegRequest, error) {
+// UnmarshalRegRequest parses a registration request into r, which the
+// caller owns (the agents decode every request into one they keep). On
+// error r is untouched.
+func UnmarshalRegRequest(r *RegRequest, b []byte) error {
 	if len(b) >= 1 && b[0] != TypeRegRequest {
-		return nil, ErrBadType
+		return ErrBadType
 	}
 	if len(b) < RegRequestLen {
-		return nil, ErrShortMessage
+		return ErrShortMessage
 	}
-	r := &RegRequest{
+	*r = RegRequest{
 		Flags:    b[1],
 		Lifetime: binary.BigEndian.Uint16(b[2:]),
 		ID:       binary.BigEndian.Uint64(b[16:]),
@@ -220,25 +222,25 @@ func UnmarshalRegRequest(b []byte) (*RegRequest, error) {
 	copy(r.HomeAddr[:], b[4:8])
 	copy(r.HomeAgent[:], b[8:12])
 	copy(r.CareOf[:], b[12:16])
-	return r, nil
+	return nil
 }
 
-// UnmarshalRegReply parses a registration reply.
-func UnmarshalRegReply(b []byte) (*RegReply, error) {
+// UnmarshalRegReply parses a registration reply into the caller's r.
+func UnmarshalRegReply(r *RegReply, b []byte) error {
 	if len(b) >= 1 && b[0] != TypeRegReply {
-		return nil, ErrBadType
+		return ErrBadType
 	}
 	if len(b) < RegReplyLen {
-		return nil, ErrShortMessage
+		return ErrShortMessage
 	}
-	r := &RegReply{
+	*r = RegReply{
 		Code:     b[1],
 		Lifetime: binary.BigEndian.Uint16(b[2:]),
 		ID:       binary.BigEndian.Uint64(b[12:]),
 	}
 	copy(r.HomeAddr[:], b[4:8])
 	copy(r.HomeAgent[:], b[8:12])
-	return r, nil
+	return nil
 }
 
 // UnmarshalAgentAdvert parses an agent advertisement.

@@ -18,8 +18,8 @@ func quickConfig(maxCount int) *quick.Config {
 func TestRegRequestRoundTrip(t *testing.T) {
 	f := func(lifetime uint16, home, agent, careof [4]byte, id uint64) bool {
 		r := &RegRequest{Lifetime: lifetime, HomeAddr: home, HomeAgent: agent, CareOf: careof, ID: id}
-		got, err := UnmarshalRegRequest(r.Marshal())
-		return err == nil && *got == *r
+		var got RegRequest
+		return UnmarshalRegRequest(&got, r.Marshal()) == nil && got == *r
 	}
 	if err := quick.Check(f, quickConfig(200)); err != nil {
 		t.Fatal(err)
@@ -29,8 +29,8 @@ func TestRegRequestRoundTrip(t *testing.T) {
 func TestRegReplyRoundTrip(t *testing.T) {
 	f := func(code uint8, lifetime uint16, home, agent [4]byte, id uint64) bool {
 		r := &RegReply{Code: code, Lifetime: lifetime, HomeAddr: home, HomeAgent: agent, ID: id}
-		got, err := UnmarshalRegReply(r.Marshal())
-		return err == nil && *got == *r
+		var got RegReply
+		return UnmarshalRegReply(&got, r.Marshal()) == nil && got == *r
 	}
 	if err := quick.Check(f, quickConfig(200)); err != nil {
 		t.Fatal(err)
@@ -54,10 +54,10 @@ func TestPFANotifyRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := UnmarshalRegRequest(nil); err != ErrShortMessage {
+	if err := UnmarshalRegRequest(new(RegRequest), nil); err != ErrShortMessage {
 		t.Errorf("request short: %v", err)
 	}
-	if _, err := UnmarshalRegReply(append([]byte{TypeRegReply}, 0, 0, 0)); err != ErrShortMessage {
+	if err := UnmarshalRegReply(new(RegReply), append([]byte{TypeRegReply}, 0, 0, 0)); err != ErrShortMessage {
 		t.Errorf("reply short: %v", err)
 	}
 	if _, err := UnmarshalAgentAdvert(append([]byte{TypeAgentAdvert}, 0, 0)); err != ErrShortMessage {
@@ -67,10 +67,10 @@ func TestUnmarshalErrors(t *testing.T) {
 		t.Errorf("pfa short: %v", err)
 	}
 	req := (&RegRequest{}).Marshal()
-	if _, err := UnmarshalRegReply(req); err != ErrBadType {
+	if err := UnmarshalRegReply(new(RegReply), req); err != ErrBadType {
 		t.Errorf("type confusion: %v", err)
 	}
-	if _, err := UnmarshalRegRequest((&RegReply{}).Marshal()); err != ErrBadType {
+	if err := UnmarshalRegRequest(new(RegRequest), (&RegReply{}).Marshal()); err != ErrBadType {
 		t.Errorf("type confusion: %v", err)
 	}
 	if _, err := MessageType(nil); err != ErrShortMessage {

@@ -112,7 +112,7 @@ func TestCorrespondentInitiatedTraffic(t *testing.T) {
 	w.goForeign()
 
 	var got []byte
-	w.mhTS.UDP(ip.Unspecified, 2000, func(d transport.Datagram) { got = d.Payload })
+	w.mhTS.UDP(ip.Unspecified, 2000, func(d transport.Datagram) { got = append([]byte(nil), d.Payload...) })
 	chSock, _ := w.ch.UDP(ip.Unspecified, 0, nil)
 	chSock.SendTo(ip.MustParseAddr(wHomeAddr), 2000, []byte("find the mobile host"))
 	w.run(5 * time.Second)
@@ -807,7 +807,7 @@ func TestTunnelFragmentationAtMTU(t *testing.T) {
 	w.goForeign()
 
 	var got []byte
-	w.mhTS.UDP(ip.Unspecified, 4000, func(d transport.Datagram) { got = d.Payload })
+	w.mhTS.UDP(ip.Unspecified, 4000, func(d transport.Datagram) { got = append([]byte(nil), d.Payload...) })
 	chSock, _ := w.ch.UDP(ip.Unspecified, 0, nil)
 
 	payload := make([]byte, 1460) // inner packet 1488B; encapsulated 1508B > 1500 MTU
@@ -1178,7 +1178,8 @@ func TestHomeAgentDenialCodes(t *testing.T) {
 	sender, _ := mkHost(w.loop, w.forA, "rogue", "10.2.0.77/24", "10.2.0.1")
 	var replies []*RegReply
 	replySock, err := sender.UDP(ip.Unspecified, 4343, func(d transport.Datagram) {
-		if r, err := UnmarshalRegReply(d.Payload); err == nil {
+		r := new(RegReply)
+		if UnmarshalRegReply(r, d.Payload) == nil {
 			replies = append(replies, r)
 		}
 	})

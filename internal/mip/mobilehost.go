@@ -3,6 +3,7 @@ package mip
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"mosquitonet/internal/dhcp"
@@ -146,11 +147,18 @@ type MobileHost struct {
 	faAddr     ip.Addr // non-zero in foreign-agent mode
 	registered bool
 
+	// The host has one registration of its own in flight at a time, so the
+	// exchange's state lives as long as the host and every pend reuses it:
+	// socket rebound, own refilled, callbacks bound once. cancelPending stops
+	// both timers first, and a reply must match own.req.ID, which no earlier
+	// exchange carried.
 	regSock  *transport.UDPSocket
 	regID    uint64
 	regTimer sim.Timer
 	reregT   sim.Timer
-	pending  *regAttempt
+	pending  *regAttempt // &own while the host's own exchange is open
+	own      regAttempt
+	renewFn  func() // m.renew
 
 	// OnLinkChange, OnRegistered and OnDeregistered notify interested
 	// upper layers; all are optional.
@@ -167,19 +175,18 @@ type MobileHost struct {
 
 // regAttempt is one registration exchange in flight — the request, its
 // retries and the reply — and the only such record: the host's own
-// registration (m.pending, on m.regSock, retried by m.regTimer) and an
-// additional binding (side non-nil) run the same newRequest / send / reply
-// / closeAttempt. Hosts that roam make one per handoff, so it stays in the
-// 48-byte size class: tries is narrow, and the socket and timer only an
-// additional binding needs live in side.
+// registration (m.own, on m.regSock, retried by m.regTimer) and an
+// additional binding (side non-nil, a record of its own) run the same
+// newRequest / send / reply / closeAttempt.
 type regAttempt struct {
-	req       *RegRequest
+	req       RegRequest
 	dst       ip.Addr // where to send; zero means the home agent
 	tries     int32
 	firstSent sim.Time
 	done      func(error)
 	span      *trace.Span   // "reg.attempt": first transmission to outcome
 	side      *sideExchange // an additional binding's own socket and timer
+	retry     func()        // send(p) again, bound once per record
 }
 
 type sideExchange struct {
@@ -322,8 +329,8 @@ func (m *MobileHost) Interfaces() []*ManagedIface {
 }
 
 // trace records through the configured tracer.
-func (m *MobileHost) trace(kind, format string, args ...any) {
-	m.cfg.Tracer.Record(m.host.Name(), kind, format, args...)
+func (m *MobileHost) trace(kind string, o trace.Operands) {
+	m.cfg.Tracer.RecordOps(m.host.Name(), kind, renderDetail, o)
 }
 
 // startSpan opens a span under the host's ambient span context (nil-safe,
@@ -347,7 +354,7 @@ func (m *MobileHost) ConnectHome(mi *ManagedIface, gateway ip.Addr, done func(er
 			done(err)
 		}
 	}
-	m.trace(kHomeAttachStart, "iface=%s", mi.Name())
+	m.trace(kHomeAttachStart, trace.Operands{S: mi.Name()})
 	bu := m.startSpan(kSpanBringup)
 	bu.SetAttr("iface", mi.Name())
 	mi.ifc.Device().BringUp(func() {
@@ -356,7 +363,7 @@ func (m *MobileHost) ConnectHome(mi *ManagedIface, gateway ip.Addr, done func(er
 		m.host.Loop().Schedule(m.jit(m.cfg.ConfigureDelay), func() {
 			mi.ifc.SetAddr(m.cfg.HomeAddr, m.cfg.HomePrefix)
 			mi.addr, mi.prefix, mi.gateway = m.cfg.HomeAddr, m.cfg.HomePrefix, gateway
-			cs.SetAttr("addr", m.cfg.HomeAddr.String())
+			cs.SetAddr("addr", m.cfg.HomeAddr)
 			cs.Done()
 			rs := m.startSpan(kSpanRoute)
 			m.host.Loop().Schedule(m.jit(m.cfg.RouteChangeDelay), func() {
@@ -371,7 +378,7 @@ func (m *MobileHost) ConnectHome(mi *ManagedIface, gateway ip.Addr, done func(er
 					arp.Gratuitous(m.cfg.HomeAddr, mi.ifc.Device().HW())
 				}
 				m.notifyLink(mi)
-				m.trace(kHomeAttachDone, "addr=%v", m.cfg.HomeAddr)
+				m.trace(kHomeAttachDone, trace.Operands{A: m.cfg.HomeAddr})
 				if m.registered {
 					m.deregister(finish)
 				} else {
@@ -395,12 +402,12 @@ func (m *MobileHost) ConnectForeign(mi *ManagedIface, done func(error)) {
 			done(err)
 		}
 	}
-	m.trace(kBringupStart, "iface=%s", mi.Name())
+	m.trace(kBringupStart, trace.Operands{S: mi.Name()})
 	bu := m.startSpan(kSpanBringup)
 	bu.SetAttr("iface", mi.Name())
 	mi.ifc.Device().BringUp(func() {
 		bu.Done()
-		m.trace(kBringupDone, "iface=%s", mi.Name())
+		m.trace(kBringupDone, trace.Operands{S: mi.Name()})
 		m.Prepare(mi, func(err error) {
 			if err != nil {
 				finish(err)
@@ -420,15 +427,15 @@ func (m *MobileHost) Prepare(mi *ManagedIface, done func(error)) {
 		m.host.Loop().Schedule(m.jit(m.cfg.ConfigureDelay), func() {
 			mi.ifc.SetAddr(addr, prefix)
 			mi.addr, mi.prefix, mi.gateway = addr, prefix, gw
-			cs.SetAttr("addr", addr.String())
+			cs.SetAddr("addr", addr)
 			cs.Done()
-			m.trace(kConfigureDone, "iface=%s addr=%v", mi.Name(), addr)
+			m.trace(kConfigureDone, trace.Operands{S: mi.Name(), A: addr})
 			rs := m.startSpan(kSpanRoute)
 			m.host.Loop().Schedule(m.jit(m.cfg.RouteChangeDelay), func() {
 				m.host.Routes().Add(stack.Route{Dst: prefix, Iface: mi.ifc, Metric: 10})
 				mi.ready = true
 				rs.Done()
-				m.trace(kRouteStaged, "iface=%s", mi.Name())
+				m.trace(kRouteStaged, trace.Operands{S: mi.Name()})
 				if done != nil {
 					done(nil)
 				}
@@ -439,7 +446,7 @@ func (m *MobileHost) Prepare(mi *ManagedIface, done func(error)) {
 		finish(mi.static.Addr, mi.static.Prefix, mi.static.Gateway)
 		return
 	}
-	m.trace(kDHCPStart, "iface=%s", mi.Name())
+	m.trace(kDHCPStart, trace.Operands{S: mi.Name()})
 	ds := m.startSpan(kSpanDHCP)
 	ds.SetAttr("iface", mi.Name())
 	err := mi.dhcpc.Acquire(func(l dhcp.Lease, err error) {
@@ -450,9 +457,9 @@ func (m *MobileHost) Prepare(mi *ManagedIface, done func(error)) {
 			}
 			return
 		}
-		ds.SetAttr("addr", l.Addr.String())
+		ds.SetAddr("addr", l.Addr)
 		ds.Done()
-		m.trace(kDHCPDone, "iface=%s addr=%v", mi.Name(), l.Addr)
+		m.trace(kDHCPDone, trace.Operands{S: mi.Name(), A: l.Addr})
 		finish(l.Addr, l.Prefix, l.Gateway)
 	})
 	if err != nil {
@@ -481,7 +488,7 @@ func (m *MobileHost) Activate(mi *ManagedIface, done func(error)) {
 		m.host.InvalidateRoutes()
 		m.switchDefaultRoute(mi)
 		rs.Done()
-		m.trace(kRouteSwitched, "iface=%s", mi.Name())
+		m.trace(kRouteSwitched, trace.Operands{S: mi.Name()})
 		m.notifyLink(mi)
 		if m.atHome {
 			m.careOf = ip.Addr{}
@@ -511,25 +518,25 @@ func (m *MobileHost) SwitchAddress(newAddr ip.Addr, done func(error)) {
 	}
 	m.stats.AddressSwitches++
 	sp := m.startSpan(kSpanAddrSwitch)
-	sp.SetAttr("old", mi.addr.String())
-	sp.SetAttr("new", newAddr.String())
+	sp.SetAddr("old", mi.addr)
+	sp.SetAddr("new", newAddr)
 	finish := func(err error) {
 		sp.Fail(err)
 		if done != nil {
 			done(err)
 		}
 	}
-	m.trace(kAddrSwitchStart, "old=%v new=%v", mi.addr, newAddr)
+	m.trace(kAddrSwitchStart, trace.Operands{A: mi.addr, B: newAddr})
 	cs := m.startSpan(kSpanConfigure)
 	m.host.Loop().Schedule(m.jit(m.cfg.ConfigureDelay), func() {
 		mi.ifc.SetAddr(newAddr, mi.prefix) // the old address stops receiving here
 		mi.addr = newAddr
 		cs.Done()
-		m.trace(kAddrSwitchConfig, "addr=%v", newAddr)
+		m.trace(kAddrSwitchConfig, trace.Operands{A: newAddr})
 		rs := m.startSpan(kSpanRoute)
 		m.host.Loop().Schedule(m.jit(m.cfg.RouteChangeDelay), func() {
 			rs.Done()
-			m.trace(kAddrSwitchRoute, "")
+			m.trace(kAddrSwitchRoute, trace.Operands{})
 			m.register(newAddr, m.cfg.Lifetime, finish)
 		})
 	})
@@ -555,14 +562,14 @@ func (m *MobileHost) coldSwitch(to *ManagedIface, done func(error), connect func
 	sp := m.startSpan(kSpanHandoffCold)
 	sp.SetAttr("from", nameOf(from))
 	sp.SetAttr("to", to.Name())
-	m.trace(kColdStart, "from=%s to=%s", nameOf(from), to.Name())
+	m.trace(kColdStart, trace.Operands{S: nameOf(from), T: to.Name()})
 	m.host.Loop().Schedule(m.jit(m.cfg.RouteChangeDelay), func() {
 		if from != nil {
 			m.teardown(from)
 		}
 		connect(func(err error) {
 			sp.Fail(err)
-			m.trace(kColdDone, "err=%v", err)
+			m.trace(kColdDone, trace.Operands{S: errText(err)})
 			if done != nil {
 				done(err)
 			}
@@ -577,10 +584,10 @@ func (m *MobileHost) HotSwitch(to *ManagedIface, done func(error)) {
 	sp := m.startSpan(kSpanHandoffHot)
 	sp.SetAttr("from", nameOf(m.active))
 	sp.SetAttr("to", to.Name())
-	m.trace(kHotStart, "from=%s to=%s", nameOf(m.active), to.Name())
+	m.trace(kHotStart, trace.Operands{S: nameOf(m.active), T: to.Name()})
 	m.Activate(to, func(err error) {
 		sp.Fail(err)
-		m.trace(kHotDone, "err=%v", err)
+		m.trace(kHotDone, trace.Operands{S: errText(err)})
 		if done != nil {
 			done(err)
 		}
@@ -629,7 +636,7 @@ func (m *MobileHost) teardown(mi *ManagedIface) {
 	mi.ifc.SetAddr(ip.Unspecified, ip.Prefix{})
 	mi.addr = ip.Addr{}
 	mi.ready = false
-	m.trace(kIfaceDown, "iface=%s", mi.Name())
+	m.trace(kIfaceDown, trace.Operands{S: mi.Name()})
 }
 
 // installRoutes installs connected + default routes for the active iface.
@@ -684,29 +691,30 @@ func (m *MobileHost) deregister(done func(error)) {
 	m.pend(m.cfg.HomeAddr, 0, m.cfg.HomeAddr, ip.Addr{}, done)
 }
 
-// newRequest opens an exchange: the next identification, the request, and
-// the span that times it. dst is the foreign agent relaying the request,
-// or zero for the home agent itself.
-func (m *MobileHost) newRequest(flags uint8, lifetime time.Duration, careOf, dst ip.Addr, done func(error)) *regAttempt {
+// newRequest opens an exchange on p (the host's own record, or a fresh one
+// with side set): the next identification, the request, and the span that
+// times it. dst is the foreign agent relaying the request, or zero for the
+// home agent itself.
+func (m *MobileHost) newRequest(p *regAttempt, flags uint8, lifetime time.Duration, careOf, dst ip.Addr, done func(error)) {
 	m.regID++
-	p := &regAttempt{
-		req: &RegRequest{
-			Flags:     flags,
-			Lifetime:  uint16(lifetime / time.Second),
-			HomeAddr:  m.cfg.HomeAddr,
-			HomeAgent: m.cfg.HomeAgent,
-			CareOf:    careOf,
-			ID:        m.regID,
-		},
-		dst:  dst,
-		done: done,
-		span: m.startSpan(kSpanRegAttempt),
+	p.req = RegRequest{
+		Flags:     flags,
+		Lifetime:  uint16(lifetime / time.Second),
+		HomeAddr:  m.cfg.HomeAddr,
+		HomeAgent: m.cfg.HomeAgent,
+		CareOf:    careOf,
+		ID:        m.regID,
+	}
+	p.dst, p.tries, p.done = dst, 0, done
+	p.span = m.startSpan(kSpanRegAttempt)
+	if p.retry == nil {
+		p.retry = func() { m.send(p) }
 	}
 	// Attribute order is part of the span export; send adds "tries" next.
 	if p.req.IsDeregistration() {
 		p.span.SetAttr("dereg", "true")
 	} else {
-		p.span.SetAttr("careof", careOf.String())
+		p.span.SetAddr("careof", careOf)
 	}
 	if !dst.IsUnspecified() {
 		p.span.SetAttr("via", "fa")
@@ -714,7 +722,6 @@ func (m *MobileHost) newRequest(flags uint8, lifetime time.Duration, careOf, dst
 	if p.req.Simultaneous() {
 		p.span.SetAttr("simultaneous", "true")
 	}
-	return p
 }
 
 // pend starts the host's own registration: whatever was in flight is
@@ -724,12 +731,14 @@ func (m *MobileHost) newRequest(flags uint8, lifetime time.Duration, careOf, dst
 // never through the tunnel.
 func (m *MobileHost) pend(bind ip.Addr, lifetime time.Duration, careOf, dst ip.Addr, done func(error)) {
 	m.cancelPending()
-	if m.regSock != nil {
-		m.regSock.Close()
-	}
 	var err error
-	m.regSock, err = m.ts.UDP(bind, Port, func(d transport.Datagram) { m.reply(m.pending, d) })
-	m.pending = m.newRequest(0, lifetime, careOf, dst, done)
+	if m.regSock == nil {
+		m.regSock, err = m.ts.UDP(bind, Port, func(d transport.Datagram) { m.reply(m.pending, d) })
+	} else {
+		err = m.regSock.Rebind(bind)
+	}
+	m.newRequest(&m.own, 0, lifetime, careOf, dst, done)
+	m.pending = &m.own
 	m.begin(m.pending, err)
 }
 
@@ -768,9 +777,10 @@ func (m *MobileHost) closeAttempt(p *regAttempt, result string) {
 
 // abort closes p and reports err to whoever started it.
 func (m *MobileHost) abort(p *regAttempt, result string, err error) {
+	done := p.done // p may be reused by what done starts
 	m.closeAttempt(p, result)
-	if p.done != nil {
-		p.done(err)
+	if done != nil {
+		done(err)
 	}
 }
 
@@ -784,7 +794,7 @@ func (m *MobileHost) send(p *regAttempt) {
 	p.tries++
 	if int(p.tries) > m.cfg.RegMaxRetries {
 		m.stats.RegTimeouts++
-		m.trace(kRegTimeout, "id=%d", p.req.ID)
+		m.trace(kRegTimeout, trace.Operands{N: p.req.ID})
 		m.abort(p, "timeout", ErrRegistrationTimeout)
 		return
 	}
@@ -805,26 +815,21 @@ func (m *MobileHost) send(p *regAttempt) {
 	} else if p.req.Simultaneous() {
 		suffix = " simultaneous=true"
 	}
-	p.span.Attrf("tries", "%d", p.tries)
-	m.trace(kind, "careof=%v id=%d try=%d%s", p.req.CareOf, p.req.ID, p.tries, suffix)
+	p.span.SetUint("tries", uint64(p.tries))
+	m.trace(kind, trace.Operands{A: p.req.CareOf, N: p.req.ID, I: p.tries, T: suffix})
 	dst := p.dst
 	if dst.IsUnspecified() {
 		dst = m.cfg.HomeAgent
 	}
 	sock.SendTo(dst, Port, p.req.Marshal())
-	*timer = m.host.Loop().Schedule(m.cfg.RegRetryInterval, func() { m.send(p) })
+	*timer = m.host.Loop().Schedule(m.cfg.RegRetryInterval, p.retry)
 }
 
 // reply handles a datagram on the socket of exchange p (nil when the
 // host's own socket hears one with nothing pending).
 func (m *MobileHost) reply(p *regAttempt, d transport.Datagram) {
-	typ, err := MessageType(d.Payload)
-	if err != nil || typ != TypeRegReply {
-		m.stats.DropMalformed++
-		return
-	}
-	reply, err := UnmarshalRegReply(d.Payload)
-	if err != nil {
+	var reply RegReply
+	if typ, err := MessageType(d.Payload); err != nil || typ != TypeRegReply || UnmarshalRegReply(&reply, d.Payload) != nil {
 		m.stats.DropMalformed++
 		return
 	}
@@ -832,7 +837,8 @@ func (m *MobileHost) reply(p *regAttempt, d transport.Datagram) {
 		m.stats.DropStaleReply++
 		return
 	}
-	m.trace(kRegReplyReceived, "%s lifetime=%ds id=%d", CodeString(reply.Code), reply.Lifetime, reply.ID)
+	m.trace(kRegReplyReceived, trace.Operands{I: int32(reply.Code), J: int32(reply.Lifetime), N: reply.ID})
+	careOf, done := p.req.CareOf, p.done // a callback below may start the next pend on p
 	switch {
 	case !reply.Accepted():
 		m.stats.RegDenied++
@@ -859,16 +865,16 @@ func (m *MobileHost) reply(p *regAttempt, d transport.Datagram) {
 		// The accepted binding re-arms the tunnel: mark the instant the
 		// datapath to the new care-of address is live.
 		ts := m.cfg.Tracer.StartChild(p.span, m.host.Name(), kSpanTunnelUp)
-		ts.SetAttr("careof", p.req.CareOf.String())
+		ts.SetAddr("careof", careOf)
 		ts.Done()
 		m.closeAttempt(p, "accepted")
 		m.scheduleRenewal(time.Duration(reply.Lifetime) * time.Second)
 		if m.OnRegistered != nil {
-			m.OnRegistered(p.req.CareOf)
+			m.OnRegistered(careOf)
 		}
 	}
-	if p.done != nil {
-		p.done(nil)
+	if done != nil {
+		done(nil)
 	}
 }
 
@@ -878,17 +884,22 @@ func (m *MobileHost) scheduleRenewal(granted time.Duration) {
 	if granted == 0 {
 		return
 	}
-	m.reregT = m.host.Loop().Schedule(granted*3/4, func() {
-		switch {
-		case !m.registered || m.atHome:
-		case !m.faAddr.IsUnspecified():
-			m.trace(kRegRenew, "via-fa=%v", m.faAddr)
-			m.registerViaFA(m.faAddr, nil)
-		case !m.careOf.IsUnspecified():
-			m.trace(kRegRenew, "careof=%v", m.careOf)
-			m.register(m.careOf, m.cfg.Lifetime, nil)
-		}
-	})
+	if m.renewFn == nil {
+		m.renewFn = m.renew
+	}
+	m.reregT = m.host.Loop().Schedule(granted*3/4, m.renewFn)
+}
+
+func (m *MobileHost) renew() {
+	switch {
+	case !m.registered || m.atHome:
+	case !m.faAddr.IsUnspecified():
+		m.trace(kRegRenew, trace.Operands{S: "via-fa", A: m.faAddr})
+		m.registerViaFA(m.faAddr, nil)
+	case !m.careOf.IsUnspecified():
+		m.trace(kRegRenew, trace.Operands{S: "careof", A: m.careOf})
+		m.register(m.careOf, m.cfg.Lifetime, nil)
+	}
 }
 
 // --- Policy probing (dynamic Mobile Policy Table updates) ---------------
@@ -900,7 +911,7 @@ func (m *MobileHost) scheduleRenewal(granted time.Duration) {
 func (m *MobileHost) ProbeTriangle(ch ip.Addr, timeout time.Duration, done func(ok bool)) {
 	prior := m.policy.Lookup(ch)
 	m.policy.SetHost(ch, PolicyTriangle)
-	m.trace(kProbeStart, "ch=%v", ch)
+	m.trace(kProbeStart, trace.Operands{A: ch})
 	m.host.ICMP().Ping(ch, m.cfg.HomeAddr, 8, timeout, func(r stack.PingResult) {
 		ok := !r.TimedOut && !r.Unreachable
 		if ok {
@@ -912,7 +923,7 @@ func (m *MobileHost) ProbeTriangle(ch ip.Addr, timeout time.Duration, done func(
 			}
 			m.policy.SetHost(ch, PolicyTunnel)
 		}
-		m.trace(kProbeDone, "ch=%v ok=%v", ch, ok)
+		m.trace(kProbeDone, trace.Operands{A: ch, S: strconv.FormatBool(ok)})
 		if done != nil {
 			done(ok)
 		}
@@ -1005,8 +1016,8 @@ func (m *MobileHost) jit(d time.Duration) time.Duration {
 // The address must already be configured on one of the host's interfaces
 // so the reply can arrive.
 func (m *MobileHost) AddSimultaneousBinding(careOf ip.Addr, done func(error)) {
-	p := m.newRequest(FlagSimultaneous, m.cfg.Lifetime, careOf, ip.Addr{}, done)
-	p.side = &sideExchange{}
+	p := &regAttempt{side: &sideExchange{}}
+	m.newRequest(p, FlagSimultaneous, m.cfg.Lifetime, careOf, ip.Addr{}, done)
 	var err error
 	p.side.sock, err = m.ts.UDP(careOf, Port, func(d transport.Datagram) { m.reply(p, d) })
 	m.begin(p, err)

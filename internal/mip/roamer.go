@@ -6,6 +6,7 @@ import (
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stack"
+	"mosquitonet/internal/trace"
 )
 
 // This file implements the paper's Section 6 future-work item: "we plan to
@@ -153,7 +154,7 @@ func (r *Roamer) probe() {
 func (r *Roamer) noteFailure() {
 	r.stats.ProbeFails++
 	r.fails++
-	r.m.trace(kRoamerProbeFailed, "consecutive=%d", r.fails)
+	r.m.trace(kRoamerProbeFailed, trace.Operands{I: int32(r.fails)})
 	if r.fails >= r.cfg.FailThreshold {
 		r.fails = 0
 		r.failover()
@@ -169,7 +170,7 @@ func (r *Roamer) failover() {
 			continue
 		}
 		r.stats.Failovers++
-		r.m.trace(kRoamerFailover, "from=%s to=%s", nameOf(from), c.Iface.Name())
+		r.m.trace(kRoamerFailover, trace.Operands{S: nameOf(from), T: c.Iface.Name()})
 		r.connect(c, func(err error) {
 			if err == nil && r.OnFailover != nil {
 				r.OnFailover(from, c.Iface)
@@ -177,7 +178,7 @@ func (r *Roamer) failover() {
 		})
 		return
 	}
-	r.m.trace(kRoamerFailover, "no alternative candidate")
+	r.m.cfg.Tracer.Record(r.m.host.Name(), kRoamerFailover, "no alternative candidate")
 }
 
 // tryUpgrade attempts to move back to a higher-preference candidate than
@@ -244,11 +245,11 @@ func (r *Roamer) rank(active *ManagedIface) int {
 func (r *Roamer) finishUpgrade(from, to *ManagedIface, err error) {
 	r.switching = false
 	if err != nil {
-		r.m.trace(kRoamerUpgradeFailed, "to=%s err=%v", to.Name(), err)
+		r.m.trace(kRoamerUpgradeFailed, trace.Operands{S: to.Name(), T: errText(err)})
 		return
 	}
 	r.stats.Upgrades++
-	r.m.trace(kRoamerUpgrade, "from=%s to=%s", nameOf(from), to.Name())
+	r.m.trace(kRoamerUpgrade, trace.Operands{S: nameOf(from), T: to.Name()})
 	if r.OnUpgrade != nil {
 		r.OnUpgrade(from, to)
 	}

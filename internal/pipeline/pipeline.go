@@ -24,6 +24,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -151,15 +152,23 @@ func (c *Chain[C]) Register(h Hook[C]) {
 	}
 	for i := range c.hooks {
 		if c.hooks[i].Name == h.Name {
-			c.hooks[i] = h
-			c.resort()
-			c.changed()
-			return
+			c.hooks = slices.Delete(c.hooks, i, i+1)
+			break
 		}
 	}
-	c.hooks = append(c.hooks, h)
-	c.resort()
+	// Names are unique, so (priority, name) is a total order and the sorted
+	// list has exactly one place for h: no re-sort (and none of the swapper
+	// sort.SliceStable allocates) for chains built in priority order anyway.
+	i := sort.Search(len(c.hooks), func(i int) bool { return h.before(c.hooks[i]) })
+	c.hooks = slices.Insert(c.hooks, i, h)
 	c.changed()
+}
+
+func (h Hook[C]) before(o Hook[C]) bool {
+	if h.Priority != o.Priority {
+		return h.Priority < o.Priority
+	}
+	return h.Name < o.Name
 }
 
 // Deregister removes the named hook, reporting whether it was present.
@@ -172,15 +181,6 @@ func (c *Chain[C]) Deregister(name string) bool {
 		}
 	}
 	return false
-}
-
-func (c *Chain[C]) resort() {
-	sort.SliceStable(c.hooks, func(i, j int) bool {
-		if c.hooks[i].Priority != c.hooks[j].Priority {
-			return c.hooks[i].Priority < c.hooks[j].Priority
-		}
-		return c.hooks[i].Name < c.hooks[j].Name
-	})
 }
 
 func (c *Chain[C]) changed() {

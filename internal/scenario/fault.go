@@ -101,12 +101,12 @@ func (in *Injector) strike(f Fault) {
 	}
 
 	sp := in.w.Tracer.StartChild(nil, target, kind)
-	sp.Attrf("for", "%v", f.For.D())
+	sp.SetAttr("for", f.For.D().String())
 	if f.Kind == "loss-burst" {
-		sp.Attrf("prob", "%g", f.Prob)
+		sp.SetAttr("prob", fmt.Sprint(f.Prob))
 	}
 	if f.Kind == "agent-delay" {
-		sp.Attrf("delay", "%v", f.Delay.D())
+		sp.SetAttr("delay", f.Delay.D().String())
 	}
 	rec := len(in.records)
 	in.records = append(in.records, FaultRecord{Kind: kind, Target: target, Start: loop.Now()})

@@ -1,12 +1,19 @@
 package testbed
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
+	"mosquitonet/internal/ip"
+	"mosquitonet/internal/link"
+	"mosquitonet/internal/mip"
 	"mosquitonet/internal/scenario"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stack"
+	"mosquitonet/internal/trace"
+	"mosquitonet/internal/transport"
 )
 
 // The host-footprint benchmark weighs a resident (constructed, not yet
@@ -137,7 +144,7 @@ func measureAllocsPerEvent(tb testing.TB) (allocsPerEvent float64, events uint64
 // sync.Pool drops a quarter of its Puts there on purpose, so a pooled path
 // allocates about twice as often; the three budgets below are enforced there
 // too, each against a second figure set the same distance above the -race
-// reading (0.75, 1.77 and 9.8, which repeat to 0.01, 0.01 and 0.1).
+// reading (0.54, 1.77 and 9.8, which repeat to 0.01, 0.01 and 0.1).
 var raceDetector bool
 
 // budget picks the figure a reading is held to in this build.
@@ -148,20 +155,19 @@ func budget(plain, race float64) float64 {
 	return plain
 }
 
-// allocsPerEventBudget sits ~10% above the measured 0.38 allocations per
-// event. The packets themselves are pooled now, with the chain contexts, hop
-// continuations and event records, and contribute nothing; what is left is
-// the copy of a datagram's payload UnmarshalUDP hands the socket's handler
-// (the largest single share, three in ten, once per delivery rather than per
-// hop),
-// the registration exchange (messages, bindings, timers, ARP requests and
-// the packets queued behind them) and flight records while a segment's free
-// list warms. While every hop made its packet anew the figure was 1.95, and
-// 3.95 before the contexts were pooled: putting one allocation back on the
-// per-hop path costs ~0.2-0.4.
+// allocsPerEventBudget sits ~10% above the measured 0.17 allocations per
+// event. The packets themselves are pooled, with the chain contexts, hop
+// continuations and event records, a datagram's payload is lent to the
+// socket's handler, and a registration exchange reuses its records on both
+// ends; what is left is the ConnectForeign closure chain, ARP requests and
+// the packets queued behind them, and flight records while a segment's free
+// list warms. The figure was 0.38 while UnmarshalUDP copied each payload
+// (three in ten of it) and every exchange rebuilt its records, 1.95 while
+// every hop made its packet anew, and 3.95 before the contexts were pooled:
+// putting one allocation back on the per-hop path costs ~0.2-0.4.
 const (
-	allocsPerEventBudget     = 0.42
-	allocsPerEventBudgetRace = 0.83
+	allocsPerEventBudget     = 0.19
+	allocsPerEventBudgetRace = 0.60
 )
 
 // TestAllocsPerEventBudget is the packet path's allocation guard at the
@@ -177,6 +183,144 @@ func TestAllocsPerEventBudget(t *testing.T) {
 	t.Logf("allocs/event: %.2f over %d events (budget %.2f)", got, events, limit)
 	if got > limit {
 		t.Errorf("allocs/event = %.2f, budget %.2f", got, limit)
+	}
+}
+
+// measureAllocsPerHandoff runs the control plane's workload — the shape of
+// perf's handoff_storm at 64 hosts on one loop: static care-of addresses on
+// two foreign subnets, every host roaming between them each 250 ms and
+// probing an echo service once a second — and returns the heap objects the
+// run allocates per completed handoff. With traced set the hosts and the
+// home agent record flat events and spans on a bounded tracer, the way a
+// flight recorder left on would.
+func measureAllocsPerHandoff(tb testing.TB, traced bool) (allocsPerHandoff float64, handoffs int) {
+	const hosts, period, rounds, warmup = 64, 250 * time.Millisecond, 40, 8
+	loop := sim.New(1996)
+	var tracer *trace.Tracer
+	if traced {
+		tracer = trace.New(loop)
+		tracer.SetCapacity(1 << 12)
+		defer trace.Release(loop)
+	}
+	pfx := func(i byte) ip.Prefix { return ip.Prefix{Addr: ip.Addr{10, i, 0, 0}, Bits: 16} }
+	at := func(i byte, host int) ip.Addr { return ip.Addr{10, i, byte(host >> 8), byte(host)} }
+	nets := [3]*link.Network{}
+	router := stack.NewHost(loop, "router", stack.Config{})
+	var homeIfc *stack.Iface
+	for i, name := range []string{"home", "dept", "campus"} {
+		nets[i] = link.NewNetwork(loop, name, link.Ethernet())
+		ifc := scenario.AddRouterIface(router, nets[i], at(byte(i), 1), pfx(byte(i)), stack.IfaceOpts{})
+		if i == 0 {
+			homeIfc = ifc
+		}
+	}
+	router.SetForwarding(true)
+	if _, err := mip.NewHomeAgent(transport.NewStack(router), mip.HomeAgentConfig{
+		HomeIface: homeIfc, HomePrefix: pfx(0), ProcessingDelay: 1480 * time.Microsecond, Tracer: tracer,
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	ch, _ := scenario.AttachEndHost(stack.NewHost(loop, "ch", stack.Config{}), nets[1], "ch-eth", at(1, 7), pfx(1), at(1, 1), stack.IfaceOpts{})
+	var echo *transport.UDPSocket
+	echo, err := ch.UDP(ip.Unspecified, 7, func(d transport.Datagram) { echo.SendTo(d.From, d.FromPort, d.Payload) })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	type roamer struct {
+		m    *mip.MobileHost
+		mis  [2]*mip.ManagedIface
+		sock *transport.UDPSocket
+	}
+	fleet := make([]roamer, hosts)
+	for j := range fleet {
+		ts := transport.NewStack(stack.NewHost(loop, fmt.Sprintf("mh%02d", j), stack.Config{}))
+		r := roamer{m: mip.NewMobileHost(ts, mip.MobileHostConfig{
+			HomeAddr: at(0, 100+j), HomePrefix: pfx(0), HomeAgent: at(0, 1), Lifetime: time.Minute, Tracer: tracer,
+		})}
+		for d := range r.mis {
+			dev := link.NewDevice(loop, fmt.Sprintf("eth%d", d), 0, 0)
+			dev.Attach(nets[1+d])
+			r.mis[d], err = r.m.AddInterface(dev.Name(), dev, false, &mip.StaticConfig{
+				Addr: at(byte(1+d), 100+j), Prefix: pfx(byte(1 + d)), Gateway: at(byte(1+d), 1),
+			})
+			if err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if r.sock, err = ts.UDP(ip.Unspecified, 0, func(transport.Datagram) {}); err != nil {
+			tb.Fatal(err)
+		}
+		fleet[j] = r
+	}
+	failed := 0
+	done := func(err error) {
+		if err != nil {
+			failed++
+		}
+		handoffs++
+	}
+	probe := []byte("scale-probe")
+	var before, after runtime.MemStats
+	for round := 0; round < warmup+rounds; round++ {
+		if round == warmup { // free lists, sockets and caches are warm
+			handoffs = 0
+			runtime.ReadMemStats(&before)
+		}
+		for j := range fleet {
+			fleet[j].m.ConnectForeign(fleet[j].mis[round%2], done)
+			if round%4 == 0 {
+				fleet[j].sock.SendTo(at(1, 7), 7, probe)
+			}
+		}
+		loop.RunFor(period)
+	}
+	runtime.ReadMemStats(&after)
+	if failed != 0 || handoffs != hosts*rounds {
+		tb.Fatalf("%d handoffs completed, %d failed; want %d and none", handoffs, failed, hosts*rounds)
+	}
+	return float64(after.Mallocs-before.Mallocs) / float64(handoffs), handoffs
+}
+
+// allocsPerHandoffBudget sits ~10% above the measured objects one
+// ConnectForeign -> registration -> reply allocates with no tracer. The host's
+// exchange record, its registration socket, the agent's binding and reply
+// records and every timer callback are reused, datagrams are lent and a nil
+// tracer costs a nil check, so what is left is the ConnectForeign -> Prepare ->
+// Activate closure chain (a per-call chain by contract: overlapping calls
+// each run to their own done) and the route-cache misses the move forces.
+// It read 38.7 while each handoff rebuilt all of that and boxed the arguments
+// of trace calls nobody read. The traced figure is the same run with flat
+// events and spans recorded: the spans and their attributes are the
+// difference; a trace call that goes back to formatting costs 2-3 objects an
+// event, a dozen events a handoff.
+const (
+	allocsPerHandoffBudget           = 8.0  // measured 7.2; 38.7 before
+	allocsPerHandoffBudgetRace       = 13.0 // 11.8
+	tracedAllocsPerHandoffBudget     = 31.0 // 28.2; 70.7 before
+	tracedAllocsPerHandoffBudgetRace = 36.0 // 32.8
+)
+
+// TestAllocsPerHandoffBudget is the control plane's allocation guard, next
+// to the packet path's: it fails if a handoff allocates more objects than
+// the budget, tracer off and tracer on. Skipped under -short because it
+// runs a fleet.
+func TestAllocsPerHandoffBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocs/handoff measurement runs a fleet; skipped in -short")
+	}
+	for _, c := range []struct {
+		name   string
+		traced bool
+		limit  float64
+	}{
+		{"tracer off", false, budget(allocsPerHandoffBudget, allocsPerHandoffBudgetRace)},
+		{"tracer and spans on", true, budget(tracedAllocsPerHandoffBudget, tracedAllocsPerHandoffBudgetRace)},
+	} {
+		got, handoffs := measureAllocsPerHandoff(t, c.traced)
+		t.Logf("%s: %.1f allocs/handoff over %d handoffs (budget %.1f)", c.name, got, handoffs, c.limit)
+		if got > c.limit {
+			t.Errorf("%s: allocs/handoff = %.1f, budget %.1f", c.name, got, c.limit)
+		}
 	}
 }
 

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
+	"mosquitonet/internal/ip"
 	"mosquitonet/internal/sim"
 )
 
@@ -112,12 +114,18 @@ func (s *Span) SetAttr(key, value string) {
 	s.Attrs = append(s.Attrs, Attr{Key: key, Value: value})
 }
 
-// Attrf is SetAttr with fmt.Sprintf conventions for the value.
-func (s *Span) Attrf(key, format string, args ...any) {
-	if s == nil {
-		return
+// SetUint and SetAddr are SetAttr for a number and for an address, rendered
+// only if the span exists: a nil span costs a nil check, a live one no fmt.
+func (s *Span) SetUint(key string, v uint64) {
+	if s != nil {
+		s.SetAttr(key, strconv.FormatUint(v, 10))
 	}
-	s.SetAttr(key, fmt.Sprintf(format, args...))
+}
+
+func (s *Span) SetAddr(key string, a ip.Addr) {
+	if s != nil {
+		s.SetAttr(key, a.String())
+	}
 }
 
 // Attr returns the span's value for key, if set.
@@ -385,7 +393,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		return nil
 	}
 	spans := t.orderedSpans()
-	events := t.ordered()
+	events := t.Events()
 
 	// Stable actor -> tid mapping, alphabetical.
 	actorSet := make(map[string]bool)

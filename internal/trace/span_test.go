@@ -77,7 +77,7 @@ func TestSpanSetAttrReplaces(t *testing.T) {
 	defer Release(loop)
 	s := tr.StartSpan("mh", "reg.attempt")
 	s.SetAttr("tries", "1")
-	s.Attrf("tries", "%d", 2)
+	s.SetUint("tries", 2)
 	s.Done()
 	if len(s.Attrs) != 1 || s.Attrs[0].Value != "2" {
 		t.Fatalf("SetAttr must replace: %+v", s.Attrs)
@@ -91,7 +91,7 @@ func TestNilSpanAndTracerSafe(t *testing.T) {
 		t.Fatal("nil tracer must hand out nil spans")
 	}
 	s.SetAttr("k", "v")
-	s.Attrf("k", "%d", 1)
+	s.SetUint("k", 1)
 	s.Done()
 	s.Fail(nil)
 	if s.Open() || s.Duration() != 0 {

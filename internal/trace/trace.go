@@ -1,5 +1,5 @@
 // Package trace provides structured recording for experiments and
-// debugging: flat timestamped events (kind, actor, free-form detail) and
+// debugging: flat timestamped events (kind, actor, detail operands) and
 // causal spans (timed operations with parents and attributes), both against
 // the simulation clock. The registration time-line of the paper's Figure 7
 // is reconstructed from events; the handoff-disruption observatory is built
@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 
+	"mosquitonet/internal/ip"
 	"mosquitonet/internal/sim"
 )
 
@@ -28,6 +29,38 @@ func (e Event) String() string {
 	return fmt.Sprintf("%12v %-12s %-28s %s", e.At, e.Actor, e.Kind, e.Detail)
 }
 
+// Operands is what a typed event's detail is made of: up to two addresses, a
+// few integers and up to two strings the caller already holds. They are
+// stored as they are; the kind's Renderer — a package-level function of the
+// layer that owns the kinds, beside its kind constants — turns them into
+// Event.Detail only when the event is read (Events, Find, Last, Hook, the
+// exports), so an event nobody reads costs no formatting.
+type Operands struct {
+	A, B ip.Addr
+	N    uint64
+	I, J int32
+	S, T string
+}
+
+type Renderer func(kind string, o Operands) string
+
+// record is a stored event; with a nil render, ops.S is its detail as
+// Record pre-rendered it.
+type record struct {
+	at          sim.Time
+	kind, actor string
+	render      Renderer
+	ops         Operands
+}
+
+func (r *record) event() Event {
+	detail := r.ops.S
+	if r.render != nil {
+		detail = r.render(r.kind, r.ops)
+	}
+	return Event{At: r.at, Kind: r.kind, Actor: r.actor, Detail: detail}
+}
+
 // Tracer records events and spans against a simulation clock. A nil Tracer
 // is valid and records nothing, so call sites never need nil checks.
 //
@@ -38,7 +71,7 @@ type Tracer struct {
 	loop *sim.Loop
 
 	cap     int // 0 = unbounded; otherwise ring capacity for events and spans
-	events  []Event
+	events  []record
 	start   int // ring read position when len(events) == cap
 	dropped uint64
 
@@ -105,7 +138,7 @@ func (t *Tracer) SetCapacity(n int) {
 			sp = sp[excess:]
 		}
 	}
-	t.events = append([]Event(nil), ev...)
+	t.events = append([]record(nil), ev...)
 	t.spans = append([]*Span(nil), sp...)
 	t.start, t.spanStart = 0, 0
 	if n <= 0 {
@@ -122,42 +155,51 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// Record appends an event. Detail follows fmt.Sprintf conventions.
+// Record appends an event whose detail is text already, rendered now from
+// format and args (fmt.Sprintf conventions); operands go through RecordOps.
 func (t *Tracer) Record(actor, kind, format string, args ...any) {
 	if t == nil {
 		return
 	}
-	e := Event{At: t.loop.Now(), Kind: kind, Actor: actor, Detail: fmt.Sprintf(format, args...)}
+	t.put(record{kind: kind, actor: actor, ops: Operands{S: fmt.Sprintf(format, args...)}})
+}
+
+// RecordOps appends a typed event. On a nil tracer it is a nil check; on a
+// live one it formats and allocates nothing.
+func (t *Tracer) RecordOps(actor, kind string, render Renderer, o Operands) {
+	if t == nil {
+		return
+	}
+	t.put(record{kind: kind, actor: actor, render: render, ops: o})
+}
+
+func (t *Tracer) put(r record) {
+	r.at = t.loop.Now()
 	if t.cap > 0 && len(t.events) == t.cap {
-		t.events[t.start] = e
+		t.events[t.start] = r
 		t.start = (t.start + 1) % t.cap
 		t.dropped++
 	} else {
-		t.events = append(t.events, e)
+		t.events = append(t.events, r)
 	}
 	if t.Hook != nil {
-		t.Hook(e)
+		t.Hook(r.event())
 	}
 }
 
 // ordered returns the retained events oldest-first.
-func (t *Tracer) ordered() []Event {
+func (t *Tracer) ordered() []record {
 	if t.start == 0 {
 		return t.events
 	}
-	out := make([]Event, 0, len(t.events))
+	out := make([]record, 0, len(t.events))
 	out = append(out, t.events[t.start:]...)
 	out = append(out, t.events[:t.start]...)
 	return out
 }
 
 // Events returns all retained events in order.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	return append([]Event(nil), t.ordered()...)
-}
+func (t *Tracer) Events() []Event { return t.Find("") }
 
 // Find returns events whose kind has the given prefix.
 func (t *Tracer) Find(kindPrefix string) []Event {
@@ -165,9 +207,9 @@ func (t *Tracer) Find(kindPrefix string) []Event {
 		return nil
 	}
 	var out []Event
-	for _, e := range t.ordered() {
-		if strings.HasPrefix(e.Kind, kindPrefix) {
-			out = append(out, e)
+	for _, r := range t.ordered() {
+		if strings.HasPrefix(r.kind, kindPrefix) {
+			out = append(out, r.event())
 		}
 	}
 	return out
@@ -180,8 +222,8 @@ func (t *Tracer) Last(kindPrefix string) (Event, bool) {
 	}
 	ev := t.ordered()
 	for i := len(ev) - 1; i >= 0; i-- {
-		if strings.HasPrefix(ev[i].Kind, kindPrefix) {
-			return ev[i], true
+		if strings.HasPrefix(ev[i].kind, kindPrefix) {
+			return ev[i].event(), true
 		}
 	}
 	return Event{}, false
@@ -204,7 +246,7 @@ func (t *Tracer) Filter(kindPrefixes ...string) *Tracer {
 			continue
 		}
 		for _, p := range kindPrefixes {
-			if strings.HasPrefix(e.Kind, p) {
+			if strings.HasPrefix(e.kind, p) {
 				out.events = append(out.events, e)
 				break
 			}
@@ -222,7 +264,7 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	for _, e := range t.ordered() {
+	for _, e := range t.Events() {
 		b, err := json.Marshal(e)
 		if err != nil {
 			return err
@@ -254,7 +296,7 @@ func (t *Tracer) String() string {
 		return ""
 	}
 	var b strings.Builder
-	for _, e := range t.ordered() {
+	for _, e := range t.Events() {
 		fmt.Fprintln(&b, e)
 	}
 	return b.String()

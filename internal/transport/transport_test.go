@@ -56,7 +56,7 @@ func TestUDPEcho(t *testing.T) {
 	}
 	srv.handler = func(d Datagram) { srv.SendTo(d.From, d.FromPort, d.Payload) }
 
-	cli, err := p.a.UDP(ip.Unspecified, 0, func(d Datagram) { echoed = d.Payload })
+	cli, err := p.a.UDP(ip.Unspecified, 0, func(d Datagram) { echoed = append([]byte(nil), d.Payload...) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,5 +534,54 @@ func TestStreamRecoversFromWindowLoss(t *testing.T) {
 	}
 	if c.Stats().Retransmits == 0 {
 		t.Fatal("no retransmissions recorded")
+	}
+}
+
+// TestUDPRebind moves one socket between bindings, as a mobile host's
+// registration socket moves between care-of addresses: it behaves as Close
+// followed by UDP with the same handler would, and it is the same socket.
+func TestUDPRebind(t *testing.T) {
+	p := newPair(t, link.Ethernet(), 1)
+	elsewhere := ip.MustParseAddr("10.0.0.3")
+	got := 0
+	sock, err := p.b.UDP(p.bAddr, 434, func(Datagram) { got++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, _ := p.a.UDP(ip.Unspecified, 0, nil)
+	send := func() {
+		cli.SendTo(p.bAddr, 434, []byte("x"))
+		p.loop.RunFor(time.Second)
+	}
+	send()
+	if err := sock.Rebind(elsewhere); err != nil || sock.Bound() != elsewhere || sock.Port() != 434 {
+		t.Fatalf("Rebind: %v, now bound to %v:%d", err, sock.Bound(), sock.Port())
+	}
+	send() // the binding left behind is gone
+	if got != 1 || p.b.stats.UDPNoSocket != 1 {
+		t.Fatalf("after moving away: %d delivered, %d without a socket; want 1 and 1", got, p.b.stats.UDPNoSocket)
+	}
+	other, err := p.b.UDP(p.bAddr, 434, nil)
+	if err != nil {
+		t.Fatalf("the address left behind is not free: %v", err)
+	}
+	// A taken address: the socket is left closed, like Close then a failed UDP.
+	if err := sock.Rebind(p.bAddr); err != ErrPortInUse {
+		t.Fatalf("Rebind onto a taken binding: %v", err)
+	}
+	if err := sock.SendTo(p.aAddr, 9, nil); err != ErrClosed {
+		t.Errorf("SendTo after a failed Rebind: %v, want ErrClosed", err)
+	}
+	if _, err := p.b.UDP(elsewhere, 434, nil); err != nil {
+		t.Errorf("a failed Rebind kept the old binding: %v", err)
+	}
+	// A closed socket binds again, handler and counters with it.
+	other.Close()
+	if err := sock.Rebind(p.bAddr); err != nil {
+		t.Fatal(err)
+	}
+	send()
+	if got != 2 || sock.Received != 2 {
+		t.Errorf("rebound socket: %d delivered, socket counts %d; want 2 and 2", got, sock.Received)
 	}
 }

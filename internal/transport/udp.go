@@ -15,12 +15,19 @@ type Datagram struct {
 	Iface    *stack.Iface // interface of arrival (VIF for tunneled traffic)
 }
 
+// DatagramHandler receives a socket's datagrams. d.Payload is a window into
+// the arriving packet, lent for the duration of the call: a handler that
+// keeps bytes past its return (a deferred relay) copies them.
+//
+//mnet:ownership borrows d
+type DatagramHandler func(d Datagram)
+
 // UDPSocket is a bound UDP endpoint delivering datagrams to a callback.
 type UDPSocket struct {
 	stk     *Stack
 	bound   ip.Addr
 	port    uint16
-	handler func(Datagram)
+	handler DatagramHandler
 	closed  bool
 
 	// Sent and Received count datagrams through this socket.
@@ -31,7 +38,7 @@ type UDPSocket struct {
 // ephemeral one; an unspecified bound address receives on all local
 // addresses and leaves source selection to the route lookup (i.e. subject
 // to mobile IP on a mobile host).
-func (s *Stack) UDP(bound ip.Addr, port uint16, handler func(Datagram)) (*UDPSocket, error) {
+func (s *Stack) UDP(bound ip.Addr, port uint16, handler DatagramHandler) (*UDPSocket, error) {
 	if port == 0 {
 		p, err := s.ephemeralPort(bound)
 		if err != nil {
@@ -66,6 +73,20 @@ func (u *UDPSocket) Close() {
 	delete(u.stk.udp, bindKey{u.bound, u.port})
 }
 
+// Rebind moves the socket to (bound, its port), as Close followed by UDP
+// with the same handler would: a mobile host's registration socket follows
+// its care-of address. If the address is taken the socket is left closed.
+func (u *UDPSocket) Rebind(bound ip.Addr) error {
+	u.Close()
+	k := bindKey{bound, u.port}
+	if u.stk.udp[k] != nil {
+		return ErrPortInUse
+	}
+	u.bound, u.closed = bound, false
+	u.stk.udp[k] = u
+	return nil
+}
+
 // SendTo transmits payload to (dst, dport). The pseudo-header checksum is
 // computed against the source address the route lookup recommends, then
 // the packet is handed to IP with that source already stamped — matching
@@ -96,8 +117,8 @@ func (u *UDPSocket) SendToVia(ifc *stack.Iface, nextHop, dst ip.Addr, dport uint
 }
 
 // udpInput demultiplexes a received UDP packet: exact binding first, then
-// the wildcard binding on the same port. The packet is lent; the datagram
-// handed on carries a copy of the payload (UnmarshalUDP's).
+// the wildcard binding on the same port. The packet is lent, and so is the
+// datagram handed on: its payload is a window into the packet's.
 func (s *Stack) udpInput(ifc *stack.Iface, pkt *ip.Packet) {
 	h, payload, err := ip.UnmarshalUDP(pkt.Src, pkt.Dst, pkt.Payload)
 	if err != nil {

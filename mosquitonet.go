@@ -79,7 +79,8 @@ type (
 	Transport = transport.Stack
 	// UDPSocket is a bound UDP endpoint.
 	UDPSocket = transport.UDPSocket
-	// Datagram is a received UDP datagram.
+	// Datagram is a received UDP datagram; its Payload is lent for the
+	// handler call — copy what you keep.
 	Datagram = transport.Datagram
 	// Conn is a reliable byte-stream connection (TCP-like).
 	Conn = transport.Conn
