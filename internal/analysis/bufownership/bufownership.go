@@ -5,9 +5,10 @@
 // not be touched after either; frame payloads delivered by the link layer
 // are borrowed for the synchronous delivery chain only and must never be
 // retained or recycled by a receiver. The same goes for a parameter under a
-// borrows contract — the chunk transport.Conn.OnData lends its consumer —
-// inside the annotated function, or inside a func literal assigned to the
-// annotated func field.
+// borrows contract — the chunk transport.Conn.OnData lends its consumer, the
+// Payload of an app.Message or the Body of an app.HTTPRequest lent to a
+// handler — inside the annotated function, or inside a func literal assigned
+// to the annotated func field.
 //
 // The same rules carry a pooled *ip.Packet (DESIGN.md §6, "who owns a
 // packet"). A packet is an abstract buffer like any other: a returns-pooled
@@ -628,10 +629,11 @@ func (fa *funcAnalysis) entryState(ftyp *ast.FuncType, obj types.Object) state {
 					s.vars[pobj] = []token.Pos{id}
 					s.bufs[id] = stOwned
 				}
-			case isFrame || borrows[i] && hasPayloadField(pobj):
+			case isFrame || borrows[i] && hasLentField(pobj):
 				// A frame, or a borrowed struct that carries its bytes the
-				// same way (transport.Datagram), lends its Payload; its
-				// other fields are values copied out.
+				// same way (transport.Datagram, app.Message, app.HTTPRequest),
+				// lends its Payload or Body; its other fields are values
+				// copied out.
 				if pobj != nil {
 					id := name.Pos()
 					fa.bufs[id] = &bufInfo{pos: id, desc: "borrowed frame payload (payload of frame " + name.Name + ")", borrowed: true}
@@ -652,14 +654,19 @@ func (fa *funcAnalysis) entryState(ftyp *ast.FuncType, obj types.Object) state {
 	return s
 }
 
-// hasPayloadField reports whether obj is a struct value with a Payload field.
-func hasPayloadField(obj types.Object) bool {
+// isLentField reports whether name is a field through which a lent struct
+// carries bytes that stay the lender's: a frame's, datagram's or message's
+// Payload, an HTTP message's Body.
+func isLentField(name string) bool { return name == "Payload" || name == "Body" }
+
+// hasLentField reports whether obj is a struct value with such a field.
+func hasLentField(obj types.Object) bool {
 	if obj == nil {
 		return false
 	}
 	st, ok := obj.Type().Underlying().(*types.Struct)
 	for i := 0; ok && i < st.NumFields(); i++ {
-		if st.Field(i).Name() == "Payload" {
+		if isLentField(st.Field(i).Name()) {
 			return true
 		}
 	}
@@ -833,7 +840,7 @@ func (fa *funcAnalysis) bufsOf(s *state, e ast.Expr) []token.Pos {
 	case *ast.SelectorExpr:
 		if base, ok := x.X.(*ast.Ident); ok {
 			if obj := fa.identObj(base); obj != nil {
-				if id, ok := fa.frameParams[obj]; ok && x.Sel.Name == "Payload" {
+				if id, ok := fa.frameParams[obj]; ok && isLentField(x.Sel.Name) {
 					return []token.Pos{id}
 				}
 				if id, ok := fa.ctxParams[obj]; ok && x.Sel.Name == "Pkt" {

@@ -125,6 +125,41 @@ type DatagramHandler func(d Datagram)
 // Bind mirrors transport.Stack.UDP.
 func Bind(h DatagramHandler) {}
 
+// Message mirrors app.Message: lent by value to a subscriber's handler.
+type Message struct {
+	Topic   string
+	Payload []byte
+}
+
+// MessageHandler mirrors app.MessageHandler.
+//
+//mnet:ownership borrows m
+type MessageHandler func(m Message)
+
+// Subscribe mirrors app.Client.Subscribe.
+func Subscribe(h MessageHandler) {}
+
+// Request and Response mirror app.HTTPRequest and app.HTTPResponse: lent by
+// value like a datagram, but the bytes ride in Body.
+type Request struct {
+	Path string
+	Body []byte
+}
+
+// Response mirrors app.HTTPResponse.
+type Response struct {
+	Code int
+	Body []byte
+}
+
+// RequestHandler mirrors app.HTTPHandler.
+//
+//mnet:ownership borrows req
+type RequestHandler func(req Request) Response
+
+// Serve mirrors app.NewHTTPServer.
+func Serve(h RequestHandler) {}
+
 // Verdict and PacketContext mirror the pipeline's: a hook is a function of
 // a *PacketContext returning a Verdict.
 type Verdict int

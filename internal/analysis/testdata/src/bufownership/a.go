@@ -422,6 +422,40 @@ func bindDatagrams(k *keeper, later func(fn func())) {
 	})
 }
 
+// ---- messages: a handler is lent m.Payload / req.Body for the call ----
+
+func (k *keeper) message(m dep.Message) {
+	k.buf = m.Payload // want "payload of frame m.+retained past synchronous delivery"
+}
+
+func (k *keeper) request(req dep.Request) dep.Response {
+	k.buf = req.Body // want "payload of frame req.+retained past synchronous delivery"
+	return dep.Response{Code: 200}
+}
+
+func bindRequests(k *keeper, later func(fn func())) {
+	dep.Subscribe(k.message)
+	dep.Subscribe(func(m dep.Message) {
+		k.buf = append([]byte(nil), m.Payload...) // whoever keeps bytes copies them
+		topic := m.Topic
+		later(func() { _ = topic })
+	})
+	dep.Subscribe(func(m dep.Message) {
+		later(func() { work(m.Payload) }) // want "captured by a closure"
+	})
+	dep.Serve(k.request)
+	dep.Serve(func(req dep.Request) dep.Response {
+		later(func() { work(req.Body) }) // want "captured by a closure"
+		return dep.Response{Code: 202}
+	})
+	dep.Serve(func(req dep.Request) dep.Response {
+		k.buf = append(k.buf[:0], req.Body...)
+		path := req.Path // a value copied out of the request
+		later(func() { _ = path })
+		return dep.Response{Code: 200, Body: req.Body} // echoed: encoded before the server reads on
+	})
+}
+
 // ---- hooks: the verdict says what became of ctx.Pkt ----
 
 func hookStealsAndForgets(ctx *dep.PacketContext) dep.Verdict {

@@ -59,48 +59,76 @@ func writeMsg(conn *transport.Conn, msg []byte) ([]byte, error) {
 	return msg[:0], err
 }
 
+// lentBuf is the buffer under both stream parsers: chunks are appended, the
+// parser consumes by offset, and what is left slides to the front when the
+// call returns.
+//
+// Who owns a message body: the parser. deliver is lent a window into buf,
+// capped so an append cannot reach the bytes behind it, valid until deliver
+// returns; whoever keeps bytes copies them (the retained store does, an
+// encoder has copied them into its connection's scratch before it returns).
+//
+// deliver may re-enter the parser — its write answered into this connection
+// before it returns, as over a loopback connection that delivers inline — so
+// the offset is a field, not a local, and only the outermost call compacts:
+// an inner one sliding the buffer would move bytes under a body still lent
+// further up the stack. (An inner append that outgrows the array moves buf
+// to a new one and leaves the lent window on the old.)
+type lentBuf struct {
+	buf   []byte
+	off   int // bytes of buf already delivered
+	depth int // parser calls on the stack
+}
+
+// enter appends chunk; every enter is paired with a deferred leave.
+func (b *lentBuf) enter(chunk []byte) {
+	b.buf = append(b.buf, chunk...)
+	b.depth++
+}
+
+// leave drops the delivered bytes once no call is left that lent any: the
+// remainder slides to the front, and a drained buffer larger than
+// streamBufKeep is let go.
+func (b *lentBuf) leave() {
+	if b.depth--; b.depth > 0 {
+		return
+	}
+	if b.off == len(b.buf) && cap(b.buf) > streamBufKeep {
+		b.buf = nil
+	} else {
+		b.buf = b.buf[:copy(b.buf, b.buf[b.off:])]
+	}
+	b.off = 0
+}
+
 // frameReader incrementally decodes frames from stream chunks. Feed
 // returns each complete frame via the callback; partial frames wait for
 // more bytes. It reports false on a malformed frame (oversized body), at
 // which point the caller should drop the connection.
-//
-// Both stream parsers consume buf by offset and slide what is left to the
-// front once per call. The offset is a field, not a local, because deliver
-// may write to a loopback connection and so re-enter Feed.
-type frameReader struct {
-	buf []byte
-	off int // bytes of buf already delivered
-}
+type frameReader struct{ lentBuf }
 
-func (r *frameReader) Feed(chunk []byte, deliver func(typ, flags byte, body []byte)) bool {
-	r.buf = append(r.buf, chunk...)
-	defer func() { r.buf, r.off = compact(r.buf, r.off), 0 }()
+// frameDeliver receives one frame from a frameReader.
+//
+//mnet:ownership borrows body
+type frameDeliver func(typ, flags byte, body []byte)
+
+func (r *frameReader) Feed(chunk []byte, deliver frameDeliver) bool {
+	r.enter(chunk)
+	defer r.leave()
 	for len(r.buf)-r.off >= frameHeaderLen {
 		rest := r.buf[r.off:]
 		n := int(binary.BigEndian.Uint16(rest[2:4]))
 		if n > maxFrameBody {
 			return false
 		}
-		if len(rest) < frameHeaderLen+n {
+		end := frameHeaderLen + n
+		if len(rest) < end {
 			return true
 		}
-		// The body is the handler's to keep (retained store, Message).
-		body := make([]byte, n)
-		copy(body, rest[frameHeaderLen:])
-		r.off += frameHeaderLen + n
-		deliver(rest[0], rest[1], body)
+		r.off += end
+		deliver(rest[0], rest[1], rest[frameHeaderLen:end:end])
 	}
 	return true
-}
-
-// compact drops the first off bytes of a parser's buffer: the remainder
-// slides to the front, and a drained buffer larger than streamBufKeep is
-// let go.
-func compact(buf []byte, off int) []byte {
-	if off == len(buf) && cap(buf) > streamBufKeep {
-		return nil
-	}
-	return buf[:copy(buf, buf[off:])]
 }
 
 // appendString appends a length-prefixed string (uint16 length + bytes).

@@ -58,7 +58,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		got = append(got, struct {
 			typ, flags byte
 			body       []byte
-		}{typ, flags, body})
+		}{typ, flags, append([]byte(nil), body...)}) // lent for the call
 	}
 
 	wire := encodeFrame(nil, 3, 0x5, []byte("hello"))

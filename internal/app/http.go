@@ -35,22 +35,32 @@ const httpVersion = "MNET/1.0"
 // maxHTTPHead bounds the header block of one message.
 const maxHTTPHead = 4096
 
-// HTTPRequest is one parsed request.
+// HTTPRequest is one parsed request. Body is lent for the handler call: a
+// window into the connection's parser, see lentBuf.
 type HTTPRequest struct {
 	Method string
 	Path   string
 	Body   []byte
 }
 
-// HTTPResponse is one response.
+// HTTPResponse is one response. On the client side Body is lent for the
+// done callback, like a request's; a handler's response is encoded before
+// the server reads the next request, so it may be the request's own body.
 type HTTPResponse struct {
 	Code int
 	Body []byte
 }
 
 // HTTPHandler produces the response for one request. Handlers run inline
-// in the simulation loop.
+// in the simulation loop; one that keeps req.Body past its return copies it.
+//
+//mnet:ownership borrows req
 type HTTPHandler func(req HTTPRequest) HTTPResponse
+
+// httpDeliver receives one message from an httpParser.
+//
+//mnet:ownership borrows body
+type httpDeliver func(start string, body []byte)
 
 var (
 	crlf          = []byte("\r\n")
@@ -59,18 +69,15 @@ var (
 )
 
 // httpParser incrementally splits a text-framed message stream into
-// (start line, body) pairs. Like frameReader it consumes buf by offset.
-type httpParser struct {
-	buf []byte
-	off int // bytes of buf already delivered
-}
+// (start line, body) pairs, each body lent for the deliver call.
+type httpParser struct{ lentBuf }
 
 // feed appends chunk and delivers every complete message. It returns false
 // on a malformed message (oversized head, bad Content-Length), at which
 // point the caller should drop the connection.
-func (p *httpParser) feed(chunk []byte, deliver func(start string, body []byte)) bool {
-	p.buf = append(p.buf, chunk...)
-	defer func() { p.buf, p.off = compact(p.buf, p.off), 0 }()
+func (p *httpParser) feed(chunk []byte, deliver httpDeliver) bool {
+	p.enter(chunk)
+	defer p.leave()
 	for {
 		rest := p.buf[p.off:]
 		head := bytes.Index(rest, headEnd)
@@ -91,11 +98,8 @@ func (p *httpParser) feed(chunk []byte, deliver func(start string, body []byte))
 		if len(rest) < total {
 			return true
 		}
-		// The body is the handler's to keep.
-		body := make([]byte, clen)
-		copy(body, rest[head+len(headEnd):])
 		p.off += total
-		deliver(string(start), body)
+		deliver(string(start), rest[total-clen:total:total])
 	}
 }
 
@@ -256,7 +260,7 @@ type HTTPClient struct {
 	ts     *transport.Stack
 	loop   *sim.Loop
 	tracer *trace.Tracer
-	id     string
+	actor  string // span actor: host/id
 
 	conn    *transport.Conn
 	parser  httpParser
@@ -283,7 +287,7 @@ func NewHTTPClient(ts *transport.Stack, id string) *HTTPClient {
 		ts:     ts,
 		loop:   ts.Host().Loop(),
 		tracer: trace.For(ts.Host().Loop()),
-		id:     id,
+		actor:  ts.Host().Name() + "/" + id,
 	}
 }
 
@@ -328,13 +332,14 @@ func (c *HTTPClient) Connect(server ip.Addr, port uint16, onUp func(error)) erro
 }
 
 // Do issues one request. done fires with the response, or with an error if
-// the connection dies first. Multiple outstanding requests pipeline.
+// the connection dies first. Multiple outstanding requests pipeline. body is
+// borrowed: it is encoded into the connection before Do returns.
 func (c *HTTPClient) Do(method, path string, body []byte, done func(HTTPResponse, error)) error {
 	if c.closed || c.conn == nil {
 		return ErrNotConnected
 	}
 	// Root span: pipelined requests overlap and must not ambient-nest.
-	sp := c.tracer.StartChild(nil, c.actor(), kSpanHTTPRequest)
+	sp := c.tracer.StartChild(nil, c.actor, kSpanHTTPRequest)
 	sp.SetAttr("path", path)
 	c.pending = append(c.pending, &httpPending{span: sp, done: done})
 	c.stats.RequestsSent++
@@ -342,8 +347,6 @@ func (c *HTTPClient) Do(method, path string, body []byte, done func(HTTPResponse
 	c.wbuf, err = writeMsg(c.conn, appendHTTPRequest(c.wbuf, method, path, body))
 	return err
 }
-
-func (c *HTTPClient) actor() string { return c.ts.Host().Name() + "/" + c.id }
 
 // Close ends the session with an orderly stream close.
 func (c *HTTPClient) Close() {

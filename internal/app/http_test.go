@@ -46,7 +46,10 @@ func TestHTTPEcho(t *testing.T) {
 
 	var resp HTTPResponse
 	var rerr error
-	c.Do("POST", "/echo", []byte("payload"), func(rp HTTPResponse, err error) { resp, rerr = rp, err })
+	c.Do("POST", "/echo", []byte("payload"), func(rp HTTPResponse, err error) {
+		resp, rerr = rp, err
+		resp.Body = append([]byte(nil), rp.Body...) // lent for the call
+	})
 	r.loop.RunFor(time.Second)
 	if rerr != nil || resp.Code != 200 || string(resp.Body) != "payload" {
 		t.Fatalf("resp = %+v err = %v", resp, rerr)

@@ -28,7 +28,8 @@ import (
 const seqPrefixLen = 8
 
 // Payload builds a load-model payload of exactly size bytes (minimum the
-// 8-byte sequence prefix) carrying seq.
+// 8-byte sequence prefix) carrying seq. The flows below build one each and
+// restamp it: Publish and Do borrow what they are given.
 func Payload(seq uint64, size int) []byte {
 	if size < seqPrefixLen {
 		size = seqPrefixLen
@@ -48,7 +49,7 @@ func PayloadSeq(p []byte) (uint64, bool) {
 
 // SinkHandler returns a message handler that records every arrival into
 // tracker — the subscriber end of a PubFlow.
-func SinkHandler(loop *sim.Loop, tracker *stats.FlowTracker) func(Message) {
+func SinkHandler(loop *sim.Loop, tracker *stats.FlowTracker) MessageHandler {
 	return func(m Message) {
 		if seq, ok := PayloadSeq(m.Payload); ok {
 			tracker.Received(seq, loop.Now())
@@ -65,7 +66,7 @@ type PubFlow struct {
 	topic    string
 	interval time.Duration
 	qos      byte
-	size     int
+	payload  []byte // restamped with seq on every tick
 
 	loop    *sim.Loop
 	seq     uint64
@@ -81,7 +82,7 @@ func NewPubFlow(client *Client, tracker *stats.FlowTracker, topic string, interv
 		topic:    topic,
 		interval: interval,
 		qos:      qos,
-		size:     size,
+		payload:  Payload(0, size),
 		loop:     client.loop,
 	}
 }
@@ -117,7 +118,8 @@ func (p *PubFlow) tick() {
 	// Publish errors (client not yet connected, torn down) leave the
 	// sequence number sent-but-never-received — accounted as loss, which
 	// is the honest reading of telemetry emitted into a dead session.
-	_ = p.client.Publish(p.topic, Payload(seq, p.size), p.qos, false, nil)
+	binary.BigEndian.PutUint64(p.payload, seq)
+	_ = p.client.Publish(p.topic, p.payload, p.qos, false, nil)
 }
 
 // ReqFlow drives the request/response protocol, open- or closed-loop. The
@@ -128,7 +130,7 @@ type ReqFlow struct {
 	path     string
 	interval time.Duration // emission period (open loop) or think time (closed loop)
 	closed   bool
-	size     int
+	payload  []byte // restamped with seq on every tick
 
 	loop    *sim.Loop
 	seq     uint64
@@ -144,7 +146,7 @@ func NewReqFlow(client *HTTPClient, tracker *stats.FlowTracker, path string, int
 		path:     path,
 		interval: interval,
 		closed:   closedLoop,
-		size:     size,
+		payload:  Payload(0, size),
 		loop:     client.loop,
 	}
 }
@@ -178,7 +180,8 @@ func (r *ReqFlow) tick() {
 	r.seq++
 	seq := r.seq
 	r.tracker.Sent(seq, r.loop.Now())
-	err := r.client.Do("POST", r.path, Payload(seq, r.size), func(resp HTTPResponse, err error) {
+	binary.BigEndian.PutUint64(r.payload, seq)
+	err := r.client.Do("POST", r.path, r.payload, func(resp HTTPResponse, err error) {
 		if err == nil {
 			r.tracker.Received(seq, r.loop.Now())
 		}
@@ -196,7 +199,8 @@ func (r *ReqFlow) tick() {
 }
 
 // EchoHandler is the standard server handler for ReqFlow traffic: echo the
-// body back with code 200, so request and response sizes match.
+// body back with code 200, so request and response sizes match. The body it
+// returns is the lent one; the server encodes it before reading on.
 func EchoHandler(req HTTPRequest) HTTPResponse {
 	return HTTPResponse{Code: 200, Body: req.Body}
 }

@@ -44,7 +44,8 @@ var (
 	ErrClosed       = errors.New("app: closed")
 )
 
-// Message is one delivered publication.
+// Message is one delivered publication. Payload is lent for the handler
+// call: a window into the connection's parser, see lentBuf.
 type Message struct {
 	Topic    string
 	Payload  []byte
@@ -52,6 +53,12 @@ type Message struct {
 	Retained bool // delivered from the broker's retained store
 	Dup      bool
 }
+
+// MessageHandler receives the publications matching one subscription. A
+// handler that keeps m.Payload past its return copies it.
+//
+//mnet:ownership borrows m
+type MessageHandler func(m Message)
 
 // BrokerStats counts broker activity.
 type BrokerStats struct {
@@ -344,6 +351,7 @@ type Client struct {
 	loop   *sim.Loop
 	tracer *trace.Tracer
 	id     string
+	actor  string // span actor: host/id
 
 	conn      *transport.Conn
 	reader    frameReader
@@ -368,7 +376,7 @@ type Client struct {
 
 type clientSub struct {
 	filter  string
-	handler func(Message)
+	handler MessageHandler
 }
 
 type clientPending struct {
@@ -384,6 +392,7 @@ func NewClient(ts *transport.Stack, id string) *Client {
 		loop:       ts.Host().Loop(),
 		tracer:     trace.For(ts.Host().Loop()),
 		id:         id,
+		actor:      ts.Host().Name() + "/" + id,
 		pendingPub: make(map[uint16]*clientPending),
 	}
 }
@@ -408,7 +417,7 @@ func (c *Client) Connect(broker ip.Addr, port uint16, onConnack func(error)) err
 	}
 	c.conn = conn
 	c.onConnack = onConnack
-	c.connectSpan = c.tracer.StartChild(nil, c.actor(), kSpanConnect)
+	c.connectSpan = c.tracer.StartChild(nil, c.actor, kSpanConnect)
 	conn.OnEstablished = func() {
 		c.send(mqttConnect, appendString(nil, c.id))
 	}
@@ -426,8 +435,6 @@ func (c *Client) Connect(broker ip.Addr, port uint16, onConnack func(error)) err
 func (c *Client) send(typ byte, body []byte) {
 	c.wbuf, _ = writeMsg(c.conn, encodeFrame(c.wbuf, typ, 0, body))
 }
-
-func (c *Client) actor() string { return c.ts.Host().Name() + "/" + c.id }
 
 // fail marks the client dead and flushes every pending callback.
 func (c *Client) fail(err error) {
@@ -467,7 +474,7 @@ func (c *Client) Close() {
 // Subscribe registers a handler for every publication matching filter and
 // sends SUBSCRIBE. onAck (optional) fires on SUBACK. QoS 1 deliveries are
 // acknowledged automatically.
-func (c *Client) Subscribe(filter string, qos byte, handler func(Message), onAck func()) error {
+func (c *Client) Subscribe(filter string, qos byte, handler MessageHandler, onAck func()) error {
 	if !c.connected {
 		return ErrNotConnected
 	}
@@ -475,7 +482,7 @@ func (c *Client) Subscribe(filter string, qos byte, handler func(Message), onAck
 		return ErrBadTopic
 	}
 	// Root span: overlapping operations must not ambient-nest.
-	sp := c.tracer.StartChild(nil, c.actor(), kSpanSubscribe)
+	sp := c.tracer.StartChild(nil, c.actor, kSpanSubscribe)
 	sp.SetAttr("filter", filter)
 	c.subs = append(c.subs, clientSub{filter: filter, handler: handler})
 	c.subAcks = append(c.subAcks, func() {
@@ -494,7 +501,8 @@ func (c *Client) Subscribe(filter string, qos byte, handler func(Message), onAck
 
 // Publish sends a publication. For QoS 1 the message carries a message ID
 // and onAck (optional) fires when the broker's PUBACK arrives; for QoS 0
-// onAck fires immediately after the frame is queued.
+// onAck fires immediately after the frame is queued. payload is borrowed:
+// it is encoded into the connection before Publish returns.
 func (c *Client) Publish(topic string, payload []byte, qos byte, retain bool, onAck func()) error {
 	if !c.connected {
 		return ErrNotConnected
@@ -513,7 +521,7 @@ func (c *Client) Publish(topic string, payload []byte, qos byte, retain bool, on
 		if c.nextMsgID == 0 {
 			c.nextMsgID = 1
 		}
-		sp := c.tracer.StartChild(nil, c.actor(), kSpanPublish)
+		sp := c.tracer.StartChild(nil, c.actor, kSpanPublish)
 		sp.SetAttr("topic", topic)
 		c.pendingPub[c.nextMsgID] = &clientPending{span: sp, onAck: onAck}
 		msgID = c.nextMsgID

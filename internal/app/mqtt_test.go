@@ -41,7 +41,7 @@ func TestMQTTPubSubQoS0(t *testing.T) {
 
 	var got []Message
 	subAcked := false
-	sub.Subscribe("sensors/+/temp", 0, func(m Message) { got = append(got, m) }, func() { subAcked = true })
+	sub.Subscribe("sensors/+/temp", 0, func(m Message) { got = append(got, keep(m)) }, func() { subAcked = true })
 	r.loop.RunFor(time.Second)
 	if !subAcked {
 		t.Fatal("no SUBACK")
@@ -98,7 +98,7 @@ func TestMQTTQoS1Delivery(t *testing.T) {
 	pub := connectClient(t, r, "pub")
 
 	var got []Message
-	sub.Subscribe("cmd/#", 1, func(m Message) { got = append(got, m) }, nil)
+	sub.Subscribe("cmd/#", 1, func(m Message) { got = append(got, keep(m)) }, nil)
 	r.loop.RunFor(time.Second)
 	pub.Publish("cmd/mh1", []byte("switch"), 1, false, nil)
 	r.loop.RunFor(time.Second)
@@ -133,7 +133,7 @@ func TestMQTTRetained(t *testing.T) {
 	// A subscriber arriving later still sees the retained state.
 	sub := connectClient(t, r, "sub")
 	var got []Message
-	sub.Subscribe("status/#", 0, func(m Message) { got = append(got, m) }, nil)
+	sub.Subscribe("status/#", 0, func(m Message) { got = append(got, keep(m)) }, nil)
 	r.loop.RunFor(time.Second)
 	if len(got) != 1 || !got[0].Retained || string(got[0].Payload) != "up" {
 		t.Fatalf("retained delivery = %+v", got)
@@ -192,7 +192,7 @@ func TestMQTTLargePayloadSpansSegments(t *testing.T) {
 	sub := connectClient(t, r, "sub")
 	pub := connectClient(t, r, "pub")
 	var got []Message
-	sub.Subscribe("bulk", 1, func(m Message) { got = append(got, m) }, nil)
+	sub.Subscribe("bulk", 1, func(m Message) { got = append(got, keep(m)) }, nil)
 	r.loop.RunFor(time.Second)
 
 	// 5000 bytes crosses several MSS-sized segments; framing must reassemble.
@@ -205,4 +205,11 @@ func TestMQTTLargePayloadSpansSegments(t *testing.T) {
 	if !bytes.Equal(got[0].Payload, payload) {
 		t.Fatalf("payload corrupted: len=%d", len(got[0].Payload))
 	}
+}
+
+// keep copies a delivered message's payload: a handler is lent it for the
+// call, and these tests read it afterwards.
+func keep(m Message) Message {
+	m.Payload = append([]byte(nil), m.Payload...)
+	return m
 }

@@ -18,7 +18,7 @@ import (
 // parsers to.
 type refHTTPParser struct{ buf []byte }
 
-func (p *refHTTPParser) feed(chunk []byte, deliver func(start string, body []byte)) bool {
+func (p *refHTTPParser) feed(chunk []byte, deliver httpDeliver) bool {
 	p.buf = append(p.buf, chunk...)
 	for {
 		head := strings.Index(string(p.buf), "\r\n\r\n")
@@ -53,7 +53,7 @@ func (p *refHTTPParser) feed(chunk []byte, deliver func(start string, body []byt
 
 type refFrameReader struct{ buf []byte }
 
-func (r *refFrameReader) Feed(chunk []byte, deliver func(typ, flags byte, body []byte)) bool {
+func (r *refFrameReader) Feed(chunk []byte, deliver frameDeliver) bool {
 	r.buf = append(r.buf, chunk...)
 	for len(r.buf) >= frameHeaderLen {
 		n := int(binary.BigEndian.Uint16(r.buf[2:4]))
@@ -75,12 +75,12 @@ func (r *refFrameReader) Feed(chunk []byte, deliver func(typ, flags byte, body [
 // runHTTP and runFrames feed a stream cut at the given chunk sizes (cycled;
 // a zero counts as one byte) until it ends or the parser rejects it, and
 // return every delivery rendered as one string each, plus the verdict.
-func runHTTP(feed func([]byte, func(string, []byte)) bool, stream []byte, sizes []int) (got []string, ok bool) {
+func runHTTP(feed func([]byte, httpDeliver) bool, stream []byte, sizes []int) (got []string, ok bool) {
 	deliver := func(start string, body []byte) { got = append(got, fmt.Sprintf("%q %x", start, body)) }
 	return got, feedChunks(stream, sizes, func(chunk []byte) bool { return feed(chunk, deliver) })
 }
 
-func runFrames(feed func([]byte, func(byte, byte, []byte)) bool, stream []byte, sizes []int) (got []string, ok bool) {
+func runFrames(feed func([]byte, frameDeliver) bool, stream []byte, sizes []int) (got []string, ok bool) {
 	deliver := func(typ, flags byte, body []byte) { got = append(got, fmt.Sprintf("%d %d %x", typ, flags, body)) }
 	return got, feedChunks(stream, sizes, func(chunk []byte) bool { return feed(chunk, deliver) })
 }

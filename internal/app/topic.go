@@ -30,8 +30,20 @@ type topicSub[V any] struct {
 	val V
 }
 
-// SplitTopic splits a topic into its levels.
+// SplitTopic splits a topic into its levels. It is for the set-up paths
+// (subscribe, retained store); matching walks levels with cutLevel and
+// builds no slice.
 func SplitTopic(topic string) []string { return strings.Split(topic, "/") }
+
+// cutLevel cuts the first level off s and reports whether more follow:
+// called until more is false it yields exactly SplitTopic(s), empty levels
+// included.
+func cutLevel(s string) (level, rest string, more bool) {
+	if i := strings.IndexByte(s, '/'); i >= 0 {
+		return s[:i], s[i+1:], true
+	}
+	return s, "", false
+}
 
 // ValidFilter reports whether a subscription filter is well-formed: no
 // empty string, "+" only as a whole level, "#" only as the final level.
@@ -39,12 +51,13 @@ func ValidFilter(filter string) bool {
 	if filter == "" {
 		return false
 	}
-	levels := SplitTopic(filter)
-	for i, l := range levels {
+	for more := true; more; {
+		var l string
+		l, filter, more = cutLevel(filter)
 		if strings.ContainsAny(l, "+#") && len(l) != 1 {
 			return false
 		}
-		if l == "#" && i != len(levels)-1 {
+		if l == "#" && more {
 			return false
 		}
 	}
@@ -101,12 +114,14 @@ func (t *TopicTree[V]) Unsubscribe(filter string, id uint64) {
 // merge is the caller's business.
 func (t *TopicTree[V]) Match(topic string) []V {
 	var out []V
-	t.root.match(SplitTopic(topic), &out)
+	t.root.match(topic, true, &out)
 	return out
 }
 
-func (n *topicNode[V]) match(levels []string, out *[]V) {
-	if len(levels) == 0 {
+// match descends with the levels of topic still to be matched: rest when
+// more, none otherwise.
+func (n *topicNode[V]) match(rest string, more bool, out *[]V) {
+	if !more {
 		for _, s := range n.subs {
 			*out = append(*out, s.val)
 		}
@@ -118,11 +133,12 @@ func (n *topicNode[V]) match(levels []string, out *[]V) {
 		}
 		return
 	}
-	if c := n.children[levels[0]]; c != nil && levels[0] != "+" && levels[0] != "#" {
-		c.match(levels[1:], out)
+	level, rest, more := cutLevel(rest)
+	if c := n.children[level]; c != nil && level != "+" && level != "#" {
+		c.match(rest, more, out)
 	}
 	if c := n.children["+"]; c != nil {
-		c.match(levels[1:], out)
+		c.match(rest, more, out)
 	}
 	if c := n.children["#"]; c != nil {
 		for _, s := range c.subs {
@@ -134,19 +150,22 @@ func (n *topicNode[V]) match(levels []string, out *[]V) {
 // MatchFilter reports whether a single subscription filter matches a topic,
 // without a tree — used for client-side dispatch of inbound publications.
 func MatchFilter(filter, topic string) bool {
-	fl, tl := SplitTopic(filter), SplitTopic(topic)
-	for i, f := range fl {
+	fmore, tmore := true, true
+	for fmore {
+		var f, t string
+		f, filter, fmore = cutLevel(filter)
 		if f == "#" {
 			return true
 		}
-		if i >= len(tl) {
+		if !tmore {
 			return false
 		}
-		if f != "+" && f != tl[i] {
+		t, topic, tmore = cutLevel(topic)
+		if f != "+" && f != t {
 			return false
 		}
 	}
-	return len(fl) == len(tl)
+	return !tmore
 }
 
 // SetRetained stores payload as topic's retained message; an empty payload

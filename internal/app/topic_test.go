@@ -1,7 +1,9 @@
 package app
 
 import (
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -95,5 +97,129 @@ func TestRetained(t *testing.T) {
 	tree.SetRetained("s/a/temp", nil)
 	if got := tree.Retained("s/a/temp"); len(got) != 0 {
 		t.Fatalf("cleared retained still present: %v", got)
+	}
+}
+
+// The Split-based matchers the level walk replaced, kept as its oracle.
+func refValidFilter(filter string) bool {
+	if filter == "" {
+		return false
+	}
+	levels := SplitTopic(filter)
+	for i, l := range levels {
+		if strings.ContainsAny(l, "+#") && len(l) != 1 {
+			return false
+		}
+		if l == "#" && i != len(levels)-1 {
+			return false
+		}
+	}
+	return true
+}
+
+func refMatchFilter(filter, topic string) bool {
+	fl, tl := SplitTopic(filter), SplitTopic(topic)
+	for i, f := range fl {
+		if f == "#" {
+			return true
+		}
+		if i >= len(tl) {
+			return false
+		}
+		if f != "+" && f != tl[i] {
+			return false
+		}
+	}
+	return len(fl) == len(tl)
+}
+
+func refTreeMatch(n *topicNode[int], levels []string, out *[]int) {
+	if len(levels) == 0 {
+		for _, s := range n.subs {
+			*out = append(*out, s.val)
+		}
+		if c := n.children["#"]; c != nil {
+			for _, s := range c.subs {
+				*out = append(*out, s.val)
+			}
+		}
+		return
+	}
+	if c := n.children[levels[0]]; c != nil && levels[0] != "+" && levels[0] != "#" {
+		refTreeMatch(c, levels[1:], out)
+	}
+	if c := n.children["+"]; c != nil {
+		refTreeMatch(c, levels[1:], out)
+	}
+	if c := n.children["#"]; c != nil {
+		for _, s := range c.subs {
+			*out = append(*out, s.val)
+		}
+	}
+}
+
+// TestLevelWalkMatchesSplit: walking a topic's levels by index must agree
+// with splitting it, for seeded random topics and filters over a small
+// alphabet — empty levels, leading and trailing separators, "+" and "#" in
+// and out of place, the empty string.
+func TestLevelWalkMatchesSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	levels := []string{"a", "b", "cc", "", "+", "#", "a+", "#b"}
+	random := func(wild bool) string {
+		n := rng.Intn(5)
+		parts := make([]string, n)
+		for i := range parts {
+			k := len(levels)
+			if !wild {
+				k = 4
+			}
+			parts[i] = levels[rng.Intn(k)]
+		}
+		return strings.Join(parts, "/")
+	}
+	var tree TopicTree[int]
+	var filters []string
+	for id := 0; id < 300; id++ {
+		f := random(true)
+		if got, want := ValidFilter(f), refValidFilter(f); got != want {
+			t.Fatalf("ValidFilter(%q) = %v, split-based %v", f, got, want)
+		}
+		if ValidFilter(f) {
+			tree.Subscribe(f, uint64(id), id)
+			filters = append(filters, f)
+		}
+	}
+	if len(filters) < 50 {
+		t.Fatalf("only %d valid filters drawn", len(filters))
+	}
+	matched := 0
+	for round := 0; round < 2000; round++ {
+		topic := random(round%4 == 0) // mostly publishable topics, some with wildcards in them
+		for _, f := range filters {
+			if got, want := MatchFilter(f, topic), refMatchFilter(f, topic); got != want {
+				t.Fatalf("MatchFilter(%q, %q) = %v, split-based %v", f, topic, got, want)
+			}
+		}
+		var want []int
+		refTreeMatch(&tree.root, SplitTopic(topic), &want)
+		if got := tree.Match(topic); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Match(%q) = %v, split-based %v", topic, got, want)
+		}
+		matched += len(want)
+	}
+	if matched == 0 {
+		t.Fatal("no topic matched any filter")
+	}
+}
+
+// TestMatchDoesNotSplit: matching one topic against a filter, and a
+// validity check, build no slice.
+func TestMatchDoesNotSplit(t *testing.T) {
+	ok := true
+	allocs := testing.AllocsPerRun(100, func() {
+		ok = ok && MatchFilter("sensors/+/temp/#", "sensors/mh1/temp/now") && ValidFilter("sensors/+/temp/#")
+	})
+	if allocs != 0 || !ok {
+		t.Fatalf("MatchFilter+ValidFilter allocate %.1f times (ok=%v)", allocs, ok)
 	}
 }

@@ -15,18 +15,33 @@ import "time"
 // time and scheduling order, and callbacks within a bucket run in the order
 // they were scheduled — exactly the (time, seq) order the main queue would
 // have used for equal fire times.
+//
+// Buckets are reused: one that has fired, or whose last entry was stopped,
+// goes to the lane's free list with its fns array and its bound fire method,
+// so a timer that is alone in its bucket and re-armed on every ACK (a TCP
+// retransmission timeout) allocates nothing. The free list never holds more
+// buckets than were once pending at the same time.
 type Lane struct {
 	loop    *Loop
 	gran    Time
 	buckets map[Time]*laneBucket
+	free    []*laneBucket
 }
 
+// laneBucket is one rounded instant's callbacks. gen counts its tenancies:
+// it moves on when the bucket is recycled, which is what makes a LaneTimer
+// kept from an earlier tenancy inert. A bucket is never recycled while it
+// is firing — fire still walks fns — so Stop on a firing bucket only clears
+// its slot.
 type laneBucket struct {
-	lane  *Lane
-	at    Time
-	fns   []func()
-	live  int
-	timer Timer
+	lane   *Lane
+	at     Time
+	fns    []func()
+	live   int
+	timer  Timer
+	gen    uint64
+	firing bool
+	fireFn func() // b.fire, bound once
 }
 
 // NewLane returns a lane on loop with the given bucket granularity.
@@ -67,13 +82,29 @@ func (ln *Lane) Schedule(d time.Duration, fn func()) LaneTimer {
 	}
 	b := ln.buckets[at]
 	if b == nil {
-		b = &laneBucket{lane: ln, at: at}
+		if n := len(ln.free); n > 0 {
+			b, ln.free[n-1] = ln.free[n-1], nil
+			ln.free = ln.free[:n-1]
+		} else {
+			b = &laneBucket{lane: ln}
+			b.fireFn = b.fire
+		}
+		b.at = at
 		ln.buckets[at] = b
-		b.timer = ln.loop.At(at, b.fire)
+		b.timer = ln.loop.At(at, b.fireFn)
 	}
 	b.fns = append(b.fns, fn)
 	b.live++
-	return LaneTimer{b: b, idx: len(b.fns) - 1}
+	return LaneTimer{b: b, idx: len(b.fns) - 1, gen: b.gen}
+}
+
+// recycle ends a bucket's tenancy: every handle to it goes stale and the
+// bucket, emptied, waits on the free list for the next instant that needs
+// one. Its slots are already nil (fired or stopped), so it pins no callback.
+func (ln *Lane) recycle(b *laneBucket) {
+	b.gen++
+	b.fns = b.fns[:0]
+	ln.free = append(ln.free, b)
 }
 
 // fire runs the bucket's surviving callbacks in scheduling order. The
@@ -81,6 +112,7 @@ func (ln *Lane) Schedule(d time.Duration, fn func()) LaneTimer {
 // instant open a fresh bucket rather than appending to a consumed one.
 func (b *laneBucket) fire() {
 	delete(b.lane.buckets, b.at)
+	b.firing = true
 	for i := 0; i < len(b.fns); i++ {
 		fn := b.fns[i]
 		b.fns[i] = nil
@@ -89,33 +121,40 @@ func (b *laneBucket) fire() {
 			fn()
 		}
 	}
+	b.firing = false
+	b.lane.recycle(b)
 }
 
 // LaneTimer is a cancellation handle for one lane entry. The zero LaneTimer
-// is valid and inert.
+// is valid and inert, and so is one whose bucket has fired or been released
+// since: gen is the bucket's tenancy the entry belongs to.
 type LaneTimer struct {
 	b   *laneBucket
 	idx int
+	gen uint64
 }
 
 // Active reports whether the entry is still scheduled to fire.
 func (t LaneTimer) Active() bool {
-	return t.b != nil && t.b.fns[t.idx] != nil
+	return t.b != nil && t.b.gen == t.gen && t.b.fns[t.idx] != nil
 }
 
 // Stop cancels the entry, reporting whether the call prevented it from
-// firing. Stopping the last live entry of a bucket releases the bucket's
-// shared heap event as well.
+// firing. Stopping the last live entry of a pending bucket releases the
+// bucket's shared heap event as well; a bucket that is firing has already
+// left the lane's map (the instant may have a fresh bucket by now) and
+// recycles itself when fire returns.
 func (t LaneTimer) Stop() bool {
-	b := t.b
-	if b == nil || b.fns[t.idx] == nil {
+	if !t.Active() {
 		return false
 	}
+	b := t.b
 	b.fns[t.idx] = nil
 	b.live--
-	if b.live == 0 {
+	if b.live == 0 && !b.firing {
 		b.timer.Stop()
 		delete(b.lane.buckets, b.at)
+		b.lane.recycle(b)
 	}
 	return true
 }

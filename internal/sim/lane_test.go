@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -155,5 +156,104 @@ func TestZeroLaneTimerInert(t *testing.T) {
 	var tm LaneTimer
 	if tm.Stop() || tm.Active() {
 		t.Fatal("zero LaneTimer not inert")
+	}
+}
+
+// A callback that reschedules for the firing instant and then stops a later
+// entry of its own bucket — the bucket's last live one — must not take the
+// fresh bucket out of the lane's map: the firing bucket left the map when it
+// began to fire, and what the map holds at that instant now is the
+// rescheduled entry's.
+func TestLaneStopInsideFireKeepsFreshBucket(t *testing.T) {
+	l := New(1)
+	ln := l.Lane(10 * time.Millisecond)
+	var order []string
+	var second LaneTimer
+	ln.Schedule(10*time.Millisecond, func() {
+		order = append(order, "first")
+		ln.Schedule(0, func() { order = append(order, "resched") })
+		if !second.Stop() {
+			t.Error("Stop on a pending entry of the firing bucket returned false")
+		}
+		if len(ln.buckets) != 1 {
+			t.Errorf("%d buckets in the lane's map after the stop, want the rescheduled entry's one", len(ln.buckets))
+		}
+		// A later Schedule for the same instant joins that bucket.
+		ln.Schedule(0, func() { order = append(order, "joined") })
+		if l.Len() != 1 {
+			t.Errorf("Len=%d, want one shared heap event for the instant", l.Len())
+		}
+	})
+	second = ln.Schedule(10*time.Millisecond, func() { order = append(order, "second") })
+	l.Run()
+	if want := []string{"first", "resched", "joined"}; !slices.Equal(order, want) {
+		t.Fatalf("order %v, want %v", order, want)
+	}
+	if len(ln.buckets) != 0 {
+		t.Fatalf("%d buckets left in the map after the run", len(ln.buckets))
+	}
+}
+
+// A handle kept past its bucket's fire, or past the stop that released the
+// bucket, belongs to an earlier tenancy: it is not active, cannot be stopped,
+// and cannot cancel whoever holds the recycled bucket next.
+func TestLaneStaleTimerIsInert(t *testing.T) {
+	l := New(1)
+	ln := l.Lane(10 * time.Millisecond)
+	fired := ln.Schedule(time.Millisecond, func() {})
+	l.Run()
+	stopped := ln.Schedule(time.Millisecond, func() { t.Error("stopped entry fired") })
+	if stopped.b != fired.b {
+		t.Fatal("the fired bucket was not reused")
+	}
+	if !stopped.Stop() {
+		t.Fatal("Stop on a live entry returned false")
+	}
+	ran := false
+	tenant := ln.Schedule(time.Millisecond, func() { ran = true })
+	if tenant.b != fired.b || tenant.idx != fired.idx {
+		t.Fatal("the released bucket was not reused slot for slot")
+	}
+	for _, stale := range []LaneTimer{fired, stopped} {
+		if stale.Active() {
+			t.Fatal("stale handle reports active")
+		}
+		if stale.Stop() {
+			t.Fatal("stale handle's Stop returned true")
+		}
+	}
+	if !tenant.Active() {
+		t.Fatal("a stale Stop cancelled the bucket's next tenant")
+	}
+	l.Run()
+	if !ran {
+		t.Fatal("the next tenant did not fire")
+	}
+}
+
+// A timer that is alone in its bucket and re-armed over and over — the TCP
+// retransmission timer, on every ACK — reuses one bucket.
+func TestLaneRearmDoesNotAllocate(t *testing.T) {
+	l := New(1)
+	ln := l.Lane(10 * time.Millisecond)
+	fn := func() {}
+	tm := ln.Schedule(time.Second, fn)
+	allocs := testing.AllocsPerRun(1000, func() {
+		tm.Stop()
+		tm = ln.Schedule(time.Second, fn)
+	})
+	if allocs != 0 {
+		t.Fatalf("stop-and-rearm allocates %.1f times", allocs)
+	}
+	fires := 0
+	count := func() { fires++ }
+	ln.Schedule(0, count)
+	l.RunFor(time.Millisecond)
+	allocs = testing.AllocsPerRun(1000, func() {
+		ln.Schedule(time.Millisecond, count)
+		l.RunFor(10 * time.Millisecond)
+	})
+	if allocs != 0 || fires != 1002 {
+		t.Fatalf("schedule-and-fire allocates %.1f times (%d fires)", allocs, fires)
 	}
 }

@@ -83,6 +83,15 @@ type FilterFunc func(in, out *Iface, pkt *ip.Packet) Verdict
 // ErrNoRoute is returned when no route matches a destination.
 var ErrNoRoute = errors.New("stack: no route to host")
 
+// noRouteError is ErrNoRoute for one destination. A routeless host gets one
+// for every packet it tries to send — every retransmission of a blackout —
+// and almost nobody reads it, so it carries the address and renders
+// "stack: no route to host: <dst>" only when asked.
+type noRouteError struct{ dst ip.Addr }
+
+func (e noRouteError) Error() string { return ErrNoRoute.Error() + ": " + e.dst.String() }
+func (e noRouteError) Unwrap() error { return ErrNoRoute }
+
 // Host is a simulated IP host: interfaces, routing table, input/output/
 // forwarding machinery, and protocol handlers.
 type Host struct {
@@ -581,7 +590,7 @@ func (h *Host) DefaultRouteLookup(dst, boundSrc ip.Addr) (RouteDecision, error) 
 	}
 	r, ok := h.routes.Lookup(dst)
 	if !ok {
-		return RouteDecision{}, fmt.Errorf("%w: %v", ErrNoRoute, dst)
+		return RouteDecision{}, noRouteError{dst}
 	}
 	src := boundSrc
 	if src.IsUnspecified() {

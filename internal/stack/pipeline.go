@@ -1,7 +1,6 @@
 package stack
 
 import (
-	"fmt"
 	"time"
 
 	"mosquitonet/internal/ip"
@@ -441,7 +440,7 @@ func (h *Host) resolveRoute(dst, boundSrc ip.Addr) (RouteDecision, error) {
 		return dec, err
 	case pipeline.Drop:
 		if err == nil {
-			err = fmt.Errorf("%w: %v", ErrNoRoute, dst)
+			err = noRouteError{dst}
 		}
 		return RouteDecision{}, err
 	}

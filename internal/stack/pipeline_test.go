@@ -1,6 +1,8 @@
 package stack
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -426,4 +428,33 @@ func TestRejectHookSendsAdminProhibited(t *testing.T) {
 	if d := r.host.Stats().DropFilter; d != 1 {
 		t.Fatalf("DropFilter = %d, want 1", d)
 	}
+}
+
+// TestNoRouteErrorReadsAsItDid: the error a routeless host gets — from the
+// stock lookup and from a route hook that drops the query — is ErrNoRoute to
+// errors.Is, reads exactly as the fmt.Errorf("%w: %v", ErrNoRoute, dst) it
+// replaced, and costs no formatting until somebody reads it.
+func TestNoRouteErrorReadsAsItDid(t *testing.T) {
+	h := NewHost(sim.New(1), "h", Config{})
+	dst := ip.MustParseAddr("36.8.0.20")
+	want := fmt.Errorf("%w: %v", ErrNoRoute, dst).Error()
+	check := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrNoRoute) || err.Error() != want {
+			t.Fatalf("%s: %q (errors.Is ErrNoRoute: %v), want %q", what, err, errors.Is(err, ErrNoRoute), want)
+		}
+	}
+	_, err := h.DefaultRouteLookup(dst, ip.Unspecified)
+	check("DefaultRouteLookup", err)
+	_, err = h.RouteLookup(dst, ip.Unspecified)
+	check("RouteLookup", err)
+	if allocs := testing.AllocsPerRun(100, func() { _, err = h.DefaultRouteLookup(dst, ip.Unspecified) }); allocs > 1 {
+		t.Fatalf("a failed lookup allocates %.1f times", allocs)
+	}
+	h.RouteHooks().Register(pipeline.Hook[*RouteQuery]{
+		Name: "refuse", Priority: PriRouteOverride,
+		Fn: func(*RouteQuery) pipeline.Verdict { return pipeline.Drop },
+	})
+	_, err = h.RouteLookup(dst, ip.Unspecified)
+	check("RouteLookup with a dropping hook", err)
 }

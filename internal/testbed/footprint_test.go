@@ -144,7 +144,7 @@ func measureAllocsPerEvent(tb testing.TB) (allocsPerEvent float64, events uint64
 // sync.Pool drops a quarter of its Puts there on purpose, so a pooled path
 // allocates about twice as often; the three budgets below are enforced there
 // too, each against a second figure set the same distance above the -race
-// reading (0.54, 1.77 and 9.8, which repeat to 0.01, 0.01 and 0.1).
+// reading (0.54, 1.08 and 7.8, which repeat to 0.01, 0.01 and 0.1).
 var raceDetector bool
 
 // budget picks the figure a reading is held to in this build.
@@ -324,22 +324,23 @@ func TestAllocsPerHandoffBudget(t *testing.T) {
 	}
 }
 
-// telemetryAllocsPerEventBudget sits ~10% above the measured 1.27
+// telemetryAllocsPerEventBudget sits ~10% above the measured 0.65
 // allocations per event of the loaded-handoff spec run as scenario.Compile
 // builds it: packet log, tracer, spans and registry all on. When every hop
 // formatted its detail string for the log the figure was 6.01, 3.51 while
 // the stream path still copied a byte at every layer (a fresh slice per
-// received segment, per encoded message, per armed retransmission timer) and
-// 2.89 while every hop made its packet anew. What is left is the message
-// bodies handed to handlers, the lane buckets an RTO timer alone in its
-// bucket frees and re-makes on every ACK, and of the telemetry the spans and
-// the flat tracer's formatted events.
+// received segment, per encoded message, per armed retransmission timer),
+// 2.89 while every hop made its packet anew, and 1.27 while each message body
+// was copied for its handler, each tick built its payload, each topic match
+// split its topic and an RTO timer alone in its lane bucket freed and re-made
+// the bucket on every ACK. What is left is the telemetry's own: the spans and
+// the packet log's growth.
 const (
-	telemetryAllocsPerEventBudget     = 1.4
-	telemetryAllocsPerEventBudgetRace = 1.95
+	telemetryAllocsPerEventBudget     = 0.72
+	telemetryAllocsPerEventBudgetRace = 1.2
 )
 
-// streamCopyBudget sits ~30% above the measured 5.4 heap bytes allocated
+// streamCopyBudget sits ~10% above the measured 3.3 heap bytes allocated
 // per application payload byte a stream carried, on the loaded-handoff spec
 // with campus-sized messages (4 KB HTTP, 512 B MQTT) through its wired
 // steps. The figure counts everything the run allocates — packets, frames
@@ -348,14 +349,16 @@ const (
 // publisher to broker to subscriber), so it is the copy amplification of
 // the whole path; it read 22.3 while the send
 // buffer was front-sliced and re-grown, the parsers rescanned a string copy
-// of their buffer per segment and UnmarshalTCP copied each payload, and 11.7
+// of their buffer per segment and UnmarshalTCP copied each payload, 11.7
 // while a segment's packet and payload were allocated at the sender and
-// again at every receiver instead of drawn from the pools. DESIGN §6 lists
+// again at every receiver instead of drawn from the pools, and 5.4 while a
+// message had no owner: its body copied for the handler, its payload built
+// per tick, the send buffer doubled and re-copied. DESIGN §6 lists
 // the copies that remain; a copy into a pooled buffer is still a copy, but
 // no longer an allocation, so this figure stopped counting it.
 const (
-	streamCopyBudget     = 7.0
-	streamCopyBudgetRace = 12.7
+	streamCopyBudget     = 3.7
+	streamCopyBudgetRace = 8.6
 )
 
 // TestTelemetryAllocsPerEventBudget is TestAllocsPerEventBudget with the

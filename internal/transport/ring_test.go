@@ -11,17 +11,19 @@ import (
 	"mosquitonet/internal/link"
 )
 
-// TestSendRingMatchesSlice drives the ring and the send buffer it replaced —
-// a plain slice, appended to and front-sliced — through one seeded schedule
-// of writes, peeks and discards, and requires the same bytes from both at
-// every step. The schedule swings between filling and draining so that every
-// branch of the ring is on the path: a peek that wraps, a doubling while the
-// held bytes wrap, and the release of a large array on drain.
+// TestSendRingMatchesSlice drives the block queue and its model — a plain
+// slice, appended to and front-sliced — through one seeded schedule of
+// writes, peeks and discards, and requires the same bytes from both at every
+// step, no block held that the held bytes do not need, and no more than
+// sendRingKeep kept by a drained ring. The schedule swings between filling
+// and draining so that every branch is on the path: a peek that crosses into
+// the next block, a write that takes several blocks, the index array sliding
+// down, the free list filling and overflowing, and the release on drain.
 func TestSendRingMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var r sendRing
 	var ref []byte
-	var wrappedPeeks, wrappedGrows, releases int
+	var crossingPeeks, multiBlockWrites, slides, reuses, overflows, drains int
 	for step := 0; step < 40_000; step++ {
 		filling := step%2_000 < 500 // then three times as long to drain it all
 		op := rng.Intn(10)
@@ -34,40 +36,91 @@ func TestSendRingMatchesSlice(t *testing.T) {
 			n := 1 + rng.Intn(min(len(ref)-off, MSS))
 			a, b := r.peek(off, n)
 			if got := append(append([]byte(nil), a...), b...); !bytes.Equal(got, ref[off:off+n]) {
-				t.Fatalf("step %d: peek(%d, %d) differs from the slice (head %d, held %d, array %d)", step, off, n, r.head, r.n, len(r.buf))
+				t.Fatalf("step %d: peek(%d, %d) differs from the model (head %d+%d, held %d, %d blocks)", step, off, n, r.head, r.off, r.n, len(r.blocks))
 			}
 			if len(b) > 0 {
-				wrappedPeeks++
+				crossingPeeks++
 			}
 		case (op < 8) == filling: // write: five in seven while filling, two in seven while draining
-			p := make([]byte, rng.Intn(3*MSS))
-			rng.Read(p) // not a counter: its period would divide the array's size and hide stale bytes
-			if r.n+len(p) > len(r.buf) && r.head+r.n > len(r.buf) {
-				wrappedGrows++
+			size := rng.Intn(3 * MSS)
+			if rng.Intn(8) == 0 {
+				size = rng.Intn(3 * sendBlockSize) // an application message, not a segment
 			}
+			p := make([]byte, size)
+			rng.Read(p) // not a counter: its period would divide the block size and hide stale bytes
+			before, head, free := len(r.blocks)-r.head, r.head, len(r.free)
 			r.write(p)
 			ref = append(ref, p...)
+			took := len(r.blocks) - r.head - before
+			if took > 1 {
+				multiBlockWrites++
+			}
+			if head > 0 && r.head == 0 {
+				slides++
+			}
+			reuses += free - len(r.free)
 		default: // discard
 			n := rng.Intn(min(len(ref), 3*MSS) + 1)
-			large := len(r.buf) > sendRingKeep
+			full := len(r.free) == sendFreeMax
+			held := len(r.blocks) - r.head
 			r.discard(n)
 			ref = ref[n:]
-			if large && r.buf == nil {
-				releases++
+			if full && len(r.blocks)-r.head < held {
+				overflows++
+			}
+			if len(ref) == 0 && n > 0 {
+				drains++
 			}
 		}
 		if r.n != len(ref) {
-			t.Fatalf("step %d: ring holds %d bytes, slice %d", step, r.n, len(ref))
+			t.Fatalf("step %d: ring holds %d bytes, model %d", step, r.n, len(ref))
 		}
-		if size := len(r.buf); size&(size-1) != 0 || r.n > size {
-			t.Fatalf("step %d: array of %d bytes holding %d", step, size, r.n)
+		if r.off >= sendBlockSize || (r.n == 0 && r.off != 0) {
+			t.Fatalf("step %d: oldest byte at offset %d of its block, %d held", step, r.off, r.n)
 		}
-		if r.n == 0 && len(r.buf) > sendRingKeep {
-			t.Fatalf("step %d: drained ring keeps %d bytes", step, len(r.buf))
+		if held, need := len(r.blocks)-r.head, (r.off+r.n+sendBlockSize-1)/sendBlockSize; held != need {
+			t.Fatalf("step %d: %d blocks held for %d bytes at offset %d, want %d", step, held, r.n, r.off, need)
+		}
+		for i, b := range r.blocks {
+			if (b == nil) != (i < r.head) {
+				t.Fatalf("step %d: index slot %d of %d (head %d) is nil: %v", step, i, len(r.blocks), r.head, b == nil)
+			}
+		}
+		if len(r.free) > sendFreeMax {
+			t.Fatalf("step %d: %d blocks on the free list (limit %d)", step, len(r.free), sendFreeMax)
+		}
+		if r.n == 0 && cap(r.blocks) > sendFreeMax {
+			t.Fatalf("step %d: drained ring keeps an index array of %d", step, cap(r.blocks))
 		}
 	}
-	if wrappedPeeks == 0 || wrappedGrows == 0 || releases == 0 {
-		t.Fatalf("schedule missed a branch: %d wrapped peeks, %d doublings while wrapped, %d releases", wrappedPeeks, wrappedGrows, releases)
+	if crossingPeeks == 0 || multiBlockWrites == 0 || slides == 0 || reuses == 0 || overflows == 0 || drains == 0 {
+		t.Fatalf("schedule missed a branch: %d crossing peeks, %d multi-block writes, %d slides, %d reuses, %d free-list overflows, %d drains",
+			crossingPeeks, multiBlockWrites, slides, reuses, overflows, drains)
+	}
+}
+
+// TestSendRingBacklogAllocatedOnce: a 3 MB backlog written a message at a
+// time costs its own size in blocks plus the index array — not the 2× of a
+// buffer that doubles and copies — and once it has drained the ring holds
+// sendRingKeep at most.
+func TestSendRingBacklogAllocatedOnce(t *testing.T) {
+	const backlog = 3 << 20
+	msg := make([]byte, 4123)
+	var r sendRing
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r.n < backlog {
+		r.write(msg)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > backlog*11/10 {
+		t.Fatalf("a %d-byte backlog allocated %d bytes (%.2f×)", r.n, got, float64(got)/float64(r.n))
+	}
+	for r.n > 0 {
+		r.discard(min(r.n, MSS))
+	}
+	if len(r.blocks) != 0 || cap(r.blocks) > sendFreeMax || len(r.free) != sendFreeMax {
+		t.Fatalf("drained: %d blocks queued, index array of %d, %d free (limit %d)", len(r.blocks), cap(r.blocks), len(r.free), sendFreeMax)
 	}
 }
 
@@ -89,8 +142,8 @@ func TestSendRingSteadyStateDoesNotAllocate(t *testing.T) {
 }
 
 // TestStreamSegmentsAcrossRingWrap: a producer that writes a little ahead of
-// the ACKs walks the ring's head around a small array, so segments start
-// near its end and continue at its front; each must go out whole.
+// the ACKs keeps the send buffer a few blocks long, so segments start near
+// the end of one block and wrap into the next; each must go out whole.
 func TestStreamSegmentsAcrossRingWrap(t *testing.T) {
 	p := newPair(t, link.Ethernet(), 1)
 	c, srv := establish(t, p, 80)
@@ -110,25 +163,23 @@ func TestStreamSegmentsAcrossRingWrap(t *testing.T) {
 	if !bytes.Equal(rcvd.Bytes(), sent.Bytes()) {
 		t.Fatalf("received %d bytes, corrupted or short (want %d)", rcvd.Len(), sent.Len())
 	}
-	// A segment cut short at the array's end would be repaired by a
+	// A segment cut short at a block's end would be repaired by a
 	// retransmission; on a lossless link there must be none.
 	if st := c.Stats(); st.Retransmits != 0 || st.BytesSent != uint64(sent.Len()) {
 		t.Fatalf("lossless link: %d retransmissions, %d bytes sent for %d written", st.Retransmits, st.BytesSent, sent.Len())
 	}
-	if size := len(c.snd.buf); size > 16<<10 {
-		t.Fatalf("the send buffer grew to %d bytes; the schedule was meant to keep it small enough to wrap", size)
+	if peak := c.Stats().SendBufPeak; peak > 16<<10 {
+		t.Fatalf("the send buffer grew to %d bytes; the schedule was meant to keep it to a few blocks", peak)
 	}
 }
 
 // TestArmTimerDoesNotAllocate: the retransmission timer is re-armed on every
-// ACK, so scheduling it must not build a fresh method value each time. (A
-// second entry keeps the lane's bucket alive across the Stop; the bucket's
-// own objects are the lane's business.)
+// ACK, so scheduling it must not build a fresh method value each time, and
+// the lane must hand the bucket the Stop released straight back.
 func TestArmTimerDoesNotAllocate(t *testing.T) {
 	p := newPair(t, link.Ethernet(), 1)
 	c, _ := establish(t, p, 80)
 	c.Write(make([]byte, MSS)) // in flight until the loop runs again
-	p.loop.Lane(rtoLaneGranularity).Schedule(c.RTO(), func() {})
 	if allocs := testing.AllocsPerRun(1000, c.armTimer); allocs != 0 {
 		t.Fatalf("armTimer allocates %.1f times", allocs)
 	}
@@ -146,9 +197,9 @@ func liveHeap() uint64 {
 // TestDrainedConnReleasesSendBuffer: Write never refuses, so 2 MB written
 // against a 10 Mbit/s peer sits in the send buffer, visibly (Buffered,
 // SendBufPeak) — and once it has drained, the open connection must not keep
-// the megabytes reachable. The slice this replaced was front-sliced on every
-// ACK, so a drained connection pinned its high-water array through a
-// zero-length tail: the heap assertion fails there with 2 MB still live.
+// the megabytes reachable: its free list holds sendRingKeep at most. (A
+// slice front-sliced on every ACK pins its high-water array through a
+// zero-length tail; the heap assertion fails there with 2 MB still live.)
 func TestDrainedConnReleasesSendBuffer(t *testing.T) {
 	m := link.Ethernet()
 	m.BitRate = 10_000_000
@@ -176,8 +227,8 @@ func TestDrainedConnReleasesSendBuffer(t *testing.T) {
 	if c.Buffered() != 0 || c.Stats().SendBufPeak != 2<<20 {
 		t.Fatalf("after the drain: Buffered = %d, SendBufPeak = %d, want 0 and %d", c.Buffered(), c.Stats().SendBufPeak, 2<<20)
 	}
-	if kept := cap(c.snd.buf); kept > sendRingKeep {
-		t.Fatalf("drained connection keeps a %d-byte send buffer (limit %d)", kept, sendRingKeep)
+	if kept := (len(c.snd.blocks) + len(c.snd.free)) * sendBlockSize; kept > sendRingKeep {
+		t.Fatalf("drained connection keeps %d bytes of send buffer (limit %d)", kept, sendRingKeep)
 	}
 	if after := liveHeap(); after > before+512<<10 {
 		t.Fatalf("live heap grew %d bytes across a drained 2 MB transfer", after-before)
