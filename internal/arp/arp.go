@@ -52,6 +52,12 @@ func (m *Message) IsGratuitous() bool { return m.SenderIP == m.TargetIP }
 // (htype=1 Ethernet, ptype=0x0800 IPv4, hlen=6, plen=4).
 func (m *Message) Marshal() []byte {
 	b := make([]byte, MessageLen)
+	m.put(b)
+	return b
+}
+
+// put is Marshal into MessageLen bytes the caller holds.
+func (m *Message) put(b []byte) {
 	binary.BigEndian.PutUint16(b[0:], 1)      // htype: Ethernet
 	binary.BigEndian.PutUint16(b[2:], 0x0800) // ptype: IPv4
 	b[4] = 6                                  // hlen
@@ -61,7 +67,6 @@ func (m *Message) Marshal() []byte {
 	copy(b[14:18], m.SenderIP[:])
 	copy(b[18:24], m.TargetHW[:])
 	copy(b[24:28], m.TargetIP[:])
-	return b
 }
 
 // Unmarshal errors.
@@ -155,10 +160,19 @@ type queued struct {
 // reply) share heap events instead of each costing one.
 const retryLaneGranularity = 10 * time.Millisecond
 
+// pending is one address being resolved: the packets waiting for it, the
+// requests sent so far and the retry timer. A reply or the final timeout
+// returns the record to its cache's free list once the queue is flushed or
+// dropped, with the queue's array and the bound retry; neither leaves a
+// timer out, so a record on the free list has nothing pointing at it.
 type pending struct {
+	c        *Cache
+	dst      ip.Addr
+	tries    int32
 	payloads []queued
-	tries    int
 	timer    sim.LaneTimer
+	retry    func() // p.timeout, bound once
+	free     *pending
 }
 
 // Cache is a per-device ARP resolver and responder.
@@ -179,6 +193,7 @@ type Cache struct {
 	// lazily allocated map because unresolved addresses are transient.
 	entries   []entry
 	pend      map[ip.Addr]*pending
+	freePend  *pending
 	published []ip.Addr
 	stats     Stats
 }
@@ -286,12 +301,19 @@ func (c *Cache) SendIP(dst ip.Addr, payload []byte, trace uint64) {
 	}
 	p := c.pend[dst]
 	if p == nil {
-		p = &pending{}
+		p = c.freePend
+		if p == nil {
+			p = &pending{c: c}
+			p.retry = p.timeout
+		} else {
+			c.freePend, p.free = p.free, nil
+		}
+		p.dst = dst
 		if c.pend == nil {
 			c.pend = make(map[ip.Addr]*pending)
 		}
 		c.pend[dst] = p
-		c.sendRequest(dst, p)
+		c.sendRequest(p)
 	}
 	if len(p.payloads) >= c.cfg.MaxPending {
 		c.stats.PacketsDropped++
@@ -320,32 +342,47 @@ func (c *Cache) sendIPv4(hw link.HWAddr, payload []byte, trace uint64) {
 	bufpool.Put(payload)
 }
 
-func (c *Cache) sendRequest(dst ip.Addr, p *pending) {
+func (c *Cache) sendRequest(p *pending) {
 	p.tries++
-	m := &Message{
-		Op:       OpRequest,
-		SenderHW: c.dev.HW(),
-		SenderIP: c.senderIP(),
-		TargetIP: dst,
-	}
 	c.stats.RequestsSent++
-	c.dev.Send(&link.Frame{Dst: link.BroadcastHW, Type: link.EtherTypeARP, Payload: m.Marshal()})
-	p.timer = c.loop.Lane(retryLaneGranularity).Schedule(c.cfg.RequestTimeout, func() {
-		cur, ok := c.pend[dst]
-		if !ok || cur != p {
-			return
-		}
-		if p.tries >= c.cfg.MaxRetries {
-			c.stats.ResolveFailures++
-			c.stats.PacketsDropped += uint64(len(p.payloads))
-			for _, q := range p.payloads {
-				bufpool.Put(q.payload)
-			}
-			delete(c.pend, dst)
-			return
-		}
-		c.sendRequest(dst, p)
-	})
+	c.send(link.BroadcastHW, Message{Op: OpRequest, SenderHW: c.dev.HW(), SenderIP: c.senderIP(), TargetIP: p.dst})
+	p.timer = c.loop.Lane(retryLaneGranularity).Schedule(c.cfg.RequestTimeout, p.retry)
+}
+
+// timeout is the retry timer: ask again, or give up and drop the queue.
+func (p *pending) timeout() {
+	c := p.c
+	if int(p.tries) < c.cfg.MaxRetries {
+		c.sendRequest(p)
+		return
+	}
+	c.stats.ResolveFailures++
+	c.stats.PacketsDropped += uint64(len(p.payloads))
+	for _, q := range p.payloads {
+		bufpool.Put(q.payload)
+	}
+	delete(c.pend, p.dst)
+	c.release(p)
+}
+
+// release takes back a record that is out of c.pend, its queue flushed or
+// dropped.
+func (c *Cache) release(p *pending) {
+	clear(p.payloads)
+	p.payloads, p.tries, p.timer = p.payloads[:0], 0, sim.LaneTimer{}
+	p.free, c.freePend = c.freePend, p
+}
+
+// send puts one ARP message on the wire, marshaled into a pooled buffer that
+// goes straight back, like sendIPv4's payload: Send's transmit copy is
+// synchronous. (The bytes cannot live on this stack, as the frame does: a
+// tap is shown the frame's copy but the sender's payload.)
+func (c *Cache) send(dst link.HWAddr, m Message) {
+	b := bufpool.Get(MessageLen)
+	m.put(b)
+	f := link.Frame{Dst: dst, Type: link.EtherTypeARP, Payload: b}
+	c.dev.Send(&f)
+	bufpool.Put(b)
 }
 
 // senderIP picks the address to advertise in our requests.
@@ -361,9 +398,8 @@ func (c *Cache) senderIP() ip.Addr {
 // hardware address to void stale neighbor cache entries; a returning
 // mobile host calls it with its own.
 func (c *Cache) Gratuitous(a ip.Addr, hw link.HWAddr) {
-	m := &Message{Op: OpRequest, SenderHW: hw, SenderIP: a, TargetHW: link.HWAddr{}, TargetIP: a}
 	c.stats.GratuitousSent++
-	c.dev.Send(&link.Frame{Dst: link.BroadcastHW, Type: link.EtherTypeARP, Payload: m.Marshal()})
+	c.send(link.BroadcastHW, Message{Op: OpRequest, SenderHW: hw, SenderIP: a, TargetIP: a})
 }
 
 // HandleFrame processes a received ARP frame (requests and replies),
@@ -392,6 +428,7 @@ func (c *Cache) HandleFrame(f *link.Frame) {
 		for _, q := range p.payloads {
 			c.sendIPv4(m.SenderHW, q.payload, q.trace)
 		}
+		c.release(p)
 	}
 	if m.Op != OpRequest || m.IsGratuitous() {
 		//lint:allow dropaccounting frame fully consumed by the cache merge above; replies are only owed to requests
@@ -425,12 +462,11 @@ func (c *Cache) learn(a ip.Addr, hw link.HWAddr) {
 }
 
 func (c *Cache) reply(req *Message) {
-	m := &Message{
+	c.send(req.SenderHW, Message{
 		Op:       OpReply,
 		SenderHW: c.dev.HW(),
 		SenderIP: req.TargetIP,
 		TargetHW: req.SenderHW,
 		TargetIP: req.SenderIP,
-	}
-	c.dev.Send(&link.Frame{Dst: req.SenderHW, Type: link.EtherTypeARP, Payload: m.Marshal()})
+	})
 }

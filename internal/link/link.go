@@ -15,6 +15,7 @@ package link
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"mosquitonet/internal/metrics"
@@ -158,9 +159,9 @@ type Device struct {
 	recv        func(*Frame)
 	onChange    []func()
 	promiscuous bool
-	// upGen counts the bring-ups BringDown has aborted, so a stale timer
-	// cannot complete a later one.
-	upGen   uint32
+	// up is made by the first BringUp that has to wait, so a device that is
+	// never raised (a fleet's residents) carries a nil pointer.
+	up      *bringUps
 	upSince sim.Time
 
 	// fastSeen is net.fastLanded as of the last settle; fastOwn counts the
@@ -331,8 +332,10 @@ func (d *Device) Detach() {
 
 // BringUp starts the device's initialization and invokes done (if non-nil)
 // once the device is up and passing traffic. Calling BringUp on a device
-// that is already up invokes done immediately. The returned duration is
-// the initialization time charged.
+// that is already up invokes done immediately; on one that is coming up,
+// done runs when it is up — when the earliest request's delay has run — so
+// every BringUp not followed by a BringDown reports exactly once, no later
+// than the delay it was charged. The returned duration is that delay.
 func (d *Device) BringUp(done func()) time.Duration {
 	if d.state == StateUp {
 		if done != nil {
@@ -342,23 +345,62 @@ func (d *Device) BringUp(done func()) time.Duration {
 	}
 	delay := d.loop.Jitter(d.bringUpDelay, d.bringUpJitter)
 	d.state = StateBringingUp
-	gen := d.upGen
-	d.loop.Schedule(delay, func() {
-		// Brought down meanwhile — and possibly asked up again since, which
-		// is that request's timer to complete, not this one's.
-		if d.state != StateBringingUp || d.upGen != gen {
-			return
-		}
+	if d.up == nil {
+		d.up = &bringUps{fire: d.upTimer}
+	}
+	d.up.wait = append(d.up.wait, bringUp{at: d.loop.Now().Add(delay), live: true, done: done})
+	d.loop.Schedule(delay, d.up.fire)
+	return delay
+}
+
+// bringUps is a device's bring-ups in progress: one record per timer still
+// in the loop, in the order they were scheduled, and the timers' callback,
+// bound once — so asking a device up allocates nothing once wait has grown.
+type bringUps struct {
+	wait []bringUp
+	fire func() // d.upTimer
+}
+
+// bringUp is one BringUp whose timer has not fired. BringDown clears live
+// (the request is aborted), and so does the device coming up (the request
+// has been answered); either way the record stays until its own timer
+// collects it, because a timer is never stopped: the events a run executes
+// are part of what it exports.
+type bringUp struct {
+	at   sim.Time
+	live bool
+	done func()
+}
+
+// upTimer is every bring-up timer's callback. The loop fires equal times in
+// scheduling order, which is wait's order, so the first record due now is
+// this timer's. If it is still live the device comes up, and every request
+// waiting on it — this one, and any made while it was coming up whose own
+// timer is still out — is told so, oldest first.
+func (d *Device) upTimer() {
+	u, now, i := d.up, d.loop.Now(), 0
+	for u.wait[i].at != now {
+		i++
+	}
+	if u.wait[i].live {
 		d.settle()
 		d.state = StateUp
-		d.upSince = d.loop.Now()
+		d.upSince = now
 		d.markLinkChange(kSpanLinkUp)
 		d.notifyChange()
-		if done != nil {
-			done()
+		// A done may take the device down and ask it up again; that request
+		// is appended behind the n that were waiting and is not one of them.
+		for j, n := 0, len(u.wait); j < n; j++ {
+			if w := &u.wait[j]; w.live {
+				done := w.done
+				w.live, w.done = false, nil
+				if done != nil {
+					done()
+				}
+			}
 		}
-	})
-	return delay
+	}
+	u.wait = slices.Delete(u.wait, i, i+1)
 }
 
 // BringDown takes the device down immediately. Pending bring-ups are
@@ -369,7 +411,11 @@ func (d *Device) BringDown() {
 		return
 	}
 	d.settle()
-	d.upGen++
+	if d.up != nil {
+		for i := range d.up.wait {
+			d.up.wait[i].live, d.up.wait[i].done = false, nil
+		}
+	}
 	d.state = StateDown
 	d.markLinkChange(kSpanLinkDown)
 	d.notifyChange()

@@ -238,6 +238,81 @@ func TestBringUpFlapIgnoresStaleTimer(t *testing.T) {
 	}
 }
 
+// Every BringUp not followed by a BringDown reports once, no later than its
+// own timer: a second request made while the device is coming up used to
+// find it up when its timer fired and return without a word.
+func TestBringUpTwiceCompletesBoth(t *testing.T) {
+	loop := sim.New(1)
+	d := NewDevice(loop, "d", 400*time.Millisecond, 0)
+	var a, b, c []sim.Time
+	d.BringUp(func() { a = append(a, loop.Now()) })
+	loop.RunFor(100 * time.Millisecond)
+	d.BringUp(func() { b = append(b, loop.Now()) }) // its own timer is due at 500ms
+	loop.RunFor(300 * time.Millisecond)
+	up := sim.Time(400 * time.Millisecond)
+	if !d.IsUp() || len(a) != 1 || a[0] != up || len(b) != 1 || b[0] != up {
+		t.Fatalf("at %v: up=%v, first done %v, second done %v; want both at %v", loop.Now(), d.IsUp(), a, b, up)
+	}
+	loop.Run() // the second timer finds the device up and its request answered
+	if len(a) != 1 || len(b) != 1 || d.UpSince() != up {
+		t.Fatalf("after the second timer: first done %v, second done %v, up since %v", a, b, d.UpSince())
+	}
+
+	// Down between the two: neither request outlives it, the third does.
+	d.BringDown()
+	a, b = nil, nil
+	d.BringUp(func() { a = append(a, loop.Now()) })
+	d.BringUp(func() { b = append(b, loop.Now()) })
+	d.BringDown()
+	d.BringUp(func() { c = append(c, loop.Now()) })
+	loop.Run()
+	if len(a) != 0 || len(b) != 0 || len(c) != 1 || !d.IsUp() {
+		t.Fatalf("after down/up: aborted dones %v %v, third %v, up=%v", a, b, c, d.IsUp())
+	}
+	if len(d.up.wait) != 0 {
+		t.Fatalf("%d bring-up records left with no timer out", len(d.up.wait))
+	}
+}
+
+// A done that takes the device down and asks it up again starts a new
+// request: it is not answered by the bring-up that is reporting, and the
+// requests that were waiting beside it are aborted like any other.
+func TestBringUpDoneMayFlapTheDevice(t *testing.T) {
+	loop := sim.New(1)
+	d := NewDevice(loop, "d", 400*time.Millisecond, 0)
+	var again, other []sim.Time
+	d.BringUp(func() {
+		d.BringDown()
+		d.BringUp(func() { again = append(again, loop.Now()) })
+	})
+	d.BringUp(func() { other = append(other, loop.Now()) })
+	loop.Run()
+	if want := sim.Time(800 * time.Millisecond); len(again) != 1 || again[0] != want || len(other) != 0 || d.UpSince() != want {
+		t.Fatalf("re-request done %v, aborted neighbour %v, up since %v; want one done at %v", again, other, d.UpSince(), want)
+	}
+}
+
+// Asking a device up costs no allocation once its record slice has grown:
+// the timer callback is bound once and the request waits on the device.
+func TestColdBringUpAllocatesNothing(t *testing.T) {
+	loop := sim.New(1)
+	d := NewDevice(loop, "d", time.Millisecond, 0)
+	ups := 0
+	done := func() { ups++ }
+	cycle := func() {
+		d.BringUp(done)
+		loop.Run()
+		d.BringDown()
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("a bring-up/bring-down cycle allocates %.1f objects, want 0", got)
+	}
+	if ups != 102 {
+		t.Fatalf("done ran %d times over 102 cycles", ups)
+	}
+}
+
 // A detached device must not stay reachable through the slot it vacated in
 // the network's backing array, nor through the hardware-address index.
 func TestDetachReleasesDevice(t *testing.T) {

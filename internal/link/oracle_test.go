@@ -32,6 +32,7 @@ type refDev struct {
 	net           *refNet
 	state         State
 	upGen         uint32
+	upWaiting     []func() // every bringUp since the device was last down or up
 	delay, jitter time.Duration
 	promiscuous   bool
 	recv          func(*Frame)
@@ -138,12 +139,17 @@ func (d *refDev) bringUp(done func()) {
 	}
 	d.state = StateBringingUp
 	gen := d.upGen
+	d.upWaiting = append(d.upWaiting, done)
 	d.loop.Schedule(d.loop.Jitter(d.delay, d.jitter), func() {
 		if d.state != StateBringingUp || d.upGen != gen {
 			return
 		}
 		d.state = StateUp
-		done()
+		waiting := d.upWaiting
+		d.upWaiting = nil
+		for _, done := range waiting {
+			done()
+		}
 	})
 }
 
@@ -152,6 +158,7 @@ func (d *refDev) bringDown() {
 		return
 	}
 	d.upGen++
+	d.upWaiting = nil
 	d.state = StateDown
 }
 

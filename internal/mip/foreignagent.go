@@ -321,28 +321,9 @@ func (fa *ForeignAgent) handlePFANotify(d transport.Datagram) {
 // router, and registers with the agent's address as care-of.
 func (m *MobileHost) ConnectViaForeignAgent(mi *ManagedIface, faAddr ip.Addr, done func(error)) {
 	m.trace(kFAStart, trace.Operands{S: mi.Name(), A: faAddr})
-	mi.ifc.Device().BringUp(func() {
-		m.host.Loop().Schedule(m.jit(m.cfg.ConfigureDelay), func() {
-			if arp := mi.ifc.ARP(); arp != nil {
-				arp.Publish(m.cfg.HomeAddr)
-			}
-			mi.addr = ip.Addr{}
-			mi.gateway = faAddr
-			m.host.Loop().Schedule(m.jit(m.cfg.RouteChangeDelay), func() {
-				m.host.Routes().Add(stack.Route{Dst: ip.Prefix{Addr: faAddr, Bits: 32}, Iface: mi.ifc, Metric: 10})
-				m.host.Routes().Delete(ip.Prefix{})
-				m.host.Routes().Add(stack.Route{Dst: ip.Prefix{}, Gateway: faAddr, Iface: mi.ifc})
-				mi.ready = true
-				m.active = mi
-				m.atHome = false
-				m.careOf = ip.Addr{}
-				m.faAddr = faAddr
-				m.host.InvalidateRoutes()
-				m.notifyLink(mi)
-				m.registerViaFA(faAddr, done)
-			})
-		})
-	})
+	op := m.newOp(opViaFA, mi, done)
+	op.gw = faAddr
+	op.bringUp()
 }
 
 // registerViaFA registers with the foreign agent's address as care-of,

@@ -160,6 +160,8 @@ type MobileHost struct {
 	own      regAttempt
 	renewFn  func() // m.renew
 
+	freeOp *switchOp // finished connectivity operations' records, for the next
+
 	// OnLinkChange, OnRegistered and OnDeregistered notify interested
 	// upper layers; all are optional.
 	OnLinkChange   func(LinkChange)
@@ -346,47 +348,9 @@ func (m *MobileHost) startSpan(kind string) *trace.Span {
 // the home agent, and a gratuitous ARP reclaims the address from the
 // agent's proxy. done receives the deregistration outcome.
 func (m *MobileHost) ConnectHome(mi *ManagedIface, gateway ip.Addr, done func(error)) {
-	sp := m.startSpan(kSpanHomeAttach)
-	sp.SetAttr("iface", mi.Name())
-	finish := func(err error) {
-		sp.Fail(err)
-		if done != nil {
-			done(err)
-		}
-	}
-	m.trace(kHomeAttachStart, trace.Operands{S: mi.Name()})
-	bu := m.startSpan(kSpanBringup)
-	bu.SetAttr("iface", mi.Name())
-	mi.ifc.Device().BringUp(func() {
-		bu.Done()
-		cs := m.startSpan(kSpanConfigure)
-		m.host.Loop().Schedule(m.jit(m.cfg.ConfigureDelay), func() {
-			mi.ifc.SetAddr(m.cfg.HomeAddr, m.cfg.HomePrefix)
-			mi.addr, mi.prefix, mi.gateway = m.cfg.HomeAddr, m.cfg.HomePrefix, gateway
-			cs.SetAddr("addr", m.cfg.HomeAddr)
-			cs.Done()
-			rs := m.startSpan(kSpanRoute)
-			m.host.Loop().Schedule(m.jit(m.cfg.RouteChangeDelay), func() {
-				m.installRoutes(mi)
-				mi.ready = true
-				m.active = mi
-				m.atHome = true
-				m.careOf = ip.Addr{}
-				m.host.InvalidateRoutes()
-				rs.Done()
-				if arp := mi.ifc.ARP(); arp != nil {
-					arp.Gratuitous(m.cfg.HomeAddr, mi.ifc.Device().HW())
-				}
-				m.notifyLink(mi)
-				m.trace(kHomeAttachDone, trace.Operands{A: m.cfg.HomeAddr})
-				if m.registered {
-					m.deregister(finish)
-				} else {
-					finish(nil)
-				}
-			})
-		})
-	})
+	op := m.newOp(opHome, mi, done)
+	op.gw = gateway
+	op.connect(kSpanHomeAttach, kHomeAttachStart)
 }
 
 // ConnectForeign brings mi up on a foreign network: the device comes up,
@@ -394,115 +358,20 @@ func (m *MobileHost) ConnectHome(mi *ManagedIface, gateway ip.Addr, done func(er
 // installed, and the care-of address is registered with the home agent.
 // done receives the registration outcome.
 func (m *MobileHost) ConnectForeign(mi *ManagedIface, done func(error)) {
-	sp := m.startSpan(kSpanConnect)
-	sp.SetAttr("iface", mi.Name())
-	finish := func(err error) {
-		sp.Fail(err)
-		if done != nil {
-			done(err)
-		}
-	}
-	m.trace(kBringupStart, trace.Operands{S: mi.Name()})
-	bu := m.startSpan(kSpanBringup)
-	bu.SetAttr("iface", mi.Name())
-	mi.ifc.Device().BringUp(func() {
-		bu.Done()
-		m.trace(kBringupDone, trace.Operands{S: mi.Name()})
-		m.Prepare(mi, func(err error) {
-			if err != nil {
-				finish(err)
-				return
-			}
-			m.Activate(mi, finish)
-		})
-	})
+	m.newOp(opForeign, mi, done).connect(kSpanConnect, kBringupStart)
 }
 
 // Prepare acquires an address and installs routes on an already-up
 // interface without making it active — the staging step of a hot switch.
 func (m *MobileHost) Prepare(mi *ManagedIface, done func(error)) {
-	finish := func(addr ip.Addr, prefix ip.Prefix, gw ip.Addr) {
-		cs := m.startSpan(kSpanConfigure)
-		cs.SetAttr("iface", mi.Name())
-		m.host.Loop().Schedule(m.jit(m.cfg.ConfigureDelay), func() {
-			mi.ifc.SetAddr(addr, prefix)
-			mi.addr, mi.prefix, mi.gateway = addr, prefix, gw
-			cs.SetAddr("addr", addr)
-			cs.Done()
-			m.trace(kConfigureDone, trace.Operands{S: mi.Name(), A: addr})
-			rs := m.startSpan(kSpanRoute)
-			m.host.Loop().Schedule(m.jit(m.cfg.RouteChangeDelay), func() {
-				m.host.Routes().Add(stack.Route{Dst: prefix, Iface: mi.ifc, Metric: 10})
-				mi.ready = true
-				rs.Done()
-				m.trace(kRouteStaged, trace.Operands{S: mi.Name()})
-				if done != nil {
-					done(nil)
-				}
-			})
-		})
-	}
-	if mi.static != nil {
-		finish(mi.static.Addr, mi.static.Prefix, mi.static.Gateway)
-		return
-	}
-	m.trace(kDHCPStart, trace.Operands{S: mi.Name()})
-	ds := m.startSpan(kSpanDHCP)
-	ds.SetAttr("iface", mi.Name())
-	err := mi.dhcpc.Acquire(func(l dhcp.Lease, err error) {
-		if err != nil {
-			ds.Fail(err)
-			if done != nil {
-				done(fmt.Errorf("mip: acquiring care-of address: %w", err))
-			}
-			return
-		}
-		ds.SetAddr("addr", l.Addr)
-		ds.Done()
-		m.trace(kDHCPDone, trace.Operands{S: mi.Name(), A: l.Addr})
-		finish(l.Addr, l.Prefix, l.Gateway)
-	})
-	if err != nil {
-		ds.Fail(err)
-		if done != nil {
-			done(err)
-		}
-	}
+	m.newOp(opPrepare, mi, done).acquire()
 }
 
 // Activate makes a prepared interface the active one — "merely changes
 // its route and registers the new address with its home agent", the
 // paper's hot-switch step — and registers its address as the care-of.
 func (m *MobileHost) Activate(mi *ManagedIface, done func(error)) {
-	if !mi.ready || !mi.ifc.Up() {
-		if done != nil {
-			done(ErrIfaceNotReady)
-		}
-		return
-	}
-	rs := m.startSpan(kSpanRoute)
-	rs.SetAttr("iface", mi.Name())
-	m.host.Loop().Schedule(m.jit(m.cfg.RouteChangeDelay), func() {
-		m.active = mi
-		m.atHome = m.cfg.HomePrefix.Contains(mi.addr) && mi.addr == m.cfg.HomeAddr
-		m.host.InvalidateRoutes()
-		m.switchDefaultRoute(mi)
-		rs.Done()
-		m.trace(kRouteSwitched, trace.Operands{S: mi.Name()})
-		m.notifyLink(mi)
-		if m.atHome {
-			m.careOf = ip.Addr{}
-			if m.registered {
-				m.deregister(done)
-				return
-			}
-			if done != nil {
-				done(nil)
-			}
-			return
-		}
-		m.register(mi.addr, m.cfg.Lifetime, done)
-	})
+	m.newOp(opActivate, mi, done).activate()
 }
 
 // SwitchAddress changes the care-of address on the active interface to a
@@ -517,29 +386,12 @@ func (m *MobileHost) SwitchAddress(newAddr ip.Addr, done func(error)) {
 		return
 	}
 	m.stats.AddressSwitches++
-	sp := m.startSpan(kSpanAddrSwitch)
-	sp.SetAddr("old", mi.addr)
-	sp.SetAddr("new", newAddr)
-	finish := func(err error) {
-		sp.Fail(err)
-		if done != nil {
-			done(err)
-		}
-	}
+	op := m.newOp(opAddr, mi, done)
+	op.root = m.startSpan(kSpanAddrSwitch)
+	op.root.SetAddr("old", mi.addr)
+	op.root.SetAddr("new", newAddr)
 	m.trace(kAddrSwitchStart, trace.Operands{A: mi.addr, B: newAddr})
-	cs := m.startSpan(kSpanConfigure)
-	m.host.Loop().Schedule(m.jit(m.cfg.ConfigureDelay), func() {
-		mi.ifc.SetAddr(newAddr, mi.prefix) // the old address stops receiving here
-		mi.addr = newAddr
-		cs.Done()
-		m.trace(kAddrSwitchConfig, trace.Operands{A: newAddr})
-		rs := m.startSpan(kSpanRoute)
-		m.host.Loop().Schedule(m.jit(m.cfg.RouteChangeDelay), func() {
-			rs.Done()
-			m.trace(kAddrSwitchRoute, trace.Operands{})
-			m.register(newAddr, m.cfg.Lifetime, finish)
-		})
-	})
+	op.configure(newAddr, mi.prefix, mi.gateway)
 }
 
 // ColdSwitch tears down the active interface before bringing up the new
@@ -547,51 +399,30 @@ func (m *MobileHost) SwitchAddress(newAddr ip.Addr, done func(error)) {
 // bring the new device up, address and route it, and register — the
 // paper's cold-switch sequence, with its full loss window.
 func (m *MobileHost) ColdSwitch(to *ManagedIface, done func(error)) {
-	m.coldSwitch(to, done, func(hdone func(error)) { m.ConnectForeign(to, hdone) })
+	m.coldSwitch(opCold, to, ip.Addr{}, done)
 }
 
 // ColdSwitchHome is ColdSwitch toward the home subnet: the new interface
 // comes up with the home address and the host deregisters.
 func (m *MobileHost) ColdSwitchHome(to *ManagedIface, gateway ip.Addr, done func(error)) {
-	m.coldSwitch(to, done, func(hdone func(error)) { m.ConnectHome(to, gateway, hdone) })
+	m.coldSwitch(opColdHome, to, gateway, done)
 }
 
-func (m *MobileHost) coldSwitch(to *ManagedIface, done func(error), connect func(func(error))) {
-	from := m.active
+func (m *MobileHost) coldSwitch(kind switchKind, to *ManagedIface, gateway ip.Addr, done func(error)) {
+	op := m.newOp(kind, to, done)
+	op.from, op.gw = m.active, gateway
 	m.stats.ColdSwitches++
-	sp := m.startSpan(kSpanHandoffCold)
-	sp.SetAttr("from", nameOf(from))
-	sp.SetAttr("to", to.Name())
-	m.trace(kColdStart, trace.Operands{S: nameOf(from), T: to.Name()})
-	m.host.Loop().Schedule(m.jit(m.cfg.RouteChangeDelay), func() {
-		if from != nil {
-			m.teardown(from)
-		}
-		connect(func(err error) {
-			sp.Fail(err)
-			m.trace(kColdDone, trace.Operands{S: errText(err)})
-			if done != nil {
-				done(err)
-			}
-		})
-	})
+	op.root = m.startSpan(kSpanHandoffCold)
+	op.root.SetAttr("from", nameOf(op.from))
+	op.root.SetAttr("to", to.Name())
+	m.trace(kColdStart, trace.Operands{S: nameOf(op.from), T: to.Name()})
+	op.after(phTeardown, m.cfg.RouteChangeDelay)
 }
 
 // HotSwitch moves the active role to an interface that is already up and
 // prepared, keeping the old interface up until the switch completes.
 func (m *MobileHost) HotSwitch(to *ManagedIface, done func(error)) {
-	m.stats.HotSwitches++
-	sp := m.startSpan(kSpanHandoffHot)
-	sp.SetAttr("from", nameOf(m.active))
-	sp.SetAttr("to", to.Name())
-	m.trace(kHotStart, trace.Operands{S: nameOf(m.active), T: to.Name()})
-	m.Activate(to, func(err error) {
-		sp.Fail(err)
-		m.trace(kHotDone, trace.Operands{S: errText(err)})
-		if done != nil {
-			done(err)
-		}
-	})
+	m.newOp(opHot, to, done).hotSwitch()
 }
 
 // MakeBeforeBreak is the whole hot switch from a down device: raise to's
@@ -599,17 +430,7 @@ func (m *MobileHost) HotSwitch(to *ManagedIface, done func(error)) {
 // carrying traffic, then HotSwitch over. done receives the first failure,
 // or the switch's outcome.
 func (m *MobileHost) MakeBeforeBreak(to *ManagedIface, done func(error)) {
-	to.ifc.Device().BringUp(func() {
-		m.Prepare(to, func(err error) {
-			if err != nil {
-				if done != nil {
-					done(err)
-				}
-				return
-			}
-			m.HotSwitch(to, done)
-		})
-	})
+	m.newOp(opMakeBeforeBreak, to, done).bringUp()
 }
 
 // Disconnect takes an interface down (out of coverage, card ejected).
@@ -637,12 +458,6 @@ func (m *MobileHost) teardown(mi *ManagedIface) {
 	mi.addr = ip.Addr{}
 	mi.ready = false
 	m.trace(kIfaceDown, trace.Operands{S: mi.Name()})
-}
-
-// installRoutes installs connected + default routes for the active iface.
-func (m *MobileHost) installRoutes(mi *ManagedIface) {
-	m.host.Routes().Add(stack.Route{Dst: mi.prefix, Iface: mi.ifc, Metric: 10})
-	m.switchDefaultRoute(mi)
 }
 
 // switchDefaultRoute points the default route at mi.

@@ -144,7 +144,7 @@ func measureAllocsPerEvent(tb testing.TB) (allocsPerEvent float64, events uint64
 // sync.Pool drops a quarter of its Puts there on purpose, so a pooled path
 // allocates about twice as often; the three budgets below are enforced there
 // too, each against a second figure set the same distance above the -race
-// reading (0.54, 1.08 and 7.8, which repeat to 0.01, 0.01 and 0.1).
+// reading (0.52, 1.08 and 7.8, which repeat to 0.01, 0.01 and 0.1).
 var raceDetector bool
 
 // budget picks the figure a reading is held to in this build.
@@ -155,19 +155,21 @@ func budget(plain, race float64) float64 {
 	return plain
 }
 
-// allocsPerEventBudget sits ~10% above the measured 0.17 allocations per
+// allocsPerEventBudget sits ~10% above the measured 0.15 allocations per
 // event. The packets themselves are pooled, with the chain contexts, hop
 // continuations and event records, a datagram's payload is lent to the
-// socket's handler, and a registration exchange reuses its records on both
-// ends; what is left is the ConnectForeign closure chain, ARP requests and
-// the packets queued behind them, and flight records while a segment's free
-// list warms. The figure was 0.38 while UnmarshalUDP copied each payload
-// (three in ten of it) and every exchange rebuilt its records, 1.95 while
-// every hop made its packet anew, and 3.95 before the contexts were pooled:
-// putting one allocation back on the per-hop path costs ~0.2-0.4.
+// socket's handler, a registration exchange reuses its records on both
+// ends, and a switch, a bring-up and an ARP resolution each walk a record
+// their owner keeps; what is left is warm-up (those records' first use,
+// route-cache maps, flight records while a segment's free list fills) and
+// the packets queued behind an ARP request. The figure was 0.17 while every
+// ConnectForeign built its closure chain, 0.38 while UnmarshalUDP copied each
+// payload (three in ten of it) and every exchange rebuilt its records, 1.95
+// while every hop made its packet anew, and 3.95 before the contexts were
+// pooled: putting one allocation back on the per-hop path costs ~0.2-0.4.
 const (
-	allocsPerEventBudget     = 0.19
-	allocsPerEventBudgetRace = 0.60
+	allocsPerEventBudget     = 0.17
+	allocsPerEventBudgetRace = 0.58
 )
 
 // TestAllocsPerEventBudget is the packet path's allocation guard at the
@@ -281,23 +283,23 @@ func measureAllocsPerHandoff(tb testing.TB, traced bool) (allocsPerHandoff float
 	return float64(after.Mallocs-before.Mallocs) / float64(handoffs), handoffs
 }
 
-// allocsPerHandoffBudget sits ~10% above the measured objects one
-// ConnectForeign -> registration -> reply allocates with no tracer. The host's
-// exchange record, its registration socket, the agent's binding and reply
-// records and every timer callback are reused, datagrams are lent and a nil
-// tracer costs a nil check, so what is left is the ConnectForeign -> Prepare ->
-// Activate closure chain (a per-call chain by contract: overlapping calls
-// each run to their own done) and the route-cache misses the move forces.
-// It read 38.7 while each handoff rebuilt all of that and boxed the arguments
-// of trace calls nobody read. The traced figure is the same run with flat
-// events and spans recorded: the spans and their attributes are the
+// allocsPerHandoffBudget sits a little above the measured objects one
+// ConnectForeign -> registration -> reply allocates with no tracer: a sixth of
+// one. The walk's record, the host's exchange record, its registration
+// socket, the agent's binding and reply records, the ARP resolution's record
+// and every timer callback are reused, datagrams are lent and a nil tracer
+// costs a nil check, so what is left is the route-cache misses the move
+// forces (a map bucket now and then). It read 7.2 while ConnectForeign,
+// Prepare and Activate each built their closures per call, and 38.7 before
+// the exchange was reused. The traced figure is the same run with flat events
+// and spans recorded: the spans and their attributes are the whole
 // difference; a trace call that goes back to formatting costs 2-3 objects an
 // event, a dozen events a handoff.
 const (
-	allocsPerHandoffBudget           = 8.0  // measured 7.2; 38.7 before
-	allocsPerHandoffBudgetRace       = 13.0 // 11.8
-	tracedAllocsPerHandoffBudget     = 31.0 // 28.2; 70.7 before
-	tracedAllocsPerHandoffBudgetRace = 36.0 // 32.8
+	allocsPerHandoffBudget           = 0.2  // measured 0.16; 7.2 with the closure chain
+	allocsPerHandoffBudgetRace       = 5.3  // 4.77
+	tracedAllocsPerHandoffBudget     = 23.5 // 21.18; 28.2 with the closure chain
+	tracedAllocsPerHandoffBudgetRace = 28.5 // 25.87
 )
 
 // TestAllocsPerHandoffBudget is the control plane's allocation guard, next
@@ -317,7 +319,7 @@ func TestAllocsPerHandoffBudget(t *testing.T) {
 		{"tracer and spans on", true, budget(tracedAllocsPerHandoffBudget, tracedAllocsPerHandoffBudgetRace)},
 	} {
 		got, handoffs := measureAllocsPerHandoff(t, c.traced)
-		t.Logf("%s: %.1f allocs/handoff over %d handoffs (budget %.1f)", c.name, got, handoffs, c.limit)
+		t.Logf("%s: %.2f allocs/handoff over %d handoffs (budget %.1f)", c.name, got, handoffs, c.limit)
 		if got > c.limit {
 			t.Errorf("%s: allocs/handoff = %.1f, budget %.1f", c.name, got, c.limit)
 		}
