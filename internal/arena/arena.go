@@ -8,22 +8,17 @@
 // object in it is alive, and is collected as a whole once all of its
 // objects die. That is the right trade for topology objects (hosts,
 // interfaces) which live exactly as long as their simulation — provided a
-// chunk holds objects of one simulation only, which Get's owner argument
-// ensures.
+// slab belongs to one simulation, which is why there is no shared one: the
+// owner (a simulation's event loop) holds its own.
 package arena
 
-import "sync"
-
 // Slab allocates values of T out of chunks of the configured size. The
-// zero Slab is not usable; use NewSlab. A Slab is safe for concurrent use;
-// in practice topology construction is single-threaded and the mutex is
-// uncontended.
+// zero Slab is not usable; use NewSlab. A Slab is not safe for concurrent
+// use: only the goroutine that builds or runs its simulation calls Get.
 type Slab[T any] struct {
-	mu    sync.Mutex
 	cur   []T
 	next  int
 	chunk int
-	owner any // whose objects cur holds
 }
 
 // NewSlab returns a slab carving chunks of the given size (minimum 1).
@@ -34,23 +29,15 @@ func NewSlab[T any](chunk int) *Slab[T] {
 	return &Slab[T]{chunk: chunk}
 }
 
-// Get returns a pointer to a fresh zero value of T for owner, the thing
-// the value will live and die with (a simulation's event loop). A chunk
-// never mixes owners — a new owner starts a new chunk — because the
-// objects of one chunk are collected together or not at all, and a value
-// that reaches its whole simulation would otherwise keep a finished
-// simulation alive from the next one's chunk. The slab retains no
+// Get returns a pointer to a fresh zero value of T. The slab retains no
 // reference to chunks it has filled, so fully dead chunks are collected
 // normally.
-func (s *Slab[T]) Get(owner any) *T {
-	s.mu.Lock()
-	if s.next == len(s.cur) || owner != s.owner {
+func (s *Slab[T]) Get() *T {
+	if s.next == len(s.cur) {
 		s.cur = make([]T, s.chunk)
 		s.next = 0
-		s.owner = owner
 	}
 	p := &s.cur[s.next]
 	s.next++
-	s.mu.Unlock()
 	return p
 }

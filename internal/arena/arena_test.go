@@ -6,7 +6,7 @@ func TestSlabGetDistinct(t *testing.T) {
 	s := NewSlab[int](4)
 	seen := make(map[*int]bool)
 	for i := 0; i < 10; i++ {
-		p := s.Get(nil)
+		p := s.Get()
 		if *p != 0 {
 			t.Fatalf("Get() returned non-zero value %d", *p)
 		}
@@ -29,20 +29,8 @@ func TestSlabChunkClamp(t *testing.T) {
 	if s.chunk != 1 {
 		t.Fatalf("chunk = %d, want clamp to 1", s.chunk)
 	}
-	a, b := s.Get(nil), s.Get(nil)
+	a, b := s.Get(), s.Get()
 	if a == b {
 		t.Fatalf("Get() returned the same pointer twice")
-	}
-}
-
-func TestSlabChunkPerOwner(t *testing.T) {
-	s := NewSlab[int](4)
-	owner1, owner2 := new(int), new(int)
-	a, b := s.Get(owner1), s.Get(owner1)
-	if &s.cur[0] != a || &s.cur[1] != b {
-		t.Fatalf("one owner's values are not in one chunk")
-	}
-	if c := s.Get(owner2); &s.cur[0] != c {
-		t.Fatalf("a new owner did not start a new chunk")
 	}
 }

@@ -55,10 +55,19 @@ func ParseAddr(s string) (Addr, error) {
 	return a, nil
 }
 
-// String returns the dotted-quad form, served from the world-level
-// intern table so the hot diagnostic paths don't re-format (and
-// re-allocate) the same addresses per packet.
-func (a Addr) String() string { return InternString(a) }
+// String returns the dotted-quad form. It is reached when text is made —
+// exports, span attributes, errors — not per packet.
+func (a Addr) String() string {
+	var buf [15]byte
+	b := buf[:0]
+	for i, octet := range a {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(octet), 10)
+	}
+	return string(b)
+}
 
 // IsUnspecified reports whether a is 0.0.0.0.
 func (a Addr) IsUnspecified() bool { return a == Unspecified }

@@ -169,21 +169,20 @@ type Device struct {
 	// walked for. The difference is owed to dropFilter or dropDown.
 	fastSeen, fastOwn uint64
 
-	// Traffic counters live in the loop's metrics registry (detached
-	// handles when telemetry is disabled); DeviceStats is a read-through
-	// view assembled by Stats. Handles are never shared between devices:
-	// same-named devices on different hosts aggregate at snapshot time.
+	// Traffic counters are plain fields bumped on the data path; Stats and
+	// the device's snapshot-time collector read them. Same-named devices
+	// on different hosts aggregate at snapshot time.
 	ctr    deviceCounters
 	pktlog *metrics.PacketLog
 }
 
 type deviceCounters struct {
-	sent, received   *metrics.Counter
-	txBytes, rxBytes *metrics.Counter
-	dropDown         *metrics.Counter
-	dropNoNet        *metrics.Counter
-	dropMTU          *metrics.Counter
-	dropFilter       *metrics.Counter
+	sent, received   uint64
+	txBytes, rxBytes uint64
+	dropDown         uint64
+	dropNoNet        uint64
+	dropMTU          uint64
+	dropFilter       uint64
 }
 
 // NewDevice creates a device named name with a fresh hardware address.
@@ -197,31 +196,21 @@ func NewDevice(loop *sim.Loop, name string, bringUpDelay, jitter time.Duration) 
 		bringUpJitter: jitter,
 		pktlog:        metrics.PacketsFor(loop),
 	}
-	// Counters are detached handles incremented on the data path; one
-	// snapshot-time collector per device publishes them (same rows and
-	// sums as registering eight handles, at an eighth of the registry
-	// footprint — at fleet scale every mobile host carries two devices).
-	d.ctr = deviceCounters{
-		sent:       &metrics.Counter{},
-		received:   &metrics.Counter{},
-		txBytes:    &metrics.Counter{},
-		rxBytes:    &metrics.Counter{},
-		dropDown:   &metrics.Counter{},
-		dropNoNet:  &metrics.Counter{},
-		dropMTU:    &metrics.Counter{},
-		dropFilter: &metrics.Counter{},
-	}
+	// One snapshot-time collector per device publishes the counters (same
+	// rows and sums as registering eight handles, at an eighth of the
+	// registry footprint — at fleet scale every mobile host carries two
+	// devices).
 	metrics.For(loop).Collect(func(c *metrics.Collection) {
 		d.settle()
 		dev := metrics.L("dev", d.name)
-		c.Counter("link.device.tx_packets", d.ctr.sent.Value(), dev)
-		c.Counter("link.device.rx_packets", d.ctr.received.Value(), dev)
-		c.Counter("link.device.tx_bytes", d.ctr.txBytes.Value(), dev)
-		c.Counter("link.device.rx_bytes", d.ctr.rxBytes.Value(), dev)
-		c.Counter("link.device.drop_down", d.ctr.dropDown.Value(), dev)
-		c.Counter("link.device.drop_no_net", d.ctr.dropNoNet.Value(), dev)
-		c.Counter("link.device.drop_mtu", d.ctr.dropMTU.Value(), dev)
-		c.Counter("link.device.drop_filter", d.ctr.dropFilter.Value(), dev)
+		c.Counter("link.device.tx_packets", d.ctr.sent, dev)
+		c.Counter("link.device.rx_packets", d.ctr.received, dev)
+		c.Counter("link.device.tx_bytes", d.ctr.txBytes, dev)
+		c.Counter("link.device.rx_bytes", d.ctr.rxBytes, dev)
+		c.Counter("link.device.drop_down", d.ctr.dropDown, dev)
+		c.Counter("link.device.drop_no_net", d.ctr.dropNoNet, dev)
+		c.Counter("link.device.drop_mtu", d.ctr.dropMTU, dev)
+		c.Counter("link.device.drop_filter", d.ctr.dropFilter, dev)
 	})
 	return d
 }
@@ -241,17 +230,16 @@ func (d *Device) IsUp() bool { return d.state == StateUp }
 // Network returns the attached broadcast domain, or nil.
 func (d *Device) Network() *Network { return d.net }
 
-// Stats returns a snapshot of the device counters, assembled from the
-// registry-backed handles.
+// Stats returns a snapshot of the device counters.
 func (d *Device) Stats() DeviceStats {
 	d.settle()
 	return DeviceStats{
-		Sent:          d.ctr.sent.Value(),
-		Received:      d.ctr.received.Value(),
-		DroppedDown:   d.ctr.dropDown.Value(),
-		DroppedNoNet:  d.ctr.dropNoNet.Value(),
-		DroppedMTU:    d.ctr.dropMTU.Value(),
-		DroppedFilter: d.ctr.dropFilter.Value(),
+		Sent:          d.ctr.sent,
+		Received:      d.ctr.received,
+		DroppedDown:   d.ctr.dropDown,
+		DroppedNoNet:  d.ctr.dropNoNet,
+		DroppedMTU:    d.ctr.dropMTU,
+		DroppedFilter: d.ctr.dropFilter,
 	}
 }
 
@@ -302,9 +290,9 @@ func (d *Device) settle() {
 	owed := n.fastLanded - d.fastSeen - d.fastOwn
 	d.fastSeen, d.fastOwn = n.fastLanded, 0
 	if d.state == StateUp {
-		d.ctr.dropFilter.Add(owed)
+		d.ctr.dropFilter += owed
 	} else {
-		d.ctr.dropDown.Add(owed)
+		d.ctr.dropDown += owed
 	}
 }
 
@@ -443,22 +431,22 @@ func (d *Device) UpSince() sim.Time { return d.upSince }
 func (d *Device) Send(f *Frame) error {
 	f.Src = d.hw
 	if d.state != StateUp {
-		d.ctr.dropDown.Inc()
+		d.ctr.dropDown++
 		d.pktlog.Record(f.Trace, d.name, "link.drop", "device down")
 		return ErrDeviceDown
 	}
 	if d.net == nil {
-		d.ctr.dropNoNet.Inc()
+		d.ctr.dropNoNet++
 		d.pktlog.Record(f.Trace, d.name, "link.drop", "no network")
 		return ErrNoNetwork
 	}
 	if len(f.Payload) > d.net.medium.MTU {
-		d.ctr.dropMTU.Inc()
+		d.ctr.dropMTU++
 		d.pktlog.Record(f.Trace, d.name, "link.drop", "exceeds MTU")
 		return ErrFrameTooBig
 	}
-	d.ctr.sent.Inc()
-	d.ctr.txBytes.Add(uint64(f.Len()))
+	d.ctr.sent++
+	d.ctr.txBytes += uint64(f.Len())
 	d.pktlog.RecordDetail(f.Trace, d.name, "link.tx", metrics.HWDetail(metrics.DetailLinkDst, f.Dst))
 	d.net.transmit(d, f)
 	return nil
@@ -468,16 +456,16 @@ func (d *Device) Send(f *Frame) error {
 // the destination filter and up/down state.
 func (d *Device) deliver(f *Frame) {
 	if d.state != StateUp {
-		d.ctr.dropDown.Inc()
+		d.ctr.dropDown++
 		d.pktlog.Record(f.Trace, d.name, "link.drop", "device down on rx")
 		return
 	}
 	if !d.promiscuous && !f.Dst.IsBroadcast() && f.Dst != d.hw {
-		d.ctr.dropFilter.Inc()
+		d.ctr.dropFilter++
 		return
 	}
-	d.ctr.received.Inc()
-	d.ctr.rxBytes.Add(uint64(f.Len()))
+	d.ctr.received++
+	d.ctr.rxBytes += uint64(f.Len())
 	d.pktlog.RecordDetail(f.Trace, d.name, "link.rx", metrics.HWDetail(metrics.DetailLinkSrc, f.Src))
 	if d.recv != nil {
 		d.recv(f)

@@ -203,7 +203,6 @@ func newPair(t *testing.T, seed int64, packetLog, registry bool) *pair {
 	if registry {
 		metrics.Enable(p.loop)
 	}
-	t.Cleanup(func() { metrics.Release(p.loop) })
 	for i := 0; i < 3; i++ {
 		m := Ethernet()
 		p.nets = append(p.nets, NewNetwork(p.loop, fmt.Sprintf("n%d", i), m))

@@ -28,7 +28,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"mosquitonet/internal/sim"
@@ -597,62 +596,56 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 //
 // Constructors deep in the stack (devices, hosts, tunnel endpoints) find
 // their simulation's registry through the loop they are already handed,
-// so enabling telemetry requires no signature changes anywhere. The maps
-// are process-global and synchronized only because independent test
-// binaries may exercise several loops; within one simulation everything
-// is single-threaded.
+// so enabling telemetry requires no signature changes anywhere. The
+// registry and the packet log are attachments of the loop (sim.Loop.Local):
+// they are reachable only through it and are collected with it.
 
-var (
-	//lint:allow nosharedstate sync.Map keyed by *sim.Loop: shard-time accesses are per-loop reads of disjoint entries, and Enable/Release run during single-threaded construction and teardown
-	registries sync.Map // *sim.Loop -> *Registry
-	//lint:allow nosharedstate sync.Map keyed by *sim.Loop: shard-time accesses are per-loop reads of disjoint entries, and Enable/Release run during single-threaded construction and teardown
-	packetLogs sync.Map // *sim.Loop -> *PacketLog
+type (
+	registryKey  struct{}
+	packetLogKey struct{}
 )
 
 // Enable creates (or returns) the registry associated with loop. Call it
 // immediately after sim.New, before building devices and hosts, so their
 // constructors find it.
 func Enable(loop *sim.Loop) *Registry {
-	if r, ok := registries.Load(loop); ok {
-		return r.(*Registry)
+	if r := For(loop); r != nil {
+		return r
 	}
 	r := New(loop)
-	registries.Store(loop, r)
+	loop.SetLocal(registryKey{}, r)
 	return r
 }
 
 // For returns the registry associated with loop, or nil if telemetry was
 // never enabled for it. All Registry methods accept the nil result.
 func For(loop *sim.Loop) *Registry {
-	if r, ok := registries.Load(loop); ok {
-		return r.(*Registry)
-	}
-	return nil
+	r, _ := loop.Local(registryKey{}).(*Registry)
+	return r
 }
 
 // TracePackets creates (or returns) the packet-lifecycle log associated
 // with loop, retaining at most limit events (default 16384 when limit<=0).
 func TracePackets(loop *sim.Loop, limit int) *PacketLog {
-	if l, ok := packetLogs.Load(loop); ok {
-		return l.(*PacketLog)
+	if l := PacketsFor(loop); l != nil {
+		return l
 	}
 	l := NewPacketLog(loop, limit)
-	packetLogs.Store(loop, l)
+	loop.SetLocal(packetLogKey{}, l)
 	return l
 }
 
 // PacketsFor returns loop's packet log, or nil. PacketLog methods accept
 // the nil result.
 func PacketsFor(loop *sim.Loop) *PacketLog {
-	if l, ok := packetLogs.Load(loop); ok {
-		return l.(*PacketLog)
-	}
-	return nil
+	l, _ := loop.Local(packetLogKey{}).(*PacketLog)
+	return l
 }
 
-// Release drops loop's registry and packet log from the process-global
-// association, for long-running processes that build many simulations.
+// Release detaches loop's registry and packet log while the loop lives on:
+// what is built on it afterwards finds no telemetry. A loop that is simply
+// dropped needs no Release.
 func Release(loop *sim.Loop) {
-	registries.Delete(loop)
-	packetLogs.Delete(loop)
+	loop.SetLocal(registryKey{}, nil)
+	loop.SetLocal(packetLogKey{}, nil)
 }

@@ -91,7 +91,6 @@ func TestSnapshotDeterminism(t *testing.T) {
 	build := func() []byte {
 		loop := sim.New(42)
 		r := Enable(loop)
-		defer Release(loop)
 		c := r.Counter("stack.host.sent", L("host", "mh"))
 		h := r.Histogram("mip.mh.registration_latency", L("host", "mh"))
 		loop.Schedule(5*time.Millisecond, func() { c.Inc(); h.Observe(3 * time.Millisecond) })

@@ -80,9 +80,12 @@ type ForeignAgent struct {
 	sock *transport.UDPSocket
 
 	visitors map[ip.Addr]*visitorEntry // keyed by home address
-	pending  map[uint64]ip.Addr        // relayed request ID -> home address
-	seq      uint16
-	stats    ForeignAgentStats
+	// pending is the ID of the last request relayed for each home address.
+	// A retry carries a fresh ID and replaces its predecessor's, so an
+	// unreachable home agent leaves one entry per visitor, not one per try.
+	pending map[ip.Addr]uint64
+	seq     uint16
+	stats   ForeignAgentStats
 }
 
 // NewForeignAgent starts a foreign agent on ts, binding UDP port 434,
@@ -100,7 +103,7 @@ func NewForeignAgent(ts *transport.Stack, cfg ForeignAgentConfig) (*ForeignAgent
 		ts:       ts,
 		cfg:      cfg,
 		visitors: make(map[ip.Addr]*visitorEntry),
-		pending:  make(map[uint64]ip.Addr),
+		pending:  make(map[ip.Addr]uint64),
 	}
 	fa.tun = tunnel.New(fa.host, "vif0",
 		func() (ip.Addr, bool) { return cfg.Iface.Addr(), true },
@@ -209,7 +212,7 @@ func (fa *ForeignAgent) relayRequest(d transport.Datagram) {
 	if max := uint16(fa.cfg.MaxLifetime / time.Second); req.Lifetime > max {
 		req.Lifetime = max
 	}
-	fa.pending[req.ID] = req.HomeAddr
+	fa.pending[req.HomeAddr] = req.ID
 	fa.stats.RequestsRelayed++
 	fa.trace(kFARelayRequest, trace.Operands{A: req.HomeAddr, N: req.ID})
 	fa.sock.SendTo(req.HomeAgent, Port, req.Marshal())
@@ -223,12 +226,12 @@ func (fa *ForeignAgent) relayReply(d transport.Datagram) {
 		fa.stats.DropMalformed++
 		return
 	}
-	home, ok := fa.pending[reply.ID]
-	if !ok {
+	home := reply.HomeAddr
+	if id, ok := fa.pending[home]; !ok || id != reply.ID {
 		fa.stats.DropUnmatched++
 		return
 	}
-	delete(fa.pending, reply.ID)
+	delete(fa.pending, home)
 	if reply.Accepted() && reply.Lifetime > 0 {
 		fa.installVisitor(home, time.Duration(reply.Lifetime)*time.Second)
 	}

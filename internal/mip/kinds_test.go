@@ -108,7 +108,6 @@ func TestTypedEventsRenderAsSprintfDid(t *testing.T) {
 	// the eager one.
 	loop := sim.New(1)
 	typed, eager := trace.New(loop), trace.New(loop)
-	defer trace.Release(loop)
 	for _, c := range renderCases {
 		typed.RecordOps("mh", c.kind, renderDetail, c.ops)
 		eager.Record("mh", c.kind, c.format, c.args...)

@@ -1349,3 +1349,56 @@ func TestRegistrationRetryExhaustionLeavesCleanState(t *testing.T) {
 		t.Fatalf("RegTimeouts = %d, want exactly the original exhaustion", w.mh.Stats().RegTimeouts)
 	}
 }
+
+// TestForeignAgentPendingIsBoundedByVisitors: with the home agent down every
+// retry through the foreign agent carries a fresh identification and none is
+// ever answered. The agent remembers the latest one per visitor — not one per
+// transmission — drops a reply to an earlier one instead of relaying it and
+// installing a visitor, and relays the reply to the latest once the home
+// agent is back.
+func TestForeignAgentPendingIsBoundedByVisitors(t *testing.T) {
+	w := newWorld(t, 1)
+	faTS, faIfc := mkHost(w.loop, w.forA, "fa", "10.2.0.4/24", "10.2.0.1")
+	fa, err := NewForeignAgent(faTS, ForeignAgentConfig{Iface: faIfc, Tracer: w.tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := ip.MustParseAddr(wHomeAddr)
+	w.ha.Crash()
+	for i := 0; i < 2; i++ {
+		var regErr error
+		done := false
+		w.mh.ConnectViaForeignAgent(w.eth1, fa.Addr(), func(err error) { regErr, done = err, true })
+		w.run(time.Minute)
+		if !done || !errors.Is(regErr, ErrRegistrationTimeout) {
+			t.Fatalf("registration %d with the home agent down: done=%v err=%v", i, done, regErr)
+		}
+	}
+	if relayed := fa.Stats().RequestsRelayed; int(relayed) != 2*w.mh.cfg.RegMaxRetries {
+		t.Fatalf("agent relayed %d requests, want %d", relayed, 2*w.mh.cfg.RegMaxRetries)
+	}
+	if len(fa.pending) != 1 {
+		t.Fatalf("agent holds %d pending requests for one visitor, want 1", len(fa.pending))
+	}
+
+	// A late reply to the try before the last is nobody's.
+	w.ha.Restart()
+	haSock, _ := w.ha.ts.UDP(ip.Unspecified, 0, nil)
+	stale := &RegReply{Code: CodeAccepted, Lifetime: 60, HomeAddr: home, HomeAgent: ip.MustParseAddr(wHAAddr), ID: fa.pending[home] - 1}
+	haSock.SendTo(fa.Addr(), Port, stale.Marshal())
+	w.run(time.Second)
+	if st := fa.Stats(); st.DropUnmatched != 1 || st.RepliesRelayed != 0 || fa.HasVisitor(home) {
+		t.Fatalf("stale reply: %+v, visitor installed: %v", st, fa.HasVisitor(home))
+	}
+
+	var regErr error
+	done := false
+	w.mh.ConnectViaForeignAgent(w.eth1, fa.Addr(), func(err error) { regErr, done = err, true })
+	w.run(10 * time.Second)
+	if !done || regErr != nil {
+		t.Fatalf("registration after the restart: done=%v err=%v", done, regErr)
+	}
+	if st := fa.Stats(); st.RepliesRelayed != 1 || !fa.HasVisitor(home) || len(fa.pending) != 0 {
+		t.Fatalf("after the restart: %+v, visitor %v, %d pending", st, fa.HasVisitor(home), len(fa.pending))
+	}
+}

@@ -22,7 +22,6 @@ func adminWorld(t *testing.T) (*World, *Console, *strings.Builder) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(w.Close)
 	var out strings.Builder
 	return w, NewConsole(w, &out), &out
 }

@@ -298,8 +298,9 @@ func (w *World) HostNames() []string {
 // RunFor advances the simulation.
 func (w *World) RunFor(d time.Duration) { w.Loop.RunFor(d) }
 
-// Close releases the world's per-loop global registrations (metrics,
-// trace); call it when done with the world.
+// Close detaches the world's telemetry from its loop. Nothing needs it — a
+// dropped world is collected whole — and nothing in this module calls it;
+// it stays because the benchmark module (perf/) compiles against it.
 func (w *World) Close() {
 	metrics.Release(w.Loop)
 	trace.Release(w.Loop)

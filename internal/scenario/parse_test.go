@@ -252,7 +252,6 @@ func TestCompileFaultdemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
 	for _, name := range []string{"router", "ch", "mh"} {
 		if _, ok := w.Host(name); !ok {
 			t.Errorf("compiled world has no host %q (have %v)", name, w.HostNames())
@@ -285,7 +284,6 @@ func TestRunFaultdemo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer w.Close()
 		return w.Run()
 	}
 

@@ -188,7 +188,12 @@ type Loop struct {
 	serial   uint64
 	maxQueue int
 	lanes    map[time.Duration]*Lane
+	locals   []local
 }
+
+// local is one attachment: a value some layer hangs on the loop under a
+// key only that layer can name (an unexported type of its own).
+type local struct{ key, val any }
 
 // New returns a loop whose clock reads zero and whose random source is
 // seeded with seed.
@@ -219,6 +224,34 @@ func (l *Loop) QueueHighWater() int { return l.maxQueue }
 func (l *Loop) NextSerial() uint64 {
 	l.serial++
 	return l.serial
+}
+
+// Local returns what SetLocal last stored under key, or nil. It is how a
+// layer finds its per-simulation state (the metrics registry, the tracer,
+// the host slabs) through the loop every constructor is already handed, so
+// that state lives and dies with the loop instead of in a process-wide
+// table. There is no lock: attachments are written while the simulation is
+// built, before any worker runs the loop, and afterwards touched only from
+// the goroutine running it.
+func (l *Loop) Local(key any) any {
+	for i := range l.locals {
+		if l.locals[i].key == key {
+			return l.locals[i].val
+		}
+	}
+	return nil
+}
+
+// SetLocal stores v under key, replacing what was there; storing nil
+// detaches.
+func (l *Loop) SetLocal(key, v any) {
+	for i := range l.locals {
+		if l.locals[i].key == key {
+			l.locals[i].val = v
+			return
+		}
+	}
+	l.locals = append(l.locals, local{key, v})
 }
 
 // alloc takes an event record from the free list, or makes a new one.

@@ -173,29 +173,37 @@ const reassemblySweepInterval = 15 * time.Second
 // rounding is immaterial against a 15s interval and 15-30s expiry window.
 const sweepLaneGranularity = 100 * time.Millisecond
 
-// Host and Iface structs come out of process-wide slabs: a 100k-host
+// slabs is where a loop's Host and Iface structs come from: a 100k-host
 // fleet allocates thousands of chunks instead of hundreds of thousands of
 // individual objects, which both speeds construction and shrinks GC
-// bookkeeping per host. Slab state is allocation-only — handing out a
-// pointer to zeroed memory is order-independent, so whichever shard builds
-// its topology first cannot affect what any other shard observes. Each
-// chunk holds the objects of one loop only (the slab's owner), so a
-// finished simulation is not kept alive by the next one's hosts.
-var (
-	//lint:allow nosharedstate allocation-only slab (internally mutex-guarded); Get returns zeroed memory, so cross-shard allocation order is unobservable
-	hostSlab = arena.NewSlab[Host](64)
-	//lint:allow nosharedstate allocation-only slab (internally mutex-guarded); Get returns zeroed memory, so cross-shard allocation order is unobservable
-	ifaceSlab = arena.NewSlab[Iface](128)
-)
+// bookkeeping per host. It is an attachment of the loop (sim.Loop.Local),
+// so a chunk holds the objects of one simulation only and dies with it.
+type slabs struct {
+	hosts  *arena.Slab[Host]
+	ifaces *arena.Slab[Iface]
+}
+
+type slabsKey struct{}
+
+// slabsOf returns loop's slabs, attaching them on first use.
+func slabsOf(loop *sim.Loop) *slabs {
+	if s, ok := loop.Local(slabsKey{}).(*slabs); ok {
+		return s
+	}
+	s := &slabs{hosts: arena.NewSlab[Host](64), ifaces: arena.NewSlab[Iface](128)}
+	loop.SetLocal(slabsKey{}, s)
+	return s
+}
 
 // NewHost creates a host with a loopback interface and the default route
 // lookup installed.
 func NewHost(loop *sim.Loop, name string, cfg Config) *Host {
-	h := hostSlab.Get(loop)
+	sl := slabsOf(loop)
+	h := sl.hosts.Get()
 	h.name = name
 	h.loop = loop
 	h.cfg = cfg.withDefaults()
-	h.lo = ifaceSlab.Get(loop)
+	h.lo = sl.ifaces.Get()
 	*h.lo = Iface{host: h, name: "lo", addr: ip.MustParseAddr("127.0.0.1"), prefix: ip.MustParsePrefix("127.0.0.0/8")}
 	h.lo.transmit = func(pkt *ip.Packet, _ ip.Addr) { h.Input(h.lo, pkt) }
 	h.ifaces = append(h.ifaces, h.lo)
@@ -209,8 +217,8 @@ func NewHost(loop *sim.Loop, name string, cfg Config) *Host {
 
 // spanTracer returns the loop's tracer, caching the first successful
 // lookup. Hosts are often built before trace.New runs, so NewHost cannot
-// resolve it eagerly; a miss retries on the next call (a cheap registry
-// load, and only on already-slow paths like drops).
+// resolve it eagerly; a miss retries on the next call (a scan of the loop's
+// few attachments, and only on already-slow paths like drops).
 func (h *Host) spanTracer() *trace.Tracer {
 	if h.tracer == nil {
 		h.tracer = trace.For(h.loop)
@@ -342,7 +350,7 @@ type IfaceOpts struct {
 // connected prefix, and wires the device's receive path into the stack.
 // It does not add routes; call ConnectRoute or add them explicitly.
 func (h *Host) AddIface(name string, dev *link.Device, addr ip.Addr, prefix ip.Prefix, opts IfaceOpts) *Iface {
-	ifc := ifaceSlab.Get(h.loop)
+	ifc := slabsOf(h.loop).ifaces.Get()
 	*ifc = Iface{
 		host:         h,
 		name:         name,
@@ -395,7 +403,7 @@ func (h *Host) AddIface(name string, dev *link.Device, addr ip.Addr, prefix ip.P
 // owns the interface's egress instead, as the tunnel package's VIF does:
 // the hook steals every packet routed to the interface before send.
 func (h *Host) AddVirtualIface(name string, transmit TransmitFunc) *Iface {
-	ifc := ifaceSlab.Get(h.loop)
+	ifc := slabsOf(h.loop).ifaces.Get()
 	*ifc = Iface{host: h, name: name, transmit: transmit}
 	h.ifaces = append(h.ifaces, ifc)
 	h.InvalidateRoutes()

@@ -3,6 +3,7 @@ package stack
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"mosquitonet/internal/bufpool"
 	"mosquitonet/internal/ip"
@@ -10,6 +11,32 @@ import (
 	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/sim"
 )
+
+// TestLoopsNeverShareAChunk: hosts and interfaces built alternately on two
+// loops come out of each loop's own chunks — consecutive on their loop, far
+// from the other's. A chunk is collected whole or not at all and a Host
+// reaches its entire simulation, so one shared chunk would keep a finished
+// simulation alive for as long as the other.
+func TestLoopsNeverShareAChunk(t *testing.T) {
+	l1, l2 := sim.New(1), sim.New(2)
+	var h1, h2 [8]*Host
+	for i := range h1 {
+		h1[i] = NewHost(l1, "a", Config{})
+		h2[i] = NewHost(l2, "b", Config{})
+	}
+	at := func(p unsafe.Pointer) uintptr { return uintptr(p) }
+	hostSize, ifaceSize := unsafe.Sizeof(Host{}), unsafe.Sizeof(Iface{})
+	for i := 1; i < len(h1); i++ {
+		for _, hs := range [][8]*Host{h1, h2} {
+			if at(unsafe.Pointer(hs[i]))-at(unsafe.Pointer(hs[i-1])) != hostSize {
+				t.Fatalf("host %d of a loop does not follow host %d in its chunk: another loop allocated in between", i, i-1)
+			}
+			if at(unsafe.Pointer(hs[i].lo))-at(unsafe.Pointer(hs[i-1].lo)) != ifaceSize {
+				t.Fatalf("interface %d of a loop does not follow interface %d in its chunk", i, i-1)
+			}
+		}
+	}
+}
 
 // outstanding reads both pools: pooled packets that have an owner and pooled
 // buffers someone holds. The counters are process-wide, count only between

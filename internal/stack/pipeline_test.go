@@ -290,7 +290,6 @@ func TestOutputNoRouteEmitsUnreachable(t *testing.T) {
 func TestDropSpanCarriesReasonWithoutPacketLog(t *testing.T) {
 	loop := sim.New(1)
 	tr := trace.New(loop)
-	defer trace.Release(loop)
 	net := link.NewNetwork(loop, "n", link.Ethernet())
 	a := addNode(t, loop, net, "a", "10.0.0.1/24")
 	if a.host.pktlog != nil {

@@ -64,7 +64,6 @@ func RunA1(seed int64, samples int) (*A1Result, error) {
 		EncapOverhead:     ip.HeaderLen,
 	}
 	tb := New(seed)
-	defer tb.Close()
 	tb.MoveEthTo(tb.DeptNet)
 	tb.MustConnectForeign(tb.Eth)
 
@@ -95,7 +94,6 @@ func RunA1(seed int64, samples int) (*A1Result, error) {
 
 	// Transit-filter scenario, on a fresh testbed.
 	tb2 := New(seed + 1)
-	defer tb2.Close()
 	tb2.Router.AddFilter(func(in, out *stack.Iface, pkt *ip.Packet) stack.Verdict {
 		if in.Prefix() == DeptPrefix && !DeptPrefix.Contains(pkt.Src) {
 			return stack.Drop // forbid transit traffic from the visited net
@@ -230,7 +228,6 @@ func RunA2(seed int64, iterations int) (*A2Result, error) {
 	// Without FA: collocated care-of on the slow net.
 	{
 		tb := New(seed)
-		defer tb.Close()
 		tb.MoveEthTo(tb.DeptNet)
 		wan := addWAN(tb)
 		tb.MustConnectForeign(wan)
@@ -258,7 +255,6 @@ func RunA2(seed int64, iterations int) (*A2Result, error) {
 	// With FA on the slow net.
 	{
 		tb := New(seed + 1)
-		defer tb.Close()
 		tb.MoveEthTo(tb.DeptNet)
 		wan := addWAN(tb)
 		fa, err := newSlowNetFA(tb)
@@ -388,7 +384,6 @@ func RunA3(seed int64, fleets []int) (*A3Result, error) {
 
 func runA3Fleet(seed int64, n int) (A3Row, *metrics.Snapshot, error) {
 	tb := New(seed + int64(n))
-	defer tb.Close()
 	row := A3Row{MobileHosts: n, Latency: stats.NewSeries(fmt.Sprintf("reg latency n=%d", n))}
 
 	tracer := trace.New(tb.Loop)
@@ -515,7 +510,6 @@ func RunA4(seed int64, iterations int) (*A4Result, error) {
 
 	run := func(strategy string, hist *stats.LossHistogram) error {
 		tb := New(seed + int64(len(strategy)))
-		defer tb.Close()
 		tb.MoveEthTo(tb.DeptNet)
 		tb.MustConnectForeign(tb.Strip) // start on the radio
 		probe, err := NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, MHHomeAddr, 7, probeInterval)

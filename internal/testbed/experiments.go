@@ -49,7 +49,6 @@ func (r *E1Result) String() string {
 // RunE1 performs the same-subnet switch experiment.
 func RunE1(seed int64) (*E1Result, error) {
 	tb := New(seed)
-	defer tb.Close()
 	tb.MoveEthTo(tb.DeptNet)
 	tb.MustConnectForeign(tb.Eth)
 
@@ -193,7 +192,6 @@ func RunF6(seed int64) (*F6Result, error) {
 
 func runF6Scenario(seed int64, sc F6Scenario, blackout *stats.Series) (*stats.LossHistogram, *metrics.Snapshot, error) {
 	tb := New(seed + int64(sc))
-	defer tb.Close()
 	hist := stats.NewLossHistogram(sc.String())
 
 	// The mobile host visits net 36.8 on the wired card and net 36.134 on
@@ -289,7 +287,6 @@ func (r *F7Result) Artifacts() []Artifact {
 // RunF7 performs the registration time-line experiment.
 func RunF7(seed int64) (*F7Result, error) {
 	tb := New(seed)
-	defer tb.Close()
 	tb.MoveEthTo(tb.DeptNet)
 	tb.MustConnectForeign(tb.Eth)
 
@@ -368,13 +365,11 @@ func RunRTT(seed int64, samples int) (*RTTResult, error) {
 
 	// Radio: MH on 36.134 pinging its router.
 	tb := New(seed)
-	defer tb.Close()
 	tb.MustConnectForeign(tb.Strip)
 	collectPings(tb, RouterRadioAddr, MHRadioAddr, samples, res.RadioRTT)
 
 	// Wired: MH visiting 36.8 pinging its router.
 	tb2 := New(seed + 1)
-	defer tb2.Close()
 	tb2.MoveEthTo(tb2.DeptNet)
 	tb2.MustConnectForeign(tb2.Eth)
 	collectPings(tb2, RouterDeptAddr, tb2.MH.CareOf(), samples, res.WiredRTT)
@@ -417,7 +412,6 @@ func (r *ThroughputResult) String() string {
 // the radio subnet to the correspondent, through the reverse tunnel.
 func RunThroughput(seed int64, datagrams, size int) (*ThroughputResult, error) {
 	tb := New(seed)
-	defer tb.Close()
 	tb.MustConnectForeign(tb.Strip)
 
 	res := &ThroughputResult{}

@@ -104,7 +104,6 @@ func RunHandoff(seed int64) (*HandoffResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer tb.Close()
 
 	fr := trace.NewFlightRecorder(tb.Tracer, handoffFlightCapacity, handoffFlightDumps)
 	fr.TriggerOn("reg.timeout")

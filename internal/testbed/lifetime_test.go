@@ -100,7 +100,6 @@ func TestPoolBalanceAtQuiesce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer w.Close()
 			if _, err := w.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +124,6 @@ func TestPoolBalanceAtQuiesce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer fl.release()
 		fl.ss.RunFor(scaleDuration)
 		requirePoolBalance(t, pkts0, bufs0, made0, fl.cacheHosts, func(d time.Duration) { fl.ss.RunFor(d) })
 	})

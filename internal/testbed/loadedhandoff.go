@@ -149,7 +149,6 @@ func RunLoadedHandoff(seed int64) (*LoadedHandoffResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer tb.Close()
 
 	run, err := tb.World.Run()
 	if err != nil {

@@ -102,7 +102,6 @@ func TestLoadedHandoffScoring(t *testing.T) {
 // app layer never re-publishes, so handoffs cannot duplicate or drop it.
 func TestQoS1ExactlyOnceAcrossHandoff(t *testing.T) {
 	tb := New(42)
-	defer tb.Close()
 	tb.MustConnectHome()
 
 	const brokerPort = 1883

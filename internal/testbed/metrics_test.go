@@ -42,7 +42,6 @@ func handoffScenario(t *testing.T, seed int64) *Testbed {
 
 func TestHandoffTunnelConservation(t *testing.T) {
 	tb := handoffScenario(t, 7)
-	defer tb.Close()
 
 	mh := tb.MH.Tunnel().Stats()
 	ha := tb.HA.Tunnel().Stats()
@@ -85,7 +84,6 @@ func TestHandoffTunnelConservation(t *testing.T) {
 func TestHandoffSnapshotDeterminism(t *testing.T) {
 	render := func() []byte {
 		tb := handoffScenario(t, 11)
-		defer tb.Close()
 		var buf bytes.Buffer
 		if err := tb.SnapshotMetrics("handoff").WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -100,7 +98,6 @@ func TestHandoffSnapshotDeterminism(t *testing.T) {
 
 func TestPacketLifecycleTimeline(t *testing.T) {
 	tb := handoffScenario(t, 13)
-	defer tb.Close()
 
 	// Find a packet the home agent encapsulated and follow its lifecycle:
 	// it must reach the mobile host's VIF and be decapsulated.

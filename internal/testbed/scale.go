@@ -202,14 +202,6 @@ type scaleFleet struct {
 	cacheHosts []*stack.Host
 }
 
-// release drops the fleet's loops from the process-global metrics
-// association.
-func (f *scaleFleet) release() {
-	for _, lp := range f.loops {
-		metrics.Release(lp)
-	}
-}
-
 // RunScaleFleetWorkers runs one fleet of n roaming mobile hosts on a
 // sharded topology executed by the given number of worker goroutines, and
 // returns its deterministic row plus a compact metrics snapshot (loop-
@@ -220,7 +212,6 @@ func RunScaleFleetWorkers(seed int64, n, workers int) (ScaleRow, *metrics.Snapsh
 	if err != nil {
 		return ScaleRow{}, nil, err
 	}
-	defer fl.release()
 
 	fl.ss.RunFor(scaleDuration)
 	return fl.row(), fl.snapshot(), nil

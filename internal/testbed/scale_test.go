@@ -69,7 +69,6 @@ func runSilentCampusFleet(t *testing.T, workers int) (ScaleRow, []byte, []sim.Sh
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.release()
 	fl.ss.RunFor(scaleDuration)
 	row := fl.row()
 	var snapJSON bytes.Buffer

@@ -76,7 +76,6 @@ func RunScenarioProbe(seed int64, spec *scenario.Spec) (*ScenarioResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	defer tb.Close()
 
 	run, err := tb.World.Run()
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 func TestSpanAutoParenting(t *testing.T) {
 	loop := sim.New(1)
 	tr := New(loop)
-	defer Release(loop)
 
 	var handoff, dhcp, reg *Span
 	loop.Schedule(time.Millisecond, func() {
@@ -55,7 +54,6 @@ func TestSpanAutoParenting(t *testing.T) {
 func TestSpanOutOfOrderDone(t *testing.T) {
 	loop := sim.New(1)
 	tr := New(loop)
-	defer Release(loop)
 	a := tr.StartSpan("mh", "op.a")
 	b := tr.StartSpan("mh", "op.b")
 	a.Done() // not LIFO: a ends while b is still open
@@ -74,7 +72,6 @@ func TestSpanOutOfOrderDone(t *testing.T) {
 func TestSpanSetAttrReplaces(t *testing.T) {
 	loop := sim.New(1)
 	tr := New(loop)
-	defer Release(loop)
 	s := tr.StartSpan("mh", "reg.attempt")
 	s.SetAttr("tries", "1")
 	s.SetUint("tries", 2)
@@ -118,7 +115,6 @@ func TestNilSpanAndTracerSafe(t *testing.T) {
 func TestRingEviction(t *testing.T) {
 	loop := sim.New(1)
 	tr := New(loop)
-	defer Release(loop)
 	tr.SetCapacity(3)
 	for i := 0; i < 5; i++ {
 		tr.Record("mh", "tick.n", "%d", i)
@@ -179,7 +175,6 @@ func TestPerLoopAssociation(t *testing.T) {
 func TestFindSpansAndTree(t *testing.T) {
 	loop := sim.New(1)
 	tr := New(loop)
-	defer Release(loop)
 	h := tr.StartSpan("mh", "handoff.cold")
 	tr.StartSpan("mh", "handoff.dhcp").Done()
 	tr.StartSpan("mh", "pipeline.input").Done()
@@ -203,7 +198,6 @@ func TestFindSpansAndTree(t *testing.T) {
 func TestFlightRecorder(t *testing.T) {
 	loop := sim.New(1)
 	tr := New(loop)
-	defer Release(loop)
 	fr := NewFlightRecorder(tr, 8, 2)
 	fr.TriggerOn("reg.timeout")
 	fr.TriggerOnBurst("drop.noroute", 3, 100*time.Millisecond)
@@ -258,7 +252,6 @@ func TestWriteSpansJSONLAndChromeTrace(t *testing.T) {
 	build := func() (string, string) {
 		loop := sim.New(7)
 		tr := New(loop)
-		defer Release(loop)
 		loop.Schedule(time.Millisecond, func() {
 			h := tr.StartSpan("mh", "handoff.cold")
 			h.SetAttr("to", "eth0")
@@ -321,7 +314,6 @@ func TestWriteSpansJSONLAndChromeTrace(t *testing.T) {
 func TestResetClearsSpans(t *testing.T) {
 	loop := sim.New(1)
 	tr := New(loop)
-	defer Release(loop)
 	open := tr.StartSpan("mh", "op.pending")
 	tr.StartSpan("mh", "op.done").Done()
 	tr.Reset()

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/sim"
@@ -87,13 +86,10 @@ type Tracer struct {
 	SpanHook func(Span)
 }
 
-// loopTracers associates loops with tracers so deep layers (stack drops,
-// DHCP, tunnels, link devices) can record spans without threading a Tracer
-// through every constructor, mirroring metrics.Enable/For. Keyed by *Loop,
-// entries are created under New and dropped by Release; each loop's tracer
-// is only ever used from that loop's goroutine, so sharded runs stay
-// deterministic.
-var loopTracers sync.Map //lint:allow nosharedstate per-loop registry keyed by *sim.Loop, same pattern as metrics
+// tracerKey is the loop attachment (sim.Loop.Local) under which deep layers
+// (stack drops, DHCP, tunnels, link devices) find the tracer without one
+// being threaded through every constructor, mirroring metrics.Enable/For.
+type tracerKey struct{}
 
 // New creates a tracer on the given clock and associates it with the loop
 // for For lookups. The first tracer created on a loop keeps the
@@ -101,22 +97,22 @@ var loopTracers sync.Map //lint:allow nosharedstate per-loop registry keyed by *
 // fleet) still work but are not discoverable via For.
 func New(loop *sim.Loop) *Tracer {
 	t := &Tracer{loop: loop}
-	loopTracers.LoadOrStore(loop, t)
+	if For(loop) == nil {
+		loop.SetLocal(tracerKey{}, t)
+	}
 	return t
 }
 
 // For returns the tracer associated with the loop, or nil (a valid,
 // no-op tracer) when tracing is not enabled for it.
 func For(loop *sim.Loop) *Tracer {
-	if v, ok := loopTracers.Load(loop); ok {
-		return v.(*Tracer)
-	}
-	return nil
+	t, _ := loop.Local(tracerKey{}).(*Tracer)
+	return t
 }
 
-// Release drops the loop's tracer association. Call when discarding a loop
-// so the registry does not retain it.
-func Release(loop *sim.Loop) { loopTracers.Delete(loop) }
+// Release detaches the tracer from a loop that lives on; a loop that is
+// simply dropped takes its tracer with it.
+func Release(loop *sim.Loop) { loop.SetLocal(tracerKey{}, nil) }
 
 // SetCapacity bounds the tracer to retain at most n events and n spans,
 // evicting oldest-first (deterministically — eviction depends only on the

@@ -1,6 +1,7 @@
 package mosquitonet
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -305,5 +306,61 @@ func TestForeignAgentAndCapturePublicAPI(t *testing.T) {
 	}
 	if len(cap.Find("ipip {")) == 0 {
 		t.Fatal("no tunneled packet captured")
+	}
+}
+
+// TestWorldCollectedWithoutClose builds the paper's Figure-5 internetwork two
+// hundred times with NewWorld — home, department and radio subnets, a home
+// agent, DHCP, a correspondent, the mobile host attached at home — and drops
+// each. World has no Close and needs none: the registry, packet log, tracer
+// and host slabs hang off the world's loop and go with it.
+func TestWorldCollectedWithoutClose(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 200 worlds; skipped in -short")
+	}
+	liveHeap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := liveHeap()
+	for i := 0; i < 200; i++ {
+		w := NewWorld(int64(i))
+		home, err := w.AddSubnet("home", "36.135.0.0/16", Ethernet())
+		must(err)
+		dept, err := w.AddSubnet("dept", "36.8.0.0/16", Ethernet())
+		must(err)
+		radio, err := w.AddSubnet("radio", "36.134.0.0/16", Radio())
+		must(err)
+		ha, err := home.HomeAgent(2)
+		must(err)
+		_, err = dept.DHCP(100, 150)
+		must(err)
+		_, err = dept.Host("ch", 99)
+		must(err)
+		mn, err := w.MobileHost("mh", home, 7, ha.Addr())
+		must(err)
+		eth, err := mn.WiredInterface("eth0", home)
+		must(err)
+		_, err = mn.StaticInterface("strip0", radio, 7, true)
+		must(err)
+		mn.MH.ConnectHome(eth, home.Gateway, func(err error) { must(err) })
+		w.Run(5 * time.Second)
+		if !mn.MH.AtHome() {
+			t.Fatal("did not attach at home")
+		}
+	}
+	// One such world that stays reachable holds some 80 KB.
+	const limit = 2 << 20
+	if grown := int64(liveHeap()) - int64(base); grown > limit {
+		t.Errorf("heap grew %d bytes across 200 built and dropped worlds, want under %d", grown, limit)
 	}
 }
