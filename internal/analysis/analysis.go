@@ -11,7 +11,6 @@ import (
 	"mosquitonet/internal/analysis/hookorder"
 	"mosquitonet/internal/analysis/nosharedstate"
 	"mosquitonet/internal/analysis/nowallclock"
-	"mosquitonet/internal/analysis/scenariogolden"
 	"mosquitonet/internal/analysis/seededrand"
 	"mosquitonet/internal/analysis/sortedrange"
 	"mosquitonet/internal/analysis/tracekinds"
@@ -32,6 +31,5 @@ func All() []*framework.Analyzer {
 		tracekinds.Analyzer,
 		bufownership.Analyzer,
 		verdictflow.Analyzer,
-		scenariogolden.Analyzer,
 	}
 }

@@ -59,9 +59,6 @@ func (c *Capture) Attach(n *link.Network) {
 	})
 }
 
-// Entries returns the captured entries in order.
-func (c *Capture) Entries() []Entry { return append([]Entry(nil), c.entries...) }
-
 // Len returns the number of captured entries.
 func (c *Capture) Len() int { return len(c.entries) }
 

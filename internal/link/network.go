@@ -338,12 +338,12 @@ func (n *Network) tap(from *Device, f Frame) {
 // NewNetwork creates a broadcast domain over the given medium.
 func NewNetwork(loop *sim.Loop, name string, m Medium) *Network {
 	n := &Network{name: name, loop: loop, medium: m, pktlog: metrics.PacketsFor(loop)}
-	if reg := metrics.For(loop); reg != nil {
+	metrics.For(loop).Collect(func(c *metrics.Collection) {
 		lbl := metrics.L("net", name)
-		reg.CounterFunc("link.network.transmitted", func() uint64 { return n.stats.Transmitted }, lbl)
-		reg.CounterFunc("link.network.delivered", func() uint64 { return n.stats.Delivered }, lbl)
-		reg.CounterFunc("link.network.lost_medium", func() uint64 { return n.stats.LostMedium }, lbl)
-	}
+		c.Counter("link.network.transmitted", n.stats.Transmitted, lbl)
+		c.Counter("link.network.delivered", n.stats.Delivered, lbl)
+		c.Counter("link.network.lost_medium", n.stats.LostMedium, lbl)
+	})
 	return n
 }
 

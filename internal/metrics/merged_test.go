@@ -15,13 +15,13 @@ func TestMergedSnapshotSumsAcrossRegistries(t *testing.T) {
 	ra.Counter("stack.host.sent", L("host", "a")).Add(3)
 	rb.Counter("stack.host.sent", L("host", "a")).Add(4) // same identity, other shard
 	rb.Counter("stack.host.sent", L("host", "b")).Add(9) // only on shard B
-	ra.Gauge("mip.ha.bindings", L("host", "ha")).Set(2)
-	rb.Gauge("mip.ha.bindings", L("host", "ha")).Set(5)
-	ra.Histogram("mip.mh.registration_latency").Observe(10 * time.Millisecond)
-	rb.Histogram("mip.mh.registration_latency").Observe(30 * time.Millisecond)
+	gauge(ra, "mip.ha.bindings", 2, L("host", "ha"))
+	gauge(rb, "mip.ha.bindings", 5, L("host", "ha"))
+	hist(ra, "mip.mh.registration_latency").Observe(10 * time.Millisecond)
+	hist(rb, "mip.mh.registration_latency").Observe(30 * time.Millisecond)
 
 	at := sim.Time(0).Add(8 * time.Second)
-	s := MergedSnapshot(at, ra, rb)
+	s := MergedSnapshotFiltered(at, nil, ra, rb)
 	if s.At != int64(8*time.Second) {
 		t.Fatalf("At = %d", s.At)
 	}
@@ -51,7 +51,7 @@ func TestMergedSnapshotDeterministicOrder(t *testing.T) {
 			regs = []*Registry{rb, ra}
 		}
 		var buf bytes.Buffer
-		if err := MergedSnapshot(sim.Time(0), regs...).WriteJSON(&buf); err != nil {
+		if err := MergedSnapshotFiltered(sim.Time(0), nil, regs...).WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -65,20 +65,20 @@ func TestMergedSnapshotKindMismatchPanics(t *testing.T) {
 	loopA, loopB := sim.New(1), sim.New(2)
 	ra, rb := New(loopA), New(loopB)
 	ra.Counter("layer.obj.thing")
-	rb.Gauge("layer.obj.thing")
+	gauge(rb, "layer.obj.thing", 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("cross-registry kind mismatch must panic")
 		}
 	}()
-	MergedSnapshot(sim.Time(0), ra, rb)
+	MergedSnapshotFiltered(sim.Time(0), nil, ra, rb)
 }
 
 func TestMergedSnapshotNilRegistrySkipped(t *testing.T) {
 	loop := sim.New(1)
 	r := New(loop)
 	r.Counter("x").Inc()
-	s := MergedSnapshot(sim.Time(0), nil, r, nil)
+	s := MergedSnapshotFiltered(sim.Time(0), nil, nil, r, nil)
 	if m := s.Get("x"); m == nil || *m.Counter != 1 {
 		t.Fatalf("nil registries must be skipped: %+v", m)
 	}

@@ -10,16 +10,17 @@
 //
 // Metric names follow the layer.object.event convention, e.g.
 // "link.device.tx_packets" or "mip.mh.registration_latency", with labels
-// for the instance ("dev", "host", "vif", ...). Registering the same name
-// and labels twice is allowed and yields independent handles whose values
-// are summed in snapshots; this is how a fleet of mobile hosts with
-// identically named devices aggregates cleanly. Registering the same name
-// and labels as a different metric kind is a programming error and panics.
+// for the instance ("dev", "host", "vif", ...). Every row comes from a
+// collector (Registry.Collect) that emits it at snapshot time. Rows with
+// the same name and labels are summed (histograms pooled); this is how a
+// fleet of mobile hosts with identically named devices aggregates cleanly.
+// Emitting the same name and labels as two metric kinds is a programming
+// error and panics when the snapshot is taken.
 //
-// A nil *Registry is valid everywhere: its constructors hand out detached
-// handles that count normally but appear in no snapshot, so instrumented
-// code never needs nil checks and costs almost nothing when telemetry is
-// disabled.
+// A nil *Registry is valid everywhere: Collect is a no-op and Counter
+// hands out a detached handle that counts normally but appears in no
+// snapshot, so instrumented code never needs nil checks and costs almost
+// nothing when telemetry is disabled.
 package metrics
 
 import (
@@ -43,8 +44,8 @@ type Label struct {
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // Counter is a monotonically increasing count. All methods, like those of
-// the other handle types, tolerate a nil receiver, so a handle field left
-// unset behaves like a detached handle rather than crashing.
+// Histogram, tolerate a nil receiver, so a handle field left unset behaves
+// like a detached handle rather than crashing.
 type Counter struct{ v uint64 }
 
 // Inc adds one.
@@ -69,33 +70,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v
-}
-
-// Gauge is an instantaneous value that can move both ways.
-type Gauge struct{ v int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-}
-
-// Add adds d (which may be negative).
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v += d
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Histogram accumulates duration samples and reports count, sum, extrema,
@@ -180,24 +154,16 @@ func (k Kind) String() string {
 	}
 }
 
-// source is one registered producer under a metric key. Exactly one field
-// is set, according to the entry's kind.
-type source struct {
-	counter   *Counter
-	counterFn func() uint64
-	gauge     *Gauge
-	gaugeFn   func() int64
-	hist      *Histogram
-}
-
+// entry is one snapshot row while it is being gathered: every row emitted
+// under its key, added up as it arrives.
 type entry struct {
 	name    string
 	labels  []Label // sorted by key, then value
 	kind    Kind
-	sources []source
+	counter uint64
+	gauge   int64
+	hist    Histogram // pooled samples, owned by the entry
 }
-
-func (e *entry) key() string { return metricKey(e.name, e.labels) }
 
 func metricKey(name string, labels []Label) string {
 	var b strings.Builder
@@ -225,17 +191,19 @@ func sortLabels(labels []Label) []Label {
 // Registry holds a simulation's metrics, keyed to its virtual clock.
 type Registry struct {
 	loop       *sim.Loop
-	entries    map[string]*entry
 	collectors []func(*Collection)
 }
 
-// New creates a registry on the given clock and registers the loop's own
-// telemetry (events dispatched, event-queue depth and high-water mark).
+// New creates a registry on the given clock with a collector for the
+// loop's own telemetry (events dispatched, event-queue depth and
+// high-water mark).
 func New(loop *sim.Loop) *Registry {
-	r := &Registry{loop: loop, entries: make(map[string]*entry)}
-	r.CounterFunc("sim.loop.events_dispatched", loop.Executed)
-	r.GaugeFunc("sim.loop.queue_depth", func() int64 { return int64(loop.Len()) })
-	r.GaugeFunc("sim.loop.queue_high_water", func() int64 { return int64(loop.QueueHighWater()) })
+	r := &Registry{loop: loop}
+	r.Collect(func(c *Collection) {
+		c.Counter("sim.loop.events_dispatched", loop.Executed())
+		c.Gauge("sim.loop.queue_depth", int64(loop.Len()))
+		c.Gauge("sim.loop.queue_high_water", int64(loop.QueueHighWater()))
+	})
 	return r
 }
 
@@ -247,81 +215,31 @@ func (r *Registry) Loop() *sim.Loop {
 	return r.loop
 }
 
-// register appends a source under (name, labels), enforcing kind
-// consistency. It is the common path of all the constructors below.
-func (r *Registry) register(name string, kind Kind, labels []Label, s source) {
-	labels = sortLabels(labels)
-	key := metricKey(name, labels)
-	e, ok := r.entries[key]
-	if !ok {
-		e = &entry{name: name, labels: labels, kind: kind}
-		r.entries[key] = e
-	} else if e.kind != kind {
-		panic(fmt.Sprintf("metrics: %q registered as both %v and %v", key, e.kind, kind))
-	}
-	e.sources = append(e.sources, s)
-}
-
-// Counter registers and returns a new counter handle. A nil registry
-// returns a detached handle that counts but is never snapshotted.
+// Counter returns a new counter handle and a collector that emits its
+// value. A nil registry returns a detached handle that counts but is never
+// snapshotted.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	c := &Counter{}
-	if r != nil {
-		r.register(name, KindCounter, labels, source{counter: c})
-	}
+	labels = sortLabels(labels) // the caller may reuse its slice
+	r.Collect(func(col *Collection) { col.Counter(name, c.v, labels...) })
 	return c
 }
 
-// CounterFunc registers a counter whose value is polled from fn at
-// snapshot time — the usual way existing stats structs are exposed without
-// restructuring their increment sites. No-op on a nil registry.
-func (r *Registry) CounterFunc(name string, fn func() uint64, labels ...Label) {
-	if r == nil {
-		return
-	}
-	r.register(name, KindCounter, labels, source{counterFn: fn})
-}
-
-// Gauge registers and returns a new gauge handle.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	if r != nil {
-		r.register(name, KindGauge, labels, source{gauge: g})
-	}
-	return g
-}
-
-// GaugeFunc registers a gauge polled from fn at snapshot time.
-func (r *Registry) GaugeFunc(name string, fn func() int64, labels ...Label) {
-	if r == nil {
-		return
-	}
-	r.register(name, KindGauge, labels, source{gaugeFn: fn})
-}
-
-// Histogram registers and returns a new histogram handle.
-func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
-	h := &Histogram{}
-	if r != nil {
-		r.register(name, KindHistogram, labels, source{hist: h})
-	}
-	return h
-}
-
-// Collection gathers the rows of one snapshot while it is being built:
-// the registry's persistent entries plus everything the registered
-// collectors emit. Collector-emitted rows merge with registered handles
-// under the same (name, labels) key exactly as a second registered source
-// would — counters sum, histogram samples pool — so converting a roster
-// of per-object handles to a collector never changes snapshot bytes.
+// Collection gathers the rows of one snapshot while it is being built,
+// from every collector of every registry in it. Rows under the same
+// (name, labels) key add up as they arrive — counters and gauges sum,
+// histogram samples pool — so what a snapshot shows never depends on how
+// its producers were split into collectors or registries.
 type Collection struct {
 	entries map[string]*entry
 	keep    func(name string) bool // nil keeps every row
 }
 
-func (c *Collection) add(name string, kind Kind, labels []Label, s source) {
+// add returns the entry for (name, labels), or nil when keep rejects the
+// name. A key already gathered as another kind panics.
+func (c *Collection) add(name string, kind Kind, labels []Label) *entry {
 	if c.keep != nil && !c.keep(name) {
-		return
+		return nil
 	}
 	labels = sortLabels(labels)
 	key := metricKey(name, labels)
@@ -332,36 +250,38 @@ func (c *Collection) add(name string, kind Kind, labels []Label, s source) {
 	} else if e.kind != kind {
 		panic(fmt.Sprintf("metrics: %q registered as both %v and %v", key, e.kind, kind))
 	}
-	e.sources = append(e.sources, s)
+	return e
 }
 
 // Counter emits one counter row with the given value.
 func (c *Collection) Counter(name string, v uint64, labels ...Label) {
-	c.add(name, KindCounter, labels, source{counter: &Counter{v: v}})
+	if e := c.add(name, KindCounter, labels); e != nil {
+		e.counter += v
+	}
 }
 
 // Gauge emits one gauge row with the given value.
 func (c *Collection) Gauge(name string, v int64, labels ...Label) {
-	c.add(name, KindGauge, labels, source{gauge: &Gauge{v: v}})
-}
-
-// Histogram emits one histogram row backed by h's samples (not copied; the
-// snapshot renders them immediately). A zero-valued metrics.Histogram is a
-// valid detached handle, so objects converted to collectors keep observing
-// into their own histogram and emit it here.
-func (c *Collection) Histogram(name string, h *Histogram, labels ...Label) {
-	if h == nil {
-		h = &Histogram{}
+	if e := c.add(name, KindGauge, labels); e != nil {
+		e.gauge += v
 	}
-	c.add(name, KindHistogram, labels, source{hist: h})
 }
 
-// Collect registers fn to run at snapshot time. It is the memory-light
-// alternative to registering a roster of per-object CounterFunc/Histogram
-// handles: an object with dozens of metrics costs one closure in the
-// registry instead of dozens of map entries, and the snapshot output is
-// byte-identical. Collectors run in registration order after the
-// persistent entries are merged. No-op on a nil registry.
+// Histogram emits one histogram row with h's samples (copied into the
+// row; a nil h emits an empty one). A zero-valued metrics.Histogram is a
+// valid detached handle, so an object keeps observing into its own
+// histogram and emits it here.
+func (c *Collection) Histogram(name string, h *Histogram, labels ...Label) {
+	if e := c.add(name, KindHistogram, labels); e != nil && h != nil {
+		e.hist.samples = append(e.hist.samples, h.samples...)
+		e.hist.sum += h.sum
+	}
+}
+
+// Collect registers fn to run at snapshot time; it is the only way a row
+// reaches a snapshot. An object with dozens of metrics costs one closure
+// in the registry, whatever the number of rows it emits. Collectors run in
+// registration order. No-op on a nil registry.
 func (r *Registry) Collect(fn func(*Collection)) {
 	if r == nil || fn == nil {
 		return
@@ -422,30 +342,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	return snapshotAt(r.loop.Now(), nil, r)
 }
 
-// mergeInto folds one registry's rows into the collection: persistent
-// entries first, then whatever its collectors emit. The per-key source
-// order (registration order, collectors after handles) is a function of
-// construction alone, so snapshot bytes never depend on which goroutine
-// ran which shard.
-func (r *Registry) mergeInto(c *Collection) {
-	for k, e := range r.entries {
-		if c.keep != nil && !c.keep(e.name) {
-			continue
-		}
-		m, ok := c.entries[k]
-		if !ok {
-			m = &entry{name: e.name, labels: e.labels, kind: e.kind}
-			c.entries[k] = m
-		} else if m.kind != e.kind {
-			panic(fmt.Sprintf("metrics: %q registered as both %v and %v across merged registries", k, m.kind, e.kind))
-		}
-		m.sources = append(m.sources, e.sources...)
-	}
-	for _, fn := range r.collectors {
-		fn(c)
-	}
-}
-
 // snapshotAt renders one or more registries as a single snapshot, keeping
 // only rows whose name passes keep (nil keeps all).
 func snapshotAt(at sim.Time, keep func(string) bool, regs ...*Registry) *Snapshot {
@@ -455,7 +351,9 @@ func snapshotAt(at sim.Time, keep func(string) bool, regs ...*Registry) *Snapsho
 		if r == nil {
 			continue
 		}
-		r.mergeInto(c)
+		for _, fn := range r.collectors {
+			fn(c)
+		}
 	}
 	keys := make([]string, 0, len(c.entries))
 	for k := range c.entries {
@@ -468,71 +366,42 @@ func snapshotAt(at sim.Time, keep func(string) bool, regs ...*Registry) *Snapsho
 	return s
 }
 
-// renderEntry sums an entry's sources into one MetricSnapshot row; the
-// shared rendering path of Snapshot and MergedSnapshot.
+// renderEntry renders a gathered entry as one MetricSnapshot row.
 func renderEntry(e *entry) MetricSnapshot {
 	ms := MetricSnapshot{Name: e.name, Labels: e.labels, Kind: e.kind.String()}
 	switch e.kind {
 	case KindCounter:
-		var total uint64
-		for _, src := range e.sources {
-			if src.counterFn != nil {
-				total += src.counterFn()
-			} else {
-				total += src.counter.Value()
-			}
-		}
-		ms.Counter = &total
+		ms.Counter = &e.counter
 	case KindGauge:
-		var total int64
-		for _, src := range e.sources {
-			if src.gaugeFn != nil {
-				total += src.gaugeFn()
-			} else {
-				total += src.gauge.Value()
-			}
-		}
-		ms.Gauge = &total
+		ms.Gauge = &e.gauge
 	case KindHistogram:
-		var all []time.Duration
-		var sum time.Duration
-		for _, src := range e.sources {
-			all = append(all, src.hist.samples...)
-			sum += src.hist.sum
-		}
-		hs := &HistogramSummary{Count: uint64(len(all)), Sum: int64(sum)}
+		all := e.hist.samples
+		hs := &HistogramSummary{Count: uint64(len(all)), Sum: int64(e.hist.sum)}
 		if len(all) > 0 {
-			sorted := sortedCopy(all)
-			hs.Min = int64(sorted[0])
-			hs.Max = int64(sorted[len(sorted)-1])
-			hs.Mean = int64(sum) / int64(len(all))
-			hs.P50 = int64(quantileOf(sorted, 0.50))
-			hs.P90 = int64(quantileOf(sorted, 0.90))
-			hs.P99 = int64(quantileOf(sorted, 0.99))
+			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+			hs.Min = int64(all[0])
+			hs.Max = int64(all[len(all)-1])
+			hs.Mean = int64(e.hist.sum) / int64(len(all))
+			hs.P50 = int64(quantileOf(all, 0.50))
+			hs.P90 = int64(quantileOf(all, 0.90))
+			hs.P99 = int64(quantileOf(all, 0.99))
 		}
 		ms.Histogram = hs
 	}
 	return ms
 }
 
-// MergedSnapshot renders several registries as one snapshot, as if every
-// source had been registered in a single registry: rows with the same
-// name and labels are summed (histograms pooled), and the result is
-// sorted by key exactly like Snapshot. The sharded scale experiment uses
-// it to merge per-shard registries deterministically — the merge depends
-// only on registration content, never on which goroutine ran which shard.
-// at is the virtual timestamp to stamp (the shards' common barrier time).
-// Mixing kinds under one key across registries panics, as it would within
-// one registry.
-func MergedSnapshot(at sim.Time, regs ...*Registry) *Snapshot {
-	return snapshotAt(at, nil, regs...)
-}
-
-// MergedSnapshotFiltered is MergedSnapshot with the name filter applied
-// while rows are gathered rather than after: rows whose name fails keep
-// are never materialized. This is what lets a 100k-host fleet export its
-// handful of sim.* aggregates without first building the millions of
-// per-host rows its collectors could emit.
+// MergedSnapshotFiltered renders several registries as one snapshot, as if
+// every collector had been registered in a single registry: rows with the
+// same name and labels are summed (histograms pooled), and the result is
+// sorted by key exactly like Snapshot — so the merge of per-shard
+// registries never depends on which goroutine ran which shard. at is the
+// virtual timestamp to stamp (the shards' common barrier time). The name
+// filter keep (nil keeps all) applies while rows are gathered: rows whose
+// name fails it are never materialized, which is what lets a 100k-host
+// fleet export its handful of sim.* aggregates without first building the
+// millions of per-host rows its collectors could emit. Mixing kinds under
+// one key, within a registry or across them, panics.
 func MergedSnapshotFiltered(at sim.Time, keep func(name string) bool, regs ...*Registry) *Snapshot {
 	return snapshotAt(at, keep, regs...)
 }

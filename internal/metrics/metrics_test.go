@@ -9,24 +9,38 @@ import (
 	"mosquitonet/internal/sim"
 )
 
+// gauge and hist register a collector emitting one row, the way a layer's
+// collector does.
+func gauge(r *Registry, name string, v int64, labels ...Label) {
+	r.Collect(func(c *Collection) { c.Gauge(name, v, labels...) })
+}
+
+func hist(r *Registry, name string, labels ...Label) *Histogram {
+	h := &Histogram{}
+	r.Collect(func(c *Collection) { c.Histogram(name, h, labels...) })
+	return h
+}
+
 func TestDuplicateRegistrationAggregates(t *testing.T) {
 	loop := sim.New(1)
 	r := New(loop)
 	// Two independent owners of the same metric identity (the A3 fleet
-	// case: every mobile host names its device "eth").
+	// case: every mobile host names its device "eth"), and a collector
+	// emitting a row under it too.
 	a := r.Counter("link.device.tx_packets", L("dev", "eth"))
 	b := r.Counter("link.device.tx_packets", L("dev", "eth"))
 	if a == b {
 		t.Fatal("duplicate registration must return distinct handles")
 	}
+	r.Collect(func(c *Collection) { c.Counter("link.device.tx_packets", 5, L("dev", "eth")) })
 	a.Add(3)
 	b.Add(4)
 	m := r.Snapshot().Get("link.device.tx_packets", L("dev", "eth"))
 	if m == nil || m.Counter == nil {
 		t.Fatal("metric missing from snapshot")
 	}
-	if *m.Counter != 7 {
-		t.Fatalf("aggregated counter = %d, want 7", *m.Counter)
+	if *m.Counter != 12 {
+		t.Fatalf("aggregated counter = %d, want 12", *m.Counter)
 	}
 }
 
@@ -47,18 +61,19 @@ func TestKindMismatchPanics(t *testing.T) {
 	loop := sim.New(1)
 	r := New(loop)
 	r.Counter("layer.obj.thing")
+	gauge(r, "layer.obj.thing", 1)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("registering the same key as a different kind must panic")
+			t.Fatal("the same key as a different kind must panic at snapshot")
 		}
 	}()
-	r.Gauge("layer.obj.thing")
+	r.Snapshot()
 }
 
 func TestHistogramQuantiles(t *testing.T) {
 	loop := sim.New(1)
 	r := New(loop)
-	h := r.Histogram("mip.mh.registration_latency", L("host", "mh"))
+	h := hist(r, "mip.mh.registration_latency", L("host", "mh"))
 	// 1ms..100ms; nearest-rank: p50 = 50th sample, p90 = 90th, p99 = 99th.
 	for i := 1; i <= 100; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
@@ -92,7 +107,7 @@ func TestSnapshotDeterminism(t *testing.T) {
 		loop := sim.New(42)
 		r := Enable(loop)
 		c := r.Counter("stack.host.sent", L("host", "mh"))
-		h := r.Histogram("mip.mh.registration_latency", L("host", "mh"))
+		h := hist(r, "mip.mh.registration_latency", L("host", "mh"))
 		loop.Schedule(5*time.Millisecond, func() { c.Inc(); h.Observe(3 * time.Millisecond) })
 		loop.RunFor(time.Second)
 		var buf bytes.Buffer
@@ -114,19 +129,14 @@ func TestNilRegistryDetachedHandles(t *testing.T) {
 	if c.Value() != 1 {
 		t.Fatal("detached counter must still count")
 	}
-	g := r.Gauge("a.b.g")
-	g.Set(-2)
-	if g.Value() != -2 {
-		t.Fatal("detached gauge must still hold values")
-	}
-	h := r.Histogram("a.b.h")
+	var h Histogram
 	h.Observe(time.Millisecond)
 	if h.N() != 1 {
 		t.Fatal("detached histogram must still observe")
 	}
-	// Func registrations and snapshots are no-ops, not crashes.
-	r.CounterFunc("a.b.f", func() uint64 { return 0 })
-	r.GaugeFunc("a.b.gf", func() int64 { return 0 })
+	// Collectors and snapshots are no-ops, not crashes.
+	gauge(r, "a.b.g", -2)
+	r.Collect(func(c *Collection) { c.Histogram("a.b.h", &h) })
 	if s := r.Snapshot(); len(s.Metrics) != 0 {
 		t.Fatal("nil registry snapshot must be empty")
 	}
@@ -169,7 +179,7 @@ func TestPacketLogRingAndTimeline(t *testing.T) {
 		t.Fatalf("ring must keep the newest events, got %+v", ev)
 	}
 
-	pl.Reset()
+	pl = NewPacketLog(loop, 4)
 	pl.Record(7, "mh", "ip.output", "udp")
 	pl.Record(8, "router", "ip.forward", "")
 	pl.Record(7, "router", "ip.deliver", "udp")

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 
+	"mosquitonet/internal/ring"
 	"mosquitonet/internal/sim"
 )
 
@@ -198,11 +199,8 @@ func (r *hopRecord) event() PacketEvent {
 // delivery or drop-with-reason — can be dumped as a single causal
 // timeline. A nil *PacketLog is valid and records nothing.
 type PacketLog struct {
-	loop    *sim.Loop
-	limit   int
-	buf     []hopRecord
-	start   int // index of oldest event when the ring has wrapped
-	dropped uint64
+	loop *sim.Loop
+	hops ring.Ring[hopRecord]
 }
 
 // DefaultPacketLogLimit bounds a packet log when no explicit limit is given.
@@ -214,7 +212,9 @@ func NewPacketLog(loop *sim.Loop, limit int) *PacketLog {
 	if limit <= 0 {
 		limit = DefaultPacketLogLimit
 	}
-	return &PacketLog{loop: loop, limit: limit}
+	l := &PacketLog{loop: loop}
+	l.hops.SetLimit(limit)
+	return l
 }
 
 // Record appends an event for packet pkt whose detail is an existing
@@ -236,19 +236,13 @@ func (l *PacketLog) RecordDetail(pkt uint64, node, point string, detail Detail) 
 	l.put(pkt, node, point, detail)
 }
 
+// put stores field by field: assigning a hopRecord literal to the slot
+// builds it on the stack and copies it with a bulk write barrier, which
+// doubled the cost of a hop.
+//
 //go:noinline
 func (l *PacketLog) put(pkt uint64, node, point string, detail Detail) {
-	var r *hopRecord
-	if len(l.buf) < l.limit {
-		l.buf = append(l.buf, hopRecord{})
-		r = &l.buf[len(l.buf)-1]
-	} else {
-		r = &l.buf[l.start]
-		if l.start++; l.start == l.limit {
-			l.start = 0
-		}
-		l.dropped++
-	}
+	r := l.hops.Next()
 	r.at, r.pkt, r.node, r.point, r.detail = l.loop.Now(), pkt, node, point, detail
 }
 
@@ -257,7 +251,7 @@ func (l *PacketLog) Len() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.buf)
+	return l.hops.Len()
 }
 
 // Evicted returns how many events were evicted from the ring.
@@ -265,30 +259,7 @@ func (l *PacketLog) Evicted() uint64 {
 	if l == nil {
 		return 0
 	}
-	return l.dropped
-}
-
-// Reset discards all retained events.
-func (l *PacketLog) Reset() {
-	if l == nil {
-		return
-	}
-	l.buf = l.buf[:0]
-	l.start = 0
-	l.dropped = 0
-}
-
-// each calls fn on the retained records in recording order.
-func (l *PacketLog) each(fn func(*hopRecord)) {
-	if l == nil {
-		return
-	}
-	for i := range l.buf[l.start:] {
-		fn(&l.buf[l.start+i])
-	}
-	for i := range l.buf[:l.start] {
-		fn(&l.buf[i])
-	}
+	return l.hops.Dropped()
 }
 
 // Events returns retained events in recording order.
@@ -296,19 +267,25 @@ func (l *PacketLog) Events() []PacketEvent {
 	if l == nil {
 		return nil
 	}
-	out := make([]PacketEvent, 0, len(l.buf))
-	l.each(func(r *hopRecord) { out = append(out, r.event()) })
+	hops := l.hops.All()
+	out := make([]PacketEvent, len(hops))
+	for i := range hops {
+		out[i] = hops[i].event()
+	}
 	return out
 }
 
 // Timeline returns the retained events for one packet, oldest first.
 func (l *PacketLog) Timeline(pkt uint64) []PacketEvent {
+	if l == nil {
+		return nil
+	}
 	var out []PacketEvent
-	l.each(func(r *hopRecord) {
+	for _, r := range l.hops.All() {
 		if r.pkt == pkt {
 			out = append(out, r.event())
 		}
-	})
+	}
 	return out
 }
 

@@ -140,8 +140,7 @@ func TestTypedLogMatchesEagerLog(t *testing.T) {
 		t.Fatal("ring did not wrap")
 	}
 	compare("after wrapping")
-	typed.Reset()
-	eager.Reset()
+	typed, eager = metrics.NewPacketLog(loop, 64), metrics.NewPacketLog(loop, 64)
 	feed(100)
-	compare("after Reset and a second wrap")
+	compare("in fresh logs after a second wrap")
 }

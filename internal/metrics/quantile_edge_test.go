@@ -11,18 +11,16 @@ import (
 // a single sample answers itself at every q, and out-of-range q clamps to
 // the extreme samples rather than indexing out of bounds.
 func TestQuantileEdgeCases(t *testing.T) {
-	r := New(sim.New(1))
-
 	var nilH *Histogram
 	if got := nilH.Quantile(0.99); got != 0 {
 		t.Errorf("nil histogram Quantile = %v, want 0", got)
 	}
-	empty := r.Histogram("test.empty")
+	empty := &Histogram{}
 	if got := empty.Quantile(0.5); got != 0 {
 		t.Errorf("empty histogram Quantile = %v, want 0", got)
 	}
 
-	single := r.Histogram("test.single")
+	single := &Histogram{}
 	single.Observe(7 * time.Millisecond)
 	for _, q := range []float64{-1, 0, 0.5, 1, 2} {
 		if got := single.Quantile(q); got != 7*time.Millisecond {
@@ -30,7 +28,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 		}
 	}
 
-	multi := r.Histogram("test.multi")
+	multi := &Histogram{}
 	for _, d := range []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond} {
 		multi.Observe(d)
 	}
@@ -49,10 +47,10 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-// MergedSnapshot on colliding keys: the same (name, labels) registered in
-// several registries must merge into ONE row — counters and gauges sum,
-// histograms pool their samples — while different labels under the same
-// name stay separate rows.
+// A merged snapshot on colliding keys: the same (name, labels) emitted in
+// one registry and in several must merge into ONE row — counters and
+// gauges sum, histograms pool their samples — while different labels under
+// the same name stay separate rows.
 func TestMergedSnapshotCollidingKeys(t *testing.T) {
 	loopA, loopB := sim.New(1), sim.New(2)
 	a, b := New(loopA), New(loopB)
@@ -61,16 +59,14 @@ func TestMergedSnapshotCollidingKeys(t *testing.T) {
 	b.Counter("test.hits", L("host", "x")).Add(5)
 	b.Counter("test.hits", L("host", "y")).Add(11) // different labels: no collision
 
-	a.Gauge("test.depth").Set(3)
-	b.Gauge("test.depth").Set(4)
+	gauge(a, "test.depth", 3)
+	gauge(b, "test.depth", 4)
 
-	ha := a.Histogram("test.lat")
-	hb := b.Histogram("test.lat")
-	ha.Observe(10 * time.Millisecond)
-	ha.Observe(20 * time.Millisecond)
-	hb.Observe(30 * time.Millisecond)
+	hist(a, "test.lat").Observe(10 * time.Millisecond)
+	hist(a, "test.lat").Observe(20 * time.Millisecond)
+	hist(b, "test.lat").Observe(30 * time.Millisecond)
 
-	s := MergedSnapshot(loopA.Now(), a, b)
+	s := MergedSnapshotFiltered(loopA.Now(), nil, a, b)
 
 	if m := s.Get("test.hits", L("host", "x")); m == nil || m.Counter == nil || *m.Counter != 7 {
 		t.Errorf("colliding counter not summed: %+v", m)

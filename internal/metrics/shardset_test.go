@@ -31,7 +31,7 @@ func runShardWorld(t *testing.T, workers int) ([]byte, *sim.ShardSet) {
 	ss.RunFor(20 * time.Millisecond)
 
 	var buf bytes.Buffer
-	if err := MergedSnapshot(ss.Now(), regs...).WriteJSON(&buf); err != nil {
+	if err := MergedSnapshotFiltered(ss.Now(), nil, regs...).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), ss
@@ -70,7 +70,7 @@ func TestRegisterShardSetRows(t *testing.T) {
 	loops[0].Schedule(500*time.Microsecond, func() {})
 	ss.RunFor(10 * time.Millisecond)
 
-	s := MergedSnapshot(ss.Now(), regs...)
+	s := MergedSnapshotFiltered(ss.Now(), nil, regs...)
 	for k, want := range []sim.ShardStats{ss.ShardStats(0), ss.ShardStats(1)} {
 		shard := L("shard", []string{"0", "1"}[k])
 		if m := s.Get("sim.shard.epochs_skipped", shard); m == nil || *m.Counter != want.EpochsSkipped {

@@ -25,10 +25,11 @@
 //     bounds.
 //
 // The checked-in experiment scenarios live in
-// internal/testbed/testdata/scenarios/ and are validated against the
-// current schema by the scenariogolden mnetlint analyzer. See DESIGN.md
-// §14 for the schema, the compiler's lowering rules, and the fault-event
-// semantics.
+// internal/testbed/testdata/scenarios/; package testbed parses and
+// validates every one (and rejects duplicate names) when it is
+// initialised, and TestGenericRunnerWalksCatalog resolves each one's base.
+// See DESIGN.md §14 for the schema, the compiler's lowering rules, and the
+// fault-event semantics.
 package scenario
 
 import (

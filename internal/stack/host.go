@@ -234,10 +234,8 @@ func (h *Host) spanTracer() *trace.Tracer {
 func (h *Host) EnableChainSpans() { h.chainSpans = true }
 
 // registerMetrics exposes the host's counters in the loop's registry; the
-// Stats struct stays the source of truth. A single snapshot-time collector
-// replaces a 20-entry roster of CounterFunc registrations: at fleet scale
-// the registry cost per host is one closure, not twenty map entries, and
-// the snapshot rows are byte-identical.
+// Stats struct stays the source of truth. One snapshot-time collector emits
+// all twenty rows, so at fleet scale the registry costs one closure a host.
 func (h *Host) registerMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return

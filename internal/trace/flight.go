@@ -1,9 +1,8 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
+	"strings"
 	"time"
 
 	"mosquitonet/internal/sim"
@@ -95,17 +94,9 @@ func (f *FlightRecorder) TriggerOnBurst(kindPrefix string, count int, window tim
 	f.rules = append(f.rules, &flightRule{prefix: kindPrefix, count: count, window: window})
 }
 
-// Trigger captures a dump now with an explicit reason (a manual "mark").
-func (f *FlightRecorder) Trigger(reason string) {
-	if f == nil {
-		return
-	}
-	f.dump(f.t.loop.Now(), reason)
-}
-
 func (f *FlightRecorder) observe(kind string, at sim.Time) {
 	for _, r := range f.rules {
-		if !hasPrefix(kind, r.prefix) {
+		if !strings.HasPrefix(kind, r.prefix) {
 			continue
 		}
 		if r.count <= 1 {
@@ -125,10 +116,6 @@ func (f *FlightRecorder) observe(kind string, at sim.Time) {
 			r.recent = r.recent[:0]
 		}
 	}
-}
-
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
 }
 
 func (f *FlightRecorder) dump(at sim.Time, reason string) {
@@ -159,18 +146,4 @@ func (f *FlightRecorder) Suppressed() uint64 {
 		return 0
 	}
 	return f.suppressed
-}
-
-// WriteJSON writes the captured dumps as a JSON array.
-func (f *FlightRecorder) WriteJSON(w io.Writer) error {
-	if f == nil {
-		return nil
-	}
-	b, err := json.MarshalIndent(f.dumps, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
 }

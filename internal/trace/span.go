@@ -84,20 +84,8 @@ func (t *Tracer) startSpan(parent uint64, actor, kind string) *Span {
 		t.active = make(map[string][]*Span)
 	}
 	t.active[actor] = append(t.active[actor], s)
-	t.retainSpan(s)
+	*t.spans.Next() = s
 	return s
-}
-
-// retainSpan appends s to the span ring, evicting the oldest span when the
-// tracer is bounded.
-func (t *Tracer) retainSpan(s *Span) {
-	if t.cap > 0 && len(t.spans) == t.cap {
-		t.spans[t.spanStart] = s
-		t.spanStart = (t.spanStart + 1) % t.cap
-		t.droppedSpans++
-		return
-	}
-	t.spans = append(t.spans, s)
 }
 
 // SetAttr annotates the span, replacing any previous value for key.
@@ -188,23 +176,12 @@ func (s *Span) Duration() sim.Time {
 	return s.End - s.Start
 }
 
-// orderedSpans returns the retained spans oldest-first.
-func (t *Tracer) orderedSpans() []*Span {
-	if t.spanStart == 0 {
-		return t.spans
-	}
-	out := make([]*Span, 0, len(t.spans))
-	out = append(out, t.spans[t.spanStart:]...)
-	out = append(out, t.spans[:t.spanStart]...)
-	return out
-}
-
 // Spans returns copies of the retained spans in start order.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	src := t.orderedSpans()
+	src := t.spans.All()
 	out := make([]Span, len(src))
 	for i, s := range src {
 		out[i] = *s
@@ -220,7 +197,7 @@ func (t *Tracer) FindSpans(kindPrefixes ...string) []Span {
 		return nil
 	}
 	var out []Span
-	for _, s := range t.orderedSpans() {
+	for _, s := range t.spans.All() {
 		if len(kindPrefixes) == 0 || hasAnyPrefix(s.Kind, kindPrefixes) {
 			c := *s
 			c.Attrs = append([]Attr(nil), s.Attrs...)
@@ -244,7 +221,7 @@ func (t *Tracer) DroppedSpans() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.droppedSpans
+	return t.spans.Dropped()
 }
 
 // WriteSpansJSONL writes the retained spans as one JSON object per line,
@@ -253,7 +230,7 @@ func (t *Tracer) WriteSpansJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	for _, s := range t.orderedSpans() {
+	for _, s := range t.spans.All() {
 		b, err := json.Marshal(s)
 		if err != nil {
 			return err
@@ -274,7 +251,7 @@ func (t *Tracer) SpanTree(excludePrefixes ...string) string {
 	if t == nil {
 		return ""
 	}
-	spans := t.orderedSpans()
+	spans := t.spans.All()
 	children := make(map[uint64][]*Span)
 	present := make(map[uint64]bool, len(spans))
 	for _, s := range spans {
@@ -342,7 +319,7 @@ func (t *Tracer) SpanKindCounts() []struct {
 		return nil
 	}
 	counts := make(map[string]int)
-	for _, s := range t.orderedSpans() {
+	for _, s := range t.spans.All() {
 		counts[s.Kind]++
 	}
 	kinds := make([]string, 0, len(counts))
@@ -392,7 +369,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	spans := t.orderedSpans()
+	spans := t.spans.All()
 	events := t.Events()
 
 	// Stable actor -> tid mapping, alphabetical.

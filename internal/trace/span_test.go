@@ -228,18 +228,9 @@ func TestFlightRecorder(t *testing.T) {
 		t.Fatalf("dump cap not enforced: %d dumps, %d suppressed", len(fr.Dumps()), fr.Suppressed())
 	}
 
-	var buf bytes.Buffer
-	if err := fr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(buf.Bytes()) {
-		t.Fatal("WriteJSON emitted invalid JSON")
-	}
-
 	// Nil recorder is inert.
 	var nilFR *FlightRecorder
 	nilFR.TriggerOn("x.y")
-	nilFR.Trigger("manual")
 	if nilFR.Dumps() != nil || nilFR.Suppressed() != 0 {
 		t.Fatal("nil recorder misbehaved")
 	}

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"mosquitonet/internal/ip"
+	"mosquitonet/internal/ring"
 	"mosquitonet/internal/sim"
 )
 
@@ -63,22 +64,16 @@ func (r *record) event() Event {
 // Tracer records events and spans against a simulation clock. A nil Tracer
 // is valid and records nothing, so call sites never need nil checks.
 //
-// A Tracer is unbounded by default; SetCapacity turns both stores into
-// rings with deterministic oldest-first eviction, which is what keeps an
-// always-on flight recorder affordable on long runs.
+// A Tracer is unbounded by default; SetCapacity bounds both stores with
+// deterministic oldest-first eviction, which is what keeps an always-on
+// flight recorder affordable on long runs.
 type Tracer struct {
 	loop *sim.Loop
 
-	cap     int // 0 = unbounded; otherwise ring capacity for events and spans
-	events  []record
-	start   int // ring read position when len(events) == cap
-	dropped uint64
-
-	spans        []*Span
-	spanStart    int
-	droppedSpans uint64
-	nextSpanID   uint64
-	active       map[string][]*Span // per-actor stacks of open spans
+	events     ring.Ring[record]
+	spans      ring.Ring[*Span]
+	nextSpanID uint64
+	active     map[string][]*Span // per-actor stacks of open spans
 
 	// Hook, if set, observes every event as it is recorded.
 	Hook func(Event)
@@ -122,25 +117,8 @@ func (t *Tracer) SetCapacity(n int) {
 	if t == nil {
 		return
 	}
-	ev := t.ordered()
-	sp := t.orderedSpans()
-	if n > 0 {
-		if excess := len(ev) - n; excess > 0 {
-			t.dropped += uint64(excess)
-			ev = ev[excess:]
-		}
-		if excess := len(sp) - n; excess > 0 {
-			t.droppedSpans += uint64(excess)
-			sp = sp[excess:]
-		}
-	}
-	t.events = append([]record(nil), ev...)
-	t.spans = append([]*Span(nil), sp...)
-	t.start, t.spanStart = 0, 0
-	if n <= 0 {
-		n = 0
-	}
-	t.cap = n
+	t.events.SetLimit(n)
+	t.spans.SetLimit(n)
 }
 
 // Dropped returns how many events the ring has evicted.
@@ -148,7 +126,7 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.dropped
+	return t.events.Dropped()
 }
 
 // Record appends an event whose detail is text already, rendered now from
@@ -171,27 +149,10 @@ func (t *Tracer) RecordOps(actor, kind string, render Renderer, o Operands) {
 
 func (t *Tracer) put(r record) {
 	r.at = t.loop.Now()
-	if t.cap > 0 && len(t.events) == t.cap {
-		t.events[t.start] = r
-		t.start = (t.start + 1) % t.cap
-		t.dropped++
-	} else {
-		t.events = append(t.events, r)
-	}
+	*t.events.Next() = r
 	if t.Hook != nil {
 		t.Hook(r.event())
 	}
-}
-
-// ordered returns the retained events oldest-first.
-func (t *Tracer) ordered() []record {
-	if t.start == 0 {
-		return t.events
-	}
-	out := make([]record, 0, len(t.events))
-	out = append(out, t.events[t.start:]...)
-	out = append(out, t.events[:t.start]...)
-	return out
 }
 
 // Events returns all retained events in order.
@@ -203,7 +164,7 @@ func (t *Tracer) Find(kindPrefix string) []Event {
 		return nil
 	}
 	var out []Event
-	for _, r := range t.ordered() {
+	for _, r := range t.events.All() {
 		if strings.HasPrefix(r.kind, kindPrefix) {
 			out = append(out, r.event())
 		}
@@ -216,7 +177,7 @@ func (t *Tracer) Last(kindPrefix string) (Event, bool) {
 	if t == nil {
 		return Event{}, false
 	}
-	ev := t.ordered()
+	ev := t.events.All()
 	for i := len(ev) - 1; i >= 0; i-- {
 		if strings.HasPrefix(ev[i].kind, kindPrefix) {
 			return ev[i].event(), true
@@ -236,16 +197,9 @@ func (t *Tracer) Filter(kindPrefixes ...string) *Tracer {
 		return nil
 	}
 	out := &Tracer{loop: t.loop}
-	for _, e := range t.ordered() {
-		if len(kindPrefixes) == 0 {
-			out.events = append(out.events, e)
-			continue
-		}
-		for _, p := range kindPrefixes {
-			if strings.HasPrefix(e.kind, p) {
-				out.events = append(out.events, e)
-				break
-			}
+	for _, e := range t.events.All() {
+		if len(kindPrefixes) == 0 || hasAnyPrefix(e.kind, kindPrefixes) {
+			*out.events.Next() = e
 		}
 	}
 	return out
@@ -280,9 +234,8 @@ func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	t.events = t.events[:0]
-	t.spans = t.spans[:0]
-	t.start, t.spanStart = 0, 0
+	t.events.Reset()
+	t.spans.Reset()
 	t.active = nil
 }
 

@@ -66,7 +66,7 @@ type Endpoint struct {
 
 	stats Stats
 
-	encapBytes, decapBytes *metrics.Counter
+	encapBytes, decapBytes uint64
 	pktlog                 *metrics.PacketLog
 	tracer                 *trace.Tracer
 	lastSrc                ip.Addr // outer source of the last transmit
@@ -108,18 +108,13 @@ func New(host *stack.Host, name string, outerSrc func() (ip.Addr, bool), outerDs
 	})
 	e.pktlog = metrics.PacketsFor(host.Loop())
 	e.tracer = trace.For(host.Loop())
-	// The byte counters are detached handles the endpoint increments on
-	// the data path; the snapshot-time collector below publishes them
-	// together with the stats-struct counters. One closure per endpoint
-	// replaces a 9-entry registry roster (rows are byte-identical), and a
-	// nil registry (telemetry disabled) stays valid throughout: Collect is
-	// a no-op, so the endpoint never gates construction on metrics.
-	e.encapBytes = &metrics.Counter{}
-	e.decapBytes = &metrics.Counter{}
+	// One snapshot-time collector per endpoint publishes its counters; a
+	// nil registry (telemetry disabled) makes Collect a no-op, so the
+	// endpoint never gates construction on metrics.
 	metrics.For(host.Loop()).Collect(func(c *metrics.Collection) {
 		lbls := []metrics.Label{metrics.L("host", host.Name()), metrics.L("vif", name)}
-		c.Counter("tunnel.endpoint.encap_bytes", e.encapBytes.Value(), lbls...)
-		c.Counter("tunnel.endpoint.decap_bytes", e.decapBytes.Value(), lbls...)
+		c.Counter("tunnel.endpoint.encap_bytes", e.encapBytes, lbls...)
+		c.Counter("tunnel.endpoint.decap_bytes", e.decapBytes, lbls...)
 		c.Counter("tunnel.endpoint.encapsulated", e.stats.Encapsulated, lbls...)
 		c.Counter("tunnel.endpoint.decapsulated", e.stats.Decapsulated, lbls...)
 		c.Counter("tunnel.endpoint.drop_no_dst", e.stats.DropNoDst, lbls...)
@@ -168,7 +163,7 @@ func (e *Endpoint) transmit(inner *ip.Packet, _ ip.Addr) {
 		return
 	}
 	e.stats.Encapsulated++
-	e.encapBytes.Add(uint64(outer.Len()))
+	e.encapBytes += uint64(outer.Len())
 	if e.tracer != nil && src != e.lastSrc {
 		if !e.lastSrc.IsUnspecified() {
 			sp := e.tracer.StartSpan(name, kSpanRebound)
@@ -208,7 +203,7 @@ func (e *Endpoint) receive(_ *stack.Iface, outer *ip.Packet) {
 		return
 	}
 	e.stats.Decapsulated++
-	e.decapBytes.Add(uint64(outerLen))
+	e.decapBytes += uint64(outerLen)
 	e.pktlog.RecordDetail(inner.Trace, name, "tunnel.decap", stack.HeaderDetail(metrics.DetailPacket, inner, ""))
 	e.host.Input(e.vif, inner)
 }
