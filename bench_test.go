@@ -15,6 +15,7 @@ import (
 
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/mip"
+	"mosquitonet/internal/scenario"
 	"mosquitonet/internal/testbed"
 )
 
@@ -203,7 +204,7 @@ func BenchmarkSimulatedSecondOfStreaming(b *testing.B) {
 	tb := testbed.New(1)
 	tb.MoveEthTo(tb.DeptNet)
 	tb.MustConnectForeign(tb.Eth)
-	probe, err := testbed.NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, testbed.MHHomeAddr, 7, 10*time.Millisecond)
+	probe, err := scenario.NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, testbed.MHHomeAddr, 7, 10*time.Millisecond)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func BenchmarkSimulatedSecondOfStreaming(b *testing.B) {
 		tb.Run(time.Second)
 	}
 	b.StopTimer()
-	if probe.Received() == 0 {
+	if _, recv, _, _ := probe.Flow().Totals(); recv == 0 {
 		b.Fatal("stream dead")
 	}
 }

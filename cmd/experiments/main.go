@@ -45,7 +45,6 @@ var opts struct {
 	a2iters     int
 	a3fleets    string
 	scaleFleets string
-	hosts       int
 	sweepN      int
 	scenario    string
 }
@@ -100,10 +99,10 @@ var experiments = []experiment{
 			}
 			return testbed.RunA3(opts.seed, fleets)
 		}},
-	{name: "scale", inAll: true, flags: "-scale-fleets, -hosts, -workers",
+	{name: "scale", inAll: true, flags: "-scale-fleets, -workers",
 		desc: "roaming-fleet scale (sharded; byte-identical at any -workers)",
 		run: func() (testbed.Result, error) {
-			fleets, err := scaleSizes()
+			fleets, err := parseFleets(opts.scaleFleets)
 			if err != nil {
 				return nil, err
 			}
@@ -137,8 +136,6 @@ func main() {
 	flag.StringVar(&opts.a3fleets, "a3-fleets", "1,8,32,64", "comma-separated fleet sizes for A3")
 	flag.StringVar(&opts.scaleFleets, "scale-fleets", "10,100,1000,10000,100000",
 		"comma-separated fleet sizes for the scale experiment")
-	flag.IntVar(&opts.hosts, "hosts", 0,
-		"single fleet size for the scale experiment, overriding -scale-fleets (e.g. -exp scale -hosts 100000)")
 	flag.StringVar(&opts.scenario, "scenario", "faultdemo", "catalog scenario name for -exp scenario")
 	flag.IntVar(&opts.sweepN, "n", 8, "number of generated sweep scenarios (min 8 for the pinned artifact)")
 	flag.Parse()
@@ -179,18 +176,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (want all, %s)\n", *exp, strings.Join(names, ", "))
 		os.Exit(2)
 	}
-}
-
-// scaleSizes resolves the scale fleet list: -hosts overrides
-// -scale-fleets.
-func scaleSizes() ([]int, error) {
-	if opts.hosts < 0 {
-		return nil, fmt.Errorf("bad -hosts %d", opts.hosts)
-	}
-	if opts.hosts > 0 {
-		return []int{opts.hosts}, nil
-	}
-	return parseFleets(opts.scaleFleets)
 }
 
 // parseFleets splits a comma-separated fleet-size list.

@@ -136,13 +136,13 @@ func main() {
 
 	// The itinerary is the handoff scenario's: the narrator only names each
 	// step and reports on the stream whenever the host has settled.
-	var probe *testbed.EchoProbe
+	var probe *scenario.FlowProbe
 	report := func() {
 		where := "at home"
 		if !tb.MH.AtHome() {
 			where = fmt.Sprintf("care-of %v, tunneled via the home agent", tb.MH.CareOf())
 		}
-		sent, recv := probe.Snapshot()
+		sent, recv, _, _ := probe.Flow().Totals()
 		fmt.Printf("   stream: %d sent, %d echoed (%s)\n\n", sent, recv, where)
 	}
 	moves := 0
@@ -166,7 +166,7 @@ func main() {
 				printChains(tb.MH.Host(), tb.HA.Host())
 			}
 			var err error
-			probe, err = testbed.NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, testbed.MHHomeAddr, 7, *interval)
+			probe, err = scenario.NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, testbed.MHHomeAddr, 7, *interval)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "mnet:", err)
 				os.Exit(1)
@@ -181,8 +181,8 @@ func main() {
 
 	probe.Pause()
 	tb.Run(spec.Traffic.Drain.D())
-	sent, recv := probe.Snapshot()
-	fmt.Printf("== done: %d probes sent, %d echoed, %d lost across %d moves ==\n", sent, recv, sent-recv, moves)
+	sent, recv, lost, _ := probe.Flow().Totals()
+	fmt.Printf("== done: %d probes sent, %d echoed, %d lost across %d moves ==\n", sent, recv, lost, moves)
 	fmt.Printf("mobile host stats: %+v\n", tb.MH.Stats())
 	fmt.Printf("home agent stats:  %+v\n", tb.HA.Stats())
 	fmt.Printf("\nfinal %s", tb.Metrics.Snapshot().Table())

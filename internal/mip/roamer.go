@@ -182,42 +182,35 @@ func (r *Roamer) failover() {
 }
 
 // tryUpgrade attempts to move back to a higher-preference candidate than
-// the active one by preparing it in the background (a hot switch, so a
-// failed attempt does not disturb connectivity).
+// the active one by preparing it in the background (a make-before-break
+// switch, so a failed attempt does not disturb connectivity).
 func (r *Roamer) tryUpgrade() {
 	defer r.scheduleUpgrade()
 	if r.switching || !r.running {
 		return
 	}
-	active := r.m.Active()
-	best := r.rank(active)
+	from := r.m.Active()
+	best := r.rank(from)
 	if best < 0 {
 		return
 	}
 	c := r.candidates[best]
-	from := active
 	r.switching = true
-	c.Iface.ifc.Device().BringUp(func() {
-		if c.Home {
+	if c.Home {
+		c.Iface.ifc.Device().BringUp(func() {
 			// Upgrading to home is a cold switch; the paper's transparency
 			// machinery keeps connections alive through it regardless.
 			r.m.ColdSwitchHome(c.Iface, c.Gateway, func(err error) {
 				r.finishUpgrade(from, c.Iface, err)
 			})
-			return
-		}
-		r.m.Prepare(c.Iface, func(err error) {
-			if err != nil {
-				r.finishUpgrade(from, c.Iface, err)
-				return
-			}
-			r.m.HotSwitch(c.Iface, func(err error) {
-				if err == nil && from != nil {
-					r.m.Disconnect(from)
-				}
-				r.finishUpgrade(from, c.Iface, err)
-			})
 		})
+		return
+	}
+	r.m.MakeBeforeBreak(c.Iface, func(err error) {
+		if err == nil && from != nil {
+			r.m.Disconnect(from)
+		}
+		r.finishUpgrade(from, c.Iface, err)
 	})
 }
 

@@ -53,14 +53,17 @@ func newICMP(h *Host) *ICMP {
 	return &ICMP{host: h, pending: make(map[uint32]*pingState)}
 }
 
-// input handles a locally delivered ICMP packet, which it is lent.
+// input handles a locally delivered ICMP packet, which it is lent, and
+// reports whether it parsed; one that does not is accounted as a drop
+// here.
 //
 //mnet:ownership borrows pkt
-func (c *ICMP) input(ifc *Iface, pkt *ip.Packet) {
+func (c *ICMP) input(ifc *Iface, pkt *ip.Packet) bool {
 	m, err := ip.UnmarshalICMP(pkt.Payload)
 	if err != nil {
 		c.host.stats.DropBadPacket++
-		return
+		c.host.pktlog.Record(pkt.Trace, c.host.name, "ip.drop", "bad packet")
+		return false
 	}
 	c.Received++
 	switch m.Type {
@@ -103,6 +106,7 @@ func (c *ICMP) input(ifc *Iface, pkt *ip.Packet) {
 			c.ErrorHook(m, pkt.Src)
 		}
 	}
+	return true
 }
 
 // matchError correlates an ICMP error with an outstanding ping by parsing

@@ -122,6 +122,7 @@ func (i *Iface) sendWire(pkt *ip.Packet, nextHop ip.Addr) error {
 		frags, err := ip.Fragment(pkt, mtu)
 		if err != nil {
 			i.host.stats.DropMTU++
+			i.host.pktlog.Record(pkt.Trace, i.host.name, "ip.drop", "cannot fragment to mtu")
 			return err
 		}
 		i.host.stats.FragmentsSent += uint64(len(frags))

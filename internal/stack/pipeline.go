@@ -342,9 +342,10 @@ func (h *Host) hookDemux(ctx *PacketContext) pipeline.Verdict {
 	handler, ok := h.handlers[pkt.Protocol]
 	if !ok {
 		if pkt.Protocol == ip.ProtoICMP {
-			h.icmp.input(ifc, pkt)
-			h.stats.Delivered++
-			h.pktlog.Record(pkt.Trace, h.name, "ip.deliver", "icmp")
+			if h.icmp.input(ifc, pkt) {
+				h.stats.Delivered++
+				h.pktlog.Record(pkt.Trace, h.name, "ip.deliver", "icmp")
+			}
 			pkt.Release()
 			return pipeline.Stolen
 		}

@@ -8,6 +8,7 @@ import (
 
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/link"
+	"mosquitonet/internal/metrics"
 	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/trace"
@@ -323,6 +324,61 @@ func TestDropSpanCarriesReasonWithoutPacketLog(t *testing.T) {
 			t.Errorf("drop span %d is %s reason %q, want %s reason %q", i, spans[i].Kind, got, w.kind, w.reason)
 		}
 	}
+}
+
+// TestCountedDropsWriteOneHop: a malformed ICMP datagram and an oversized
+// locally originated DF packet each move their drop counter and nothing
+// else — no delivery — and write exactly one ip.drop hop.
+func TestCountedDropsWriteOneHop(t *testing.T) {
+	loop := sim.New(1)
+	log := metrics.TracePackets(loop, 64)
+	net := link.NewNetwork(loop, "n", link.Ethernet())
+	a := addNode(t, loop, net, "a", "10.0.0.1/24")
+
+	check := func(what string, trace uint64, want Stats) {
+		t.Helper()
+		if got := a.host.Stats(); got != want {
+			t.Errorf("%s: stats %+v, want %+v", what, got, want)
+		}
+		drops := 0
+		for _, e := range log.Timeline(trace) {
+			switch e.Point {
+			case "ip.drop":
+				drops++
+			case "ip.deliver":
+				t.Errorf("%s: delivered: %+v", what, e)
+			}
+		}
+		if drops != 1 {
+			t.Errorf("%s: %d ip.drop hops, want 1: %+v", what, drops, log.Timeline(trace))
+		}
+	}
+
+	want := a.host.Stats()
+	const badICMP, bigDF = 1 << 40, 1<<40 + 1
+	bad := &ip.Packet{
+		Header:  ip.Header{Protocol: ip.ProtoICMP, Src: ip.MustParseAddr("10.0.0.9"), Dst: ip.MustParseAddr("10.0.0.1")},
+		Payload: []byte{byte(ip.ICMPEchoRequest)},
+		Trace:   badICMP,
+	}
+	a.host.Input(a.ifc, bad)
+	loop.RunFor(time.Second)
+	want.Received++
+	want.DropBadPacket++
+	check("malformed ICMP", badICMP, want)
+
+	big := &ip.Packet{
+		Header:  ip.Header{Protocol: ip.ProtoUDP, DontFrag: true, Src: ip.MustParseAddr("10.0.0.1"), Dst: ip.MustParseAddr("10.0.0.2")},
+		Payload: make([]byte, a.ifc.MTU()),
+		Trace:   bigDF,
+	}
+	if err := a.host.Output(big); err != nil {
+		t.Fatal(err)
+	}
+	loop.RunFor(time.Second)
+	want.Sent++
+	want.DropMTU++
+	check("oversized DF", bigDF, want)
 }
 
 // TestRouteHookRegistrationInvalidatesRouteCache is the satellite bugfix

@@ -16,14 +16,16 @@ import (
 // baseline, and reordering depth — attributable to specific time windows
 // (handoff spans).
 //
-// Sequence numbers must be unique per flow; duplicate or unknown arrivals
-// are counted but otherwise ignored. The tracker assumes Sent and Received
-// are called in simulation order (non-decreasing timestamps), which any
-// single-loop probe guarantees.
+// Every producer stamps consecutive sequence numbers: the first Sent sets
+// the base, and each later one repeats a number already sent (ignored) or
+// is the next one — a Sent that skips a number is a programming error and
+// panics. Duplicate or unknown arrivals are counted but otherwise ignored.
+// The tracker assumes Sent and Received are called in simulation order
+// (non-decreasing timestamps), which any single-loop probe guarantees.
 type FlowTracker struct {
 	name    string
-	packets []flowPacket
-	index   map[uint64]int // seq -> packets index
+	first   uint64       // sequence number of packets[0]
+	packets []flowPacket // indexed by seq - first
 
 	arrivals  []sim.Time // receive instants in arrival order
 	highSeq   uint64     // highest sequence seen by the receiver
@@ -35,7 +37,6 @@ type FlowTracker struct {
 }
 
 type flowPacket struct {
-	seq          uint64
 	sentAt       sim.Time
 	recvAt       sim.Time
 	received     bool
@@ -44,25 +45,30 @@ type flowPacket struct {
 
 // NewFlowTracker creates a tracker for the named flow.
 func NewFlowTracker(name string) *FlowTracker {
-	return &FlowTracker{name: name, index: make(map[uint64]int)}
+	return &FlowTracker{name: name}
 }
 
 // Name returns the flow name.
 func (f *FlowTracker) Name() string { return f.name }
 
-// Sent records a transmission.
+// Sent records a transmission: the first sets the base sequence number,
+// a repeat is ignored, and anything but the next number panics.
 func (f *FlowTracker) Sent(seq uint64, at sim.Time) {
-	if _, dup := f.index[seq]; dup {
+	n := uint64(len(f.packets))
+	if n == 0 {
+		f.first = seq
+	} else if seq-f.first < n {
 		return
+	} else if seq != f.first+n {
+		panic(fmt.Sprintf("stats: flow %s sent seq %d, want %d (sequence numbers are consecutive)", f.name, seq, f.first+n))
 	}
-	f.index[seq] = len(f.packets)
-	f.packets = append(f.packets, flowPacket{seq: seq, sentAt: at})
+	f.packets = append(f.packets, flowPacket{sentAt: at})
 }
 
 // Received records an arrival.
 func (f *FlowTracker) Received(seq uint64, at sim.Time) {
-	i, ok := f.index[seq]
-	if !ok {
+	i := seq - f.first // wraps past len for a number below the base
+	if i >= uint64(len(f.packets)) {
 		f.unknown++
 		return
 	}

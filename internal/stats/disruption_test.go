@@ -117,6 +117,40 @@ func TestFlowTrackerTerminalBlackout(t *testing.T) {
 	}
 }
 
+// TestFlowTrackerConsecutiveSequences pins the producer contract the
+// tracker indexes by: any first number is the base, a repeated Sent is
+// ignored, an arrival outside [base, last sent] is unknown, and a Sent
+// that skips a number panics.
+func TestFlowTrackerConsecutiveSequences(t *testing.T) {
+	ms := func(n int) sim.Time { return at(time.Duration(n) * time.Millisecond) }
+	f := NewFlowTracker("x")
+	for seq := uint64(1000); seq < 1004; seq++ {
+		f.Sent(seq, ms(int(seq-1000)*10))
+	}
+	f.Sent(1002, ms(50)) // a repeat, not a new packet
+	f.Received(1000, ms(5))
+	f.Received(1003, ms(35))
+	f.Received(999, ms(36))  // below the base
+	f.Received(1004, ms(37)) // never sent
+	sent, recv, lost, _ := f.Totals()
+	if sent != 4 || recv != 2 || lost != 2 {
+		t.Fatalf("totals: sent=%d recv=%d lost=%d, want 4/2/2", sent, recv, lost)
+	}
+	if dups, unknown := f.Anomalies(); dups != 0 || unknown != 2 {
+		t.Fatalf("anomalies: dups=%d unknown=%d, want 0/2", dups, unknown)
+	}
+	if first, _, ok := f.Span(); !ok || first != ms(0) {
+		t.Fatalf("span starts at %v (ok=%v); the repeat must not move the first send", first, ok)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a Sent that skips a number did not panic")
+		}
+	}()
+	f.Sent(1005, ms(60))
+}
+
 func TestFlowTrackerEdgeCases(t *testing.T) {
 	f := NewFlowTracker("x")
 	if f.Baseline() != 0 {

@@ -67,8 +67,11 @@ func RunA1(seed int64, samples int) (*A1Result, error) {
 	tb.MoveEthTo(tb.DeptNet)
 	tb.MustConnectForeign(tb.Eth)
 
-	startUDPEcho(tb.CH, 7)
-	startUDPEcho(tb.CampusCH, 7)
+	for _, ch := range []*transport.Stack{tb.CH, tb.CampusCH} {
+		if _, err := ch.Echo(ip.Unspecified, 7); err != nil {
+			return nil, err
+		}
+	}
 
 	measure := func(dst ip.Addr, policy mip.Policy, series *stats.Series) error {
 		tb.MH.Policy().SetHost(dst, policy)
@@ -102,7 +105,10 @@ func RunA1(seed int64, samples int) (*A1Result, error) {
 	})
 	tb2.MoveEthTo(tb2.DeptNet)
 	tb2.MustConnectForeign(tb2.Eth)
-	served := startUDPEcho(tb2.CampusCH, 7)
+	echo, err := tb2.CampusCH.Echo(ip.Unspecified, 7)
+	if err != nil {
+		return nil, err
+	}
 
 	tb2.MH.Policy().SetHost(CampusCHAddr, mip.PolicyTriangle)
 	cli, err := tb2.MHTS.UDP(ip.Unspecified, 0, nil)
@@ -114,36 +120,22 @@ func RunA1(seed int64, samples int) (*A1Result, error) {
 		cli.SendTo(CampusCHAddr, 7, []byte("blocked?"))
 		tb2.Run(500 * time.Millisecond)
 	}
-	res.FilteredTriangleDelivered = *served
+	res.FilteredTriangleDelivered = int(echo.Received)
 
 	// The probe detects the filter and reverts the policy.
 	tb2.MH.ProbeTriangle(CampusCHAddr, 2*time.Second, nil)
 	tb2.Run(10 * time.Second)
-	before := *served
+	before := echo.Received
 	res.FallbackSent = samples
 	for i := 0; i < samples; i++ {
 		cli.SendTo(CampusCHAddr, 7, []byte("tunneled"))
 		tb2.Run(500 * time.Millisecond)
 	}
-	res.FallbackDelivered = *served - before
+	res.FallbackDelivered = int(echo.Received - before)
 	res.Export = &Export{Experiment: "a1", Seed: seed, Snapshots: []*metrics.Snapshot{
 		tb.SnapshotMetrics("routing"), tb2.SnapshotMetrics("transit-filter"),
 	}}
 	return res, nil
-}
-
-// startUDPEcho installs an echo responder and returns a served counter.
-func startUDPEcho(ts *transport.Stack, port uint16) *int {
-	count := 0
-	var sock *transport.UDPSocket
-	sock, err := ts.UDP(ip.Unspecified, port, func(d transport.Datagram) {
-		count++
-		sock.SendTo(d.From, d.FromPort, d.Payload)
-	})
-	if err != nil {
-		panic(err)
-	}
-	return &count
 }
 
 // udpRTT sends one datagram from the mobile host (unbound, so subject to
@@ -231,7 +223,7 @@ func RunA2(seed int64, iterations int) (*A2Result, error) {
 		tb.MoveEthTo(tb.DeptNet)
 		wan := addWAN(tb)
 		tb.MustConnectForeign(wan)
-		probe, err := NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, MHHomeAddr, 7, probeInterval)
+		probe, err := scenario.NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, MHHomeAddr, 7, probeInterval)
 		if err != nil {
 			return nil, err
 		}
@@ -269,7 +261,7 @@ func RunA2(seed int64, iterations int) (*A2Result, error) {
 		if err := attachViaFA(); err != nil {
 			return nil, fmt.Errorf("A2: FA attach: %w", err)
 		}
-		probe, err := NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, MHHomeAddr, 7, probeInterval)
+		probe, err := scenario.NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, MHHomeAddr, 7, probeInterval)
 		if err != nil {
 			return nil, err
 		}
@@ -512,7 +504,7 @@ func RunA4(seed int64, iterations int) (*A4Result, error) {
 		tb := New(seed + int64(len(strategy)))
 		tb.MoveEthTo(tb.DeptNet)
 		tb.MustConnectForeign(tb.Strip) // start on the radio
-		probe, err := NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, MHHomeAddr, 7, probeInterval)
+		probe, err := scenario.NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, MHHomeAddr, 7, probeInterval)
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/metrics"
 	"mosquitonet/internal/mip"
+	"mosquitonet/internal/scenario"
 	"mosquitonet/internal/stack"
 	"mosquitonet/internal/stats"
 	"mosquitonet/internal/trace"
@@ -52,7 +53,7 @@ func RunE1(seed int64) (*E1Result, error) {
 	tb.MoveEthTo(tb.DeptNet)
 	tb.MustConnectForeign(tb.Eth)
 
-	probe, err := NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, MHHomeAddr, 7, E1SendInterval)
+	probe, err := scenario.NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, MHHomeAddr, 7, E1SendInterval)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +89,7 @@ func RunE1(seed int64) (*E1Result, error) {
 // completion, quiesce again, and count the probes sent in between that
 // were never echoed. What an experiment does around the switch itself — a
 // phase offset, a timestamp, a departure notice — is part of op.
-func lossAcross(tb *Testbed, probe *EchoProbe, warm, timeout time.Duration, op func(done func(error))) (lost int, err error) {
+func lossAcross(tb *Testbed, probe *scenario.FlowProbe, warm, timeout time.Duration, op func(done func(error))) (lost int, err error) {
 	probe.Start()
 	tb.Run(warm)
 	sentBefore, recvBefore := quiesce(tb, probe)
@@ -97,15 +98,17 @@ func lossAcross(tb *Testbed, probe *EchoProbe, warm, timeout time.Duration, op f
 		return 0, err
 	}
 	sentAfter, recvAfter := quiesce(tb, probe)
-	return LossBetween(sentBefore, recvBefore, sentAfter, recvAfter), nil
+	return (sentAfter - sentBefore) - (recvAfter - recvBefore), nil
 }
 
-// quiesce pauses the probe, drains in-flight packets, and snapshots the
-// counters so loss accounting has no boundary error.
-func quiesce(tb *Testbed, probe *EchoProbe) (sent, recv uint64) {
+// quiesce pauses the probe, drains in-flight packets, and reads the flow's
+// totals so loss accounting has no boundary error. An echo duplicated by
+// simultaneous bindings is the tracker's duplicate, not a second receipt.
+func quiesce(tb *Testbed, probe *scenario.FlowProbe) (sent, recv int) {
 	probe.Pause()
 	tb.Run(2 * time.Second)
-	return probe.Snapshot()
+	sent, recv, _, _ = probe.Flow().Totals()
+	return sent, recv
 }
 
 // disruptionWindow extracts, from the trace, the interval between the old
@@ -206,7 +209,7 @@ func runF6Scenario(seed int64, sc F6Scenario, blackout *stats.Series) (*stats.Lo
 	}
 	tb.MustConnectForeign(from)
 
-	probe, err := NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, MHHomeAddr, 7, F6SendInterval)
+	probe, err := scenario.NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, MHHomeAddr, 7, F6SendInterval)
 	if err != nil {
 		return nil, nil, err
 	}

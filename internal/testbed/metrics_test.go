@@ -8,6 +8,7 @@ import (
 
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/metrics"
+	"mosquitonet/internal/scenario"
 )
 
 // handoffScenario attaches the mobile host on the visited Ethernet, streams
@@ -20,7 +21,7 @@ func handoffScenario(t *testing.T, seed int64) *Testbed {
 	tb.MoveEthTo(tb.DeptNet)
 	tb.MustConnectForeign(tb.Eth)
 
-	probe, err := NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, MHHomeAddr, 7, 20*time.Millisecond)
+	probe, err := scenario.NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, MHHomeAddr, 7, 20*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -271,11 +271,7 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int) (*scaleFl
 	hostCfg := stack.Config{InputDelay: scaleFleetSpec.HostDelay.D(), OutputDelay: scaleFleetSpec.HostDelay.D()}
 	bbCH, _ := scenario.AttachEndHost(stack.NewHost(hubLoop, "bb-ch", hostCfg), backboneNet, "bb-ch-eth",
 		scaleBackboneCH, scaleBackbonePfx, scaleHubAddr, stack.IfaceOpts{})
-	var bbSrv *transport.UDPSocket
-	bbSrv, err := bbCH.UDP(ip.Unspecified, 7, func(d transport.Datagram) {
-		bbSrv.SendTo(d.From, d.FromPort, d.Payload)
-	})
-	if err != nil {
+	if _, err := bbCH.Echo(ip.Unspecified, 7); err != nil {
 		return nil, err
 	}
 	cacheHosts = append(cacheHosts, bbCH.Host())
@@ -345,11 +341,7 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int) (*scaleFl
 		chName := fmt.Sprintf("ch%d", k)
 		ch, _ := scenario.AttachEndHost(stack.NewHost(loop, chName, hostCfg), deptNet, chName+"-eth",
 			chLocal, deptPfx, routerDept, stack.IfaceOpts{})
-		var echoSrv *transport.UDPSocket
-		echoSrv, err = ch.UDP(ip.Unspecified, 7, func(d transport.Datagram) {
-			echoSrv.SendTo(d.From, d.FromPort, d.Payload)
-		})
-		if err != nil {
+		if _, err := ch.Echo(ip.Unspecified, 7); err != nil {
 			return nil, err
 		}
 		cacheHosts = append(cacheHosts, ch.Host())

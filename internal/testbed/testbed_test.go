@@ -9,10 +9,20 @@ import (
 	"mosquitonet/internal/transport"
 )
 
+// mustEcho opens the UDP echo service on port 7 of ts.
+func mustEcho(t *testing.T, ts *transport.Stack) *transport.UDPSocket {
+	t.Helper()
+	echo, err := ts.Echo(ip.Unspecified, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return echo
+}
+
 func TestTopologyConnectivityAtHome(t *testing.T) {
 	tb := New(1)
 	tb.MustConnectHome()
-	served := startUDPEcho(tb.CH, 7)
+	echo := mustEcho(t, tb.CH)
 	echoed := 0
 	cli, err := tb.MHTS.UDP(ip.Unspecified, 0, func(transport.Datagram) { echoed++ })
 	if err != nil {
@@ -20,8 +30,8 @@ func TestTopologyConnectivityAtHome(t *testing.T) {
 	}
 	cli.SendTo(CHAddr, 7, []byte("home"))
 	tb.Run(5 * time.Second)
-	if *served != 1 || echoed != 1 {
-		t.Fatalf("served=%d echoed=%d", *served, echoed)
+	if echo.Received != 1 || echoed != 1 {
+		t.Fatalf("served=%d echoed=%d", echo.Received, echoed)
 	}
 }
 
@@ -35,11 +45,11 @@ func TestTopologyVisitDeptNet(t *testing.T) {
 	if _, ok := tb.HA.Binding(MHHomeAddr); !ok {
 		t.Fatal("no binding at the home agent")
 	}
-	served := startUDPEcho(tb.CampusCH, 7)
+	echo := mustEcho(t, tb.CampusCH)
 	cli, _ := tb.MHTS.UDP(ip.Unspecified, 0, nil)
 	cli.SendTo(CampusCHAddr, 7, []byte("visiting"))
 	tb.Run(5 * time.Second)
-	if *served != 1 {
+	if echo.Received != 1 {
 		t.Fatal("tunneled traffic failed from 36.8")
 	}
 }
@@ -50,11 +60,11 @@ func TestTopologyVisitRadioNet(t *testing.T) {
 	if tb.MH.CareOf() != MHRadioAddr {
 		t.Fatalf("care-of %v, want the static radio address", tb.MH.CareOf())
 	}
-	served := startUDPEcho(tb.CH, 7)
+	echo := mustEcho(t, tb.CH)
 	cli, _ := tb.MHTS.UDP(ip.Unspecified, 0, nil)
 	cli.SendTo(CHAddr, 7, []byte("over the air"))
 	tb.Run(10 * time.Second)
-	if *served != 1 {
+	if echo.Received != 1 {
 		t.Fatal("tunneled traffic failed from the radio net")
 	}
 }
@@ -246,36 +256,6 @@ func TestA3Shape(t *testing.T) {
 		t.Errorf("registration latency scaled %vx with fleet size", last/first)
 	}
 	t.Logf("\n%s", res)
-}
-
-func TestEchoProbeAccounting(t *testing.T) {
-	tb := New(1)
-	tb.MustConnectHome()
-	probe, err := NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, MHHomeAddr, 7, 100*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe.Start()
-	tb.Run(5 * time.Second)
-	sent, recv := quiesce(tb, probe)
-	if sent == 0 {
-		t.Fatal("probe sent nothing")
-	}
-	if LossBetween(0, 0, sent, recv) != 0 {
-		t.Fatalf("lossless path lost packets: sent=%d recv=%d", sent, recv)
-	}
-	// Pause really pauses.
-	before := probe.Sent()
-	tb.Run(2 * time.Second)
-	if probe.Sent() != before {
-		t.Fatal("probe kept sending while paused")
-	}
-	probe.Stop()
-	probe.Start() // no-op after Stop
-	tb.Run(time.Second)
-	if probe.Sent() != before {
-		t.Fatal("probe restarted after Stop")
-	}
 }
 
 // TestA4Shape: the handoff-strategy ordering must hold — cold loses the

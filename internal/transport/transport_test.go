@@ -50,11 +50,10 @@ func newPair(t *testing.T, medium link.Medium, seed int64) *pair {
 func TestUDPEcho(t *testing.T) {
 	p := newPair(t, link.Ethernet(), 1)
 	var echoed []byte
-	srv, err := p.b.UDP(ip.Unspecified, 7, nil)
+	srv, err := p.b.Echo(ip.Unspecified, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.handler = func(d Datagram) { srv.SendTo(d.From, d.FromPort, d.Payload) }
 
 	cli, err := p.a.UDP(ip.Unspecified, 0, func(d Datagram) { echoed = append([]byte(nil), d.Payload...) })
 	if err != nil {

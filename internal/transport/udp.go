@@ -58,6 +58,15 @@ func (s *Stack) UDP(bound ip.Addr, port uint16, handler DatagramHandler) (*UDPSo
 	return u, nil
 }
 
+// Echo opens the UDP echo service (RFC 862) on (bound, port): every
+// datagram goes straight back to where it came from. The socket's Received
+// counts the datagrams served.
+func (s *Stack) Echo(bound ip.Addr, port uint16) (*UDPSocket, error) {
+	var u *UDPSocket
+	u, err := s.UDP(bound, port, func(d Datagram) { u.SendTo(d.From, d.FromPort, d.Payload) })
+	return u, err
+}
+
 // Port returns the socket's local port.
 func (u *UDPSocket) Port() uint16 { return u.port }
 
