@@ -70,7 +70,7 @@ var experiments = []experiment{
 		desc: "Figure 7: registration time-line, mean (std dev) per step",
 		run:  func() (testbed.Result, error) { return testbed.RunF7(opts.seed) }},
 	{name: "handoff", inAll: true,
-		desc: "handoff disruption observatory (spans, flight recorder, per-window scoring)",
+		desc: "handoff disruption observatory (spans, anomaly scan, per-window scoring)",
 		run:  func() (testbed.Result, error) { return testbed.RunHandoff(opts.seed) }},
 	{name: "loadedhandoff", inAll: true,
 		desc: "roaming itinerary under MQTT + HTTP application load",

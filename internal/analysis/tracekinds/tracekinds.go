@@ -1,6 +1,6 @@
 // Package tracekinds enforces the trace-kind naming contract.
 //
-// Experiment harnesses, the flight recorder, and the disruption analyzer
+// Experiment harnesses, the handoff anomaly scan, and the disruption analyzer
 // all select trace events and spans by kind prefix ("reg.", "handoff.",
 // "drop.noroute"), so the kind hierarchy is an API: kinds must be
 // lowercase dotted paths, and they must be named package constants — an

@@ -156,9 +156,8 @@ type Device struct {
 	bringUpDelay  time.Duration
 	bringUpJitter time.Duration
 
-	recv        func(*Frame)
-	onChange    []func()
-	promiscuous bool
+	recv     func(*Frame)
+	onChange []func()
 	// up is made by the first BringUp that has to wait, so a device that is
 	// never raised (a fleet's residents) carries a nil pointer.
 	up      *bringUps
@@ -256,22 +255,6 @@ func (d *Device) notifyChange() {
 	for _, fn := range d.onChange {
 		fn()
 	}
-}
-
-// SetPromiscuous controls whether frames for other stations are delivered.
-func (d *Device) SetPromiscuous(v bool) {
-	if v == d.promiscuous {
-		return
-	}
-	if n := d.net; n != nil {
-		n.materialize()
-		if v {
-			n.promisc++
-		} else {
-			n.promisc--
-		}
-	}
-	d.promiscuous = v
 }
 
 // settle folds the fast flights that landed on the device's network since
@@ -460,7 +443,7 @@ func (d *Device) deliver(f *Frame) {
 		d.pktlog.Record(f.Trace, d.name, "link.drop", "device down on rx")
 		return
 	}
-	if !d.promiscuous && !f.Dst.IsBroadcast() && f.Dst != d.hw {
+	if !f.Dst.IsBroadcast() && f.Dst != d.hw {
 		d.ctr.dropFilter++
 		return
 	}

@@ -114,22 +114,6 @@ func TestSendSetsSourceAddress(t *testing.T) {
 	}
 }
 
-func TestPromiscuousReceivesAll(t *testing.T) {
-	loop := sim.New(1)
-	n := NewNetwork(loop, "test", Ethernet())
-	a := upDevice(t, loop, n, "a")
-	b := upDevice(t, loop, n, "b")
-	c := upDevice(t, loop, n, "c")
-	c.SetPromiscuous(true)
-	got := false
-	c.SetReceiver(func(*Frame) { got = true })
-	a.Send(&Frame{Dst: b.HW(), Payload: []byte("x")})
-	loop.Run()
-	if !got {
-		t.Fatal("promiscuous device missed a frame")
-	}
-}
-
 func TestSendWhileDown(t *testing.T) {
 	loop := sim.New(1)
 	n := NewNetwork(loop, "test", Ethernet())

@@ -115,7 +115,7 @@ type NetworkStats struct {
 // of each transmitted frame addressed to it (or to broadcast), after the
 // medium's serialization and propagation delays. Every other attached device
 // accounts the frame as a filter or down drop — by being walked, or, for a
-// unicast frame on a lossless, unlogged, non-promiscuous segment, by the
+// unicast frame on a lossless, unlogged segment, by the
 // lazily settled arithmetic described at flight.
 type Network struct {
 	name    string
@@ -124,12 +124,9 @@ type Network struct {
 	devices []*Device
 	// byHW indexes the attached devices by hardware address (addresses are
 	// process-unique, so it is a bijection with devices).
-	byHW map[HWAddr]*Device
-	// promisc counts the attached promiscuous devices; any one of them
-	// receives every frame, so none may be skipped.
-	promisc int
-	stats   NetworkStats
-	pktlog  *metrics.PacketLog
+	byHW   map[HWAddr]*Device
+	stats  NetworkStats
+	pktlog *metrics.PacketLog
 
 	// busyUntil models the shared half-duplex channel: a frame cannot
 	// start clocking out before the previous one finished.
@@ -184,15 +181,15 @@ type Network struct {
 //   - eligibility, decided at launch: LossProb == 0 (no per-receiver draw to
 //     preserve), not a trunk end, and someone besides the sender attached (the
 //     walk schedules no event for nobody); for a unicast destination also no
-//     promiscuous device attached and no packet log (its "device down on rx"
-//     rows need the walk; a loop's log is fixed before anything is built on
-//     it) — a broadcast visits every device anyway;
+//     packet log (its "device down on rx" rows need the walk; a loop's log is
+//     fixed before anything is built on it) — a broadcast visits every device
+//     anyway;
 //   - settle points: a device folds its unsettled unicast fast flights into
 //     dropFilter or dropDown, by the state it holds, before that state
 //     changes, before it detaches and before its counters are read;
-//   - materialize on membership change: before any attach, detach or
-//     promiscuous toggle, every fast flight in the air gets its full
-//     snapshot back, so "membership at launch, state at arrival" still holds.
+//   - materialize on membership change: before any attach or detach, every
+//     fast flight in the air gets its full snapshot back, so "membership at
+//     launch, state at arrival" still holds.
 type flight struct {
 	net   *Network
 	frame Frame
@@ -298,8 +295,8 @@ func (n *Network) finishWalk() {
 
 // materialize gives every fast flight in the air (and the unreached part of
 // one that is landing) its full receiver snapshot back. It runs before the
-// membership or a promiscuous flag changes, so the snapshot is the one the
-// walk would have taken at launch.
+// membership changes, so the snapshot is the one the walk would have taken
+// at launch.
 func (n *Network) materialize() {
 	if n.landing != nil {
 		n.finishWalk()
@@ -378,9 +375,6 @@ func (n *Network) add(d *Device) {
 		n.byHW = make(map[HWAddr]*Device)
 	}
 	n.byHW[d.hw] = d
-	if d.promiscuous {
-		n.promisc++
-	}
 	d.fastSeen, d.fastOwn = n.fastLanded, 0
 }
 
@@ -393,9 +387,6 @@ func (n *Network) remove(d *Device) {
 			// a detached device (and its host) reachable.
 			n.devices = slices.Delete(n.devices, i, i+1)
 			delete(n.byHW, d.hw)
-			if d.promiscuous {
-				n.promisc--
-			}
 			return
 		}
 	}
@@ -438,7 +429,7 @@ func (n *Network) transmit(from *Device, f *Frame) {
 		n.handoff(&Frame{Src: f.Src, Dst: f.Dst, Type: f.Type, Payload: payload, Trace: f.Trace}, arrival)
 		return
 	}
-	if n.medium.LossProb == 0 && len(n.devices) > 1 && (f.Dst.IsBroadcast() || n.promisc == 0 && n.pktlog == nil) {
+	if n.medium.LossProb == 0 && len(n.devices) > 1 && (f.Dst.IsBroadcast() || n.pktlog == nil) {
 		// A lone sender has no receiver and, as on the walk, costs no event.
 		n.transmitFast(from, f, arrival)
 		return

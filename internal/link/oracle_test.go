@@ -34,7 +34,6 @@ type refDev struct {
 	upGen         uint32
 	upWaiting     []func() // every bringUp since the device was last down or up
 	delay, jitter time.Duration
-	promiscuous   bool
 	recv          func(*Frame)
 	stats         DeviceStats
 	downOnRx      int // traced frames dropped for "device down on rx"
@@ -85,7 +84,7 @@ func (d *refDev) deliver(f *Frame) {
 		}
 		return
 	}
-	if !d.promiscuous && !f.Dst.IsBroadcast() && f.Dst != d.hw {
+	if !f.Dst.IsBroadcast() && f.Dst != d.hw {
 		d.stats.DroppedFilter++
 		return
 	}
@@ -189,7 +188,6 @@ const (
 	actUp
 	actDetach
 	actAttachHere
-	actPromisc
 	actReply
 	actStats
 	numActs
@@ -247,7 +245,7 @@ func (p *pair) act(ref bool, self int, f *Frame) {
 	if len(f.Payload) < 2 {
 		return
 	}
-	target, on := int(f.Payload[1])%len(p.devs), f.Payload[1] >= 230
+	target := int(f.Payload[1]) % len(p.devs)
 	switch f.Payload[0] % numActs {
 	case actDown:
 		p.down(ref, target)
@@ -266,8 +264,6 @@ func (p *pair) act(ref bool, self int, f *Frame) {
 		if len(f.Payload) > 2 && f.Payload[2]%2 == 0 {
 			p.down(ref, target) // a newcomer settling under a landing flight it is no part of
 		}
-	case actPromisc:
-		p.promisc(ref, target, on)
 	case actReply:
 		p.send(ref, self, f.Src, []byte{actNone, 0}, f.Trace)
 	case actStats:
@@ -306,14 +302,6 @@ func (p *pair) detach(ref bool, i int) {
 		p.refDevs[i].detach()
 	} else {
 		p.devs[i].Detach()
-	}
-}
-
-func (p *pair) promisc(ref bool, i int, on bool) {
-	if ref {
-		p.refDevs[i].promiscuous = on
-	} else {
-		p.devs[i].SetPromiscuous(on)
 	}
 }
 
@@ -393,8 +381,8 @@ func (p *pair) checkRegistry() {
 
 // TestFastPathMatchesWalk is the oracle for the fast flights, unicast and
 // broadcast: a seeded
-// random schedule of sends, membership changes, state flaps, promiscuous
-// toggles, loss bursts and counter reads — many of them issued from inside a
+// random schedule of sends, membership changes, state flaps, loss bursts
+// and counter reads — many of them issued from inside a
 // delivery callback — applied to the real link layer and to the reference
 // walk, which must agree on every counter, on the order of every receive, on
 // the events executed and on the RNG, at every step.
@@ -465,13 +453,9 @@ func runOracle(t *testing.T, seed int64, packetLog, registry bool) {
 		case op < 85:
 			p.lastStep = fmt.Sprintf("step %d: d%d down", step, dev)
 			p.both(func(ref bool) { p.down(ref, dev) })
-		case op < 88:
-			// Mostly off, as with the loss bursts below: one sniffer or one
-			// lossy spell keeps a whole segment on the walk.
-			on := rng.Intn(10) == 0
-			p.lastStep = fmt.Sprintf("step %d: d%d promiscuous %v", step, dev, on)
-			p.both(func(ref bool) { p.promisc(ref, dev, on) })
 		case op < 91:
+			// Mostly lossless: one lossy spell keeps a whole segment on the
+			// walk.
 			prob := 0.0
 			if rng.Intn(6) == 0 {
 				prob = 0.3

@@ -161,6 +161,51 @@ func TestValidateReferences(t *testing.T) {
 	}
 }
 
+// TestValidateDHCPPool: a pool may not cover an address the spec gives
+// someone else on its subnet, and the first such party in spec order is
+// the one named.
+func TestValidateDHCPPool(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(*Spec)
+		wantErr string // empty: valid
+	}{
+		{"hosts outside the pool", func(s *Spec) {}, ""},
+		{"an end host", func(s *Spec) { s.Topology.Hosts[0].Addr = "36.135.0.150" }, `dhcp pool 36.135.0.100-36.135.0.150 would lease 36.135.0.150, host "ch"'s address`},
+		{"a home address", func(s *Spec) { s.Topology.Mobiles[0].HomeAddr = "36.135.0.120" }, `would lease 36.135.0.120, mobile "mh"'s home address`},
+		{"a static address", func(s *Spec) { s.Topology.Mobiles[0].Ifaces[0].Static.Addr = "36.135.0.101" }, `would lease 36.135.0.101, mobile "mh"'s static address on "eth0"`},
+		{"first party in spec order", func(s *Spec) {
+			s.Topology.Hosts[0].Addr = "36.135.0.150"
+			s.Topology.Mobiles[0].HomeAddr = "36.135.0.120"
+		}, `host "ch"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := validateMutated(t, func(s *Spec) {
+				s.Topology.Routers = []Router{{
+					Name:      "r",
+					Ifaces:    []RouterIface{{Subnet: "home", Addr: "36.135.0.1"}},
+					HomeAgent: &HomeAgentSpec{Subnet: "home"},
+					DHCP:      &DHCPSpec{Subnet: "home", FirstHost: 100, LastHost: 150},
+				}}
+				s.Topology.Hosts = []EndHost{{Name: "ch", Subnet: "home", Addr: "36.135.0.99", Gateway: "36.135.0.1"}}
+				s.Topology.Mobiles = []Mobile{{
+					Name: "mh", HomeAddr: "36.135.0.7", HomeSubnet: "home", HomeAgent: "36.135.0.1",
+					Ifaces: []MobileIface{{Name: "eth0", Device: "mh-eth", Attach: "home",
+						Static: &StaticAddr{Addr: "36.135.0.8", Gateway: "36.135.0.1"}}},
+				}}
+				tc.mutate(s)
+			})
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("valid pool refused: %v", err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("err = %v, want one mentioning %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
 // Validation errors must be deterministic: same spec, same first-failing
 // field, same text.
 func TestValidateDeterministicErrors(t *testing.T) {

@@ -92,6 +92,9 @@ func (v *validator) run() error {
 			return err
 		}
 	}
+	if err := v.pools(); err != nil {
+		return err
+	}
 	if v.spec.Traffic != nil {
 		if err := v.traffic(v.spec.Traffic); err != nil {
 			return err
@@ -218,6 +221,45 @@ func (v *validator) router(r *Router) error {
 			return fmt.Errorf("%s: dhcp host range [%d,%d] invalid for %s", ctx, d.FirstHost, d.LastHost, pfx)
 		}
 		v.dhcpNets[d.Subnet] = true
+	}
+	return nil
+}
+
+// pools refuses a DHCP pool that covers an address the spec gives someone
+// else on the pool's subnet — an end host, a mobile's home or static
+// address — since the server would lease it to a roaming mobile. Routers
+// are not parties: a subnet has one router interface (router device names
+// are per subnet), the serving router's own, which the server skips. Pools
+// are checked in spec order, and each against the parties in spec order.
+func (v *validator) pools() error {
+	t := &v.spec.Topology
+	type party struct{ who, addr, subnet string }
+	var parties []party
+	for _, h := range t.Hosts {
+		parties = append(parties, party{fmt.Sprintf("host %q's address", h.Name), h.Addr, h.Subnet})
+	}
+	for _, m := range t.Mobiles {
+		parties = append(parties, party{fmt.Sprintf("mobile %q's home address", m.Name), m.HomeAddr, m.HomeSubnet})
+		for _, ifc := range m.Ifaces {
+			if ifc.Static != nil {
+				parties = append(parties, party{fmt.Sprintf("mobile %q's static address on %q", m.Name, ifc.Name), ifc.Static.Addr, ifc.Attach})
+			}
+		}
+	}
+	for _, r := range t.Routers {
+		d := r.DHCP
+		if d == nil {
+			continue
+		}
+		pfx := v.subnets[d.Subnet]
+		first, _ := pfx.Nth(d.FirstHost)
+		last, _ := pfx.Nth(d.LastHost)
+		for _, p := range parties {
+			if a := ip.MustParseAddr(p.addr); p.subnet == d.Subnet && !a.Less(first) && !last.Less(a) {
+				return fmt.Errorf("scenario %q: router %q: dhcp pool %v-%v would lease %s, %s",
+					v.spec.Name, r.Name, first, last, p.addr, p.who)
+			}
+		}
 	}
 	return nil
 }

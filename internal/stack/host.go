@@ -246,13 +246,9 @@ func (h *Host) registerMetrics(reg *metrics.Registry) {
 		c.Counter("stack.host.received", h.stats.Received, host)
 		c.Counter("stack.host.delivered", h.stats.Delivered, host)
 		c.Counter("stack.host.forwarded", h.stats.Forwarded, host)
-		c.Counter("stack.host.drop_no_route", h.stats.DropNoRoute, host)
-		c.Counter("stack.host.drop_ttl", h.stats.DropTTL, host)
-		c.Counter("stack.host.drop_filter", h.stats.DropFilter, host)
-		c.Counter("stack.host.drop_bad_packet", h.stats.DropBadPacket, host)
-		c.Counter("stack.host.drop_not_local", h.stats.DropNotLocal, host)
-		c.Counter("stack.host.drop_no_handler", h.stats.DropNoHandler, host)
-		c.Counter("stack.host.drop_mtu", h.stats.DropMTU, host)
+		for _, d := range drops {
+			c.Counter(d.row, *d.counter(&h.stats), host)
+		}
 		c.Counter("stack.host.fragments_sent", h.stats.FragmentsSent, host)
 		c.Counter("stack.host.redirects_sent", h.stats.RedirectsSent, host)
 		c.Counter("stack.host.redirects_rcvd", h.stats.RedirectsRcvd, host)
@@ -321,9 +317,9 @@ func (h *Host) AddFilter(f FilterFunc) {
 		Fn: func(ctx *PacketContext) pipeline.Verdict {
 			switch f(ctx.In, ctx.Out, ctx.Pkt) {
 			case Drop:
-				return ctx.drop(metrics.Text("filtered"), &h.stats.DropFilter)
+				return ctx.drop(dropFilter, metrics.Text("filtered"))
 			case Reject:
-				return ctx.dropICMP(metrics.Text("filtered (reject)"), &h.stats.DropFilter, ip.ICMPDestUnreach, ip.CodeAdminProhibited)
+				return ctx.dropICMP(dropFilter, metrics.Text("filtered (reject)"), ip.ICMPDestUnreach, ip.CodeAdminProhibited)
 			}
 			return pipeline.Accept
 		},
@@ -382,8 +378,7 @@ func (h *Host) AddIface(name string, dev *link.Device, addr ip.Addr, prefix ip.P
 			// a pooled copy of the payload, handed to Input.
 			pkt, err := ip.UnmarshalPooled(f.Payload)
 			if err != nil {
-				h.stats.DropBadPacket++
-				h.pktlog.Record(f.Trace, h.name, "ip.drop", "bad packet")
+				h.recordDrop(f.Trace, dropBadPacket, metrics.Text("bad packet"))
 				return
 			}
 			pkt.Trace = f.Trace

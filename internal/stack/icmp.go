@@ -53,17 +53,15 @@ func newICMP(h *Host) *ICMP {
 	return &ICMP{host: h, pending: make(map[uint32]*pingState)}
 }
 
-// input handles a locally delivered ICMP packet, which it is lent, and
-// reports whether it parsed; one that does not is accounted as a drop
-// here.
+// input handles a locally delivered ICMP packet, which it is lent. A
+// datagram that does not parse is the error it returns, and the demux
+// drops it.
 //
 //mnet:ownership borrows pkt
-func (c *ICMP) input(ifc *Iface, pkt *ip.Packet) bool {
+func (c *ICMP) input(ifc *Iface, pkt *ip.Packet) error {
 	m, err := ip.UnmarshalICMP(pkt.Payload)
 	if err != nil {
-		c.host.stats.DropBadPacket++
-		c.host.pktlog.Record(pkt.Trace, c.host.name, "ip.drop", "bad packet")
-		return false
+		return err
 	}
 	c.Received++
 	switch m.Type {
@@ -106,7 +104,7 @@ func (c *ICMP) input(ifc *Iface, pkt *ip.Packet) bool {
 			c.ErrorHook(m, pkt.Src)
 		}
 	}
-	return true
+	return nil
 }
 
 // matchError correlates an ICMP error with an outstanding ping by parsing

@@ -7,6 +7,7 @@ import (
 	"mosquitonet/internal/bufpool"
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/link"
+	"mosquitonet/internal/metrics"
 )
 
 // TransmitFunc is the send half of a virtual interface: it receives the
@@ -121,8 +122,7 @@ func (i *Iface) sendWire(pkt *ip.Packet, nextHop ip.Addr) error {
 	if mtu := i.MTU(); mtu > 0 && pkt.Len() > mtu {
 		frags, err := ip.Fragment(pkt, mtu)
 		if err != nil {
-			i.host.stats.DropMTU++
-			i.host.pktlog.Record(pkt.Trace, i.host.name, "ip.drop", "cannot fragment to mtu")
+			i.host.recordDrop(pkt.Trace, dropMTU, metrics.Text("cannot fragment to mtu"))
 			return err
 		}
 		i.host.stats.FragmentsSent += uint64(len(frags))

@@ -68,11 +68,11 @@ type PacketContext struct {
 	stage pipeline.Stage
 
 	// Drop bookkeeping staged by drop/dropICMP, consumed by the observer.
-	dropReason  metrics.Detail
-	dropCounter *uint64
-	icmpSend    bool
-	icmpType    ip.ICMPType
-	icmpCode    uint8
+	dropDetail metrics.Detail
+	dropWhy    dropReason
+	icmpSend   bool
+	icmpType   ip.ICMPType
+	icmpCode   uint8
 
 	free *PacketContext // next record on the host's free list
 }
@@ -164,31 +164,31 @@ func (r *hop) run() {
 // Stage returns the chain stage this context is traversing.
 func (c *PacketContext) Stage() pipeline.Stage { return c.stage }
 
-// drop stages the bookkeeping for a Drop verdict: the ip.drop reason, as
-// operands the observer middleware renders only for a reader, and the
-// stats counter it will bump.
-func (c *PacketContext) drop(reason metrics.Detail, counter *uint64) pipeline.Verdict {
-	c.dropReason, c.dropCounter = reason, counter
+// drop stages the bookkeeping for a Drop verdict: why, which selects what
+// the observer counts and records, and the ip.drop hop's detail, as
+// operands rendered only for a reader.
+func (c *PacketContext) drop(why dropReason, detail metrics.Detail) pipeline.Verdict {
+	c.dropWhy, c.dropDetail = why, detail
 	return pipeline.Drop
 }
 
 // dropICMP is drop plus an ICMP error (with the usual RFC 792
 // suppressions) sent back to the packet's source.
-func (c *PacketContext) dropICMP(reason metrics.Detail, counter *uint64, typ ip.ICMPType, code uint8) pipeline.Verdict {
+func (c *PacketContext) dropICMP(why dropReason, detail metrics.Detail, typ ip.ICMPType, code uint8) pipeline.Verdict {
 	c.icmpSend, c.icmpType, c.icmpCode = true, typ, code
-	return c.drop(reason, counter)
+	return c.drop(why, detail)
 }
 
 // Drop discards the packet with the given trace reason, accounted under
 // the host's DropFilter counter — the verdict external policy hooks use.
 func (c *PacketContext) Drop(reason string) pipeline.Verdict {
-	return c.drop(metrics.Text(reason), &c.Host.stats.DropFilter)
+	return c.drop(dropFilter, metrics.Text(reason))
 }
 
 // Reject is Drop plus an ICMP administratively-prohibited error to the
 // source, how a polite policy hook declines transit traffic.
 func (c *PacketContext) Reject(reason string) pipeline.Verdict {
-	return c.dropICMP(metrics.Text(reason), &c.Host.stats.DropFilter, ip.ICMPDestUnreach, ip.CodeAdminProhibited)
+	return c.dropICMP(dropFilter, metrics.Text(reason), ip.ICMPDestUnreach, ip.CodeAdminProhibited)
 }
 
 // MarkDelivered accounts a local delivery performed by a hook that is
@@ -264,9 +264,9 @@ func (h *Host) initPipeline() {
 }
 
 // observeVerdict is the uniform tracing/metrics/drop-accounting middleware
-// installed on every chain: a Drop verdict bumps the staged counter,
-// records the ip.drop event, and sends the staged ICMP error — once, no
-// matter which hook decided.
+// installed on every chain: a Drop verdict is recorded under its staged
+// reason and the staged ICMP error is sent — once, no matter which hook
+// decided.
 func (h *Host) observeVerdict(ctx *PacketContext, v pipeline.Verdict) {
 	if h.chainSpans {
 		if t := h.spanTracer(); t != nil {
@@ -280,21 +280,28 @@ func (h *Host) observeVerdict(ctx *PacketContext, v pipeline.Verdict) {
 	if v != pipeline.Drop {
 		return
 	}
-	ctr := ctx.dropCounter
-	if ctr == nil {
-		ctr = &h.stats.DropFilter
+	h.recordDrop(ctx.Pkt.Trace, ctx.dropWhy, ctx.dropDetail)
+	if ctx.icmpSend {
+		h.icmp.sendError(ctx.icmpType, ctx.icmpCode, ctx.Pkt)
 	}
-	*ctr++
-	h.pktlog.RecordDetail(ctx.Pkt.Trace, h.name, "ip.drop", ctx.dropReason)
+}
+
+// recordDrop is the one place a stack drop is recorded: why selects the
+// Stats counter and the drop span's kind (see drops), detail is the ip.drop
+// hop's text and the span's reason. The chain observer calls it for every
+// Drop verdict; the two drops no chain sees — a frame that does not parse,
+// and a DF packet its egress cannot fragment — call it directly. Whether an
+// ICMP error goes back is the dropping site's choice, not the reason's.
+func (h *Host) recordDrop(trace uint64, why dropReason, detail metrics.Detail) {
+	d := drops[why]
+	*d.counter(&h.stats)++
+	h.pktlog.RecordDetail(trace, h.name, "ip.drop", detail)
 	if t := h.spanTracer(); t != nil {
-		sp := t.StartChild(nil, h.name, h.dropSpanKind(ctr))
-		if reason := ctx.dropReason.String(); reason != "" {
+		sp := t.StartChild(nil, h.name, d.span)
+		if reason := detail.String(); reason != "" {
 			sp.SetAttr("reason", reason)
 		}
 		sp.Done()
-	}
-	if ctx.icmpSend {
-		h.icmp.sendError(ctx.icmpType, ctx.icmpCode, ctx.Pkt)
 	}
 }
 
@@ -311,7 +318,7 @@ func (h *Host) hookClassify(ctx *PacketContext) pipeline.Verdict {
 		// group traffic.
 		h.scheduleHop(h.cfg.InputDelay, hopForward, ctx.In, pkt, ip.Addr{})
 	default:
-		return ctx.drop(metrics.AddrDetail(metrics.DetailNotLocal, pkt.Dst, ""), &h.stats.DropNotLocal)
+		return ctx.drop(dropNotLocal, metrics.AddrDetail(metrics.DetailNotLocal, pkt.Dst, ""))
 	}
 	return pipeline.Stolen
 }
@@ -342,14 +349,15 @@ func (h *Host) hookDemux(ctx *PacketContext) pipeline.Verdict {
 	handler, ok := h.handlers[pkt.Protocol]
 	if !ok {
 		if pkt.Protocol == ip.ProtoICMP {
-			if h.icmp.input(ifc, pkt) {
-				h.stats.Delivered++
-				h.pktlog.Record(pkt.Trace, h.name, "ip.deliver", "icmp")
+			if h.icmp.input(ifc, pkt) != nil {
+				return ctx.drop(dropBadPacket, metrics.Text("bad packet"))
 			}
+			h.stats.Delivered++
+			h.pktlog.Record(pkt.Trace, h.name, "ip.deliver", "icmp")
 			pkt.Release()
 			return pipeline.Stolen
 		}
-		return ctx.drop(metrics.ProtoDetail(metrics.DetailNoHandler, uint8(pkt.Protocol)), &h.stats.DropNoHandler)
+		return ctx.drop(dropNoHandler, metrics.ProtoDetail(metrics.DetailNoHandler, uint8(pkt.Protocol)))
 	}
 	h.stats.Delivered++
 	h.pktlog.RecordDetail(pkt.Trace, h.name, "ip.deliver", metrics.ProtoDetail(metrics.DetailProto, uint8(pkt.Protocol)))
@@ -362,7 +370,7 @@ func (h *Host) hookDemux(ctx *PacketContext) pipeline.Verdict {
 // ICMP time-exceeded error.
 func (h *Host) hookForwardTTL(ctx *PacketContext) pipeline.Verdict {
 	if ctx.Pkt.TTL <= 1 {
-		return ctx.dropICMP(metrics.Text("ttl expired"), &h.stats.DropTTL, ip.ICMPTimeExceeded, 0)
+		return ctx.dropICMP(dropTTL, metrics.Text("ttl expired"), ip.ICMPTimeExceeded, 0)
 	}
 	return pipeline.Accept
 }
@@ -381,7 +389,7 @@ func (h *Host) hookForwardRoute(ctx *PacketContext) pipeline.Verdict {
 	}
 	r, ok := h.lookupForward(ctx.Pkt.Dst)
 	if !ok {
-		return ctx.dropICMP(noRouteTo(ctx.Pkt.Dst), &h.stats.DropNoRoute, ip.ICMPDestUnreach, ip.CodeNetUnreach)
+		return ctx.dropICMP(dropNoRoute, noRouteTo(ctx.Pkt.Dst), ip.ICMPDestUnreach, ip.CodeNetUnreach)
 	}
 	nh := r.Gateway
 	if nh.IsUnspecified() {
@@ -395,7 +403,7 @@ func (h *Host) hookForwardRoute(ctx *PacketContext) pipeline.Verdict {
 // the ICMP error path-MTU discovery depends on.
 func (h *Host) hookForwardMTU(ctx *PacketContext) pipeline.Verdict {
 	if mtu := ctx.Out.MTU(); mtu > 0 && ctx.Pkt.Len() > mtu && ctx.Pkt.DontFrag {
-		return ctx.dropICMP(metrics.Text("df packet exceeds mtu"), &h.stats.DropMTU, ip.ICMPDestUnreach, ip.CodeFragNeeded)
+		return ctx.dropICMP(dropMTU, metrics.Text("df packet exceeds mtu"), ip.ICMPDestUnreach, ip.CodeFragNeeded)
 	}
 	return pipeline.Accept
 }
@@ -418,7 +426,7 @@ func (h *Host) hookOutputUnreachable(ctx *PacketContext) pipeline.Verdict {
 	if ctx.RouteErr == nil {
 		return pipeline.Accept
 	}
-	return ctx.dropICMP(noRouteTo(ctx.Pkt.Dst), &h.stats.DropNoRoute, ip.ICMPDestUnreach, ip.CodeNetUnreach)
+	return ctx.dropICMP(dropNoRoute, noRouteTo(ctx.Pkt.Dst), ip.ICMPDestUnreach, ip.CodeNetUnreach)
 }
 
 // resolveRoute answers one route query through the route-resolution

@@ -3,6 +3,7 @@ package stack
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -326,16 +327,21 @@ func TestDropSpanCarriesReasonWithoutPacketLog(t *testing.T) {
 	}
 }
 
-// TestCountedDropsWriteOneHop: a malformed ICMP datagram and an oversized
-// locally originated DF packet each move their drop counter and nothing
-// else — no delivery — and write exactly one ip.drop hop.
+// TestCountedDropsWriteOneHop: a malformed ICMP datagram, an oversized
+// locally originated DF packet and a frame that does not parse as IP each
+// move their drop counter and nothing else — no delivery — and write
+// exactly one ip.drop hop and one drop span of their own kind, carrying
+// their reason.
 func TestCountedDropsWriteOneHop(t *testing.T) {
 	loop := sim.New(1)
 	log := metrics.TracePackets(loop, 64)
+	tr := trace.New(loop)
 	net := link.NewNetwork(loop, "n", link.Ethernet())
 	a := addNode(t, loop, net, "a", "10.0.0.1/24")
+	b := addNode(t, loop, net, "b", "10.0.0.2/24")
 
-	check := func(what string, trace uint64, want Stats) {
+	spansSeen := 0
+	check := func(what string, trace uint64, want Stats, kind, reason string) {
 		t.Helper()
 		if got := a.host.Stats(); got != want {
 			t.Errorf("%s: stats %+v, want %+v", what, got, want)
@@ -352,10 +358,17 @@ func TestCountedDropsWriteOneHop(t *testing.T) {
 		if drops != 1 {
 			t.Errorf("%s: %d ip.drop hops, want 1: %+v", what, drops, log.Timeline(trace))
 		}
+		spans := tr.FindSpans("drop.")
+		if got := spans[spansSeen:]; len(got) != 1 || got[0].Kind != kind || got[0].Actor != "a" {
+			t.Errorf("%s: drop spans %+v, want one %s on a", what, got, kind)
+		} else if r, _ := got[0].Attr("reason"); r != reason {
+			t.Errorf("%s: drop span reason %q, want %q", what, r, reason)
+		}
+		spansSeen = len(spans)
 	}
 
 	want := a.host.Stats()
-	const badICMP, bigDF = 1 << 40, 1<<40 + 1
+	const badICMP, bigDF, badFrame = 1 << 40, 1<<40 + 1, 1<<40 + 2
 	bad := &ip.Packet{
 		Header:  ip.Header{Protocol: ip.ProtoICMP, Src: ip.MustParseAddr("10.0.0.9"), Dst: ip.MustParseAddr("10.0.0.1")},
 		Payload: []byte{byte(ip.ICMPEchoRequest)},
@@ -365,7 +378,7 @@ func TestCountedDropsWriteOneHop(t *testing.T) {
 	loop.RunFor(time.Second)
 	want.Received++
 	want.DropBadPacket++
-	check("malformed ICMP", badICMP, want)
+	check("malformed ICMP", badICMP, want, kSpanDropBadPacket, "bad packet")
 
 	big := &ip.Packet{
 		Header:  ip.Header{Protocol: ip.ProtoUDP, DontFrag: true, Src: ip.MustParseAddr("10.0.0.1"), Dst: ip.MustParseAddr("10.0.0.2")},
@@ -378,7 +391,73 @@ func TestCountedDropsWriteOneHop(t *testing.T) {
 	loop.RunFor(time.Second)
 	want.Sent++
 	want.DropMTU++
-	check("oversized DF", bigDF, want)
+	check("oversized DF", bigDF, want, kSpanDropMTU, "cannot fragment to mtu")
+
+	if err := b.dev.Send(&link.Frame{Dst: a.dev.HW(), Type: link.EtherTypeIPv4, Payload: []byte{0x45, 0}, Trace: badFrame}); err != nil {
+		t.Fatal(err)
+	}
+	loop.RunFor(time.Second)
+	want.DropBadPacket++
+	check("unparsable frame", badFrame, want, kSpanDropBadPacket, "bad packet")
+}
+
+// TestEveryDropReasonSelectsItsOwn stages a chain drop under each reason
+// and checks that it moves that reason's counter and registry row alone and
+// records that reason's span kind — never the drop.filter of a hook that
+// staged nothing, unless the reason is the filter's.
+func TestEveryDropReasonSelectsItsOwn(t *testing.T) {
+	loop := sim.New(1)
+	reg := metrics.Enable(loop)
+	tr := trace.New(loop)
+	h := NewHost(loop, "h", Config{})
+	wire := h.AddVirtualIface("wire", func(*ip.Packet, ip.Addr) {})
+	self := ip.Addr{10, 0, 0, 1}
+	h.AddLocalAddr(self)
+
+	var why dropReason
+	h.Hooks(pipeline.Prerouting).Register(pipeline.Hook[*PacketContext]{
+		Name: "stage", Priority: PriFirst,
+		Fn: func(ctx *PacketContext) pipeline.Verdict {
+			return ctx.drop(why, metrics.Text("staged"))
+		},
+	})
+	kinds := make(map[string]dropReason)
+	rows := make(map[string]uint64)
+	for why = 0; why < numDropReasons; why++ {
+		d := drops[why]
+		if other, dup := kinds[d.span]; dup {
+			t.Errorf("reasons %d and %d share span kind %s", other, why, d.span)
+		}
+		kinds[d.span] = why
+		if why != dropFilter && d.span == kSpanDropFilter {
+			t.Errorf("reason %d falls back to %s", why, kSpanDropFilter)
+		}
+
+		before := h.Stats()
+		h.Input(wire, &ip.Packet{Header: ip.Header{Protocol: ip.ProtoUDP, Src: ip.Addr{10, 0, 0, 2}, Dst: self}})
+		after := h.Stats()
+		if *d.counter(&after) != *d.counter(&before)+1 {
+			t.Errorf("reason %d: counter %d -> %d, want +1", why, *d.counter(&before), *d.counter(&after))
+		}
+		*d.counter(&after) = *d.counter(&before)
+		after.Received--
+		if after != before {
+			t.Errorf("reason %d moved other counters: %+v -> %+v", why, before, after)
+		}
+		spans := tr.FindSpans("drop.")
+		if last := spans[len(spans)-1]; len(spans) != int(why)+1 || last.Kind != d.span {
+			t.Errorf("reason %d: %d drop spans, last %s; want %d, last %s", why, len(spans), last.Kind, why+1, d.span)
+		}
+		for _, m := range reg.Snapshot().Metrics {
+			if !strings.HasPrefix(m.Name, "stack.host.drop_") {
+				continue
+			}
+			if moved := *m.Counter - rows[m.Name]; moved != 0 && m.Name != d.row || m.Name == d.row && moved != 1 {
+				t.Errorf("reason %d (row %s): row %s moved by %d", why, d.row, m.Name, moved)
+			}
+			rows[m.Name] = *m.Counter
+		}
+	}
 }
 
 // TestRouteHookRegistrationInvalidatesRouteCache is the satellite bugfix

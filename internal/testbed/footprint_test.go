@@ -184,8 +184,8 @@ func TestAllocsPerEventBudget(t *testing.T) {
 // two foreign subnets, every host roaming between them each 250 ms and
 // probing an echo service once a second — and returns the heap objects the
 // run allocates per completed handoff. With traced set the hosts and the
-// home agent record flat events and spans on a bounded tracer, the way a
-// flight recorder left on would.
+// home agent record flat events and spans on a bounded tracer, the way an
+// always-on tracer would.
 func measureAllocsPerHandoff(tb testing.TB, traced bool) (allocsPerHandoff float64, handoffs int) {
 	const hosts, period, rounds, warmup = 64, 250 * time.Millisecond, 40, 8
 	loop := sim.New(1996)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mosquitonet/internal/metrics"
+	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stats"
 	"mosquitonet/internal/trace"
 )
@@ -15,9 +16,9 @@ import (
 // again — under full span tracing, with a one-way sequence-numbered probe
 // flowing correspondent -> mobile host throughout. Each root handoff span
 // becomes an attribution window for the flow's disruption metrics (loss,
-// blackout, latency spike over baseline, reordering), and a flight
-// recorder dumps the recent trace on anomalies (registration timeouts,
-// no-route drop bursts). Everything derives from virtual time and seeded
+// blackout, latency spike over baseline, reordering), and a scan of the
+// finished trace counts anomalies (registration timeouts, no-route drop
+// bursts). Everything derives from virtual time and seeded
 // randomness, so BENCH_handoff.json is byte-identical across same-seed
 // runs at any worker count — the experiment is single-loop, workers never
 // touch it.
@@ -31,12 +32,9 @@ const (
 	// handoffSettle is the steady-state dwell between moves.
 	handoffSettle = 5 * time.Second
 
-	// Flight-recorder tuning: the trace ring kept for dumps, and the
-	// no-route burst that marks a blackout worth dumping over.
-	handoffFlightCapacity  = 65536
-	handoffFlightDumps     = 4
-	handoffDropBurstCount  = 8
-	handoffDropBurstWindow = 500 * time.Millisecond
+	// A burst of route-less drops this dense marks a blackout anomaly.
+	noRouteBurst       = 8
+	noRouteBurstWindow = 500 * time.Millisecond
 )
 
 // HandoffRows is the machine-readable result table of the handoff
@@ -50,7 +48,7 @@ type HandoffRows struct {
 	PacketsReceived   int    `json:"packets_received"`
 	PacketsLost       int    `json:"packets_lost"`
 	Reorders          int    `json:"reorders"`
-	FlightDumps       int    `json:"flight_dumps"`
+	Anomalies         int    `json:"flight_dumps"` // countAnomalies over the run's trace
 	DroppedEvents     uint64 `json:"dropped_events"`
 	DroppedSpans      uint64 `json:"dropped_spans"`
 
@@ -59,9 +57,8 @@ type HandoffRows struct {
 
 // HandoffResult is the full handoff observatory run.
 type HandoffResult struct {
-	Rows   HandoffRows
-	Flow   *stats.FlowTracker
-	Flight *trace.FlightRecorder
+	Rows HandoffRows
+	Flow *stats.FlowTracker
 	// Tracer retains the run's full event and span record for export
 	// (spans JSONL, Chrome trace) after the testbed is closed.
 	Tracer *trace.Tracer
@@ -76,11 +73,8 @@ func (r *HandoffResult) String() string {
 		r.Rows.PacketsSent, r.Rows.PacketsReceived, r.Rows.PacketsLost, r.Rows.Reorders,
 		time.Duration(r.Rows.BaselineLatencyNS).Round(time.Microsecond))
 	b.WriteString(stats.FormatDisruption(r.Rows.Handoffs))
-	fmt.Fprintf(&b, "flight recorder: %d dumps", r.Rows.FlightDumps)
-	for _, d := range r.Flight.Dumps() {
-		fmt.Fprintf(&b, "; [%v] %s (%d events, %d spans)", d.At, d.Reason, len(d.Events), len(d.Spans))
-	}
-	b.WriteString("\n")
+	fmt.Fprintf(&b, "anomalies: %d (registration timeouts, bursts of %d no-route drops within %v)\n",
+		r.Rows.Anomalies, noRouteBurst, noRouteBurstWindow)
 	return b.String()
 }
 
@@ -93,8 +87,8 @@ func (r *HandoffResult) Artifacts() []Artifact {
 }
 
 // RunHandoff runs the handoff scenario spec under the observatory and
-// returns the per-handoff disruption reports: compile, arm the flight
-// recorder, let the world run its own spec, score the one probe flow.
+// returns the per-handoff disruption reports: compile, let the world run
+// its own spec, score the one probe flow and count the trace's anomalies.
 func RunHandoff(seed int64) (*HandoffResult, error) {
 	spec, err := Scenario("handoff")
 	if err != nil {
@@ -104,11 +98,6 @@ func RunHandoff(seed int64) (*HandoffResult, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	fr := trace.NewFlightRecorder(tb.Tracer, handoffFlightCapacity, handoffFlightDumps)
-	fr.TriggerOn("reg.timeout")
-	fr.TriggerOnBurst("drop.noroute", handoffDropBurstCount, handoffDropBurstWindow)
-
 	run, err := tb.World.Run()
 	if err != nil {
 		return nil, err
@@ -125,13 +114,12 @@ func RunHandoff(seed int64) (*HandoffResult, error) {
 			PacketsReceived:   received,
 			PacketsLost:       lost,
 			Reorders:          reorders,
-			FlightDumps:       len(fr.Dumps()),
+			Anomalies:         countAnomalies(tb.Tracer),
 			DroppedEvents:     tb.Tracer.Dropped(),
 			DroppedSpans:      tb.Tracer.DroppedSpans(),
 			Handoffs:          flow.Analyze(run.Windows, HandoffGrace),
 		},
 		Flow:   flow,
-		Flight: fr,
 		Tracer: tb.Tracer,
 	}
 	res.Export = &Export{
@@ -141,4 +129,35 @@ func RunHandoff(seed int64) (*HandoffResult, error) {
 		Rows:       res.Rows,
 	}
 	return res, nil
+}
+
+// countAnomalies counts what is worth a look in a finished trace: every
+// event or closed span whose kind starts with "reg.timeout" (a
+// registration that exhausted its retries), and every noRouteBurst
+// "drop.noroute" spans that close within noRouteBurstWindow of one another,
+// counting afresh after each burst.
+func countAnomalies(t *trace.Tracer) int {
+	n := len(t.Find("reg.timeout"))
+	var drops []sim.Time
+	for _, s := range t.FindSpans("reg.timeout", "drop.noroute") {
+		switch {
+		case s.Open(): // not over yet, so not an anomaly yet
+		case strings.HasPrefix(s.Kind, "reg.timeout"):
+			n++
+		default:
+			drops = append(drops, s.End)
+		}
+	}
+	// Drop spans are instants, so start order is closing order.
+	first := 0 // drops[first:i+1] is the burst window ending at drops[i]
+	for i, at := range drops {
+		for at.Sub(drops[first]) > noRouteBurstWindow {
+			first++
+		}
+		if i+1-first == noRouteBurst {
+			n++
+			first = i + 1
+		}
+	}
+	return n
 }

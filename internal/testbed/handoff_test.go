@@ -2,8 +2,10 @@ package testbed
 
 import (
 	"testing"
+	"time"
 
 	"mosquitonet/internal/scenario"
+	"mosquitonet/internal/sim"
 	"mosquitonet/internal/trace"
 )
 
@@ -73,4 +75,45 @@ func TestHandoffSpanTreeAndReports(t *testing.T) {
 	if len(res.Tracer.FindSpans("handoff.dhcp")) == 0 {
 		t.Error("no handoff.dhcp spans recorded")
 	}
+}
+
+// TestCountAnomalies runs RunHandoff's anomaly scan over a hand-built
+// trace: every reg.timeout event or closed span counts; seven drop.noroute
+// spans within the burst window do not, the eighth does, and the window
+// starts afresh after it fires.
+func TestCountAnomalies(t *testing.T) {
+	loop := sim.New(1)
+	tr := trace.New(loop)
+	expect := func(what string, want int) {
+		t.Helper()
+		if got := countAnomalies(tr); got != want {
+			t.Fatalf("%s: %d anomalies, want %d", what, got, want)
+		}
+	}
+	drops := func(n int, gap time.Duration) {
+		for range n {
+			loop.RunFor(gap)
+			tr.StartSpan("r", "drop.noroute").Done()
+		}
+	}
+
+	tr.Record("mh", "reg.request.sent", "")
+	tr.Record("mh", "reg.timeout", "tries=3")
+	tr.StartSpan("mh", "reg.timeout").Done()
+	tr.StartSpan("mh", "reg.timeout") // still open: not yet an anomaly
+	expect("two timeouts", 2)
+
+	// A drop that falls out of the window, then seven inside it.
+	drops(1, 0)
+	loop.RunFor(noRouteBurstWindow)
+	drops(7, 10*time.Millisecond)
+	expect("a stale drop and seven in the window", 2)
+	drops(1, 10*time.Millisecond)
+	expect("the eighth", 3)
+
+	// The window restarts: the seven before the burst no longer count.
+	drops(7, 10*time.Millisecond)
+	expect("seven after a burst", 3)
+	drops(1, 10*time.Millisecond)
+	expect("eight after a burst", 4)
 }

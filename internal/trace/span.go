@@ -129,10 +129,9 @@ func (s *Span) Attr(key string) (string, bool) {
 	return "", false
 }
 
-// Done closes the span at the current virtual time, pops it from the
-// ambient per-actor context, and hands a copy to the tracer's SpanHook.
-// Closing an already-closed (or nil) span is a no-op, so error paths can
-// call Done defensively.
+// Done closes the span at the current virtual time and pops it from the
+// ambient per-actor context. Closing an already-closed (or nil) span is a
+// no-op, so error paths can call Done defensively.
 func (s *Span) Done() {
 	if s == nil || !s.open {
 		return
@@ -148,9 +147,6 @@ func (s *Span) Done() {
 			t.active[s.Actor] = append(st[:i], st[i+1:]...)
 			break
 		}
-	}
-	if t.SpanHook != nil {
-		t.SpanHook(*s)
 	}
 }
 

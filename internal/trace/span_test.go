@@ -195,50 +195,6 @@ func TestFindSpansAndTree(t *testing.T) {
 	}
 }
 
-func TestFlightRecorder(t *testing.T) {
-	loop := sim.New(1)
-	tr := New(loop)
-	fr := NewFlightRecorder(tr, 8, 2)
-	fr.TriggerOn("reg.timeout")
-	fr.TriggerOnBurst("drop.noroute", 3, 100*time.Millisecond)
-
-	loop.Schedule(time.Millisecond, func() { tr.Record("mh", "reg.request.sent", "") })
-	loop.Schedule(2*time.Millisecond, func() { tr.Record("mh", "reg.timeout", "tries=3") })
-	loop.Run()
-	dumps := fr.Dumps()
-	if len(dumps) != 1 || !strings.Contains(dumps[0].Reason, "reg.timeout") {
-		t.Fatalf("dumps: %+v", dumps)
-	}
-	if len(dumps[0].Events) != 2 {
-		t.Fatalf("dump must carry the ring contents: %d events", len(dumps[0].Events))
-	}
-
-	// One stale drop, then three within 100ms of one another: one dump.
-	loop.Schedule(10*time.Millisecond, func() { tr.StartSpan("mh", "drop.noroute").Done() })
-	loop.Schedule(200*time.Millisecond, func() { tr.StartSpan("mh", "drop.noroute").Done() })
-	loop.Schedule(220*time.Millisecond, func() { tr.StartSpan("mh", "drop.noroute").Done() })
-	loop.Schedule(240*time.Millisecond, func() { tr.StartSpan("mh", "drop.noroute").Done() })
-	loop.Run()
-	if len(fr.Dumps()) != 2 {
-		t.Fatalf("burst did not fire: %d dumps", len(fr.Dumps()))
-	}
-	loop.Schedule(250*time.Millisecond, func() { tr.Record("mh", "reg.timeout", "") })
-	loop.Run()
-	if len(fr.Dumps()) != 2 || fr.Suppressed() != 1 {
-		t.Fatalf("dump cap not enforced: %d dumps, %d suppressed", len(fr.Dumps()), fr.Suppressed())
-	}
-
-	// Nil recorder is inert.
-	var nilFR *FlightRecorder
-	nilFR.TriggerOn("x.y")
-	if nilFR.Dumps() != nil || nilFR.Suppressed() != 0 {
-		t.Fatal("nil recorder misbehaved")
-	}
-	if NewFlightRecorder(nil, 8, 2) != nil {
-		t.Fatal("recorder on nil tracer must be nil")
-	}
-}
-
 func TestWriteSpansJSONLAndChromeTrace(t *testing.T) {
 	build := func() (string, string) {
 		loop := sim.New(7)

@@ -65,8 +65,8 @@ func (r *record) event() Event {
 // is valid and records nothing, so call sites never need nil checks.
 //
 // A Tracer is unbounded by default; SetCapacity bounds both stores with
-// deterministic oldest-first eviction, which is what keeps an always-on
-// flight recorder affordable on long runs.
+// deterministic oldest-first eviction, which keeps an always-on tracer
+// affordable on long runs.
 type Tracer struct {
 	loop *sim.Loop
 
@@ -77,8 +77,6 @@ type Tracer struct {
 
 	// Hook, if set, observes every event as it is recorded.
 	Hook func(Event)
-	// SpanHook, if set, observes every span as it is closed.
-	SpanHook func(Span)
 }
 
 // tracerKey is the loop attachment (sim.Loop.Local) under which deep layers

@@ -47,6 +47,8 @@ type Subnet struct {
 	Gateway Addr
 
 	world *World
+	// holders names who has each host number given out, #1 included.
+	holders map[int]string
 }
 
 // EndHost is an ordinary (fixed) host with transport attached.
@@ -99,16 +101,30 @@ func (w *World) AddSubnet(name, cidr string, m Medium) (*Subnet, error) {
 	// Radio and serial media run Starmode-style without ARP.
 	p2p := m.Name == "radio" || m.Name == "serial"
 	scenario.AddRouterIface(w.Router, n, gw, pfx, stack.IfaceOpts{PointToPoint: p2p})
-	sn := &Subnet{Name: name, Net: n, Prefix: pfx, Gateway: gw, world: w}
+	sn := &Subnet{Name: name, Net: n, Prefix: pfx, Gateway: gw, world: w, holders: map[int]string{1: "router"}}
 	w.subnets[name] = sn
 	w.Loop.RunFor(0)
 	return sn, nil
 }
 
-// Host adds an ordinary host at the subnet's n-th host address (n >= 2,
-// since #1 is the router).
-func (sn *Subnet) Host(name string, n int) (*EndHost, error) {
+// claim gives the subnet's n-th host address to holder, unless another
+// holder has it already.
+func (sn *Subnet) claim(n int, holder string) (Addr, error) {
 	addr, err := sn.Prefix.Nth(n)
+	if err != nil {
+		return Addr{}, err
+	}
+	if had, taken := sn.holders[n]; taken {
+		return Addr{}, fmt.Errorf("mosquitonet: %s host #%d (%v) is already %s's, not free for %s", sn.Name, n, addr, had, holder)
+	}
+	sn.holders[n] = holder
+	return addr, nil
+}
+
+// Host adds an ordinary host at the subnet's n-th host address, which no
+// one else may have: #1 is the router's.
+func (sn *Subnet) Host(name string, n int) (*EndHost, error) {
+	addr, err := sn.claim(n, name)
 	if err != nil {
 		return nil, err
 	}
@@ -117,9 +133,8 @@ func (sn *Subnet) Host(name string, n int) (*EndHost, error) {
 	return &EndHost{Host: h, TS: ts, Iface: ifc, Addr: addr}, nil
 }
 
-// DHCP starts a DHCP server on the subnet (hosted on a dedicated machine
-// at host #2 unless occupied, then #3, ...), leasing host addresses
-// [firstHost, lastHost].
+// DHCP starts a DHCP server on the subnet, on a dedicated machine at host
+// #firstHost-1, leasing host addresses [firstHost, lastHost].
 func (sn *Subnet) DHCP(firstHost, lastHost int) (*DHCPServer, error) {
 	srvHost, err := sn.Host("dhcp-"+sn.Name, firstHost-1)
 	if err != nil {
@@ -163,7 +178,7 @@ func (sn *Subnet) ForeignAgent(n int) (*ForeignAgent, error) {
 // MobileHost creates a mobile host whose permanent address is the home
 // subnet's n-th host address and whose home agent is at agent.
 func (w *World) MobileHost(name string, home *Subnet, n int, agent Addr) (*MobileNode, error) {
-	homeAddr, err := home.Prefix.Nth(n)
+	homeAddr, err := home.claim(n, name)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +204,7 @@ func (mn *MobileNode) WiredInterface(name string, sn *Subnet) (*ManagedIface, er
 // StaticInterface adds a managed interface with a fixed foreign
 // configuration at sn's n-th host address (radio-style subnets).
 func (mn *MobileNode) StaticInterface(name string, sn *Subnet, n int, pointToPoint bool) (*ManagedIface, error) {
-	addr, err := sn.Prefix.Nth(n)
+	addr, err := sn.claim(n, mn.MH.Host().Name()+" "+name)
 	if err != nil {
 		return nil, err
 	}

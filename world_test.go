@@ -2,6 +2,7 @@ package mosquitonet
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -148,6 +149,38 @@ func TestWorldBadInputs(t *testing.T) {
 	}
 	if _, err := sn.Host("h", 99); err == nil {
 		t.Fatal("out-of-range host accepted")
+	}
+
+	// An address is given out once: #1 is the router's, and every builder
+	// that places something refuses a number already held, naming the holder.
+	lan, err := w.AddSubnet("lan", "10.1.0.0/24", Ethernet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lan.Host("h", 1); err == nil || !strings.Contains(err.Error(), "router") {
+		t.Fatalf("host at the router's #1: err = %v, want one naming the router", err)
+	}
+	if _, err := lan.Host("a", 9); err != nil {
+		t.Fatal(err)
+	}
+	mn, err := w.MobileHost("mh", lan, 7, lan.Gateway)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, build := range map[string]func() error{
+		"host":           func() error { _, err := lan.Host("b", 9); return err },
+		"dhcp server":    func() error { _, err := lan.DHCP(10, 20); return err },
+		"home agent":     func() error { _, err := lan.HomeAgent(9); return err },
+		"foreign agent":  func() error { _, err := lan.ForeignAgent(9); return err },
+		"home address":   func() error { _, err := w.MobileHost("mh2", lan, 9, lan.Gateway); return err },
+		"static address": func() error { _, err := mn.StaticInterface("strip0", lan, 9, true); return err },
+	} {
+		if err := build(); err == nil || !strings.Contains(err.Error(), "is already a's") {
+			t.Errorf("%s at a's #9: err = %v, want one naming a", what, err)
+		}
+	}
+	if _, err := lan.Host("c", 7); err == nil || !strings.Contains(err.Error(), "is already mh's") {
+		t.Errorf("host at mh's home address: err = %v, want one naming mh", err)
 	}
 }
 
@@ -344,7 +377,7 @@ func TestWorldCollectedWithoutClose(t *testing.T) {
 		must(err)
 		_, err = dept.DHCP(100, 150)
 		must(err)
-		_, err = dept.Host("ch", 99)
+		_, err = dept.Host("ch", 50)
 		must(err)
 		mn, err := w.MobileHost("mh", home, 7, ha.Addr())
 		must(err)
