@@ -1,5 +1,5 @@
-// Failover: the extensions working together. A Roamer (the paper's §6
-// "when to switch" future work) monitors the active link and fails over to
+// Failover: the extensions working together. A link monitor (the paper's §6
+// "when to switch" future work) watches the active link and fails over to
 // the radio when the office wire dies, then upgrades back when it returns;
 // a DNS name keeps resolving to the permanent home address throughout; and
 // the link-change notification API tells the application what kind of
@@ -84,22 +84,9 @@ func main() {
 	}
 	w.Loop.Schedule(0, tick)
 
-	// The roamer watches the office wire, with the cellular radio as backup.
-	roamer := mosquitonet.NewRoamer(laptop.MH, mosquitonet.RoamerConfig{
-		ProbeInterval:   time.Second,
-		FailThreshold:   2,
-		UpgradeInterval: 5 * time.Second,
-	}, []mosquitonet.Candidate{
-		{Iface: eth0},
-		{Iface: strip0},
-	})
-	roamer.OnFailover = func(from, to *mosquitonet.ManagedIface) {
-		fmt.Printf("[%8v] FAILOVER %s -> %s\n", w.Loop.Now().Duration().Round(time.Millisecond), from.Name(), to.Name())
-	}
-	roamer.OnUpgrade = func(from, to *mosquitonet.ManagedIface) {
-		fmt.Printf("[%8v] UPGRADE  %s -> %s\n", w.Loop.Now().Duration().Round(time.Millisecond), from.Name(), to.Name())
-	}
-	roamer.Start()
+	// The monitor watches the office wire, with the cellular radio as backup.
+	mon := &monitor{w: w, mh: laptop.MH, candidates: []*mosquitonet.ManagedIface{eth0, strip0}}
+	mon.start()
 	w.Run(5 * time.Second)
 	report := func(tag string) {
 		fmt.Printf("           stream: %d sent, %d received (%s)\n", sent, received, tag)
@@ -116,10 +103,136 @@ func main() {
 	w.Run(30 * time.Second)
 	report("after automatic upgrade back to the wire")
 
-	roamer.Stop()
+	mon.stopped = true
 	w.Run(2 * time.Second)
-	fmt.Printf("\nroamer stats: %+v\n", roamer.Stats())
+	fmt.Printf("\nroamer stats: %+v\n", mon.stats)
 	fmt.Printf("lost across both automatic switches: %d of %d\n", sent-received, sent)
+}
+
+// The monitor's policy: probe the active link's gateway every second,
+// declare the link dead after two failed probes in a row, and every five
+// seconds try to move back to a preferred candidate.
+const (
+	probeInterval   = time.Second
+	failThreshold   = 2
+	upgradeInterval = 5 * time.Second
+)
+
+// monitor decides when to switch. Every switch it makes is one of the
+// mobile host's own: a cold switch to fail over (the active link is dead,
+// so there is nothing to keep), and a make-before-break switch followed by
+// a disconnect to upgrade (a failed attempt leaves the working link alone).
+type monitor struct {
+	w          *mosquitonet.World
+	mh         *mosquitonet.MobileHost
+	candidates []*mosquitonet.ManagedIface // best first
+
+	stopped   bool
+	switching bool
+	fails     int
+	stats     struct{ Probes, ProbeFails, Failovers, Upgrades uint64 }
+}
+
+func (m *monitor) start() {
+	m.w.Loop.Schedule(probeInterval, m.probe)
+	m.w.Loop.Schedule(upgradeInterval, m.tryUpgrade)
+}
+
+// probe pings the active interface's gateway from its local address.
+func (m *monitor) probe() {
+	if m.stopped {
+		return
+	}
+	defer m.w.Loop.Schedule(probeInterval, m.probe)
+	if m.switching {
+		return
+	}
+	active := m.mh.Active()
+	if active == nil || !active.Iface().Up() {
+		m.noteFailure()
+		return
+	}
+	gw := active.Gateway()
+	if gw.IsUnspecified() {
+		return
+	}
+	bound := active.Addr()
+	if bound.IsUnspecified() {
+		bound = m.mh.HomeAddr()
+	}
+	m.stats.Probes++
+	m.mh.Host().ICMP().Ping(gw, bound, 8, probeInterval, func(res mosquitonet.PingResult) {
+		if res.TimedOut || res.Unreachable {
+			m.noteFailure()
+			return
+		}
+		m.fails = 0
+	})
+}
+
+func (m *monitor) noteFailure() {
+	m.stats.ProbeFails++
+	if m.fails++; m.fails >= failThreshold {
+		m.fails = 0
+		m.failover()
+	}
+}
+
+// failover cold-switches to the best candidate other than the dead one.
+func (m *monitor) failover() {
+	from := m.mh.Active()
+	for _, to := range m.candidates {
+		if to == from {
+			continue
+		}
+		m.stats.Failovers++
+		m.switching = true
+		m.mh.ColdSwitch(to, func(err error) {
+			m.switching = false
+			if err == nil {
+				m.report("FAILOVER", from, to)
+			}
+		})
+		return
+	}
+}
+
+// tryUpgrade moves to the best candidate preferred over the active one
+// whose device is plugged in, if there is one.
+func (m *monitor) tryUpgrade() {
+	if m.stopped {
+		return
+	}
+	defer m.w.Loop.Schedule(upgradeInterval, m.tryUpgrade)
+	if m.switching {
+		return
+	}
+	from := m.mh.Active()
+	for _, to := range m.candidates {
+		if to == from {
+			return
+		}
+		if to.Iface().Device().Network() == nil {
+			continue
+		}
+		m.switching = true
+		m.mh.MakeBeforeBreak(to, func(err error) {
+			m.switching = false
+			if err != nil {
+				return
+			}
+			if from != nil {
+				m.mh.Disconnect(from)
+			}
+			m.stats.Upgrades++
+			m.report("UPGRADE ", from, to)
+		})
+		return
+	}
+}
+
+func (m *monitor) report(what string, from, to *mosquitonet.ManagedIface) {
+	fmt.Printf("[%8v] %s %s -> %s\n", m.w.Loop.Now().Duration().Round(time.Millisecond), what, from.Name(), to.Name())
 }
 
 func check(err error) {

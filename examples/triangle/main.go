@@ -13,6 +13,7 @@ import (
 	"time"
 
 	mosquitonet "mosquitonet"
+	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/stack"
 )
 
@@ -65,11 +66,14 @@ func main() {
 	// packets leaving 36.8 with a non-local source are dropped, which is
 	// exactly what breaks the triangle route in the paper.
 	fmt.Println("enabling a transit-traffic filter on the visited router…")
-	tb.Router.AddFilter(func(in, out *stack.Iface, pkt *mosquitonet.Packet) stack.Verdict {
-		if in.Prefix() == mosquitonet.DeptPrefix && !mosquitonet.DeptPrefix.Contains(pkt.Src) {
-			return stack.Drop
-		}
-		return stack.Accept
+	tb.Router.Hooks(pipeline.Forward).Register(pipeline.Hook[*stack.PacketContext]{
+		Name: "transit-filter", Priority: stack.PriForwardFilter,
+		Fn: func(ctx *stack.PacketContext) pipeline.Verdict {
+			if ctx.In.Prefix() == mosquitonet.DeptPrefix && !mosquitonet.DeptPrefix.Contains(ctx.Pkt.Src) {
+				return ctx.Drop("filtered")
+			}
+			return pipeline.Accept
+		},
 	})
 	policy.SetHost(mosquitonet.CampusCHAddr, mosquitonet.PolicyTriangle)
 	rtt("triangle through the filter")

@@ -61,12 +61,6 @@ const (
 	kFAForwarding   = "fa.forwarding"
 	kPFANotify      = "pfa.notify"
 	kPFADeparting   = "pfa.departing"
-
-	// Roaming daemon.
-	kRoamerProbeFailed   = "roamer.probe.failed"
-	kRoamerFailover      = "roamer.failover"
-	kRoamerUpgradeFailed = "roamer.upgrade.failed"
-	kRoamerUpgrade       = "roamer.upgrade"
 )
 
 // renderDetail is the mobility layer's trace.Renderer: the detail text of
@@ -86,7 +80,7 @@ func renderDetail(kind string, o trace.Operands) string {
 		return fmt.Sprintf("old=%v new=%v", o.A, o.B)
 	case kAddrSwitchRoute:
 		return ""
-	case kColdStart, kHotStart, kRoamerFailover, kRoamerUpgrade:
+	case kColdStart, kHotStart:
 		return fmt.Sprintf("from=%s to=%s", o.S, o.T)
 	case kColdDone, kHotDone:
 		return "err=" + o.S // errText
@@ -122,10 +116,6 @@ func renderDetail(kind string, o trace.Operands) string {
 		return fmt.Sprintf("fa=%v newCareOf=%v", o.A, o.B)
 	case kPFADeparting:
 		return fmt.Sprintf("fa=%v", o.A)
-	case kRoamerProbeFailed:
-		return fmt.Sprintf("consecutive=%d", o.I)
-	case kRoamerUpgradeFailed:
-		return fmt.Sprintf("to=%s err=%s", o.S, o.T)
 	}
 	panic("mip: trace kind " + kind + " has no renderer")
 }

@@ -8,6 +8,7 @@ import (
 
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/link"
+	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/stack"
 	"mosquitonet/internal/transport"
 )
@@ -204,16 +205,27 @@ func TestTriangleRouteOptimization(t *testing.T) {
 	}
 }
 
+// dropFilter registers a transit policy on h's FORWARD chain: a packet drop
+// picks is discarded as "filtered".
+func dropFilter(h *stack.Host, drop func(ctx *stack.PacketContext) bool) {
+	h.Hooks(pipeline.Forward).Register(pipeline.Hook[*stack.PacketContext]{
+		Name: "drop-filter", Priority: stack.PriForwardFilter,
+		Fn: func(ctx *stack.PacketContext) pipeline.Verdict {
+			if drop(ctx) {
+				return ctx.Drop("filtered")
+			}
+			return pipeline.Accept
+		},
+	})
+}
+
 func TestTransitFilterBreaksTriangleAndProbeFallsBack(t *testing.T) {
 	w := newWorld(t, 1)
 	// Ingress filter on the router: drop packets from foreignA whose
 	// source is not local to it — the paper's transit-traffic rule.
 	forAPrefix := ip.MustParsePrefix("10.2.0.0/24")
-	w.router.AddFilter(func(in, out *stack.Iface, pkt *ip.Packet) stack.Verdict {
-		if in.Prefix() == forAPrefix && !forAPrefix.Contains(pkt.Src) {
-			return stack.Drop
-		}
-		return stack.Accept
+	dropFilter(w.router, func(ctx *stack.PacketContext) bool {
+		return ctx.In.Prefix() == forAPrefix && !forAPrefix.Contains(ctx.Pkt.Src)
 	})
 	w.goForeign()
 	w.mh.Policy().SetHost(ip.MustParseAddr(wCHAddr), PolicyTriangle)
@@ -290,11 +302,8 @@ func TestEncapDirectSurvivesTransitFilter(t *testing.T) {
 	w := newWorld(t, 1)
 	MakeSmartCorrespondent(w.ch.Host())
 	forAPrefix := ip.MustParsePrefix("10.2.0.0/24")
-	w.router.AddFilter(func(in, out *stack.Iface, pkt *ip.Packet) stack.Verdict {
-		if in.Prefix() == forAPrefix && !forAPrefix.Contains(pkt.Src) {
-			return stack.Drop
-		}
-		return stack.Accept
+	dropFilter(w.router, func(ctx *stack.PacketContext) bool {
+		return ctx.In.Prefix() == forAPrefix && !forAPrefix.Contains(ctx.Pkt.Src)
 	})
 	w.goForeign()
 	w.mh.Policy().SetHost(ip.MustParseAddr(wCHAddr), PolicyEncapDirect)
@@ -1269,16 +1278,17 @@ func TestRetryAfterLostReplySucceeds(t *testing.T) {
 	w := newWorld(t, 1)
 	// Drop exactly the first registration reply crossing the router.
 	dropped := 0
-	w.router.AddFilter(func(in, out *stack.Iface, pkt *ip.Packet) stack.Verdict {
+	dropFilter(w.router, func(ctx *stack.PacketContext) bool {
+		pkt := ctx.Pkt
 		if pkt.Protocol != ip.ProtoUDP || dropped > 0 {
-			return stack.Accept
+			return false
 		}
 		_, payload, err := ip.UnmarshalUDP(pkt.Src, pkt.Dst, pkt.Payload)
 		if err != nil || len(payload) == 0 || payload[0] != TypeRegReply {
-			return stack.Accept
+			return false
 		}
 		dropped++
-		return stack.Drop
+		return true
 	})
 
 	var regErr error

@@ -2,11 +2,13 @@ package mip
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/link"
+	"mosquitonet/internal/transport"
 )
 
 // A connectivity operation is walked by a record the host reuses from one
@@ -270,5 +272,59 @@ func TestTeardownBetweenPhasesStopsTheWalk(t *testing.T) {
 	w.run(time.Second)
 	if connected.calls != 1 || !errors.Is(connected.err, ErrIfaceNotReady) || w.mh.Active() != nil || w.mh.Stats().RegRequestsSent != 0 {
 		t.Fatalf("ConnectForeign torn down before the switch: %+v active %v stats %+v", connected, nameOf(w.mh.Active()), w.mh.Stats())
+	}
+}
+
+// TestMakeBeforeBreakThenDisconnect is an upgrade between two foreign
+// links: registered on foreignA through eth1, the host makes before break
+// onto eth2 on foreignB, then disconnects eth1. The new link carries the
+// registration and the traffic; the old one keeps no routes.
+func TestMakeBeforeBreakThenDisconnect(t *testing.T) {
+	w := newWorld(t, 1)
+	w.goForeign()
+	eth2dev := link.NewDevice(w.loop, "mh-eth2", 0, 0)
+	eth2dev.Attach(w.forB)
+	eth2, err := w.mh.AddInterface("eth2", eth2dev, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := false
+	w.mh.MakeBeforeBreak(eth2, func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		done = true
+	})
+	w.run(10 * time.Second)
+	if !done {
+		t.Fatal("MakeBeforeBreak never finished")
+	}
+	viaEth1 := func() bool { return strings.Contains(w.mh.Host().Routes().String(), " dev eth1 ") }
+	if !viaEth1() {
+		t.Fatal("the old link lost its routes before Disconnect")
+	}
+	w.mh.Disconnect(w.eth1)
+
+	if w.mh.Active() != eth2 || !w.mh.Registered() {
+		t.Fatalf("active=%v registered=%v, want eth2 registered", nameOf(w.mh.Active()), w.mh.Registered())
+	}
+	if !ip.MustParsePrefix("10.3.0.0/24").Contains(w.mh.CareOf()) {
+		t.Fatalf("care-of %v, want one on foreignB", w.mh.CareOf())
+	}
+	if viaEth1() {
+		t.Fatalf("routes left on eth1 after Disconnect:\n%s", w.mh.Host().Routes())
+	}
+
+	served, from := w.udpEchoServer(7)
+	echoes := 0
+	cli, _ := w.mhTS.UDP(ip.Unspecified, 0, func(transport.Datagram) { echoes++ })
+	cli.SendTo(ip.MustParseAddr(wCHAddr), 7, []byte("upgraded"))
+	w.run(3 * time.Second)
+	if *served != 1 || echoes != 1 || *from != ip.MustParseAddr(wHomeAddr) {
+		t.Fatalf("echo over eth2: served %d from %v, %d echoes back", *served, *from, echoes)
+	}
+	if enc := w.ha.Tunnel().Stats().Encapsulated; enc == 0 {
+		t.Fatal("the echo did not come back through the home agent's tunnel")
 	}
 }

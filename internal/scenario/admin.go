@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -51,6 +52,9 @@ func (c *Console) Load(r io.Reader) error {
 			offset, err := time.ParseDuration(fields[1])
 			if err != nil {
 				return fmt.Errorf("admin line %d: %w", n, err)
+			}
+			if offset < 0 || offset > time.Duration(math.MaxInt64-int64(c.w.Loop.Now())) {
+				return fmt.Errorf("admin line %d: offset %v is not in the future of the run", n, offset)
 			}
 			rest := strings.Join(fields[2:], " ")
 			c.w.Loop.Schedule(offset, func() {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -104,4 +105,51 @@ at 100ms fault ha-crash router 200ms
 		t.Error("bad immediate command accepted")
 	}
 	_ = out
+}
+
+// TestMalformedFaultInputIsAnError: a probability that is not a number and
+// a duration whose heal instant overflows simulated time are refused when
+// the fault is armed, and an "at" offset in the past is refused when the
+// script loads — none of them is accepted, clamped or left to panic the
+// loop later.
+func TestMalformedFaultInputIsAnError(t *testing.T) {
+	w, c, _ := adminWorld(t)
+	w.RunFor(30 * time.Second) // past the spec's own faults
+	struck := len(w.Faults.Records())
+	for _, bad := range []string{
+		"fault loss-burst dept NaN 1s",
+		"fault loss-burst dept -NaN 1s",
+		"fault link-flap r-net-36.8 2562047h47m",
+		"fault ha-crash router 2562047h47m16s",
+	} {
+		if err := c.Exec(bad); err == nil {
+			t.Errorf("%q was accepted", bad)
+		}
+	}
+	w.RunFor(time.Second)
+	if recs := w.Faults.Records(); len(recs) != struck {
+		t.Errorf("refused faults struck: %+v", recs[struck:])
+	}
+
+	// The injector checks the strike instant as well as the heal.
+	if err := w.Faults.Schedule(Fault{Kind: "ha-crash", Router: "router", At: Duration(math.MaxInt64 - 1), For: Duration(time.Second)}); err == nil {
+		t.Error("fault striking past the end of simulated time was accepted")
+	}
+
+	for _, script := range []string{"at -1s show hosts\n", "at 2562047h47m show hosts\n"} {
+		if err := c.Load(strings.NewReader(script)); err == nil {
+			t.Errorf("%q was accepted", script)
+		}
+	}
+
+	// A spec cannot spell NaN in JSON, but one built in Go can.
+	spec := w.Spec
+	for i := range spec.Faults {
+		if spec.Faults[i].Kind == "loss-burst" {
+			spec.Faults[i].Prob = math.NaN()
+		}
+	}
+	if err := Validate(spec); err == nil || !strings.Contains(err.Error(), "prob NaN") {
+		t.Errorf("validator on prob NaN: %v", err)
+	}
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"mosquitonet/internal/sim"
@@ -41,6 +42,12 @@ func (in *Injector) Schedule(f Fault) error {
 	if f.For <= 0 {
 		return fmt.Errorf("fault %s: needs a positive duration", f.Kind)
 	}
+	// The strike and heal instants must fit in sim.Time; past its end they
+	// would wrap into the past.
+	room := time.Duration(math.MaxInt64 - int64(in.w.Loop.Now()))
+	if f.At < 0 || f.At.D() > room || f.For.D() > room-f.At.D() {
+		return fmt.Errorf("fault %s: at %v for %v runs past the end of simulated time", f.Kind, f.At.D(), f.For.D())
+	}
 	switch f.Kind {
 	case "link-flap":
 		if _, ok := in.w.Devices[f.Device]; !ok {
@@ -50,7 +57,7 @@ func (in *Injector) Schedule(f Fault) error {
 		if _, ok := in.w.Networks[f.Subnet]; !ok {
 			return fmt.Errorf("fault loss-burst: unknown subnet %q", f.Subnet)
 		}
-		if f.Prob <= 0 || f.Prob >= 1 {
+		if !(f.Prob > 0 && f.Prob < 1) { // NaN fails both
 			return fmt.Errorf("fault loss-burst: prob %v out of range (0,1)", f.Prob)
 		}
 	case "ha-crash":

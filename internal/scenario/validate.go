@@ -547,7 +547,7 @@ func (v *validator) fault(i int, f *Fault) error {
 		if _, ok := v.subnets[f.Subnet]; !ok {
 			return fmt.Errorf("%s: unknown subnet %q", ctx, f.Subnet)
 		}
-		if f.Prob <= 0 || f.Prob >= 1 {
+		if !(f.Prob > 0 && f.Prob < 1) { // NaN fails both
 			return fmt.Errorf("%s: prob %v out of range (0,1)", ctx, f.Prob)
 		}
 	case "ha-crash":

@@ -62,24 +62,6 @@ type Stats struct {
 //mnet:ownership borrows pkt
 type ProtocolHandler func(ifc *Iface, pkt *ip.Packet)
 
-// Verdict is a forwarding filter's decision.
-type Verdict int
-
-// Filter verdicts. Reject differs from Drop by sending an ICMP
-// administratively-prohibited error back to the source, which is how a
-// polite transit-traffic filter behaves.
-const (
-	Accept Verdict = iota
-	Drop
-	Reject
-)
-
-// FilterFunc inspects a packet being forwarded from in to out. pkt is lent
-// for the call, as to a ProtocolHandler.
-//
-//mnet:ownership borrows pkt
-type FilterFunc func(in, out *Iface, pkt *ip.Packet) Verdict
-
 // ErrNoRoute is returned when no route matches a destination.
 var ErrNoRoute = errors.New("stack: no route to host")
 
@@ -105,11 +87,9 @@ type Host struct {
 
 	// The netfilter-style datapath: one hook chain per classic stage
 	// (indexed by pipeline.Stage), plus the route-resolution chain that
-	// generalizes the paper's single-slot ip_rt_route override. AddFilter
-	// delegates here.
+	// generalizes the paper's single-slot ip_rt_route override.
 	chains     [pipeline.NumStages]*pipeline.Chain[*PacketContext]
 	routeHooks *pipeline.Chain[*RouteQuery]
-	filterSeq  int
 
 	// Free lists of chain contexts, route queries and hop records (see
 	// acquireCtx and hop in pipeline.go). Filled lazily: a host that never
@@ -301,30 +281,6 @@ func (h *Host) Loopback() *Iface { return h.lo }
 
 // SetForwarding enables or disables IP forwarding (routers, home agents).
 func (h *Host) SetForwarding(v bool) { h.forwarding = v }
-
-// AddFilter appends a forwarding filter (evaluated in order; first
-// non-Accept verdict wins). Filters are adapted onto the FORWARD chain at
-// PriForwardFilter — after the route decision, before the path-MTU check,
-// exactly where the legacy filter list ran — named filter#NNN in
-// insertion order so the (priority, name) sort preserves it. A filter only
-// judges the packet: it is lent for the call and stays the stack's, so a
-// filter that wants to keep it keeps pkt.Clone().
-func (h *Host) AddFilter(f FilterFunc) {
-	name := fmt.Sprintf("filter#%03d", h.filterSeq)
-	h.filterSeq++
-	h.chains[pipeline.Forward].Register(pipeline.Hook[*PacketContext]{
-		Name: name, Priority: PriForwardFilter,
-		Fn: func(ctx *PacketContext) pipeline.Verdict {
-			switch f(ctx.In, ctx.Out, ctx.Pkt) {
-			case Drop:
-				return ctx.drop(dropFilter, metrics.Text("filtered"))
-			case Reject:
-				return ctx.dropICMP(dropFilter, metrics.Text("filtered (reject)"), ip.ICMPDestUnreach, ip.CodeAdminProhibited)
-			}
-			return pipeline.Accept
-		},
-	})
-}
 
 // SetInstallRedirects controls whether received ICMP redirects install
 // host routes, one of the transparency issues Section 5.2 discusses.

@@ -119,12 +119,7 @@ func TestEveryPathReturnsItsPacket(t *testing.T) {
 	send(b.host, udpPacket("10.0.1.2", "77.7.7.7", "no route at the router"))
 	lonely := NewHost(loop, "lonely", Config{})
 	send(lonely, udpPacket("10.9.9.9", "77.7.7.7", "no route at the sender"))
-	router.AddFilter(func(_, _ *Iface, pkt *ip.Packet) Verdict {
-		if string(pkt.Payload) == "filtered" {
-			return Reject
-		}
-		return Accept
-	})
+	rejectFilter(router, func(ctx *PacketContext) bool { return string(ctx.Pkt.Payload) == "filtered" })
 	send(a.host, udpPacket("0.0.0.0", "10.0.1.2", "filtered"))
 	b.host.Hooks(pipeline.Input).Register(pipeline.Hook[*PacketContext]{
 		Name: "thief", Priority: PriDecap,

@@ -25,7 +25,7 @@ const (
 	PriForwardRoute    = -200 // FORWARD: route-table lookup
 	PriDecap           = -100 // INPUT: decapsulation hooks (the tunnel VIF)
 	PriRouteOverride   = -100 // route chain: the paper's ip_rt_route override
-	PriForwardFilter   = 0    // FORWARD: AddFilter adapters
+	PriForwardFilter   = 0    // FORWARD: policy filters (ctx.Drop / ctx.Reject)
 	PriForwardMTU      = 100  // FORWARD: path-MTU check
 	PriForwardRedirect = 200  // FORWARD: same-subnet redirect notification
 )

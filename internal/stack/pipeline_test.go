@@ -42,16 +42,6 @@ func TestBuiltinChainLayout(t *testing.T) {
 			}
 		}
 	}
-	// AddFilter adapters slot between route and mtu, in insertion order.
-	h.AddFilter(func(in, out *Iface, pkt *ip.Packet) Verdict { return Accept })
-	h.AddFilter(func(in, out *Iface, pkt *ip.Packet) Verdict { return Accept })
-	got := h.Hooks(pipeline.Forward).Names()
-	want := []string{"ttl", "route", "filter#000", "filter#001", "mtu", "redirect"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FORWARD after AddFilter: %v, want %v", got, want)
-		}
-	}
 	// A route-resolution hook is a single slot per name: registering the
 	// name again replaces it, Deregister removes it.
 	overrideRoute(h, h.DefaultRouteLookup)

@@ -9,6 +9,7 @@ import (
 
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/link"
+	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/sim"
 )
 
@@ -349,6 +350,20 @@ func TestTTLExpiry(t *testing.T) {
 	}
 }
 
+// rejectFilter registers a transit policy on h's FORWARD chain: a packet
+// reject picks is refused with an ICMP administratively-prohibited error.
+func rejectFilter(h *Host, reject func(ctx *PacketContext) bool) {
+	h.Hooks(pipeline.Forward).Register(pipeline.Hook[*PacketContext]{
+		Name: "reject-filter", Priority: PriForwardFilter,
+		Fn: func(ctx *PacketContext) pipeline.Verdict {
+			if reject(ctx) {
+				return ctx.Reject("filtered (reject)")
+			}
+			return pipeline.Accept
+		},
+	})
+}
+
 func TestFilterDropAndReject(t *testing.T) {
 	loop := sim.New(1)
 	a, b, router := twoSubnetTopology(t, loop)
@@ -356,11 +371,8 @@ func TestFilterDropAndReject(t *testing.T) {
 
 	// The paper's transit filter: forbid forwarding packets whose source
 	// is not local to the ingress subnet.
-	router.AddFilter(func(in, out *Iface, pkt *ip.Packet) Verdict {
-		if in.Prefix().Bits > 0 && !in.Prefix().Contains(pkt.Src) {
-			return Reject
-		}
-		return Accept
+	rejectFilter(router, func(ctx *PacketContext) bool {
+		return ctx.In.Prefix().Bits > 0 && !ctx.In.Prefix().Contains(ctx.Pkt.Src)
 	})
 
 	// Legitimate local traffic passes.
@@ -425,11 +437,8 @@ func TestPingRejectedSurfacesUnreachable(t *testing.T) {
 	_ = b
 	// Router administratively blocks the far subnet outright; the error
 	// can route straight back to the pinger's own address.
-	router.AddFilter(func(in, out *Iface, pkt *ip.Packet) Verdict {
-		if out.Prefix().Contains(ip.MustParseAddr("10.0.1.2")) {
-			return Reject
-		}
-		return Accept
+	rejectFilter(router, func(ctx *PacketContext) bool {
+		return ctx.Out.Prefix().Contains(ip.MustParseAddr("10.0.1.2"))
 	})
 	var res PingResult
 	done := false
@@ -454,11 +463,8 @@ func TestTransitFilteredPingTimesOut(t *testing.T) {
 	loop := sim.New(1)
 	a, b, router := twoSubnetTopology(t, loop)
 	_ = b
-	router.AddFilter(func(in, out *Iface, pkt *ip.Packet) Verdict {
-		if in.Prefix().Bits > 0 && !in.Prefix().Contains(pkt.Src) {
-			return Reject
-		}
-		return Accept
+	rejectFilter(router, func(ctx *PacketContext) bool {
+		return ctx.In.Prefix().Bits > 0 && !ctx.In.Prefix().Contains(ctx.Pkt.Src)
 	})
 	var res PingResult
 	done := false

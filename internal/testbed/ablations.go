@@ -9,6 +9,7 @@ import (
 	"mosquitonet/internal/link"
 	"mosquitonet/internal/metrics"
 	"mosquitonet/internal/mip"
+	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/scenario"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stack"
@@ -97,11 +98,14 @@ func RunA1(seed int64, samples int) (*A1Result, error) {
 
 	// Transit-filter scenario, on a fresh testbed.
 	tb2 := New(seed + 1)
-	tb2.Router.AddFilter(func(in, out *stack.Iface, pkt *ip.Packet) stack.Verdict {
-		if in.Prefix() == DeptPrefix && !DeptPrefix.Contains(pkt.Src) {
-			return stack.Drop // forbid transit traffic from the visited net
-		}
-		return stack.Accept
+	tb2.Router.Hooks(pipeline.Forward).Register(pipeline.Hook[*stack.PacketContext]{
+		Name: "transit-filter", Priority: stack.PriForwardFilter,
+		Fn: func(ctx *stack.PacketContext) pipeline.Verdict {
+			if ctx.In.Prefix() == DeptPrefix && !DeptPrefix.Contains(ctx.Pkt.Src) {
+				return ctx.Drop("filtered") // forbid transit traffic from the visited net
+			}
+			return pipeline.Accept
+		},
 	})
 	tb2.MoveEthTo(tb2.DeptNet)
 	tb2.MustConnectForeign(tb2.Eth)

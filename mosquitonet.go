@@ -98,10 +98,6 @@ type (
 	ForeignAgent = mip.ForeignAgent
 	// LinkChange notifies upper layers of connectivity changes.
 	LinkChange = mip.LinkChange
-	// RoamerConfig tunes the Roamer (the paper's Section 6 item).
-	RoamerConfig = mip.RoamerConfig
-	// Candidate is one interface a Roamer may switch to.
-	Candidate = mip.Candidate
 )
 
 // DHCP and DNS types.
@@ -147,9 +143,6 @@ var (
 	// valid through every move.
 	NewDNSServer   = dns.NewServer
 	NewDNSResolver = dns.NewResolver
-
-	// NewRoamer builds the automatic switch-decision monitor.
-	NewRoamer = mip.NewRoamer
 
 	// NewCapture builds the packet-capture facility (the simulator's
 	// tcpdump).

@@ -250,37 +250,6 @@ func TestDNSNameStableAcrossMoves(t *testing.T) {
 	}
 }
 
-// TestRoamerPublicAPI exercises the automatic switch monitor through the
-// façade.
-func TestRoamerPublicAPI(t *testing.T) {
-	w := NewWorld(4)
-	home, _ := w.AddSubnet("home", "10.1.0.0/24", Ethernet())
-	backup, _ := w.AddSubnet("backup", "10.2.0.0/24", Ethernet())
-	ha, _ := home.HomeAgent(2)
-	backup.DHCP(100, 120)
-	laptop, _ := w.MobileHost("laptop", home, 7, ha.Addr())
-	eth0, _ := laptop.WiredInterface("eth0", home)
-	eth1, _ := laptop.WiredInterface("eth1", backup)
-	laptop.MH.ConnectHome(eth0, home.Gateway, nil)
-	w.Run(3 * time.Second)
-
-	r := NewRoamer(laptop.MH, RoamerConfig{
-		ProbeInterval: 500 * time.Millisecond,
-		FailThreshold: 2,
-	}, []Candidate{
-		{Iface: eth0, Home: true, Gateway: home.Gateway},
-		{Iface: eth1},
-	})
-	r.Start()
-	defer r.Stop()
-
-	eth0.Iface().Device().Detach() // wire dies
-	w.Run(20 * time.Second)
-	if laptop.MH.Active() != eth1 || !laptop.MH.Registered() {
-		t.Fatalf("roamer did not fail over (stats %+v)", r.Stats())
-	}
-}
-
 // TestForeignAgentAndCapturePublicAPI drives the foreign-agent extension
 // through the façade with a packet capture attached, verifying both the
 // protocol flow and the decoder see the expected messages.
