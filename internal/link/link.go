@@ -430,7 +430,9 @@ func (d *Device) Send(f *Frame) error {
 	}
 	d.ctr.sent++
 	d.ctr.txBytes += uint64(f.Len())
-	d.pktlog.RecordDetail(f.Trace, d.name, "link.tx", metrics.HWDetail(metrics.DetailLinkDst, f.Dst))
+	if d.pktlog != nil { // build no detail operands for a device without a log
+		d.pktlog.RecordDetail(f.Trace, d.name, "link.tx", metrics.HWDetail(metrics.DetailLinkDst, f.Dst))
+	}
 	d.net.transmit(d, f)
 	return nil
 }
@@ -449,7 +451,9 @@ func (d *Device) deliver(f *Frame) {
 	}
 	d.ctr.received++
 	d.ctr.rxBytes += uint64(f.Len())
-	d.pktlog.RecordDetail(f.Trace, d.name, "link.rx", metrics.HWDetail(metrics.DetailLinkSrc, f.Src))
+	if d.pktlog != nil {
+		d.pktlog.RecordDetail(f.Trace, d.name, "link.rx", metrics.HWDetail(metrics.DetailLinkSrc, f.Src))
+	}
 	if d.recv != nil {
 		d.recv(f)
 	}

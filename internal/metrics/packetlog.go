@@ -219,9 +219,13 @@ func NewPacketLog(loop *sim.Loop, limit int) *PacketLog {
 
 // Record appends an event for packet pkt whose detail is an existing
 // string, such as a constant reason. Events for pkt 0 (an un-instrumented
-// packet, e.g. a raw ARP frame) are ignored.
+// packet, e.g. a raw ARP frame) are ignored. Like RecordDetail it inlines,
+// so a nil log costs its caller a nil check.
 func (l *PacketLog) Record(pkt uint64, node, point, detail string) {
-	l.RecordDetail(pkt, node, point, Text(detail))
+	if l == nil || pkt == 0 {
+		return
+	}
+	l.put(pkt, node, point, Text(detail))
 }
 
 // RecordDetail is Record for a detail that has operands: the text is

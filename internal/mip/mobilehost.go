@@ -231,7 +231,7 @@ func NewMobileHost(ts *transport.Stack, cfg MobileHostConfig) *MobileHost {
 	// current care-of state; both must flush the stack's decision cache
 	// the moment they change. Policy edits flow through this hook, and
 	// every care-of/mode transition below calls InvalidateRoutes itself.
-	m.policy.SetOnChange(m.host.InvalidateRoutes)
+	m.policy.SetOnChange(m.host.RouteInvalidator())
 	m.registerMetrics(metrics.For(m.host.Loop()))
 	return m
 }

@@ -93,38 +93,77 @@ func TestReplaceByName(t *testing.T) {
 
 // TestDeregister asserts removal and its change notification.
 func TestDeregister(t *testing.T) {
-	c := NewChain[*ctx](Forward)
+	var c Chain[*ctx]
 	changes := 0
-	c.SetOnChange(func() { changes++ })
+	c.Init(NewTable[*ctx](Forward), func() { changes++ })
 	c.Register(hook("a", 0, Accept))
-	gen := c.Gen()
 	if !c.Deregister("a") {
 		t.Fatal("Deregister(a) = false")
 	}
 	if c.Deregister("a") {
 		t.Fatal("second Deregister(a) = true")
 	}
-	if c.Gen() == gen {
-		t.Fatal("Gen unchanged by deregistration")
-	}
 	if changes != 2 { // register + deregister
 		t.Fatalf("onChange ran %d times, want 2", changes)
 	}
 }
 
-// TestObserver asserts the middleware sees every run's final verdict,
-// including the empty-chain Accept.
-func TestObserver(t *testing.T) {
-	c := NewChain[*ctx](Prerouting)
-	var got []Verdict
-	c.SetObserver(func(_ *ctx, v Verdict) { got = append(got, v) })
-	c.Run(&ctx{})
-	c.Register(hook("drop", 0, Drop))
-	c.Run(&ctx{})
-	want := []Verdict{Accept, Drop}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("observer saw %v, want %v", got, want)
+// TestDeregisterClearsVacatedSlot: the slot a removal vacates at the end of
+// the backing array reads zero, so the removed hook's closure — and what it
+// holds, such as a tunnel endpoint and its host — is not kept reachable.
+func TestDeregisterClearsVacatedSlot(t *testing.T) {
+	c := NewChain[*ctx](Input)
+	c.Register(hook("a", 0, Accept))
+	c.Register(hook("b", 1, Accept))
+	c.Register(hook("c", 2, Accept))
+	c.Deregister("a")
+	if vacated := c.hooks[:len(c.hooks)+1][len(c.hooks)]; vacated.Name != "" || vacated.Fn != nil {
+		t.Fatalf("vacated slot holds hook %q", vacated.Name)
 	}
+}
+
+// TestTableSharedUntilWritten: chains over one table run the table's own
+// slice; a Register or Deregister on one copies it first, so the table and
+// every other chain over it stay as they were, and the table's hooks can be
+// neither replaced nor removed.
+func TestTableSharedUntilWritten(t *testing.T) {
+	// Three built-ins: a table grown by appends would have room for a fourth.
+	tab := NewTable(Forward, hook("route", -200, Accept), hook("ttl", -300, Accept), hook("mtu", 100, Accept))
+	var a, b Chain[*ctx]
+	a.Init(tab, nil)
+	b.Init(tab, nil)
+	builtins := []string{"ttl", "route", "mtu"}
+	if &a.hooks[0] != &tab.hooks[0] || &b.hooks[0] != &tab.hooks[0] {
+		t.Fatal("a chain over a table does not run the table's slice")
+	}
+	a.Register(hook("filter", 200, Drop))
+	if got := a.Names(); !reflect.DeepEqual(got, []string{"ttl", "route", "mtu", "filter"}) {
+		t.Fatalf("a after Register: %v", got)
+	}
+	if &a.hooks[0] == &tab.hooks[0] {
+		t.Fatal("Register wrote into the shared table")
+	}
+	if got := b.Names(); !reflect.DeepEqual(got, builtins) || &b.hooks[0] != &tab.hooks[0] {
+		t.Fatalf("b after a's Register: %v", got)
+	}
+	if run := (&ctx{}); b.Run(run) != Accept || !reflect.DeepEqual(run.path, builtins) {
+		t.Fatalf("b traversed %v", run.path)
+	}
+	if !a.Deregister("filter") || a.Deregister("route") || a.Deregister("ttl") {
+		t.Fatal("Deregister removed a built-in hook or missed the registered one")
+	}
+	if got := a.Names(); !reflect.DeepEqual(got, builtins) {
+		t.Fatalf("a after Deregister: %v", got)
+	}
+	if !a.Builtin("route") || a.Builtin("filter") {
+		t.Fatal("Builtin disagrees with the table")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Register under a built-in name did not panic")
+		}
+	}()
+	b.Register(hook("route", 50, Drop))
 }
 
 func TestStrings(t *testing.T) {

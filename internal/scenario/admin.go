@@ -246,6 +246,9 @@ func (c *Console) delHook(f []string) error {
 	}
 	for st := pipeline.Stage(0); st < pipeline.NumStages; st++ {
 		if strings.EqualFold(st.String(), f[1]) {
+			if h.Hooks(st).Builtin(f[2]) {
+				return fmt.Errorf("%v hook %s is built in", st, f[2])
+			}
 			if !h.Hooks(st).Deregister(f[2]) {
 				return fmt.Errorf("host %q has no %v hook %q", f[0], st, f[2])
 			}

@@ -47,9 +47,9 @@ func TestPacketContextSizeClass(t *testing.T) {
 
 // TestChainContextsNest drives the three ways a chain run starts inside
 // another on the same host — an INPUT hook re-injecting through Input, a
-// protocol handler replying through Output, a Drop whose observer sends an
-// ICMP error through Output — and asserts that the outer run's context is
-// untouched by the inner one, that a context a hook wrongly kept reads
+// protocol handler replying through Output, a Drop whose ICMP error
+// observeVerdict sends through Output — and asserts that the outer run's
+// context is untouched by the inner one, that a context a hook wrongly kept reads
 // zeroed once its run is over, and that every record is back on its free
 // list afterwards.
 func TestChainContextsNest(t *testing.T) {
@@ -107,25 +107,32 @@ func TestChainContextsNest(t *testing.T) {
 		}
 		intact("Output from a protocol handler", outer, before)
 	})
-	// 3. A policy hook rejects; the observer sends the ICMP error through
-	// Output. The observer is wrapped to look at the context after it.
+	// 3. A policy hook rejects; observeVerdict sends the ICMP error through
+	// Output once the PREROUTING run returns. An OUTPUT hook looks at the
+	// rejected context from inside that nested run.
+	var refused *PacketContext
+	var refusedBefore PacketContext
 	h.Hooks(pipeline.Prerouting).Register(pipeline.Hook[*PacketContext]{
 		Name: "refuse", Priority: PriFirst,
 		Fn: func(ctx *PacketContext) pipeline.Verdict {
 			kept = append(kept, ctx)
-			if ctx.Pkt.Protocol == protoRefused {
-				return ctx.Reject("refused")
+			if ctx.Pkt.Protocol != protoRefused {
+				return pipeline.Accept
+			}
+			v := ctx.Reject("refused")
+			refused, refusedBefore = ctx, *ctx
+			return v
+		},
+	})
+	h.Hooks(pipeline.Output).Register(pipeline.Hook[*PacketContext]{
+		Name: "watch-icmp", Priority: PriFirst,
+		Fn: func(ctx *PacketContext) pipeline.Verdict {
+			if refused != nil && ctx.Pkt.Protocol == ip.ProtoICMP {
+				intact("ICMP error from observeVerdict", refused, refusedBefore)
+				refused = nil
 			}
 			return pipeline.Accept
 		},
-	})
-	h.Hooks(pipeline.Prerouting).SetObserver(func(ctx *PacketContext, v pipeline.Verdict) {
-		before := *ctx
-		icmpBefore := h.icmp.Sent
-		h.observeVerdict(ctx, v)
-		if h.icmp.Sent != icmpBefore {
-			intact("ICMP error from the observer", ctx, before)
-		}
 	})
 
 	script := func() {

@@ -87,9 +87,15 @@ type Host struct {
 
 	// The netfilter-style datapath: one hook chain per classic stage
 	// (indexed by pipeline.Stage), plus the route-resolution chain that
-	// generalizes the paper's single-slot ip_rt_route override.
-	chains     [pipeline.NumStages]*pipeline.Chain[*PacketContext]
-	routeHooks *pipeline.Chain[*RouteQuery]
+	// generalizes the paper's single-slot ip_rt_route override. Each runs
+	// its stage's shared table of built-ins until this host changes it.
+	chains     [pipeline.NumStages]pipeline.Chain[*PacketContext]
+	routeHooks pipeline.Chain[*RouteQuery]
+
+	// invalidate is InvalidateRoutes as a func value, made once: every
+	// chain, device and policy table that can move a route decision calls
+	// this one.
+	invalidate func()
 
 	// Free lists of chain contexts, route queries and hop records (see
 	// acquireCtx and hop in pipeline.go). Filled lazily: a host that never
@@ -322,7 +328,7 @@ func (h *Host) AddIface(name string, dev *link.Device, addr ip.Addr, prefix ip.P
 	}
 	// Device reachability feeds Iface.Up(), which route decisions depend
 	// on; the decision cache must not survive an up/down/attach change.
-	dev.OnChange(h.InvalidateRoutes)
+	dev.OnChange(h.invalidate)
 	dev.SetReceiver(func(f *link.Frame) {
 		switch f.Type {
 		case link.EtherTypeARP:
@@ -476,6 +482,11 @@ func (h *Host) RouteCacheStats() RouteCacheStats { return h.cacheStats }
 // table's own generation and need no explicit call.
 func (h *Host) InvalidateRoutes() { h.routeGen++ }
 
+// RouteInvalidator returns InvalidateRoutes as the func value the host
+// made for it once, for a callback to install (a policy table's OnChange)
+// without making another.
+func (h *Host) RouteInvalidator() func() { return h.invalidate }
+
 // syncRouteCache flushes the decision caches if any guarded state moved
 // since they were filled. Both generations are monotonic, so their sum
 // changes whenever either does.
@@ -597,7 +608,7 @@ func (h *Host) Output(pkt *ip.Packet) error {
 		// "unreachable" hook converts the failure into an accounted drop
 		// plus an ICMP Destination Unreachable to a bound source.
 		ctx.RouteErr = err
-		h.endRun(ctx, h.chains[pipeline.Output].Run(ctx))
+		h.endRun(ctx, h.run(ctx))
 		return err
 	}
 	ctx.Out, ctx.NextHop, ctx.Routed = dec.Iface, dec.NextHop, true
@@ -609,7 +620,7 @@ func (h *Host) Output(pkt *ip.Packet) error {
 // accepted packet past the output processing delay into POSTROUTING. It
 // releases ctx.
 func (h *Host) finishOutput(ctx *PacketContext) {
-	if v := h.chains[pipeline.Output].Run(ctx); v == pipeline.Accept {
+	if v := h.run(ctx); v == pipeline.Accept {
 		pkt := ctx.Pkt
 		h.stats.Sent++
 		h.pktlog.RecordDetail(pkt.Trace, h.name, "ip.output", HeaderDetail(metrics.DetailPacketVia, pkt, ctx.Out.name))
@@ -656,7 +667,7 @@ func (h *Host) Input(ifc *Iface, pkt *ip.Packet) {
 	h.stats.Received++
 	ctx := h.acquireCtx(pipeline.Prerouting, pkt)
 	ctx.In = ifc
-	h.endRun(ctx, h.chains[pipeline.Prerouting].Run(ctx))
+	h.endRun(ctx, h.run(ctx))
 }
 
 // deliver runs the INPUT chain: reassembly, any decapsulation hooks, then
@@ -666,7 +677,7 @@ func (h *Host) Input(ifc *Iface, pkt *ip.Packet) {
 func (h *Host) deliver(ifc *Iface, pkt *ip.Packet) {
 	ctx := h.acquireCtx(pipeline.Input, pkt)
 	ctx.In = ifc
-	h.endRun(ctx, h.chains[pipeline.Input].Run(ctx))
+	h.endRun(ctx, h.run(ctx))
 }
 
 // forward runs the FORWARD chain (TTL, route, filters, MTU, redirect); an
@@ -678,7 +689,7 @@ func (h *Host) deliver(ifc *Iface, pkt *ip.Packet) {
 func (h *Host) forward(in *Iface, pkt *ip.Packet) {
 	ctx := h.acquireCtx(pipeline.Forward, pkt)
 	ctx.In = in
-	if v := h.chains[pipeline.Forward].Run(ctx); v == pipeline.Accept {
+	if v := h.run(ctx); v == pipeline.Accept {
 		fwd := ctx.Pkt
 		fwd.TTL--
 		h.stats.Forwarded++
@@ -692,8 +703,8 @@ func (h *Host) forward(in *Iface, pkt *ip.Packet) {
 
 // endRun finishes a chain run its packet does not continue from. A hook
 // that returned Stolen took the packet with it; on any other verdict the
-// packet dies here, after the chain's observer has built what it wanted
-// from it (the ip.drop record, an ICMP error).
+// packet dies here, after observeVerdict has built what it wanted from it
+// (the ip.drop record, an ICMP error).
 func (h *Host) endRun(ctx *PacketContext, v pipeline.Verdict) {
 	if v != pipeline.Stolen {
 		ctx.Pkt.Release()

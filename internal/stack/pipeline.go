@@ -34,7 +34,7 @@ const (
 // POSTROUTING hook sees: the host, the packet, and the routing state
 // accumulated so far. Hooks may rewrite Out/NextHop (steering) or Pkt
 // (reassembly swaps in the full datagram); drop bookkeeping is staged on
-// the context and performed once by the chain's observer middleware.
+// the context and performed once by observeVerdict after the chain run.
 //
 // A context is valid only until the hook returns: the stack reuses the
 // record for a later chain run. A hook that schedules a callback copies
@@ -67,7 +67,7 @@ type PacketContext struct {
 
 	stage pipeline.Stage
 
-	// Drop bookkeeping staged by drop/dropICMP, consumed by the observer.
+	// Drop bookkeeping staged by drop/dropICMP, consumed by observeVerdict.
 	dropDetail metrics.Detail
 	dropWhy    dropReason
 	icmpSend   bool
@@ -80,7 +80,7 @@ type PacketContext struct {
 // acquireCtx takes a context for one chain run from the host's free list,
 // making one when the list is empty. It is a list and not one scratch slot
 // because runs nest: a decapsulating INPUT hook re-injects through Input, a
-// protocol handler replies through Output, and a Drop's observer sends an
+// protocol handler replies through Output, and observeVerdict sends a Drop's
 // ICMP error through Output, each while the outer run's context is live.
 // The context carries pkt for the run, so whoever ends the run (endRun, a
 // hop, Iface.send) ends up with the packet.
@@ -97,10 +97,11 @@ func (h *Host) acquireCtx(stage pipeline.Stage, pkt *ip.Packet) *PacketContext {
 	return ctx
 }
 
-// releaseCtx zeroes ctx and returns it to the free list, once the chain's
-// observer has run and the caller has read what it needs. Zeroing means a
-// released context pins no packet, and a hook that wrongly kept the pointer
-// faults on a nil Host instead of reading another packet's state.
+// releaseCtx zeroes ctx and returns it to the free list, once
+// observeVerdict has run and the caller has read what it needs. Zeroing
+// means a released context pins no packet, and a hook that wrongly kept
+// the pointer faults on a nil Host instead of reading another packet's
+// state.
 func (h *Host) releaseCtx(ctx *PacketContext) {
 	*ctx = PacketContext{free: h.ctxFree}
 	h.ctxFree = ctx
@@ -165,7 +166,7 @@ func (r *hop) run() {
 func (c *PacketContext) Stage() pipeline.Stage { return c.stage }
 
 // drop stages the bookkeeping for a Drop verdict: why, which selects what
-// the observer counts and records, and the ip.drop hop's detail, as
+// observeVerdict counts and records, and the ip.drop hop's detail, as
 // operands rendered only for a reader.
 func (c *PacketContext) drop(why dropReason, detail metrics.Detail) pipeline.Verdict {
 	c.dropWhy, c.dropDetail = why, detail
@@ -224,47 +225,64 @@ type RouteQuery struct {
 }
 
 // Hooks returns the host's chain at the given stage, for registering
-// packet hooks. Chains belong to one host; registration bumps the chain
-// generation and flushes the host's route-decision caches.
+// packet hooks. Chains belong to one host; registration flushes the host's
+// route-decision caches.
 func (h *Host) Hooks(stage pipeline.Stage) *pipeline.Chain[*PacketContext] {
-	return h.chains[stage]
+	return &h.chains[stage]
 }
 
 // RouteHooks returns the route-resolution chain — the pluggable form of
 // the paper's single kernel modification. Mobility code registers its
 // resolver here under its own name and priority.
-func (h *Host) RouteHooks() *pipeline.Chain[*RouteQuery] { return h.routeHooks }
+func (h *Host) RouteHooks() *pipeline.Chain[*RouteQuery] { return &h.routeHooks }
 
-// initPipeline wires the five stage chains, the route-resolution chain,
-// the uniform accounting observer, and the built-in datapath hooks.
-func (h *Host) initPipeline() {
-	for s := pipeline.Stage(0); s < pipeline.NumStages; s++ {
-		c := pipeline.NewChain[*PacketContext](s)
-		c.SetObserver(h.observeVerdict)
-		// Conservative invalidation: any hook change might alter where a
-		// packet goes, and a stale cached decision must never shadow a
-		// newly registered hook. Bumping a generation is nearly free.
-		c.SetOnChange(h.InvalidateRoutes)
-		h.chains[s] = c
-	}
-	h.routeHooks = pipeline.NewChain[*RouteQuery](pipeline.Output)
-	h.routeHooks.SetOnChange(h.InvalidateRoutes)
+type packetHook = pipeline.Hook[*PacketContext]
 
-	reg := func(s pipeline.Stage, name string, pri int, fn func(*PacketContext) pipeline.Verdict) {
-		h.chains[s].Register(pipeline.Hook[*PacketContext]{Name: name, Priority: pri, Fn: fn})
-	}
-	reg(pipeline.Prerouting, "classify", PriLast, h.hookClassify)
-	reg(pipeline.Input, "reassemble", PriReassemble, h.hookReassemble)
-	reg(pipeline.Input, "demux", PriLast, h.hookDemux)
-	reg(pipeline.Forward, "ttl", PriForwardTTL, h.hookForwardTTL)
-	reg(pipeline.Forward, "route", PriForwardRoute, h.hookForwardRoute)
-	reg(pipeline.Forward, "mtu", PriForwardMTU, h.hookForwardMTU)
-	reg(pipeline.Forward, "redirect", PriForwardRedirect, h.hookForwardRedirect)
-	reg(pipeline.Output, "unreachable", PriLast, h.hookOutputUnreachable)
+// builtins are the datapath's own steps, one table per stage. They are the
+// same on every host and reach theirs through ctx.Host, so every host's
+// chains run these tables until it registers a hook of its own on a stage.
+var builtins = [pipeline.NumStages]*pipeline.Table[*PacketContext]{
+	pipeline.Prerouting: pipeline.NewTable(pipeline.Prerouting,
+		packetHook{Name: "classify", Priority: PriLast, Fn: hookClassify}),
+	pipeline.Input: pipeline.NewTable(pipeline.Input,
+		packetHook{Name: "reassemble", Priority: PriReassemble, Fn: hookReassemble},
+		packetHook{Name: "demux", Priority: PriLast, Fn: hookDemux}),
+	pipeline.Forward: pipeline.NewTable(pipeline.Forward,
+		packetHook{Name: "ttl", Priority: PriForwardTTL, Fn: hookForwardTTL},
+		packetHook{Name: "route", Priority: PriForwardRoute, Fn: hookForwardRoute},
+		packetHook{Name: "mtu", Priority: PriForwardMTU, Fn: hookForwardMTU},
+		packetHook{Name: "redirect", Priority: PriForwardRedirect, Fn: hookForwardRedirect}),
+	pipeline.Output: pipeline.NewTable(pipeline.Output,
+		packetHook{Name: "unreachable", Priority: PriLast, Fn: hookOutputUnreachable}),
+	pipeline.Postrouting: pipeline.NewTable[*PacketContext](pipeline.Postrouting),
 }
 
-// observeVerdict is the uniform tracing/metrics/drop-accounting middleware
-// installed on every chain: a Drop verdict is recorded under its staged
+// routeBuiltins is the route-resolution chain's table: empty, since the
+// stock lookup is resolveRoute's fallback rather than a hook.
+var routeBuiltins = pipeline.NewTable[*RouteQuery](pipeline.Output)
+
+// initPipeline points the five stage chains and the route-resolution chain
+// at their shared tables. Conservative invalidation: any hook change might
+// alter where a packet goes, and a stale cached decision must never shadow
+// a newly registered hook, so every chain calls the host's one invalidation
+// func on a change. Bumping a generation is nearly free.
+func (h *Host) initPipeline() {
+	h.invalidate = h.InvalidateRoutes
+	for s := range h.chains {
+		h.chains[s].Init(builtins[s], h.invalidate)
+	}
+	h.routeHooks.Init(routeBuiltins, h.invalidate)
+}
+
+// run traverses ctx's stage chain on h, then observes the verdict.
+func (h *Host) run(ctx *PacketContext) pipeline.Verdict {
+	v := h.chains[ctx.stage].Run(ctx)
+	h.observeVerdict(ctx, v)
+	return v
+}
+
+// observeVerdict is the uniform tracing/metrics/drop-accounting step that
+// follows every chain run: a Drop verdict is recorded under its staged
 // reason and the staged ICMP error is sent — once, no matter which hook
 // decided.
 func (h *Host) observeVerdict(ctx *PacketContext, v pipeline.Verdict) {
@@ -288,10 +306,10 @@ func (h *Host) observeVerdict(ctx *PacketContext, v pipeline.Verdict) {
 
 // recordDrop is the one place a stack drop is recorded: why selects the
 // Stats counter and the drop span's kind (see drops), detail is the ip.drop
-// hop's text and the span's reason. The chain observer calls it for every
-// Drop verdict; the two drops no chain sees — a frame that does not parse,
-// and a DF packet its egress cannot fragment — call it directly. Whether an
-// ICMP error goes back is the dropping site's choice, not the reason's.
+// hop's text and the span's reason. observeVerdict calls it for every Drop
+// verdict; the two drops no chain sees — a frame that does not parse, and a
+// DF packet its egress cannot fragment — call it directly. Whether an ICMP
+// error goes back is the dropping site's choice, not the reason's.
 func (h *Host) recordDrop(trace uint64, why dropReason, detail metrics.Detail) {
 	d := drops[why]
 	*d.counter(&h.stats)++
@@ -308,8 +326,8 @@ func (h *Host) recordDrop(trace uint64, why dropReason, detail metrics.Detail) {
 // hookClassify is PREROUTING's terminal hook: the arrival-time local/
 // forward/drop decision. Accepted packets are scheduled past the input
 // processing delay into the INPUT or FORWARD chain.
-func (h *Host) hookClassify(ctx *PacketContext) pipeline.Verdict {
-	pkt := ctx.Pkt
+func hookClassify(ctx *PacketContext) pipeline.Verdict {
+	h, pkt := ctx.Host, ctx.Pkt
 	switch {
 	case h.IsLocalAddr(pkt.Dst):
 		h.scheduleHop(h.cfg.InputDelay, hopDeliver, ctx.In, pkt, ip.Addr{})
@@ -326,10 +344,11 @@ func (h *Host) hookClassify(ctx *PacketContext) pipeline.Verdict {
 // hookReassemble swaps a completing fragment for its reassembled datagram
 // and parks incomplete ones; routers forward fragments untouched, so this
 // lives only on the local-delivery (INPUT) chain.
-func (h *Host) hookReassemble(ctx *PacketContext) pipeline.Verdict {
+func hookReassemble(ctx *PacketContext) pipeline.Verdict {
 	if !ctx.Pkt.IsFragment() {
 		return pipeline.Accept
 	}
+	h := ctx.Host
 	full, done := h.reasm.Add(ctx.Pkt)
 	if !done {
 		h.armSweep()
@@ -344,8 +363,8 @@ func (h *Host) hookReassemble(ctx *PacketContext) pipeline.Verdict {
 // hookDemux is INPUT's terminal hook: hand the packet to its protocol
 // handler, with ICMP built in as the fallback for its protocol number. A
 // delivered packet dies here, when the handler it was lent to returns.
-func (h *Host) hookDemux(ctx *PacketContext) pipeline.Verdict {
-	ifc, pkt := ctx.In, ctx.Pkt
+func hookDemux(ctx *PacketContext) pipeline.Verdict {
+	h, ifc, pkt := ctx.Host, ctx.In, ctx.Pkt
 	handler, ok := h.handlers[pkt.Protocol]
 	if !ok {
 		if pkt.Protocol == ip.ProtoICMP {
@@ -368,7 +387,7 @@ func (h *Host) hookDemux(ctx *PacketContext) pipeline.Verdict {
 
 // hookForwardTTL bounces expiring packets with the traceroute-visible
 // ICMP time-exceeded error.
-func (h *Host) hookForwardTTL(ctx *PacketContext) pipeline.Verdict {
+func hookForwardTTL(ctx *PacketContext) pipeline.Verdict {
 	if ctx.Pkt.TTL <= 1 {
 		return ctx.dropICMP(dropTTL, metrics.Text("ttl expired"), ip.ICMPTimeExceeded, 0)
 	}
@@ -383,11 +402,11 @@ func noRouteTo(dst ip.Addr) metrics.Detail {
 // cache, filling Out/NextHop/Route. A hook registered earlier may have
 // steered the packet already (Routed set), in which case the table is
 // left unconsulted.
-func (h *Host) hookForwardRoute(ctx *PacketContext) pipeline.Verdict {
+func hookForwardRoute(ctx *PacketContext) pipeline.Verdict {
 	if ctx.Routed {
 		return pipeline.Accept
 	}
-	r, ok := h.lookupForward(ctx.Pkt.Dst)
+	r, ok := ctx.Host.lookupForward(ctx.Pkt.Dst)
 	if !ok {
 		return ctx.dropICMP(dropNoRoute, noRouteTo(ctx.Pkt.Dst), ip.ICMPDestUnreach, ip.CodeNetUnreach)
 	}
@@ -401,7 +420,7 @@ func (h *Host) hookForwardRoute(ctx *PacketContext) pipeline.Verdict {
 
 // hookForwardMTU bounces DF packets too big for the chosen egress with
 // the ICMP error path-MTU discovery depends on.
-func (h *Host) hookForwardMTU(ctx *PacketContext) pipeline.Verdict {
+func hookForwardMTU(ctx *PacketContext) pipeline.Verdict {
 	if mtu := ctx.Out.MTU(); mtu > 0 && ctx.Pkt.Len() > mtu && ctx.Pkt.DontFrag {
 		return ctx.dropICMP(dropMTU, metrics.Text("df packet exceeds mtu"), ip.ICMPDestUnreach, ip.CodeFragNeeded)
 	}
@@ -411,9 +430,9 @@ func (h *Host) hookForwardMTU(ctx *PacketContext) pipeline.Verdict {
 // hookForwardRedirect tells an on-subnet sender about a better first hop
 // when the packet leaves the way it came in, still forwarding the packet
 // (RFC 792 behaviour).
-func (h *Host) hookForwardRedirect(ctx *PacketContext) pipeline.Verdict {
+func hookForwardRedirect(ctx *PacketContext) pipeline.Verdict {
 	if ctx.Out == ctx.In && ctx.In.prefix.Contains(ctx.Pkt.Src) && !ctx.In.pointToPoint {
-		h.icmp.sendRedirect(ctx.Pkt, ctx.NextHop)
+		ctx.Host.icmp.sendRedirect(ctx.Pkt, ctx.NextHop)
 	}
 	return pipeline.Accept
 }
@@ -422,7 +441,7 @@ func (h *Host) hookForwardRedirect(ctx *PacketContext) pipeline.Verdict {
 // packet whose route lookup failed is dropped with accounting and an ICMP
 // Destination Unreachable back to the (bound) source, rather than
 // vanishing silently.
-func (h *Host) hookOutputUnreachable(ctx *PacketContext) pipeline.Verdict {
+func hookOutputUnreachable(ctx *PacketContext) pipeline.Verdict {
 	if ctx.RouteErr == nil {
 		return pipeline.Accept
 	}
@@ -465,7 +484,7 @@ func (h *Host) resolveRoute(dst, boundSrc ip.Addr) (RouteDecision, error) {
 func (h *Host) postroute(ifc *Iface, pkt *ip.Packet, nextHop ip.Addr) {
 	ctx := h.acquireCtx(pipeline.Postrouting, pkt)
 	ctx.Out, ctx.NextHop, ctx.Routed = ifc, nextHop, true
-	if v := h.chains[pipeline.Postrouting].Run(ctx); v == pipeline.Accept {
+	if v := h.run(ctx); v == pipeline.Accept {
 		ifc, pkt, nextHop = ctx.Out, ctx.Pkt, ctx.NextHop
 		h.releaseCtx(ctx)
 		ifc.send(pkt, nextHop)

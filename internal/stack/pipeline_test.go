@@ -3,6 +3,7 @@ package stack
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -52,6 +53,85 @@ func TestBuiltinChainLayout(t *testing.T) {
 	h.RouteHooks().Deregister("override")
 	if n := h.RouteHooks().Names(); len(n) != 0 {
 		t.Fatalf("route chain after Deregister: %v", n)
+	}
+}
+
+// hooksArray returns the address of the array a chain or table keeps its
+// hooks in (0 when it has none): equal addresses are one shared table.
+func hooksArray(chainOrTable any) uintptr {
+	return reflect.ValueOf(chainOrTable).Elem().FieldByName("hooks").Pointer()
+}
+
+// TestBuiltinTablesShared: every host on every loop runs one table of
+// built-in steps per stage, and a host that registers or deregisters a hook
+// changes its own chain only — another host's listing and forwarding stay
+// as they were. The two loops are shards run by two workers, so under -race
+// a write into a shared table would be reported.
+func TestBuiltinTablesShared(t *testing.T) {
+	const packets = 40
+	var loops [2]*sim.Loop
+	var senders, receivers [2]*node
+	var routers [2]*Host
+	for i := range loops {
+		loops[i] = sim.New(int64(i + 1))
+		senders[i], receivers[i], routers[i] = twoSubnetTopology(t, loops[i])
+	}
+	for s := pipeline.Stage(0); s < pipeline.NumStages; s++ {
+		table := hooksArray(builtins[s])
+		if table == 0 {
+			continue // no built-ins at this stage: nothing to share
+		}
+		for i := range loops {
+			for _, h := range []*Host{senders[i].host, receivers[i].host, routers[i]} {
+				if hooksArray(h.Hooks(s)) != table {
+					t.Fatalf("%s on loop %d runs its own %v chain before any registration", h.Name(), i, s)
+				}
+			}
+		}
+	}
+	names, listing := routers[1].Hooks(pipeline.Forward).Names(), routers[1].Hooks(pipeline.Forward).String()
+
+	// Loop 0's router churns a filter on its FORWARD chain throughout the run
+	// while both routers forward.
+	churn := pipeline.Hook[*PacketContext]{
+		Name: "churn", Priority: PriForwardFilter,
+		Fn: func(ctx *PacketContext) pipeline.Verdict { return ctx.Drop("churn") },
+	}
+	fwd0 := routers[0].Hooks(pipeline.Forward)
+	for k := 0; k < packets; k++ {
+		loops[0].Schedule(time.Duration(k)*time.Millisecond+time.Microsecond, func() {
+			if !fwd0.Deregister("churn") {
+				fwd0.Register(churn)
+			}
+		})
+	}
+	got := [2]*[]*ip.Packet{collect(receivers[0].host), collect(receivers[1].host)}
+	for i := range loops {
+		for k := 0; k < packets; k++ {
+			a := senders[i].host
+			loops[i].Schedule(time.Duration(k)*time.Millisecond, func() { a.Output(udpPacket("0.0.0.0", "10.0.1.2", "x")) })
+		}
+	}
+	shards := sim.NewShardSet(loops[:], time.Millisecond)
+	shards.SetWorkers(2)
+	shards.RunFor(time.Second)
+
+	if st := routers[1].Stats(); st.Forwarded != packets || len(*got[1]) != packets {
+		t.Errorf("loop 1: router forwarded %d, receiver got %d; want %d each", st.Forwarded, len(*got[1]), packets)
+	}
+	if st := routers[0].Stats(); st.Forwarded == 0 || st.DropFilter == 0 || st.Forwarded+st.DropFilter != packets || len(*got[0]) != int(st.Forwarded) {
+		t.Errorf("loop 0: router forwarded %d and filtered %d, receiver got %d; want both, summing to %d", st.Forwarded, st.DropFilter, len(*got[0]), packets)
+	}
+	fwd0.Deregister("churn")
+	if got := fwd0.Names(); !reflect.DeepEqual(got, names) || fwd0.String() != listing {
+		t.Errorf("loop 0 router after its churn lists %v, want the built-ins %v", got, names)
+	}
+	fwd1 := routers[1].Hooks(pipeline.Forward)
+	if got := fwd1.Names(); !reflect.DeepEqual(got, names) || fwd1.String() != listing {
+		t.Errorf("loop 1 router lists %v after another host's churn, want %v", got, names)
+	}
+	if table := hooksArray(builtins[pipeline.Forward]); hooksArray(fwd1) != table || hooksArray(fwd0) == table {
+		t.Error("the churning router still runs the shared table, or the other one stopped")
 	}
 }
 

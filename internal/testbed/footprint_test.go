@@ -84,15 +84,17 @@ func BenchmarkHostFootprint(b *testing.B) {
 // Budgets for TestHostFootprintBudget. The measured footprint after the
 // per-host memory diet (snapshot-time metric collectors, lazy host/transport
 // maps, packed ARP tables, slab-allocated host structs, self-chaining load
-// timers, device and tunnel counters held by value) is 5,869 B and 115.2
-// allocs per host (5,858 B and 120.0 under -race); before the diet it was ~24.4 KB and ~733 allocs. The
-// budgets sit ~8 % above the measured values: one more pointer-sized field
-// per host passes, reintroducing any one of the per-host costs (a 20-entry
-// metric roster, eagerly-allocated maps, eight counter handles per device)
-// does not.
+// timers, device and tunnel counters held by value, built-in hooks in shared
+// per-stage tables) is 5,219 B and 81.2 allocs per host (5,283 B and 85.9
+// under -race); it was 5,869 B and 115.2 while every host built its own six
+// chains and their closures, and ~24.4 KB and ~733 allocs before the diet.
+// The budgets sit ~8 % above the measured values: one more pointer-sized
+// field per host passes, reintroducing any one of the per-host costs (a
+// 20-entry metric roster, eagerly-allocated maps, eight counter handles per
+// device, per-host built-in hook closures) does not.
 const (
-	footprintBytesBudget  = 6340
-	footprintAllocsBudget = 125
+	footprintBytesBudget  = 5640
+	footprintAllocsBudget = 88
 )
 
 // TestHostFootprintBudget is the memory-diet regression guard: it fails
