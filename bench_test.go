@@ -186,7 +186,7 @@ func BenchmarkScaleRoaming(b *testing.B) {
 // --- Substrate benchmarks with no twin in perf -layers ----------------------
 
 func BenchmarkPolicyTableLookup(b *testing.B) {
-	pt := mip.NewPolicyTable(mip.PolicyTunnel)
+	pt := mip.NewPolicyTable()
 	for i := 0; i < 64; i++ {
 		pt.Set(ip.Prefix{Addr: ip.Addr{10, byte(i), 0, 0}, Bits: 16}, mip.PolicyTriangle)
 	}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -94,21 +95,31 @@ func main() {
 	if *showTrace {
 		tb.Tracer.Hook = func(e trace.Event) { fmt.Println("   ", e) }
 	}
-	var jsonCap *capture.Capture
-	if *dump || *dumpJSON != "" {
-		max := 1 // live hook only; don't buffer
-		if *dumpJSON != "" {
-			max = 0 // buffer everything for the JSONL file
+	// The JSONL file is written frame by frame as the capture tap hands
+	// each one over.
+	var jsonFile *os.File
+	var jsonEnc *json.Encoder
+	var frames int
+	var jsonErr error
+	if *dumpJSON != "" {
+		if jsonFile, err = os.Create(*dumpJSON); err != nil {
+			fmt.Fprintln(os.Stderr, "mnet: dump-json:", err)
+			os.Exit(1)
 		}
-		cap := capture.New(tb.Loop, max)
-		if *dump {
-			cap.Hook = func(e capture.Entry) { fmt.Println("   #", e) }
+		jsonEnc = json.NewEncoder(jsonFile)
+	}
+	if *dump || jsonEnc != nil {
+		consume := func(e capture.Entry) {
+			if *dump {
+				fmt.Println("   #", e)
+			}
+			if jsonEnc != nil && jsonErr == nil {
+				frames++
+				jsonErr = jsonEnc.Encode(e)
+			}
 		}
 		for _, n := range []*link.Network{tb.HomeNet, tb.DeptNet, tb.RadioNet, tb.CampusNet, tb.SlowNet} {
-			cap.Attach(n)
-		}
-		if *dumpJSON != "" {
-			jsonCap = cap
+			capture.Tap(tb.Loop, n, consume)
 		}
 	}
 	if *spans {
@@ -197,18 +208,14 @@ func main() {
 			fmt.Printf("  %7d  %s\n", kc.Count, kc.Kind)
 		}
 	}
-	if jsonCap != nil {
-		f, err := os.Create(*dumpJSON)
-		if err == nil {
-			err = jsonCap.WriteJSONL(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
+	if jsonFile != nil {
+		if cerr := jsonFile.Close(); jsonErr == nil {
+			jsonErr = cerr
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mnet: dump-json:", err)
+		if jsonErr != nil {
+			fmt.Fprintln(os.Stderr, "mnet: dump-json:", jsonErr)
 			os.Exit(1)
 		}
-		fmt.Printf("\nwrote %s (%d frames)\n", *dumpJSON, jsonCap.Len())
+		fmt.Printf("\nwrote %s (%d frames)\n", *dumpJSON, frames)
 	}
 }

@@ -54,7 +54,7 @@ func main() {
 	// A correspondent that knows the laptop only by name.
 	ch, err := home.Host("colleague", 9)
 	check(err)
-	resolver := mosquitonet.NewDNSResolver(ch.TS, dnsHost.Addr, mosquitonet.DNSResolverConfig{})
+	resolver := mosquitonet.NewDNSResolver(ch.TS, dnsHost.Addr)
 	var laptopAddr mosquitonet.Addr
 	resolver.Resolve("laptop.mosquito.edu", func(a mosquitonet.Addr, err error) {
 		check(err)

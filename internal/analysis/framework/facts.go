@@ -34,11 +34,9 @@ type ObjectFact struct {
 }
 
 // factKey identifies one fact slot: analyzer × object × fact type.
-// A nil object addresses package-level facts (keyed by pkg instead).
 type factKey struct {
 	analyzer string
 	obj      types.Object
-	pkg      *types.Package
 	t        reflect.Type
 }
 
@@ -95,54 +93,13 @@ func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
 	return true
 }
 
-// ExportPackageFact attaches fact to the package being analyzed.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	p.checkFactType(fact)
-	p.pkg.factStoreFor().set(factKey{analyzer: p.Analyzer.Name, pkg: p.Pkg, t: reflect.TypeOf(fact)}, fact)
-}
-
-// ImportPackageFact copies the package fact of ptr's type for pkg into
-// *ptr, reporting whether one existed.
-func (p *Pass) ImportPackageFact(pkg *types.Package, ptr Fact) bool {
-	if pkg == nil {
-		return false
-	}
-	p.checkFactType(ptr)
-	f, ok := p.pkg.factStoreFor().get(factKey{analyzer: p.Analyzer.Name, pkg: pkg, t: reflect.TypeOf(ptr)})
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(f).Elem())
-	return true
-}
-
-// AllObjectFacts returns every object fact this analyzer has exported so
-// far (across all packages analyzed through the same loader), sorted by
-// object position for deterministic iteration.
-func (p *Pass) AllObjectFacts() []ObjectFact {
-	store := p.pkg.factStoreFor()
-	var out []ObjectFact
-	for k, f := range store.m {
-		if k.analyzer == p.Analyzer.Name && k.obj != nil {
-			out = append(out, ObjectFact{Obj: k.obj, Fact: f})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Obj.Pos() != out[j].Obj.Pos() {
-			return out[i].Obj.Pos() < out[j].Obj.Pos()
-		}
-		return out[i].Obj.Name() < out[j].Obj.Name()
-	})
-	return out
-}
-
 // ObjectFacts returns every object fact the named analyzer exported
 // through this loader, sorted by object position — the hook analysistest
 // uses to check a fixture's "// want fact:" assertions.
 func (l *Loader) ObjectFacts(analyzer string) []ObjectFact {
 	var out []ObjectFact
 	for k, f := range l.facts.m {
-		if k.analyzer == analyzer && k.obj != nil {
+		if k.analyzer == analyzer {
 			out = append(out, ObjectFact{Obj: k.obj, Fact: f})
 		}
 	}

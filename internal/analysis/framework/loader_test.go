@@ -219,52 +219,6 @@ func Top() { mid.Use() }
 	}
 }
 
-// TestPackageFactRoundTrip covers the package-level fact channel.
-func TestPackageFactRoundTrip(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"go.mod":     loaderGoMod,
-		"dep/dep.go": "package dep\n\nfunc Marked() {}\n",
-		"use/use.go": `package use
-
-import "loadertest/dep"
-
-func U() { dep.Marked() }
-`,
-	})
-	l, err := NewLoader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	a := &Analyzer{
-		Name:      "pkgfact",
-		Doc:       "round-trips a package fact",
-		FactTypes: []Fact{(*factsProbe)(nil)},
-		Run: func(p *Pass) error {
-			p.ExportPackageFact(&factsProbe{Tag: "pkg:" + p.PkgPath})
-			if p.Pkg != nil {
-				for _, imp := range p.Pkg.Imports() {
-					var f factsProbe
-					if p.ImportPackageFact(imp, &f) {
-						got = append(got, f.Tag)
-					}
-				}
-			}
-			return nil
-		},
-	}
-	use, err := l.LoadDir(filepath.Join(dir, "use"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := use.Run(a); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "pkg:loadertest/dep" {
-		t.Errorf("package facts seen = %v, want [pkg:loadertest/dep]", got)
-	}
-}
-
 // TestFactTypeEnforcement: trafficking in an undeclared fact type panics
 // loudly instead of corrupting the store.
 func TestFactTypeEnforcement(t *testing.T) {

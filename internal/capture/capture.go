@@ -2,14 +2,12 @@
 // decodes frames (ARP, IPv4, UDP — including DHCP, DNS and mobile-IP
 // registration traffic — ICMP, TCP, and nested IP-in-IP), and renders
 // one-line summaries. It exists for debugging topologies and for watching
-// the protocol work (cmd/mnet -dump).
+// the protocol work (cmd/mnet -dump). It keeps no history: each decoded
+// frame goes to the tap's consumer as it crosses the wire.
 package capture
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"strings"
 
 	"mosquitonet/internal/arp"
 	"mosquitonet/internal/dhcp"
@@ -20,7 +18,8 @@ import (
 	"mosquitonet/internal/sim"
 )
 
-// Entry is one captured frame.
+// Entry is one captured frame. Its JSON form is one line of
+// mnet -dump-json.
 type Entry struct {
 	At      sim.Time `json:"at_ns"`
 	Network string   `json:"network"`
@@ -31,71 +30,13 @@ func (e Entry) String() string {
 	return fmt.Sprintf("%12v %-12s %s", e.At, e.Network, e.Line)
 }
 
-// Capture accumulates decoded frames from one or more networks.
-type Capture struct {
-	loop    *sim.Loop
-	entries []Entry
-	max     int
-	// Hook, if set, observes entries as they are captured (live dumping).
-	Hook func(Entry)
-}
-
-// New creates a capture buffer holding up to max entries (0 = unlimited).
-func New(loop *sim.Loop, max int) *Capture {
-	return &Capture{loop: loop, max: max}
-}
-
-// Attach taps a network; every transmitted frame is decoded and recorded.
-func (c *Capture) Attach(n *link.Network) {
+// Tap decodes every frame transmitted on n, stamped with loop's clock, and
+// hands it to consume.
+func Tap(loop *sim.Loop, n *link.Network, consume func(Entry)) {
 	name := n.Name()
 	n.AddTap(func(_ *link.Device, f *link.Frame) {
-		e := Entry{At: c.loop.Now(), Network: name, Line: FormatFrame(f)}
-		if c.max == 0 || len(c.entries) < c.max {
-			c.entries = append(c.entries, e)
-		}
-		if c.Hook != nil {
-			c.Hook(e)
-		}
+		consume(Entry{At: loop.Now(), Network: name, Line: FormatFrame(f)})
 	})
-}
-
-// Len returns the number of captured entries.
-func (c *Capture) Len() int { return len(c.entries) }
-
-// Reset discards captured entries.
-func (c *Capture) Reset() { c.entries = c.entries[:0] }
-
-// Find returns entries whose line contains the substring.
-func (c *Capture) Find(substr string) []Entry {
-	var out []Entry
-	for _, e := range c.entries {
-		if strings.Contains(e.Line, substr) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// WriteJSONL writes the capture as one JSON object per line, in capture
-// order — the machine-readable twin of String, byte-identical across
-// same-seed runs.
-func (c *Capture) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range c.entries {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// String renders the whole capture.
-func (c *Capture) String() string {
-	var b strings.Builder
-	for _, e := range c.entries {
-		fmt.Fprintln(&b, e)
-	}
-	return b.String()
 }
 
 // FormatFrame decodes one frame into a tcpdump-style line.

@@ -3,6 +3,7 @@ package capture
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -16,11 +17,38 @@ import (
 	"mosquitonet/internal/transport"
 )
 
+// entries keeps what a tap hands over: the history is the test's, not
+// capture's.
+type entries []Entry
+
+func (es *entries) tap(loop *sim.Loop, n *link.Network) {
+	Tap(loop, n, func(e Entry) { *es = append(*es, e) })
+}
+
+// find returns the entries whose line contains substr.
+func (es entries) find(substr string) []Entry {
+	var out []Entry
+	for _, e := range es {
+		if strings.Contains(e.Line, substr) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+func (es entries) String() string {
+	var b strings.Builder
+	for _, e := range es {
+		fmt.Fprintln(&b, e)
+	}
+	return b.String()
+}
+
 // scenario: two hosts exchanging various traffic on one tapped network.
 type scenario struct {
 	loop *sim.Loop
 	net  *link.Network
-	cap  *Capture
+	cap  *entries
 	a, b *transport.Stack
 }
 
@@ -28,8 +56,8 @@ func newScenario(t *testing.T) *scenario {
 	t.Helper()
 	loop := sim.New(1)
 	n := link.NewNetwork(loop, "lab", link.Ethernet())
-	c := New(loop, 0)
-	c.Attach(n)
+	c := &entries{}
+	c.tap(loop, n)
 	mk := func(name, addr string) *transport.Stack {
 		h := stack.NewHost(loop, name, stack.Config{})
 		d := link.NewDevice(loop, name+"-eth", 0, 0)
@@ -51,13 +79,13 @@ func TestCapturesARPAndUDP(t *testing.T) {
 	cli.SendTo(ip.MustParseAddr("10.0.0.2"), 4000, []byte("payload"))
 	s.loop.RunFor(time.Second)
 
-	if len(s.cap.Find("arp who-has 10.0.0.2")) != 1 {
+	if len(s.cap.find("arp who-has 10.0.0.2")) != 1 {
 		t.Fatalf("ARP request not captured:\n%s", s.cap)
 	}
-	if len(s.cap.Find("arp reply 10.0.0.2 is-at")) != 1 {
+	if len(s.cap.find("arp reply 10.0.0.2 is-at")) != 1 {
 		t.Fatalf("ARP reply not captured:\n%s", s.cap)
 	}
-	if len(s.cap.Find("udp 7 bytes")) != 1 {
+	if len(s.cap.find("udp 7 bytes")) != 1 {
 		t.Fatalf("UDP datagram not captured:\n%s", s.cap)
 	}
 }
@@ -66,7 +94,7 @@ func TestCapturesICMP(t *testing.T) {
 	s := newScenario(t)
 	s.a.Host().ICMP().Ping(ip.MustParseAddr("10.0.0.2"), ip.Unspecified, 8, time.Second, nil)
 	s.loop.RunFor(2 * time.Second)
-	if len(s.cap.Find("icmp echo request")) != 1 || len(s.cap.Find("icmp echo reply")) != 1 {
+	if len(s.cap.find("icmp echo request")) != 1 || len(s.cap.find("icmp echo reply")) != 1 {
 		t.Fatalf("ICMP exchange not captured:\n%s", s.cap)
 	}
 }
@@ -76,10 +104,10 @@ func TestCapturesTCPHandshake(t *testing.T) {
 	s.b.Listen(ip.Unspecified, 80, nil)
 	s.a.Connect(ip.Unspecified, ip.MustParseAddr("10.0.0.2"), 80)
 	s.loop.RunFor(2 * time.Second)
-	if len(s.cap.Find("tcp SYN seq=")) < 1 {
+	if len(s.cap.find("tcp SYN seq=")) < 1 {
 		t.Fatalf("SYN not captured:\n%s", s.cap)
 	}
-	if len(s.cap.Find("tcp SYN|ACK")) != 1 {
+	if len(s.cap.find("tcp SYN|ACK")) != 1 {
 		t.Fatalf("SYN|ACK not captured:\n%s", s.cap)
 	}
 }
@@ -92,7 +120,7 @@ func TestCapturesMobileIPAndTunnel(t *testing.T) {
 	cli, _ := s.a.UDP(ip.MustParseAddr("10.0.0.1"), mip.Port, nil)
 	cli.SendTo(ip.MustParseAddr("10.0.0.2"), mip.Port, reg.Marshal())
 	s.loop.RunFor(time.Second)
-	if len(s.cap.Find("mip reg-request home=36.135.0.7 careof=10.0.0.1")) != 1 {
+	if len(s.cap.find("mip reg-request home=36.135.0.7 careof=10.0.0.1")) != 1 {
 		t.Fatalf("registration not decoded:\n%s", s.cap)
 	}
 
@@ -103,7 +131,7 @@ func TestCapturesMobileIPAndTunnel(t *testing.T) {
 	outer, _ := ip.Encapsulate(ip.MustParseAddr("10.0.0.2"), ip.MustParseAddr("10.0.0.1"), 64, 1, inner)
 	s.b.Host().Output(outer)
 	s.loop.RunFor(time.Second)
-	hits := s.cap.Find("ipip {")
+	hits := s.cap.find("ipip {")
 	if len(hits) != 1 || !strings.Contains(hits[0].Line, "36.8.0.99:9 > 36.135.0.7:9") {
 		t.Fatalf("tunnel not decoded recursively:\n%s", s.cap)
 	}
@@ -161,7 +189,7 @@ func TestCapturesDHCP(t *testing.T) {
 	cli, _ := s.a.UDP(ip.Unspecified, dhcp.ClientPort, nil)
 	cli.SendToVia(s.a.Host().IfaceByName("eth0"), ip.Broadcast, ip.Broadcast, dhcp.ServerPort, m.Marshal())
 	s.loop.RunFor(time.Second)
-	if len(s.cap.Find("dhcp DISCOVER")) != 1 {
+	if len(s.cap.find("dhcp DISCOVER")) != 1 {
 		t.Fatalf("DHCP not decoded:\n%s", s.cap)
 	}
 }
@@ -171,8 +199,8 @@ func TestCapturesFragments(t *testing.T) {
 	m := link.Ethernet()
 	m.MTU = 600
 	n := link.NewNetwork(loop, "narrow", m)
-	c := New(loop, 0)
-	c.Attach(n)
+	c := &entries{}
+	c.tap(loop, n)
 	mk := func(name, addr string) *stack.Host {
 		h := stack.NewHost(loop, name, stack.Config{})
 		d := link.NewDevice(loop, name+"-eth", 0, 0)
@@ -190,32 +218,32 @@ func TestCapturesFragments(t *testing.T) {
 		Payload: make([]byte, 1500),
 	})
 	loop.RunFor(time.Second)
-	if len(c.Find("frag id=")) < 3 {
+	if len(c.find("frag id=")) < 3 {
 		t.Fatalf("fragments not decoded:\n%s", c)
 	}
 }
 
-func TestCaptureLimitsAndHook(t *testing.T) {
+// TestTapSeesEveryFrame: every tap on a network is handed every frame as it
+// crosses the wire, in order.
+func TestTapSeesEveryFrame(t *testing.T) {
 	s := newScenario(t)
-	s.cap.Reset()
-	limited := New(s.loop, 2)
-	limited.Attach(s.net)
-	live := 0
-	limited.Hook = func(Entry) { live++ }
+	var second entries
+	second.tap(s.loop, s.net)
 	cli, _ := s.a.UDP(ip.Unspecified, 0, nil)
 	for i := 0; i < 5; i++ {
 		cli.SendTo(ip.MustParseAddr("10.0.0.2"), 9, []byte("x"))
 	}
 	s.loop.RunFor(time.Second)
-	if limited.Len() != 2 {
-		t.Fatalf("limit not enforced: %d", limited.Len())
+	if got := len(second.find("udp 1 bytes")); got != 5 {
+		t.Fatalf("tap saw %d of 5 datagrams:\n%s", got, second)
 	}
-	if live < 5 {
-		t.Fatalf("hook saw %d", live)
+	if first := *s.cap; second.String() != first[len(first)-len(second):].String() {
+		t.Fatalf("two taps disagree:\n%s\nvs\n%s", first, second)
 	}
-	limited.Reset()
-	if limited.Len() != 0 {
-		t.Fatal("Reset ineffective")
+	for i := 1; i < len(second); i++ {
+		if second[i].At < second[i-1].At {
+			t.Fatalf("entry %d at %v precedes entry %d at %v", i, second[i].At, i-1, second[i-1].At)
+		}
 	}
 }
 
@@ -231,22 +259,26 @@ func TestFormatMalformed(t *testing.T) {
 	}
 }
 
-func TestWriteJSONL(t *testing.T) {
+// TestEntryJSON: an entry encodes as one JSON object per line with the
+// fields mnet -dump-json writes.
+func TestEntryJSON(t *testing.T) {
 	s := newScenario(t)
 	cli, _ := s.a.UDP(ip.Unspecified, 0, nil)
 	cli.SendTo(ip.MustParseAddr("10.0.0.2"), 9, []byte("x"))
 	s.loop.RunFor(time.Second)
-	if s.cap.Len() == 0 {
+	if len(*s.cap) == 0 {
 		t.Fatal("nothing captured")
 	}
-
 	var buf bytes.Buffer
-	if err := s.cap.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
+	enc := json.NewEncoder(&buf)
+	for _, e := range *s.cap {
+		if err := enc.Encode(e); err != nil {
+			t.Fatal(err)
+		}
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != s.cap.Len() {
-		t.Fatalf("want %d lines, got %d", s.cap.Len(), len(lines))
+	if len(lines) != len(*s.cap) {
+		t.Fatalf("want %d lines, got %d", len(*s.cap), len(lines))
 	}
 	for i, line := range lines {
 		var e struct {
@@ -257,17 +289,8 @@ func TestWriteJSONL(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
 			t.Fatalf("line %d not valid JSON: %v", i, err)
 		}
-		if e.Network != "lab" || e.Line == "" {
-			t.Fatalf("line %d incomplete: %+v", i, e)
+		if e.Network != "lab" || e.Line != (*s.cap)[i].Line || e.AtNS != int64((*s.cap)[i].At) {
+			t.Fatalf("line %d = %+v, want %+v", i, e, (*s.cap)[i])
 		}
-	}
-
-	// Same capture, same bytes.
-	var again bytes.Buffer
-	if err := s.cap.WriteJSONL(&again); err != nil {
-		t.Fatal(err)
-	}
-	if again.String() != buf.String() {
-		t.Fatal("WriteJSONL is not stable")
 	}
 }

@@ -161,7 +161,7 @@ func TestAcquireTimeoutWithoutServer(t *testing.T) {
 }
 
 func TestRenewalExtendsLease(t *testing.T) {
-	e := newEnv(t, ServerConfig{LeaseDuration: 4 * time.Second})
+	e := newEnv(t, ServerConfig{})
 	c, _ := e.addClient(t, "mh")
 	renewed := 0
 	expired := false
@@ -172,9 +172,9 @@ func TestRenewalExtendsLease(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	e.loop.RunFor(20 * time.Second)
+	e.loop.RunFor(2*leaseDuration + leaseDuration/4)
 	if renewed < 3 {
-		t.Fatalf("renewed %d times over 20s with 4s leases", renewed)
+		t.Fatalf("renewed %d times over %v with %v leases", renewed, 2*leaseDuration+leaseDuration/4, leaseDuration)
 	}
 	if expired {
 		t.Fatal("lease expired despite renewals")
@@ -185,7 +185,7 @@ func TestRenewalExtendsLease(t *testing.T) {
 }
 
 func TestLeaseExpiresWhenServerGone(t *testing.T) {
-	e := newEnv(t, ServerConfig{LeaseDuration: 2 * time.Second})
+	e := newEnv(t, ServerConfig{})
 	c, _ := e.addClient(t, "mh")
 	expired := false
 	c.OnExpired = func() { expired = true }
@@ -201,7 +201,7 @@ func TestLeaseExpiresWhenServerGone(t *testing.T) {
 			ifc.Device().BringDown()
 		}
 	}
-	e.loop.RunFor(30 * time.Second)
+	e.loop.RunFor(2 * leaseDuration)
 	if !expired {
 		t.Fatal("lease did not expire without renewals")
 	}
@@ -309,7 +309,7 @@ func TestAcquireBusy(t *testing.T) {
 func TestTwoClientsOnOneHost(t *testing.T) {
 	// A mobile host runs a client per interface; acquiring on the second
 	// interface while the first lease renews must work.
-	e := newEnv(t, ServerConfig{LeaseDuration: 4 * time.Second})
+	e := newEnv(t, ServerConfig{})
 	h := stack.NewHost(e.loop, "mh", stack.Config{})
 	ts := transport.NewStack(h)
 	mkIfc := func(name string) *stack.Iface {
@@ -337,7 +337,9 @@ func TestTwoClientsOnOneHost(t *testing.T) {
 		l1 = l
 		i1.SetAddr(l.Addr, l.Prefix)
 	})
-	e.loop.RunFor(5 * time.Second)
+	// The second acquisition straddles the first lease's renewal, at half
+	// its duration.
+	e.loop.RunFor(leaseDuration/2 - 5*time.Second)
 	renewed := 0
 	c1.OnRenewed = func(Lease) { renewed++ }
 	c2.Acquire(func(l Lease, err error) {

@@ -19,8 +19,6 @@ type ServerConfig struct {
 	FirstHost, LastHost int
 	// Gateway is handed to clients as their default router.
 	Gateway ip.Addr
-	// LeaseDuration defaults to 10 minutes.
-	LeaseDuration time.Duration
 	// ProcessingDelay models server think time per request.
 	ProcessingDelay time.Duration
 }
@@ -43,6 +41,9 @@ type serverLease struct {
 	offered bool // offered but not yet acked
 }
 
+// leaseDuration is the lifetime of every lease the server grants.
+const leaseDuration = 10 * time.Minute
+
 // Server is a DHCP server answering on UDP port 67.
 type Server struct {
 	loop *sim.Loop
@@ -60,9 +61,6 @@ type Server struct {
 
 // NewServer starts a DHCP server on ts. It binds UDP port 67.
 func NewServer(ts *transport.Stack, cfg ServerConfig) (*Server, error) {
-	if cfg.LeaseDuration == 0 {
-		cfg.LeaseDuration = 10 * time.Minute
-	}
 	if cfg.FirstHost == 0 {
 		cfg.FirstHost = 1
 	}
@@ -131,7 +129,7 @@ func (s *Server) handleDiscover(m *Message, d transport.Datagram) {
 		s.stats.Exhausted++
 		return
 	}
-	s.leases[addr] = &serverLease{hw: m.ClientHW, expires: s.loop.Now().Add(s.cfg.LeaseDuration), offered: true}
+	s.leases[addr] = &serverLease{hw: m.ClientHW, expires: s.loop.Now().Add(leaseDuration), offered: true}
 	s.byHW[m.ClientHW] = addr
 	s.stats.Offers++
 	s.reply(d, &Message{
@@ -142,7 +140,7 @@ func (s *Server) handleDiscover(m *Message, d transport.Datagram) {
 		ServerAddr: s.serverAddr(),
 		PrefixBits: uint8(s.cfg.Pool.Bits),
 		Gateway:    s.cfg.Gateway,
-		LeaseSecs:  uint32(s.cfg.LeaseDuration / time.Second),
+		LeaseSecs:  uint32(leaseDuration / time.Second),
 	})
 }
 
@@ -160,7 +158,7 @@ func (s *Server) handleRequest(m *Message, d transport.Datagram) {
 		return
 	}
 	l.offered = false
-	l.expires = s.loop.Now().Add(s.cfg.LeaseDuration)
+	l.expires = s.loop.Now().Add(leaseDuration)
 	s.lastUse[want] = s.loop.Now()
 	s.stats.Acks++
 	s.reply(d, &Message{
@@ -171,7 +169,7 @@ func (s *Server) handleRequest(m *Message, d transport.Datagram) {
 		ServerAddr: s.serverAddr(),
 		PrefixBits: uint8(s.cfg.Pool.Bits),
 		Gateway:    s.cfg.Gateway,
-		LeaseSecs:  uint32(s.cfg.LeaseDuration / time.Second),
+		LeaseSecs:  uint32(leaseDuration / time.Second),
 	})
 }
 

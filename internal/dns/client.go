@@ -16,34 +16,24 @@ var (
 	ErrRefused  = errors.New("dns: update refused")
 )
 
-// ResolverConfig tunes retry behaviour.
-type ResolverConfig struct {
-	RetryInterval time.Duration // per-attempt timeout (default 1s)
-	MaxRetries    int           // attempts before giving up (default 3)
-}
-
-func (c ResolverConfig) withDefaults() ResolverConfig {
-	if c.RetryInterval == 0 {
-		c.RetryInterval = time.Second
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	return c
-}
+// A query or update unanswered for retryInterval is sent again, up to
+// maxTries transmissions before the resolver reports ErrTimeout.
+const (
+	retryInterval = time.Second
+	maxTries      = 3
+)
 
 // Resolver issues queries and updates against a server.
 type Resolver struct {
 	ts     *transport.Stack
 	loop   *sim.Loop
 	server ip.Addr
-	cfg    ResolverConfig
 	idSeq  uint16
 }
 
 // NewResolver creates a resolver pointed at server.
-func NewResolver(ts *transport.Stack, server ip.Addr, cfg ResolverConfig) *Resolver {
-	return &Resolver{ts: ts, loop: ts.Host().Loop(), server: server, cfg: cfg.withDefaults()}
+func NewResolver(ts *transport.Stack, server ip.Addr) *Resolver {
+	return &Resolver{ts: ts, loop: ts.Host().Loop(), server: server}
 }
 
 // Resolve looks name up, invoking done exactly once with the address or an
@@ -120,12 +110,12 @@ func (r *Resolver) exchange(msg *Message, wantOp uint8, done func(*Message, erro
 			return
 		}
 		tries++
-		if tries > r.cfg.MaxRetries {
+		if tries > maxTries {
 			finish(nil, ErrTimeout)
 			return
 		}
 		sock.SendTo(r.server, Port, raw)
-		timer = r.loop.Schedule(r.cfg.RetryInterval, attempt)
+		timer = r.loop.Schedule(retryInterval, attempt)
 	}
 	attempt()
 }

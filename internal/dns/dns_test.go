@@ -111,7 +111,7 @@ func newEnv(t *testing.T, cfg ServerConfig) *env {
 	return &env{
 		loop:   loop,
 		server: srv,
-		res:    NewResolver(cliTS, ip.MustParseAddr("10.0.0.53"), ResolverConfig{RetryInterval: 200 * time.Millisecond}),
+		res:    NewResolver(cliTS, ip.MustParseAddr("10.0.0.53")),
 		net:    n,
 	}
 }
@@ -144,7 +144,7 @@ func TestResolveNXDomain(t *testing.T) {
 
 func TestResolveTimeoutWithoutServer(t *testing.T) {
 	e := newEnv(t, ServerConfig{})
-	res := NewResolver(e.res.ts, ip.MustParseAddr("10.0.0.99"), ResolverConfig{RetryInterval: 100 * time.Millisecond, MaxRetries: 2})
+	res := NewResolver(e.res.ts, ip.MustParseAddr("10.0.0.99"))
 	var gotErr error
 	done := false
 	res.Resolve("mh.example.com", func(_ ip.Addr, err error) { gotErr, done = err, true })
@@ -172,8 +172,7 @@ func TestResolveRetriesThroughLoss(t *testing.T) {
 	if _, err := NewServer(mk("dns", "10.0.0.53"), ServerConfig{Zone: map[string]ip.Addr{"mh.x.y": ip.MustParseAddr("1.2.3.4")}}); err != nil {
 		t.Fatal(err)
 	}
-	res := NewResolver(mk("client", "10.0.0.2"), ip.MustParseAddr("10.0.0.53"),
-		ResolverConfig{RetryInterval: 200 * time.Millisecond, MaxRetries: 10})
+	res := NewResolver(mk("client", "10.0.0.2"), ip.MustParseAddr("10.0.0.53"))
 	okCount := 0
 	for i := 0; i < 10; i++ {
 		res.Resolve("mh.x.y", func(a ip.Addr, err error) {

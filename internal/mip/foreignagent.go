@@ -32,10 +32,6 @@ import (
 type ForeignAgentConfig struct {
 	// Iface is the agent's interface on the visited network.
 	Iface *stack.Iface
-	// AdvertInterval is the period of agent advertisements (default 1s).
-	AdvertInterval time.Duration
-	// MaxLifetime clamps visitor registrations it will relay (default 5m).
-	MaxLifetime time.Duration
 	// ProcessingDelay models per-message relay cost.
 	ProcessingDelay time.Duration
 	// Tracer, if set, records relay events.
@@ -92,12 +88,6 @@ type ForeignAgent struct {
 // installing its decapsulating tunnel endpoint, enabling forwarding, and
 // beginning periodic advertisements.
 func NewForeignAgent(ts *transport.Stack, cfg ForeignAgentConfig) (*ForeignAgent, error) {
-	if cfg.AdvertInterval == 0 {
-		cfg.AdvertInterval = time.Second
-	}
-	if cfg.MaxLifetime == 0 {
-		cfg.MaxLifetime = 5 * time.Minute
-	}
 	fa := &ForeignAgent{
 		host:     ts.Host(),
 		ts:       ts,
@@ -140,10 +130,10 @@ func (fa *ForeignAgent) HasVisitor(home ip.Addr) bool {
 // advertise broadcasts an agent advertisement and reschedules itself.
 func (fa *ForeignAgent) advertise() {
 	fa.seq++
-	a := &AgentAdvert{Agent: fa.Addr(), Lifetime: uint16(fa.cfg.MaxLifetime / time.Second), Seq: fa.seq}
+	a := &AgentAdvert{Agent: fa.Addr(), Lifetime: uint16(maxLifetime / time.Second), Seq: fa.seq}
 	fa.sock.SendToVia(fa.cfg.Iface, ip.Broadcast, ip.Broadcast, Port, a.Marshal())
 	fa.stats.AdvertsSent++
-	fa.host.Loop().Schedule(fa.cfg.AdvertInterval, fa.advertise)
+	fa.host.Loop().Schedule(advertInterval, fa.advertise)
 }
 
 // tunnelDst resolves re-tunneling for departed visitors: packets for a
@@ -209,7 +199,7 @@ func (fa *ForeignAgent) relayRequest(d transport.Datagram) {
 		fa.stats.DropNotOurs++
 		return
 	}
-	if max := uint16(fa.cfg.MaxLifetime / time.Second); req.Lifetime > max {
+	if max := uint16(maxLifetime / time.Second); req.Lifetime > max {
 		req.Lifetime = max
 	}
 	fa.pending[req.HomeAddr] = req.ID

@@ -26,13 +26,6 @@ type HomeAgentConfig struct {
 	// ProcessingDelay models the agent's per-request software cost; the
 	// paper measures 1.48 ms on its Pentium 90.
 	ProcessingDelay time.Duration
-	// MaxLifetime clamps granted registration lifetimes (default 5m).
-	MaxLifetime time.Duration
-	// Authorize, if set, may deny a request by returning a non-zero reply
-	// code. The paper implements no authentication; this is the hook a
-	// deployment would attach S/Key-style verification to. The request is
-	// the agent's, lent for the call.
-	Authorize func(*RegRequest) uint8
 	// Tracer, if set, records registration processing events.
 	Tracer *trace.Tracer
 }
@@ -122,9 +115,6 @@ var ErrNotOnHomeSubnet = errors.New("mip: home agent interface not on home subne
 func NewHomeAgent(ts *transport.Stack, cfg HomeAgentConfig) (*HomeAgent, error) {
 	if cfg.HomeIface == nil || !cfg.HomePrefix.Contains(cfg.HomeIface.Addr()) {
 		return nil, ErrNotOnHomeSubnet
-	}
-	if cfg.MaxLifetime == 0 {
-		cfg.MaxLifetime = 5 * time.Minute
 	}
 	ha := &HomeAgent{
 		host:     ts.Host(),
@@ -284,12 +274,9 @@ func (ha *HomeAgent) process(req *RegRequest, d transport.Datagram) {
 	case req.ID <= ha.lastID[req.HomeAddr]:
 		code = CodeDeniedBadID // stale or replayed identification
 	}
-	if code == CodeAccepted && ha.cfg.Authorize != nil {
-		code = ha.cfg.Authorize(req)
-	}
 	if code == CodeAccepted {
 		ha.lastID[req.HomeAddr] = req.ID
-		if max := uint16(ha.cfg.MaxLifetime / time.Second); granted > max {
+		if max := uint16(maxLifetime / time.Second); granted > max {
 			granted = max
 		}
 		if req.IsDeregistration() || req.CareOf == req.HomeAddr {

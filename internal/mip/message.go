@@ -25,12 +25,29 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"time"
 
 	"mosquitonet/internal/ip"
 )
 
 // Port is the registration protocol's UDP port (RFC 2002).
 const Port = 434
+
+// Protocol timers. The paper's hosts and agents run fixed values, and so
+// do ours: no caller sets them.
+const (
+	// regRetryInterval is how long a mobile host waits for a reply before
+	// sending its registration request again.
+	regRetryInterval = time.Second
+	// regMaxTries is how many transmissions an attempt makes before it
+	// times out.
+	regMaxTries = 5
+	// maxLifetime is the longest registration lifetime a home agent grants
+	// and a foreign agent relays or advertises.
+	maxLifetime = 5 * time.Minute
+	// advertInterval is the period of a foreign agent's advertisements.
+	advertInterval = time.Second
+)
 
 // Message types.
 const (

@@ -439,7 +439,8 @@ func TestRenewalKeepsBindingAlive(t *testing.T) {
 
 func TestRegistrationDenied(t *testing.T) {
 	w := newWorld(t, 1)
-	w.ha.cfg.Authorize = func(*RegRequest) uint8 { return CodeDeniedProhibited }
+	// The agent no longer serves the mobile's home subnet.
+	w.ha.cfg.HomePrefix = ip.MustParsePrefix("10.9.0.0/16")
 	var regErr error
 	done := false
 	w.mh.ConnectForeign(w.eth1, func(err error) { regErr, done = err, true })
@@ -790,11 +791,13 @@ func TestDoubleVisitToSameNetworkReusesAddress(t *testing.T) {
 	}
 }
 
+// TestActivateNotReady: a hot switch's activate step refuses an interface
+// that was never prepared.
 func TestActivateNotReady(t *testing.T) {
 	w := newWorld(t, 1)
 	var gotErr error
 	done := false
-	w.mh.Activate(w.eth1, func(err error) { gotErr, done = err, true })
+	w.mh.HotSwitch(w.eth1, func(err error) { gotErr, done = err, true })
 	w.run(time.Second)
 	if !done || !errors.Is(gotErr, ErrIfaceNotReady) {
 		t.Fatalf("err = %v", gotErr)
@@ -854,7 +857,7 @@ func TestTunnelFragmentationAtMTU(t *testing.T) {
 func TestAgentDiscovery(t *testing.T) {
 	w := newWorld(t, 1)
 	faTS, faIfc := mkHost(w.loop, w.forA, "fa", "10.2.0.4/24", "10.2.0.1")
-	fa, err := NewForeignAgent(faTS, ForeignAgentConfig{Iface: faIfc, AdvertInterval: 500 * time.Millisecond, Tracer: w.tr})
+	fa, err := NewForeignAgent(faTS, ForeignAgentConfig{Iface: faIfc, Tracer: w.tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -892,7 +895,7 @@ func TestAgentDiscoveryTimeout(t *testing.T) {
 func TestConnectViaDiscoveredAgent(t *testing.T) {
 	w := newWorld(t, 1)
 	faTS, faIfc := mkHost(w.loop, w.forA, "fa", "10.2.0.4/24", "10.2.0.1")
-	fa, err := NewForeignAgent(faTS, ForeignAgentConfig{Iface: faIfc, AdvertInterval: 300 * time.Millisecond, Tracer: w.tr})
+	fa, err := NewForeignAgent(faTS, ForeignAgentConfig{Iface: faIfc, Tracer: w.tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1327,11 +1330,11 @@ func TestRegistrationRetryExhaustionLeavesCleanState(t *testing.T) {
 		t.Fatalf("err = %v done=%v", regErr, done)
 	}
 
-	// Every transmission was one of the RegMaxRetries attempts; after the
+	// Every transmission was one of the regMaxTries attempts; after the
 	// exhaustion surfaced, no leaked retry timer may keep sending.
 	sent := w.mh.Stats().RegRequestsSent
-	if int(sent) != w.mh.cfg.RegMaxRetries {
-		t.Fatalf("RegRequestsSent = %d, want RegMaxRetries = %d", sent, w.mh.cfg.RegMaxRetries)
+	if sent != regMaxTries {
+		t.Fatalf("RegRequestsSent = %d, want regMaxTries = %d", sent, regMaxTries)
 	}
 	w.run(time.Minute)
 	if got := w.mh.Stats().RegRequestsSent; got != sent {
@@ -1384,8 +1387,8 @@ func TestForeignAgentPendingIsBoundedByVisitors(t *testing.T) {
 			t.Fatalf("registration %d with the home agent down: done=%v err=%v", i, done, regErr)
 		}
 	}
-	if relayed := fa.Stats().RequestsRelayed; int(relayed) != 2*w.mh.cfg.RegMaxRetries {
-		t.Fatalf("agent relayed %d requests, want %d", relayed, 2*w.mh.cfg.RegMaxRetries)
+	if relayed := fa.Stats().RequestsRelayed; relayed != 2*regMaxTries {
+		t.Fatalf("agent relayed %d requests, want %d", relayed, 2*regMaxTries)
 	}
 	if len(fa.pending) != 1 {
 		t.Fatalf("agent holds %d pending requests for one visitor, want 1", len(fa.pending))

@@ -27,10 +27,6 @@ type MobileHostConfig struct {
 	// Lifetime is the registration lifetime requested (default 60s); the
 	// host re-registers at three quarters of the granted lifetime.
 	Lifetime time.Duration
-	// RegRetryInterval and RegMaxRetries govern registration
-	// retransmission (defaults 1s, 5).
-	RegRetryInterval time.Duration
-	RegMaxRetries    int
 
 	// ConfigureDelay is the cost of configuring an interface address and
 	// RouteChangeDelay the cost of a routing table update — the
@@ -45,12 +41,6 @@ type MobileHostConfig struct {
 func (c MobileHostConfig) withDefaults() MobileHostConfig {
 	if c.Lifetime == 0 {
 		c.Lifetime = 60 * time.Second
-	}
-	if c.RegRetryInterval == 0 {
-		c.RegRetryInterval = time.Second
-	}
-	if c.RegMaxRetries == 0 {
-		c.RegMaxRetries = 5
 	}
 	return c
 }
@@ -123,7 +113,6 @@ var (
 	ErrRegistrationDenied  = errors.New("mip: registration denied")
 	ErrIfaceNotReady       = errors.New("mip: interface not ready")
 	ErrNoActiveIface       = errors.New("mip: no active interface")
-	ErrBusy                = errors.New("mip: operation already in progress")
 )
 
 // MobileHost is the mobile side of the protocol. It owns the host's
@@ -204,7 +193,7 @@ func NewMobileHost(ts *transport.Stack, cfg MobileHostConfig) *MobileHost {
 		host:   ts.Host(),
 		ts:     ts,
 		cfg:    cfg.withDefaults(),
-		policy: NewPolicyTable(PolicyTunnel),
+		policy: NewPolicyTable(),
 		regID:  uint64(ts.Host().Loop().Rand().Uint32()) << 16,
 	}
 	// The endpoints' decap hooks run in VIF-name order and the first one
@@ -365,13 +354,6 @@ func (m *MobileHost) ConnectForeign(mi *ManagedIface, done func(error)) {
 // interface without making it active — the staging step of a hot switch.
 func (m *MobileHost) Prepare(mi *ManagedIface, done func(error)) {
 	m.newOp(opPrepare, mi, done).acquire()
-}
-
-// Activate makes a prepared interface the active one — "merely changes
-// its route and registers the new address with its home agent", the
-// paper's hot-switch step — and registers its address as the care-of.
-func (m *MobileHost) Activate(mi *ManagedIface, done func(error)) {
-	m.newOp(opActivate, mi, done).activate()
 }
 
 // SwitchAddress changes the care-of address on the active interface to a
@@ -599,7 +581,7 @@ func (m *MobileHost) abort(p *regAttempt, result string, err error) {
 	}
 }
 
-// send transmits p's request, and again every RegRetryInterval until
+// send transmits p's request, and again every regRetryInterval until
 // closeAttempt stops the timer or the retry budget runs out.
 func (m *MobileHost) send(p *regAttempt) {
 	sock, timer := m.regSock, &m.regTimer
@@ -607,7 +589,7 @@ func (m *MobileHost) send(p *regAttempt) {
 		sock, timer = p.side.sock, &p.side.timer
 	}
 	p.tries++
-	if int(p.tries) > m.cfg.RegMaxRetries {
+	if p.tries > regMaxTries {
 		m.stats.RegTimeouts++
 		m.trace(kRegTimeout, trace.Operands{N: p.req.ID})
 		m.abort(p, "timeout", ErrRegistrationTimeout)
@@ -637,7 +619,7 @@ func (m *MobileHost) send(p *regAttempt) {
 		dst = m.cfg.HomeAgent
 	}
 	sock.SendTo(dst, Port, p.req.Marshal())
-	*timer = m.host.Loop().Schedule(m.cfg.RegRetryInterval, p.retry)
+	*timer = m.host.Loop().Schedule(regRetryInterval, p.retry)
 }
 
 // reply handles a datagram on the socket of exchange p (nil when the

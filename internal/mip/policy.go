@@ -58,9 +58,8 @@ type policyEntry struct {
 // the ordinary routing table. The kernel routing tables stay untouched.
 type PolicyTable struct {
 	entries []policyEntry
-	def     Policy
 
-	// onChange fires after every mutation (Set, SetDefault, Delete). The
+	// onChange fires after every mutation (Set, Delete). The
 	// mobile host hooks it to invalidate the stack's route-decision
 	// cache: cached decisions embed policy verdicts, so a policy edit
 	// must take effect before the very next packet.
@@ -79,19 +78,9 @@ func (t *PolicyTable) changed() {
 	}
 }
 
-// NewPolicyTable creates a table whose default policy is def.
-func NewPolicyTable(def Policy) *PolicyTable {
-	return &PolicyTable{def: def}
-}
-
-// Default returns the table's default policy.
-func (t *PolicyTable) Default() Policy { return t.def }
-
-// SetDefault changes the default policy.
-func (t *PolicyTable) SetDefault(p Policy) {
-	t.def = p
-	t.changed()
-}
+// NewPolicyTable creates an empty table: every destination gets the
+// default policy, PolicyTunnel, the basic protocol.
+func NewPolicyTable() *PolicyTable { return &PolicyTable{} }
 
 // Set installs or replaces the policy for a destination prefix.
 func (t *PolicyTable) Set(prefix ip.Prefix, p Policy) {
@@ -131,8 +120,8 @@ func (t *PolicyTable) Delete(prefix ip.Prefix) bool {
 	return false
 }
 
-// Lookup returns the policy for dst: the longest matching prefix, or the
-// default.
+// Lookup returns the policy for dst: the longest matching prefix, or
+// PolicyTunnel.
 func (t *PolicyTable) Lookup(dst ip.Addr) Policy {
 	t.lookups++
 	for _, e := range t.entries {
@@ -141,7 +130,7 @@ func (t *PolicyTable) Lookup(dst ip.Addr) Policy {
 			return e.policy
 		}
 	}
-	return t.def
+	return PolicyTunnel
 }
 
 // Lookups returns the total number of Lookup calls.
@@ -160,6 +149,6 @@ func (t *PolicyTable) String() string {
 	for _, e := range t.entries {
 		fmt.Fprintf(&b, "%v -> %v\n", e.prefix, e.policy)
 	}
-	fmt.Fprintf(&b, "default -> %v\n", t.def)
+	fmt.Fprintf(&b, "default -> %v\n", PolicyTunnel)
 	return b.String()
 }

@@ -10,19 +10,22 @@ import (
 	"mosquitonet/internal/ip"
 )
 
+// TestPolicyDefault: a destination no entry covers is tunneled, and
+// deleting an entry falls back to tunneling.
 func TestPolicyDefault(t *testing.T) {
-	pt := NewPolicyTable(PolicyTunnel)
+	pt := NewPolicyTable()
 	if pt.Lookup(ip.MustParseAddr("1.2.3.4")) != PolicyTunnel {
 		t.Fatal("default not applied")
 	}
-	pt.SetDefault(PolicyTriangle)
-	if pt.Default() != PolicyTriangle || pt.Lookup(ip.MustParseAddr("1.2.3.4")) != PolicyTriangle {
-		t.Fatal("SetDefault ineffective")
+	pt.SetHost(ip.MustParseAddr("1.2.3.4"), PolicyTriangle)
+	pt.Delete(ip.MustParsePrefix("1.2.3.4/32"))
+	if pt.Lookup(ip.MustParseAddr("1.2.3.4")) != PolicyTunnel || pt.Hits() != 0 {
+		t.Fatal("deleted entry still applied")
 	}
 }
 
 func TestPolicyLongestPrefixWins(t *testing.T) {
-	pt := NewPolicyTable(PolicyTunnel)
+	pt := NewPolicyTable()
 	pt.Set(ip.MustParsePrefix("36.0.0.0/8"), PolicyTriangle)
 	pt.Set(ip.MustParsePrefix("36.8.0.0/16"), PolicyEncapDirect)
 	pt.SetHost(ip.MustParseAddr("36.8.0.99"), PolicyDirect)
@@ -41,7 +44,7 @@ func TestPolicyLongestPrefixWins(t *testing.T) {
 }
 
 func TestPolicyReplaceAndDelete(t *testing.T) {
-	pt := NewPolicyTable(PolicyTunnel)
+	pt := NewPolicyTable()
 	p := ip.MustParsePrefix("36.8.0.0/16")
 	pt.Set(p, PolicyTriangle)
 	pt.Set(p, PolicyEncapDirect) // replace
@@ -63,7 +66,7 @@ func TestPolicyReplaceAndDelete(t *testing.T) {
 }
 
 func TestPolicyString(t *testing.T) {
-	pt := NewPolicyTable(PolicyTunnel)
+	pt := NewPolicyTable()
 	pt.SetHost(ip.MustParseAddr("1.2.3.4"), PolicyTriangle)
 	s := pt.String()
 	if !strings.Contains(s, "1.2.3.4/32 -> triangle") || !strings.Contains(s, "default -> tunnel") {
@@ -83,7 +86,7 @@ func TestPolicyString(t *testing.T) {
 // policy of the longest one.
 func TestPropertyPolicyLPM(t *testing.T) {
 	f := func(addr ip.Addr, lengths []uint8) bool {
-		pt := NewPolicyTable(PolicyTunnel)
+		pt := NewPolicyTable()
 		longest := -1
 		for _, l := range lengths {
 			bits := int(l % 33)
@@ -109,7 +112,7 @@ func TestPropertyPolicyLPM(t *testing.T) {
 func TestPolicySetMatchesStableSort(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		pt := NewPolicyTable(PolicyTunnel)
+		pt := NewPolicyTable()
 		var ref []policyEntry
 		for step := 0; step < 300; step++ {
 			prefix := ip.Prefix{Addr: ip.Addr{36, byte(rng.Intn(3)), byte(rng.Intn(3)), 0}, Bits: 8 * (1 + rng.Intn(3))}.Normalize()

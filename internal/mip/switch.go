@@ -22,8 +22,7 @@ const (
 	opPrepare         switchKind = iota // acquire → stage route
 	opForeign                           // bring-up → register, under a handoff.connect span
 	opMakeBeforeBreak                   // bring-up → stage route, then it is an opHot
-	opActivate                          // switch route → register
-	opHot                               // opActivate under a handoff.hot span
+	opHot                               // switch route → register, under a handoff.hot span
 	opHome                              // bring-up → configure → routes → deregister
 	opAddr                              // configure → route → register, on the active interface
 	opViaFA                             // bring-up → agent routes → register through the agent

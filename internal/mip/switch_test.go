@@ -111,7 +111,7 @@ func TestOverlappingSwitchesEachReachTheirDone(t *testing.T) {
 		}
 	})
 
-	t.Run("Prepare on one interface while Activate runs on another", func(t *testing.T) {
+	t.Run("Prepare on one interface while Active moves to another by HotSwitch", func(t *testing.T) {
 		w := newWorld(t, 1)
 		a := w.staticIface("s0", w.forA, "10.2.0.50/24", "10.2.0.1", 0)
 		b := w.staticIface("s1", w.forB, "10.3.0.50/24", "10.3.0.1", 0)
@@ -126,7 +126,7 @@ func TestOverlappingSwitchesEachReachTheirDone(t *testing.T) {
 		var activated, prepared outcome
 		a.Iface().Device().BringUp(nil)
 		w.run(0)
-		w.mh.Activate(b, activated.done)
+		w.mh.HotSwitch(b, activated.done)
 		w.mh.Prepare(a, prepared.done)
 		w.run(phaseDelay / 2)
 		if activated.calls != 0 || prepared.calls != 0 || a.Ready() {
@@ -211,7 +211,7 @@ func TestCancelledSwitchIsNeverRecycled(t *testing.T) {
 // nothing more is written on the interface and the caller hears
 // ErrIfaceNotReady. The closure chains never looked: the configure step wrote
 // the address on the down interface, the stage step the connected route and
-// ready = true, Prepare reported nil and ConnectForeign found out at Activate.
+// ready = true, Prepare reported nil and ConnectForeign found out at activate.
 func TestTeardownBetweenPhasesStopsTheWalk(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -258,7 +258,7 @@ func TestTeardownBetweenPhasesStopsTheWalk(t *testing.T) {
 		})
 	}
 
-	// Activate's own check, then the switch step's: the staged interface goes
+	// activate's own check, then the switch step's: the staged interface goes
 	// down while the route change is being charged.
 	w := newWorld(t, 1)
 	s := w.staticIface("s0", w.forA, "10.2.0.50/24", "10.2.0.1", 0)

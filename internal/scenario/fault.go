@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mosquitonet/internal/sim"
-	"mosquitonet/internal/stats"
 )
 
 // FaultRecord is one injected fault's lifecycle, for the admin console
@@ -19,13 +18,12 @@ type FaultRecord struct {
 }
 
 // Injector schedules fault events against a compiled world. Each fault
-// strikes at its offset, heals after its duration, emits one fault.* root
-// span covering the outage, and leaves behind a stats.Window so flow
-// trackers can attribute disruption to it — the same mechanism handoff
-// root spans use.
+// strikes at its offset, heals after its duration, and emits one fault.*
+// root span covering the outage; World.Run turns that span into the
+// window flow trackers attribute disruption to — the same mechanism
+// handoff root spans use.
 type Injector struct {
 	w       *World
-	windows []stats.Window
 	records []FaultRecord
 }
 
@@ -122,14 +120,7 @@ func (in *Injector) strike(f Fault) {
 		heal()
 		sp.Done()
 		in.records[rec].End = loop.Now()
-		in.windows = append(in.windows, stats.Window{Kind: kind, Start: sp.Start, End: sp.End})
 	})
-}
-
-// Windows returns the attribution windows of every healed fault, in heal
-// order.
-func (in *Injector) Windows() []stats.Window {
-	return append([]stats.Window(nil), in.windows...)
 }
 
 // Records returns every fault's lifecycle record, in strike order.

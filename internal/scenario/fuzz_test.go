@@ -1,9 +1,13 @@
 package scenario
 
 import (
+	"io"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzScenarioParse pins the parser's two safety properties: it never
@@ -47,5 +51,39 @@ func FuzzScenarioParse(f *testing.F) {
 		if string(out) != string(out2) {
 			t.Fatal("canonical form is not a marshaling fixed point")
 		}
+	})
+}
+
+// FuzzConsole holds the admin console to the rule for malformed input: a
+// script loaded against the compiled faultdemo world is either refused with
+// an error or runs two seconds of virtual time — it never panics or hangs.
+// The seeds are the help text's lines, placeholders and all, and one
+// concrete use of each command.
+func FuzzConsole(f *testing.F) {
+	data, err := os.ReadFile(filepath.Join(catalogDir, "faultdemo.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range strings.Split(adminHelp, "\n") {
+		f.Add(line)
+	}
+	f.Add("show hosts\nshow routes router\nshow hooks mh\nshow bindings\nshow faults\nshow metrics")
+	f.Add("add-route ch 10.9.0.0/16 36.8.0.1 eth0\ndel-route ch 10.9.0.0/16\ndel-hook mh route mobile-policy")
+	f.Add("at 100ms fault link-flap r-net-36.8 500ms\nat 1s fault loss-burst dept 0.5 1s")
+	f.Add("fault ha-crash router 1s\nat 1.5s fault agent-delay router 5ms 1s")
+
+	f.Fuzz(func(t *testing.T, script string) {
+		spec, err := Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := Compile(1, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := NewConsole(w, io.Discard).Load(strings.NewReader(script)); err != nil {
+			return
+		}
+		w.RunFor(2 * time.Second)
 	})
 }

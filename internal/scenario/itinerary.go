@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"mosquitonet/internal/ip"
@@ -19,6 +20,21 @@ const (
 	defaultStepTimeout = 30 * time.Second
 )
 
+// fits refuses a wait the clock cannot make: a negative one, or one that
+// would carry it past the largest sim.Time, where RunUntil's deadline wraps
+// into the past. The margin covers the stepChunk a polled wait may overrun
+// by and the settle after a drain.
+func (w *World) fits(d time.Duration) error {
+	room := time.Duration(math.MaxInt64-int64(w.Loop.Now())) - stepChunk - runSettle
+	switch {
+	case d < 0:
+		return fmt.Errorf("%v is negative", d)
+	case d > room:
+		return fmt.Errorf("%v runs past the end of simulated time", d)
+	}
+	return nil
+}
+
 // RunUntil advances the simulation in stepChunk increments until cond
 // holds or maxWait elapses, reporting whether cond was met.
 func (w *World) RunUntil(maxWait time.Duration, cond func() bool) bool {
@@ -35,6 +51,9 @@ func (w *World) RunUntil(maxWait time.Duration, cond func() bool) bool {
 // steps and the experiment drivers both come through here, so a failed or
 // stalled operation is always an error, never an ignored callback.
 func (w *World) Await(maxWait time.Duration, start func(done func(error))) error {
+	if err := w.fits(maxWait); err != nil {
+		return fmt.Errorf("timeout %w", err)
+	}
 	finished, fail := false, error(nil)
 	start(func(err error) { fail, finished = err, true })
 	if !w.RunUntil(maxWait, func() bool { return finished }) || fail != nil {
@@ -80,6 +99,9 @@ func (w *World) resolveIface(m *Mobile, st Step) (*mip.ManagedIface, error) {
 // operation completes or the step's timeout (default 30s) elapses.
 func (w *World) Step(st Step) error {
 	if st.Op == "settle" {
+		if err := w.fits(st.For.D()); err != nil {
+			return fmt.Errorf("step settle: for %w", err)
+		}
 		w.Loop.RunFor(st.For.D())
 		return nil
 	}

@@ -364,3 +364,102 @@ func TestRunFaultdemo(t *testing.T) {
 		t.Error("a probe sourced on a router ran")
 	}
 }
+
+// TestValidateDurations: a registration lifetime the request's 16-bit
+// seconds field cannot carry exactly, and a negative topology duration, are
+// refused. The first reached the home agent truncated — 500ms and 18h12m16s
+// both as 0 s, a deregistration — and the second ran as zero.
+func TestValidateDurations(t *testing.T) {
+	sec := Duration(time.Second)
+	mobile := func(f func(*Mobile)) func(*Spec) {
+		return func(s *Spec) { f(&s.Topology.Mobiles[0]) }
+	}
+	fleet := func(f func(*Fleet)) func(*Spec) {
+		return func(s *Spec) { f(s.Topology.Fleet) }
+	}
+	cases := []struct {
+		name, spec string
+		mutate     func(*Spec)
+		wantErr    string // empty: valid
+	}{
+		{"default lifetime", "figure5", mobile(func(m *Mobile) { m.Lifetime = 0 }), ""},
+		{"shortest lifetime", "figure5", mobile(func(m *Mobile) { m.Lifetime = sec }), ""},
+		{"longest lifetime", "figure5", mobile(func(m *Mobile) { m.Lifetime = 65535 * sec }), ""},
+		{"half a second", "figure5", mobile(func(m *Mobile) { m.Lifetime = sec / 2 }), `mobile "mh": lifetime 500ms is not a whole number of seconds in [1s, 65535s]`},
+		{"a second and a half", "figure5", mobile(func(m *Mobile) { m.Lifetime = 3 * sec / 2 }), "lifetime 1.5s is not"},
+		{"one second too long", "figure5", mobile(func(m *Mobile) { m.Lifetime = 65536 * sec }), "lifetime 18h12m16s is not"},
+		{"negative lifetime", "figure5", mobile(func(m *Mobile) { m.Lifetime = -sec }), "lifetime -1s is not"},
+		{"router delay", "figure5", func(s *Spec) { s.Topology.Routers[0].Delays.Forward = -1 }, `router "router": negative delays forward -1ns`},
+		{"home agent processing", "figure5", func(s *Spec) { s.Topology.Routers[0].HomeAgent.Processing = -sec }, "negative home_agent processing -1s"},
+		{"dhcp processing", "figure5", func(s *Spec) { s.Topology.Routers[0].DHCP.Processing = -sec }, "negative dhcp processing -1s"},
+		{"host delay", "figure5", func(s *Spec) { s.Topology.Hosts[0].Delay = -sec }, `host "ch": negative delay -1s`},
+		{"mobile delay", "figure5", mobile(func(m *Mobile) { m.Delay = -sec }), `mobile "mh": negative delay -1s`},
+		{"configure_delay", "figure5", mobile(func(m *Mobile) { m.ConfigureDelay = -sec }), "negative configure_delay -1s"},
+		{"route_change_delay", "figure5", mobile(func(m *Mobile) { m.RouteChangeDelay = -sec }), "negative route_change_delay -1s"},
+		{"bring_up", "figure5", mobile(func(m *Mobile) { m.Ifaces[1].BringUp = -sec }), `iface "strip0": negative bring_up -1s`},
+		{"bring_up_jitter", "figure5", mobile(func(m *Mobile) { m.Ifaces[0].BringUpJitter = -sec }), `iface "eth0": negative bring_up_jitter -1s`},
+		{"fleet as shipped", "scale", fleet(func(*Fleet) {}), ""},
+		{"fleet reg_lifetime", "scale", fleet(func(f *Fleet) { f.RegLifetime = sec / 2 }), "fleet: reg_lifetime 500ms is not"},
+		{"fleet router delay", "scale", fleet(func(f *Fleet) { f.RouterDelays.Input = -sec }), "fleet: negative router_delays input -1s"},
+		{"fleet mobile delay", "scale", fleet(func(f *Fleet) { f.MobileDelay = -sec }), "fleet: negative mobile_delay -1s"},
+		{"fleet ha processing", "scale", fleet(func(f *Fleet) { f.HAProcessing = -sec }), "fleet: negative ha_processing -1s"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join(catalogDir, tc.spec+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := Parse(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(spec)
+			err = Validate(spec)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("valid spec refused: %v", err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("err = %v, want one mentioning %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestWaitsPastTheEndOfTimeAreErrors: a settle, a step timeout or a drain
+// that would carry the clock past the largest sim.Time is an error naming
+// what asked for it. The settle used to panic the run ("RunUntil into the
+// past"), and the timeout wrapped the deadline so the switch failed at once.
+func TestWaitsPastTheEndOfTimeAreErrors(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join(catalogDir, "faultdemo.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := Duration(2562047*time.Hour + 47*time.Minute + 16*time.Second)
+	for _, c := range []struct {
+		name    string
+		mutate  func(*Spec)
+		wantErr string
+	}{
+		{"settle", func(s *Spec) {
+			s.Itinerary = []Step{s.Itinerary[0], {Op: "settle", For: Duration(2 * time.Second)}, {Op: "settle", For: huge}}
+		}, "itinerary step 1: step settle: for 2562047h47m16s runs past the end of simulated time"},
+		{"step timeout", func(s *Spec) { s.Itinerary[3].Timeout = huge }, "step cold-switch: timeout 2562047h47m16s runs past"},
+		{"drain", func(s *Spec) { s.Traffic.Drain = huge }, "traffic.drain 2562047h47m16s runs past"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			spec, err := Parse(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.mutate(spec)
+			w, err := Compile(1, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Run(); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("err = %v, want one mentioning %q", err, c.wantErr)
+			}
+		})
+	}
+}

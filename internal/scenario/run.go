@@ -70,6 +70,11 @@ func (w *World) Run() (*RunResult, error) {
 	}
 
 	tr.stop()
+	if spec.Traffic != nil {
+		if err := w.fits(spec.Traffic.Drain.D()); err != nil {
+			return nil, fmt.Errorf("scenario %s: traffic.drain %w", spec.Name, err)
+		}
+	}
 	switch {
 	case tr.reliable():
 		drain := spec.Traffic.Drain.D()

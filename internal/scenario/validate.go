@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"time"
 
 	"mosquitonet/internal/ip"
 )
@@ -184,6 +186,9 @@ func (v *validator) router(r *Router) error {
 		return err
 	}
 	v.routers[r.Name] = true
+	if err := delays(ctx, "delays", r.Delays); err != nil {
+		return err
+	}
 	if len(r.Ifaces) == 0 {
 		return fmt.Errorf("%s: no ifaces", ctx)
 	}
@@ -209,6 +214,9 @@ func (v *validator) router(r *Router) error {
 		if ifc == nil {
 			return fmt.Errorf("%s: home_agent subnet %q has no router iface", ctx, ha.Subnet)
 		}
+		if err := nonNegative(ctx, field{"home_agent processing", ha.Processing}); err != nil {
+			return err
+		}
 		v.haAddrs[ifc.Addr] = true
 	}
 	if d := r.DHCP; d != nil {
@@ -219,6 +227,9 @@ func (v *validator) router(r *Router) error {
 		pfx := v.subnets[d.Subnet]
 		if d.FirstHost < 1 || d.LastHost < d.FirstHost || d.LastHost > pfx.HostCount() {
 			return fmt.Errorf("%s: dhcp host range [%d,%d] invalid for %s", ctx, d.FirstHost, d.LastHost, pfx)
+		}
+		if err := nonNegative(ctx, field{"dhcp processing", d.Processing}); err != nil {
+			return err
 		}
 		v.dhcpNets[d.Subnet] = true
 	}
@@ -298,6 +309,9 @@ func (v *validator) endHost(h *EndHost) error {
 	if err := v.addrIn(ctx+" gateway", h.Gateway, h.Subnet); err != nil {
 		return err
 	}
+	if err := nonNegative(ctx, field{"delay", h.Delay}); err != nil {
+		return err
+	}
 	return v.deviceName(ctx, h.Name+"-eth")
 }
 
@@ -318,6 +332,13 @@ func (v *validator) mobile(m *Mobile) error {
 	if !v.haAddrs[m.HomeAgent] {
 		return fmt.Errorf("%s: no home agent at %s", ctx, m.HomeAgent)
 	}
+	if err := regLifetime(ctx, "lifetime", m.Lifetime); err != nil {
+		return err
+	}
+	if err := nonNegative(ctx, field{"configure_delay", m.ConfigureDelay},
+		field{"route_change_delay", m.RouteChangeDelay}, field{"delay", m.Delay}); err != nil {
+		return err
+	}
 	if len(m.Ifaces) == 0 {
 		return fmt.Errorf("%s: no ifaces", ctx)
 	}
@@ -337,6 +358,9 @@ func (v *validator) mobile(m *Mobile) error {
 		}
 		if _, ok := v.subnets[ifc.Attach]; !ok {
 			return fmt.Errorf("%s: unknown attach subnet %q", ictx, ifc.Attach)
+		}
+		if err := nonNegative(ictx, field{"bring_up", ifc.BringUp}, field{"bring_up_jitter", ifc.BringUpJitter}); err != nil {
+			return err
 		}
 		if st := ifc.Static; st != nil {
 			if err := v.addrIn(ictx, st.Addr, ifc.Attach); err != nil {
@@ -366,6 +390,47 @@ func (v *validator) fleet(f *Fleet) error {
 	}
 	if f.CrossEvery < 1 {
 		return fmt.Errorf("%s: cross_every must be >= 1", ctx)
+	}
+	if err := delays(ctx, "router_delays", f.RouterDelays); err != nil {
+		return err
+	}
+	if err := nonNegative(ctx, field{"mobile_delay", f.MobileDelay}, field{"host_delay", f.HostDelay},
+		field{"ha_processing", f.HAProcessing}); err != nil {
+		return err
+	}
+	return regLifetime(ctx, "reg_lifetime", f.RegLifetime)
+}
+
+// field is a duration with the name the spec gives it, for error text.
+type field struct {
+	name string
+	d    Duration
+}
+
+// nonNegative refuses the first of fs that is negative: the scheduler would
+// silently run it as zero.
+func nonNegative(ctx string, fs ...field) error {
+	for _, f := range fs {
+		if f.d < 0 {
+			return fmt.Errorf("%s: negative %s %v", ctx, f.name, f.d)
+		}
+	}
+	return nil
+}
+
+// delays refuses a negative per-packet cost.
+func delays(ctx, name string, d Delays) error {
+	return nonNegative(ctx, field{name + " input", d.Input}, field{name + " output", d.Output},
+		field{name + " forward", d.Forward})
+}
+
+// regLifetime refuses a registration lifetime the request's 16-bit seconds
+// field cannot carry exactly: a fraction of a second is truncated, 65,536 s
+// wraps, and either can reach 0 s, which asks for a deregistration. Zero
+// selects the mobile host's default.
+func regLifetime(ctx, name string, d Duration) error {
+	if d != 0 && (d < Duration(time.Second) || d > Duration(math.MaxUint16*time.Second) || d%Duration(time.Second) != 0) {
+		return fmt.Errorf("%s: %s %v is not a whole number of seconds in [1s, 65535s]", ctx, name, d)
 	}
 	return nil
 }

@@ -56,7 +56,6 @@ type refLoop struct {
 	pq       refHeap
 	executed uint64
 	maxQueue int
-	stopped  bool
 }
 
 func (l *refLoop) at(t Time, fn func()) *refEvent {
@@ -89,13 +88,10 @@ func (l *refLoop) step() bool {
 }
 
 func (l *refLoop) runUntil(t Time) {
-	l.stopped = false
-	for !l.stopped && len(l.pq) > 0 && l.pq[0].at <= t {
+	for len(l.pq) > 0 && l.pq[0].at <= t {
 		l.step()
 	}
-	if !l.stopped && l.now < t {
-		l.now = t
-	}
+	l.now = t
 }
 
 // oracleQueue is what the script needs of either loop; timers are named by
@@ -109,7 +105,6 @@ type oracleQueue interface {
 	timerAt(k int) Time
 	step() bool
 	runUntil(t Time)
-	halt()
 	len() int
 	highWater() int
 	executed() uint64
@@ -128,7 +123,6 @@ func (q *realQueue) active(k int) bool    { return q.ts[k].Active() }
 func (q *realQueue) timerAt(k int) Time   { return q.ts[k].At() }
 func (q *realQueue) step() bool           { return q.l.Step() }
 func (q *realQueue) runUntil(t Time)      { q.l.RunUntil(t) }
-func (q *realQueue) halt()                { q.l.Stop() }
 func (q *realQueue) len() int             { return q.l.Len() }
 func (q *realQueue) highWater() int       { return q.l.QueueHighWater() }
 func (q *realQueue) executed() uint64     { return q.l.Executed() }
@@ -145,7 +139,6 @@ func (q *refQueue) stop(k int) bool      { return q.l.stop(q.ts[k]) }
 func (q *refQueue) active(k int) bool    { return q.ts[k].idx >= 0 }
 func (q *refQueue) step() bool           { return q.l.step() }
 func (q *refQueue) runUntil(t Time)      { q.l.runUntil(t) }
-func (q *refQueue) halt()                { q.l.stopped = true }
 func (q *refQueue) len() int             { return len(q.l.pq) }
 func (q *refQueue) highWater() int       { return q.l.maxQueue }
 func (q *refQueue) executed() uint64     { return q.l.executed }
@@ -185,11 +178,6 @@ func runOracleScript(q oracleQueue, seed int64, ops int) []string {
 			case 3, 4: // cancel someone else, or itself, from the callback
 				j := anyTimer()
 				note("stop %d from %d = %v", j, k, q.stop(j))
-			case 5:
-				if rng.Intn(4) == 0 {
-					q.halt()
-					note("halt from %d", k)
-				}
 			}
 		})
 		note("sched %d +%v", k, d)

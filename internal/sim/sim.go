@@ -184,7 +184,6 @@ type Loop struct {
 	free     []*event // recycled event records
 	rng      *rand.Rand
 	executed uint64
-	stopped  bool
 	serial   uint64
 	maxQueue int
 	lanes    map[time.Duration]*Lane
@@ -321,10 +320,9 @@ func (l *Loop) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (l *Loop) Run() {
-	l.stopped = false
-	for !l.stopped && l.Step() {
+	for l.Step() {
 	}
 }
 
@@ -335,17 +333,14 @@ func (l *Loop) RunUntil(t Time) {
 	if t < l.now {
 		panic(fmt.Sprintf("sim: RunUntil into the past: now=%v t=%v", l.now, t))
 	}
-	l.stopped = false
-	for !l.stopped {
+	for {
 		next, ok := l.peek()
 		if !ok || next > t {
 			break
 		}
 		l.Step()
 	}
-	if !l.stopped && l.now < t {
-		l.now = t
-	}
+	l.now = t
 }
 
 // RunFor advances the simulation by d of virtual time, executing all events
@@ -369,10 +364,6 @@ func (l *Loop) AdvanceTo(t Time) {
 	}
 	l.now = t
 }
-
-// Stop makes the innermost Run/RunUntil/RunFor return after the current
-// event completes. It is intended to be called from an event callback.
-func (l *Loop) Stop() { l.stopped = true }
 
 // peek returns the time of the next live event. Cancellation removes
 // events eagerly, so the heap top is always live.

@@ -151,21 +151,6 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 	}
 }
 
-func TestStopFromCallback(t *testing.T) {
-	l := New(1)
-	ran := 0
-	l.Schedule(time.Millisecond, func() { ran++; l.Stop() })
-	l.Schedule(2*time.Millisecond, func() { ran++ })
-	l.Run()
-	if ran != 1 {
-		t.Fatalf("Stop did not halt Run: ran=%d", ran)
-	}
-	l.Run() // resumes
-	if ran != 2 {
-		t.Fatalf("second Run did not resume: ran=%d", ran)
-	}
-}
-
 func TestEventsScheduledDuringRun(t *testing.T) {
 	l := New(1)
 	var order []string

@@ -24,14 +24,6 @@ type Config struct {
 	InputDelay   time.Duration // receive-path processing per packet
 	OutputDelay  time.Duration // send-path processing per packet
 	ForwardDelay time.Duration // extra cost to forward (routers)
-	TTL          uint8         // initial TTL for local packets (default 64)
-}
-
-func (c Config) withDefaults() Config {
-	if c.TTL == 0 {
-		c.TTL = ip.DefaultTTL
-	}
-	return c
 }
 
 // Stats counts a host's IP-layer activity.
@@ -188,7 +180,7 @@ func NewHost(loop *sim.Loop, name string, cfg Config) *Host {
 	h := sl.hosts.Get()
 	h.name = name
 	h.loop = loop
-	h.cfg = cfg.withDefaults()
+	h.cfg = cfg
 	h.lo = sl.ifaces.Get()
 	*h.lo = Iface{host: h, name: "lo", addr: ip.MustParseAddr("127.0.0.1"), prefix: ip.MustParsePrefix("127.0.0.0/8")}
 	h.lo.transmit = func(pkt *ip.Packet, _ ip.Addr) { h.Input(h.lo, pkt) }
@@ -298,8 +290,6 @@ type IfaceOpts struct {
 	// and are filtered by IP address on receive, like the STRIP radio
 	// driver's Starmode.
 	PointToPoint bool
-	// ARP tunes the ARP cache on broadcast media.
-	ARP arp.Config
 }
 
 // AddIface attaches a device-backed interface with the given address and
@@ -316,7 +306,7 @@ func (h *Host) AddIface(name string, dev *link.Device, addr ip.Addr, prefix ip.P
 		pointToPoint: opts.PointToPoint,
 	}
 	if !opts.PointToPoint {
-		ifc.arp = arp.New(h.loop, dev, opts.ARP, func() []ip.Addr {
+		ifc.arp = arp.New(h.loop, dev, arp.Config{}, func() []ip.Addr {
 			if ifc.addr.IsUnspecified() {
 				return nil
 			}
@@ -590,7 +580,7 @@ func (h *Host) NextID() uint16 {
 //mnet:ownership takes pkt
 func (h *Host) Output(pkt *ip.Packet) error {
 	if pkt.TTL == 0 {
-		pkt.TTL = h.cfg.TTL
+		pkt.TTL = ip.DefaultTTL
 	}
 	if pkt.ID == 0 {
 		pkt.ID = h.NextID()
@@ -638,7 +628,7 @@ func (h *Host) finishOutput(ctx *PacketContext) {
 //mnet:ownership takes pkt
 func (h *Host) OutputVia(ifc *Iface, pkt *ip.Packet, nextHop ip.Addr) error {
 	if pkt.TTL == 0 {
-		pkt.TTL = h.cfg.TTL
+		pkt.TTL = ip.DefaultTTL
 	}
 	if pkt.ID == 0 {
 		pkt.ID = h.NextID()

@@ -111,7 +111,7 @@ func TestDatagramPayloadNotRetained(t *testing.T) {
 	// DNS (server and resolver), in the mobile host's local role.
 	var resolved ip.Addr
 	await("Resolve", func(done func(error)) {
-		dns.NewResolver(mhTS, ip.MustParseAddr("10.1.0.3"), dns.ResolverConfig{}).Resolve("mh.example.edu",
+		dns.NewResolver(mhTS, ip.MustParseAddr("10.1.0.3")).Resolve("mh.example.edu",
 			func(a ip.Addr, err error) { resolved = a; done(err) })
 	})
 	if resolved != homeAddr {

@@ -24,7 +24,6 @@
 package mosquitonet
 
 import (
-	"mosquitonet/internal/capture"
 	"mosquitonet/internal/dhcp"
 	"mosquitonet/internal/dns"
 	"mosquitonet/internal/ip"
@@ -109,8 +108,6 @@ type (
 	// DNSServerConfig configures a DNS server (the "extended DNS" of the
 	// paper's release notes).
 	DNSServerConfig = dns.ServerConfig
-	// DNSResolverConfig tunes the resolver.
-	DNSResolverConfig = dns.ResolverConfig
 )
 
 // Mobile Policy Table policies.
@@ -143,10 +140,6 @@ var (
 	// valid through every move.
 	NewDNSServer   = dns.NewServer
 	NewDNSResolver = dns.NewResolver
-
-	// NewCapture builds the packet-capture facility (the simulator's
-	// tcpdump).
-	NewCapture = capture.New
 
 	// NewTestbed assembles the paper's Figure 5 environment, compiled from
 	// the figure5 scenario spec.
