@@ -971,6 +971,10 @@ func (fa *funcAnalysis) call(s *state, call *ast.CallExpr, emit bool) {
 		if takes[i] {
 			ids := fa.deepBufs(s, arg)
 			if len(ids) == 0 {
+				// A frame handed on whole takes its payload with it.
+				ids = fa.framePayload(arg)
+			}
+			if len(ids) == 0 {
 				fa.walk(s, arg, emit)
 				continue
 			}
@@ -993,6 +997,17 @@ func (fa *funcAnalysis) call(s *state, call *ast.CallExpr, emit bool) {
 		// Borrow by default: the callee may read but not keep the buffer.
 		fa.walk(s, arg, emit)
 	}
+}
+
+// framePayload resolves a frame parameter named on its own to the payload
+// it carries.
+func (fa *funcAnalysis) framePayload(e ast.Expr) []token.Pos {
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+		if b, ok := fa.frameParams[fa.identObj(id)]; ok {
+			return []token.Pos{b}
+		}
+	}
+	return nil
 }
 
 // recycle applies bufpool.Put(e), or e.Release() under a releases contract:

@@ -267,6 +267,30 @@ func deliverLeak(f *dep.Frame) { // want "may leak"
 	work(f.Payload)
 }
 
+// sendOn is link.Device.Send's shape: a frame handed on whole to a taking
+// callee takes its payload along, on one path, and is recycled on the other.
+//
+//mnet:ownership takes f
+func sendOn(n *dep.Network, f *dep.Frame, down bool) { // want fact:"sendOn: ownership\(takes=\[1\]\)"
+	if down {
+		bufpool.Put(f.Payload)
+		return
+	}
+	n.Handoff(f)
+}
+
+//mnet:ownership takes f
+func sendOnTwice(n *dep.Network, f *dep.Frame) {
+	n.Handoff(f)
+	bufpool.Put(f.Payload) // want "ownership was already transferred"
+}
+
+// forwardBorrowed: a receiver cannot hand the frame it was lent to a
+// taking callee.
+func forwardBorrowed(n *dep.Network, f *dep.Frame) {
+	n.Handoff(f) // want "ownership of borrowed frame payload"
+}
+
 // ---- malformed annotations are surfaced, not silently dropped ----
 
 //mnet:ownership takes nosuch

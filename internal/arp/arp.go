@@ -289,9 +289,10 @@ func (c *Cache) Published(a ip.Addr) bool {
 // MaxRetries requests, they are dropped. trace is the packet's lifecycle
 // trace ID (zero if untraced), carried onto the resulting frame.
 //
-// SendIP takes ownership of payload: once it returns, the buffer may have
-// been recycled into bufpool (immediately on the resolved path, later when
-// a queued packet is flushed or dropped), so callers must not retain it.
+// SendIP takes ownership of payload: once it returns, the buffer belongs to
+// the link layer (the flight that carries it puts it back when it lands) or
+// to the resolution queue, or has been recycled into bufpool, so callers
+// must not retain it.
 //
 //mnet:ownership takes payload
 func (c *Cache) SendIP(dst ip.Addr, payload []byte, trace uint64) {
@@ -331,15 +332,12 @@ func (c *Cache) SendBroadcastIP(payload []byte, trace uint64) {
 	c.sendIPv4(link.BroadcastHW, payload, trace)
 }
 
-// sendIPv4 puts one IPv4 payload on the wire and recycles it: Send's
-// transmit copy is synchronous, and for the same reason the frame never
-// leaves this stack (the link layer shows observers a copy of it).
+// sendIPv4 puts one IPv4 payload on the wire; Send takes it. The frame
+// never leaves this stack (the link layer shows observers a copy of it).
 //
 //mnet:ownership takes payload
 func (c *Cache) sendIPv4(hw link.HWAddr, payload []byte, trace uint64) {
-	f := link.Frame{Dst: hw, Type: link.EtherTypeIPv4, Payload: payload, Trace: trace}
-	c.dev.Send(&f)
-	bufpool.Put(payload)
+	c.dev.Send(&link.Frame{Dst: hw, Type: link.EtherTypeIPv4, Payload: payload, Trace: trace})
 }
 
 func (c *Cache) sendRequest(p *pending) {
@@ -373,16 +371,12 @@ func (c *Cache) release(p *pending) {
 	p.free, c.freePend = c.freePend, p
 }
 
-// send puts one ARP message on the wire, marshaled into a pooled buffer that
-// goes straight back, like sendIPv4's payload: Send's transmit copy is
-// synchronous. (The bytes cannot live on this stack, as the frame does: a
-// tap is shown the frame's copy but the sender's payload.)
+// send puts one ARP message on the wire, marshaled into a pooled buffer
+// that Send takes, like sendIPv4's payload.
 func (c *Cache) send(dst link.HWAddr, m Message) {
 	b := bufpool.Get(MessageLen)
 	m.put(b)
-	f := link.Frame{Dst: dst, Type: link.EtherTypeARP, Payload: b}
-	c.dev.Send(&f)
-	bufpool.Put(b)
+	c.dev.Send(&link.Frame{Dst: dst, Type: link.EtherTypeARP, Payload: b})
 }
 
 // senderIP picks the address to advertise in our requests.

@@ -1,8 +1,10 @@
 // Package bufpool provides size-classed recycling of the transient byte
-// buffers the packet path burns through: marshal scratch space, frame
-// payload copies, fragment assembly. The simulator is single-threaded per
-// loop, but pools are shared process-wide (tests run loops on several
-// goroutines), so the implementation rides on sync.Pool.
+// buffers the packet path burns through: the wire image a frame carries
+// from the sender's marshal to the flight's landing, and ARP messages. Its
+// size classes are also those of the buffers pooled packets keep (package
+// ip). The simulator is single-threaded per loop, but pools are shared
+// process-wide (tests run loops on several goroutines), so the
+// implementation rides on sync.Pool.
 //
 // Buffers are pooled as pointers to fixed-size arrays, so a steady-state
 // Get/Put cycle performs no allocation at all — no interface boxing, no
@@ -17,8 +19,9 @@
 //     be reused immediately by anyone.
 //   - Never Put a buffer that protocol state may retain. A wire buffer is
 //     safe to recycle once the synchronous delivery chain returns: the
-//     receiver's ip.UnmarshalPooled copies the payload into a buffer of its
-//     own, which the packet owns and Puts back when it is released.
+//     receiver's ip.UnmarshalPooled copies the payload into the buffer of a
+//     packet of its own. link.Device.Send takes the wire buffer, and the
+//     flight that carries it puts it back when it lands.
 //
 // A class counts its Gets and Puts while Count is on (ReadStats): at
 // quiesce, with no frame in flight and no packet parked, the two are equal.
@@ -30,6 +33,7 @@
 package bufpool
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -38,9 +42,10 @@ import (
 // messages (ARP is 28 B), full Ethernet frames (1500 B + headers), and
 // worst-case reassembled IP packets (65535 B).
 const (
-	minShift   = 6
-	maxShift   = 16
-	numClasses = maxShift - minShift + 1
+	minShift = 6
+	maxShift = 16
+	// Classes is the number of size classes.
+	Classes = maxShift - minShift + 1
 )
 
 // classPool is one size class: its pool and, while counting is set, how
@@ -54,7 +59,7 @@ type classPool struct {
 }
 
 //lint:allow nosharedstate sync.Pool is concurrency-safe by contract and buffer reuse never influences simulated behaviour; cross-shard frame payloads are explicitly allowed to Get on one shard and Put on another; the atomic counters are written only while a test has Count on, and read only by tests
-var pools = [numClasses]classPool{
+var pools = [Classes]classPool{
 	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 0)]byte) }}},
 	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 1)]byte) }}},
 	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 2)]byte) }}},
@@ -100,17 +105,36 @@ func ReadStats() Stats {
 	return s
 }
 
-// class returns the smallest size class holding n bytes, or -1 if n
+// Class returns the smallest size class holding n bytes, or -1 if n
 // exceeds the largest class.
-func class(n int) int {
-	size := 1 << minShift
-	for c := 0; c < numClasses; c++ {
-		if n <= size {
-			return c
-		}
-		size <<= 1
+func Class(n int) int {
+	switch {
+	case n <= 1<<minShift:
+		return 0
+	case n > 1<<maxShift:
+		return -1
 	}
-	return -1
+	return bits.Len(uint(n-1)) - minShift
+}
+
+// Size is the capacity of class c's buffers.
+func Size(c int) int { return 1 << (minShift + c) }
+
+// Lent counts a class-c buffer handed out without a Get, and Returned one
+// taken back without a Put: a pooled packet's buffer, which rides its packet
+// through the packet's own pool (package ip) rather than through this one.
+// With them Outstanding counts every pooled buffer someone owns.
+func Lent(c int) {
+	if pools[c].counting.Load() {
+		pools[c].gets.Add(1)
+	}
+}
+
+// Returned is Lent's other half.
+func Returned(c int) {
+	if pools[c].counting.Load() {
+		pools[c].puts.Add(1)
+	}
 }
 
 // Get returns a buffer of length n backed by a pooled array. Requests
@@ -119,7 +143,7 @@ func class(n int) int {
 //
 //mnet:ownership returns-pooled
 func Get(n int) []byte {
-	c := class(n)
+	c := Class(n)
 	if c < 0 {
 		return make([]byte, n)
 	}

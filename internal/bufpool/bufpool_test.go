@@ -73,3 +73,41 @@ func TestCountsOnlyWhenAsked(t *testing.T) {
 		t.Fatalf("after one Get and one Put: %+v, started at %+v", after, before)
 	}
 }
+
+// TestClassIsTheSmallestThatHolds: Class picks the smallest class whose Size
+// holds n, and -1 past the largest.
+func TestClassIsTheSmallestThatHolds(t *testing.T) {
+	for n := 0; n <= 1<<maxShift+1; n++ {
+		want := -1
+		for c := 0; c < Classes; c++ {
+			if n <= Size(c) {
+				want = c
+				break
+			}
+		}
+		if got := Class(n); got != want {
+			t.Fatalf("Class(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
+// TestLentAndReturnedCount: a buffer that leaves and comes back by another
+// pool counts as a Get and a Put, and only while Count is on.
+func TestLentAndReturnedCount(t *testing.T) {
+	before := ReadStats()
+	Lent(3)
+	Returned(3)
+	if after := ReadStats(); after != before {
+		t.Fatalf("counters moved with Count off: %+v -> %+v", before, after)
+	}
+	Count(true)
+	defer Count(false)
+	Lent(3)
+	if got := ReadStats().Outstanding() - before.Outstanding(); got != 1 {
+		t.Fatalf("outstanding after Lent = %+d, want +1", got)
+	}
+	Returned(3)
+	if after := ReadStats(); after.Gets != before.Gets+1 || after.Puts != before.Puts+1 {
+		t.Fatalf("after one Lent and one Returned: %+v, started at %+v", after, before)
+	}
+}

@@ -120,8 +120,8 @@ func (r *Reassembler) Held() int {
 // owns and must Release, or hand to something that will (a non-fragment p
 // comes straight back, still the caller's). A caller that drops it instead
 // corrupts nothing — the garbage collector takes the struct and its buffer —
-// but every completion then misses both pools and allocates a class-size
-// buffer, about half again the time of a reassembly.
+// but every completion then misses the pool and allocates a packet and a
+// class-size buffer, about half again the time of a reassembly.
 //
 //mnet:ownership takes p
 //mnet:ownership returns-pooled

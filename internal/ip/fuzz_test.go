@@ -196,3 +196,19 @@ func FuzzFragmentReassemble(f *testing.F) {
 		fromWire.Release()
 	})
 }
+
+// FuzzChecksum: for any bytes, at any starting sum, the word-at-a-time
+// checksum agrees with RFC 1071's 16-bit loop (refSum, header_test.go).
+func FuzzChecksum(f *testing.F) {
+	f.Add([]byte{}, uint32(0))
+	f.Add([]byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}, uint32(0))
+	f.Add(bytes.Repeat([]byte{0xff}, 37), uint32(0xffffffff))
+	f.Fuzz(func(t *testing.T, b []byte, acc uint32) {
+		if got, want := sum(uint64(acc), b), refSum(uint64(acc), b); got != want {
+			t.Fatalf("sum(%#x, %x) = %#x, reference %#x", acc, b, got, want)
+		}
+		if got, want := Checksum(b), ^uint16(refSum(0, b)); got != want {
+			t.Fatalf("Checksum(%x) = %#04x, reference %#04x", b, got, want)
+		}
+	})
+}

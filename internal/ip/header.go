@@ -3,6 +3,7 @@ package ip
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 	"strconv"
 )
 
@@ -234,48 +235,64 @@ func (h *Header) parse(b []byte) ([]byte, error) {
 // Checksum computes the Internet checksum (RFC 1071) over b. Computing it
 // over a block that embeds a correct checksum yields zero.
 func Checksum(b []byte) uint16 {
-	var sum uint32
-	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b))
-		b = b[2:]
-	}
-	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
+	return ^uint16(sum(0, b))
 }
 
 // pseudoHeaderSum computes the partial sum of the TCP/UDP pseudo-header.
-func pseudoHeaderSum(src, dst Addr, proto Protocol, length int) uint32 {
-	var sum uint32
-	sum += uint32(binary.BigEndian.Uint16(src[0:2]))
-	sum += uint32(binary.BigEndian.Uint16(src[2:4]))
-	sum += uint32(binary.BigEndian.Uint16(dst[0:2]))
-	sum += uint32(binary.BigEndian.Uint16(dst[2:4]))
-	sum += uint32(proto)
-	sum += uint32(length)
+func pseudoHeaderSum(src, dst Addr, proto Protocol, length int) uint64 {
+	var sum uint64
+	sum += uint64(binary.BigEndian.Uint16(src[0:2]))
+	sum += uint64(binary.BigEndian.Uint16(src[2:4]))
+	sum += uint64(binary.BigEndian.Uint16(dst[0:2]))
+	sum += uint64(binary.BigEndian.Uint16(dst[2:4]))
+	sum += uint64(proto)
+	sum += uint64(length)
 	return sum
 }
 
 // transportChecksum computes the checksum over a pseudo-header plus
 // segment, used by both UDP and TCP.
 func transportChecksum(src, dst Addr, proto Protocol, seg []byte) uint16 {
-	sum := pseudoHeaderSum(src, dst, proto, len(seg))
-	b := seg
-	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b))
+	return ^uint16(sum(pseudoHeaderSum(src, dst, proto, len(seg)), seg))
+}
+
+// sum adds b, as big-endian 16-bit words, to the ones'-complement sum acc
+// and returns the total folded to 16 bits. Since 2^16 is 1 modulo 2^16-1, a
+// 64-bit word is worth its four 16-bit words, so the loop adds eight bytes
+// at a time with end-around carry and folds once at the end (RFC 1071
+// §2(B), §4); two accumulators keep the two carry chains independent.
+func sum(acc uint64, b []byte) uint64 {
+	var acc2, c, c2 uint64
+	for len(b) >= 32 {
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b), c)
+		acc2, c2 = bits.Add64(acc2, binary.BigEndian.Uint64(b[8:]), c2)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[16:]), c)
+		acc2, c2 = bits.Add64(acc2, binary.BigEndian.Uint64(b[24:]), c2)
+		b = b[32:]
+	}
+	acc, c = bits.Add64(acc, acc2, c)
+	acc, c = bits.Add64(acc, c2, c)
+	for len(b) >= 8 {
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b), c)
+		b = b[8:]
+	}
+	if len(b) >= 4 {
+		acc, c = bits.Add64(acc, uint64(binary.BigEndian.Uint32(b)), c)
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		acc, c = bits.Add64(acc, uint64(binary.BigEndian.Uint16(b)), c)
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+		acc, c = bits.Add64(acc, uint64(b[0])<<8, c)
 	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
+	acc, c = bits.Add64(acc, c, 0)
+	acc += c // a carry out of that last add leaves acc zero
+	for acc>>16 != 0 {
+		acc = acc&0xffff + acc>>16
 	}
-	return ^uint16(sum)
+	return acc
 }
 
 // Encapsulate wraps inner in an outer IP-in-IP header addressed

@@ -33,22 +33,24 @@ const (
 	released
 )
 
-// packetPool is the pool and, while counting is set, how many packets it
-// has handed out and taken back.
-type packetPool struct {
-	sync.Pool
+// The packet pools, in one declaration: bare holds packets with no buffer,
+// class[c] packets that keep a buffer of bufpool class c attached between
+// lives, so a birth and a death are one pool call each. While counting is
+// set, made and released count the births and deaths.
+//
+// Process-wide, like bufpool's: a packet made on one shard's worker is
+// released on the same host, but sync.Pool is what makes the free lists safe
+// when tests run loops on several goroutines, and its per-P caches retain
+// less than a free list per host would (20,000 hosts each keeping their
+// high-water packet or two).
+//
+//lint:allow nosharedstate sync.Pool and atomic counters are concurrency-safe; Release zeroes a struct before it is reused, so which struct a constructor gets never influences simulated behaviour, and the counters are written only while a test has CountPools on and read only by tests
+var packets struct {
+	bare           sync.Pool
+	class          [bufpool.Classes]sync.Pool
 	counting       atomic.Bool
 	made, released atomic.Uint64
 }
-
-// One process-wide pool, like bufpool's: a packet made on one shard's
-// worker is released on the same host, but sync.Pool is what makes the free
-// list safe when tests run loops on several goroutines, and its per-P caches
-// retain less than a free list per host would (20,000 hosts each keeping
-// their high-water packet or two).
-//
-//lint:allow nosharedstate sync.Pool and atomic counters are concurrency-safe; Release zeroes a struct before it is reused, so which struct a constructor gets never influences simulated behaviour, and the counters are written only while a test has CountPools on and read only by tests
-var packets = packetPool{Pool: sync.Pool{New: func() any { return new(Packet) }}}
 
 // plainPackets makes every constructor return a plain packet. Only this
 // package's tests set it (export_test.go), to compare a pooled run with an
@@ -66,22 +68,38 @@ func acquire(n int) *Packet {
 		}
 		return p
 	}
-	p := packets.Get().(*Packet)
-	p.life = live
-	if n > 0 {
-		p.buf = bufpool.Get(n)
-		p.Payload = p.buf
-	}
 	if packets.counting.Load() {
 		packets.made.Add(1)
 	}
+	c := bufpool.Class(n)
+	if n == 0 || c < 0 {
+		p, _ := packets.bare.Get().(*Packet)
+		if p == nil {
+			p = new(Packet)
+		}
+		p.life = live
+		if n > 0 { // beyond the largest class: the garbage collector's
+			p.buf = make([]byte, n)
+			p.Payload = p.buf
+		}
+		return p
+	}
+	p, _ := packets.class[c].Get().(*Packet)
+	if p == nil {
+		p = &Packet{buf: make([]byte, bufpool.Size(c))}
+	}
+	bufpool.Lent(c)
+	p.life = live
+	p.buf = p.buf[:n]
+	p.Payload = p.buf
 	return p
 }
 
-// Release ends the packet's life: its buffer goes back to bufpool and the
-// zeroed struct to the pool, so a stale holder reads "proto(0)
-// 0.0.0.0->0.0.0.0", never another packet. Only the owner calls it, once; a
-// second call panics. On a plain packet it does nothing.
+// Release ends the packet's life: the zeroed struct goes back to the pool of
+// its buffer's class, the buffer still attached, so a stale holder reads
+// "proto(0) 0.0.0.0->0.0.0.0" and a nil payload, never another packet. Only
+// the owner calls it, once; a second call panics. On a plain packet it does
+// nothing.
 //
 //mnet:ownership releases
 func (p *Packet) Release() {
@@ -91,16 +109,21 @@ func (p *Packet) Release() {
 	case released:
 		panic("ip: Release of a packet already released")
 	}
-	buf := p.buf
-	*p = Packet{life: released}
-	bufpool.Put(buf)
 	if packets.counting.Load() {
 		packets.released.Add(1)
 	}
-	packets.Put(p)
+	buf := p.buf
+	*p = Packet{life: released}
+	if c := bufpool.Class(cap(buf)); c >= 0 && cap(buf) == bufpool.Size(c) {
+		bufpool.Returned(c)
+		p.buf = buf
+		packets.class[c].Put(p)
+		return
+	}
+	packets.bare.Put(p)
 }
 
-// CountPools turns the conservation counters of the packet pool and of
+// CountPools turns the conservation counters of the packet pools and of
 // bufpool on or off (see bufpool.Count). A test that reads ReadPoolStats
 // turns them on before it builds its world; in a run nobody audits, a birth
 // and a death write nothing that two shard workers share.

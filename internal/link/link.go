@@ -18,6 +18,7 @@ import (
 	"slices"
 	"time"
 
+	"mosquitonet/internal/bufpool"
 	"mosquitonet/internal/metrics"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/trace"
@@ -78,9 +79,9 @@ const (
 // only for the duration of the synchronous delivery call; receivers that
 // keep payload bytes must copy them (the stack's ip.UnmarshalPooled copies
 // them into the packet's own pooled buffer, arp decodes into a message on
-// its stack). On the send side the frame itself is the sender's for the
-// call only: Send and the network copy what they keep, and observers are
-// shown a copy, so a sender builds it on its stack.
+// its stack). On the send side Send takes the payload, and the frame struct
+// is the sender's for the call only: the network copies its fields and
+// observers are shown a copy, so a sender builds it on its stack.
 type Frame struct {
 	Src, Dst HWAddr
 	Type     EtherType
@@ -410,22 +411,31 @@ func (d *Device) markLinkChange(kind string) {
 // UpSince returns when the device last transitioned to up.
 func (d *Device) UpSince() sim.Time { return d.upSince }
 
-// Send transmits a frame with this device's hardware source address.
+// Send transmits a frame with this device's hardware source address. It
+// takes the frame's payload, a bufpool buffer the caller owns: the flight
+// that carries the frame keeps it until the last receiver is done, and a
+// send that makes no flight puts it back before returning. The caller does
+// not touch the payload again; the frame struct itself stays the caller's.
+//
+//mnet:ownership takes f
 func (d *Device) Send(f *Frame) error {
 	f.Src = d.hw
 	if d.state != StateUp {
 		d.ctr.dropDown++
 		d.pktlog.Record(f.Trace, d.name, "link.drop", "device down")
+		bufpool.Put(f.Payload)
 		return ErrDeviceDown
 	}
 	if d.net == nil {
 		d.ctr.dropNoNet++
 		d.pktlog.Record(f.Trace, d.name, "link.drop", "no network")
+		bufpool.Put(f.Payload)
 		return ErrNoNetwork
 	}
 	if len(f.Payload) > d.net.medium.MTU {
 		d.ctr.dropMTU++
 		d.pktlog.Record(f.Trace, d.name, "link.drop", "exceeds MTU")
+		bufpool.Put(f.Payload)
 		return ErrFrameTooBig
 	}
 	d.ctr.sent++

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"mosquitonet/internal/bufpool"
 	"mosquitonet/internal/sim"
 )
 
@@ -444,19 +445,112 @@ func TestSerializationDelay(t *testing.T) {
 	}
 }
 
-func TestDeliveryPreservesPayloadIsolation(t *testing.T) {
+// TestSendTakesPayload: Send takes the frame's pooled payload on every path.
+// One pooled payload goes down each — delivered as unicast and broadcast, on
+// the fast and the general path and across a trunk, or refused because the
+// device is down, detached or the frame too big, or sent with nobody to
+// hear it or heard by nobody — and once the loops are idle every buffer
+// handed out has come back: one Put per Get, none twice.
+func TestSendTakesPayload(t *testing.T) {
+	bufpool.Count(true)
+	defer bufpool.Count(false)
+	before := bufpool.ReadStats()
+	payload := func(s string) []byte {
+		b := bufpool.Get(len(s))
+		copy(b, s)
+		return b
+	}
+
 	loop := sim.New(1)
-	n := NewNetwork(loop, "test", Ethernet())
-	a := upDevice(t, loop, n, "a")
-	b := upDevice(t, loop, n, "b")
-	var got []byte
-	b.SetReceiver(func(f *Frame) { got = f.Payload })
-	payload := []byte("original")
-	a.Send(&Frame{Dst: b.HW(), Payload: payload})
-	payload[0] = 'X' // sender mutates after send
-	loop.Run()
-	if string(got) != "original" {
-		t.Fatalf("delivered payload %q shares memory with sender", got)
+	lossy := Ethernet()
+	lossy.LossProb = 1e-9 // the general path, delivering
+	deaf := Ethernet()
+	deaf.LossProb = 1 // every receiver loses the frame
+	small := Ethernet()
+	small.MTU = 4
+	type path struct {
+		name     string
+		medium   Medium
+		dst      HWAddr
+		prepare  func(a *Device)
+		err      error
+		received int
+	}
+	for _, p := range []path{
+		{name: "unicast", medium: Ethernet(), received: 1},
+		{name: "broadcast", medium: Ethernet(), dst: BroadcastHW, received: 2},
+		{name: "general path", medium: lossy, received: 1},
+		{name: "all lost", medium: deaf, dst: BroadcastHW},
+		{name: "device down", medium: Ethernet(), prepare: (*Device).BringDown, err: ErrDeviceDown},
+		{name: "no network", medium: Ethernet(), prepare: (*Device).Detach, err: ErrNoNetwork},
+		{name: "over MTU", medium: small, err: ErrFrameTooBig},
+		{name: "lone sender", medium: Ethernet(), dst: BroadcastHW, prepare: func(a *Device) {
+			for _, d := range a.Network().Devices() {
+				if d != a {
+					d.Detach()
+				}
+			}
+		}},
+	} {
+		n := NewNetwork(loop, p.name, p.medium)
+		a := upDevice(t, loop, n, "a")
+		b, c := upDevice(t, loop, n, "b"), upDevice(t, loop, n, "c")
+		received := 0
+		for _, d := range []*Device{b, c} {
+			d.SetReceiver(func(f *Frame) {
+				if string(f.Payload) != "hello" {
+					t.Errorf("%s: received %q", p.name, f.Payload)
+				}
+				received++
+			})
+		}
+		if p.dst == (HWAddr{}) {
+			p.dst = b.HW()
+		}
+		if p.prepare != nil {
+			p.prepare(a)
+		}
+		if err := a.Send(&Frame{Dst: p.dst, Type: EtherTypeIPv4, Payload: payload("hello")}); err != p.err {
+			t.Errorf("%s: Send = %v, want %v", p.name, err, p.err)
+		}
+		loop.Run()
+		if received != p.received {
+			t.Errorf("%s: %d deliveries, want %d", p.name, received, p.received)
+		}
+	}
+
+	// A trunk hands the payload to the far shard, which puts it back after
+	// DeliverLocal, or loses it on the near side.
+	for _, lost := range []bool{false, true} {
+		loopA, loopB := sim.New(sim.ShardSeed(1, 0)), sim.New(sim.ShardSeed(1, 1))
+		medium := Backbone()
+		if lost {
+			medium.LossProb = 1
+		}
+		ss := sim.NewShardSet([]*sim.Loop{loopA, loopB}, medium.MinLatency())
+		netA, netB := NewNetwork(loopA, "trunk-a", medium), NewNetwork(loopB, "trunk-b", medium)
+		buildTrunk(ss, 0, 1, netA, netB)
+		dA, dB := upDevice(t, loopA, netA, "tr0"), upDevice(t, loopB, netB, "tr1")
+		received := 0
+		dB.SetReceiver(func(*Frame) { received++ })
+		loopA.Schedule(0, func() {
+			if err := dA.Send(&Frame{Dst: BroadcastHW, Type: EtherTypeIPv4, Payload: payload("hello")}); err != nil {
+				t.Error(err)
+			}
+		})
+		ss.RunFor(20 * time.Millisecond)
+		want := 1
+		if lost {
+			want = 0
+		}
+		if received != want {
+			t.Errorf("trunk (lost %v): %d deliveries, want %d", lost, received, want)
+		}
+	}
+
+	after := bufpool.ReadStats()
+	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != 10 || puts != gets {
+		t.Errorf("%d payloads handed to Send, %d put back; want 10 and 10", gets, puts)
 	}
 }
 

@@ -143,13 +143,13 @@ type Network struct {
 	// trunk: transmitted frames are handed to the hook (with their
 	// computed arrival time) instead of being delivered locally. The far
 	// end injects them via DeliverLocal on its own shard. Ownership of the
-	// frame's pooled payload copy transfers to the hook.
+	// frame's pooled payload, the sender's, transfers to the hook.
 	//
 	//mnet:ownership takes f
 	handoff func(f *Frame, arrival sim.Time)
 
-	// flights recycles in-flight frame records (payload copy + receiver
-	// snapshot) so steady-state transmission does not allocate per frame.
+	// flights recycles in-flight frame records (frame + receiver snapshot)
+	// so steady-state transmission does not allocate per frame.
 	flights []*flight
 
 	// fastLanded counts the unicast fast flights delivered so far. A device owes
@@ -164,8 +164,9 @@ type Network struct {
 	landing *flight
 }
 
-// flight is one frame in transit: a single shared copy of the payload and
-// the snapshot of receivers that survived the loss model at transmit time.
+// flight is one frame in transit: the sender's payload, which the flight
+// owns until it lands, and the snapshot of receivers that survived the loss
+// model at transmit time.
 // One heap event delivers to every receiver in attachment order — the same
 // observable order per-receiver events produced, since their consecutive
 // sequence numbers admitted no interleaving — and then recycles the record.
@@ -202,6 +203,9 @@ type flight struct {
 	next *flight // in-air queue link
 }
 
+// newFlight makes the flight that carries f, adopting its payload.
+//
+//mnet:ownership takes f
 func (n *Network) newFlight(f *Frame) *flight {
 	var fl *flight
 	if k := len(n.flights); k > 0 {
@@ -212,15 +216,21 @@ func (n *Network) newFlight(f *Frame) *flight {
 		fl = &flight{net: n}
 		fl.fire = fl.deliver
 	}
-	payload := bufpool.Get(len(f.Payload))
-	copy(payload, f.Payload)
-	fl.frame = Frame{Src: f.Src, Dst: f.Dst, Type: f.Type, Payload: payload, Trace: f.Trace}
+	fl.frame = Frame{Src: f.Src, Dst: f.Dst, Type: f.Type, Payload: f.Payload, Trace: f.Trace}
 	fl.rx = fl.rx[:0]
 	return fl
 }
 
+// recycle puts the flight's payload back and keeps the record for the next
+// frame.
+func (n *Network) recycle(fl *flight) {
+	bufpool.Put(fl.frame.Payload)
+	fl.frame = Frame{}
+	n.flights = append(n.flights, fl)
+}
+
 // deliver hands the shared frame to each snapshot receiver, then recycles
-// the payload copy and the flight record. Receivers must not retain the
+// the payload and the flight record. Receivers must not retain the
 // frame or its payload beyond the synchronous delivery chain (ip.Unmarshal
 // and arp.Unmarshal both copy what they keep).
 func (fl *flight) deliver() {
@@ -263,9 +273,7 @@ func (fl *flight) deliver() {
 	}
 	n.landing = nil
 	fl.from = nil
-	bufpool.Put(fl.frame.Payload)
-	fl.frame = Frame{}
-	n.flights = append(n.flights, fl)
+	n.recycle(fl)
 }
 
 // finishWalk turns the rest of the landing fast flight back into a walk. Its
@@ -393,9 +401,11 @@ func (n *Network) remove(d *Device) {
 }
 
 // transmit schedules delivery of f from device from to every other attached
-// device. Each receiver independently suffers the medium's loss
-// probability, which matches radio behaviour (receivers miss frames
-// individually, not collectively).
+// device, taking f's payload as Send does. Each receiver independently
+// suffers the medium's loss probability, which matches radio behaviour
+// (receivers miss frames individually, not collectively).
+//
+//mnet:ownership takes f
 func (n *Network) transmit(from *Device, f *Frame) {
 	n.stats.Transmitted++
 	if len(n.taps) > 0 {
@@ -415,18 +425,17 @@ func (n *Network) transmit(from *Device, f *Frame) {
 	n.lastDelivery = arrival
 	if n.handoff != nil {
 		// Trunk end: the medium's loss model draws once (a point-to-point
-		// span has one receiver, on the far shard), then ownership of a
-		// pooled payload copy transfers to the hook. All delay modeling
-		// happened here on the transmit side; the far end delivers at
-		// `arrival` with no further delay.
+		// span has one receiver, on the far shard), then ownership of the
+		// payload transfers to the hook. All delay modeling happened here
+		// on the transmit side; the far end delivers at `arrival` with no
+		// further delay.
 		if n.medium.LossProb > 0 && n.loop.Rand().Float64() < n.medium.LossProb {
 			n.stats.LostMedium++
 			n.pktlog.Record(f.Trace, n.name, "link.lost", "medium loss on trunk")
+			bufpool.Put(f.Payload)
 			return
 		}
-		payload := bufpool.Get(len(f.Payload))
-		copy(payload, f.Payload)
-		n.handoff(&Frame{Src: f.Src, Dst: f.Dst, Type: f.Type, Payload: payload, Trace: f.Trace}, arrival)
+		n.handoff(&Frame{Src: f.Src, Dst: f.Dst, Type: f.Type, Payload: f.Payload, Trace: f.Trace}, arrival)
 		return
 	}
 	if n.medium.LossProb == 0 && len(n.devices) > 1 && (f.Dst.IsBroadcast() || n.pktlog == nil) {
@@ -435,9 +444,8 @@ func (n *Network) transmit(from *Device, f *Frame) {
 		return
 	}
 	// Loss draws stay per-receiver in attachment order, so the RNG
-	// consumption sequence is identical to per-receiver scheduling. The
-	// payload is copied lazily: a frame every receiver loses costs nothing.
-	var fl *flight
+	// consumption sequence is identical to per-receiver scheduling.
+	fl := n.newFlight(f)
 	for _, d := range n.devices {
 		if d == from {
 			continue
@@ -447,12 +455,11 @@ func (n *Network) transmit(from *Device, f *Frame) {
 			n.pktlog.RecordDetail(f.Trace, n.name, "link.lost", metrics.NameDetail(metrics.DetailLossToward, d.name))
 			continue
 		}
-		if fl == nil {
-			fl = n.newFlight(f)
-		}
 		fl.rx = append(fl.rx, d)
 	}
-	if fl == nil {
+	if len(fl.rx) == 0 {
+		// A lone sender, or every receiver lost the frame: no event.
+		n.recycle(fl)
 		//lint:allow dropaccounting every receiver lost the frame; each loss was counted in LostMedium above
 		return
 	}
@@ -463,6 +470,8 @@ func (n *Network) transmit(from *Device, f *Frame) {
 // the only device that can receive a unicast frame (no device has the
 // broadcast address), and the flight joins the in-air queue so a membership
 // change can still give it its full snapshot.
+//
+//mnet:ownership takes f
 func (n *Network) transmitFast(from *Device, f *Frame, arrival sim.Time) {
 	fl := n.newFlight(f)
 	fl.from, fl.all = from, f.Dst.IsBroadcast()
@@ -479,8 +488,9 @@ func (n *Network) transmitFast(from *Device, f *Frame, arrival sim.Time) {
 }
 
 // SetHandoff marks this network as the local end of a cross-shard trunk.
-// Transmitted frames are passed to fn — with an owned payload copy and the
-// fully modeled arrival time — instead of being delivered on this shard.
+// Transmitted frames are passed to fn — with the sender's payload, now fn's,
+// and the fully modeled arrival time — instead of being delivered on this
+// shard.
 // fn runs on this shard's goroutine; it must hand the frame to the far
 // shard via sim.ShardSet.Post, never touch the far shard directly.
 func (n *Network) SetHandoff(fn func(f *Frame, arrival sim.Time)) {

@@ -161,6 +161,38 @@ func TestValidateReferences(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesWildcardPublications: in the loadedhandoff spec, a
+// publication topic with a + or # wildcard is an error naming the
+// publication, not a flow whose every publish Client.Publish refuses.
+func TestValidateRefusesWildcardPublications(t *testing.T) {
+	for _, topic := range []string{"telemetry/+/0", "telemetry/#"} {
+		t.Run(topic, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join(catalogDir, "loadedhandoff.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := Parse(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Traffic.MQTT.Pubs[0].Topic = topic
+			_, err = ResolveBase(spec, func(name string) (*Spec, error) {
+				data, err := os.ReadFile(filepath.Join(catalogDir, name+".json"))
+				if err != nil {
+					return nil, err
+				}
+				return Parse(data)
+			})
+			if err == nil {
+				t.Fatal("validate accepted a wildcard publication topic")
+			}
+			if want := "publication 0"; !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), topic) {
+				t.Errorf("error %q does not name %s and its topic %q", err, want, topic)
+			}
+		})
+	}
+}
+
 // TestValidateDHCPPool: a pool may not cover an address the spec gives
 // someone else on its subnet, and the first such party in spec order is
 // the one named.

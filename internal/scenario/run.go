@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"mosquitonet/internal/app"
@@ -269,7 +270,7 @@ func (w *World) startTraffic() (*traffic, error) {
 				return nil, err
 			}
 			tr.flows = append(tr.flows, Flow{
-				Proto: "mqtt-qos1", Model: "open-loop", Size: pub.Size, Interval: pub.Interval.D(), Tracker: ft,
+				Proto: "mqtt-qos" + strconv.Itoa(pub.QoS), Model: "open-loop", Size: pub.Size, Interval: pub.Interval.D(), Tracker: ft,
 			})
 			tr.pubs = append(tr.pubs, app.NewPubFlow(from, ft, pub.Topic, pub.Interval.D(), byte(pub.QoS), pub.Size))
 		}

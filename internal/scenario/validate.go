@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"mosquitonet/internal/app"
 	"mosquitonet/internal/ip"
 )
 
@@ -476,8 +477,10 @@ func (v *validator) traffic(t *Traffic) error {
 		for i := range m.Pubs {
 			p := &m.Pubs[i]
 			pctx := fmt.Sprintf("%s: publication %q", ctx, p.Topic)
-			if p.Topic == "" {
-				return fmt.Errorf("%s: publication %d: empty topic", ctx, i)
+			if !app.ValidTopic(p.Topic) {
+				// The broker would take a wildcard as a subscription filter,
+				// but Client.Publish refuses every publish to one.
+				return fmt.Errorf("%s: publication %d: topic %q is empty or has a wildcard", ctx, i, p.Topic)
 			}
 			if !v.clients[p.From] {
 				return fmt.Errorf("%s: unknown publisher %q", pctx, p.From)

@@ -160,7 +160,7 @@ func (i *Iface) sendOne(pkt *ip.Packet, nextHop ip.Addr) error {
 // broadcastRaw sends an IPv4 payload to the link broadcast address, used
 // both for genuine broadcasts and for ARP-less (point-to-point/Starmode)
 // media where IP filtering happens at the receiver. It takes ownership of
-// raw and recycles it after the synchronous send.
+// raw and hands it to Send.
 //
 //mnet:ownership takes raw
 func (i *Iface) broadcastRaw(raw []byte, trace uint64) {
@@ -168,9 +168,7 @@ func (i *Iface) broadcastRaw(raw []byte, trace uint64) {
 		i.arp.SendBroadcastIP(raw, trace)
 		return
 	}
-	// The frame does not outlive Send, which copies what it keeps: it stays
-	// on this stack.
-	f := link.Frame{Dst: link.BroadcastHW, Type: link.EtherTypeIPv4, Payload: raw, Trace: trace}
-	i.dev.Send(&f)
-	bufpool.Put(raw)
+	// The frame does not outlive Send, which copies its fields: it stays on
+	// this stack.
+	i.dev.Send(&link.Frame{Dst: link.BroadcastHW, Type: link.EtherTypeIPv4, Payload: raw, Trace: trace})
 }

@@ -156,7 +156,9 @@ func TestEveryPathReturnsItsPacket(t *testing.T) {
 
 // TestParkedFragmentsAreTheOnlyPacketsOut: on a lossy link some datagrams
 // lose a fragment and the rest of them wait in the reassembly buffer. While
-// they wait they are exactly the pooled packets (and buffers) outstanding;
+// they wait they are exactly the pooled packets outstanding, and their
+// buffers, which stay with a packet for its life, exactly the pooled buffers
+// (every wire buffer is back: a flight puts its payload back when it lands);
 // when the sweep expires them, none is.
 func TestParkedFragmentsAreTheOnlyPacketsOut(t *testing.T) {
 	ip.CountPools(true)

@@ -1,12 +1,14 @@
 package testbed
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"mosquitonet/internal/app"
 	"mosquitonet/internal/ip"
+	"mosquitonet/internal/scenario"
 	"mosquitonet/internal/stats"
 )
 
@@ -94,6 +96,35 @@ func TestLoadedHandoffScoring(t *testing.T) {
 	}
 	if !stretched {
 		t.Error("no publish span shows handoff-induced stall")
+	}
+}
+
+// TestFlowsAreLabelledByQoS: a publication's flow row carries the QoS the
+// spec declares, so a QoS-0 flow — which may lose a publish across a handoff
+// — is not held to the QoS 1 exactly-once check.
+func TestFlowsAreLabelledByQoS(t *testing.T) {
+	raw, err := scenario.Marshal(MustScenario("loadedhandoff"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := scenario.Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Traffic.MQTT.Pubs[0].QoS = 0
+	tb, err := NewFromSpec(1996, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := tb.World.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pub := range spec.Traffic.MQTT.Pubs {
+		want := "mqtt-qos" + strconv.Itoa(pub.QoS)
+		if got := run.Flows[i].Proto; got != want {
+			t.Errorf("publication %d (%s, qos %d) is labelled %q, want %q", i, pub.Topic, pub.QoS, got, want)
+		}
 	}
 }
 
