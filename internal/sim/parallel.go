@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -41,7 +42,7 @@ import (
 // One scale mechanism sits on top of the epoch scheme (DESIGN.md §13),
 // per-shard skipping: a shard participates in an epoch only if its next
 // event falls at or before the epoch end; a quiet shard is skipped — no
-// RunUntil call, no work item, no barrier wait — and its clock is
+// RunUntil call, no worker wake, no barrier wait — and its clock is
 // synchronized once, when RunUntil returns. Skipping cannot change
 // results: a skipped shard had nothing to execute inside the epoch, so
 // running it would only have moved its clock.
@@ -61,8 +62,8 @@ type ShardStats struct {
 	// EpochsSkipped counts epochs the shard sat out because it had no
 	// event inside the epoch window.
 	EpochsSkipped uint64
-	// BarrierWaits counts epochs the shard participated in — each one is
-	// a dispatch to a worker and a wait at the closing barrier.
+	// BarrierWaits counts epochs the shard participated in: it ran up to
+	// the epoch end and then waited at the closing barrier.
 	BarrierWaits uint64
 	// EventsDispatched counts events the shard executed under ShardSet
 	// control (events run outside RunUntil are not credited).
@@ -81,16 +82,22 @@ type ShardSet struct {
 
 	// outbox[i] buffers cross-shard work posted by shard i during the
 	// current epoch. Written only by the goroutine running shard i,
-	// drained by the coordinator at the barrier; the worker-pool
-	// WaitGroup orders the two.
+	// drained by the coordinator at the barrier; a worker's report on the
+	// done channel orders the two.
 	outbox [][]crossRecord
 	merged []crossRecord // reused scratch for the barrier merge
+
+	// due[w] lists the epoch's participating shards of share w (shard i
+	// is in share i mod n, n the workers running the epochs). The
+	// coordinator fills it before waking worker w, who only reads it.
+	due [][]*Loop
 
 	stats    []ShardStats
 	lastExec []uint64 // per-shard Executed() at the last barrier credit
 
 	// workerBusy[w] accumulates wall-clock time worker w spent running
-	// shard epochs; utilization observability for the parallel path only.
+	// shard epochs, slot 0 being the calling goroutine; utilization
+	// observability for more than one worker only.
 	workerBusy []time.Duration
 
 	epochs    uint64
@@ -120,6 +127,7 @@ func NewShardSet(shards []*Loop, lookahead time.Duration) *ShardSet {
 		workers:   1,
 		now:       shards[0].Now(),
 		outbox:    make([][]crossRecord, len(shards)),
+		due:       make([][]*Loop, len(shards)),
 		stats:     make([]ShardStats, len(shards)),
 		lastExec:  make([]uint64, len(shards)),
 	}
@@ -129,9 +137,10 @@ func NewShardSet(shards []*Loop, lookahead time.Duration) *ShardSet {
 	return s
 }
 
-// SetWorkers sets the size of the goroutine pool used to run epochs.
-// Values below 1 (and 1 itself) select inline sequential execution. The
-// choice affects wall-clock time only, never results.
+// SetWorkers sets how many goroutines, the caller of RunUntil included,
+// run an epoch's shards. Values below 1 (and 1 itself) select inline
+// sequential execution. The choice affects wall-clock time only, never
+// results.
 func (s *ShardSet) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -158,9 +167,10 @@ func (s *ShardSet) CrossDelivered() uint64 { return s.crossSent }
 func (s *ShardSet) ShardStats(i int) ShardStats { return s.stats[i] }
 
 // WorkerBusy returns, per worker slot, the accumulated wall-clock time
-// that worker spent executing shard epochs. It is empty until the
-// parallel path has run. Wall-clock here is observability (utilization
-// reporting), never simulation input.
+// that worker spent executing shard epochs. Slot 0 is the goroutine that
+// called RunUntil; slots 1 and up are the workers it started. It is empty
+// until RunUntil has run on more than one worker. Wall-clock here is
+// observability (utilization reporting), never simulation input.
 func (s *ShardSet) WorkerBusy() []time.Duration {
 	return append([]time.Duration(nil), s.workerBusy...)
 }
@@ -209,11 +219,7 @@ func (s *ShardSet) RunUntil(t Time) {
 	for i, sh := range s.shards {
 		s.lastExec[i] = sh.Executed()
 	}
-	if s.workers > 1 && len(s.shards) > 1 {
-		s.runOnWorkers(t)
-	} else {
-		s.runEpochs(t, func(sh *Loop, end Time) { sh.RunUntil(end) }, func() {})
-	}
+	s.runEpochs(t, min(s.workers, len(s.shards)))
 	// Skipped shards' clocks lag behind the final barrier; synchronize
 	// once so every loop agrees with the set on the current time.
 	for _, sh := range s.shards {
@@ -268,18 +274,47 @@ func (s *ShardSet) credit() {
 	}
 }
 
-// runEpochs is the epoch loop. dispatch runs a participating shard up to
-// the epoch end, inline or by handing it to a worker; await returns once
-// every shard dispatched in the epoch has finished.
-func (s *ShardSet) runEpochs(t Time, dispatch func(sh *Loop, end Time), await func()) {
+// runEpochs is the epoch loop on n workers. Shard i belongs to share
+// i mod n. The calling goroutine runs the first share with participants;
+// worker w, a goroutine that lives for this call, runs share w when it
+// has participants too. An epoch with at most one such share wakes
+// nobody, and n = 1 starts no goroutine.
+func (s *ShardSet) runEpochs(t Time, n int) {
+	var p *pool
+	if n > 1 {
+		p = s.startPool(n)
+		defer p.stop() // on every way out, a barrier or shard panic included
+	}
 	for cur := s.now; cur < t; {
 		end := s.nextEpochEnd(t)
-		for i, sh := range s.shards {
-			if s.active(i, end) {
-				dispatch(sh, end)
+		for w := range s.due[:n] {
+			s.due[w] = s.due[w][:0]
+			for i := w; i < len(s.shards); i += n {
+				if s.active(i, end) {
+					s.due[w] = append(s.due[w], s.shards[i])
+				}
 			}
 		}
-		await()
+		own, woken := -1, 0
+		for w, due := range s.due[:n] {
+			if len(due) == 0 {
+				continue
+			}
+			if own < 0 {
+				own = w
+				continue
+			}
+			p.wake[w] <- end
+			woken++
+		}
+		if own >= 0 {
+			s.runShare(own, 0, n, end)
+		}
+		for ; woken > 0; woken-- {
+			if v := <-p.done; v != nil {
+				panic(v) // p.stop joins the rest of the epoch first
+			}
+		}
 		s.flush(end)
 		s.credit()
 		cur = end
@@ -287,56 +322,76 @@ func (s *ShardSet) runEpochs(t Time, dispatch func(sh *Loop, end Time), await fu
 	}
 }
 
-// runOnWorkers runs the epoch loop with a pool of worker goroutines that
-// lives for this call.
-func (s *ShardSet) runOnWorkers(t Time) {
-	n := s.workers
-	if n > len(s.shards) {
-		n = len(s.shards)
+// runShare runs share w's participating shards to end on the calling
+// goroutine. With more than one worker it charges the wall time to busy
+// slot slot.
+func (s *ShardSet) runShare(w, slot, n int, end Time) {
+	var start time.Time
+	if n > 1 {
+		//lint:allow nowallclock worker-utilization accounting; wall time is reported, never fed back into the simulation
+		start = time.Now()
 	}
+	for _, sh := range s.due[w] {
+		sh.RunUntil(end)
+	}
+	if n > 1 {
+		//lint:allow nowallclock see above
+		s.workerBusy[slot] += time.Since(start)
+	}
+}
+
+// pool is workers 1..n-1 of one runEpochs call; the caller is worker 0.
+type pool struct {
+	// wake[w] carries the epoch end to worker w. One slot: the epoch takes
+	// w's report before it can wake w again.
+	wake []chan Time
+	// done takes one report per woken worker and epoch: nil, or the value
+	// a shard event of its share panicked with.
+	done chan any
+	wg   sync.WaitGroup
+}
+
+func (s *ShardSet) startPool(n int) *pool {
 	for len(s.workerBusy) < n {
 		s.workerBusy = append(s.workerBusy, 0)
 	}
-	work := make(chan workItem)
-	done := make(chan struct{}, len(s.shards))
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for w := 0; w < n; w++ {
+	p := &pool{wake: make([]chan Time, n), done: make(chan any, n-1)}
+	for w := 1; w < n; w++ {
+		p.wake[w] = make(chan Time, 1)
+		p.wg.Add(1)
 		go func(w int) {
-			defer wg.Done()
-			for item := range work {
-				//lint:allow nowallclock worker-utilization accounting; wall time is reported, never fed back into the simulation
-				start := time.Now()
-				item.loop.RunUntil(item.end)
-				//lint:allow nowallclock see above
-				s.workerBusy[w] += time.Since(start)
-				done <- struct{}{}
+			defer p.wg.Done()
+			for end := range p.wake[w] {
+				p.done <- s.workShare(w, n, end)
 			}
 		}(w)
 	}
-	pending := 0
-	s.runEpochs(t,
-		func(sh *Loop, end Time) {
-			pending++
-			work <- workItem{loop: sh, end: end}
-		},
-		func() {
-			for ; pending > 0; pending-- {
-				<-done
-			}
-		})
-	close(work)
-	wg.Wait()
+	return p
 }
 
-type workItem struct {
-	loop *Loop
-	end  Time
+// stop ends every worker and returns once they have exited.
+func (p *pool) stop() {
+	for _, c := range p.wake[1:] {
+		close(c)
+	}
+	p.wg.Wait()
+}
+
+// workShare runs share w on worker w and returns the value a shard event
+// panicked with, or nil. Nothing above a worker goroutine could recover a
+// panic, so the coordinator re-raises it, and it leaves RunUntil once
+// every worker has been joined.
+func (s *ShardSet) workShare(w, n int, end Time) (failed any) {
+	defer func() { failed = recover() }()
+	s.runShare(w, w, n, end)
+	return nil
 }
 
 // flush merges the epoch's buffered cross-shard work onto the destination
 // loops in deterministic (arrival, source shard, post order) order, and
-// verifies the lookahead contract.
+// verifies the lookahead contract. Each source's buffer is already in its
+// own post order, so when one source posted, or several posted in order,
+// the merge is a copy.
 func (s *ShardSet) flush(end Time) {
 	s.merged = s.merged[:0]
 	for i := range s.outbox {
@@ -346,16 +401,9 @@ func (s *ShardSet) flush(end Time) {
 	if len(s.merged) == 0 {
 		return
 	}
-	sort.Slice(s.merged, func(i, j int) bool {
-		a, b := s.merged[i], s.merged[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.idx < b.idx
-	})
+	if !slices.IsSortedFunc(s.merged, crossOrder) {
+		slices.SortFunc(s.merged, crossOrder)
+	}
 	for i := range s.merged {
 		rec := &s.merged[i]
 		if rec.at < end {
@@ -367,6 +415,18 @@ func (s *ShardSet) flush(end Time) {
 		rec.fn = nil
 		s.crossSent++
 	}
+}
+
+// crossOrder is the barrier merge's total order: arrival time, then source
+// shard, then post order within the source.
+func crossOrder(a, b crossRecord) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
 }
 
 // ShardSeed derives shard i's RNG seed from the world seed via a

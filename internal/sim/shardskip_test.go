@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
@@ -43,47 +42,12 @@ func TestAdvanceToPanicsOnPast(t *testing.T) {
 	l.AdvanceTo(0)
 }
 
-// groupedPingPong is pingPong with two extra silent shards, so per-shard
-// skipping has shards that sit out every epoch.
-func groupedPingPong(workers int, seed int64) ([]string, *ShardSet) {
-	const lookahead = 2 * time.Millisecond
-	a := New(ShardSeed(seed, 0))
-	b := New(ShardSeed(seed, 1))
-	c := New(ShardSeed(seed, 2)) // silent: never schedules, never receives
-	d := New(ShardSeed(seed, 3)) // silent
-	ss := NewShardSet([]*Loop{a, b, c, d}, lookahead)
-	ss.SetWorkers(workers)
-
-	logs := make([][]string, 2)
-	record := func(shard int, loop *Loop, what string) {
-		logs[shard] = append(logs[shard], fmt.Sprintf("%v shard%d %s rng=%d", loop.Now(), shard, what, loop.Rand().Intn(1000)))
-	}
-	var volley func(k int)
-	volley = func(k int) {
-		record(0, a, fmt.Sprintf("volley%d", k))
-		at := a.Now().Add(lookahead)
-		ss.Post(0, 1, at, func() {
-			record(1, b, fmt.Sprintf("recv%d", k))
-		})
-		if k < 9 {
-			a.Schedule(500*time.Microsecond, func() { volley(k + 1) })
-		}
-	}
-	a.Schedule(0, func() { volley(0) })
-	ss.RunFor(50 * time.Millisecond)
-
-	log := append(append([]string(nil), logs[0]...), logs[1]...)
-	log = append(log, fmt.Sprintf("epochs=%d cross=%d executed=%d now=%v",
-		ss.Epochs(), ss.CrossDelivered(), ss.Executed(), ss.Now()))
-	return log, ss
-}
-
 // TestShardStatsSilentShards pins the skip accounting: a shard that never
 // has work must skip every epoch, wait at no barrier, and dispatch no
 // events, while the busy shards participate.
 func TestShardStatsSilentShards(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		_, ss := groupedPingPong(workers, 7)
+		_, ss := ring(2, 2, workers, 7)
 		for _, silent := range []int{2, 3} {
 			st := ss.ShardStats(silent)
 			if st.BarrierWaits != 0 || st.EventsDispatched != 0 {
@@ -114,9 +78,9 @@ func TestShardStatsSilentShards(t *testing.T) {
 // be worker-independent: they are exported as metrics, and metrics rows
 // must stay byte-identical across worker counts.
 func TestShardStatsDeterministic(t *testing.T) {
-	_, base := groupedPingPong(1, 11)
+	_, base := ring(2, 2, 1, 11)
 	for _, workers := range []int{2, 4, 8} {
-		_, got := groupedPingPong(workers, 11)
+		_, got := ring(2, 2, workers, 11)
 		for i := range base.Shards() {
 			if b, g := base.ShardStats(i), got.ShardStats(i); b != g {
 				t.Errorf("workers=%d shard %d stats %+v, workers=1 %+v", workers, i, g, b)
