@@ -41,13 +41,16 @@ var opts struct {
 	jsonDir string
 	workers int
 
-	samples     int
-	a2iters     int
-	a3fleets    string
 	scaleFleets string
 	sweepN      int
 	scenario    string
 }
+
+// The sample counts the checked-in exports are made with.
+const (
+	rttSamples   = 20 // RTT and A1 measurements
+	a2Iterations = 5  // handoffs per A2/A4 variant
+)
 
 // experiment is one dispatch-table entry.
 type experiment struct {
@@ -75,30 +78,24 @@ var experiments = []experiment{
 	{name: "loadedhandoff", inAll: true,
 		desc: "roaming itinerary under MQTT + HTTP application load",
 		run:  func() (testbed.Result, error) { return testbed.RunLoadedHandoff(opts.seed) }},
-	{name: "rtt", inAll: true, flags: "-samples",
+	{name: "rtt", inAll: true,
 		desc: "path round-trip times, radio and wired (§4)",
-		run:  func() (testbed.Result, error) { return testbed.RunRTT(opts.seed, opts.samples) }},
+		run:  func() (testbed.Result, error) { return testbed.RunRTT(opts.seed, rttSamples) }},
 	{name: "tput", inAll: true,
 		desc: "radio throughput: saturating UDP through the reverse tunnel (§4)",
 		run:  func() (testbed.Result, error) { return testbed.RunThroughput(opts.seed, 50, 1000) }},
-	{name: "a1", inAll: true, flags: "-samples",
+	{name: "a1", inAll: true,
 		desc: "ablation: triangle route vs. tunnel, and the transit-filter fallback (§3.2)",
-		run:  func() (testbed.Result, error) { return testbed.RunA1(opts.seed, opts.samples) }},
-	{name: "a2", inAll: true, flags: "-a2-iterations",
+		run:  func() (testbed.Result, error) { return testbed.RunA1(opts.seed, rttSamples) }},
+	{name: "a2", inAll: true,
 		desc: "ablation: collocated care-of vs. foreign-agent forwarding (§5.1)",
-		run:  func() (testbed.Result, error) { return testbed.RunA2(opts.seed, opts.a2iters) }},
-	{name: "a4", inAll: true, flags: "-a2-iterations",
+		run:  func() (testbed.Result, error) { return testbed.RunA2(opts.seed, a2Iterations) }},
+	{name: "a4", inAll: true,
 		desc: "ablation: handoff strategies, cold / hot / simultaneous bindings",
-		run:  func() (testbed.Result, error) { return testbed.RunA4(opts.seed, opts.a2iters) }},
-	{name: "a3", inAll: true, flags: "-a3-fleets",
+		run:  func() (testbed.Result, error) { return testbed.RunA4(opts.seed, a2Iterations) }},
+	{name: "a3", inAll: true,
 		desc: "ablation: home-agent scalability vs. fleet size",
-		run: func() (testbed.Result, error) {
-			fleets, err := parseFleets(opts.a3fleets)
-			if err != nil {
-				return nil, err
-			}
-			return testbed.RunA3(opts.seed, fleets)
-		}},
+		run:  func() (testbed.Result, error) { return testbed.RunA3(opts.seed, []int{1, 8, 32, 64}) }},
 	{name: "scale", inAll: true, flags: "-scale-fleets, -workers",
 		desc: "roaming-fleet scale (sharded; byte-identical at any -workers)",
 		run: func() (testbed.Result, error) {
@@ -131,9 +128,6 @@ func main() {
 	flag.Int64Var(&opts.seed, "seed", 1996, "simulation seed (results are deterministic per seed)")
 	flag.IntVar(&opts.workers, "workers", 1, "worker goroutines for sharded experiments (results are identical at any count)")
 	flag.StringVar(&opts.jsonDir, "json", "bench", "directory for BENCH_*.json exports (empty to disable)")
-	flag.IntVar(&opts.samples, "samples", 20, "samples for RTT/A1 measurements")
-	flag.IntVar(&opts.a2iters, "a2-iterations", 5, "handoffs per A2/A4 variant")
-	flag.StringVar(&opts.a3fleets, "a3-fleets", "1,8,32,64", "comma-separated fleet sizes for A3")
 	flag.StringVar(&opts.scaleFleets, "scale-fleets", "10,100,1000,10000,100000",
 		"comma-separated fleet sizes for the scale experiment")
 	flag.StringVar(&opts.scenario, "scenario", "faultdemo", "catalog scenario name for -exp scenario")

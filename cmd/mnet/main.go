@@ -2,13 +2,13 @@
 // paper's testbed: the mobile host starts at home, visits the department
 // Ethernet, switches address there, switches to the radio (cold),
 // hot-switches back to the wire, and returns home — while a correspondent
-// streams UDP to its home address throughout. Every protocol event
-// (registrations, bindings, handoffs) is printed as it happens, which
-// makes this the quickest way to *watch* the system work.
+// streams UDP echoes to its home address every 250 ms throughout. Every
+// protocol event (registrations, bindings, handoffs) is printed as it
+// happens, which makes this the quickest way to *watch* the system work.
 //
 // Usage:
 //
-//	mnet [-seed N] [-trace] [-interval 250ms] [-metrics 5s] [-chains] [-spans] [-dump-json file] [-admin script]
+//	mnet [-seed N] [-trace] [-dump] [-metrics 5s] [-chains] [-spans] [-dump-json file] [-admin script]
 //
 // The -admin flag loads a console script (or stdin with '-') against the
 // compiled world before the itinerary starts: immediate commands inspect
@@ -49,11 +49,13 @@ func printChains(hosts ...*stack.Host) {
 	}
 }
 
+// streamInterval is the correspondent's echo-stream period.
+const streamInterval = 250 * time.Millisecond
+
 func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	showTrace := flag.Bool("trace", false, "print every protocol trace event")
 	dump := flag.Bool("dump", false, "print a tcpdump-style decode of every frame on every network")
-	interval := flag.Duration("interval", 250*time.Millisecond, "correspondent stream interval")
 	metricsEvery := flag.Duration("metrics", 0, "print the telemetry table every interval of virtual time (0 = only at the end)")
 	chains := flag.Bool("chains", false, "print each host's pipeline hook chains (iptables -L style) once the scenario is wired up")
 	spans := flag.Bool("spans", false, "record per-chain traversal spans on the MH and HA and print the span tree and kind counts at the end")
@@ -177,7 +179,7 @@ func main() {
 				printChains(tb.MH.Host(), tb.HA.Host())
 			}
 			var err error
-			probe, err = scenario.NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, testbed.MHHomeAddr, 7, *interval)
+			probe, err = scenario.NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, testbed.MHHomeAddr, 7, streamInterval)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "mnet:", err)
 				os.Exit(1)

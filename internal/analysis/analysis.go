@@ -14,7 +14,6 @@ import (
 	"mosquitonet/internal/analysis/seededrand"
 	"mosquitonet/internal/analysis/sortedrange"
 	"mosquitonet/internal/analysis/tracekinds"
-	"mosquitonet/internal/analysis/verdictflow"
 	"mosquitonet/internal/analysis/wireroundtrip"
 )
 
@@ -30,6 +29,5 @@ func All() []*framework.Analyzer {
 		hookorder.Analyzer,
 		tracekinds.Analyzer,
 		bufownership.Analyzer,
-		verdictflow.Analyzer,
 	}
 }

@@ -264,8 +264,7 @@ func TestCFGGoto(t *testing.T) {
 }
 
 // TestSolveMustAccounted exercises the fixpoint solver with a small
-// must-analysis: "has flag() been called on every path?" — the shape
-// verdictflow uses.
+// must-analysis: "has flag() been called on every path?" — a join by AND.
 func TestSolveMustAccounted(t *testing.T) {
 	body := parseFunc(t, `func f(a, b bool) {
 		if a {

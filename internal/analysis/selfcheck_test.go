@@ -10,7 +10,6 @@ import (
 
 	"mosquitonet/internal/analysis/bufownership"
 	"mosquitonet/internal/analysis/framework"
-	"mosquitonet/internal/analysis/verdictflow"
 )
 
 // moduleRoot walks up from the test's working directory to the go.mod.
@@ -32,7 +31,7 @@ func moduleRoot(t *testing.T) string {
 	}
 }
 
-// TestDatapathOwnershipSelfCheck runs the dataflow analyzers over the real
+// TestDatapathOwnershipSelfCheck runs bufownership over the real
 // datapath packages and requires a clean bill. This is the regression net
 // for the send-path buffer contract and the packet's: removing the
 // bufpool.Put on arp's queue-overflow branch, retaining a delivered frame
@@ -61,15 +60,13 @@ func TestDatapathOwnershipSelfCheck(t *testing.T) {
 	if len(pkgs) < 7 {
 		t.Fatalf("loaded %d packages, want 7", len(pkgs))
 	}
-	for _, a := range []*framework.Analyzer{bufownership.Analyzer, verdictflow.Analyzer} {
-		for _, pkg := range pkgs {
-			diags, err := pkg.Run(a)
-			if err != nil {
-				t.Fatalf("%s over %s: %v", a.Name, pkg.PkgPath, err)
-			}
-			for _, d := range diags {
-				t.Errorf("%s: %s: %s", a.Name, pkg.Fset.Position(d.Pos), d.Message)
-			}
+	for _, pkg := range pkgs {
+		diags, err := pkg.Run(bufownership.Analyzer)
+		if err != nil {
+			t.Fatalf("bufownership over %s: %v", pkg.PkgPath, err)
+		}
+		for _, d := range diags {
+			t.Errorf("bufownership: %s: %s", pkg.Fset.Position(d.Pos), d.Message)
 		}
 	}
 }

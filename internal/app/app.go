@@ -1,8 +1,8 @@
 // Package app implements application-layer workloads over the simulator's
 // transport layer: an MQTT-style publish/subscribe broker and client
-// (CONNECT/SUBSCRIBE/PUBLISH over the TCP-like stream, a topic tree with
-// single-level "+" and multi-level "#" wildcards, QoS 0/1 with message-ID
-// acknowledgments, retained messages) and an HTTP/1.x-style keep-alive
+// (CONNECT/SUBSCRIBE/PUBLISH over the TCP-like stream, exact topics — no
+// "+" or "#" wildcards — QoS 0/1 with message-ID acknowledgments, retained
+// messages) and an HTTP/1.x-style keep-alive
 // request/response client and server with pipelined requests.
 //
 // Everything is a deterministic state machine driven from the simulation

@@ -17,7 +17,7 @@ func (b *Broker) PoisonLentBodies() {
 	for _, s := range b.sessions {
 		s := s
 		s.conn.OnData = func(chunk []byte) {
-			if !s.reader.Feed(chunk, func(typ, flags byte, body []byte) { s.frame(typ, flags, body); poison(body) }) {
+			if !s.reader.Feed(chunk, func(typ, flags byte, body []byte) { s.frame(typ, flags, body); poison(body) }) && !s.closed {
 				b.stats.DropBadFrame++
 				s.drop("bad frame")
 			}
@@ -37,7 +37,7 @@ func (s *HTTPServer) PoisonLentBodies() {
 	for _, sc := range s.conns {
 		sc := sc
 		sc.conn.OnData = func(chunk []byte) {
-			if !sc.parser.feed(chunk, func(start string, body []byte) { sc.request(start, body); poison(body) }) {
+			if !sc.parser.feed(chunk, func(start string, body []byte) { sc.request(start, body); poison(body) }) && !sc.closed {
 				s.stats.BadRequests++
 				sc.close()
 				sc.conn.Abort()

@@ -35,6 +35,10 @@ const httpVersion = "MNET/1.0"
 // maxHTTPHead bounds the header block of one message.
 const maxHTTPHead = 4096
 
+// MaxHTTPBody is the largest request or response body a peer's parser
+// accepts.
+const MaxHTTPBody = maxFrameBody
+
 // HTTPRequest is one parsed request. Body is lent for the handler call: a
 // window into the connection's parser, see lentBuf.
 type HTTPRequest struct {
@@ -113,7 +117,7 @@ func contentLengthOf(fields []byte) (int, bool) {
 		line, fields, _ = bytes.Cut(fields, crlf)
 		if v, ok := bytes.CutPrefix(line, contentLength); ok {
 			n, err := strconv.Atoi(string(bytes.TrimSpace(v)))
-			if err != nil || n < 0 || n > maxFrameBody {
+			if err != nil || n < 0 || n > MaxHTTPBody {
 				return 0, false
 			}
 			clen = n
@@ -163,9 +167,8 @@ type HTTPServer struct {
 	name    string
 	handler HTTPHandler
 
-	listener *transport.Listener
-	conns    []*httpServerConn
-	stats    HTTPServerStats
+	conns []*httpServerConn
+	stats HTTPServerStats
 }
 
 type httpServerConn struct {
@@ -180,33 +183,21 @@ type httpServerConn struct {
 // request, in arrival order.
 func NewHTTPServer(ts *transport.Stack, bound ip.Addr, port uint16, name string, handler HTTPHandler) (*HTTPServer, error) {
 	s := &HTTPServer{ts: ts, loop: ts.Host().Loop(), name: name, handler: handler}
-	l, err := ts.Listen(bound, port, s.accept)
-	if err != nil {
+	if _, err := ts.Listen(bound, port, s.accept); err != nil {
 		return nil, err
 	}
-	s.listener = l
 	return s, nil
 }
 
 // Stats returns a snapshot of the server's counters.
 func (s *HTTPServer) Stats() HTTPServerStats { return s.stats }
 
-// Close stops accepting and aborts every connection.
-func (s *HTTPServer) Close() {
-	s.listener.Close()
-	for len(s.conns) > 0 {
-		c := s.conns[0]
-		c.close()
-		c.conn.Abort()
-	}
-}
-
 func (s *HTTPServer) accept(conn *transport.Conn) {
 	sc := &httpServerConn{srv: s, conn: conn}
 	s.stats.Accepted++
 	s.conns = append(s.conns, sc)
 	conn.OnData = func(chunk []byte) {
-		if !sc.parser.feed(chunk, sc.request) {
+		if !sc.parser.feed(chunk, sc.request) && !sc.closed {
 			s.stats.BadRequests++
 			sc.close()
 			conn.Abort()
@@ -248,13 +239,6 @@ func (sc *httpServerConn) request(start string, body []byte) {
 	sc.wbuf, _ = writeMsg(sc.conn, appendHTTPResponse(sc.wbuf, resp.Code, resp.Body))
 }
 
-// HTTPClientStats counts client activity.
-type HTTPClientStats struct {
-	RequestsSent      uint64
-	ResponsesReceived uint64
-	Failed            uint64 // requests failed by connection death
-}
-
 // HTTPClient issues pipelined requests over one keep-alive connection.
 type HTTPClient struct {
 	ts     *transport.Stack
@@ -272,8 +256,6 @@ type HTTPClient struct {
 
 	// OnDisconnect, if set, fires when the connection dies.
 	OnDisconnect func(error)
-
-	stats HTTPClientStats
 }
 
 type httpPending struct {
@@ -290,9 +272,6 @@ func NewHTTPClient(ts *transport.Stack, id string) *HTTPClient {
 		actor:  ts.Host().Name() + "/" + id,
 	}
 }
-
-// Stats returns a snapshot of the client's counters.
-func (c *HTTPClient) Stats() HTTPClientStats { return c.stats }
 
 // Up reports whether the connection is established.
 func (c *HTTPClient) Up() bool { return c.up }
@@ -333,16 +312,19 @@ func (c *HTTPClient) Connect(server ip.Addr, port uint16, onUp func(error)) erro
 
 // Do issues one request. done fires with the response, or with an error if
 // the connection dies first. Multiple outstanding requests pipeline. body is
-// borrowed: it is encoded into the connection before Do returns.
+// borrowed: it is encoded into the connection before Do returns. A body over
+// MaxHTTPBody is ErrTooLarge.
 func (c *HTTPClient) Do(method, path string, body []byte, done func(HTTPResponse, error)) error {
 	if c.closed || c.conn == nil {
 		return ErrNotConnected
+	}
+	if len(body) > MaxHTTPBody {
+		return ErrTooLarge
 	}
 	// Root span: pipelined requests overlap and must not ambient-nest.
 	sp := c.tracer.StartChild(nil, c.actor, kSpanHTTPRequest)
 	sp.SetAttr("path", path)
 	c.pending = append(c.pending, &httpPending{span: sp, done: done})
-	c.stats.RequestsSent++
 	var err error
 	c.wbuf, err = writeMsg(c.conn, appendHTTPRequest(c.wbuf, method, path, body))
 	return err
@@ -383,7 +365,6 @@ func (c *HTTPClient) failPending(err error) {
 	pending := c.pending
 	c.pending = nil
 	for _, p := range pending {
-		c.stats.Failed++
 		p.span.Fail(err)
 		if p.done != nil {
 			p.done(HTTPResponse{}, err)
@@ -403,7 +384,6 @@ func (c *HTTPClient) response(start string, body []byte) {
 	}
 	p := c.pending[0]
 	c.pending = c.pending[1:]
-	c.stats.ResponsesReceived++
 	p.span.Done()
 	if p.done != nil {
 		p.done(HTTPResponse{Code: code, Body: body}, nil)

@@ -109,19 +109,23 @@ func TestHTTPClientCloseFailsPending(t *testing.T) {
 	}
 }
 
+// TestHTTPServerDropsMalformed: a malformed request drops the connection
+// and counts once, also when another malformed one follows it in the same
+// chunk.
 func TestHTTPServerDropsMalformed(t *testing.T) {
-	r := newRig(t, 1)
-	srv := startEcho(t, r)
-	conn, err := r.a.Connect(ip.Unspecified, r.bAddr, testHTTPPort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.OnEstablished = func() {
-		conn.Write([]byte("POST /x MNET/1.0\r\nContent-Length: banana\r\n\r\n"))
-	}
-	r.loop.RunFor(5 * time.Second)
-	if ss := srv.Stats(); ss.BadRequests != 1 || ss.ConnsClosed != 1 {
-		t.Fatalf("server stats = %+v", ss)
+	const bad = "POST /x MNET/1.0\r\nContent-Length: banana\r\n\r\n"
+	for _, stream := range []string{bad, "POST /x HTTP/9\r\n\r\n" + bad} {
+		r := newRig(t, 1)
+		srv := startEcho(t, r)
+		conn, err := r.a.Connect(ip.Unspecified, r.bAddr, testHTTPPort)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.OnEstablished = func() { conn.Write([]byte(stream)) }
+		r.loop.RunFor(5 * time.Second)
+		if ss := srv.Stats(); ss.BadRequests != 1 || ss.ConnsClosed != 1 {
+			t.Fatalf("%q: server stats = %+v", stream, ss)
+		}
 	}
 }
 

@@ -56,7 +56,7 @@ func TestMessageBodiesNotRetained(t *testing.T) {
 	var kept []byte                   // what a handler that does not copy is left with
 	for i, s := range subs {
 		i := i
-		if err := s.Subscribe("data/+", 1, func(m Message) {
+		if err := s.Subscribe("data/x", 1, func(m Message) {
 			next[i]++
 			if !bytes.Equal(m.Payload, stamped(next[i], size)) || m.QoS != 1 || m.Topic != "data/x" {
 				t.Errorf("subscriber %d, delivery %d: wrong or duplicated message %q (%d bytes, QoS %d)", i, next[i], m.Topic, len(m.Payload), m.QoS)
@@ -72,7 +72,7 @@ func TestMessageBodiesNotRetained(t *testing.T) {
 	onStatus := func(m Message) {
 		replayed = append(replayed, fmt.Sprintf("%s=%s retained=%v", m.Topic, m.Payload, m.Retained))
 	}
-	if err := subs[0].Subscribe("status/#", 1, onStatus, nil); err != nil {
+	if err := subs[0].Subscribe("status/door", 1, onStatus, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.loop.RunFor(time.Second)
@@ -99,7 +99,7 @@ func TestMessageBodiesNotRetained(t *testing.T) {
 	}
 	// The late subscriber's replay comes from the retained store, long after
 	// the publish that filled it was scribbled over.
-	if err := subs[1].Subscribe("status/#", 1, onStatus, nil); err != nil {
+	if err := subs[1].Subscribe("status/door", 1, onStatus, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.loop.RunFor(10 * time.Second)
@@ -235,7 +235,7 @@ func TestFeedReentrantOverLoopback(t *testing.T) {
 			t.Errorf("message %d changed under its handler (now starts %x)", seq, m.Payload[:seqPrefixLen])
 		}
 	}
-	if err := c.Subscribe("loop/+", 1, handler, nil); err != nil {
+	if err := c.Subscribe("loop/x", 1, handler, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Publish("loop/x", stamped(1, 900), 1, false, func() { acked++ }); err != nil {

@@ -166,9 +166,6 @@ func (r *ReqFlow) Stop() {
 	r.timer.Stop()
 }
 
-// Sent returns the number of requests issued so far.
-func (r *ReqFlow) Sent() uint64 { return r.seq }
-
 func (r *ReqFlow) tick() {
 	if !r.running {
 		return

@@ -40,8 +40,9 @@ const (
 // App-layer errors.
 var (
 	ErrNotConnected = errors.New("app: client not connected")
-	ErrBadTopic     = errors.New("app: malformed topic or filter")
+	ErrBadTopic     = errors.New("app: empty topic or one with a wildcard")
 	ErrClosed       = errors.New("app: closed")
+	ErrTooLarge     = errors.New("app: body larger than the peer accepts")
 )
 
 // Message is one delivered publication. Payload is lent for the handler
@@ -83,17 +84,9 @@ type Broker struct {
 	tracer *trace.Tracer
 	name   string
 
-	listener *transport.Listener
 	sessions []*brokerSession // accept order; closed sessions removed in place
-	tree     TopicTree[*brokerSub]
-	nextSub  uint64
+	topics   topicIndex
 	stats    BrokerStats
-}
-
-// brokerSub is one subscription entry in the topic tree.
-type brokerSub struct {
-	sess *brokerSession
-	qos  byte
 }
 
 // brokerSession is the broker-side state for one client connection.
@@ -106,14 +99,9 @@ type brokerSession struct {
 	connected  bool
 	closed     bool
 	span       *trace.Span
-	subs       []sessionSub
+	topics     []string // subscribed, each once
 	nextMsgID  uint16
 	pendingOut map[uint16]struct{} // QoS 1 deliveries awaiting PUBACK
-}
-
-type sessionSub struct {
-	filter string
-	id     uint64
 }
 
 // NewBroker starts a broker on (bound, port) of the given transport stack.
@@ -125,12 +113,11 @@ func NewBroker(ts *transport.Stack, bound ip.Addr, port uint16, name string) (*B
 		loop:   ts.Host().Loop(),
 		tracer: trace.For(ts.Host().Loop()),
 		name:   name,
+		topics: make(topicIndex),
 	}
-	l, err := ts.Listen(bound, port, b.accept)
-	if err != nil {
+	if _, err := ts.Listen(bound, port, b.accept); err != nil {
 		return nil, err
 	}
-	b.listener = l
 	return b, nil
 }
 
@@ -140,22 +127,14 @@ func (b *Broker) Stats() BrokerStats { return b.stats }
 // Sessions returns the number of live client sessions.
 func (b *Broker) Sessions() int { return len(b.sessions) }
 
-// Close stops accepting and aborts every session.
-func (b *Broker) Close() {
-	b.listener.Close()
-	for len(b.sessions) > 0 {
-		s := b.sessions[0]
-		s.close()
-		s.conn.Abort()
-	}
-}
-
 func (b *Broker) accept(conn *transport.Conn) {
 	s := &brokerSession{b: b, conn: conn, pendingOut: make(map[uint16]struct{})}
 	s.span = b.tracer.StartChild(nil, b.name, kSpanSession)
 	b.sessions = append(b.sessions, s)
 	conn.OnData = func(chunk []byte) {
-		if !s.reader.Feed(chunk, s.frame) {
+		// A session a frame already dropped is not dropped again for a
+		// malformed header behind that frame.
+		if !s.reader.Feed(chunk, s.frame) && !s.closed {
 			b.stats.DropBadFrame++
 			s.drop("bad frame")
 		}
@@ -178,8 +157,8 @@ func (s *brokerSession) close() {
 	}
 	s.closed = true
 	s.b.stats.SessionsClosed++
-	for _, sub := range s.subs {
-		s.b.tree.Unsubscribe(sub.filter, sub.id)
+	for _, topic := range s.topics {
+		s.b.topics.unsubscribe(topic, s)
 	}
 	for i, other := range s.b.sessions {
 		if other == s {
@@ -220,24 +199,23 @@ func (s *brokerSession) frame(typ, flags byte, body []byte) {
 			return
 		}
 		msgID := binary.BigEndian.Uint16(body)
-		filter, rest, ok := readString(body[2:])
-		if !ok || len(rest) != 1 || !ValidFilter(filter) {
+		topic, rest, ok := readString(body[2:])
+		if !ok || len(rest) != 1 || !ValidTopic(topic) {
 			s.b.stats.DropBadFrame++
 			s.drop("bad subscribe")
 			return
 		}
 		qos := rest[0] & 1
 		s.b.stats.Subscribes++
-		s.b.nextSub++
-		subID := s.b.nextSub
-		s.b.tree.Subscribe(filter, subID, &brokerSub{sess: s, qos: qos})
-		s.subs = append(s.subs, sessionSub{filter: filter, id: subID})
+		if s.b.topics.subscribe(topic, s, qos) {
+			s.topics = append(s.topics, topic)
+		}
 		s.send(mqttSubAck, []byte{byte(msgID >> 8), byte(msgID), qos})
-		// Replay retained messages matching the new subscription, in
-		// lexicographic topic order.
-		for _, rm := range s.b.tree.Retained(filter) {
+		// Replay the topic's retained message, on a repeated subscription
+		// too.
+		if rm := s.b.topics[topic].retained; rm != nil {
 			s.b.stats.RetainedDelivered++
-			s.deliver(rm.Topic, rm.Payload, qos, true)
+			s.deliver(topic, rm, qos, true)
 		}
 	case mqttPublish:
 		topic, rest, ok := readString(body)
@@ -260,7 +238,7 @@ func (s *brokerSession) frame(typ, flags byte, body []byte) {
 		}
 		s.b.stats.Publishes++
 		if flags&pubFlagRetain != 0 {
-			s.b.tree.SetRetained(topic, rest)
+			s.b.topics.setRetained(topic, rest)
 		}
 		s.b.route(topic, rest, qos)
 		if qos == 1 {
@@ -286,16 +264,16 @@ func (s *brokerSession) send(typ byte, body []byte) {
 	s.wbuf, _ = writeMsg(s.conn, encodeFrame(s.wbuf, typ, 0, body))
 }
 
-// route fans a publication out to every matching subscription. Delivery
-// QoS is the minimum of the publish QoS and the subscription's granted
-// QoS, per MQTT.
+// route fans a publication out to the topic's subscriptions, in
+// registration order. Delivery QoS is the minimum of the publish QoS and the
+// subscription's granted QoS, per MQTT.
 func (b *Broker) route(topic string, payload []byte, qos byte) {
-	for _, sub := range b.tree.Match(topic) {
-		dq := qos
-		if sub.qos < dq {
-			dq = sub.qos
-		}
-		sub.sess.deliver(topic, payload, dq, false)
+	e := b.topics[topic]
+	if e == nil {
+		return
+	}
+	for _, sub := range e.subs {
+		sub.sess.deliver(topic, payload, min(qos, sub.qos), false)
 	}
 }
 
@@ -320,6 +298,14 @@ func (s *brokerSession) deliver(topic string, payload []byte, qos byte, retained
 	}
 	s.b.stats.Delivered++
 	s.wbuf, _ = writeMsg(s.conn, appendPublish(s.wbuf, flags, topic, msgID, payload))
+}
+
+// MaxPublishPayload is the largest payload a publication to topic may carry:
+// its PUBLISH frame's body also holds the topic and, when the broker delivers
+// it at QoS 1 (a retained replay may, whatever the publisher's QoS), a
+// message ID, and the frame must not outgrow what a peer's parser accepts.
+func MaxPublishPayload(topic string) int {
+	return maxFrameBody - 2 - len(topic) - 2
 }
 
 // appendPublish appends one PUBLISH frame, its body — topic, the message ID
@@ -375,7 +361,7 @@ type Client struct {
 }
 
 type clientSub struct {
-	filter  string
+	topic   string
 	handler MessageHandler
 }
 
@@ -471,20 +457,22 @@ func (c *Client) Close() {
 	}
 }
 
-// Subscribe registers a handler for every publication matching filter and
-// sends SUBSCRIBE. onAck (optional) fires on SUBACK. QoS 1 deliveries are
-// acknowledged automatically.
-func (c *Client) Subscribe(filter string, qos byte, handler MessageHandler, onAck func()) error {
+// Subscribe registers a handler for every publication to topic and sends
+// SUBSCRIBE. onAck (optional) fires on SUBACK. QoS 1 deliveries are
+// acknowledged automatically. Topics are exact: a wildcard is ErrBadTopic.
+// Subscribing again replaces the broker's subscription, so each handler
+// registered for topic gets each publication once, at the latest QoS.
+func (c *Client) Subscribe(topic string, qos byte, handler MessageHandler, onAck func()) error {
 	if !c.connected {
 		return ErrNotConnected
 	}
-	if !ValidFilter(filter) {
+	if !ValidTopic(topic) {
 		return ErrBadTopic
 	}
 	// Root span: overlapping operations must not ambient-nest.
 	sp := c.tracer.StartChild(nil, c.actor, kSpanSubscribe)
-	sp.SetAttr("filter", filter)
-	c.subs = append(c.subs, clientSub{filter: filter, handler: handler})
+	sp.SetAttr("topic", topic)
+	c.subs = append(c.subs, clientSub{topic: topic, handler: handler})
 	c.subAcks = append(c.subAcks, func() {
 		sp.Done()
 		if onAck != nil {
@@ -493,7 +481,7 @@ func (c *Client) Subscribe(filter string, qos byte, handler MessageHandler, onAc
 	})
 	c.nextMsgID++
 	body := []byte{byte(c.nextMsgID >> 8), byte(c.nextMsgID)}
-	body = appendString(body, filter)
+	body = appendString(body, topic)
 	body = append(body, qos&1)
 	c.send(mqttSubscribe, body)
 	return nil
@@ -502,13 +490,17 @@ func (c *Client) Subscribe(filter string, qos byte, handler MessageHandler, onAc
 // Publish sends a publication. For QoS 1 the message carries a message ID
 // and onAck (optional) fires when the broker's PUBACK arrives; for QoS 0
 // onAck fires immediately after the frame is queued. payload is borrowed:
-// it is encoded into the connection before Publish returns.
+// it is encoded into the connection before Publish returns. A payload over
+// MaxPublishPayload(topic) is ErrTooLarge.
 func (c *Client) Publish(topic string, payload []byte, qos byte, retain bool, onAck func()) error {
 	if !c.connected {
 		return ErrNotConnected
 	}
 	if !ValidTopic(topic) {
 		return ErrBadTopic
+	}
+	if len(payload) > MaxPublishPayload(topic) {
+		return ErrTooLarge
 	}
 	var flags byte
 	if retain {
@@ -579,7 +571,7 @@ func (c *Client) frame(typ, flags byte, body []byte) {
 			Dup:      flags&pubFlagDup != 0,
 		}
 		for _, sub := range c.subs {
-			if MatchFilter(sub.filter, topic) && sub.handler != nil {
+			if sub.topic == topic && sub.handler != nil {
 				sub.handler(m)
 			}
 		}

@@ -152,12 +152,6 @@ func (c *Client) Stop() {
 	c.acquired = false
 }
 
-// Close releases all socket bindings.
-func (c *Client) Close() {
-	c.Stop()
-	c.dropWildcardSock()
-}
-
 func (c *Client) dropLease() {
 	c.stopTimers()
 	c.acquired = false

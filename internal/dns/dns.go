@@ -79,10 +79,12 @@ func ValidName(name string) bool {
 // Marshal serializes the message: header, length-prefixed labels, a zero
 // terminator, and the address.
 func (m *Message) Marshal() ([]byte, error) {
-	name := NormalizeName(m.Name)
-	if !ValidName(name) {
+	// ValidName normalizes too: validating the normalized name would check
+	// "a.." as "a" and then encode an empty label, the terminator.
+	if !ValidName(m.Name) {
 		return nil, ErrBadName
 	}
+	name := NormalizeName(m.Name)
 	b := make([]byte, 0, 10+len(name)+2)
 	var hdr [4]byte
 	binary.BigEndian.PutUint16(hdr[0:], m.ID)

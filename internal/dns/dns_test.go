@@ -40,7 +40,7 @@ func TestNameNormalization(t *testing.T) {
 }
 
 func TestBadNames(t *testing.T) {
-	for _, bad := range []string{"", ".", "a..b", strings.Repeat("x", 64) + ".com", strings.Repeat("abcdefgh.", 32) + "com"} {
+	for _, bad := range []string{"", ".", "a..b", "a..", strings.Repeat("x", 64) + ".com", strings.Repeat("abcdefgh.", 32) + "com"} {
 		m := &Message{ID: 1, Op: OpQuery, Name: bad}
 		if _, err := m.Marshal(); err == nil {
 			t.Errorf("marshal accepted %q", bad)

@@ -97,14 +97,6 @@ func (h *Histogram) N() int {
 	return len(h.samples)
 }
 
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
 // Quantile returns the q-th quantile (0 < q <= 1) by nearest rank, or zero
 // for an empty histogram.
 func (h *Histogram) Quantile(q float64) time.Duration {
@@ -205,14 +197,6 @@ func New(loop *sim.Loop) *Registry {
 		c.Gauge("sim.loop.queue_high_water", int64(loop.QueueHighWater()))
 	})
 	return r
-}
-
-// Loop returns the clock the registry reads snapshot timestamps from.
-func (r *Registry) Loop() *sim.Loop {
-	if r == nil {
-		return nil
-	}
-	return r.loop
 }
 
 // Counter returns a new counter handle and a collector that emits its

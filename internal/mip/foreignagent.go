@@ -1,7 +1,6 @@
 package mip
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -324,81 +323,6 @@ func (m *MobileHost) ConnectViaForeignAgent(mi *ManagedIface, faAddr ip.Addr, do
 func (m *MobileHost) registerViaFA(faAddr ip.Addr, done func(error)) {
 	m.pend(m.cfg.HomeAddr, m.cfg.Lifetime, faAddr, faAddr, done)
 }
-
-// DiscoveredAgent reports a foreign agent heard advertising on a link.
-type DiscoveredAgent struct {
-	Agent    ip.Addr
-	Lifetime time.Duration
-	Seq      uint16
-}
-
-// DiscoverForeignAgent listens on mi for an agent advertisement — the
-// extension's substitute for being told an agent address out of band. The
-// device is brought up if necessary; cb receives the first advertisement
-// heard, or ok=false at the timeout. The mobile host needs no address to
-// listen: advertisements are link broadcasts.
-func (m *MobileHost) DiscoverForeignAgent(mi *ManagedIface, timeout time.Duration, cb func(DiscoveredAgent, bool)) {
-	mi.ifc.Device().BringUp(func() {
-		var sock *transport.UDPSocket
-		var timer sim.Timer
-		finish := func(a DiscoveredAgent, ok bool) {
-			if sock != nil {
-				sock.Close()
-				sock = nil
-			}
-			timer.Stop()
-			if cb != nil {
-				cb(a, ok)
-			}
-		}
-		s, err := m.ts.UDP(ip.Unspecified, Port, func(d transport.Datagram) {
-			typ, err := MessageType(d.Payload)
-			if err != nil || typ != TypeAgentAdvert {
-				//lint:allow dropaccounting other control traffic on the discovery socket is not for this listener
-				return
-			}
-			adv, err := UnmarshalAgentAdvert(d.Payload)
-			if err != nil {
-				m.stats.DropMalformed++
-				return
-			}
-			m.trace(kFADiscovered, trace.Operands{A: adv.Agent, I: int32(adv.Seq)})
-			finish(DiscoveredAgent{
-				Agent:    adv.Agent,
-				Lifetime: time.Duration(adv.Lifetime) * time.Second,
-				Seq:      adv.Seq,
-			}, true)
-		})
-		if err != nil {
-			// Port 434 busy (an active registration socket with wildcard
-			// binding); report failure rather than wedging.
-			if cb != nil {
-				cb(DiscoveredAgent{}, false)
-			}
-			return
-		}
-		sock = s
-		timer = m.host.Loop().Schedule(timeout, func() { finish(DiscoveredAgent{}, false) })
-	})
-}
-
-// ConnectViaDiscoveredAgent brings mi up, listens for an agent
-// advertisement, and registers through whichever agent answers first. It
-// fails with ErrNoAgentFound if none advertises within timeout.
-func (m *MobileHost) ConnectViaDiscoveredAgent(mi *ManagedIface, timeout time.Duration, done func(error)) {
-	m.DiscoverForeignAgent(mi, timeout, func(a DiscoveredAgent, ok bool) {
-		if !ok {
-			if done != nil {
-				done(ErrNoAgentFound)
-			}
-			return
-		}
-		m.ConnectViaForeignAgent(mi, a.Agent, done)
-	})
-}
-
-// ErrNoAgentFound is returned when agent discovery times out.
-var ErrNoAgentFound = errors.New("mip: no foreign agent advertisement heard")
 
 // NotifyPreviousFA asks the foreign agent the host just left to forward
 // stragglers to its new care-of address for the given lifetime. It is

@@ -220,9 +220,6 @@ func (ha *HomeAgent) Crash() {
 // lifetime).
 func (ha *HomeAgent) Restart() { ha.down = false }
 
-// ProcessingDelay returns the agent's per-request software cost.
-func (ha *HomeAgent) ProcessingDelay() time.Duration { return ha.cfg.ProcessingDelay }
-
 // SetProcessingDelay changes the per-request software cost at runtime —
 // the fault-injection seam for an overloaded agent. Returns the previous
 // delay so the injector can restore it.

@@ -54,7 +54,6 @@ const (
 
 	// Foreign-agent extension.
 	kFAStart        = "handoff.fa.start"
-	kFADiscovered   = "fa.discovered"
 	kFARelayRequest = "fa.relay.request"
 	kFARelayReply   = "fa.relay.reply"
 	kFABuffering    = "fa.buffering"
@@ -104,8 +103,6 @@ func renderDetail(kind string, o trace.Operands) string {
 		return fmt.Sprintf("ch=%v ok=%s", o.A, o.S)
 	case kFAStart:
 		return fmt.Sprintf("iface=%s fa=%v", o.S, o.A)
-	case kFADiscovered:
-		return fmt.Sprintf("agent=%v seq=%d", o.A, o.I)
 	case kFARelayRequest:
 		return fmt.Sprintf("home=%v id=%d", o.A, o.N)
 	case kFARelayReply:

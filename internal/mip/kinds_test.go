@@ -80,7 +80,6 @@ var renderCases = func() []struct {
 		{kProbeDone, trace.Operands{A: b, S: "true"}, "ch=%v ok=%v", []any{b, true}},
 		{kProbeDone, trace.Operands{A: b, S: "false"}, "ch=%v ok=%v", []any{b, false}},
 		{kFAStart, trace.Operands{S: "eth1", A: b}, "iface=%s fa=%v", []any{"eth1", b}},
-		{kFADiscovered, trace.Operands{A: b, I: 65535}, "agent=%v seq=%d", []any{b, uint16(65535)}},
 		{kFARelayRequest, trace.Operands{A: a, N: 82}, "home=%v id=%d", []any{a, uint64(82)}},
 		{kFARelayReply, trace.Operands{A: a, I: CodeDeniedBadRequest}, "home=%v %s", []any{a, CodeString(CodeDeniedBadRequest)}},
 		{kFABuffering, trace.Operands{A: a}, "home=%v", []any{a}},

@@ -854,77 +854,6 @@ func TestTunnelFragmentationAtMTU(t *testing.T) {
 	}
 }
 
-func TestAgentDiscovery(t *testing.T) {
-	w := newWorld(t, 1)
-	faTS, faIfc := mkHost(w.loop, w.forA, "fa", "10.2.0.4/24", "10.2.0.1")
-	fa, err := NewForeignAgent(faTS, ForeignAgentConfig{Iface: faIfc, Tracer: w.tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var found DiscoveredAgent
-	ok := false
-	done := false
-	w.mh.DiscoverForeignAgent(w.eth1, 5*time.Second, func(a DiscoveredAgent, got bool) {
-		found, ok, done = a, got, true
-	})
-	w.run(10 * time.Second)
-	if !done || !ok {
-		t.Fatalf("discovery failed: done=%v ok=%v", done, ok)
-	}
-	if found.Agent != fa.Addr() {
-		t.Fatalf("discovered %v, want %v", found.Agent, fa.Addr())
-	}
-	if found.Lifetime <= 0 {
-		t.Fatalf("advertised lifetime %v", found.Lifetime)
-	}
-}
-
-func TestAgentDiscoveryTimeout(t *testing.T) {
-	w := newWorld(t, 1) // no FA anywhere
-	ok := true
-	done := false
-	w.mh.DiscoverForeignAgent(w.eth1, time.Second, func(_ DiscoveredAgent, got bool) {
-		ok, done = got, true
-	})
-	w.run(5 * time.Second)
-	if !done || ok {
-		t.Fatalf("expected timeout: done=%v ok=%v", done, ok)
-	}
-}
-
-func TestConnectViaDiscoveredAgent(t *testing.T) {
-	w := newWorld(t, 1)
-	faTS, faIfc := mkHost(w.loop, w.forA, "fa", "10.2.0.4/24", "10.2.0.1")
-	fa, err := NewForeignAgent(faTS, ForeignAgentConfig{Iface: faIfc, Tracer: w.tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var regErr error
-	done := false
-	w.mh.ConnectViaDiscoveredAgent(w.eth1, 5*time.Second, func(err error) { regErr, done = err, true })
-	w.run(15 * time.Second)
-	if !done || regErr != nil {
-		t.Fatalf("done=%v err=%v", done, regErr)
-	}
-	if b, ok := w.ha.Binding(ip.MustParseAddr(wHomeAddr)); !ok || b.CareOf != fa.Addr() {
-		t.Fatalf("binding: %+v ok=%v", b, ok)
-	}
-	if !fa.HasVisitor(ip.MustParseAddr(wHomeAddr)) {
-		t.Fatal("no visitor entry")
-	}
-}
-
-func TestConnectViaDiscoveredAgentNoAgent(t *testing.T) {
-	w := newWorld(t, 1)
-	var regErr error
-	done := false
-	w.mh.ConnectViaDiscoveredAgent(w.eth1, time.Second, func(err error) { regErr, done = err, true })
-	w.run(10 * time.Second)
-	if !done || !errors.Is(regErr, ErrNoAgentFound) {
-		t.Fatalf("done=%v err=%v", done, regErr)
-	}
-}
-
 // TestReplayedRegistrationRejected verifies the identification check: a
 // replayed (or stale) registration request must be denied and must not
 // disturb the current binding.

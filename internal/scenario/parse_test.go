@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mosquitonet/internal/app"
 )
 
 // catalogDir is the checked-in scenario catalog (embedded by the testbed
@@ -161,33 +163,78 @@ func TestValidateReferences(t *testing.T) {
 	}
 }
 
+// resolveLoaded resolves the loadedhandoff catalog spec after mutate has
+// edited it.
+func resolveLoaded(t *testing.T, mutate func(*Spec)) error {
+	t.Helper()
+	load := func(name string) (*Spec, error) {
+		data, err := os.ReadFile(filepath.Join(catalogDir, name+".json"))
+		if err != nil {
+			return nil, err
+		}
+		return Parse(data)
+	}
+	spec, err := load("loadedhandoff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(spec)
+	_, err = ResolveBase(spec, load)
+	return err
+}
+
 // TestValidateRefusesWildcardPublications: in the loadedhandoff spec, a
 // publication topic with a + or # wildcard is an error naming the
 // publication, not a flow whose every publish Client.Publish refuses.
 func TestValidateRefusesWildcardPublications(t *testing.T) {
 	for _, topic := range []string{"telemetry/+/0", "telemetry/#"} {
 		t.Run(topic, func(t *testing.T) {
-			data, err := os.ReadFile(filepath.Join(catalogDir, "loadedhandoff.json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec, err := Parse(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec.Traffic.MQTT.Pubs[0].Topic = topic
-			_, err = ResolveBase(spec, func(name string) (*Spec, error) {
-				data, err := os.ReadFile(filepath.Join(catalogDir, name+".json"))
-				if err != nil {
-					return nil, err
-				}
-				return Parse(data)
-			})
+			err := resolveLoaded(t, func(s *Spec) { s.Traffic.MQTT.Pubs[0].Topic = topic })
 			if err == nil {
 				t.Fatal("validate accepted a wildcard publication topic")
 			}
 			if want := "publication 0"; !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), topic) {
 				t.Errorf("error %q does not name %s and its topic %q", err, want, topic)
+			}
+		})
+	}
+}
+
+// TestValidateRefusesSharedTopics: two publications on one topic would each
+// deliver to both subscribers, so every flow counts the other's messages as
+// duplicates. The error names both publications.
+func TestValidateRefusesSharedTopics(t *testing.T) {
+	err := resolveLoaded(t, func(s *Spec) { s.Traffic.MQTT.Pubs[1].Topic = s.Traffic.MQTT.Pubs[0].Topic })
+	if want := `publications 0 and 1 share topic "telemetry/mh/0"`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %v, want one containing %q", err, want)
+	}
+}
+
+// TestValidateRefusesOversizedBodies: a publication or request body larger
+// than the peer's parser accepts is an error naming the publication or flow,
+// not a run that waits for flows that never drain. The largest body each
+// carries is valid.
+func TestValidateRefusesOversizedBodies(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(*Spec)
+		wantErr string // empty: valid
+	}{
+		{"largest publish", func(s *Spec) { s.Traffic.MQTT.Pubs[0].Size = app.MaxPublishPayload("telemetry/mh/0") }, ""},
+		{"publish over a frame", func(s *Spec) { s.Traffic.MQTT.Pubs[0].Size = 40000 }, `publication "telemetry/mh/0": size 40000`},
+		{"publish over a uint16", func(s *Spec) { s.Traffic.MQTT.Pubs[0].Size = 70000 }, `publication "telemetry/mh/0": size 70000`},
+		{"largest request", func(s *Spec) { s.Traffic.HTTP.Flows[0].Size = app.MaxHTTPBody }, ""},
+		{"request over a frame", func(s *Spec) { s.Traffic.HTTP.Flows[0].Size = 40000 }, `flow "http/open": size 40000`},
+		{"request over a uint16", func(s *Spec) { s.Traffic.HTTP.Flows[0].Size = 70000 }, `flow "http/open": size 70000`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := resolveLoaded(t, c.mutate)
+			switch {
+			case c.wantErr == "" && err != nil:
+				t.Fatalf("valid spec refused: %v", err)
+			case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+				t.Fatalf("error %v, want one containing %q", err, c.wantErr)
 			}
 		})
 	}

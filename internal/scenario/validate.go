@@ -474,14 +474,19 @@ func (v *validator) traffic(t *Traffic) error {
 			}
 			v.clients[c.Name] = true
 		}
+		topics := map[string]int{}
 		for i := range m.Pubs {
 			p := &m.Pubs[i]
 			pctx := fmt.Sprintf("%s: publication %q", ctx, p.Topic)
 			if !app.ValidTopic(p.Topic) {
-				// The broker would take a wildcard as a subscription filter,
-				// but Client.Publish refuses every publish to one.
+				// Client.Publish and Client.Subscribe refuse every wildcard.
 				return fmt.Errorf("%s: publication %d: topic %q is empty or has a wildcard", ctx, i, p.Topic)
 			}
+			// Each publication's subscriber would receive the other's flow.
+			if j, ok := topics[p.Topic]; ok {
+				return fmt.Errorf("%s: publications %d and %d share topic %q", ctx, j, i, p.Topic)
+			}
+			topics[p.Topic] = i
 			if !v.clients[p.From] {
 				return fmt.Errorf("%s: unknown publisher %q", pctx, p.From)
 			}
@@ -493,6 +498,9 @@ func (v *validator) traffic(t *Traffic) error {
 			}
 			if p.Interval <= 0 || p.Size < 1 {
 				return fmt.Errorf("%s: interval and size must be positive", pctx)
+			}
+			if limit := app.MaxPublishPayload(p.Topic); p.Size > limit {
+				return fmt.Errorf("%s: size %d is over the %d bytes a publish to this topic carries", pctx, p.Size, limit)
 			}
 		}
 	}
@@ -520,6 +528,9 @@ func (v *validator) traffic(t *Traffic) error {
 			}
 			if f.Interval <= 0 || f.Size < 1 {
 				return fmt.Errorf("%s: interval and size must be positive", fctx)
+			}
+			if f.Size > app.MaxHTTPBody {
+				return fmt.Errorf("%s: size %d is over the %d bytes a request body carries", fctx, f.Size, app.MaxHTTPBody)
 			}
 		}
 	}

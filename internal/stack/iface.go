@@ -60,9 +60,6 @@ func (i *Iface) Device() *link.Device { return i.dev }
 // ARP returns the interface's ARP cache, or nil.
 func (i *Iface) ARP() *arp.Cache { return i.arp }
 
-// Host returns the owning host.
-func (i *Iface) Host() *Host { return i.host }
-
 // Up reports whether the interface can pass traffic.
 func (i *Iface) Up() bool {
 	if i.dev != nil {

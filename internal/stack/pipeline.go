@@ -162,9 +162,6 @@ func (r *hop) run() {
 	}
 }
 
-// Stage returns the chain stage this context is traversing.
-func (c *PacketContext) Stage() pipeline.Stage { return c.stage }
-
 // drop stages the bookkeeping for a Drop verdict: why, which selects what
 // observeVerdict counts and records, and the ip.drop hop's detail, as
 // operands rendered only for a reader.

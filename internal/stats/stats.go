@@ -21,9 +21,6 @@ type Series struct {
 // NewSeries creates a named series.
 func NewSeries(name string) *Series { return &Series{name: name} }
 
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
-
 // Add appends a sample.
 func (s *Series) Add(d time.Duration) { s.samples = append(s.samples, d) }
 
@@ -130,9 +127,6 @@ type LossHistogram struct {
 func NewLossHistogram(name string) *LossHistogram {
 	return &LossHistogram{name: name, counts: make(map[int]int)}
 }
-
-// Name returns the histogram name.
-func (h *LossHistogram) Name() string { return h.name }
 
 // Record tallies one iteration that lost n packets.
 func (h *LossHistogram) Record(n int) {

@@ -284,13 +284,13 @@ func TestForeignAgentAndCapturePublicAPI(t *testing.T) {
 	laptop, _ := w.MobileHost("laptop", home, 7, ha.Addr())
 	wlan, _ := laptop.WiredInterface("wlan0", visited)
 
-	// Discover the agent from its advertisements and register through it.
+	// Register through the agent, which keeps advertising meanwhile.
 	done := false
 	var regErr error
-	laptop.MH.ConnectViaDiscoveredAgent(wlan, 5*time.Second, func(err error) { regErr, done = err, true })
+	laptop.MH.ConnectViaForeignAgent(wlan, fa.Addr(), func(err error) { regErr, done = err, true })
 	w.Run(15 * time.Second)
 	if !done || regErr != nil {
-		t.Fatalf("FA attach via discovery: done=%v err=%v", done, regErr)
+		t.Fatalf("FA attach: done=%v err=%v", done, regErr)
 	}
 	if b, ok := ha.Binding(laptop.MH.HomeAddr()); !ok || b.CareOf != fa.Addr() {
 		t.Fatalf("binding %+v ok=%v", b, ok)
