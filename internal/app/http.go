@@ -226,15 +226,16 @@ func (sc *httpServerConn) request(start string, body []byte) {
 	if sc.closed {
 		return
 	}
-	parts := strings.SplitN(start, " ", 3)
-	if len(parts) != 3 || parts[2] != httpVersion {
+	method, rest, _ := strings.Cut(start, " ")
+	path, version, ok := strings.Cut(rest, " ")
+	if !ok || version != httpVersion {
 		sc.srv.stats.BadRequests++
 		sc.close()
 		sc.conn.Abort()
 		return
 	}
 	sc.srv.stats.Requests++
-	resp := sc.srv.handler(HTTPRequest{Method: parts[0], Path: parts[1], Body: body})
+	resp := sc.srv.handler(HTTPRequest{Method: method, Path: path, Body: body})
 	sc.srv.stats.Responses++
 	sc.wbuf, _ = writeMsg(sc.conn, appendHTTPResponse(sc.wbuf, resp.Code, resp.Body))
 }
@@ -252,7 +253,7 @@ type HTTPClient struct {
 	up      bool
 	closed  bool
 	onUp    func(error)
-	pending []*httpPending // FIFO: responses arrive in request order
+	pending []httpPending // FIFO: responses arrive in request order
 
 	// OnDisconnect, if set, fires when the connection dies.
 	OnDisconnect func(error)
@@ -324,7 +325,7 @@ func (c *HTTPClient) Do(method, path string, body []byte, done func(HTTPResponse
 	// Root span: pipelined requests overlap and must not ambient-nest.
 	sp := c.tracer.StartChild(nil, c.actor, kSpanHTTPRequest)
 	sp.SetAttr("path", path)
-	c.pending = append(c.pending, &httpPending{span: sp, done: done})
+	c.pending = append(c.pending, httpPending{span: sp, done: done})
 	var err error
 	c.wbuf, err = writeMsg(c.conn, appendHTTPRequest(c.wbuf, method, path, body))
 	return err
@@ -377,13 +378,16 @@ func (c *HTTPClient) response(start string, body []byte) {
 	if len(c.pending) == 0 {
 		return
 	}
-	parts := strings.SplitN(start, " ", 2)
 	code := 0
-	if len(parts) == 2 && parts[0] == httpVersion {
-		code, _ = strconv.Atoi(strings.TrimSpace(parts[1]))
+	if version, status, ok := strings.Cut(start, " "); ok && version == httpVersion {
+		code, _ = strconv.Atoi(strings.TrimSpace(status))
 	}
+	// Pop by shifting, so the queue's array is reused rather than re-grown
+	// behind a front that walks off its end.
 	p := c.pending[0]
-	c.pending = c.pending[1:]
+	n := copy(c.pending, c.pending[1:])
+	c.pending[n] = httpPending{}
+	c.pending = c.pending[:n]
 	p.span.Done()
 	if p.done != nil {
 		p.done(HTTPResponse{Code: code, Body: body}, nil)

@@ -72,11 +72,12 @@ type PubFlow struct {
 	seq     uint64
 	running bool
 	timer   sim.Timer
+	tickFn  func() // p.tick, bound once: scheduling it allocates nothing
 }
 
 // NewPubFlow creates a publisher flow; Start begins the schedule.
 func NewPubFlow(client *Client, tracker *stats.FlowTracker, topic string, interval time.Duration, qos byte, size int) *PubFlow {
-	return &PubFlow{
+	p := &PubFlow{
 		client:   client,
 		tracker:  tracker,
 		topic:    topic,
@@ -85,6 +86,8 @@ func NewPubFlow(client *Client, tracker *stats.FlowTracker, topic string, interv
 		payload:  Payload(0, size),
 		loop:     client.loop,
 	}
+	p.tickFn = p.tick
+	return p
 }
 
 // Start begins publishing, first message one interval from now.
@@ -93,7 +96,7 @@ func (p *PubFlow) Start() {
 		return
 	}
 	p.running = true
-	p.timer = p.loop.Schedule(p.interval, p.tick)
+	p.timer = p.loop.Schedule(p.interval, p.tickFn)
 }
 
 // Stop halts the schedule; in-flight messages still complete.
@@ -111,7 +114,7 @@ func (p *PubFlow) tick() {
 	}
 	// Open loop: the next tick is scheduled before this one's publish, so
 	// the rate never depends on publish outcomes.
-	p.timer = p.loop.Schedule(p.interval, p.tick)
+	p.timer = p.loop.Schedule(p.interval, p.tickFn)
 	p.seq++
 	seq := p.seq
 	p.tracker.Sent(seq, p.loop.Now())
@@ -122,8 +125,9 @@ func (p *PubFlow) tick() {
 	_ = p.client.Publish(p.topic, p.payload, p.qos, false, nil)
 }
 
-// ReqFlow drives the request/response protocol, open- or closed-loop. The
-// tracker's latency samples are request round-trip times.
+// ReqFlow drives the request/response protocol, open- or closed-loop, against
+// an EchoHandler server: a response carries its request's sequence number
+// back. The tracker's latency samples are request round-trip times.
 type ReqFlow struct {
 	client   *HTTPClient
 	tracker  *stats.FlowTracker
@@ -136,11 +140,13 @@ type ReqFlow struct {
 	seq     uint64
 	running bool
 	timer   sim.Timer
+	tickFn  func()                    // r.tick, bound once: scheduling it allocates nothing
+	doneFn  func(HTTPResponse, error) // r.done, bound once likewise
 }
 
 // NewReqFlow creates a request flow; closedLoop selects the discipline.
 func NewReqFlow(client *HTTPClient, tracker *stats.FlowTracker, path string, interval time.Duration, closedLoop bool, size int) *ReqFlow {
-	return &ReqFlow{
+	r := &ReqFlow{
 		client:   client,
 		tracker:  tracker,
 		path:     path,
@@ -149,6 +155,8 @@ func NewReqFlow(client *HTTPClient, tracker *stats.FlowTracker, path string, int
 		payload:  Payload(0, size),
 		loop:     client.loop,
 	}
+	r.tickFn, r.doneFn = r.tick, r.done
+	return r
 }
 
 // Start begins issuing requests, first one interval from now.
@@ -157,7 +165,7 @@ func (r *ReqFlow) Start() {
 		return
 	}
 	r.running = true
-	r.timer = r.loop.Schedule(r.interval, r.tick)
+	r.timer = r.loop.Schedule(r.interval, r.tickFn)
 }
 
 // Stop halts the flow; in-flight requests still complete.
@@ -172,26 +180,28 @@ func (r *ReqFlow) tick() {
 	}
 	if !r.closed {
 		// Open loop: fixed schedule, independent of completions.
-		r.timer = r.loop.Schedule(r.interval, r.tick)
+		r.timer = r.loop.Schedule(r.interval, r.tickFn)
 	}
 	r.seq++
-	seq := r.seq
-	r.tracker.Sent(seq, r.loop.Now())
-	binary.BigEndian.PutUint64(r.payload, seq)
-	err := r.client.Do("POST", r.path, r.payload, func(resp HTTPResponse, err error) {
-		if err == nil {
-			r.tracker.Received(seq, r.loop.Now())
-		}
-		// Closed loop: think, then issue the next request — whether this
-		// one succeeded or died with the connection.
-		if r.closed && r.running {
-			r.timer = r.loop.Schedule(r.interval, r.tick)
-		}
-	})
+	r.tracker.Sent(r.seq, r.loop.Now())
+	binary.BigEndian.PutUint64(r.payload, r.seq)
+	err := r.client.Do("POST", r.path, r.payload, r.doneFn)
 	if err != nil && r.closed && r.running {
 		// The request was never issued (client closed); keep the clock
 		// ticking so the flow resumes if the client is replaced.
-		r.timer = r.loop.Schedule(r.interval, r.tick)
+		r.timer = r.loop.Schedule(r.interval, r.tickFn)
+	}
+}
+
+// done completes one request: the echoed body names it.
+func (r *ReqFlow) done(resp HTTPResponse, err error) {
+	if seq, ok := PayloadSeq(resp.Body); ok && err == nil {
+		r.tracker.Received(seq, r.loop.Now())
+	}
+	// Closed loop: think, then issue the next request — whether this one
+	// succeeded or died with the connection.
+	if r.closed && r.running {
+		r.timer = r.loop.Schedule(r.interval, r.tickFn)
 	}
 }
 

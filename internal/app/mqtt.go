@@ -350,7 +350,7 @@ type Client struct {
 
 	subs       []clientSub
 	subAcks    []func() // SUBACK callbacks, FIFO
-	pendingPub map[uint16]*clientPending
+	pendingPub map[uint16]clientPending
 	nextMsgID  uint16
 
 	// OnDisconnect, if set, fires when the connection dies (reset,
@@ -379,7 +379,7 @@ func NewClient(ts *transport.Stack, id string) *Client {
 		tracer:     trace.For(ts.Host().Loop()),
 		id:         id,
 		actor:      ts.Host().Name() + "/" + id,
-		pendingPub: make(map[uint16]*clientPending),
+		pendingPub: make(map[uint16]clientPending),
 	}
 }
 
@@ -515,7 +515,7 @@ func (c *Client) Publish(topic string, payload []byte, qos byte, retain bool, on
 		}
 		sp := c.tracer.StartChild(nil, c.actor, kSpanPublish)
 		sp.SetAttr("topic", topic)
-		c.pendingPub[c.nextMsgID] = &clientPending{span: sp, onAck: onAck}
+		c.pendingPub[c.nextMsgID] = clientPending{span: sp, onAck: onAck}
 		msgID = c.nextMsgID
 	}
 	c.stats.PublishesSent++
@@ -593,7 +593,7 @@ func (c *Client) frame(typ, flags byte, body []byte) {
 
 // flushPending fails every outstanding QoS 1 publish, in message-ID order
 // so callback order is deterministic.
-func flushPending(pending map[uint16]*clientPending, err error) {
+func flushPending(pending map[uint16]clientPending, err error) {
 	if len(pending) == 0 {
 		return
 	}

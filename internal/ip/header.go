@@ -137,6 +137,13 @@ func (p *Packet) MarshalInto(dst []byte) ([]byte, error) {
 	} else if len(b) != total {
 		panic("ip: MarshalInto buffer length mismatch")
 	}
+	p.putHeader(b, total)
+	copy(b[HeaderLen:], p.Payload)
+	return b, nil
+}
+
+// putHeader writes the header of a packet total bytes long into b[:HeaderLen].
+func (p *Packet) putHeader(b []byte, total int) {
 	b[0] = 4<<4 | HeaderLen/4 // version, IHL
 	b[1] = p.TOS
 	binary.BigEndian.PutUint16(b[2:], uint16(total))
@@ -157,8 +164,6 @@ func (p *Packet) MarshalInto(dst []byte) ([]byte, error) {
 	copy(b[12:16], p.Src[:])
 	copy(b[16:20], p.Dst[:])
 	binary.BigEndian.PutUint16(b[10:], Checksum(b[:HeaderLen]))
-	copy(b[HeaderLen:], p.Payload)
-	return b, nil
 }
 
 // Unmarshal parses and validates an IPv4 packet: version, header length,

@@ -160,16 +160,16 @@ func UnmarshalICMPLoose(b []byte) (*ICMP, error) {
 }
 
 // ICMPErrorBody builds the body of an ICMP error message: the offending
-// packet's IP header plus the first 8 bytes of its payload (RFC 792).
+// packet's IP header plus the first 8 bytes of its payload (RFC 792). It
+// writes those bytes alone, not the whole packet.
 func ICMPErrorBody(offender *Packet) []byte {
-	raw, err := offender.Marshal()
-	if err != nil {
+	total := HeaderLen + len(offender.Payload)
+	if total > MaxTotalLen {
 		//lint:allow dropaccounting only the error body is elided; the offending packet was already accounted by the caller
 		return nil
 	}
-	n := HeaderLen + 8
-	if n > len(raw) {
-		n = len(raw)
-	}
-	return append([]byte(nil), raw[:n]...)
+	b := make([]byte, HeaderLen+min(8, len(offender.Payload)))
+	offender.putHeader(b, total)
+	copy(b[HeaderLen:], offender.Payload)
+	return b
 }

@@ -156,9 +156,13 @@ type Network struct {
 	// itself one filter or down drop for each it has not settled, less the
 	// ones it sent or received (Device.settle).
 	fastLanded uint64
-	// airHead/airTail queue the fast flights still in the air, in launch
-	// order — which lastDelivery makes their delivery order.
+	// airHead/airTail queue every flight still in the air, in launch order,
+	// which lastDelivery makes the order of their arrival times. A landing
+	// event lands the head, so frames on one medium arrive in launch order
+	// whatever order the loop gives same-instant events.
 	airHead, airTail *flight
+	// land is n.landHead, bound once: scheduling it allocates nothing.
+	land func()
 	// landing is the fast flight whose receiver callback is running: the
 	// devices attached after the receiver have not been reached yet.
 	landing *flight
@@ -170,6 +174,8 @@ type Network struct {
 // One heap event delivers to every receiver in attachment order — the same
 // observable order per-receiver events produced, since their consecutive
 // sequence numbers admitted no interleaving — and then recycles the record.
+// Every flight waits in its network's in-air queue, and the event lands the
+// queue's head: the medium, not the loop, orders its frames.
 //
 // A fast flight (from != nil) is a frame whose snapshot would have been every
 // attached device but the sender, so it is not taken. A unicast one can only
@@ -192,15 +198,12 @@ type Network struct {
 //     fast flight in the air gets its full snapshot back, so "membership at
 //     launch, state at arrival" still holds.
 type flight struct {
-	net   *Network
 	frame Frame
 	rx    []*Device
-	// fire is fl.deliver, bound once: scheduling it allocates nothing.
-	fire func()
-	from *Device // sender of a fast flight; nil on the general path
-	all  bool    // a fast flight every device receives: a broadcast
-	at   int     // index in n.devices a landing broadcast has reached
-	next *flight // in-air queue link
+	from  *Device // sender of a fast flight; nil on the general path
+	all   bool    // a fast flight every device receives: a broadcast
+	at    int     // index in n.devices a landing broadcast has reached
+	next  *flight // in-air queue link
 }
 
 // newFlight makes the flight that carries f, adopting its payload.
@@ -213,8 +216,7 @@ func (n *Network) newFlight(f *Frame) *flight {
 		n.flights[k-1] = nil
 		n.flights = n.flights[:k-1]
 	} else {
-		fl = &flight{net: n}
-		fl.fire = fl.deliver
+		fl = &flight{}
 	}
 	fl.frame = Frame{Src: f.Src, Dst: f.Dst, Type: f.Type, Payload: f.Payload, Trace: f.Trace}
 	fl.rx = fl.rx[:0]
@@ -229,23 +231,32 @@ func (n *Network) recycle(fl *flight) {
 	n.flights = append(n.flights, fl)
 }
 
-// deliver hands the shared frame to each snapshot receiver, then recycles
-// the payload and the flight record. Receivers must not retain the
-// frame or its payload beyond the synchronous delivery chain (ip.Unmarshal
-// and arp.Unmarshal both copy what they keep).
-func (fl *flight) deliver() {
-	n := fl.net
+// launch queues fl behind the flights already in the air and schedules its
+// landing at arrival.
+func (n *Network) launch(fl *flight, arrival sim.Time) {
+	if n.airTail == nil {
+		n.airHead = fl
+	} else {
+		n.airTail.next = fl
+	}
+	n.airTail = fl
+	n.loop.At(arrival, n.land)
+}
+
+// landHead takes the flight at the head of the in-air queue and hands the
+// shared frame to each of its receivers, then recycles the payload and the
+// flight record. Receivers must not retain the frame or its payload beyond
+// the synchronous delivery chain (ip.Unmarshal and arp.Unmarshal both copy
+// what they keep).
+func (n *Network) landHead() {
+	fl := n.airHead
+	if n.airHead = fl.next; n.airHead == nil {
+		n.airTail = nil
+	}
+	fl.next = nil
 	if fl.from != nil {
 		// Fast flight: everyone but the sender gets a delivery — a broadcast
-		// by being walked, a unicast frame by visiting rx alone. Flights
-		// land in launch order, so fl heads the queue.
-		if n.airHead != fl {
-			panic("link: fast flight landed out of launch order")
-		}
-		if n.airHead = fl.next; n.airHead == nil {
-			n.airTail = nil
-		}
-		fl.next = nil
+		// by being walked, a unicast frame by visiting rx alone.
 		n.landing = fl
 		if fl.all {
 			// A callback that changes the membership ends the walk here:
@@ -301,15 +312,18 @@ func (n *Network) finishWalk() {
 	}
 }
 
-// materialize gives every fast flight in the air (and the unreached part of
-// one that is landing) its full receiver snapshot back. It runs before the
-// membership changes, so the snapshot is the one the walk would have taken
-// at launch.
+// materialize turns every fast flight in the air (and the unreached part of
+// one that is landing) into a walk with its full receiver snapshot, in place
+// in the queue. It runs before the membership changes, so the snapshot is
+// the one the walk would have taken at launch.
 func (n *Network) materialize() {
 	if n.landing != nil {
 		n.finishWalk()
 	}
-	for fl := n.airHead; fl != nil; {
+	for fl := n.airHead; fl != nil; fl = fl.next {
+		if fl.from == nil {
+			continue
+		}
 		fl.rx = fl.rx[:0]
 		for _, d := range n.devices {
 			if d != fl.from {
@@ -317,11 +331,7 @@ func (n *Network) materialize() {
 			}
 		}
 		fl.from = nil
-		next := fl.next
-		fl.next = nil
-		fl = next
 	}
-	n.airHead, n.airTail = nil, nil
 }
 
 // AddTap registers an observer invoked for every frame offered to the
@@ -343,6 +353,7 @@ func (n *Network) tap(from *Device, f Frame) {
 // NewNetwork creates a broadcast domain over the given medium.
 func NewNetwork(loop *sim.Loop, name string, m Medium) *Network {
 	n := &Network{name: name, loop: loop, medium: m, pktlog: metrics.PacketsFor(loop)}
+	n.land = n.landHead
 	metrics.For(loop).Collect(func(c *metrics.Collection) {
 		lbl := metrics.L("net", name)
 		c.Counter("link.network.transmitted", n.stats.Transmitted, lbl)
@@ -463,13 +474,13 @@ func (n *Network) transmit(from *Device, f *Frame) {
 		//lint:allow dropaccounting every receiver lost the frame; each loss was counted in LostMedium above
 		return
 	}
-	n.loop.At(arrival, fl.fire)
+	n.launch(fl, arrival)
 }
 
 // transmitFast launches a fast flight (see flight): one index probe finds
 // the only device that can receive a unicast frame (no device has the
-// broadcast address), and the flight joins the in-air queue so a membership
-// change can still give it its full snapshot.
+// broadcast address). In the in-air queue a membership change can still
+// give it its full snapshot.
 //
 //mnet:ownership takes f
 func (n *Network) transmitFast(from *Device, f *Frame, arrival sim.Time) {
@@ -478,13 +489,7 @@ func (n *Network) transmitFast(from *Device, f *Frame, arrival sim.Time) {
 	if d := n.byHW[f.Dst]; d != nil && d != from {
 		fl.rx = append(fl.rx, d)
 	}
-	if n.airTail == nil {
-		n.airHead = fl
-	} else {
-		n.airTail.next = fl
-	}
-	n.airTail = fl
-	n.loop.At(arrival, fl.fire)
+	n.launch(fl, arrival)
 }
 
 // SetHandoff marks this network as the local end of a cross-shard trunk.

@@ -100,10 +100,11 @@ func (w *World) Run() (*RunResult, error) {
 
 // windows turns every closed root span that bounds a handoff or an
 // injected fault into one attribution window, in span start order (spans
-// are retained in start order).
+// are retained in start order). It copies only the handoff and fault spans
+// out of the tracer, not the per-message and drop spans around them.
 func (w *World) windows() []stats.Window {
 	var windows []stats.Window
-	for _, sp := range w.Tracer.Spans() {
+	for _, sp := range w.Tracer.FindSpans("handoff.", "fault.") {
 		if sp.Parent == 0 && (HandoffRootKinds(sp.Kind) || FaultRootKinds(sp.Kind)) && sp.End >= sp.Start {
 			windows = append(windows, stats.Window{Kind: sp.Kind, Start: sp.Start, End: sp.End})
 		}

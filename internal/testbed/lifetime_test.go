@@ -120,7 +120,7 @@ func TestPoolBalanceAtQuiesce(t *testing.T) {
 	t.Run("fleet100", func(t *testing.T) {
 		pkts0, bufs0 := poolsOut()
 		made0 := ip.ReadPoolStats().Made
-		fl, err := buildScaleFleet(1996, 100, 1)
+		fl, err := buildScaleFleet(1996, 100, 1, scaleDuration)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -208,7 +208,7 @@ type scaleFleet struct {
 // level metrics only, merged across shards; a full per-host snapshot at
 // 1000 hosts would dwarf the export).
 func RunScaleFleetWorkers(seed int64, n, workers int) (ScaleRow, *metrics.Snapshot, error) {
-	fl, err := buildScaleFleet(seed, n, workers)
+	fl, err := buildScaleFleet(seed, n, workers, scaleDuration)
 	if err != nil {
 		return ScaleRow{}, nil, err
 	}
@@ -217,12 +217,20 @@ func RunScaleFleetWorkers(seed int64, n, workers int) (ScaleRow, *metrics.Snapsh
 	return fl.row(), fl.snapshot(), nil
 }
 
+// scaleSlot is the start-time gap between consecutive hosts of an n-host
+// fleet: the spec's stagger, narrowed so the whole fleet starts within one
+// switch period and every host roams twice inside the spec's duration.
+// Fleets up to switch_period/stagger hosts (13,333) keep the spec's stagger.
+func scaleSlot(n int) time.Duration {
+	return min(scaleStagger, scaleSwitchPeriod/time.Duration(n))
+}
+
 // buildScaleFleet constructs the sharded scale topology for n mobile
 // hosts without running it: campus shards joined to a hub shard by
-// point-to-point trunks, a roam/probe schedule per host, and per-shard
-// metrics registries.
-func buildScaleFleet(seed int64, n, workers int) (*scaleFleet, error) {
-	return buildScaleFleetSilent(seed, n, workers, 0)
+// point-to-point trunks, a roam/probe schedule per host that runs for
+// duration, and per-shard metrics registries.
+func buildScaleFleet(seed int64, n, workers int, duration time.Duration) (*scaleFleet, error) {
+	return buildScaleFleetSilent(seed, n, workers, 0, duration)
 }
 
 // buildScaleFleetSilent is buildScaleFleet with the last silentCampuses
@@ -230,7 +238,7 @@ func buildScaleFleet(seed int64, n, workers int) (*scaleFleet, error) {
 // full infrastructure (router, home agent, correspondent, trunk) but
 // generates no events, so it exercises per-shard skipping: the shard must
 // sit out every epoch without perturbing the others.
-func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int) (*scaleFleet, error) {
+func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int, duration time.Duration) (*scaleFleet, error) {
 	numFleet := scaleShardCount(n)
 	if silentCampuses >= numFleet {
 		return nil, fmt.Errorf("testbed: %d silent campuses leaves no shard to host the fleet (%d campus shards)", silentCampuses, numFleet)
@@ -278,6 +286,7 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int) (*scaleFl
 
 	fleet := make([]*scaleMH, 0, n)
 	has := make([]*mip.HomeAgent, 0, numFleet)
+	slot := scaleSlot(n)
 
 	for k := 0; k < numFleet; k++ {
 		k := k
@@ -400,13 +409,13 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int) (*scaleFl
 			// host instead of the whole 8-second schedule; at 100k
 			// hosts that is the difference between a few hundred
 			// thousand queued events and several million.
-			stagger := time.Duration(i) * scaleStagger
+			stagger := time.Duration(i) * slot
 			roamR := 0
 			var roam func()
 			roam = func() {
 				sm.m.ConnectForeign(sm.mis[roamR%2], nil)
 				roamR++
-				if time.Duration(roamR)*scaleSwitchPeriod < scaleDuration {
+				if time.Duration(roamR)*scaleSwitchPeriod < duration {
 					loop.Schedule(scaleSwitchPeriod, roam)
 				}
 			}
@@ -423,7 +432,7 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int) (*scaleFl
 				probesSent[k]++
 				sm.sock.SendTo(dst, 7, []byte("scale-probe"))
 				probeP++
-				if scaleProbeStart+time.Duration(probeP)*scaleProbeInterval < scaleDuration {
+				if scaleProbeStart+time.Duration(probeP)*scaleProbeInterval < duration {
 					loop.Schedule(scaleProbeInterval, probe)
 				}
 			}

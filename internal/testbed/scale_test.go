@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"mosquitonet/internal/sim"
 )
@@ -20,6 +21,20 @@ func TestScaleShardCount(t *testing.T) {
 	for n, want := range cases {
 		if got := scaleShardCount(n); got != want {
 			t.Errorf("scaleShardCount(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
+// TestEveryHostRoamsTwice: in every scale tier the last host starts in time to
+// roam twice in the run, and tiers up to 10,000 hosts keep the spec's stagger.
+func TestEveryHostRoamsTwice(t *testing.T) {
+	for _, n := range scaleFleetSpec.Tiers {
+		slot := scaleSlot(n)
+		if second := time.Duration(n-1)*slot + scaleSwitchPeriod; second >= scaleDuration {
+			t.Errorf("%d hosts: the last one roams the second time at %v, not before the run ends at %v", n, second, scaleDuration)
+		}
+		if n <= 10000 && slot != scaleStagger {
+			t.Errorf("%d hosts start %v apart, want the spec's %v", n, slot, scaleStagger)
 		}
 	}
 }
@@ -65,7 +80,7 @@ func TestScaleWorkersByteIdentical(t *testing.T) {
 // outputs plus the shard set's barrier stats (read before release).
 func runSilentCampusFleet(t *testing.T, workers int) (ScaleRow, []byte, []sim.ShardStats, uint64) {
 	t.Helper()
-	fl, err := buildScaleFleetSilent(1996, 64, workers, 1)
+	fl, err := buildScaleFleetSilent(1996, 64, workers, 1, scaleDuration)
 	if err != nil {
 		t.Fatal(err)
 	}
