@@ -161,6 +161,9 @@ type Network struct {
 	// event lands the head, so frames on one medium arrive in launch order
 	// whatever order the loop gives same-instant events.
 	airHead, airTail *flight
+	// landings holds one landing event per flight in the air. Arrival
+	// times never decrease, so it is a monotone loop queue, not the heap.
+	landings *sim.Queue
 	// land is n.landHead, bound once: scheduling it allocates nothing.
 	land func()
 	// landing is the fast flight whose receiver callback is running: the
@@ -171,7 +174,7 @@ type Network struct {
 // flight is one frame in transit: the sender's payload, which the flight
 // owns until it lands, and the snapshot of receivers that survived the loss
 // model at transmit time.
-// One heap event delivers to every receiver in attachment order — the same
+// One landing event delivers to every receiver in attachment order — the same
 // observable order per-receiver events produced, since their consecutive
 // sequence numbers admitted no interleaving — and then recycles the record.
 // Every flight waits in its network's in-air queue, and the event lands the
@@ -240,7 +243,7 @@ func (n *Network) launch(fl *flight, arrival sim.Time) {
 		n.airTail.next = fl
 	}
 	n.airTail = fl
-	n.loop.At(arrival, n.land)
+	n.landings.At(arrival, n.land)
 }
 
 // landHead takes the flight at the head of the in-air queue and hands the
@@ -352,7 +355,7 @@ func (n *Network) tap(from *Device, f Frame) {
 
 // NewNetwork creates a broadcast domain over the given medium.
 func NewNetwork(loop *sim.Loop, name string, m Medium) *Network {
-	n := &Network{name: name, loop: loop, medium: m, pktlog: metrics.PacketsFor(loop)}
+	n := &Network{name: name, loop: loop, medium: m, pktlog: metrics.PacketsFor(loop), landings: loop.NewQueue()}
 	n.land = n.landHead
 	metrics.For(loop).Collect(func(c *metrics.Collection) {
 		lbl := metrics.L("net", name)

@@ -68,3 +68,31 @@ func BenchmarkStopMiddle(b *testing.B) {
 		b.Fatalf("queue depth drifted to %d, want %d", loop.Len(), depth)
 	}
 }
+
+// BenchmarkDelayQueue is one push onto a fixed-delay queue plus one Step,
+// beside a heap held at a fixed depth of timers that stay pending (they lie
+// an hour ahead): the entry never sifts, so its cost should not depend on
+// the heap's depth.
+func BenchmarkDelayQueue(b *testing.B) {
+	for _, depth := range []int{1 << 10, 1 << 15} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			loop := New(1)
+			rng := rand.New(rand.NewSource(int64(depth)))
+			fn := func() {}
+			for i := 0; i < depth; i++ {
+				loop.Schedule(time.Hour+time.Duration(rng.Int63n(int64(time.Second))), fn)
+			}
+			q := loop.DelayQueue(time.Microsecond)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.Schedule(fn)
+				loop.Step()
+			}
+			b.StopTimer()
+			if loop.Len() != depth || loop.Now() >= Time(time.Hour) {
+				b.Fatalf("a heap timer fired: len %d, now %v", loop.Len(), loop.Now())
+			}
+		})
+	}
+}

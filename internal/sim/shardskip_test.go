@@ -31,6 +31,17 @@ func TestAdvanceToPanicsOnPendingWork(t *testing.T) {
 	l.AdvanceTo(Time(2 * time.Millisecond))
 }
 
+func TestAdvanceToPanicsOnQueuedWork(t *testing.T) {
+	l := New(1)
+	l.NewQueue().At(Time(time.Millisecond), func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("AdvanceTo past a queued entry did not panic")
+		}
+	}()
+	l.AdvanceTo(Time(2 * time.Millisecond))
+}
+
 func TestAdvanceToPanicsOnPast(t *testing.T) {
 	l := New(1)
 	l.RunUntil(Time(time.Millisecond))
@@ -70,6 +81,28 @@ func TestShardStatsSilentShards(t *testing.T) {
 		}
 		if dispatched != ss.Executed() {
 			t.Errorf("workers=%d: sum of EventsDispatched=%d, Executed=%d", workers, dispatched, ss.Executed())
+		}
+	}
+}
+
+// TestShardSkipSeesQueuedWork gives one shard no pending work but a queue
+// entry inside the first epoch: the shard must take part in that epoch and
+// run the entry at its instant, not be skipped past it.
+func TestShardSkipSeesQueuedWork(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		loops := []*Loop{New(1), New(2)}
+		ss := NewShardSet(loops, 10*time.Millisecond)
+		ss.SetWorkers(workers)
+		loops[0].At(Time(time.Millisecond), func() {})
+		var ranAt Time = -1
+		loops[1].DelayQueue(3 * time.Millisecond).Schedule(func() { ranAt = loops[1].Now() })
+		ss.RunUntil(Time(20 * time.Millisecond))
+		if ranAt != Time(3*time.Millisecond) {
+			t.Fatalf("workers=%d: queued entry ran at %v, want 3ms", workers, ranAt)
+		}
+		if st := ss.ShardStats(1); st.BarrierWaits != 1 || st.EventsDispatched != 1 {
+			t.Fatalf("workers=%d: shard 1 BarrierWaits=%d EventsDispatched=%d, want 1/1",
+				workers, st.BarrierWaits, st.EventsDispatched)
 		}
 	}
 }

@@ -1,11 +1,13 @@
 // Package sim provides a deterministic discrete-event simulation loop.
 //
 // All protocol machinery in this repository runs in virtual time: work is
-// scheduled as events on a single queue ordered by (time, scheduling
-// sequence), and the loop executes events one at a time. Two runs with the
-// same seed and the same schedule of external stimuli produce byte-identical
-// results, which is what makes the paper's millisecond-scale packet-loss
-// experiments reproducible rather than flaky.
+// scheduled as events ordered by (time, scheduling sequence), and the loop
+// executes events one at a time. Timers wait in a heap; work whose instants
+// arrive in order waits in monotone queues beside it (queue.go), and the
+// loop runs the earliest of all of them. Two runs with the same seed and
+// the same schedule of external stimuli produce byte-identical results,
+// which is what makes the paper's millisecond-scale packet-loss experiments
+// reproducible rather than flaky.
 //
 // Event records are pooled: firing or cancelling an event returns its
 // record to a per-loop free list, so a steady-state simulation schedules
@@ -100,9 +102,9 @@ func (ev *event) before(o *event) bool {
 	return ev.seq < o.seq
 }
 
-// The queue is a binary min-heap laid directly on l.pq. Sifting moves a hole
-// instead of swapping: each displaced record is written (and its idx kept)
-// once, and the moving record lands once at the end.
+// The timer heap is a binary min-heap laid directly on l.pq. Sifting moves
+// a hole instead of swapping: each displaced record is written (and its idx
+// kept) once, and the moving record lands once at the end.
 
 // push adds ev to the queue.
 func (l *Loop) push(ev *event) {
@@ -182,6 +184,11 @@ type Loop struct {
 	seq      uint64
 	pq       []*event // binary min-heap on (at, seq)
 	free     []*event // recycled event records
+	ready    []*Queue // the monotone queues holding entries
+	heads    []qkey   // heads[i] is ready[i]'s head entry's key
+	first    int      // index in ready of the earliest head, if any
+	queued   int      // entries across ready
+	delays   []*Queue // DelayQueue's shared queues
 	rng      *rand.Rand
 	executed uint64
 	serial   uint64
@@ -206,9 +213,10 @@ func (l *Loop) Now() Time { return l.now }
 // Rand returns the loop's deterministic random source.
 func (l *Loop) Rand() *rand.Rand { return l.rng }
 
-// Len returns the number of live scheduled events. Stopped timers are
-// removed from the queue eagerly, so cancelled work is never counted.
-func (l *Loop) Len() int { return len(l.pq) }
+// Len returns the number of live scheduled events, heap and monotone
+// queues together. Stopped timers are removed from the heap eagerly, so
+// cancelled work is never counted.
+func (l *Loop) Len() int { return len(l.pq) + l.queued }
 
 // Executed returns the number of events run so far.
 func (l *Loop) Executed() uint64 { return l.executed }
@@ -296,15 +304,22 @@ func (l *Loop) At(t Time, fn func()) Timer {
 	ev.at, ev.seq, ev.fn = t, l.seq, fn
 	l.seq++
 	l.push(ev)
-	if len(l.pq) > l.maxQueue {
-		l.maxQueue = len(l.pq)
+	if n := len(l.pq) + l.queued; n > l.maxQueue {
+		l.maxQueue = n
 	}
 	return Timer{ev: ev, gen: ev.gen}
 }
 
 // Step executes the single next event, advancing the clock to its time.
-// It reports whether an event was executed (false when the queue is empty).
+// It reports whether an event was executed (false when nothing is pending).
 func (l *Loop) Step() bool {
+	if len(l.ready) > 0 && (len(l.pq) == 0 || l.firstBefore(l.pq[0])) {
+		e := l.popFirst()
+		l.now = e.at
+		l.executed++
+		e.fn()
+		return true
+	}
 	if len(l.pq) == 0 {
 		return false
 	}
@@ -320,7 +335,7 @@ func (l *Loop) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty.
+// Run executes events until nothing is pending.
 func (l *Loop) Run() {
 	for l.Step() {
 	}
@@ -365,9 +380,17 @@ func (l *Loop) AdvanceTo(t Time) {
 	l.now = t
 }
 
-// peek returns the time of the next live event. Cancellation removes
-// events eagerly, so the heap top is always live.
+// peek returns the time of the next live event: the earlier of the heap
+// top and the earliest queue head. Cancellation removes events eagerly, so
+// the heap top is always live.
 func (l *Loop) peek() (Time, bool) {
+	if len(l.ready) > 0 {
+		at := l.heads[l.first].at
+		if len(l.pq) > 0 && l.pq[0].at < at {
+			return l.pq[0].at, true
+		}
+		return at, true
+	}
 	if len(l.pq) == 0 {
 		return 0, false
 	}

@@ -119,7 +119,10 @@ const (
 // hop is the continuation of a packet across one of the host's processing
 // delays: PREROUTING into INPUT or FORWARD, OUTPUT or FORWARD into
 // POSTROUTING. Records are pooled per host and fire is bound once, when the
-// record is made, so scheduling a hop allocates nothing.
+// record is made, so scheduling a hop allocates nothing. A hop waits in
+// the loop's monotone queue for its delay, not in the timer heap: the
+// delay is fixed with the host's Config, so hops pushed onto one queue
+// never go back in time.
 type hop struct {
 	host    *Host
 	iface   *Iface // arrival interface, or the egress for hopPostroute
@@ -143,7 +146,7 @@ func (h *Host) scheduleHop(d time.Duration, kind hopKind, ifc *Iface, pkt *ip.Pa
 		h.hopFree, r.free = r.free, nil
 	}
 	r.kind, r.iface, r.pkt, r.nextHop = kind, ifc, pkt, nextHop
-	h.loop.Schedule(d, r.fire)
+	h.loop.DelayQueue(d).Schedule(r.fire)
 }
 
 // run dispatches the hop. The record drops its packet and goes back on the

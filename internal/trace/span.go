@@ -36,8 +36,12 @@ type Span struct {
 	End    sim.Time `json:"end_ns"`
 	Attrs  []Attr   `json:"attrs,omitempty"`
 
-	tracer *Tracer
-	open   bool
+	// openOn is the tracer the span is open on, nil once it is closed;
+	// doubling as the open flag keeps a Span in the 112-byte size class.
+	openOn *Tracer
+	// below and above link an open span into its actor's ambient stack,
+	// older spans below; the tracer's active map holds the top.
+	below, above *Span
 }
 
 // StartSpan opens a span for actor. The span is parented to the innermost
@@ -50,8 +54,8 @@ func (t *Tracer) StartSpan(actor, kind string) *Span {
 		return nil
 	}
 	var parent uint64
-	if st := t.active[actor]; len(st) > 0 {
-		parent = st[len(st)-1].ID
+	if top := t.active[actor]; top != nil {
+		parent = top.ID
 	}
 	return t.startSpan(parent, actor, kind)
 }
@@ -77,13 +81,15 @@ func (t *Tracer) startSpan(parent uint64, actor, kind string) *Span {
 		Kind:   kind,
 		Actor:  actor,
 		Start:  t.loop.Now(),
-		tracer: t,
-		open:   true,
+		openOn: t,
 	}
 	if t.active == nil {
-		t.active = make(map[string][]*Span)
+		t.active = make(map[string]*Span)
 	}
-	t.active[actor] = append(t.active[actor], s)
+	if top := t.active[actor]; top != nil {
+		s.below, top.above = top, s
+	}
+	t.active[actor] = s
 	*t.spans.Next() = s
 	return s
 }
@@ -133,21 +139,30 @@ func (s *Span) Attr(key string) (string, bool) {
 // ambient per-actor context. Closing an already-closed (or nil) span is a
 // no-op, so error paths can call Done defensively.
 func (s *Span) Done() {
-	if s == nil || !s.open {
+	if s == nil || s.openOn == nil {
 		return
 	}
-	t := s.tracer
+	t := s.openOn
 	s.End = t.loop.Now()
-	s.open = false
-	// Remove from the actor's ambient stack wherever it sits: spans end in
-	// callback order, which is not always LIFO.
-	st := t.active[s.Actor]
-	for i := len(st) - 1; i >= 0; i-- {
-		if st[i] == s {
-			t.active[s.Actor] = append(st[:i], st[i+1:]...)
-			break
+	s.openOn = nil
+	// Unlink from the actor's ambient stack wherever it sits: spans end in
+	// callback order, which is not always LIFO (a PUBACK closes the oldest
+	// publish). A span that is not where its links say — orphaned by Reset,
+	// or a copy from Spans — only closes.
+	if a := s.above; a != nil {
+		if a.below == s {
+			a.below = s.below
+			if s.below != nil {
+				s.below.above = a
+			}
+		}
+	} else if t.active[s.Actor] == s {
+		t.active[s.Actor] = s.below
+		if s.below != nil {
+			s.below.above = nil
 		}
 	}
+	s.below, s.above = nil, nil
 }
 
 // Fail annotates the span with err (when non-nil) and closes it.
@@ -162,11 +177,11 @@ func (s *Span) Fail(err error) {
 }
 
 // Open reports whether the span has not yet been closed.
-func (s *Span) Open() bool { return s != nil && s.open }
+func (s *Span) Open() bool { return s != nil && s.openOn != nil }
 
 // Duration returns the span's virtual duration (zero while open).
 func (s *Span) Duration() sim.Time {
-	if s == nil || s.open {
+	if s == nil || s.openOn != nil {
 		return 0
 	}
 	return s.End - s.Start
@@ -269,7 +284,7 @@ func (t *Tracer) SpanTree(excludePrefixes ...string) string {
 	var render func(s *Span, depth int)
 	render = func(s *Span, depth int) {
 		fmt.Fprintf(&b, "%12v %s%s %s", s.Start, strings.Repeat("  ", depth), s.Kind, s.Actor)
-		if s.open {
+		if s.openOn != nil {
 			b.WriteString(" (open)")
 		} else {
 			fmt.Fprintf(&b, " (%v)", s.End.Sub(s.Start))
@@ -399,7 +414,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	for _, s := range spans {
 		end := s.End
-		if s.open || end < s.Start {
+		if s.openOn != nil || end < s.Start {
 			end = s.Start
 		}
 		dur := float64(end.Sub(s.Start).Nanoseconds()) / 1e3

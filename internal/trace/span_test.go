@@ -69,6 +69,70 @@ func TestSpanOutOfOrderDone(t *testing.T) {
 	}
 }
 
+// TestSpanDoneOldestFirst closes many open spans oldest first, the order
+// PUBACKs close a QoS-1 client's publishes: each close leaves the rest of
+// the stack intact, so a new span still parents to the newest open one,
+// and a span started once all are closed is a root.
+func TestSpanDoneOldestFirst(t *testing.T) {
+	loop := sim.New(1)
+	tr := New(loop)
+	open := make([]*Span, 200)
+	for i := range open {
+		open[i] = tr.StartSpan("mh", "op.publish")
+		if i > 0 && open[i].Parent != open[i-1].ID {
+			t.Fatalf("span %d parent = %d, want %d", i, open[i].Parent, open[i-1].ID)
+		}
+	}
+	for i, s := range open[:len(open)-1] {
+		s.Done()
+		probe := tr.StartSpan("mh", "op.probe")
+		if want := open[len(open)-1].ID; probe.Parent != want {
+			t.Fatalf("after closing %d oldest: probe parent = %d, want %d", i+1, probe.Parent, want)
+		}
+		probe.Done()
+	}
+	open[len(open)-1].Done()
+	if root := tr.StartSpan("mh", "op.after"); root.Parent != 0 {
+		t.Fatalf("span after every close has parent %d, want root", root.Parent)
+	}
+}
+
+// TestSpanDoneMiddle closes a span between two open ones and checks both
+// neighbours still parent what comes next.
+func TestSpanDoneMiddle(t *testing.T) {
+	loop := sim.New(1)
+	tr := New(loop)
+	a := tr.StartSpan("mh", "op.a")
+	b := tr.StartSpan("mh", "op.b")
+	c := tr.StartSpan("mh", "op.c")
+	b.Done()
+	if d := tr.StartSpan("mh", "op.d"); d.Parent != c.ID {
+		t.Fatalf("d parent = %d, want c (%d)", d.Parent, c.ID)
+	} else {
+		d.Done()
+	}
+	c.Done()
+	if e := tr.StartSpan("mh", "op.e"); e.Parent != a.ID {
+		t.Fatalf("e parent = %d, want a (%d)", e.Parent, a.ID)
+	}
+}
+
+// TestOrphanDoneLeavesNewStack closes spans orphaned by Reset: they must not
+// reappear as, or unlink, the ambient parent of spans started since.
+func TestOrphanDoneLeavesNewStack(t *testing.T) {
+	loop := sim.New(1)
+	tr := New(loop)
+	old1 := tr.StartSpan("mh", "op.old1")
+	old2 := tr.StartSpan("mh", "op.old2")
+	tr.Reset()
+	fresh := tr.StartSpan("mh", "op.fresh")
+	old2.Done()
+	old1.Done()
+	if c := tr.StartSpan("mh", "op.child"); c.Parent != fresh.ID {
+		t.Fatalf("child parent = %d, want fresh (%d)", c.Parent, fresh.ID)
+	}
+}
+
 func TestSpanSetAttrReplaces(t *testing.T) {
 	loop := sim.New(1)
 	tr := New(loop)

@@ -73,7 +73,7 @@ type Tracer struct {
 	events     ring.Ring[record]
 	spans      ring.Ring[*Span]
 	nextSpanID uint64
-	active     map[string][]*Span // per-actor stacks of open spans
+	active     map[string]*Span // per actor, the top of its stack of open spans
 
 	// Hook, if set, observes every event as it is recorded.
 	Hook func(Event)
