@@ -41,10 +41,6 @@ func printChains(hosts ...*stack.Host) {
 		for s := pipeline.Stage(0); s < pipeline.NumStages; s++ {
 			fmt.Print(h.Hooks(s).String())
 		}
-		fmt.Printf("Chain route-resolution (%d hooks)\n", h.RouteHooks().Len())
-		for _, name := range h.RouteHooks().Names() {
-			fmt.Printf("          %s\n", name)
-		}
 		fmt.Println()
 	}
 }

@@ -448,14 +448,19 @@ func (d *Device) Send(f *Frame) error {
 }
 
 // deliver hands a frame arriving from the network to the device, applying
-// the destination filter and up/down state.
+// the destination filter and up/down state. A down device counts every frame
+// as a down drop, but logs one only for a frame it would have accepted: a
+// frame addressed to another device is not its loss.
 func (d *Device) deliver(f *Frame) {
+	accept := f.Dst.IsBroadcast() || f.Dst == d.hw
 	if d.state != StateUp {
 		d.ctr.dropDown++
-		d.pktlog.Record(f.Trace, d.name, "link.drop", "device down on rx")
+		if accept {
+			d.pktlog.Record(f.Trace, d.name, "link.drop", "device down on rx")
+		}
 		return
 	}
-	if !f.Dst.IsBroadcast() && f.Dst != d.hw {
+	if !accept {
 		d.ctr.dropFilter++
 		return
 	}

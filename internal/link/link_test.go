@@ -313,7 +313,7 @@ func TestDetachReleasesDevice(t *testing.T) {
 			t.Fatalf("backing slot %d still holds %s", i, d.Name())
 		}
 	}
-	if _, ok := n.byHW[devs[1].HW()]; ok || len(n.byHW) != 2 {
+	if _, ok := n.byHW[hwKey(devs[1].HW())]; ok || len(n.byHW) != 2 {
 		t.Fatalf("hardware index after detach = %v", n.byHW)
 	}
 }

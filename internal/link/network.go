@@ -115,16 +115,17 @@ type NetworkStats struct {
 // of each transmitted frame addressed to it (or to broadcast), after the
 // medium's serialization and propagation delays. Every other attached device
 // accounts the frame as a filter or down drop — by being walked, or, for a
-// unicast frame on a lossless, unlogged segment, by the
-// lazily settled arithmetic described at flight.
+// unicast frame on a lossless segment, by the lazily settled arithmetic
+// described at flight.
 type Network struct {
 	name    string
 	loop    *sim.Loop
 	medium  Medium
 	devices []*Device
 	// byHW indexes the attached devices by hardware address (addresses are
-	// process-unique, so it is a bijection with devices).
-	byHW   map[HWAddr]*Device
+	// process-unique, so it is a bijection with devices), packed by hwKey:
+	// a uint64 key takes the map's fast path, which a [6]byte key misses.
+	byHW   map[uint64]*Device
 	stats  NetworkStats
 	pktlog *metrics.PacketLog
 
@@ -190,10 +191,9 @@ type Network struct {
 //
 //   - eligibility, decided at launch: LossProb == 0 (no per-receiver draw to
 //     preserve), not a trunk end, and someone besides the sender attached (the
-//     walk schedules no event for nobody); for a unicast destination also no
-//     packet log (its "device down on rx" rows need the walk; a loop's log is
-//     fixed before anything is built on it) — a broadcast visits every device
-//     anyway;
+//     walk schedules no event for nobody). A bystander writes no packet-log
+//     row on the walk either (Device.deliver logs a drop only for a frame
+//     the device would accept), so the log does not need the walk;
 //   - settle points: a device folds its unsettled unicast fast flights into
 //     dropFilter or dropDown, by the state it holds, before that state
 //     changes, before it detaches and before its counters are read;
@@ -394,9 +394,9 @@ func (n *Network) add(d *Device) {
 	n.materialize()
 	n.devices = append(n.devices, d)
 	if n.byHW == nil {
-		n.byHW = make(map[HWAddr]*Device)
+		n.byHW = make(map[uint64]*Device)
 	}
-	n.byHW[d.hw] = d
+	n.byHW[hwKey(d.hw)] = d
 	d.fastSeen, d.fastOwn = n.fastLanded, 0
 }
 
@@ -408,7 +408,7 @@ func (n *Network) remove(d *Device) {
 			// Delete nils the vacated slot, or the backing array would keep
 			// a detached device (and its host) reachable.
 			n.devices = slices.Delete(n.devices, i, i+1)
-			delete(n.byHW, d.hw)
+			delete(n.byHW, hwKey(d.hw))
 			return
 		}
 	}
@@ -452,7 +452,7 @@ func (n *Network) transmit(from *Device, f *Frame) {
 		n.handoff(&Frame{Src: f.Src, Dst: f.Dst, Type: f.Type, Payload: f.Payload, Trace: f.Trace}, arrival)
 		return
 	}
-	if n.medium.LossProb == 0 && len(n.devices) > 1 && (f.Dst.IsBroadcast() || n.pktlog == nil) {
+	if n.medium.LossProb == 0 && len(n.devices) > 1 {
 		// A lone sender has no receiver and, as on the walk, costs no event.
 		n.transmitFast(from, f, arrival)
 		return
@@ -489,10 +489,15 @@ func (n *Network) transmit(from *Device, f *Frame) {
 func (n *Network) transmitFast(from *Device, f *Frame, arrival sim.Time) {
 	fl := n.newFlight(f)
 	fl.from, fl.all = from, f.Dst.IsBroadcast()
-	if d := n.byHW[f.Dst]; d != nil && d != from {
+	if d := n.byHW[hwKey(f.Dst)]; d != nil && d != from {
 		fl.rx = append(fl.rx, d)
 	}
 	n.launch(fl, arrival)
+}
+
+// hwKey packs a hardware address into byHW's key.
+func hwKey(a HWAddr) uint64 {
+	return uint64(a[0])<<40 | uint64(a[1])<<32 | uint64(a[2])<<24 | uint64(a[3])<<16 | uint64(a[4])<<8 | uint64(a[5])
 }
 
 // SetHandoff marks this network as the local end of a cross-shard trunk.

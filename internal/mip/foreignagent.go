@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mosquitonet/internal/ip"
+	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stack"
 	"mosquitonet/internal/trace"
@@ -44,6 +45,8 @@ type ForeignAgentStats struct {
 	RepliesRelayed  uint64
 	VisitorsActive  int
 	Forwarded       uint64 // straggler packets re-tunneled after departure
+	Buffered        uint64 // packets taken for a departing visitor's buffer
+	DropBuffer      uint64 // of those, dropped: buffer full, or the visitor gone or back
 	DropMalformed   uint64 // control datagrams that failed to parse
 	DropNotOurs     uint64 // registration requests not addressed through this agent
 	DropUnmatched   uint64 // replies and notifications with no matching state
@@ -57,8 +60,8 @@ type visitorEntry struct {
 	fwdTimer  sim.Timer
 
 	// buffering holds tunneled packets for a visitor that has announced
-	// its departure but not yet registered elsewhere; they are flushed to
-	// the new care-of address when it arrives.
+	// its departure but not yet registered elsewhere (see hold); they are
+	// flushed to the new care-of address when it arrives.
 	buffering bool
 	queue     []*ip.Packet
 }
@@ -97,6 +100,9 @@ func NewForeignAgent(ts *transport.Stack, cfg ForeignAgentConfig) (*ForeignAgent
 	fa.tun = tunnel.New(fa.host, "vif0",
 		func() (ip.Addr, bool) { return cfg.Iface.Addr(), true },
 		fa.tunnelDst)
+	fa.host.Hooks(pipeline.Postrouting).Register(pipeline.Hook[*stack.PacketContext]{
+		Name: "fa-hold", Priority: tunnel.PriEncap - 1, Fn: fa.hold,
+	})
 	sock, err := ts.UDP(ip.Unspecified, Port, fa.input)
 	if err != nil {
 		return nil, fmt.Errorf("mip: foreign agent binding port %d: %w", Port, err)
@@ -137,24 +143,48 @@ func (fa *ForeignAgent) advertise() {
 
 // tunnelDst resolves re-tunneling for departed visitors: packets for a
 // home address with a forwarding binding are encapsulated to the new
-// care-of address; packets for a visitor that announced departure but has
-// no new binding yet are buffered.
+// care-of address, and any other packet is the tunnel's drop.
 func (fa *ForeignAgent) tunnelDst(inner *ip.Packet) (ip.Addr, bool) {
 	v, ok := fa.visitors[inner.Dst]
-	if !ok {
+	if !ok || v.forwardTo.IsUnspecified() {
 		//lint:allow dropaccounting the tunnel VIF accounts drop_no_dst when the resolver declines
 		return ip.Addr{}, false
 	}
-	if !v.forwardTo.IsUnspecified() {
-		fa.stats.Forwarded++
-		return v.forwardTo, true
+	fa.stats.Forwarded++
+	return v.forwardTo, true
+}
+
+// hold is the agent's POSTROUTING hook, ahead of the tunnel's encap: a
+// packet routed into the tunnel for a visitor that announced its departure
+// but has not named its new care-of address yet is taken, as it is, into
+// the visitor's queue until handlePFANotify flushes it. Only a packet past
+// visitorQueueLimit is dropped.
+func (fa *ForeignAgent) hold(ctx *stack.PacketContext) pipeline.Verdict {
+	if ctx.Out != fa.tun.Iface() {
+		return pipeline.Accept
 	}
-	if v.buffering && len(v.queue) < visitorQueueLimit {
-		v.queue = append(v.queue, inner.Clone())
+	v, ok := fa.visitors[ctx.Pkt.Dst]
+	if !ok || !v.buffering || !v.forwardTo.IsUnspecified() {
+		return pipeline.Accept
 	}
-	// Conservation holds without a counter here: the packet was either
-	// buffered above or the tunnel VIF accounts drop_no_dst on this path.
-	return ip.Addr{}, false
+	fa.stats.Buffered++
+	if len(v.queue) >= visitorQueueLimit {
+		fa.stats.DropBuffer++
+		ctx.Pkt.Release()
+		return pipeline.Stolen
+	}
+	v.queue = append(v.queue, ctx.Pkt)
+	return pipeline.Stolen
+}
+
+// dropQueue drops whatever v still holds: the visitor expired or came back
+// before it named a new care-of address.
+func (fa *ForeignAgent) dropQueue(v *visitorEntry) {
+	for _, pkt := range v.queue {
+		pkt.Release()
+	}
+	fa.stats.DropBuffer += uint64(len(v.queue))
+	v.queue = nil
 }
 
 func (fa *ForeignAgent) trace(kind string, o trace.Operands) {
@@ -236,6 +266,7 @@ func (fa *ForeignAgent) installVisitor(home ip.Addr, life time.Duration) {
 	if v, ok := fa.visitors[home]; ok {
 		v.timer.Stop()
 		v.fwdTimer.Stop()
+		fa.dropQueue(v)
 	}
 	v := &visitorEntry{home: home, expires: fa.host.Loop().Now().Add(life)}
 	v.timer = fa.host.Loop().Schedule(life, func() {
@@ -258,6 +289,7 @@ func (fa *ForeignAgent) removeVisitor(home ip.Addr) {
 	}
 	v.timer.Stop()
 	v.fwdTimer.Stop()
+	fa.dropQueue(v)
 	delete(fa.visitors, home)
 	fa.host.Routes().Delete(ip.Prefix{Addr: home, Bits: 32})
 }
@@ -280,7 +312,7 @@ func (fa *ForeignAgent) handlePFANotify(d transport.Datagram) {
 		return
 	}
 	// Steer the home address into the re-encapsulating VIF instead of
-	// on-link delivery; tunnelDst buffers or forwards from there.
+	// on-link delivery; hold buffers and tunnelDst forwards from there.
 	fa.host.Routes().Delete(ip.Prefix{Addr: n.HomeAddr, Bits: 32})
 	fa.host.Routes().Add(stack.Route{Dst: ip.Prefix{Addr: n.HomeAddr, Bits: 32}, Iface: fa.tun.Iface()})
 	life := time.Duration(n.Lifetime) * time.Second

@@ -10,7 +10,6 @@ import (
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/link"
 	"mosquitonet/internal/metrics"
-	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stack"
 	"mosquitonet/internal/trace"
@@ -115,10 +114,10 @@ var (
 	ErrNoActiveIface       = errors.New("mip: no active interface")
 )
 
-// MobileHost is the mobile side of the protocol. It owns the host's
-// "mobile-policy" route-resolution hook (the paper's modified
-// ip_rt_route()), the Mobile Policy Table, the encapsulating VIF, and the
-// managed physical interfaces it switches between.
+// MobileHost is the mobile side of the protocol. It owns the host's route
+// lookup override (the paper's modified ip_rt_route()), the Mobile Policy
+// Table, the encapsulating VIF, and the managed physical interfaces it
+// switches between.
 type MobileHost struct {
 	host *stack.Host
 	ts   *transport.Stack
@@ -186,7 +185,7 @@ type sideExchange struct {
 }
 
 // NewMobileHost wraps ts's host with mobility support: it installs the
-// route-resolution hook, the VIF/IPIP tunnel endpoints, and registers the
+// route lookup override, the VIF/IPIP tunnel endpoints, and registers the
 // home address as always-local (tunneled packets arrive addressed to it).
 func NewMobileHost(ts *transport.Stack, cfg MobileHostConfig) *MobileHost {
 	m := &MobileHost{
@@ -206,16 +205,9 @@ func NewMobileHost(ts *transport.Stack, cfg MobileHostConfig) *MobileHost {
 		m.currentCareOf,
 		func(*ip.Packet) (ip.Addr, bool) { return m.cfg.HomeAgent, true })
 	m.host.AddLocalAddr(m.cfg.HomeAddr)
-	// The paper's modified ip_rt_route(), as a named route-resolution
-	// hook. It always resolves (Stolen), consulting the Mobile Policy
-	// Table or delegating to the default lookup itself.
-	m.host.RouteHooks().Register(pipeline.Hook[*stack.RouteQuery]{
-		Name: "mobile-policy", Priority: stack.PriRouteOverride,
-		Fn: func(q *stack.RouteQuery) pipeline.Verdict {
-			q.Decision, q.Err = m.routeLookup(q.Dst, q.Src)
-			return pipeline.Stolen
-		},
-	})
+	// The paper's modified ip_rt_route(): it consults the Mobile Policy
+	// Table or delegates to the default lookup itself.
+	m.host.SetRouteLookup(m.routeLookup)
 	// routeLookup's decisions embed Mobile Policy Table verdicts and the
 	// current care-of state; both must flush the stack's decision cache
 	// the moment they change. Policy edits flow through this hook, and

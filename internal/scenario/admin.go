@@ -101,7 +101,7 @@ const adminHelp = `commands:
   show routes <host> | hooks <host> | bindings [<router>]
   add-route <host> <prefix> <gateway> <iface>
   del-route <host> <prefix>
-  del-hook <host> <stage|route> <name>
+  del-hook <host> <stage> <name>
   fault link-flap <device> <for>
   fault loss-burst <subnet> <prob> <for>
   fault ha-crash <router> <for>
@@ -153,9 +153,6 @@ func (c *Console) show(f []string) error {
 			if ch := h.Hooks(st); ch.Len() > 0 {
 				fmt.Fprint(c.out, ch.String())
 			}
-		}
-		if rh := h.RouteHooks(); rh.Len() > 0 {
-			fmt.Fprintf(c.out, "route: %s\n", strings.Join(rh.Names(), ", "))
 		}
 		return nil
 	case "bindings":
@@ -231,18 +228,11 @@ func (c *Console) delRoute(f []string) error {
 
 func (c *Console) delHook(f []string) error {
 	if len(f) != 3 {
-		return fmt.Errorf("del-hook <host> <stage|route> <name>")
+		return fmt.Errorf("del-hook <host> <stage> <name>")
 	}
 	h, err := c.host(f[0])
 	if err != nil {
 		return err
-	}
-	if strings.EqualFold(f[1], "route") {
-		if !h.RouteHooks().Deregister(f[2]) {
-			return fmt.Errorf("host %q has no route hook %q", f[0], f[2])
-		}
-		fmt.Fprintf(c.out, "deregistered route hook %s on %s\n", f[2], f[0])
-		return nil
 	}
 	for st := pipeline.Stage(0); st < pipeline.NumStages; st++ {
 		if strings.EqualFold(st.String(), f[1]) {

@@ -74,6 +74,7 @@ func TestConsoleExec(t *testing.T) {
 		"fault ha-crash ghost 1s",
 		"fault loss-burst dept 2.0 1s",
 		"del-hook mh input no-such-hook",
+		"del-hook mh route mobile-policy", // the route override is a slot, not a hook
 	} {
 		if err := c.Exec(bad); err == nil {
 			t.Errorf("%q was accepted", bad)

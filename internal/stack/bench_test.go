@@ -80,13 +80,13 @@ func BenchmarkForwardHop(b *testing.B) {
 }
 
 // BenchmarkRouteLookup is one ip_rt_route() decision: from the cache, and
-// recomputed through the route-resolution chain after the invalidation every
-// handoff causes.
+// recomputed through the route override after the invalidation every handoff
+// causes.
 func BenchmarkRouteLookup(b *testing.B) {
 	l := newLine(b)
-	// A resolver hook in place, as on a mobile host: the miss path runs the
-	// route-resolution chain, not only the table.
-	overrideRoute(l.a, l.a.DefaultRouteLookup)
+	// A route override in place, as on a mobile host: the miss path goes
+	// through the slot, not straight to the table.
+	l.a.SetRouteLookup(l.a.DefaultRouteLookup)
 	lookup := func() {
 		if _, err := l.a.RouteLookup(l.addrB, ip.Unspecified); err != nil {
 			b.Fatal(err)

@@ -27,13 +27,6 @@ func (h *Host) hopFreeLen() (n int) {
 	return n
 }
 
-func (h *Host) queryFreeLen() (n int) {
-	for q := h.queryFree; q != nil; q = q.free {
-		n++
-	}
-	return n
-}
-
 // TestPacketContextSizeClass keeps the context in the allocator's 160-byte
 // class. Every host that handles packets keeps two or three warm ones, so a
 // 2,000-host fleet is the multiplier: at 168 bytes (the 176 class) perf's
@@ -64,8 +57,8 @@ func TestChainContextsNest(t *testing.T) {
 	self, peer := ip.Addr{10, 0, 0, 1}, ip.Addr{10, 0, 0, 2}
 	h.AddLocalAddr(self)
 	h.AddDefaultRoute(ip.Unspecified, wire)
-	// A resolver hook, so that route misses go through pooled queries.
-	overrideRoute(h, h.DefaultRouteLookup)
+	// A route override, so that route misses go through the slot.
+	h.SetRouteLookup(h.DefaultRouteLookup)
 
 	var kept []*PacketContext // what a misbehaving hook would hold on to
 	nested := 0               // nested runs whose outer context was checked
@@ -161,13 +154,13 @@ func TestChainContextsNest(t *testing.T) {
 
 	// Every record is back, and a second pass finds them all: the lists
 	// neither leak nor grow.
-	warmCtx, warmHop, warmQuery := h.ctxFreeLen(), h.hopFreeLen(), h.queryFreeLen()
-	if warmCtx != 2 || warmHop != 2 || warmQuery != 1 {
-		t.Errorf("warm free lists hold %d contexts, %d hops, %d queries; want 2 (the deepest nesting), 2 (the most in flight), 1", warmCtx, warmHop, warmQuery)
+	warmCtx, warmHop := h.ctxFreeLen(), h.hopFreeLen()
+	if warmCtx != 2 || warmHop != 2 {
+		t.Errorf("warm free lists hold %d contexts, %d hops; want 2 (the deepest nesting), 2 (the most in flight)", warmCtx, warmHop)
 	}
 	script()
-	if c, r, q := h.ctxFreeLen(), h.hopFreeLen(), h.queryFreeLen(); c != warmCtx || r != warmHop || q != warmQuery {
-		t.Errorf("free lists after a second pass: %d/%d/%d, want the warm %d/%d/%d", c, r, q, warmCtx, warmHop, warmQuery)
+	if c, r := h.ctxFreeLen(), h.hopFreeLen(); c != warmCtx || r != warmHop {
+		t.Errorf("free lists after a second pass: %d/%d, want the warm %d/%d", c, r, warmCtx, warmHop)
 	}
 }
 

@@ -78,23 +78,24 @@ type Host struct {
 	routes RouteTable
 
 	// The netfilter-style datapath: one hook chain per classic stage
-	// (indexed by pipeline.Stage), plus the route-resolution chain that
-	// generalizes the paper's single-slot ip_rt_route override. Each runs
-	// its stage's shared table of built-ins until this host changes it.
-	chains     [pipeline.NumStages]pipeline.Chain[*PacketContext]
-	routeHooks pipeline.Chain[*RouteQuery]
+	// (indexed by pipeline.Stage). Each runs its stage's shared table of
+	// built-ins until this host changes it.
+	chains [pipeline.NumStages]pipeline.Chain[*PacketContext]
+
+	// routeOverride is the paper's single ip_rt_route() slot (see
+	// SetRouteLookup); nil means DefaultRouteLookup.
+	routeOverride func(dst, boundSrc ip.Addr) (RouteDecision, error)
 
 	// invalidate is InvalidateRoutes as a func value, made once: every
 	// chain, device and policy table that can move a route decision calls
 	// this one.
 	invalidate func()
 
-	// Free lists of chain contexts, route queries and hop records (see
-	// acquireCtx and hop in pipeline.go). Filled lazily: a host that never
-	// handles a packet carries three nil heads.
-	ctxFree   *PacketContext
-	queryFree *RouteQuery
-	hopFree   *hop
+	// Free lists of chain contexts and hop records (see acquireCtx and hop
+	// in pipeline.go). Filled lazily: a host that never handles a packet
+	// carries two nil heads.
+	ctxFree *PacketContext
+	hopFree *hop
 
 	// Route-decision cache for the ip_rt_route hot path. Decisions are
 	// memoized per (dst, boundSrc) for local output and per dst for the
@@ -125,13 +126,12 @@ type Host struct {
 	// network" is a local-role activity.
 	groups map[ip.Addr]bool
 
-	installRedirects bool
-	icmp             *ICMP
-	reasm            *ip.Reassembler
-	sweepArmed       bool
-	stats            Stats
-	idSeq            uint16
-	pktlog           *metrics.PacketLog
+	icmp       *ICMP
+	reasm      *ip.Reassembler
+	sweepArmed bool
+	stats      Stats
+	idSeq      uint16
+	pktlog     *metrics.PacketLog
 
 	// tracer is the loop's span tracer, resolved lazily because hosts may
 	// be built before trace.New associates one with the loop. Drop spans
@@ -279,10 +279,6 @@ func (h *Host) Loopback() *Iface { return h.lo }
 
 // SetForwarding enables or disables IP forwarding (routers, home agents).
 func (h *Host) SetForwarding(v bool) { h.forwarding = v }
-
-// SetInstallRedirects controls whether received ICMP redirects install
-// host routes, one of the transparency issues Section 5.2 discusses.
-func (h *Host) SetInstallRedirects(v bool) { h.installRedirects = v }
 
 // IfaceOpts configures AddIface.
 type IfaceOpts struct {
@@ -496,8 +492,8 @@ func (h *Host) syncRouteCache() {
 // RouteLookup is ip_rt_route(): dst is the packet's destination, boundSrc
 // the source address the sender bound, or the unspecified address if it
 // left the choice to the stack. It answers through the generation-guarded
-// decision cache, consulting the route-resolution chain on a miss. Only
-// successful decisions are cached; errors always re-run the chain.
+// decision cache, consulting the route override (or the stock lookup) on a
+// miss. Only successful decisions are cached; errors always re-resolve.
 func (h *Host) RouteLookup(dst, boundSrc ip.Addr) (RouteDecision, error) {
 	h.syncRouteCache()
 	key := routeCacheKey{dst: dst, src: boundSrc}

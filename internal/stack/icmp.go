@@ -58,7 +58,7 @@ func newICMP(h *Host) *ICMP {
 // drops it.
 //
 //mnet:ownership borrows pkt
-func (c *ICMP) input(ifc *Iface, pkt *ip.Packet) error {
+func (c *ICMP) input(pkt *ip.Packet) error {
 	m, err := ip.UnmarshalICMP(pkt.Payload)
 	if err != nil {
 		return err
@@ -91,15 +91,6 @@ func (c *ICMP) input(ifc *Iface, pkt *ip.Packet) error {
 		c.matchError(m, pkt.Src)
 	case ip.ICMPRedirect:
 		c.host.stats.RedirectsRcvd++
-		if c.host.installRedirects {
-			if off, err := ip.Unmarshal(paddedHeader(m.Body)); err == nil {
-				c.host.routes.Add(Route{
-					Dst:     ip.Prefix{Addr: off.Dst, Bits: 32},
-					Gateway: m.Gateway(),
-					Iface:   ifc,
-				})
-			}
-		}
 		if c.ErrorHook != nil {
 			c.ErrorHook(m, pkt.Src)
 		}

@@ -24,7 +24,6 @@ const (
 	PriForwardTTL      = -300 // FORWARD: TTL check
 	PriForwardRoute    = -200 // FORWARD: route-table lookup
 	PriDecap           = -100 // INPUT: decapsulation hooks (the tunnel VIF)
-	PriRouteOverride   = -100 // route chain: the paper's ip_rt_route override
 	PriForwardFilter   = 0    // FORWARD: policy filters (ctx.Drop / ctx.Reject)
 	PriForwardMTU      = 100  // FORWARD: path-MTU check
 	PriForwardRedirect = 200  // FORWARD: same-subnet redirect notification
@@ -208,22 +207,6 @@ func HeaderDetail(kind metrics.DetailKind, pkt *ip.Packet, via string) metrics.D
 	return metrics.PacketDetail(kind, uint8(pkt.Protocol), pkt.Src, pkt.Dst, pkt.TTL, pkt.Len(), via)
 }
 
-// RouteQuery is the context route-resolver hooks see: the paper's
-// ip_rt_route() arguments plus a slot for the answer. A hook that resolves
-// (or definitively fails) the query sets Decision/Err and returns Stolen;
-// Accept passes the query down-chain, and an empty or all-Accept chain
-// falls back to the host's DefaultRouteLookup. Drop means "no route".
-//
-// Like a PacketContext, a query is valid only until the hook returns.
-type RouteQuery struct {
-	Host     *Host
-	Dst, Src ip.Addr
-	Decision RouteDecision
-	Err      error
-
-	free *RouteQuery // next record on the host's free list
-}
-
 // Hooks returns the host's chain at the given stage, for registering
 // packet hooks. Chains belong to one host; registration flushes the host's
 // route-decision caches.
@@ -231,10 +214,15 @@ func (h *Host) Hooks(stage pipeline.Stage) *pipeline.Chain[*PacketContext] {
 	return &h.chains[stage]
 }
 
-// RouteHooks returns the route-resolution chain — the pluggable form of
-// the paper's single kernel modification. Mobility code registers its
-// resolver here under its own name and priority.
-func (h *Host) RouteHooks() *pipeline.Chain[*RouteQuery] { return &h.routeHooks }
+// SetRouteLookup fills the host's one route-lookup slot: the paper's
+// single kernel modification, an overridden ip_rt_route(). fn answers
+// every route query the decision cache misses; one that declines a lookup
+// calls DefaultRouteLookup itself. nil restores the stock lookup. Setting
+// or clearing the slot flushes the host's route-decision caches.
+func (h *Host) SetRouteLookup(fn func(dst, boundSrc ip.Addr) (RouteDecision, error)) {
+	h.routeOverride = fn
+	h.invalidate()
+}
 
 type packetHook = pipeline.Hook[*PacketContext]
 
@@ -257,21 +245,16 @@ var builtins = [pipeline.NumStages]*pipeline.Table[*PacketContext]{
 	pipeline.Postrouting: pipeline.NewTable[*PacketContext](pipeline.Postrouting),
 }
 
-// routeBuiltins is the route-resolution chain's table: empty, since the
-// stock lookup is resolveRoute's fallback rather than a hook.
-var routeBuiltins = pipeline.NewTable[*RouteQuery](pipeline.Output)
-
-// initPipeline points the five stage chains and the route-resolution chain
-// at their shared tables. Conservative invalidation: any hook change might
-// alter where a packet goes, and a stale cached decision must never shadow
-// a newly registered hook, so every chain calls the host's one invalidation
-// func on a change. Bumping a generation is nearly free.
+// initPipeline points the five stage chains at their shared tables.
+// Conservative invalidation: any hook change might alter where a packet
+// goes, and a stale cached decision must never shadow a newly registered
+// hook, so every chain calls the host's one invalidation func on a change.
+// Bumping a generation is nearly free.
 func (h *Host) initPipeline() {
 	h.invalidate = h.InvalidateRoutes
 	for s := range h.chains {
 		h.chains[s].Init(builtins[s], h.invalidate)
 	}
-	h.routeHooks.Init(routeBuiltins, h.invalidate)
 }
 
 // run traverses ctx's stage chain on h, then observes the verdict.
@@ -368,7 +351,7 @@ func hookDemux(ctx *PacketContext) pipeline.Verdict {
 	handler, ok := h.handlers[pkt.Protocol]
 	if !ok {
 		if pkt.Protocol == ip.ProtoICMP {
-			if h.icmp.input(ifc, pkt) != nil {
+			if h.icmp.input(pkt) != nil {
 				return ctx.drop(dropBadPacket, metrics.Text("bad packet"))
 			}
 			h.stats.Delivered++
@@ -448,29 +431,11 @@ func hookOutputUnreachable(ctx *PacketContext) pipeline.Verdict {
 	return ctx.dropICMP(dropNoRoute, noRouteTo(ctx.Pkt.Dst), ip.ICMPDestUnreach, ip.CodeNetUnreach)
 }
 
-// resolveRoute answers one route query through the route-resolution
-// chain, falling back to the stock longest-prefix match when no hook
-// takes the query.
+// resolveRoute answers one route query: the override if one is set, else
+// the stock longest-prefix match.
 func (h *Host) resolveRoute(dst, boundSrc ip.Addr) (RouteDecision, error) {
-	q := h.queryFree
-	if q == nil {
-		q = new(RouteQuery)
-	} else {
-		h.queryFree, q.free = q.free, nil
-	}
-	q.Host, q.Dst, q.Src = h, dst, boundSrc
-	v := h.routeHooks.Run(q)
-	dec, err := q.Decision, q.Err
-	*q = RouteQuery{free: h.queryFree}
-	h.queryFree = q
-	switch v {
-	case pipeline.Stolen:
-		return dec, err
-	case pipeline.Drop:
-		if err == nil {
-			err = noRouteError{dst}
-		}
-		return RouteDecision{}, err
+	if h.routeOverride != nil {
+		return h.routeOverride(dst, boundSrc)
 	}
 	return h.DefaultRouteLookup(dst, boundSrc)
 }

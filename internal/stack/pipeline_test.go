@@ -43,17 +43,6 @@ func TestBuiltinChainLayout(t *testing.T) {
 			}
 		}
 	}
-	// A route-resolution hook is a single slot per name: registering the
-	// name again replaces it, Deregister removes it.
-	overrideRoute(h, h.DefaultRouteLookup)
-	overrideRoute(h, func(d, s ip.Addr) (RouteDecision, error) { return RouteDecision{}, nil })
-	if n := h.RouteHooks().Names(); len(n) != 1 || n[0] != "override" {
-		t.Fatalf("route chain: %v", n)
-	}
-	h.RouteHooks().Deregister("override")
-	if n := h.RouteHooks().Names(); len(n) != 0 {
-		t.Fatalf("route chain after Deregister: %v", n)
-	}
 }
 
 // hooksArray returns the address of the array a chain or table keeps its
@@ -133,19 +122,6 @@ func TestBuiltinTablesShared(t *testing.T) {
 	if table := hooksArray(builtins[pipeline.Forward]); hooksArray(fwd1) != table || hooksArray(fwd0) == table {
 		t.Error("the churning router still runs the shared table, or the other one stopped")
 	}
-}
-
-// overrideRoute registers fn on h's route-resolution chain as the hook
-// "override", answering every query itself — the shape of mip's
-// mobile-policy hook, the paper's modified ip_rt_route().
-func overrideRoute(h *Host, fn func(dst, boundSrc ip.Addr) (RouteDecision, error)) {
-	h.RouteHooks().Register(pipeline.Hook[*RouteQuery]{
-		Name: "override", Priority: PriRouteOverride,
-		Fn: func(q *RouteQuery) pipeline.Verdict {
-			q.Decision, q.Err = fn(q.Dst, q.Src)
-			return pipeline.Stolen
-		},
-	})
 }
 
 // TestPreroutingVerdicts exercises ACCEPT/DROP/STOLEN semantics on the
@@ -530,10 +506,10 @@ func TestEveryDropReasonSelectsItsOwn(t *testing.T) {
 	}
 }
 
-// TestRouteHookRegistrationInvalidatesRouteCache is the satellite bugfix
-// regression test (the stale-decision hazard analogous to
-// TestPolicyChangeInvalidatesRouteCache): registering or deregistering a
-// route-resolution hook after host start must flush cached decisions.
+// TestRouteHookRegistrationInvalidatesRouteCache guards the stale-decision
+// hazard analogous to TestPolicyChangeInvalidatesRouteCache: setting or
+// clearing the route override after host start flushes cached decisions,
+// and SetRouteLookup(nil) restores the stock lookup.
 func TestRouteHookRegistrationInvalidatesRouteCache(t *testing.T) {
 	loop := sim.New(1)
 	net := link.NewNetwork(loop, "n", link.Ethernet())
@@ -552,20 +528,14 @@ func TestRouteHookRegistrationInvalidatesRouteCache(t *testing.T) {
 	}
 
 	want := RouteDecision{Iface: a.host.Loopback(), Src: dst, NextHop: dst}
-	a.host.RouteHooks().Register(pipeline.Hook[*RouteQuery]{
-		Name: "pin-lo", Priority: PriFirst,
-		Fn: func(q *RouteQuery) pipeline.Verdict {
-			q.Decision = want
-			return pipeline.Stolen
-		},
-	})
+	a.host.SetRouteLookup(func(ip.Addr, ip.Addr) (RouteDecision, error) { return want, nil })
 	if got, err := a.host.RouteLookup(dst, ip.Addr{}); err != nil || got != want {
-		t.Fatalf("stale decision survived hook registration: %+v (err %v)", got, err)
+		t.Fatalf("stale decision survived setting the override: %+v (err %v)", got, err)
 	}
 
-	a.host.RouteHooks().Deregister("pin-lo")
+	a.host.SetRouteLookup(nil)
 	if got, err := a.host.RouteLookup(dst, ip.Addr{}); err != nil || got != def {
-		t.Fatalf("stale decision survived hook deregistration: %+v (err %v)", got, err)
+		t.Fatalf("stale decision survived clearing the override: %+v (err %v)", got, err)
 	}
 }
 
@@ -635,7 +605,7 @@ func TestRejectHookSendsAdminProhibited(t *testing.T) {
 }
 
 // TestNoRouteErrorReadsAsItDid: the error a routeless host gets — from the
-// stock lookup and from a route hook that drops the query — is ErrNoRoute to
+// stock lookup and through an override that declines the lookup — is ErrNoRoute to
 // errors.Is, reads exactly as the fmt.Errorf("%w: %v", ErrNoRoute, dst) it
 // replaced, and costs no formatting until somebody reads it.
 func TestNoRouteErrorReadsAsItDid(t *testing.T) {
@@ -655,10 +625,10 @@ func TestNoRouteErrorReadsAsItDid(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { _, err = h.DefaultRouteLookup(dst, ip.Unspecified) }); allocs > 1 {
 		t.Fatalf("a failed lookup allocates %.1f times", allocs)
 	}
-	h.RouteHooks().Register(pipeline.Hook[*RouteQuery]{
-		Name: "refuse", Priority: PriRouteOverride,
-		Fn: func(*RouteQuery) pipeline.Verdict { return pipeline.Drop },
+	// An override that declines a lookup hands it to the stock lookup.
+	h.SetRouteLookup(func(dst, boundSrc ip.Addr) (RouteDecision, error) {
+		return h.DefaultRouteLookup(dst, boundSrc)
 	})
 	_, err = h.RouteLookup(dst, ip.Unspecified)
-	check("RouteLookup with a dropping hook", err)
+	check("RouteLookup through a declining override", err)
 }

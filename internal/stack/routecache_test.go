@@ -119,7 +119,7 @@ func TestRouteCacheInvalidatedBySetAddrAndLookupSwap(t *testing.T) {
 
 	// Swapping the lookup function must take effect immediately.
 	want := RouteDecision{Iface: a.host.Loopback(), Src: dst, NextHop: dst}
-	overrideRoute(a.host, func(d, s ip.Addr) (RouteDecision, error) { return want, nil })
+	a.host.SetRouteLookup(func(d, s ip.Addr) (RouteDecision, error) { return want, nil })
 	if got, err := a.host.RouteLookup(dst, ip.Addr{}); err != nil || got != want {
 		t.Fatalf("override not visible through cache: %+v (err %v)", got, err)
 	}

@@ -503,7 +503,10 @@ func TestEchoRepliesWhilePingedOnSecondAddress(t *testing.T) {
 	}
 }
 
-func TestRedirectSentAndInstalled(t *testing.T) {
+// TestRedirectSentAndCounted: a router that forwards a packet back out the
+// interface it came in on redirects the on-subnet sender, and the sender
+// counts the redirect without installing a route from it.
+func TestRedirectSentAndCounted(t *testing.T) {
 	loop := sim.New(1)
 	n := link.NewNetwork(loop, "n", link.Ethernet())
 	a := addNode(t, loop, n, "a", "10.0.0.2/24")
@@ -526,7 +529,6 @@ func TestRedirectSentAndInstalled(t *testing.T) {
 	fb.host.AddDefaultRoute(ip.MustParseAddr("10.9.0.1"), fb.ifc)
 
 	a.host.AddDefaultRoute(ip.MustParseAddr("10.0.0.1"), a.ifc)
-	a.host.SetInstallRedirects(true)
 	loop.RunFor(0)
 
 	a.host.Output(udpPacket("0.0.0.0", "10.9.0.2", "one"))
@@ -540,22 +542,17 @@ func TestRedirectSentAndInstalled(t *testing.T) {
 	if a.host.Stats().RedirectsRcvd != 1 {
 		t.Fatal("a received no redirect")
 	}
-	// The installed host route must now steer directly via r2.
-	dec, err := a.host.RouteLookup(ip.MustParseAddr("10.9.0.2"), ip.Unspecified)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.NextHop != ip.MustParseAddr("10.0.0.3") {
-		t.Fatalf("next hop after redirect = %v", dec.NextHop)
-	}
+	// A received redirect is counted, never installed: the second packet
+	// still goes through r1, which redirects again.
 	before := r1.host.Stats().Forwarded
 	a.host.Output(udpPacket("0.0.0.0", "10.9.0.2", "two"))
 	loop.RunFor(time.Second)
 	if len(*got) != 2 {
 		t.Fatal("second packet not delivered")
 	}
-	if r1.host.Stats().Forwarded != before {
-		t.Fatal("second packet still went through r1")
+	if r1.host.Stats().Forwarded != before+1 || r1.host.Stats().RedirectsSent != 2 {
+		t.Fatalf("second packet: r1 forwarded %d more and sent %d redirects, want 1 and 2",
+			r1.host.Stats().Forwarded-before, r1.host.Stats().RedirectsSent)
 	}
 }
 
@@ -586,7 +583,7 @@ func TestRouteLookupOverrideSeam(t *testing.T) {
 	})
 	home := ip.MustParseAddr("36.135.0.7")
 	def := a.host.DefaultRouteLookup
-	overrideRoute(a.host, func(dst, boundSrc ip.Addr) (RouteDecision, error) {
+	a.host.SetRouteLookup(func(dst, boundSrc ip.Addr) (RouteDecision, error) {
 		if boundSrc.IsUnspecified() || boundSrc == home {
 			return RouteDecision{Iface: vif, Src: home, NextHop: dst}, nil
 		}
@@ -615,9 +612,9 @@ func TestRouteLookupOverrideSeam(t *testing.T) {
 		t.Fatal("bound-source packet took the VIF")
 	}
 
-	a.host.RouteHooks().Deregister("override") // restore default
-	if _, err := a.host.RouteLookup(ip.MustParseAddr("10.0.0.2"), ip.Unspecified); err != nil {
-		t.Fatal("default lookup not restored")
+	a.host.SetRouteLookup(nil) // restore default
+	if dec, err := a.host.RouteLookup(ip.MustParseAddr("10.0.0.2"), ip.Unspecified); err != nil || dec.Iface != a.ifc {
+		t.Fatalf("default lookup not restored: %+v (err %v)", dec, err)
 	}
 }
 

@@ -197,7 +197,11 @@ func (r *A2Result) String() string {
 // foreign agent the mobile host announces its departure (the agent
 // buffers) and then supplies its new care-of address (the agent forwards
 // the buffered packets and any further stragglers).
-func RunA2(seed int64, iterations int) (*A2Result, error) {
+func RunA2(seed int64, iterations int) (*A2Result, error) { return runA2(seed, iterations, nil) }
+
+// runA2 is RunA2; watch, if set, sees the foreign-agent world and the
+// agent's host before the first handoff.
+func runA2(seed int64, iterations int, watch func(*Testbed, *mip.ForeignAgent, *stack.Host)) (*A2Result, error) {
 	res := &A2Result{
 		WithoutFA: stats.NewLossHistogram("cold slow-net->wired, collocated care-of"),
 		WithFA:    stats.NewLossHistogram("cold slow-net->wired, foreign agent on old net"),
@@ -253,7 +257,7 @@ func RunA2(seed int64, iterations int) (*A2Result, error) {
 		tb := New(seed + 1)
 		tb.MoveEthTo(tb.DeptNet)
 		wan := addWAN(tb)
-		fa, err := newSlowNetFA(tb)
+		fa, faHost, err := newSlowNetFA(tb)
 		if err != nil {
 			return nil, err
 		}
@@ -268,6 +272,9 @@ func RunA2(seed int64, iterations int) (*A2Result, error) {
 		probe, err := scenario.NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, MHHomeAddr, 7, probeInterval)
 		if err != nil {
 			return nil, err
+		}
+		if watch != nil {
+			watch(tb, fa, faHost)
 		}
 		for i := 0; i < iterations; i++ {
 			lost, err := lossAcross(tb, probe, 2*time.Second, 30*time.Second, func(done func(error)) {
@@ -318,15 +325,16 @@ func (tb *Testbed) hostDelay(name string) time.Duration {
 
 // newSlowNetFA places a foreign agent host — a machine of the
 // correspondent's class — on the slow remote subnet.
-func newSlowNetFA(tb *Testbed) (*mip.ForeignAgent, error) {
+func newSlowNetFA(tb *Testbed) (*mip.ForeignAgent, *stack.Host, error) {
 	cost := tb.hostDelay("ch")
 	h := stack.NewHost(tb.Loop, "fa-slow", stack.Config{InputDelay: cost, OutputDelay: cost})
 	ts, ifc := scenario.AttachEndHost(h, tb.SlowNet, "fa-eth", FASlowAddr, SlowPrefix, RouterSlowAddr, stack.IfaceOpts{})
-	return mip.NewForeignAgent(ts, mip.ForeignAgentConfig{
+	fa, err := mip.NewForeignAgent(ts, mip.ForeignAgentConfig{
 		Iface:           ifc,
 		ProcessingDelay: cost,
 		Tracer:          tb.Tracer,
 	})
+	return fa, h, err
 }
 
 // --- A3: home-agent scalability ------------------------------------------

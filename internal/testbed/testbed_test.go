@@ -6,6 +6,9 @@ import (
 	"time"
 
 	"mosquitonet/internal/ip"
+	"mosquitonet/internal/mip"
+	"mosquitonet/internal/pipeline"
+	"mosquitonet/internal/stack"
 	"mosquitonet/internal/transport"
 )
 
@@ -227,6 +230,64 @@ func TestA2Shape(t *testing.T) {
 			res.WithFA.TotalLost(), res.WithoutFA.TotalLost())
 	}
 	t.Logf("\n%s", res)
+}
+
+// TestA2BufferedPacketsDeliveredOrDroppedOnce: in A2's foreign-agent
+// variant, each packet the agent buffers for the departing mobile host is
+// either delivered once the buffer is flushed or counted as the agent's
+// drop, exactly once: the tunnel counts none of them as its own drop. A
+// flushed packet is the one that enters the agent's tunnel twice, once
+// into the buffer and once on its way to the new care-of address.
+func TestA2BufferedPacketsDeliveredOrDroppedOnce(t *testing.T) {
+	type key struct {
+		src ip.Addr
+		id  uint16
+	}
+	intoTunnel, delivered := map[key]int{}, map[key]int{}
+	census := func(h *stack.Host, stage pipeline.Stage, count func(*stack.PacketContext) bool, seen map[key]int) {
+		h.Hooks(stage).Register(pipeline.Hook[*stack.PacketContext]{
+			Name: "census", Priority: stack.PriFirst,
+			Fn: func(ctx *stack.PacketContext) pipeline.Verdict {
+				if count(ctx) {
+					seen[key{ctx.Pkt.Src, ctx.Pkt.ID}]++
+				}
+				return pipeline.Accept
+			},
+		})
+	}
+	var fa *mip.ForeignAgent
+	_, err := runA2(42, 5, func(tb *Testbed, agent *mip.ForeignAgent, faHost *stack.Host) {
+		fa = agent
+		vif := agent.Tunnel().Iface()
+		census(faHost, pipeline.Postrouting, func(ctx *stack.PacketContext) bool { return ctx.Out == vif }, intoTunnel)
+		census(tb.MHTS.Host(), pipeline.Input, func(ctx *stack.PacketContext) bool { return ctx.Pkt.Protocol == ip.ProtoUDP }, delivered)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushed := uint64(0)
+	for k, n := range intoTunnel {
+		switch {
+		case n == 2:
+			flushed++
+			if delivered[k] != 1 {
+				t.Errorf("flushed packet %v id %d delivered %d times, want once", k.src, k.id, delivered[k])
+			}
+		case n != 1:
+			t.Errorf("packet %v id %d entered the agent's tunnel %d times", k.src, k.id, n)
+		}
+	}
+	st := fa.Stats()
+	if st.Buffered == 0 {
+		t.Fatal("the agent buffered nothing")
+	}
+	t.Logf("agent buffered %d packets: %d flushed, %d dropped", st.Buffered, flushed, st.DropBuffer)
+	if flushed+st.DropBuffer != st.Buffered {
+		t.Error("a buffered packet was neither flushed nor counted as dropped")
+	}
+	if d := fa.Tunnel().Stats().DropNoDst; d != 0 {
+		t.Errorf("agent tunnel counted %d drop_no_dst, want 0", d)
+	}
 }
 
 // TestA3Shape: one home agent serves increasing visitor fleets with stable

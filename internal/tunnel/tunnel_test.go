@@ -21,18 +21,6 @@ type env struct {
 	haAddr   ip.Addr
 }
 
-// overrideRoute registers fn on h's route-resolution chain, answering
-// every query itself: the paper's modified ip_rt_route(), as mip hooks it.
-func overrideRoute(h *stack.Host, fn func(dst, boundSrc ip.Addr) (stack.RouteDecision, error)) {
-	h.RouteHooks().Register(pipeline.Hook[*stack.RouteQuery]{
-		Name: "override", Priority: stack.PriRouteOverride,
-		Fn: func(q *stack.RouteQuery) pipeline.Verdict {
-			q.Decision, q.Err = fn(q.Dst, q.Src)
-			return pipeline.Stolen
-		},
-	})
-}
-
 func buildEnv(t *testing.T) *env {
 	t.Helper()
 	loop := sim.New(1)
@@ -148,7 +136,7 @@ func TestDecapForwardsInnerForOtherHost(t *testing.T) {
 	// packets addressed to the home agent and loop them back into the
 	// tunnel. The override instead keys on the unbound source.
 	def := e.mh.DefaultRouteLookup
-	overrideRoute(e.mh, func(dst, boundSrc ip.Addr) (stack.RouteDecision, error) {
+	e.mh.SetRouteLookup(func(dst, boundSrc ip.Addr) (stack.RouteDecision, error) {
 		if boundSrc.IsUnspecified() || boundSrc == ip.MustParseAddr("36.135.0.7") {
 			return stack.RouteDecision{Iface: e.mhT.Iface(), Src: ip.MustParseAddr("36.135.0.7"), NextHop: dst}, nil
 		}
@@ -277,7 +265,7 @@ func TestNoEncapsulationLoop(t *testing.T) {
 	// Deliberately hostile routing: the tunnel destination itself is
 	// routed via the VIF for unbound sources.
 	def := e.mh.DefaultRouteLookup
-	overrideRoute(e.mh, func(dst, boundSrc ip.Addr) (stack.RouteDecision, error) {
+	e.mh.SetRouteLookup(func(dst, boundSrc ip.Addr) (stack.RouteDecision, error) {
 		if boundSrc.IsUnspecified() {
 			return stack.RouteDecision{Iface: e.mhT.Iface(), Src: ip.MustParseAddr("36.135.0.7"), NextHop: dst}, nil
 		}
