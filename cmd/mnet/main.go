@@ -8,12 +8,12 @@
 //
 // Usage:
 //
-//	mnet [-seed N] [-trace] [-dump] [-metrics 5s] [-chains] [-spans] [-dump-json file] [-admin script]
+//	mnet [-seed N] [-trace] [-dump] [-metrics 5s] [-spans] [-dump-json file] [-admin script]
 //
 // The -admin flag loads a console script (or stdin with '-') against the
 // compiled world before the itinerary starts: immediate commands inspect
 // or mutate state at t=0, and "at <offset> <command>" schedules
-// mutations — fault injection, route edits, hook removal — mid-run.
+// mutations — fault injection, route edits — mid-run.
 package main
 
 import (
@@ -27,23 +27,10 @@ import (
 	mosquitonet "mosquitonet"
 	"mosquitonet/internal/capture"
 	"mosquitonet/internal/link"
-	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/scenario"
-	"mosquitonet/internal/stack"
 	"mosquitonet/internal/testbed"
 	"mosquitonet/internal/trace"
 )
-
-// printChains renders each host's pipeline hook chains, iptables -L style.
-func printChains(hosts ...*stack.Host) {
-	for _, h := range hosts {
-		fmt.Printf("-- pipeline: %s\n", h.Name())
-		for s := pipeline.Stage(0); s < pipeline.NumStages; s++ {
-			fmt.Print(h.Hooks(s).String())
-		}
-		fmt.Println()
-	}
-}
 
 // streamInterval is the correspondent's echo-stream period.
 const streamInterval = 250 * time.Millisecond
@@ -53,10 +40,9 @@ func main() {
 	showTrace := flag.Bool("trace", false, "print every protocol trace event")
 	dump := flag.Bool("dump", false, "print a tcpdump-style decode of every frame on every network")
 	metricsEvery := flag.Duration("metrics", 0, "print the telemetry table every interval of virtual time (0 = only at the end)")
-	chains := flag.Bool("chains", false, "print each host's pipeline hook chains (iptables -L style) once the scenario is wired up")
-	spans := flag.Bool("spans", false, "record per-chain traversal spans on the MH and HA and print the span tree and kind counts at the end")
+	spans := flag.Bool("spans", false, "print the span tree and kind counts at the end")
 	dumpJSON := flag.String("dump-json", "", "write a JSONL capture of every frame on every network to this file")
-	adminScript := flag.String("admin", "", "admin console script file ('-' for stdin): inspect/mutate routes, bindings, hooks, and faults; 'at <offset> <cmd>' schedules mid-run (see the 'help' command)")
+	adminScript := flag.String("admin", "", "admin console script file ('-' for stdin): inspect/mutate routes, bindings, and faults; 'at <offset> <cmd>' schedules mid-run (see the 'help' command)")
 	flag.Parse()
 
 	spec := testbed.MustScenario("handoff")
@@ -120,10 +106,6 @@ func main() {
 			capture.Tap(tb.Loop, n, consume)
 		}
 	}
-	if *spans {
-		tb.MH.Host().EnableChainSpans()
-		tb.HA.Host().EnableChainSpans()
-	}
 	tb.MH.OnLinkChange = func(c mosquitonet.LinkChange) {
 		where := "foreign network"
 		if c.AtHome {
@@ -171,9 +153,6 @@ func main() {
 		}
 		switch {
 		case i == 0:
-			if *chains {
-				printChains(tb.MH.Host(), tb.HA.Host())
-			}
 			var err error
 			probe, err = scenario.NewEchoProbe(tb.Loop, tb.CH, tb.MHTS, testbed.MHHomeAddr, 7, streamInterval)
 			if err != nil {
@@ -197,10 +176,10 @@ func main() {
 	fmt.Printf("\nfinal %s", tb.Metrics.Snapshot().Table())
 
 	if *spans {
-		// The lifecycle tree, with the per-packet chain-traversal spans
-		// folded into the kind-count summary below it.
-		fmt.Printf("\n== span tree (pipeline/drop spans summarized below) ==\n")
-		fmt.Print(tb.Tracer.SpanTree("pipeline.", "drop."))
+		// The lifecycle tree, with the per-packet drop spans folded into
+		// the kind-count summary below it.
+		fmt.Printf("\n== span tree (drop spans summarized below) ==\n")
+		fmt.Print(tb.Tracer.SpanTree("drop."))
 		fmt.Printf("\n== span kinds ==\n")
 		for _, kc := range tb.Tracer.SpanKindCounts() {
 			fmt.Printf("  %7d  %s\n", kc.Count, kc.Kind)

@@ -66,14 +66,11 @@ func main() {
 	// packets leaving 36.8 with a non-local source are dropped, which is
 	// exactly what breaks the triangle route in the paper.
 	fmt.Println("enabling a transit-traffic filter on the visited router…")
-	tb.Router.Hooks(pipeline.Forward).Register(pipeline.Hook[*stack.PacketContext]{
-		Name: "transit-filter", Priority: stack.PriForwardFilter,
-		Fn: func(ctx *stack.PacketContext) pipeline.Verdict {
-			if ctx.In.Prefix() == mosquitonet.DeptPrefix && !mosquitonet.DeptPrefix.Contains(ctx.Pkt.Src) {
-				return ctx.Drop("filtered")
-			}
-			return pipeline.Accept
-		},
+	tb.Router.SetForwardFilter(func(ctx *stack.PacketContext) pipeline.Verdict {
+		if ctx.In.Prefix() == mosquitonet.DeptPrefix && !mosquitonet.DeptPrefix.Contains(ctx.Pkt.Src) {
+			return ctx.Drop("filtered")
+		}
+		return pipeline.Accept
 	})
 	policy.SetHost(mosquitonet.CampusCHAddr, mosquitonet.PolicyTriangle)
 	rtt("triangle through the filter")

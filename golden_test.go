@@ -11,9 +11,10 @@ import (
 )
 
 // The golden files under testdata/golden were rendered from the datapath as
-// it existed before the pipeline refactor (hook chains at PREROUTING /
-// INPUT / FORWARD / OUTPUT / POSTROUTING). They pin the refactor's
-// behavior-preservation contract: the same seeds must replay the full
+// it existed before it was built from hook chains, and the straight-line
+// datapath that replaced the chains reproduces them too. They pin the
+// behavior-preservation contract of every datapath refactor: the same seeds
+// must replay the full
 // mobility scenario — attach at home, cold switch or warm handoff to a
 // visited subnet, echo traffic through the home agent, return home — to
 // byte-identical trace JSONL and metrics snapshots, at workers=1 and

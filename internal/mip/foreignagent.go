@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mosquitonet/internal/ip"
-	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stack"
 	"mosquitonet/internal/trace"
@@ -45,7 +44,7 @@ type ForeignAgentStats struct {
 	RepliesRelayed  uint64
 	VisitorsActive  int
 	Forwarded       uint64 // straggler packets re-tunneled after departure
-	Buffered        uint64 // packets taken for a departing visitor's buffer
+	Buffered        uint64 // packets the hold interface took for a departing visitor
 	DropBuffer      uint64 // of those, dropped: buffer full, or the visitor gone or back
 	DropMalformed   uint64 // control datagrams that failed to parse
 	DropNotOurs     uint64 // registration requests not addressed through this agent
@@ -60,8 +59,9 @@ type visitorEntry struct {
 	fwdTimer  sim.Timer
 
 	// buffering holds tunneled packets for a visitor that has announced
-	// its departure but not yet registered elsewhere (see hold); they are
-	// flushed to the new care-of address when it arrives.
+	// its departure but not yet registered elsewhere: its route leads to
+	// the hold interface (see hold) until the new care-of address arrives
+	// and the queue is flushed to it.
 	buffering bool
 	queue     []*ip.Packet
 }
@@ -71,11 +71,12 @@ const visitorQueueLimit = 64
 
 // ForeignAgent is the visited-network agent.
 type ForeignAgent struct {
-	host *stack.Host
-	ts   *transport.Stack
-	cfg  ForeignAgentConfig
-	tun  *tunnel.Endpoint
-	sock *transport.UDPSocket
+	host    *stack.Host
+	ts      *transport.Stack
+	cfg     ForeignAgentConfig
+	tun     *tunnel.Endpoint
+	holdIfc *stack.Iface // where a departing visitor's route leads until it names its new care-of address
+	sock    *transport.UDPSocket
 
 	visitors map[ip.Addr]*visitorEntry // keyed by home address
 	// pending is the ID of the last request relayed for each home address.
@@ -100,9 +101,7 @@ func NewForeignAgent(ts *transport.Stack, cfg ForeignAgentConfig) (*ForeignAgent
 	fa.tun = tunnel.New(fa.host, "vif0",
 		func() (ip.Addr, bool) { return cfg.Iface.Addr(), true },
 		fa.tunnelDst)
-	fa.host.Hooks(pipeline.Postrouting).Register(pipeline.Hook[*stack.PacketContext]{
-		Name: "fa-hold", Priority: tunnel.PriEncap - 1, Fn: fa.hold,
-	})
+	fa.holdIfc = fa.host.AddVirtualIface("hold0", fa.hold)
 	sock, err := ts.UDP(ip.Unspecified, Port, fa.input)
 	if err != nil {
 		return nil, fmt.Errorf("mip: foreign agent binding port %d: %w", Port, err)
@@ -154,27 +153,26 @@ func (fa *ForeignAgent) tunnelDst(inner *ip.Packet) (ip.Addr, bool) {
 	return v.forwardTo, true
 }
 
-// hold is the agent's POSTROUTING hook, ahead of the tunnel's encap: a
-// packet routed into the tunnel for a visitor that announced its departure
-// but has not named its new care-of address yet is taken, as it is, into
-// the visitor's queue until handlePFANotify flushes it. Only a packet past
-// visitorQueueLimit is dropped.
-func (fa *ForeignAgent) hold(ctx *stack.PacketContext) pipeline.Verdict {
-	if ctx.Out != fa.tun.Iface() {
-		return pipeline.Accept
-	}
-	v, ok := fa.visitors[ctx.Pkt.Dst]
-	if !ok || !v.buffering || !v.forwardTo.IsUnspecified() {
-		return pipeline.Accept
-	}
+// hold is the hold interface's transmit function. A departing
+// visitor's route leads here until it names its new care-of address, and
+// its packets are taken, as they are, into its queue until handlePFANotify
+// flushes it. A packet past visitorQueueLimit is dropped, and so is one for
+// a visitor gone or back. One that arrives after the flush re-enters from
+// the VIF, as a flushed packet does.
+//
+//mnet:ownership takes pkt
+func (fa *ForeignAgent) hold(pkt *ip.Packet, _ ip.Addr) {
 	fa.stats.Buffered++
-	if len(v.queue) >= visitorQueueLimit {
+	v, ok := fa.visitors[pkt.Dst]
+	switch {
+	case ok && !v.forwardTo.IsUnspecified():
+		fa.host.Input(fa.tun.Iface(), pkt)
+	case ok && v.buffering && len(v.queue) < visitorQueueLimit:
+		v.queue = append(v.queue, pkt)
+	default:
 		fa.stats.DropBuffer++
-		ctx.Pkt.Release()
-		return pipeline.Stolen
+		pkt.Release()
 	}
-	v.queue = append(v.queue, ctx.Pkt)
-	return pipeline.Stolen
 }
 
 // dropQueue drops whatever v still holds: the visitor expired or came back
@@ -311,10 +309,6 @@ func (fa *ForeignAgent) handlePFANotify(d transport.Datagram) {
 		fa.stats.DropUnmatched++
 		return
 	}
-	// Steer the home address into the re-encapsulating VIF instead of
-	// on-link delivery; hold buffers and tunnelDst forwards from there.
-	fa.host.Routes().Delete(ip.Prefix{Addr: n.HomeAddr, Bits: 32})
-	fa.host.Routes().Add(stack.Route{Dst: ip.Prefix{Addr: n.HomeAddr, Bits: 32}, Iface: fa.tun.Iface()})
 	life := time.Duration(n.Lifetime) * time.Second
 	v.fwdTimer.Stop()
 	v.fwdTimer = fa.host.Loop().Schedule(life, func() {
@@ -322,11 +316,18 @@ func (fa *ForeignAgent) handlePFANotify(d transport.Datagram) {
 			fa.removeVisitor(n.HomeAddr)
 		}
 	})
+	// Steer the home address away from on-link delivery: into the hold
+	// interface until the new care-of address is known, then into the
+	// re-encapsulating VIF, where tunnelDst forwards it.
+	home := ip.Prefix{Addr: n.HomeAddr, Bits: 32}
+	fa.host.Routes().Delete(home)
 	if n.NewCareOf.IsUnspecified() {
+		fa.host.Routes().Add(stack.Route{Dst: home, Iface: fa.holdIfc})
 		v.buffering = true
 		fa.trace(kFABuffering, trace.Operands{A: n.HomeAddr})
 		return
 	}
+	fa.host.Routes().Add(stack.Route{Dst: home, Iface: fa.tun.Iface()})
 	v.forwardTo = n.NewCareOf
 	v.buffering = false
 	fa.trace(kFAForwarding, trace.Operands{A: n.HomeAddr, B: n.NewCareOf, I: int32(len(v.queue))})

@@ -148,10 +148,6 @@ func NewHomeAgent(ts *transport.Stack, cfg HomeAgentConfig) (*HomeAgent, error) 
 // Addr returns the agent's address on the home subnet.
 func (ha *HomeAgent) Addr() ip.Addr { return ha.cfg.HomeIface.Addr() }
 
-// Host returns the agent's IP stack, exposed for pipeline introspection
-// (cmd/mnet -chains) and tests.
-func (ha *HomeAgent) Host() *stack.Host { return ha.host }
-
 // Stats returns a snapshot of the counters.
 func (ha *HomeAgent) Stats() HomeAgentStats { return ha.stats }
 

@@ -205,17 +205,14 @@ func TestTriangleRouteOptimization(t *testing.T) {
 	}
 }
 
-// dropFilter registers a transit policy on h's FORWARD chain: a packet drop
+// dropFilter sets a transit policy as h's forward filter: a packet drop
 // picks is discarded as "filtered".
 func dropFilter(h *stack.Host, drop func(ctx *stack.PacketContext) bool) {
-	h.Hooks(pipeline.Forward).Register(pipeline.Hook[*stack.PacketContext]{
-		Name: "drop-filter", Priority: stack.PriForwardFilter,
-		Fn: func(ctx *stack.PacketContext) pipeline.Verdict {
-			if drop(ctx) {
-				return ctx.Drop("filtered")
-			}
-			return pipeline.Accept
-		},
+	h.SetForwardFilter(func(ctx *stack.PacketContext) pipeline.Verdict {
+		if drop(ctx) {
+			return ctx.Drop("filtered")
+		}
+		return pipeline.Accept
 	})
 }
 

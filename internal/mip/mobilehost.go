@@ -195,9 +195,9 @@ func NewMobileHost(ts *transport.Stack, cfg MobileHostConfig) *MobileHost {
 		policy: NewPolicyTable(),
 		regID:  uint64(ts.Host().Loop().Rand().Uint32()) << 16,
 	}
-	// The endpoints' decap hooks run in VIF-name order and the first one
-	// steals every IPIP packet, so inbound tunneled traffic is attributed
-	// to vif0, the home-agent tunnel.
+	// The host has one decapsulation slot and the last endpoint made fills
+	// it, so inbound tunneled traffic is attributed to vif0, the home-agent
+	// tunnel.
 	m.tunDirect = tunnel.New(m.host, "vif1",
 		m.currentCareOf,
 		func(inner *ip.Packet) (ip.Addr, bool) { return inner.Dst, true })

@@ -3,12 +3,20 @@ package pipeline
 import (
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 )
 
 type ctx struct {
 	path []string
+}
+
+// names returns the chain's hook names in traversal order.
+func (c *Chain[C]) names() []string {
+	out := make([]string, len(c.hooks))
+	for i, h := range c.hooks {
+		out[i] = h.Name
+	}
+	return out
 }
 
 func hook(name string, pri int, v Verdict) Hook[*ctx] {
@@ -38,7 +46,7 @@ func TestOrderingDeterminism(t *testing.T) {
 		for _, i := range perm {
 			c.Register(hooks[i])
 		}
-		if got := c.Names(); !reflect.DeepEqual(got, want) {
+		if got := c.names(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("perm %v: order %v, want %v", perm, got, want)
 		}
 		run := &ctx{}
@@ -79,91 +87,13 @@ func TestReplaceByName(t *testing.T) {
 	c.Register(hook("override", -100, Drop))
 	c.Register(hook("fallback", 0, Accept))
 	c.Register(hook("override", 50, Accept)) // replace, and move after fallback
-	if got, want := c.Names(), []string{"fallback", "override"}; !reflect.DeepEqual(got, want) {
+	if got, want := c.names(), []string{"fallback", "override"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("order %v, want %v", got, want)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("len %d, want 2", c.Len())
 	}
 	run := &ctx{}
 	if v := c.Run(run); v != Accept {
 		t.Fatalf("replaced hook's old Drop verdict survived: %v", v)
 	}
-}
-
-// TestDeregister asserts removal and its change notification.
-func TestDeregister(t *testing.T) {
-	var c Chain[*ctx]
-	changes := 0
-	c.Init(NewTable[*ctx](Forward), func() { changes++ })
-	c.Register(hook("a", 0, Accept))
-	if !c.Deregister("a") {
-		t.Fatal("Deregister(a) = false")
-	}
-	if c.Deregister("a") {
-		t.Fatal("second Deregister(a) = true")
-	}
-	if changes != 2 { // register + deregister
-		t.Fatalf("onChange ran %d times, want 2", changes)
-	}
-}
-
-// TestDeregisterClearsVacatedSlot: the slot a removal vacates at the end of
-// the backing array reads zero, so the removed hook's closure — and what it
-// holds, such as a tunnel endpoint and its host — is not kept reachable.
-func TestDeregisterClearsVacatedSlot(t *testing.T) {
-	c := NewChain[*ctx](Input)
-	c.Register(hook("a", 0, Accept))
-	c.Register(hook("b", 1, Accept))
-	c.Register(hook("c", 2, Accept))
-	c.Deregister("a")
-	if vacated := c.hooks[:len(c.hooks)+1][len(c.hooks)]; vacated.Name != "" || vacated.Fn != nil {
-		t.Fatalf("vacated slot holds hook %q", vacated.Name)
-	}
-}
-
-// TestTableSharedUntilWritten: chains over one table run the table's own
-// slice; a Register or Deregister on one copies it first, so the table and
-// every other chain over it stay as they were, and the table's hooks can be
-// neither replaced nor removed.
-func TestTableSharedUntilWritten(t *testing.T) {
-	// Three built-ins: a table grown by appends would have room for a fourth.
-	tab := NewTable(Forward, hook("route", -200, Accept), hook("ttl", -300, Accept), hook("mtu", 100, Accept))
-	var a, b Chain[*ctx]
-	a.Init(tab, nil)
-	b.Init(tab, nil)
-	builtins := []string{"ttl", "route", "mtu"}
-	if &a.hooks[0] != &tab.hooks[0] || &b.hooks[0] != &tab.hooks[0] {
-		t.Fatal("a chain over a table does not run the table's slice")
-	}
-	a.Register(hook("filter", 200, Drop))
-	if got := a.Names(); !reflect.DeepEqual(got, []string{"ttl", "route", "mtu", "filter"}) {
-		t.Fatalf("a after Register: %v", got)
-	}
-	if &a.hooks[0] == &tab.hooks[0] {
-		t.Fatal("Register wrote into the shared table")
-	}
-	if got := b.Names(); !reflect.DeepEqual(got, builtins) || &b.hooks[0] != &tab.hooks[0] {
-		t.Fatalf("b after a's Register: %v", got)
-	}
-	if run := (&ctx{}); b.Run(run) != Accept || !reflect.DeepEqual(run.path, builtins) {
-		t.Fatalf("b traversed %v", run.path)
-	}
-	if !a.Deregister("filter") || a.Deregister("route") || a.Deregister("ttl") {
-		t.Fatal("Deregister removed a built-in hook or missed the registered one")
-	}
-	if got := a.Names(); !reflect.DeepEqual(got, builtins) {
-		t.Fatalf("a after Deregister: %v", got)
-	}
-	if !a.Builtin("route") || a.Builtin("filter") {
-		t.Fatal("Builtin disagrees with the table")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Register under a built-in name did not panic")
-		}
-	}()
-	b.Register(hook("route", 50, Drop))
 }
 
 func TestStrings(t *testing.T) {
@@ -179,11 +109,6 @@ func TestStrings(t *testing.T) {
 		if v.String() != want {
 			t.Errorf("verdict string %q, want %q", v.String(), want)
 		}
-	}
-	c := NewChain[*ctx](Forward)
-	c.Register(hook("mtu", 100, Accept))
-	if s := c.String(); !strings.Contains(s, "FORWARD") || !strings.Contains(s, "mtu") {
-		t.Errorf("String() = %q", s)
 	}
 }
 

@@ -10,13 +10,12 @@ import (
 	"time"
 
 	"mosquitonet/internal/ip"
-	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/stack"
 )
 
 // Console is a line-oriented admin interface over a compiled world:
-// inspect and mutate routes, bindings, and hook chains, and inject
-// faults, either immediately or scheduled at a virtual-time offset
+// inspect and mutate routes, list bindings, and inject faults, either
+// immediately or scheduled at a virtual-time offset
 // ("at 3s fault ha-crash router 1s"). cmd/mnet wires it to -admin so a
 // run can be steered from a script or stdin; tests drive Exec directly.
 // Every mutation goes through the same seams the scenario schema uses,
@@ -87,8 +86,6 @@ func (c *Console) Exec(line string) error {
 		return c.addRoute(f[1:])
 	case "del-route":
 		return c.delRoute(f[1:])
-	case "del-hook":
-		return c.delHook(f[1:])
 	case "fault":
 		return c.fault(f[1:])
 	default:
@@ -98,10 +95,9 @@ func (c *Console) Exec(line string) error {
 
 const adminHelp = `commands:
   show hosts | faults | metrics
-  show routes <host> | hooks <host> | bindings [<router>]
+  show routes <host> | bindings [<router>]
   add-route <host> <prefix> <gateway> <iface>
   del-route <host> <prefix>
-  del-hook <host> <stage> <name>
   fault link-flap <device> <for>
   fault loss-burst <subnet> <prob> <for>
   fault ha-crash <router> <for>
@@ -140,20 +136,6 @@ func (c *Console) show(f []string) error {
 			return err
 		}
 		fmt.Fprint(c.out, h.Routes().String())
-		return nil
-	case "hooks":
-		if len(f) != 2 {
-			return fmt.Errorf("show hooks <host>")
-		}
-		h, err := c.host(f[1])
-		if err != nil {
-			return err
-		}
-		for st := pipeline.Stage(0); st < pipeline.NumStages; st++ {
-			if ch := h.Hooks(st); ch.Len() > 0 {
-				fmt.Fprint(c.out, ch.String())
-			}
-		}
 		return nil
 	case "bindings":
 		names := f[1:]
@@ -224,29 +206,6 @@ func (c *Console) delRoute(f []string) error {
 	}
 	fmt.Fprintf(c.out, "deleted %v on %s\n", pfx, f[0])
 	return nil
-}
-
-func (c *Console) delHook(f []string) error {
-	if len(f) != 3 {
-		return fmt.Errorf("del-hook <host> <stage> <name>")
-	}
-	h, err := c.host(f[0])
-	if err != nil {
-		return err
-	}
-	for st := pipeline.Stage(0); st < pipeline.NumStages; st++ {
-		if strings.EqualFold(st.String(), f[1]) {
-			if h.Hooks(st).Builtin(f[2]) {
-				return fmt.Errorf("%v hook %s is built in", st, f[2])
-			}
-			if !h.Hooks(st).Deregister(f[2]) {
-				return fmt.Errorf("host %q has no %v hook %q", f[0], st, f[2])
-			}
-			fmt.Fprintf(c.out, "deregistered %v hook %s on %s\n", st, f[2], f[0])
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown stage %q", f[1])
 }
 
 // fault injects one fault, striking now; "at" handles deferred strikes.

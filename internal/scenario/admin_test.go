@@ -73,38 +73,10 @@ func TestConsoleExec(t *testing.T) {
 		"del-route ch 10.9.0.0/16",
 		"fault ha-crash ghost 1s",
 		"fault loss-burst dept 2.0 1s",
-		"del-hook mh input no-such-hook",
-		"del-hook mh route mobile-policy", // the route override is a slot, not a hook
 	} {
 		if err := c.Exec(bad); err == nil {
 			t.Errorf("%q was accepted", bad)
 		}
-	}
-}
-
-// TestConsoleKeepsBuiltinSteps: a built-in step is the datapath, not a
-// registration, so the console refuses to delete one and the world still
-// forwards and delivers afterwards. Deleting the router's FORWARD "route"
-// would leave "mtu" reading a nil egress; deleting ch's INPUT "demux" would
-// make every packet ch receives vanish unaccounted.
-func TestConsoleKeepsBuiltinSteps(t *testing.T) {
-	w, c, _ := adminWorld(t)
-	for _, cmd := range []string{"del-hook router forward route", "del-hook ch input demux"} {
-		if err := c.Exec(cmd); err == nil || !strings.Contains(err.Error(), "is built in") {
-			t.Errorf("%q: %v, want a refusal naming a built-in step", cmd, err)
-		}
-	}
-	if _, err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	ch, _ := w.Host("ch")
-	st := ch.Stats()
-	dropped := st.DropNoRoute + st.DropTTL + st.DropFilter + st.DropBadPacket + st.DropNotLocal + st.DropNoHandler + st.DropMTU
-	if st.Delivered == 0 || st.Received != st.Delivered+dropped {
-		t.Errorf("ch received %d, delivered %d, dropped %d: want deliveries and every packet accounted", st.Received, st.Delivered, dropped)
-	}
-	if router, _ := w.Host("router"); router.Stats().Forwarded == 0 {
-		t.Error("router forwarded nothing")
 	}
 }
 

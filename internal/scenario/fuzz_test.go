@@ -67,8 +67,9 @@ func FuzzConsole(f *testing.F) {
 	for _, line := range strings.Split(adminHelp, "\n") {
 		f.Add(line)
 	}
-	f.Add("show hosts\nshow routes router\nshow hooks mh\nshow bindings\nshow faults\nshow metrics")
-	f.Add("add-route ch 10.9.0.0/16 36.8.0.1 eth0\ndel-route ch 10.9.0.0/16\ndel-hook mh route mobile-policy")
+	f.Add("help")
+	f.Add("show hosts\nshow routes router\nshow bindings\nshow faults\nshow metrics")
+	f.Add("add-route ch 10.9.0.0/16 36.8.0.1 eth0\ndel-route ch 10.9.0.0/16")
 	f.Add("at 100ms fault link-flap r-net-36.8 500ms\nat 1s fault loss-burst dept 0.5 1s")
 	f.Add("fault ha-crash router 1s\nat 1.5s fault agent-delay router 5ms 1s")
 

@@ -54,9 +54,9 @@ func newLine(tb testing.TB) *line {
 	return l
 }
 
-// send carries one 11-byte datagram from a through r to b's handler: all
-// five chains (OUTPUT and POSTROUTING on a; PREROUTING, FORWARD, POSTROUTING
-// on r; PREROUTING and INPUT on b), six hop events and two link flights.
+// send carries one 11-byte datagram from a through r to b's handler: Output
+// and the postroute hop on a; Input, forward and the postroute hop on r;
+// Input and deliver on b — six hop events and two link flights.
 func (l *line) send(tb testing.TB) {
 	pkt := &ip.Packet{Header: ip.Header{Protocol: lineProto, Dst: l.addrB}, Payload: linePayload}
 	if err := l.a.Output(pkt); err != nil {

@@ -77,24 +77,23 @@ type Host struct {
 	lo     *Iface
 	routes RouteTable
 
-	// The netfilter-style datapath: one hook chain per classic stage
-	// (indexed by pipeline.Stage). Each runs its stage's shared table of
-	// built-ins until this host changes it.
-	chains [pipeline.NumStages]pipeline.Chain[*PacketContext]
-
-	// routeOverride is the paper's single ip_rt_route() slot (see
-	// SetRouteLookup); nil means DefaultRouteLookup.
+	// The datapath's three slots (see datapath.go): the paper's single
+	// ip_rt_route() override (nil means DefaultRouteLookup), the forward
+	// filter with the one context it is shown, and the IP-in-IP receiver,
+	// which takes its packet.
 	routeOverride func(dst, boundSrc ip.Addr) (RouteDecision, error)
+	forwardFilter func(*PacketContext) pipeline.Verdict
+	filterCtx     *PacketContext
+	//mnet:ownership takes pkt
+	decap func(pkt *ip.Packet)
 
 	// invalidate is InvalidateRoutes as a func value, made once: every
-	// chain, device and policy table that can move a route decision calls
+	// slot, device and policy table that can move a route decision calls
 	// this one.
 	invalidate func()
 
-	// Free lists of chain contexts and hop records (see acquireCtx and hop
-	// in pipeline.go). Filled lazily: a host that never handles a packet
-	// carries two nil heads.
-	ctxFree *PacketContext
+	// hopFree is the free list of hop records (see hop in datapath.go),
+	// filled lazily: a host that never handles a packet carries a nil head.
 	hopFree *hop
 
 	// Route-decision cache for the ip_rt_route hot path. Decisions are
@@ -135,10 +134,8 @@ type Host struct {
 
 	// tracer is the loop's span tracer, resolved lazily because hosts may
 	// be built before trace.New associates one with the loop. Drop spans
-	// are always recorded when a tracer exists; chainSpans additionally
-	// records a traversal span per chain run (opt-in, hot).
-	tracer     *trace.Tracer
-	chainSpans bool
+	// are recorded when a tracer exists.
+	tracer *trace.Tracer
 }
 
 // reassemblySweepInterval drives partial-fragment expiry; with MaxAge 2
@@ -188,7 +185,7 @@ func NewHost(loop *sim.Loop, name string, cfg Config) *Host {
 	h.icmp = newICMP(h)
 	h.reasm = ip.NewReassembler()
 	h.pktlog = metrics.PacketsFor(loop)
-	h.initPipeline()
+	h.invalidate = h.InvalidateRoutes
 	h.registerMetrics(metrics.For(loop))
 	return h
 }
@@ -203,13 +200,6 @@ func (h *Host) spanTracer() *trace.Tracer {
 	}
 	return h.tracer
 }
-
-// EnableChainSpans turns on per-chain traversal spans: every run of every
-// stage chain records an instant span ("pipeline.forward", ...) with the
-// final verdict attached. Off by default — at scale this is one span per
-// packet per stage — it exists for interactive introspection (mnet -spans)
-// and targeted tests. Requires a tracer associated with the host's loop.
-func (h *Host) EnableChainSpans() { h.chainSpans = true }
 
 // registerMetrics exposes the host's counters in the loop's registry; the
 // Stats struct stays the source of truth. One snapshot-time collector emits
@@ -340,9 +330,7 @@ func (h *Host) AddIface(name string, dev *link.Device, addr ip.Addr, prefix ip.P
 
 // AddVirtualIface attaches a software interface whose transmit function
 // receives routed packets, and with each the ownership of it (see
-// TransmitFunc). transmit may be nil when a POSTROUTING hook
-// owns the interface's egress instead, as the tunnel package's VIF does:
-// the hook steals every packet routed to the interface before send.
+// TransmitFunc).
 func (h *Host) AddVirtualIface(name string, transmit TransmitFunc) *Iface {
 	ifc := slabsOf(h.loop).ifaces.Get()
 	*ifc = Iface{host: h, name: name, transmit: transmit}
@@ -561,139 +549,4 @@ func (h *Host) DefaultRouteLookup(dst, boundSrc ip.Addr) (RouteDecision, error) 
 func (h *Host) NextID() uint16 {
 	h.idSeq++
 	return h.idSeq
-}
-
-// Output routes and transmits a locally originated packet. A zero TTL is
-// replaced with the host default; an unspecified source is filled from the
-// route decision, exactly as the paper describes: packets with a bound
-// source are outside the scope of mobile IP, packets without one get
-// whatever source the (possibly overridden) lookup chooses.
-//
-// Output takes pkt, error or not: the stack owns it from here to the wire,
-// the handler or the drop, and releases it there. The caller reads nothing
-// of it afterwards.
-//
-//mnet:ownership takes pkt
-func (h *Host) Output(pkt *ip.Packet) error {
-	if pkt.TTL == 0 {
-		pkt.TTL = ip.DefaultTTL
-	}
-	if pkt.ID == 0 {
-		pkt.ID = h.NextID()
-	}
-	if pkt.Trace == 0 {
-		pkt.Trace = h.loop.NextSerial()
-	}
-	dec, err := h.RouteLookup(pkt.Dst, pkt.Src)
-	if err == nil && pkt.Src.IsUnspecified() {
-		pkt.Src = dec.Src
-	}
-	ctx := h.acquireCtx(pipeline.Output, pkt)
-	if err != nil {
-		// The OUTPUT chain still runs, with RouteErr set: the terminal
-		// "unreachable" hook converts the failure into an accounted drop
-		// plus an ICMP Destination Unreachable to a bound source.
-		ctx.RouteErr = err
-		h.endRun(ctx, h.run(ctx))
-		return err
-	}
-	ctx.Out, ctx.NextHop, ctx.Routed = dec.Iface, dec.NextHop, true
-	h.finishOutput(ctx)
-	return nil
-}
-
-// finishOutput runs the OUTPUT chain on a routed context and schedules an
-// accepted packet past the output processing delay into POSTROUTING. It
-// releases ctx.
-func (h *Host) finishOutput(ctx *PacketContext) {
-	if v := h.run(ctx); v == pipeline.Accept {
-		pkt := ctx.Pkt
-		h.stats.Sent++
-		h.pktlog.RecordDetail(pkt.Trace, h.name, "ip.output", HeaderDetail(metrics.DetailPacketVia, pkt, ctx.Out.name))
-		h.scheduleHop(h.cfg.OutputDelay, hopPostroute, ctx.Out, pkt, ctx.NextHop)
-		h.releaseCtx(ctx)
-	} else {
-		h.endRun(ctx, v)
-	}
-}
-
-// OutputVia transmits pkt on a specific interface toward nextHop,
-// bypassing route lookup. DHCP clients (which have no routable address
-// yet) and other link-scoped senders use it. Like Output it takes pkt.
-//
-//mnet:ownership takes pkt
-func (h *Host) OutputVia(ifc *Iface, pkt *ip.Packet, nextHop ip.Addr) error {
-	if pkt.TTL == 0 {
-		pkt.TTL = ip.DefaultTTL
-	}
-	if pkt.ID == 0 {
-		pkt.ID = h.NextID()
-	}
-	if pkt.Trace == 0 {
-		pkt.Trace = h.loop.NextSerial()
-	}
-	ctx := h.acquireCtx(pipeline.Output, pkt)
-	ctx.Out, ctx.NextHop, ctx.Routed = ifc, nextHop, true
-	h.finishOutput(ctx)
-	return nil
-}
-
-// Input accepts a packet arriving on ifc. The accept/forward/drop decision
-// is made at arrival time — the interrupt path checks the destination
-// against the host's current addresses immediately — while the input
-// processing delay is charged before the packet reaches protocol handlers
-// or the forwarding engine. Decapsulating modules reuse Input to re-inject
-// inner packets. Input takes pkt, as Output does.
-//
-//mnet:ownership takes pkt
-func (h *Host) Input(ifc *Iface, pkt *ip.Packet) {
-	if pkt.Trace == 0 {
-		pkt.Trace = h.loop.NextSerial()
-	}
-	h.stats.Received++
-	ctx := h.acquireCtx(pipeline.Prerouting, pkt)
-	ctx.In = ifc
-	h.endRun(ctx, h.run(ctx))
-}
-
-// deliver runs the INPUT chain: reassembly, any decapsulation hooks, then
-// the terminal protocol demux.
-//
-//mnet:ownership takes pkt
-func (h *Host) deliver(ifc *Iface, pkt *ip.Packet) {
-	ctx := h.acquireCtx(pipeline.Input, pkt)
-	ctx.In = ifc
-	h.endRun(ctx, h.run(ctx))
-}
-
-// forward runs the FORWARD chain (TTL, route, filters, MTU, redirect); an
-// accepted packet is decremented and scheduled out. The header is the
-// owner's to rewrite, and between this host's receiver and its wire the
-// owner is this host; only the payload is immutable.
-//
-//mnet:ownership takes pkt
-func (h *Host) forward(in *Iface, pkt *ip.Packet) {
-	ctx := h.acquireCtx(pipeline.Forward, pkt)
-	ctx.In = in
-	if v := h.run(ctx); v == pipeline.Accept {
-		fwd := ctx.Pkt
-		fwd.TTL--
-		h.stats.Forwarded++
-		h.pktlog.RecordDetail(fwd.Trace, h.name, "ip.forward", metrics.AddrDetail(metrics.DetailNextHop, ctx.NextHop, ctx.Out.name))
-		h.scheduleHop(h.cfg.ForwardDelay, hopPostroute, ctx.Out, fwd, ctx.NextHop)
-		h.releaseCtx(ctx)
-	} else {
-		h.endRun(ctx, v)
-	}
-}
-
-// endRun finishes a chain run its packet does not continue from. A hook
-// that returned Stolen took the packet with it; on any other verdict the
-// packet dies here, after observeVerdict has built what it wanted from it
-// (the ip.drop record, an ICMP error).
-func (h *Host) endRun(ctx *PacketContext, v pipeline.Verdict) {
-	if v != pipeline.Stolen {
-		ctx.Pkt.Release()
-	}
-	h.releaseCtx(ctx)
 }

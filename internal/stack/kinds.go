@@ -1,15 +1,11 @@
 package stack
 
-import "mosquitonet/internal/pipeline"
-
 // Span kinds recorded by the datapath. All kinds are lowercase dotted
 // constants (enforced tree-wide by the tracekinds analyzer).
 //
 // Drop spans are instants: every stack drop records one, so a reader of the
 // trace can count drops by reason (the handoff observatory counts bursts of
-// "drop.noroute") without the stack knowing who is watching. Chain-traversal
-// spans ("pipeline.*") are opt-in via EnableChainSpans — one instant per
-// chain run is too hot for the default path at scale.
+// "drop.noroute") without the stack knowing who is watching.
 const (
 	kSpanDropFilter    = "drop.filter"
 	kSpanDropNoRoute   = "drop.noroute"
@@ -18,12 +14,6 @@ const (
 	kSpanDropNotLocal  = "drop.notlocal"
 	kSpanDropNoHandler = "drop.nohandler"
 	kSpanDropMTU       = "drop.mtu"
-
-	kSpanChainPrerouting  = "pipeline.prerouting"
-	kSpanChainInput       = "pipeline.input"
-	kSpanChainForward     = "pipeline.forward"
-	kSpanChainOutput      = "pipeline.output"
-	kSpanChainPostrouting = "pipeline.postrouting"
 )
 
 // dropReason is why the stack discarded a packet, the one name a drop has.
@@ -31,8 +21,8 @@ const (
 type dropReason uint8
 
 const (
-	// dropFilter is the zero value: a policy hook's Drop or Reject, and any
-	// hook that returns pipeline.Drop without staging a reason.
+	// dropFilter is the zero value: the forward filter's Drop or Reject,
+	// or a Drop verdict it returned without either.
 	dropFilter dropReason = iota
 	dropNoRoute
 	dropTTL
@@ -58,20 +48,4 @@ var drops = [numDropReasons]struct {
 	dropNotLocal:  {func(s *Stats) *uint64 { return &s.DropNotLocal }, "stack.host.drop_not_local", kSpanDropNotLocal},
 	dropNoHandler: {func(s *Stats) *uint64 { return &s.DropNoHandler }, "stack.host.drop_no_handler", kSpanDropNoHandler},
 	dropMTU:       {func(s *Stats) *uint64 { return &s.DropMTU }, "stack.host.drop_mtu", kSpanDropMTU},
-}
-
-// chainSpanKind maps a pipeline stage to its traversal-span kind.
-func chainSpanKind(s pipeline.Stage) string {
-	switch s {
-	case pipeline.Prerouting:
-		return kSpanChainPrerouting
-	case pipeline.Input:
-		return kSpanChainInput
-	case pipeline.Forward:
-		return kSpanChainForward
-	case pipeline.Output:
-		return kSpanChainOutput
-	default:
-		return kSpanChainPostrouting
-	}
 }

@@ -46,42 +46,36 @@ func outstanding() (packets, buffers int64) {
 	return ip.ReadPoolStats().Outstanding(), bufpool.ReadStats().Outstanding()
 }
 
-// TestLentPacketIsPoisoned: a handler and a hook that (wrongly) keep the
+// TestLentPacketIsPoisoned: a handler and a filter that (wrongly) keep the
 // packet they were lent read a zeroed header once the stack has released it
 // — never the packet they saw, never a later one — while the clone a correct
 // handler keeps stays whole.
 func TestLentPacketIsPoisoned(t *testing.T) {
 	loop := sim.New(1)
-	n := link.NewNetwork(loop, "n", link.Ethernet())
-	a := addNode(t, loop, n, "a", "10.0.0.1/24")
-	b := addNode(t, loop, n, "b", "10.0.0.2/24")
+	a, b, router := twoSubnetTopology(t, loop)
 
-	var keptByHandler, keptByHook, clone *ip.Packet
+	var keptByHandler, keptByFilter, clone *ip.Packet
 	var seenByHandler string
 	b.host.RegisterHandler(ip.ProtoUDP, func(_ *Iface, pkt *ip.Packet) {
 		keptByHandler, clone, seenByHandler = pkt, pkt.Clone(), pkt.String()
 	})
-	b.host.Hooks(pipeline.Input).Register(pipeline.Hook[*PacketContext]{
-		Name: "keeper", Priority: PriDecap,
-		Fn: func(ctx *PacketContext) pipeline.Verdict {
-			keptByHook = ctx.Pkt
-			return pipeline.Accept
-		},
+	router.SetForwardFilter(func(ctx *PacketContext) pipeline.Verdict {
+		keptByFilter = ctx.Pkt
+		return pipeline.Accept
 	})
-	if err := a.host.Output(udpPacket("10.0.0.1", "10.0.0.2", "lent")); err != nil {
+	if err := a.host.Output(udpPacket("10.0.0.2", "10.0.1.2", "lent")); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunFor(time.Second)
 
 	const poisoned = "proto(0) 0.0.0.0->0.0.0.0 ttl=0 len=20"
-	if clone == nil || seenByHandler != "udp 10.0.0.1->10.0.0.2 ttl=64 len=24" {
+	if clone == nil || seenByHandler != "udp 10.0.0.2->10.0.1.2 ttl=63 len=24" {
 		t.Fatalf("the handler saw %q", seenByHandler)
 	}
-	if keptByHandler != keptByHook {
-		t.Fatal("hook and handler were lent different packets")
-	}
-	if got := keptByHandler.String(); got != poisoned || keptByHandler.Payload != nil || keptByHandler.Trace != 0 {
-		t.Errorf("the packet a handler kept reads %s payload %q after its return, want %s", got, keptByHandler.Payload, poisoned)
+	for who, kept := range map[string]*ip.Packet{"handler": keptByHandler, "filter": keptByFilter} {
+		if got := kept.String(); got != poisoned || kept.Payload != nil || kept.Trace != 0 {
+			t.Errorf("the packet a %s kept reads %s payload %q after its return, want %s", who, got, kept.Payload, poisoned)
+		}
 	}
 	if clone.String() != seenByHandler || string(clone.Payload) != "lent" || clone.Trace == 0 {
 		t.Errorf("the clone reads %v %q, want what the handler saw", clone, clone.Payload)
@@ -91,7 +85,7 @@ func TestLentPacketIsPoisoned(t *testing.T) {
 // TestEveryPathReturnsItsPacket drives one packet down each way a packet can
 // end — delivered, forwarded, loopback, reassembled from fragments, dropped
 // by TTL with an ICMP error that is itself delivered, dropped for want of a
-// handler, a route, a filter's consent — plus a hook that steals and
+// handler, a route, a filter's consent — plus a filter that steals and
 // releases, and requires both pools to be back where they started once the
 // loop is idle.
 func TestEveryPathReturnsItsPacket(t *testing.T) {
@@ -119,18 +113,17 @@ func TestEveryPathReturnsItsPacket(t *testing.T) {
 	send(b.host, udpPacket("10.0.1.2", "77.7.7.7", "no route at the router"))
 	lonely := NewHost(loop, "lonely", Config{})
 	send(lonely, udpPacket("10.9.9.9", "77.7.7.7", "no route at the sender"))
-	rejectFilter(router, func(ctx *PacketContext) bool { return string(ctx.Pkt.Payload) == "filtered" })
-	send(a.host, udpPacket("0.0.0.0", "10.0.1.2", "filtered"))
-	b.host.Hooks(pipeline.Input).Register(pipeline.Hook[*PacketContext]{
-		Name: "thief", Priority: PriDecap,
-		Fn: func(ctx *PacketContext) pipeline.Verdict {
-			if string(ctx.Pkt.Payload) != "stolen" {
-				return pipeline.Accept
-			}
+	router.SetForwardFilter(func(ctx *PacketContext) pipeline.Verdict {
+		switch string(ctx.Pkt.Payload) {
+		case "filtered":
+			return ctx.Reject("filtered (reject)")
+		case "stolen":
 			ctx.Pkt.Release()
 			return pipeline.Stolen
-		},
+		}
+		return pipeline.Accept
 	})
+	send(a.host, udpPacket("0.0.0.0", "10.0.1.2", "filtered"))
 	send(a.host, udpPacket("0.0.0.0", "10.0.1.2", "stolen"))
 	loop.Run()
 

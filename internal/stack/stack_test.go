@@ -350,17 +350,14 @@ func TestTTLExpiry(t *testing.T) {
 	}
 }
 
-// rejectFilter registers a transit policy on h's FORWARD chain: a packet
-// reject picks is refused with an ICMP administratively-prohibited error.
+// rejectFilter sets a transit policy as h's forward filter: a packet reject
+// picks is refused with an ICMP administratively-prohibited error.
 func rejectFilter(h *Host, reject func(ctx *PacketContext) bool) {
-	h.Hooks(pipeline.Forward).Register(pipeline.Hook[*PacketContext]{
-		Name: "reject-filter", Priority: PriForwardFilter,
-		Fn: func(ctx *PacketContext) pipeline.Verdict {
-			if reject(ctx) {
-				return ctx.Reject("filtered (reject)")
-			}
-			return pipeline.Accept
-		},
+	h.SetForwardFilter(func(ctx *PacketContext) pipeline.Verdict {
+		if reject(ctx) {
+			return ctx.Reject("filtered (reject)")
+		}
+		return pipeline.Accept
 	})
 }
 
@@ -553,6 +550,27 @@ func TestRedirectSentAndCounted(t *testing.T) {
 	if r1.host.Stats().Forwarded != before+1 || r1.host.Stats().RedirectsSent != 2 {
 		t.Fatalf("second packet: r1 forwarded %d more and sent %d redirects, want 1 and 2",
 			r1.host.Stats().Forwarded-before, r1.host.Stats().RedirectsSent)
+	}
+}
+
+// TestNoRedirectOutTheVIFItArrivedOn: a packet forwarded back out the
+// virtual interface it arrived on — a foreign agent re-tunneling what it
+// decapsulated — draws no redirect. A VIF has no link neighbour to
+// redirect, though its zero prefix contains every source.
+func TestNoRedirectOutTheVIFItArrivedOn(t *testing.T) {
+	loop := sim.New(1)
+	h := NewHost(loop, "fa", Config{})
+	h.SetForwarding(true)
+	var out []*ip.Packet
+	vif := h.AddVirtualIface("vif0", func(pkt *ip.Packet, _ ip.Addr) { out = append(out, pkt) })
+	h.Routes().Add(Route{Dst: ip.MustParsePrefix("36.135.0.7/32"), Iface: vif})
+
+	pkt := udpPacket("10.0.0.2", "36.135.0.7", "straggler")
+	pkt.TTL = 8
+	h.Input(vif, pkt)
+	loop.RunFor(time.Second)
+	if st := h.Stats(); len(out) != 1 || st.Forwarded != 1 || st.RedirectsSent != 0 {
+		t.Fatalf("VIF carried %d packets; stats %+v; want the packet forwarded once and no redirect", len(out), st)
 	}
 }
 

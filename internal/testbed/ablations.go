@@ -98,14 +98,11 @@ func RunA1(seed int64, samples int) (*A1Result, error) {
 
 	// Transit-filter scenario, on a fresh testbed.
 	tb2 := New(seed + 1)
-	tb2.Router.Hooks(pipeline.Forward).Register(pipeline.Hook[*stack.PacketContext]{
-		Name: "transit-filter", Priority: stack.PriForwardFilter,
-		Fn: func(ctx *stack.PacketContext) pipeline.Verdict {
-			if ctx.In.Prefix() == DeptPrefix && !DeptPrefix.Contains(ctx.Pkt.Src) {
-				return ctx.Drop("filtered") // forbid transit traffic from the visited net
-			}
-			return pipeline.Accept
-		},
+	tb2.Router.SetForwardFilter(func(ctx *stack.PacketContext) pipeline.Verdict {
+		if ctx.In.Prefix() == DeptPrefix && !DeptPrefix.Contains(ctx.Pkt.Src) {
+			return ctx.Drop("filtered") // forbid transit traffic from the visited net
+		}
+		return pipeline.Accept
 	})
 	tb2.MoveEthTo(tb2.DeptNet)
 	tb2.MustConnectForeign(tb2.Eth)

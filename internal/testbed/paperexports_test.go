@@ -33,7 +33,7 @@ func TestPaperExportsPinned(t *testing.T) {
 		{"a1", func() (Result, error) { return RunA1(seed, 20) }, map[string]string{
 			"BENCH_a1.json": "b55d3dd3698700a33dc6806b7e4592b954225ccefc6f155c6732804e7fe30138"}},
 		{"a2", func() (Result, error) { return RunA2(seed, 5) }, map[string]string{
-			"BENCH_a2.json": "39f1b5f8a6f2889e0e06d4fd31af3964cd25cbe5236c3557700d27477ece5094"}},
+			"BENCH_a2.json": "14dd719d8ae09aa51c7eac5440697e2bd6c837091dd464c7c2c4ce1fa46a052b"}},
 		{"a3", func() (Result, error) { return RunA3(seed, []int{1, 8, 32, 64}) }, map[string]string{
 			"BENCH_a3.json": "11215278696e0b895fe6cf2791db46e4400fc195932435d502491c0d95c2e6e3"}},
 		{"a4", func() (Result, error) { return RunA4(seed, 5) }, map[string]string{

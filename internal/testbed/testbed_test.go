@@ -6,8 +6,9 @@ import (
 	"time"
 
 	"mosquitonet/internal/ip"
+	"mosquitonet/internal/metrics"
 	"mosquitonet/internal/mip"
-	"mosquitonet/internal/pipeline"
+	"mosquitonet/internal/scenario"
 	"mosquitonet/internal/stack"
 	"mosquitonet/internal/transport"
 )
@@ -235,51 +236,50 @@ func TestA2Shape(t *testing.T) {
 // TestA2BufferedPacketsDeliveredOrDroppedOnce: in A2's foreign-agent
 // variant, each packet the agent buffers for the departing mobile host is
 // either delivered once the buffer is flushed or counted as the agent's
-// drop, exactly once: the tunnel counts none of them as its own drop. A
-// flushed packet is the one that enters the agent's tunnel twice, once
-// into the buffer and once on its way to the new care-of address.
+// drop, exactly once: the tunnel counts none of them as its own drop. The
+// packet log tells the two apart: a buffered packet is forwarded into the
+// agent's hold interface, and a flushed one is forwarded again, into its
+// tunnel toward the new care-of address.
 func TestA2BufferedPacketsDeliveredOrDroppedOnce(t *testing.T) {
-	type key struct {
-		src ip.Addr
-		id  uint16
-	}
-	intoTunnel, delivered := map[key]int{}, map[key]int{}
-	census := func(h *stack.Host, stage pipeline.Stage, count func(*stack.PacketContext) bool, seen map[key]int) {
-		h.Hooks(stage).Register(pipeline.Hook[*stack.PacketContext]{
-			Name: "census", Priority: stack.PriFirst,
-			Fn: func(ctx *stack.PacketContext) pipeline.Verdict {
-				if count(ctx) {
-					seen[key{ctx.Pkt.Src, ctx.Pkt.ID}]++
-				}
-				return pipeline.Accept
-			},
-		})
-	}
 	var fa *mip.ForeignAgent
+	var log *metrics.PacketLog
+	var faName, mhName string
 	_, err := runA2(42, 5, func(tb *Testbed, agent *mip.ForeignAgent, faHost *stack.Host) {
-		fa = agent
-		vif := agent.Tunnel().Iface()
-		census(faHost, pipeline.Postrouting, func(ctx *stack.PacketContext) bool { return ctx.Out == vif }, intoTunnel)
-		census(tb.MHTS.Host(), pipeline.Input, func(ctx *stack.PacketContext) bool { return ctx.Pkt.Protocol == ip.ProtoUDP }, delivered)
+		fa, log = agent, metrics.PacketsFor(tb.Loop)
+		faName, mhName = faHost.Name(), tb.MHTS.Host().Name()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flushed := uint64(0)
-	for k, n := range intoTunnel {
+	if log == nil || log.Evicted() != 0 {
+		t.Fatalf("the packet log is missing or evicted %d hops: the census needs them all", log.Evicted())
+	}
+	held, tunneled, delivered := map[uint64]int{}, map[uint64]int{}, map[uint64]int{}
+	for _, e := range log.Events() {
 		switch {
-		case n == 2:
+		case e.Node == faName && e.Point == "ip.forward" && strings.HasSuffix(e.Detail, " via hold0"):
+			held[e.Pkt]++
+		case e.Node == faName && e.Point == "ip.forward" && strings.HasSuffix(e.Detail, " via vif0"):
+			tunneled[e.Pkt]++
+		case e.Node == mhName && e.Point == "ip.deliver" && e.Detail == "udp":
+			delivered[e.Pkt]++
+		}
+	}
+	flushed := uint64(0)
+	for pkt, n := range held {
+		if n != 1 || tunneled[pkt] > 1 {
+			t.Errorf("packet %d entered the hold interface %d times and the tunnel %d times", pkt, n, tunneled[pkt])
+		}
+		if tunneled[pkt] == 1 {
 			flushed++
-			if delivered[k] != 1 {
-				t.Errorf("flushed packet %v id %d delivered %d times, want once", k.src, k.id, delivered[k])
+			if delivered[pkt] != 1 {
+				t.Errorf("flushed packet %d delivered %d times, want once", pkt, delivered[pkt])
 			}
-		case n != 1:
-			t.Errorf("packet %v id %d entered the agent's tunnel %d times", k.src, k.id, n)
 		}
 	}
 	st := fa.Stats()
-	if st.Buffered == 0 {
-		t.Fatal("the agent buffered nothing")
+	if st.Buffered == 0 || st.Buffered != uint64(len(held)) {
+		t.Fatalf("the agent buffered %d packets, the hold interface saw %d", st.Buffered, len(held))
 	}
 	t.Logf("agent buffered %d packets: %d flushed, %d dropped", st.Buffered, flushed, st.DropBuffer)
 	if flushed+st.DropBuffer != st.Buffered {
@@ -287,6 +287,31 @@ func TestA2BufferedPacketsDeliveredOrDroppedOnce(t *testing.T) {
 	}
 	if d := fa.Tunnel().Stats().DropNoDst; d != 0 {
 		t.Errorf("agent tunnel counted %d drop_no_dst, want 0", d)
+	}
+}
+
+// TestHandoffInboundTunnelIsVif0: the mobile host makes its direct
+// endpoint (vif1) before its home-agent one (vif0), so vif0 fills the host's
+// one decapsulation slot and is credited with every tunneled packet across
+// the handoff itinerary; vif1 decapsulates none.
+func TestHandoffInboundTunnelIsVif0(t *testing.T) {
+	w, err := scenario.Compile(1996, MustScenario("handoff"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	snap := w.Metrics.Snapshot()
+	decapsulated := func(vif string) uint64 {
+		m := snap.Get("tunnel.endpoint.decapsulated", metrics.L("host", "mh"), metrics.L("vif", vif))
+		if m == nil {
+			t.Fatalf("no decapsulated row for mh's %s", vif)
+		}
+		return *m.Counter
+	}
+	if v0, v1 := decapsulated("vif0"), decapsulated("vif1"); v0 == 0 || v1 != 0 {
+		t.Errorf("mh decapsulated %d packets on vif0 and %d on vif1; want some and none", v0, v1)
 	}
 }
 

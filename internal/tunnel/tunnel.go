@@ -21,7 +21,6 @@ import (
 
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/metrics"
-	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/stack"
 	"mosquitonet/internal/trace"
 )
@@ -30,11 +29,6 @@ import (
 // source — the moment a handoff's re-established tunnel actually carries
 // traffic from the new care-of address.
 const kSpanRebound = "tunnel.rebound"
-
-// PriEncap is the POSTROUTING priority of the encapsulation hooks; decap
-// hooks run on INPUT at stack.PriDecap, between reassembly and the
-// protocol demux.
-const PriEncap = 0
 
 // Stats counts tunnel activity.
 type Stats struct {
@@ -72,40 +66,18 @@ type Endpoint struct {
 	lastSrc                ip.Addr // outer source of the last transmit
 }
 
-// New creates the endpoint, adds its virtual interface named name to the
-// host, and registers the endpoint's two pipeline hooks: encapsulation on
-// POSTROUTING (stealing packets routed to the VIF) and decapsulation on
-// INPUT (stealing protocol-4 packets before the demux). outerSrc supplies
+// New creates the endpoint: its virtual interface named name, whose
+// transmit function encapsulates every packet routed to it, and the host's
+// decapsulation slot, which it fills with its receiver. outerSrc supplies
 // the physical (care-of) address for outgoing encapsulation; outerDst
 // supplies the remote tunnel endpoint for a given inner packet.
 //
-// When several endpoints share a host, their decap hooks run in VIF-name
-// order and the first steals every IPIP packet, so inbound tunneled
-// traffic is attributed to the lowest-named VIF.
+// A host has one decapsulation slot, and the last endpoint made on it
+// fills it: inbound tunneled traffic is attributed to that endpoint's VIF.
 func New(host *stack.Host, name string, outerSrc func() (ip.Addr, bool), outerDst func(*ip.Packet) (ip.Addr, bool)) *Endpoint {
 	e := &Endpoint{host: host, outerSrc: outerSrc, outerDst: outerDst}
-	e.vif = host.AddVirtualIface(name, nil) // egress is owned by the encap hook
-	host.Hooks(pipeline.Postrouting).Register(pipeline.Hook[*stack.PacketContext]{
-		Name: "ipip-encap:" + name, Priority: PriEncap,
-		Fn: func(ctx *stack.PacketContext) pipeline.Verdict {
-			if ctx.Out != e.vif {
-				return pipeline.Accept
-			}
-			e.transmit(ctx.Pkt, ctx.NextHop)
-			return pipeline.Stolen
-		},
-	})
-	host.Hooks(pipeline.Input).Register(pipeline.Hook[*stack.PacketContext]{
-		Name: "ipip-decap:" + name, Priority: stack.PriDecap,
-		Fn: func(ctx *stack.PacketContext) pipeline.Verdict {
-			if ctx.Pkt.Protocol != ip.ProtoIPIP {
-				return pipeline.Accept
-			}
-			ctx.MarkDelivered("ipip")
-			e.receive(ctx.In, ctx.Pkt)
-			return pipeline.Stolen
-		},
-	})
+	e.vif = host.AddVirtualIface(name, e.transmit)
+	host.SetDecapsulator(e.receive)
 	e.pktlog = metrics.PacketsFor(host.Loop())
 	e.tracer = trace.For(host.Loop())
 	// One snapshot-time collector per endpoint publishes its counters; a
@@ -133,9 +105,9 @@ func (e *Endpoint) Iface() *stack.Iface { return e.vif }
 // Stats returns a snapshot of the counters.
 func (e *Endpoint) Stats() Stats { return e.stats }
 
-// transmit is the encap hook's body: encapsulate and re-enter IP output.
-// The hook stole inner, so it dies here on every path: dropped, or marshaled
-// into the outer packet that goes on in its place.
+// transmit is the VIF's transmit function: encapsulate and re-enter IP
+// output. It takes inner, which dies here on every path: dropped, or
+// marshaled into the outer packet that goes on in its place.
 //
 //mnet:ownership takes inner
 func (e *Endpoint) transmit(inner *ip.Packet, _ ip.Addr) {
@@ -181,13 +153,14 @@ func (e *Endpoint) transmit(inner *ip.Packet, _ ip.Addr) {
 	}
 }
 
-// receive is the decap hook's body: strip the outer header, validate the
-// inner packet, and re-inject it as if it had arrived on the VIF. The hook
-// stole outer, so it dies here: rejected, or consumed by Decapsulate, which
-// moves its buffer under the inner packet that goes on in its place.
+// receive is the host's decapsulation slot: strip the outer header,
+// validate the inner packet, and re-inject it as if it had arrived on the
+// VIF. It takes outer, which dies here: rejected, or consumed by
+// Decapsulate, which moves its buffer under the inner packet that goes on in
+// its place.
 //
 //mnet:ownership takes outer
-func (e *Endpoint) receive(_ *stack.Iface, outer *ip.Packet) {
+func (e *Endpoint) receive(outer *ip.Packet) {
 	name := e.host.Name()
 	if e.AllowPeer != nil && !e.AllowPeer(outer.Src) {
 		e.stats.DropPeer++

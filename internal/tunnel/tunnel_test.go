@@ -6,7 +6,6 @@ import (
 
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/link"
-	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stack"
 )
@@ -175,17 +174,12 @@ func TestEncapsulationOverheadOnWire(t *testing.T) {
 	routeViaVIF(e.mh, e.mhT, "36.0.0.0/8")
 	e.ha.AddLocalAddr(ip.MustParseAddr("36.135.0.1"))
 
-	// Observe the outer packet with an INPUT hook ahead of the endpoint's
-	// decap hook (stack.PriDecap); returning Accept lets decap proceed.
+	// Observe the outer packet ahead of the endpoint's receiver, in the
+	// host's decapsulation slot.
 	var outerLen int
-	e.ha.Hooks(pipeline.Input).Register(pipeline.Hook[*stack.PacketContext]{
-		Name: "measure", Priority: stack.PriFirst,
-		Fn: func(ctx *stack.PacketContext) pipeline.Verdict {
-			if ctx.Pkt.Protocol == ip.ProtoIPIP {
-				outerLen = ctx.Pkt.Len()
-			}
-			return pipeline.Accept
-		},
+	e.ha.SetDecapsulator(func(outer *ip.Packet) {
+		outerLen = outer.Len()
+		e.haT.receive(outer)
 	})
 	inner := &ip.Packet{
 		Header:  ip.Header{Protocol: ip.ProtoUDP, Src: ip.MustParseAddr("36.135.0.7"), Dst: ip.MustParseAddr("36.135.0.1")},
@@ -196,6 +190,26 @@ func TestEncapsulationOverheadOnWire(t *testing.T) {
 	e.loop.RunFor(time.Second)
 	if outerLen != innerLen+ip.HeaderLen {
 		t.Fatalf("wire overhead %d bytes, want the paper's %d", outerLen-innerLen, ip.HeaderLen)
+	}
+}
+
+// TestLastEndpointDecapsulates: a host has one decapsulation slot, and the
+// last endpoint made on it fills it, so inbound tunneled traffic is
+// attributed to that endpoint's VIF and the earlier one's counts none.
+func TestLastEndpointDecapsulates(t *testing.T) {
+	e := buildEnv(t)
+	routeViaVIF(e.mh, e.mhT, "36.0.0.0/8")
+	e.ha.AddLocalAddr(ip.MustParseAddr("36.135.0.1"))
+	last := New(e.ha, "vif1",
+		func() (ip.Addr, bool) { return e.haAddr, true },
+		func(*ip.Packet) (ip.Addr, bool) { return e.mhAddr, true })
+	e.mh.Output(&ip.Packet{
+		Header:  ip.Header{Protocol: ip.ProtoUDP, Src: ip.MustParseAddr("36.135.0.7"), Dst: ip.MustParseAddr("36.135.0.1")},
+		Payload: []byte("tunneled"),
+	})
+	e.loop.RunFor(time.Second)
+	if first, last := e.haT.Stats().Decapsulated, last.Stats().Decapsulated; first != 0 || last != 1 {
+		t.Fatalf("decapsulated: first endpoint %d, last %d; want 0 and 1", first, last)
 	}
 }
 
