@@ -13,8 +13,6 @@ import (
 	"time"
 
 	mosquitonet "mosquitonet"
-	"mosquitonet/internal/pipeline"
-	"mosquitonet/internal/stack"
 )
 
 func main() {
@@ -66,12 +64,7 @@ func main() {
 	// packets leaving 36.8 with a non-local source are dropped, which is
 	// exactly what breaks the triangle route in the paper.
 	fmt.Println("enabling a transit-traffic filter on the visited router…")
-	tb.Router.SetForwardFilter(func(ctx *stack.PacketContext) pipeline.Verdict {
-		if ctx.In.Prefix() == mosquitonet.DeptPrefix && !mosquitonet.DeptPrefix.Contains(ctx.Pkt.Src) {
-			return ctx.Drop("filtered")
-		}
-		return pipeline.Accept
-	})
+	tb.Router.IfaceByName("r-" + tb.DeptNet.Name()).SetTransitFilter(true)
 	policy.SetHost(mosquitonet.CampusCHAddr, mosquitonet.PolicyTriangle)
 	rtt("triangle through the filter")
 

@@ -15,12 +15,7 @@
 // constructor makes one, a method under the releases contract (Packet.
 // Release) recycles its receiver, Host.Output and the other takes-annotated
 // entry points transfer it, and a handler bound to a borrows contract on its
-// func type (stack.ProtocolHandler) may read it and nothing else. One rule
-// is the packet's own: a pipeline hook — a function of a *PacketContext
-// returning a Verdict — is lent ctx.Pkt, and its verdict says what became
-// of it. Returning Stolen transfers the packet to the hook, which must by
-// then have released it or handed it on; returning Accept or Drop leaves it
-// the chain runner's, so the hook must not have.
+// func type (stack.ProtocolHandler) may read it and nothing else.
 //
 // Unlike the suite's other analyzers this one is not an AST pattern
 // matcher: it builds the framework's control-flow graph for every function
@@ -56,7 +51,6 @@
 //     (packet, error) or (packet, ok) carries nil on its failure path, and
 //     the graph has no branch conditions to tell the paths apart; the
 //     run-time pool balance covers those
-//   - a hook's verdict disagreeing with what it did to ctx.Pkt
 //   - retention of a borrowed frame payload or parameter: stored into a
 //     field, global or aggregate, captured by a closure, recycled, or
 //     passed to an ownership-taking callee (reading it, append(dst, b...)
@@ -142,7 +136,6 @@ type bufInfo struct {
 	desc     string
 	borrowed bool // borrowed frame payload: retention rules apply
 	owned    bool // owned pooled buffer: leak rules apply
-	lent     bool // a hook's ctx.Pkt: the verdict rules apply
 }
 
 // state is the dataflow fact: which buffers each local may refer to, and
@@ -524,10 +517,7 @@ type funcAnalysis struct {
 	a           *analyzer
 	bufs        map[token.Pos]*bufInfo
 	frameParams map[types.Object]token.Pos
-	// ctxParams holds a hook's *PacketContext parameters: ctx.Pkt is the
-	// packet the hook is lent.
-	ctxParams map[types.Object]token.Pos
-	reported  map[string]bool
+	reported    map[string]bool
 }
 
 func (a *analyzer) analyzeFunc(ftyp *ast.FuncType, body *ast.BlockStmt, obj types.Object) {
@@ -535,7 +525,6 @@ func (a *analyzer) analyzeFunc(ftyp *ast.FuncType, body *ast.BlockStmt, obj type
 		a:           a,
 		bufs:        make(map[token.Pos]*bufInfo),
 		frameParams: make(map[types.Object]token.Pos),
-		ctxParams:   make(map[types.Object]token.Pos),
 		reported:    make(map[string]bool),
 	}
 	entry := fa.entryState(ftyp, obj)
@@ -595,7 +584,6 @@ func (fa *funcAnalysis) entryState(ftyp *ast.FuncType, obj types.Object) state {
 	if ftyp.Params == nil {
 		return s
 	}
-	isHook := ftyp.Results != nil && len(ftyp.Results.List) == 1 && finalTypeName(ftyp.Results.List[0].Type) == "Verdict"
 	i := 0
 	for _, field := range ftyp.Params.List {
 		names := field.Names
@@ -607,13 +595,6 @@ func (fa *funcAnalysis) entryState(ftyp *ast.FuncType, obj types.Object) state {
 			pobj := fa.a.declObj(name)
 			isFrame := finalTypeName(field.Type) == "Frame"
 			switch {
-			case isHook && finalTypeName(field.Type) == "PacketContext":
-				if pobj != nil {
-					id := name.Pos()
-					fa.bufs[id] = &bufInfo{pos: id, desc: "packet lent through " + name.Name + ".Pkt", lent: true}
-					fa.ctxParams[pobj] = id
-					s.bufs[id] = stOwned
-				}
 			case takes[i] && isFrame:
 				// Ownership of the frame's payload transfers in.
 				if pobj != nil {
@@ -707,7 +688,6 @@ func (fa *funcAnalysis) apply(s *state, n ast.Node, emit bool) {
 			}
 		}
 	case *ast.ReturnStmt:
-		fa.checkVerdict(s, x, emit)
 		for _, r := range x.Results {
 			ids := fa.bufsOf(s, r)
 			if ids == nil {
@@ -733,42 +713,6 @@ func (fa *funcAnalysis) apply(s *state, n ast.Node, emit bool) {
 		fa.walk(s, x, emit)
 	case ast.Stmt:
 		fa.walk(s, x, emit)
-	}
-}
-
-// checkVerdict holds a hook's return to what the hook did with the packet
-// it was lent. Only verdicts spelled out are judged: Stolen, Accept, Drop,
-// or a call to one of the context's drop helpers.
-func (fa *funcAnalysis) checkVerdict(s *state, ret *ast.ReturnStmt, emit bool) {
-	if !emit || len(fa.ctxParams) == 0 || len(ret.Results) != 1 {
-		return
-	}
-	var verdict string
-	switch r := ret.Results[0].(type) {
-	case *ast.SelectorExpr:
-		verdict = r.Sel.Name
-	case *ast.Ident:
-		verdict = r.Name
-	case *ast.CallExpr:
-		if sel, ok := r.Fun.(*ast.SelectorExpr); ok {
-			switch sel.Sel.Name {
-			case "drop", "dropICMP", "Drop", "Reject":
-				verdict = "Drop"
-			}
-		}
-	}
-	for _, id := range fa.ctxParams {
-		st := s.bufs[id]
-		switch verdict {
-		case "Stolen":
-			if st&stOwned != 0 {
-				fa.report(ret.Pos(), "hook returns Stolen but may have neither released nor handed on the %s: Stolen transfers the packet to the hook", fa.bufs[id].desc)
-			}
-		case "Accept", "Drop":
-			if st&(stRecycled|stTransferred) != 0 {
-				fa.report(ret.Pos(), "hook returns %s after releasing, keeping or handing on the %s: only Stolen transfers it (keep a Clone)", verdict, fa.bufs[id].desc)
-			}
-		}
 	}
 }
 
@@ -841,9 +785,6 @@ func (fa *funcAnalysis) bufsOf(s *state, e ast.Expr) []token.Pos {
 		if base, ok := x.X.(*ast.Ident); ok {
 			if obj := fa.identObj(base); obj != nil {
 				if id, ok := fa.frameParams[obj]; ok && isLentField(x.Sel.Name) {
-					return []token.Pos{id}
-				}
-				if id, ok := fa.ctxParams[obj]; ok && x.Sel.Name == "Pkt" {
 					return []token.Pos{id}
 				}
 			}
@@ -1162,13 +1103,6 @@ func (fa *funcAnalysis) assignTarget(s *state, l ast.Expr, r ast.Expr, ids []tok
 	escape := ids
 	if escape == nil && r != nil {
 		escape = fa.deepBufs(s, r)
-	}
-	// ctx.Pkt = full swaps the packet the chain carries: what is stored is
-	// the runner's from here on, and lent to the hook like the one before.
-	if lent := fa.bufsOf(s, l); len(lent) == 1 && fa.bufs[lent[0]].lent {
-		fa.setStatus(s, escape, stTransferred)
-		s.bufs[lent[0]] = stOwned
-		return
 	}
 	if len(escape) == 0 {
 		return

@@ -159,22 +159,3 @@ type RequestHandler func(req Request) Response
 
 // Serve mirrors app.NewHTTPServer.
 func Serve(h RequestHandler) {}
-
-// Verdict and PacketContext mirror the pipeline's: a hook is a function of
-// a *PacketContext returning a Verdict.
-type Verdict int
-
-// The verdicts.
-const (
-	Accept Verdict = iota
-	Drop
-	Stolen
-)
-
-// PacketContext mirrors stack.PacketContext.
-type PacketContext struct {
-	Pkt *Packet
-}
-
-// Drop mirrors the context's drop helper.
-func (c *PacketContext) Drop(reason string) Verdict { return Drop }

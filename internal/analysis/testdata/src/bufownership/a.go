@@ -479,87 +479,3 @@ func bindRequests(k *keeper, later func(fn func())) {
 		return dep.Response{Code: 200, Body: req.Body} // echoed: encoded before the server reads on
 	})
 }
-
-// ---- hooks: the verdict says what became of ctx.Pkt ----
-
-func hookStealsAndForgets(ctx *dep.PacketContext) dep.Verdict {
-	see(ctx.Pkt)
-	return dep.Stolen // want "hook returns Stolen but may have neither released nor handed on"
-}
-
-func hookStealsOnOnePath(ctx *dep.PacketContext) dep.Verdict {
-	if ctx.Pkt.Trace != 0 {
-		ctx.Pkt.Release()
-	}
-	return dep.Stolen // want "hook returns Stolen but may have neither released nor handed on"
-}
-
-func hookAcceptsWhatItReleased(ctx *dep.PacketContext) dep.Verdict {
-	ctx.Pkt.Release()
-	return dep.Accept // want "hook returns Accept after releasing, keeping or handing on"
-}
-
-func (k *keeper) hookKeepsAndAccepts(ctx *dep.PacketContext) dep.Verdict {
-	k.last = ctx.Pkt
-	return dep.Accept // want "hook returns Accept after releasing, keeping or handing on"
-}
-
-func hookDropsWhatItForwarded(ctx *dep.PacketContext) dep.Verdict {
-	pkt := ctx.Pkt
-	dep.Output(pkt)
-	return ctx.Drop("forwarded") // want "hook returns Drop after releasing, keeping or handing on"
-}
-
-func hookReleasesTwice(ctx *dep.PacketContext) dep.Verdict {
-	ctx.Pkt.Release()
-	ctx.Pkt.Release() // want "double recycle: Release"
-	return dep.Stolen
-}
-
-// The sanctioned hooks: look and accept, judge and drop, steal and release,
-// steal and hand on, keep a clone, swap in a packet of the hook's making.
-func (k *keeper) hooksOK() []func(*dep.PacketContext) dep.Verdict {
-	return []func(*dep.PacketContext) dep.Verdict{
-		func(ctx *dep.PacketContext) dep.Verdict {
-			see(ctx.Pkt)
-			k.src = ctx.Pkt.Src
-			return dep.Accept
-		},
-		func(ctx *dep.PacketContext) dep.Verdict {
-			if ctx.Pkt.Trace == 0 {
-				return ctx.Drop("untraced")
-			}
-			return dep.Accept
-		},
-		func(ctx *dep.PacketContext) dep.Verdict {
-			pkt := ctx.Pkt
-			see(pkt)
-			pkt.Release()
-			return dep.Stolen
-		},
-		func(ctx *dep.PacketContext) dep.Verdict {
-			if ctx.Pkt.Trace == 0 {
-				return dep.Accept
-			}
-			dep.Output(ctx.Pkt)
-			return dep.Stolen
-		},
-		func(ctx *dep.PacketContext) dep.Verdict {
-			k.last = ctx.Pkt.Clone()
-			return dep.Accept
-		},
-		func(ctx *dep.PacketContext) dep.Verdict {
-			inner, err := dep.Decapsulate(ctx.Pkt)
-			if err != nil {
-				return dep.Stolen
-			}
-			ctx.Pkt = inner
-			return dep.Accept
-		},
-	}
-}
-
-// notAHook takes a context but returns no verdict: ctx.Pkt is not tracked.
-func notAHook(k *keeper, ctx *dep.PacketContext) {
-	k.last = ctx.Pkt
-}

@@ -30,7 +30,7 @@ const (
 	CodeProtoUnreach     = 2
 	CodePortUnreach      = 3
 	CodeFragNeeded       = 4  // fragmentation needed and DF set (path-MTU discovery)
-	CodeAdminProhibited  = 13 // what a transit-traffic filter returns, if polite
+	CodeAdminProhibited  = 13 // communication administratively prohibited (RFC 1812)
 	CodeSrcRouteFailed   = 5
 	CodeNetUnknown       = 6
 	CodeHostUnknown      = 7

@@ -8,7 +8,6 @@ import (
 
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/link"
-	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/stack"
 	"mosquitonet/internal/transport"
 )
@@ -205,25 +204,11 @@ func TestTriangleRouteOptimization(t *testing.T) {
 	}
 }
 
-// dropFilter sets a transit policy as h's forward filter: a packet drop
-// picks is discarded as "filtered".
-func dropFilter(h *stack.Host, drop func(ctx *stack.PacketContext) bool) {
-	h.SetForwardFilter(func(ctx *stack.PacketContext) pipeline.Verdict {
-		if drop(ctx) {
-			return ctx.Drop("filtered")
-		}
-		return pipeline.Accept
-	})
-}
-
 func TestTransitFilterBreaksTriangleAndProbeFallsBack(t *testing.T) {
 	w := newWorld(t, 1)
 	// Ingress filter on the router: drop packets from foreignA whose
 	// source is not local to it — the paper's transit-traffic rule.
-	forAPrefix := ip.MustParsePrefix("10.2.0.0/24")
-	dropFilter(w.router, func(ctx *stack.PacketContext) bool {
-		return ctx.In.Prefix() == forAPrefix && !forAPrefix.Contains(ctx.Pkt.Src)
-	})
+	w.router.IfaceByName("r-foreignA").SetTransitFilter(true)
 	w.goForeign()
 	w.mh.Policy().SetHost(ip.MustParseAddr(wCHAddr), PolicyTriangle)
 
@@ -298,10 +283,7 @@ func TestEncapDirectToSmartCorrespondent(t *testing.T) {
 func TestEncapDirectSurvivesTransitFilter(t *testing.T) {
 	w := newWorld(t, 1)
 	MakeSmartCorrespondent(w.ch.Host())
-	forAPrefix := ip.MustParsePrefix("10.2.0.0/24")
-	dropFilter(w.router, func(ctx *stack.PacketContext) bool {
-		return ctx.In.Prefix() == forAPrefix && !forAPrefix.Contains(ctx.Pkt.Src)
-	})
+	w.router.IfaceByName("r-foreignA").SetTransitFilter(true)
 	w.goForeign()
 	w.mh.Policy().SetHost(ip.MustParseAddr(wCHAddr), PolicyEncapDirect)
 
@@ -1205,27 +1187,22 @@ func TestForeignAgentIgnoresWrongCareOf(t *testing.T) {
 // identification (as in RFC 2002).
 func TestRetryAfterLostReplySucceeds(t *testing.T) {
 	w := newWorld(t, 1)
-	// Drop exactly the first registration reply crossing the router.
-	dropped := 0
-	dropFilter(w.router, func(ctx *stack.PacketContext) bool {
-		pkt := ctx.Pkt
-		if pkt.Protocol != ip.ProtoUDP || dropped > 0 {
-			return false
-		}
-		_, payload, err := ip.UnmarshalUDP(pkt.Src, pkt.Dst, pkt.Payload)
-		if err != nil || len(payload) == 0 || payload[0] != TypeRegReply {
-			return false
-		}
-		dropped++
-		return true
-	})
-
 	var regErr error
 	done := false
 	w.mh.ConnectForeign(w.eth1, func(err error) { regErr, done = err, true })
+	// Lose exactly the first registration reply: the home net's medium
+	// drops every frame from the moment the home agent sends it until the
+	// one frame that carries it is on the wire.
+	for len(w.tr.Find("reg.reply.sent")) == 0 && w.loop.Step() {
+	}
+	prev := w.homeNet.SetLossProb(1)
+	for tx := w.homeNet.Stats().Transmitted; w.homeNet.Stats().Transmitted == tx && w.loop.Step(); {
+	}
+	w.homeNet.SetLossProb(prev)
 	w.run(30 * time.Second)
+	dropped := len(w.tr.Find("reg.reply.sent")) - len(w.tr.Find("reg.reply.received"))
 	if dropped != 1 {
-		t.Fatalf("filter dropped %d replies", dropped)
+		t.Fatalf("the medium lost %d replies", dropped)
 	}
 	if !done || regErr != nil {
 		t.Fatalf("registration did not survive a lost reply: done=%v err=%v", done, regErr)

@@ -4,9 +4,10 @@
 // hook took ownership), with traversal stopping at the first non-ACCEPT
 // verdict.
 //
-// The stack's datapath runs no chains: it is straight-line code with three
-// slots (see stack/datapath.go). This package holds the Verdict its forward
-// filter returns, and the chain perf's pipeline.chain5_ns driver measures.
+// The stack's datapath runs no chains and returns no verdicts: it is
+// straight-line code with two slots and a per-interface transit filter
+// (see stack/datapath.go). This package holds only the chain perf's
+// pipeline.chain5_ns driver measures.
 // Hooks run in (priority, name) order regardless of registration order, so
 // two same-seed runs traverse a chain identically; the hookorder mnetlint
 // analyzer enforces the registration discipline statically.

@@ -5,74 +5,23 @@ import (
 
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/metrics"
-	"mosquitonet/internal/pipeline"
 )
 
 // The datapath, in the order a packet meets it:
 //
 //	Input ── classify ──▶ deliver: reassemble ─▶ protocol 4? decapsulation slot
 //	   │                                     └─▶ protocol handler (ICMP built in)
-//	   └────────────────▶ forward: TTL ─▶ route ─▶ filter slot ─▶ MTU ─▶ redirect
+//	   └────────────────▶ forward: TTL ─▶ route ─▶ transit check ─▶ MTU ─▶ redirect
 //	Output: route slot ─┐                                          │
 //	OutputVia ──────────┴──────────────▶ postroute hop ◀───────────┘
 //	                                      └─▶ Iface.send: the wire, or a VIF's TransmitFunc
 //
 // Each arrow into deliver, forward and the postroute hop is a hop record
 // (see scheduleHop) carrying the packet across the host's processing delay.
-// The route slot is SetRouteLookup, the filter slot SetForwardFilter, the
-// decapsulation slot SetDecapsulator: with a virtual interface's transmit
-// function, the three seams the paper's mobility support needs.
-
-// PacketContext is the forward filter's view of one transiting packet: the
-// interface it arrived on, and the egress and next hop forward's route step
-// chose for it.
-//
-// A context is valid only until the filter returns: the host reuses the
-// record for its next filter run, zeroed, so a filter that kept the pointer
-// reads nil interfaces and no packet.
-type PacketContext struct {
-	In      *Iface
-	Out     *Iface
-	NextHop ip.Addr
-
-	// Pkt is lent to the filter. On Accept or Drop the filter has only
-	// looked at it: forward sends it on or drops it, and a filter that wants
-	// to keep it keeps Pkt.Clone(). Returning Stolen transfers it: the filter
-	// owns Pkt from then on and must release it or hand it to something that
-	// takes it (Host.Input, Host.Output).
-	Pkt *ip.Packet
-
-	// A Drop or Reject, staged for forward to record.
-	reason string
-	reject bool
-}
-
-// Drop discards the packet with the given trace reason, accounted under the
-// host's DropFilter counter.
-func (c *PacketContext) Drop(reason string) pipeline.Verdict {
-	c.reason = reason
-	return pipeline.Drop
-}
-
-// Reject is Drop plus an ICMP administratively-prohibited error to the
-// source, how a polite filter declines transit traffic.
-func (c *PacketContext) Reject(reason string) pipeline.Verdict {
-	c.reject = true
-	return c.Drop(reason)
-}
-
-// SetForwardFilter fills the host's one forward-filter slot: fn sees every
-// packet forward has routed, before the MTU check, and returns Accept to let
-// it go on, Drop (through ctx.Drop or ctx.Reject) to discard it, or Stolen
-// to take it. nil empties the slot. Setting or clearing it flushes the
-// host's route-decision caches.
-func (h *Host) SetForwardFilter(fn func(*PacketContext) pipeline.Verdict) {
-	h.forwardFilter = fn
-	if fn != nil && h.filterCtx == nil {
-		h.filterCtx = new(PacketContext)
-	}
-	h.invalidate()
-}
+// The route slot is SetRouteLookup and the decapsulation slot
+// SetDecapsulator: with a virtual interface's transmit function, the seams
+// the paper's mobility support needs. The transit check is the paper's
+// visited-network filter, switched per interface by Iface.SetTransitFilter.
 
 // SetDecapsulator fills the host's IP-in-IP receive slot, the paper's
 // decapsulation module: fn takes every locally delivered protocol-4
@@ -179,7 +128,7 @@ func (h *Host) deliverDatagram(ifc *Iface, pkt *ip.Packet) {
 	pkt.Release()
 }
 
-// forward runs the transit steps in order — TTL, route, filter slot, MTU,
+// forward runs the transit steps in order — TTL, route, transit check, MTU,
 // redirect — and schedules a packet that passes them all, its TTL
 // decremented, past the forwarding delay to its egress. The header is the
 // owner's to rewrite, and between this host's receiver and its wire the
@@ -201,8 +150,8 @@ func (h *Host) forward(in *Iface, pkt *ip.Packet) {
 	if nextHop.IsUnspecified() {
 		nextHop = pkt.Dst
 	}
-	if pkt, ok = h.filter(in, out, nextHop, pkt); !ok {
-		//lint:allow dropaccounting filter records the drops it makes; a stolen packet is the filter's
+	if in.transitFilter && !in.prefix.Contains(pkt.Src) {
+		h.drop(dropFilter, metrics.Text("filtered"), pkt)
 		return
 	}
 	if mtu := out.MTU(); mtu > 0 && pkt.Len() > mtu && pkt.DontFrag {
@@ -221,34 +170,6 @@ func (h *Host) forward(in *Iface, pkt *ip.Packet) {
 	h.stats.Forwarded++
 	h.pktlog.RecordDetail(pkt.Trace, h.name, "ip.forward", metrics.AddrDetail(metrics.DetailNextHop, nextHop, out.name))
 	h.scheduleHop(h.cfg.ForwardDelay, hopPostroute, out, pkt, nextHop)
-}
-
-// filter shows pkt to the forward filter, if the host has one, and gives
-// it back when forward is to go on with it. Otherwise it returns nil: the
-// filter dropped the packet, recorded here, or stole it.
-//
-//mnet:ownership takes pkt
-//mnet:ownership returns-pooled
-func (h *Host) filter(in, out *Iface, nextHop ip.Addr, pkt *ip.Packet) (*ip.Packet, bool) {
-	if h.forwardFilter == nil {
-		return pkt, true
-	}
-	// The context carries the packet for the run; forward takes it back
-	// from there.
-	ctx := h.filterCtx
-	*ctx = PacketContext{In: in, Out: out, NextHop: nextHop, Pkt: pkt}
-	v := h.forwardFilter(ctx)
-	pkt, reason, reject := ctx.Pkt, ctx.reason, ctx.reject
-	*ctx = PacketContext{}
-	switch {
-	case v == pipeline.Accept:
-		return pkt, true
-	case v == pipeline.Drop && reject:
-		h.dropICMP(dropFilter, metrics.Text(reason), ip.ICMPDestUnreach, ip.CodeAdminProhibited, pkt)
-	case v == pipeline.Drop:
-		h.drop(dropFilter, metrics.Text(reason), pkt)
-	}
-	return nil, false
 }
 
 func noRouteTo(dst ip.Addr) metrics.Detail {

@@ -10,53 +10,46 @@ import (
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/link"
 	"mosquitonet/internal/metrics"
-	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/trace"
 )
 
 // TestBuiltinChainLayout pins the order of forward's built-in steps — TTL,
-// route, filter slot, MTU, redirect — with packets two adjacent steps would
-// both refuse: the earlier step's drop is the one counted, the filter sees
-// only routed packets, and a redirect goes out only for a packet every
-// step before it passed.
+// route, transit check, MTU, redirect — with packets two adjacent steps
+// would both refuse: the earlier step's drop is the one counted, and a
+// redirect goes out only for a packet every step before it passed. The
+// arrival interface filters transit traffic, so a source off its subnet
+// (but routable, for the ICMP errors) is what the transit check refuses.
 func TestBuiltinChainLayout(t *testing.T) {
 	loop := sim.New(1)
 	n := link.NewNetwork(loop, "n", smallMTU(600))
 	r := addNode(t, loop, n, "r", "10.0.0.254/24")
 	r.host.SetForwarding(true)
 	r.host.Routes().Add(Route{Dst: ip.MustParsePrefix("10.9.0.0/24"), Gateway: ip.MustParseAddr("10.0.0.3"), Iface: r.ifc})
-	filtered := 0
-	r.host.SetForwardFilter(func(ctx *PacketContext) pipeline.Verdict {
-		filtered++
-		if string(ctx.Pkt.Payload[:4]) == "drop" {
-			return ctx.Drop("filtered")
-		}
-		return pipeline.Accept
-	})
-	// Every packet comes from an on-subnet sender and, routable, would leave
-	// the way it came: each one that reaches the redirect step draws one.
+	r.ifc.SetTransitFilter(true)
+	// Every routable packet would leave the way it came: each one from an
+	// on-subnet sender that reaches the redirect step draws one.
 	for _, c := range []struct {
-		what, dst, payload string
-		ttl                uint8
-		df                 bool
-		want               func(*Stats) *uint64
-		filterRuns         int
+		what, src, dst string
+		ttl            uint8
+		df             bool
+		want           func(*Stats) *uint64
+		filtered       uint64
 	}{
-		{"ttl before route", "77.7.7.7", "pass", 1, false, func(s *Stats) *uint64 { return &s.DropTTL }, 0},
-		{"route before filter", "77.7.7.7", "drop", 8, false, func(s *Stats) *uint64 { return &s.DropNoRoute }, 0},
-		{"filter before mtu", "10.9.0.2", "drop", 8, true, func(s *Stats) *uint64 { return &s.DropFilter }, 1},
-		{"mtu before redirect", "10.9.0.2", "pass", 8, true, func(s *Stats) *uint64 { return &s.DropMTU }, 1},
-		{"redirect last", "10.9.0.2", "pass", 8, false, func(s *Stats) *uint64 { return &s.RedirectsSent }, 1},
+		{"ttl before route", "10.9.0.5", "77.7.7.7", 1, false, func(s *Stats) *uint64 { return &s.DropTTL }, 0},
+		{"route before transit check", "10.9.0.5", "77.7.7.7", 8, false, func(s *Stats) *uint64 { return &s.DropNoRoute }, 0},
+		{"transit check before mtu", "10.9.0.5", "10.9.0.2", 8, true, func(s *Stats) *uint64 { return &s.DropFilter }, 1},
+		{"mtu before redirect", "10.0.0.2", "10.9.0.2", 8, true, func(s *Stats) *uint64 { return &s.DropMTU }, 0},
+		{"redirect last", "10.0.0.2", "10.9.0.2", 8, false, func(s *Stats) *uint64 { return &s.RedirectsSent }, 0},
 	} {
-		before, runs := r.host.Stats(), filtered
-		pkt := udpPacket("10.0.0.2", c.dst, c.payload+string(make([]byte, 1000)))
+		before := r.host.Stats()
+		pkt := udpPacket(c.src, c.dst, string(make([]byte, 1004)))
 		pkt.TTL, pkt.DontFrag = c.ttl, c.df
 		r.host.Input(r.ifc, pkt)
 		loop.RunFor(time.Second)
 		after := r.host.Stats()
-		if *c.want(&after) != *c.want(&before)+1 || filtered-runs != c.filterRuns {
-			t.Errorf("%s: counter %d -> %d, filter ran %d times; want +1 and %d", c.what, *c.want(&before), *c.want(&after), filtered-runs, c.filterRuns)
+		if *c.want(&after) != *c.want(&before)+1 || after.DropFilter-before.DropFilter != c.filtered {
+			t.Errorf("%s: counter %d -> %d, DropFilter %d -> %d; want +1 and +%d", c.what, *c.want(&before), *c.want(&after), before.DropFilter, after.DropFilter, c.filtered)
 		}
 		if c.what != "redirect last" && after.RedirectsSent != before.RedirectsSent {
 			t.Errorf("%s: a dropped packet drew a redirect", c.what)
@@ -67,49 +60,37 @@ func TestBuiltinChainLayout(t *testing.T) {
 	}
 }
 
-// TestForwardFilterVerdicts exercises ACCEPT/DROP/STOLEN at the forward
-// filter slot: Drop is accounted by forward under DropFilter, Stolen is the
-// filter's own responsibility, and emptying the slot restores plain
-// forwarding.
+// TestForwardFilterVerdicts exercises the transit check: switched on, an
+// interface refuses to forward a packet whose source is outside its subnet
+// and counts it under DropFilter; a local source passes, another interface
+// still forwards a foreign source, and switching it off forwards again.
 func TestForwardFilterVerdicts(t *testing.T) {
 	loop := sim.New(1)
 	a, b, router := twoSubnetTopology(t, loop)
-	got := collect(b.host)
+	gotB, gotA := collect(b.host), collect(a.host)
+	router.IfaceByName("eth0").SetTransitFilter(true)
 
-	stolen := 0
-	router.SetForwardFilter(func(ctx *PacketContext) pipeline.Verdict {
-		switch string(ctx.Pkt.Payload) {
-		case "bad":
-			return ctx.Drop("blocked by firewall")
-		case "mine":
-			stolen++
-			ctx.Pkt.Release()
-			return pipeline.Stolen
-		}
-		return pipeline.Accept
-	})
-
-	for _, payload := range []string{"ok", "bad", "mine"} {
-		a.host.Output(udpPacket("0.0.0.0", "10.0.1.2", payload))
-	}
+	a.host.Output(udpPacket("0.0.0.0", "10.0.1.2", "local source"))
+	a.host.Output(udpPacket("36.135.0.7", "10.0.1.2", "foreign source"))
+	b.host.Output(udpPacket("36.135.0.8", "10.0.0.2", "foreign, unflagged iface"))
 	loop.RunFor(time.Second)
 
-	if len(*got) != 1 || string((*got)[0].Payload) != "ok" {
-		t.Fatalf("delivered %d packets", len(*got))
+	if len(*gotB) != 1 || string((*gotB)[0].Payload) != "local source" {
+		t.Fatalf("b got %d packets through the flagged iface, want the local-source one", len(*gotB))
+	}
+	if len(*gotA) != 1 {
+		t.Fatalf("a got %d packets through the unflagged iface, want 1", len(*gotA))
 	}
 	st := router.Stats()
-	if st.DropFilter != 1 || stolen != 1 {
-		t.Fatalf("DropFilter = %d, stolen = %d; want 1 each", st.DropFilter, stolen)
-	}
-	if st.Forwarded != 1 {
-		t.Fatalf("Forwarded = %d, want 1 (neither the dropped nor the stolen packet)", st.Forwarded)
+	if st.DropFilter != 1 || st.Forwarded != 2 {
+		t.Fatalf("DropFilter = %d, Forwarded = %d; want 1 and 2", st.DropFilter, st.Forwarded)
 	}
 
-	router.SetForwardFilter(nil)
-	a.host.Output(udpPacket("0.0.0.0", "10.0.1.2", "bad"))
+	router.IfaceByName("eth0").SetTransitFilter(false)
+	a.host.Output(udpPacket("36.135.0.7", "10.0.1.2", "foreign source"))
 	loop.RunFor(time.Second)
-	if len(*got) != 2 {
-		t.Fatal("packet still filtered after the slot was emptied")
+	if len(*gotB) != 2 {
+		t.Fatal("packet still filtered after the check was switched off")
 	}
 }
 
@@ -446,8 +427,8 @@ func TestRouteHookRegistrationInvalidatesRouteCache(t *testing.T) {
 }
 
 // TestForwardHookRegistrationInvalidatesForwardCache covers the same
-// hazard on the forwarding path's dst-keyed cache: setting the forward
-// filter, and emptying its slot again, each flush it.
+// hazard on the forwarding path's dst-keyed cache: switching an
+// interface's transit check on, and off again, each flush it.
 func TestForwardHookRegistrationInvalidatesForwardCache(t *testing.T) {
 	loop := sim.New(1)
 	net := link.NewNetwork(loop, "n", link.Ethernet())
@@ -465,49 +446,16 @@ func TestForwardHookRegistrationInvalidatesForwardCache(t *testing.T) {
 		t.Fatal("second lookup did not hit the cache")
 	}
 
-	for _, fn := range []func(*PacketContext) pipeline.Verdict{
-		func(*PacketContext) pipeline.Verdict { return pipeline.Accept },
-		nil,
-	} {
-		a.host.SetForwardFilter(fn)
+	for _, on := range []bool{true, false} {
+		a.ifc.SetTransitFilter(on)
 		if _, ok := a.host.lookupForward(dst); !ok {
 			t.Fatal("no connected route")
 		}
 		after := a.host.RouteCacheStats()
 		if after.Misses != before.Misses+1 || after.Invalidations != before.Invalidations+1 {
-			t.Fatalf("cache not flushed by SetForwardFilter (filter set: %v): before %+v, after %+v", fn != nil, before, after)
+			t.Fatalf("cache not flushed by SetTransitFilter(%v): before %+v, after %+v", on, before, after)
 		}
 		before = after
-	}
-}
-
-// TestRejectHookSendsAdminProhibited checks the filter's Reject: the packet
-// is dropped under DropFilter and the source learns why.
-func TestRejectHookSendsAdminProhibited(t *testing.T) {
-	loop := sim.New(1)
-	net := link.NewNetwork(loop, "n", link.Ethernet())
-	a := addNode(t, loop, net, "a", "10.0.0.1/24")
-	r := addNode(t, loop, net, "r", "10.0.0.254/24")
-	r.host.SetForwarding(true)
-	a.host.AddDefaultRoute(ip.MustParseAddr("10.0.0.254"), a.ifc)
-	// The router can resolve the destination; the filter, whose slot comes
-	// after the route step, is what declines it.
-	r.host.AddDefaultRoute(ip.MustParseAddr("10.0.0.1"), r.ifc)
-
-	r.host.SetForwardFilter(func(ctx *PacketContext) pipeline.Verdict {
-		return ctx.Reject("transit prohibited")
-	})
-
-	var res []PingResult
-	a.host.ICMP().Ping(ip.MustParseAddr("77.7.7.7"), ip.MustParseAddr("10.0.0.1"), 8, 5*time.Second,
-		func(pr PingResult) { res = append(res, pr) })
-	loop.RunFor(10 * time.Second)
-
-	if len(res) != 1 || !res[0].Unreachable || res[0].Code != ip.CodeAdminProhibited {
-		t.Fatalf("ping results %+v, want one admin-prohibited unreachable", res)
-	}
-	if d := r.host.Stats().DropFilter; d != 1 {
-		t.Fatalf("DropFilter = %d, want 1", d)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/link"
 	"mosquitonet/internal/metrics"
-	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/trace"
 )
@@ -77,13 +76,10 @@ type Host struct {
 	lo     *Iface
 	routes RouteTable
 
-	// The datapath's three slots (see datapath.go): the paper's single
-	// ip_rt_route() override (nil means DefaultRouteLookup), the forward
-	// filter with the one context it is shown, and the IP-in-IP receiver,
-	// which takes its packet.
+	// The datapath's two slots (see datapath.go): the paper's single
+	// ip_rt_route() override (nil means DefaultRouteLookup) and the IP-in-IP
+	// receiver, which takes its packet.
 	routeOverride func(dst, boundSrc ip.Addr) (RouteDecision, error)
-	forwardFilter func(*PacketContext) pipeline.Verdict
-	filterCtx     *PacketContext
 	//mnet:ownership takes pkt
 	decap func(pkt *ip.Packet)
 

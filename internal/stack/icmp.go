@@ -15,7 +15,8 @@ type PingResult struct {
 	TimedOut bool
 	// Unreachable is set when an ICMP error arrived instead of a reply,
 	// with Code holding the unreachable code. A transit-filtered triangle
-	// route surfaces here as CodeAdminProhibited.
+	// route never surfaces here: the filter sends no error, so the ping
+	// times out.
 	Unreachable bool
 	Code        uint8
 }

@@ -40,6 +40,10 @@ type Iface struct {
 	// filtered by IP on receive.
 	pointToPoint bool
 
+	// transitFilter drops, when forwarding, a packet that arrived here with
+	// a source outside prefix (see SetTransitFilter).
+	transitFilter bool
+
 	// arpAddrs backs the one-address slice the ARP cache's localAddrs
 	// callback returns (AddIface) on every ARP frame heard.
 	arpAddrs [1]ip.Addr
@@ -82,6 +86,18 @@ func (i *Iface) SetAddr(addr ip.Addr, prefix ip.Prefix) {
 	i.addr = addr
 	i.prefix = prefix.Normalize()
 	i.host.InvalidateRoutes()
+}
+
+// SetTransitFilter switches the paper's transit-traffic filter (§3.2) on
+// this interface: with it on, the host forwards no packet that arrives here
+// with a source address outside the interface's subnet, and records each
+// one it drops under DropFilter as "filtered". A mobile host on the visited
+// network that sends with its home address as source — the triangle route
+// — is refused; one that tunnels, with its local care-of address as outer
+// source, passes. Switching it flushes the host's route-decision caches.
+func (i *Iface) SetTransitFilter(on bool) {
+	i.transitFilter = on
+	i.host.invalidate()
 }
 
 // MTU returns the largest packet the interface carries, or 0 (unlimited)

@@ -21,8 +21,8 @@ const (
 type dropReason uint8
 
 const (
-	// dropFilter is the zero value: the forward filter's Drop or Reject,
-	// or a Drop verdict it returned without either.
+	// dropFilter is a packet the arrival interface's transit filter
+	// refused (Iface.SetTransitFilter).
 	dropFilter dropReason = iota
 	dropNoRoute
 	dropTTL

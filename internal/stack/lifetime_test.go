@@ -8,7 +8,6 @@ import (
 	"mosquitonet/internal/bufpool"
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/link"
-	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/sim"
 )
 
@@ -46,22 +45,18 @@ func outstanding() (packets, buffers int64) {
 	return ip.ReadPoolStats().Outstanding(), bufpool.ReadStats().Outstanding()
 }
 
-// TestLentPacketIsPoisoned: a handler and a filter that (wrongly) keep the
-// packet they were lent read a zeroed header once the stack has released it
-// — never the packet they saw, never a later one — while the clone a correct
-// handler keeps stays whole.
+// TestLentPacketIsPoisoned: a handler that (wrongly) keeps the packet it
+// was lent reads a zeroed header once the stack has released it — never the
+// packet it saw, never a later one — while the clone a correct handler keeps
+// stays whole.
 func TestLentPacketIsPoisoned(t *testing.T) {
 	loop := sim.New(1)
-	a, b, router := twoSubnetTopology(t, loop)
+	a, b, _ := twoSubnetTopology(t, loop)
 
-	var keptByHandler, keptByFilter, clone *ip.Packet
+	var kept, clone *ip.Packet
 	var seenByHandler string
 	b.host.RegisterHandler(ip.ProtoUDP, func(_ *Iface, pkt *ip.Packet) {
-		keptByHandler, clone, seenByHandler = pkt, pkt.Clone(), pkt.String()
-	})
-	router.SetForwardFilter(func(ctx *PacketContext) pipeline.Verdict {
-		keptByFilter = ctx.Pkt
-		return pipeline.Accept
+		kept, clone, seenByHandler = pkt, pkt.Clone(), pkt.String()
 	})
 	if err := a.host.Output(udpPacket("10.0.0.2", "10.0.1.2", "lent")); err != nil {
 		t.Fatal(err)
@@ -72,10 +67,8 @@ func TestLentPacketIsPoisoned(t *testing.T) {
 	if clone == nil || seenByHandler != "udp 10.0.0.2->10.0.1.2 ttl=63 len=24" {
 		t.Fatalf("the handler saw %q", seenByHandler)
 	}
-	for who, kept := range map[string]*ip.Packet{"handler": keptByHandler, "filter": keptByFilter} {
-		if got := kept.String(); got != poisoned || kept.Payload != nil || kept.Trace != 0 {
-			t.Errorf("the packet a %s kept reads %s payload %q after its return, want %s", who, got, kept.Payload, poisoned)
-		}
+	if got := kept.String(); got != poisoned || kept.Payload != nil || kept.Trace != 0 {
+		t.Errorf("the packet the handler kept reads %s payload %q after its return, want %s", got, kept.Payload, poisoned)
 	}
 	if clone.String() != seenByHandler || string(clone.Payload) != "lent" || clone.Trace == 0 {
 		t.Errorf("the clone reads %v %q, want what the handler saw", clone, clone.Payload)
@@ -85,8 +78,7 @@ func TestLentPacketIsPoisoned(t *testing.T) {
 // TestEveryPathReturnsItsPacket drives one packet down each way a packet can
 // end — delivered, forwarded, loopback, reassembled from fragments, dropped
 // by TTL with an ICMP error that is itself delivered, dropped for want of a
-// handler, a route, a filter's consent — plus a filter that steals and
-// releases, and requires both pools to be back where they started once the
+// handler, a route, the transit check's consent — and requires both pools to be back where they started once the
 // loop is idle.
 func TestEveryPathReturnsItsPacket(t *testing.T) {
 	ip.CountPools(true)
@@ -113,18 +105,8 @@ func TestEveryPathReturnsItsPacket(t *testing.T) {
 	send(b.host, udpPacket("10.0.1.2", "77.7.7.7", "no route at the router"))
 	lonely := NewHost(loop, "lonely", Config{})
 	send(lonely, udpPacket("10.9.9.9", "77.7.7.7", "no route at the sender"))
-	router.SetForwardFilter(func(ctx *PacketContext) pipeline.Verdict {
-		switch string(ctx.Pkt.Payload) {
-		case "filtered":
-			return ctx.Reject("filtered (reject)")
-		case "stolen":
-			ctx.Pkt.Release()
-			return pipeline.Stolen
-		}
-		return pipeline.Accept
-	})
-	send(a.host, udpPacket("0.0.0.0", "10.0.1.2", "filtered"))
-	send(a.host, udpPacket("0.0.0.0", "10.0.1.2", "stolen"))
+	router.IfaceByName("eth0").SetTransitFilter(true)
+	send(a.host, udpPacket("36.135.0.7", "10.0.1.2", "filtered"))
 	loop.Run()
 
 	if len(*got) != 2 || b.host.Reassembler().Stats().Reassembled != 1 {
@@ -132,13 +114,13 @@ func TestEveryPathReturnsItsPacket(t *testing.T) {
 			len(*got), b.host.Reassembler().Stats().Reassembled)
 	}
 	// a has no UDP handler: its loopback datagram is a no-handler drop, and
-	// what it is delivered are the ICMP errors the drops elsewhere sent back.
+	// what it is delivered is the time-exceeded error the router sent back.
 	rs, as, bs := router.Stats(), a.host.Stats(), b.host.Stats()
 	if rs.DropTTL != 1 || rs.DropFilter != 1 || rs.DropNoRoute != 1 || lonely.Stats().DropNoRoute < 1 ||
-		bs.DropNoHandler != 1 || as.DropNoHandler != 1 || as.Delivered < 2 || as.FragmentsSent < 3 {
+		bs.DropNoHandler != 1 || as.DropNoHandler != 1 || as.Delivered != 1 || as.FragmentsSent < 3 {
 		t.Fatalf("not every path was driven: router %+v, a %+v, b %+v", rs, as, bs)
 	}
-	if made := ip.ReadPoolStats().Made - made0; made < 20 {
+	if made := ip.ReadPoolStats().Made - made0; made < 18 {
 		t.Fatalf("only %d pooled packets were made: the paths above did not run pooled", made)
 	}
 	pkts, bufs := outstanding()

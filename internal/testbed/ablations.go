@@ -9,7 +9,6 @@ import (
 	"mosquitonet/internal/link"
 	"mosquitonet/internal/metrics"
 	"mosquitonet/internal/mip"
-	"mosquitonet/internal/pipeline"
 	"mosquitonet/internal/scenario"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stack"
@@ -98,12 +97,7 @@ func RunA1(seed int64, samples int) (*A1Result, error) {
 
 	// Transit-filter scenario, on a fresh testbed.
 	tb2 := New(seed + 1)
-	tb2.Router.SetForwardFilter(func(ctx *stack.PacketContext) pipeline.Verdict {
-		if ctx.In.Prefix() == DeptPrefix && !DeptPrefix.Contains(ctx.Pkt.Src) {
-			return ctx.Drop("filtered") // forbid transit traffic from the visited net
-		}
-		return pipeline.Accept
-	})
+	tb2.Router.IfaceByName("r-" + tb2.DeptNet.Name()).SetTransitFilter(true) // forbid transit traffic from the visited net
 	tb2.MoveEthTo(tb2.DeptNet)
 	tb2.MustConnectForeign(tb2.Eth)
 	echo, err := tb2.CampusCH.Echo(ip.Unspecified, 7)

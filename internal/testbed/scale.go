@@ -128,6 +128,11 @@ func (r *ScaleResult) String() string {
 // size. Results are byte-identical at any worker count; only wall-clock
 // time may differ.
 func RunScaleWorkers(seed int64, fleets []int, workers int) (*ScaleResult, error) {
+	for _, n := range fleets {
+		if err := scaleFleetFits(n); err != nil {
+			return nil, err
+		}
+	}
 	res := &ScaleResult{Export: &Export{Experiment: "scale", Seed: seed}}
 	for _, n := range fleets {
 		row, snap, err := RunScaleFleetWorkers(seed, n, workers)
@@ -151,6 +156,17 @@ func scaleAddr(pfx ip.Prefix, i int) ip.Addr {
 // scaleAddrHosts is how many hosts scaleAddr can number before its third
 // octet wraps.
 const scaleAddrHosts = 200 * 255
+
+// scaleFleetFits refuses an n-host fleet whose largest shard slice holds
+// more hosts than scaleAddr can number: past that, hosts would take the
+// router's and the correspondent's addresses.
+func scaleFleetFits(n int) error {
+	shards := scaleShardCount(n)
+	if per := (n + shards - 1) / shards; per > scaleAddrHosts {
+		return fmt.Errorf("scale: fleet of %d puts %d hosts on one of its %d shards, past the %d a shard's /16 addresses", n, per, shards, scaleAddrHosts)
+	}
+	return nil
+}
 
 // Fixed backbone addressing: the hub shard's subnet and its well-known
 // occupants.

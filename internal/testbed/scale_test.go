@@ -3,6 +3,8 @@ package testbed
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -35,6 +37,66 @@ func TestEveryHostRoamsTwice(t *testing.T) {
 		}
 		if n <= 10000 && slot != scaleStagger {
 			t.Errorf("%d hosts start %v apart, want the spec's %v", n, slot, scaleStagger)
+		}
+	}
+}
+
+// TestOversizedFleetRefused: a fleet whose shards hold more hosts than a
+// shard's /16 numbers is an error before anything is built — at 64 shards
+// the largest is 3,264,000 hosts, 51,000 a shard.
+func TestOversizedFleetRefused(t *testing.T) {
+	if err := scaleFleetFits(64 * scaleAddrHosts); err != nil {
+		t.Fatalf("the largest fleet that fits was refused: %v", err)
+	}
+	if err := scaleFleetFits(64*scaleAddrHosts + 1); err == nil {
+		t.Fatal("a fleet one host past the limit was accepted")
+	}
+	if _, err := RunScaleWorkers(1996, []int{10, 3_300_000}, 1); err == nil {
+		t.Fatal("RunScaleWorkers accepted a 3,300,000-host fleet")
+	}
+}
+
+// TestScaleTwinReproduced: the 10- and 100-host fleets at seed 1996
+// reproduce the first two rows and snapshots of bench/BENCH_scale.json, the
+// checked-in twin of the scale export.
+func TestScaleTwinReproduced(t *testing.T) {
+	type entries struct {
+		Snapshots []json.RawMessage `json:"snapshots"`
+		Rows      []json.RawMessage `json:"rows"`
+	}
+	decode := func(b []byte) entries {
+		t.Helper()
+		var e entries
+		if err := json.Unmarshal(b, &e); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	twin, err := os.ReadFile(filepath.Join("..", "..", "bench", "BENCH_scale.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunScaleWorkers(1996, []int{10, 100}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := res.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want, got := decode(twin), decode(buf.Bytes())
+	if len(want.Rows) < 2 || len(want.Snapshots) < 2 || len(got.Rows) != 2 || len(got.Snapshots) != 2 {
+		t.Fatalf("twin has %d rows and %d snapshots, the run %d and %d", len(want.Rows), len(want.Snapshots), len(got.Rows), len(got.Snapshots))
+	}
+	for i := range 2 {
+		for what, pair := range map[string][2]json.RawMessage{
+			"row":      {want.Rows[i], got.Rows[i]},
+			"snapshot": {want.Snapshots[i], got.Snapshots[i]},
+		} {
+			var w, g bytes.Buffer
+			if json.Compact(&w, pair[0]) != nil || json.Compact(&g, pair[1]) != nil || !bytes.Equal(w.Bytes(), g.Bytes()) {
+				t.Errorf("%s %d differs from the twin:\n  %.300s\n  %.300s", what, i, w.Bytes(), g.Bytes())
+			}
 		}
 	}
 }
