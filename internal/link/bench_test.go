@@ -8,10 +8,11 @@ import (
 	"mosquitonet/internal/sim"
 )
 
-// benchSegment builds one lossless Ethernet with n attached devices. Every
-// second one from the third on is left down, as a fleet's resident hosts
-// are; the sender and the receiver (devices 0 and 1) are up.
-func benchSegment(n int) (*sim.Loop, []*Device) {
+// benchSegment builds one lossless Ethernet with n attached devices. From the
+// third on, only every upEvery-th one is brought up and the rest are left
+// down, as a fleet's resident hosts are; the sender and the receiver (devices
+// 0 and 1) are up.
+func benchSegment(n, upEvery int) (*sim.Loop, []*Device) {
 	loop := sim.New(1)
 	net := NewNetwork(loop, "bench", Ethernet())
 	devs := make([]*Device, n)
@@ -19,7 +20,7 @@ func benchSegment(n int) (*sim.Loop, []*Device) {
 		devs[i] = NewDevice(loop, fmt.Sprintf("d%d", i), 0, 0)
 		devs[i].Attach(net)
 		devs[i].SetReceiver(func(*Frame) {})
-		if i < 2 || i%2 == 0 {
+		if i < 2 || i%upEvery == 0 {
 			devs[i].BringUp(nil)
 		}
 	}
@@ -54,7 +55,7 @@ func benchFlights(b *testing.B, loop *sim.Loop, devs []*Device, dst HWAddr) {
 func BenchmarkUnicastFlight(b *testing.B) {
 	for _, n := range []int{2, 128, 1250} {
 		b.Run(fmt.Sprintf("devices=%d", n), func(b *testing.B) {
-			loop, devs := benchSegment(n)
+			loop, devs := benchSegment(n, 2)
 			benchFlights(b, loop, devs, devs[1].HW())
 			if last := devs[n-1]; n > 2 {
 				// The skipped walk is still accounted, device by device.
@@ -66,9 +67,18 @@ func BenchmarkUnicastFlight(b *testing.B) {
 	}
 }
 
-// BenchmarkBroadcastFlight is the one-to-all case, which keeps the walk: its
-// cost is per receiver.
+// BenchmarkBroadcastFlight is the one-to-all case across 1,250 attached
+// devices, half of them up or, as on a fleet's resident segments, a tenth:
+// the walk visits the devices that are up, so its cost is per up receiver.
 func BenchmarkBroadcastFlight(b *testing.B) {
-	loop, devs := benchSegment(1250)
-	benchFlights(b, loop, devs, BroadcastHW)
+	for _, upEvery := range []int{2, 10} {
+		b.Run(fmt.Sprintf("devices=1250/up=1in%d", upEvery), func(b *testing.B) {
+			loop, devs := benchSegment(1250, upEvery)
+			benchFlights(b, loop, devs, BroadcastHW)
+			// The devices the walk skipped are still accounted, device by device.
+			if s := devs[3].Stats(); s.DroppedDown != uint64(b.N+1) {
+				b.Fatalf("%s (down) settled %+v after %d broadcasts", devs[3].Name(), s, b.N+1)
+			}
+		})
+	}
 }

@@ -168,6 +168,8 @@ type Device struct {
 	// fast flights landed since that this device sent, received or was
 	// walked for. The difference is owed to dropFilter or dropDown.
 	fastSeen, fastOwn uint64
+	// seq is the device's attachment number on net (Network.attaches).
+	seq uint64
 
 	// Traffic counters are plain fields bumped on the data path; Stats and
 	// the device's snapshot-time collector read them. Same-named devices
@@ -259,10 +261,11 @@ func (d *Device) notifyChange() {
 }
 
 // settle folds the fast flights that landed on the device's network since
-// the last settle, less the ones the device took part in, into the drop
-// counter the walk would have bumped: dropFilter if the device is up,
-// dropDown if not. It must run before the state changes, before the device
-// detaches and before the counters are read.
+// the last settle, less the ones the device sent or was visited for, into the
+// drop counter the walk would have bumped: dropFilter if the device is up (a
+// unicast bystander), dropDown if not (a unicast bystander, or a broadcast
+// receiver the flight skipped). It must run before the state changes, before
+// the device detaches and before the counters are read.
 func (d *Device) settle() {
 	n := d.net
 	if n == nil {
@@ -357,6 +360,9 @@ func (d *Device) upTimer() {
 	if u.wait[i].live {
 		d.settle()
 		d.state = StateUp
+		if d.net != nil {
+			d.net.mark(d, true)
+		}
 		d.upSince = now
 		d.markLinkChange(kSpanLinkUp)
 		d.notifyChange()
@@ -387,6 +393,9 @@ func (d *Device) BringDown() {
 		for i := range d.up.wait {
 			d.up.wait[i].live, d.up.wait[i].done = false, nil
 		}
+	}
+	if d.state == StateUp && d.net != nil {
+		d.net.mark(d, false)
 	}
 	d.state = StateDown
 	d.markLinkChange(kSpanLinkDown)

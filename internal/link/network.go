@@ -1,6 +1,8 @@
 package link
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -114,14 +116,27 @@ type NetworkStats struct {
 // Network is a broadcast domain: every attached, up device receives a copy
 // of each transmitted frame addressed to it (or to broadcast), after the
 // medium's serialization and propagation delays. Every other attached device
-// accounts the frame as a filter or down drop — by being walked, or, for a
-// unicast frame on a lossless segment, by the lazily settled arithmetic
-// described at flight.
+// accounts the frame as a filter or down drop — by being walked, or, on a
+// lossless segment, by the lazily settled arithmetic described at flight:
+// a unicast frame's bystanders and the down devices a broadcast skips.
 type Network struct {
 	name    string
 	loop    *sim.Loop
 	medium  Medium
 	devices []*Device
+	// awake has bit i set while devices[i] is up: the devices a broadcast
+	// fast flight walks, in attachment order. It grows with devices, so
+	// keeping it allocates nothing once the segment is built, and it changes
+	// only at settle points: the bring-up timer, BringDown, add and remove.
+	awake []uint64
+	// asleep counts the attached devices that are not up. With none to
+	// skip, a broadcast walks devices straight: iterating awake's bits cost
+	// an all-up segment about a tenth more a device.
+	asleep int
+	// attaches numbers attachments: the next device attached takes it as its
+	// seq, so devices is sorted by seq and a device is found by binary
+	// search.
+	attaches uint64
 	// byHW indexes the attached devices by hardware address (addresses are
 	// process-unique, so it is a bijection with devices), packed by hwKey:
 	// a uint64 key takes the map's fast path, which a [6]byte key misses.
@@ -153,9 +168,9 @@ type Network struct {
 	// so steady-state transmission does not allocate per frame.
 	flights []*flight
 
-	// fastLanded counts the unicast fast flights delivered so far. A device owes
-	// itself one filter or down drop for each it has not settled, less the
-	// ones it sent or received (Device.settle).
+	// fastLanded counts the fast flights delivered so far. A device owes itself
+	// one filter or down drop for each it has not settled, less the ones it
+	// sent or was visited for (Device.settle).
 	fastLanded uint64
 	// airHead/airTail queue every flight still in the air, in launch order,
 	// which lastDelivery makes the order of their arrival times. A landing
@@ -182,21 +197,26 @@ type Network struct {
 // queue's head: the medium, not the loop, orders its frames.
 //
 // A fast flight (from != nil) is a frame whose snapshot would have been every
-// attached device but the sender, so it is not taken. A unicast one can only
-// be received by one device: its rx holds that device (or nobody, for a stale
-// or self-addressed destination) and the rest are accounted arithmetically
-// when it lands. A broadcast one (all) is received by everybody: it lands by
-// walking n.devices itself. Three invariants keep that bit-exact with the
-// snapshot:
+// attached device but the sender, so it is not taken. When it lands, the
+// sender and every device it visits count it as their own (fastOwn) and every
+// other attached device owes a drop, settled arithmetically. A unicast one
+// can only be received by one device: its rx holds that device (or nobody,
+// for a stale or self-addressed destination). A broadcast one (all) is
+// received by everybody who is up: it lands by walking the devices n.awake
+// marks, and the down devices it skips owe a down drop — unless a skipped
+// device would log its drop (a traced frame on a loop with a packet log), in
+// which case it walks every one. Three invariants keep that bit-exact with
+// the snapshot:
 //
 //   - eligibility, decided at launch: LossProb == 0 (no per-receiver draw to
 //     preserve), not a trunk end, and someone besides the sender attached (the
-//     walk schedules no event for nobody). A bystander writes no packet-log
-//     row on the walk either (Device.deliver logs a drop only for a frame
-//     the device would accept), so the log does not need the walk;
-//   - settle points: a device folds its unsettled unicast fast flights into
+//     walk schedules no event for nobody). A unicast bystander writes no
+//     packet-log row on the walk either (Device.deliver logs a drop only for
+//     a frame the device would accept), so the log does not need the walk;
+//   - settle points: a device folds its unsettled fast flights into
 //     dropFilter or dropDown, by the state it holds, before that state
-//     changes, before it detaches and before its counters are read;
+//     changes, before it detaches and before its counters are read. A device
+//     a broadcast skipped is down, and stays so until it settles;
 //   - materialize on membership change: before any attach or detach, every
 //     fast flight in the air gets its full snapshot back, so "membership at
 //     launch, state at arrival" still holds.
@@ -258,21 +278,31 @@ func (n *Network) landHead() {
 	}
 	fl.next = nil
 	if fl.from != nil {
-		// Fast flight: everyone but the sender gets a delivery — a broadcast
-		// by being walked, a unicast frame by visiting rx alone.
+		// Fast flight: everyone but the sender gets a delivery — a device the
+		// flight visits by its callback, every other one by arithmetic.
 		n.landing = fl
+		n.fastLanded++
+		fl.from.fastOwn++
 		if fl.all {
-			// A callback that changes the membership ends the walk here:
-			// finishWalk moves the devices not yet reached into rx.
-			for fl.at = 0; n.landing == fl && fl.at < len(n.devices); fl.at++ {
-				if d := n.devices[fl.at]; d != fl.from {
-					n.stats.Delivered++
-					d.deliver(&fl.frame)
+			n.stats.Delivered += uint64(len(n.devices) - 1)
+			// A callback that settles or changes the membership ends the walk
+			// here: finishWalk moves the devices not yet reached into rx.
+			if n.asleep == 0 || fl.frame.Trace != 0 && n.pktlog != nil {
+				// Nobody to skip, or a down device would log the traced
+				// frame it misses: visit every device.
+				devs := n.devices // the walk ends before devices changes
+				for fl.at = 0; n.landing == fl && fl.at < len(devs); fl.at++ {
+					n.visit(fl, devs[fl.at])
+				}
+			} else {
+				for w := 0; n.landing == fl && w < len(n.awake); w++ {
+					for up := n.awake[w]; n.landing == fl && up != 0; up &= up - 1 {
+						fl.at = w<<6 | bits.TrailingZeros64(up)
+						n.visit(fl, n.devices[fl.at])
+					}
 				}
 			}
 		} else {
-			n.fastLanded++
-			fl.from.fastOwn++
 			for _, d := range fl.rx {
 				d.fastOwn++
 			}
@@ -290,28 +320,33 @@ func (n *Network) landHead() {
 	n.recycle(fl)
 }
 
+// visit hands a landing broadcast fast flight to d, unless d sent it.
+func (n *Network) visit(fl *flight, d *Device) {
+	if d != fl.from {
+		d.fastOwn++
+		d.deliver(&fl.frame)
+	}
+}
+
 // finishWalk turns the rest of the landing fast flight back into a walk. Its
-// receiver's callback is about to change a state or the membership, and the
-// devices attached after the receiver must meet the frame in the state they
-// hold once the callback returns: they are appended to rx, and for a unicast
-// flight taken out of the arithmetic.
+// receiver's callback is about to settle a device or change the membership,
+// and the devices attached after the receiver must meet the frame in the
+// state they hold once the callback returns: they are taken out of the
+// arithmetic and appended to rx. The devices before the receiver that the
+// flight did not visit keep owing it.
 func (n *Network) finishWalk() {
 	fl := n.landing
 	n.landing = nil
 	i := fl.at
 	if !fl.all {
-		for i = 0; n.devices[i] != fl.rx[0]; i++ {
-		}
+		i, _ = find(n.devices, fl.rx[0])
 	}
 	for _, d := range n.devices[i+1:] {
-		if d == fl.from {
-			continue
-		}
-		if !fl.all {
+		if d != fl.from {
 			d.fastOwn++
 			n.stats.Delivered--
+			fl.rx = append(fl.rx, d)
 		}
-		fl.rx = append(fl.rx, d)
 	}
 }
 
@@ -392,7 +427,18 @@ func (n *Network) Devices() []*Device { return append([]*Device(nil), n.devices.
 
 func (n *Network) add(d *Device) {
 	n.materialize()
+	d.seq = n.attaches
+	n.attaches++
+	i := len(n.devices)
 	n.devices = append(n.devices, d)
+	if i>>6 == len(n.awake) {
+		n.awake = append(n.awake, 0)
+	}
+	if d.state == StateUp {
+		n.awake[i>>6] |= 1 << (i & 63)
+	} else {
+		n.asleep++
+	}
 	if n.byHW == nil {
 		n.byHW = make(map[uint64]*Device)
 	}
@@ -403,15 +449,42 @@ func (n *Network) add(d *Device) {
 func (n *Network) remove(d *Device) {
 	n.materialize()
 	d.settle()
-	for i, x := range n.devices {
-		if x == d {
-			// Delete nils the vacated slot, or the backing array would keep
-			// a detached device (and its host) reachable.
-			n.devices = slices.Delete(n.devices, i, i+1)
-			delete(n.byHW, hwKey(d.hw))
-			return
-		}
+	i, ok := find(n.devices, d)
+	if !ok {
+		return
 	}
+	// Delete nils the vacated slot, or the backing array would keep a
+	// detached device (and its host) reachable.
+	n.devices = slices.Delete(n.devices, i, i+1)
+	delete(n.byHW, hwKey(d.hw))
+	if d.state != StateUp {
+		n.asleep--
+	}
+	// The bits above i move down one place with their devices.
+	w, b := i>>6, i&63
+	n.awake[w] = n.awake[w]&(1<<b-1) | n.awake[w]>>(b+1)<<b
+	for ; w+1 < len(n.awake); w++ {
+		n.awake[w] |= n.awake[w+1] << 63
+		n.awake[w+1] >>= 1
+	}
+}
+
+// mark records that an attached device has come up or is going down.
+func (n *Network) mark(d *Device, up bool) {
+	i, _ := find(n.devices, d)
+	if up {
+		n.awake[i>>6] |= 1 << (i & 63)
+		n.asleep--
+	} else {
+		n.awake[i>>6] &^= 1 << (i & 63)
+		n.asleep++
+	}
+}
+
+// find returns where d is, or would be, in devices, a slice in attachment
+// order.
+func find(devices []*Device, d *Device) (int, bool) {
+	return slices.BinarySearchFunc(devices, d.seq, func(x *Device, seq uint64) int { return cmp.Compare(x.seq, seq) })
 }
 
 // transmit schedules delivery of f from device from to every other attached
@@ -482,8 +555,8 @@ func (n *Network) transmit(from *Device, f *Frame) {
 
 // transmitFast launches a fast flight (see flight): one index probe finds
 // the only device that can receive a unicast frame (no device has the
-// broadcast address). In the in-air queue a membership change can still
-// give it its full snapshot.
+// broadcast address, so a broadcast's rx stays empty). In the in-air queue a
+// membership change can still give it its full snapshot.
 //
 //mnet:ownership takes f
 func (n *Network) transmitFast(from *Device, f *Frame, arrival sim.Time) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,8 +14,9 @@ import (
 
 // The reference link layer: every frame is handed to every device its
 // snapshot holds, one counter bump per visit — what Network.transmit did
-// before unicast frames learnt to skip the walk. The oracle test drives it
-// and the real thing with one schedule and demands they never differ.
+// before unicast frames learnt to skip the walk and broadcasts to skip the
+// devices that are down. The oracle test drives it and the real thing with
+// one schedule and demands they never differ.
 
 type refNet struct {
 	loop         *sim.Loop
@@ -24,10 +26,15 @@ type refNet struct {
 	busyUntil    sim.Time
 	lastDelivery sim.Time
 	// members counts membership changes; fastWant counts the lossless
-	// unicast frames that landed with no change since launch, which the
-	// real network must land as fast flights.
+	// frames that landed with no change since launch, which the real
+	// network must land as fast flights.
 	members  uint64
 	fastWant uint64
+	// logged mirrors the real loop's packet log; downSkips counts the fast
+	// broadcasts that reached a down device with no row to log, whose drops
+	// the real network settles arithmetically.
+	logged    bool
+	downSkips uint64
 }
 
 type refDev struct {
@@ -57,7 +64,7 @@ func (n *refNet) transmit(from *refDev, f *Frame) {
 		arrival = n.lastDelivery
 	}
 	n.lastDelivery = arrival
-	fast, members := n.medium.LossProb == 0 && len(n.devices) > 1 && !f.Dst.IsBroadcast(), n.members
+	fast, members := n.medium.LossProb == 0 && len(n.devices) > 1, n.members
 	var rx []*refDev
 	for _, d := range n.devices {
 		if d == from {
@@ -75,12 +82,18 @@ func (n *refNet) transmit(from *refDev, f *Frame) {
 	fr := *f
 	fr.Payload = append([]byte(nil), f.Payload...)
 	n.loop.At(arrival, func() {
-		if fast && members == n.members {
+		fast := fast && members == n.members
+		if fast {
 			n.fastWant++
 		}
+		skipped := false
 		for _, d := range rx {
 			n.stats.Delivered++
+			skipped = skipped || d.state != StateUp
 			d.deliver(&fr)
+		}
+		if fast && skipped && fr.Dst.IsBroadcast() && (fr.Trace == 0 || !n.logged) {
+			n.downSkips++
 		}
 	})
 }
@@ -188,8 +201,13 @@ type pair struct {
 	lastStep string
 	rewalked int // fast flights a callback turned back into a walk mid-landing
 	// bcastWalked counts receives off a broadcast landing by its implicit
-	// snapshot, bcastRewalked the callbacks that ended such a walk early.
-	bcastWalked, bcastRewalked int
+	// snapshot, bcastRewalked the callbacks that ended such a walk early,
+	// bcastSkipping the receives off one that skipped a down device.
+	bcastWalked, bcastRewalked, bcastSkipping int
+	// upUnreached and downReached count the broadcast receivers that brought
+	// up a down device the walk had yet to reach, or took down one it had
+	// passed.
+	upUnreached, downReached int
 }
 
 // Receiver scripts: the first payload byte picks what a receiver does to the
@@ -202,6 +220,8 @@ const (
 	actAttachHere
 	actReply
 	actStats
+	actUpNext   // bring up the nearest down device attached after the receiver
+	actDownPrev // take down the nearest up device attached before it
 	numActs
 )
 
@@ -216,7 +236,7 @@ func newPair(t *testing.T, seed int64, packetLog, registry bool) *pair {
 	for i := 0; i < 3; i++ {
 		m := Ethernet()
 		p.nets = append(p.nets, NewNetwork(p.loop, fmt.Sprintf("n%d", i), m))
-		p.refNets = append(p.refNets, &refNet{loop: p.refLoop, medium: m})
+		p.refNets = append(p.refNets, &refNet{loop: p.refLoop, medium: m, logged: packetLog})
 	}
 	for i := 0; i < 9; i++ {
 		// A third of the devices come up instantly, the rest take long enough
@@ -231,7 +251,16 @@ func newPair(t *testing.T, seed int64, packetLog, registry bool) *pair {
 			if n != nil {
 				landing = n.landing
 			}
-			p.act(false, i, f)
+			if landing != nil && landing.all && skipsDown(n, landing) {
+				p.bcastSkipping++
+			}
+			if j := p.act(false, i, f); j >= 0 && landing != nil && landing.all {
+				if f.Payload[0]%numActs == actUpNext {
+					p.upUnreached++
+				} else {
+					p.downReached++
+				}
+			}
 			if landing != nil && landing.all {
 				p.bcastWalked++
 			}
@@ -252,10 +281,11 @@ func newPair(t *testing.T, seed int64, packetLog, registry bool) *pair {
 	return p
 }
 
-// act runs the script a received frame carries, on one side of the pair.
-func (p *pair) act(ref bool, self int, f *Frame) {
+// act runs the script a received frame carries, on one side of the pair. It
+// returns the neighbour an actUpNext or actDownPrev script acted on, or -1.
+func (p *pair) act(ref bool, self int, f *Frame) int {
 	if len(f.Payload) < 2 {
-		return
+		return -1
 	}
 	target := int(f.Payload[1]) % len(p.devs)
 	switch f.Payload[0] % numActs {
@@ -282,7 +312,69 @@ func (p *pair) act(ref bool, self int, f *Frame) {
 		if !ref {
 			p.devs[target].Stats()
 		}
+	case actUpNext:
+		if j := p.neighbour(ref, self, true, false); j >= 0 {
+			p.up(ref, j)
+			return j
+		}
+	case actDownPrev:
+		if j := p.neighbour(ref, self, false, true); j >= 0 {
+			p.down(ref, j)
+			return j
+		}
 	}
+	return -1
+}
+
+// skipsDown reports whether the landing broadcast fl walks past a down
+// device that is not its sender.
+func skipsDown(n *Network, fl *flight) bool {
+	if n.asleep == 0 || fl.frame.Trace != 0 && n.pktlog != nil {
+		return false // the full walk
+	}
+	for _, d := range n.devices {
+		if d != fl.from && !d.IsUp() {
+			return true
+		}
+	}
+	return false
+}
+
+// neighbour returns the nearest device on self's segment attached after self
+// (or before it, if !after) that is up (or not, if !up), or -1.
+func (p *pair) neighbour(ref bool, self int, after, up bool) int {
+	var order []int // the segment's devices in attachment order
+	if ref {
+		if n := p.refDevs[self].net; n != nil {
+			for _, d := range n.devices {
+				order = append(order, slices.Index(p.refDevs, d))
+			}
+		}
+	} else if n := p.devs[self].Network(); n != nil {
+		for _, d := range n.devices {
+			order = append(order, slices.Index(p.devs, d))
+		}
+	}
+	at := slices.Index(order, self)
+	if at < 0 {
+		return -1
+	}
+	step := 1
+	if !after {
+		step = -1
+	}
+	isUp := func(j int) bool {
+		if ref {
+			return p.refDevs[j].state == StateUp
+		}
+		return p.devs[j].IsUp()
+	}
+	for k := at + step; k >= 0 && k < len(order); k += step {
+		if isUp(order[k]) == up {
+			return order[k]
+		}
+	}
+	return -1
 }
 
 func (p *pair) send(ref bool, from int, dst HWAddr, payload []byte, trace uint64) error {
@@ -331,6 +423,11 @@ func (p *pair) checkCheap() {
 			p.t.Fatalf("after %s: network %d stats = %+v, reference %+v", p.lastStep, i, got, want)
 		}
 	}
+	for i, n := range p.nets {
+		if err := awakeMismatch(n); err != nil {
+			p.t.Fatalf("after %s: network %d: %v", p.lastStep, i, err)
+		}
+	}
 	if !reflect.DeepEqual(p.log, p.refLog) {
 		p.t.Fatalf("after %s: receive order differs:\n real %v\n  ref %v", p.lastStep, tail(p.log), tail(p.refLog))
 	}
@@ -342,6 +439,83 @@ func (p *pair) checkCheap() {
 	}
 	if got, want := p.loop.Now(), p.refLoop.Now(); got != want {
 		p.t.Fatalf("after %s: clock %v, reference %v", p.lastStep, got, want)
+	}
+}
+
+// awakeMismatch reports where n.awake does not mark exactly the attached
+// devices that are up, or n.asleep does not count the others.
+func awakeMismatch(n *Network) error {
+	asleep := 0
+	for j := 0; j < 64*len(n.awake); j++ {
+		marked := n.awake[j>>6]&(1<<(j&63)) != 0
+		up := j < len(n.devices) && n.devices[j].IsUp()
+		if marked != up {
+			return fmt.Errorf("device %d of %d marked awake: %v, up: %v", j, len(n.devices), marked, up)
+		}
+		if j < len(n.devices) && !up {
+			asleep++
+		}
+	}
+	if asleep != n.asleep {
+		return fmt.Errorf("%d devices asleep, counted %d", asleep, n.asleep)
+	}
+	return nil
+}
+
+// TestAwakeFollowsAWideSegment flaps, detaches and re-attaches devices on a
+// segment several bitmap words wide, so a device leaving moves the marks of
+// the ones after it across word boundaries, and checks after every step that
+// awake marks the up devices and a broadcast reaches exactly them.
+func TestAwakeFollowsAWideSegment(t *testing.T) {
+	loop := sim.New(1)
+	n := NewNetwork(loop, "wide", Ethernet())
+	rng := rand.New(rand.NewSource(1))
+	devs := make([]*Device, 200)
+	got := make([]int, len(devs))
+	for i := range devs {
+		i := i
+		devs[i] = NewDevice(loop, fmt.Sprintf("d%d", i), 0, 0)
+		devs[i].SetReceiver(func(*Frame) { got[i]++ })
+		devs[i].Attach(n)
+		if rng.Intn(2) == 0 {
+			devs[i].BringUp(nil)
+		}
+	}
+	loop.RunFor(0)
+	for step := 0; step < 2000; step++ {
+		d := devs[rng.Intn(len(devs))]
+		switch rng.Intn(4) {
+		case 0:
+			d.BringUp(nil)
+		case 1:
+			d.BringDown()
+		case 2:
+			d.Detach()
+		case 3:
+			d.Attach(n)
+		}
+		loop.RunFor(0)
+		if err := awakeMismatch(n); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if len(n.devices) == 0 || !n.devices[0].IsUp() {
+			continue
+		}
+		from := n.devices[0]
+		want := make([]int, len(devs))
+		for i, d := range devs {
+			want[i] = got[i]
+			if d != from && d.Network() == n && d.IsUp() {
+				want[i]++
+			}
+		}
+		if err := from.Send(&Frame{Dst: BroadcastHW, Type: EtherTypeARP, Payload: []byte{1}}); err != nil {
+			t.Fatal(err)
+		}
+		loop.RunFor(time.Millisecond)
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: broadcast reached %v, want %v", step, got, want)
+		}
 	}
 }
 
@@ -443,15 +617,37 @@ func runOracle(t *testing.T, seed int64, packetLog, registry bool) {
 				t.Fatalf("%s: Send = %v, reference %v", p.lastStep, err, refErr)
 			}
 		case op < 58:
-			trace++
 			// Every up device runs the script, each against the membership
-			// and states the ones before it left behind.
+			// and states the ones before it left behind. Half the broadcasts
+			// are untraced, as ARP is: on a logged loop only a traced one has
+			// down devices that log its loss.
+			tr := uint64(0)
+			if rng.Intn(2) == 0 {
+				trace++
+				tr = trace
+			}
 			payload := []byte{byte(rng.Intn(numActs)), byte(rng.Intn(256)), byte(step)}
-			if rng.Intn(3) > 0 {
+			switch rng.Intn(6) {
+			case 0, 1:
+			case 2: // the walk meets a device the callbacks brought up
+				payload[0] = actUpNext
+			case 3: // the walk has passed a device the callbacks take down
+				payload[0] = actDownPrev
+			default:
 				payload[0] = actNone
 			}
-			p.lastStep = fmt.Sprintf("step %d: d%d broadcasts %x", step, dev, payload)
-			p.both(func(ref bool) { _ = p.send(ref, dev, BroadcastHW, payload, trace) })
+			p.lastStep = fmt.Sprintf("step %d: d%d broadcasts %x (trace %d)", step, dev, payload, tr)
+			p.both(func(ref bool) { _ = p.send(ref, dev, BroadcastHW, payload, tr) })
+			// Sometimes the sender goes down or leaves while its frame is in
+			// the air.
+			switch rng.Intn(8) {
+			case 0:
+				p.lastStep += ", then goes down"
+				p.both(func(ref bool) { p.down(ref, dev) })
+			case 1:
+				p.lastStep += ", then detaches"
+				p.both(func(ref bool) { p.detach(ref, dev) })
+			}
 		case op < 66: // attach, which moves an attached device with frames in flight
 			p.lastStep = fmt.Sprintf("step %d: d%d attaches to n%d", step, dev, net)
 			p.devs[dev].Attach(p.nets[net])
@@ -507,13 +703,14 @@ func runOracle(t *testing.T, seed int64, packetLog, registry bool) {
 	if got, want := p.loop.Rand().Int63(), p.refLoop.Rand().Int63(); got != want {
 		t.Fatalf("RNG streams diverged: next draw %d, reference %d", got, want)
 	}
-	var fast, sent, lost uint64
+	var fast, sent, lost, downSkips uint64
 	for i, n := range p.nets {
-		// The packet log is no reason to walk: every lossless unicast frame
-		// whose segment kept its membership until it landed flew fast.
+		// The packet log is no reason to take a snapshot: every lossless
+		// frame whose segment kept its membership until it landed flew fast.
 		if want := p.refNets[i].fastWant; n.fastLanded != want {
-			t.Fatalf("network %d landed %d unicast fast flights, want %d (every lossless unicast frame)", i, n.fastLanded, want)
+			t.Fatalf("network %d landed %d fast flights, want %d (every lossless frame)", i, n.fastLanded, want)
 		}
+		downSkips += p.refNets[i].downSkips
 		fast += n.fastLanded
 		sent += n.stats.Transmitted
 		lost += n.stats.LostMedium
@@ -533,8 +730,10 @@ func runOracle(t *testing.T, seed int64, packetLog, registry bool) {
 			t.Fatalf("packet log holds %d \"device down on rx\" rows (%d evicted), reference dropped %d", got, log.Evicted(), want)
 		}
 	}
-	if p.bcastWalked == 0 || p.bcastRewalked == 0 {
-		t.Fatalf("schedule too tame to mean anything: %d receives off a walked broadcast, %d walks ended by a callback", p.bcastWalked, p.bcastRewalked)
+	if p.bcastWalked == 0 || p.bcastRewalked == 0 || p.bcastSkipping == 0 || downSkips == 0 || p.upUnreached == 0 || p.downReached == 0 {
+		t.Fatalf("schedule too tame to mean anything: %d receives off a walked broadcast (%d off one that skipped a down device), %d walks ended by a callback, "+
+			"%d broadcasts whose down receivers were settled arithmetically, %d unreached devices brought up and %d reached ones taken down mid-walk",
+			p.bcastWalked, p.bcastSkipping, p.bcastRewalked, downSkips, p.upUnreached, p.downReached)
 	}
 	if fast < sent/4 || lost == 0 || p.rewalked == 0 {
 		t.Fatalf("schedule too tame to mean anything: %d of %d frames flew fast, %d medium losses, %d re-walked mid-landing", fast, sent, lost, p.rewalked)

@@ -166,6 +166,12 @@ func slabsOf(loop *sim.Loop) *slabs {
 	return s
 }
 
+// The loopback interface's address and prefix, parsed once for every host.
+var (
+	loopbackAddr   = ip.MustParseAddr("127.0.0.1")
+	loopbackPrefix = ip.MustParsePrefix("127.0.0.0/8")
+)
+
 // NewHost creates a host with a loopback interface and the default route
 // lookup installed.
 func NewHost(loop *sim.Loop, name string, cfg Config) *Host {
@@ -175,7 +181,7 @@ func NewHost(loop *sim.Loop, name string, cfg Config) *Host {
 	h.loop = loop
 	h.cfg = cfg
 	h.lo = sl.ifaces.Get()
-	*h.lo = Iface{host: h, name: "lo", addr: ip.MustParseAddr("127.0.0.1"), prefix: ip.MustParsePrefix("127.0.0.0/8")}
+	*h.lo = Iface{host: h, name: "lo", addr: loopbackAddr, prefix: loopbackPrefix}
 	h.lo.transmit = func(pkt *ip.Packet, _ ip.Addr) { h.Input(h.lo, pkt) }
 	h.ifaces = append(h.ifaces, h.lo)
 	h.icmp = newICMP(h)
