@@ -81,7 +81,9 @@ func BenchmarkForwardHop(b *testing.B) {
 
 // BenchmarkRouteLookup is one ip_rt_route() decision: from the cache, and
 // recomputed through the route override after the invalidation every handoff
-// causes.
+// causes. Its bindings case is the table lookup under a cache miss on a home
+// agent holding 2,000 binding /32s: one bound home address, found in the
+// /32 block, and one care-of address, which falls past it.
 func BenchmarkRouteLookup(b *testing.B) {
 	l := newLine(b)
 	// A route override in place, as on a mobile host: the miss path goes
@@ -106,6 +108,22 @@ func BenchmarkRouteLookup(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			l.a.InvalidateRoutes()
 			lookup()
+		}
+	})
+	b.Run("bindings", func(b *testing.B) {
+		rt, vif, homes, careOf := bindingTable(2000)
+		home := homes[len(homes)/2]
+		if r, _ := rt.Lookup(home); r.Iface != vif {
+			b.Fatalf("bound home address %v routes to %v", home, r)
+		}
+		if r, _ := rt.Lookup(careOf); r.Dst.Bits != 0 {
+			b.Fatalf("care-of address %v routes to %v", careOf, r)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rt.Lookup(home)
+			rt.Lookup(careOf)
 		}
 	})
 }

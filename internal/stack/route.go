@@ -42,8 +42,18 @@ func (r Route) String() string {
 // It is deliberately separate from mobility policy: the paper keeps the
 // kernel routing tables unchanged and layers the Mobile Policy Table
 // beside them, and so do we.
+//
+// The table is one slice sorted for a first-match scan: longest prefixes
+// first, then lowest metric, then insertion order. Its host routes (/32s;
+// a home agent holds one per binding) lead it as a block ordered by
+// address first, which changes no lookup — two /32s for different
+// addresses never both contain a destination — and lets Lookup, Add and
+// Delete find a host route by bisection instead of scanning the block, the
+// way a kernel's per-prefix-length zone (Linux fib_hash) finds one by
+// hash.
 type RouteTable struct {
 	routes []Route
+	n32    int // routes[:n32] are the /32s, by address, then metric
 
 	// gen counts mutations; it backs the host's route-decision cache (any
 	// bump invalidates cached decisions). It increases on every
@@ -52,12 +62,32 @@ type RouteTable struct {
 }
 
 // before orders the table for a simple first-match scan: longest prefixes
-// first, then lowest metric.
+// first, then (among /32s) by address, then lowest metric.
 func (r Route) before(o Route) bool {
 	if r.Dst.Bits != o.Dst.Bits {
 		return r.Dst.Bits > o.Dst.Bits
 	}
+	if r.Dst.Bits == 32 && r.Dst.Addr != o.Dst.Addr {
+		return r.Dst.Addr.Less(o.Dst.Addr)
+	}
 	return r.Metric < o.Metric
+}
+
+// lower32 returns the index of the first /32 whose address is not below
+// a's: the start of a's run in the block, if it has one.
+func (t *RouteTable) lower32(a ip.Addr) int {
+	return sort.Search(t.n32, func(i int) bool { return !t.routes[i].Dst.Addr.Less(a) })
+}
+
+// run32 returns the bounds [i, j) of the /32 block's run of routes to a;
+// the run is empty (i == j, a's place in the block) if a has none.
+func (t *RouteTable) run32(a ip.Addr) (i, j int) {
+	i = t.lower32(a)
+	j = i
+	for j < t.n32 && t.routes[j].Dst.Addr == a {
+		j++
+	}
+	return i, j
 }
 
 // Add inserts a route. Adding an identical (Dst, Gateway, Iface) tuple
@@ -67,8 +97,15 @@ func (t *RouteTable) Add(r Route) {
 		panic("stack: route with nil interface")
 	}
 	r.Dst = r.Dst.Normalize()
-	for i := range t.routes {
-		e := &t.routes[i]
+	// Only dst's /32 run, or the shorter prefixes after the block, can hold
+	// the same tuple.
+	span := t.routes[t.n32:]
+	if r.Dst.Bits == 32 {
+		i, j := t.run32(r.Dst.Addr)
+		span = t.routes[i:j]
+	}
+	for i := range span {
+		e := &span[i]
 		if e.Dst == r.Dst && e.Gateway == r.Gateway && e.Iface == r.Iface {
 			if e.Metric != r.Metric {
 				e.Metric = r.Metric
@@ -87,21 +124,32 @@ func (t *RouteTable) Add(r Route) {
 	t.routes = append(t.routes, Route{})
 	copy(t.routes[i+1:], t.routes[i:])
 	t.routes[i] = r
+	if r.Dst.Bits == 32 {
+		t.n32++
+	}
 }
 
 // Delete removes every route exactly matching dst. It reports whether
 // anything was removed.
 func (t *RouteTable) Delete(dst ip.Prefix) bool {
 	dst = dst.Normalize()
-	kept := t.routes[:0]
-	removed := false
-	for _, r := range t.routes {
-		if r.Dst == dst {
-			removed = true
-			continue
+	if dst.Bits == 32 {
+		i, j := t.run32(dst.Addr)
+		if i == j {
+			return false
 		}
-		kept = append(kept, r)
+		t.routes = append(t.routes[:i], t.routes[j:]...)
+		t.n32 -= j - i
+		t.gen++
+		return true
 	}
+	kept := t.routes[:t.n32]
+	for _, r := range t.routes[t.n32:] {
+		if r.Dst != dst {
+			kept = append(kept, r)
+		}
+	}
+	removed := len(kept) < len(t.routes)
 	t.routes = kept
 	if removed {
 		t.gen++
@@ -116,6 +164,9 @@ func (t *RouteTable) DeleteIface(ifc *Iface) int {
 	for _, r := range t.routes {
 		if r.Iface == ifc {
 			n++
+			if r.Dst.Bits == 32 {
+				t.n32--
+			}
 			continue
 		}
 		kept = append(kept, r)
@@ -128,9 +179,15 @@ func (t *RouteTable) DeleteIface(ifc *Iface) int {
 }
 
 // Lookup returns the best (longest-prefix, lowest-metric, up-interface)
-// route for dst.
+// route for dst: the first up route of dst's /32 run, else of the shorter
+// prefixes after the block.
 func (t *RouteTable) Lookup(dst ip.Addr) (Route, bool) {
-	for _, r := range t.routes {
+	for i := t.lower32(dst); i < t.n32 && t.routes[i].Dst.Addr == dst; i++ {
+		if r := t.routes[i]; r.Iface.Up() {
+			return r, true
+		}
+	}
+	for _, r := range t.routes[t.n32:] {
 		if r.Dst.Contains(dst) && r.Iface.Up() {
 			return r, true
 		}

@@ -167,22 +167,38 @@ func TestForwardCacheServesRepeatTraffic(t *testing.T) {
 	}
 }
 
-func TestRoutesSnapshotMemoized(t *testing.T) {
+// TestRouteTableGenBumpsOnlyOnChange pins the cache-invalidation contract
+// the route-decision cache relies on: a route added or deleted — a prefix or
+// a binding's /32 — bumps the table's generation, and a no-op (an identical
+// re-add, a delete of a route that is not there) does not, since a bump
+// flushes every cached decision for nothing.
+func TestRouteTableGenBumpsOnlyOnChange(t *testing.T) {
 	loop := sim.New(1)
 	net := link.NewNetwork(loop, "n", link.Ethernet())
 	a := addNode(t, loop, net, "a", "10.0.0.1/24")
 	tbl := a.host.Routes()
+	vif := a.host.AddVirtualIface("vif0", func(*ip.Packet, ip.Addr) {})
+	wide := Route{Dst: ip.MustParsePrefix("10.9.0.0/16"), Gateway: ip.MustParseAddr("10.0.0.2"), Iface: a.ifc}
+	host := Route{Dst: ip.MustParsePrefix("10.0.0.7/32"), Iface: vif}
 
-	gen := tbl.gen
-	tbl.Add(Route{Dst: ip.MustParsePrefix("10.9.0.0/16"), Gateway: ip.MustParseAddr("10.0.0.2"), Iface: a.ifc})
-	if tbl.gen == gen {
-		t.Fatal("Add did not bump the generation")
-	}
-	// Re-adding the identical route is a no-op; a bump would flush the
-	// route-decision cache for nothing.
-	gen = tbl.gen
-	tbl.Add(Route{Dst: ip.MustParsePrefix("10.9.0.0/16"), Gateway: ip.MustParseAddr("10.0.0.2"), Iface: a.ifc})
-	if tbl.gen != gen {
-		t.Fatal("identical re-add must not bump the generation")
+	for _, step := range []struct {
+		what   string
+		change func()
+		bumps  bool
+	}{
+		{"add a prefix", func() { tbl.Add(wide) }, true},
+		{"re-add it", func() { tbl.Add(wide) }, false},
+		{"add a /32", func() { tbl.Add(host) }, true},
+		{"re-add the /32", func() { tbl.Add(host) }, false},
+		{"delete the /32", func() { tbl.Delete(host.Dst) }, true},
+		{"delete the absent /32", func() { tbl.Delete(host.Dst) }, false},
+		{"delete the prefix", func() { tbl.Delete(wide.Dst) }, true},
+		{"delete the absent prefix", func() { tbl.Delete(wide.Dst) }, false},
+	} {
+		gen := tbl.gen
+		step.change()
+		if bumped := tbl.gen != gen; bumped != step.bumps {
+			t.Fatalf("%s: generation bumped %v, want %v", step.what, bumped, step.bumps)
+		}
 	}
 }
