@@ -157,8 +157,7 @@ type Device struct {
 	bringUpDelay  time.Duration
 	bringUpJitter time.Duration
 
-	recv     func(*Frame)
-	onChange []func()
+	recv func(*Frame)
 	// up is made by the first BringUp that has to wait, so a device that is
 	// never raised (a fleet's residents) carries a nil pointer.
 	up      *bringUps
@@ -248,18 +247,6 @@ func (d *Device) Stats() DeviceStats {
 // SetReceiver installs the host-stack callback for delivered frames.
 func (d *Device) SetReceiver(fn func(*Frame)) { d.recv = fn }
 
-// OnChange registers a callback invoked whenever the device's
-// reachability changes: bring-up completion, bring-down, attach, detach.
-// The host stack uses it to invalidate cached routing decisions that
-// depend on Iface.Up().
-func (d *Device) OnChange(fn func()) { d.onChange = append(d.onChange, fn) }
-
-func (d *Device) notifyChange() {
-	for _, fn := range d.onChange {
-		fn()
-	}
-}
-
 // settle folds the fast flights that landed on the device's network since
 // the last settle, less the ones the device sent or was visited for, into the
 // drop counter the walk would have bumped: dropFilter if the device is up (a
@@ -291,7 +278,6 @@ func (d *Device) Attach(n *Network) {
 	}
 	d.net = n
 	n.add(d)
-	d.notifyChange()
 }
 
 // Detach disconnects the device from its network, e.g. when carried out of
@@ -302,7 +288,6 @@ func (d *Device) Detach() {
 	}
 	d.net.remove(d) // settles d first
 	d.net = nil
-	d.notifyChange()
 }
 
 // BringUp starts the device's initialization and invokes done (if non-nil)
@@ -365,7 +350,6 @@ func (d *Device) upTimer() {
 		}
 		d.upSince = now
 		d.markLinkChange(kSpanLinkUp)
-		d.notifyChange()
 		// A done may take the device down and ask it up again; that request
 		// is appended behind the n that were waiting and is not one of them.
 		for j, n := 0, len(u.wait); j < n; j++ {
@@ -399,7 +383,6 @@ func (d *Device) BringDown() {
 	}
 	d.state = StateDown
 	d.markLinkChange(kSpanLinkDown)
-	d.notifyChange()
 }
 
 // markLinkChange records an instant span for a carrier transition in the

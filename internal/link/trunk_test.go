@@ -86,33 +86,3 @@ func TestMediumMinLatency(t *testing.T) {
 		}
 	}
 }
-
-func TestDeviceOnChange(t *testing.T) {
-	loop := sim.New(1)
-	net := NewNetwork(loop, "n", Ethernet())
-	d := NewDevice(loop, "eth0", time.Millisecond, 0)
-	var fires int
-	d.OnChange(func() { fires++ })
-
-	d.Attach(net) // fire 1
-	if fires != 1 {
-		t.Fatalf("after Attach: %d fires, want 1", fires)
-	}
-	d.BringUp(nil)
-	if fires != 1 {
-		t.Fatalf("BringUp must not fire until the delay elapses; got %d", fires)
-	}
-	loop.RunFor(2 * time.Millisecond) // fire 2: up transition
-	if fires != 2 {
-		t.Fatalf("after bring-up completes: %d fires, want 2", fires)
-	}
-	d.BringDown() // fire 3
-	d.BringDown() // no-op: already down
-	if fires != 3 {
-		t.Fatalf("after BringDown: %d fires, want 3", fires)
-	}
-	d.Detach() // fire 4
-	if fires != 4 {
-		t.Fatalf("after Detach: %d fires, want 4", fires)
-	}
-}

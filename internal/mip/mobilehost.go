@@ -187,6 +187,8 @@ type sideExchange struct {
 // NewMobileHost wraps ts's host with mobility support: it installs the
 // route lookup override, the VIF/IPIP tunnel endpoints, and registers the
 // home address as always-local (tunneled packets arrive addressed to it).
+// The override reads the Mobile Policy Table and the care-of state on every
+// packet, so a policy edit or a handoff step routes the next packet by it.
 func NewMobileHost(ts *transport.Stack, cfg MobileHostConfig) *MobileHost {
 	m := &MobileHost{
 		host:   ts.Host(),
@@ -208,11 +210,6 @@ func NewMobileHost(ts *transport.Stack, cfg MobileHostConfig) *MobileHost {
 	// The paper's modified ip_rt_route(): it consults the Mobile Policy
 	// Table or delegates to the default lookup itself.
 	m.host.SetRouteLookup(m.routeLookup)
-	// routeLookup's decisions embed Mobile Policy Table verdicts and the
-	// current care-of state; both must flush the stack's decision cache
-	// the moment they change. Policy edits flow through this hook, and
-	// every care-of/mode transition below calls InvalidateRoutes itself.
-	m.policy.SetOnChange(m.host.RouteInvalidator())
 	m.registerMetrics(metrics.For(m.host.Loop()))
 	return m
 }
@@ -424,7 +421,6 @@ func (m *MobileHost) teardown(mi *ManagedIface) {
 	}
 	if m.active == mi {
 		m.faAddr = ip.Addr{}
-		m.host.InvalidateRoutes()
 	}
 	m.host.Routes().DeleteIface(mi.ifc)
 	mi.ifc.Device().BringDown()
@@ -471,7 +467,6 @@ func (m *MobileHost) register(careOf ip.Addr, lifetime time.Duration, done func(
 	m.careOf = careOf
 	m.atHome = false
 	m.faAddr = ip.Addr{} // collocated care-of mode
-	m.host.InvalidateRoutes()
 	m.pend(careOf, lifetime, careOf, ip.Addr{}, done)
 }
 

@@ -59,23 +59,8 @@ type policyEntry struct {
 type PolicyTable struct {
 	entries []policyEntry
 
-	// onChange fires after every mutation (Set, Delete). The
-	// mobile host hooks it to invalidate the stack's route-decision
-	// cache: cached decisions embed policy verdicts, so a policy edit
-	// must take effect before the very next packet.
-	onChange func()
-
 	lookups uint64
 	hits    uint64 // lookups resolved by an explicit entry (not the default)
-}
-
-// SetOnChange installs the mutation callback (nil to remove).
-func (t *PolicyTable) SetOnChange(fn func()) { t.onChange = fn }
-
-func (t *PolicyTable) changed() {
-	if t.onChange != nil {
-		t.onChange()
-	}
 }
 
 // NewPolicyTable creates an empty table: every destination gets the
@@ -88,7 +73,6 @@ func (t *PolicyTable) Set(prefix ip.Prefix, p Policy) {
 	for i := range t.entries {
 		if t.entries[i].prefix == prefix {
 			t.entries[i].policy = p
-			t.changed()
 			return
 		}
 	}
@@ -98,7 +82,6 @@ func (t *PolicyTable) Set(prefix ip.Prefix, p Policy) {
 	t.entries = append(t.entries, policyEntry{})
 	copy(t.entries[i+1:], t.entries[i:])
 	t.entries[i] = policyEntry{prefix, p}
-	t.changed()
 }
 
 // SetHost installs a host-specific (/32) policy — how probe results for a
@@ -113,7 +96,6 @@ func (t *PolicyTable) Delete(prefix ip.Prefix) bool {
 	for i := range t.entries {
 		if t.entries[i].prefix == prefix {
 			t.entries = append(t.entries[:i], t.entries[i+1:]...)
-			t.changed()
 			return true
 		}
 	}

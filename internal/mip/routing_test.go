@@ -8,11 +8,10 @@ import (
 	"mosquitonet/internal/transport"
 )
 
-// TestPolicyChangeInvalidatesRouteCache is the stale-decision regression
-// test: with the stack's route-decision cache warm on a tunneled flow, a
-// Mobile Policy Table change must take effect on the very next packet —
-// the cached decision may not serve even one more send.
-func TestPolicyChangeInvalidatesRouteCache(t *testing.T) {
+// TestPolicyFlipTakesEffectOnNextPacket: after a run of tunneled sends to a
+// correspondent, a Mobile Policy Table change for it routes the very next
+// packet by the new policy — bare, from the care-of address.
+func TestPolicyFlipTakesEffectOnNextPacket(t *testing.T) {
 	w := newWorld(t, 77)
 	served, lastFrom := w.udpEchoServer(9000)
 	w.goForeign()
@@ -27,7 +26,7 @@ func TestPolicyChangeInvalidatesRouteCache(t *testing.T) {
 	}
 	chAddr := ip.MustParseAddr(wCHAddr)
 
-	// Warm the cache: several tunneled sends, all hitting after the first.
+	// Several tunneled sends under the default policy.
 	for i := 0; i < 4; i++ {
 		if err := sock.SendTo(chAddr, 9000, []byte("warm")); err != nil {
 			t.Fatal(err)
@@ -44,10 +43,6 @@ func TestPolicyChangeInvalidatesRouteCache(t *testing.T) {
 	if encapBefore == 0 {
 		t.Fatal("warmup traffic did not use the reverse tunnel")
 	}
-	st := w.mh.Host().RouteCacheStats()
-	if st.Hits == 0 {
-		t.Fatalf("route cache never hit during warmup: %+v", st)
-	}
 
 	// Mid-flow policy change: this correspondent is now local-role
 	// (PolicyDirect — bare packets, care-of source, no tunnel).
@@ -62,7 +57,7 @@ func TestPolicyChangeInvalidatesRouteCache(t *testing.T) {
 		t.Fatalf("served %d probes after policy change, want 5", *served)
 	}
 	if *lastFrom != careOf {
-		t.Fatalf("post-change probe arrived from %v, want care-of %v — stale cached route decision", *lastFrom, careOf)
+		t.Fatalf("post-change probe arrived from %v, want care-of %v — routed by the old policy", *lastFrom, careOf)
 	}
 	if got := w.mh.Tunnel().Stats().Encapsulated; got != encapBefore {
 		t.Fatalf("post-change probe was still tunneled (encapsulated %d -> %d)", encapBefore, got)

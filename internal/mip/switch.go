@@ -264,7 +264,6 @@ func (op *switchOp) run() {
 			m.switchDefaultRoute(mi)
 			mi.ready = true
 			m.active, m.atHome, m.careOf = mi, true, ip.Addr{}
-			m.host.InvalidateRoutes()
 			op.cur.Done()
 			if arp := mi.ifc.ARP(); arp != nil {
 				arp.Gratuitous(m.cfg.HomeAddr, mi.ifc.Device().HW())
@@ -283,7 +282,6 @@ func (op *switchOp) run() {
 			routes.Add(stack.Route{Dst: ip.Prefix{}, Gateway: op.gw, Iface: mi.ifc})
 			mi.ready = true
 			m.active, m.atHome, m.careOf, m.faAddr = mi, false, ip.Addr{}, op.gw
-			m.host.InvalidateRoutes()
 			m.notifyLink(mi)
 			m.registerViaFA(op.gw, op.finish)
 		default:
@@ -304,7 +302,6 @@ func (op *switchOp) run() {
 	case phSwitched:
 		m.active = mi
 		m.atHome = m.cfg.HomePrefix.Contains(mi.addr) && mi.addr == m.cfg.HomeAddr
-		m.host.InvalidateRoutes()
 		m.switchDefaultRoute(mi)
 		op.cur.Done()
 		m.trace(kRouteSwitched, trace.Operands{S: mi.Name()})

@@ -26,26 +26,26 @@ import (
 // SetDecapsulator fills the host's IP-in-IP receive slot, the paper's
 // decapsulation module: fn takes every locally delivered protocol-4
 // packet, which the stack has already counted as delivered. nil empties the
-// slot, and protocol 4 is then a protocol without a handler. Setting or
-// clearing it flushes the host's route-decision caches.
+// slot, and protocol 4 is then a protocol without a handler. The slot is
+// read per packet, so a change takes effect on the next one.
 func (h *Host) SetDecapsulator(fn func(pkt *ip.Packet)) {
 	h.decap = fn
-	h.invalidate()
 }
 
 // SetRouteLookup fills the host's one route-lookup slot: the paper's
 // single kernel modification, an overridden ip_rt_route(). fn answers
-// every route query the decision cache misses; one that declines a lookup
-// calls DefaultRouteLookup itself. nil restores the stock lookup. Setting
-// or clearing the slot flushes the host's route-decision caches.
+// every route query; one that declines a lookup calls DefaultRouteLookup
+// itself. nil restores the stock lookup. The slot is read per query, so a
+// change takes effect on the next one.
 func (h *Host) SetRouteLookup(fn func(dst, boundSrc ip.Addr) (RouteDecision, error)) {
 	h.routeOverride = fn
-	h.invalidate()
 }
 
-// resolveRoute answers one route query: the override if one is set, else
-// the stock longest-prefix match.
-func (h *Host) resolveRoute(dst, boundSrc ip.Addr) (RouteDecision, error) {
+// RouteLookup is ip_rt_route(): dst is the packet's destination, boundSrc
+// the source address the sender bound, or the unspecified address if it
+// left the choice to the stack. The route slot answers it: the override if
+// one is set, else DefaultRouteLookup.
+func (h *Host) RouteLookup(dst, boundSrc ip.Addr) (RouteDecision, error) {
 	if h.routeOverride != nil {
 		return h.routeOverride(dst, boundSrc)
 	}
@@ -141,7 +141,7 @@ func (h *Host) forward(in *Iface, pkt *ip.Packet) {
 		h.dropICMP(dropTTL, metrics.Text("ttl expired"), ip.ICMPTimeExceeded, 0, pkt)
 		return
 	}
-	r, ok := h.lookupForward(pkt.Dst)
+	r, ok := h.routes.Lookup(pkt.Dst)
 	if !ok {
 		h.dropICMP(dropNoRoute, noRouteTo(pkt.Dst), ip.ICMPDestUnreach, ip.CodeNetUnreach, pkt)
 		return

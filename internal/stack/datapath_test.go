@@ -393,11 +393,10 @@ func TestEveryDropReasonSelectsItsOwn(t *testing.T) {
 	}
 }
 
-// TestRouteHookRegistrationInvalidatesRouteCache guards the stale-decision
-// hazard analogous to TestPolicyChangeInvalidatesRouteCache: setting or
-// clearing the route override after host start flushes cached decisions,
-// and SetRouteLookup(nil) restores the stock lookup.
-func TestRouteHookRegistrationInvalidatesRouteCache(t *testing.T) {
+// TestRouteOverrideTakesEffectAtOnce: setting the route override answers
+// the very next lookup with it, after stock lookups of the same query, and
+// SetRouteLookup(nil) restores the stock answer on the next one.
+func TestRouteOverrideTakesEffectAtOnce(t *testing.T) {
 	loop := sim.New(1)
 	net := link.NewNetwork(loop, "n", link.Ethernet())
 	a := addNode(t, loop, net, "a", "10.0.0.1/24")
@@ -407,55 +406,50 @@ func TestRouteHookRegistrationInvalidatesRouteCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.host.RouteLookup(dst, ip.Addr{}); err != nil {
-		t.Fatal(err)
+	if def.Iface != a.ifc {
+		t.Fatalf("stock lookup routes via %v, want %v", def.Iface, a.ifc)
 	}
-	if h := a.host.RouteCacheStats().Hits; h == 0 {
-		t.Fatal("second lookup did not hit the cache")
+	if again, err := a.host.RouteLookup(dst, ip.Addr{}); err != nil || again != def {
+		t.Fatalf("repeated stock lookup: %+v (err %v), want %+v", again, err, def)
 	}
 
 	want := RouteDecision{Iface: a.host.Loopback(), Src: dst, NextHop: dst}
 	a.host.SetRouteLookup(func(ip.Addr, ip.Addr) (RouteDecision, error) { return want, nil })
 	if got, err := a.host.RouteLookup(dst, ip.Addr{}); err != nil || got != want {
-		t.Fatalf("stale decision survived setting the override: %+v (err %v)", got, err)
+		t.Fatalf("lookup after setting the override: %+v (err %v), want %+v", got, err, want)
 	}
 
 	a.host.SetRouteLookup(nil)
 	if got, err := a.host.RouteLookup(dst, ip.Addr{}); err != nil || got != def {
-		t.Fatalf("stale decision survived clearing the override: %+v (err %v)", got, err)
+		t.Fatalf("lookup after clearing the override: %+v (err %v), want %+v", got, err, def)
 	}
 }
 
-// TestForwardHookRegistrationInvalidatesForwardCache covers the same
-// hazard on the forwarding path's dst-keyed cache: switching an
-// interface's transit check on, and off again, each flush it.
-func TestForwardHookRegistrationInvalidatesForwardCache(t *testing.T) {
+// TestTransitFilterSwitchesOnNextPacket: a router forwards foreign-source
+// packets through an interface until its transit filter goes on; the next
+// one is filtered, and the next one after the filter goes off is forwarded
+// again — each switch holds from the packet that follows it.
+func TestTransitFilterSwitchesOnNextPacket(t *testing.T) {
 	loop := sim.New(1)
-	net := link.NewNetwork(loop, "n", link.Ethernet())
-	a := addNode(t, loop, net, "a", "10.0.0.1/24")
-	dst := ip.MustParseAddr("10.0.0.9")
+	a, b, router := twoSubnetTopology(t, loop)
+	got := collect(b.host)
+	eth0 := router.IfaceByName("eth0")
 
-	if _, ok := a.host.lookupForward(dst); !ok {
-		t.Fatal("no connected route")
-	}
-	if _, ok := a.host.lookupForward(dst); !ok {
-		t.Fatal("no connected route")
-	}
-	before := a.host.RouteCacheStats()
-	if before.Hits == 0 {
-		t.Fatal("second lookup did not hit the cache")
-	}
-
-	for _, on := range []bool{true, false} {
-		a.ifc.SetTransitFilter(on)
-		if _, ok := a.host.lookupForward(dst); !ok {
-			t.Fatal("no connected route")
+	var delivered, filtered int
+	for i, on := range []bool{false, false, true, true, false, true, false} {
+		eth0.SetTransitFilter(on)
+		a.host.Output(udpPacket("36.135.0.7", "10.0.1.2", "foreign source"))
+		loop.RunFor(time.Second)
+		if on {
+			filtered++
+		} else {
+			delivered++
 		}
-		after := a.host.RouteCacheStats()
-		if after.Misses != before.Misses+1 || after.Invalidations != before.Invalidations+1 {
-			t.Fatalf("cache not flushed by SetTransitFilter(%v): before %+v, after %+v", on, before, after)
+		st := router.Stats()
+		if len(*got) != delivered || st.DropFilter != uint64(filtered) {
+			t.Fatalf("packet %d (filter %v): b has %d, router filtered %d; want %d and %d",
+				i, on, len(*got), st.DropFilter, delivered, filtered)
 		}
-		before = after
 	}
 }
 

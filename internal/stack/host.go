@@ -83,28 +83,9 @@ type Host struct {
 	//mnet:ownership takes pkt
 	decap func(pkt *ip.Packet)
 
-	// invalidate is InvalidateRoutes as a func value, made once: every
-	// slot, device and policy table that can move a route decision calls
-	// this one.
-	invalidate func()
-
 	// hopFree is the free list of hop records (see hop in datapath.go),
 	// filled lazily: a host that never handles a packet carries a nil head.
 	hopFree *hop
-
-	// Route-decision cache for the ip_rt_route hot path. Decisions are
-	// memoized per (dst, boundSrc) for local output and per dst for the
-	// forwarding path, and guarded by a combined generation: the route
-	// table's own counter plus routeGen, which everything outside the
-	// table bumps via InvalidateRoutes (iface/device state, local-address
-	// set, mobility policy). Any bump flushes both maps lazily on the
-	// next lookup, so a cached decision can never outlive the state it
-	// was derived from.
-	routeGen      uint64
-	routeCacheGen uint64
-	routeCache    map[routeCacheKey]RouteDecision
-	fwdCache      map[ip.Addr]Route
-	cacheStats    RouteCacheStats
 
 	handlers   map[ip.Protocol]ProtocolHandler
 	forwarding bool
@@ -187,7 +168,6 @@ func NewHost(loop *sim.Loop, name string, cfg Config) *Host {
 	h.icmp = newICMP(h)
 	h.reasm = ip.NewReassembler()
 	h.pktlog = metrics.PacketsFor(loop)
-	h.invalidate = h.InvalidateRoutes
 	h.registerMetrics(metrics.For(loop))
 	return h
 }
@@ -225,9 +205,6 @@ func (h *Host) registerMetrics(reg *metrics.Registry) {
 		c.Counter("stack.icmp.sent", h.icmp.Sent, host)
 		c.Counter("stack.icmp.received", h.icmp.Received, host)
 		c.Counter("stack.icmp.echo_requests", h.icmp.EchoRequests, host)
-		c.Counter("stack.route_cache.hits", h.cacheStats.Hits, host)
-		c.Counter("stack.route_cache.misses", h.cacheStats.Misses, host)
-		c.Counter("stack.route_cache.invalidations", h.cacheStats.Invalidations, host)
 	})
 }
 
@@ -304,9 +281,6 @@ func (h *Host) AddIface(name string, dev *link.Device, addr ip.Addr, prefix ip.P
 			return ifc.arpAddrs[:]
 		})
 	}
-	// Device reachability feeds Iface.Up(), which route decisions depend
-	// on; the decision cache must not survive an up/down/attach change.
-	dev.OnChange(h.invalidate)
 	dev.SetReceiver(func(f *link.Frame) {
 		switch f.Type {
 		case link.EtherTypeARP:
@@ -326,7 +300,6 @@ func (h *Host) AddIface(name string, dev *link.Device, addr ip.Addr, prefix ip.P
 		}
 	})
 	h.ifaces = append(h.ifaces, ifc)
-	h.InvalidateRoutes()
 	return ifc
 }
 
@@ -337,7 +310,6 @@ func (h *Host) AddVirtualIface(name string, transmit TransmitFunc) *Iface {
 	ifc := slabsOf(h.loop).ifaces.Get()
 	*ifc = Iface{host: h, name: name, transmit: transmit}
 	h.ifaces = append(h.ifaces, ifc)
-	h.InvalidateRoutes()
 	return ifc
 }
 
@@ -371,13 +343,11 @@ func (h *Host) AddLocalAddr(a ip.Addr) {
 		h.localAddrs = make(map[ip.Addr]bool)
 	}
 	h.localAddrs[a] = true
-	h.InvalidateRoutes()
 }
 
 // RemoveLocalAddr undoes AddLocalAddr.
 func (h *Host) RemoveLocalAddr(a ip.Addr) {
 	delete(h.localAddrs, a)
-	h.InvalidateRoutes()
 }
 
 // JoinGroup subscribes the host to a multicast group; traffic to it is
@@ -390,14 +360,12 @@ func (h *Host) JoinGroup(g ip.Addr) error {
 		h.groups = make(map[ip.Addr]bool)
 	}
 	h.groups[g] = true
-	h.InvalidateRoutes()
 	return nil
 }
 
 // LeaveGroup unsubscribes the host from a multicast group.
 func (h *Host) LeaveGroup(g ip.Addr) {
 	delete(h.groups, g)
-	h.InvalidateRoutes()
 }
 
 // InGroup reports whether the host has joined g.
@@ -413,11 +381,15 @@ func (h *Host) IsLocalAddr(a ip.Addr) bool {
 	if a.IsMulticast() {
 		return h.groups[a]
 	}
+	av := a.Uint32()
 	for _, i := range h.ifaces {
 		if !i.addr.IsUnspecified() && i.addr == a {
 			return true
 		}
-		if i.dev != nil && i.prefix.Bits > 0 && a == i.prefix.BroadcastAddr() {
+		// Only an address with every host bit set can be the directed
+		// broadcast; most are not, and are passed without building it.
+		if hostBits := ^i.prefix.Mask(); av&hostBits == hostBits &&
+			i.dev != nil && i.prefix.Bits > 0 && a == i.prefix.BroadcastAddr() {
 			return true
 		}
 	}
@@ -431,95 +403,6 @@ func (h *Host) RegisterHandler(p ip.Protocol, fn ProtocolHandler) {
 		h.handlers = make(map[ip.Protocol]ProtocolHandler)
 	}
 	h.handlers[p] = fn
-}
-
-// routeCacheKey identifies one memoizable lookup: the paper's
-// ip_rt_route() arguments.
-type routeCacheKey struct {
-	dst, src ip.Addr
-}
-
-// RouteCacheStats counts route-decision cache activity. Invalidations is
-// the number of cache flushes actually performed (generation bumps while
-// the cache is already empty cost, and count, nothing).
-type RouteCacheStats struct {
-	Hits          uint64
-	Misses        uint64
-	Invalidations uint64
-}
-
-// RouteCacheStats returns a snapshot of the cache counters.
-func (h *Host) RouteCacheStats() RouteCacheStats { return h.cacheStats }
-
-// InvalidateRoutes discards every cached route decision. The stack calls
-// it on interface and local-address changes; mobility code calls it when
-// policy state outside the routing table shifts (care-of address switch,
-// Mobile Policy Table edit). Route-table mutations are covered by the
-// table's own generation and need no explicit call.
-func (h *Host) InvalidateRoutes() { h.routeGen++ }
-
-// RouteInvalidator returns InvalidateRoutes as the func value the host
-// made for it once, for a callback to install (a policy table's OnChange)
-// without making another.
-func (h *Host) RouteInvalidator() func() { return h.invalidate }
-
-// syncRouteCache flushes the decision caches if any guarded state moved
-// since they were filled. Both generations are monotonic, so their sum
-// changes whenever either does.
-func (h *Host) syncRouteCache() {
-	gen := h.routeGen + h.routes.gen
-	if gen == h.routeCacheGen {
-		return
-	}
-	if len(h.routeCache) > 0 || len(h.fwdCache) > 0 {
-		clear(h.routeCache)
-		clear(h.fwdCache)
-		h.cacheStats.Invalidations++
-	}
-	h.routeCacheGen = gen
-}
-
-// RouteLookup is ip_rt_route(): dst is the packet's destination, boundSrc
-// the source address the sender bound, or the unspecified address if it
-// left the choice to the stack. It answers through the generation-guarded
-// decision cache, consulting the route override (or the stock lookup) on a
-// miss. Only successful decisions are cached; errors always re-resolve.
-func (h *Host) RouteLookup(dst, boundSrc ip.Addr) (RouteDecision, error) {
-	h.syncRouteCache()
-	key := routeCacheKey{dst: dst, src: boundSrc}
-	if dec, ok := h.routeCache[key]; ok {
-		h.cacheStats.Hits++
-		return dec, nil
-	}
-	h.cacheStats.Misses++
-	dec, err := h.resolveRoute(dst, boundSrc)
-	if err == nil {
-		if h.routeCache == nil {
-			h.routeCache = make(map[routeCacheKey]RouteDecision)
-		}
-		h.routeCache[key] = dec
-	}
-	return dec, err
-}
-
-// lookupForward is the forwarding path's cached table lookup. The cache
-// holds only the matched route; filters, MTU checks, and redirect logic
-// still run per packet.
-func (h *Host) lookupForward(dst ip.Addr) (Route, bool) {
-	h.syncRouteCache()
-	if r, ok := h.fwdCache[dst]; ok {
-		h.cacheStats.Hits++
-		return r, true
-	}
-	h.cacheStats.Misses++
-	r, ok := h.routes.Lookup(dst)
-	if ok {
-		if h.fwdCache == nil {
-			h.fwdCache = make(map[ip.Addr]Route)
-		}
-		h.fwdCache[dst] = r
-	}
-	return r, ok
 }
 
 // DefaultRouteLookup is the stock lookup: longest-prefix match on the

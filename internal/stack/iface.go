@@ -85,7 +85,6 @@ func (i *Iface) String() string {
 func (i *Iface) SetAddr(addr ip.Addr, prefix ip.Prefix) {
 	i.addr = addr
 	i.prefix = prefix.Normalize()
-	i.host.InvalidateRoutes()
 }
 
 // SetTransitFilter switches the paper's transit-traffic filter (§3.2) on
@@ -94,10 +93,10 @@ func (i *Iface) SetAddr(addr ip.Addr, prefix ip.Prefix) {
 // one it drops under DropFilter as "filtered". A mobile host on the visited
 // network that sends with its home address as source — the triangle route
 // — is refused; one that tunnels, with its local care-of address as outer
-// source, passes. Switching it flushes the host's route-decision caches.
+// source, passes. The flag is read per packet, so a switch takes effect on
+// the next one.
 func (i *Iface) SetTransitFilter(on bool) {
 	i.transitFilter = on
-	i.host.invalidate()
 }
 
 // MTU returns the largest packet the interface carries, or 0 (unlimited)

@@ -35,7 +35,11 @@ func (r Route) String() string {
 	if !r.Gateway.IsUnspecified() {
 		gw = "via " + r.Gateway.String()
 	}
-	return fmt.Sprintf("%v %s dev %s metric %d", r.Dst, gw, r.Iface.Name(), r.Metric)
+	dev := "-"
+	if r.Iface != nil {
+		dev = r.Iface.Name()
+	}
+	return fmt.Sprintf("%v %s dev %s metric %d", r.Dst, gw, dev, r.Metric)
 }
 
 // RouteTable is an ordered routing table with longest-prefix-match lookup.
@@ -54,11 +58,6 @@ func (r Route) String() string {
 type RouteTable struct {
 	routes []Route
 	n32    int // routes[:n32] are the /32s, by address, then metric
-
-	// gen counts mutations; it backs the host's route-decision cache (any
-	// bump invalidates cached decisions). It increases on every
-	// Add/Delete/DeleteIface that changes the table and never decreases.
-	gen uint64
 }
 
 // before orders the table for a simple first-match scan: longest prefixes
@@ -109,13 +108,11 @@ func (t *RouteTable) Add(r Route) {
 		if e.Dst == r.Dst && e.Gateway == r.Gateway && e.Iface == r.Iface {
 			if e.Metric != r.Metric {
 				e.Metric = r.Metric
-				t.gen++
 				sort.SliceStable(t.routes, func(i, j int) bool { return t.routes[i].before(t.routes[j]) })
 			}
 			return
 		}
 	}
-	t.gen++
 	// The table is sorted, so the new route goes in after the last entry
 	// that does not sort after it — where a stable sort of the table with
 	// the route appended would leave it, without re-sorting (and without the
@@ -140,7 +137,6 @@ func (t *RouteTable) Delete(dst ip.Prefix) bool {
 		}
 		t.routes = append(t.routes[:i], t.routes[j:]...)
 		t.n32 -= j - i
-		t.gen++
 		return true
 	}
 	kept := t.routes[:t.n32]
@@ -151,9 +147,6 @@ func (t *RouteTable) Delete(dst ip.Prefix) bool {
 	}
 	removed := len(kept) < len(t.routes)
 	t.routes = kept
-	if removed {
-		t.gen++
-	}
 	return removed
 }
 
@@ -172,24 +165,24 @@ func (t *RouteTable) DeleteIface(ifc *Iface) int {
 		kept = append(kept, r)
 	}
 	t.routes = kept
-	if n > 0 {
-		t.gen++
-	}
 	return n
 }
 
 // Lookup returns the best (longest-prefix, lowest-metric, up-interface)
 // route for dst: the first up route of dst's /32 run, else of the shorter
-// prefixes after the block.
+// prefixes after the block. It walks the table by index and copies out only
+// the route it returns; a table with no /32s skips the bisection.
 func (t *RouteTable) Lookup(dst ip.Addr) (Route, bool) {
-	for i := t.lower32(dst); i < t.n32 && t.routes[i].Dst.Addr == dst; i++ {
-		if r := t.routes[i]; r.Iface.Up() {
-			return r, true
+	if t.n32 > 0 {
+		for i := t.lower32(dst); i < t.n32 && t.routes[i].Dst.Addr == dst; i++ {
+			if t.routes[i].Iface.Up() {
+				return t.routes[i], true
+			}
 		}
 	}
-	for _, r := range t.routes[t.n32:] {
-		if r.Dst.Contains(dst) && r.Iface.Up() {
-			return r, true
+	for i := t.n32; i < len(t.routes); i++ {
+		if r := &t.routes[i]; r.Dst.Contains(dst) && r.Iface.Up() {
+			return *r, true
 		}
 	}
 	return Route{}, false

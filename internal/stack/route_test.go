@@ -17,7 +17,6 @@ import (
 // by address.
 type scanTable struct {
 	routes []Route
-	gen    uint64
 }
 
 func scanBefore(r, o Route) bool {
@@ -38,14 +37,12 @@ func (s *scanTable) add(r Route) {
 		if e.Dst == r.Dst && e.Gateway == r.Gateway && e.Iface == r.Iface {
 			if e.Metric != r.Metric {
 				e.Metric = r.Metric
-				s.gen++
 				s.sort()
 			}
 			return
 		}
 	}
 	s.routes = append(s.routes, r)
-	s.gen++
 	s.sort()
 }
 
@@ -55,9 +52,6 @@ func (s *scanTable) remove(drop func(Route) bool) {
 		if !drop(r) {
 			kept = append(kept, r)
 		}
-	}
-	if len(kept) < len(s.routes) {
-		s.gen++
 	}
 	s.routes = kept
 }
@@ -77,7 +71,7 @@ func (s *scanTable) lookup(dst ip.Addr) (Route, bool) {
 // in-place metric changes, deletes of a prefix or of an interface's routes,
 // and interfaces going down and up, applied to the real table and to the
 // reference scan. After every step both must give the same answer for every
-// probe, the same generation, the same routes beyond the block, and a block
+// probe, the same routes beyond the block, and a block
 // holding exactly the reference's /32s, stably ordered by address.
 func TestRouteTableLookupMatchesScan(t *testing.T) {
 	loop := sim.New(1)
@@ -148,9 +142,9 @@ func TestRouteTableLookupMatchesScan(t *testing.T) {
 				}
 				what = fmt.Sprintf("delete %v", dst)
 				got := rt.Delete(dst)
-				before := ref.gen
+				before := len(ref.routes)
 				ref.remove(func(r Route) bool { return r.Dst == dst })
-				if got != (ref.gen != before) {
+				if got != (len(ref.routes) != before) {
 					t.Fatalf("seed %d step %d: %s reported %v", seed, step, what, got)
 				}
 			case k < 17: // every route through one interface goes
@@ -215,11 +209,8 @@ func checkAgainstScan(t *testing.T, rt *RouteTable, ref *scanTable, probes []ip.
 		got, gok := rt.Lookup(dst)
 		want, wok := ref.lookup(dst)
 		if gok != wok || got != want {
-			t.Fatalf("%s: Lookup(%v) = %s, the scan gives %s", where, dst, showRoute(got, gok), showRoute(want, wok))
+			t.Fatalf("%s: Lookup(%v) = %v, %v; the scan gives %v, %v", where, dst, got, gok, want, wok)
 		}
-	}
-	if rt.gen != ref.gen {
-		t.Fatalf("%s: generation %d, the scan's %d", where, rt.gen, ref.gen)
 	}
 	var block []Route
 	for _, r := range ref.routes {
@@ -239,11 +230,23 @@ func checkAgainstScan(t *testing.T, rt *RouteTable, ref *scanTable, probes []ip.
 	}
 }
 
-func showRoute(r Route, ok bool) string {
-	if !ok {
-		return "no route"
+// TestRouteString renders a route like "route -n" does, and the zero Route
+// a failed Lookup returns as one with no interface instead of panicking.
+func TestRouteString(t *testing.T) {
+	h := NewHost(sim.New(1), "h", Config{})
+	vif := h.AddVirtualIface("vif0", func(*ip.Packet, ip.Addr) {})
+	for _, c := range []struct {
+		r    Route
+		want string
+	}{
+		{Route{}, "0.0.0.0/0 direct dev - metric 0"},
+		{Route{Dst: ip.MustParsePrefix("10.1.0.0/16"), Gateway: ip.Addr{10, 0, 0, 1}, Iface: vif, Metric: 10},
+			"10.1.0.0/16 via 10.0.0.1 dev vif0 metric 10"},
+	} {
+		if got := fmt.Sprintf("%v", c.r); got != c.want {
+			t.Errorf("%%v of a route = %q, want %q", got, c.want)
+		}
 	}
-	return r.String()
 }
 
 // bindingTable is a home agent's table: a connected home network, a default

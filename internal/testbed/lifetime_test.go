@@ -125,6 +125,6 @@ func TestPoolBalanceAtQuiesce(t *testing.T) {
 			t.Fatal(err)
 		}
 		fl.ss.RunFor(scaleDuration)
-		requirePoolBalance(t, pkts0, bufs0, made0, fl.cacheHosts, func(d time.Duration) { fl.ss.RunFor(d) })
+		requirePoolBalance(t, pkts0, bufs0, made0, fl.hosts, func(d time.Duration) { fl.ss.RunFor(d) })
 	})
 }

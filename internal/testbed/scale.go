@@ -98,11 +98,6 @@ type ScaleRow struct {
 	ProbesSent       uint64  `json:"probes_sent"`
 	ProbesEchoed     uint64  `json:"probes_echoed"`
 	Encapsulated     uint64  `json:"encapsulated"`
-
-	RouteCacheHits          uint64  `json:"route_cache_hits"`
-	RouteCacheMisses        uint64  `json:"route_cache_misses"`
-	RouteCacheInvalidations uint64  `json:"route_cache_invalidations"`
-	RouteCacheHitRate       float64 `json:"route_cache_hit_rate"`
 }
 
 // ScaleResult is the full scale experiment: one row per fleet size.
@@ -114,12 +109,12 @@ type ScaleResult struct {
 func (r *ScaleResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Scale: concurrent roaming fleets (%v virtual per fleet)\n", scaleDuration)
-	fmt.Fprintf(&b, "  %6s  %6s  %10s  %12s  %8s  %6s  %7s  %7s  %7s\n",
-		"hosts", "shards", "events", "ev/virt-sec", "queue-hw", "regs", "probes", "echoed", "cache%")
+	fmt.Fprintf(&b, "  %6s  %6s  %10s  %12s  %8s  %6s  %7s  %7s\n",
+		"hosts", "shards", "events", "ev/virt-sec", "queue-hw", "regs", "probes", "echoed")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %6d  %6d  %10d  %12.0f  %8d  %6d  %7d  %7d  %6.1f%%\n",
+		fmt.Fprintf(&b, "  %6d  %6d  %10d  %12.0f  %8d  %6d  %7d  %7d\n",
 			row.Hosts, row.Shards, row.Events, row.EventsPerVirtSec, row.QueueHighWater,
-			row.Registrations, row.ProbesSent, row.ProbesEchoed, 100*row.RouteCacheHitRate)
+			row.Registrations, row.ProbesSent, row.ProbesEchoed)
 	}
 	return b.String()
 }
@@ -213,9 +208,8 @@ type scaleFleet struct {
 
 	fleet []*scaleMH
 	has   []*mip.HomeAgent
-	// cacheHosts collects every stack host in deterministic construction
-	// order, for summing route-cache counters at the end.
-	cacheHosts []*stack.Host
+	// hosts collects every stack host in deterministic construction order.
+	hosts []*stack.Host
 }
 
 // RunScaleFleetWorkers runs one fleet of n roaming mobile hosts on a
@@ -275,7 +269,7 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int, duration 
 	ss.SetWorkers(workers)
 	metrics.RegisterShardSet(ss, regs)
 
-	var cacheHosts []*stack.Host
+	var hosts []*stack.Host
 
 	// Hub shard: backbone router plus the cross-shard correspondent.
 	hubLoop := loops[hub]
@@ -287,7 +281,7 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int, duration 
 	})
 	scenario.AddRouterIface(hubRouter, backboneNet, scaleHubAddr, scaleBackbonePfx, stack.IfaceOpts{})
 	hubRouter.SetForwarding(true)
-	cacheHosts = append(cacheHosts, hubRouter)
+	hosts = append(hosts, hubRouter)
 
 	probesSent := make([]uint64, numShards)
 	probesEchoed := make([]uint64, numShards)
@@ -298,7 +292,7 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int, duration 
 	if _, err := bbCH.Echo(ip.Unspecified, 7); err != nil {
 		return nil, err
 	}
-	cacheHosts = append(cacheHosts, bbCH.Host())
+	hosts = append(hosts, bbCH.Host())
 
 	fleet := make([]*scaleMH, 0, n)
 	has := make([]*mip.HomeAgent, 0, numFleet)
@@ -331,7 +325,7 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int, duration 
 		scenario.AddRouterIface(router, deptNet, routerDept, deptPfx, stack.IfaceOpts{})
 		scenario.AddRouterIface(router, campusNet, routerCampus, campusPfx, stack.IfaceOpts{})
 		router.SetForwarding(true)
-		cacheHosts = append(cacheHosts, router)
+		hosts = append(hosts, router)
 		ha, err := mip.NewHomeAgent(transport.NewStack(router), mip.HomeAgentConfig{
 			HomeIface:       homeIfc,
 			HomePrefix:      homePfx,
@@ -369,7 +363,7 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int, duration 
 		if _, err := ch.Echo(ip.Unspecified, 7); err != nil {
 			return nil, err
 		}
-		cacheHosts = append(cacheHosts, ch.Host())
+		hosts = append(hosts, ch.Host())
 
 		// This shard's slice of the fleet, contiguous in global host index.
 		// Silent campuses (k >= numActive) take an empty slice.
@@ -414,7 +408,7 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int, duration 
 			}
 			sm.sock = sock
 			fleet = append(fleet, sm)
-			cacheHosts = append(cacheHosts, h)
+			hosts = append(hosts, h)
 
 			// Roam: each host attaches to the department net, then
 			// alternates between the two foreign subnets on a fixed
@@ -466,7 +460,7 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int, duration 
 		probesEchoed: probesEchoed,
 		fleet:        fleet,
 		has:          has,
-		cacheHosts:   cacheHosts,
+		hosts:        hosts,
 	}, nil
 }
 
@@ -492,15 +486,6 @@ func (f *scaleFleet) row() ScaleRow {
 	}
 	for _, ha := range f.has {
 		row.Encapsulated += ha.Tunnel().Stats().Encapsulated
-	}
-	for _, h := range f.cacheHosts {
-		st := h.RouteCacheStats()
-		row.RouteCacheHits += st.Hits
-		row.RouteCacheMisses += st.Misses
-		row.RouteCacheInvalidations += st.Invalidations
-	}
-	if total := row.RouteCacheHits + row.RouteCacheMisses; total > 0 {
-		row.RouteCacheHitRate = float64(row.RouteCacheHits) / float64(total)
 	}
 	return row
 }
