@@ -12,9 +12,9 @@ import (
 //	Input ── classify ──▶ deliver: reassemble ─▶ protocol 4? decapsulation slot
 //	   │                                     └─▶ protocol handler (ICMP built in)
 //	   └────────────────▶ forward: TTL ─▶ route ─▶ transit check ─▶ MTU ─▶ redirect
-//	Output: route slot ─┐                                          │
-//	OutputVia ──────────┴──────────────▶ postroute hop ◀───────────┘
-//	                                      └─▶ Iface.send: the wire, or a VIF's TransmitFunc
+//	Output: route slot ─▶ OutputRouted ─┐                          │
+//	OutputVia ──────────────────────────┴──▶ postroute hop ◀───────┘
+//	                                          └─▶ Iface.send: the wire, or a VIF's TransmitFunc
 //
 // Each arrow into deliver, forward and the postroute hop is a hop record
 // (see scheduleHop) carrying the packet across the host's processing delay.
@@ -108,7 +108,7 @@ func (h *Host) deliverDatagram(ifc *Iface, pkt *ip.Packet) {
 		h.decap(pkt)
 		return
 	}
-	handler, ok := h.handlers[pkt.Protocol]
+	handler, ok := h.handler(pkt.Protocol)
 	switch {
 	case ok:
 		h.stats.Delivered++
@@ -176,13 +176,14 @@ func noRouteTo(dst ip.Addr) metrics.Detail {
 	return metrics.AddrDetail(metrics.DetailNoRoute, dst, "")
 }
 
-// Output routes and transmits a locally originated packet. A zero TTL is
-// replaced with the host default; an unspecified source is filled from the
-// route decision, exactly as the paper describes: packets with a bound
-// source are outside the scope of mobile IP, packets without one get
-// whatever source the (possibly overridden) lookup chooses. An unroutable
-// packet is dropped, with an ICMP Destination Unreachable back to a bound
-// source, rather than vanishing silently.
+// Output routes and transmits a locally originated packet: one route
+// lookup, then OutputRouted. A zero TTL is replaced with the host default;
+// an unspecified source is filled from the route decision, exactly as the
+// paper describes: packets with a bound source are outside the scope of
+// mobile IP, packets without one get whatever source the (possibly
+// overridden) lookup chooses. An unroutable packet is dropped, with an ICMP
+// Destination Unreachable back to a bound source, rather than vanishing
+// silently.
 //
 // Output takes pkt, error or not: the stack owns it from here to the wire,
 // the handler or the drop, and releases it there. The caller reads nothing
@@ -190,17 +191,29 @@ func noRouteTo(dst ip.Addr) metrics.Detail {
 //
 //mnet:ownership takes pkt
 func (h *Host) Output(pkt *ip.Packet) error {
-	h.stamp(pkt)
 	dec, err := h.RouteLookup(pkt.Dst, pkt.Src)
 	if err != nil {
+		h.stamp(pkt)
 		h.dropICMP(dropNoRoute, noRouteTo(pkt.Dst), ip.ICMPDestUnreach, ip.CodeNetUnreach, pkt)
 		return err
 	}
+	h.OutputRouted(pkt, dec)
+	return nil
+}
+
+// OutputRouted transmits a locally originated packet along a route
+// decision its sender already holds: the transport, whose one call into
+// RouteLookup both picked the pseudo-header source and routed the datagram.
+// It is the send step every local packet takes — stamp, fill an
+// unspecified source from dec, emit — and, like Output, it takes pkt.
+//
+//mnet:ownership takes pkt
+func (h *Host) OutputRouted(pkt *ip.Packet, dec RouteDecision) {
+	h.stamp(pkt)
 	if pkt.Src.IsUnspecified() {
 		pkt.Src = dec.Src
 	}
 	h.emit(dec.Iface, pkt, dec.NextHop)
-	return nil
 }
 
 // OutputVia transmits pkt on a specific interface toward nextHop,
@@ -209,8 +222,7 @@ func (h *Host) Output(pkt *ip.Packet) error {
 //
 //mnet:ownership takes pkt
 func (h *Host) OutputVia(ifc *Iface, pkt *ip.Packet, nextHop ip.Addr) error {
-	h.stamp(pkt)
-	h.emit(ifc, pkt, nextHop)
+	h.OutputRouted(pkt, RouteDecision{Iface: ifc, NextHop: nextHop})
 	return nil
 }
 

@@ -3,6 +3,7 @@ package stack
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"mosquitonet/internal/arena"
@@ -87,14 +88,18 @@ type Host struct {
 	// filled lazily: a host that never handles a packet carries a nil head.
 	hopFree *hop
 
-	handlers   map[ip.Protocol]ProtocolHandler
+	// handlers holds the protocol handlers, one entry a protocol: the
+	// transport registers two (UDP, TCP), so a scan beats a hash.
+	handlers   []protoHandler
 	forwarding bool
 
 	// localAddrs holds addresses the host accepts beyond its interface
-	// addresses. A mobile host away from home keeps its home address here:
-	// tunneled packets arrive addressed to the care-of address, but the
-	// decapsulated inner packet is addressed to the home address.
-	localAddrs map[ip.Addr]bool
+	// addresses, each once. A mobile host away from home keeps its home
+	// address here: tunneled packets arrive addressed to the care-of
+	// address, but the decapsulated inner packet is addressed to the home
+	// address. No host the simulator builds holds more than that one, so
+	// it is a slice scanned on every Input, not a map.
+	localAddrs []ip.Addr
 
 	// groups holds joined multicast groups. Group traffic is link-scoped:
 	// it rides link broadcast on the joined interface and routers do not
@@ -337,17 +342,19 @@ func (h *Host) AddDefaultRoute(gw ip.Addr, ifc *Iface) {
 }
 
 // AddLocalAddr makes the host accept packets addressed to a beyond its
-// interface addresses (the mobile host's home address while away).
+// interface addresses (the mobile host's home address while away). The
+// addresses are a set: adding one twice keeps it once.
 func (h *Host) AddLocalAddr(a ip.Addr) {
-	if h.localAddrs == nil { // maps are lazy: most fleet hosts never need one
-		h.localAddrs = make(map[ip.Addr]bool)
+	if !slices.Contains(h.localAddrs, a) {
+		h.localAddrs = append(h.localAddrs, a)
 	}
-	h.localAddrs[a] = true
 }
 
 // RemoveLocalAddr undoes AddLocalAddr.
 func (h *Host) RemoveLocalAddr(a ip.Addr) {
-	delete(h.localAddrs, a)
+	if i := slices.Index(h.localAddrs, a); i >= 0 {
+		h.localAddrs = slices.Delete(h.localAddrs, i, i+1)
+	}
 }
 
 // JoinGroup subscribes the host to a multicast group; traffic to it is
@@ -375,7 +382,7 @@ func (h *Host) InGroup(g ip.Addr) bool { return h.groups[g] }
 // extra local address, a joined multicast group, loopback, or a broadcast
 // form.
 func (h *Host) IsLocalAddr(a ip.Addr) bool {
-	if a.IsBroadcast() || a.IsLoopback() || h.localAddrs[a] {
+	if a.IsBroadcast() || a.IsLoopback() || slices.Contains(h.localAddrs, a) {
 		return true
 	}
 	if a.IsMulticast() {
@@ -396,13 +403,32 @@ func (h *Host) IsLocalAddr(a ip.Addr) bool {
 	return false
 }
 
+// protoHandler is one entry of a host's protocol handler table.
+type protoHandler struct {
+	proto ip.Protocol
+	fn    ProtocolHandler
+}
+
 // RegisterHandler installs the protocol handler for locally delivered
-// packets of protocol p, replacing any previous handler.
+// packets of protocol p, replacing any previous handler in place.
 func (h *Host) RegisterHandler(p ip.Protocol, fn ProtocolHandler) {
-	if h.handlers == nil {
-		h.handlers = make(map[ip.Protocol]ProtocolHandler)
+	for i := range h.handlers {
+		if h.handlers[i].proto == p {
+			h.handlers[i].fn = fn
+			return
+		}
 	}
-	h.handlers[p] = fn
+	h.handlers = append(h.handlers, protoHandler{p, fn})
+}
+
+// handler returns protocol p's handler, if one is registered.
+func (h *Host) handler(p ip.Protocol) (ProtocolHandler, bool) {
+	for _, e := range h.handlers {
+		if e.proto == p {
+			return e.fn, true
+		}
+	}
+	return nil, false
 }
 
 // DefaultRouteLookup is the stock lookup: longest-prefix match on the

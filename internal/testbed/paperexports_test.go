@@ -20,24 +20,24 @@ func TestPaperExportsPinned(t *testing.T) {
 		want map[string]string
 	}{
 		{"e1", func() (Result, error) { return RunE1(seed) }, map[string]string{
-			"BENCH_e1.json": "c6b42666d7ca740518e59f70e9e0e9c2e2c42801568834de8c37895b25c97373"}},
+			"BENCH_e1.json": "a0c54cdcf01dee33e4ba0b984f8e6a66b75feb4f6305e0bd73049abf1cf7359a"}},
 		{"f6", func() (Result, error) { return RunF6(seed) }, map[string]string{
-			"BENCH_f6.json": "eb9f94082216d334dc45340c2c7e16545a95a1391d3486fff1dc509f77c1fb34"}},
+			"BENCH_f6.json": "655ffd9b3b36ba1b90662d2e6e894139e4b62861b2db59dde591084a8c362e7c"}},
 		{"f7", func() (Result, error) { return RunF7(seed) }, map[string]string{
 			"BENCH_f7.json":           "7fcb7309b1cba6b48790240f955de7047df50f9206ec273012c9723ba4d244a5",
 			"BENCH_f7_timeline.jsonl": "9590726859724dd0d42b0b7c5291e3ff0454d02356404efa395a877bc9c7975c"}},
 		{"rtt", func() (Result, error) { return RunRTT(seed, 20) }, map[string]string{
 			"BENCH_rtt.json": "2145af8f4fe22a81ab29b7dfac671537924c141027490c0e603beb25b6bee720"}},
 		{"tput", func() (Result, error) { return RunThroughput(seed, 50, 1000) }, map[string]string{
-			"BENCH_tput.json": "0e24d418ae2ed574453375c1d849ba68332c30c914032ae67247f6381d8abec9"}},
+			"BENCH_tput.json": "7d5c4c59fb81f5ce8fa6b87818c1c8cf37e82f4977b3e7a7eec3cd070ccd209b"}},
 		{"a1", func() (Result, error) { return RunA1(seed, 20) }, map[string]string{
-			"BENCH_a1.json": "ae1eebdcb11b7b3a2b8e2a4addfad8b65f2077be5f16ab9f47a4b7d7ef5f20f3"}},
+			"BENCH_a1.json": "d5384b394d6f3e28f0d509c5ef946292880eaa98218ff0238f6ef835533f9510"}},
 		{"a2", func() (Result, error) { return RunA2(seed, 5) }, map[string]string{
-			"BENCH_a2.json": "b9dc20cf4929126e62b38c0d50c69e8b85876ccfe952f33413ae2a4452cd4029"}},
+			"BENCH_a2.json": "ad9ba5b2fe8e1af282c894f4abb9e529684a4b252f2c1ed12f3f04d38151dc58"}},
 		{"a3", func() (Result, error) { return RunA3(seed, []int{1, 8, 32, 64}) }, map[string]string{
 			"BENCH_a3.json": "bec1e6aa94f3629a4644246352ed49bf3507ea7c0472d848ce4b649f6f13992f"}},
 		{"a4", func() (Result, error) { return RunA4(seed, 5) }, map[string]string{
-			"BENCH_a4.json": "aadc51b71aa93e3c94888ebda4230a2224f0e4f8e615b94b4f8f518598c157eb"}},
+			"BENCH_a4.json": "e9e496b0ef1607a26314e09ff678c7947f250ef8753e59f107740bed2ca89f8b"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := renderArtifacts(t, tc.run)

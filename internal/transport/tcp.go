@@ -187,11 +187,17 @@ func (l *Listener) Close() {
 
 // Connect opens a connection to (dst, dport), bound locally to bound (or
 // the route lookup's recommended source when unspecified — the home
-// address on a mobile host, making the connection move-proof).
+// address on a mobile host, making the connection move-proof). The lookup
+// is the transport-layer call into ip_rt_route() the paper describes; each
+// segment is routed afresh by Output.
 func (s *Stack) Connect(bound, dst ip.Addr, dport uint16) (*Conn, error) {
-	src, err := s.resolveSrc(dst, bound)
+	dec, err := s.host.RouteLookup(dst, bound)
 	if err != nil {
 		return nil, err
+	}
+	src := bound
+	if src.IsUnspecified() {
+		src = dec.Src
 	}
 	lport, err := s.ephemeralPort(src)
 	if err != nil {

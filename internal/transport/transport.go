@@ -101,21 +101,6 @@ func (s *Stack) ephemeralPort(addr ip.Addr) (uint16, error) {
 	return 0, ErrNoPorts
 }
 
-// resolveSrc asks the host's route lookup for the source address a send
-// with the given binding will use — the transport-layer call into
-// ip_rt_route() the paper describes, needed here to compute pseudo-header
-// checksums.
-func (s *Stack) resolveSrc(dst, bound ip.Addr) (ip.Addr, error) {
-	dec, err := s.host.RouteLookup(dst, bound)
-	if err != nil {
-		return ip.Addr{}, err
-	}
-	if !bound.IsUnspecified() {
-		return bound, nil
-	}
-	return dec.Src, nil
-}
-
 func (s *Stack) String() string {
 	return fmt.Sprintf("transport(%s: %d udp, %d conns, %d listeners)",
 		s.host.Name(), len(s.udp), len(s.conns), len(s.listeners))

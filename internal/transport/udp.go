@@ -96,21 +96,29 @@ func (u *UDPSocket) Rebind(bound ip.Addr) error {
 	return nil
 }
 
-// SendTo transmits payload to (dst, dport). The pseudo-header checksum is
-// computed against the source address the route lookup recommends, then
-// the packet is handed to IP with that source already stamped — matching
-// the paper's description of transport protocols consulting ip_rt_route().
+// SendTo transmits payload to (dst, dport). It asks the host's route
+// lookup once — the transport-layer call into ip_rt_route() the paper
+// describes — and that one decision does both jobs: its source (or the
+// socket's bound address) is the one the pseudo-header checksum is computed
+// against, and its interface and next hop are the route the datagram takes
+// (stack.Host.OutputRouted). An unroutable destination returns the lookup's
+// error, and nothing is sent.
 func (u *UDPSocket) SendTo(dst ip.Addr, dport uint16, payload []byte) error {
 	if u.closed {
 		return ErrClosed
 	}
-	src, err := u.stk.resolveSrc(dst, u.bound)
+	dec, err := u.stk.host.RouteLookup(dst, u.bound)
 	if err != nil {
 		return err
 	}
+	src := u.bound
+	if src.IsUnspecified() {
+		src = dec.Src
+	}
 	pkt := ip.NewUDPPacket(src, dst, ip.UDPHeader{SrcPort: u.port, DstPort: dport}, payload)
 	u.Sent++
-	return u.stk.host.Output(pkt)
+	u.stk.host.OutputRouted(pkt, dec)
+	return nil
 }
 
 // SendToVia transmits a datagram out a specific interface toward nextHop,
