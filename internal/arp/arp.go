@@ -318,7 +318,7 @@ func (c *Cache) SendIP(dst ip.Addr, payload []byte, trace uint64) {
 	}
 	if len(p.payloads) >= c.cfg.MaxPending {
 		c.stats.PacketsDropped++
-		bufpool.Put(payload)
+		bufpool.For(c.loop).Put(payload)
 		return
 	}
 	p.payloads = append(p.payloads, queued{payload: payload, trace: trace})
@@ -356,8 +356,9 @@ func (p *pending) timeout() {
 	}
 	c.stats.ResolveFailures++
 	c.stats.PacketsDropped += uint64(len(p.payloads))
+	bufs := bufpool.For(c.loop)
 	for _, q := range p.payloads {
-		bufpool.Put(q.payload)
+		bufs.Put(q.payload)
 	}
 	delete(c.pend, p.dst)
 	c.release(p)
@@ -374,7 +375,7 @@ func (c *Cache) release(p *pending) {
 // send puts one ARP message on the wire, marshaled into a pooled buffer
 // that Send takes, like sendIPv4's payload.
 func (c *Cache) send(dst link.HWAddr, m Message) {
-	b := bufpool.Get(MessageLen)
+	b := bufpool.For(c.loop).Get(MessageLen)
 	m.put(b)
 	c.dev.Send(&link.Frame{Dst: dst, Type: link.EtherTypeARP, Payload: b})
 }

@@ -104,10 +104,6 @@ func TestFailedResolutionReturnsItsRecord(t *testing.T) {
 	}
 }
 
-// raceDetector is set by race_test.go when the test binary is built -race,
-// where sync.Pool drops a share of what bufpool puts back.
-var raceDetector bool
-
 // A miss that is answered allocates nothing once the record, the map and the
 // pools are warm: no pending, no retry closure, no message, no marshal slice.
 func TestResolutionAllocatesNothing(t *testing.T) {
@@ -122,12 +118,12 @@ func TestResolutionAllocatesNothing(t *testing.T) {
 	})
 	resolve := func() {
 		a.cache.Delete(b.addrs[0])
-		a.cache.SendIP(b.addrs[0], bufpool.Get(64), 0)
+		a.cache.SendIP(b.addrs[0], bufpool.For(loop).Get(64), 0)
 		loop.RunFor(time.Second)
 	}
 	resolve()
 	before := a.cache.Stats().RequestsSent
-	if got := testing.AllocsPerRun(100, resolve); got != 0 && !raceDetector {
+	if got := testing.AllocsPerRun(100, resolve); got != 0 {
 		t.Fatalf("a resolution allocates %.1f objects, want 0", got)
 	}
 	if sent := a.cache.Stats().RequestsSent - before; sent != 101 {

@@ -2,19 +2,23 @@
 // buffers the packet path burns through: the wire image a frame carries
 // from the sender's marshal to the flight's landing, and ARP messages. Its
 // size classes are also those of the buffers pooled packets keep (package
-// ip). The simulator is single-threaded per loop, but pools are shared
-// process-wide (tests run loops on several goroutines), so the
-// implementation rides on sync.Pool.
+// ip).
 //
-// Buffers are pooled as pointers to fixed-size arrays, so a steady-state
-// Get/Put cycle performs no allocation at all — no interface boxing, no
-// slice-header heap traffic.
+// Recycling is per simulation loop: each sim.Loop carries its own free
+// lists (For), one per size class, attached to the loop so they live and
+// die with it. A loop runs on one goroutine at a time, so its lists need no
+// lock, and a loop's high-water mark of buffers in use is what its lists
+// keep. A buffer that crossed a cross-shard trunk is put back on the lists
+// of the loop it landed on. Each list is capped (MaxHeld), so a flow that
+// only ever lands on one loop cannot grow that loop's list without bound: a
+// Put beyond the cap leaves the buffer to the garbage collector. Code with
+// no loop uses the package functions Get and Put, which allocate and
+// discard.
 //
 // Ownership rules (documented at each call site, summarized here):
 //
-//   - Get(n) returns a zero-prefixed-length buffer of len n; the caller
-//     owns it until it either Puts it back or hands it to an API that
-//     documents taking ownership.
+//   - Get(n) returns a buffer of len n; the caller owns it until it either
+//     Puts it back or hands it to an API that documents taking ownership.
 //   - Put only buffers obtained from Get, and only once; the contents may
 //     be reused immediately by anyone.
 //   - Never Put a buffer that protocol state may retain. A wire buffer is
@@ -34,8 +38,10 @@ package bufpool
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
+	"unsafe"
+
+	"mosquitonet/internal/sim"
 )
 
 // Size classes are powers of two from 64 B to 64 KiB: small control
@@ -48,30 +54,48 @@ const (
 	Classes = maxShift - minShift + 1
 )
 
-// classPool is one size class: its pool and, while counting is set, how
-// many buffers it has handed out and taken back. The flag sits beside the
-// pool so that reading it touches the line Get and Put load anyway; with it
+// heldBytes is what one class's list on one loop keeps at most: 16,384
+// buffers of 64 B, 512 of 2 KiB, 16 of 64 KiB.
+const heldBytes = 1 << 20
+
+// classCount is one size class's conservation counters: while counting is
+// set, how many buffers it has handed out and taken back. With the flag
 // clear nothing here is written and the line stays shared between workers.
-type classPool struct {
-	sync.Pool
+type classCount struct {
 	counting   atomic.Bool
 	gets, puts atomic.Uint64
 }
 
-//lint:allow nosharedstate sync.Pool is concurrency-safe by contract and buffer reuse never influences simulated behaviour; cross-shard frame payloads are explicitly allowed to Get on one shard and Put on another; the atomic counters are written only while a test has Count on, and read only by tests
-var pools = [Classes]classPool{
-	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 0)]byte) }}},
-	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 1)]byte) }}},
-	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 2)]byte) }}},
-	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 3)]byte) }}},
-	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 4)]byte) }}},
-	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 5)]byte) }}},
-	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 6)]byte) }}},
-	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 7)]byte) }}},
-	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 8)]byte) }}},
-	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 9)]byte) }}},
-	{Pool: sync.Pool{New: func() any { return new([1 << (minShift + 10)]byte) }}},
+//lint:allow nosharedstate the conservation counters are written only while a test has Count on and read only by tests; the free lists themselves are per loop
+var counts [Classes]classCount
+
+// Lists is one loop's free lists, one per size class. A list holds a
+// pointer to the first byte of each buffer, not a slice header: a third of
+// the memory for the list, which is what a loop pays as it warms up. The
+// zero value is ready to use; a nil *Lists recycles nothing.
+type Lists struct {
+	free [Classes][]*byte
 }
+
+type listsKey struct{}
+
+// For returns loop's free lists, attaching them on first use
+// (sim.Loop.Local), so they hold the buffers of one simulation only and die
+// with it.
+func For(loop *sim.Loop) *Lists {
+	if l, ok := loop.Local(listsKey{}).(*Lists); ok {
+		return l
+	}
+	l := new(Lists)
+	loop.SetLocal(listsKey{}, l)
+	return l
+}
+
+// MaxHeld is the most class-c buffers one loop's list keeps.
+func MaxHeld(c int) int { return heldBytes >> (minShift + c) }
+
+// Held is the number of class-c buffers on the list now.
+func (l *Lists) Held(c int) int { return len(l.free[c]) }
 
 // Count turns the Get and Put counters on or off. A test that checks
 // conservation turns them on before it builds its world and off when it is
@@ -80,27 +104,27 @@ var pools = [Classes]classPool{
 // writes, and what a line bouncing between cores costs a run depends on
 // which workers happen to run at the same instant.
 func Count(on bool) {
-	for i := range pools {
-		pools[i].counting.Store(on)
+	for i := range counts {
+		counts[i].counting.Store(on)
 	}
 }
 
-// Stats counts pooled buffers while Count is on. Oversize requests and
-// foreign slices, which never touch a pool, are not counted.
+// Stats counts class-sized buffers while Count is on. Oversize requests and
+// foreign slices, which never belong to a class, are not counted.
 type Stats struct {
 	Gets uint64 // buffers handed out by Get
 	Puts uint64 // buffers taken back by Put
 }
 
-// Outstanding is the number of pooled buffers someone owns right now.
+// Outstanding is the number of class-sized buffers someone owns right now.
 func (s Stats) Outstanding() int64 { return int64(s.Gets - s.Puts) }
 
 // ReadStats sums the classes' counters.
 func ReadStats() Stats {
 	var s Stats
-	for i := range pools {
-		s.Gets += pools[i].gets.Load()
-		s.Puts += pools[i].puts.Load()
+	for i := range counts {
+		s.Gets += counts[i].gets.Load()
+		s.Puts += counts[i].puts.Load()
 	}
 	return s
 }
@@ -120,96 +144,66 @@ func Class(n int) int {
 // Size is the capacity of class c's buffers.
 func Size(c int) int { return 1 << (minShift + c) }
 
-// Lent counts a class-c buffer handed out without a Get, and Returned one
-// taken back without a Put: a pooled packet's buffer, which rides its packet
-// through the packet's own pool (package ip) rather than through this one.
-// With them Outstanding counts every pooled buffer someone owns.
+// Lent counts a class-c buffer handed out and Returned one taken back. Get
+// and Put count theirs with them, and so does package ip for a pooled
+// packet's buffer, which rides its packet through the packet's own free
+// list rather than through these: Outstanding counts every class-sized
+// buffer someone owns.
 func Lent(c int) {
-	if pools[c].counting.Load() {
-		pools[c].gets.Add(1)
+	if counts[c].counting.Load() {
+		counts[c].gets.Add(1)
 	}
 }
 
 // Returned is Lent's other half.
 func Returned(c int) {
-	if pools[c].counting.Load() {
-		pools[c].puts.Add(1)
+	if counts[c].counting.Load() {
+		counts[c].puts.Add(1)
 	}
 }
 
-// Get returns a buffer of length n backed by a pooled array. Requests
-// larger than the largest size class fall back to a plain allocation
-// (which Put will decline to recycle).
+// Get is Get on no loop's lists: a new class-sized buffer.
 //
 //mnet:ownership returns-pooled
-func Get(n int) []byte {
+func Get(n int) []byte { return (*Lists)(nil).Get(n) }
+
+// Put is Put on no loop's lists: it counts b and leaves it to the garbage
+// collector.
+func Put(b []byte) { (*Lists)(nil).Put(b) }
+
+// Get returns a buffer of length n and the capacity of n's class, from the
+// list when it holds one. Requests larger than the largest size class fall
+// back to a plain allocation (which Put will decline to recycle).
+//
+//mnet:ownership returns-pooled
+func (l *Lists) Get(n int) []byte {
 	c := Class(n)
 	if c < 0 {
 		return make([]byte, n)
 	}
-	if pools[c].counting.Load() {
-		pools[c].gets.Add(1)
+	Lent(c)
+	if l != nil {
+		if k := len(l.free[c]) - 1; k >= 0 {
+			b := l.free[c][k]
+			l.free[c][k] = nil
+			l.free[c] = l.free[c][:k]
+			return unsafe.Slice(b, Size(c))[:n]
+		}
 	}
-	switch b := pools[c].Get().(type) {
-	case *[1 << (minShift + 0)]byte:
-		return b[:n]
-	case *[1 << (minShift + 1)]byte:
-		return b[:n]
-	case *[1 << (minShift + 2)]byte:
-		return b[:n]
-	case *[1 << (minShift + 3)]byte:
-		return b[:n]
-	case *[1 << (minShift + 4)]byte:
-		return b[:n]
-	case *[1 << (minShift + 5)]byte:
-		return b[:n]
-	case *[1 << (minShift + 6)]byte:
-		return b[:n]
-	case *[1 << (minShift + 7)]byte:
-		return b[:n]
-	case *[1 << (minShift + 8)]byte:
-		return b[:n]
-	case *[1 << (minShift + 9)]byte:
-		return b[:n]
-	default:
-		return b.(*[1 << (minShift + 10)]byte)[:n]
-	}
+	return make([]byte, n, Size(c))
 }
 
-// Put recycles a buffer obtained from Get. Buffers whose capacity is not
-// exactly a size class (oversize fallbacks, foreign slices) are dropped for
-// the garbage collector instead. Put(nil) is a no-op.
-func Put(b []byte) {
-	var c int
-	var x any
-	switch cap(b) {
-	case 1 << (minShift + 0):
-		c, x = 0, (*[1 << (minShift + 0)]byte)(b[:cap(b)])
-	case 1 << (minShift + 1):
-		c, x = 1, (*[1 << (minShift + 1)]byte)(b[:cap(b)])
-	case 1 << (minShift + 2):
-		c, x = 2, (*[1 << (minShift + 2)]byte)(b[:cap(b)])
-	case 1 << (minShift + 3):
-		c, x = 3, (*[1 << (minShift + 3)]byte)(b[:cap(b)])
-	case 1 << (minShift + 4):
-		c, x = 4, (*[1 << (minShift + 4)]byte)(b[:cap(b)])
-	case 1 << (minShift + 5):
-		c, x = 5, (*[1 << (minShift + 5)]byte)(b[:cap(b)])
-	case 1 << (minShift + 6):
-		c, x = 6, (*[1 << (minShift + 6)]byte)(b[:cap(b)])
-	case 1 << (minShift + 7):
-		c, x = 7, (*[1 << (minShift + 7)]byte)(b[:cap(b)])
-	case 1 << (minShift + 8):
-		c, x = 8, (*[1 << (minShift + 8)]byte)(b[:cap(b)])
-	case 1 << (minShift + 9):
-		c, x = 9, (*[1 << (minShift + 9)]byte)(b[:cap(b)])
-	case 1 << (minShift + 10):
-		c, x = 10, (*[1 << (minShift + 10)]byte)(b[:cap(b)])
-	default:
+// Put recycles a buffer obtained from Get onto the list, unless the list is
+// full. Buffers whose capacity is not exactly a size class (oversize
+// fallbacks, foreign slices) are dropped for the garbage collector instead.
+// Put(nil) is a no-op.
+func (l *Lists) Put(b []byte) {
+	c := Class(cap(b))
+	if c < 0 || cap(b) != Size(c) {
 		return
 	}
-	if pools[c].counting.Load() {
-		pools[c].puts.Add(1)
+	Returned(c)
+	if l != nil && len(l.free[c]) < MaxHeld(c) {
+		l.free[c] = append(l.free[c], unsafe.SliceData(b))
 	}
-	pools[c].Put(x)
 }

@@ -223,7 +223,7 @@ func assemble(pieces []*Packet) (*Packet, bool) {
 		return nil, false // tail missing
 	}
 	last := pieces[len(pieces)-1]
-	full := acquire(int(last.FragOff)*8 + len(last.Payload))
+	full := pieces[0].pool.acquire(int(last.FragOff)*8 + len(last.Payload))
 	full.Header = pieces[0].Header
 	full.MoreFrag = false
 	full.FragOff = 0

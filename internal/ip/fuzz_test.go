@@ -17,6 +17,7 @@ var (
 // onward; and that the pooled parse the receive path uses agrees with it,
 // error for error and field for field.
 func FuzzUnmarshalHeader(f *testing.F) {
+	pl := loopPool()
 	seed := &Packet{
 		Header:  Header{TOS: 0x10, ID: 42, TTL: 64, Protocol: ProtoUDP, Src: fuzzSrc, Dst: fuzzDst},
 		Payload: []byte("mosquitonet"),
@@ -38,7 +39,7 @@ func FuzzUnmarshalHeader(f *testing.F) {
 	f.Add([]byte{0x45})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p, err := Unmarshal(b)
-		pooled, perr := UnmarshalPooled(b)
+		pooled, perr := UnmarshalPooled(pl, b)
 		if perr != err {
 			t.Fatalf("pooled parse: %v, plain parse: %v", perr, err)
 		}
@@ -138,6 +139,7 @@ func samePacket(t *testing.T, what string, got, want *Packet) {
 // order — and that the same fragments taken off the wire as a receiver takes
 // them, pooled, rebuild the same datagram.
 func FuzzFragmentReassemble(f *testing.F) {
+	pl := loopPool()
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(1), false)
 	f.Add(bytes.Repeat([]byte{0x5a}, 345), uint8(3), true)
 	f.Add([]byte{1}, uint8(0), false)
@@ -172,7 +174,7 @@ func FuzzFragmentReassemble(f *testing.F) {
 			if err != nil {
 				t.Fatalf("fragment %d failed to marshal: %v", i+1, err)
 			}
-			rx, err := UnmarshalPooled(raw)
+			rx, err := UnmarshalPooled(pl, raw)
 			if err != nil {
 				t.Fatalf("fragment %d failed to parse: %v", i+1, err)
 			}

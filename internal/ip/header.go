@@ -80,8 +80,10 @@ type Packet struct {
 	Trace uint64
 
 	// buf is the bufpool buffer Payload is a window into, when the packet
-	// owns one; life is the pool's bookkeeping.
+	// owns one; pool is the loop's free lists it came from and goes back to
+	// (nil for none); life is the pool's bookkeeping.
 	buf  []byte
+	pool *Pool
 	life lifeState
 }
 
@@ -182,18 +184,18 @@ func Unmarshal(b []byte) (*Packet, error) {
 	return p, nil
 }
 
-// UnmarshalPooled is Unmarshal into a pooled packet that owns a pooled copy
+// UnmarshalPooled is Unmarshal into a packet of pl that owns a pooled copy
 // of the payload: what a device receiver makes of a frame, one per hop. The
 // caller owns the result and hands it on (Host.Input) or releases it.
 //
 //mnet:ownership returns-pooled
-func UnmarshalPooled(b []byte) (*Packet, error) {
+func UnmarshalPooled(pl *Pool, b []byte) (*Packet, error) {
 	var h Header
 	body, err := h.parse(b)
 	if err != nil {
 		return nil, err
 	}
-	p := acquire(len(body))
+	p := pl.acquire(len(body))
 	p.Header = h
 	copy(p.Payload, body)
 	return p, nil
@@ -303,15 +305,16 @@ func sum(acc uint64, b []byte) uint64 {
 // Encapsulate wraps inner in an outer IP-in-IP header addressed
 // outerSrc -> outerDst. This is the operation the paper's VIF performs: the
 // result is a normal IP packet whose payload is the marshaled inner packet.
-// The outer is a pooled packet the caller owns, the inner marshaled straight
-// into its buffer; inner is only read, and stays its owner's to release.
+// The outer is a packet of inner's pool that the caller owns, the inner
+// marshaled straight into its buffer; inner is only read, and stays its
+// owner's to release.
 //
 //mnet:ownership returns-pooled
 func Encapsulate(outerSrc, outerDst Addr, ttl uint8, id uint16, inner *Packet) (*Packet, error) {
 	if HeaderLen+inner.Len() > MaxTotalLen {
 		return nil, ErrTooLong
 	}
-	outer := acquire(inner.Len())
+	outer := inner.pool.acquire(inner.Len())
 	outer.Header = Header{
 		ID:       id,
 		TTL:      ttl,
@@ -335,11 +338,11 @@ var ErrNotEncapsulated = errors.New("ip: packet is not IP-in-IP")
 // the paper's fused VIF/IPIP module. The inner payload is a window into
 // p.Payload, not a copy: a payload is immutable once its packet exists.
 //
-// Decapsulate consumes p, error or not: the inner packet takes over the
-// buffer p owned (its payload stays a window into it) and p goes back to
-// the pool, so the caller reads what it wants of the outer header first. A
-// plain p owns no buffer and is left as it was; the garbage collector keeps
-// its payload alive under the inner's window.
+// Decapsulate consumes p, error or not: the inner packet, a packet of p's
+// pool, takes over the buffer p owned (its payload stays a window into it)
+// and p goes back to that pool, so the caller reads what it wants of the
+// outer header first. A plain p owns no buffer and is left as it was; the
+// garbage collector keeps its payload alive under the inner's window.
 //
 //mnet:ownership takes p
 //mnet:ownership returns-pooled
@@ -354,7 +357,7 @@ func Decapsulate(p *Packet) (*Packet, error) {
 		p.Release()
 		return nil, err
 	}
-	inner := acquire(0)
+	inner := p.pool.acquire(0)
 	inner.Header, inner.Payload, inner.Trace = h, body, p.Trace
 	inner.adoptBuffer(p)
 	p.Release()

@@ -113,13 +113,13 @@ func marshalICMPInto(b []byte, m *ICMP) {
 	binary.BigEndian.PutUint16(b[2:], Checksum(b))
 }
 
-// NewICMPPacket returns a pooled packet src -> dst carrying the message,
+// NewICMPPacket returns a packet of pl src -> dst carrying the message,
 // marshaled straight into the packet's own buffer. The caller owns it and
 // hands it to Host.Output, or releases it.
 //
 //mnet:ownership returns-pooled
-func NewICMPPacket(src, dst Addr, m *ICMP) *Packet {
-	p := acquire(m.Len())
+func NewICMPPacket(pl *Pool, src, dst Addr, m *ICMP) *Packet {
+	p := pl.acquire(m.Len())
 	p.Header = Header{Protocol: ProtoICMP, Src: src, Dst: dst}
 	marshalICMPInto(p.Payload, m)
 	return p

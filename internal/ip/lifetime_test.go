@@ -5,9 +5,13 @@ import (
 	"testing"
 
 	"mosquitonet/internal/bufpool"
+	"mosquitonet/internal/sim"
 )
 
 func bufpoolOutstanding() int64 { return bufpool.ReadStats().Outstanding() }
+
+// loopPool is the packet pool of a fresh loop.
+func loopPool() *Pool { return PoolFor(sim.New(1)) }
 
 // TestMarshalIntoDirtyBuffer: a pooled buffer is whatever its last user
 // left in it. Every marshal-into variant must produce, in a dirty buffer,
@@ -65,12 +69,13 @@ func TestMarshalIntoDirtyBuffer(t *testing.T) {
 // buffers. Dirty the pool, then require each constructor's payload to parse
 // and to equal the allocating marshal's.
 func TestPooledConstructorsMarshalClean(t *testing.T) {
+	pl := loopPool()
 	src, dst := Addr{10, 0, 0, 1}, Addr{10, 0, 0, 2}
 	body := []byte("probe")
 	dirtyPool := func() {
 		var held []*Packet
 		for i := 0; i < 8; i++ {
-			p := acquire(64)
+			p := pl.acquire(64)
 			for j := range p.Payload {
 				p.Payload[j] = 0xa5
 			}
@@ -81,7 +86,7 @@ func TestPooledConstructorsMarshalClean(t *testing.T) {
 		}
 	}
 	dirtyPool()
-	u := NewUDPPacket(src, dst, UDPHeader{SrcPort: 7, DstPort: 9}, body)
+	u := NewUDPPacket(pl, src, dst, UDPHeader{SrcPort: 7, DstPort: 9}, body)
 	if !bytes.Equal(u.Payload, MarshalUDP(src, dst, UDPHeader{SrcPort: 7, DstPort: 9}, body)) {
 		t.Errorf("NewUDPPacket payload %x", u.Payload)
 	}
@@ -103,14 +108,14 @@ func TestPooledConstructorsMarshalClean(t *testing.T) {
 	}
 	inner.Release()
 	dirtyPool()
-	tc := NewTCPPacket(src, dst, TCPHeader{SrcPort: 1, DstPort: 2, Flags: TCPSyn}, nil)
+	tc := NewTCPPacket(pl, src, dst, TCPHeader{SrcPort: 1, DstPort: 2, Flags: TCPSyn}, nil)
 	if !bytes.Equal(tc.Payload, MarshalTCP(src, dst, TCPHeader{SrcPort: 1, DstPort: 2, Flags: TCPSyn}, nil)) {
 		t.Errorf("NewTCPPacket payload %x", tc.Payload)
 	}
 	tc.Release()
 	dirtyPool()
 	m := &ICMP{Type: ICMPEchoReply, ID: 1, Seq: 2, Body: body}
-	ic := NewICMPPacket(src, dst, m)
+	ic := NewICMPPacket(pl, src, dst, m)
 	if !bytes.Equal(ic.Payload, MarshalICMP(m)) {
 		t.Errorf("NewICMPPacket payload %x", ic.Payload)
 	}
@@ -121,9 +126,10 @@ func TestPooledConstructorsMarshalClean(t *testing.T) {
 // packet it was and never as another one; a second Release is a panic, not
 // a second trip through the pool; a plain literal takes any number.
 func TestReleasePoisons(t *testing.T) {
+	pl := loopPool()
 	CountPools(true)
 	defer CountPools(false)
-	p := NewUDPPacket(Addr{10, 0, 0, 1}, Addr{10, 0, 0, 2}, UDPHeader{SrcPort: 7, DstPort: 9}, []byte("kept"))
+	p := NewUDPPacket(pl, Addr{10, 0, 0, 1}, Addr{10, 0, 0, 2}, UDPHeader{SrcPort: 7, DstPort: 9}, []byte("kept"))
 	p.Trace = 99
 	before := ReadPoolStats()
 	p.Release()
@@ -153,7 +159,7 @@ func TestReleasePoisons(t *testing.T) {
 	}
 
 	// A clone of a pooled packet is plain: it owns a copy, not the buffer.
-	q := NewUDPPacket(Addr{10, 0, 0, 1}, Addr{10, 0, 0, 2}, UDPHeader{}, []byte("body"))
+	q := NewUDPPacket(pl, Addr{10, 0, 0, 1}, Addr{10, 0, 0, 2}, UDPHeader{}, []byte("body"))
 	c := q.Clone()
 	want := append([]byte(nil), q.Payload...)
 	q.Release()
@@ -168,6 +174,7 @@ func TestReleasePoisons(t *testing.T) {
 // inner. A pooled packet keeps its buffer between lives, so the buffer
 // count moves exactly when the count of packets holding one does.
 func TestDecapsulateMovesTheBuffer(t *testing.T) {
+	pl := loopPool()
 	CountPools(true)
 	defer CountPools(false)
 	pk0, bf0 := ReadPoolStats().Outstanding(), bufpoolOutstanding()
@@ -177,7 +184,7 @@ func TestDecapsulateMovesTheBuffer(t *testing.T) {
 			t.Fatalf("after %s: %+d packets and %+d buffers out, want %+d and %+d", step, p, b, packets, buffers)
 		}
 	}
-	inner0 := NewUDPPacket(Addr{36, 135, 0, 7}, Addr{36, 8, 0, 99}, UDPHeader{SrcPort: 1, DstPort: 2}, []byte("x"))
+	inner0 := NewUDPPacket(pl, Addr{36, 135, 0, 7}, Addr{36, 8, 0, 99}, UDPHeader{SrcPort: 1, DstPort: 2}, []byte("x"))
 	outer, err := Encapsulate(Addr{36, 8, 0, 50}, Addr{36, 135, 0, 1}, DefaultTTL, 7, inner0)
 	if err != nil {
 		t.Fatal(err)
@@ -199,8 +206,55 @@ func TestDecapsulateMovesTheBuffer(t *testing.T) {
 	out("releasing the inner packet", 0, 0)
 
 	// A packet that is not IP-in-IP is consumed all the same.
-	notIPIP := NewUDPPacket(Addr{1, 1, 1, 1}, Addr{2, 2, 2, 2}, UDPHeader{}, nil)
+	notIPIP := NewUDPPacket(pl, Addr{1, 1, 1, 1}, Addr{2, 2, 2, 2}, UDPHeader{}, nil)
 	if _, err := Decapsulate(notIPIP); err != ErrNotEncapsulated || notIPIP.Protocol != 0 {
 		t.Fatalf("Decapsulate of a UDP packet: %v, packet %v", err, notIPIP)
+	}
+}
+
+// TestReleaseReturnsToItsPool: a packet goes back to the pool it came from,
+// whoever releases it, and the next packet of that class from that pool is
+// the same struct; another loop's pool never hands it out. Encapsulate and
+// Decapsulate take from their input's pool, and a packet of no pool is
+// counted like any other and then left to the collector.
+func TestReleaseReturnsToItsPool(t *testing.T) {
+	pa, pb := loopPool(), loopPool()
+	if pa == pb {
+		t.Fatal("two loops share a packet pool")
+	}
+	src, dst := Addr{10, 0, 0, 1}, Addr{10, 0, 0, 2}
+	p := NewUDPPacket(pa, src, dst, UDPHeader{}, []byte("a"))
+	p.Release()
+	if q := NewUDPPacket(pb, src, dst, UDPHeader{}, []byte("b")); q == p {
+		t.Fatal("another loop's pool handed out the released packet")
+	}
+	q := NewUDPPacket(pa, src, dst, UDPHeader{}, []byte("c"))
+	if q != p {
+		t.Fatal("the pool did not hand back the packet released to it")
+	}
+	outer, err := Encapsulate(dst, src, DefaultTTL, 1, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Release()
+	if outer.pool != pa {
+		t.Fatalf("the encapsulated packet is of pool %p, want its inner's %p", outer.pool, pa)
+	}
+	inner, err := Decapsulate(outer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inner.pool != pa {
+		t.Fatalf("the decapsulated packet is of pool %p, want the outer's %p", inner.pool, pa)
+	}
+	inner.Release()
+
+	CountPools(true)
+	defer CountPools(false)
+	before := ReadPoolStats()
+	n := NewUDPPacket(nil, src, dst, UDPHeader{}, nil)
+	n.Release()
+	if after := ReadPoolStats(); after.Made != before.Made+1 || after.Released != before.Released+1 {
+		t.Fatalf("a packet of no pool was not counted: %+v -> %+v", before, after)
 	}
 }

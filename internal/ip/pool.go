@@ -1,10 +1,10 @@
 package ip
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"mosquitonet/internal/bufpool"
+	"mosquitonet/internal/sim"
 )
 
 // Packet lifetime. A pooled packet is born in one of this package's
@@ -33,21 +33,42 @@ const (
 	released
 )
 
-// The packet pools, in one declaration: bare holds packets with no buffer,
+// Pool is one loop's packet free lists: bare holds packets with no buffer,
 // class[c] packets that keep a buffer of bufpool class c attached between
-// lives, so a birth and a death are one pool call each. While counting is
-// set, made and released count the births and deaths.
+// lives, so a birth and a death are one list operation each. It is attached
+// to the loop (PoolFor), so it holds the packets of one simulation only and
+// dies with it, and a loop runs on one goroutine at a time, so it needs no
+// lock. A pooled packet remembers its pool and Release returns it there.
+// Each list keeps at most what bufpool.MaxHeld allows its class (maxBare
+// for bare), the rest going to the garbage collector. A nil *Pool recycles
+// nothing: its packets are live, counted and released like any other, then
+// left to the collector.
+type Pool struct {
+	bare  []*Packet
+	class [bufpool.Classes][]*Packet
+}
+
+// maxBare is the most bare packets one loop's pool keeps.
+const maxBare = 1 << 12
+
+type poolKey struct{}
+
+// PoolFor returns loop's packet pool, attaching it on first use
+// (sim.Loop.Local).
+func PoolFor(loop *sim.Loop) *Pool {
+	if pl, ok := loop.Local(poolKey{}).(*Pool); ok {
+		return pl
+	}
+	pl := new(Pool)
+	loop.SetLocal(poolKey{}, pl)
+	return pl
+}
+
+// While counting is set, made and released count the births and deaths of
+// pooled packets, whichever pool they belong to.
 //
-// Process-wide, like bufpool's: a packet made on one shard's worker is
-// released on the same host, but sync.Pool is what makes the free lists safe
-// when tests run loops on several goroutines, and its per-P caches retain
-// less than a free list per host would (20,000 hosts each keeping their
-// high-water packet or two).
-//
-//lint:allow nosharedstate sync.Pool and atomic counters are concurrency-safe; Release zeroes a struct before it is reused, so which struct a constructor gets never influences simulated behaviour, and the counters are written only while a test has CountPools on and read only by tests
-var packets struct {
-	bare           sync.Pool
-	class          [bufpool.Classes]sync.Pool
+//lint:allow nosharedstate the conservation counters are written only while a test has CountPools on and read only by tests; the free lists themselves are per loop
+var counts struct {
 	counting       atomic.Bool
 	made, released atomic.Uint64
 }
@@ -57,10 +78,10 @@ var packets struct {
 // unpooled one; nothing else can.
 var plainPackets bool
 
-// acquire returns a live packet owning a payload buffer of n bytes (none
-// for n == 0). The buffer is recycled memory: whoever fills it writes every
-// byte, checksum fields included.
-func acquire(n int) *Packet {
+// acquire returns a live packet of pl owning a payload buffer of n bytes
+// (none for n == 0). The buffer is recycled memory: whoever fills it writes
+// every byte, checksum fields included.
+func (pl *Pool) acquire(n int) *Packet {
 	if plainPackets {
 		p := new(Packet)
 		if n > 0 {
@@ -68,38 +89,63 @@ func acquire(n int) *Packet {
 		}
 		return p
 	}
-	if packets.counting.Load() {
-		packets.made.Add(1)
+	if counts.counting.Load() {
+		counts.made.Add(1)
 	}
 	c := bufpool.Class(n)
 	if n == 0 || c < 0 {
-		p, _ := packets.bare.Get().(*Packet)
+		p := pl.pop(-1)
 		if p == nil {
 			p = new(Packet)
 		}
-		p.life = live
+		p.life, p.pool = live, pl
 		if n > 0 { // beyond the largest class: the garbage collector's
 			p.buf = make([]byte, n)
 			p.Payload = p.buf
 		}
 		return p
 	}
-	p, _ := packets.class[c].Get().(*Packet)
+	p := pl.pop(c)
 	if p == nil {
 		p = &Packet{buf: make([]byte, bufpool.Size(c))}
 	}
 	bufpool.Lent(c)
-	p.life = live
+	p.life, p.pool = live, pl
 	p.buf = p.buf[:n]
 	p.Payload = p.buf
 	return p
 }
 
-// Release ends the packet's life: the zeroed struct goes back to the pool of
-// its buffer's class, the buffer still attached, so a stale holder reads
-// "proto(0) 0.0.0.0->0.0.0.0" and a nil payload, never another packet. Only
-// the owner calls it, once; a second call panics. On a plain packet it does
-// nothing.
+// list is pl's list of class c, or of bare packets for c < 0.
+func (pl *Pool) list(c int) *[]*Packet {
+	if c < 0 {
+		return &pl.bare
+	}
+	return &pl.class[c]
+}
+
+// pop takes a packet off pl's list of class c (bare for c < 0), or returns
+// nil when there is none or no pool.
+func (pl *Pool) pop(c int) *Packet {
+	if pl == nil {
+		return nil
+	}
+	l := pl.list(c)
+	k := len(*l) - 1
+	if k < 0 {
+		return nil
+	}
+	p := (*l)[k]
+	(*l)[k] = nil
+	*l = (*l)[:k]
+	return p
+}
+
+// Release ends the packet's life: the zeroed struct goes back to its pool's
+// list for its buffer's class, the buffer still attached, so a stale holder
+// reads "proto(0) 0.0.0.0->0.0.0.0" and a nil payload, never another packet.
+// Only the owner calls it, once; a second call panics. On a plain packet it
+// does nothing.
 //
 //mnet:ownership releases
 func (p *Packet) Release() {
@@ -109,18 +155,25 @@ func (p *Packet) Release() {
 	case released:
 		panic("ip: Release of a packet already released")
 	}
-	if packets.counting.Load() {
-		packets.released.Add(1)
+	if counts.counting.Load() {
+		counts.released.Add(1)
 	}
-	buf := p.buf
+	buf, pl := p.buf, p.pool
 	*p = Packet{life: released}
-	if c := bufpool.Class(cap(buf)); c >= 0 && cap(buf) == bufpool.Size(c) {
-		bufpool.Returned(c)
-		p.buf = buf
-		packets.class[c].Put(p)
+	c, limit := -1, maxBare
+	if k := bufpool.Class(cap(buf)); k >= 0 && cap(buf) == bufpool.Size(k) {
+		bufpool.Returned(k)
+		c, limit = k, bufpool.MaxHeld(k)
+	}
+	if pl == nil {
 		return
 	}
-	packets.bare.Put(p)
+	if l := pl.list(c); len(*l) < limit {
+		if c >= 0 {
+			p.buf = buf
+		}
+		*l = append(*l, p)
+	}
 }
 
 // CountPools turns the conservation counters of the packet pools and of
@@ -128,7 +181,7 @@ func (p *Packet) Release() {
 // turns them on before it builds its world; in a run nobody audits, a birth
 // and a death write nothing that two shard workers share.
 func CountPools(on bool) {
-	packets.counting.Store(on)
+	counts.counting.Store(on)
 	bufpool.Count(on)
 }
 
@@ -145,5 +198,5 @@ func (s PoolStats) Outstanding() int64 { return int64(s.Made - s.Released) }
 // number of packets provably parked (fragments in reassembly, buffered
 // visitors' packets are plain clones and do not count).
 func ReadPoolStats() PoolStats {
-	return PoolStats{Made: packets.made.Load(), Released: packets.released.Load()}
+	return PoolStats{Made: counts.made.Load(), Released: counts.released.Load()}
 }

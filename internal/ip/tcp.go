@@ -86,13 +86,13 @@ func marshalTCPInto(b []byte, src, dst Addr, h TCPHeader, payload []byte) {
 	binary.BigEndian.PutUint16(b[16:], transportChecksum(src, dst, ProtoTCP, b))
 }
 
-// NewTCPPacket returns a pooled packet src -> dst carrying the segment,
+// NewTCPPacket returns a packet of pl src -> dst carrying the segment,
 // marshaled straight into the packet's own buffer. The caller owns it and
 // hands it to Host.Output, or releases it.
 //
 //mnet:ownership returns-pooled
-func NewTCPPacket(src, dst Addr, h TCPHeader, payload []byte) *Packet {
-	p := acquire(TCPHeaderLen + len(payload))
+func NewTCPPacket(pl *Pool, src, dst Addr, h TCPHeader, payload []byte) *Packet {
+	p := pl.acquire(TCPHeaderLen + len(payload))
 	p.Header = Header{Protocol: ProtoTCP, Src: src, Dst: dst}
 	marshalTCPInto(p.Payload, src, dst, h, payload)
 	return p

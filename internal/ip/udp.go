@@ -48,13 +48,13 @@ func marshalUDPInto(b []byte, src, dst Addr, h UDPHeader, payload []byte) {
 	binary.BigEndian.PutUint16(b[6:], ck)
 }
 
-// NewUDPPacket returns a pooled packet src -> dst carrying the datagram,
+// NewUDPPacket returns a packet of pl src -> dst carrying the datagram,
 // marshaled straight into the packet's own buffer. The caller owns it and
 // hands it to Host.Output (or OutputVia), or releases it.
 //
 //mnet:ownership returns-pooled
-func NewUDPPacket(src, dst Addr, h UDPHeader, payload []byte) *Packet {
-	p := acquire(UDPHeaderLen + len(payload))
+func NewUDPPacket(pl *Pool, src, dst Addr, h UDPHeader, payload []byte) *Packet {
+	p := pl.acquire(UDPHeaderLen + len(payload))
 	p.Header = Header{Protocol: ProtoUDP, Src: src, Dst: dst}
 	marshalUDPInto(p.Payload, src, dst, h, payload)
 	return p

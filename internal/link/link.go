@@ -415,19 +415,19 @@ func (d *Device) Send(f *Frame) error {
 	if d.state != StateUp {
 		d.ctr.dropDown++
 		d.pktlog.Record(f.Trace, d.name, "link.drop", "device down")
-		bufpool.Put(f.Payload)
+		bufpool.For(d.loop).Put(f.Payload)
 		return ErrDeviceDown
 	}
 	if d.net == nil {
 		d.ctr.dropNoNet++
 		d.pktlog.Record(f.Trace, d.name, "link.drop", "no network")
-		bufpool.Put(f.Payload)
+		bufpool.For(d.loop).Put(f.Payload)
 		return ErrNoNetwork
 	}
 	if len(f.Payload) > d.net.medium.MTU {
 		d.ctr.dropMTU++
 		d.pktlog.Record(f.Trace, d.name, "link.drop", "exceeds MTU")
-		bufpool.Put(f.Payload)
+		bufpool.For(d.loop).Put(f.Payload)
 		return ErrFrameTooBig
 	}
 	d.ctr.sent++

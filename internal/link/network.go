@@ -120,8 +120,11 @@ type NetworkStats struct {
 // lossless segment, by the lazily settled arithmetic described at flight:
 // a unicast frame's bystanders and the down devices a broadcast skips.
 type Network struct {
-	name    string
-	loop    *sim.Loop
+	name string
+	loop *sim.Loop
+	// bufs is the loop's wire-buffer free lists, where a landed frame's
+	// payload goes back.
+	bufs    *bufpool.Lists
 	medium  Medium
 	devices []*Device
 	// awake has bit i set while devices[i] is up: the devices a broadcast
@@ -163,6 +166,11 @@ type Network struct {
 	//
 	//mnet:ownership takes f
 	handoff func(f *Frame, arrival sim.Time)
+	// spare holds the frame records DeliverLocal took back, for this end's
+	// handoff to send the next frame in. A trunk end delivers what its peer
+	// hands off and hands off what its peer delivers, so on a two-way trunk
+	// the two balance; the list keeps at most maxSpareFrames.
+	spare []*Frame
 
 	// flights recycles in-flight frame records (frame + receiver snapshot)
 	// so steady-state transmission does not allocate per frame.
@@ -249,7 +257,7 @@ func (n *Network) newFlight(f *Frame) *flight {
 // recycle puts the flight's payload back and keeps the record for the next
 // frame.
 func (n *Network) recycle(fl *flight) {
-	bufpool.Put(fl.frame.Payload)
+	n.bufs.Put(fl.frame.Payload)
 	fl.frame = Frame{}
 	n.flights = append(n.flights, fl)
 }
@@ -390,7 +398,7 @@ func (n *Network) tap(from *Device, f Frame) {
 
 // NewNetwork creates a broadcast domain over the given medium.
 func NewNetwork(loop *sim.Loop, name string, m Medium) *Network {
-	n := &Network{name: name, loop: loop, medium: m, pktlog: metrics.PacketsFor(loop), landings: loop.NewQueue()}
+	n := &Network{name: name, loop: loop, bufs: bufpool.For(loop), medium: m, pktlog: metrics.PacketsFor(loop), landings: loop.NewQueue()}
 	n.land = n.landHead
 	metrics.For(loop).Collect(func(c *metrics.Collection) {
 		lbl := metrics.L("net", name)
@@ -519,10 +527,19 @@ func (n *Network) transmit(from *Device, f *Frame) {
 		if n.medium.LossProb > 0 && n.loop.Rand().Float64() < n.medium.LossProb {
 			n.stats.LostMedium++
 			n.pktlog.Record(f.Trace, n.name, "link.lost", "medium loss on trunk")
-			bufpool.Put(f.Payload)
+			n.bufs.Put(f.Payload)
 			return
 		}
-		n.handoff(&Frame{Src: f.Src, Dst: f.Dst, Type: f.Type, Payload: f.Payload, Trace: f.Trace}, arrival)
+		var fr *Frame
+		if k := len(n.spare) - 1; k >= 0 {
+			fr = n.spare[k]
+			n.spare[k] = nil
+			n.spare = n.spare[:k]
+		} else {
+			fr = new(Frame)
+		}
+		*fr = Frame{Src: f.Src, Dst: f.Dst, Type: f.Type, Payload: f.Payload, Trace: f.Trace}
+		n.handoff(fr, arrival)
 		return
 	}
 	if n.medium.LossProb == 0 && len(n.devices) > 1 {
@@ -584,10 +601,11 @@ func (n *Network) SetHandoff(fn func(f *Frame, arrival sim.Time)) {
 }
 
 // DeliverLocal delivers a frame received over a trunk to every attached
-// device, then recycles the frame's payload. It must run on this
-// network's own loop (the coordinator schedules it at the arrival time the
-// transmit side computed). The frame's payload must be pool-owned by the
-// caller; ownership transfers here.
+// device, then recycles the frame's payload onto this loop's lists and the
+// frame record onto this end's spares. It must run on this network's own
+// loop (the coordinator schedules it at the arrival time the transmit side
+// computed). The frame and its pool-owned payload are the caller's until
+// now; ownership of both transfers here.
 //
 //mnet:ownership takes f
 func (n *Network) DeliverLocal(f *Frame) {
@@ -595,6 +613,13 @@ func (n *Network) DeliverLocal(f *Frame) {
 		n.stats.Delivered++
 		d.deliver(f)
 	}
-	bufpool.Put(f.Payload)
-	f.Payload = nil
+	n.bufs.Put(f.Payload)
+	*f = Frame{}
+	if len(n.spare) < maxSpareFrames {
+		n.spare = append(n.spare, f)
+	}
 }
+
+// maxSpareFrames caps a trunk end's spare frame records, so a one-way flow
+// cannot grow them without bound.
+const maxSpareFrames = 1 << 10

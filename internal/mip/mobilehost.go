@@ -729,14 +729,16 @@ func (m *MobileHost) routeLookup(dst, boundSrc ip.Addr) (stack.RouteDecision, er
 		// mobile-aware applications).
 		return m.host.DefaultRouteLookup(dst, boundSrc)
 	}
-	if m.host.IsLocalAddr(dst) && !dst.IsBroadcast() && !dst.IsMulticast() {
-		return m.host.DefaultRouteLookup(dst, boundSrc)
-	}
 	if dst.IsMulticast() {
 		// Multicast is joined via the visited network — the local role
 		// (Section 5.2) — never tunneled through the home agent.
-		return m.host.DefaultRouteLookup(dst, boundSrc)
+		return m.host.TableRoute(dst, boundSrc)
 	}
+	if !dst.IsBroadcast() && m.host.IsLocalAddr(dst) {
+		return m.host.LocalRoute(dst, boundSrc), nil
+	}
+	// dst is no local unicast address: every lookup below is the table
+	// half, and none asks IsLocalAddr again.
 	if !m.faAddr.IsUnspecified() && m.active != nil {
 		// Foreign-agent mode: the agent is the default router and the
 		// mobile host's only connection; packets go out bare with the
@@ -744,7 +746,7 @@ func (m *MobileHost) routeLookup(dst, boundSrc ip.Addr) (stack.RouteDecision, er
 		return stack.RouteDecision{Iface: m.active.ifc, Src: m.cfg.HomeAddr, NextHop: m.faAddr}, nil
 	}
 	if m.atHome || m.careOf.IsUnspecified() {
-		dec, err := m.host.DefaultRouteLookup(dst, boundSrc)
+		dec, err := m.host.TableRoute(dst, boundSrc)
 		if err != nil {
 			return dec, err
 		}
@@ -755,7 +757,7 @@ func (m *MobileHost) routeLookup(dst, boundSrc ip.Addr) (stack.RouteDecision, er
 	}
 	switch m.policy.Lookup(dst) {
 	case PolicyTriangle:
-		dec, err := m.host.DefaultRouteLookup(dst, ip.Unspecified)
+		dec, err := m.host.TableRoute(dst, ip.Unspecified)
 		if err != nil {
 			return dec, err
 		}
@@ -764,7 +766,7 @@ func (m *MobileHost) routeLookup(dst, boundSrc ip.Addr) (stack.RouteDecision, er
 	case PolicyEncapDirect:
 		return stack.RouteDecision{Iface: m.tunDirect.Iface(), Src: m.cfg.HomeAddr, NextHop: dst}, nil
 	case PolicyDirect:
-		return m.host.DefaultRouteLookup(dst, ip.Unspecified)
+		return m.host.TableRoute(dst, ip.Unspecified)
 	default: // PolicyTunnel
 		return stack.RouteDecision{Iface: m.tunHA.Iface(), Src: m.cfg.HomeAddr, NextHop: dst}, nil
 	}

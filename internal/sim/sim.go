@@ -235,9 +235,9 @@ func (l *Loop) NextSerial() uint64 {
 
 // Local returns what SetLocal last stored under key, or nil. It is how a
 // layer finds its per-simulation state (the metrics registry, the tracer,
-// the host slabs) through the loop every constructor is already handed, so
-// that state lives and dies with the loop instead of in a process-wide
-// table. There is no lock: attachments are written while the simulation is
+// the host slabs, the packet and wire-buffer free lists) through the loop
+// every constructor is already handed, so that state lives and dies with
+// the loop instead of in a process-wide table. There is no lock: attachments are written while the simulation is
 // built, before any worker runs the loop, and afterwards touched only from
 // the goroutine running it.
 func (l *Loop) Local(key any) any {

@@ -8,9 +8,6 @@ import (
 	"mosquitonet/internal/sim"
 )
 
-// raceDetector is set by race_test.go when the test binary is built -race.
-var raceDetector bool
-
 // TestWarmHopAllocations guards what the packet path allocates once warm:
 // the literal the test sends and nothing else. The packets r and b make of
 // the frames, their payload buffers, the wire buffers and the flights are
@@ -18,9 +15,7 @@ var raceDetector bool
 // stay on the stack; before packets were pooled this read 8.
 func TestWarmHopAllocations(t *testing.T) {
 	l := newLine(t)
-	// Under the race detector sync.Pool drops a quarter of its Puts, so the
-	// pooled packets and buffers of this path allocate.
-	if n := testing.AllocsPerRun(200, func() { l.send(t) }); n > 1 && !raceDetector {
+	if n := testing.AllocsPerRun(200, func() { l.send(t) }); n > 1 {
 		t.Errorf("warm host-router-host packet allocates %.1f objects, want the sender's literal only", n)
 	}
 

@@ -8,6 +8,7 @@ import (
 
 	"mosquitonet/internal/arena"
 	"mosquitonet/internal/arp"
+	"mosquitonet/internal/bufpool"
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/link"
 	"mosquitonet/internal/metrics"
@@ -73,6 +74,11 @@ type Host struct {
 	loop *sim.Loop
 	cfg  Config
 
+	// pkts and bufs are the loop's packet pool and wire-buffer free lists,
+	// where the host's packets and frames come from and go back to.
+	pkts *ip.Pool
+	bufs *bufpool.Lists
+
 	ifaces []*Iface
 	lo     *Iface
 	routes RouteTable
@@ -135,9 +141,13 @@ const sweepLaneGranularity = 100 * time.Millisecond
 // individual objects, which both speeds construction and shrinks GC
 // bookkeeping per host. It is an attachment of the loop (sim.Loop.Local),
 // so a chunk holds the objects of one simulation only and dies with it.
+// It also carries the loop's packet pool and wire-buffer free lists, found
+// once for every host the loop builds.
 type slabs struct {
 	hosts  *arena.Slab[Host]
 	ifaces *arena.Slab[Iface]
+	pkts   *ip.Pool
+	bufs   *bufpool.Lists
 }
 
 type slabsKey struct{}
@@ -147,7 +157,7 @@ func slabsOf(loop *sim.Loop) *slabs {
 	if s, ok := loop.Local(slabsKey{}).(*slabs); ok {
 		return s
 	}
-	s := &slabs{hosts: arena.NewSlab[Host](64), ifaces: arena.NewSlab[Iface](128)}
+	s := &slabs{hosts: arena.NewSlab[Host](64), ifaces: arena.NewSlab[Iface](128), pkts: ip.PoolFor(loop), bufs: bufpool.For(loop)}
 	loop.SetLocal(slabsKey{}, s)
 	return s
 }
@@ -166,6 +176,7 @@ func NewHost(loop *sim.Loop, name string, cfg Config) *Host {
 	h.name = name
 	h.loop = loop
 	h.cfg = cfg
+	h.pkts, h.bufs = sl.pkts, sl.bufs
 	h.lo = sl.ifaces.Get()
 	*h.lo = Iface{host: h, name: "lo", addr: loopbackAddr, prefix: loopbackPrefix}
 	h.lo.transmit = func(pkt *ip.Packet, _ ip.Addr) { h.Input(h.lo, pkt) }
@@ -239,6 +250,10 @@ func (h *Host) Name() string { return h.name }
 // Loop returns the simulation loop the host runs on.
 func (h *Host) Loop() *sim.Loop { return h.loop }
 
+// Packets returns the packet pool of the host's loop: what a protocol above
+// the stack builds its outgoing packets from (ip.NewUDPPacket, ...).
+func (h *Host) Packets() *ip.Pool { return h.pkts }
+
 // Stats returns a snapshot of the host's counters.
 func (h *Host) Stats() Stats { return h.stats }
 
@@ -295,7 +310,7 @@ func (h *Host) AddIface(name string, dev *link.Device, addr ip.Addr, prefix ip.P
 		case link.EtherTypeIPv4:
 			// The packet is born here, once per hop: a pooled struct owning
 			// a pooled copy of the payload, handed to Input.
-			pkt, err := ip.UnmarshalPooled(f.Payload)
+			pkt, err := ip.UnmarshalPooled(h.pkts, f.Payload)
 			if err != nil {
 				h.recordDrop(f.Trace, dropBadPacket, metrics.Text("bad packet"))
 				return
@@ -431,16 +446,33 @@ func (h *Host) handler(p ip.Protocol) (ProtocolHandler, bool) {
 	return nil, false
 }
 
-// DefaultRouteLookup is the stock lookup: longest-prefix match on the
-// routing table, source address defaulting to the outgoing interface's.
+// DefaultRouteLookup is the stock lookup: a destination that is one of the
+// host's own unicast addresses goes out the loopback (LocalRoute), any
+// other takes the longest-prefix match on the routing table (TableRoute).
+// A broadcast or multicast destination is never local, so it skips the
+// local-address scan.
 func (h *Host) DefaultRouteLookup(dst, boundSrc ip.Addr) (RouteDecision, error) {
-	if h.IsLocalAddr(dst) && !dst.IsBroadcast() && !dst.IsMulticast() {
-		src := boundSrc
-		if src.IsUnspecified() {
-			src = dst
-		}
-		return RouteDecision{Iface: h.lo, Src: src, NextHop: dst}, nil
+	if !dst.IsBroadcast() && !dst.IsMulticast() && h.IsLocalAddr(dst) {
+		return h.LocalRoute(dst, boundSrc), nil
 	}
+	return h.TableRoute(dst, boundSrc)
+}
+
+// LocalRoute is DefaultRouteLookup's local-delivery half: the decision for
+// dst, one of the host's own addresses, out the loopback, from boundSrc or
+// else from dst itself.
+func (h *Host) LocalRoute(dst, boundSrc ip.Addr) RouteDecision {
+	src := boundSrc
+	if src.IsUnspecified() {
+		src = dst
+	}
+	return RouteDecision{Iface: h.lo, Src: src, NextHop: dst}
+}
+
+// TableRoute is DefaultRouteLookup's table half, for a destination already
+// known not to be local: longest-prefix match on the routing table, source
+// address defaulting to the outgoing interface's.
+func (h *Host) TableRoute(dst, boundSrc ip.Addr) (RouteDecision, error) {
 	r, ok := h.routes.Lookup(dst)
 	if !ok {
 		return RouteDecision{}, noRouteError{dst}

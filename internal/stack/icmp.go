@@ -77,7 +77,7 @@ func (c *ICMP) input(pkt *ip.Packet) error {
 			src = ip.Unspecified // let routing pick for broadcast pings
 		}
 		c.Sent++
-		c.host.Output(ip.NewICMPPacket(src, pkt.Src, reply))
+		c.host.Output(ip.NewICMPPacket(c.host.pkts, src, pkt.Src, reply))
 	case ip.ICMPEchoReply:
 		key := uint32(m.ID)<<16 | uint32(m.Seq)
 		if st, ok := c.pending[key]; ok {
@@ -140,7 +140,7 @@ func (c *ICMP) Ping(dst, bound ip.Addr, size int, timeout time.Duration, cb func
 	c.pending[key] = st
 	m := &ip.ICMP{Type: ip.ICMPEchoRequest, ID: id, Seq: seq, Body: make([]byte, size)}
 	c.Sent++
-	if err := c.host.Output(ip.NewICMPPacket(bound, dst, m)); err != nil {
+	if err := c.host.Output(ip.NewICMPPacket(c.host.pkts, bound, dst, m)); err != nil {
 		if cur, ok := c.pending[key]; ok && cur == st {
 			delete(c.pending, key)
 			st.timer.Stop()
@@ -167,7 +167,7 @@ func (c *ICMP) sendError(typ ip.ICMPType, code uint8, offender *ip.Packet) {
 	}
 	msg := &ip.ICMP{Type: typ, Code: code, Body: ip.ICMPErrorBody(offender)}
 	c.Sent++
-	c.host.Output(ip.NewICMPPacket(ip.Unspecified, offender.Src, msg))
+	c.host.Output(ip.NewICMPPacket(c.host.pkts, ip.Unspecified, offender.Src, msg))
 }
 
 // sendRedirect tells pkt's source there is a better first hop for Dst.
@@ -176,7 +176,7 @@ func (c *ICMP) sendRedirect(pkt *ip.Packet, gateway ip.Addr) {
 	msg := &ip.ICMP{Type: ip.ICMPRedirect, Code: 1 /* host redirect */, Body: ip.ICMPErrorBody(pkt)}
 	msg.SetGateway(gateway)
 	c.Sent++
-	c.host.Output(ip.NewICMPPacket(ip.Unspecified, pkt.Src, msg))
+	c.host.Output(ip.NewICMPPacket(c.host.pkts, ip.Unspecified, pkt.Src, msg))
 }
 
 // paddedHeader fixes up a truncated ICMP error body (header + 8 bytes) so

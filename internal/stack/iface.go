@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mosquitonet/internal/arp"
-	"mosquitonet/internal/bufpool"
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/link"
 	"mosquitonet/internal/metrics"
@@ -153,10 +152,10 @@ func (i *Iface) sendOne(pkt *ip.Packet, nextHop ip.Addr) error {
 	// Marshal into a pooled scratch buffer; ownership moves down the send
 	// path (SendIP/broadcastRaw recycle it once the link layer has taken
 	// its own copy or the packet is dropped).
-	buf := bufpool.Get(pkt.Len())
+	buf := i.host.bufs.Get(pkt.Len())
 	raw, err := pkt.MarshalInto(buf)
 	if err != nil {
-		bufpool.Put(buf)
+		i.host.bufs.Put(buf)
 		return err
 	}
 	broadcast := pkt.Dst.IsBroadcast() || pkt.Dst.IsMulticast() ||

@@ -135,13 +135,12 @@ var steadyWorlds = map[string]func(*testing.T) (uint64, []allowance){
 }
 
 // requireSteadyState holds the named worlds to the invariant, one subtest
-// each. The collector is off; -race makes sync.Pool drop Puts.
+// each. The collector is off.
 func requireSteadyState(t *testing.T, worlds ...string) {
-	if bi, ok := debug.ReadBuildInfo(); testing.Short() || ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
-		t.Skip("runs worlds past warm-up, skipped in -short; -race makes sync.Pool drop Puts")
+	if testing.Short() {
+		t.Skip("runs worlds past warm-up, skipped in -short")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: a sync.Pool's per-P caches behave alike in every run
 	for _, name := range worlds {
 		t.Run(name, func(t *testing.T) {
 			allocated, allowed := steadyWorlds[name](t)

@@ -66,7 +66,7 @@ func worldHosts(t *testing.T, w *scenario.World) []*stack.Host {
 // probe, the loaded-handoff itinerary with campus-sized messages (TCP, the
 // tunnel, fragments at the 1050-byte department MTU, a handoff) and the
 // 100-host roaming fleet, and requires both pools to balance at the end of
-// each.
+// each, the fleet on one worker and on two.
 func TestPoolBalanceAtQuiesce(t *testing.T) {
 	ip.CountPools(true)
 	defer ip.CountPools(false)
@@ -117,14 +117,26 @@ func TestPoolBalanceAtQuiesce(t *testing.T) {
 			requirePoolBalance(t, pkts0, bufs0, made0, hosts, w.RunFor)
 		})
 	}
-	t.Run("fleet100", func(t *testing.T) {
-		pkts0, bufs0 := poolsOut()
-		made0 := ip.ReadPoolStats().Made
-		fl, err := buildScaleFleet(1996, 100, 1, scaleDuration)
-		if err != nil {
-			t.Fatal(err)
+	// The fleet once on one worker and once on two: on two, each shard's
+	// loop recycles through its own lists while the other's worker runs,
+	// and the trunk lands the frames it carries on the far loop's.
+	for _, workers := range []int{1, 2} {
+		name := "fleet100"
+		if workers > 1 {
+			name = "fleet100_2workers"
 		}
-		fl.ss.RunFor(scaleDuration)
-		requirePoolBalance(t, pkts0, bufs0, made0, fl.hosts, func(d time.Duration) { fl.ss.RunFor(d) })
-	})
+		t.Run(name, func(t *testing.T) {
+			pkts0, bufs0 := poolsOut()
+			made0 := ip.ReadPoolStats().Made
+			fl, err := buildScaleFleet(1996, 100, workers, scaleDuration)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fl.ss.Workers(); got != workers || len(fl.ss.Shards()) < 2 {
+				t.Fatalf("the fleet runs %d shards on %d workers, want at least 2 on %d", len(fl.ss.Shards()), got, workers)
+			}
+			fl.ss.RunFor(scaleDuration)
+			requirePoolBalance(t, pkts0, bufs0, made0, fl.hosts, func(d time.Duration) { fl.ss.RunFor(d) })
+		})
+	}
 }

@@ -403,7 +403,7 @@ func (c *Conn) sendSegment(flags uint8, seq, ack uint32, payload []byte) {
 		Flags:   flags,
 		Window:  c.advWnd,
 	}
-	c.stk.host.Output(ip.NewTCPPacket(c.key.laddr, c.key.raddr, h, payload))
+	c.stk.host.Output(ip.NewTCPPacket(c.stk.host.Packets(), c.key.laddr, c.key.raddr, h, payload))
 }
 
 // armTimer (re)starts the retransmission timer if anything is in flight.
@@ -531,7 +531,7 @@ func (s *Stack) tcpInput(ifc *stack.Iface, pkt *ip.Packet) {
 			rst.Ack = h.Seq + segLen
 			rst.Flags = ip.TCPRst | ip.TCPAck
 		}
-		s.host.Output(ip.NewTCPPacket(pkt.Dst, pkt.Src, rst, nil))
+		s.host.Output(ip.NewTCPPacket(s.host.Packets(), pkt.Dst, pkt.Src, rst, nil))
 	}
 }
 

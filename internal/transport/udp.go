@@ -115,7 +115,7 @@ func (u *UDPSocket) SendTo(dst ip.Addr, dport uint16, payload []byte) error {
 	if src.IsUnspecified() {
 		src = dec.Src
 	}
-	pkt := ip.NewUDPPacket(src, dst, ip.UDPHeader{SrcPort: u.port, DstPort: dport}, payload)
+	pkt := ip.NewUDPPacket(u.stk.host.Packets(), src, dst, ip.UDPHeader{SrcPort: u.port, DstPort: dport}, payload)
 	u.Sent++
 	u.stk.host.OutputRouted(pkt, dec)
 	return nil
@@ -128,7 +128,7 @@ func (u *UDPSocket) SendToVia(ifc *stack.Iface, nextHop, dst ip.Addr, dport uint
 		return ErrClosed
 	}
 	src := u.bound
-	pkt := ip.NewUDPPacket(src, dst, ip.UDPHeader{SrcPort: u.port, DstPort: dport}, payload)
+	pkt := ip.NewUDPPacket(u.stk.host.Packets(), src, dst, ip.UDPHeader{SrcPort: u.port, DstPort: dport}, payload)
 	u.Sent++
 	return u.stk.host.OutputVia(ifc, pkt, nextHop)
 }
