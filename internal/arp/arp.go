@@ -161,10 +161,13 @@ type queued struct {
 const retryLaneGranularity = 10 * time.Millisecond
 
 // pending is one address being resolved: the packets waiting for it, the
-// requests sent so far and the retry timer. A reply or the final timeout
-// returns the record to its cache's free list once the queue is flushed or
-// dropped, with the queue's array and the bound retry; neither leaves a
-// timer out, so a record on the free list has nothing pointing at it.
+// requests sent so far and the retry timer. A record is on exactly one of
+// its cache's two lists, linked through next: the pending list while it
+// resolves, the free list once a reply or the final timeout has flushed or
+// dropped its queue. It keeps the queue's array and the bound retry on the
+// free list; neither ending leaves a timer out, so nothing points at a free
+// record. The queue starts in first: most resolutions hold one packet, so a
+// record and its bound retry are all a first miss allocates.
 type pending struct {
 	c        *Cache
 	dst      ip.Addr
@@ -172,7 +175,8 @@ type pending struct {
 	payloads []queued
 	timer    sim.LaneTimer
 	retry    func() // p.timeout, bound once
-	free     *pending
+	next     *pending
+	first    [1]queued
 }
 
 // Cache is a per-device ARP resolver and responder.
@@ -189,10 +193,12 @@ type Cache struct {
 	// address and binary-searched: a fleet host's cache holds a handful
 	// of neighbors and a router's a few hundred, and packing them avoids
 	// a map bucket plus per-entry overhead for every neighbor on every
-	// device in the fleet. published is packed the same way; pend is a
-	// lazily allocated map because unresolved addresses are transient.
+	// device in the fleet. published is packed the same way. pend lists
+	// the addresses being resolved, rarely more than one at a time, and
+	// freePend the records that finished; both are linked through
+	// pending.next, so a resolution costs its record and nothing more.
 	entries   []entry
-	pend      map[ip.Addr]*pending
+	pend      *pending
 	freePend  *pending
 	published []ip.Addr
 	stats     Stats
@@ -300,20 +306,16 @@ func (c *Cache) SendIP(dst ip.Addr, payload []byte, trace uint64) {
 		c.sendIPv4(hw, payload, trace)
 		return
 	}
-	p := c.pend[dst]
+	p := c.findPending(dst)
 	if p == nil {
 		p = c.freePend
 		if p == nil {
 			p = &pending{c: c}
-			p.retry = p.timeout
+			p.retry, p.payloads = p.timeout, p.first[:0]
 		} else {
-			c.freePend, p.free = p.free, nil
+			c.freePend = p.next
 		}
-		p.dst = dst
-		if c.pend == nil {
-			c.pend = make(map[ip.Addr]*pending)
-		}
-		c.pend[dst] = p
+		p.dst, p.next, c.pend = dst, c.pend, p
 		c.sendRequest(p)
 	}
 	if len(p.payloads) >= c.cfg.MaxPending {
@@ -360,16 +362,36 @@ func (p *pending) timeout() {
 	for _, q := range p.payloads {
 		bufs.Put(q.payload)
 	}
-	delete(c.pend, p.dst)
+	c.unlink(p)
 	c.release(p)
 }
 
-// release takes back a record that is out of c.pend, its queue flushed or
+// findPending returns the resolution of dst in flight, or nil.
+func (c *Cache) findPending(dst ip.Addr) *pending {
+	for p := c.pend; p != nil; p = p.next {
+		if p.dst == dst {
+			return p
+		}
+	}
+	return nil
+}
+
+// unlink takes a finished resolution off the pending list.
+func (c *Cache) unlink(p *pending) {
+	for at := &c.pend; *at != nil; at = &(*at).next {
+		if *at == p {
+			*at = p.next
+			return
+		}
+	}
+}
+
+// release puts an unlinked record on the free list, its queue flushed or
 // dropped.
 func (c *Cache) release(p *pending) {
 	clear(p.payloads)
 	p.payloads, p.tries, p.timer = p.payloads[:0], 0, sim.LaneTimer{}
-	p.free, c.freePend = c.freePend, p
+	p.next, c.freePend = c.freePend, p
 }
 
 // send puts one ARP message on the wire, marshaled into a pooled buffer
@@ -416,9 +438,9 @@ func (c *Cache) HandleFrame(f *link.Frame) {
 		}
 	}
 	// Flush any packets waiting on the sender's address.
-	if p, ok := c.pend[m.SenderIP]; ok {
+	if p := c.findPending(m.SenderIP); p != nil {
 		p.timer.Stop()
-		delete(c.pend, m.SenderIP)
+		c.unlink(p)
 		c.learn(m.SenderIP, m.SenderHW)
 		for _, q := range p.payloads {
 			c.sendIPv4(m.SenderHW, q.payload, q.trace)

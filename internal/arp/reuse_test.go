@@ -1,6 +1,8 @@
 package arp
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -18,13 +20,28 @@ import (
 // freePending counts the records on c's free list and checks each is clean.
 func freePending(t *testing.T, c *Cache) (n int) {
 	t.Helper()
-	for p := c.freePend; p != nil; p = p.free {
+	for p := c.freePend; p != nil; p = p.next {
 		if len(p.payloads) != 0 || p.tries != 0 || p.timer.Active() || p.retry == nil || p.c != c {
 			t.Fatalf("free record %d is not clean: %+v", n, *p)
 		}
 		for _, q := range p.payloads[:cap(p.payloads)] {
 			if q.payload != nil {
 				t.Fatalf("free record %d still holds a queued payload", n)
+			}
+		}
+		n++
+	}
+	return n
+}
+
+// inFlight counts the records on c's pending list and checks none of them
+// is also on the free list.
+func inFlight(t *testing.T, c *Cache) (n int) {
+	t.Helper()
+	for p := c.pend; p != nil; p = p.next {
+		for f := c.freePend; f != nil; f = f.next {
+			if f == p {
+				t.Fatalf("record for %v is on both lists", p.dst)
 			}
 		}
 		n++
@@ -41,22 +58,22 @@ func TestResolutionReusesItsRecord(t *testing.T) {
 
 	a.cache.SendIP(b.addrs[0], []byte("b1"), 0)
 	a.cache.SendIP(b.addrs[0], []byte("b2"), 0)
-	first := a.cache.pend[b.addrs[0]]
+	first := a.cache.findPending(b.addrs[0])
 	if first == nil || first.dst != b.addrs[0] || len(first.payloads) != 2 {
 		t.Fatalf("resolution of b: %+v", first)
 	}
 	loop.RunFor(time.Second)
-	if len(b.rxIP) != 2 || len(a.cache.pend) != 0 || freePending(t, a.cache) != 1 || a.cache.freePend != first {
-		t.Fatalf("after b's reply: b received %d, %d pending, %d free", len(b.rxIP), len(a.cache.pend), freePending(t, a.cache))
+	if len(b.rxIP) != 2 || inFlight(t, a.cache) != 0 || freePending(t, a.cache) != 1 || a.cache.freePend != first {
+		t.Fatalf("after b's reply: b received %d, %d pending, %d free", len(b.rxIP), inFlight(t, a.cache), freePending(t, a.cache))
 	}
 
 	// The next miss walks the same record, and a second one beside it its own.
 	a.cache.SendIP(c.addrs[0], []byte("c1"), 0)
 	a.cache.SendIP(ip.MustParseAddr("10.0.0.99"), []byte("nobody"), 0)
-	if got := a.cache.pend[c.addrs[0]]; got != first || got.dst != c.addrs[0] || got.tries != 1 || len(got.payloads) != 1 {
+	if got := a.cache.findPending(c.addrs[0]); got != first || got.dst != c.addrs[0] || got.tries != 1 || len(got.payloads) != 1 {
 		t.Fatalf("resolution of c did not take the returned record: %+v (first %p)", got, first)
 	}
-	if other := a.cache.pend[ip.MustParseAddr("10.0.0.99")]; other == nil || other == first {
+	if other := a.cache.findPending(ip.MustParseAddr("10.0.0.99")); other == nil || other == first {
 		t.Fatalf("two resolutions in flight share a record: %p", other)
 	}
 	loop.RunFor(10 * time.Second)
@@ -80,7 +97,7 @@ func TestFailedResolutionReturnsItsRecord(t *testing.T) {
 	gone, other := ip.MustParseAddr("10.0.0.98"), ip.MustParseAddr("10.0.0.99")
 
 	a.cache.SendIP(gone, []byte("lost"), 0)
-	rec := a.cache.pend[gone]
+	rec := a.cache.findPending(gone)
 	loop.RunFor(time.Second)
 	if st := a.cache.Stats(); st.RequestsSent != 3 || st.ResolveFailures != 1 || st.PacketsDropped != 1 || a.cache.freePend != rec {
 		t.Fatalf("after the failure: %+v, free %p want %p", st, a.cache.freePend, rec)
@@ -88,14 +105,14 @@ func TestFailedResolutionReturnsItsRecord(t *testing.T) {
 	freePending(t, a.cache)
 
 	a.cache.SendIP(other, []byte("also lost"), 0)
-	if a.cache.pend[other] != rec {
+	if a.cache.findPending(other) != rec {
 		t.Fatal("the next resolution did not take the returned record")
 	}
 	// The host the first resolution wanted appears and answers at last.
 	late := newHost(t, loop, n, "late", "10.0.0.98", cfg)
 	late.cache.Gratuitous(gone, late.dev.HW())
 	loop.RunFor(50 * time.Millisecond)
-	if p := a.cache.pend[other]; p != rec || len(p.payloads) != 1 || p.tries != 1 {
+	if p := a.cache.findPending(other); p != rec || len(p.payloads) != 1 || p.tries != 1 {
 		t.Fatalf("a late word from %v disturbed the resolution of %v: %+v", gone, other, p)
 	}
 	loop.RunFor(time.Second)
@@ -104,8 +121,8 @@ func TestFailedResolutionReturnsItsRecord(t *testing.T) {
 	}
 }
 
-// A miss that is answered allocates nothing once the record, the map and the
-// pools are warm: no pending, no retry closure, no message, no marshal slice.
+// A miss that is answered allocates nothing once the record and the pools
+// are warm: no pending, no retry closure, no message, no marshal slice.
 func TestResolutionAllocatesNothing(t *testing.T) {
 	loop := sim.New(1)
 	n := link.NewNetwork(loop, "net", link.Ethernet())
@@ -128,5 +145,41 @@ func TestResolutionAllocatesNothing(t *testing.T) {
 	}
 	if sent := a.cache.Stats().RequestsSent - before; sent != 101 {
 		t.Fatalf("%d requests over 101 resolutions", sent)
+	}
+}
+
+// TestFirstMissAllocatesOnlyItsRecord: a fresh cache's first miss allocates
+// the pending record and its bound retry, and nothing more — no table of
+// resolutions, no queue array. The loop's lane, the pools and the link are
+// warmed by another cache first.
+func TestFirstMissAllocatesOnlyItsRecord(t *testing.T) {
+	loop := sim.New(1)
+	n := link.NewNetwork(loop, "net", link.Ethernet())
+	b := newHost(t, loop, n, "b", "10.0.0.2", Config{})
+	fresh := make([]*host, 20)
+	for i := range fresh {
+		fresh[i] = newHost(t, loop, n, "a", fmt.Sprintf("10.0.1.%d", i+1), Config{})
+	}
+	warm := newHost(t, loop, n, "w", "10.0.0.3", Config{})
+	for range 2 {
+		warm.cache.Delete(b.addrs[0])
+		warm.cache.SendIP(b.addrs[0], bufpool.For(loop).Get(64), 0)
+		loop.RunFor(2 * time.Second)
+	}
+	var before, after runtime.MemStats
+	var mallocs uint64
+	for _, a := range fresh {
+		buf := bufpool.For(loop).Get(64)
+		runtime.ReadMemStats(&before)
+		a.cache.SendIP(b.addrs[0], buf, 0)
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		if a.cache.pend == nil || a.cache.pend.next != nil {
+			t.Fatal("the miss did not start one resolution")
+		}
+		loop.RunFor(2 * time.Second)
+	}
+	if per := float64(mallocs) / float64(len(fresh)); per != 2 {
+		t.Fatalf("a first miss allocates %.2f objects, want 2 (the record and its retry)", per)
 	}
 }

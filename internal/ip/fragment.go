@@ -1,8 +1,9 @@
 package ip
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 )
 
 // Fragmentation support. Tunneling makes this load-bearing rather than
@@ -65,9 +66,12 @@ type fragKey struct {
 	id       uint16
 }
 
+// fragBuf is one partial datagram: its key, the pieces so far and the
+// sweeps since the first piece arrived.
 type fragBuf struct {
-	pieces  []*Packet
-	arrived int64 // reassembler tick when the first piece arrived
+	key    fragKey
+	pieces []*Packet
+	age    int64
 }
 
 // ReassemblerStats counts reassembly activity.
@@ -81,9 +85,13 @@ type ReassemblerStats struct {
 // Reassembler rebuilds original packets from fragments. It is driven by
 // explicit Sweep calls (the host schedules them) rather than timers per
 // packet, keeping it allocation-light.
+//
+// The partial datagrams are a slice in arrival order, made on the first
+// fragment: a host has at most a few datagrams half-assembled, usually
+// none, and a finished entry's pieces array is kept past the end of the
+// slice for the next datagram.
 type Reassembler struct {
-	partial map[fragKey]*fragBuf
-	tick    int64
+	partial []fragBuf
 	// MaxAge is how many sweeps a partial packet survives (default 2).
 	MaxAge int64
 	stats  ReassemblerStats
@@ -91,7 +99,7 @@ type Reassembler struct {
 
 // NewReassembler creates an empty reassembler.
 func NewReassembler() *Reassembler {
-	return &Reassembler{partial: make(map[fragKey]*fragBuf), MaxAge: 2}
+	return &Reassembler{MaxAge: 2}
 }
 
 // Stats returns a snapshot of the counters.
@@ -104,10 +112,45 @@ func (r *Reassembler) Pending() int { return len(r.partial) }
 // packets the reassembler owns right now.
 func (r *Reassembler) Held() int {
 	n := 0
-	for _, buf := range r.partial {
-		n += len(buf.pieces)
+	for i := range r.partial {
+		n += len(r.partial[i].pieces)
 	}
 	return n
+}
+
+// find returns the index of the partial datagram with key, or -1.
+func (r *Reassembler) find(key fragKey) int {
+	for i := range r.partial {
+		if r.partial[i].key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// open starts a partial datagram for key at the end of the slice, reusing
+// the pieces array a finished one left there.
+func (r *Reassembler) open(key fragKey) int {
+	n := len(r.partial)
+	if n < cap(r.partial) {
+		r.partial = r.partial[:n+1]
+	} else {
+		r.partial = append(r.partial, fragBuf{})
+	}
+	r.partial[n].key, r.partial[n].age = key, 0
+	return n
+}
+
+// discard releases partial datagram i's pieces and removes it, keeping
+// the rest in arrival order and its emptied pieces array past the end.
+func (r *Reassembler) discard(i int) {
+	pieces := r.partial[i].pieces
+	releaseAll(pieces)
+	clear(pieces)
+	last := len(r.partial) - 1
+	copy(r.partial[i:], r.partial[i+1:])
+	r.partial[last] = fragBuf{pieces: pieces[:0]}
+	r.partial = r.partial[:last]
 }
 
 // Add accepts a fragment. When it completes a packet, the reassembled
@@ -131,11 +174,11 @@ func (r *Reassembler) Add(p *Packet) (*Packet, bool) {
 	}
 	r.stats.Fragments++
 	key := fragKey{src: p.Src, dst: p.Dst, proto: p.Protocol, id: p.ID}
-	buf, ok := r.partial[key]
-	if !ok {
-		buf = &fragBuf{arrived: r.tick}
-		r.partial[key] = buf
+	i := r.find(key)
+	if i < 0 {
+		i = r.open(key)
 	}
+	buf := &r.partial[i]
 	// Replace duplicates (same offset) rather than stacking them. A
 	// fragment that partially overlaps an existing piece at a different
 	// offset can never assemble — the coverage check would see a permanent
@@ -148,9 +191,8 @@ func (r *Reassembler) Add(p *Packet) (*Packet, bool) {
 			break
 		}
 		if overlaps(q, p) {
-			delete(r.partial, key)
 			r.stats.DropOverlap++
-			releaseAll(buf.pieces)
+			r.discard(i)
 			p.Release()
 			return nil, false
 		}
@@ -166,9 +208,8 @@ func (r *Reassembler) Add(p *Packet) (*Packet, bool) {
 		//lint:allow dropaccounting fragment retained in the partial buffer awaiting the rest; Sweep accounts expiry
 		return nil, false
 	}
-	delete(r.partial, key)
 	r.stats.Reassembled++
-	releaseAll(buf.pieces)
+	r.discard(i)
 	return full, true
 }
 
@@ -179,15 +220,15 @@ func releaseAll(pieces []*Packet) {
 }
 
 // Sweep ages partial packets, discarding any that have been waiting for
-// more than MaxAge sweeps. The host calls it periodically.
+// more than MaxAge sweeps, oldest first. The host calls it periodically.
 func (r *Reassembler) Sweep() {
-	r.tick++
-	for key, buf := range r.partial {
-		if r.tick-buf.arrived > r.MaxAge {
-			delete(r.partial, key)
+	for i := 0; i < len(r.partial); {
+		if r.partial[i].age++; r.partial[i].age > r.MaxAge {
 			r.stats.Expired++
-			releaseAll(buf.pieces)
+			r.discard(i)
+			continue
 		}
+		i++
 	}
 }
 
@@ -203,7 +244,7 @@ func overlaps(a, b *Packet) bool {
 // assemble checks whether pieces cover a contiguous packet and builds it,
 // as a pooled packet holding a copy of every piece's payload.
 func assemble(pieces []*Packet) (*Packet, bool) {
-	sort.Slice(pieces, func(i, j int) bool { return pieces[i].FragOff < pieces[j].FragOff })
+	slices.SortFunc(pieces, func(a, b *Packet) int { return cmp.Compare(a.FragOff, b.FragOff) })
 	if pieces[0].FragOff != 0 {
 		return nil, false
 	}

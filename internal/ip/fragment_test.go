@@ -3,6 +3,7 @@ package ip
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -292,5 +293,62 @@ func TestReassembleTailOverlapDrops(t *testing.T) {
 	}
 	if r.Pending() != 0 || r.Stats().DropOverlap != 1 {
 		t.Fatalf("pending=%d stats=%+v", r.Pending(), r.Stats())
+	}
+}
+
+// TestReassemblyTableKeepsArrivalOrder: a new reassembler holds no table;
+// its partial datagrams sit in arrival order, each with its own pieces,
+// whether one completes from the middle or the oldest expires; and a
+// finished datagram's room serves the next without allocating.
+func TestReassemblyTableKeepsArrivalOrder(t *testing.T) {
+	r := NewReassembler()
+	if r.partial != nil {
+		t.Fatal("a new reassembler holds a table")
+	}
+	frags := make([][]*Packet, 5)
+	for i := range frags {
+		p := fragSample(2400)
+		p.ID = uint16(100 + i)
+		frags[i], _ = Fragment(p, 1100)
+	}
+	ids := func() (got []uint16) {
+		for _, b := range r.partial {
+			if len(b.pieces) != 1 || b.pieces[0] != frags[b.key.id-100][0] {
+				t.Fatalf("datagram %d holds %d pieces, not its own first", b.key.id, len(b.pieces))
+			}
+			got = append(got, b.key.id)
+		}
+		return got
+	}
+	r.Add(frags[0][0])
+	r.Add(frags[1][0])
+	r.Sweep()
+	r.Add(frags[2][0])
+	r.Add(frags[3][0])
+	r.Add(frags[1][1])
+	if _, done := r.Add(frags[1][2]); !done {
+		t.Fatal("datagram 101 did not complete")
+	}
+	if got := ids(); !slices.Equal(got, []uint16{100, 102, 103}) {
+		t.Fatalf("after 101 completed: %v", got)
+	}
+	r.Sweep()
+	r.Sweep() // 100 has now waited three sweeps, past MaxAge; 102 and 103 two
+	if got := ids(); !slices.Equal(got, []uint16{102, 103}) || r.Stats().Expired != 1 {
+		t.Fatalf("after the sweeps: %v, %+v", got, r.Stats())
+	}
+	r.Add(frags[4][0])
+	if got := ids(); !slices.Equal(got, []uint16{102, 103, 104}) {
+		t.Fatalf("after 104 arrived: %v", got)
+	}
+
+	if got := testing.AllocsPerRun(10, func() {
+		r.Add(frags[0][0])
+		r.Add(frags[0][1])
+		for range r.MaxAge + 1 {
+			r.Sweep()
+		}
+	}); got != 0 {
+		t.Fatalf("a datagram in a warm table allocates %.1f objects, want 0", got)
 	}
 }

@@ -729,16 +729,17 @@ func (m *MobileHost) routeLookup(dst, boundSrc ip.Addr) (stack.RouteDecision, er
 		// mobile-aware applications).
 		return m.host.DefaultRouteLookup(dst, boundSrc)
 	}
-	if dst.IsMulticast() {
+	if dst.IsMulticast() || m.host.IsDirectedBroadcast(dst) {
 		// Multicast is joined via the visited network — the local role
-		// (Section 5.2) — never tunneled through the home agent.
+		// (Section 5.2) — and a directed broadcast is for a subnet the
+		// host is on: neither is tunneled through the home agent.
 		return m.host.TableRoute(dst, boundSrc)
 	}
-	if !dst.IsBroadcast() && m.host.IsLocalAddr(dst) {
+	if m.host.IsLocalUnicast(dst) {
 		return m.host.LocalRoute(dst, boundSrc), nil
 	}
 	// dst is no local unicast address: every lookup below is the table
-	// half, and none asks IsLocalAddr again.
+	// half, and none asks IsLocalUnicast again.
 	if !m.faAddr.IsUnspecified() && m.active != nil {
 		// Foreign-agent mode: the agent is the default router and the
 		// mobile host's only connection; packets go out bare with the

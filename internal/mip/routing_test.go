@@ -97,3 +97,31 @@ func TestHomeAgentBindingsOrderedAndFresh(t *testing.T) {
 		t.Fatalf("slice returned earlier was overwritten: %v", first)
 	}
 }
+
+// TestAwayDirectedBroadcastStaysOnTheVisitedNet: away from home, a datagram
+// to the visited subnet's directed broadcast goes out on that subnet from
+// the care-of address — not looped back, not tunneled home.
+func TestAwayDirectedBroadcastStaysOnTheVisitedNet(t *testing.T) {
+	w := newWorld(t, 77)
+	nb, _ := mkHost(w.loop, w.forA, "nb", "10.2.0.9/24", "10.2.0.1")
+	var from []ip.Addr
+	if _, err := nb.UDP(ip.Unspecified, 9001, func(d transport.Datagram) { from = append(from, d.From) }); err != nil {
+		t.Fatal(err)
+	}
+	w.goForeign()
+	sock, err := w.mhTS.UDP(ip.Unspecified, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encap := w.mh.Tunnel().Stats().Encapsulated
+	if err := sock.SendTo(ip.MustParseAddr("10.2.0.255"), 9001, []byte("all")); err != nil {
+		t.Fatal(err)
+	}
+	w.run(time.Second)
+	if len(from) != 1 || from[0] != w.mh.CareOf() {
+		t.Fatalf("neighbour on the visited net heard from %v, want once from the care-of address %v", from, w.mh.CareOf())
+	}
+	if got := w.mh.Tunnel().Stats().Encapsulated; got != encap {
+		t.Fatalf("the directed broadcast was tunneled (encapsulated %d -> %d)", encap, got)
+	}
+}

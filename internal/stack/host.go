@@ -395,7 +395,7 @@ func (h *Host) InGroup(g ip.Addr) bool { return h.groups[g] }
 
 // IsLocalAddr reports whether a names this host: an interface address, an
 // extra local address, a joined multicast group, loopback, or a broadcast
-// form.
+// form. It is what Input accepts.
 func (h *Host) IsLocalAddr(a ip.Addr) bool {
 	if a.IsBroadcast() || a.IsLoopback() || slices.Contains(h.localAddrs, a) {
 		return true
@@ -403,19 +403,48 @@ func (h *Host) IsLocalAddr(a ip.Addr) bool {
 	if a.IsMulticast() {
 		return h.groups[a]
 	}
+	own, bcast := h.ifaceMatch(a)
+	return own || bcast
+}
+
+// IsLocalUnicast reports whether a is one of the host's own unicast
+// addresses: an interface address, an extra local address or loopback.
+// The route lookups send these out the loopback; a broadcast form or a
+// group is the wire's, and skips the scan.
+func (h *Host) IsLocalUnicast(a ip.Addr) bool {
+	if a.IsBroadcast() || a.IsMulticast() {
+		return false
+	}
+	if a.IsLoopback() || slices.Contains(h.localAddrs, a) {
+		return true
+	}
+	own, _ := h.ifaceMatch(a)
+	return own
+}
+
+// IsDirectedBroadcast reports whether a is the directed broadcast of a
+// subnet one of the host's interfaces is on.
+func (h *Host) IsDirectedBroadcast(a ip.Addr) bool {
+	_, bcast := h.ifaceMatch(a)
+	return bcast
+}
+
+// ifaceMatch reports whether a is an interface's address (own), and
+// whether it is the directed broadcast of an interface's subnet (bcast).
+func (h *Host) ifaceMatch(a ip.Addr) (own, bcast bool) {
 	av := a.Uint32()
 	for _, i := range h.ifaces {
 		if !i.addr.IsUnspecified() && i.addr == a {
-			return true
+			return true, false
 		}
 		// Only an address with every host bit set can be the directed
 		// broadcast; most are not, and are passed without building it.
 		if hostBits := ^i.prefix.Mask(); av&hostBits == hostBits &&
 			i.dev != nil && i.prefix.Bits > 0 && a == i.prefix.BroadcastAddr() {
-			return true
+			bcast = true
 		}
 	}
-	return false
+	return false, bcast
 }
 
 // protoHandler is one entry of a host's protocol handler table.
@@ -447,12 +476,12 @@ func (h *Host) handler(p ip.Protocol) (ProtocolHandler, bool) {
 }
 
 // DefaultRouteLookup is the stock lookup: a destination that is one of the
-// host's own unicast addresses goes out the loopback (LocalRoute), any
-// other takes the longest-prefix match on the routing table (TableRoute).
-// A broadcast or multicast destination is never local, so it skips the
-// local-address scan.
+// host's own unicast addresses (IsLocalUnicast) goes out the loopback
+// (LocalRoute), any other takes the longest-prefix match on the routing
+// table (TableRoute). A broadcast or multicast destination, a subnet's
+// directed broadcast included, is never local: it goes on the wire.
 func (h *Host) DefaultRouteLookup(dst, boundSrc ip.Addr) (RouteDecision, error) {
-	if !dst.IsBroadcast() && !dst.IsMulticast() && h.IsLocalAddr(dst) {
+	if h.IsLocalUnicast(dst) {
 		return h.LocalRoute(dst, boundSrc), nil
 	}
 	return h.TableRoute(dst, boundSrc)

@@ -26,9 +26,12 @@ type PingResult struct {
 // answering foreign-network management pings in its local role. Errors and
 // echo replies are matched to outstanding Ping calls.
 type ICMP struct {
-	host    *Host
-	idSeq   uint16
-	pending map[uint32]*pingState // key: id<<16|seq
+	host  *Host
+	idSeq uint16
+	// pending lists the pings awaiting an answer, linked through
+	// pingState.next. Most hosts never ping and the rest have one or two
+	// out, so the table is the records themselves.
+	pending *pingState
 
 	// ErrorHook, if set, observes every ICMP error delivered to this host.
 	// The mobile policy layer uses it to learn that a route choice (e.g.
@@ -45,13 +48,38 @@ type ICMP struct {
 }
 
 type pingState struct {
+	key   uint32 // id<<16 | seq
 	cb    func(PingResult)
 	sent  sim.Time
 	timer sim.Timer
+	next  *pingState
 }
 
 func newICMP(h *Host) *ICMP {
-	return &ICMP{host: h, pending: make(map[uint32]*pingState)}
+	return &ICMP{host: h}
+}
+
+// take unlinks and returns the outstanding ping with key, or nil.
+func (c *ICMP) take(key uint32) *pingState {
+	for at := &c.pending; *at != nil; at = &(*at).next {
+		if st := *at; st.key == key {
+			*at, st.next = st.next, nil
+			return st
+		}
+	}
+	return nil
+}
+
+// remove unlinks st, reporting whether it was still out: a ping answered,
+// refused or timed out is removed once.
+func (c *ICMP) remove(st *pingState) bool {
+	for at := &c.pending; *at != nil; at = &(*at).next {
+		if *at == st {
+			*at, st.next = st.next, nil
+			return true
+		}
+	}
+	return false
 }
 
 // input handles a locally delivered ICMP packet, which it is lent. A
@@ -79,9 +107,7 @@ func (c *ICMP) input(pkt *ip.Packet) error {
 		c.Sent++
 		c.host.Output(ip.NewICMPPacket(c.host.pkts, src, pkt.Src, reply))
 	case ip.ICMPEchoReply:
-		key := uint32(m.ID)<<16 | uint32(m.Seq)
-		if st, ok := c.pending[key]; ok {
-			delete(c.pending, key)
+		if st := c.take(uint32(m.ID)<<16 | uint32(m.Seq)); st != nil {
 			st.timer.Stop()
 			st.cb(PingResult{Seq: m.Seq, From: pkt.Src, RTT: c.host.loop.Now().Sub(st.sent)})
 		}
@@ -110,9 +136,7 @@ func (c *ICMP) matchError(m *ip.ICMP, from ip.Addr) {
 	if err != nil || em.Type != ip.ICMPEchoRequest {
 		return
 	}
-	key := uint32(em.ID)<<16 | uint32(em.Seq)
-	if st, ok := c.pending[key]; ok {
-		delete(c.pending, key)
+	if st := c.take(uint32(em.ID)<<16 | uint32(em.Seq)); st != nil {
 		st.timer.Stop()
 		st.cb(PingResult{Seq: em.Seq, From: from, Unreachable: true, Code: m.Code})
 	}
@@ -130,19 +154,20 @@ func (c *ICMP) Ping(dst, bound ip.Addr, size int, timeout time.Duration, cb func
 	id := c.idSeq
 	seq := uint16(1)
 	key := uint32(id)<<16 | uint32(seq)
-	st := &pingState{cb: cb, sent: c.host.loop.Now()}
+	st := &pingState{key: key, cb: cb, sent: c.host.loop.Now()}
 	st.timer = c.host.loop.Schedule(timeout, func() {
-		if cur, ok := c.pending[key]; ok && cur == st {
-			delete(c.pending, key)
+		if c.remove(st) {
 			cb(PingResult{Seq: seq, TimedOut: true})
 		}
 	})
-	c.pending[key] = st
+	// A ping whose id has wrapped round onto one still out replaces it:
+	// the older one is never answered, and its timer finds it gone.
+	c.take(key)
+	st.next, c.pending = c.pending, st
 	m := &ip.ICMP{Type: ip.ICMPEchoRequest, ID: id, Seq: seq, Body: make([]byte, size)}
 	c.Sent++
 	if err := c.host.Output(ip.NewICMPPacket(c.host.pkts, bound, dst, m)); err != nil {
-		if cur, ok := c.pending[key]; ok && cur == st {
-			delete(c.pending, key)
+		if c.remove(st) {
 			st.timer.Stop()
 			cb(PingResult{Seq: seq, TimedOut: true})
 		}

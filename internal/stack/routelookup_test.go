@@ -60,9 +60,9 @@ func TestNewAddressIsNextSource(t *testing.T) {
 
 // TestDefaultRouteLookupIsItsTwoHalves: the stock lookup is LocalRoute for
 // the host's own unicast addresses and TableRoute for every other
-// destination — broadcast and multicast included, even a joined group — so
-// a route override that has already asked IsLocalAddr can call the half it
-// needs and get the same decision.
+// destination — broadcast and multicast included, even a joined group or
+// the subnet's directed broadcast — so a route override that has already
+// asked IsLocalUnicast can call the half it needs and get the same decision.
 func TestDefaultRouteLookupIsItsTwoHalves(t *testing.T) {
 	loop := sim.New(1)
 	net := link.NewNetwork(loop, "n", link.Ethernet())
@@ -73,14 +73,18 @@ func TestDefaultRouteLookupIsItsTwoHalves(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.host.AddLocalAddr(ip.MustParseAddr("36.135.0.9"))
-	// The subnet's directed broadcast names the host too (IsLocalAddr);
-	// only the limited broadcast and groups are never local.
-	local := map[string]bool{"10.0.0.1": true, "127.0.0.1": true, "36.135.0.9": true, "10.0.0.255": true}
+	// The subnet's directed broadcast names the host too (IsLocalAddr), but
+	// it is no unicast address of the host's: like the limited broadcast
+	// and groups it goes on the wire.
+	local := map[string]bool{"10.0.0.1": true, "127.0.0.1": true, "36.135.0.9": true}
 	for _, d := range []string{"10.0.0.1", "127.0.0.1", "36.135.0.9", "10.0.0.255", "255.255.255.255", "224.0.1.7", "224.0.1.8", "10.0.0.9", "8.8.8.8"} {
 		dst := ip.MustParseAddr(d)
 		for _, bound := range []ip.Addr{ip.Unspecified, ip.MustParseAddr("10.0.0.1")} {
 			got, err := a.host.DefaultRouteLookup(dst, bound)
 			want, werr := a.host.TableRoute(dst, bound)
+			if local[d] != a.host.IsLocalUnicast(dst) {
+				t.Errorf("%s: IsLocalUnicast = %v", d, !local[d])
+			}
 			if local[d] {
 				want, werr = a.host.LocalRoute(dst, bound), nil
 				if want.Iface != a.host.Loopback() {
@@ -91,5 +95,26 @@ func TestDefaultRouteLookupIsItsTwoHalves(t *testing.T) {
 				t.Errorf("%s bound %s: DefaultRouteLookup = %+v, %v; its half = %+v, %v", d, bound, got, err, want, werr)
 			}
 		}
+	}
+}
+
+// TestDirectedBroadcastGoesOnTheWire: a datagram to the subnet's directed
+// broadcast reaches a neighbour on the link, from the sender's interface
+// address, and is not looped back to the sender.
+func TestDirectedBroadcastGoesOnTheWire(t *testing.T) {
+	loop := sim.New(1)
+	net := link.NewNetwork(loop, "n", link.Ethernet())
+	a := addNode(t, loop, net, "a", "10.0.0.1/24")
+	b := addNode(t, loop, net, "b", "10.0.0.2/24")
+	atA, atB := collect(a.host), collect(b.host)
+	if err := a.host.Output(udpPacket("0.0.0.0", "10.0.0.255", "all")); err != nil {
+		t.Fatal(err)
+	}
+	loop.RunFor(time.Second)
+	if len(*atB) != 1 || (*atB)[0].Src != a.ifc.Addr() || string((*atB)[0].Payload) != "all" {
+		t.Fatalf("neighbour received %d datagrams (%v), want one from %v", len(*atB), *atB, a.ifc.Addr())
+	}
+	if len(*atA) != 0 {
+		t.Fatalf("sender looped back %d datagrams to itself", len(*atA))
 	}
 }

@@ -1,6 +1,8 @@
 package stack
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -946,5 +948,38 @@ func TestMulticastNotForwardedByRouters(t *testing.T) {
 	loop.RunFor(time.Second)
 	if len(*got) != 0 {
 		t.Fatal("multicast crossed a router")
+	}
+}
+
+// TestPingTableMadeOnFirstPing: a host that never pings holds no ping
+// table; pings out at once are each answered or timed out once, and leave
+// the table empty.
+func TestPingTableMadeOnFirstPing(t *testing.T) {
+	loop := sim.New(1)
+	n := link.NewNetwork(loop, "n", link.Ethernet())
+	a := addNode(t, loop, n, "a", "10.0.0.1/24")
+	addNode(t, loop, n, "b", "10.0.0.2/24")
+	if a.host.icmp.pending != nil {
+		t.Fatal("a new host holds a ping table")
+	}
+	results := map[string]int{}
+	for _, d := range []string{"10.0.0.2", "10.0.0.99", "10.0.0.2", "10.0.0.98"} {
+		a.host.ICMP().Ping(ip.MustParseAddr(d), ip.Unspecified, 8, 500*time.Millisecond, func(r PingResult) {
+			results[fmt.Sprintf("%s timedout=%v", d, r.TimedOut)]++
+		})
+	}
+	out := func() (n int) {
+		for st := a.host.icmp.pending; st != nil; st = st.next {
+			n++
+		}
+		return n
+	}
+	if out() != 4 {
+		t.Fatalf("%d pings out, want 4", out())
+	}
+	loop.RunFor(5 * time.Second)
+	want := map[string]int{"10.0.0.2 timedout=false": 2, "10.0.0.99 timedout=true": 1, "10.0.0.98 timedout=true": 1}
+	if !maps.Equal(results, want) || out() != 0 {
+		t.Fatalf("results %v, %d still out", results, out())
 	}
 }

@@ -73,13 +73,14 @@ func BenchmarkHostFootprint(b *testing.B) {
 	b.ReportMetric(0, "ns/op") // wall time is meaningless here; the metrics above are the result
 }
 
-// Budgets for TestHostFootprintBudget, ~8 % above the measured 5,219 B and
-// 81.2 allocs per host (5,283 B and 85.9 under -race): one more pointer-sized
-// field per host passes; a per-host metric roster, eager maps or per-host
-// hook closures (~24.4 KB and ~733 allocs before the diet) do not.
+// Budgets for TestHostFootprintBudget, ~8 % above the measured 3,946 B and
+// 64.2 allocs per host (4,017 B and 66.9 under -race): one more pointer-sized
+// field per host passes; an eager map per host (the ping and reassembly
+// tables were two, ~260 B and 3 allocs), a per-host metric roster or
+// per-host hook closures (~24.4 KB and ~733 allocs before the diet) do not.
 const (
-	footprintBytesBudget  = 5640
-	footprintAllocsBudget = 88
+	footprintBytesBudget  = 4260
+	footprintAllocsBudget = 70
 )
 
 // TestHostFootprintBudget is the memory-diet regression guard: it fails

@@ -26,7 +26,11 @@ type Stack struct {
 	host *stack.Host
 	loop *sim.Loop
 
-	udp       map[bindKey]*UDPSocket
+	// udp holds the open UDP sockets, unordered: a host binds a handful
+	// (an echo service, a probe's source, a registration socket that
+	// follows the care-of address), so a scan beats hashing and an empty
+	// table costs nothing.
+	udp       []*UDPSocket
 	conns     map[connKey]*Conn
 	listeners map[bindKey]*Listener
 
@@ -94,7 +98,8 @@ func (s *Stack) ephemeralPort(addr ip.Addr) (uint16, error) {
 		}
 		k := bindKey{addr, s.portSeq}
 		w := bindKey{ip.Unspecified, s.portSeq}
-		if s.udp[k] == nil && s.udp[w] == nil && s.listeners[k] == nil && s.listeners[w] == nil {
+		if s.udpSocket(addr, s.portSeq) == nil && s.udpSocket(ip.Unspecified, s.portSeq) == nil &&
+			s.listeners[k] == nil && s.listeners[w] == nil {
 			return s.portSeq, nil
 		}
 	}

@@ -46,16 +46,22 @@ func (s *Stack) UDP(bound ip.Addr, port uint16, handler DatagramHandler) (*UDPSo
 		}
 		port = p
 	}
-	k := bindKey{bound, port}
-	if s.udp[k] != nil {
+	if s.udpSocket(bound, port) != nil {
 		return nil, ErrPortInUse
 	}
 	u := &UDPSocket{stk: s, bound: bound, port: port, handler: handler}
-	if s.udp == nil { // lazy: allocated on first bind
-		s.udp = make(map[bindKey]*UDPSocket)
-	}
-	s.udp[k] = u
+	s.udp = append(s.udp, u)
 	return u, nil
+}
+
+// udpSocket returns the socket bound to exactly (bound, port), or nil.
+func (s *Stack) udpSocket(bound ip.Addr, port uint16) *UDPSocket {
+	for _, u := range s.udp {
+		if u.port == port && u.bound == bound {
+			return u
+		}
+	}
+	return nil
 }
 
 // Echo opens the UDP echo service (RFC 862) on (bound, port): every
@@ -79,7 +85,15 @@ func (u *UDPSocket) Close() {
 		return
 	}
 	u.closed = true
-	delete(u.stk.udp, bindKey{u.bound, u.port})
+	socks := u.stk.udp
+	last := len(socks) - 1
+	for i, v := range socks {
+		if v == u {
+			socks[i], socks[last] = socks[last], nil
+			u.stk.udp = socks[:last]
+			return
+		}
+	}
 }
 
 // Rebind moves the socket to (bound, its port), as Close followed by UDP
@@ -87,12 +101,11 @@ func (u *UDPSocket) Close() {
 // its care-of address. If the address is taken the socket is left closed.
 func (u *UDPSocket) Rebind(bound ip.Addr) error {
 	u.Close()
-	k := bindKey{bound, u.port}
-	if u.stk.udp[k] != nil {
+	if u.stk.udpSocket(bound, u.port) != nil {
 		return ErrPortInUse
 	}
 	u.bound, u.closed = bound, false
-	u.stk.udp[k] = u
+	u.stk.udp = append(u.stk.udp, u)
 	return nil
 }
 
@@ -146,14 +159,24 @@ func (s *Stack) udpInput(ifc *stack.Iface, pkt *ip.Packet) {
 	// port is next in line. A handler-less exact binding (a send-only
 	// socket, like a probe's source) must not mask the wildcard: it has
 	// nowhere to deliver, so the datagram falls through rather than being
-	// swallowed as UDPNoSocket.
-	sock := s.udp[bindKey{pkt.Dst, h.DstPort}]
-	if sock == nil || sock.handler == nil {
-		if w := s.udp[bindKey{ip.Unspecified, h.DstPort}]; w != nil && w.handler != nil {
-			sock = w
+	// swallowed as UDPNoSocket. One scan finds both.
+	var sock, wild *UDPSocket
+	for _, u := range s.udp {
+		if u.port != h.DstPort || u.handler == nil {
+			continue
+		}
+		if u.bound == pkt.Dst {
+			sock = u
+			break
+		}
+		if u.bound.IsUnspecified() {
+			wild = u
 		}
 	}
-	if sock == nil || sock.handler == nil {
+	if sock == nil {
+		sock = wild
+	}
+	if sock == nil {
 		s.stats.UDPNoSocket++
 		return
 	}
