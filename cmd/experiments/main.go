@@ -128,7 +128,7 @@ func main() {
 	flag.Int64Var(&opts.seed, "seed", 1996, "simulation seed (results are deterministic per seed)")
 	flag.IntVar(&opts.workers, "workers", 1, "worker goroutines for sharded experiments (results are identical at any count)")
 	flag.StringVar(&opts.jsonDir, "json", "bench", "directory for BENCH_*.json exports (empty to disable)")
-	flag.StringVar(&opts.scaleFleets, "scale-fleets", "10,100,1000,10000,100000",
+	flag.StringVar(&opts.scaleFleets, "scale-fleets", scaleTiers(),
 		"comma-separated fleet sizes for the scale experiment")
 	flag.StringVar(&opts.scenario, "scenario", "faultdemo", "catalog scenario name for -exp scenario")
 	flag.IntVar(&opts.sweepN, "n", 8, "number of generated sweep scenarios (min 8 for the pinned artifact)")
@@ -170,6 +170,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (want all, %s)\n", *exp, strings.Join(names, ", "))
 		os.Exit(2)
 	}
+}
+
+// scaleTiers is the scale spec's tier list in -scale-fleets form.
+func scaleTiers() string {
+	var sizes []string
+	for _, n := range testbed.MustScenario("scale").Topology.Fleet.Tiers {
+		sizes = append(sizes, strconv.Itoa(n))
+	}
+	return strings.Join(sizes, ",")
 }
 
 // parseFleets splits a comma-separated fleet-size list.

@@ -22,7 +22,7 @@ func FuzzScenarioParse(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(minimalSpec))
-	f.Add([]byte(`{"version": 1, "name": "x", "topology": {"fleet": {"tiers": [10], "duration": "1s", "switch_period": "1s", "probe_interval": "100ms", "cross_every": 1, "router_delays": {}}}}`))
+	f.Add([]byte(`{"version": 1, "name": "x", "topology": {"fleet": {"tiers": [10], "duration": "1s", "switch_period": "1s", "probe_interval": "100ms", "cross_every": 1}}}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[1, 2`))
 	f.Add([]byte(`{"version": 1e99}`))

@@ -200,6 +200,43 @@ func TestValidateRefusesWildcardPublications(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesTrafficOnARouter: every traffic role — probe source
+// and sink, MQTT broker and client, HTTP server and flow — runs on an end
+// host or a mobile. A router has no transport the runner drives, so placing
+// a role on one is an error naming the role and the router, refused before
+// anything runs rather than after the first itinerary step.
+func TestValidateRefusesTrafficOnARouter(t *testing.T) {
+	probe := func(from, to string) func(*Spec) {
+		return func(s *Spec) {
+			s.Traffic.Probes = []Probe{{Name: "p", From: from, To: to, Dst: "36.135.0.7", Port: 9, Interval: Duration(time.Second)}}
+		}
+	}
+	cases := []struct {
+		name    string
+		mutate  func(*Spec)
+		wantErr string // empty: valid
+	}{
+		{"as shipped, plus a probe", probe("ch", "mh"), ""},
+		{"probe source", probe("router", "mh"), `probe "p": host "router" is a router`},
+		{"probe sink", probe("ch", "router"), `probe "p": host "router" is a router`},
+		{"mqtt broker", func(s *Spec) { s.Traffic.MQTT.Broker.Host = "router" }, `mqtt broker: host "router" is a router`},
+		{"mqtt client", func(s *Spec) { s.Traffic.MQTT.Clients[1].Host = "router" }, `mqtt: client "campus-agent": host "router" is a router`},
+		{"http server", func(s *Spec) { s.Traffic.HTTP.Server.Host = "router" }, `http server: host "router" is a router`},
+		{"http flow", func(s *Spec) { s.Traffic.HTTP.Flows[1].Host = "router" }, `http: flow "http/closed": host "router" is a router`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := resolveLoaded(t, c.mutate)
+			switch {
+			case c.wantErr == "" && err != nil:
+				t.Fatalf("valid spec refused: %v", err)
+			case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+				t.Fatalf("error %v, want one containing %q", err, c.wantErr)
+			}
+		})
+	}
+}
+
 // TestValidateRefusesSharedTopics: two publications on one topic would each
 // deliver to both subscribers, so every flow counts the other's messages as
 // duplicates. The error names both publications.
@@ -390,9 +427,8 @@ func TestCompileFaultdemo(t *testing.T) {
 }
 
 // Run's contract on the faultdemo spec: the one probe flow and every
-// handoff and fault window in start order; a spec that cannot run — no
-// itinerary, or traffic placed on a host without an end-host transport —
-// is an error, never a panic.
+// handoff and fault window in start order; a spec with no itinerary is an
+// error, never a panic.
 func TestRunFaultdemo(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join(catalogDir, "faultdemo.json"))
 	if err != nil {
@@ -439,9 +475,6 @@ func TestRunFaultdemo(t *testing.T) {
 	if _, err := run(func(s *Spec) { s.Itinerary = nil }); err == nil {
 		t.Error("a spec with no itinerary ran")
 	}
-	if _, err := run(func(s *Spec) { s.Traffic.Probes[0].From = "router" }); err == nil {
-		t.Error("a probe sourced on a router ran")
-	}
 }
 
 // TestValidateDurations: a registration lifetime the request's 16-bit
@@ -478,10 +511,6 @@ func TestValidateDurations(t *testing.T) {
 		{"bring_up", "figure5", mobile(func(m *Mobile) { m.Ifaces[1].BringUp = -sec }), `iface "strip0": negative bring_up -1s`},
 		{"bring_up_jitter", "figure5", mobile(func(m *Mobile) { m.Ifaces[0].BringUpJitter = -sec }), `iface "eth0": negative bring_up_jitter -1s`},
 		{"fleet as shipped", "scale", fleet(func(*Fleet) {}), ""},
-		{"fleet reg_lifetime", "scale", fleet(func(f *Fleet) { f.RegLifetime = sec / 2 }), "fleet: reg_lifetime 500ms is not"},
-		{"fleet router delay", "scale", fleet(func(f *Fleet) { f.RouterDelays.Input = -sec }), "fleet: negative router_delays input -1s"},
-		{"fleet mobile delay", "scale", fleet(func(f *Fleet) { f.MobileDelay = -sec }), "fleet: negative mobile_delay -1s"},
-		{"fleet ha processing", "scale", fleet(func(f *Fleet) { f.HAProcessing = -sec }), "fleet: negative ha_processing -1s"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"mosquitonet/internal/app"
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/stats"
-	"mosquitonet/internal/transport"
 )
 
 // runSettle is the fixed dwell after reliable flows have drained, so the
@@ -124,31 +123,16 @@ type traffic struct {
 	web    *app.HTTPServer
 }
 
-// trafficStack resolves a host name from the traffic section to its
-// transport stack.
-func (w *World) trafficStack(host string) (*transport.Stack, error) {
-	ts, ok := w.Stacks[host]
-	if !ok {
-		return nil, fmt.Errorf("traffic: unknown host %q", host)
-	}
-	return ts, nil
-}
-
-// trafficAddr resolves a host name to the address its servers listen on:
-// an end host's configured address, or a mobile host's home address.
-func (w *World) trafficAddr(host string) (ip.Addr, error) {
-	top := &w.Spec.Topology
-	for i := range top.Hosts {
-		if top.Hosts[i].Name == host {
-			return ip.MustParseAddr(top.Hosts[i].Addr), nil
+// trafficAddr is the address a traffic host's servers listen on: an end
+// host's configured address, or a mobile host's home address. Validate
+// admits no other traffic host.
+func (w *World) trafficAddr(host string) ip.Addr {
+	for i := range w.Spec.Topology.Hosts {
+		if h := &w.Spec.Topology.Hosts[i]; h.Name == host {
+			return ip.MustParseAddr(h.Addr)
 		}
 	}
-	for i := range top.Mobiles {
-		if top.Mobiles[i].Name == host {
-			return ip.MustParseAddr(top.Mobiles[i].HomeAddr), nil
-		}
-	}
-	return ip.Addr{}, fmt.Errorf("traffic: unknown host %q", host)
+	return w.Mobiles[host].HomeAddr()
 }
 
 // startTraffic lowers the spec's traffic section onto the running world
@@ -167,15 +151,7 @@ func (w *World) startTraffic() (*traffic, error) {
 
 	for i := range t.Probes {
 		p := &t.Probes[i]
-		from, err := w.trafficStack(p.From)
-		if err != nil {
-			return nil, err
-		}
-		to, err := w.trafficStack(p.To)
-		if err != nil {
-			return nil, err
-		}
-		probe, err := NewFlowProbe(w.Loop, from, to, ip.MustParseAddr(p.Dst), uint16(p.Port), p.Interval.D())
+		probe, err := NewFlowProbe(w.Loop, w.Stacks[p.From], w.Stacks[p.To], ip.MustParseAddr(p.Dst), uint16(p.Port), p.Interval.D())
 		if err != nil {
 			return nil, fmt.Errorf("probe %s->%s: %w", p.From, p.To, err)
 		}
@@ -187,39 +163,25 @@ func (w *World) startTraffic() (*traffic, error) {
 	}
 
 	mqttClients := map[string]*app.Client{}
+	var err error
 	if t.MQTT != nil {
-		ts, err := w.trafficStack(t.MQTT.Broker.Host)
-		if err != nil {
-			return nil, err
-		}
-		tr.broker, err = app.NewBroker(ts, ip.Unspecified, uint16(t.MQTT.Broker.Port), "broker")
+		tr.broker, err = app.NewBroker(w.Stacks[t.MQTT.Broker.Host], ip.Unspecified, uint16(t.MQTT.Broker.Port), "broker")
 		if err != nil {
 			return nil, err
 		}
 	}
 	if t.HTTP != nil {
-		ts, err := w.trafficStack(t.HTTP.Server.Host)
-		if err != nil {
-			return nil, err
-		}
-		tr.web, err = app.NewHTTPServer(ts, ip.Unspecified, uint16(t.HTTP.Server.Port), "web", app.EchoHandler)
+		tr.web, err = app.NewHTTPServer(w.Stacks[t.HTTP.Server.Host], ip.Unspecified, uint16(t.HTTP.Server.Port), "web", app.EchoHandler)
 		if err != nil {
 			return nil, err
 		}
 	}
 
 	if t.MQTT != nil {
-		brokerAddr, err := w.trafficAddr(t.MQTT.Broker.Host)
-		if err != nil {
-			return nil, err
-		}
+		brokerAddr := w.trafficAddr(t.MQTT.Broker.Host)
 		for i := range t.MQTT.Clients {
 			c := &t.MQTT.Clients[i]
-			ts, err := w.trafficStack(c.Host)
-			if err != nil {
-				return nil, err
-			}
-			mqttClients[c.Name] = app.NewClient(ts, c.Name)
+			mqttClients[c.Name] = app.NewClient(w.Stacks[c.Host], c.Name)
 		}
 		connected := 0
 		onConnack := func(err error) {
@@ -239,17 +201,10 @@ func (w *World) startTraffic() (*traffic, error) {
 
 	httpClients := map[string]*app.HTTPClient{}
 	if t.HTTP != nil {
-		serverAddr, err := w.trafficAddr(t.HTTP.Server.Host)
-		if err != nil {
-			return nil, err
-		}
+		serverAddr := w.trafficAddr(t.HTTP.Server.Host)
 		for i := range t.HTTP.Flows {
 			f := &t.HTTP.Flows[i]
-			ts, err := w.trafficStack(f.Host)
-			if err != nil {
-				return nil, err
-			}
-			httpClients[f.Client] = app.NewHTTPClient(ts, f.Client)
+			httpClients[f.Client] = app.NewHTTPClient(w.Stacks[f.Host], f.Client)
 		}
 		for i := range t.HTTP.Flows {
 			if err := httpClients[t.HTTP.Flows[i].Client].Connect(serverAddr, uint16(t.HTTP.Server.Port), nil); err != nil {
@@ -262,18 +217,14 @@ func (w *World) startTraffic() (*traffic, error) {
 		subAcks := 0
 		for i := range t.MQTT.Pubs {
 			pub := &t.MQTT.Pubs[i]
-			from, to := mqttClients[pub.From], mqttClients[pub.To]
-			if from == nil || to == nil {
-				return nil, fmt.Errorf("traffic: publication %q references unknown client", pub.Topic)
-			}
 			ft := stats.NewFlowTracker(pub.Topic)
-			if err := to.Subscribe(pub.Topic, byte(pub.QoS), app.SinkHandler(w.Loop, ft), func() { subAcks++ }); err != nil {
+			if err := mqttClients[pub.To].Subscribe(pub.Topic, byte(pub.QoS), app.SinkHandler(w.Loop, ft), func() { subAcks++ }); err != nil {
 				return nil, err
 			}
 			tr.flows = append(tr.flows, Flow{
 				Proto: "mqtt-qos" + strconv.Itoa(pub.QoS), Model: "open-loop", Size: pub.Size, Interval: pub.Interval.D(), Tracker: ft,
 			})
-			tr.pubs = append(tr.pubs, app.NewPubFlow(from, ft, pub.Topic, pub.Interval.D(), byte(pub.QoS), pub.Size))
+			tr.pubs = append(tr.pubs, app.NewPubFlow(mqttClients[pub.From], ft, pub.Topic, pub.Interval.D(), byte(pub.QoS), pub.Size))
 		}
 		if !w.RunUntil(trafficWait, func() bool { return subAcks == len(t.MQTT.Pubs) }) {
 			return nil, fmt.Errorf("traffic: subscriptions not acked (%d/%d)", subAcks, len(t.MQTT.Pubs))

@@ -223,7 +223,8 @@ type StaticAddr struct {
 // hosts partitioned over campus shards joined to a backbone hub by
 // point-to-point trunks. The shard count and addressing plan are pure
 // functions of the tier size (DESIGN.md §14 lowering rules), so results
-// are byte-identical at any worker count.
+// are byte-identical at any worker count. A fleet declares no per-packet
+// costs: its builder takes them from the figure5 spec.
 type Fleet struct {
 	Tiers         []int    `json:"tiers"`
 	Duration      Duration `json:"duration"`
@@ -232,12 +233,6 @@ type Fleet struct {
 	ProbeStart    Duration `json:"probe_start"`
 	CrossEvery    int      `json:"cross_every"`
 	Stagger       Duration `json:"stagger"`
-
-	RouterDelays Delays   `json:"router_delays"`
-	MobileDelay  Duration `json:"mobile_delay,omitempty"`
-	HostDelay    Duration `json:"host_delay,omitempty"`
-	HAProcessing Duration `json:"ha_processing,omitempty"`
-	RegLifetime  Duration `json:"reg_lifetime,omitempty"`
 }
 
 // StepOps are the itinerary operations.

@@ -392,14 +392,7 @@ func (v *validator) fleet(f *Fleet) error {
 	if f.CrossEvery < 1 {
 		return fmt.Errorf("%s: cross_every must be >= 1", ctx)
 	}
-	if err := delays(ctx, "router_delays", f.RouterDelays); err != nil {
-		return err
-	}
-	if err := nonNegative(ctx, field{"mobile_delay", f.MobileDelay}, field{"host_delay", f.HostDelay},
-		field{"ha_processing", f.HAProcessing}); err != nil {
-		return err
-	}
-	return regLifetime(ctx, "reg_lifetime", f.RegLifetime)
+	return nil
 }
 
 // field is a duration with the name the spec gives it, for error text.
@@ -436,6 +429,18 @@ func regLifetime(ctx, name string, d Duration) error {
 	return nil
 }
 
+// trafficHost refuses a traffic endpoint the runner has no transport for:
+// traffic runs on end hosts and mobiles, never on a router.
+func (v *validator) trafficHost(ctx, name string) error {
+	switch {
+	case v.routers[name]:
+		return fmt.Errorf("%s: host %q is a router (traffic runs on end hosts and mobiles)", ctx, name)
+	case !v.hosts[name]:
+		return fmt.Errorf("%s: unknown host %q", ctx, name)
+	}
+	return nil
+}
+
 func (v *validator) traffic(t *Traffic) error {
 	for i := range t.Probes {
 		p := &t.Probes[i]
@@ -443,11 +448,11 @@ func (v *validator) traffic(t *Traffic) error {
 		if p.Name == "" {
 			return fmt.Errorf("scenario %q: probe %d: empty name", v.spec.Name, i)
 		}
-		if !v.hosts[p.From] {
-			return fmt.Errorf("%s: unknown host %q", ctx, p.From)
+		if err := v.trafficHost(ctx, p.From); err != nil {
+			return err
 		}
-		if !v.hosts[p.To] {
-			return fmt.Errorf("%s: unknown host %q", ctx, p.To)
+		if err := v.trafficHost(ctx, p.To); err != nil {
+			return err
 		}
 		if _, err := ip.ParseAddr(p.Dst); err != nil {
 			return fmt.Errorf("%s: %w", ctx, err)
@@ -461,13 +466,16 @@ func (v *validator) traffic(t *Traffic) error {
 	}
 	if m := t.MQTT; m != nil {
 		ctx := fmt.Sprintf("scenario %q: mqtt", v.spec.Name)
-		if !v.hosts[m.Broker.Host] {
-			return fmt.Errorf("%s: broker on unknown host %q", ctx, m.Broker.Host)
+		if err := v.trafficHost(ctx+" broker", m.Broker.Host); err != nil {
+			return err
 		}
 		for i := range m.Clients {
 			c := &m.Clients[i]
-			if c.Name == "" || !v.hosts[c.Host] {
-				return fmt.Errorf("%s: client %d needs a name and a known host (got %q on %q)", ctx, i, c.Name, c.Host)
+			if c.Name == "" {
+				return fmt.Errorf("%s: client %d needs a name", ctx, i)
+			}
+			if err := v.trafficHost(fmt.Sprintf("%s: client %q", ctx, c.Name), c.Host); err != nil {
+				return err
 			}
 			if v.clients[c.Name] {
 				return fmt.Errorf("%s: duplicate client %q", ctx, c.Name)
@@ -506,8 +514,8 @@ func (v *validator) traffic(t *Traffic) error {
 	}
 	if h := t.HTTP; h != nil {
 		ctx := fmt.Sprintf("scenario %q: http", v.spec.Name)
-		if !v.hosts[h.Server.Host] {
-			return fmt.Errorf("%s: server on unknown host %q", ctx, h.Server.Host)
+		if err := v.trafficHost(ctx+" server", h.Server.Host); err != nil {
+			return err
 		}
 		seen := map[string]bool{}
 		for i := range h.Flows {
@@ -520,8 +528,8 @@ func (v *validator) traffic(t *Traffic) error {
 				return fmt.Errorf("%s: duplicate flow", fctx)
 			}
 			seen[f.Name] = true
-			if !v.hosts[f.Host] {
-				return fmt.Errorf("%s: unknown host %q", fctx, f.Host)
+			if err := v.trafficHost(fctx, f.Host); err != nil {
+				return err
 			}
 			if f.Path == "" || f.Path[0] != '/' {
 				return fmt.Errorf("%s: path must start with '/'", fctx)

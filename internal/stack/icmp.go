@@ -175,11 +175,11 @@ func (c *ICMP) Ping(dst, bound ip.Addr, size int, timeout time.Duration, cb func
 }
 
 // sendError sends an ICMP error about pkt back to its source, observing
-// the usual suppressions (never about ICMP errors, broadcasts, or
-// unspecified sources).
+// the usual suppressions (never about ICMP errors, broadcasts, unspecified
+// sources, or a fragment other than the first: RFC 1122 §3.2.2).
 func (c *ICMP) sendError(typ ip.ICMPType, code uint8, offender *ip.Packet) {
-	if offender.Src.IsUnspecified() || offender.Src.IsBroadcast() || offender.Dst.IsBroadcast() {
-		//lint:allow dropaccounting RFC 792 suppression: only the error message is elided, the offender was accounted by the caller
+	if offender.Src.IsUnspecified() || offender.Src.IsBroadcast() || offender.Dst.IsBroadcast() || offender.FragOff != 0 {
+		//lint:allow dropaccounting RFC 792/1122 suppression: only the error message is elided, the offender was accounted by the caller
 		return
 	}
 	if offender.Protocol == ip.ProtoICMP {

@@ -351,6 +351,30 @@ func TestTTLExpiry(t *testing.T) {
 	}
 }
 
+// TestNoICMPErrorAboutANonInitialFragment: RFC 1122 §3.2.2 — an ICMP error
+// message MUST NOT be sent about a non-initial fragment. A router whose TTL
+// expires on the first fragment of a datagram answers Time Exceeded; on a
+// later fragment it drops and counts the packet and answers nothing.
+func TestNoICMPErrorAboutANonInitialFragment(t *testing.T) {
+	for _, c := range []struct {
+		fragOff  uint16
+		wantSent uint64
+	}{{0, 1}, {100, 0}} {
+		loop := sim.New(1)
+		a, _, router := twoSubnetTopology(t, loop)
+		pkt := udpPacket("0.0.0.0", "10.0.1.2", "dying")
+		pkt.TTL, pkt.MoreFrag, pkt.FragOff = 1, true, c.fragOff
+		a.host.Output(pkt)
+		loop.RunFor(time.Second)
+		if router.Stats().DropTTL != 1 {
+			t.Errorf("offset %d: DropTTL = %d, want 1", c.fragOff, router.Stats().DropTTL)
+		}
+		if got := router.ICMP().Sent; got != c.wantSent {
+			t.Errorf("offset %d: ICMP errors sent = %d, want %d", c.fragOff, got, c.wantSent)
+		}
+	}
+}
+
 // TestFilterDropAndReject: the paper's transit filter forbids forwarding
 // packets whose source is not local to the ingress subnet. Local traffic
 // passes; transit-looking traffic is dropped, counted, and answered with

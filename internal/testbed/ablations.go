@@ -302,11 +302,12 @@ func runA2(seed int64, iterations int, watch func(*Testbed, *mip.ForeignAgent, *
 	return res, nil
 }
 
-// hostDelay is the per-packet cost the compiled spec gives the named end
-// host. Hosts an ablation builds beside the compiled ones take their
-// calibration from the spec, the only place a cost is written.
-func (tb *Testbed) hostDelay(name string) time.Duration {
-	for _, h := range tb.World.Spec.Topology.Hosts {
+// hostDelay is the per-packet cost a spec gives the named one of its end
+// hosts. Hosts built beside the compiled ones (an ablation's, the scale
+// fleet's) take their calibration from the spec, the only place a cost is
+// written.
+func hostDelay(hosts []scenario.EndHost, name string) time.Duration {
+	for _, h := range hosts {
 		if h.Name == name {
 			return h.Delay.D()
 		}
@@ -317,7 +318,7 @@ func (tb *Testbed) hostDelay(name string) time.Duration {
 // newSlowNetFA places a foreign agent host — a machine of the
 // correspondent's class — on the slow remote subnet.
 func newSlowNetFA(tb *Testbed) (*mip.ForeignAgent, *stack.Host, error) {
-	cost := tb.hostDelay("ch")
+	cost := hostDelay(tb.World.Spec.Topology.Hosts, "ch")
 	h := stack.NewHost(tb.Loop, "fa-slow", stack.Config{InputDelay: cost, OutputDelay: cost})
 	ts, ifc := scenario.AttachEndHost(h, tb.SlowNet, "fa-eth", FASlowAddr, SlowPrefix, RouterSlowAddr, stack.IfaceOpts{})
 	fa, err := mip.NewForeignAgent(ts, mip.ForeignAgentConfig{

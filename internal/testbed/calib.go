@@ -11,10 +11,15 @@
 // the experiment harnesses reproduce the shape (and roughly the scale) of
 // the published results. The calibration that runs lives in the figure5
 // scenario spec (testdata/scenarios/figure5.json): router and home-agent
-// costs, reconfiguration delays, bring-up times, DHCP think time — and
-// nowhere else: hosts that ablations A2 and A3 build by hand read their
-// costs from the compiled spec. This file holds the paper's own
-// experiment parameters and reported numbers.
+// costs, reconfiguration delays, bring-up times, DHCP think time. Hosts
+// that ablations A2 and A3 build by hand read their costs from the
+// compiled spec, and the scale fleet reads its router, home-agent,
+// correspondent and mobile-host costs from the parsed spec (scaleCalib);
+// the scale spec declares none. Two copies remain outside that path: the
+// standalone faultdemo spec, which the scenario package's tests parse
+// without the catalog, and the benchmark's frozen campus_app workload.
+// This file holds the paper's own experiment parameters and reported
+// numbers.
 package testbed
 
 import "time"

@@ -132,19 +132,15 @@ func RunHandoff(seed int64) (*HandoffResult, error) {
 }
 
 // countAnomalies counts what is worth a look in a finished trace: every
-// event or closed span whose kind starts with "reg.timeout" (a
-// registration that exhausted its retries), and every noRouteBurst
+// "reg.timeout" event (a registration that exhausted its retries; mip
+// records it as an event, never a span), and every noRouteBurst
 // "drop.noroute" spans that close within noRouteBurstWindow of one another,
 // counting afresh after each burst.
 func countAnomalies(t *trace.Tracer) int {
 	n := len(t.Find("reg.timeout"))
 	var drops []sim.Time
-	for _, s := range t.FindSpans("reg.timeout", "drop.noroute") {
-		switch {
-		case s.Open(): // not over yet, so not an anomaly yet
-		case strings.HasPrefix(s.Kind, "reg.timeout"):
-			n++
-		default:
+	for _, s := range t.FindSpans("drop.noroute") {
+		if !s.Open() { // not over yet, so not an anomaly yet
 			drops = append(drops, s.End)
 		}
 	}

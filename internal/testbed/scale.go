@@ -44,9 +44,16 @@ import (
 // (testdata/scenarios/scale.json). Kept modest so one fleet fits a CI
 // smoke run; the event count still reaches the millions at 1000 hosts
 // because every frame on a shared Ethernet segment fans out to all
-// attached devices. The spec's delay fields repeat the figure5 spec's,
-// so the fleet runs the same per-packet costs as the Figure 5 testbed.
-var scaleFleetSpec = MustScenario("scale").Topology.Fleet
+// attached devices. The scale spec declares no costs: the fleet's routers,
+// home agents, correspondents and mobile hosts are Figure 5 machines, and
+// buildScaleFleetSilent reads their per-packet costs from the figure5 spec
+// (scaleCalib) instead of restating them. Two restatements remain:
+// faultdemo.json, a standalone topology the scenario package's tests parse
+// without the catalog, and the benchmark's frozen campus_app workload.
+var (
+	scaleFleetSpec = MustScenario("scale").Topology.Fleet
+	scaleCalib     = MustScenario("figure5").Topology
+)
 
 var (
 	scaleDuration      = scaleFleetSpec.Duration.D()      // virtual runtime per fleet
@@ -271,14 +278,22 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int, duration 
 
 	var hosts []*stack.Host
 
+	// Figure 5's router, correspondent and mobile host costs. Fleet
+	// mobiles keep zero configure, route-change and bring-up delays.
+	figRouter, figMH := scaleCalib.Routers[0], scaleCalib.Mobiles[0]
+	routerCfg := stack.Config{
+		InputDelay:   figRouter.Delays.Input.D(),
+		OutputDelay:  figRouter.Delays.Output.D(),
+		ForwardDelay: figRouter.Delays.Forward.D(),
+	}
+	chDelay := hostDelay(scaleCalib.Hosts, "ch")
+	hostCfg := stack.Config{InputDelay: chDelay, OutputDelay: chDelay}
+	mhCfg := stack.Config{InputDelay: figMH.Delay.D(), OutputDelay: figMH.Delay.D()}
+
 	// Hub shard: backbone router plus the cross-shard correspondent.
 	hubLoop := loops[hub]
 	backboneNet := link.NewNetwork(hubLoop, "scale-backbone", link.Ethernet())
-	hubRouter := stack.NewHost(hubLoop, "hub", stack.Config{
-		InputDelay:   scaleFleetSpec.RouterDelays.Input.D(),
-		OutputDelay:  scaleFleetSpec.RouterDelays.Output.D(),
-		ForwardDelay: scaleFleetSpec.RouterDelays.Forward.D(),
-	})
+	hubRouter := stack.NewHost(hubLoop, "hub", routerCfg)
 	scenario.AddRouterIface(hubRouter, backboneNet, scaleHubAddr, scaleBackbonePfx, stack.IfaceOpts{})
 	hubRouter.SetForwarding(true)
 	hosts = append(hosts, hubRouter)
@@ -286,7 +301,6 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int, duration 
 	probesSent := make([]uint64, numShards)
 	probesEchoed := make([]uint64, numShards)
 
-	hostCfg := stack.Config{InputDelay: scaleFleetSpec.HostDelay.D(), OutputDelay: scaleFleetSpec.HostDelay.D()}
 	bbCH, _ := scenario.AttachEndHost(stack.NewHost(hubLoop, "bb-ch", hostCfg), backboneNet, "bb-ch-eth",
 		scaleBackboneCH, scaleBackbonePfx, scaleHubAddr, stack.IfaceOpts{})
 	if _, err := bbCH.Echo(ip.Unspecified, 7); err != nil {
@@ -316,11 +330,7 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int, duration 
 
 		// Shard router with the home agent collocated, as in the Figure 5
 		// testbed.
-		router := stack.NewHost(loop, fmt.Sprintf("router%d", k), stack.Config{
-			InputDelay:   scaleFleetSpec.RouterDelays.Input.D(),
-			OutputDelay:  scaleFleetSpec.RouterDelays.Output.D(),
-			ForwardDelay: scaleFleetSpec.RouterDelays.Forward.D(),
-		})
+		router := stack.NewHost(loop, fmt.Sprintf("router%d", k), routerCfg)
 		homeIfc := scenario.AddRouterIface(router, homeNet, routerHome, homePfx, stack.IfaceOpts{})
 		scenario.AddRouterIface(router, deptNet, routerDept, deptPfx, stack.IfaceOpts{})
 		scenario.AddRouterIface(router, campusNet, routerCampus, campusPfx, stack.IfaceOpts{})
@@ -329,7 +339,7 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int, duration 
 		ha, err := mip.NewHomeAgent(transport.NewStack(router), mip.HomeAgentConfig{
 			HomeIface:       homeIfc,
 			HomePrefix:      homePfx,
-			ProcessingDelay: scaleFleetSpec.HAProcessing.D(),
+			ProcessingDelay: figRouter.HomeAgent.Processing.D(),
 		})
 		if err != nil {
 			return nil, err
@@ -373,16 +383,13 @@ func buildScaleFleetSilent(seed int64, n, workers, silentCampuses int, duration 
 		}
 		for i := lo; i < hi; i++ {
 			j := i - lo
-			h := stack.NewHost(loop, fmt.Sprintf("mh%04d", i), stack.Config{
-				InputDelay:  scaleFleetSpec.MobileDelay.D(),
-				OutputDelay: scaleFleetSpec.MobileDelay.D(),
-			})
+			h := stack.NewHost(loop, fmt.Sprintf("mh%04d", i), mhCfg)
 			ts := transport.NewStack(h)
 			m := mip.NewMobileHost(ts, mip.MobileHostConfig{
 				HomeAddr:   scaleAddr(homePfx, j),
 				HomePrefix: homePfx,
 				HomeAgent:  routerHome,
-				Lifetime:   scaleFleetSpec.RegLifetime.D(),
+				Lifetime:   figMH.Lifetime.D(),
 			})
 			sm := &scaleMH{m: m}
 			for d, net := range []*link.Network{deptNet, campusNet} {

@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -80,36 +81,65 @@ func TestSameSeedByteIdentical(t *testing.T) {
 }
 
 // The address variables experiment code uses must stay pinned to the
-// figure5 spec they mirror.
+// figure5 spec they mirror: every prefix and address testbed.go declares
+// that the spec also declares, one row each (the home agent's address
+// twice: the router's home interface, and the mobile's home agent).
 func TestFigure5SpecMatches(t *testing.T) {
-	spec := MustScenario("figure5")
-	top := &spec.Topology
-	wantPrefix := map[string]string{
-		"home": HomePrefix.String(), "dept": DeptPrefix.String(),
-		"radio": RadioPrefix.String(), "campus": CampusPrefix.String(), "slow": SlowPrefix.String(),
-	}
-	for i := range top.Subnets {
-		s := &top.Subnets[i]
-		if want, ok := wantPrefix[s.Name]; ok && s.Prefix != want {
-			t.Errorf("subnet %s prefix = %s, want %s", s.Name, s.Prefix, want)
-		}
-	}
-	if top.Mobiles[0].HomeAddr != MHHomeAddr.String() {
-		t.Errorf("mobile home addr = %s, want %s", top.Mobiles[0].HomeAddr, MHHomeAddr)
-	}
-	if top.Mobiles[0].HomeAgent != RouterHomeAddr.String() {
-		t.Errorf("mobile home agent = %s, want %s", top.Mobiles[0].HomeAgent, RouterHomeAddr)
-	}
-	var chFound bool
-	for i := range top.Hosts {
-		if top.Hosts[i].Name == "ch" {
-			chFound = true
-			if top.Hosts[i].Addr != CHAddr.String() {
-				t.Errorf("ch addr = %s, want %s", top.Hosts[i].Addr, CHAddr)
+	top := &MustScenario("figure5").Topology
+	prefix := func(subnet string) string {
+		for _, s := range top.Subnets {
+			if s.Name == subnet {
+				return s.Prefix
 			}
 		}
+		return "no subnet " + subnet
 	}
-	if !chFound {
-		t.Error("figure5 spec has no correspondent host \"ch\"")
+	routerOn := func(subnet string) string {
+		for _, ifc := range top.Routers[0].Ifaces {
+			if ifc.Subnet == subnet {
+				return ifc.Addr
+			}
+		}
+		return "no router iface on " + subnet
+	}
+	host := func(name string) string {
+		for _, h := range top.Hosts {
+			if h.Name == name {
+				return h.Addr
+			}
+		}
+		return "no host " + name
+	}
+	mh := &top.Mobiles[0]
+	staticOn := func(subnet string) string {
+		for _, ifc := range mh.Ifaces {
+			if ifc.Attach == subnet && ifc.Static != nil {
+				return ifc.Static.Addr
+			}
+		}
+		return "no static iface on " + subnet
+	}
+	for _, c := range []struct {
+		name, spec string
+		want       fmt.Stringer
+	}{
+		{"HomePrefix", prefix("home"), HomePrefix},
+		{"DeptPrefix", prefix("dept"), DeptPrefix},
+		{"RadioPrefix", prefix("radio"), RadioPrefix},
+		{"CampusPrefix", prefix("campus"), CampusPrefix},
+		{"SlowPrefix", prefix("slow"), SlowPrefix},
+		{"RouterHomeAddr", routerOn("home"), RouterHomeAddr},
+		{"RouterHomeAddr as home agent", mh.HomeAgent, RouterHomeAddr},
+		{"RouterDeptAddr", routerOn("dept"), RouterDeptAddr},
+		{"RouterRadioAddr", routerOn("radio"), RouterRadioAddr},
+		{"RouterSlowAddr", routerOn("slow"), RouterSlowAddr},
+		{"MHHomeAddr", mh.HomeAddr, MHHomeAddr},
+		{"MHRadioAddr", staticOn("radio"), MHRadioAddr},
+		{"CHAddr", host("ch"), CHAddr},
+		{"CampusCHAddr", host("campus-ch"), CampusCHAddr},
+	} {
+		if c.spec != c.want.String() {
+			t.Errorf("%s = %s, but the figure5 spec says %s", c.name, c.want, c.spec)
+		}
 	}
 }

@@ -84,19 +84,3 @@ func RunSweep(seed int64, n int) (*SweepResult, error) {
 	res.Export.Rows = res.Rows
 	return res, nil
 }
-
-// sweepWorstBlackout is the longest blackout across all windows of all
-// flows, for smoke assertions.
-func sweepWorstBlackout(rows []ScenarioRows) time.Duration {
-	var worst time.Duration
-	for _, r := range rows {
-		for _, f := range r.Flows {
-			for _, w := range f.Windows {
-				if d := time.Duration(w.BlackoutNS); d > worst {
-					worst = d
-				}
-			}
-		}
-	}
-	return worst
-}
