@@ -161,13 +161,15 @@ type queued struct {
 const retryLaneGranularity = 10 * time.Millisecond
 
 // pending is one address being resolved: the packets waiting for it, the
-// requests sent so far and the retry timer. A record is on exactly one of
-// its cache's two lists, linked through next: the pending list while it
-// resolves, the free list once a reply or the final timeout has flushed or
-// dropped its queue. It keeps the queue's array and the bound retry on the
-// free list; neither ending leaves a timer out, so nothing points at a free
-// record. The queue starts in first: most resolutions hold one packet, so a
-// record and its bound retry are all a first miss allocates.
+// requests sent so far and the retry timer. Records come from the loop's
+// free list (sim.RecordsOf) and go back to it once a reply or the final
+// timeout has flushed or dropped the queue, so a cache with nothing to
+// resolve holds no record. While it resolves a record is on its cache's
+// pending list, linked through next. It keeps the queue's array and the
+// bound retry on the free list; neither ending leaves a timer out, so nothing
+// points at a free record. The queue starts in first: most resolutions hold
+// one packet, so a record and its bound retry are all a miss that finds the
+// loop's list empty allocates.
 type pending struct {
 	c        *Cache
 	dst      ip.Addr
@@ -194,12 +196,11 @@ type Cache struct {
 	// of neighbors and a router's a few hundred, and packing them avoids
 	// a map bucket plus per-entry overhead for every neighbor on every
 	// device in the fleet. published is packed the same way. pend lists
-	// the addresses being resolved, rarely more than one at a time, and
-	// freePend the records that finished; both are linked through
-	// pending.next, so a resolution costs its record and nothing more.
+	// the addresses being resolved, rarely more than one at a time, linked
+	// through pending.next; the records come from the loop and go back to
+	// it, so a resolution costs its record and nothing more.
 	entries   []entry
 	pend      *pending
-	freePend  *pending
 	published []ip.Addr
 	stats     Stats
 }
@@ -308,14 +309,12 @@ func (c *Cache) SendIP(dst ip.Addr, payload []byte, trace uint64) {
 	}
 	p := c.findPending(dst)
 	if p == nil {
-		p = c.freePend
+		p = sim.RecordsOf[pending](c.loop).Take()
 		if p == nil {
-			p = &pending{c: c}
+			p = new(pending)
 			p.retry, p.payloads = p.timeout, p.first[:0]
-		} else {
-			c.freePend = p.next
 		}
-		p.dst, p.next, c.pend = dst, c.pend, p
+		p.c, p.dst, p.next, c.pend = c, dst, c.pend, p
 		c.sendRequest(p)
 	}
 	if len(p.payloads) >= c.cfg.MaxPending {
@@ -386,12 +385,12 @@ func (c *Cache) unlink(p *pending) {
 	}
 }
 
-// release puts an unlinked record on the free list, its queue flushed or
-// dropped.
+// release puts an unlinked record back on the loop's free list, its queue
+// flushed or dropped.
 func (c *Cache) release(p *pending) {
 	clear(p.payloads)
-	p.payloads, p.tries, p.timer = p.payloads[:0], 0, sim.LaneTimer{}
-	p.next, c.freePend = c.freePend, p
+	p.c, p.next, p.payloads, p.tries, p.timer = nil, nil, p.payloads[:0], 0, sim.LaneTimer{}
+	sim.RecordsOf[pending](c.loop).Put(p)
 }
 
 // send puts one ARP message on the wire, marshaled into a pooled buffer

@@ -154,7 +154,7 @@ func runResolutions(t *testing.T, seed int64) (out resolutionOutcomes) {
 			t.Fatalf("seed %d step %d: stats %+v, oracle requests %d failures %d dropped %d",
 				seed, step, st, requests, oracle.ResolveFailures, oracle.PacketsDropped)
 		}
-		freePending(t, a.cache)
+		freePending(t, loop)
 	}
 
 	for step := 0; step < 400; step++ {

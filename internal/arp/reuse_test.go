@@ -3,6 +3,7 @@ package arp
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,36 +14,44 @@ import (
 )
 
 // A resolution's record — its queue, its retry callback — goes back to the
-// cache when a reply or the last timeout ends it, and the next miss takes it.
-// These tests are the guards: the record must come back clean, and nothing of
-// the resolution it served may reach the one it serves next.
+// loop's free list when a reply or the last timeout ends it, and the next
+// miss on any cache of the loop takes it. These tests are the guards: the
+// record must come back clean, and nothing of the resolution it served may
+// reach the one it serves next.
 
-// freePending counts the records on c's free list and checks each is clean.
-func freePending(t *testing.T, c *Cache) (n int) {
+// freePending returns the records on loop's free list, the next to be taken
+// first, and checks each is clean. It takes them off the list to look and
+// puts them back in their order.
+func freePending(t *testing.T, loop *sim.Loop) []*pending {
 	t.Helper()
-	for p := c.freePend; p != nil; p = p.next {
-		if len(p.payloads) != 0 || p.tries != 0 || p.timer.Active() || p.retry == nil || p.c != c {
-			t.Fatalf("free record %d is not clean: %+v", n, *p)
+	recs := sim.RecordsOf[pending](loop)
+	var free []*pending
+	for range recs.Free() {
+		p := recs.Take()
+		if len(p.payloads) != 0 || p.tries != 0 || p.timer.Active() || p.retry == nil || p.c != nil || p.next != nil {
+			t.Fatalf("free record %d is not clean: %+v", len(free), *p)
 		}
 		for _, q := range p.payloads[:cap(p.payloads)] {
 			if q.payload != nil {
-				t.Fatalf("free record %d still holds a queued payload", n)
+				t.Fatalf("free record %d still holds a queued payload", len(free))
 			}
 		}
-		n++
+		free = append(free, p)
 	}
-	return n
+	for i := len(free) - 1; i >= 0; i-- {
+		recs.Put(free[i])
+	}
+	return free
 }
 
 // inFlight counts the records on c's pending list and checks none of them
-// is also on the free list.
+// is also on the loop's free list.
 func inFlight(t *testing.T, c *Cache) (n int) {
 	t.Helper()
+	free := freePending(t, c.loop)
 	for p := c.pend; p != nil; p = p.next {
-		for f := c.freePend; f != nil; f = f.next {
-			if f == p {
-				t.Fatalf("record for %v is on both lists", p.dst)
-			}
+		if slices.Contains(free, p) {
+			t.Fatalf("record for %v is on both lists", p.dst)
 		}
 		n++
 	}
@@ -63,8 +72,8 @@ func TestResolutionReusesItsRecord(t *testing.T) {
 		t.Fatalf("resolution of b: %+v", first)
 	}
 	loop.RunFor(time.Second)
-	if len(b.rxIP) != 2 || inFlight(t, a.cache) != 0 || freePending(t, a.cache) != 1 || a.cache.freePend != first {
-		t.Fatalf("after b's reply: b received %d, %d pending, %d free", len(b.rxIP), inFlight(t, a.cache), freePending(t, a.cache))
+	if free := freePending(t, loop); len(b.rxIP) != 2 || inFlight(t, a.cache) != 0 || len(free) != 1 || free[0] != first {
+		t.Fatalf("after b's reply: b received %d, %d pending, %d free", len(b.rxIP), inFlight(t, a.cache), len(free))
 	}
 
 	// The next miss walks the same record, and a second one beside it its own.
@@ -81,8 +90,8 @@ func TestResolutionReusesItsRecord(t *testing.T) {
 	if len(c.rxIP) != 1 || len(b.rxIP) != 2 {
 		t.Fatalf("c received %d packets, b %d", len(c.rxIP), len(b.rxIP))
 	}
-	if st.RequestsSent != 2+3 || st.ResolveFailures != 1 || st.PacketsDropped != 1 || freePending(t, a.cache) != 2 {
-		t.Fatalf("after c's reply and nobody's timeout: %+v, %d free", st, freePending(t, a.cache))
+	if st.RequestsSent != 2+3 || st.ResolveFailures != 1 || st.PacketsDropped != 1 || len(freePending(t, loop)) != 2 {
+		t.Fatalf("after c's reply and nobody's timeout: %+v, %d free", st, len(freePending(t, loop)))
 	}
 }
 
@@ -99,10 +108,9 @@ func TestFailedResolutionReturnsItsRecord(t *testing.T) {
 	a.cache.SendIP(gone, []byte("lost"), 0)
 	rec := a.cache.findPending(gone)
 	loop.RunFor(time.Second)
-	if st := a.cache.Stats(); st.RequestsSent != 3 || st.ResolveFailures != 1 || st.PacketsDropped != 1 || a.cache.freePend != rec {
-		t.Fatalf("after the failure: %+v, free %p want %p", st, a.cache.freePend, rec)
+	if st, free := a.cache.Stats(), freePending(t, loop); st.RequestsSent != 3 || st.ResolveFailures != 1 || st.PacketsDropped != 1 || len(free) != 1 || free[0] != rec {
+		t.Fatalf("after the failure: %+v, free %v want [%p]", st, free, rec)
 	}
-	freePending(t, a.cache)
 
 	a.cache.SendIP(other, []byte("also lost"), 0)
 	if a.cache.findPending(other) != rec {
@@ -148,9 +156,11 @@ func TestResolutionAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestFirstMissAllocatesOnlyItsRecord: a fresh cache's first miss allocates
-// the pending record and its bound retry, and nothing more — no table of
-// resolutions, no queue array. The loop's lane, the pools and the link are
+// TestFirstMissAllocatesOnlyItsRecord: a miss that finds the loop's free
+// list empty allocates the pending record and its bound retry, and nothing
+// more — no table of resolutions, no queue array. A fresh cache's first miss
+// on a loop whose list holds a finished record allocates nothing: the records
+// are the loop's, not the cache's. The loop's lane, the pools and the link are
 // warmed by another cache first.
 func TestFirstMissAllocatesOnlyItsRecord(t *testing.T) {
 	loop := sim.New(1)
@@ -166,20 +176,31 @@ func TestFirstMissAllocatesOnlyItsRecord(t *testing.T) {
 		warm.cache.SendIP(b.addrs[0], bufpool.For(loop).Get(64), 0)
 		loop.RunFor(2 * time.Second)
 	}
-	var before, after runtime.MemStats
-	var mallocs uint64
-	for _, a := range fresh {
+	// firstMiss is what a's first miss allocates.
+	firstMiss := func(a *host) uint64 {
+		var before, after runtime.MemStats
 		buf := bufpool.For(loop).Get(64)
 		runtime.ReadMemStats(&before)
 		a.cache.SendIP(b.addrs[0], buf, 0)
 		runtime.ReadMemStats(&after)
-		mallocs += after.Mallocs - before.Mallocs
 		if a.cache.pend == nil || a.cache.pend.next != nil {
 			t.Fatal("the miss did not start one resolution")
 		}
 		loop.RunFor(2 * time.Second)
+		return after.Mallocs - before.Mallocs
 	}
-	if per := float64(mallocs) / float64(len(fresh)); per != 2 {
-		t.Fatalf("a first miss allocates %.2f objects, want 2 (the record and its retry)", per)
+	recs := sim.RecordsOf[pending](loop)
+	held := recs.Take() // as if another resolution had the list's one record
+	got := firstMiss(fresh[0])
+	recs.Put(held)
+	if got != 2 {
+		t.Fatalf("a miss that finds the loop's list empty allocates %d objects, want 2 (the record and its retry)", got)
+	}
+	var mallocs uint64
+	for _, a := range fresh[1:] {
+		mallocs += firstMiss(a)
+	}
+	if mallocs != 0 {
+		t.Fatalf("%d fresh caches' first misses on a warm loop allocated %d objects, want 0", len(fresh)-1, mallocs)
 	}
 }

@@ -15,7 +15,6 @@ package link
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"mosquitonet/internal/bufpool"
@@ -158,9 +157,10 @@ type Device struct {
 	bringUpJitter time.Duration
 
 	recv func(*Frame)
-	// up is made by the first BringUp that has to wait, so a device that is
-	// never raised (a fleet's residents) carries a nil pointer.
-	up      *bringUps
+	// up lists the bring-ups whose timers are out, oldest first; a device
+	// with none (a fleet's residents, or any device between bring-ups)
+	// carries a nil head.
+	up      *bringUp
 	upSince sim.Time
 
 	// fastSeen is net.fastLanded as of the last settle; fastOwn counts the
@@ -197,23 +197,25 @@ func NewDevice(loop *sim.Loop, name string, bringUpDelay, jitter time.Duration) 
 		bringUpJitter: jitter,
 		pktlog:        metrics.PacketsFor(loop),
 	}
-	// One snapshot-time collector per device publishes the counters (same
-	// rows and sums as registering eight handles, at an eighth of the
-	// registry footprint — at fleet scale every mobile host carries two
-	// devices).
-	metrics.For(loop).Collect(func(c *metrics.Collection) {
-		d.settle()
-		dev := metrics.L("dev", d.name)
-		c.Counter("link.device.tx_packets", d.ctr.sent, dev)
-		c.Counter("link.device.rx_packets", d.ctr.received, dev)
-		c.Counter("link.device.tx_bytes", d.ctr.txBytes, dev)
-		c.Counter("link.device.rx_bytes", d.ctr.rxBytes, dev)
-		c.Counter("link.device.drop_down", d.ctr.dropDown, dev)
-		c.Counter("link.device.drop_no_net", d.ctr.dropNoNet, dev)
-		c.Counter("link.device.drop_mtu", d.ctr.dropMTU, dev)
-		c.Counter("link.device.drop_filter", d.ctr.dropFilter, dev)
-	})
+	// The loop's one device collector publishes the counters (same rows and
+	// sums as a collector per device, at a pointer per device — at fleet
+	// scale every mobile host carries two devices).
+	metrics.Add(metrics.For(loop), d, (*Device).collect)
 	return d
+}
+
+// collect emits the device's rows.
+func (d *Device) collect(c *metrics.Collection) {
+	d.settle()
+	dev := metrics.L("dev", d.name)
+	c.Counter("link.device.tx_packets", d.ctr.sent, dev)
+	c.Counter("link.device.rx_packets", d.ctr.received, dev)
+	c.Counter("link.device.tx_bytes", d.ctr.txBytes, dev)
+	c.Counter("link.device.rx_bytes", d.ctr.rxBytes, dev)
+	c.Counter("link.device.drop_down", d.ctr.dropDown, dev)
+	c.Counter("link.device.drop_no_net", d.ctr.dropNoNet, dev)
+	c.Counter("link.device.drop_mtu", d.ctr.dropMTU, dev)
+	c.Counter("link.device.drop_filter", d.ctr.dropFilter, dev)
 }
 
 // Name returns the device name, e.g. "eth0" or "strip0".
@@ -305,55 +307,59 @@ func (d *Device) BringUp(done func()) time.Duration {
 	}
 	delay := d.loop.Jitter(d.bringUpDelay, d.bringUpJitter)
 	d.state = StateBringingUp
-	if d.up == nil {
-		d.up = &bringUps{fire: d.upTimer}
+	r := sim.RecordsOf[bringUp](d.loop).Take()
+	if r == nil {
+		r = new(bringUp)
+		r.fire = r.timer
 	}
-	d.up.wait = append(d.up.wait, bringUp{at: d.loop.Now().Add(delay), live: true, done: done})
-	d.loop.Schedule(delay, d.up.fire)
+	r.d, r.live, r.done = d, true, done
+	at := &d.up
+	for *at != nil {
+		at = &(*at).next
+	}
+	*at = r
+	d.loop.Schedule(delay, r.fire)
 	return delay
 }
 
-// bringUps is a device's bring-ups in progress: one record per timer still
-// in the loop, in the order they were scheduled, and the timers' callback,
-// bound once — so asking a device up allocates nothing once wait has grown.
-type bringUps struct {
-	wait []bringUp
-	fire func() // d.upTimer
-}
-
-// bringUp is one BringUp whose timer has not fired. BringDown clears live
-// (the request is aborted), and so does the device coming up (the request
-// has been answered); either way the record stays until its own timer
-// collects it, because a timer is never stopped: the events a run executes
-// are part of what it exports.
+// bringUp is one BringUp whose timer has not fired, on its device's list in
+// the order they were scheduled, with its timer's callback bound once. The
+// records come from the loop's free list (sim.RecordsOf), so asking a device
+// up allocates nothing once the loop has as many as were ever waiting at
+// once. BringDown clears live (the request is aborted), and so does the
+// device coming up (the request has been answered); either way the record
+// stays until its own timer collects it, because a timer is never stopped:
+// the events a run executes are part of what it exports.
 type bringUp struct {
-	at   sim.Time
+	d    *Device
 	live bool
 	done func()
+	next *bringUp
+	fire func() // r.timer
 }
 
-// upTimer is every bring-up timer's callback. The loop fires equal times in
-// scheduling order, which is wait's order, so the first record due now is
-// this timer's. If it is still live the device comes up, and every request
-// waiting on it — this one, and any made while it was coming up whose own
-// timer is still out — is told so, oldest first.
-func (d *Device) upTimer() {
-	u, now, i := d.up, d.loop.Now(), 0
-	for u.wait[i].at != now {
-		i++
-	}
-	if u.wait[i].live {
+// timer is the record's bring-up timer. If the record is still live the
+// device comes up, and every request waiting on it — this one, and any made
+// while it was coming up whose own timer is still out — is told so, oldest
+// first. Then the record leaves its device's list for the loop's.
+func (r *bringUp) timer() {
+	d := r.d
+	if r.live {
 		d.settle()
 		d.state = StateUp
 		if d.net != nil {
 			d.net.mark(d, true)
 		}
-		d.upSince = now
+		d.upSince = d.loop.Now()
 		d.markLinkChange(kSpanLinkUp)
 		// A done may take the device down and ask it up again; that request
 		// is appended behind the n that were waiting and is not one of them.
-		for j, n := 0, len(u.wait); j < n; j++ {
-			if w := &u.wait[j]; w.live {
+		n := 0
+		for w := d.up; w != nil; w = w.next {
+			n++
+		}
+		for w := d.up; n > 0; w, n = w.next, n-1 {
+			if w.live {
 				done := w.done
 				w.live, w.done = false, nil
 				if done != nil {
@@ -362,7 +368,13 @@ func (d *Device) upTimer() {
 			}
 		}
 	}
-	u.wait = slices.Delete(u.wait, i, i+1)
+	at := &d.up
+	for *at != r {
+		at = &(*at).next
+	}
+	*at = r.next
+	*r = bringUp{fire: r.fire}
+	sim.RecordsOf[bringUp](d.loop).Put(r)
 }
 
 // BringDown takes the device down immediately. Pending bring-ups are
@@ -373,10 +385,8 @@ func (d *Device) BringDown() {
 		return
 	}
 	d.settle()
-	if d.up != nil {
-		for i := range d.up.wait {
-			d.up.wait[i].live, d.up.wait[i].done = false, nil
-		}
+	for w := d.up; w != nil; w = w.next {
+		w.live, w.done = false, nil
 	}
 	if d.state == StateUp && d.net != nil {
 		d.net.mark(d, false)

@@ -254,8 +254,11 @@ func TestBringUpTwiceCompletesBoth(t *testing.T) {
 	if len(a) != 0 || len(b) != 0 || len(c) != 1 || !d.IsUp() {
 		t.Fatalf("after down/up: aborted dones %v %v, third %v, up=%v", a, b, c, d.IsUp())
 	}
-	if len(d.up.wait) != 0 {
-		t.Fatalf("%d bring-up records left with no timer out", len(d.up.wait))
+	if d.up != nil {
+		t.Fatal("bring-up records left on the device with no timer out")
+	}
+	if l := loop.RecordLedgers(); len(l) != 1 || l[0].InUse() != 0 || l[0].Free != 3 {
+		t.Fatalf("bring-up records %+v, want the three back on the loop's list", l)
 	}
 }
 

@@ -184,6 +184,7 @@ func sortLabels(labels []Label) []Label {
 type Registry struct {
 	loop       *sim.Loop
 	collectors []func(*Collection)
+	lists      []any // *objects[T] for each T given to Add
 }
 
 // New creates a registry on the given clock with a collector for the
@@ -271,6 +272,42 @@ func (r *Registry) Collect(fn func(*Collection)) {
 		return
 	}
 	r.collectors = append(r.collectors, fn)
+}
+
+// objects is a registry's list of the objects of one type and the function
+// that emits one object's rows.
+type objects[T any] struct {
+	all  []T
+	emit func(T, *Collection)
+}
+
+func (o *objects[T]) collect(c *Collection) {
+	for _, x := range o.all {
+		o.emit(x, c)
+	}
+}
+
+// Add puts obj on the registry's list of objects of type T. The first Add of
+// a T registers the list's one collector, which calls emit for every object
+// on it, in the order they were added; later Adds of a T keep that emit, so
+// a type is added from one place. A layer that makes an object per host
+// (a device, a tunnel endpoint, a host, a mobile host) thereby costs the
+// registry one pointer per object, not one closure. Rows add up under their
+// key whatever collector emits them, so a snapshot is the same as with one
+// collector per object. No-op on a nil registry.
+func Add[T any](r *Registry, obj T, emit func(T, *Collection)) {
+	if r == nil {
+		return
+	}
+	for _, l := range r.lists {
+		if o, ok := l.(*objects[T]); ok {
+			o.all = append(o.all, obj)
+			return
+		}
+	}
+	o := &objects[T]{all: []T{obj}, emit: emit}
+	r.lists = append(r.lists, o)
+	r.Collect(o.collect)
 }
 
 // HistogramSummary is a histogram's rendered state. Durations are in

@@ -122,6 +122,52 @@ func TestSnapshotDeterminism(t *testing.T) {
 	}
 }
 
+// dev and vif stand in for two kinds of object a layer puts on its
+// registry's lists.
+type dev struct {
+	name string
+	tx   uint64
+}
+
+func (d *dev) collect(c *Collection) { c.Counter("link.device.tx_packets", d.tx, L("dev", d.name)) }
+
+type vif struct{ n uint64 }
+
+func (v *vif) collect(c *Collection) { c.Counter("tunnel.endpoint.encapsulated", v.n) }
+
+// TestAddListsObjectsOfOneType: objects added by type share one collector
+// per type, and the snapshot is the one a closure per object gives — rows
+// under one key add up whichever collector emits them.
+func TestAddListsObjectsOfOneType(t *testing.T) {
+	objs := []*dev{{"eth", 3}, {"eth", 4}, {"radio", 5}}
+	tun := &vif{7}
+	listed, closures := New(sim.New(1)), New(sim.New(1))
+	base := len(listed.collectors)
+	for _, d := range objs {
+		Add(listed, d, (*dev).collect)
+		closures.Collect(d.collect)
+	}
+	Add(listed, tun, (*vif).collect)
+	closures.Collect(tun.collect)
+	if n := len(listed.collectors) - base; n != 2 {
+		t.Fatalf("four objects of two types registered %d collectors, want 2", n)
+	}
+	var a, b bytes.Buffer
+	if err := listed.Snapshot().WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := closures.Snapshot().WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("listed objects snapshot\n%s\nwant, as with a closure each,\n%s", a.String(), b.String())
+	}
+	if m := listed.Snapshot().Get("link.device.tx_packets", L("dev", "eth")); m == nil || *m.Counter != 7 {
+		t.Fatalf("the two eth devices' row = %+v, want 7", m)
+	}
+	Add[*dev](nil, objs[0], (*dev).collect) // a nil registry takes nothing
+}
+
 func TestNilRegistryDetachedHandles(t *testing.T) {
 	var r *Registry
 	c := r.Counter("a.b.c")

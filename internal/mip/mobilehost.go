@@ -148,8 +148,6 @@ type MobileHost struct {
 	own      regAttempt
 	renewFn  func() // m.renew
 
-	freeOp *switchOp // finished connectivity operations' records, for the next
-
 	// OnLinkChange, OnRegistered and OnDeregistered notify interested
 	// upper layers; all are optional.
 	OnLinkChange   func(LinkChange)
@@ -160,7 +158,7 @@ type MobileHost struct {
 
 	// regLatency observes the time from an attempt's first transmission
 	// to its accepted reply — the paper's Figure 7 headline number.
-	regLatency *metrics.Histogram
+	regLatency metrics.Histogram
 }
 
 // regAttempt is one registration exchange in flight — the request, its
@@ -210,38 +208,31 @@ func NewMobileHost(ts *transport.Stack, cfg MobileHostConfig) *MobileHost {
 	// The paper's modified ip_rt_route(): it consults the Mobile Policy
 	// Table or delegates to the default lookup itself.
 	m.host.SetRouteLookup(m.routeLookup)
-	m.registerMetrics(metrics.For(m.host.Loop()))
+	metrics.Add(metrics.For(m.host.Loop()), m, (*MobileHost).collect)
 	return m
 }
 
-// registerMetrics exposes the mobile host's counters, the policy table's
-// hit rate, and the registration-latency histogram in the loop's registry
-// as a single snapshot-time collector (one closure per mobile host instead
-// of a 13-entry roster; rows are byte-identical). The histogram is a
-// detached handle the mobile host observes into; the collector hands the
-// samples to each snapshot.
-func (m *MobileHost) registerMetrics(reg *metrics.Registry) {
-	m.regLatency = &metrics.Histogram{}
-	if reg == nil {
-		return
-	}
-	reg.Collect(func(c *metrics.Collection) {
-		host := metrics.L("host", m.host.Name())
-		c.Histogram("mip.mh.registration_latency", m.regLatency, host)
-		c.Counter("mip.mh.registrations", m.stats.Registrations, host)
-		c.Counter("mip.mh.renewals", m.stats.Renewals, host)
-		c.Counter("mip.mh.deregistrations", m.stats.Deregistrations, host)
-		c.Counter("mip.mh.reg_timeouts", m.stats.RegTimeouts, host)
-		c.Counter("mip.mh.reg_requests_sent", m.stats.RegRequestsSent, host)
-		c.Counter("mip.mh.reg_retransmits", m.stats.RegRetransmits, host)
-		c.Counter("mip.mh.cold_switches", m.stats.ColdSwitches, host)
-		c.Counter("mip.mh.hot_switches", m.stats.HotSwitches, host)
-		c.Counter("mip.mh.address_switches", m.stats.AddressSwitches, host)
-		c.Counter("mip.mh.handoffs",
-			m.stats.ColdSwitches+m.stats.HotSwitches+m.stats.AddressSwitches, host)
-		c.Counter("mip.policy.lookups", m.policy.Lookups(), host)
-		c.Counter("mip.policy.hits", m.policy.Hits(), host)
-	})
+// collect emits the mobile host's counters, the policy table's hit rate,
+// and the registration-latency histogram (a detached handle held in the
+// mobile host, which observes into it; each snapshot is handed its samples). NewMobileHost puts
+// the host on the loop's registry's list of mobile hosts, one pointer a host
+// instead of a closure.
+func (m *MobileHost) collect(c *metrics.Collection) {
+	host := metrics.L("host", m.host.Name())
+	c.Histogram("mip.mh.registration_latency", &m.regLatency, host)
+	c.Counter("mip.mh.registrations", m.stats.Registrations, host)
+	c.Counter("mip.mh.renewals", m.stats.Renewals, host)
+	c.Counter("mip.mh.deregistrations", m.stats.Deregistrations, host)
+	c.Counter("mip.mh.reg_timeouts", m.stats.RegTimeouts, host)
+	c.Counter("mip.mh.reg_requests_sent", m.stats.RegRequestsSent, host)
+	c.Counter("mip.mh.reg_retransmits", m.stats.RegRetransmits, host)
+	c.Counter("mip.mh.cold_switches", m.stats.ColdSwitches, host)
+	c.Counter("mip.mh.hot_switches", m.stats.HotSwitches, host)
+	c.Counter("mip.mh.address_switches", m.stats.AddressSwitches, host)
+	c.Counter("mip.mh.handoffs",
+		m.stats.ColdSwitches+m.stats.HotSwitches+m.stats.AddressSwitches, host)
+	c.Counter("mip.policy.lookups", m.policy.Lookups(), host)
+	c.Counter("mip.policy.hits", m.policy.Hits(), host)
 }
 
 // Host returns the underlying stack host.

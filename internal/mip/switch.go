@@ -6,6 +6,7 @@ import (
 
 	"mosquitonet/internal/dhcp"
 	"mosquitonet/internal/ip"
+	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stack"
 	"mosquitonet/internal/trace"
 )
@@ -44,8 +45,9 @@ const (
 // switchOp owns one connectivity operation from its entry point to the
 // caller's done: what the walk needs between two steps waits here, and the
 // two callbacks every step hands out are bound once, when the record is made.
-// finish puts the record back on the host's free list before done runs, so a
-// host that switches again and again walks one record. A walk that is dropped
+// Records come from the loop's free list (sim.RecordsOf), and finish puts the
+// record back there before done runs, so a host that switches again and again
+// walks one record and a host between switches holds none. A walk that is dropped
 // — the device taken down before it came up, the registration superseded by a
 // later one — never finishes: its record is left to the collector, because a
 // timer or an exchange may still hold its callbacks.
@@ -54,7 +56,6 @@ type switchOp struct {
 	mi   *ManagedIface // the interface being brought into service
 	from *ManagedIface // cold switch: the interface torn down first
 	done func(error)   // the caller's
-	free *switchOp     // next record on m.freeOp
 
 	root *trace.Span // the entry point's own span, if it opens one
 	cur  *trace.Span // the open phase span
@@ -74,14 +75,12 @@ type switchOp struct {
 
 // newOp takes a record for one operation on mi.
 func (m *MobileHost) newOp(kind switchKind, mi *ManagedIface, done func(error)) *switchOp {
-	op := m.freeOp
+	op := sim.RecordsOf[switchOp](m.host.Loop()).Take()
 	if op == nil {
-		op = &switchOp{m: m}
+		op = new(switchOp)
 		op.step, op.finish = op.run, op.end
-	} else {
-		m.freeOp, op.free = op.free, nil
 	}
-	op.kind, op.mi, op.done = kind, mi, done
+	op.m, op.kind, op.mi, op.done = m, kind, mi, done
 	return op
 }
 
@@ -96,8 +95,8 @@ func (op *switchOp) end(err error) {
 	case opCold, opColdHome:
 		m.trace(kColdDone, trace.Operands{S: errText(err)})
 	}
-	*op = switchOp{m: m, step: op.step, finish: op.finish, free: m.freeOp}
-	m.freeOp = op
+	*op = switchOp{step: op.step, finish: op.finish}
+	sim.RecordsOf[switchOp](m.host.Loop()).Put(op)
 	if done != nil {
 		done(err)
 	}

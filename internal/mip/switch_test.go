@@ -8,10 +8,11 @@ import (
 
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/link"
+	"mosquitonet/internal/sim"
 	"mosquitonet/internal/transport"
 )
 
-// A connectivity operation is walked by a record the host reuses from one
+// A connectivity operation is walked by a record the loop reuses from one
 // switch to the next. These tests state the per-call contract the record
 // must keep — they were written against the closure chains it replaced and
 // passed there: overlapping calls each run to their own done, a done may
@@ -48,17 +49,24 @@ func (o *outcome) done(err error) { o.calls++; o.err = err }
 
 func (o *outcome) ok() bool { return o.calls == 1 && o.err == nil }
 
-// freeOps counts the records on the host's free list, and checks that each
-// went back with nothing of its operation left on it.
-func (w *world) freeOps() (n int) {
+// freeOps counts the records on the loop's free list, and checks that each
+// went back with nothing of its operation left on it. It takes them off the
+// list to look and puts them back in their order.
+func (w *world) freeOps() int {
 	w.t.Helper()
-	for op := w.mh.freeOp; op != nil; op = op.free {
-		if op.mi != nil || op.from != nil || op.done != nil || op.root != nil || op.cur != nil || op.step == nil || op.finish == nil {
-			w.t.Fatalf("free record %d still holds its operation: %+v", n, *op)
+	recs := sim.RecordsOf[switchOp](w.loop)
+	free := make([]*switchOp, recs.Free())
+	for i := range free {
+		op := recs.Take()
+		if op.m != nil || op.mi != nil || op.from != nil || op.done != nil || op.root != nil || op.cur != nil || op.step == nil || op.finish == nil {
+			w.t.Fatalf("free record %d still holds its operation: %+v", i, *op)
 		}
-		n++
+		free[i] = op
 	}
-	return n
+	for i := len(free) - 1; i >= 0; i-- {
+		recs.Put(free[i])
+	}
+	return len(free)
 }
 
 func TestOverlappingSwitchesEachReachTheirDone(t *testing.T) {

@@ -305,13 +305,14 @@ const (
 	hopPostroute
 )
 
-// hop is the continuation of a packet across one of the host's processing
+// hop is the continuation of a packet across one of a host's processing
 // delays: Input into deliver or forward, Output or forward into the
-// postroute hop. Records are pooled per host and fire is bound once, when
-// the record is made, so scheduling a hop allocates nothing. A hop waits in
-// the loop's monotone queue for its delay, not in the timer heap: the
-// delay is fixed with the host's Config, so hops pushed onto one queue
-// never go back in time.
+// postroute hop. Records come from the loop's free list (Host.hops) and fire
+// is bound once, when the record is made, so scheduling a hop allocates
+// nothing and the loop keeps as many records as hops were ever in flight at
+// once. A hop waits in the loop's monotone queue for its delay, not in the
+// timer heap: the delay is fixed with the host's Config, so hops pushed onto
+// one queue never go back in time.
 type hop struct {
 	host    *Host
 	iface   *Iface // arrival interface, or the egress for hopPostroute
@@ -319,7 +320,6 @@ type hop struct {
 	nextHop ip.Addr
 	kind    hopKind
 	fire    func() // r.run
-	free    *hop   // next record on the host's free list
 }
 
 // scheduleHop continues pkt into the kind step after delay d. The hop
@@ -327,25 +327,23 @@ type hop struct {
 //
 //mnet:ownership takes pkt
 func (h *Host) scheduleHop(d time.Duration, kind hopKind, ifc *Iface, pkt *ip.Packet, nextHop ip.Addr) {
-	r := h.hopFree
+	r := h.hops.Take()
 	if r == nil {
-		r = &hop{host: h}
+		r = new(hop)
 		r.fire = r.run
-	} else {
-		h.hopFree, r.free = r.free, nil
 	}
-	r.kind, r.iface, r.pkt, r.nextHop = kind, ifc, pkt, nextHop
+	r.host, r.kind, r.iface, r.pkt, r.nextHop = h, kind, ifc, pkt, nextHop
 	h.loop.DelayQueue(d).Schedule(r.fire)
 }
 
-// run dispatches the hop. The record drops its packet and goes back on the
-// free list first, so the step it enters can schedule its own hop into it.
-// The postroute hop is where every packet leaving the host — locally
-// originated or forwarded — meets its interface.
+// run dispatches the hop. The record drops its host and packet and goes
+// back on the free list first, so the step it enters can schedule its own
+// hop into it. The postroute hop is where every packet leaving the host —
+// locally originated or forwarded — meets its interface.
 func (r *hop) run() {
 	h, kind, ifc, pkt, nextHop := r.host, r.kind, r.iface, r.pkt, r.nextHop
-	r.iface, r.pkt = nil, nil
-	r.free, h.hopFree = h.hopFree, r
+	r.host, r.iface, r.pkt = nil, nil, nil
+	h.hops.Put(r)
 	switch kind {
 	case hopDeliver:
 		h.deliver(ifc, pkt)

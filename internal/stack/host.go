@@ -74,10 +74,12 @@ type Host struct {
 	loop *sim.Loop
 	cfg  Config
 
-	// pkts and bufs are the loop's packet pool and wire-buffer free lists,
-	// where the host's packets and frames come from and go back to.
+	// pkts, bufs and hops are the loop's packet pool, wire-buffer free
+	// lists and hop records, where the host's packets, frames and hops come
+	// from and go back to.
 	pkts *ip.Pool
 	bufs *bufpool.Lists
+	hops *sim.Records[hop]
 
 	ifaces []*Iface
 	lo     *Iface
@@ -89,10 +91,6 @@ type Host struct {
 	routeOverride func(dst, boundSrc ip.Addr) (RouteDecision, error)
 	//mnet:ownership takes pkt
 	decap func(pkt *ip.Packet)
-
-	// hopFree is the free list of hop records (see hop in datapath.go),
-	// filled lazily: a host that never handles a packet carries a nil head.
-	hopFree *hop
 
 	// handlers holds the protocol handlers, one entry a protocol: the
 	// transport registers two (UDP, TCP), so a scan beats a hash.
@@ -141,13 +139,14 @@ const sweepLaneGranularity = 100 * time.Millisecond
 // individual objects, which both speeds construction and shrinks GC
 // bookkeeping per host. It is an attachment of the loop (sim.Loop.Local),
 // so a chunk holds the objects of one simulation only and dies with it.
-// It also carries the loop's packet pool and wire-buffer free lists, found
-// once for every host the loop builds.
+// It also carries the loop's packet pool, wire-buffer free lists and hop
+// records, found once for every host the loop builds.
 type slabs struct {
 	hosts  *arena.Slab[Host]
 	ifaces *arena.Slab[Iface]
 	pkts   *ip.Pool
 	bufs   *bufpool.Lists
+	hops   *sim.Records[hop]
 }
 
 type slabsKey struct{}
@@ -157,7 +156,7 @@ func slabsOf(loop *sim.Loop) *slabs {
 	if s, ok := loop.Local(slabsKey{}).(*slabs); ok {
 		return s
 	}
-	s := &slabs{hosts: arena.NewSlab[Host](64), ifaces: arena.NewSlab[Iface](128), pkts: ip.PoolFor(loop), bufs: bufpool.For(loop)}
+	s := &slabs{hosts: arena.NewSlab[Host](64), ifaces: arena.NewSlab[Iface](128), pkts: ip.PoolFor(loop), bufs: bufpool.For(loop), hops: sim.RecordsOf[hop](loop)}
 	loop.SetLocal(slabsKey{}, s)
 	return s
 }
@@ -176,7 +175,7 @@ func NewHost(loop *sim.Loop, name string, cfg Config) *Host {
 	h.name = name
 	h.loop = loop
 	h.cfg = cfg
-	h.pkts, h.bufs = sl.pkts, sl.bufs
+	h.pkts, h.bufs, h.hops = sl.pkts, sl.bufs, sl.hops
 	h.lo = sl.ifaces.Get()
 	*h.lo = Iface{host: h, name: "lo", addr: loopbackAddr, prefix: loopbackPrefix}
 	h.lo.transmit = func(pkt *ip.Packet, _ ip.Addr) { h.Input(h.lo, pkt) }
@@ -184,7 +183,7 @@ func NewHost(loop *sim.Loop, name string, cfg Config) *Host {
 	h.icmp = newICMP(h)
 	h.reasm = ip.NewReassembler()
 	h.pktlog = metrics.PacketsFor(loop)
-	h.registerMetrics(metrics.For(loop))
+	metrics.Add(metrics.For(loop), h, (*Host).collect)
 	return h
 }
 
@@ -199,29 +198,24 @@ func (h *Host) spanTracer() *trace.Tracer {
 	return h.tracer
 }
 
-// registerMetrics exposes the host's counters in the loop's registry; the
-// Stats struct stays the source of truth. One snapshot-time collector emits
-// all twenty rows, so at fleet scale the registry costs one closure a host.
-func (h *Host) registerMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
+// collect emits the host's rows from its counters, which stay the source of
+// truth. NewHost puts the host on the loop's registry's list of hosts, so at
+// fleet scale the registry costs a pointer a host.
+func (h *Host) collect(c *metrics.Collection) {
+	host := metrics.L("host", h.name)
+	c.Counter("stack.host.sent", h.stats.Sent, host)
+	c.Counter("stack.host.received", h.stats.Received, host)
+	c.Counter("stack.host.delivered", h.stats.Delivered, host)
+	c.Counter("stack.host.forwarded", h.stats.Forwarded, host)
+	for _, d := range drops {
+		c.Counter(d.row, *d.counter(&h.stats), host)
 	}
-	reg.Collect(func(c *metrics.Collection) {
-		host := metrics.L("host", h.name)
-		c.Counter("stack.host.sent", h.stats.Sent, host)
-		c.Counter("stack.host.received", h.stats.Received, host)
-		c.Counter("stack.host.delivered", h.stats.Delivered, host)
-		c.Counter("stack.host.forwarded", h.stats.Forwarded, host)
-		for _, d := range drops {
-			c.Counter(d.row, *d.counter(&h.stats), host)
-		}
-		c.Counter("stack.host.fragments_sent", h.stats.FragmentsSent, host)
-		c.Counter("stack.host.redirects_sent", h.stats.RedirectsSent, host)
-		c.Counter("stack.host.redirects_rcvd", h.stats.RedirectsRcvd, host)
-		c.Counter("stack.icmp.sent", h.icmp.Sent, host)
-		c.Counter("stack.icmp.received", h.icmp.Received, host)
-		c.Counter("stack.icmp.echo_requests", h.icmp.EchoRequests, host)
-	})
+	c.Counter("stack.host.fragments_sent", h.stats.FragmentsSent, host)
+	c.Counter("stack.host.redirects_sent", h.stats.RedirectsSent, host)
+	c.Counter("stack.host.redirects_rcvd", h.stats.RedirectsRcvd, host)
+	c.Counter("stack.icmp.sent", h.icmp.Sent, host)
+	c.Counter("stack.icmp.received", h.icmp.Received, host)
+	c.Counter("stack.icmp.echo_requests", h.icmp.EchoRequests, host)
 }
 
 // armSweep keeps a reassembly-expiry sweep scheduled while partial

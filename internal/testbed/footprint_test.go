@@ -31,10 +31,10 @@ const (
 	footprintLargeFleet = 800
 )
 
-// weighFleet builds an n-host fleet and returns its live heap bytes
-// (after a GC pass, relative to the pre-build heap) and the number of
-// allocations construction performed.
-func weighFleet(tb testing.TB, n int) (liveBytes, mallocs uint64) {
+// weighFleet builds an n-host fleet, runs it for run (none: resident, as
+// built) and returns its live heap bytes (after a GC pass, relative to the
+// pre-build heap) and the number of allocations construction performed.
+func weighFleet(tb testing.TB, n int, run time.Duration) (liveBytes, mallocs uint64) {
 	var before, mid, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -43,6 +43,9 @@ func weighFleet(tb testing.TB, n int) (liveBytes, mallocs uint64) {
 		tb.Fatal(err)
 	}
 	runtime.ReadMemStats(&mid)
+	if run > 0 {
+		fl.ss.RunFor(run)
+	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	liveBytes = after.HeapAlloc - before.HeapAlloc
@@ -53,9 +56,9 @@ func weighFleet(tb testing.TB, n int) (liveBytes, mallocs uint64) {
 
 // measureHostFootprint returns the marginal bytes/host and allocs/host of
 // one mobile host in the scale topology.
-func measureHostFootprint(tb testing.TB) (bytesPerHost, allocsPerHost float64) {
-	smallBytes, smallAllocs := weighFleet(tb, footprintSmallFleet)
-	largeBytes, largeAllocs := weighFleet(tb, footprintLargeFleet)
+func measureHostFootprint(tb testing.TB, run time.Duration) (bytesPerHost, allocsPerHost float64) {
+	smallBytes, smallAllocs := weighFleet(tb, footprintSmallFleet, run)
+	largeBytes, largeAllocs := weighFleet(tb, footprintLargeFleet, run)
 	hosts := float64(footprintLargeFleet - footprintSmallFleet)
 	return float64(largeBytes-smallBytes) / hosts, float64(largeAllocs-smallAllocs) / hosts
 }
@@ -66,21 +69,23 @@ func measureHostFootprint(tb testing.TB) (bytesPerHost, allocsPerHost float64) {
 // TestHostFootprintBudget for the enforced bound).
 func BenchmarkHostFootprint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bytesPerHost, allocsPerHost := measureHostFootprint(b)
+		bytesPerHost, allocsPerHost := measureHostFootprint(b, 0)
 		b.ReportMetric(bytesPerHost, "bytes/host")
 		b.ReportMetric(allocsPerHost, "allocs/host")
 	}
 	b.ReportMetric(0, "ns/op") // wall time is meaningless here; the metrics above are the result
 }
 
-// Budgets for TestHostFootprintBudget, ~8 % above the measured 3,946 B and
-// 64.2 allocs per host (4,017 B and 66.9 under -race): one more pointer-sized
-// field per host passes; an eager map per host (the ping and reassembly
-// tables were two, ~260 B and 3 allocs), a per-host metric roster or
-// per-host hook closures (~24.4 KB and ~733 allocs before the diet) do not.
+// Budgets for TestHostFootprintBudget, ~8 % above the measured 3,717 B and
+// 57.3 allocs per host (3,787 B and 59.6 under -race): one more
+// pointer-sized field per host passes; an eager map per host (the ping and
+// reassembly tables were two, ~260 B and 3 allocs), a collector closure per
+// host object (~230 B and 6 allocs a mobile host, before they became the
+// loop's), a per-host metric roster or per-host hook closures (~24.4 KB and
+// ~733 allocs before the diet) do not.
 const (
-	footprintBytesBudget  = 4260
-	footprintAllocsBudget = 70
+	footprintBytesBudget  = 4015
+	footprintAllocsBudget = 62
 )
 
 // TestHostFootprintBudget is the memory-diet regression guard: it fails
@@ -90,7 +95,7 @@ func TestHostFootprintBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("footprint measurement builds two fleets; skipped in -short")
 	}
-	bytesPerHost, allocsPerHost := measureHostFootprint(t)
+	bytesPerHost, allocsPerHost := measureHostFootprint(t, 0)
 	t.Logf("footprint: %.0f bytes/host, %.1f allocs/host (budget %d bytes, %d allocs)",
 		bytesPerHost, allocsPerHost, footprintBytesBudget, footprintAllocsBudget)
 	if bytesPerHost > footprintBytesBudget {
@@ -98,6 +103,28 @@ func TestHostFootprintBudget(t *testing.T) {
 	}
 	if allocsPerHost > footprintAllocsBudget {
 		t.Errorf("allocs/host = %.1f, budget %d", allocsPerHost, footprintAllocsBudget)
+	}
+}
+
+// roamedFootprintBudget is TestRoamedHostFootprintBudget's bound, ~8 % above
+// the measured 4,273 B (4,330 under -race). A host that kept its own idle
+// records — a switch walk, bring-up waits, a resolution and hop records, as
+// every host did until they became the loop's — weighs 5,167 B.
+const roamedFootprintBudget = 4615
+
+// TestRoamedHostFootprintBudget weighs a mobile host after its fleet has
+// roamed and probed for the whole run and quiesced: what a host retains
+// between operations. Per-operation records (hops, switch walks, bring-up
+// waits, resolutions) are the loop's, so a host that has roamed keeps none
+// of its own. Skipped under -short because it builds and runs two fleets.
+func TestRoamedHostFootprintBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("footprint measurement builds and runs two fleets; skipped in -short")
+	}
+	bytesPerHost, _ := measureHostFootprint(t, scaleDuration+time.Second)
+	t.Logf("after the run: %.0f bytes/host (budget %d bytes)", bytesPerHost, roamedFootprintBudget)
+	if bytesPerHost > roamedFootprintBudget {
+		t.Errorf("bytes/host after the run = %.0f, budget %d", bytesPerHost, roamedFootprintBudget)
 	}
 }
 

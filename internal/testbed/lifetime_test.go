@@ -7,6 +7,7 @@ import (
 	"mosquitonet/internal/bufpool"
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/scenario"
+	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stack"
 )
 
@@ -19,34 +20,67 @@ func poolsOut() (packets, buffers int64) {
 	return ip.ReadPoolStats().Outstanding(), bufpool.ReadStats().Outstanding()
 }
 
+// recordKinds are the per-operation records every world here takes from
+// its loops' free lists (sim.RecordsOf).
+var recordKinds = []string{"stack.hop", "arp.pending", "link.bringUp", "mip.switchOp"}
+
+// recordsOut sums the record ledgers of loops by kind.
+func recordsOut(loops []*sim.Loop) map[string]sim.RecordLedger {
+	out := map[string]sim.RecordLedger{}
+	for _, l := range loops {
+		for _, r := range l.RecordLedgers() {
+			sum := out[r.Kind]
+			sum.Kind, sum.Taken, sum.Returned, sum.Free = r.Kind, sum.Taken+r.Taken, sum.Returned+r.Returned, sum.Free+r.Free
+			out[r.Kind] = sum
+		}
+	}
+	return out
+}
+
 // requirePoolBalance is the conservation check: once the world is idle
 // between its periodic timers, every pooled packet made since the baseline
 // has been released except the fragments provably parked in a reassembly
 // buffer — each of which owns one pooled buffer — and every other pooled
-// buffer is back too. It reads counters; nothing is tracked per packet. The
-// world is stepped in short slices because a beacon or a renewal may be in
-// flight at the instant a run ends; a leak never reaches balance and fails
-// with the numbers.
-func requirePoolBalance(t *testing.T, pkts0, bufs0 int64, made0 uint64, hosts []*stack.Host, step func(time.Duration)) {
+// buffer is back too. Every per-operation record list of the world's loops
+// balances as well: taken = returned + in use, and at quiesce nothing is in
+// use — no hop holds a packet, no address is being resolved, no bring-up
+// timer is out and no switch is walking. It reads counters; nothing is
+// tracked per packet. The world is stepped in short slices because a beacon
+// or a renewal may be in flight at the instant a run ends; a leak never
+// reaches balance and fails with the numbers.
+func requirePoolBalance(t *testing.T, pkts0, bufs0 int64, made0 uint64, hosts []*stack.Host, loops []*sim.Loop, step func(time.Duration)) {
 	t.Helper()
 	if made := ip.ReadPoolStats().Made - made0; made < 1000 {
 		t.Fatalf("the run made only %d pooled packets; it did not exercise the pool", made)
 	}
 	var pkts, bufs, parked int64
+	var recs map[string]sim.RecordLedger
 	for i := 0; i < 200; i++ {
 		parked = 0
 		for _, h := range hosts {
 			parked += int64(h.Reassembler().Held())
 		}
 		pkts, bufs = poolsOut()
-		if pkts-pkts0 == parked && bufs-bufs0 == parked {
+		recs = recordsOut(loops)
+		inUse := false
+		for _, r := range recs {
+			inUse = inUse || r.InUse() != 0
+		}
+		if pkts-pkts0 == parked && bufs-bufs0 == parked && !inUse {
+			for _, kind := range recordKinds {
+				r := recs[kind]
+				if r.Taken == 0 {
+					t.Errorf("the run took no %s record; the check does not cover it", kind)
+				}
+				t.Logf("%s: %d taken, %d returned, %d on the lists", kind, r.Taken, r.Returned, r.Free)
+			}
 			t.Logf("balanced after %d settling steps with %d fragments parked", i, parked)
 			return
 		}
 		step(7 * time.Millisecond)
 	}
-	t.Errorf("pools never balanced: %+d pooled packets and %+d pooled buffers out, %d fragments parked in reassembly",
-		pkts-pkts0, bufs-bufs0, parked)
+	t.Errorf("pools never balanced: %+d pooled packets and %+d pooled buffers out, %d fragments parked in reassembly; records %+v",
+		pkts-pkts0, bufs-bufs0, parked, recs)
 }
 
 func worldHosts(t *testing.T, w *scenario.World) []*stack.Host {
@@ -65,8 +99,8 @@ func worldHosts(t *testing.T, w *scenario.World) []*stack.Host {
 // TestPoolBalanceAtQuiesce runs the Figure-5 handoff itinerary under its UDP
 // probe, the loaded-handoff itinerary with campus-sized messages (TCP, the
 // tunnel, fragments at the 1050-byte department MTU, a handoff) and the
-// 100-host roaming fleet, and requires both pools to balance at the end of
-// each, the fleet on one worker and on two.
+// 100-host roaming fleet, and requires both pools and every record list to
+// balance at the end of each, the fleet on one worker and on two.
 func TestPoolBalanceAtQuiesce(t *testing.T) {
 	ip.CountPools(true)
 	defer ip.CountPools(false)
@@ -114,7 +148,7 @@ func TestPoolBalanceAtQuiesce(t *testing.T) {
 					t.Fatalf("the loaded run sent %d fragments and reassembled %d datagrams; the check needs both", frags, reassembled)
 				}
 			}
-			requirePoolBalance(t, pkts0, bufs0, made0, hosts, w.RunFor)
+			requirePoolBalance(t, pkts0, bufs0, made0, hosts, []*sim.Loop{w.Loop}, w.RunFor)
 		})
 	}
 	// The fleet once on one worker and once on two: on two, each shard's
@@ -136,7 +170,7 @@ func TestPoolBalanceAtQuiesce(t *testing.T) {
 				t.Fatalf("the fleet runs %d shards on %d workers, want at least 2 on %d", len(fl.ss.Shards()), got, workers)
 			}
 			fl.ss.RunFor(scaleDuration)
-			requirePoolBalance(t, pkts0, bufs0, made0, fl.hosts, func(d time.Duration) { fl.ss.RunFor(d) })
+			requirePoolBalance(t, pkts0, bufs0, made0, fl.hosts, fl.ss.Shards(), func(d time.Duration) { fl.ss.RunFor(d) })
 		})
 	}
 }

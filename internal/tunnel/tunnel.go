@@ -80,22 +80,25 @@ func New(host *stack.Host, name string, outerSrc func() (ip.Addr, bool), outerDs
 	host.SetDecapsulator(e.receive)
 	e.pktlog = metrics.PacketsFor(host.Loop())
 	e.tracer = trace.For(host.Loop())
-	// One snapshot-time collector per endpoint publishes its counters; a
-	// nil registry (telemetry disabled) makes Collect a no-op, so the
-	// endpoint never gates construction on metrics.
-	metrics.For(host.Loop()).Collect(func(c *metrics.Collection) {
-		lbls := []metrics.Label{metrics.L("host", host.Name()), metrics.L("vif", name)}
-		c.Counter("tunnel.endpoint.encap_bytes", e.encapBytes, lbls...)
-		c.Counter("tunnel.endpoint.decap_bytes", e.decapBytes, lbls...)
-		c.Counter("tunnel.endpoint.encapsulated", e.stats.Encapsulated, lbls...)
-		c.Counter("tunnel.endpoint.decapsulated", e.stats.Decapsulated, lbls...)
-		c.Counter("tunnel.endpoint.drop_no_dst", e.stats.DropNoDst, lbls...)
-		c.Counter("tunnel.endpoint.drop_no_src", e.stats.DropNoSrc, lbls...)
-		c.Counter("tunnel.endpoint.drop_bad_inner", e.stats.DropBadInner, lbls...)
-		c.Counter("tunnel.endpoint.drop_peer", e.stats.DropPeer, lbls...)
-		c.Counter("tunnel.endpoint.drop_output", e.stats.DropOutput, lbls...)
-	})
+	// The loop's one endpoint collector publishes the counters; a nil
+	// registry (telemetry disabled) makes Add a no-op, so the endpoint never
+	// gates construction on metrics.
+	metrics.Add(metrics.For(host.Loop()), e, (*Endpoint).collect)
 	return e
+}
+
+// collect emits the endpoint's rows.
+func (e *Endpoint) collect(c *metrics.Collection) {
+	lbls := []metrics.Label{metrics.L("host", e.host.Name()), metrics.L("vif", e.vif.Name())}
+	c.Counter("tunnel.endpoint.encap_bytes", e.encapBytes, lbls...)
+	c.Counter("tunnel.endpoint.decap_bytes", e.decapBytes, lbls...)
+	c.Counter("tunnel.endpoint.encapsulated", e.stats.Encapsulated, lbls...)
+	c.Counter("tunnel.endpoint.decapsulated", e.stats.Decapsulated, lbls...)
+	c.Counter("tunnel.endpoint.drop_no_dst", e.stats.DropNoDst, lbls...)
+	c.Counter("tunnel.endpoint.drop_no_src", e.stats.DropNoSrc, lbls...)
+	c.Counter("tunnel.endpoint.drop_bad_inner", e.stats.DropBadInner, lbls...)
+	c.Counter("tunnel.endpoint.drop_peer", e.stats.DropPeer, lbls...)
+	c.Counter("tunnel.endpoint.drop_output", e.stats.DropOutput, lbls...)
 }
 
 // Iface returns the endpoint's virtual interface, for use in routes and
