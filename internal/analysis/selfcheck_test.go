@@ -12,6 +12,8 @@ import (
 	"mosquitonet/internal/analysis/bufownership"
 	"mosquitonet/internal/analysis/framework"
 	"mosquitonet/internal/analysis/nosharedstate"
+	"mosquitonet/internal/analysis/nowallclock"
+	"mosquitonet/internal/analysis/seededrand"
 )
 
 // moduleRoot walks up from the test's working directory to the go.mod.
@@ -74,20 +76,15 @@ func TestDatapathOwnershipSelfCheck(t *testing.T) {
 }
 
 // sharedStateAllowlist is where product code suppresses nosharedstate, and
-// how often, by package directory.
-var sharedStateAllowlist = map[string]int{
-	"internal/bufpool": 1,
-	"internal/ip":      1, // pool.go
-	"internal/link":    1, // hwSeq
-}
+// how often, by package directory: nowhere.
+var sharedStateAllowlist = map[string]int{}
 
 // TestSharedStateAllowlist pins where product code may suppress
-// nosharedstate, and how often. What remains is a sequence read only while a
-// topology is built (link's hardware addresses) and two free lists whose
-// reuse order nothing observes (ip's packets, bufpool's buffers); state that
-// belongs to one simulation hangs off its loop (sim.Loop.Local). A new
-// process-wide variable therefore needs an edit here, under review, and not
-// just a justification beside it.
+// nosharedstate, and how often. Nothing does: state that belongs to one
+// simulation — free lists, their ledgers, the hardware-address sequence —
+// hangs off its loop (sim.Loop.Local). A new process-wide variable
+// therefore needs an edit here, under review, and not just a justification
+// beside it.
 func TestSharedStateAllowlist(t *testing.T) {
 	want := sharedStateAllowlist
 	root := moduleRoot(t)
@@ -126,11 +123,10 @@ func TestSharedStateAllowlist(t *testing.T) {
 	}
 }
 
-// runSharedState runs nosharedstate over the packages the patterns name in
-// the module at root. It returns the findings left after suppression and,
-// by package directory, how many //lint:allow nosharedstate directives
-// suppressed one.
-func runSharedState(t *testing.T, root string, patterns ...string) (diags []string, allowed map[string]int) {
+// runAnalyzer runs a over the packages the patterns name in the module at
+// root. It returns the findings left after suppression and, by package
+// directory, how many of a's //lint:allow directives suppressed one.
+func runAnalyzer(t *testing.T, a *framework.Analyzer, root string, patterns ...string) (diags []string, allowed map[string]int) {
 	t.Helper()
 	loader, err := framework.NewLoader(root)
 	if err != nil {
@@ -142,21 +138,43 @@ func runSharedState(t *testing.T, root string, patterns ...string) (diags []stri
 	}
 	allowed = map[string]int{}
 	for _, pkg := range pkgs {
-		ds, err := pkg.Run(nosharedstate.Analyzer)
+		ds, err := pkg.Run(a)
 		if err != nil {
-			t.Fatalf("nosharedstate over %s: %v", pkg.PkgPath, err)
+			t.Fatalf("%s over %s: %v", a.Name, pkg.PkgPath, err)
 		}
 		for _, d := range ds {
 			diags = append(diags, fmt.Sprintf("%s: %s", pkg.Fset.Position(d.Pos), d.Message))
 		}
-		for _, a := range pkg.AllowDirectives() {
-			if a.Analyzer == nosharedstate.Analyzer.Name && pkg.AllowUsed(a.Pos) {
-				rel, _ := filepath.Rel(root, filepath.Dir(a.File))
+		for _, al := range pkg.AllowDirectives() {
+			if al.Analyzer == a.Name && pkg.AllowUsed(al.Pos) {
+				rel, _ := filepath.Rel(root, filepath.Dir(al.File))
 				allowed[filepath.ToSlash(rel)]++
 			}
 		}
 	}
 	return diags, allowed
+}
+
+// mutantTree copies the module's simulator packages to a temporary
+// directory, replaces the one occurrence of old in the file at rel (a path
+// from the module root) with new, appends tail to it, and returns the
+// copy's root.
+func mutantTree(t *testing.T, rel, old, new, tail string) string {
+	t.Helper()
+	mut := t.TempDir()
+	copyTree(t, moduleRoot(t), mut)
+	file := filepath.Join(mut, filepath.FromSlash(rel))
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Count(string(src), old) != 1 {
+		t.Fatalf("%s no longer holds %q once; point the mutant at its new place", rel, old)
+	}
+	if err := os.WriteFile(file, []byte(strings.Replace(string(src), old, new, 1)+tail), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return mut
 }
 
 // TestSharedStateSelfCheck runs nosharedstate over the simulator's packages
@@ -165,7 +183,7 @@ func runSharedState(t *testing.T, root string, patterns ...string) (diags []stri
 // per-loop free list, a registry or a table turned into a package variable
 // fails here, as the mutant below shows.
 func TestSharedStateSelfCheck(t *testing.T) {
-	diags, allowed := runSharedState(t, moduleRoot(t), ".", "./internal/...")
+	diags, allowed := runAnalyzer(t, nosharedstate.Analyzer, moduleRoot(t), ".", "./internal/...")
 	for _, d := range diags {
 		t.Errorf("nosharedstate: %s", d)
 	}
@@ -176,22 +194,9 @@ func TestSharedStateSelfCheck(t *testing.T) {
 	// The mutant: the loop's hop records become one package-level list that
 	// every loop's hosts share — one line changed, plus the declaration it
 	// needs — in a copy of the tree.
-	mut := t.TempDir()
-	copyTree(t, moduleRoot(t), mut)
-	host := filepath.Join(mut, "internal", "stack", "host.go")
-	src, err := os.ReadFile(host)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const perLoop = "hops: sim.RecordsOf[hop](loop)}"
-	if strings.Count(string(src), perLoop) != 1 {
-		t.Fatalf("internal/stack/host.go no longer takes its hop records from the loop as %q; point the mutant at the list's new source", perLoop)
-	}
-	mutated := strings.Replace(string(src), perLoop, "hops: &sharedHops}", 1) + "\nvar sharedHops sim.Records[hop]\n"
-	if err := os.WriteFile(host, []byte(mutated), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	diags, _ = runSharedState(t, mut, "./internal/stack")
+	mut := mutantTree(t, "internal/stack/host.go", perLoop, "hops: &sharedHops}", "\nvar sharedHops sim.Records[hop]\n")
+	diags, _ = runAnalyzer(t, nosharedstate.Analyzer, mut, "./internal/stack")
 	if len(diags) != 1 || !strings.Contains(diags[0], "package-level var sharedHops") {
 		t.Errorf("the shared hop list drew %q, want one finding on sharedHops", diags)
 	}
@@ -224,5 +229,48 @@ func copyTree(t *testing.T, src, dst string) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWallClockSelfCheck runs nowallclock over the simulator's packages:
+// the only reads of the wall clock are the shard workers' utilization
+// accounting, each under its directive. A link device that stamps its
+// bring-up with the wall clock as well — one line, in a copy of the tree —
+// fails it.
+func TestWallClockSelfCheck(t *testing.T) {
+	diags, allowed := runAnalyzer(t, nowallclock.Analyzer, moduleRoot(t), ".", "./internal/...")
+	for _, d := range diags {
+		t.Errorf("nowallclock: %s", d)
+	}
+	if want := map[string]int{"internal/sim": 2}; !reflect.DeepEqual(allowed, want) {
+		t.Errorf("directives that suppressed a finding, per package = %v, want %v", allowed, want)
+	}
+
+	const stamp = "d.upSince = d.loop.Now()"
+	mut := mutantTree(t, "internal/link/link.go", stamp, stamp+"; _ = time.Now()", "")
+	diags, _ = runAnalyzer(t, nowallclock.Analyzer, mut, "./internal/link")
+	if len(diags) != 1 || !strings.Contains(diags[0], "time.Now is forbidden") {
+		t.Errorf("the wall-clock stamp drew %q, want one finding on time.Now", diags)
+	}
+}
+
+// TestSeededRandSelfCheck runs seededrand over the simulator's packages:
+// the only source outside the loop's is the sweep generator's, seeded by
+// its caller, under its directive. A sweep that draws its move count from
+// the global source instead — one line, in a copy of the tree — fails it.
+func TestSeededRandSelfCheck(t *testing.T) {
+	diags, allowed := runAnalyzer(t, seededrand.Analyzer, moduleRoot(t), ".", "./internal/...")
+	for _, d := range diags {
+		t.Errorf("seededrand: %s", d)
+	}
+	if want := map[string]int{"internal/scenario": 1}; !reflect.DeepEqual(allowed, want) {
+		t.Errorf("directives that suppressed a finding, per package = %v, want %v", allowed, want)
+	}
+
+	const draw = "sweepMinMoves + rng.Intn("
+	mut := mutantTree(t, "internal/scenario/sweep.go", draw, "sweepMinMoves + rand.Intn(", "")
+	diags, _ = runAnalyzer(t, seededrand.Analyzer, mut, "./internal/scenario")
+	if len(diags) != 1 || !strings.Contains(diags[0], "global rand.Intn") {
+		t.Errorf("the unseeded draw drew %q, want one finding on rand.Intn", diags)
 	}
 }

@@ -27,10 +27,10 @@
 //     packet of its own. link.Device.Send takes the wire buffer, and the
 //     flight that carries it puts it back when it lands.
 //
-// A class counts its Gets and Puts while Count is on (ReadStats): at
-// quiesce, with no frame in flight and no packet parked, the two are equal.
-// Count is off unless a test that checks this turns it on, so shard workers
-// write no memory they share on the data path.
+// A loop's lists count the buffers they hand out and take back (Ledger). A
+// buffer that crossed a trunk is taken from one loop's lists and put back
+// on another's, so wire buffers balance as a sum over a simulation's loops:
+// at quiesce, with no frame in flight, gets = puts.
 //
 // Contents of a Get buffer are NOT zeroed; callers overwrite every byte
 // they marshal (and all users here do).
@@ -38,7 +38,6 @@ package bufpool
 
 import (
 	"math/bits"
-	"sync/atomic"
 	"unsafe"
 
 	"mosquitonet/internal/sim"
@@ -58,23 +57,13 @@ const (
 // buffers of 64 B, 512 of 2 KiB, 16 of 64 KiB.
 const heldBytes = 1 << 20
 
-// classCount is one size class's conservation counters: while counting is
-// set, how many buffers it has handed out and taken back. With the flag
-// clear nothing here is written and the line stays shared between workers.
-type classCount struct {
-	counting   atomic.Bool
-	gets, puts atomic.Uint64
-}
-
-//lint:allow nosharedstate the conservation counters are written only while a test has Count on and read only by tests; the free lists themselves are per loop
-var counts [Classes]classCount
-
 // Lists is one loop's free lists, one per size class. A list holds a
 // pointer to the first byte of each buffer, not a slice header: a third of
 // the memory for the list, which is what a loop pays as it warms up. The
-// zero value is ready to use; a nil *Lists recycles nothing.
+// zero value is ready to use; a nil *Lists recycles and counts nothing.
 type Lists struct {
-	free [Classes][]*byte
+	free       [Classes][]*byte
+	gets, puts uint64
 }
 
 type listsKey struct{}
@@ -97,36 +86,15 @@ func MaxHeld(c int) int { return heldBytes >> (minShift + c) }
 // Held is the number of class-c buffers on the list now.
 func (l *Lists) Held(c int) int { return len(l.free[c]) }
 
-// Count turns the Get and Put counters on or off. A test that checks
-// conservation turns them on before it builds its world and off when it is
-// done; nothing else does. They are not simply always on because that is an
-// atomic add on every Get and Put to a cache line every shard worker
-// writes, and what a line bouncing between cores costs a run depends on
-// which workers happen to run at the same instant.
-func Count(on bool) {
-	for i := range counts {
-		counts[i].counting.Store(on)
+// Ledger counts l's class-sized buffers: handed out by Get, taken back by
+// Put, and on the lists now. Oversize requests and foreign slices, which
+// never belong to a class, are not counted.
+func (l *Lists) Ledger() sim.RecordLedger {
+	free := 0
+	for _, f := range l.free {
+		free += len(f)
 	}
-}
-
-// Stats counts class-sized buffers while Count is on. Oversize requests and
-// foreign slices, which never belong to a class, are not counted.
-type Stats struct {
-	Gets uint64 // buffers handed out by Get
-	Puts uint64 // buffers taken back by Put
-}
-
-// Outstanding is the number of class-sized buffers someone owns right now.
-func (s Stats) Outstanding() int64 { return int64(s.Gets - s.Puts) }
-
-// ReadStats sums the classes' counters.
-func ReadStats() Stats {
-	var s Stats
-	for i := range counts {
-		s.Gets += counts[i].gets.Load()
-		s.Puts += counts[i].puts.Load()
-	}
-	return s
+	return sim.RecordLedger{Kind: "bufpool.buffer", Taken: l.gets, Returned: l.puts, Free: free}
 }
 
 // Class returns the smallest size class holding n bytes, or -1 if n
@@ -144,31 +112,12 @@ func Class(n int) int {
 // Size is the capacity of class c's buffers.
 func Size(c int) int { return 1 << (minShift + c) }
 
-// Lent counts a class-c buffer handed out and Returned one taken back. Get
-// and Put count theirs with them, and so does package ip for a pooled
-// packet's buffer, which rides its packet through the packet's own free
-// list rather than through these: Outstanding counts every class-sized
-// buffer someone owns.
-func Lent(c int) {
-	if counts[c].counting.Load() {
-		counts[c].gets.Add(1)
-	}
-}
-
-// Returned is Lent's other half.
-func Returned(c int) {
-	if counts[c].counting.Load() {
-		counts[c].puts.Add(1)
-	}
-}
-
 // Get is Get on no loop's lists: a new class-sized buffer.
 //
 //mnet:ownership returns-pooled
 func Get(n int) []byte { return (*Lists)(nil).Get(n) }
 
-// Put is Put on no loop's lists: it counts b and leaves it to the garbage
-// collector.
+// Put is Put on no loop's lists: it leaves b to the garbage collector.
 func Put(b []byte) { (*Lists)(nil).Put(b) }
 
 // Get returns a buffer of length n and the capacity of n's class, from the
@@ -181,8 +130,8 @@ func (l *Lists) Get(n int) []byte {
 	if c < 0 {
 		return make([]byte, n)
 	}
-	Lent(c)
 	if l != nil {
+		l.gets++
 		if k := len(l.free[c]) - 1; k >= 0 {
 			b := l.free[c][k]
 			l.free[c][k] = nil
@@ -199,11 +148,11 @@ func (l *Lists) Get(n int) []byte {
 // Put(nil) is a no-op.
 func (l *Lists) Put(b []byte) {
 	c := Class(cap(b))
-	if c < 0 || cap(b) != Size(c) {
+	if l == nil || c < 0 || cap(b) != Size(c) {
 		return
 	}
-	Returned(c)
-	if l != nil && len(l.free[c]) < MaxHeld(c) {
+	l.puts++
+	if len(l.free[c]) < MaxHeld(c) {
 		l.free[c] = append(l.free[c], unsafe.SliceData(b))
 	}
 }

@@ -64,24 +64,24 @@ func TestSteadyStateGetPutDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestCountsOnlyWhenAsked: the Get/Put counters move while Count is on and
-// stand still while it is off, so an unaudited run writes nothing shared.
-func TestCountsOnlyWhenAsked(t *testing.T) {
-	before := ReadStats()
+// TestLedgerCountsClassSizedBuffers: a loop's lists count the class-sized
+// buffers they hand out and take back, a foreign slice not at all; the
+// package functions, which belong to no loop, count nothing anywhere.
+func TestLedgerCountsClassSizedBuffers(t *testing.T) {
+	l := For(sim.New(1))
 	Put(Get(100))
-	if after := ReadStats(); after != before {
-		t.Fatalf("counters moved with Count off: %+v -> %+v", before, after)
+	if got := l.Ledger(); got.Taken != 0 || got.Returned != 0 {
+		t.Fatalf("the package functions moved a loop's ledger: %+v", got)
 	}
-	Count(true)
-	defer Count(false)
-	b := Get(100)
-	if got := ReadStats().Outstanding() - before.Outstanding(); got != 1 {
-		t.Fatalf("outstanding after one Get = %+d, want +1", got)
+	b := l.Get(100)
+	if got := l.Ledger(); got.InUse() != 1 || got.Kind != "bufpool.buffer" {
+		t.Fatalf("after one Get: %+v, want one %s in use", got, "bufpool.buffer")
 	}
-	Put(b)
-	Put(make([]byte, 100)) // foreign: dropped, not counted
-	if after := ReadStats(); after.Gets != before.Gets+1 || after.Puts != before.Puts+1 {
-		t.Fatalf("after one Get and one Put: %+v, started at %+v", after, before)
+	l.Put(b)
+	l.Put(make([]byte, 100)) // foreign: dropped, not counted
+	l.Put(Get(1 << 17))      // oversize: dropped, not counted
+	if got := l.Ledger(); got.Taken != 1 || got.Returned != 1 || got.Free != 1 {
+		t.Fatalf("after one Get and one Put: %+v, want 1 taken, 1 returned, 1 on the lists", got)
 	}
 }
 
@@ -99,27 +99,6 @@ func TestClassIsTheSmallestThatHolds(t *testing.T) {
 		if got := Class(n); got != want {
 			t.Fatalf("Class(%d) = %d, want %d", n, got, want)
 		}
-	}
-}
-
-// TestLentAndReturnedCount: a buffer that leaves and comes back by another
-// pool counts as a Get and a Put, and only while Count is on.
-func TestLentAndReturnedCount(t *testing.T) {
-	before := ReadStats()
-	Lent(3)
-	Returned(3)
-	if after := ReadStats(); after != before {
-		t.Fatalf("counters moved with Count off: %+v -> %+v", before, after)
-	}
-	Count(true)
-	defer Count(false)
-	Lent(3)
-	if got := ReadStats().Outstanding() - before.Outstanding(); got != 1 {
-		t.Fatalf("outstanding after Lent = %+d, want +1", got)
-	}
-	Returned(3)
-	if after := ReadStats(); after.Gets != before.Gets+1 || after.Puts != before.Puts+1 {
-		t.Fatalf("after one Lent and one Returned: %+v, started at %+v", after, before)
 	}
 }
 
@@ -149,16 +128,13 @@ func TestPutBeyondTheCapIsDropped(t *testing.T) {
 	if MaxHeld(c) < 1 || MaxHeld(0) < MaxHeld(c) {
 		t.Fatalf("MaxHeld(0) = %d, MaxHeld(%d) = %d", MaxHeld(0), c, MaxHeld(c))
 	}
-	Count(true)
-	defer Count(false)
-	before := ReadStats()
 	for i := 0; i < MaxHeld(c)+3; i++ {
 		l.Put(make([]byte, 0, Size(c)))
 	}
 	if l.Held(c) != MaxHeld(c) {
 		t.Fatalf("the list holds %d buffers, want its cap %d", l.Held(c), MaxHeld(c))
 	}
-	if puts := ReadStats().Puts - before.Puts; puts != uint64(MaxHeld(c)+3) {
+	if puts := l.Ledger().Returned; puts != uint64(MaxHeld(c)+3) {
 		t.Fatalf("%d Puts counted, want %d", puts, MaxHeld(c)+3)
 	}
 }

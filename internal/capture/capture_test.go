@@ -139,15 +139,11 @@ func TestCapturesMobileIPAndTunnel(t *testing.T) {
 
 // TestFormatsNestedTunnel decodes a doubly encapsulated frame: every layer
 // keeps its own addresses, a bad inner still names the outer's, and capture,
-// being an observer, leaves the packet pool as it found it.
+// being an observer, leaves a pooled packet and its pool as it found them.
 func TestFormatsNestedTunnel(t *testing.T) {
-	ip.CountPools(true)
-	defer ip.CountPools(false)
 	a := ip.MustParseAddr
-	inner := &ip.Packet{
-		Header:  ip.Header{TTL: 64, Protocol: ip.ProtoUDP, Src: a("36.8.0.99"), Dst: a("36.135.0.7")},
-		Payload: ip.MarshalUDP(a("36.8.0.99"), a("36.135.0.7"), ip.UDPHeader{SrcPort: 9, DstPort: 9}, []byte("x")),
-	}
+	pool := ip.PoolFor(sim.New(1))
+	inner := ip.NewUDPPacket(pool, a("36.8.0.99"), a("36.135.0.7"), ip.UDPHeader{SrcPort: 9, DstPort: 9}, []byte("x"))
 	mid, err := ip.Encapsulate(a("36.135.0.1"), a("36.40.0.1"), 64, 1, inner)
 	if err != nil {
 		t.Fatal(err)
@@ -160,26 +156,46 @@ func TestFormatsNestedTunnel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	inner.Release()
 	mid.Release()
 	outer.Release()
 
-	before := ip.ReadPoolStats()
-	line := FormatFrame(&link.Frame{Type: link.EtherTypeIPv4, Payload: wire})
-	want := "36.40.0.1 > 10.0.0.1: ipip { 36.135.0.1 > 36.40.0.1: ipip { 36.8.0.99:9 > 36.135.0.7:9: udp 1 bytes } }"
-	if line != want {
-		t.Fatalf("nested tunnel decoded as\n %s\nwant\n %s", line, want)
-	}
-
 	// Corrupt the innermost header's version nibble; the middle layer must
 	// still print its own addresses.
-	wire[2*ip.HeaderLen] = 0x65
-	line = FormatFrame(&link.Frame{Type: link.EtherTypeIPv4, Payload: wire})
-	want = "36.40.0.1 > 10.0.0.1: ipip { 36.135.0.1 > 36.40.0.1: ipip [bad inner] }"
-	if line != want {
-		t.Fatalf("bad inner decoded as\n %s\nwant\n %s", line, want)
-	}
-	if after := ip.ReadPoolStats(); after != before {
-		t.Fatalf("capture drew from the packet pool: %+v -> %+v", before, after)
+	bad := append([]byte(nil), wire...)
+	bad[2*ip.HeaderLen] = 0x65
+	for _, c := range []struct {
+		name string
+		wire []byte
+		want string
+	}{
+		{"nested", wire, "36.40.0.1 > 10.0.0.1: ipip { 36.135.0.1 > 36.40.0.1: ipip { 36.8.0.99:9 > 36.135.0.7:9: udp 1 bytes } }"},
+		{"bad inner", bad, "36.40.0.1 > 10.0.0.1: ipip { 36.135.0.1 > 36.40.0.1: ipip [bad inner] }"},
+	} {
+		if line := FormatFrame(&link.Frame{Type: link.EtherTypeIPv4, Payload: c.wire}); line != c.want {
+			t.Fatalf("%s: frame decoded as\n %s\nwant\n %s", c.name, line, c.want)
+		}
+		// A packet of the pool, as a device receiver makes it: decoding it
+		// with ip.Decapsulate would take the inner from this pool and
+		// release the outer to it, which its ledger would show.
+		pkt, err := ip.UnmarshalPooled(pool, c.wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := pool.Ledger()
+		if line := FormatPacket(pkt); line != c.want {
+			t.Fatalf("%s: packet decoded as\n %s\nwant\n %s", c.name, line, c.want)
+		}
+		if after := pool.Ledger(); after != before {
+			t.Fatalf("%s: capture drew from the packet pool: %+v -> %+v", c.name, before, after)
+		}
+		if line := FormatPacket(pkt); line != c.want {
+			t.Fatalf("%s: packet reads differently after capture:\n %s\nwant\n %s", c.name, line, c.want)
+		}
+		pkt.Release()
+		if l := pool.Ledger(); l.InUse() != 0 {
+			t.Fatalf("%s: %d packets in use after release: %+v", c.name, l.InUse(), l)
+		}
 	}
 }
 

@@ -307,7 +307,8 @@ func sum(acc uint64, b []byte) uint64 {
 // result is a normal IP packet whose payload is the marshaled inner packet.
 // The outer is a packet of inner's pool that the caller owns, the inner
 // marshaled straight into its buffer; inner is only read, and stays its
-// owner's to release.
+// owner's to release. As RFC 2003 §3.1 has it, the outer header copies the
+// inner's type of service and Don't Fragment bit.
 //
 //mnet:ownership returns-pooled
 func Encapsulate(outerSrc, outerDst Addr, ttl uint8, id uint16, inner *Packet) (*Packet, error) {
@@ -316,6 +317,8 @@ func Encapsulate(outerSrc, outerDst Addr, ttl uint8, id uint16, inner *Packet) (
 	}
 	outer := inner.pool.acquire(inner.Len())
 	outer.Header = Header{
+		TOS:      inner.TOS,
+		DontFrag: inner.DontFrag,
 		ID:       id,
 		TTL:      ttl,
 		Protocol: ProtoIPIP,

@@ -3,12 +3,11 @@ package ip
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"mosquitonet/internal/bufpool"
 	"mosquitonet/internal/sim"
 )
-
-func bufpoolOutstanding() int64 { return bufpool.ReadStats().Outstanding() }
 
 // loopPool is the packet pool of a fresh loop.
 func loopPool() *Pool { return PoolFor(sim.New(1)) }
@@ -127,16 +126,14 @@ func TestPooledConstructorsMarshalClean(t *testing.T) {
 // a second trip through the pool; a plain literal takes any number.
 func TestReleasePoisons(t *testing.T) {
 	pl := loopPool()
-	CountPools(true)
-	defer CountPools(false)
 	p := NewUDPPacket(pl, Addr{10, 0, 0, 1}, Addr{10, 0, 0, 2}, UDPHeader{SrcPort: 7, DstPort: 9}, []byte("kept"))
 	p.Trace = 99
-	before := ReadPoolStats()
+	before := pl.Ledger()
 	p.Release()
 	if got := p.String(); got != "proto(0) 0.0.0.0->0.0.0.0 ttl=0 len=20" || p.Payload != nil || p.Trace != 0 {
 		t.Fatalf("a released packet reads %s payload %q trace %d, want a zeroed header", got, p.Payload, p.Trace)
 	}
-	if after := ReadPoolStats(); after.Released != before.Released+1 || after.Made != before.Made {
+	if after := pl.Ledger(); after.Returned != before.Returned+1 || after.Taken != before.Taken {
 		t.Fatalf("Release counted %+v -> %+v", before, after)
 	}
 	func() {
@@ -147,7 +144,7 @@ func TestReleasePoisons(t *testing.T) {
 		}()
 		p.Release()
 	}()
-	if after := ReadPoolStats(); after.Released != before.Released+1 {
+	if after := pl.Ledger(); after.Returned != before.Returned+1 {
 		t.Fatalf("the refused second Release was counted: %+v -> %+v", before, after)
 	}
 
@@ -171,17 +168,14 @@ func TestReleasePoisons(t *testing.T) {
 
 // TestDecapsulateMovesTheBuffer: the inner packet takes over the outer's
 // buffer and the outer is consumed — one buffer, released once, with the
-// inner. A pooled packet keeps its buffer between lives, so the buffer
-// count moves exactly when the count of packets holding one does.
+// inner. A pooled packet keeps its buffer between lives, so its buffer is in
+// use exactly when the packet is.
 func TestDecapsulateMovesTheBuffer(t *testing.T) {
 	pl := loopPool()
-	CountPools(true)
-	defer CountPools(false)
-	pk0, bf0 := ReadPoolStats().Outstanding(), bufpoolOutstanding()
-	out := func(step string, packets, buffers int64) {
+	out := func(step string, packets int64) {
 		t.Helper()
-		if p, b := ReadPoolStats().Outstanding()-pk0, bufpoolOutstanding()-bf0; p != packets || b != buffers {
-			t.Fatalf("after %s: %+d packets and %+d buffers out, want %+d and %+d", step, p, b, packets, buffers)
+		if got := pl.Ledger().InUse(); got != packets {
+			t.Fatalf("after %s: %+d packets in use, want %+d", step, got, packets)
 		}
 	}
 	inner0 := NewUDPPacket(pl, Addr{36, 135, 0, 7}, Addr{36, 8, 0, 99}, UDPHeader{SrcPort: 1, DstPort: 2}, []byte("x"))
@@ -189,10 +183,11 @@ func TestDecapsulateMovesTheBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out("Encapsulate", 2, 2)
+	out("Encapsulate", 2)
 	want := inner0.Clone()
 	inner0.Release()
-	out("releasing the encapsulated packet", 1, 1)
+	out("releasing the encapsulated packet", 1)
+	buf := unsafe.SliceData(outer.buf)
 	inner, err := Decapsulate(outer)
 	if err != nil {
 		t.Fatal(err)
@@ -200,10 +195,18 @@ func TestDecapsulateMovesTheBuffer(t *testing.T) {
 	if outer.Protocol != 0 || outer.Payload != nil {
 		t.Fatalf("the outer packet is still readable after Decapsulate: %v", outer)
 	}
-	out("Decapsulate", 1, 1) // one packet in, one out; the buffer stays
+	out("Decapsulate", 1) // one packet in, one out
+	if unsafe.SliceData(inner.buf) != buf || outer.buf != nil {
+		t.Fatal("the inner packet does not own the outer's buffer, or the outer kept it")
+	}
 	samePacket(t, "decapsulated packet", inner, want)
+	c := bufpool.Class(cap(inner.buf))
+	held := len(pl.class[c])
 	inner.Release()
-	out("releasing the inner packet", 0, 0)
+	out("releasing the inner packet", 0)
+	if len(pl.class[c]) != held+1 || unsafe.SliceData(pl.class[c][held].buf) != buf {
+		t.Fatal("the buffer did not go back to the pool with the inner packet")
+	}
 
 	// A packet that is not IP-in-IP is consumed all the same.
 	notIPIP := NewUDPPacket(pl, Addr{1, 1, 1, 1}, Addr{2, 2, 2, 2}, UDPHeader{}, nil)
@@ -215,8 +218,8 @@ func TestDecapsulateMovesTheBuffer(t *testing.T) {
 // TestReleaseReturnsToItsPool: a packet goes back to the pool it came from,
 // whoever releases it, and the next packet of that class from that pool is
 // the same struct; another loop's pool never hands it out. Encapsulate and
-// Decapsulate take from their input's pool, and a packet of no pool is
-// counted like any other and then left to the collector.
+// Decapsulate take from their input's pool, each pool counts only its own
+// packets, and a packet of no pool is counted by none.
 func TestReleaseReturnsToItsPool(t *testing.T) {
 	pa, pb := loopPool(), loopPool()
 	if pa == pb {
@@ -249,12 +252,11 @@ func TestReleaseReturnsToItsPool(t *testing.T) {
 	}
 	inner.Release()
 
-	CountPools(true)
-	defer CountPools(false)
-	before := ReadPoolStats()
 	n := NewUDPPacket(nil, src, dst, UDPHeader{}, nil)
 	n.Release()
-	if after := ReadPoolStats(); after.Made != before.Made+1 || after.Released != before.Released+1 {
-		t.Fatalf("a packet of no pool was not counted: %+v -> %+v", before, after)
+	// pa made p, q, the outer and the inner and took all four back; pb made
+	// the one packet nobody released.
+	if la, lb := pa.Ledger(), pb.Ledger(); la.Taken != 4 || la.Returned != 4 || lb.Taken != 1 || lb.Returned != 0 {
+		t.Fatalf("ledgers a %+v and b %+v, want 4 taken and returned on a, 1 taken on b", la, lb)
 	}
 }

@@ -35,8 +35,9 @@ type exchange struct {
 // in pieces, are reassembled and decapsulated at ha and forwarded to ch,
 // whose echo comes back the direct way and is fragmented by the router.
 // Every constructor is on the path: senders, the receivers' parse,
-// Encapsulate, Decapsulate, the reassembler, ICMP for the pings.
-func runExchange(t *testing.T, seed int64) exchange {
+// Encapsulate, Decapsulate, the reassembler, ICMP for the pings. made is the
+// number of packets the loop's pool handed out.
+func runExchange(t *testing.T, seed int64) (res exchange, made uint64) {
 	t.Helper()
 	loop := sim.New(seed)
 	narrow := link.Ethernet()
@@ -81,7 +82,6 @@ func runExchange(t *testing.T, seed int64) exchange {
 	mh.Routes().Add(stack.Route{Dst: ip.Prefix{Addr: chAddr, Bits: 32}, Iface: tunnels["mh"].Iface()})
 
 	stacks := map[string]*transport.Stack{"mh": transport.NewStack(mh), "ch": transport.NewStack(ch)}
-	var res exchange
 	var echo *transport.UDPSocket
 	echo, err := stacks["ch"].UDP(ip.Unspecified, 7, func(d transport.Datagram) {
 		if err := echo.SendTo(d.From, d.FromPort, d.Payload); err != nil {
@@ -139,7 +139,7 @@ func runExchange(t *testing.T, seed int64) exchange {
 		res.Reasm["ha"].Reassembled == 0 || res.Reasm["mh"].Reassembled == 0 || res.Hosts["ha"].Forwarded == 0 || len(res.Pings) == 0 {
 		t.Fatalf("the exchange did not cover tunnel, fragments, reassembly and forwarding: %+v", res)
 	}
-	return res
+	return res, ip.PoolFor(loop).Ledger().Taken
 }
 
 // TestPooledMatchesPlain is the packet pool's reference-implementation
@@ -148,17 +148,10 @@ func runExchange(t *testing.T, seed int64) exchange {
 // plain, garbage-collected literals delivers byte-identical payloads,
 // identical counters at every layer and the same number of events.
 func TestPooledMatchesPlain(t *testing.T) {
-	ip.CountPools(true)
-	defer ip.CountPools(false)
 	for _, seed := range []int64{1, 1996, 2026} {
-		made := ip.ReadPoolStats().Made
-		pooled := runExchange(t, seed)
-		pooledMade := ip.ReadPoolStats().Made - made
-
+		pooled, pooledMade := runExchange(t, seed)
 		restore := ip.SetPlainPackets()
-		made = ip.ReadPoolStats().Made
-		plain := runExchange(t, seed)
-		plainMade := ip.ReadPoolStats().Made - made
+		plain, plainMade := runExchange(t, seed)
 		restore()
 
 		if pooledMade < 1000 || plainMade != 0 {

@@ -1,8 +1,6 @@
 package ip
 
 import (
-	"sync/atomic"
-
 	"mosquitonet/internal/bufpool"
 	"mosquitonet/internal/sim"
 )
@@ -41,11 +39,16 @@ const (
 // lock. A pooled packet remembers its pool and Release returns it there.
 // Each list keeps at most what bufpool.MaxHeld allows its class (maxBare
 // for bare), the rest going to the garbage collector. A nil *Pool recycles
-// nothing: its packets are live, counted and released like any other, then
-// left to the collector.
+// nothing: its packets are live and released like any other, then left to
+// the collector.
+//
+// The pool counts the packets it hands out and takes back (Ledger), in
+// plain fields only its own loop writes. A packet's buffer rides the packet
+// and is counted with it.
 type Pool struct {
-	bare  []*Packet
-	class [bufpool.Classes][]*Packet
+	bare           []*Packet
+	class          [bufpool.Classes][]*Packet
+	made, released uint64
 }
 
 // maxBare is the most bare packets one loop's pool keeps.
@@ -64,15 +67,6 @@ func PoolFor(loop *sim.Loop) *Pool {
 	return pl
 }
 
-// While counting is set, made and released count the births and deaths of
-// pooled packets, whichever pool they belong to.
-//
-//lint:allow nosharedstate the conservation counters are written only while a test has CountPools on and read only by tests; the free lists themselves are per loop
-var counts struct {
-	counting       atomic.Bool
-	made, released atomic.Uint64
-}
-
 // plainPackets makes every constructor return a plain packet. Only this
 // package's tests set it (export_test.go), to compare a pooled run with an
 // unpooled one; nothing else can.
@@ -88,9 +82,6 @@ func (pl *Pool) acquire(n int) *Packet {
 			p.Payload = make([]byte, n)
 		}
 		return p
-	}
-	if counts.counting.Load() {
-		counts.made.Add(1)
 	}
 	c := bufpool.Class(n)
 	if n == 0 || c < 0 {
@@ -109,7 +100,6 @@ func (pl *Pool) acquire(n int) *Packet {
 	if p == nil {
 		p = &Packet{buf: make([]byte, bufpool.Size(c))}
 	}
-	bufpool.Lent(c)
 	p.life, p.pool = live, pl
 	p.buf = p.buf[:n]
 	p.Payload = p.buf
@@ -124,12 +114,13 @@ func (pl *Pool) list(c int) *[]*Packet {
 	return &pl.class[c]
 }
 
-// pop takes a packet off pl's list of class c (bare for c < 0), or returns
-// nil when there is none or no pool.
+// pop counts a packet made and takes it off pl's list of class c (bare for
+// c < 0), or returns nil when there is none or no pool.
 func (pl *Pool) pop(c int) *Packet {
 	if pl == nil {
 		return nil
 	}
+	pl.made++
 	l := pl.list(c)
 	k := len(*l) - 1
 	if k < 0 {
@@ -155,18 +146,15 @@ func (p *Packet) Release() {
 	case released:
 		panic("ip: Release of a packet already released")
 	}
-	if counts.counting.Load() {
-		counts.released.Add(1)
-	}
 	buf, pl := p.buf, p.pool
 	*p = Packet{life: released}
-	c, limit := -1, maxBare
-	if k := bufpool.Class(cap(buf)); k >= 0 && cap(buf) == bufpool.Size(k) {
-		bufpool.Returned(k)
-		c, limit = k, bufpool.MaxHeld(k)
-	}
 	if pl == nil {
 		return
+	}
+	pl.released++
+	c, limit := -1, maxBare
+	if k := bufpool.Class(cap(buf)); k >= 0 && cap(buf) == bufpool.Size(k) {
+		c, limit = k, bufpool.MaxHeld(k)
 	}
 	if l := pl.list(c); len(*l) < limit {
 		if c >= 0 {
@@ -176,27 +164,14 @@ func (p *Packet) Release() {
 	}
 }
 
-// CountPools turns the conservation counters of the packet pools and of
-// bufpool on or off (see bufpool.Count). A test that reads ReadPoolStats
-// turns them on before it builds its world; in a run nobody audits, a birth
-// and a death write nothing that two shard workers share.
-func CountPools(on bool) {
-	counts.counting.Store(on)
-	bufpool.Count(on)
-}
-
-// PoolStats counts pooled packets while CountPools is on.
-type PoolStats struct {
-	Made     uint64 // packets handed out by the constructors
-	Released uint64 // packets returned by Release
-}
-
-// Outstanding is the number of pooled packets that have an owner right now.
-func (s PoolStats) Outstanding() int64 { return int64(s.Made - s.Released) }
-
-// ReadPoolStats reads the pool's counters. At quiesce Outstanding is the
-// number of packets provably parked (fragments in reassembly, buffered
-// visitors' packets are plain clones and do not count).
-func ReadPoolStats() PoolStats {
-	return PoolStats{Made: counts.made.Load(), Released: counts.released.Load()}
+// Ledger counts pl's packets: handed out by the constructors, taken back by
+// Release, and on the lists now. At quiesce the packets in use are those
+// provably parked (fragments in reassembly; a buffered visitor's packets
+// are plain clones and do not count).
+func (pl *Pool) Ledger() sim.RecordLedger {
+	free := len(pl.bare)
+	for _, l := range pl.class {
+		free += len(l)
+	}
+	return sim.RecordLedger{Kind: "ip.Packet", Taken: pl.made, Returned: pl.released, Free: free}
 }

@@ -52,16 +52,22 @@ func (a HWAddr) String() string {
 // IsBroadcast reports whether a is the broadcast address.
 func (a HWAddr) IsBroadcast() bool { return a == BroadcastHW }
 
-// hwSeq hands out distinct hardware addresses. Uniqueness per simulation is
-// all that matters; the OUI byte is arbitrary.
-//
-//lint:allow nosharedstate written only during topology construction, which is single-threaded and completes before any ShardSet starts its workers
-var hwSeq uint32
+type hwSeqKey struct{}
 
-// NextHWAddr returns a process-unique hardware address.
-func NextHWAddr() HWAddr {
-	hwSeq++
-	return HWAddr{0x02, 0x4d, 0x4e, byte(hwSeq >> 16), byte(hwSeq >> 8), byte(hwSeq)}
+// nextHWAddr returns the next hardware address of loop's devices, numbered
+// from 1 by a sequence attached to the loop (sim.Loop.Local). An address
+// need be unique only within a broadcast domain, and a network's devices
+// all live on its loop (a trunk between two loops carries only broadcast
+// frames, Network.SetHandoff); the OUI bytes are arbitrary.
+func nextHWAddr(loop *sim.Loop) HWAddr {
+	seq, ok := loop.Local(hwSeqKey{}).(*uint32)
+	if !ok {
+		seq = new(uint32)
+		loop.SetLocal(hwSeqKey{}, seq)
+	}
+	*seq++
+	n := *seq
+	return HWAddr{0x02, 0x4d, 0x4e, byte(n >> 16), byte(n >> 8), byte(n)}
 }
 
 // EtherType identifies the payload protocol of a frame.
@@ -191,7 +197,7 @@ type deviceCounters struct {
 func NewDevice(loop *sim.Loop, name string, bringUpDelay, jitter time.Duration) *Device {
 	d := &Device{
 		name:          name,
-		hw:            NextHWAddr(),
+		hw:            nextHWAddr(loop),
 		loop:          loop,
 		bringUpDelay:  bringUpDelay,
 		bringUpJitter: jitter,
@@ -272,9 +278,12 @@ func (d *Device) settle() {
 	}
 }
 
-// Attach connects the device to a broadcast domain. Attaching does not
-// bring the device up.
+// Attach connects the device to a broadcast domain of its own loop, where
+// its hardware address is unique. Attaching does not bring the device up.
 func (d *Device) Attach(n *Network) {
+	if n.loop != d.loop {
+		panic("link: a device attaches only to a network of its own loop")
+	}
 	if d.net != nil {
 		d.Detach()
 	}

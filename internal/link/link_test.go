@@ -43,15 +43,36 @@ func TestHWAddrString(t *testing.T) {
 	}
 }
 
+// TestNextHWAddrUnique: a loop's devices get distinct hardware addresses,
+// numbered from 1 on every loop, whatever other loops the process built.
 func TestNextHWAddrUnique(t *testing.T) {
+	loop := sim.New(1)
 	seen := map[HWAddr]bool{}
 	for i := 0; i < 1000; i++ {
-		a := NextHWAddr()
+		a := nextHWAddr(loop)
 		if seen[a] {
 			t.Fatalf("duplicate hardware address %v", a)
 		}
 		seen[a] = true
 	}
+	want := HWAddr{0x02, 0x4d, 0x4e, 0, 0, 1}
+	if a := NewDevice(sim.New(1), "eth0", 0, 0).HW(); a != want {
+		t.Fatalf("a fresh loop's first device is %v, want %v", a, want)
+	}
+}
+
+// TestAttachRefusesAnotherLoopsNetwork: hardware addresses are numbered per
+// loop, so a device of one loop on another loop's network could share an
+// address with a device there; Attach refuses it.
+func TestAttachRefusesAnotherLoopsNetwork(t *testing.T) {
+	n := NewNetwork(sim.New(1), "net", Ethernet())
+	d := NewDevice(sim.New(2), "eth0", 0, 0)
+	defer func() {
+		if recover() == nil || d.Network() != nil {
+			t.Error("a device attached to another loop's network")
+		}
+	}()
+	d.Attach(n)
 }
 
 func TestUnicastDelivery(t *testing.T) {
@@ -453,18 +474,18 @@ func TestSerializationDelay(t *testing.T) {
 // the fast and the general path and across a trunk, or refused because the
 // device is down, detached or the frame too big, or sent with nobody to
 // hear it or heard by nobody — and once the loops are idle every buffer
-// handed out has come back: one Put per Get, none twice.
+// handed out has come back: one Put per Get, none twice, summed over the
+// loops' lists (a trunk puts the buffer back on the far loop's).
 func TestSendTakesPayload(t *testing.T) {
-	bufpool.Count(true)
-	defer bufpool.Count(false)
-	before := bufpool.ReadStats()
-	payload := func(s string) []byte {
-		b := bufpool.Get(len(s))
+	var loops []*sim.Loop
+	payload := func(loop *sim.Loop, s string) []byte {
+		b := bufpool.For(loop).Get(len(s))
 		copy(b, s)
 		return b
 	}
 
 	loop := sim.New(1)
+	loops = append(loops, loop)
 	lossy := Ethernet()
 	lossy.LossProb = 1e-9 // the general path, delivering
 	deaf := Ethernet()
@@ -513,7 +534,7 @@ func TestSendTakesPayload(t *testing.T) {
 		if p.prepare != nil {
 			p.prepare(a)
 		}
-		if err := a.Send(&Frame{Dst: p.dst, Type: EtherTypeIPv4, Payload: payload("hello")}); err != p.err {
+		if err := a.Send(&Frame{Dst: p.dst, Type: EtherTypeIPv4, Payload: payload(loop, "hello")}); err != p.err {
 			t.Errorf("%s: Send = %v, want %v", p.name, err, p.err)
 		}
 		loop.Run()
@@ -526,6 +547,7 @@ func TestSendTakesPayload(t *testing.T) {
 	// DeliverLocal, or loses it on the near side.
 	for _, lost := range []bool{false, true} {
 		loopA, loopB := sim.New(sim.ShardSeed(1, 0)), sim.New(sim.ShardSeed(1, 1))
+		loops = append(loops, loopA, loopB)
 		medium := Backbone()
 		if lost {
 			medium.LossProb = 1
@@ -537,7 +559,7 @@ func TestSendTakesPayload(t *testing.T) {
 		received := 0
 		dB.SetReceiver(func(*Frame) { received++ })
 		loopA.Schedule(0, func() {
-			if err := dA.Send(&Frame{Dst: BroadcastHW, Type: EtherTypeIPv4, Payload: payload("hello")}); err != nil {
+			if err := dA.Send(&Frame{Dst: BroadcastHW, Type: EtherTypeIPv4, Payload: payload(loopA, "hello")}); err != nil {
 				t.Error(err)
 			}
 		})
@@ -551,8 +573,12 @@ func TestSendTakesPayload(t *testing.T) {
 		}
 	}
 
-	after := bufpool.ReadStats()
-	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != 10 || puts != gets {
+	var gets, puts uint64
+	for _, l := range loops {
+		led := bufpool.For(l).Ledger()
+		gets, puts = gets+led.Taken, puts+led.Returned
+	}
+	if gets != 10 || puts != gets {
 		t.Errorf("%d payloads handed to Send, %d put back; want 10 and 10", gets, puts)
 	}
 }

@@ -141,7 +141,8 @@ type Network struct {
 	// search.
 	attaches uint64
 	// byHW indexes the attached devices by hardware address (addresses are
-	// process-unique, so it is a bijection with devices), packed by hwKey:
+	// unique on a loop, and Attach admits only the network's own loop's
+	// devices, so it is a bijection with devices), packed by hwKey:
 	// a uint64 key takes the map's fast path, which a [6]byte key misses.
 	byHW   map[uint64]*Device
 	stats  NetworkStats
@@ -595,7 +596,9 @@ func hwKey(a HWAddr) uint64 {
 // and the fully modeled arrival time — instead of being delivered on this
 // shard.
 // fn runs on this shard's goroutine; it must hand the frame to the far
-// shard via sim.ShardSet.Post, never touch the far shard directly.
+// shard via sim.ShardSet.Post, never touch the far shard directly. Each
+// loop numbers its devices' addresses from 1, so a trunk's two ends may
+// share one: its interfaces must be PointToPoint (no ARP, broadcast frames).
 func (n *Network) SetHandoff(fn func(f *Frame, arrival sim.Time)) {
 	n.handoff = fn
 }
@@ -605,7 +608,7 @@ func (n *Network) SetHandoff(fn func(f *Frame, arrival sim.Time)) {
 // frame record onto this end's spares. It must run on this network's own
 // loop (the coordinator schedules it at the arrival time the transmit side
 // computed). The frame and its pool-owned payload are the caller's until
-// now; ownership of both transfers here.
+// now; ownership of both transfers here. Trunk frames are broadcast (SetHandoff).
 //
 //mnet:ownership takes f
 func (n *Network) DeliverLocal(f *Frame) {

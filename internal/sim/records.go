@@ -55,7 +55,9 @@ func (r *Records[T]) Put(x *T) {
 func (r *Records[T]) Free() int { return len(r.free) }
 
 // RecordLedger is one free list's count: records taken from it, records
-// put back, and records on the list now.
+// put back, and records on the list now. The loop's packet pool (ip.Pool)
+// and wire-buffer lists (bufpool.Lists) count their packets and buffers in
+// the same form.
 type RecordLedger struct {
 	Kind     string // the record type, e.g. "stack.hop"
 	Taken    uint64
@@ -66,17 +68,18 @@ type RecordLedger struct {
 // InUse is the number of records taken and not yet put back.
 func (l RecordLedger) InUse() int64 { return int64(l.Taken - l.Returned) }
 
-func (r *Records[T]) ledger() RecordLedger {
+// Ledger is r's count.
+func (r *Records[T]) Ledger() RecordLedger {
 	return RecordLedger{Kind: fmt.Sprintf("%T", *new(T)), Taken: r.taken, Returned: r.returned, Free: r.Free()}
 }
 
-// RecordLedgers returns the count of every record free list attached to
-// the loop, in the order they were attached.
+// RecordLedgers returns the count of every free list attached to the loop
+// (every attachment with a Ledger method), in the order they were attached.
 func (l *Loop) RecordLedgers() []RecordLedger {
 	var out []RecordLedger
 	for _, lc := range l.locals {
-		if r, ok := lc.val.(interface{ ledger() RecordLedger }); ok {
-			out = append(out, r.ledger())
+		if r, ok := lc.val.(interface{ Ledger() RecordLedger }); ok {
+			out = append(out, r.Ledger())
 		}
 	}
 	return out

@@ -204,8 +204,13 @@ type local struct{ key, val any }
 // New returns a loop whose clock reads zero and whose random source is
 // seeded with seed.
 func New(seed int64) *Loop {
-	return &Loop{rng: rand.New(rand.NewSource(seed))}
+	return &Loop{rng: rand.New(rand.NewSource(seed)), locals: make([]local, 0, localsCap)}
 }
+
+// localsCap is room for every layer's attachments (a dozen on a fleet's
+// loop), so that one a layer attaches lazily while the loop runs, such as
+// a record list at the first operation of its kind, does not grow the list.
+const localsCap = 16
 
 // Now returns the current virtual time.
 func (l *Loop) Now() Time { return l.now }
@@ -237,9 +242,9 @@ func (l *Loop) NextSerial() uint64 {
 // layer finds its per-simulation state (the metrics registry, the tracer,
 // the host slabs, the packet and wire-buffer free lists) through the loop
 // every constructor is already handed, so that state lives and dies with
-// the loop instead of in a process-wide table. There is no lock: attachments are written while the simulation is
-// built, before any worker runs the loop, and afterwards touched only from
-// the goroutine running it.
+// the loop instead of in a process-wide table. There is no lock: an
+// attachment is made while the simulation is built, or lazily by the
+// goroutine running the loop, and touched only from that goroutine.
 func (l *Loop) Local(key any) any {
 	for i := range l.locals {
 		if l.locals[i].key == key {

@@ -74,11 +74,9 @@ func (p *trunkPair) send(t *testing.T, i, n, size int) {
 // datagrams both ways over a trunk at the same time, each loop drawing
 // packets and wire buffers from its own lists while the other lands frames
 // on its lists. Under -race that is the check that no list is touched from
-// two goroutines; at quiesce every pooled packet and buffer is back.
+// two goroutines; at quiesce every pooled packet and buffer is back, summed
+// over the two loops.
 func TestCrossWorkerTrunkBuffersBalance(t *testing.T) {
-	ip.CountPools(true)
-	defer ip.CountPools(false)
-	pkts0, bufs0 := outstanding()
 	p := newTrunkPair(t, 2)
 	const n = 400
 	p.send(t, 0, n, 64)
@@ -87,19 +85,17 @@ func TestCrossWorkerTrunkBuffersBalance(t *testing.T) {
 	if p.delivered != [2]int{n, n} {
 		t.Fatalf("delivered %v, want %d each way", p.delivered, n)
 	}
-	if pkts, bufs := outstanding(); pkts != pkts0 || bufs != bufs0 {
-		t.Fatalf("at quiesce %+d pooled packets and %+d pooled buffers are out, want none", pkts-pkts0, bufs-bufs0)
+	if pkts, bufs := outstanding(p.loops[:]...); pkts != 0 || bufs != 0 {
+		t.Fatalf("at quiesce %+d pooled packets and %+d wire buffers are out, want none", pkts, bufs)
 	}
 }
 
 // TestCrossWorkerOneWayListsCapped: a flow in one direction only lands every
 // wire buffer on the receiving loop, which never sends one back. Its list of
 // that class fills to the cap and stops there; the rest go to the garbage
-// collector, and the pools still balance.
+// collector, and the pools still balance: the sending loop's buffer ledger
+// is short by exactly what the receiving loop's is over.
 func TestCrossWorkerOneWayListsCapped(t *testing.T) {
-	ip.CountPools(true)
-	defer ip.CountPools(false)
-	pkts0, bufs0 := outstanding()
 	p := newTrunkPair(t, 2)
 	const size = 1200
 	c := bufpool.Class(ip.HeaderLen + ip.UDPHeaderLen + size)
@@ -116,7 +112,10 @@ func TestCrossWorkerOneWayListsCapped(t *testing.T) {
 	if tx.Held(c) != 0 {
 		t.Errorf("the sending loop holds %d class-%d buffers; every one it sent landed on the other loop", tx.Held(c), c)
 	}
-	if pkts, bufs := outstanding(); pkts != pkts0 || bufs != bufs0 {
-		t.Fatalf("at quiesce %+d pooled packets and %+d pooled buffers are out, want none", pkts-pkts0, bufs-bufs0)
+	if txOut, rxOut := tx.Ledger().InUse(), rx.Ledger().InUse(); txOut != int64(n) || rxOut != -txOut {
+		t.Errorf("the sending loop's lists have %+d buffers out and the receiving loop's %+d; want %+d and %+d", txOut, rxOut, n, -n)
+	}
+	if pkts, bufs := outstanding(p.loops[:]...); pkts != 0 || bufs != 0 {
+		t.Fatalf("at quiesce %+d pooled packets and %+d wire buffers are out, want none", pkts, bufs)
 	}
 }

@@ -37,12 +37,16 @@ func TestLoopsNeverShareAChunk(t *testing.T) {
 	}
 }
 
-// outstanding reads both pools: pooled packets that have an owner and pooled
-// buffers someone holds. The counters are process-wide, count only between
-// ip.CountPools(true) and (false), and this package's tests run one at a
-// time, so a test turns them on, reads them before and reads them after.
-func outstanding() (packets, buffers int64) {
-	return ip.ReadPoolStats().Outstanding(), bufpool.ReadStats().Outstanding()
+// outstanding sums the loops' ledgers of pooled packets that have an owner
+// and of wire buffers someone holds. A frame that crossed a trunk took its
+// buffer from one loop's lists and put it back on the other's, so only the
+// sum over the loops balances.
+func outstanding(loops ...*sim.Loop) (packets, buffers int64) {
+	for _, l := range loops {
+		packets += ip.PoolFor(l).Ledger().InUse()
+		buffers += bufpool.For(l).Ledger().InUse()
+	}
+	return packets, buffers
 }
 
 // TestLentPacketIsPoisoned: a handler that (wrongly) keeps the packet it
@@ -78,14 +82,9 @@ func TestLentPacketIsPoisoned(t *testing.T) {
 // TestEveryPathReturnsItsPacket drives one packet down each way a packet can
 // end — delivered, forwarded, loopback, reassembled from fragments, dropped
 // by TTL with an ICMP error that is itself delivered, dropped for want of a
-// handler, a route, the transit check's consent — and requires both pools to be back where they started once the
-// loop is idle.
+// handler, a route, the transit check's consent — and requires the loop's
+// packet pool and wire-buffer lists to balance once it is idle.
 func TestEveryPathReturnsItsPacket(t *testing.T) {
-	ip.CountPools(true)
-	defer ip.CountPools(false)
-	pkts0, bufs0 := outstanding()
-	made0 := ip.ReadPoolStats().Made
-
 	loop := sim.New(1)
 	a, b, router := twoSubnetTopology(t, loop)
 	got := collect(b.host)
@@ -120,25 +119,20 @@ func TestEveryPathReturnsItsPacket(t *testing.T) {
 		bs.DropNoHandler != 1 || as.DropNoHandler != 1 || as.Delivered != 1 || as.FragmentsSent < 3 {
 		t.Fatalf("not every path was driven: router %+v, a %+v, b %+v", rs, as, bs)
 	}
-	if made := ip.ReadPoolStats().Made - made0; made < 18 {
+	if made := ip.PoolFor(loop).Ledger().Taken; made < 18 {
 		t.Fatalf("only %d pooled packets were made: the paths above did not run pooled", made)
 	}
-	pkts, bufs := outstanding()
-	if pkts != pkts0 || bufs != bufs0 {
-		t.Errorf("at idle %+d pooled packets and %+d pooled buffers are still out", pkts-pkts0, bufs-bufs0)
+	if pkts, bufs := outstanding(loop); pkts != 0 || bufs != 0 {
+		t.Errorf("at idle %+d pooled packets and %+d wire buffers are still out", pkts, bufs)
 	}
 }
 
 // TestParkedFragmentsAreTheOnlyPacketsOut: on a lossy link some datagrams
 // lose a fragment and the rest of them wait in the reassembly buffer. While
-// they wait they are exactly the pooled packets outstanding, and their
-// buffers, which stay with a packet for its life, exactly the pooled buffers
-// (every wire buffer is back: a flight puts its payload back when it lands);
-// when the sweep expires them, none is.
+// they wait they are exactly the pooled packets outstanding, their buffers
+// riding them, and every wire buffer is back (a flight puts its payload back
+// when it lands); when the sweep expires them, none is out.
 func TestParkedFragmentsAreTheOnlyPacketsOut(t *testing.T) {
-	ip.CountPools(true)
-	defer ip.CountPools(false)
-	pkts0, bufs0 := outstanding()
 	loop := sim.New(9)
 	m := smallMTU(600)
 	m.LossProb = 0.3
@@ -154,14 +148,14 @@ func TestParkedFragmentsAreTheOnlyPacketsOut(t *testing.T) {
 	if held == 0 {
 		t.Fatal("no fragment is parked at 30% loss; the check needs some")
 	}
-	if pkts, bufs := outstanding(); pkts-pkts0 != held || bufs-bufs0 != held {
-		t.Errorf("%d fragments parked, but %+d pooled packets and %+d pooled buffers out", held, pkts-pkts0, bufs-bufs0)
+	if pkts, bufs := outstanding(loop); pkts != held || bufs != 0 {
+		t.Errorf("%d fragments parked, but %+d pooled packets and %+d wire buffers out", held, pkts, bufs)
 	}
 	loop.RunFor(2 * time.Minute) // several sweep intervals
 	if held := b.host.Reassembler().Held(); held != 0 {
 		t.Fatalf("%d fragments still parked after the sweeps", held)
 	}
-	if pkts, bufs := outstanding(); pkts != pkts0 || bufs != bufs0 {
-		t.Errorf("after the sweeps %+d pooled packets and %+d pooled buffers are still out", pkts-pkts0, bufs-bufs0)
+	if pkts, bufs := outstanding(loop); pkts != 0 || bufs != 0 {
+		t.Errorf("after the sweeps %+d pooled packets and %+d wire buffers are still out", pkts, bufs)
 	}
 }

@@ -4,28 +4,20 @@ import (
 	"testing"
 	"time"
 
-	"mosquitonet/internal/bufpool"
-	"mosquitonet/internal/ip"
 	"mosquitonet/internal/scenario"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stack"
 )
 
-// poolsOut reads both pools: pooled packets that have an owner and pooled
-// buffers someone holds, process-wide. The counters count only between
-// ip.CountPools(true) and (false) and this package's tests run one at a
-// time, so a test turns them on, reads them before it builds a world and
-// after it ran it.
-func poolsOut() (packets, buffers int64) {
-	return ip.ReadPoolStats().Outstanding(), bufpool.ReadStats().Outstanding()
-}
+// ledgerKinds are the free lists every world here takes from on its loops:
+// the per-operation records (sim.RecordsOf), the packet pool (ip.Pool) and
+// the wire-buffer lists (bufpool.Lists).
+var ledgerKinds = []string{"stack.hop", "arp.pending", "link.bringUp", "mip.switchOp", "ip.Packet", "bufpool.buffer"}
 
-// recordKinds are the per-operation records every world here takes from
-// its loops' free lists (sim.RecordsOf).
-var recordKinds = []string{"stack.hop", "arp.pending", "link.bringUp", "mip.switchOp"}
-
-// recordsOut sums the record ledgers of loops by kind.
-func recordsOut(loops []*sim.Loop) map[string]sim.RecordLedger {
+// ledgersOut sums the ledgers of loops by kind. A frame that crossed a trunk
+// took its wire buffer from one loop's lists and put it back on another's,
+// so only the sum balances.
+func ledgersOut(loops []*sim.Loop) map[string]sim.RecordLedger {
 	out := map[string]sim.RecordLedger{}
 	for _, l := range loops {
 		for _, r := range l.RecordLedgers() {
@@ -37,40 +29,42 @@ func recordsOut(loops []*sim.Loop) map[string]sim.RecordLedger {
 	return out
 }
 
-// requirePoolBalance is the conservation check: once the world is idle
-// between its periodic timers, every pooled packet made since the baseline
-// has been released except the fragments provably parked in a reassembly
-// buffer — each of which owns one pooled buffer — and every other pooled
-// buffer is back too. Every per-operation record list of the world's loops
-// balances as well: taken = returned + in use, and at quiesce nothing is in
-// use — no hop holds a packet, no address is being resolved, no bring-up
-// timer is out and no switch is walking. It reads counters; nothing is
-// tracked per packet. The world is stepped in short slices because a beacon
-// or a renewal may be in flight at the instant a run ends; a leak never
-// reaches balance and fails with the numbers.
-func requirePoolBalance(t *testing.T, pkts0, bufs0 int64, made0 uint64, hosts []*stack.Host, loops []*sim.Loop, step func(time.Duration)) {
+// requirePoolBalance is the conservation check, over the ledgers of the
+// world's loops and nothing else: once the world is idle between its
+// periodic timers, every pooled packet made has been released except the
+// fragments provably parked in a reassembly buffer (each owning its
+// buffer), every wire buffer is back, and every per-operation record list
+// balances — no hop holds a packet, no address is being resolved, no
+// bring-up timer is out and no switch is walking. It reads counters;
+// nothing is tracked per packet. The world is stepped in short slices
+// because a beacon or a renewal may be in flight at the instant a run ends;
+// a leak never reaches balance and fails with the numbers.
+func requirePoolBalance(t *testing.T, hosts []*stack.Host, loops []*sim.Loop, step func(time.Duration)) {
 	t.Helper()
-	if made := ip.ReadPoolStats().Made - made0; made < 1000 {
+	if made := ledgersOut(loops)["ip.Packet"].Taken; made < 1000 {
 		t.Fatalf("the run made only %d pooled packets; it did not exercise the pool", made)
 	}
-	var pkts, bufs, parked int64
+	var parked int64
 	var recs map[string]sim.RecordLedger
 	for i := 0; i < 200; i++ {
 		parked = 0
 		for _, h := range hosts {
 			parked += int64(h.Reassembler().Held())
 		}
-		pkts, bufs = poolsOut()
-		recs = recordsOut(loops)
-		inUse := false
-		for _, r := range recs {
-			inUse = inUse || r.InUse() != 0
+		recs = ledgersOut(loops)
+		balanced := true
+		for kind, r := range recs {
+			want := int64(0)
+			if kind == "ip.Packet" {
+				want = parked
+			}
+			balanced = balanced && r.InUse() == want
 		}
-		if pkts-pkts0 == parked && bufs-bufs0 == parked && !inUse {
-			for _, kind := range recordKinds {
+		if balanced {
+			for _, kind := range ledgerKinds {
 				r := recs[kind]
 				if r.Taken == 0 {
-					t.Errorf("the run took no %s record; the check does not cover it", kind)
+					t.Errorf("the run took no %s; the check does not cover it", kind)
 				}
 				t.Logf("%s: %d taken, %d returned, %d on the lists", kind, r.Taken, r.Returned, r.Free)
 			}
@@ -79,8 +73,7 @@ func requirePoolBalance(t *testing.T, pkts0, bufs0 int64, made0 uint64, hosts []
 		}
 		step(7 * time.Millisecond)
 	}
-	t.Errorf("pools never balanced: %+d pooled packets and %+d pooled buffers out, %d fragments parked in reassembly; records %+v",
-		pkts-pkts0, bufs-bufs0, parked, recs)
+	t.Errorf("ledgers never balanced with %d fragments parked in reassembly: %+v", parked, recs)
 }
 
 func worldHosts(t *testing.T, w *scenario.World) []*stack.Host {
@@ -99,11 +92,10 @@ func worldHosts(t *testing.T, w *scenario.World) []*stack.Host {
 // TestPoolBalanceAtQuiesce runs the Figure-5 handoff itinerary under its UDP
 // probe, the loaded-handoff itinerary with campus-sized messages (TCP, the
 // tunnel, fragments at the 1050-byte department MTU, a handoff) and the
-// 100-host roaming fleet, and requires both pools and every record list to
-// balance at the end of each, the fleet on one worker and on two.
+// 100-host roaming fleet, and requires the packet pool, the wire-buffer
+// lists and every record list to balance at the end of each, the fleet on
+// one worker and on two.
 func TestPoolBalanceAtQuiesce(t *testing.T) {
-	ip.CountPools(true)
-	defer ip.CountPools(false)
 	if testing.Short() {
 		t.Skip("runs two itineraries and a fleet; skipped in -short")
 	}
@@ -128,8 +120,6 @@ func TestPoolBalanceAtQuiesce(t *testing.T) {
 	}
 	for _, spec := range []*scenario.Spec{MustScenario("handoff"), loaded} {
 		t.Run(spec.Name, func(t *testing.T) {
-			pkts0, bufs0 := poolsOut()
-			made0 := ip.ReadPoolStats().Made
 			w, err := scenario.Compile(1996, spec)
 			if err != nil {
 				t.Fatal(err)
@@ -148,7 +138,7 @@ func TestPoolBalanceAtQuiesce(t *testing.T) {
 					t.Fatalf("the loaded run sent %d fragments and reassembled %d datagrams; the check needs both", frags, reassembled)
 				}
 			}
-			requirePoolBalance(t, pkts0, bufs0, made0, hosts, []*sim.Loop{w.Loop}, w.RunFor)
+			requirePoolBalance(t, hosts, []*sim.Loop{w.Loop}, w.RunFor)
 		})
 	}
 	// The fleet once on one worker and once on two: on two, each shard's
@@ -160,8 +150,6 @@ func TestPoolBalanceAtQuiesce(t *testing.T) {
 			name = "fleet100_2workers"
 		}
 		t.Run(name, func(t *testing.T) {
-			pkts0, bufs0 := poolsOut()
-			made0 := ip.ReadPoolStats().Made
 			fl, err := buildScaleFleet(1996, 100, workers, scaleDuration)
 			if err != nil {
 				t.Fatal(err)
@@ -170,7 +158,7 @@ func TestPoolBalanceAtQuiesce(t *testing.T) {
 				t.Fatalf("the fleet runs %d shards on %d workers, want at least 2 on %d", len(fl.ss.Shards()), got, workers)
 			}
 			fl.ss.RunFor(scaleDuration)
-			requirePoolBalance(t, pkts0, bufs0, made0, fl.hosts, fl.ss.Shards(), func(d time.Duration) { fl.ss.RunFor(d) })
+			requirePoolBalance(t, fl.hosts, fl.ss.Shards(), func(d time.Duration) { fl.ss.RunFor(d) })
 		})
 	}
 }
