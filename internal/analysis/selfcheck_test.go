@@ -10,10 +10,14 @@ import (
 	"testing"
 
 	"mosquitonet/internal/analysis/bufownership"
+	"mosquitonet/internal/analysis/dropaccounting"
 	"mosquitonet/internal/analysis/framework"
 	"mosquitonet/internal/analysis/nosharedstate"
 	"mosquitonet/internal/analysis/nowallclock"
 	"mosquitonet/internal/analysis/seededrand"
+	"mosquitonet/internal/analysis/sortedrange"
+	"mosquitonet/internal/analysis/tracekinds"
+	"mosquitonet/internal/analysis/wireroundtrip"
 )
 
 // moduleRoot walks up from the test's working directory to the go.mod.
@@ -272,5 +276,93 @@ func TestSeededRandSelfCheck(t *testing.T) {
 	diags, _ = runAnalyzer(t, seededrand.Analyzer, mut, "./internal/scenario")
 	if len(diags) != 1 || !strings.Contains(diags[0], "global rand.Intn") {
 		t.Errorf("the unseeded draw drew %q, want one finding on rand.Intn", diags)
+	}
+}
+
+// TestSortedRangeSelfCheck runs sortedrange over the simulator's packages:
+// every map enumeration that reaches ordered output is sorted first, or
+// carries its directive. The span-kind count table that cmd/mnet -spans
+// prints, built without its sort — one line, in a copy of the tree — fails
+// it.
+func TestSortedRangeSelfCheck(t *testing.T) {
+	diags, allowed := runAnalyzer(t, sortedrange.Analyzer, moduleRoot(t), ".", "./internal/...")
+	for _, d := range diags {
+		t.Errorf("sortedrange: %s", d)
+	}
+	if want := map[string]int{}; !reflect.DeepEqual(allowed, want) {
+		t.Errorf("directives that suppressed a finding, per package = %v, want %v", allowed, want)
+	}
+
+	mut := mutantTree(t, "internal/trace/span.go", "\tsort.Strings(kinds)\n", "", "")
+	diags, _ = runAnalyzer(t, sortedrange.Analyzer, mut, "./internal/trace")
+	if len(diags) != 1 || !strings.Contains(diags[0], "map iteration order reaches ordered output") {
+		t.Errorf("the unsorted kind table drew %q, want one finding on its map range", diags)
+	}
+}
+
+// TestWireRoundTripSelfCheck runs wireroundtrip over the simulator's
+// packages: every wire format parses back and has a round-trip test. A
+// second encoder for the PFA notification that nothing parses back — one
+// line, in a copy of the tree — fails it.
+func TestWireRoundTripSelfCheck(t *testing.T) {
+	diags, allowed := runAnalyzer(t, wireroundtrip.Analyzer, moduleRoot(t), ".", "./internal/...")
+	for _, d := range diags {
+		t.Errorf("wireroundtrip: %s", d)
+	}
+	if want := map[string]int{}; !reflect.DeepEqual(allowed, want) {
+		t.Errorf("directives that suppressed a finding, per package = %v, want %v", allowed, want)
+	}
+
+	const enc = "func (p *PFANotify) Marshal() []byte {"
+	mut := mutantTree(t, "internal/mip/message.go", enc, enc+" return MarshalPFA(p) }\nfunc MarshalPFA(p *PFANotify) []byte {", "")
+	diags, _ = runAnalyzer(t, wireroundtrip.Analyzer, mut, "./internal/mip")
+	if len(diags) != 1 || !strings.Contains(diags[0], "wire format MarshalPFA has no matching UnmarshalPFA") {
+		t.Errorf("the encoder with no parser drew %q, want one finding on MarshalPFA", diags)
+	}
+}
+
+// TestDropAccountingSelfCheck runs dropaccounting over the simulator's
+// packages: every discard path touches a drop counter, a drop-ish stats
+// field or a Record call, or carries its directive (thirteen do, each
+// naming where the packet went or who counted it). An ARP cache that drops
+// a malformed frame without counting it — one line, in a copy of the tree —
+// fails it.
+func TestDropAccountingSelfCheck(t *testing.T) {
+	diags, allowed := runAnalyzer(t, dropaccounting.Analyzer, moduleRoot(t), ".", "./internal/...")
+	for _, d := range diags {
+		t.Errorf("dropaccounting: %s", d)
+	}
+	if want := map[string]int{
+		"internal/arp": 1, "internal/dhcp": 1, "internal/dns": 1, "internal/ip": 2, "internal/link": 1,
+		"internal/mip": 2, "internal/scenario": 1, "internal/stack": 3, "internal/transport": 1,
+	}; !reflect.DeepEqual(allowed, want) {
+		t.Errorf("directives that suppressed a finding, per package = %v, want %v", allowed, want)
+	}
+
+	mut := mutantTree(t, "internal/arp/arp.go", "\t\tc.stats.DropMalformed++\n", "", "")
+	diags, _ = runAnalyzer(t, dropaccounting.Analyzer, mut, "./internal/arp")
+	if len(diags) != 1 || !strings.Contains(diags[0], "packet discarded without accounting") {
+		t.Errorf("the uncounted malformed frame drew %q, want one finding on its return", diags)
+	}
+}
+
+// TestTraceKindsSelfCheck runs tracekinds over the simulator's packages:
+// every trace kind is a lowercase dotted package constant and every
+// packet-log detail a constant or an identifier. A tunnel endpoint that
+// opens its rebound span with an inline literal instead of its constant —
+// one line, in a copy of the tree — fails it.
+func TestTraceKindsSelfCheck(t *testing.T) {
+	diags, allowed := runAnalyzer(t, tracekinds.Analyzer, moduleRoot(t), ".", "./internal/...")
+	for _, d := range diags {
+		t.Errorf("tracekinds: %s", d)
+	}
+	if want := map[string]int{}; !reflect.DeepEqual(allowed, want) {
+		t.Errorf("directives that suppressed a finding, per package = %v, want %v", allowed, want)
+	}
+
+	mut := mutantTree(t, "internal/tunnel/tunnel.go", "StartSpan(name, kSpanRebound)", `StartSpan(name, "tunnel.rebound")`, "")
+	diags, _ = runAnalyzer(t, tracekinds.Analyzer, mut, "./internal/tunnel")
+	if len(diags) != 1 || !strings.Contains(diags[0], `inline kind literal "tunnel.rebound"`) {
+		t.Errorf("the inline rebound kind drew %q, want one finding on the literal", diags)
 	}
 }

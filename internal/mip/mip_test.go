@@ -3,6 +3,7 @@ package mip
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -274,6 +275,53 @@ func TestEncapDirectToSmartCorrespondent(t *testing.T) {
 	// The home agent's tunnel carried only the reply (CH->home->tunnel).
 	if w.ha.Tunnel().Stats().Decapsulated != 0 {
 		t.Fatal("outbound packet went through the home agent")
+	}
+}
+
+// TestOneVIFTunnelsToTheNextHop: away from home, the tunnel policy and
+// encapsulated-direct share the host's one VIF, vif0; the route decision's
+// next hop is the tunnel's far end, so the outer packet goes care-of -> home
+// agent for the first and care-of -> correspondent for the second, and the
+// one endpoint counts both.
+func TestOneVIFTunnelsToTheNextHop(t *testing.T) {
+	w := newWorld(t, 1)
+	MakeSmartCorrespondent(w.ch.Host())
+	w.goForeign()
+	careOf, ch := w.mh.CareOf(), ip.MustParseAddr(wCHAddr)
+	var outerDst []ip.Addr // IP-in-IP datagrams the mobile host put on the wire
+	w.forA.AddTap(func(_ *link.Device, f *link.Frame) {
+		if f.Type != link.EtherTypeIPv4 {
+			return
+		}
+		if pkt, err := ip.Unmarshal(f.Payload); err == nil && pkt.Protocol == ip.ProtoIPIP && pkt.Src == careOf {
+			outerDst = append(outerDst, pkt.Dst)
+		}
+	})
+	served, _ := w.udpEchoServer(7)
+	cli, _ := w.mhTS.UDP(ip.Unspecified, 0, nil)
+	cli.SendTo(ch, 7, []byte("tunnel"))
+	w.run(time.Second)
+	w.mh.Policy().SetHost(ch, PolicyEncapDirect)
+	cli.SendTo(ch, 7, []byte("encap-direct"))
+	w.run(time.Second)
+
+	if want := []ip.Addr{ip.MustParseAddr(wHAAddr), ch}; !slices.Equal(outerDst, want) {
+		t.Errorf("outer destinations from %v: %v, want %v", careOf, outerDst, want)
+	}
+	if *served != 2 {
+		t.Errorf("correspondent served %d datagrams, want 2", *served)
+	}
+	if enc := w.mh.Tunnel().Stats().Encapsulated; enc != 2 {
+		t.Errorf("tunnel encapsulated %d, want 2", enc)
+	}
+	var vifs []string
+	for _, ifc := range w.mh.Host().Ifaces() {
+		if ifc.IsVirtual() && ifc.Name() != "lo" {
+			vifs = append(vifs, ifc.Name())
+		}
+	}
+	if !slices.Equal(vifs, []string{"vif0"}) {
+		t.Errorf("virtual interfaces %v, want [vif0]", vifs)
 	}
 }
 

@@ -123,9 +123,8 @@ type MobileHost struct {
 	ts   *transport.Stack
 	cfg  MobileHostConfig
 
-	policy    *PolicyTable
-	tunHA     *tunnel.Endpoint // vif0: tunnel to/from the home agent
-	tunDirect *tunnel.Endpoint // vif1: encapsulated-direct to smart correspondents
+	policy *PolicyTable
+	tun    *tunnel.Endpoint // vif0: to the home agent or, encapsulated-direct, a correspondent
 
 	ifaces []*ManagedIface
 	active *ManagedIface
@@ -183,7 +182,7 @@ type sideExchange struct {
 }
 
 // NewMobileHost wraps ts's host with mobility support: it installs the
-// route lookup override, the VIF/IPIP tunnel endpoints, and registers the
+// route lookup override, the VIF/IPIP tunnel endpoint, and registers the
 // home address as always-local (tunneled packets arrive addressed to it).
 // The override reads the Mobile Policy Table and the care-of state on every
 // packet, so a policy edit or a handoff step routes the next packet by it.
@@ -195,15 +194,8 @@ func NewMobileHost(ts *transport.Stack, cfg MobileHostConfig) *MobileHost {
 		policy: NewPolicyTable(),
 		regID:  uint64(ts.Host().Loop().Rand().Uint32()) << 16,
 	}
-	// The host has one decapsulation slot and the last endpoint made fills
-	// it, so inbound tunneled traffic is attributed to vif0, the home-agent
-	// tunnel.
-	m.tunDirect = tunnel.New(m.host, "vif1",
-		m.currentCareOf,
-		func(inner *ip.Packet) (ip.Addr, bool) { return inner.Dst, true })
-	m.tunHA = tunnel.New(m.host, "vif0",
-		m.currentCareOf,
-		func(*ip.Packet) (ip.Addr, bool) { return m.cfg.HomeAgent, true })
+	// No outer-destination callback: routeLookup's next hop is the far end.
+	m.tun = tunnel.New(m.host, "vif0", m.currentCareOf, nil)
 	m.host.AddLocalAddr(m.cfg.HomeAddr)
 	// The paper's modified ip_rt_route(): it consults the Mobile Policy
 	// Table or delegates to the default lookup itself.
@@ -244,8 +236,8 @@ func (m *MobileHost) Transport() *transport.Stack { return m.ts }
 // Policy returns the Mobile Policy Table.
 func (m *MobileHost) Policy() *PolicyTable { return m.policy }
 
-// Tunnel returns the home-agent tunnel endpoint (for statistics).
-func (m *MobileHost) Tunnel() *tunnel.Endpoint { return m.tunHA }
+// Tunnel returns the tunnel endpoint (for statistics).
+func (m *MobileHost) Tunnel() *tunnel.Endpoint { return m.tun }
 
 // Stats returns a snapshot of the counters.
 func (m *MobileHost) Stats() MobileHostStats { return m.stats }
@@ -265,7 +257,7 @@ func (m *MobileHost) Registered() bool { return m.registered }
 // Active returns the active managed interface, or nil.
 func (m *MobileHost) Active() *ManagedIface { return m.active }
 
-// currentCareOf is the tunnels' outer-source callback.
+// currentCareOf is the tunnel's outer-source callback.
 func (m *MobileHost) currentCareOf() (ip.Addr, bool) {
 	if m.careOf.IsUnspecified() {
 		return ip.Addr{}, false
@@ -720,17 +712,18 @@ func (m *MobileHost) routeLookup(dst, boundSrc ip.Addr) (stack.RouteDecision, er
 		// mobile-aware applications).
 		return m.host.DefaultRouteLookup(dst, boundSrc)
 	}
-	if dst.IsMulticast() || m.host.IsDirectedBroadcast(dst) {
+	local, dbcast := m.host.MatchLocal(dst)
+	if dst.IsMulticast() || dbcast {
 		// Multicast is joined via the visited network — the local role
 		// (Section 5.2) — and a directed broadcast is for a subnet the
 		// host is on: neither is tunneled through the home agent.
 		return m.host.TableRoute(dst, boundSrc)
 	}
-	if m.host.IsLocalUnicast(dst) {
+	if local {
 		return m.host.LocalRoute(dst, boundSrc), nil
 	}
 	// dst is no local unicast address: every lookup below is the table
-	// half, and none asks IsLocalUnicast again.
+	// half, and none walks the interfaces again.
 	if !m.faAddr.IsUnspecified() && m.active != nil {
 		// Foreign-agent mode: the agent is the default router and the
 		// mobile host's only connection; packets go out bare with the
@@ -756,11 +749,11 @@ func (m *MobileHost) routeLookup(dst, boundSrc ip.Addr) (stack.RouteDecision, er
 		dec.Src = m.cfg.HomeAddr
 		return dec, nil
 	case PolicyEncapDirect:
-		return stack.RouteDecision{Iface: m.tunDirect.Iface(), Src: m.cfg.HomeAddr, NextHop: dst}, nil
+		return stack.RouteDecision{Iface: m.tun.Iface(), Src: m.cfg.HomeAddr, NextHop: dst}, nil
 	case PolicyDirect:
 		return m.host.TableRoute(dst, ip.Unspecified)
 	default: // PolicyTunnel
-		return stack.RouteDecision{Iface: m.tunHA.Iface(), Src: m.cfg.HomeAddr, NextHop: dst}, nil
+		return stack.RouteDecision{Iface: m.tun.Iface(), Src: m.cfg.HomeAddr, NextHop: m.cfg.HomeAgent}, nil
 	}
 }
 

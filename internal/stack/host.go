@@ -387,45 +387,33 @@ func (h *Host) LeaveGroup(g ip.Addr) {
 // InGroup reports whether the host has joined g.
 func (h *Host) InGroup(g ip.Addr) bool { return h.groups[g] }
 
-// IsLocalAddr reports whether a names this host: an interface address, an
-// extra local address, a joined multicast group, loopback, or a broadcast
-// form. It is what Input accepts.
+// IsLocalAddr reports whether a names this host: an own unicast address or
+// directed broadcast (MatchLocal), a joined multicast group, or the limited
+// broadcast. It is what Input accepts.
 func (h *Host) IsLocalAddr(a ip.Addr) bool {
-	if a.IsBroadcast() || a.IsLoopback() || slices.Contains(h.localAddrs, a) {
+	if a.IsBroadcast() {
 		return true
 	}
 	if a.IsMulticast() {
 		return h.groups[a]
 	}
-	own, bcast := h.ifaceMatch(a)
-	return own || bcast
+	unicast, dbcast := h.MatchLocal(a)
+	return unicast || dbcast
 }
 
-// IsLocalUnicast reports whether a is one of the host's own unicast
-// addresses: an interface address, an extra local address or loopback.
-// The route lookups send these out the loopback; a broadcast form or a
-// group is the wire's, and skips the scan.
-func (h *Host) IsLocalUnicast(a ip.Addr) bool {
+// MatchLocal reports, from at most one walk over the interfaces, whether a
+// is one of the host's own unicast addresses (an interface address, an
+// extra local address or loopback), which the route lookups send out the
+// loopback, and whether it is the directed broadcast of a subnet one of its
+// interfaces is on, which goes on the wire. The limited broadcast and a
+// group are neither, and skip the walk.
+func (h *Host) MatchLocal(a ip.Addr) (unicast, dbcast bool) {
 	if a.IsBroadcast() || a.IsMulticast() {
-		return false
+		return false, false
 	}
 	if a.IsLoopback() || slices.Contains(h.localAddrs, a) {
-		return true
+		return true, false
 	}
-	own, _ := h.ifaceMatch(a)
-	return own
-}
-
-// IsDirectedBroadcast reports whether a is the directed broadcast of a
-// subnet one of the host's interfaces is on.
-func (h *Host) IsDirectedBroadcast(a ip.Addr) bool {
-	_, bcast := h.ifaceMatch(a)
-	return bcast
-}
-
-// ifaceMatch reports whether a is an interface's address (own), and
-// whether it is the directed broadcast of an interface's subnet (bcast).
-func (h *Host) ifaceMatch(a ip.Addr) (own, bcast bool) {
 	av := a.Uint32()
 	for _, i := range h.ifaces {
 		if !i.addr.IsUnspecified() && i.addr == a {
@@ -435,10 +423,22 @@ func (h *Host) ifaceMatch(a ip.Addr) (own, bcast bool) {
 		// broadcast; most are not, and are passed without building it.
 		if hostBits := ^i.prefix.Mask(); av&hostBits == hostBits &&
 			i.dev != nil && i.prefix.Bits > 0 && a == i.prefix.BroadcastAddr() {
-			bcast = true
+			dbcast = true
 		}
 	}
-	return false, bcast
+	return false, dbcast
+}
+
+// IsLocalUnicast is MatchLocal's first answer.
+func (h *Host) IsLocalUnicast(a ip.Addr) bool {
+	unicast, _ := h.MatchLocal(a)
+	return unicast
+}
+
+// IsDirectedBroadcast is MatchLocal's second answer.
+func (h *Host) IsDirectedBroadcast(a ip.Addr) bool {
+	_, dbcast := h.MatchLocal(a)
+	return dbcast
 }
 
 // protoHandler is one entry of a host's protocol handler table.

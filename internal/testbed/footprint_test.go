@@ -76,16 +76,17 @@ func BenchmarkHostFootprint(b *testing.B) {
 	b.ReportMetric(0, "ns/op") // wall time is meaningless here; the metrics above are the result
 }
 
-// Budgets for TestHostFootprintBudget, ~8 % above the measured 3,717 B and
-// 57.3 allocs per host (3,787 B and 59.6 under -race): one more
-// pointer-sized field per host passes; an eager map per host (the ping and
-// reassembly tables were two, ~260 B and 3 allocs), a collector closure per
-// host object (~230 B and 6 allocs a mobile host, before they became the
-// loop's), a per-host metric roster or per-host hook closures (~24.4 KB and
-// ~733 allocs before the diet) do not.
+// Budgets for TestHostFootprintBudget, ~8 % above the measured 3,485 B and
+// 51.3 allocs per host (3,557 B and 53.8 under -race): one more
+// pointer-sized field per host passes; a second tunnel endpoint per mobile
+// host (the encapsulated-direct vif1 every host built until the route
+// decision's next hop named the tunnel's far end, 232 B and 6 allocs), a
+// collector closure per host object (~230 B and 6 allocs a mobile host,
+// before they became the loop's), a per-host metric roster or per-host hook
+// closures (~24.4 KB and ~733 allocs before the diet) do not.
 const (
-	footprintBytesBudget  = 4015
-	footprintAllocsBudget = 62
+	footprintBytesBudget  = 3765
+	footprintAllocsBudget = 56
 )
 
 // TestHostFootprintBudget is the memory-diet regression guard: it fails
@@ -107,10 +108,10 @@ func TestHostFootprintBudget(t *testing.T) {
 }
 
 // roamedFootprintBudget is TestRoamedHostFootprintBudget's bound, ~8 % above
-// the measured 4,273 B (4,330 under -race). A host that kept its own idle
+// the measured 4,041 B (4,012 under -race). A host that kept its own idle
 // records — a switch walk, bring-up waits, a resolution and hop records, as
-// every host did until they became the loop's — weighs 5,167 B.
-const roamedFootprintBudget = 4615
+// every host did until they became the loop's — weighed 894 B more.
+const roamedFootprintBudget = 4365
 
 // TestRoamedHostFootprintBudget weighs a mobile host after its fleet has
 // roamed and probed for the whole run and quiesced: what a host retains

@@ -20,24 +20,24 @@ func TestPaperExportsPinned(t *testing.T) {
 		want map[string]string
 	}{
 		{"e1", func() (Result, error) { return RunE1(seed) }, map[string]string{
-			"BENCH_e1.json": "a0c54cdcf01dee33e4ba0b984f8e6a66b75feb4f6305e0bd73049abf1cf7359a"}},
+			"BENCH_e1.json": "3bcfbc883b9ee29916a092eafcba81eb1d64ea3f0293618f0919e21d6dadd90d"}},
 		{"f6", func() (Result, error) { return RunF6(seed) }, map[string]string{
-			"BENCH_f6.json": "655ffd9b3b36ba1b90662d2e6e894139e4b62861b2db59dde591084a8c362e7c"}},
+			"BENCH_f6.json": "ce7db3804988a9f11df9e1f0c1479f4ed9e835874a17a18fa00c686563cb96eb"}},
 		{"f7", func() (Result, error) { return RunF7(seed) }, map[string]string{
-			"BENCH_f7.json":           "7fcb7309b1cba6b48790240f955de7047df50f9206ec273012c9723ba4d244a5",
+			"BENCH_f7.json":           "899b58789425e3149fca497717c1f099d48497f5a7f558742a9b1d48bcb93a21",
 			"BENCH_f7_timeline.jsonl": "9590726859724dd0d42b0b7c5291e3ff0454d02356404efa395a877bc9c7975c"}},
 		{"rtt", func() (Result, error) { return RunRTT(seed, 20) }, map[string]string{
-			"BENCH_rtt.json": "2145af8f4fe22a81ab29b7dfac671537924c141027490c0e603beb25b6bee720"}},
+			"BENCH_rtt.json": "3f4f5e733e486671b0f13803016bb8eb11999cefa31177939c47994ad2058227"}},
 		{"tput", func() (Result, error) { return RunThroughput(seed, 50, 1000) }, map[string]string{
-			"BENCH_tput.json": "7d5c4c59fb81f5ce8fa6b87818c1c8cf37e82f4977b3e7a7eec3cd070ccd209b"}},
+			"BENCH_tput.json": "80d11c323c151956d16590f8be69ea2d4773a86cdaa56824c33135856e14326f"}},
 		{"a1", func() (Result, error) { return RunA1(seed, 20) }, map[string]string{
-			"BENCH_a1.json": "d5384b394d6f3e28f0d509c5ef946292880eaa98218ff0238f6ef835533f9510"}},
+			"BENCH_a1.json": "31e3791a96f05e46511d0ae49dc9c96c60be22a820ed5ab9164e97313a92a2ee"}},
 		{"a2", func() (Result, error) { return RunA2(seed, 5) }, map[string]string{
-			"BENCH_a2.json": "ad9ba5b2fe8e1af282c894f4abb9e529684a4b252f2c1ed12f3f04d38151dc58"}},
+			"BENCH_a2.json": "bb6c0598e71f977b927a6909542604a8d5b6f138678b205f3b43a55b5f31cb66"}},
 		{"a3", func() (Result, error) { return RunA3(seed, []int{1, 8, 32, 64}) }, map[string]string{
-			"BENCH_a3.json": "bec1e6aa94f3629a4644246352ed49bf3507ea7c0472d848ce4b649f6f13992f"}},
+			"BENCH_a3.json": "7a9bbfc0d67d4622a76f86fdc80bde94de18c1427beb4738b47783b095c52247"}},
 		{"a4", func() (Result, error) { return RunA4(seed, 5) }, map[string]string{
-			"BENCH_a4.json": "e9e496b0ef1607a26314e09ff678c7947f250ef8753e59f107740bed2ca89f8b"}},
+			"BENCH_a4.json": "6518e501bc2ba891a68bfba12da2653c8101100a440e93fdbc36f442903cbe52"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := renderArtifacts(t, tc.run)

@@ -198,6 +198,26 @@ func TestTunnelConformance(t *testing.T) {
 					t.Errorf("inner TTL %d in the tunnel and %d forwarded, want 30 and 29", in[0].TTL, out[0].TTL)
 				}
 			}},
+		{"next_hop", "RFC 2003 §3",
+			"an endpoint with no outer-destination resolver tunnels to its route's next hop, the exit point; one routed with no next hop counts drop_no_dst",
+			func(t *testing.T) {
+				e := buildEnv(t)
+				ep := New(e.mh, "ipip0", func() (ip.Addr, bool) { return e.mhAddr, true }, nil)
+				e.mh.Routes().Add(stack.Route{Dst: ip.MustParsePrefix("36.0.0.0/8"), Gateway: e.haAddr, Iface: ep.Iface()})
+				wire := tapIPv4(t, e.mh.IfaceByName("eth0").Device().Network())
+				if err := e.mh.Output(fromHome("36.135.0.1", ip.Header{TTL: 30})); err != nil {
+					t.Fatal(err)
+				}
+				e.mh.OutputVia(ep.Iface(), fromHome("36.135.0.1", ip.Header{TTL: 30}), ip.Unspecified)
+				e.loop.RunFor(time.Second)
+				got := tunnelled(*wire)
+				if len(got) != 1 || got[0].outer.Src != e.mhAddr || got[0].outer.Dst != e.haAddr || got[0].inner.Dst != ip.MustParseAddr("36.135.0.1") {
+					t.Fatalf("IP-in-IP datagrams %+v, want one from %v to the next hop %v", got, e.mhAddr, e.haAddr)
+				}
+				if st := ep.Stats(); st.Encapsulated != 1 || st.DropNoDst != 1 {
+					t.Errorf("encapsulated %d, drop_no_dst %d; want 1 and 1", st.Encapsulated, st.DropNoDst)
+				}
+			}},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {

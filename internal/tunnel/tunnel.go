@@ -3,11 +3,12 @@
 // protocol-4 receive handler that decapsulates tunneled packets and
 // re-injects them into the host's IP input path.
 //
-// Both mobile hosts and home agents instantiate one Endpoint. What differs
-// is only the two address callbacks: a mobile host stamps its care-of
-// address as the outer source and its home agent as the outer destination;
-// a home agent stamps its own address and looks the outer destination up
-// in its mobility binding table, per packet.
+// Mobile hosts and agents instantiate one Endpoint each. What differs is
+// only the two address callbacks: a mobile host stamps its care-of address
+// as the outer source and has none for the outer destination, which is its
+// route's next hop (the home agent, or an encapsulated-direct correspondent);
+// an agent stamps its own address and looks the outer destination up, per
+// packet, in its binding table or visitor list.
 //
 // The outer source is always a specific physical address, never left
 // unspecified. That is the paper's loop-prevention rule: a packet emitted
@@ -70,7 +71,8 @@ type Endpoint struct {
 // transmit function encapsulates every packet routed to it, and the host's
 // decapsulation slot, which it fills with its receiver. outerSrc supplies
 // the physical (care-of) address for outgoing encapsulation; outerDst
-// supplies the remote tunnel endpoint for a given inner packet.
+// supplies the remote tunnel endpoint for a given inner packet, or, when
+// nil, the endpoint encapsulates to the next hop its packet was routed to.
 //
 // A host has one decapsulation slot, and the last endpoint made on it
 // fills it: inbound tunneled traffic is attributed to that endpoint's VIF.
@@ -113,9 +115,12 @@ func (e *Endpoint) Stats() Stats { return e.stats }
 // marshaled into the outer packet that goes on in its place.
 //
 //mnet:ownership takes inner
-func (e *Endpoint) transmit(inner *ip.Packet, _ ip.Addr) {
+func (e *Endpoint) transmit(inner *ip.Packet, nextHop ip.Addr) {
 	name := e.host.Name()
-	dst, ok := e.outerDst(inner)
+	dst, ok := nextHop, !nextHop.IsUnspecified()
+	if e.outerDst != nil {
+		dst, ok = e.outerDst(inner)
+	}
 	if !ok {
 		e.stats.DropNoDst++
 		e.pktlog.Record(inner.Trace, name, "tunnel.drop", "no tunnel destination")
