@@ -366,3 +366,16 @@ func TestTraceKindsSelfCheck(t *testing.T) {
 		t.Errorf("the inline rebound kind drew %q, want one finding on the literal", diags)
 	}
 }
+
+// TestBufOwnershipSelfCheck: a link device whose MTU refusal returns
+// without putting back the payload it took — one line, in a copy of the
+// tree — leaks a pooled buffer at a terminal, and bufownership says so once.
+// TestDatapathOwnershipSelfCheck holds the real tree to a clean bill.
+func TestBufOwnershipSelfCheck(t *testing.T) {
+	const refusal = "\"exceeds MTU\")\n\t\tbufpool.For(d.loop).Put(f.Payload)\n"
+	mut := mutantTree(t, "internal/link/link.go", refusal, "\"exceeds MTU\")\n", "")
+	diags, _ := runAnalyzer(t, bufownership.Analyzer, mut, "./internal/link")
+	if len(diags) != 1 || !strings.Contains(diags[0], "may leak: a path reaches a terminal") {
+		t.Errorf("the unreturned payload drew %q, want one leak finding", diags)
+	}
+}

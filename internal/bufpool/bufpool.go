@@ -57,13 +57,12 @@ const (
 // buffers of 64 B, 512 of 2 KiB, 16 of 64 KiB.
 const heldBytes = 1 << 20
 
-// Lists is one loop's free lists, one per size class. A list holds a
-// pointer to the first byte of each buffer, not a slice header: a third of
-// the memory for the list, which is what a loop pays as it warms up. The
-// zero value is ready to use; a nil *Lists recycles and counts nothing.
+// Lists is one loop's free lists, one per size class, each capped at
+// MaxHeld. A list holds a pointer to the first byte of each buffer, not a
+// slice header: a third of the memory for the list, which is what a loop
+// pays as it warms up. A nil *Lists recycles and counts nothing.
 type Lists struct {
-	free       [Classes][]*byte
-	gets, puts uint64
+	free [Classes]sim.Records[byte]
 }
 
 type listsKey struct{}
@@ -76,6 +75,9 @@ func For(loop *sim.Loop) *Lists {
 		return l
 	}
 	l := new(Lists)
+	for c := range l.free {
+		l.free[c].Max = MaxHeld(c)
+	}
 	loop.SetLocal(listsKey{}, l)
 	return l
 }
@@ -84,17 +86,17 @@ func For(loop *sim.Loop) *Lists {
 func MaxHeld(c int) int { return heldBytes >> (minShift + c) }
 
 // Held is the number of class-c buffers on the list now.
-func (l *Lists) Held(c int) int { return len(l.free[c]) }
+func (l *Lists) Held(c int) int { return l.free[c].Free() }
 
 // Ledger counts l's class-sized buffers: handed out by Get, taken back by
 // Put, and on the lists now. Oversize requests and foreign slices, which
 // never belong to a class, are not counted.
 func (l *Lists) Ledger() sim.RecordLedger {
-	free := 0
-	for _, f := range l.free {
-		free += len(f)
+	sum := sim.RecordLedger{Kind: "bufpool.buffer"}
+	for c := range l.free {
+		sum = sum.Add(l.free[c].Ledger())
 	}
-	return sim.RecordLedger{Kind: "bufpool.buffer", Taken: l.gets, Returned: l.puts, Free: free}
+	return sum
 }
 
 // Class returns the smallest size class holding n bytes, or -1 if n
@@ -131,11 +133,7 @@ func (l *Lists) Get(n int) []byte {
 		return make([]byte, n)
 	}
 	if l != nil {
-		l.gets++
-		if k := len(l.free[c]) - 1; k >= 0 {
-			b := l.free[c][k]
-			l.free[c][k] = nil
-			l.free[c] = l.free[c][:k]
+		if b := l.free[c].Take(); b != nil {
 			return unsafe.Slice(b, Size(c))[:n]
 		}
 	}
@@ -151,8 +149,5 @@ func (l *Lists) Put(b []byte) {
 	if l == nil || c < 0 || cap(b) != Size(c) {
 		return
 	}
-	l.puts++
-	if len(l.free[c]) < MaxHeld(c) {
-		l.free[c] = append(l.free[c], unsafe.SliceData(b))
-	}
+	l.free[c].Put(unsafe.SliceData(b))
 }

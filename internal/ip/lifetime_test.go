@@ -201,10 +201,15 @@ func TestDecapsulateMovesTheBuffer(t *testing.T) {
 	}
 	samePacket(t, "decapsulated packet", inner, want)
 	c := bufpool.Class(cap(inner.buf))
-	held := len(pl.class[c])
+	held := pl.class[c].Free()
 	inner.Release()
 	out("releasing the inner packet", 0)
-	if len(pl.class[c]) != held+1 || unsafe.SliceData(pl.class[c][held].buf) != buf {
+	if pl.class[c].Free() != held+1 {
+		t.Fatal("the inner packet did not go back to the pool")
+	}
+	top := pl.class[c].Take()
+	pl.class[c].Put(top)
+	if unsafe.SliceData(top.buf) != buf {
 		t.Fatal("the buffer did not go back to the pool with the inner packet")
 	}
 

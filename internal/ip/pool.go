@@ -42,13 +42,11 @@ const (
 // nothing: its packets are live and released like any other, then left to
 // the collector.
 //
-// The pool counts the packets it hands out and takes back (Ledger), in
-// plain fields only its own loop writes. A packet's buffer rides the packet
-// and is counted with it.
+// The lists count the packets they hand out and take back, and Ledger sums
+// them. A packet's buffer rides the packet and is counted with it.
 type Pool struct {
-	bare           []*Packet
-	class          [bufpool.Classes][]*Packet
-	made, released uint64
+	bare  sim.Records[Packet]
+	class [bufpool.Classes]sim.Records[Packet]
 }
 
 // maxBare is the most bare packets one loop's pool keeps.
@@ -62,7 +60,10 @@ func PoolFor(loop *sim.Loop) *Pool {
 	if pl, ok := loop.Local(poolKey{}).(*Pool); ok {
 		return pl
 	}
-	pl := new(Pool)
+	pl := &Pool{bare: sim.Records[Packet]{Max: maxBare}}
+	for c := range pl.class {
+		pl.class[c].Max = bufpool.MaxHeld(c)
+	}
 	loop.SetLocal(poolKey{}, pl)
 	return pl
 }
@@ -85,7 +86,10 @@ func (pl *Pool) acquire(n int) *Packet {
 	}
 	c := bufpool.Class(n)
 	if n == 0 || c < 0 {
-		p := pl.pop(-1)
+		var p *Packet
+		if pl != nil {
+			p = pl.bare.Take()
+		}
 		if p == nil {
 			p = new(Packet)
 		}
@@ -96,39 +100,16 @@ func (pl *Pool) acquire(n int) *Packet {
 		}
 		return p
 	}
-	p := pl.pop(c)
+	var p *Packet
+	if pl != nil {
+		p = pl.class[c].Take()
+	}
 	if p == nil {
 		p = &Packet{buf: make([]byte, bufpool.Size(c))}
 	}
 	p.life, p.pool = live, pl
 	p.buf = p.buf[:n]
 	p.Payload = p.buf
-	return p
-}
-
-// list is pl's list of class c, or of bare packets for c < 0.
-func (pl *Pool) list(c int) *[]*Packet {
-	if c < 0 {
-		return &pl.bare
-	}
-	return &pl.class[c]
-}
-
-// pop counts a packet made and takes it off pl's list of class c (bare for
-// c < 0), or returns nil when there is none or no pool.
-func (pl *Pool) pop(c int) *Packet {
-	if pl == nil {
-		return nil
-	}
-	pl.made++
-	l := pl.list(c)
-	k := len(*l) - 1
-	if k < 0 {
-		return nil
-	}
-	p := (*l)[k]
-	(*l)[k] = nil
-	*l = (*l)[:k]
 	return p
 }
 
@@ -151,16 +132,11 @@ func (p *Packet) Release() {
 	if pl == nil {
 		return
 	}
-	pl.released++
-	c, limit := -1, maxBare
-	if k := bufpool.Class(cap(buf)); k >= 0 && cap(buf) == bufpool.Size(k) {
-		c, limit = k, bufpool.MaxHeld(k)
-	}
-	if l := pl.list(c); len(*l) < limit {
-		if c >= 0 {
-			p.buf = buf
-		}
-		*l = append(*l, p)
+	if c := bufpool.Class(cap(buf)); c >= 0 && cap(buf) == bufpool.Size(c) {
+		p.buf = buf
+		pl.class[c].Put(p)
+	} else {
+		pl.bare.Put(p)
 	}
 }
 
@@ -169,9 +145,9 @@ func (p *Packet) Release() {
 // provably parked (fragments in reassembly; a buffered visitor's packets
 // are plain clones and do not count).
 func (pl *Pool) Ledger() sim.RecordLedger {
-	free := len(pl.bare)
-	for _, l := range pl.class {
-		free += len(l)
+	sum := sim.RecordLedger{Kind: "ip.Packet"}.Add(pl.bare.Ledger())
+	for i := range pl.class {
+		sum = sum.Add(pl.class[i].Ledger())
 	}
-	return sim.RecordLedger{Kind: "ip.Packet", Taken: pl.made, Returned: pl.released, Free: free}
+	return sum
 }

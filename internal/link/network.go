@@ -171,11 +171,12 @@ type Network struct {
 	// handoff to send the next frame in. A trunk end delivers what its peer
 	// hands off and hands off what its peer delivers, so on a two-way trunk
 	// the two balance; the list keeps at most maxSpareFrames.
-	spare []*Frame
+	spare sim.Records[Frame]
 
-	// flights recycles in-flight frame records (frame + receiver snapshot)
-	// so steady-state transmission does not allocate per frame.
-	flights []*flight
+	// flights is the loop's list of flight records (frame + receiver
+	// snapshot), so steady-state transmission does not allocate per frame
+	// and a flight still in the air shows on the loop's ledger.
+	flights *sim.Records[flight]
 
 	// fastLanded counts the fast flights delivered so far. A device owes itself
 	// one filter or down drop for each it has not settled, less the ones it
@@ -242,12 +243,8 @@ type flight struct {
 //
 //mnet:ownership takes f
 func (n *Network) newFlight(f *Frame) *flight {
-	var fl *flight
-	if k := len(n.flights); k > 0 {
-		fl = n.flights[k-1]
-		n.flights[k-1] = nil
-		n.flights = n.flights[:k-1]
-	} else {
+	fl := n.flights.Take()
+	if fl == nil {
 		fl = &flight{}
 	}
 	fl.frame = Frame{Src: f.Src, Dst: f.Dst, Type: f.Type, Payload: f.Payload, Trace: f.Trace}
@@ -260,7 +257,7 @@ func (n *Network) newFlight(f *Frame) *flight {
 func (n *Network) recycle(fl *flight) {
 	n.bufs.Put(fl.frame.Payload)
 	fl.frame = Frame{}
-	n.flights = append(n.flights, fl)
+	n.flights.Put(fl)
 }
 
 // launch queues fl behind the flights already in the air and schedules its
@@ -399,7 +396,8 @@ func (n *Network) tap(from *Device, f Frame) {
 
 // NewNetwork creates a broadcast domain over the given medium.
 func NewNetwork(loop *sim.Loop, name string, m Medium) *Network {
-	n := &Network{name: name, loop: loop, bufs: bufpool.For(loop), medium: m, pktlog: metrics.PacketsFor(loop), landings: loop.NewQueue()}
+	n := &Network{name: name, loop: loop, bufs: bufpool.For(loop), medium: m, pktlog: metrics.PacketsFor(loop), landings: loop.NewQueue(),
+		spare: sim.Records[Frame]{Max: maxSpareFrames}, flights: sim.RecordsOf[flight](loop)}
 	n.land = n.landHead
 	metrics.For(loop).Collect(func(c *metrics.Collection) {
 		lbl := metrics.L("net", name)
@@ -531,12 +529,8 @@ func (n *Network) transmit(from *Device, f *Frame) {
 			n.bufs.Put(f.Payload)
 			return
 		}
-		var fr *Frame
-		if k := len(n.spare) - 1; k >= 0 {
-			fr = n.spare[k]
-			n.spare[k] = nil
-			n.spare = n.spare[:k]
-		} else {
+		fr := n.spare.Take()
+		if fr == nil {
 			fr = new(Frame)
 		}
 		*fr = Frame{Src: f.Src, Dst: f.Dst, Type: f.Type, Payload: f.Payload, Trace: f.Trace}
@@ -618,9 +612,7 @@ func (n *Network) DeliverLocal(f *Frame) {
 	}
 	n.bufs.Put(f.Payload)
 	*f = Frame{}
-	if len(n.spare) < maxSpareFrames {
-		n.spare = append(n.spare, f)
-	}
+	n.spare.Put(f)
 }
 
 // maxSpareFrames caps a trunk end's spare frame records, so a one-way flow

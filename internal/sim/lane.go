@@ -25,7 +25,7 @@ type Lane struct {
 	loop    *Loop
 	gran    Time
 	buckets map[Time]*laneBucket
-	free    []*laneBucket
+	free    Records[laneBucket]
 }
 
 // laneBucket is one rounded instant's callbacks. gen counts its tenancies:
@@ -82,10 +82,7 @@ func (ln *Lane) Schedule(d time.Duration, fn func()) LaneTimer {
 	}
 	b := ln.buckets[at]
 	if b == nil {
-		if n := len(ln.free); n > 0 {
-			b, ln.free[n-1] = ln.free[n-1], nil
-			ln.free = ln.free[:n-1]
-		} else {
+		if b = ln.free.Take(); b == nil {
 			b = &laneBucket{lane: ln}
 			b.fireFn = b.fire
 		}
@@ -104,7 +101,7 @@ func (ln *Lane) Schedule(d time.Duration, fn func()) LaneTimer {
 func (ln *Lane) recycle(b *laneBucket) {
 	b.gen++
 	b.fns = b.fns[:0]
-	ln.free = append(ln.free, b)
+	ln.free.Put(b)
 }
 
 // fire runs the bucket's surviving callbacks in scheduling order. The

@@ -101,7 +101,7 @@ func TestRescheduleFromCallbackReusesRecord(t *testing.T) {
 		t.Fatalf("ticked %d times, want 10", count)
 	}
 	// Steady-state periodic work needs exactly one event record.
-	if got := len(l.free); got != 1 {
+	if got := l.free.Free(); got != 1 {
 		t.Fatalf("free list holds %d records after a periodic chain, want 1", got)
 	}
 }

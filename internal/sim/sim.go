@@ -183,7 +183,7 @@ type Loop struct {
 	now      Time
 	seq      uint64
 	pq       []*event // binary min-heap on (at, seq)
-	free     []*event // recycled event records
+	free     Records[event]
 	ready    []*Queue // the monotone queues holding entries
 	heads    []qkey   // heads[i] is ready[i]'s head entry's key
 	first    int      // index in ready of the earliest head, if any
@@ -268,10 +268,7 @@ func (l *Loop) SetLocal(key, v any) {
 
 // alloc takes an event record from the free list, or makes a new one.
 func (l *Loop) alloc() *event {
-	if n := len(l.free); n > 0 {
-		ev := l.free[n-1]
-		l.free[n-1] = nil
-		l.free = l.free[:n-1]
+	if ev := l.free.Take(); ev != nil {
 		return ev
 	}
 	return &event{loop: l}
@@ -283,7 +280,7 @@ func (l *Loop) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.idx = -1
-	l.free = append(l.free, ev)
+	l.free.Put(ev)
 }
 
 // Schedule runs fn after delay d of virtual time. A negative delay is

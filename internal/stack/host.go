@@ -435,12 +435,6 @@ func (h *Host) IsLocalUnicast(a ip.Addr) bool {
 	return unicast
 }
 
-// IsDirectedBroadcast is MatchLocal's second answer.
-func (h *Host) IsDirectedBroadcast(a ip.Addr) bool {
-	_, dbcast := h.MatchLocal(a)
-	return dbcast
-}
-
 // protoHandler is one entry of a host's protocol handler table.
 type protoHandler struct {
 	proto ip.Protocol

@@ -10,9 +10,9 @@ import (
 )
 
 // ledgerKinds are the free lists every world here takes from on its loops:
-// the per-operation records (sim.RecordsOf), the packet pool (ip.Pool) and
-// the wire-buffer lists (bufpool.Lists).
-var ledgerKinds = []string{"stack.hop", "arp.pending", "link.bringUp", "mip.switchOp", "ip.Packet", "bufpool.buffer"}
+// the per-operation records (sim.RecordsOf; a link.flight is a frame in the
+// air), the packet pool (ip.Pool) and the wire-buffer lists (bufpool.Lists).
+var ledgerKinds = []string{"stack.hop", "arp.pending", "link.bringUp", "link.flight", "mip.switchOp", "ip.Packet", "bufpool.buffer"}
 
 // ledgersOut sums the ledgers of loops by kind. A frame that crossed a trunk
 // took its wire buffer from one loop's lists and put it back on another's,
@@ -21,9 +21,7 @@ func ledgersOut(loops []*sim.Loop) map[string]sim.RecordLedger {
 	out := map[string]sim.RecordLedger{}
 	for _, l := range loops {
 		for _, r := range l.RecordLedgers() {
-			sum := out[r.Kind]
-			sum.Kind, sum.Taken, sum.Returned, sum.Free = r.Kind, sum.Taken+r.Taken, sum.Returned+r.Returned, sum.Free+r.Free
-			out[r.Kind] = sum
+			out[r.Kind] = r.Add(out[r.Kind])
 		}
 	}
 	return out

@@ -1,5 +1,7 @@
 package transport
 
+import "mosquitonet/internal/sim"
+
 // Send-buffer sizes. A connection that never writes holds no block; a write
 // fills the tail block and takes another when it is full, so the backlog a
 // handoff blackout builds on a slow subnet — megabytes — is allocated once
@@ -20,11 +22,16 @@ type sendBlock = *[sendBlockSize]byte
 // ACK releases from the front in O(1), and a held byte is never copied
 // again, however large the backlog grows.
 type sendRing struct {
-	blocks []sendBlock // blocks[head:] hold the bytes; blocks[:head] are nil
-	head   int         // index of the block holding the oldest held byte
-	off    int         // that byte's offset in blocks[head]
-	n      int         // bytes held
-	free   []sendBlock // drained blocks, at most sendFreeMax
+	blocks []sendBlock                      // blocks[head:] hold the bytes; blocks[:head] are nil
+	head   int                              // index of the block holding the oldest held byte
+	off    int                              // that byte's offset in blocks[head]
+	n      int                              // bytes held
+	free   sim.Records[[sendBlockSize]byte] // drained blocks, at most sendFreeMax
+}
+
+// newSendRing returns an empty send buffer.
+func newSendRing() sendRing {
+	return sendRing{free: sim.Records[[sendBlockSize]byte]{Max: sendFreeMax}}
 }
 
 // write appends p, taking a block whenever the tail one is full.
@@ -52,11 +59,8 @@ func (r *sendRing) push() {
 		clear(r.blocks[live:])
 		r.blocks, r.head = r.blocks[:live], 0
 	}
-	var b sendBlock
-	if k := len(r.free); k > 0 {
-		b, r.free[k-1] = r.free[k-1], nil
-		r.free = r.free[:k-1]
-	} else {
+	b := r.free.Take()
+	if b == nil {
 		b = new([sendBlockSize]byte)
 	}
 	r.blocks = append(r.blocks, b)
@@ -103,9 +107,7 @@ func (r *sendRing) discard(n int) {
 // release takes the head block out of the queue: to the free list while it
 // has room, to the collector otherwise.
 func (r *sendRing) release() {
-	if len(r.free) < sendFreeMax {
-		r.free = append(r.free, r.blocks[r.head])
-	}
+	r.free.Put(r.blocks[r.head])
 	r.blocks[r.head] = nil
 	r.head++
 }

@@ -21,7 +21,7 @@ import (
 // down, the free list filling and overflowing, and the release on drain.
 func TestSendRingMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	var r sendRing
+	r := newSendRing()
 	var ref []byte
 	var crossingPeeks, multiBlockWrites, slides, reuses, overflows, drains int
 	for step := 0; step < 40_000; step++ {
@@ -48,7 +48,7 @@ func TestSendRingMatchesSlice(t *testing.T) {
 			}
 			p := make([]byte, size)
 			rng.Read(p) // not a counter: its period would divide the block size and hide stale bytes
-			before, head, free := len(r.blocks)-r.head, r.head, len(r.free)
+			before, head, free := len(r.blocks)-r.head, r.head, r.free.Free()
 			r.write(p)
 			ref = append(ref, p...)
 			took := len(r.blocks) - r.head - before
@@ -58,10 +58,10 @@ func TestSendRingMatchesSlice(t *testing.T) {
 			if head > 0 && r.head == 0 {
 				slides++
 			}
-			reuses += free - len(r.free)
+			reuses += free - r.free.Free()
 		default: // discard
 			n := rng.Intn(min(len(ref), 3*MSS) + 1)
-			full := len(r.free) == sendFreeMax
+			full := r.free.Free() == sendFreeMax
 			held := len(r.blocks) - r.head
 			r.discard(n)
 			ref = ref[n:]
@@ -86,8 +86,8 @@ func TestSendRingMatchesSlice(t *testing.T) {
 				t.Fatalf("step %d: index slot %d of %d (head %d) is nil: %v", step, i, len(r.blocks), r.head, b == nil)
 			}
 		}
-		if len(r.free) > sendFreeMax {
-			t.Fatalf("step %d: %d blocks on the free list (limit %d)", step, len(r.free), sendFreeMax)
+		if r.free.Free() > sendFreeMax {
+			t.Fatalf("step %d: %d blocks on the free list (limit %d)", step, r.free.Free(), sendFreeMax)
 		}
 		if r.n == 0 && cap(r.blocks) > sendFreeMax {
 			t.Fatalf("step %d: drained ring keeps an index array of %d", step, cap(r.blocks))
@@ -106,7 +106,7 @@ func TestSendRingMatchesSlice(t *testing.T) {
 func TestSendRingBacklogAllocatedOnce(t *testing.T) {
 	const backlog = 3 << 20
 	msg := make([]byte, 4123)
-	var r sendRing
+	r := newSendRing()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for r.n < backlog {
@@ -119,8 +119,8 @@ func TestSendRingBacklogAllocatedOnce(t *testing.T) {
 	for r.n > 0 {
 		r.discard(min(r.n, MSS))
 	}
-	if len(r.blocks) != 0 || cap(r.blocks) > sendFreeMax || len(r.free) != sendFreeMax {
-		t.Fatalf("drained: %d blocks queued, index array of %d, %d free (limit %d)", len(r.blocks), cap(r.blocks), len(r.free), sendFreeMax)
+	if len(r.blocks) != 0 || cap(r.blocks) > sendFreeMax || r.free.Free() != sendFreeMax {
+		t.Fatalf("drained: %d blocks queued, index array of %d, %d free (limit %d)", len(r.blocks), cap(r.blocks), r.free.Free(), sendFreeMax)
 	}
 }
 
@@ -128,7 +128,7 @@ func TestSendRingBacklogAllocatedOnce(t *testing.T) {
 // flight, a write followed by the ACK that releases it allocates nothing,
 // wherever in the array the bytes fall.
 func TestSendRingSteadyStateDoesNotAllocate(t *testing.T) {
-	var r sendRing
+	r := newSendRing()
 	seg := make([]byte, MSS)
 	r.write(seg)
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -227,7 +227,7 @@ func TestDrainedConnReleasesSendBuffer(t *testing.T) {
 	if c.Buffered() != 0 || c.Stats().SendBufPeak != 2<<20 {
 		t.Fatalf("after the drain: Buffered = %d, SendBufPeak = %d, want 0 and %d", c.Buffered(), c.Stats().SendBufPeak, 2<<20)
 	}
-	if kept := (len(c.snd.blocks) + len(c.snd.free)) * sendBlockSize; kept > sendRingKeep {
+	if kept := (len(c.snd.blocks) + c.snd.free.Free()) * sendBlockSize; kept > sendRingKeep {
 		t.Fatalf("drained connection keeps %d bytes of send buffer (limit %d)", kept, sendRingKeep)
 	}
 	if after := liveHeap(); after > before+512<<10 {

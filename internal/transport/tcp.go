@@ -220,6 +220,7 @@ func (s *Stack) newConn(key connKey, state ConnState, peerWnd uint16) *Conn {
 		rto:     initialRTO,
 		peerWnd: peerWnd,
 		advWnd:  recvWindow,
+		snd:     newSendRing(),
 	}
 	c.sndUna = c.iss
 	c.sndNxt = c.iss + 1 // SYN consumes one sequence number
