@@ -130,14 +130,15 @@ func (s State) String() string {
 	}
 }
 
-// DeviceStats counts a device's traffic.
+// DeviceStats counts a device's traffic: the frames it sends and the frames
+// addressed to it. A frame addressed to another device is none of its
+// business and counts nowhere on it.
 type DeviceStats struct {
-	Sent          uint64 // frames handed to the network
-	Received      uint64 // frames delivered to the receiver callback
-	DroppedDown   uint64 // frames dropped because the device was not up
-	DroppedNoNet  uint64 // sends while detached from any network
-	DroppedMTU    uint64 // sends exceeding the medium MTU
-	DroppedFilter uint64 // received frames not addressed to us
+	Sent         uint64 // frames handed to the network
+	Received     uint64 // frames delivered to the receiver callback
+	DroppedDown  uint64 // sends while not up, and unicast frames to it that arrived while it was not up
+	DroppedNoNet uint64 // sends while detached from any network
+	DroppedMTU   uint64 // sends exceeding the medium MTU
 }
 
 // Device errors.
@@ -169,10 +170,6 @@ type Device struct {
 	up      *bringUp
 	upSince sim.Time
 
-	// fastSeen is net.fastLanded as of the last settle; fastOwn counts the
-	// fast flights landed since that this device sent, received or was
-	// walked for. The difference is owed to dropFilter or dropDown.
-	fastSeen, fastOwn uint64
 	// seq is the device's attachment number on net (Network.attaches).
 	seq uint64
 
@@ -189,7 +186,6 @@ type deviceCounters struct {
 	dropDown         uint64
 	dropNoNet        uint64
 	dropMTU          uint64
-	dropFilter       uint64
 }
 
 // NewDevice creates a device named name with a fresh hardware address.
@@ -212,7 +208,6 @@ func NewDevice(loop *sim.Loop, name string, bringUpDelay, jitter time.Duration) 
 
 // collect emits the device's rows.
 func (d *Device) collect(c *metrics.Collection) {
-	d.settle()
 	dev := metrics.L("dev", d.name)
 	c.Counter("link.device.tx_packets", d.ctr.sent, dev)
 	c.Counter("link.device.rx_packets", d.ctr.received, dev)
@@ -221,7 +216,6 @@ func (d *Device) collect(c *metrics.Collection) {
 	c.Counter("link.device.drop_down", d.ctr.dropDown, dev)
 	c.Counter("link.device.drop_no_net", d.ctr.dropNoNet, dev)
 	c.Counter("link.device.drop_mtu", d.ctr.dropMTU, dev)
-	c.Counter("link.device.drop_filter", d.ctr.dropFilter, dev)
 }
 
 // Name returns the device name, e.g. "eth0" or "strip0".
@@ -241,42 +235,17 @@ func (d *Device) Network() *Network { return d.net }
 
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() DeviceStats {
-	d.settle()
 	return DeviceStats{
-		Sent:          d.ctr.sent,
-		Received:      d.ctr.received,
-		DroppedDown:   d.ctr.dropDown,
-		DroppedNoNet:  d.ctr.dropNoNet,
-		DroppedMTU:    d.ctr.dropMTU,
-		DroppedFilter: d.ctr.dropFilter,
+		Sent:         d.ctr.sent,
+		Received:     d.ctr.received,
+		DroppedDown:  d.ctr.dropDown,
+		DroppedNoNet: d.ctr.dropNoNet,
+		DroppedMTU:   d.ctr.dropMTU,
 	}
 }
 
 // SetReceiver installs the host-stack callback for delivered frames.
 func (d *Device) SetReceiver(fn func(*Frame)) { d.recv = fn }
-
-// settle folds the fast flights that landed on the device's network since
-// the last settle, less the ones the device sent or was visited for, into the
-// drop counter the walk would have bumped: dropFilter if the device is up (a
-// unicast bystander), dropDown if not (a unicast bystander, or a broadcast
-// receiver the flight skipped). It must run before the state changes, before
-// the device detaches and before the counters are read.
-func (d *Device) settle() {
-	n := d.net
-	if n == nil {
-		return
-	}
-	if n.landing != nil {
-		n.finishWalk()
-	}
-	owed := n.fastLanded - d.fastSeen - d.fastOwn
-	d.fastSeen, d.fastOwn = n.fastLanded, 0
-	if d.state == StateUp {
-		d.ctr.dropFilter += owed
-	} else {
-		d.ctr.dropDown += owed
-	}
-}
 
 // Attach connects the device to a broadcast domain of its own loop, where
 // its hardware address is unique. Attaching does not bring the device up.
@@ -297,7 +266,7 @@ func (d *Device) Detach() {
 	if d.net == nil {
 		return
 	}
-	d.net.remove(d) // settles d first
+	d.net.remove(d)
 	d.net = nil
 }
 
@@ -354,7 +323,6 @@ type bringUp struct {
 func (r *bringUp) timer() {
 	d := r.d
 	if r.live {
-		d.settle()
 		d.state = StateUp
 		if d.net != nil {
 			d.net.mark(d, true)
@@ -393,7 +361,6 @@ func (d *Device) BringDown() {
 	if d.state == StateDown {
 		return
 	}
-	d.settle()
 	for w := d.up; w != nil; w = w.next {
 		w.live, w.done = false, nil
 	}
@@ -458,29 +425,23 @@ func (d *Device) Send(f *Frame) error {
 	return nil
 }
 
-// deliver hands a frame arriving from the network to the device, applying
-// the destination filter and up/down state. A down device counts every frame
-// as a down drop, but logs one only for a frame it would have accepted: a
-// frame addressed to another device is not its loss.
+// deliver hands a frame arriving from the network to the device. A frame
+// addressed to another device is none of its business. A device that is not
+// up loses a frame only if the frame was addressed to it alone: a broadcast
+// missed while down is nobody's loss.
 func (d *Device) deliver(f *Frame) {
-	accept := f.Dst.IsBroadcast() || f.Dst == d.hw
-	if d.state != StateUp {
-		d.ctr.dropDown++
-		if accept {
-			d.pktlog.Record(f.Trace, d.name, "link.drop", "device down on rx")
+	switch {
+	case d.state == StateUp && (f.Dst.IsBroadcast() || f.Dst == d.hw):
+		d.ctr.received++
+		d.ctr.rxBytes += uint64(f.Len())
+		if d.pktlog != nil {
+			d.pktlog.RecordDetail(f.Trace, d.name, "link.rx", metrics.HWDetail(metrics.DetailLinkSrc, f.Src))
 		}
-		return
-	}
-	if !accept {
-		d.ctr.dropFilter++
-		return
-	}
-	d.ctr.received++
-	d.ctr.rxBytes += uint64(f.Len())
-	if d.pktlog != nil {
-		d.pktlog.RecordDetail(f.Trace, d.name, "link.rx", metrics.HWDetail(metrics.DetailLinkSrc, f.Src))
-	}
-	if d.recv != nil {
-		d.recv(f)
+		if d.recv != nil {
+			d.recv(f)
+		}
+	case f.Dst == d.hw:
+		d.ctr.dropDown++
+		d.pktlog.Record(f.Trace, d.name, "link.drop", "device down on rx")
 	}
 }

@@ -3,11 +3,13 @@ package link
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"mosquitonet/internal/bufpool"
+	"mosquitonet/internal/metrics"
 	"mosquitonet/internal/sim"
 )
 
@@ -97,8 +99,91 @@ func TestUnicastDelivery(t *testing.T) {
 	if cGot {
 		t.Fatal("c received a unicast frame not addressed to it")
 	}
-	if c.Stats().DroppedFilter != 1 {
-		t.Fatalf("c filter drops = %d, want 1", c.Stats().DroppedFilter)
+	if s := c.Stats(); s != (DeviceStats{}) {
+		t.Fatalf("c counted %+v of a frame addressed to b", s)
+	}
+}
+
+// TestUnclaimedFrameCountsOnceOnTheNetwork: a unicast frame to the address
+// of a device that has left the segment is one lost frame, counted once on
+// the network as unclaimed, and costs the devices still there nothing — on
+// the lossless path and on the lossy one. So is a frame a device addresses
+// to itself.
+func TestUnclaimedFrameCountsOnceOnTheNetwork(t *testing.T) {
+	for _, m := range []Medium{Ethernet(), {Name: "lossy", Latency: time.Millisecond, LossProb: 1e-9, MTU: 1500}} {
+		t.Run(m.Name, func(t *testing.T) {
+			loop := sim.New(1)
+			metrics.Enable(loop)
+			n := NewNetwork(loop, "net", m)
+			a := upDevice(t, loop, n, "a")
+			gone := upDevice(t, loop, n, "gone")
+			var bystanders []*Device
+			for i := 0; i < 6; i++ {
+				d := upDevice(t, loop, n, fmt.Sprintf("b%d", i))
+				if i%2 == 1 {
+					d.BringDown()
+				}
+				bystanders = append(bystanders, d)
+			}
+			gone.Detach()
+			for _, dst := range []HWAddr{gone.HW(), a.HW()} {
+				if err := a.Send(&Frame{Dst: dst, Type: EtherTypeIPv4, Payload: []byte("x")}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			loop.Run()
+			if got, want := n.Stats(), (NetworkStats{Transmitted: 2, Delivered: 2 * 6, Unclaimed: 2}); got != want {
+				t.Fatalf("network counted %+v, want %+v", got, want)
+			}
+			row := metrics.For(loop).Snapshot().Get("link.network.unclaimed", metrics.L("net", "net"))
+			if row == nil || row.Counter == nil || *row.Counter != 2 {
+				t.Fatalf("link.network.unclaimed row = %v, want 2", row)
+			}
+			for _, d := range append(bystanders, gone) {
+				if s := d.Stats(); s != (DeviceStats{}) {
+					t.Fatalf("%s (%v) counted %+v of frames addressed to nobody attached", d.Name(), d.State(), s)
+				}
+			}
+			if s := a.Stats(); s != (DeviceStats{Sent: 2}) {
+				t.Fatalf("sender counted %+v", s)
+			}
+		})
+	}
+}
+
+// TestDownAddresseeCountsOnlyItsOwnFrames: a device that is down loses the
+// unicast frame addressed to it — a down drop and a packet-log row — but a
+// broadcast it misses is nobody's loss, on the lossless path and on the
+// lossy one.
+func TestDownAddresseeCountsOnlyItsOwnFrames(t *testing.T) {
+	for _, m := range []Medium{Ethernet(), {Name: "lossy", Latency: time.Millisecond, LossProb: 1e-9, MTU: 1500}} {
+		t.Run(m.Name, func(t *testing.T) {
+			loop := sim.New(1)
+			log := metrics.TracePackets(loop, 0)
+			n := NewNetwork(loop, "net", m)
+			a := upDevice(t, loop, n, "a")
+			b := upDevice(t, loop, n, "b")
+			upDevice(t, loop, n, "c")
+			b.BringDown()
+			for i, dst := range []HWAddr{b.HW(), BroadcastHW} {
+				if err := a.Send(&Frame{Dst: dst, Type: EtherTypeIPv4, Payload: []byte("x"), Trace: uint64(i + 1)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			loop.Run()
+			if s := b.Stats(); s != (DeviceStats{DroppedDown: 1}) {
+				t.Fatalf("down addressee counted %+v, want one down drop", s)
+			}
+			var rows []uint64
+			for _, ev := range log.Events() {
+				if ev.Detail == "device down on rx" {
+					rows = append(rows, ev.Pkt)
+				}
+			}
+			if !slices.Equal(rows, []uint64{1}) {
+				t.Fatalf("\"device down on rx\" rows for packets %v, want [1] (the unicast frame)", rows)
+			}
+		})
 	}
 }
 

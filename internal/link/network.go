@@ -109,16 +109,16 @@ func Backbone() Medium {
 // NetworkStats counts a broadcast domain's traffic.
 type NetworkStats struct {
 	Transmitted uint64 // frames offered to the medium
-	Delivered   uint64 // frame deliveries (one per receiving device)
+	Delivered   uint64 // frame deliveries: one per attached device but the sender that the medium did not lose the frame toward
 	LostMedium  uint64 // deliveries dropped by the loss model
+	Unclaimed   uint64 // unicast frames whose destination no other attached device held at launch
 }
 
 // Network is a broadcast domain: every attached, up device receives a copy
 // of each transmitted frame addressed to it (or to broadcast), after the
-// medium's serialization and propagation delays. Every other attached device
-// accounts the frame as a filter or down drop — by being walked, or, on a
-// lossless segment, by the lazily settled arithmetic described at flight:
-// a unicast frame's bystanders and the down devices a broadcast skips.
+// medium's serialization and propagation delays. A frame counts only at the
+// device it is addressed to; one addressed to nobody attached counts once,
+// on the network, as unclaimed.
 type Network struct {
 	name string
 	loop *sim.Loop
@@ -127,10 +127,11 @@ type Network struct {
 	bufs    *bufpool.Lists
 	medium  Medium
 	devices []*Device
-	// awake has bit i set while devices[i] is up: the devices a broadcast
-	// fast flight walks, in attachment order. It grows with devices, so
+	// awake has bit i set while devices[i] is up: the devices a lossless
+	// broadcast walks, in attachment order. It grows with devices, so
 	// keeping it allocates nothing once the segment is built, and it changes
-	// only at settle points: the bring-up timer, BringDown, add and remove.
+	// only where a device comes up (its bring-up timer), goes down
+	// (BringDown), attaches or detaches.
 	awake []uint64
 	// asleep counts the attached devices that are not up. With none to
 	// skip, a broadcast walks devices straight: iterating awake's bits cost
@@ -178,10 +179,6 @@ type Network struct {
 	// and a flight still in the air shows on the loop's ledger.
 	flights *sim.Records[flight]
 
-	// fastLanded counts the fast flights delivered so far. A device owes itself
-	// one filter or down drop for each it has not settled, less the ones it
-	// sent or was visited for (Device.settle).
-	fastLanded uint64
 	// airHead/airTail queue every flight still in the air, in launch order,
 	// which lastDelivery makes the order of their arrival times. A landing
 	// event lands the head, so frames on one medium arrive in launch order
@@ -192,49 +189,40 @@ type Network struct {
 	landings *sim.Queue
 	// land is n.landHead, bound once: scheduling it allocates nothing.
 	land func()
-	// landing is the fast flight whose receiver callback is running: the
+	// landing is the broadcast walk whose receiver callback is running: the
 	// devices attached after the receiver have not been reached yet.
 	landing *flight
 }
 
 // flight is one frame in transit: the sender's payload, which the flight
-// owns until it lands, and the snapshot of receivers that survived the loss
-// model at transmit time.
+// owns until it lands, the devices it is for and the deliveries it counts.
 // One landing event delivers to every receiver in attachment order — the same
 // observable order per-receiver events produced, since their consecutive
 // sequence numbers admitted no interleaving — and then recycles the record.
 // Every flight waits in its network's in-air queue, and the event lands the
 // queue's head: the medium, not the loop, orders its frames.
 //
-// A fast flight (from != nil) is a frame whose snapshot would have been every
-// attached device but the sender, so it is not taken. When it lands, the
-// sender and every device it visits count it as their own (fastOwn) and every
-// other attached device owes a drop, settled arithmetically. A unicast one
-// can only be received by one device: its rx holds that device (or nobody,
-// for a stale or self-addressed destination). A broadcast one (all) is
-// received by everybody who is up: it lands by walking the devices n.awake
-// marks, and the down devices it skips owe a down drop — unless a skipped
-// device would log its drop (a traced frame on a loop with a packet log), in
-// which case it walks every one. Three invariants keep that bit-exact with
-// the snapshot:
+// A unicast frame is for one device: its rx holds that device, found by one
+// index probe at launch, unless the medium lost the frame toward it or no
+// device but the sender holds the address (the frame is unclaimed). A lossy
+// broadcast's rx holds every device the loss model spared. A lossless
+// broadcast (from != nil) takes no snapshot: it lands by walking the devices
+// that are up, straight through devices when none is down and by n.awake's
+// bits when some are, so its cost is per receiver. Membership at launch,
+// state at arrival, still holds:
 //
-//   - eligibility, decided at launch: LossProb == 0 (no per-receiver draw to
-//     preserve), not a trunk end, and someone besides the sender attached (the
-//     walk schedules no event for nobody). A unicast bystander writes no
-//     packet-log row on the walk either (Device.deliver logs a drop only for
-//     a frame the device would accept), so the log does not need the walk;
-//   - settle points: a device folds its unsettled fast flights into
-//     dropFilter or dropDown, by the state it holds, before that state
-//     changes, before it detaches and before its counters are read. A device
-//     a broadcast skipped is down, and stays so until it settles;
-//   - materialize on membership change: before any attach or detach, every
-//     fast flight in the air gets its full snapshot back, so "membership at
-//     launch, state at arrival" still holds.
+//   - a device goes down synchronously only inside a receiver's callback;
+//     the walk meets it in the state it holds when reached, as a snapshot
+//     would, and a device cannot come up inside a callback (only its
+//     bring-up timer brings it up);
+//   - before any attach or detach, every lossless broadcast in the air gets
+//     its full snapshot back (materialize), and the one landing, if any,
+//     moves the devices attached after its receiver into rx (finishWalk).
 type flight struct {
 	frame Frame
 	rx    []*Device
-	from  *Device // sender of a fast flight; nil on the general path
-	all   bool    // a fast flight every device receives: a broadcast
+	from  *Device // sender of a lossless broadcast still to walk; nil otherwise
+	heard int     // deliveries the flight counts when it lands (NetworkStats.Delivered)
 	at    int     // index in n.devices a landing broadcast has reached
 	next  *flight // in-air queue link
 }
@@ -256,7 +244,7 @@ func (n *Network) newFlight(f *Frame) *flight {
 // frame.
 func (n *Network) recycle(fl *flight) {
 	n.bufs.Put(fl.frame.Payload)
-	fl.frame = Frame{}
+	fl.frame, fl.from, fl.heard = Frame{}, nil, 0
 	n.flights.Put(fl)
 }
 
@@ -283,83 +271,60 @@ func (n *Network) landHead() {
 		n.airTail = nil
 	}
 	fl.next = nil
+	n.stats.Delivered += uint64(fl.heard)
 	if fl.from != nil {
-		// Fast flight: everyone but the sender gets a delivery — a device the
-		// flight visits by its callback, every other one by arithmetic.
+		// A lossless broadcast walks the devices that are up. A callback that
+		// changes the membership ends the walk here: finishWalk moves the
+		// devices not yet reached into rx.
 		n.landing = fl
-		n.fastLanded++
-		fl.from.fastOwn++
-		if fl.all {
-			n.stats.Delivered += uint64(len(n.devices) - 1)
-			// A callback that settles or changes the membership ends the walk
-			// here: finishWalk moves the devices not yet reached into rx.
-			if n.asleep == 0 || fl.frame.Trace != 0 && n.pktlog != nil {
-				// Nobody to skip, or a down device would log the traced
-				// frame it misses: visit every device.
-				devs := n.devices // the walk ends before devices changes
-				for fl.at = 0; n.landing == fl && fl.at < len(devs); fl.at++ {
-					n.visit(fl, devs[fl.at])
-				}
-			} else {
-				for w := 0; n.landing == fl && w < len(n.awake); w++ {
-					for up := n.awake[w]; n.landing == fl && up != 0; up &= up - 1 {
-						fl.at = w<<6 | bits.TrailingZeros64(up)
-						n.visit(fl, n.devices[fl.at])
-					}
-				}
+		if n.asleep == 0 {
+			devs := n.devices // the walk ends before devices changes
+			for fl.at = 0; n.landing == fl && fl.at < len(devs); fl.at++ {
+				n.visit(fl, devs[fl.at])
 			}
 		} else {
-			for _, d := range fl.rx {
-				d.fastOwn++
+			for w := 0; n.landing == fl && w < len(n.awake); w++ {
+				for up := n.awake[w]; n.landing == fl && up != 0; up &= up - 1 {
+					fl.at = w<<6 | bits.TrailingZeros64(up)
+					n.visit(fl, n.devices[fl.at])
+				}
 			}
-			n.stats.Delivered += uint64(len(n.devices) - 1 - len(fl.rx))
 		}
+		n.landing = nil
 	}
 	// rx can grow under the loop: finishWalk appends the unreached devices.
 	for i := 0; i < len(fl.rx); i++ {
-		n.stats.Delivered++
 		fl.rx[i].deliver(&fl.frame)
 		fl.rx[i] = nil
 	}
-	n.landing = nil
-	fl.from = nil
 	n.recycle(fl)
 }
 
-// visit hands a landing broadcast fast flight to d, unless d sent it.
+// visit hands a landing broadcast to d, unless d sent it.
 func (n *Network) visit(fl *flight, d *Device) {
 	if d != fl.from {
-		d.fastOwn++
 		d.deliver(&fl.frame)
 	}
 }
 
-// finishWalk turns the rest of the landing fast flight back into a walk. Its
-// receiver's callback is about to settle a device or change the membership,
-// and the devices attached after the receiver must meet the frame in the
-// state they hold once the callback returns: they are taken out of the
-// arithmetic and appended to rx. The devices before the receiver that the
-// flight did not visit keep owing it.
+// finishWalk turns the rest of the landing broadcast into a snapshot: its
+// receiver's callback is about to change the membership, and the devices
+// attached after the receiver must meet the frame in the state they hold
+// once the callback returns.
 func (n *Network) finishWalk() {
 	fl := n.landing
 	n.landing = nil
-	i := fl.at
-	if !fl.all {
-		i, _ = find(n.devices, fl.rx[0])
-	}
-	for _, d := range n.devices[i+1:] {
+	for _, d := range n.devices[fl.at+1:] {
 		if d != fl.from {
-			d.fastOwn++
-			n.stats.Delivered--
 			fl.rx = append(fl.rx, d)
 		}
 	}
 }
 
-// materialize turns every fast flight in the air (and the unreached part of
-// one that is landing) into a walk with its full receiver snapshot, in place
-// in the queue. It runs before the membership changes, so the snapshot is
-// the one the walk would have taken at launch.
+// materialize gives every lossless broadcast in the air (and the unreached
+// part of one that is landing) its full receiver snapshot, in place in the
+// queue. It runs before the membership changes, so the snapshot is the one
+// the flight would have taken at launch.
 func (n *Network) materialize() {
 	if n.landing != nil {
 		n.finishWalk()
@@ -368,7 +333,6 @@ func (n *Network) materialize() {
 		if fl.from == nil {
 			continue
 		}
-		fl.rx = fl.rx[:0]
 		for _, d := range n.devices {
 			if d != fl.from {
 				fl.rx = append(fl.rx, d)
@@ -399,13 +363,17 @@ func NewNetwork(loop *sim.Loop, name string, m Medium) *Network {
 	n := &Network{name: name, loop: loop, bufs: bufpool.For(loop), medium: m, pktlog: metrics.PacketsFor(loop), landings: loop.NewQueue(),
 		spare: sim.Records[Frame]{Max: maxSpareFrames}, flights: sim.RecordsOf[flight](loop)}
 	n.land = n.landHead
-	metrics.For(loop).Collect(func(c *metrics.Collection) {
-		lbl := metrics.L("net", name)
-		c.Counter("link.network.transmitted", n.stats.Transmitted, lbl)
-		c.Counter("link.network.delivered", n.stats.Delivered, lbl)
-		c.Counter("link.network.lost_medium", n.stats.LostMedium, lbl)
-	})
+	metrics.Add(metrics.For(loop), n, (*Network).collect)
 	return n
+}
+
+// collect emits the network's rows.
+func (n *Network) collect(c *metrics.Collection) {
+	lbl := metrics.L("net", n.name)
+	c.Counter("link.network.transmitted", n.stats.Transmitted, lbl)
+	c.Counter("link.network.delivered", n.stats.Delivered, lbl)
+	c.Counter("link.network.lost_medium", n.stats.LostMedium, lbl)
+	c.Counter("link.network.unclaimed", n.stats.Unclaimed, lbl)
 }
 
 // Name returns the network name, e.g. "net-36.135".
@@ -450,12 +418,10 @@ func (n *Network) add(d *Device) {
 		n.byHW = make(map[uint64]*Device)
 	}
 	n.byHW[hwKey(d.hw)] = d
-	d.fastSeen, d.fastOwn = n.fastLanded, 0
 }
 
 func (n *Network) remove(d *Device) {
 	n.materialize()
-	d.settle()
 	i, ok := find(n.devices, d)
 	if !ok {
 		return
@@ -537,45 +503,50 @@ func (n *Network) transmit(from *Device, f *Frame) {
 		n.handoff(fr, arrival)
 		return
 	}
-	if n.medium.LossProb == 0 && len(n.devices) > 1 {
-		// A lone sender has no receiver and, as on the walk, costs no event.
-		n.transmitFast(from, f, arrival)
-		return
+	// A unicast frame is for the one other device holding its destination,
+	// found by one index probe; with none it is unclaimed.
+	bcast := f.Dst.IsBroadcast()
+	var to *Device
+	if !bcast {
+		if to = n.byHW[hwKey(f.Dst)]; to == from {
+			to = nil
+		}
+		if to == nil {
+			n.stats.Unclaimed++
+		}
 	}
-	// Loss draws stay per-receiver in attachment order, so the RNG
-	// consumption sequence is identical to per-receiver scheduling.
 	fl := n.newFlight(f)
-	for _, d := range n.devices {
-		if d == from {
-			continue
+	if n.medium.LossProb <= 0 {
+		// Every other attached device hears the frame.
+		fl.heard = len(n.devices) - 1
+		if bcast {
+			fl.from = from
+		} else if to != nil {
+			fl.rx = append(fl.rx, to)
 		}
-		if n.medium.LossProb > 0 && n.loop.Rand().Float64() < n.medium.LossProb {
-			n.stats.LostMedium++
-			n.pktlog.RecordDetail(f.Trace, n.name, "link.lost", metrics.NameDetail(metrics.DetailLossToward, d.name))
-			continue
+	} else {
+		// Loss draws stay per device in attachment order, so the RNG
+		// consumption sequence is identical to per-receiver scheduling.
+		for _, d := range n.devices {
+			if d == from {
+				continue
+			}
+			if n.loop.Rand().Float64() < n.medium.LossProb {
+				n.stats.LostMedium++
+				n.pktlog.RecordDetail(f.Trace, n.name, "link.lost", metrics.NameDetail(metrics.DetailLossToward, d.name))
+				continue
+			}
+			fl.heard++
+			if bcast || d == to {
+				fl.rx = append(fl.rx, d)
+			}
 		}
-		fl.rx = append(fl.rx, d)
 	}
-	if len(fl.rx) == 0 {
+	if fl.heard == 0 {
 		// A lone sender, or every receiver lost the frame: no event.
 		n.recycle(fl)
 		//lint:allow dropaccounting every receiver lost the frame; each loss was counted in LostMedium above
 		return
-	}
-	n.launch(fl, arrival)
-}
-
-// transmitFast launches a fast flight (see flight): one index probe finds
-// the only device that can receive a unicast frame (no device has the
-// broadcast address, so a broadcast's rx stays empty). In the in-air queue a
-// membership change can still give it its full snapshot.
-//
-//mnet:ownership takes f
-func (n *Network) transmitFast(from *Device, f *Frame, arrival sim.Time) {
-	fl := n.newFlight(f)
-	fl.from, fl.all = from, f.Dst.IsBroadcast()
-	if d := n.byHW[hwKey(f.Dst)]; d != nil && d != from {
-		fl.rx = append(fl.rx, d)
 	}
 	n.launch(fl, arrival)
 }

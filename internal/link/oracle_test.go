@@ -13,10 +13,11 @@ import (
 )
 
 // The reference link layer: every frame is handed to every device its
-// snapshot holds, one counter bump per visit — what Network.transmit did
+// snapshot holds, and each device filters it — what Network.transmit did
 // before unicast frames learnt to skip the walk and broadcasts to skip the
-// devices that are down. The oracle test drives it and the real thing with
-// one schedule and demands they never differ.
+// devices that are down. A device counts only the frames addressed to it.
+// The oracle test drives it and the real thing with one schedule and demands
+// they never differ.
 
 type refNet struct {
 	loop         *sim.Loop
@@ -25,15 +26,15 @@ type refNet struct {
 	stats        NetworkStats
 	busyUntil    sim.Time
 	lastDelivery sim.Time
-	// members counts membership changes; fastWant counts the lossless
-	// frames that landed with no change since launch, which the real
-	// network must land as fast flights.
-	members  uint64
-	fastWant uint64
-	// logged mirrors the real loop's packet log; downSkips counts the fast
-	// broadcasts that reached a down device with no row to log, whose drops
-	// the real network settles arithmetically.
-	logged    bool
+	// members counts membership changes; lossless counts the lossless
+	// frames that landed. walked counts the receives off a lossless
+	// broadcast whose segment has kept its membership since launch, which
+	// the real network must make by walking the devices that are up; and
+	// downSkips the lossless broadcasts that landed with a down device in
+	// their snapshot, which the real walk passes over.
+	members   uint64
+	lossless  uint64
+	walked    uint64
 	downSkips uint64
 }
 
@@ -48,7 +49,7 @@ type refDev struct {
 	delay, jitter time.Duration
 	recv          func(*Frame)
 	stats         DeviceStats
-	downOnRx      int // traced frames addressed to a down device
+	downOnRx      int // traced unicast frames addressed to the device while down
 }
 
 func (n *refNet) transmit(from *refDev, f *Frame) {
@@ -64,7 +65,10 @@ func (n *refNet) transmit(from *refDev, f *Frame) {
 		arrival = n.lastDelivery
 	}
 	n.lastDelivery = arrival
-	fast, members := n.medium.LossProb == 0 && len(n.devices) > 1, n.members
+	if !f.Dst.IsBroadcast() && !slices.ContainsFunc(n.devices, func(d *refDev) bool { return d != from && d.hw == f.Dst }) {
+		n.stats.Unclaimed++
+	}
+	lossless, members := n.medium.LossProb == 0, n.members
 	var rx []*refDev
 	for _, d := range n.devices {
 		if d == from {
@@ -82,33 +86,36 @@ func (n *refNet) transmit(from *refDev, f *Frame) {
 	fr := *f
 	fr.Payload = append([]byte(nil), f.Payload...)
 	n.loop.At(arrival, func() {
-		fast := fast && members == n.members
-		if fast {
-			n.fastWant++
+		if lossless {
+			n.lossless++
 		}
+		walk := lossless && fr.Dst.IsBroadcast()
 		skipped := false
 		for _, d := range rx {
 			n.stats.Delivered++
 			skipped = skipped || d.state != StateUp
+			if walk && members == n.members && d.state == StateUp {
+				n.walked++
+			}
 			d.deliver(&fr)
 		}
-		if fast && skipped && fr.Dst.IsBroadcast() && (fr.Trace == 0 || !n.logged) {
+		if walk && skipped && members == n.members {
 			n.downSkips++
 		}
 	})
 }
 
 func (d *refDev) deliver(f *Frame) {
-	accept := f.Dst.IsBroadcast() || f.Dst == d.hw
-	if d.state != StateUp {
-		d.stats.DroppedDown++
-		if f.Trace != 0 && accept {
-			d.downOnRx++
+	switch {
+	case f.Dst != d.hw && !f.Dst.IsBroadcast():
+		return // another device's frame
+	case d.state != StateUp:
+		if f.Dst == d.hw {
+			d.stats.DroppedDown++
+			if f.Trace != 0 {
+				d.downOnRx++
+			}
 		}
-		return
-	}
-	if !accept {
-		d.stats.DroppedFilter++
 		return
 	}
 	d.stats.Received++
@@ -199,7 +206,6 @@ type pair struct {
 	log      []string // receive and bring-up order, real side
 	refLog   []string
 	lastStep string
-	rewalked int // fast flights a callback turned back into a walk mid-landing
 	// bcastWalked counts receives off a broadcast landing by its implicit
 	// snapshot, bcastRewalked the callbacks that ended such a walk early,
 	// bcastSkipping the receives off one that skipped a down device.
@@ -236,7 +242,7 @@ func newPair(t *testing.T, seed int64, packetLog, registry bool) *pair {
 	for i := 0; i < 3; i++ {
 		m := Ethernet()
 		p.nets = append(p.nets, NewNetwork(p.loop, fmt.Sprintf("n%d", i), m))
-		p.refNets = append(p.refNets, &refNet{loop: p.refLoop, medium: m, logged: packetLog})
+		p.refNets = append(p.refNets, &refNet{loop: p.refLoop, medium: m})
 	}
 	for i := 0; i < 9; i++ {
 		// A third of the devices come up instantly, the rest take long enough
@@ -251,22 +257,19 @@ func newPair(t *testing.T, seed int64, packetLog, registry bool) *pair {
 			if n != nil {
 				landing = n.landing
 			}
-			if landing != nil && landing.all && skipsDown(n, landing) {
+			if landing != nil && skipsDown(n, landing) {
 				p.bcastSkipping++
 			}
-			if j := p.act(false, i, f); j >= 0 && landing != nil && landing.all {
+			if j := p.act(false, i, f); j >= 0 && landing != nil {
 				if f.Payload[0]%numActs == actUpNext {
 					p.upUnreached++
 				} else {
 					p.downReached++
 				}
 			}
-			if landing != nil && landing.all {
+			if landing != nil {
 				p.bcastWalked++
-			}
-			if landing != nil && n.landing == nil {
-				p.rewalked++
-				if landing.all {
+				if n.landing == nil {
 					p.bcastRewalked++
 				}
 			}
@@ -304,7 +307,7 @@ func (p *pair) act(ref bool, self int, f *Frame) int {
 			p.devs[target].Attach(n)
 		}
 		if len(f.Payload) > 2 && f.Payload[2]%2 == 0 {
-			p.down(ref, target) // a newcomer settling under a landing flight it is no part of
+			p.down(ref, target) // a newcomer going down under a landing flight it is no part of
 		}
 	case actReply:
 		p.send(ref, self, f.Src, []byte{actNone, 0}, f.Trace)
@@ -329,8 +332,8 @@ func (p *pair) act(ref bool, self int, f *Frame) int {
 // skipsDown reports whether the landing broadcast fl walks past a down
 // device that is not its sender.
 func skipsDown(n *Network, fl *flight) bool {
-	if n.asleep == 0 || fl.frame.Trace != 0 && n.pktlog != nil {
-		return false // the full walk
+	if n.asleep == 0 {
+		return false // the plain walk
 	}
 	for _, d := range n.devices {
 		if d != fl.from && !d.IsUp() {
@@ -415,7 +418,8 @@ func (p *pair) both(op func(ref bool)) {
 	op(true)
 }
 
-// checkCheap compares everything that can be read without settling a device.
+// checkCheap compares the networks' counters, the receive order and the
+// loops.
 func (p *pair) checkCheap() {
 	p.t.Helper()
 	for i, n := range p.nets {
@@ -526,7 +530,7 @@ func tail(s []string) []string {
 	return s
 }
 
-// checkDevices compares every device's counters (settling all of them).
+// checkDevices compares every device's counters and state.
 func (p *pair) checkDevices() {
 	p.t.Helper()
 	for i, d := range p.devs {
@@ -539,8 +543,8 @@ func (p *pair) checkDevices() {
 	}
 }
 
-// checkRegistry reads the drop counters the way telemetry does, through the
-// registry's collectors, without calling Stats first.
+// checkRegistry reads the counters the way telemetry does, through the
+// registry's collectors.
 func (p *pair) checkRegistry() {
 	p.t.Helper()
 	reg := metrics.For(p.loop)
@@ -548,19 +552,23 @@ func (p *pair) checkRegistry() {
 		return
 	}
 	snap := reg.Snapshot()
+	type row struct {
+		name string
+		lbl  metrics.Label
+		want uint64
+	}
+	var rows []row
 	for i, d := range p.devs {
-		for _, row := range []struct {
-			name string
-			want uint64
-		}{
-			{"link.device.drop_filter", p.refDevs[i].stats.DroppedFilter},
-			{"link.device.drop_down", p.refDevs[i].stats.DroppedDown},
-			{"link.device.rx_packets", p.refDevs[i].stats.Received},
-		} {
-			m := snap.Get(row.name, metrics.L("dev", d.Name()))
-			if m == nil || m.Counter == nil || *m.Counter != row.want {
-				p.t.Fatalf("after %s: registry %s{dev=%s} = %v, reference %d", p.lastStep, row.name, d.Name(), m, row.want)
-			}
+		lbl := metrics.L("dev", d.Name())
+		rows = append(rows, row{"link.device.drop_down", lbl, p.refDevs[i].stats.DroppedDown}, row{"link.device.rx_packets", lbl, p.refDevs[i].stats.Received})
+	}
+	for i, n := range p.nets {
+		rows = append(rows, row{"link.network.unclaimed", metrics.L("net", n.Name()), p.refNets[i].stats.Unclaimed})
+	}
+	for _, r := range rows {
+		m := snap.Get(r.name, r.lbl)
+		if m == nil || m.Counter == nil || *m.Counter != r.want {
+			p.t.Fatalf("after %s: registry %s{%v} = %v, reference %d", p.lastStep, r.name, r.lbl, m, r.want)
 		}
 	}
 }
@@ -703,17 +711,20 @@ func runOracle(t *testing.T, seed int64, packetLog, registry bool) {
 	if got, want := p.loop.Rand().Int63(), p.refLoop.Rand().Int63(); got != want {
 		t.Fatalf("RNG streams diverged: next draw %d, reference %d", got, want)
 	}
-	var fast, sent, lost, downSkips uint64
+	var lossless, sent, lost, unclaimed, walked, downSkips uint64
 	for i, n := range p.nets {
-		// The packet log is no reason to take a snapshot: every lossless
-		// frame whose segment kept its membership until it landed flew fast.
-		if want := p.refNets[i].fastWant; n.fastLanded != want {
-			t.Fatalf("network %d landed %d fast flights, want %d (every lossless frame)", i, n.fastLanded, want)
-		}
+		lossless += p.refNets[i].lossless
+		walked += p.refNets[i].walked
 		downSkips += p.refNets[i].downSkips
-		fast += n.fastLanded
 		sent += n.stats.Transmitted
 		lost += n.stats.LostMedium
+		unclaimed += n.stats.Unclaimed
+	}
+	// Nothing but a membership change takes a lossless broadcast off its
+	// walk: not a traced frame on a logged loop, a state change or a read
+	// of the counters.
+	if walked != uint64(p.bcastWalked) {
+		t.Fatalf("%d receives off a walking broadcast, reference %d", p.bcastWalked, walked)
 	}
 	if log := metrics.PacketsFor(p.loop); log != nil {
 		want := 0
@@ -732,10 +743,10 @@ func runOracle(t *testing.T, seed int64, packetLog, registry bool) {
 	}
 	if p.bcastWalked == 0 || p.bcastRewalked == 0 || p.bcastSkipping == 0 || downSkips == 0 || p.upUnreached == 0 || p.downReached == 0 {
 		t.Fatalf("schedule too tame to mean anything: %d receives off a walked broadcast (%d off one that skipped a down device), %d walks ended by a callback, "+
-			"%d broadcasts whose down receivers were settled arithmetically, %d unreached devices brought up and %d reached ones taken down mid-walk",
+			"%d broadcasts that passed over a down device, %d unreached devices brought up and %d reached ones taken down mid-walk",
 			p.bcastWalked, p.bcastSkipping, p.bcastRewalked, downSkips, p.upUnreached, p.downReached)
 	}
-	if fast < sent/4 || lost == 0 || p.rewalked == 0 {
-		t.Fatalf("schedule too tame to mean anything: %d of %d frames flew fast, %d medium losses, %d re-walked mid-landing", fast, sent, lost, p.rewalked)
+	if lossless < sent/4 || lost == 0 || unclaimed == 0 {
+		t.Fatalf("schedule too tame to mean anything: %d of %d frames landed lossless, %d medium losses, %d unclaimed", lossless, sent, lost, unclaimed)
 	}
 }

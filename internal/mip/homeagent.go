@@ -66,7 +66,8 @@ type haBinding struct {
 }
 
 // delayedReply is a registration reply waiting out the agent's processing
-// delay; the records are recycled through HomeAgent.idle.
+// delay, with its send bound once. The records come from the loop's free
+// list (sim.RecordsOf), so a reply in the air shows on the loop's ledger.
 type delayedReply struct {
 	ha    *HomeAgent
 	reply RegReply
@@ -89,8 +90,7 @@ type HomeAgent struct {
 	sock *transport.UDPSocket
 
 	bindings map[ip.Addr]*haBinding
-	req      RegRequest      // the request being processed, decoded in place
-	idle     []*delayedReply // records free for reuse
+	req      RegRequest // the request being processed, decoded in place
 	// lastID tracks the highest identification accepted per home address.
 	// Requests with stale identifications are rejected — the replay
 	// protection RFC 2002's identification field exists for. (The paper
@@ -132,17 +132,20 @@ func NewHomeAgent(ts *transport.Stack, cfg HomeAgentConfig) (*HomeAgent, error) 
 	}
 	ha.sock = sock
 	ha.host.SetForwarding(true)
-	metrics.For(ha.host.Loop()).Collect(func(c *metrics.Collection) {
-		host := metrics.L("host", ha.host.Name())
-		c.Counter("mip.ha.requests", ha.stats.Requests, host)
-		c.Counter("mip.ha.accepted", ha.stats.Accepted, host)
-		c.Counter("mip.ha.denied", ha.stats.Denied, host)
-		c.Counter("mip.ha.deregistrations", ha.stats.Deregistrations, host)
-		c.Counter("mip.ha.expired", ha.stats.Expired, host)
-		c.Counter("mip.ha.duplicated", ha.stats.Duplicated, host)
-		c.Gauge("mip.ha.bindings", int64(len(ha.bindings)), host)
-	})
+	metrics.Add(metrics.For(ha.host.Loop()), ha, (*HomeAgent).collect)
 	return ha, nil
+}
+
+// collect emits the agent's rows.
+func (ha *HomeAgent) collect(c *metrics.Collection) {
+	host := metrics.L("host", ha.host.Name())
+	c.Counter("mip.ha.requests", ha.stats.Requests, host)
+	c.Counter("mip.ha.accepted", ha.stats.Accepted, host)
+	c.Counter("mip.ha.denied", ha.stats.Denied, host)
+	c.Counter("mip.ha.deregistrations", ha.stats.Deregistrations, host)
+	c.Counter("mip.ha.expired", ha.stats.Expired, host)
+	c.Counter("mip.ha.duplicated", ha.stats.Duplicated, host)
+	c.Gauge("mip.ha.bindings", int64(len(ha.bindings)), host)
 }
 
 // Addr returns the agent's address on the home subnet.
@@ -281,14 +284,12 @@ func (ha *HomeAgent) process(req *RegRequest, d transport.Datagram) {
 	} else {
 		ha.stats.Denied++
 	}
-	var r *delayedReply
-	if k := len(ha.idle); k > 0 {
-		r, ha.idle = ha.idle[k-1], ha.idle[:k-1]
-	} else {
-		r = &delayedReply{ha: ha}
+	r := sim.RecordsOf[delayedReply](ha.host.Loop()).Take()
+	if r == nil {
+		r = new(delayedReply)
 		r.fire = r.send
 	}
-	r.reply = RegReply{Code: code, Lifetime: granted, HomeAddr: req.HomeAddr, ID: req.ID}
+	r.ha, r.reply = ha, RegReply{Code: code, Lifetime: granted, HomeAddr: req.HomeAddr, ID: req.ID}
 	r.to, r.port, r.span = d.From, d.FromPort, sp
 	if ha.cfg.ProcessingDelay > 0 {
 		ha.host.Loop().Schedule(ha.host.Loop().Jitter(ha.cfg.ProcessingDelay, ha.cfg.ProcessingDelay/12), r.fire)
@@ -305,8 +306,8 @@ func (r *delayedReply) send() {
 	r.span.SetAttr("code", CodeString(r.reply.Code))
 	r.span.Done()
 	ha.sock.SendTo(r.to, r.port, r.reply.Marshal())
-	r.span = nil
-	ha.idle = append(ha.idle, r)
+	*r = delayedReply{fire: r.fire}
+	sim.RecordsOf[delayedReply](ha.host.Loop()).Put(r)
 }
 
 // register installs or refreshes a mobility binding: the proxy ARP

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mosquitonet/internal/ip"
+	"mosquitonet/internal/sim"
 	"mosquitonet/internal/transport"
 )
 
@@ -137,8 +138,8 @@ func TestHomeAgentRepliesKeepTheirOwnIDs(t *testing.T) {
 	w.run(5 * time.Millisecond)
 	send(9, "10.2.0.79", 60) // replayed identification: denied
 	w.run(5 * time.Millisecond)
-	if len(replies) != 0 || len(w.ha.idle) != 0 {
-		t.Fatalf("replies left before the processing delay: %v (idle records %d)", replies, len(w.ha.idle))
+	if len(replies) != 0 || sim.RecordsOf[delayedReply](w.loop).Free() != 0 {
+		t.Fatalf("replies left before the processing delay: %v (idle records %d)", replies, sim.RecordsOf[delayedReply](w.loop).Free())
 	}
 	w.run(time.Second)
 	want := []RegReply{
@@ -157,14 +158,14 @@ func TestHomeAgentRepliesKeepTheirOwnIDs(t *testing.T) {
 	if b, ok := w.ha.Binding(home); !ok || b.CareOf != ip.MustParseAddr("10.2.0.78") || b.ID != 11 || len(b.Extras) != 0 {
 		t.Errorf("binding = %+v, want the second request's", b)
 	}
-	if len(w.ha.idle) != 3 {
-		t.Errorf("%d reply records came back, want 3", len(w.ha.idle))
+	if sim.RecordsOf[delayedReply](w.loop).Free() != 3 {
+		t.Errorf("%d reply records came back, want 3", sim.RecordsOf[delayedReply](w.loop).Free())
 	}
 	// The three served requests recycled the records; a fourth takes one.
 	send(12, "10.2.0.80", 60)
 	w.run(time.Second)
-	if len(replies) != 4 || replies[3].ID != 12 || len(w.ha.idle) != 3 {
-		t.Errorf("after a fourth request: replies %+v, idle records %d", replies, len(w.ha.idle))
+	if len(replies) != 4 || replies[3].ID != 12 || sim.RecordsOf[delayedReply](w.loop).Free() != 3 {
+		t.Errorf("after a fourth request: replies %+v, idle records %d", replies, sim.RecordsOf[delayedReply](w.loop).Free())
 	}
 
 	// The binding's lifetime timer was re-armed by each registration, not

@@ -40,7 +40,7 @@ type World struct {
 	MIfaces  map[string]*mip.ManagedIface // by "mobile/iface"
 
 	// hosts maps every host name (router, end host, mobile) to its
-	// stack.Host, for the admin console's route/hook inspection.
+	// stack.Host, for the admin console's route commands.
 	hosts map[string]*stack.Host
 
 	Faults *Injector

@@ -18,8 +18,9 @@
 //   - Injector: first-class scheduled fault events (link flaps, home-agent
 //     crashes, loss bursts, registration-delay spikes) with fault.* trace
 //     spans that double as disruption-attribution windows;
-//   - Console: the runtime admin surface (inspect/mutate routes, bindings,
-//     policies, hooks and faults mid-run) behind `mnet -admin`;
+//   - Console: the runtime admin surface (inspect hosts, routes, bindings,
+//     faults and metrics; add and delete routes; schedule faults mid-run)
+//     behind `mnet -admin`;
 //   - GenerateSweep: a seeded, deterministic randomized-scenario generator
 //     that perturbs itineraries, traffic and fault schedules within schema
 //     bounds.

@@ -20,24 +20,24 @@ func TestPaperExportsPinned(t *testing.T) {
 		want map[string]string
 	}{
 		{"e1", func() (Result, error) { return RunE1(seed) }, map[string]string{
-			"BENCH_e1.json": "3bcfbc883b9ee29916a092eafcba81eb1d64ea3f0293618f0919e21d6dadd90d"}},
+			"BENCH_e1.json": "5e8750df479d0dba9c3965b8ec2bdf395b6896ea11de39bfb733cd8549a24e45"}},
 		{"f6", func() (Result, error) { return RunF6(seed) }, map[string]string{
-			"BENCH_f6.json": "ce7db3804988a9f11df9e1f0c1479f4ed9e835874a17a18fa00c686563cb96eb"}},
+			"BENCH_f6.json": "6fd5db81819b4fe6c113fd7c0b2a41a07fd8195a3738e679ad8db6bceefe6943"}},
 		{"f7", func() (Result, error) { return RunF7(seed) }, map[string]string{
-			"BENCH_f7.json":           "899b58789425e3149fca497717c1f099d48497f5a7f558742a9b1d48bcb93a21",
+			"BENCH_f7.json":           "9e68a0b6d1f10f00fb3e2312ba167c6b825cf85f9362f9fea8ce75cee431647d",
 			"BENCH_f7_timeline.jsonl": "9590726859724dd0d42b0b7c5291e3ff0454d02356404efa395a877bc9c7975c"}},
 		{"rtt", func() (Result, error) { return RunRTT(seed, 20) }, map[string]string{
-			"BENCH_rtt.json": "3f4f5e733e486671b0f13803016bb8eb11999cefa31177939c47994ad2058227"}},
+			"BENCH_rtt.json": "d9f2e48eeb9f49734c90dbb014222da09e56b03c38a1546013f4962fd2b266f0"}},
 		{"tput", func() (Result, error) { return RunThroughput(seed, 50, 1000) }, map[string]string{
-			"BENCH_tput.json": "80d11c323c151956d16590f8be69ea2d4773a86cdaa56824c33135856e14326f"}},
+			"BENCH_tput.json": "c946d5e7e936761c241db4c01a8c9bdad0415687a29dac6b5f15a5e6d5289ede"}},
 		{"a1", func() (Result, error) { return RunA1(seed, 20) }, map[string]string{
-			"BENCH_a1.json": "31e3791a96f05e46511d0ae49dc9c96c60be22a820ed5ab9164e97313a92a2ee"}},
+			"BENCH_a1.json": "6d7ba4489f7007e8d20356a4731b2e2fb3cf09c97a409fd0f8ee33d3cb6e666a"}},
 		{"a2", func() (Result, error) { return RunA2(seed, 5) }, map[string]string{
-			"BENCH_a2.json": "bb6c0598e71f977b927a6909542604a8d5b6f138678b205f3b43a55b5f31cb66"}},
+			"BENCH_a2.json": "2d7c50050a47a01f29b1290f5df5c03aa1058d877e58c8dd5c24da4d2586b3be"}},
 		{"a3", func() (Result, error) { return RunA3(seed, []int{1, 8, 32, 64}) }, map[string]string{
-			"BENCH_a3.json": "7a9bbfc0d67d4622a76f86fdc80bde94de18c1427beb4738b47783b095c52247"}},
+			"BENCH_a3.json": "23a6e17bc1b72512728e3742a18ee6913b09823175913c72688eb78eb2f5cdf9"}},
 		{"a4", func() (Result, error) { return RunA4(seed, 5) }, map[string]string{
-			"BENCH_a4.json": "6518e501bc2ba891a68bfba12da2653c8101100a440e93fdbc36f442903cbe52"}},
+			"BENCH_a4.json": "49e4292658e58a969fc3f3c3652b36e2959460aec37167a8e50a611e30695b62"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := renderArtifacts(t, tc.run)
