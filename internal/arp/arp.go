@@ -181,11 +181,12 @@ type pending struct {
 	first    [1]queued
 }
 
-// Cache is a per-device ARP resolver and responder.
+// Cache is a per-device ARP resolver and responder. It holds only what is
+// its own: the loop is its device's, and a cache on the default settings —
+// every cache the stack builds — holds no Config at all.
 type Cache struct {
-	loop *sim.Loop
-	dev  *link.Device
-	cfg  Config
+	dev *link.Device
+	cfg *Config // nil: the defaults
 
 	// localAddrs reports the device's own IP addresses; the cache answers
 	// requests for any of them.
@@ -205,17 +206,31 @@ type Cache struct {
 	stats     Stats
 }
 
-// New creates a cache resolving on dev. localAddrs is consulted live on
-// every request so address changes (the whole point of mobile IP) take
-// effect immediately.
+// New creates a cache resolving on dev, which runs on loop. localAddrs is
+// consulted live on every request so address changes (the whole point of
+// mobile IP) take effect immediately. A zero cfg selects the defaults.
 func New(loop *sim.Loop, dev *link.Device, cfg Config, localAddrs func() []ip.Addr) *Cache {
-	return &Cache{
-		loop:       loop,
-		dev:        dev,
-		cfg:        cfg.withDefaults(),
-		localAddrs: localAddrs,
+	if dev.Loop() != loop {
+		panic("arp: a cache runs on its device's loop")
 	}
+	c := &Cache{dev: dev, localAddrs: localAddrs}
+	if cfg != (Config{}) {
+		own := cfg.withDefaults() // declared here, so only a tuned cache allocates it
+		c.cfg = &own
+	}
+	return c
 }
+
+// config returns the cache's settings: its own, or the defaults.
+func (c *Cache) config() Config {
+	if c.cfg == nil {
+		return Config{}.withDefaults()
+	}
+	return *c.cfg
+}
+
+// loop is the device's loop, where the cache's timers and records live.
+func (c *Cache) loop() *sim.Loop { return c.dev.Loop() }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -245,7 +260,7 @@ func (c *Cache) setEntry(a ip.Addr, hw link.HWAddr, expires sim.Time) {
 // Lookup returns the cached hardware address for a, if fresh.
 func (c *Cache) Lookup(a ip.Addr) (link.HWAddr, bool) {
 	i, ok := c.findEntry(a)
-	if !ok || c.loop.Now() > c.entries[i].expires {
+	if !ok || c.loop().Now() > c.entries[i].expires {
 		return link.HWAddr{}, false
 	}
 	return c.entries[i].hw, true
@@ -309,7 +324,7 @@ func (c *Cache) SendIP(dst ip.Addr, payload []byte, trace uint64) {
 	}
 	p := c.findPending(dst)
 	if p == nil {
-		p = sim.RecordsOf[pending](c.loop).Take()
+		p = sim.RecordsOf[pending](c.loop()).Take()
 		if p == nil {
 			p = new(pending)
 			p.retry, p.payloads = p.timeout, p.first[:0]
@@ -317,9 +332,9 @@ func (c *Cache) SendIP(dst ip.Addr, payload []byte, trace uint64) {
 		p.c, p.dst, p.next, c.pend = c, dst, c.pend, p
 		c.sendRequest(p)
 	}
-	if len(p.payloads) >= c.cfg.MaxPending {
+	if len(p.payloads) >= c.config().MaxPending {
 		c.stats.PacketsDropped++
-		bufpool.For(c.loop).Put(payload)
+		bufpool.For(c.loop()).Put(payload)
 		return
 	}
 	p.payloads = append(p.payloads, queued{payload: payload, trace: trace})
@@ -345,19 +360,19 @@ func (c *Cache) sendRequest(p *pending) {
 	p.tries++
 	c.stats.RequestsSent++
 	c.send(link.BroadcastHW, Message{Op: OpRequest, SenderHW: c.dev.HW(), SenderIP: c.senderIP(), TargetIP: p.dst})
-	p.timer = c.loop.Lane(retryLaneGranularity).Schedule(c.cfg.RequestTimeout, p.retry)
+	p.timer = c.loop().Lane(retryLaneGranularity).Schedule(c.config().RequestTimeout, p.retry)
 }
 
 // timeout is the retry timer: ask again, or give up and drop the queue.
 func (p *pending) timeout() {
 	c := p.c
-	if int(p.tries) < c.cfg.MaxRetries {
+	if int(p.tries) < c.config().MaxRetries {
 		c.sendRequest(p)
 		return
 	}
 	c.stats.ResolveFailures++
 	c.stats.PacketsDropped += uint64(len(p.payloads))
-	bufs := bufpool.For(c.loop)
+	bufs := bufpool.For(c.loop())
 	for _, q := range p.payloads {
 		bufs.Put(q.payload)
 	}
@@ -390,13 +405,13 @@ func (c *Cache) unlink(p *pending) {
 func (c *Cache) release(p *pending) {
 	clear(p.payloads)
 	p.c, p.next, p.payloads, p.tries, p.timer = nil, nil, p.payloads[:0], 0, sim.LaneTimer{}
-	sim.RecordsOf[pending](c.loop).Put(p)
+	sim.RecordsOf[pending](c.loop()).Put(p)
 }
 
 // send puts one ARP message on the wire, marshaled into a pooled buffer
 // that Send takes, like sendIPv4's payload.
 func (c *Cache) send(dst link.HWAddr, m Message) {
-	b := bufpool.For(c.loop).Get(MessageLen)
+	b := bufpool.For(c.loop()).Get(MessageLen)
 	m.put(b)
 	c.dev.Send(&link.Frame{Dst: dst, Type: link.EtherTypeARP, Payload: b})
 }
@@ -474,7 +489,7 @@ func (c *Cache) learn(a ip.Addr, hw link.HWAddr) {
 		c.entries[i].hw = hw // static entries keep their lifetime but track moves
 		return
 	}
-	c.setEntry(a, hw, c.loop.Now().Add(c.cfg.EntryTTL))
+	c.setEntry(a, hw, c.loop().Now().Add(c.config().EntryTTL))
 }
 
 func (c *Cache) reply(req *Message) {

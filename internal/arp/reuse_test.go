@@ -48,7 +48,7 @@ func freePending(t *testing.T, loop *sim.Loop) []*pending {
 // is also on the loop's free list.
 func inFlight(t *testing.T, c *Cache) (n int) {
 	t.Helper()
-	free := freePending(t, c.loop)
+	free := freePending(t, c.dev.Loop())
 	for p := c.pend; p != nil; p = p.next {
 		if slices.Contains(free, p) {
 			t.Fatalf("record for %v is on both lists", p.dst)

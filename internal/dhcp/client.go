@@ -294,12 +294,16 @@ func (c *Client) bind(m *Message) {
 	}
 }
 
-// scheduleRenewal arms T1 (half the lease) for renewal and the hard expiry.
+// scheduleRenewal arms T1, half the lease. The renewal timer runs T1, then
+// T2 and then the expiry (RFC 2131 §4.4.5), one timer out at a time, so an
+// acknowledged renewal stops one and arms the next T1.
 func (c *Client) scheduleRenewal() {
 	c.renewT.Stop()
 	c.renewT = c.loop.Schedule(c.lease.Duration/2, c.renew)
 }
 
+// renew is T1: the client unicasts DHCPREQUEST to the server that granted
+// the lease, ciaddr its address, and arms T2 at 0.875 of the lease.
 func (c *Client) renew() {
 	if c.state != stateBound || c.renewSock == nil {
 		return
@@ -312,13 +316,32 @@ func (c *Client) renew() {
 		ServerAddr: c.lease.Server,
 	}
 	c.renewSock.SendToVia(c.ifc, c.lease.Server, c.lease.Server, ServerPort, m.Marshal())
-	// If no ACK arrives before expiry, the lease lapses.
-	c.renewT = c.loop.Schedule(c.lease.Duration/2, func() {
-		if c.state == stateBound && c.loop.Now() >= c.lease.Acquired.Add(c.lease.Duration) {
-			c.dropLease()
-			if c.OnExpired != nil {
-				c.OnExpired()
-			}
+	c.renewT = c.loop.Schedule(c.untilLeaseFraction(7, 8), c.rebind)
+}
+
+// rebind is T2, reached with the renewal unanswered: the client broadcasts
+// DHCPREQUEST to any server, ciaddr its address and no server identifier,
+// and arms the expiry at the lease's end.
+func (c *Client) rebind() {
+	if c.state != stateBound || c.renewSock == nil {
+		return
+	}
+	m := &Message{Type: Request, XID: c.xid, ClientHW: c.hw, ClientAddr: c.lease.Addr}
+	c.renewSock.SendToVia(c.ifc, ip.Broadcast, ip.Broadcast, ServerPort, m.Marshal())
+	c.renewT = c.loop.Schedule(c.untilLeaseFraction(1, 1), c.expire)
+}
+
+// expire drops a lease that ran out with neither request answered.
+func (c *Client) expire() {
+	if c.state == stateBound && c.loop.Now() >= c.lease.Acquired.Add(c.lease.Duration) {
+		c.dropLease()
+		if c.OnExpired != nil {
+			c.OnExpired()
 		}
-	})
+	}
+}
+
+// untilLeaseFraction is the time from now to num/den of the lease.
+func (c *Client) untilLeaseFraction(num, den time.Duration) time.Duration {
+	return c.lease.Acquired.Add(c.lease.Duration * num / den).Sub(c.loop.Now())
 }

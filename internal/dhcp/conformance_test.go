@@ -196,13 +196,8 @@ func TestDHCPConformance(t *testing.T) {
 					t.Error("the server still holds the released lease")
 				}
 			}},
-		// RFC 2131 §4.4.5 has an unanswered renewal rebind at T2, 0.875 of
-		// the lease, by broadcasting DHCPREQUEST to any server. This client
-		// has no T2 (DESIGN §3 "The DHCP client has no T2"): after its one
-		// T1 request goes unanswered it waits for the lease to run out. The
-		// row holds today's behaviour.
-		{"t2_rebinding", "RFC 2131 §4.4.5 (departure)",
-			"no rebinding broadcast at T2: an unanswered renewal leaves the lease to expire at its end",
+		{"t2_rebinding", "RFC 2131 §4.4.5",
+			"an unanswered T1 renewal is followed at T2, 0.875 of the lease, by DHCPREQUEST broadcast to any server, ciaddr the client's address and no server identifier; an unanswered rebinding leaves the lease to expire at its end",
 			func(t *testing.T) {
 				e := newEnv(t, ServerConfig{})
 				seen := tapDHCP(t, e)
@@ -214,11 +209,55 @@ func TestDHCPConformance(t *testing.T) {
 				before := len(ofType(*seen, Request))
 				e.loop.RunFor(leaseDuration)
 				r := ofType(*seen, Request)[before:]
-				if len(r) != 1 || r[0].dst != serverAddr {
-					t.Fatalf("REQUESTs after binding %+v, want only the T1 unicast to %v", r, serverAddr)
+				if len(r) != 2 {
+					t.Fatalf("REQUESTs after binding %+v, want the T1 unicast and the T2 broadcast", r)
+				}
+				t1, t2 := l.Acquired.Add(leaseDuration/2), l.Acquired.Add(leaseDuration*7/8)
+				if r[0].at < t1 || r[0].at > t1.Add(10*time.Millisecond) || r[0].dst != serverAddr || r[0].hwDst != serverHW(e) {
+					t.Errorf("first REQUEST at %v to %v (frame to %v), want the unicast renewal at T1 = %v", r[0].at, r[0].dst, r[0].hwDst, t1)
+				}
+				if r[1].at < t2 || r[1].at > t2.Add(10*time.Millisecond) {
+					t.Errorf("rebinding sent at %v, want at T2 = %v", r[1].at, t2)
+				}
+				if r[1].src != l.Addr || r[1].dst != ip.Broadcast || r[1].hwDst != link.BroadcastHW || r[1].msg.ClientAddr != l.Addr || !r[1].msg.ServerAddr.IsUnspecified() {
+					t.Errorf("rebinding %v -> %v (frame to %v, ciaddr %v, server id %v), want %v -> 255.255.255.255 broadcast, ciaddr %v, no server id",
+						r[1].src, r[1].dst, r[1].hwDst, r[1].msg.ClientAddr, r[1].msg.ServerAddr, l.Addr, l.Addr)
 				}
 				if want := l.Acquired.Add(leaseDuration); expiredAt != want {
 					t.Errorf("lease expired at %v, want at its end %v", expiredAt, want)
+				}
+			}},
+		{"t2_rebinding_answered", "RFC 2131 §4.4.5",
+			"a server that answers the T2 broadcast extends the lease: it does not expire, and the next T1 falls half a lease after the answer",
+			func(t *testing.T) {
+				e := newEnv(t, ServerConfig{})
+				seen := tapDHCP(t, e)
+				c, _ := e.addClient(t, "mh")
+				expired := false
+				c.OnExpired = func() { expired = true }
+				l := bound(t, e, c)
+				// The server hears nothing, the T1 unicast included, until just
+				// before T2.
+				e.server.sock.Close()
+				e.loop.RunUntil(l.Acquired.Add(leaseDuration*7/8 - time.Second))
+				sock, err := e.server.ts.UDP(ip.Unspecified, ServerPort, e.server.input)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.server.sock = sock
+				e.loop.RunFor(2 * time.Second)
+				got, ok := c.Lease()
+				if !ok || got.Acquired <= l.Acquired.Add(leaseDuration*7/8-time.Second) || expired {
+					t.Fatalf("after the T2 broadcast: lease %+v bound=%v expired=%v, want it extended at T2", got, ok, expired)
+				}
+				if a := ofType(*seen, Ack); len(a) < 2 || a[len(a)-1].dst != l.Addr {
+					t.Errorf("ACKs %+v, want the rebinding answered to %v", a, l.Addr)
+				}
+				before := len(ofType(*seen, Request))
+				e.loop.RunUntil(got.Acquired.Add(leaseDuration/2 + time.Second))
+				r := ofType(*seen, Request)[before:]
+				if t1 := got.Acquired.Add(leaseDuration / 2); len(r) != 1 || r[0].at < t1 || r[0].at > t1.Add(10*time.Millisecond) || r[0].dst != serverAddr {
+					t.Errorf("REQUESTs after the answered rebinding %+v, want one unicast renewal at %v", r, t1)
 				}
 			}},
 	}

@@ -230,6 +230,9 @@ func (d *Device) State() State { return d.state }
 // IsUp reports whether the device passes traffic.
 func (d *Device) IsUp() bool { return d.state == StateUp }
 
+// Loop returns the simulation loop the device runs on.
+func (d *Device) Loop() *sim.Loop { return d.loop }
+
 // Network returns the attached broadcast domain, or nil.
 func (d *Device) Network() *Network { return d.net }
 

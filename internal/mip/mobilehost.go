@@ -134,18 +134,16 @@ type MobileHost struct {
 	faAddr     ip.Addr // non-zero in foreign-agent mode
 	registered bool
 
-	// The host has one registration of its own in flight at a time, so the
-	// exchange's state lives as long as the host and every pend reuses it:
-	// socket rebound, own refilled, callbacks bound once. cancelPending stops
-	// both timers first, and a reply must match own.req.ID, which no earlier
+	// The host has one registration of its own in flight at a time, pending,
+	// on a record of the loop's; every pend rebinds the one socket.
+	// cancelPending stops the renewal timer and closes the open exchange
+	// first, and a reply must match pending.req.ID, which no earlier
 	// exchange carried.
-	regSock  *transport.UDPSocket
-	regID    uint64
-	regTimer sim.Timer
-	reregT   sim.Timer
-	pending  *regAttempt // &own while the host's own exchange is open
-	own      regAttempt
-	renewFn  func() // m.renew
+	regSock *transport.UDPSocket
+	regID   uint64
+	reregT  sim.Timer
+	pending *regAttempt // the host's own exchange, while one is open
+	renewFn func()      // m.renew
 
 	// OnLinkChange, OnRegistered and OnDeregistered notify interested
 	// upper layers; all are optional.
@@ -162,24 +160,26 @@ type MobileHost struct {
 
 // regAttempt is one registration exchange in flight — the request, its
 // retries and the reply — and the only such record: the host's own
-// registration (m.own, on m.regSock, retried by m.regTimer) and an
-// additional binding (side non-nil, a record of its own) run the same
-// newRequest / send / reply / closeAttempt.
+// registration (m.pending, on m.regSock) and an additional binding (on a
+// socket of its own) run the same newRequest / send / reply / closeAttempt.
+// Records come from the loop's free list (sim.RecordsOf): newRequest takes
+// one and closeAttempt, every exchange's one way out, stops its timer and
+// puts it back, so a host with no exchange open holds none.
 type regAttempt struct {
+	m         *MobileHost
 	req       RegRequest
 	dst       ip.Addr // where to send; zero means the home agent
 	tries     int32
 	firstSent sim.Time
 	done      func(error)
-	span      *trace.Span   // "reg.attempt": first transmission to outcome
-	side      *sideExchange // an additional binding's own socket and timer
-	retry     func()        // send(p) again, bound once per record
+	span      *trace.Span          // "reg.attempt": first transmission to outcome
+	sock      *transport.UDPSocket // an additional binding's own socket; nil on the host's own
+	timer     sim.Timer            // the retry
+	retry     func()               // p.resend, bound once per record
 }
 
-type sideExchange struct {
-	sock  *transport.UDPSocket
-	timer sim.Timer
-}
+// resend is the retry timer: send the request again.
+func (p *regAttempt) resend() { p.m.send(p) }
 
 // NewMobileHost wraps ts's host with mobility support: it installs the
 // route lookup override, the VIF/IPIP tunnel endpoint, and registers the
@@ -458,11 +458,16 @@ func (m *MobileHost) deregister(done func(error)) {
 	m.pend(m.cfg.HomeAddr, 0, m.cfg.HomeAddr, ip.Addr{}, done)
 }
 
-// newRequest opens an exchange on p (the host's own record, or a fresh one
-// with side set): the next identification, the request, and the span that
-// times it. dst is the foreign agent relaying the request, or zero for the
-// home agent itself.
-func (m *MobileHost) newRequest(p *regAttempt, flags uint8, lifetime time.Duration, careOf, dst ip.Addr, done func(error)) {
+// newRequest opens an exchange on a record from the loop's list: the next
+// identification, the request, and the span that times it. dst is the
+// foreign agent relaying the request, or zero for the home agent itself.
+func (m *MobileHost) newRequest(flags uint8, lifetime time.Duration, careOf, dst ip.Addr, done func(error)) *regAttempt {
+	p := sim.RecordsOf[regAttempt](m.host.Loop()).Take()
+	if p == nil {
+		p = new(regAttempt)
+		p.retry = p.resend
+	}
+	p.m = m
 	m.regID++
 	p.req = RegRequest{
 		Flags:     flags,
@@ -474,9 +479,6 @@ func (m *MobileHost) newRequest(p *regAttempt, flags uint8, lifetime time.Durati
 	}
 	p.dst, p.tries, p.done = dst, 0, done
 	p.span = m.startSpan(kSpanRegAttempt)
-	if p.retry == nil {
-		p.retry = func() { m.send(p) }
-	}
 	// Attribute order is part of the span export; send adds "tries" next.
 	if p.req.IsDeregistration() {
 		p.span.SetAttr("dereg", "true")
@@ -489,6 +491,7 @@ func (m *MobileHost) newRequest(p *regAttempt, flags uint8, lifetime time.Durati
 	if p.req.Simultaneous() {
 		p.span.SetAttr("simultaneous", "true")
 	}
+	return p
 }
 
 // pend starts the host's own registration: whatever was in flight is
@@ -504,8 +507,7 @@ func (m *MobileHost) pend(bind ip.Addr, lifetime time.Duration, careOf, dst ip.A
 	} else {
 		err = m.regSock.Rebind(bind)
 	}
-	m.newRequest(&m.own, 0, lifetime, careOf, dst, done)
-	m.pending = &m.own
+	m.pending = m.newRequest(0, lifetime, careOf, dst, done)
 	m.begin(m.pending, err)
 }
 
@@ -526,25 +528,27 @@ func (m *MobileHost) cancelPending() {
 }
 
 // closeAttempt ends p with result on its span: the retry timer stops, and
-// an additional binding's socket closes or the host's own registration is
-// no longer pending. Every path out of an exchange comes through here.
+// the host's own registration is no longer pending or an additional
+// binding's socket closes. Every path out of an exchange comes through
+// here, and the record goes back to the loop's list: nothing holds it any
+// more.
 func (m *MobileHost) closeAttempt(p *regAttempt, result string) {
-	if p.side == nil {
-		m.regTimer.Stop()
+	p.timer.Stop()
+	if m.pending == p {
 		m.pending = nil
-	} else {
-		p.side.timer.Stop()
-		if p.side.sock != nil {
-			p.side.sock.Close()
-		}
+	}
+	if p.sock != nil {
+		p.sock.Close()
 	}
 	p.span.SetAttr("result", result)
 	p.span.Done()
+	*p = regAttempt{retry: p.retry}
+	sim.RecordsOf[regAttempt](m.host.Loop()).Put(p)
 }
 
 // abort closes p and reports err to whoever started it.
 func (m *MobileHost) abort(p *regAttempt, result string, err error) {
-	done := p.done // p may be reused by what done starts
+	done := p.done // p is back on the loop's list
 	m.closeAttempt(p, result)
 	if done != nil {
 		done(err)
@@ -554,10 +558,6 @@ func (m *MobileHost) abort(p *regAttempt, result string, err error) {
 // send transmits p's request, and again every regRetryInterval until
 // closeAttempt stops the timer or the retry budget runs out.
 func (m *MobileHost) send(p *regAttempt) {
-	sock, timer := m.regSock, &m.regTimer
-	if p.side != nil {
-		sock, timer = p.side.sock, &p.side.timer
-	}
 	p.tries++
 	if p.tries > regMaxTries {
 		m.stats.RegTimeouts++
@@ -588,8 +588,12 @@ func (m *MobileHost) send(p *regAttempt) {
 	if dst.IsUnspecified() {
 		dst = m.cfg.HomeAgent
 	}
+	sock := p.sock
+	if sock == nil {
+		sock = m.regSock
+	}
 	sock.SendTo(dst, Port, p.req.Marshal())
-	*timer = m.host.Loop().Schedule(regRetryInterval, p.retry)
+	p.timer = m.host.Loop().Schedule(regRetryInterval, p.retry)
 }
 
 // reply handles a datagram on the socket of exchange p (nil when the
@@ -605,13 +609,13 @@ func (m *MobileHost) reply(p *regAttempt, d transport.Datagram) {
 		return
 	}
 	m.trace(kRegReplyReceived, trace.Operands{I: int32(reply.Code), J: int32(reply.Lifetime), N: reply.ID})
-	careOf, done := p.req.CareOf, p.done // a callback below may start the next pend on p
+	careOf, done := p.req.CareOf, p.done // closeAttempt puts p back
 	switch {
 	case !reply.Accepted():
 		m.stats.RegDenied++
 		m.abort(p, CodeString(reply.Code), fmt.Errorf("%w: %s", ErrRegistrationDenied, CodeString(reply.Code)))
 		return
-	case p.side != nil:
+	case p != m.pending:
 		// An additional binding moves none of the host's own state.
 		m.closeAttempt(p, "accepted")
 	case p.req.IsDeregistration():
@@ -787,9 +791,8 @@ func (m *MobileHost) jit(d time.Duration) time.Duration {
 // The address must already be configured on one of the host's interfaces
 // so the reply can arrive.
 func (m *MobileHost) AddSimultaneousBinding(careOf ip.Addr, done func(error)) {
-	p := &regAttempt{side: &sideExchange{}}
-	m.newRequest(p, FlagSimultaneous, m.cfg.Lifetime, careOf, ip.Addr{}, done)
+	p := m.newRequest(FlagSimultaneous, m.cfg.Lifetime, careOf, ip.Addr{}, done)
 	var err error
-	p.side.sock, err = m.ts.UDP(careOf, Port, func(d transport.Datagram) { m.reply(p, d) })
+	p.sock, err = m.ts.UDP(careOf, Port, func(d transport.Datagram) { m.reply(p, d) })
 	m.begin(p, err)
 }

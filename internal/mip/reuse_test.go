@@ -9,8 +9,9 @@ import (
 	"mosquitonet/internal/transport"
 )
 
-// The host's own exchange record, its registration socket and the home
-// agent's binding and reply records are reused from one handoff to the next.
+// The exchange records (the loop's), the host's registration socket and the
+// home agent's binding and reply records are reused from one handoff to the
+// next.
 // These tests are the guards: whatever belonged to the exchange before must
 // be inert once the record serves the next one.
 
@@ -37,16 +38,18 @@ func TestSupersededExchangeIsInert(t *testing.T) {
 	w.ha.Crash()
 	doneN, _ := w.switchAddr("10.2.0.201")
 	w.run(300 * time.Millisecond)
-	if m.pending != &m.own || !m.regTimer.Active() {
-		t.Fatalf("exchange n is not in flight on the host's own record: pending=%p own=%p timer active=%v", m.pending, &m.own, m.regTimer.Active())
+	recN := m.pending
+	if recN == nil || !recN.timer.Active() {
+		t.Fatalf("exchange n is not in flight: pending=%p", recN)
 	}
-	idN, retryAt := m.own.req.ID, m.regTimer.At()
+	idN, retryAt := recN.req.ID, recN.timer.At()
 
-	// Exchange n+1 begins on the same record, still unanswered.
+	// Exchange n+1 begins on the same record, which n put back on the
+	// loop's list, still unanswered.
 	doneN1, errN1 := w.switchAddr("10.2.0.202")
 	w.run(200 * time.Millisecond)
-	if m.pending != &m.own || m.own.req.ID == idN || m.own.req.CareOf != ip.MustParseAddr("10.2.0.202") {
-		t.Fatalf("exchange n+1 did not take over the record: %+v", m.own.req)
+	if m.pending != recN || recN.req.ID == idN || recN.req.CareOf != ip.MustParseAddr("10.2.0.202") {
+		t.Fatalf("exchange n+1 did not take over the record: pending=%p, n's=%p %+v", m.pending, recN, recN.req)
 	}
 	before := m.Stats()
 
@@ -62,9 +65,9 @@ func TestSupersededExchangeIsInert(t *testing.T) {
 	if after.RegRequestsSent != before.RegRequestsSent || after.RegRetransmits != before.RegRetransmits {
 		t.Errorf("exchange n's retry timer sent something: %+v -> %+v", before, after)
 	}
-	if after.Registrations != before.Registrations || m.pending != &m.own || m.own.tries != 1 || *doneN || *doneN1 {
+	if after.Registrations != before.Registrations || m.pending != recN || recN.tries != 1 || *doneN || *doneN1 {
 		t.Errorf("the stale reply moved the exchange: registrations %d -> %d, tries %d, done n=%v n+1=%v",
-			before.Registrations, after.Registrations, m.own.tries, *doneN, *doneN1)
+			before.Registrations, after.Registrations, recN.tries, *doneN, *doneN1)
 	}
 
 	// An additional binding runs beside the host's own exchange on a record
@@ -72,7 +75,7 @@ func TestSupersededExchangeIsInert(t *testing.T) {
 	sideDone := false
 	var sideErr error
 	m.AddSimultaneousBinding(eth2.Addr(), func(e error) { sideDone, sideErr = true, e })
-	if m.pending != &m.own || m.own.req.Simultaneous() {
+	if m.pending != recN || recN.req.Simultaneous() {
 		t.Fatal("an additional binding took the host's own record")
 	}
 
@@ -84,6 +87,9 @@ func TestSupersededExchangeIsInert(t *testing.T) {
 	}
 	if !sideDone || sideErr != nil {
 		t.Fatalf("additional binding: done=%v err=%v", sideDone, sideErr)
+	}
+	if recs := sim.RecordsOf[regAttempt](w.loop); recs.Free() != 2 || recs.Ledger().Taken != recs.Ledger().Returned {
+		t.Fatalf("exchange records: %+v, want both back on the loop's list", recs.Ledger())
 	}
 	if b, ok := w.ha.Binding(m.HomeAddr()); !ok || b.CareOf != ip.MustParseAddr("10.2.0.202") {
 		t.Fatalf("binding after the exchanges: %+v", b)

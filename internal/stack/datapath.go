@@ -86,7 +86,7 @@ func (h *Host) deliver(ifc *Iface, pkt *ip.Packet) {
 		h.deliverDatagram(ifc, pkt)
 		return
 	}
-	full, done := h.reasm.Add(pkt)
+	full, done := h.Reassembler().Add(pkt)
 	if !done {
 		h.armSweep()
 		//lint:allow dropaccounting parked in the reassembly buffer, which owns it now; sweep expiry is accounted there
@@ -115,7 +115,7 @@ func (h *Host) deliverDatagram(ifc *Iface, pkt *ip.Packet) {
 		h.pktlog.RecordDetail(pkt.Trace, h.name, "ip.deliver", metrics.ProtoDetail(metrics.DetailProto, uint8(pkt.Protocol)))
 		handler(ifc, pkt)
 	case pkt.Protocol == ip.ProtoICMP:
-		if h.icmp.input(pkt) != nil {
+		if h.ICMP().input(pkt) != nil {
 			h.drop(dropBadPacket, metrics.Text("bad packet"), pkt)
 			return
 		}
@@ -164,7 +164,7 @@ func (h *Host) forward(in *Iface, pkt *ip.Packet) {
 	// a link neighbour to redirect: a VIF's zero prefix contains every
 	// source.
 	if out == in && !in.IsVirtual() && !in.pointToPoint && in.prefix.Contains(pkt.Src) {
-		h.icmp.sendRedirect(pkt, nextHop)
+		h.ICMP().sendRedirect(pkt, nextHop)
 	}
 	pkt.TTL--
 	h.stats.Forwarded++
@@ -266,7 +266,7 @@ func (h *Host) drop(why dropReason, detail metrics.Detail, pkt *ip.Packet) {
 //mnet:ownership takes pkt
 func (h *Host) dropICMP(why dropReason, detail metrics.Detail, typ ip.ICMPType, code uint8, pkt *ip.Packet) {
 	h.recordDrop(pkt.Trace, why, detail)
-	h.icmp.sendError(typ, code, pkt)
+	h.ICMP().sendError(typ, code, pkt)
 	pkt.Release()
 }
 

@@ -111,6 +111,9 @@ type Host struct {
 	// network" is a local-role activity.
 	groups map[ip.Addr]bool
 
+	// icmp and reasm are built on first use (ICMP and Reassembler): most
+	// hosts of a fleet never send or receive an ICMP datagram, and never
+	// receive a fragment.
 	icmp       *ICMP
 	reasm      *ip.Reassembler
 	sweepArmed bool
@@ -180,8 +183,6 @@ func NewHost(loop *sim.Loop, name string, cfg Config) *Host {
 	*h.lo = Iface{host: h, name: "lo", addr: loopbackAddr, prefix: loopbackPrefix}
 	h.lo.transmit = func(pkt *ip.Packet, _ ip.Addr) { h.Input(h.lo, pkt) }
 	h.ifaces = append(h.ifaces, h.lo)
-	h.icmp = newICMP(h)
-	h.reasm = ip.NewReassembler()
 	h.pktlog = metrics.PacketsFor(loop)
 	metrics.Add(metrics.For(loop), h, (*Host).collect)
 	return h
@@ -213,9 +214,13 @@ func (h *Host) collect(c *metrics.Collection) {
 	c.Counter("stack.host.fragments_sent", h.stats.FragmentsSent, host)
 	c.Counter("stack.host.redirects_sent", h.stats.RedirectsSent, host)
 	c.Counter("stack.host.redirects_rcvd", h.stats.RedirectsRcvd, host)
-	c.Counter("stack.icmp.sent", h.icmp.Sent, host)
-	c.Counter("stack.icmp.received", h.icmp.Received, host)
-	c.Counter("stack.icmp.echo_requests", h.icmp.EchoRequests, host)
+	var icmp ICMP // a host with no endpoint yet reads zero
+	if h.icmp != nil {
+		icmp = *h.icmp
+	}
+	c.Counter("stack.icmp.sent", icmp.Sent, host)
+	c.Counter("stack.icmp.received", icmp.Received, host)
+	c.Counter("stack.icmp.echo_requests", icmp.EchoRequests, host)
 }
 
 // armSweep keeps a reassembly-expiry sweep scheduled while partial
@@ -235,8 +240,14 @@ func (h *Host) armSweep() {
 	})
 }
 
-// Reassembler exposes fragment-reassembly statistics.
-func (h *Host) Reassembler() *ip.Reassembler { return h.reasm }
+// Reassembler returns the host's fragment-reassembly buffer, building it on
+// first use: the first fragment to arrive, or the first caller.
+func (h *Host) Reassembler() *ip.Reassembler {
+	if h.reasm == nil {
+		h.reasm = ip.NewReassembler()
+	}
+	return h.reasm
+}
 
 // Name returns the host name.
 func (h *Host) Name() string { return h.name }
@@ -254,8 +265,15 @@ func (h *Host) Stats() Stats { return h.stats }
 // Routes returns the host's routing table.
 func (h *Host) Routes() *RouteTable { return &h.routes }
 
-// ICMP returns the host's ICMP endpoint (echo, error notifications).
-func (h *Host) ICMP() *ICMP { return h.icmp }
+// ICMP returns the host's ICMP endpoint (echo, error notifications),
+// building it on first use: the first ICMP datagram in or out, or the first
+// caller.
+func (h *Host) ICMP() *ICMP {
+	if h.icmp == nil {
+		h.icmp = newICMP(h)
+	}
+	return h.icmp
+}
 
 // Loopback returns the loopback interface.
 func (h *Host) Loopback() *Iface { return h.lo }
@@ -295,7 +313,10 @@ func (h *Host) AddIface(name string, dev *link.Device, addr ip.Addr, prefix ip.P
 			return ifc.arpAddrs[:]
 		})
 	}
+	// The receiver captures only ifc (its host is ifc.host): every device
+	// interface of a fleet holds one such closure.
 	dev.SetReceiver(func(f *link.Frame) {
+		h := ifc.host
 		switch f.Type {
 		case link.EtherTypeARP:
 			if ifc.arp != nil {

@@ -175,10 +175,11 @@ func (c *ICMP) Ping(dst, bound ip.Addr, size int, timeout time.Duration, cb func
 }
 
 // sendError sends an ICMP error about pkt back to its source, observing
-// the usual suppressions (never about ICMP errors, broadcasts, unspecified
-// sources, or a fragment other than the first: RFC 1122 §3.2.2).
+// the usual suppressions (never about ICMP errors, datagrams to a broadcast
+// or multicast address, unspecified sources, or a fragment other than the
+// first: RFC 1122 §3.2.2).
 func (c *ICMP) sendError(typ ip.ICMPType, code uint8, offender *ip.Packet) {
-	if offender.Src.IsUnspecified() || offender.Src.IsBroadcast() || offender.Dst.IsBroadcast() || offender.FragOff != 0 {
+	if offender.Src.IsUnspecified() || offender.Src.IsBroadcast() || offender.Dst.IsBroadcast() || offender.Dst.IsMulticast() || offender.FragOff != 0 {
 		//lint:allow dropaccounting RFC 792/1122 suppression: only the error message is elided, the offender was accounted by the caller
 		return
 	}

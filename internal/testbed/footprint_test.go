@@ -76,17 +76,21 @@ func BenchmarkHostFootprint(b *testing.B) {
 	b.ReportMetric(0, "ns/op") // wall time is meaningless here; the metrics above are the result
 }
 
-// Budgets for TestHostFootprintBudget, ~8 % above the measured 3,485 B and
-// 51.3 allocs per host (3,557 B and 53.8 under -race): one more
-// pointer-sized field per host passes; a second tunnel endpoint per mobile
-// host (the encapsulated-direct vif1 every host built until the route
-// decision's next hop named the tunnel's far end, 232 B and 6 allocs), a
-// collector closure per host object (~230 B and 6 allocs a mobile host,
-// before they became the loop's), a per-host metric roster or per-host hook
-// closures (~24.4 KB and ~733 allocs before the diet) do not.
+// Budgets for TestHostFootprintBudget, ~8 % above the measured 3,117 B and
+// 49.3 allocs per host (3,188 B and 51.7 under -race): one more
+// pointer-sized field per host passes; an ICMP endpoint and a reassembler
+// built with every host, a Config copy in every ARP cache and a
+// registration record in every mobile host (304 B a host together, before
+// the first two were built on first use and the record became the loop's),
+// a second tunnel endpoint per mobile host (the encapsulated-direct vif1 every
+// host built until the route decision's next hop named the tunnel's far
+// end, 232 B and 6 allocs), a collector closure per host object (~230 B and
+// 6 allocs a mobile host, before they became the loop's), a per-host metric
+// roster or per-host hook closures (~24.4 KB and ~733 allocs before the
+// diet) do not.
 const (
-	footprintBytesBudget  = 3765
-	footprintAllocsBudget = 56
+	footprintBytesBudget  = 3365
+	footprintAllocsBudget = 53
 )
 
 // TestHostFootprintBudget is the memory-diet regression guard: it fails
@@ -108,10 +112,11 @@ func TestHostFootprintBudget(t *testing.T) {
 }
 
 // roamedFootprintBudget is TestRoamedHostFootprintBudget's bound, ~8 % above
-// the measured 4,041 B (4,012 under -race). A host that kept its own idle
-// records — a switch walk, bring-up waits, a resolution and hop records, as
-// every host did until they became the loop's — weighed 894 B more.
-const roamedFootprintBudget = 4365
+// the measured 3,652–3,663 B (3,718 under -race). A host that kept its own
+// idle records — a switch walk, bring-up waits, a resolution and hop
+// records, as every host did until they became the loop's — weighed 894 B
+// more; one that kept its registration exchange, 96 B more.
+const roamedFootprintBudget = 3950
 
 // TestRoamedHostFootprintBudget weighs a mobile host after its fleet has
 // roamed and probed for the whole run and quiesced: what a host retains

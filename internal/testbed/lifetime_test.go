@@ -11,10 +11,11 @@ import (
 
 // ledgerKinds are the free lists every world here takes from on its loops:
 // the per-operation records (sim.RecordsOf; a link.flight is a frame in the
-// air, a mip.delayedReply a registration reply waiting out the home agent's
+// air, a mip.regAttempt a mobile host's registration exchange, a
+// mip.delayedReply a registration reply waiting out the home agent's
 // processing delay), the packet pool (ip.Pool) and the wire-buffer lists
 // (bufpool.Lists).
-var ledgerKinds = []string{"stack.hop", "arp.pending", "link.bringUp", "link.flight", "mip.switchOp", "mip.delayedReply", "ip.Packet", "bufpool.buffer"}
+var ledgerKinds = []string{"stack.hop", "arp.pending", "link.bringUp", "link.flight", "mip.switchOp", "mip.regAttempt", "mip.delayedReply", "ip.Packet", "bufpool.buffer"}
 
 // ledgersOut sums the ledgers of loops by kind. A frame that crossed a trunk
 // took its wire buffer from one loop's lists and put it back on another's,
